@@ -2,7 +2,8 @@
 # End-to-end smoke for cmd/deepfleetd: boot the daemon on a random port with
 # a tiny queue and a 1 req/s tenant budget, deploy a testbed app and assert a
 # placement, force a 429 with Retry-After, scrape the per-tenant HTTP
-# counters off /metrics, then SIGTERM and require a clean bounded drain.
+# counters and the spec-table counters off /metrics, then SIGTERM and require
+# a clean bounded drain.
 #
 # Deterministic by construction: the second deploy trades on an empty token
 # bucket (rate=1 burst=1), so the 429 does not depend on timing. The
@@ -108,6 +109,29 @@ echo "$metrics" | grep -q 'fleetd_http_rejected{tenant="smoke"} 1' || {
   exit 1
 }
 echo "smoke: per-tenant counters present on /metrics"
+
+# The spec table interns app specs by their body bytes, before the limiter
+# runs: the two posts above (one served, one shed) were first sight and
+# admission. A third post of the same app bytes — under a fresh tenant, whose
+# bucket is full — is the first hit. Exact counts, so this must stay ahead of
+# the batch section, which posts a differently formatted copy of the app.
+sed 's/"tenant": "smoke"/"tenant": "smoke-intern"/' "$deploy" >"$workdir/deploy3.json"
+curl -fsS -X POST "$base/v1/deploy" -d @"$workdir/deploy3.json" >/dev/null
+metrics=$(curl -fsS "$base/metrics")
+for want in 'fleetd_spec_intern_misses 2' 'fleetd_spec_intern_admitted 1' \
+  'fleetd_spec_intern_hits 1' 'fleetd_spec_intern_evicted 0'; do
+  echo "$metrics" | grep -qx "$want" || {
+    echo "spec table: want '$want', got:" >&2
+    echo "$metrics" | grep fleetd_spec_intern >&2 || true
+    exit 1
+  }
+done
+echo "$metrics" | grep -q '^fleetd_spec_intern_bytes [1-9]' || {
+  echo "spec table retains no bytes after an admission:" >&2
+  echo "$metrics" | grep fleetd_spec_intern >&2 || true
+  exit 1
+}
+echo "smoke: spec table saw 2 misses, 1 admission, 1 hit for one body posted three times"
 
 # Batched admission, on a fresh tenant so the exact-count greps above stay
 # untouched. A 2-item batch needs 2 tokens against burst=1, so it can NEVER

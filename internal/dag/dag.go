@@ -5,8 +5,10 @@
 package dag
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -76,16 +78,16 @@ type Dataflow struct {
 
 // App is a dataflow processing application A = (M, E).
 //
-// Validate, TopoOrder, and Stages are memoized: the first call after a
-// mutation walks the graph, later calls return the cached result (TopoOrder
+// Validate, TopoOrder, Stages, and Digest are memoized: the first call after
+// a mutation walks the graph, later calls return the cached result (TopoOrder
 // and Stages return shared slices — callers must not modify them). The memo
 // is invalidated by the mutation methods (AddMicroservice, AddDataflow) and,
 // as a safety net for code that writes the exported slices directly, by a
 // length check on Microservices/Dataflows at each read. Mutations that keep
-// both lengths (editing a vertex or edge in place) bypass the memo and are
-// not supported once any of the three has been called. The memo is
-// mutex-guarded, so concurrent Validate/TopoOrder/Stages calls on one App
-// are safe.
+// both lengths (renaming the app, editing a vertex or edge in place) bypass
+// the memo and are not supported once any of the four has been called. The
+// memo is mutex-guarded, so concurrent Validate/TopoOrder/Stages/Digest calls
+// on one App are safe.
 type App struct {
 	Name          string
 	Microservices []*Microservice
@@ -116,6 +118,9 @@ type appMemo struct {
 	stagesDone bool
 	stages     [][]string
 	stagesErr  error
+
+	digestDone bool
+	digest     [sha256.Size]byte
 }
 
 // NewApp constructs an empty application.
@@ -381,6 +386,97 @@ func (a *App) stages() ([][]string, error) {
 		sort.Strings(s)
 	}
 	return stages, nil
+}
+
+// Digest returns the canonical SHA-256 digest of the application: its name
+// (the simulator keys jitter and labels results by it, so two structurally
+// identical apps under different names must not alias), every microservice
+// field the schedulers read, and every dataflow, independent of declaration
+// order. It is the app side of every digest-keyed cache in the fleet, and is
+// memoized until the next mutation, so a long-lived app is hashed once.
+func (a *App) Digest() [sha256.Size]byte {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.memoFreshLocked()
+	if !a.memo.digestDone {
+		a.memo.digest = a.computeDigest()
+		a.memo.digestDone = true
+	}
+	return a.memo.digest
+}
+
+// computeDigest hashes one newline-terminated record per app, microservice,
+// image, and dataflow, microservices sorted by name, images by registry, and
+// dataflows by (From, To). Every variable-length string is length-prefixed,
+// so a separator byte inside a name can never realign two distinct apps onto
+// the same digest. The record stream is a compatibility surface: cached
+// keys and recorded expectations depend on it byte for byte.
+func (a *App) computeDigest() [sha256.Size]byte {
+	h := sha256.New()
+	var buf []byte
+	num := func(v int64) {
+		buf = append(buf, '|')
+		buf = strconv.AppendInt(buf, v, 10)
+	}
+	field := func(s string) {
+		num(int64(len(s)))
+		buf = append(buf, '|')
+		buf = append(buf, s...)
+	}
+	flush := func() {
+		buf = append(buf, '\n')
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	buf = append(buf, "app"...)
+	field(a.Name)
+	flush()
+	ms := append([]*Microservice(nil), a.Microservices...)
+	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
+	for _, m := range ms {
+		buf = append(buf, "ms"...)
+		field(m.Name)
+		num(int64(m.ImageSize))
+		num(int64(m.ExternalInput))
+		num(int64(len(m.Arches)))
+		for _, arch := range m.Arches {
+			field(string(arch))
+		}
+		num(int64(m.Req.Cores))
+		num(int64(m.Req.CPU * 1e6))
+		num(int64(m.Req.Memory))
+		num(int64(m.Req.Storage))
+		num(int64(len(m.Images)))
+		flush()
+		regs := make([]string, 0, len(m.Images))
+		for reg := range m.Images {
+			regs = append(regs, reg)
+		}
+		sort.Strings(regs)
+		for _, reg := range regs {
+			buf = append(buf, "img"...)
+			field(reg)
+			field(m.Images[reg])
+			flush()
+		}
+	}
+	edges := append([]Dataflow(nil), a.Dataflows...)
+	sort.SliceStable(edges, func(i, j int) bool {
+		if edges[i].From != edges[j].From {
+			return edges[i].From < edges[j].From
+		}
+		return edges[i].To < edges[j].To
+	})
+	for _, e := range edges {
+		buf = append(buf, "df"...)
+		field(e.From)
+		field(e.To)
+		num(int64(e.Size))
+		flush()
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // CriticalPath returns the path through the DAG maximizing the sum of the

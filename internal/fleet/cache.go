@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"io"
 	"sort"
 	"strconv"
@@ -60,140 +59,23 @@ func (cd ClusterDigest) ModelKey(app *dag.App) Fingerprint {
 // Fingerprint combines the precomputed cluster digest with an application
 // and scheduler name into the full cache key.
 func (cd ClusterDigest) Fingerprint(app *dag.App, scheduler string) Fingerprint {
-	dg := newDigester()
-	return dg.fingerprint(cd, dg.appDigest(app), scheduler)
+	return fingerprint(cd, app.Digest(), scheduler)
 }
 
-// digester computes per-request fingerprints with reusable scratch: one
-// sha256 state, one record buffer, and the sort slices for canonicalizing
-// microservices and dataflows. A fleet worker owns one and computes both of
-// a request's keys (model key and placement fingerprint) from a single app
-// digest, so the steady-state request path hashes the app once and
-// allocates nothing. Not safe for concurrent use.
-type digester struct {
-	h     hash.Hash
-	buf   []byte
-	ms    []*dag.Microservice
-	edges []dag.Dataflow
-	keys  []string
-	sum   [sha256.Size]byte
-}
-
-func newDigester() *digester {
-	return &digester{h: sha256.New()}
-}
-
-// appDigest canonically digests the application alone, its name included —
-// the simulator keys jitter and labels results by it, so two structurally
-// identical apps under different names must not alias one compiled shape.
-// Records are built with strconv appends instead of fmt; every
-// variable-length string is length-prefixed, so a separator byte inside a
-// name can never realign two distinct apps onto the same digest.
-func (dg *digester) appDigest(app *dag.App) Fingerprint {
-	dg.h.Reset()
-	dg.ms = append(dg.ms[:0], app.Microservices...)
-	sortMicroservices(dg.ms)
-	buf := dg.buf[:0]
-	num := func(v int64) {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, v, 10)
-	}
-	field := func(s string) {
-		num(int64(len(s)))
-		buf = append(buf, '|')
-		buf = append(buf, s...)
-	}
-	flush := func() {
-		buf = append(buf, '\n')
-		dg.h.Write(buf)
-		buf = buf[:0]
-	}
-	buf = append(buf, "app"...)
-	field(app.Name)
-	flush()
-	for _, m := range dg.ms {
-		buf = append(buf, "ms"...)
-		field(m.Name)
-		num(int64(m.ImageSize))
-		num(int64(m.ExternalInput))
-		num(int64(len(m.Arches)))
-		for _, a := range m.Arches {
-			field(string(a))
-		}
-		num(int64(m.Req.Cores))
-		num(int64(m.Req.CPU * 1e6))
-		num(int64(m.Req.Memory))
-		num(int64(m.Req.Storage))
-		num(int64(len(m.Images)))
-		flush()
-		dg.keys = dg.keys[:0]
-		for k := range m.Images {
-			dg.keys = append(dg.keys, k)
-		}
-		sort.Strings(dg.keys)
-		for _, reg := range dg.keys {
-			buf = append(buf, "img"...)
-			field(reg)
-			field(m.Images[reg])
-			flush()
-		}
-	}
-	dg.edges = append(dg.edges[:0], app.Dataflows...)
-	sortDataflows(dg.edges)
-	for _, e := range dg.edges {
-		buf = append(buf, "df"...)
-		field(e.From)
-		field(e.To)
-		num(int64(e.Size))
-		flush()
-	}
-	dg.buf = buf
-	return dg.finish()
-}
-
-// fingerprint combines a cluster digest, an app digest, and a scheduler
-// name into a cache key. Both inner digests are fixed-length, so the
-// concatenation cannot realign.
-func (dg *digester) fingerprint(cd ClusterDigest, appDigest Fingerprint, scheduler string) Fingerprint {
-	dg.h.Reset()
-	buf := dg.buf[:0]
-	buf = append(buf, "sched="...)
+// fingerprint combines a cluster digest, an app digest (dag.App.Digest,
+// memoized on the app), and a scheduler name into a cache key. Both inner
+// digests are fixed-length, so the concatenation cannot realign. The record
+// is built on the stack and hashed in one shot, so a request's two keys
+// (model key and placement fingerprint) cost two short sha256 passes and no
+// allocation.
+func fingerprint(cd ClusterDigest, appDigest [sha256.Size]byte, scheduler string) Fingerprint {
+	var rec [128]byte
+	buf := append(rec[:0], "sched="...)
 	buf = append(buf, scheduler...)
 	buf = append(buf, '\n')
 	buf = append(buf, cd...)
 	buf = append(buf, appDigest[:]...)
-	dg.h.Write(buf)
-	dg.buf = buf
-	return dg.finish()
-}
-
-// finish snapshots the running hash into a Fingerprint without allocating.
-func (dg *digester) finish() Fingerprint {
-	dg.h.Sum(dg.sum[:0])
-	return Fingerprint(dg.sum)
-}
-
-// sortMicroservices orders by name (insertion sort: request-sized inputs,
-// no closure allocation).
-func sortMicroservices(ms []*dag.Microservice) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Name < ms[j-1].Name; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-}
-
-// sortDataflows orders by (From, To).
-func sortDataflows(edges []dag.Dataflow) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0; j-- {
-			a, b := edges[j], edges[j-1]
-			if a.From > b.From || (a.From == b.From && a.To >= b.To) {
-				break
-			}
-			edges[j], edges[j-1] = b, a
-		}
-	}
+	return sha256.Sum256(buf)
 }
 
 // quoted formats a name unambiguously for the (cold-path) cluster records.

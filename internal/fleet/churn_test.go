@@ -515,7 +515,6 @@ func TestDegradationLadder(t *testing.T) {
 		scheduler:  sched.NewDEEP(),
 		cluster:    cluster,
 		effCluster: cluster,
-		dig:        newDigester(),
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
@@ -573,7 +572,6 @@ func TestDegradationLadder(t *testing.T) {
 		scheduler:  sched.NewRoundRobin(),
 		cluster:    cluster,
 		effCluster: cluster,
-		dig:        newDigester(),
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}

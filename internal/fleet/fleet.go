@@ -60,11 +60,11 @@ type Config struct {
 	// min(Workers, GOMAXPROCS)). Submitters pick a shard by hashing
 	// (tenant, app name) — the same keys that dominate the request
 	// fingerprint — so a hot tenant's requests land on one worker's home
-	// shard and keep its digester, pass pool, and the 8-way model cache
-	// shard warm. Workers drain their home shard first and work-steal from
-	// siblings, so skewed tenant traffic can never strand idle workers. On
-	// a single-core box the default collapses to one shard — exactly the
-	// pre-sharding queue.
+	// shard and keep its pass pool and the 8-way model cache shard warm.
+	// Workers drain their home shard first and work-steal from siblings, so
+	// skewed tenant traffic can never strand idle workers. On a single-core
+	// box the default collapses to one shard — exactly the pre-sharding
+	// queue.
 	QueueShards int
 	// NewScheduler constructs one scheduler per worker (default
 	// sched.NewDEEP). Any method from sched.All works.
@@ -161,7 +161,11 @@ type Request struct {
 	// Tenant labels the requester for per-tenant aggregation (default
 	// "default").
 	Tenant string
-	// App is the application to deploy.
+	// App is the application to deploy. The fleet only reads it, and keys
+	// every cache by its memoized App.Digest, so from submission on the
+	// caller must treat it as read-only too. In return one *dag.App may be
+	// shared by any number of concurrent requests (the serving layer interns
+	// apps by spec bytes and submits the same pointer for every repeat).
 	App *dag.App
 	// Seed perturbs this request's simulation jitter (combined with
 	// Config.SimOptions).
@@ -509,11 +513,12 @@ func (f *Fleet) Stats() Stats {
 
 // shardFor hashes (tenant, app name) — FNV-1a, no allocation — onto a home
 // shard. The same keys dominate the request fingerprint, so one tenant's hot
-// shape keeps landing on one worker's home shard: its digester scratch, pass
-// pool, and model-cache shard stay warm. The full app digest would be the
-// exact affinity key, but it is a sha256 pass the submitter should not pay;
-// the name is free and wrong only for same-named structurally distinct apps,
-// where affinity is a performance hint, not a correctness input.
+// shape keeps landing on one worker's home shard: its pass pool and
+// model-cache shard stay warm. The full app digest would be the exact
+// affinity key, but for an app not yet digested it is a sha256 pass the
+// submitter should not pay; the name is free and wrong only for same-named
+// structurally distinct apps, where affinity is a performance hint, not a
+// correctness input.
 func (f *Fleet) shardFor(req *Request) int {
 	n := len(f.queues)
 	if n == 1 {
@@ -681,10 +686,9 @@ func (f *Fleet) TrySubmitCtx(ctx context.Context, req Request) (<-chan *Response
 }
 
 // SubmitBatch admits a batch of requests as one unit: one queue handoff, one
-// enqueue timestamp, and one worker pass over the whole batch, with
-// consecutive items that share an *dag.App pointer digested once. The
-// returned channel delivers exactly len(reqs) responses in submission order,
-// each tagged with its Index; every response follows the Release contract.
+// enqueue timestamp, and one worker pass over the whole batch. The returned
+// channel delivers exactly len(reqs) responses in submission order, each
+// tagged with its Index; every response follows the Release contract.
 // Admission is all-or-nothing and non-blocking: the batch occupies a single
 // shard slot, and a fleet with no free slot rejects the whole batch with
 // ErrQueueFull (counting len(reqs) rejections). The context, if non-nil,
@@ -802,11 +806,10 @@ func (f *Fleet) Close() {
 
 // workerState is the per-worker context: a private scheduler and cluster
 // (simulation mutates device layer caches), the cluster digest computed
-// once, the shared cluster table resolved once against that digest, a
-// fingerprint digester with reusable scratch, a pooled simulator Exec, and a
-// pool of scheduler passes keyed by compiled model. Compiled tables, models,
-// and plans live in the fleet-wide shared cache, not here: hot tenants
-// compile once per fleet rather than once per worker.
+// once, the shared cluster table resolved once against that digest, a pooled
+// simulator Exec, and a pool of scheduler passes keyed by compiled model.
+// Compiled tables, models, and plans live in the fleet-wide shared cache, not
+// here: hot tenants compile once per fleet rather than once per worker.
 type workerState struct {
 	scheduler     sched.Scheduler
 	cluster       *sim.Cluster
@@ -820,12 +823,6 @@ type workerState struct {
 	// every shard (nil with one shard), used only when all shards are empty.
 	home     int
 	selCases []reflect.SelectCase
-	// batchApp/batchDigest memoize the app digest across one batch's items
-	// (valid only while inBatch): consecutive items sharing an *dag.App
-	// pointer pay the sha256 pass once.
-	inBatch     bool
-	batchApp    *dag.App
-	batchDigest Fingerprint
 	// trace is the reusable per-request stage breakdown; process resets it
 	// at the top of every request so failure short-circuits leave the
 	// untouched stages at zero rather than at the prior request's values.
@@ -834,7 +831,6 @@ type workerState struct {
 	// for this worker builds on; workers with digest-identical clusters
 	// (the normal case) share one, resolved through the fleet-wide cache.
 	table *topo.ClusterTable
-	dig   *digester
 	exec  *sim.Exec
 
 	passes map[*costmodel.Model]*sched.Pass
@@ -950,7 +946,6 @@ func (f *Fleet) worker(i int) {
 		cluster:       cluster,
 		clusterDigest: DigestCluster(cluster),
 		shard:         i,
-		dig:           newDigester(),
 		exec:          sim.NewExec(),
 		passes:        make(map[*costmodel.Model]*sched.Pass),
 		plans:         make(map[*sim.Plan]*sim.Plan),
@@ -1056,14 +1051,11 @@ func (f *Fleet) deliver(w *workerState, done chan<- *Response, resp *Response) {
 // are still in flight.
 func (f *Fleet) processBatch(w *workerState, head *job) {
 	items, bdone := head.items, head.bdone
-	w.inBatch = true
 	for idx, item := range items {
 		resp := f.process(w, item)
 		resp.Index = idx
 		f.deliver(w, bdone, resp)
 	}
-	w.inBatch = false
-	w.batchApp = nil
 }
 
 // scheduleOn computes a placement for the job with the given scheduler on
@@ -1138,7 +1130,7 @@ func (f *Fleet) scheduleAttempt(w *workerState, app *dag.App, model *costmodel.M
 func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compiledShape {
 	_, modelScheduler := w.scheduler.(sched.ModelScheduler)
 	needModel := modelScheduler && f.models.enabled()
-	return f.models.getOrCompile(w.dig.fingerprint(w.clusterDigest, appDigest, ""), w.clusterDigest, func() compiledShape {
+	return f.models.getOrCompile(fingerprint(w.clusterDigest, appDigest, ""), w.clusterDigest, func() compiledShape {
 		// Cross-product passes only: the cluster-side tables come
 		// precompiled from the worker's shared cluster table and the
 		// app-side structure from the digest-keyed shared app table, so a
@@ -1234,19 +1226,9 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		w.adopt(f, st)
 	}
 
-	// One digest pass per batch run of the same app: SubmitBatch's
-	// amortization. Outside a batch the memo is off — a caller could in
-	// principle mutate an app between separate submissions, and correctness
-	// must not hinge on pointer identity there.
-	var appDigest Fingerprint
-	if w.inBatch && w.batchApp == j.req.App {
-		appDigest = w.batchDigest
-	} else {
-		appDigest = w.dig.appDigest(j.req.App)
-		if w.inBatch {
-			w.batchApp, w.batchDigest = j.req.App, appDigest
-		}
-	}
+	// Memoized on the app: only the first request to carry this *dag.App
+	// pays the sha256 pass over it.
+	appDigest := Fingerprint(j.req.App.Digest())
 	mark := time.Now()
 	w.trace.D[obs.StageFingerprint] = mark.Sub(start)
 
@@ -1254,7 +1236,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	var view PlacementView
 	var hit bool
 	for attempt := 0; ; attempt++ {
-		key := w.dig.fingerprint(w.clusterDigest, appDigest, w.scheduler.Name())
+		key := fingerprint(w.clusterDigest, appDigest, w.scheduler.Name())
 		shape = f.shape(w, j.req.App, appDigest)
 		now := time.Now()
 		w.trace.D[obs.StageCompile] += now.Sub(mark)

@@ -23,6 +23,27 @@ func testFleet(t *testing.T, cfg Config) *Fleet {
 	return f
 }
 
+// waitWorkersStarted blocks until every worker goroutine has resolved its
+// cluster table — the one shared-cache lookup (or, with the cache disabled,
+// compile) each worker performs before serving. A worker the runtime has not
+// scheduled yet has not counted its lookup, so a test that pins exact
+// cluster-table stats must wait here first; the wait is bounded.
+func waitWorkersStarted(t *testing.T, f *Fleet) {
+	t.Helper()
+	want := int64(f.Workers())
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s := f.Stats().ModelCache
+		if s.ClusterHits+s.ClusterMisses >= want || s.ClusterCompiles >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers still starting after 5s: %+v", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestDoVideoAndText(t *testing.T) {
 	f := testFleet(t, Config{Workers: 2})
 	for _, app := range []*dag.App{workload.VideoProcessing(), workload.TextProcessing()} {
@@ -502,5 +523,92 @@ func TestLRUEviction(t *testing.T) {
 	again, _ := c.Get(fpOf("a"))
 	if again["m"].Device != "d" {
 		t.Fatal("cache entry mutated through a Get copy")
+	}
+}
+
+// TestBatchAndSingleShareKeys pins that a *dag.App keys the caches the same
+// way however it is submitted: the digest lives on the app, so a single
+// submission and every item of a later batch — and a structurally equal app
+// built separately — land on one placement entry and one compiled shape.
+func TestBatchAndSingleShareKeys(t *testing.T) {
+	f := testFleet(t, Config{Workers: 1})
+	app := workload.VideoProcessing()
+	resp, err := f.Do(context.Background(), Request{Tenant: "t", App: app})
+	if err != nil || resp.Err != nil {
+		t.Fatal(err, resp.Err)
+	}
+	if resp.CacheHit {
+		t.Fatal("first submission hit an empty placement cache")
+	}
+	resp.Release()
+
+	reqs := []Request{{App: app}, {App: app}, {App: workload.VideoProcessing()}, {App: app}}
+	ch, err := f.SubmitBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range reqs {
+		resp := <-ch
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		if !resp.CacheHit {
+			t.Errorf("batch item %d missed the placement its single submission memoized", resp.Index)
+		}
+		resp.Release()
+	}
+	s := f.Stats()
+	if s.Cache.Misses != 1 || s.Cache.Hits != int64(len(reqs)) {
+		t.Errorf("placement cache misses=%d hits=%d, want 1 and %d", s.Cache.Misses, s.Cache.Hits, len(reqs))
+	}
+	if s.ModelCache.Compiles != 1 || s.ModelCache.AppCompiles != 1 {
+		t.Errorf("shape compiles=%d app compiles=%d, want 1 and 1", s.ModelCache.Compiles, s.ModelCache.AppCompiles)
+	}
+}
+
+// TestWarmPathAllocs gates the steady-state request path — placement
+// memoized, shape compiled, app digest memoized, response released — at two
+// allocations per request, single and batched alike.
+func TestWarmPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	f := testFleet(t, Config{Workers: 1})
+	ctx := context.Background()
+	app := workload.TextProcessing()
+	single := func() {
+		resp, err := f.Do(ctx, Request{Tenant: "t", App: app})
+		if err != nil || resp.Err != nil {
+			t.Fatal(err, resp.Err)
+		}
+		resp.Release()
+	}
+	const batchSize = 16
+	reqs := make([]Request, batchSize)
+	for i := range reqs {
+		reqs[i] = Request{Tenant: "t", App: app}
+	}
+	batch := func() {
+		ch, err := f.SubmitBatch(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range reqs {
+			resp := <-ch
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			resp.Release()
+		}
+	}
+	for i := 0; i < 50; i++ { // fill the caches and the job pool
+		single()
+		batch()
+	}
+	if got := testing.AllocsPerRun(200, single); got > 2 {
+		t.Errorf("warm single request: %.1f allocs, want <= 2", got)
+	}
+	if got := testing.AllocsPerRun(50, batch) / batchSize; got > 2 {
+		t.Errorf("warm batch: %.2f allocs per request, want <= 2", got)
 	}
 }

@@ -26,7 +26,6 @@ func TestWorkerPassPool(t *testing.T) {
 		scheduler:  sched.NewDEEP(),
 		cluster:    cluster,
 		effCluster: cluster,
-		dig:        newDigester(),
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
@@ -70,7 +69,6 @@ func TestWorkerPassPoolBounded(t *testing.T) {
 		scheduler:  sched.NewDEEP(),
 		cluster:    cluster,
 		effCluster: cluster,
-		dig:        newDigester(),
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}

@@ -262,6 +262,7 @@ func TestClusterTableSingleflight(t *testing.T) {
 func TestFleetCompilesClusterOnce(t *testing.T) {
 	const workers = 8
 	f := testFleet(t, Config{Workers: workers, QueueDepth: 256, CacheSize: -1})
+	waitWorkersStarted(t, f)
 
 	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing()}
 	for i := 0; i < 6; i++ {
@@ -407,9 +408,8 @@ func TestAppTableSingleflight(t *testing.T) {
 	c := newSharedModelCache(64)
 	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing()}
 	digests := make([]Fingerprint, len(apps))
-	dg := newDigester()
 	for i, app := range apps {
-		digests[i] = dg.appDigest(app)
+		digests[i] = app.Digest()
 	}
 
 	var compiles [2]atomic.Int64
@@ -482,6 +482,7 @@ func TestFleetCompilesAppOnce(t *testing.T) {
 			return workload.ScaledTestbed(int(next.Add(1)))
 		},
 	})
+	waitWorkersStarted(t, f)
 
 	app := workload.VideoProcessing()
 	var wg sync.WaitGroup
@@ -500,16 +501,7 @@ func TestFleetCompilesAppOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Workers resolve their cluster tables at startup, but a worker
-	// goroutine that was never scheduled (all 320 requests drained by its
-	// siblings under a loaded CPU) may not have started yet — give the
-	// stragglers a moment before pinning the exact count.
-	deadline := time.Now().Add(5 * time.Second)
 	s := f.Stats().ModelCache
-	for s.ClusterCompiles < workers && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		s = f.Stats().ModelCache
-	}
 	if s.AppCompiles != 1 {
 		t.Errorf("%d appgraph.Compile runs across %d workers, want exactly 1 (stats: %+v)",
 			s.AppCompiles, workers, s)

@@ -81,6 +81,10 @@ type Config struct {
 type Server struct {
 	cfg Config
 	lim *limiter
+	// specs interns app specs by their body bytes: a repeated spec skips the
+	// strict decode, the DAG build and the digest, and every request carrying
+	// it shares one read-only *dag.App (the contract on fleet.Request.App).
+	specs *wire.Interner
 
 	draining  atomic.Bool
 	drainCh   chan struct{}
@@ -116,6 +120,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, drainCh: make(chan struct{})}
 	s.lim = newLimiter(cfg.RatePerSec, cfg.Burst, cfg.MaxInFlight)
+	s.specs = wire.NewInterner(cfg.Registry, "fleetd_spec_intern")
 	s.overflow = newHTTPLabels(cfg.Registry, "other")
 	if cfg.Cluster != nil {
 		spec, err := wire.ClusterSpecOf(cfg.Cluster)
@@ -291,18 +296,8 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req DeployRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), 0)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "decoding request: "+err.Error(), 0)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.App) == 0 {
@@ -314,12 +309,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("tenant name exceeds %d bytes", maxTenantLen), 0)
 		return
 	}
-	spec, err := wire.DecodeAppSpec(req.App)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
-		return
-	}
-	app, err := spec.App()
+	app, err := s.specs.App(req.App)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
 		return
@@ -420,6 +410,25 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// decodeBody strictly decodes the request's JSON envelope into v, bounded by
+// MaxBodyBytes. On failure it writes the error response — 413 for an
+// oversized body, 400 for malformed JSON, an unknown field, or anything but
+// whitespace after the envelope — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := wire.DecodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+			fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), 0)
+		return false
+	}
+	writeError(w, http.StatusBadRequest, codeInvalidRequest, "decoding request: "+err.Error(), 0)
+	return false
+}
+
 // deployResponseOf copies a successful fleet response into its wire form —
 // after which the caller is free to Release the original.
 func deployResponseOf(resp *fleet.Response) DeployResponse {
@@ -451,18 +460,8 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req DeployBatchRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), 0)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "decoding request: "+err.Error(), 0)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -496,13 +495,7 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("items[%d] without app spec", i), 0)
 			return
 		}
-		spec, err := wire.DecodeAppSpec(item.App)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Sprintf("items[%d]: %s", i, err), 0)
-			return
-		}
-		app, err := spec.App()
+		app, err := s.specs.App(item.App)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, codeInvalidRequest,
 				fmt.Sprintf("items[%d]: %s", i, err), 0)
@@ -621,12 +614,8 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, codeMethod, "POST only", 0)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req ChurnRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "decoding request: "+err.Error(), 0)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	delta := fleet.ChurnDelta{

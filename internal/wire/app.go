@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"deep/internal/dag"
@@ -44,13 +43,12 @@ type DataflowSpec struct {
 	SizeBytes int64  `json:"size_bytes"`
 }
 
-// DecodeAppSpec parses an AppSpec from JSON, rejecting unknown fields and
-// unsupported versions. It does not validate the graph — call App for that.
+// DecodeAppSpec parses an AppSpec from JSON, rejecting unknown fields,
+// trailing data, and unsupported versions. It does not validate the graph —
+// call App for that.
 func DecodeAppSpec(data []byte) (*AppSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s AppSpec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &s); err != nil {
 		return nil, fmt.Errorf("wire: decoding app spec: %w", err)
 	}
 	if err := checkVersion("app", s.Version, AppSpecVersion); err != nil {

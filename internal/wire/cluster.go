@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -73,13 +72,11 @@ type LayerSpec struct {
 	SizeBytes int64  `json:"size_bytes"`
 }
 
-// DecodeClusterSpec parses a ClusterSpec from JSON, rejecting unknown fields
-// and unsupported versions.
+// DecodeClusterSpec parses a ClusterSpec from JSON, rejecting unknown fields,
+// trailing data, and unsupported versions.
 func DecodeClusterSpec(data []byte) (*ClusterSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s ClusterSpec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &s); err != nil {
 		return nil, fmt.Errorf("wire: decoding cluster spec: %w", err)
 	}
 	if err := checkVersion("cluster", s.Version, ClusterSpecVersion); err != nil {

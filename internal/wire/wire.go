@@ -10,9 +10,9 @@
 // for both specs. A decoder accepts any version from 1 through its current
 // version and rejects 0 (missing) and anything newer — adding a field
 // requires bumping the version, so an old server never silently drops data a
-// newer client relied on. Unknown fields are rejected at the HTTP decode
-// layer (json.Decoder.DisallowUnknownFields), which is what makes the
-// version gate trustworthy.
+// newer client relied on. Every decoder on the serving path goes through
+// DecodeStrict, which rejects unknown fields (what makes the version gate
+// trustworthy) and anything but whitespace after the one JSON value.
 //
 // Decoded specs feed straight into the fleet's canonical digest machinery:
 // a decoded app hashes identically to a natively built one with the same
@@ -20,7 +20,12 @@
 // entries with in-process traffic.
 package wire
 
-import "fmt"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+)
 
 // Current wire-format versions.
 const (
@@ -39,4 +44,29 @@ func checkVersion(kind string, got, current int) error {
 		return fmt.Errorf("wire: unsupported %s spec version %d (decoder speaks 1..%d)", kind, got, current)
 	}
 	return nil
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v: unknown fields
+// are rejected, and so is anything but whitespace between the value and EOF
+// (json.Decoder.Decode alone stops after the first value, so
+// `{"version":1,...} garbage` would pass). Read errors from r — an
+// http.MaxBytesReader hitting its limit, say — surface unwrapped.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// Token returns io.EOF when only whitespace is left, a token (err == nil)
+	// for a second well-formed value, and a *json.SyntaxError for garbage.
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil || errors.As(err, &syntax):
+		return errors.New("trailing data after top-level value")
+	default:
+		return err
+	}
 }

@@ -13,35 +13,50 @@ import (
 	"deep/internal/workload"
 )
 
+// appCorpus is the app round-trip corpus: the two case-study applications
+// and a spread of generated ones, from a single vertex up to 40.
+func appCorpus(tb testing.TB) []*dag.App {
+	tb.Helper()
+	apps := workload.Apps()
+	for _, n := range []int{1, 2, 5, 9, 16, 40} {
+		for seed := int64(1); seed <= 4; seed++ {
+			app, err := workload.Generate(workload.DefaultGeneratorConfig(n, seed))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			apps = append(apps, app)
+		}
+	}
+	return apps
+}
+
+// appBody marshals an app's wire spec, as a client would send it.
+func appBody(tb testing.TB, app *dag.App) []byte {
+	tb.Helper()
+	raw, err := json.Marshal(wire.AppSpecOf(app))
+	if err != nil {
+		tb.Fatalf("%s: marshal: %v", app.Name, err)
+	}
+	return raw
+}
+
 // TestAppRoundTripDigest pins the decoupling contract: an app encoded to the
-// wire and decoded back hashes to the same canonical fingerprint as the
-// original, so wire-submitted requests share every digest-keyed cache with
-// in-process traffic.
+// wire and decoded back hashes to the same canonical digest and fingerprint
+// as the original, so wire-submitted requests share every digest-keyed cache
+// with in-process traffic.
 func TestAppRoundTripDigest(t *testing.T) {
 	cluster := workload.Testbed()
-	cases := []struct {
-		name string
-		app  *dag.App
-	}{
-		{"video", workload.VideoProcessing()},
-		{"text", workload.TextProcessing()},
-	}
-	for _, tc := range cases {
-		raw, err := json.Marshal(wire.AppSpecOf(tc.app))
+	for _, orig := range appCorpus(t) {
+		app, err := fresh(appBody(t, orig))
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", tc.name, err)
+			t.Fatalf("%s: decode: %v", orig.Name, err)
 		}
-		decoded, err := wire.DecodeAppSpec(raw)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tc.name, err)
+		if app.Digest() != orig.Digest() {
+			t.Errorf("%s: wire round trip changed the canonical app digest", orig.Name)
 		}
-		app, err := decoded.App()
-		if err != nil {
-			t.Fatalf("%s: materialize: %v", tc.name, err)
-		}
-		want := fleet.FingerprintOf(tc.app, cluster, "deep")
+		want := fleet.FingerprintOf(orig, cluster, "deep")
 		if got := fleet.FingerprintOf(app, cluster, "deep"); got != want {
-			t.Errorf("%s: wire round trip changed the canonical fingerprint", tc.name)
+			t.Errorf("%s: wire round trip changed the canonical fingerprint", orig.Name)
 		}
 	}
 }
