@@ -138,28 +138,20 @@ func Benchmark_AblationContention(b *testing.B) {
 
 // --- substrate micro-benchmarks -----------------------------------------
 
-// BenchmarkNashSchedulerVideo times one full Nash scheduling pass.
-func BenchmarkNashSchedulerVideo(b *testing.B) {
-	cluster := workload.Testbed()
-	app := workload.VideoProcessing()
-	s := sched.NewDEEP()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(app, cluster); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSchedule times the DEEP scheduling hot path end to end: the
 // paper's case-study applications on the calibrated testbed, plus a wider
 // synthetic application (stages of up to four microservices exercise the
 // best-response dynamics) on a 50-node scaled testbed. Each case runs both
 // cold (Schedule: compile the cost model, then play the games) and warm
 // (ScheduleModel on a precompiled model — the fleet workers' steady state,
-// where compiled models are memoized per request fingerprint). The CI bench
-// smoke step runs this with -benchtime=1x; BENCH_sched.json records ns/op
-// and allocs/op for the DEEP path.
+// where compiled models are memoized per request fingerprint). The scaled50
+// pair stages are over the cap and go to best-response dynamics, so one more
+// row covers the exact window at size: the front-door benchmark's
+// cold_unique shape — a 16-microservice generated app on 24 devices, whose
+// pair stages are 48x48 = 2 304-cell exact games — as a warm pass on a
+// reused Pass (the fleet's pooled path, 0 allocs). The CI bench smoke step
+// runs this with -benchtime=10x; BENCH_sched.json records ns/op and
+// allocs/op for the DEEP path.
 func BenchmarkSchedule(b *testing.B) {
 	cfg := workload.DefaultGeneratorConfig(12, 42)
 	cfg.StageWidth = 4
@@ -202,6 +194,25 @@ func BenchmarkSchedule(b *testing.B) {
 			}
 		})
 	}
+
+	b.Run("deep/synthetic16/scaled24/warm", func(b *testing.B) {
+		app, err := workload.Generate(workload.DefaultGeneratorConfig(16, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := sched.NewDEEP()
+		p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(12)))
+		if err := s.ScheduleInto(p); err != nil { // grow the arena
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.ScheduleInto(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSimulatorRun times one dataflow-processing simulation.
@@ -759,14 +770,21 @@ func BenchmarkShardedQueue(b *testing.B) {
 
 // BenchmarkStageRecord isolates the fleet's per-request instrumentation
 // cost: folding a full stage trace into the six per-stage histograms, the
-// end-to-end latency observation, and the slow ring's fast path — exactly
-// what a fleet worker adds per request since the observability layer landed.
-// The allocguard baseline pins this at zero allocations.
+// end-to-end latency observation, the slow ring's fast path, and — what a
+// placement-cache miss adds on top — the four solver-path counters. That is
+// everything a fleet worker records per request since the observability
+// layer landed. The allocguard baseline pins this at zero allocations.
 func BenchmarkStageRecord(b *testing.B) {
 	reg := obs.NewRegistry()
 	stages := obs.NewStageSet(reg, "fleet_stage_seconds")
 	latency := reg.Histogram("fleet_request_latency_s")
 	ring := obs.NewSlowRing(64, time.Hour, latency) // fixed bar nothing reaches
+	solver := [...]*obs.Counter{
+		reg.Counter("fleet_solver_path_total{path=exact}"),
+		reg.Counter("fleet_solver_path_total{path=iesds}"),
+		reg.Counter("fleet_solver_path_total{path=best_response}"),
+		reg.Counter("fleet_solver_nonconverged_total"),
+	}
 	var tr obs.StageTrace
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
 		tr.D[s] = time.Duration(s+1) * time.Microsecond
@@ -778,5 +796,8 @@ func BenchmarkStageRecord(b *testing.B) {
 		stages.RecordAt(shard, &tr)
 		latency.ObserveAt(shard, 1e-4)
 		ring.Observe("tenant", "app", 100*time.Microsecond, &tr, true, false)
+		for _, c := range solver {
+			c.AddAt(shard, 1)
+		}
 	}
 }

@@ -99,6 +99,7 @@ func TestRecordedBaselinesParse(t *testing.T) {
 	for _, want := range []string{
 		"deep/video/testbed/warm",
 		"deep/synthetic12/scaled50/warm",
+		"deep/synthetic16/scaled24/warm",
 		"sim/video/testbed/warm",
 		"sim/synthetic12/scaled50/cold",
 		"workers=4/cache=false/sim=cold",

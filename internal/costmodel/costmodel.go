@@ -404,8 +404,8 @@ type GameArena = game.Arena
 // State is the arena-style scratch for one scheduling pass: the devices of
 // microservices committed in earlier stages, an epoch-marked device set for
 // counting shared-registry contention, and a lazily created GameArena for
-// the game layer's matrices and buffers. Energy, CompletionTime, and
-// EnergyRow do not allocate. Not safe for concurrent use; allocate one per
+// the game layer's matrices and buffers. Energy, CompletionTime, EnergyRow,
+// and EnergyRowPair do not allocate. Not safe for concurrent use; allocate one per
 // pass (or Reset).
 type State struct {
 	m      *Model
@@ -470,9 +470,8 @@ func (s *State) deployTime(ms int32, o Option, coMS []int32, coOpt []Option) flo
 	if !l.OK {
 		return 0
 	}
-	bw := l.BW
+	n := 1
 	if m.regShared[o.Registry] {
-		n := 1
 		s.epoch++
 		s.seen[o.Device] = s.epoch
 		for k := range coMS {
@@ -488,11 +487,27 @@ func (s *State) deployTime(ms int32, o Option, coMS []int32, coOpt []Option) flo
 				n++
 			}
 		}
-		if n > 1 {
-			bw = l.BW / units.Bandwidth(n)
-		}
+	}
+	return m.pullTime(l, ms, n)
+}
+
+// pullTime is Td over an OK registry link whose uplink is divided among n
+// distinct pulling devices. Every deployment price goes through this one
+// expression, so the per-option and batch paths cannot drift apart.
+func (m *Model) pullTime(l topo.Link, ms int32, n int) float64 {
+	bw := l.BW
+	if n > 1 {
+		bw = l.BW / units.Bandwidth(n)
 	}
 	return l.RTT + bw.Seconds(m.imageSize[ms])
+}
+
+// Contend reports whether two same-stage options divide a registry uplink
+// between them: both pull from the same shared registry onto different
+// devices. It is deployTime's contention scan for a single co-assignment,
+// and symmetric in its arguments.
+func (m *Model) Contend(x, y Option) bool {
+	return m.regShared[x.Registry] && y.Registry == x.Registry && y.Device != x.Device
 }
 
 // transferTime computes Tc onto the device: every incoming dataflow from
@@ -552,6 +567,42 @@ func (s *State) CompletionTime(ms int32, o Option, coMS []int32, coOpt []Option)
 // under any placeholder assignment for ms in coOpt. dst must have length
 // len(opts). Allocation-free.
 func (s *State) EnergyRow(ms int32, opts []Option, coMS []int32, coOpt []Option, dst []float64) {
+	lastDev := int32(-1)
+	var tc, tp float64
+	var pullW, recvW, procW units.Watts
+	for k, o := range opts {
+		if o.Device != lastDev {
+			lastDev = o.Device
+			tc, tp, pullW, recvW, procW = s.deviceTerms(ms, o.Device)
+		}
+		td := s.deployTime(ms, o, coMS, coOpt)
+		dst[k] = float64(pullW.Over(td) + recvW.Over(tc) + procW.Over(tp))
+	}
+}
+
+// deviceTerms returns everything an option's price takes from its device
+// alone — transfer time, processing time, and the three phase power draws —
+// which the batch pricers compute once per device run of a canonically
+// ordered option row.
+func (s *State) deviceTerms(ms, dev int32) (tc, tp float64, pullW, recvW, procW units.Watts) {
+	m := s.m
+	base := int(ms)*len(m.devNames) + int(dev)
+	return s.transferTime(ms, dev), m.tp[base], m.pullW[base], m.recvW[base], m.procW[base]
+}
+
+// EnergyRowPair batch-prices an option row at both contention levels a
+// two-microservice stage can produce. The only coupling between same-stage
+// options is deployTime's count n of distinct devices pulling from one
+// shared registry; against a single opponent that count is 1 or 2, so each
+// option has exactly two prices: solo[k] is Energy(ms, opts[k], ...) under
+// any co-assignment that does not Contend with opts[k] (n = 1), shared[k]
+// under any that does (n = 2) — bit for bit, because both go through
+// pullTime and the same hoisted per-device terms as EnergyRow. Where the
+// registry is not shared, or does not route to the device, there is no
+// second price and shared[k] == solo[k]. Stages of three or more can reach
+// n > 2 and must stay on EnergyRow. solo and shared must have length
+// len(opts). Allocation-free.
+func (s *State) EnergyRowPair(ms int32, opts []Option, solo, shared []float64) {
 	m := s.m
 	nd := len(m.devNames)
 	lastDev := int32(-1)
@@ -560,12 +611,17 @@ func (s *State) EnergyRow(ms int32, opts []Option, coMS []int32, coOpt []Option,
 	for k, o := range opts {
 		if o.Device != lastDev {
 			lastDev = o.Device
-			tc = s.transferTime(ms, o.Device)
-			base := int(ms)*nd + int(o.Device)
-			tp = m.tp[base]
-			pullW, recvW, procW = m.pullW[base], m.recvW[base], m.procW[base]
+			tc, tp, pullW, recvW, procW = s.deviceTerms(ms, o.Device)
 		}
-		td := s.deployTime(ms, o, coMS, coOpt)
-		dst[k] = float64(pullW.Over(td) + recvW.Over(tc) + procW.Over(tp))
+		var td1, td2 float64
+		if l := m.regLink[int(o.Registry)*nd+int(o.Device)]; l.OK {
+			td1 = m.pullTime(l, ms, 1)
+			td2 = td1
+			if m.regShared[o.Registry] {
+				td2 = m.pullTime(l, ms, 2)
+			}
+		}
+		solo[k] = float64(pullW.Over(td1) + recvW.Over(tc) + procW.Over(tp))
+		shared[k] = float64(pullW.Over(td2) + recvW.Over(tc) + procW.Over(tp))
 	}
 }

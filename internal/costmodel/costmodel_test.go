@@ -326,6 +326,84 @@ func TestEnergyRowAllocationFree(t *testing.T) {
 	}
 }
 
+// TestEnergyRowPairMatchesEnergy: the two-level batch must be bit-identical
+// to per-option Energy against one opponent — solo[k] under every opponent
+// option that does not Contend with opts[k], shared[k] under every one that
+// does — with and without a committed upstream, on shared, unshared, and
+// unrouted (registry, device) pairs. A third stage member can push the
+// contention count past two, which is exactly what the pair batch does not
+// price: the test pins that limit too.
+func TestEnergyRowPairMatchesEnergy(t *testing.T) {
+	app, cluster := contentionFixture(t)
+	if err := app.AddDataflow("a", "b", 500*units.MB); err != nil {
+		t.Fatal(err)
+	}
+	// A second shared registry that routes to d1 alone: (d2, far) and
+	// (d3, far) are not feasible options, but they can still be priced.
+	cluster.Topology.AddNode("farnode")
+	mustLink(t, cluster.Topology, netsim.Link{From: "farnode", To: "d1", BW: sharedBW, RTT: sharedRTT, SharedCapacity: true})
+	cluster.Registries = append(cluster.Registries, sim.RegistryInfo{Name: "far", Node: "farnode", Shared: true})
+
+	m := Compile(app, cluster)
+	st := m.NewState()
+	msIDs := ids(t, m, "a", "b", "c")
+	var every []Option
+	for _, d := range []string{"d1", "d2", "d3"} {
+		for _, r := range []string{"far", "hub", "shared"} {
+			every = append(every, opt(t, m, d, r))
+		}
+	}
+	if m.LinkOK(every[3].Registry, every[3].Device) {
+		t.Fatalf("fixture: %v should be unrouted", m.Assignment(every[3]))
+	}
+
+	check := func(name string, ms, other int32) {
+		t.Helper()
+		solo := make([]float64, len(every))
+		shared := make([]float64, len(every))
+		st.EnergyRowPair(ms, every, solo, shared)
+		coMS := []int32{ms, other}
+		sawShared := false
+		for k, x := range every {
+			for _, y := range every {
+				want := st.Energy(ms, x, coMS, []Option{x, y})
+				got := solo[k]
+				if m.Contend(x, y) {
+					got, sawShared = shared[k], true
+				}
+				if got != want {
+					t.Errorf("%s: %v against %v: EnergyRowPair %v, Energy %v", name, m.Assignment(x), m.Assignment(y), got, want)
+				}
+			}
+			if shared[k] != solo[k] && (!m.regShared[x.Registry] || !m.LinkOK(x.Registry, x.Device)) {
+				t.Errorf("%s: %v has a second price but nothing to share", name, m.Assignment(x))
+			}
+		}
+		if !sawShared {
+			t.Errorf("%s: no contended pair priced", name)
+		}
+	}
+	check("uncommitted", msIDs[1], msIDs[2])
+	st.Commit(msIDs[0], opt(t, m, "d3", "hub"))
+	check("committed-upstream", msIDs[1], msIDs[2])
+
+	// Three pullers on one shared registry: n = 3, outside both prices.
+	x := opt(t, m, "d1", "shared")
+	three := st.Energy(msIDs[0], x, msIDs, []Option{x, opt(t, m, "d2", "shared"), opt(t, m, "d3", "shared")})
+	solo, shared := make([]float64, 1), make([]float64, 1)
+	st.EnergyRowPair(msIDs[0], []Option{x}, solo, shared)
+	if !(solo[0] < shared[0] && shared[0] < three) {
+		t.Errorf("contention levels out of order: n=1 %v, n=2 %v, n=3 %v", solo[0], shared[0], three)
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		st.EnergyRowPair(msIDs[1], every[:1], solo, shared)
+	})
+	if allocs != 0 {
+		t.Errorf("EnergyRowPair allocates %.1f objects per run", allocs)
+	}
+}
+
 // TestSoloCellsConsistent: the precomputed scatter cells agree with the solo
 // axes — cell k is (index of device in axis)×len(regs) + (index of registry).
 func TestSoloCellsConsistent(t *testing.T) {

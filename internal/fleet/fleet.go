@@ -294,6 +294,14 @@ type Fleet struct {
 	latency *obs.Histogram
 	slow    *obs.SlowRing
 
+	// Solver telemetry, monotonic: how many stage games each scheduling
+	// pass solved on each path (fleet_solver_path_total{path=...}) and how
+	// many best-response games ran out of iterations without settling
+	// (fleet_solver_nonconverged_total). Placement-cache hits run no games
+	// and add nothing.
+	solverExact, solverReduced, solverBestResponse *obs.Counter
+	solverNonconverged                             *obs.Counter
+
 	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
@@ -423,6 +431,10 @@ func New(cfg Config) *Fleet {
 	f.stages = obs.NewStageSet(reg, "fleet_stage_seconds")
 	f.latency = reg.Histogram("fleet_request_latency_s")
 	f.slow = obs.NewSlowRing(cfg.SlowRingSize, cfg.SlowThreshold, f.latency)
+	f.solverExact = reg.Counter("fleet_solver_path_total{path=exact}")
+	f.solverReduced = reg.Counter("fleet_solver_path_total{path=iesds}")
+	f.solverBestResponse = reg.Counter("fleet_solver_path_total{path=best_response}")
+	f.solverNonconverged = reg.Counter("fleet_solver_nonconverged_total")
 	reg.OnCollect(f.collectGauges)
 	// Epoch 0 is the pristine pre-churn state: nil table and digest mean
 	// "every worker keeps its own substrate". The fleet's canonical base
@@ -1083,12 +1095,28 @@ func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, app *dag.A
 		if err := s.ScheduleInto(p); err != nil {
 			return nil, err
 		}
+		f.recordSolver(w.shard, p.Solver())
 		return p.Placement(), nil
 	case sched.ModelScheduler:
 		return s.ScheduleModel(model)
 	default:
 		return scheduler.Schedule(app, w.effCluster)
 	}
+}
+
+// recordSolver folds one pass's per-path stage-game counts into the fleet's
+// solver counters on the worker's shard; paths the pass never took cost
+// nothing.
+func (f *Fleet) recordSolver(shard int, st sched.SolverStats) {
+	add := func(c *obs.Counter, n int) {
+		if n > 0 {
+			c.AddAt(shard, float64(n))
+		}
+	}
+	add(f.solverExact, st.Exact)
+	add(f.solverReduced, st.Reduced)
+	add(f.solverBestResponse, st.BestResponse)
+	add(f.solverNonconverged, st.NonConverged)
 }
 
 // scheduleAttempt runs one rung of the degradation ladder: the exact

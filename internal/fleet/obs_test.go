@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"deep/internal/obs"
+	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/workload"
 )
@@ -136,6 +137,71 @@ func TestStageTracingEndToEnd(t *testing.T) {
 		if sr.Stages.D[obs.StageSim] <= 0 {
 			t.Fatalf("slow entry lost its stage breakdown: %+v", sr)
 		}
+	}
+}
+
+// TestSolverPathCounters: every scheduling pass adds its stage games to the
+// per-path counters, a placement-cache hit adds nothing, and a stage whose
+// best-response dynamics cycle until the budget runs out is counted as
+// non-converged instead of passing for a fixed point.
+func TestSolverPathCounters(t *testing.T) {
+	solver := func(f *Fleet) (exact, iesds, br, nonconverged float64) {
+		return f.solverExact.Value(), f.solverReduced.Value(), f.solverBestResponse.Value(), f.solverNonconverged.Value()
+	}
+	do := func(f *Fleet, req Request) {
+		t.Helper()
+		if resp, err := f.Do(context.Background(), req); err != nil || resp.Err != nil {
+			t.Fatal(err, resp.Err)
+		}
+	}
+
+	// The text pipeline on the testbed: solo and pair stages, all exact.
+	f := testFleet(t, Config{Workers: 1})
+	app := workload.TextProcessing()
+	stages, err := app.Stages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	do(f, Request{Tenant: "t", App: app})
+	if exact, iesds, br, bad := solver(f); exact != float64(len(stages)) || iesds != 0 || br != 0 || bad != 0 {
+		t.Fatalf("after one cold text deploy: exact=%v iesds=%v best_response=%v nonconverged=%v, want %d exact games",
+			exact, iesds, br, bad, len(stages))
+	}
+	do(f, Request{Tenant: "t", App: app}) // placement-cache hit: no games played
+	if exact, _, _, _ := solver(f); exact != float64(len(stages)) {
+		t.Fatalf("a placement-cache hit moved the exact counter to %v", exact)
+	}
+
+	// The cycling stage: one solo game, then three players who never settle.
+	cyclingApp, _ := workload.CyclingStage()
+	cf := testFleet(t, Config{Workers: 1, NewCluster: func() *sim.Cluster {
+		_, cluster := workload.CyclingStage()
+		return cluster
+	}})
+	do(cf, Request{Tenant: "t", App: cyclingApp})
+	if exact, iesds, br, bad := solver(cf); exact != 1 || iesds != 0 || br != 1 || bad != 1 {
+		t.Fatalf("after the cycling deploy: exact=%v iesds=%v best_response=%v nonconverged=%v, want 1/0/1/1",
+			exact, iesds, br, bad)
+	}
+	var b strings.Builder
+	if err := cf.Metrics().Obs().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`fleet_solver_path_total{path="exact"} 1`,
+		`fleet_solver_path_total{path="iesds"} 0`,
+		`fleet_solver_path_total{path="best_response"} 1`,
+		`fleet_solver_nonconverged_total 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("prometheus output missing %q:\n%s", want, b.String())
+		}
+	}
+
+	// Recording a pass's counts allocates nothing.
+	st := sched.SolverStats{Exact: 3, Reduced: 1, BestResponse: 2, NonConverged: 1}
+	if allocs := testing.AllocsPerRun(100, func() { f.recordSolver(0, st) }); allocs != 0 {
+		t.Fatalf("recordSolver allocates %.1f objects per call", allocs)
 	}
 }
 

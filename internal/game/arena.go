@@ -104,7 +104,7 @@ func NewFromArena(a *Arena, rows, cols int) *Game {
 		a.gms = append(a.gms, g)
 	}
 	a.ng++
-	*g = Game{A: a.Matrix(rows, cols), B: a.Matrix(rows, cols)}
+	*g = Game{A: a.Matrix(rows, cols), B: a.Matrix(rows, cols), arena: a}
 	return g
 }
 

@@ -12,6 +12,10 @@ type Game struct {
 	A, B *Matrix
 	// RowLabels and ColLabels optionally name the strategies for reporting.
 	RowLabels, ColLabels []string
+
+	// arena is set by NewFromArena: solvers that need scratch beyond the
+	// matrices draw it here instead of allocating. Nil for heap-built games.
+	arena *Arena
 }
 
 // New constructs a bimatrix game from the two payoff matrices. The matrices
@@ -186,34 +190,60 @@ func (g *Game) IsNash(x, y []float64, tol float64) bool {
 	return true
 }
 
-// PureNash enumerates all pure-strategy Nash equilibria.
+// PureNash enumerates all pure-strategy Nash equilibria in row-major order.
 func (g *Game) PureNash() []Profile {
 	rows, cols := g.Shape()
 	var out []Profile
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if g.isPureNash(i, j) {
-				out = append(out, Profile{Row: Pure(rows, i), Col: Pure(cols, j)})
-			}
-		}
-	}
+	g.scanPureNash(func(i, j int) {
+		out = append(out, Profile{Row: Pure(rows, i), Col: Pure(cols, j)})
+	})
 	return out
 }
 
-func (g *Game) isPureNash(i, j int) bool {
-	aij := g.A.At(i, j)
-	for r := 0; r < g.A.Rows; r++ {
-		if g.A.At(r, j) > aij+1e-12 {
-			return false
+// scanPureNash is the one pure-equilibrium kernel: it calls yield(i, j) for
+// every pure-strategy Nash equilibrium, in row-major order, in O(cells).
+// Cell (i, j) is an equilibrium when no entry of A's column j beats A[i][j]
+// and no entry of B's row i beats B[i][j], each by more than 1e-12. Beating
+// a threshold is monotone in the challenger, so "some entry does" is "the
+// maximum does": one pass takes A's column maxima, and each row's B maximum
+// is taken just before that row's cells are tested. The maxima start at
+// -Inf and only move on a strict >, so NaN payoffs never become a maximum
+// and never beat anything — the classification a per-cell scan of the column
+// and row gives, at any mix of NaN and ±Inf. The column scratch comes from
+// the game's arena when it has one.
+func (g *Game) scanPureNash(yield func(i, j int)) {
+	rows, cols := g.Shape()
+	var colMax []float64
+	if g.arena != nil {
+		colMax = g.arena.Floats(cols)
+	} else {
+		colMax = make([]float64, cols)
+	}
+	for j := range colMax {
+		colMax[j] = math.Inf(-1)
+	}
+	for i := 0; i < rows; i++ {
+		for j, v := range g.A.RowView(i) {
+			if v > colMax[j] {
+				colMax[j] = v
+			}
 		}
 	}
-	bij := g.B.At(i, j)
-	for c := 0; c < g.B.Cols; c++ {
-		if g.B.At(i, c) > bij+1e-12 {
-			return false
+	for i := 0; i < rows; i++ {
+		a, b := g.A.RowView(i), g.B.RowView(i)
+		rowMax := math.Inf(-1)
+		for _, v := range b {
+			if v > rowMax {
+				rowMax = v
+			}
+		}
+		for j, aij := range a {
+			if colMax[j] > aij+1e-12 || rowMax > b[j]+1e-12 {
+				continue
+			}
+			yield(i, j)
 		}
 	}
-	return true
 }
 
 // PureProfile is a pure-strategy profile in index form — the allocation-free
@@ -226,14 +256,9 @@ type PureProfile struct{ Row, Col int }
 // allocate.
 func (g *Game) PureNashInto(dst []PureProfile) []PureProfile {
 	dst = dst[:0]
-	rows, cols := g.Shape()
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if g.isPureNash(i, j) {
-				dst = append(dst, PureProfile{Row: i, Col: j})
-			}
-		}
-	}
+	g.scanPureNash(func(i, j int) {
+		dst = append(dst, PureProfile{Row: i, Col: j})
+	})
 	return dst
 }
 
@@ -262,20 +287,14 @@ func (g *Game) SelectPure(eqs []PureProfile) (PureProfile, bool) {
 // row-major without allocating. ok is false when the game has no pure
 // equilibrium.
 func (g *Game) BestPureNash() (p PureProfile, ok bool) {
-	rows, cols := g.Shape()
 	var bestW, bestR float64
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if !g.isPureNash(i, j) {
-				continue
-			}
-			r := g.A.At(i, j)
-			w := r + g.B.At(i, j)
-			if !ok || w > bestW+1e-12 || (math.Abs(w-bestW) <= 1e-12 && r > bestR+1e-12) {
-				p, bestW, bestR, ok = PureProfile{Row: i, Col: j}, w, r, true
-			}
+	g.scanPureNash(func(i, j int) {
+		r := g.A.At(i, j)
+		w := r + g.B.At(i, j)
+		if !ok || w > bestW+1e-12 || (math.Abs(w-bestW) <= 1e-12 && r > bestR+1e-12) {
+			p, bestW, bestR, ok = PureProfile{Row: i, Col: j}, w, r, true
 		}
-	}
+	})
 	return p, ok
 }
 

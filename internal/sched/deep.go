@@ -24,23 +24,29 @@ import (
 //     assignments; the payoff coupling captures shared-registry contention.
 //     The welfare-maximal pure equilibrium is chosen. Pair games larger
 //     than MaxPairCells payoff cells first get one rescue attempt up to
-//     DominancePairCells: price the full bimatrix and shrink it by iterated
+//     DominancePairCells: fill the full bimatrix and shrink it by iterated
 //     elimination of strictly dominated strategies (IESDS, which never
 //     removes a Nash equilibrium) — if the survivors fit under the cap the
 //     reduced game is solved exactly, matching the uncapped answer. Games
-//     that stay over the cap fall back to best-response dynamics — on
-//     scaled clusters the full O(|o1|·|o2|) game prices tens of thousands
-//     of cells for the same congestion-style potential game whose iterative
-//     dynamics converge to an equilibrium directly.
+//     that stay over the cap fall back to best-response dynamics — the same
+//     congestion-style potential game, whose iterative dynamics reach an
+//     equilibrium without materializing tens of thousands of cells.
 //
 //   - Larger stages run best-response dynamics, which converge for these
 //     congestion-style payoffs.
 //
-// The whole game layer is batch-priced and allocation-free in steady state:
-// payoff matrices are priced one option row at a time by
-// costmodel.State.EnergyRow over the compiled dense tables, and every
-// matrix, price row, and mask comes from the pass's GameArena. A reusable
-// Pass makes repeated warm passes allocate nothing at all.
+// The game layer is batch-priced and allocation-free in steady state. A
+// pair game costs O(|o1|+|o2|) option pricings, not O(|o1|·|o2|): the only
+// coupling between two co-staged options is whether they divide one shared
+// registry's uplink (costmodel.Model.Contend), so every strategy has
+// exactly two prices — contended or not — which one
+// costmodel.State.EnergyRowPair call per player computes, and the bimatrix
+// is an O(cells) select between them. That holds for two players only: in a
+// stage of three or more the uplink can be divided three or more ways, the
+// price depends on the whole profile, and those stages (and the solo game)
+// price rows against the current profile with costmodel.State.EnergyRow.
+// Every matrix, price row, and mask comes from the pass's GameArena; a
+// reusable Pass makes repeated warm passes allocate nothing at all.
 type DEEP struct {
 	// MaxPairCells caps the two-microservice bimatrix game at |o1|·|o2|
 	// payoff cells; larger pair stages are solved by best-response dynamics.
@@ -49,7 +55,7 @@ type DEEP struct {
 	MaxPairCells int
 
 	// DominancePairCells widens the exact window for pair games over
-	// MaxPairCells: a game of at most this many cells is priced in full and
+	// MaxPairCells: a game of at most this many cells is filled in full and
 	// reduced by IESDS; if the survivors fit under MaxPairCells the reduced
 	// game is solved exactly — strict dominance never removes a Nash
 	// equilibrium and the reduction preserves strategy order, so the answer
@@ -68,11 +74,13 @@ const DefaultMaxPairCells = 4096
 
 // DefaultDominancePairCells is the IESDS rescue window NewDEEP installs:
 // pair games up to 2x the cap try dominance reduction before surrendering to
-// best-response dynamics. The factor is deliberately modest — pricing the
-// full bimatrix plus the elimination sweeps is O(cells) + O((|o1|+|o2|)·
-// cells) worst case, and the biggest scaled-cluster games (100x100 options,
-// 10k cells) are exactly the ones whose best-response routing bought the
-// game layer its throughput, so they stay on the dynamics.
+// best-response dynamics. Filling the bimatrix is cheap — two prices per
+// strategy, then an O(cells) select — so what bounds the window is the
+// reduction: its elimination sweeps are O((|o1|+|o2|)·cells) worst case.
+// The factor is deliberately modest because the biggest scaled-cluster
+// games (100x100 options, 10k cells) are exactly the ones whose
+// best-response routing bought the game layer its throughput, so they stay
+// on the dynamics.
 const DefaultDominancePairCells = 2 * DefaultMaxPairCells
 
 // DEEP supports the fleet's pooled-pass scheduling path.
@@ -121,7 +129,25 @@ type Pass struct {
 	cur    []costmodel.Option
 	opts   [][]costmodel.Option
 	placed []costmodel.Option
+	solver SolverStats
 }
+
+// SolverStats counts how the stage games of one scheduling pass were
+// solved. Exact, Reduced and BestResponse partition the stages: Exact is
+// the full game solved for its welfare-maximal equilibrium (every solo
+// stage, and pair stages within MaxPairCells), Reduced a pair game the
+// IESDS window brought under the cap and solved exactly, BestResponse a
+// stage handed to the dynamics (wide stages and over-cap pairs).
+// NonConverged counts the BestResponse stages whose dynamics were still
+// moving when the iteration budget ran out — their assignment is the last
+// profile visited, not a fixed point.
+type SolverStats struct {
+	Exact, Reduced, BestResponse int
+	NonConverged                 int
+}
+
+// Solver returns the last run's per-path stage-game counts.
+func (p *Pass) Solver() SolverStats { return p.solver }
 
 // NewPass allocates scratch sized for the model.
 func NewPass(model *costmodel.Model) *Pass {
@@ -158,6 +184,7 @@ func (s *DEEP) ScheduleInto(p *Pass) error {
 		return err
 	}
 	st.Reset()
+	p.solver = SolverStats{}
 	for _, stage := range stages {
 		assigned := p.cur[:len(stage)]
 		opts := p.opts[:len(stage)]
@@ -168,39 +195,38 @@ func (s *DEEP) ScheduleInto(p *Pass) error {
 			}
 			opts[k] = o
 		}
+		solved := false
 		switch {
 		case len(stage) == 1:
 			assigned[0], err = scheduleSolo(model, st, stage[0])
-			if err != nil {
-				return err
-			}
+			solved = true
+			p.solver.Exact++
 		case len(stage) == 2 && (s.MaxPairCells <= 0 || len(opts[0])*len(opts[1]) <= s.MaxPairCells):
 			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1])
-			if err != nil {
-				return err
-			}
+			solved = true
+			p.solver.Exact++
 		case len(stage) == 2 && s.DominancePairCells > 0 && len(opts[0])*len(opts[1]) <= s.DominancePairCells:
 			// Mid-size pair games (over the cap, within the dominance
 			// window): try IESDS reduction for an exact answer; games that
 			// stay over the cap join the best-response fallback below.
-			var solved bool
 			assigned[0], assigned[1], solved, err = schedulePairReduced(model, st, stage[0], stage[1], s.MaxPairCells)
-			if err != nil {
-				return err
+			if solved {
+				p.solver.Reduced++
 			}
-			if !solved {
-				for k := range stage {
-					assigned[k] = opts[k][0]
-				}
-				bestResponse(st, stage, opts, assigned)
-			}
-		default:
-			// Wide stages — and pair stages over the cap — converge by
+		}
+		if err != nil {
+			return err
+		}
+		if !solved {
+			// Wide stages — and pair stages over the cap — go to
 			// best-response dynamics.
 			for k := range stage {
 				assigned[k] = opts[k][0]
 			}
-			bestResponse(st, stage, opts, assigned)
+			p.solver.BestResponse++
+			if _, converged := bestResponse(st, stage, opts, assigned); !converged {
+				p.solver.NonConverged++
+			}
 		}
 		for k, ms := range stage {
 			p.placed[ms] = assigned[k]
@@ -266,10 +292,9 @@ func scheduleSolo(model *costmodel.Model, st *costmodel.State, ms int32) (costmo
 }
 
 // schedulePair solves the two-microservice bimatrix game over full
-// assignments. The row player's payoffs are priced one column at a time and
-// the column player's one row at a time, each by a single EnergyRow call —
-// the entry for the microservice being priced is ignored by the contention
-// scan, so the co-assignment only needs the opponent's strategy filled in.
+// assignments: the welfare-maximal pure equilibrium of the matrix
+// pricePairGame fills, or — when the game has none — a Lemke–Howson
+// equilibrium rounded to each player's likeliest strategy.
 func schedulePair(model *costmodel.Model, st *costmodel.State, m1, m2 int32) (costmodel.Option, costmodel.Option, error) {
 	o1 := model.Options(m1)
 	o2 := model.Options(m2)
@@ -282,7 +307,7 @@ func schedulePair(model *costmodel.Model, st *costmodel.State, m1, m2 int32) (co
 	ar := st.Arena()
 	ar.Reset()
 	g := game.NewFromArena(ar, len(o1), len(o2))
-	pricePairGame(st, g, m1, m2, o1, o2)
+	pricePairGame(model, st, g, m1, m2)
 
 	// Prefer pure equilibria (deployable directly); among them take the
 	// welfare-maximal one, i.e. minimum combined energy.
@@ -298,35 +323,38 @@ func schedulePair(model *costmodel.Model, st *costmodel.State, m1, m2 int32) (co
 	return o1[argmax(p.Row)], o2[argmax(p.Col)], nil
 }
 
-// pricePairGame fills g's bimatrix for the (m1, m2) pair game over option
-// sets o1 x o2: the row player's payoffs one column at a time and the column
-// player's one row at a time, each by a single EnergyRow call. The price
-// scratch comes from the state's arena, which must own g.
-func pricePairGame(st *costmodel.State, g *game.Game, m1, m2 int32, o1, o2 []costmodel.Option) {
-	coMS := [2]int32{m1, m2}
-	var coOpt [2]costmodel.Option
-
-	cols := len(o2)
-	colBuf := st.Arena().Floats(len(o1))
-	for j, y := range o2 {
-		coOpt[1] = y
-		st.EnergyRow(m1, o1, coMS[:], coOpt[:], colBuf)
-		for i, c := range colBuf {
-			g.A.Data[i*cols+j] = -c
-		}
-	}
+// pricePairGame fills g's bimatrix for the (m1, m2) pair game over their
+// option sets o1 x o2: A[i][j] = -Energy(m1, o1[i]) and B[i][j] = -Energy(m2,
+// o2[j]) under the co-assignment (o1[i], o2[j]), bit for bit. With one
+// opponent an option's energy takes one of two values — whether or not the
+// opponent's option Contends with it for a shared registry's uplink — so
+// each player's row is priced once at both levels (|o1|+|o2| pricings) and
+// every cell selects between them; Contend is symmetric, so one test serves
+// both matrices. Stages of three or more have no such shortcut (the uplink
+// can be split more than two ways) and never come here. The price scratch
+// comes from the state's arena, which must own g.
+func pricePairGame(model *costmodel.Model, st *costmodel.State, g *game.Game, m1, m2 int32) {
+	o1, o2 := model.Options(m1), model.Options(m2)
+	ar := st.Arena()
+	solo1, shared1 := ar.Floats(len(o1)), ar.Floats(len(o1))
+	solo2, shared2 := ar.Floats(len(o2)), ar.Floats(len(o2))
+	st.EnergyRowPair(m1, o1, solo1, shared1)
+	st.EnergyRowPair(m2, o2, solo2, shared2)
 	for i, x := range o1 {
-		coOpt[0] = x
-		row := g.B.RowView(i)
-		st.EnergyRow(m2, o2, coMS[:], coOpt[:], row)
-		for k, c := range row {
-			row[k] = -c
+		a, b := g.A.RowView(i), g.B.RowView(i)
+		aSolo, aShared := -solo1[i], -shared1[i]
+		for j, y := range o2 {
+			if model.Contend(x, y) {
+				a[j], b[j] = aShared, -shared2[j]
+			} else {
+				a[j], b[j] = aSolo, -solo2[j]
+			}
 		}
 	}
 }
 
 // schedulePairReduced is the mid-size rung between the exact pair game and
-// best-response dynamics: price the full bimatrix, shrink it by iterated
+// best-response dynamics: fill the full bimatrix, shrink it by iterated
 // elimination of strictly dominated strategies, and if the survivors fit
 // under maxCells solve the reduced game exactly, translating the equilibrium
 // back through the surviving-index maps. IESDS never removes a Nash
@@ -350,7 +378,7 @@ func schedulePairReduced(model *costmodel.Model, st *costmodel.State, m1, m2 int
 	rowOrig := ar.Ints(len(o1))
 	colOrig := ar.Ints(len(o2))
 	fscratch := ar.Floats(2 * (len(o1) + len(o2)))
-	pricePairGame(st, g, m1, m2, o1, o2)
+	pricePairGame(model, st, g, m1, m2)
 
 	if nr, nc := g.ReduceDominatedPrefiltered(rowOrig, colOrig, fscratch); nr*nc > maxCells {
 		return costmodel.Option{}, costmodel.Option{}, false, nil
@@ -365,6 +393,9 @@ func schedulePairReduced(model *costmodel.Model, st *costmodel.State, m1, m2 int
 	return o1[rowOrig[argmax(p.Row)]], o2[colOrig[argmax(p.Col)]], true, nil
 }
 
+// bestResponseBudget is the sweep budget of bestResponse.
+const bestResponseBudget = 100
+
 // bestResponse runs synchronous best-response dynamics over a stage until a
 // fixed point or the iteration budget. opts holds each member's candidate
 // options and cur its current assignment (parallel to stage); cur is
@@ -372,8 +403,10 @@ func schedulePairReduced(model *costmodel.Model, st *costmodel.State, m1, m2 int
 // member's whole candidate row is priced by one EnergyRow call against the
 // current profile — exact, because the contention scan skips the deciding
 // microservice's own entry — with the price row and index scratch drawn
-// from the state's arena.
-func bestResponse(st *costmodel.State, stage []int32, opts [][]costmodel.Option, cur []costmodel.Option) {
+// from the state's arena. It returns the number of sweeps run and whether
+// the last one moved nobody; converged=false means the budget ran out on a
+// cycling game and cur is merely the last profile visited.
+func bestResponse(st *costmodel.State, stage []int32, opts [][]costmodel.Option, cur []costmodel.Option) (iterations int, converged bool) {
 	ar := st.Arena()
 	ar.Reset()
 	maxOpts := 0
@@ -385,7 +418,7 @@ func bestResponse(st *costmodel.State, stage []int32, opts [][]costmodel.Option,
 	prices := ar.Floats(maxOpts)
 	curIdx := ar.Ints(len(stage)) // zeroed: cur[k] == opts[k][0]
 
-	for iter := 0; iter < 100; iter++ {
+	for iter := 1; iter <= bestResponseBudget; iter++ {
 		changed := false
 		for k, ms := range stage {
 			row := prices[:len(opts[k])]
@@ -404,10 +437,10 @@ func bestResponse(st *costmodel.State, stage []int32, opts [][]costmodel.Option,
 			}
 		}
 		if !changed {
-			return
+			return iter, true
 		}
 	}
-	// Best effort after the iteration budget.
+	return bestResponseBudget, false
 }
 
 func argmax(v []float64) int {

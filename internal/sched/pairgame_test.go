@@ -1,0 +1,360 @@
+package sched
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"deep/internal/costmodel"
+	"deep/internal/device"
+	"deep/internal/game"
+	"deep/internal/netsim"
+	"deep/internal/sim"
+	"deep/internal/workload"
+)
+
+// pairGameCorpus is the set of (app, cluster) shapes the pair-game pins walk:
+// the paper's case studies on the testbed, the front-door benchmark's
+// cold_unique shape (16-microservice generated apps, 24 devices, 2 304-cell
+// games), a cluster where no registry uplink is shared (every strategy has
+// one price), one with a second shared registry that only routes to the
+// medium devices (ragged option rows, two contention domains), and one with
+// a device no other device routes to (infinite transfer times, so -Inf
+// payoffs).
+func pairGameCorpus(t *testing.T) []corpusCase {
+	t.Helper()
+	synthetic := func(n int, seed int64) corpusCase {
+		app, err := workload.Generate(workload.DefaultGeneratorConfig(n, seed))
+		if err != nil {
+			t.Fatalf("generate size=%d seed=%d: %v", n, seed, err)
+		}
+		return corpusCase{name: fmt.Sprintf("synthetic%d-%d", n, seed), app: app}
+	}
+	on := func(c corpusCase, name string, cluster *sim.Cluster) corpusCase {
+		c.name += "/" + name
+		c.cluster = cluster
+		return c
+	}
+
+	unshared := workload.ScaledTestbed(4)
+	for i := range unshared.Registries {
+		unshared.Registries[i].Shared = false
+	}
+
+	mirrored := workload.ScaledTestbed(4)
+	mirrored.Topology.AddNode("mirror-node")
+	for i := 0; i < 4; i++ {
+		if err := mirrored.Topology.AddLink(netsim.Link{
+			From: "mirror-node", To: fmt.Sprintf("%s-%02d", workload.MediumNode, i),
+			BW: workload.RegionalMediumBW / 2, RTT: workload.RegionalSetupTime, SharedCapacity: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mirrored.Registries = append(mirrored.Registries, sim.RegistryInfo{Name: "mirror", Node: "mirror-node", Shared: true})
+
+	// An island device: registries and the source reach it, no other device
+	// does, so a dataflow from anywhere else never arrives.
+	severed := workload.ScaledTestbed(2)
+	severed.Topology.AddNode("island")
+	for _, l := range []netsim.Link{
+		{From: workload.HubNode, To: "island", BW: workload.HubMediumBW, RTT: workload.HubSetupTime},
+		{From: workload.RegionalNode, To: "island", BW: workload.RegionalMediumBW, RTT: workload.RegionalSetupTime, SharedCapacity: true},
+		{From: workload.SourceNode, To: "island", BW: workload.InterconnectBW},
+	} {
+		if err := severed.Topology.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	severed.Devices = append(severed.Devices, device.MediumIntelSpec(severed.Devices[0].Power).WithName("island"))
+
+	cases := []corpusCase{
+		{"video/testbed", workload.VideoProcessing(), workload.Testbed()},
+		{"text/testbed", workload.TextProcessing(), workload.Testbed()},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cases = append(cases, on(synthetic(16, seed), "scaled12", workload.ScaledTestbed(12)))
+	}
+	for seed := int64(4); seed <= 5; seed++ {
+		cases = append(cases,
+			on(synthetic(13, seed), "unshared4", unshared),
+			on(synthetic(13, seed), "mirrored4", mirrored),
+			on(synthetic(13, seed), "island2", severed),
+		)
+	}
+	return cases
+}
+
+// walkPairStages runs the uncapped scheduler's stage loop over the model,
+// committing every stage's choice so later stages price transfers from
+// placed upstreams, and calls visit at each two-microservice stage before it
+// is solved. It returns the number of pair stages visited.
+func walkPairStages(t *testing.T, name string, model *costmodel.Model, visit func(st *costmodel.State, m1, m2 int32)) int {
+	t.Helper()
+	stages, err := model.Stages()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	st := model.NewState()
+	pairs := 0
+	for _, stage := range stages {
+		assigned := make([]costmodel.Option, len(stage))
+		switch len(stage) {
+		case 1:
+			assigned[0], err = scheduleSolo(model, st, stage[0])
+		case 2:
+			pairs++
+			visit(st, stage[0], stage[1])
+			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1])
+		default:
+			opts := make([][]costmodel.Option, len(stage))
+			for k, ms := range stage {
+				opts[k] = model.Options(ms)
+				assigned[k] = opts[k][0]
+			}
+			bestResponse(st, stage, opts, assigned)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for k, ms := range stage {
+			st.Commit(ms, assigned[k])
+		}
+	}
+	return pairs
+}
+
+// fillPairGame builds the (m1, m2) stage game on the state's arena exactly
+// as schedulePair does.
+func fillPairGame(model *costmodel.Model, st *costmodel.State, m1, m2 int32) *game.Game {
+	ar := st.Arena()
+	ar.Reset()
+	g := game.NewFromArena(ar, len(model.Options(m1)), len(model.Options(m2)))
+	pricePairGame(model, st, g, m1, m2)
+	return g
+}
+
+// TestPairGameMatchesCellByCellEnergy is the pricing oracle: every cell of
+// every pair game in the corpus must carry, bit for bit, the negated energy
+// the per-option estimator returns under that cell's co-assignment — the
+// definition the two-price fill replaced. A mismatch names its cell.
+func TestPairGameMatchesCellByCellEnergy(t *testing.T) {
+	total, contended, infinite := 0, 0, 0
+	for _, c := range pairGameCorpus(t) {
+		model := costmodel.Compile(c.app, c.cluster)
+		total += walkPairStages(t, c.name, model, func(st *costmodel.State, m1, m2 int32) {
+			o1, o2 := model.Options(m1), model.Options(m2)
+			g := fillPairGame(model, st, m1, m2)
+			coMS := []int32{m1, m2}
+			for i, x := range o1 {
+				for j, y := range o2 {
+					co := []costmodel.Option{x, y}
+					wantA := -st.Energy(m1, x, coMS, co)
+					wantB := -st.Energy(m2, y, coMS, co)
+					if got := g.A.At(i, j); math.Float64bits(got) != math.Float64bits(wantA) {
+						t.Fatalf("%s: stage (%s, %s): A[%d][%d] (%v vs %v) = %v, per-option energy gives %v",
+							c.name, model.MSName(m1), model.MSName(m2), i, j,
+							model.Assignment(x), model.Assignment(y), got, wantA)
+					}
+					if got := g.B.At(i, j); math.Float64bits(got) != math.Float64bits(wantB) {
+						t.Fatalf("%s: stage (%s, %s): B[%d][%d] (%v vs %v) = %v, per-option energy gives %v",
+							c.name, model.MSName(m1), model.MSName(m2), i, j,
+							model.Assignment(x), model.Assignment(y), got, wantB)
+					}
+					if model.Contend(x, y) {
+						contended++
+					}
+					if math.IsInf(wantA, -1) || math.IsInf(wantB, -1) {
+						infinite++
+					}
+				}
+			}
+		})
+	}
+	// The corpus must exercise both prices and the infinite-transfer cells,
+	// or the pin is vacuous where it matters.
+	if total == 0 || contended == 0 || infinite == 0 {
+		t.Fatalf("corpus too thin: %d pair stages, %d contended cells, %d infinite cells", total, contended, infinite)
+	}
+}
+
+// TestPairPlacementsAreEquilibria checks the paper's claim instead of
+// assuming it: every pair placement the exact game returns, and every one
+// the IESDS rung returns after reducing a game it was forced to reduce, has
+// regret at most 1e-9 in the *unreduced* stage game — neither microservice
+// can lower its energy by moving alone.
+func TestPairPlacementsAreEquilibria(t *testing.T) {
+	const forceReduce = 32 // every corpus pair game is larger than this
+	exact, rescued := 0, 0
+	for _, c := range pairGameCorpus(t) {
+		model := costmodel.Compile(c.app, c.cluster)
+		walkPairStages(t, c.name, model, func(st *costmodel.State, m1, m2 int32) {
+			o1, o2 := model.Options(m1), model.Options(m2)
+			certify := func(path string, p1, p2 costmodel.Option) {
+				g := fillPairGame(model, st, m1, m2)
+				x := game.Pure(len(o1), indexOfOption(o1, p1))
+				y := game.Pure(len(o2), indexOfOption(o2, p2))
+				if r := g.Regret(x, y); !(r <= 1e-9) {
+					t.Errorf("%s: stage (%s, %s): %s placement (%v, %v) has regret %g in the unreduced game",
+						c.name, model.MSName(m1), model.MSName(m2), path,
+						model.Assignment(p1), model.Assignment(p2), r)
+				}
+			}
+			e1, e2, err := schedulePair(model, st, m1, m2)
+			if err != nil {
+				t.Fatalf("%s: exact pair: %v", c.name, err)
+			}
+			certify("exact", e1, e2)
+			exact++
+			if len(o1)*len(o2) <= forceReduce {
+				return
+			}
+			r1, r2, solved, err := schedulePairReduced(model, st, m1, m2, forceReduce)
+			if err != nil {
+				t.Fatalf("%s: reduced pair: %v", c.name, err)
+			}
+			if solved {
+				certify("IESDS-rescued", r1, r2)
+				rescued++
+			}
+		})
+	}
+	if exact == 0 || rescued == 0 {
+		t.Fatalf("certified %d exact and %d rescued placements; test is vacuous", exact, rescued)
+	}
+}
+
+func indexOfOption(opts []costmodel.Option, o costmodel.Option) int {
+	for i, x := range opts {
+		if x == o {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestSolverStatsPartitionStages: the per-path counts a pass records add up
+// to its stages, and the three rungs land where the caps send them.
+func TestSolverStatsPartitionStages(t *testing.T) {
+	cfg := workload.DefaultGeneratorConfig(13, 3)
+	cfg.StageWidth = 4 // stage widths 1 2 4 3 2 1
+	app, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := costmodel.Compile(app, workload.ScaledTestbed(4))
+	stages, err := model.Stages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, pair, wide := 0, 0, 0
+	for _, s := range stages {
+		switch len(s) {
+		case 1:
+			solo++
+		case 2:
+			pair++
+		default:
+			wide++
+		}
+	}
+	if solo == 0 || pair == 0 || wide == 0 {
+		t.Fatalf("fixture needs every stage width: %d solo, %d pair, %d wide", solo, pair, wide)
+	}
+	p := NewPass(model)
+	for _, c := range []struct {
+		name string
+		s    *DEEP
+		want SolverStats
+	}{
+		{"uncapped", NewDEEPUncapped(), SolverStats{Exact: solo + pair, BestResponse: wide}},
+		{"capped", &DEEP{MaxPairCells: 1}, SolverStats{Exact: solo, BestResponse: pair + wide}},
+	} {
+		if err := c.s.ScheduleInto(p); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := p.Solver(); got != c.want {
+			t.Errorf("%s: solver stats %+v, want %+v", c.name, got, c.want)
+		}
+	}
+	// The window's split between rescued and fallen-back games depends on
+	// the payoffs; the partition does not.
+	if err := (&DEEP{MaxPairCells: 32, DominancePairCells: 4096}).ScheduleInto(p); err != nil {
+		t.Fatal(err)
+	}
+	got := p.Solver()
+	if got.Exact != solo || got.Reduced+got.BestResponse != pair+wide || got.Reduced == 0 || got.NonConverged != 0 {
+		t.Errorf("windowed: solver stats %+v over %d solo, %d pair, %d wide stages", got, solo, pair, wide)
+	}
+}
+
+// TestBestResponseReportsNonConvergence: on a stage game built to cycle, the
+// dynamics spend the whole budget, say so, and the pass counts it — where
+// they used to return the last profile visited as if it were a fixed point.
+func TestBestResponseReportsNonConvergence(t *testing.T) {
+	app, cluster := workload.CyclingStage()
+	model := costmodel.Compile(app, cluster)
+	stages, err := model.Stages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) != 2 || len(stages[1]) != 3 {
+		t.Fatalf("fixture stages %v, want a solo stage then a three-player stage", stages)
+	}
+
+	st := model.NewState()
+	first, err := scheduleSolo(model, st, stages[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Commit(stages[0][0], first)
+	stage := stages[1]
+	opts := make([][]costmodel.Option, len(stage))
+	cur := make([]costmodel.Option, len(stage))
+	for k, ms := range stage {
+		opts[k] = model.Options(ms)
+		if len(opts[k]) != 2 {
+			t.Fatalf("%s has %d options, the fixture pins it to two", model.MSName(ms), len(opts[k]))
+		}
+		cur[k] = opts[k][0]
+	}
+	iters, converged := bestResponse(st, stage, opts, cur)
+	if converged || iters != bestResponseBudget {
+		t.Errorf("cycling stage: bestResponse = (%d, %v), want (%d, false)", iters, converged, bestResponseBudget)
+	}
+
+	p := NewPass(model)
+	if err := NewDEEP().ScheduleInto(p); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Solver(), (SolverStats{Exact: 1, BestResponse: 1, NonConverged: 1}); got != want {
+		t.Errorf("cycling stage: solver stats %+v, want %+v", got, want)
+	}
+	// The placement is still deployable — non-convergence costs optimality,
+	// not feasibility.
+	if err := cluster.Validate(app, p.Placement()); err != nil {
+		t.Errorf("cycling stage placement infeasible: %v", err)
+	}
+
+	// And a stage that does settle says so, well inside the budget.
+	text := costmodel.Compile(workload.TextProcessing(), workload.Testbed())
+	tst := text.NewState()
+	tstages, err := text.Stages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range tstages {
+		o := make([][]costmodel.Option, len(s))
+		c := make([]costmodel.Option, len(s))
+		for k, ms := range s {
+			o[k] = text.Options(ms)
+			c[k] = o[k][0]
+		}
+		if iters, converged := bestResponse(tst, s, o, c); !converged || iters >= bestResponseBudget {
+			t.Errorf("text stage %v: bestResponse = (%d, %v), want convergence", s, iters, converged)
+		}
+		for k, ms := range s {
+			tst.Commit(ms, c[k])
+		}
+	}
+}
