@@ -201,7 +201,7 @@ func BenchmarkSchedule(b *testing.B) {
 			b.Fatal(err)
 		}
 		s := sched.NewDEEP()
-		p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(12)))
+		p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(12)), nil)
 		if err := s.ScheduleInto(p); err != nil { // grow the arena
 			b.Fatal(err)
 		}

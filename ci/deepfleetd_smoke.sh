@@ -2,8 +2,8 @@
 # End-to-end smoke for cmd/deepfleetd: boot the daemon on a random port with
 # a tiny queue and a 1 req/s tenant budget, deploy a testbed app and assert a
 # placement, force a 429 with Retry-After, scrape the per-tenant HTTP
-# counters and the spec-table counters off /metrics, then SIGTERM and require
-# a clean bounded drain.
+# counters, the spec-table counters and the decode-path counters off /metrics,
+# then SIGTERM and require a clean bounded drain.
 #
 # Deterministic by construction: the second deploy trades on an empty token
 # bucket (rate=1 burst=1), so the 429 does not depend on timing. The
@@ -132,6 +132,18 @@ echo "$metrics" | grep -q '^fleetd_spec_intern_bytes [1-9]' || {
   exit 1
 }
 echo "smoke: spec table saw 2 misses, 1 admission, 1 hit for one body posted three times"
+
+# All three posts were canonical JSON (indented, but that is whitespace), so
+# the scanner decoded every one and encoding/json never ran on the accept
+# path. The 429 counts too: decoding precedes the limiter.
+for want in 'fleetd_decode_fast_total 3' 'fleetd_decode_fallback_total 0'; do
+  echo "$metrics" | grep -qx "$want" || {
+    echo "decode path: want '$want', got:" >&2
+    echo "$metrics" | grep fleetd_decode >&2 || true
+    exit 1
+  }
+done
+echo "smoke: three canonical posts decoded on the fast path, none fell back"
 
 # Batched admission, on a fresh tenant so the exact-count greps above stay
 # untouched. A 2-item batch needs 2 tokens against burst=1, so it can NEVER

@@ -424,6 +424,12 @@ func (s *State) Arena() *GameArena {
 	return s.arena
 }
 
+// LendArena makes the state draw its game scratch from a rather than from
+// an arena of its own. Grants never outlive a stage, so states that are
+// never used concurrently can share one arena and grow it once between
+// them. A nil a leaves the state to create its own.
+func (s *State) LendArena(a *GameArena) { s.arena = a }
+
 // NewState returns scratch sized for the model, with nothing placed.
 func (m *Model) NewState() *State {
 	s := &State{

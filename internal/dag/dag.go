@@ -7,6 +7,7 @@ package dag
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,7 +94,8 @@ type App struct {
 	Microservices []*Microservice
 	Dataflows     []Dataflow
 
-	byName map[string]*Microservice
+	// byName maps a microservice's name to its index in Microservices.
+	byName map[string]int32
 
 	mu   sync.Mutex
 	memo appMemo
@@ -107,6 +109,10 @@ type App struct {
 type appMemo struct {
 	numMS int
 	numDF int
+
+	graphDone bool
+	graph     *graph
+	graphErr  error
 
 	validDone bool
 	validErr  error
@@ -125,11 +131,13 @@ type appMemo struct {
 
 // NewApp constructs an empty application.
 func NewApp(name string) *App {
-	return &App{Name: name, byName: make(map[string]*Microservice)}
+	return &App{Name: name, byName: make(map[string]int32)}
 }
 
 // AddMicroservice appends a microservice. It returns an error when the name
-// is empty or already taken.
+// is empty or already taken, or when a size or requirement is negative: the
+// cost model turns those into negative transfer and compute times, which
+// would lower the reported makespan and energy.
 func (a *App) AddMicroservice(m *Microservice) error {
 	if m.Name == "" {
 		return fmt.Errorf("dag: %s: microservice with empty name", a.Name)
@@ -137,11 +145,26 @@ func (a *App) AddMicroservice(m *Microservice) error {
 	if _, dup := a.byName[m.Name]; dup {
 		return fmt.Errorf("dag: %s: duplicate microservice %q", a.Name, m.Name)
 	}
-	if m.ImageSize < 0 {
-		return fmt.Errorf("dag: %s: microservice %q has negative image size", a.Name, m.Name)
+	var negative string
+	switch {
+	case m.ImageSize < 0:
+		negative = "image size"
+	case m.Req.Cores < 0:
+		negative = "cores"
+	case m.Req.CPU < 0:
+		negative = "CPU load"
+	case m.Req.Memory < 0:
+		negative = "memory"
+	case m.Req.Storage < 0:
+		negative = "storage"
+	case m.ExternalInput < 0:
+		negative = "external input"
 	}
+	if negative != "" {
+		return fmt.Errorf("dag: %s: microservice %q has negative %s", a.Name, m.Name, negative)
+	}
+	a.byName[m.Name] = int32(len(a.Microservices))
 	a.Microservices = append(a.Microservices, m)
-	a.byName[m.Name] = m
 	a.invalidate()
 	return nil
 }
@@ -183,7 +206,12 @@ func (a *App) memoFreshLocked() {
 }
 
 // Microservice returns the named microservice, or nil.
-func (a *App) Microservice(name string) *Microservice { return a.byName[name] }
+func (a *App) Microservice(name string) *Microservice {
+	if i, ok := a.byName[name]; ok && int(i) < len(a.Microservices) && a.Microservices[i].Name == name {
+		return a.Microservices[i]
+	}
+	return nil
+}
 
 // Inputs returns the dataflows entering the named microservice.
 func (a *App) Inputs(name string) []Dataflow {
@@ -225,44 +253,136 @@ func (a *App) validateLocked() error {
 	if len(a.Microservices) == 0 {
 		return fmt.Errorf("dag: %s: no microservices", a.Name)
 	}
-	seen := make(map[[2]string]bool)
-	for _, e := range a.Dataflows {
-		k := [2]string{e.From, e.To}
-		if seen[k] {
-			return fmt.Errorf("dag: %s: duplicate dataflow %s->%s", a.Name, e.From, e.To)
-		}
-		seen[k] = true
+	g, err := a.graphLocked()
+	if err != nil {
+		return err
+	}
+	if i := g.duplicateEdge(); i >= 0 {
+		e := a.Dataflows[i]
+		return fmt.Errorf("dag: %s: duplicate dataflow %s->%s", a.Name, e.From, e.To)
 	}
 	if _, err := a.topoOrderLocked(); err != nil {
 		return err
 	}
-	if len(a.Microservices) > 1 && !a.weaklyConnected() {
+	if !g.weaklyConnected() {
 		return fmt.Errorf("dag: %s: application graph is not connected", a.Name)
 	}
 	return nil
 }
 
-func (a *App) weaklyConnected() bool {
-	adj := make(map[string][]string)
-	for _, e := range a.Dataflows {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
+// graph is the application resolved to vertex indices: every dataflow
+// endpoint goes through byName once, after which Validate's walks touch
+// slices only. It lives in the memo, so it is rebuilt after any mutation.
+type graph struct {
+	n        int     // vertices
+	from, to []int32 // endpoints of Dataflows[i], as indices into Microservices
+	// out lists dataflow positions grouped by source vertex, declaration
+	// order within a group: vertex v's are out[start[v]:start[v+1]].
+	start, out []int32
+}
+
+func (a *App) graphLocked() (*graph, error) {
+	if !a.memo.graphDone {
+		a.memo.graph, a.memo.graphErr = a.resolve()
+		a.memo.graphDone = true
 	}
-	visited := make(map[string]bool)
-	var stack []string
-	stack = append(stack, a.Microservices[0].Name)
-	visited[a.Microservices[0].Name] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, next := range adj[n] {
-			if !visited[next] {
-				visited[next] = true
-				stack = append(stack, next)
+	return a.memo.graph, a.memo.graphErr
+}
+
+// resolve builds the index form of the graph. AddMicroservice and
+// AddDataflow keep names unique and endpoints known; an app whose exported
+// slices were written directly gets the same two checks here, against an
+// index rebuilt from the slices, with the mutation methods' messages.
+func (a *App) resolve() (*graph, error) {
+	n, edges := len(a.Microservices), len(a.Dataflows)
+	index := a.byName
+	fresh := len(index) == n
+	for i := 0; fresh && i < n; i++ {
+		at, ok := index[a.Microservices[i].Name]
+		fresh = ok && int(at) == i
+	}
+	if !fresh {
+		index = make(map[string]int32, n)
+		for i, m := range a.Microservices {
+			if _, dup := index[m.Name]; dup {
+				return nil, fmt.Errorf("dag: %s: duplicate microservice %q", a.Name, m.Name)
 			}
+			index[m.Name] = int32(i)
 		}
 	}
-	return len(visited) == len(a.Microservices)
+	buf := make([]int32, 3*edges+n+2)
+	g := &graph{n: n, from: buf[:edges], to: buf[edges : 2*edges], out: buf[2*edges : 3*edges]}
+	// A counting sort by source, stable so each group keeps declaration
+	// order: count into next[v+2], prefix-sum so next[v+1] is where v's
+	// group begins, then let filling advance it to where the group ends —
+	// which is where v+1's begins, leaving next[:n+1] the group starts.
+	next := buf[3*edges:]
+	for i, e := range a.Dataflows {
+		from, ok := index[e.From]
+		if !ok {
+			return nil, fmt.Errorf("dag: %s: dataflow from unknown microservice %q", a.Name, e.From)
+		}
+		to, ok := index[e.To]
+		if !ok {
+			return nil, fmt.Errorf("dag: %s: dataflow to unknown microservice %q", a.Name, e.To)
+		}
+		g.from[i], g.to[i] = from, to
+		next[from+2]++
+	}
+	for v := 2; v < len(next); v++ {
+		next[v] += next[v-1]
+	}
+	for i, from := range g.from {
+		g.out[next[from+1]] = int32(i)
+		next[from+1]++
+	}
+	g.start = next[:n+1]
+	return g, nil
+}
+
+// duplicateEdge returns the position of the first dataflow that repeats the
+// endpoints of an earlier one, or -1.
+func (g *graph) duplicateEdge() int {
+	first := -1
+	seenFrom := make([]int32, g.n) // seenFrom[t] == v+1: an edge v->t was seen
+	for v := 0; v < g.n; v++ {
+		for _, i := range g.out[g.start[v]:g.start[v+1]] {
+			if t := g.to[i]; seenFrom[t] != int32(v)+1 {
+				seenFrom[t] = int32(v) + 1
+				continue
+			}
+			// Positions ascend within a group, so this is v's earliest.
+			if first < 0 || int(i) < first {
+				first = int(i)
+			}
+			break
+		}
+	}
+	return first
+}
+
+// weaklyConnected reports whether the dataflows, read as undirected, join
+// every vertex into one component (union-find with path halving).
+func (g *graph) weaklyConnected() bool {
+	parent := make([]int32, g.n)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	find := func(v int32) int32 {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	components := g.n
+	for i := range g.from {
+		if x, y := find(g.from[i]), find(g.to[i]); x != y {
+			parent[x] = y
+			components--
+		}
+	}
+	return components <= 1
 }
 
 // TopoOrder returns a deterministic topological order of the microservice
@@ -285,60 +405,84 @@ func (a *App) topoOrderLocked() ([]string, error) {
 	return a.memo.topo, a.memo.topoErr
 }
 
+// topoOrder is Kahn's algorithm always taking the ready vertex whose name
+// sorts first: vertices are ranked by name once, and the ready set is a
+// binary min-heap of ranks.
 func (a *App) topoOrder() ([]string, error) {
-	indeg := make(map[string]int, len(a.Microservices))
-	for _, m := range a.Microservices {
-		indeg[m.Name] = 0
+	g, err := a.graphLocked()
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range a.Dataflows {
-		indeg[e.To]++
+	n := g.n
+	buf := make([]int32, 4*n)
+	byRank, rank, indeg, ready := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:3*n]
+	for v := range byRank {
+		byRank[v] = int32(v)
 	}
-	var ready []string
-	for n, d := range indeg {
-		if d == 0 {
-			ready = append(ready, n)
+	slices.SortFunc(byRank, func(x, y int32) int {
+		return strings.Compare(a.Microservices[x].Name, a.Microservices[y].Name)
+	})
+	for r, v := range byRank {
+		rank[v] = int32(r)
+	}
+	for _, t := range g.to {
+		indeg[t]++
+	}
+	for _, v := range byRank { // ascending ranks already form a heap
+		if indeg[v] == 0 {
+			ready = append(ready, rank[v])
 		}
 	}
-	sort.Strings(ready)
-	var order []string
+	order := make([]string, 0, n)
 	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
-		order = append(order, n)
-		var unlocked []string
-		for _, e := range a.Dataflows {
-			if e.From != n {
-				continue
-			}
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				unlocked = append(unlocked, e.To)
+		v := byRank[ready[0]]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
+		order = append(order, a.Microservices[v].Name)
+		for _, i := range g.out[g.start[v]:g.start[v+1]] {
+			if t := g.to[i]; indeg[t] == 1 {
+				ready = append(ready, rank[t])
+				siftUp(ready)
+			} else {
+				indeg[t]--
 			}
 		}
-		sort.Strings(unlocked)
-		ready = mergeSorted(ready, unlocked)
 	}
-	if len(order) != len(a.Microservices) {
+	if len(order) != n {
 		return nil, fmt.Errorf("dag: %s: cycle detected", a.Name)
 	}
 	return order, nil
 }
 
-func mergeSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// siftUp restores the min-heap after an append.
+func siftUp(h []int32) {
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
 		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+}
+
+// siftDown restores the min-heap after the root was replaced.
+func siftDown(h []int32) {
+	for i := 0; ; {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && h[c] < h[least] {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[least], h[i] = h[i], h[least]
+		i = least
+	}
 }
 
 // Stages groups the microservices into synchronization-barrier levels: stage
@@ -498,7 +642,7 @@ func (a *App) CriticalPath(weight func(*Microservice) float64) ([]string, float6
 				bestPrev = e.From
 			}
 		}
-		dist[n] = best + weight(a.byName[n])
+		dist[n] = best + weight(a.Microservice(n))
 		prev[n] = bestPrev
 	}
 	// Find the sink with maximum distance.

@@ -56,6 +56,59 @@ func TestNegativeImageSizeRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeFieldsRejected: a negative size or requirement becomes a
+// negative transfer or compute time downstream, so each is refused by name
+// and leaves the app untouched.
+func TestNegativeFieldsRejected(t *testing.T) {
+	cases := []struct {
+		field string
+		ms    Microservice
+	}{
+		{"cores", Microservice{Req: Requirements{Cores: -1}}},
+		{"CPU load", Microservice{Req: Requirements{CPU: -1e7}}},
+		{"memory", Microservice{Req: Requirements{Memory: -1}}},
+		{"storage", Microservice{Req: Requirements{Storage: -1}}},
+		{"external input", Microservice{ExternalInput: -5e12}},
+	}
+	for _, tc := range cases {
+		a := NewApp("x")
+		tc.ms.Name = "m"
+		err := a.AddMicroservice(&tc.ms)
+		want := `dag: x: microservice "m" has negative ` + tc.field
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", tc.field, err, want)
+		}
+		if len(a.Microservices) != 0 || a.Microservice("m") != nil {
+			t.Errorf("%s: rejected microservice was added", tc.field)
+		}
+	}
+}
+
+// TestDirectWritesAreRechecked: an app whose exported slices were written
+// without the mutation methods has a stale name index; the graph walks
+// resolve against the slices and repeat the mutation methods' checks.
+func TestDirectWritesAreRechecked(t *testing.T) {
+	a := diamond(t)
+	a.Microservices = append(a.Microservices, &Microservice{Name: "tail"})
+	a.Dataflows = append(a.Dataflows, Dataflow{From: "sink", To: "tail"})
+	order, err := a.TopoOrder()
+	if err != nil || order[len(order)-1] != "tail" {
+		t.Fatalf("appended vertex and edge not walked: %v, %v", order, err)
+	}
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	a.Dataflows = append(a.Dataflows, Dataflow{From: "tail", To: "nowhere"})
+	if err := a.Validate(); err == nil || !strings.Contains(err.Error(), `dataflow to unknown microservice "nowhere"`) {
+		t.Errorf("dangling dataflow: %v", err)
+	}
+	a.Dataflows = a.Dataflows[:len(a.Dataflows)-1]
+	a.Microservices = append(a.Microservices, &Microservice{Name: "src"})
+	if err := a.Validate(); err == nil || !strings.Contains(err.Error(), `duplicate microservice "src"`) {
+		t.Errorf("duplicated name: %v", err)
+	}
+}
+
 func TestDataflowValidation(t *testing.T) {
 	a := NewApp("x")
 	_ = a.AddMicroservice(&Microservice{Name: "m"})

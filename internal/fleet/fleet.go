@@ -24,6 +24,7 @@ import (
 	"deep/internal/appgraph"
 	"deep/internal/costmodel"
 	"deep/internal/dag"
+	"deep/internal/game"
 	"deep/internal/monitor"
 	"deep/internal/netsim"
 	"deep/internal/obs"
@@ -846,6 +847,11 @@ type workerState struct {
 	exec  *sim.Exec
 
 	passes map[*costmodel.Model]*sched.Pass
+	// arena is the game scratch every pass of this worker draws from. A
+	// worker runs one pass at a time and grants do not outlive a stage, so
+	// a never-seen model's fresh Pass finds the arena already grown instead
+	// of doubling its own up from empty.
+	arena *game.Arena
 	// plans memoizes shared plans rebound to this worker's own cluster:
 	// simulation drives (and on cold runs flushes) device layer caches, so
 	// each worker must execute against its private devices even when the
@@ -960,6 +966,7 @@ func (f *Fleet) worker(i int) {
 		shard:         i,
 		exec:          sim.NewExec(),
 		passes:        make(map[*costmodel.Model]*sched.Pass),
+		arena:         game.NewArena(),
 		plans:         make(map[*sim.Plan]*sim.Plan),
 		rng:           uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 	}
@@ -1089,7 +1096,7 @@ func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, app *dag.A
 			if len(w.passes) >= passPoolCap {
 				evictOnePoolEntry(w.passes)
 			}
-			p = sched.NewPass(model)
+			p = sched.NewPass(model, w.arena)
 			w.passes[model] = p
 		}
 		if err := s.ScheduleInto(p); err != nil {

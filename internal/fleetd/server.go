@@ -7,6 +7,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -85,6 +86,15 @@ type Server struct {
 	// strict decode, the DAG build and the digest, and every request carrying
 	// it shares one read-only *dag.App (the contract on fleet.Request.App).
 	specs *wire.Interner
+	// bodies pools request buffers: a deploy body is read once, scanned in
+	// place, and everything that outlives the decode is copied out of it.
+	bodies sync.Pool
+	// decodeFast counts deploy requests decoded without encoding/json — the
+	// envelope scanned, every spec interned or scanned; decodeFallback those
+	// decoded successfully that needed the reference decoder for either. A
+	// client whose encoder leaves the canonical subset shows up here.
+	decodeFast     *obs.Counter
+	decodeFallback *obs.Counter
 
 	draining  atomic.Bool
 	drainCh   chan struct{}
@@ -121,6 +131,9 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, drainCh: make(chan struct{})}
 	s.lim = newLimiter(cfg.RatePerSec, cfg.Burst, cfg.MaxInFlight)
 	s.specs = wire.NewInterner(cfg.Registry, "fleetd_spec_intern")
+	s.bodies.New = func() any { return &requestBody{data: make([]byte, 0, 4<<10)} }
+	s.decodeFast = cfg.Registry.Counter("fleetd_decode_fast_total")
+	s.decodeFallback = cfg.Registry.Counter("fleetd_decode_fallback_total")
 	s.overflow = newHTTPLabels(cfg.Registry, "other")
 	if cfg.Cluster != nil {
 		spec, err := wire.ClusterSpecOf(cfg.Cluster)
@@ -296,27 +309,9 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
 		return
 	}
-	var req DeployRequest
-	if !s.decodeBody(w, r, &req) {
+	tenant, req, ok := s.decodeDeploy(w, r)
+	if !ok {
 		return
-	}
-	if len(req.App) == 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "request without app spec", 0)
-		return
-	}
-	if len(req.Tenant) > maxTenantLen {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			fmt.Sprintf("tenant name exceeds %d bytes", maxTenantLen), 0)
-		return
-	}
-	app, err := s.specs.App(req.App)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
-		return
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
 	}
 
 	// Admission runs before labelsFor: a rejected request must not be the
@@ -334,19 +329,10 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	labels := s.labelsFor(tenant)
 
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline <= 0 || deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), req.Deadline)
 	defer cancel()
 
-	ch, err := s.cfg.Backend.TrySubmitCtx(ctx, fleet.Request{
-		Tenant:   tenant,
-		App:      app,
-		Seed:     req.Seed,
-		Deadline: deadline,
-	})
+	ch, err := s.cfg.Backend.TrySubmitCtx(ctx, req)
 	switch {
 	case errors.Is(err, fleet.ErrQueueFull):
 		labels.rejected.Add(1)
@@ -410,12 +396,77 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// decodeBody strictly decodes the request's JSON envelope into v, bounded by
-// MaxBodyBytes. On failure it writes the error response — 413 for an
-// oversized body, 400 for malformed JSON, an unknown field, or anything but
-// whitespace after the envelope — and returns false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := wire.DecodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
+// requestBody is one pooled deploy-request buffer, with the batch scanner's
+// item scratch beside it.
+type requestBody struct {
+	data  []byte
+	items []wire.DeployItem
+}
+
+// maxPooledBody is the largest buffer the pool keeps: a full 64-item batch of
+// case-study specs is ~130 KiB, and one 1 MiB body must not pin a megabyte
+// per pooled buffer afterwards.
+const maxPooledBody = 256 << 10
+
+// readBody reads the whole request body, bounded by MaxBytesReader exactly
+// as a streaming decode would be, into a pooled buffer. The error the read
+// ended on — io.EOF for a whole body; else a body over the limit, a client
+// gone mid-body — comes back beside the bytes that arrived before it. The
+// caller returns the buffer with releaseBody once nothing aliases it.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*requestBody, error) {
+	body := s.bodies.Get().(*requestBody)
+	buf := body.data[:0]
+	if hint := min(r.ContentLength, s.cfg.MaxBodyBytes); int(hint) >= cap(buf) {
+		buf = make([]byte, 0, hint+1) // +1: the read that finds EOF needs room too
+	}
+	src := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := src.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			body.data = buf
+			return body, err
+		}
+	}
+}
+
+func (s *Server) releaseBody(body *requestBody) {
+	if cap(body.data) > maxPooledBody {
+		return
+	}
+	// The item spans alias data, possibly an outgrown one; a declined scan
+	// leaves some past len.
+	clear(body.items[:cap(body.items)])
+	s.bodies.Put(body)
+}
+
+// replay is a request body already read: Read yields data and then the
+// error the original read ended on, so the reference decoder sees exactly
+// the stream a streaming decode would have.
+type replay struct {
+	data []byte
+	err  error
+}
+
+func (b *replay) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, b.err
+	}
+	n := copy(p, b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+// decodeReference strictly decodes a JSON envelope into v with the reference
+// decoder, encoding/json. On failure it writes the error response — 413 for
+// an oversized body, 400 for malformed JSON, an unknown field, or anything
+// but whitespace after the envelope — and returns false. Every decode error
+// a client can see is worded here, whichever path accepts requests.
+func decodeReference(w http.ResponseWriter, body io.Reader, v any) bool {
+	err := wire.DecodeStrict(body, v)
 	if err == nil {
 		return true
 	}
@@ -427,6 +478,135 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	}
 	writeError(w, http.StatusBadRequest, codeInvalidRequest, "decoding request: "+err.Error(), 0)
 	return false
+}
+
+// decodeDeploy reads one POST /v1/deploy body into the fleet request it asks
+// for, or writes the 4xx and returns false. The envelope goes through the
+// scanner; whatever the scanner declines goes through the reference decoder,
+// which alone decides rejections.
+func (s *Server) decodeDeploy(w http.ResponseWriter, r *http.Request) (tenant string, req fleet.Request, ok bool) {
+	body, readErr := s.readBody(w, r)
+	defer s.releaseBody(body)
+	var item wire.DeployItem
+	fast := false
+	if readErr == io.EOF {
+		tenant, item, fast = wire.ScanDeploy(body.data)
+	}
+	if !fast {
+		var env DeployRequest
+		if !decodeReference(w, &replay{body.data, readErr}, &env) {
+			return "", fleet.Request{}, false
+		}
+		tenant, item = env.Tenant, wire.DeployItem{Seed: env.Seed, DeadlineMS: env.DeadlineMS, App: env.App}
+	}
+	if len(item.App) == 0 {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest, "request without app spec", 0)
+		return "", fleet.Request{}, false
+	}
+	if !checkTenant(w, &tenant) {
+		return "", fleet.Request{}, false
+	}
+	req, specFast, err := s.requestOf(tenant, item)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
+		return "", fleet.Request{}, false
+	}
+	s.countDecode(fast && specFast)
+	return tenant, req, true
+}
+
+// decodeDeployBatch is decodeDeploy for POST /v1/deploy:batch. Every spec is
+// decoded before the caller charges the limiter, so a malformed item rejects
+// the batch without consuming tokens, and a charged batch is one the fleet
+// will actually take.
+func (s *Server) decodeDeployBatch(w http.ResponseWriter, r *http.Request) (tenant string, reqs []fleet.Request, ok bool) {
+	body, readErr := s.readBody(w, r)
+	defer s.releaseBody(body)
+	var items []wire.DeployItem
+	fast := false
+	if readErr == io.EOF {
+		tenant, items, fast = wire.ScanDeployBatch(body.data, body.items[:0], maxBatchItems)
+	}
+	if fast {
+		body.items = items
+	} else {
+		var env DeployBatchRequest
+		if !decodeReference(w, &replay{body.data, readErr}, &env) {
+			return "", nil, false
+		}
+		tenant = env.Tenant
+		items = make([]wire.DeployItem, len(env.Items))
+		for i, it := range env.Items {
+			items[i] = wire.DeployItem{Seed: it.Seed, DeadlineMS: it.DeadlineMS, App: it.App}
+		}
+	}
+	if len(items) == 0 {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest, "batch without items", 0)
+		return "", nil, false
+	}
+	if len(items) > maxBatchItems {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest,
+			fmt.Sprintf("batch exceeds %d items", maxBatchItems), 0)
+		return "", nil, false
+	}
+	if !checkTenant(w, &tenant) {
+		return "", nil, false
+	}
+	reqs = make([]fleet.Request, len(items))
+	for i, item := range items {
+		if len(item.App) == 0 {
+			writeError(w, http.StatusBadRequest, codeInvalidRequest,
+				fmt.Sprintf("items[%d] without app spec", i), 0)
+			return "", nil, false
+		}
+		req, specFast, err := s.requestOf(tenant, item)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, codeInvalidRequest,
+				fmt.Sprintf("items[%d]: %s", i, err), 0)
+			return "", nil, false
+		}
+		reqs[i] = req
+		fast = fast && specFast
+	}
+	s.countDecode(fast)
+	return tenant, reqs, true
+}
+
+// checkTenant bounds the tenant name (writing the 400 when it is too long)
+// and fills in the default for an empty one.
+func checkTenant(w http.ResponseWriter, tenant *string) bool {
+	if len(*tenant) > maxTenantLen {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest,
+			fmt.Sprintf("tenant name exceeds %d bytes", maxTenantLen), 0)
+		return false
+	}
+	if *tenant == "" {
+		*tenant = "default"
+	}
+	return true
+}
+
+// requestOf resolves one decoded deployment into a fleet request: the spec
+// through the spec table, the deadline clamped to MaxDeadline. fast reports
+// that the spec did not need the reference decoder.
+func (s *Server) requestOf(tenant string, item wire.DeployItem) (req fleet.Request, fast bool, err error) {
+	app, fast, err := s.specs.App(item.App)
+	if err != nil {
+		return fleet.Request{}, false, err
+	}
+	deadline := time.Duration(item.DeadlineMS) * time.Millisecond
+	if deadline <= 0 || deadline > s.cfg.MaxDeadline {
+		deadline = s.cfg.MaxDeadline
+	}
+	return fleet.Request{Tenant: tenant, App: app, Seed: item.Seed, Deadline: deadline}, fast, nil
+}
+
+func (s *Server) countDecode(fast bool) {
+	if fast {
+		s.decodeFast.Add(1)
+	} else {
+		s.decodeFallback.Add(1)
+	}
 }
 
 // deployResponseOf copies a successful fleet response into its wire form —
@@ -460,55 +640,16 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
 		return
 	}
-	var req DeployBatchRequest
-	if !s.decodeBody(w, r, &req) {
+	tenant, reqs, ok := s.decodeDeployBatch(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "batch without items", 0)
-		return
-	}
-	if len(req.Items) > maxBatchItems {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			fmt.Sprintf("batch exceeds %d items", maxBatchItems), 0)
-		return
-	}
-	if len(req.Tenant) > maxTenantLen {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			fmt.Sprintf("tenant name exceeds %d bytes", maxTenantLen), 0)
-		return
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-	n := len(req.Items)
-
-	// Admission is all-or-nothing: decode every spec before charging the
-	// limiter, so a malformed item rejects the batch without consuming
-	// tokens, and a charged batch is one the fleet will actually take.
-	reqs := make([]fleet.Request, n)
+	n := len(reqs)
+	// The shared context rides the batch's longest per-item deadline; items
+	// with shorter budgets are answered individually with ErrDeadline.
 	var maxDeadline time.Duration
-	for i, item := range req.Items {
-		if len(item.App) == 0 {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Sprintf("items[%d] without app spec", i), 0)
-			return
-		}
-		app, err := s.specs.App(item.App)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Sprintf("items[%d]: %s", i, err), 0)
-			return
-		}
-		deadline := time.Duration(item.DeadlineMS) * time.Millisecond
-		if deadline <= 0 || deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
-		if deadline > maxDeadline {
-			maxDeadline = deadline
-		}
-		reqs[i] = fleet.Request{Tenant: tenant, App: app, Seed: item.Seed, Deadline: deadline}
+	for i := range reqs {
+		maxDeadline = max(maxDeadline, reqs[i].Deadline)
 	}
 
 	// One admission check for the whole batch: n in-flight slots, n tokens.
@@ -525,8 +666,6 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	labels := s.labelsFor(tenant)
 
-	// The shared context rides the batch's longest per-item deadline; items
-	// with shorter budgets are answered individually with ErrDeadline.
 	ctx, cancel := context.WithTimeout(r.Context(), maxDeadline)
 	defer cancel()
 
@@ -615,7 +754,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ChurnRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeReference(w, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req) {
 		return
 	}
 	delta := fleet.ChurnDelta{

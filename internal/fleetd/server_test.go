@@ -62,7 +62,7 @@ func newEnv(t *testing.T, fcfg fleet.Config, scfg Config) *testEnv {
 	return &testEnv{f: f, s: s, ts: ts, url: ts.URL, adminURL: admin.URL}
 }
 
-func deployBody(t *testing.T, tenant string) []byte {
+func deployBody(t testing.TB, tenant string) []byte {
 	t.Helper()
 	app, err := json.Marshal(wire.AppSpecOf(workload.VideoProcessing()))
 	if err != nil {
@@ -658,7 +658,7 @@ func (s *failSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement,
 	return s.inner.Schedule(app, cluster)
 }
 
-func batchBody(t *testing.T, tenant string, apps ...[]byte) []byte {
+func batchBody(t testing.TB, tenant string, apps ...[]byte) []byte {
 	t.Helper()
 	items := make([]map[string]any, len(apps))
 	for i, app := range apps {
@@ -685,7 +685,7 @@ func postBatch(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	return resp, data
 }
 
-func appJSON(t *testing.T, app *dag.App) []byte {
+func appJSON(t testing.TB, app *dag.App) []byte {
 	t.Helper()
 	data, err := json.Marshal(wire.AppSpecOf(app))
 	if err != nil {

@@ -110,7 +110,7 @@ func (s *DEEP) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, erro
 
 // ScheduleModel implements ModelScheduler.
 func (s *DEEP) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
-	p := NewPass(model)
+	p := NewPass(model, nil)
 	if err := s.ScheduleInto(p); err != nil {
 		return nil, err
 	}
@@ -149,12 +149,17 @@ type SolverStats struct {
 // Solver returns the last run's per-path stage-game counts.
 func (p *Pass) Solver() SolverStats { return p.solver }
 
-// NewPass allocates scratch sized for the model.
-func NewPass(model *costmodel.Model) *Pass {
+// NewPass allocates scratch sized for the model. The game layer's matrices
+// and price rows come from arena, which a caller running one pass at a time
+// shares between all its passes so that it grows once, not once per model;
+// nil gives the pass an arena of its own.
+func NewPass(model *costmodel.Model, arena *game.Arena) *Pass {
 	width := model.MaxStageWidth()
+	st := model.NewState()
+	st.LendArena(arena)
 	return &Pass{
 		model:  model,
-		st:     model.NewState(),
+		st:     st,
 		cur:    make([]costmodel.Option, width),
 		opts:   make([][]costmodel.Option, width),
 		placed: make([]costmodel.Option, model.NumMicroservices()),

@@ -128,7 +128,7 @@ func TestDominanceWindowWarmPassAllocationFree(t *testing.T) {
 	}
 	s := &DEEP{MaxPairCells: 32, DominancePairCells: 4096}
 	model := costmodel.Compile(app, workload.ScaledTestbed(4))
-	p := NewPass(model)
+	p := NewPass(model, nil)
 	if err := s.ScheduleInto(p); err != nil { // warm up arena and scratch
 		t.Fatal(err)
 	}

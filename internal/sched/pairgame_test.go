@@ -261,7 +261,7 @@ func TestSolverStatsPartitionStages(t *testing.T) {
 	if solo == 0 || pair == 0 || wide == 0 {
 		t.Fatalf("fixture needs every stage width: %d solo, %d pair, %d wide", solo, pair, wide)
 	}
-	p := NewPass(model)
+	p := NewPass(model, nil)
 	for _, c := range []struct {
 		name string
 		s    *DEEP
@@ -323,7 +323,7 @@ func TestBestResponseReportsNonConvergence(t *testing.T) {
 		t.Errorf("cycling stage: bestResponse = (%d, %v), want (%d, false)", iters, converged, bestResponseBudget)
 	}
 
-	p := NewPass(model)
+	p := NewPass(model, nil)
 	if err := NewDEEP().ScheduleInto(p); err != nil {
 		t.Fatal(err)
 	}

@@ -9,3 +9,6 @@ const (
 	InternMaxBody = internMaxBody
 	InternCap     = internShards * internShardCap
 )
+
+// ScanApp is the app-spec scanner an interner miss tries first.
+var ScanApp = scanApp

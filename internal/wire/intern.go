@@ -34,9 +34,10 @@ const (
 // Bodies are keyed by a 64-bit maphash under a per-process random seed, and a
 // hit is served only after bytes.Equal against the stored body, so a hash
 // collision — accidental or constructed — costs a miss, never an aliased
-// spec. A miss runs DecodeAppSpec and AppSpec.App exactly as a caller without
-// the table would, so every strictness check and error string is unchanged;
-// rejected bodies are never stored.
+// spec. A miss decodes the body as a caller without the table would — the
+// scanner for a canonical body, DecodeAppSpec and AppSpec.App for the rest —
+// so every strictness check and error string is unchanged; rejected bodies
+// are never stored.
 //
 // Admission is on second sight: the first time a body is seen only its hash
 // is remembered, in a fixed-size filter, and the body and app are retained
@@ -99,8 +100,10 @@ func NewInterner(reg *obs.Registry, name string) *Interner {
 
 // App returns the validated application the body decodes to: the shared
 // interned one when the table holds these exact bytes, otherwise a fresh
-// DecodeAppSpec + AppSpec.App, whose error it returns verbatim.
-func (in *Interner) App(body []byte) (*dag.App, error) {
+// decode — by scanApp when the body is canonical, else by DecodeAppSpec +
+// AppSpec.App, whose error it returns verbatim. fast reports that the
+// reference decoder did not run. body may be reused once App returns.
+func (in *Interner) App(body []byte) (app *dag.App, fast bool, err error) {
 	h := in.hash(body)
 	sh := &in.shards[h%internShards]
 	sh.mu.Lock()
@@ -108,18 +111,20 @@ func (in *Interner) App(body []byte) (*dag.App, error) {
 		e.used = true
 		sh.mu.Unlock()
 		in.hits.Add(1)
-		return e.app, nil
+		return e.app, true, nil
 	}
 	sh.mu.Unlock()
 	in.misses.Add(1)
 
-	spec, err := DecodeAppSpec(body)
-	if err != nil {
-		return nil, err
-	}
-	app, err := spec.App()
-	if err != nil {
-		return nil, err
+	app, fast = scanApp(body)
+	if !fast {
+		spec, err := DecodeAppSpec(body)
+		if err != nil {
+			return nil, false, err
+		}
+		if app, err = spec.App(); err != nil {
+			return nil, false, err
+		}
 	}
 	// Hash the app here, on the decoding goroutine, so the fleet's workers
 	// (and every later request sharing an interned app) find it memoized.
@@ -127,7 +132,7 @@ func (in *Interner) App(body []byte) (*dag.App, error) {
 	if len(body) <= internMaxBody {
 		in.admit(sh, h, body, app)
 	}
-	return app, nil
+	return app, fast, nil
 }
 
 // admit records one sighting of an accepted body: the first stores its hash

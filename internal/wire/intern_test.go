@@ -70,7 +70,7 @@ func checkAgainstFresh(t testing.TB, in *wire.Interner, body []byte) {
 	want, wantErr := fresh(body)
 	var second *dag.App
 	for sight := 1; sight <= 3; sight++ {
-		got, err := in.App(body)
+		got, _, err := in.App(body)
 		if wantErr != nil {
 			if err == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("sight %d: err = %v, fresh decode says %v", sight, err, wantErr)
@@ -138,14 +138,14 @@ func TestInternerSecondSightAdmission(t *testing.T) {
 	in, reg := newInterner()
 	body := appBody(t, workload.VideoProcessing())
 
-	first, err := in.App(body)
+	first, _, err := in.App(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := statsOf(t, reg); s != (internStats{misses: 1}) {
 		t.Fatalf("after one sight: %+v, want one miss and nothing retained", s)
 	}
-	second, err := in.App(body)
+	second, _, err := in.App(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestInternerSecondSightAdmission(t *testing.T) {
 	if s := statsOf(t, reg); s != (internStats{misses: 2, admitted: 1, bytes: len(body)}) {
 		t.Fatalf("after two sights: %+v, want two misses, one admission, the body retained", s)
 	}
-	third, err := in.App(body)
+	third, _, err := in.App(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestInternerSecondSightAdmission(t *testing.T) {
 	for i := range body {
 		body[i] = 'x'
 	}
-	if again, err := in.App(clobbered); err != nil || again != second {
+	if again, _, err := in.App(clobbered); err != nil || again != second {
 		t.Fatal("interned entry did not survive the caller reusing its buffer")
 	}
 }
@@ -182,7 +182,7 @@ func TestInternerRejectedBodiesNeverStored(t *testing.T) {
 	in, reg := newInterner()
 	for i := 0; i < 3; i++ {
 		for _, bad := range rejectedBodies {
-			if app, err := in.App([]byte(bad)); err == nil || app != nil {
+			if app, _, err := in.App([]byte(bad)); err == nil || app != nil {
 				t.Fatalf("%q accepted", bad)
 			}
 		}
@@ -249,7 +249,7 @@ func TestInternerEntryBound(t *testing.T) {
 	if want := total + len(extra) - len(bodies[0]); s.bytes != want {
 		t.Fatalf("retained %d bytes, want %d (newcomer in, body 0 out)", s.bytes, want)
 	}
-	if _, err := in.App(bodies[0]); err != nil {
+	if _, _, err := in.App(bodies[0]); err != nil {
 		t.Fatal(err)
 	}
 	if after := statsOf(t, reg); after.hits != s.hits || after.misses != s.misses+1 {
@@ -265,7 +265,7 @@ func TestInternerFloodCannotGrowTable(t *testing.T) {
 	perBody := 0
 	for _, body := range bodies {
 		for sight := 0; sight < 2; sight++ {
-			if _, err := in.App(body); err != nil {
+			if _, _, err := in.App(body); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -293,12 +293,12 @@ func TestInternerCollisionNeverAliases(t *testing.T) {
 	text := appBody(t, workload.TextProcessing())
 
 	checkAgainstFresh(t, in, video) // admitted under key 42
-	incumbent, err := in.App(video)
+	incumbent, _, err := in.App(video)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		got, err := in.App(text)
+		got, _, err := in.App(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestInternerCollisionNeverAliases(t *testing.T) {
 			t.Fatal("colliding body's app differs from a fresh decode")
 		}
 	}
-	if again, err := in.App(video); err != nil || again != incumbent {
+	if again, _, err := in.App(video); err != nil || again != incumbent {
 		t.Fatal("collisions displaced the incumbent")
 	}
 	if s := statsOf(t, reg); s.admitted != 1 || s.evicted != 0 || s.bytes != len(video) {
@@ -335,7 +335,7 @@ func TestInternerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				k := (g + i) % len(bodies)
-				got, err := in.App(bodies[k])
+				got, _, err := in.App(bodies[k])
 				if err != nil {
 					t.Error(err)
 					return

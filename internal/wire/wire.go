@@ -10,9 +10,27 @@
 // for both specs. A decoder accepts any version from 1 through its current
 // version and rejects 0 (missing) and anything newer — adding a field
 // requires bumping the version, so an old server never silently drops data a
-// newer client relied on. Every decoder on the serving path goes through
-// DecodeStrict, which rejects unknown fields (what makes the version gate
-// trustworthy) and anything but whitespace after the one JSON value.
+// newer client relied on. The reference decoder for every format is
+// encoding/json behind DecodeStrict, which rejects unknown fields (what makes
+// the version gate trustworthy) and anything but whitespace after the one
+// JSON value.
+//
+// Two decoders, one verdict. Requests are accepted by hand-written
+// single-pass scanners (scan.go: ScanDeploy, ScanDeployBatch, and the app-spec
+// scanner behind Interner.App) that read the request buffer in place and
+// build the dag.App directly. They know only the canonical subset of each
+// format — the format's own keys, exact case, each at most once, in any
+// order; JSON whitespace; no null/true/false; strings without escapes and in
+// valid UTF-8; integer fields as plain -?digits; float fields as any JSON
+// number — which is what json.Marshal and its kin produce. A scanner never
+// rejects: on anything outside the subset, and on every semantic error
+// (version gate, unknown architecture, everything package dag refuses), it
+// declines, and the reference decoder runs on the same bytes and decides.
+// So a body that is valid but not canonical (an escaped string, a key in
+// another case) is still served, at the reference decoder's cost, and the
+// status, code and text of every rejection come from the reference decoder
+// alone. FuzzScanMatchesReference holds the scanners to that: whatever they
+// accept, the reference decoder accepts with the same result.
 //
 // Decoded specs feed straight into the fleet's canonical digest machinery:
 // a decoded app hashes identically to a natively built one with the same
