@@ -286,17 +286,12 @@ func BenchmarkSimRun(b *testing.B) {
 }
 
 // BenchmarkCompileShape times the cold (app, cluster) compile path — the
-// first sight of a request shape — in four forms. legacy builds the cost
-// model and the simulator plan from scratch (each rebuilding the cluster's
-// name tables and dense link tables). shared compiles both on a warm
-// topo.ClusterTable but still runs the two app-side passes split, each
-// re-walking the DAG (validation, stages, topo order, per-microservice
-// scalars). fused compiles one appgraph.AppTable and then emits the model
-// and plan in a single walk (costmodel.CompileShapeOn) — the fleet's cold
-// path since the app substrate landed. fused_warmapp starts from a cached
-// AppTable — what a known app arriving on a new cluster pays, the fleet's
-// app-digest cache hit. BENCH_compile.json records ns/op and allocs/op;
-// CI's allocguard gates the alloc counts.
+// first sight of a request shape — in the two forms the fleet pays, both
+// over a warm topo.ClusterTable. fused compiles one appgraph.AppTable and
+// then emits the model and plan in a single walk (costmodel.CompileShapeOn).
+// fused_warmapp starts from a cached AppTable — what a known app arriving on
+// a new cluster pays, the fleet's app-digest cache hit. BENCH_compile.json
+// records ns/op and allocs/op; CI's allocguard gates the alloc counts.
 func BenchmarkCompileShape(b *testing.B) {
 	cfg := workload.DefaultGeneratorConfig(12, 42)
 	cfg.StageWidth = 4
@@ -313,29 +308,6 @@ func BenchmarkCompileShape(b *testing.B) {
 		{"compile/synthetic12/scaled50", synth, workload.ScaledTestbed(25)},
 	}
 	for _, c := range cases {
-		b.Run(c.name+"/legacy", func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				model := costmodel.Compile(c.app, c.cluster)
-				plan := sim.CompilePlan(c.app, c.cluster)
-				if model == nil || plan == nil {
-					b.Fatal("compile failed")
-				}
-			}
-		})
-		b.Run(c.name+"/shared", func(b *testing.B) {
-			table := sim.CompileClusterTable(c.cluster)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				model := costmodel.CompileOn(c.app, c.cluster, table)
-				plan := sim.CompilePlanOn(c.app, c.cluster, table)
-				if model == nil || plan == nil {
-					b.Fatal("compile failed")
-				}
-			}
-		})
 		b.Run(c.name+"/fused", func(b *testing.B) {
 			table := sim.CompileClusterTable(c.cluster)
 			b.ReportAllocs()

@@ -91,7 +91,7 @@ type (
 	// ClusterTable is the compiled cluster-side substrate (sorted name
 	// tables, interned devices, dense link tables) shared by every
 	// per-application compile against one cluster; build it once with
-	// CompileClusterTable and feed it to CompileSimPlanOn.
+	// CompileClusterTable and feed it to CompileSimPlanOnTables.
 	ClusterTable = topo.ClusterTable
 	// AppTable is the compiled application-side substrate: validated
 	// structure, interned microservice names, dense topo order / stage
@@ -214,11 +214,6 @@ func NewSystem(cluster *Cluster) *System { return core.NewSystem(cluster) }
 // which converge for these congestion-style payoffs.
 func NewDEEPScheduler() Scheduler { return sched.NewDEEP() }
 
-// NewDEEPSchedulerWithPairCap returns the Nash scheduler with an explicit
-// pair-game cap in payoff cells; 0 disables the cap (always play the exact
-// bimatrix game, however large the scaled cluster makes it).
-func NewDEEPSchedulerWithPairCap(cells int) Scheduler { return &sched.DEEP{MaxPairCells: cells} }
-
 // NewExclusiveScheduler pins every deployment to one registry ("hub" or
 // "regional"), the paper's two baseline methods.
 func NewExclusiveScheduler(registry string) Scheduler { return sched.NewExclusive(registry) }
@@ -238,8 +233,8 @@ func Run(app *App, cluster *Cluster, placement Placement, opts Options) (*Result
 // CompileSimPlan compiles an (app, cluster) pair for repeated simulation.
 // The plan is immutable and safe to share across goroutines, each driving
 // its own SimExec. Compiling several apps against one cluster? Use
-// CompileClusterTable once plus CompileSimPlanOn per app, so the cluster's
-// topology scan isn't repeated per application.
+// CompileClusterTable once plus CompileSimPlanOnTables per app, so the
+// cluster's topology scan isn't repeated per application.
 func CompileSimPlan(app *App, cluster *Cluster) *SimPlan {
 	return sim.CompilePlan(app, cluster)
 }
@@ -254,14 +249,6 @@ func CompileClusterTable(cluster *Cluster) *ClusterTable {
 	return sim.CompileClusterTable(cluster)
 }
 
-// CompileSimPlanOn compiles an application's simulation plan over a shared
-// cluster table, skipping the per-cluster topology scan — the multi-app-per
-// cluster fast path (see examples/customapp). The table must have been
-// compiled from an identically-shaped cluster (normally the same one).
-func CompileSimPlanOn(app *App, cluster *Cluster, table *ClusterTable) *SimPlan {
-	return sim.CompilePlanOn(app, cluster, table)
-}
-
 // CompileAppTable compiles the application-side substrate every per-cluster
 // compile builds on: validated structure, interned microservice names, dense
 // topo/stage/edge rows, and per-microservice scalars. It is immutable, safe
@@ -274,7 +261,9 @@ func CompileAppTable(app *App) *AppTable { return appgraph.Compile(app) }
 
 // CompileSimPlanOnTables compiles a simulation plan over both substrates —
 // a shared AppTable and a shared ClusterTable — so neither side of the
-// (app, cluster) pair is re-derived. This is the fleet's cold compile path.
+// (app, cluster) pair is re-derived (see examples/customapp). The tables
+// must come from the same app and an identically-shaped cluster (normally
+// the same one).
 func CompileSimPlanOnTables(at *AppTable, cluster *Cluster, table *ClusterTable) *SimPlan {
 	return sim.CompilePlanOnTables(at, cluster, table)
 }
@@ -290,27 +279,16 @@ func Schedule(s Scheduler, app *App, cluster *Cluster) (Placement, error) {
 	return s.Schedule(app, cluster)
 }
 
-// ScheduleOn computes a placement over a shared cluster table: every shipped
-// scheduler runs on a compiled cost model, so only the application-side pass
-// compiles — the cluster's topology scan is skipped, same as
-// CompileSimPlanOn on the simulation side. Schedulers that cannot read a
-// model fall back to Schedule.
-func ScheduleOn(s Scheduler, app *App, cluster *Cluster, table *ClusterTable) (Placement, error) {
-	if ms, ok := s.(sched.ModelScheduler); ok {
-		return ms.ScheduleModel(costmodel.CompileOn(app, cluster, table))
-	}
-	return s.Schedule(app, cluster)
-}
-
-// ScheduleOnTables computes a placement over both shared substrates: the
-// cost model compiles as a thin pass over (AppTable, ClusterTable) with no
-// DAG or topology re-derivation — the cheapest cold path for scheduling one
-// app across many clusters (or many apps on one cluster). Schedulers that
-// cannot read a model fall back to Schedule. The tables must come from the
-// same app and an identically-shaped cluster.
+// ScheduleOnTables computes a placement over both shared substrates: every
+// shipped scheduler runs on a compiled cost model, which compiles as a thin
+// pass over (AppTable, ClusterTable) with no DAG or topology re-derivation —
+// the cold path for scheduling one app across many clusters (or many apps on
+// one cluster). Schedulers that cannot read a model fall back to Schedule.
+// The tables must come from the same app and an identically-shaped cluster.
 func ScheduleOnTables(s Scheduler, at *AppTable, cluster *Cluster, table *ClusterTable) (Placement, error) {
 	if ms, ok := s.(sched.ModelScheduler); ok {
-		return ms.ScheduleModel(costmodel.CompileOnTables(at, cluster, table))
+		model, _ := costmodel.CompileShapeOn(at, cluster, table)
+		return ms.ScheduleModel(model)
 	}
 	return s.Schedule(at.App(), cluster)
 }

@@ -158,15 +158,15 @@ func multiAppOneCluster() {
 		{"iot-lite", 0.5},
 		{"iot-heavy", 2},
 	} {
-		app := buildAppScaled(scale.name, scale.mult)
+		at := deep.CompileAppTable(buildAppScaled(scale.name, scale.mult))
 		// Both the scheduler's cost model and the simulator's plan compile
 		// only their app-side passes here — the cluster topology scan
 		// happened once, in CompileClusterTable above.
-		placement, err := deep.ScheduleOn(scheduler, app, cluster, table)
+		placement, err := deep.ScheduleOnTables(scheduler, at, cluster, table)
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan := deep.CompileSimPlanOn(app, cluster, table)
+		plan := deep.CompileSimPlanOnTables(at, cluster, table)
 		// Cold runs (the default flushes layer caches first) keep the rows
 		// comparable as standalone per-variant costs, whatever the order.
 		res, err := exec.Run(plan, placement, deep.Options{})

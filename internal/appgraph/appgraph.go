@@ -1,7 +1,7 @@
 // Package appgraph is the compiled application-side substrate shared by
 // every per-cluster compiler in the system — the app-side mirror of
-// internal/topo. The DEEP pipeline prices (costmodel.CompileOn) and
-// simulates (sim.CompilePlanOn) every (app, cluster) pair; before this
+// internal/topo. The DEEP pipeline prices (costmodel.CompileShapeOn) and
+// simulates (sim.CompilePlanOnTables) every (app, cluster) pair; before this
 // package each compiler independently re-ran the DAG's structural
 // validation, topological ordering, and barrier-stage partition
 // (map-allocating graph walks) and rebuilt identical sorted name tables and
@@ -60,7 +60,7 @@ const (
 // dataflow rows, per-microservice image sizes, external inputs, and
 // arch-support bitmasks, the structural-validation results both compilers
 // previously re-derived, and the simulator's per-phase jitter tags.
-// Per-cluster compilers (costmodel.CompileOnTables, sim.CompilePlanOnTables)
+// Per-cluster compilers (costmodel.CompileShapeOn, sim.CompilePlanOnTables)
 // layer their per-(microservice, device) tables on top of it.
 type AppTable struct {
 	app *dag.App

@@ -20,10 +20,11 @@
 // reuse it across requests.
 //
 // The cluster-side tables (device/registry names, dense link tables,
-// shared-uplink flags) live in a topo.ClusterTable; CompileOn layers the
-// application-side pass over a caller-supplied table so N applications on
-// one cluster — and the simulator's CompilePlanOn next door — share one
-// topology scan, and Compile builds a private table on the fly.
+// shared-uplink flags) live in a topo.ClusterTable and the application-side
+// structure in an appgraph.AppTable; CompileShapeOn layers the cross-product
+// pass over caller-supplied tables so N applications on one cluster (or one
+// application on N clusters) share the substrates, and Compile builds
+// private tables on the fly.
 package costmodel
 
 import (
@@ -110,44 +111,24 @@ type Model struct {
 	topoErr   error
 }
 
-// Compile builds the indexed model, compiling a private cluster table on
-// the fly. It never fails: structural problems in the DAG (cycles,
-// disconnection) surface from Stages and Topo, matching where the
-// string-keyed schedulers validated. Callers compiling several applications
-// against one cluster should sim.CompileClusterTable once and use CompileOn.
+// Compile builds the indexed model alone, compiling a private app table and
+// cluster table on the fly. It never fails: structural problems in the DAG
+// (cycles, disconnection) surface from Stages and Topo, matching where the
+// string-keyed schedulers validated. Callers that hold the substrates, or
+// that also simulate, use CompileShapeOn.
 func Compile(app *dag.App, cluster *sim.Cluster) *Model {
-	return CompileOn(app, cluster, sim.CompileClusterTable(cluster))
-}
-
-// CompileOn builds the model's application-side pass over a shared cluster
-// table, compiling a private app table on the fly. tab must describe
-// cluster's shape (same devices, registries, topology routes — the fleet
-// guarantees this by keying tables on the cluster digest). Callers that
-// hold both substrates should use CompileOnTables, and callers that also
-// need the simulator plan should use CompileShapeOn, which emits both in a
-// single fused walk.
-func CompileOn(app *dag.App, cluster *sim.Cluster, tab *topo.ClusterTable) *Model {
-	return CompileOnTables(appgraph.Compile(app), cluster, tab)
-}
-
-// CompileOnTables is the model's real compile: a thin option-enumeration
-// pass over the app-side substrate (at) and the cluster-side substrate
-// (tab). Everything app-only — name table, edge rows, image sizes, stages,
-// topological order, validation errors — is referenced from the app table;
-// everything cluster-only from the cluster table; only the cross product
-// (feasible options, per-(microservice, device) pricing) is computed here.
-func CompileOnTables(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.ClusterTable) *Model {
-	return compileModel(at, cluster, tab, nil)
+	return compileModel(appgraph.Compile(app), cluster, sim.CompileClusterTable(cluster), nil)
 }
 
 // CompileShapeOn fuses the cost-model and simulator compiles into a single
 // walk over (at, tab): the simulator plan prices every (microservice,
 // device) pair once, and the model layers its option tables over those same
 // rows instead of re-querying the pure per-pair functions (ProcessingTime,
-// the three phase power draws, feasibility). One fused call replaces the
-// back-to-back CompileOn + CompilePlanOn pair on the fleet's cold path and
-// is pinned bit-identical to it (the fused equivalence corpus in
-// internal/sched).
+// the three phase power draws, feasibility). This is the fleet's cold path,
+// pinned bit-identical to Compile + sim.CompilePlan (the fused equivalence
+// corpus in internal/sched). tab must describe cluster's shape (same
+// devices, registries, topology routes — the fleet guarantees this by keying
+// tables on the cluster digest).
 func CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.ClusterTable) (*Model, *sim.Plan) {
 	plan := sim.CompilePlanOnTables(at, cluster, tab)
 	return compileModel(at, cluster, tab, plan), plan
@@ -315,12 +296,6 @@ func (m *Model) MSName(ms int32) string { return m.msNames[ms] }
 // MSID returns the id of a microservice name.
 func (m *Model) MSID(name string) (int32, bool) {
 	id, ok := m.msIndex[name]
-	return id, ok
-}
-
-// DeviceID returns the id of a device name.
-func (m *Model) DeviceID(name string) (int32, bool) {
-	id, ok := m.devIndex[name]
 	return id, ok
 }
 

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deep/internal/appgraph"
 	"deep/internal/costmodel"
 	"deep/internal/dag"
 	"deep/internal/device"
@@ -138,8 +139,7 @@ func TestDuplicateNamesFirstOccurrenceWins(t *testing.T) {
 	if got, want := tab.NumRegistries(), 2; got != want {
 		t.Fatalf("table compiled %d registries, want %d (duplicates compacted)", got, want)
 	}
-	mDup := costmodel.CompileOn(app, dup, tab)
-	pDup := sim.CompilePlanOn(app, dup, tab)
+	mDup, pDup := costmodel.CompileShapeOn(appgraph.Compile(app), dup, tab)
 	if mDup.Table() != tab || pDup.Table() != tab {
 		t.Fatal("compilers did not retain the shared cluster table")
 	}

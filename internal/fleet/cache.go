@@ -149,8 +149,8 @@ func sortedLayerKeys(m map[string][]sim.Layer) []string {
 // placementCache is a concurrency-safe LRU of memoized placements. Entries
 // are stored in compiled form — parallel sorted-name and assignment slices
 // rather than Go maps — so a cached placement is immutable by construction
-// and a lookup materializes a fresh map for the caller instead of cloning a
-// mutable one.
+// and a lookup shares the entry's slices with the caller instead of cloning a
+// mutable map.
 type placementCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -170,30 +170,9 @@ type cacheEntry struct {
 	assigns []sim.Assignment
 }
 
-// compile decomposes a placement into the entry's indexed form.
-func (e *cacheEntry) compile(p sim.Placement) {
-	e.names = make([]string, 0, len(p))
-	for name := range p {
-		e.names = append(e.names, name)
-	}
-	sort.Strings(e.names)
-	e.assigns = make([]sim.Assignment, len(e.names))
-	for i, name := range e.names {
-		e.assigns[i] = p[name]
-	}
-}
-
-// materialize rebuilds a caller-owned placement map from the indexed form.
-func (e *cacheEntry) materialize() sim.Placement {
-	p := make(sim.Placement, len(e.names))
-	for i, name := range e.names {
-		p[name] = e.assigns[i]
-	}
-	return p
-}
-
 // newPlacementCache returns an LRU holding up to capacity placements.
-// capacity <= 0 disables caching entirely (every Get misses, Put is a no-op).
+// capacity <= 0 disables caching entirely (every GetView misses, PutView is a
+// no-op).
 func newPlacementCache(capacity int) *placementCache {
 	return &placementCache{
 		capacity: capacity,
@@ -202,28 +181,10 @@ func newPlacementCache(capacity int) *placementCache {
 	}
 }
 
-// Get returns a copy of the memoized placement, recording a hit or miss.
-func (c *placementCache) Get(key Fingerprint) (sim.Placement, bool) {
-	if c.capacity <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).materialize(), true
-}
-
-// GetView returns the memoized placement's compiled view without
-// materializing a map: the returned view aliases the entry's immutable
-// slices, which stay valid even past eviction (evicting drops the cache's
-// reference, never mutates the slices). This is the request path's lookup —
-// a hit costs zero allocations.
+// GetView returns the memoized placement's compiled view, recording a hit or
+// miss: the returned view aliases the entry's immutable slices, which stay
+// valid even past eviction (evicting drops the cache's reference, never
+// mutates the slices), so a hit costs zero allocations.
 func (c *placementCache) GetView(key Fingerprint) (PlacementView, bool) {
 	if c.capacity <= 0 {
 		return PlacementView{}, false
@@ -241,34 +202,10 @@ func (c *placementCache) GetView(key Fingerprint) (PlacementView, bool) {
 	return PlacementView{names: e.names, assigns: e.assigns}, true
 }
 
-// Put memoizes a placement, evicting the least recently used entry when
-// full.
-func (c *placementCache) Put(key Fingerprint, p sim.Placement) {
-	if c.capacity <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).compile(p)
-		c.order.MoveToFront(el)
-		return
-	}
-	entry := &cacheEntry{key: key}
-	entry.compile(p)
-	c.byKey[key] = c.order.PushFront(entry)
-	for c.order.Len() > c.capacity {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.byKey, back.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-}
-
-// PutView memoizes a placement already in view form. The entry gets its own
-// copies of the slices — a view handed in may alias request-pooled scratch,
-// and entries must stay immutable for the lifetime of every view ever served
-// from them.
+// PutView memoizes a placement, evicting the least recently used entry when
+// full. The entry gets its own copies of the slices — a view handed in may
+// alias request-pooled scratch, and entries must stay immutable for the
+// lifetime of every view ever served from them.
 func (c *placementCache) PutView(key Fingerprint, v PlacementView) {
 	if c.capacity <= 0 {
 		return
@@ -474,11 +411,11 @@ type modelEntry struct {
 const modelCacheShards = 8
 
 // newSharedModelCache builds a cache holding up to capacity models across
-// all shards. capacity <= 0 disables caching (getOrCompile always compiles).
+// all shards (at least one per shard).
 func newSharedModelCache(capacity int) *sharedModelCache {
 	c := &sharedModelCache{shards: make([]modelShard, modelCacheShards)}
 	per := capacity / modelCacheShards
-	if per < 1 && capacity > 0 {
+	if per < 1 {
 		per = 1
 	}
 	for i := range c.shards {
@@ -495,12 +432,8 @@ func newSharedModelCache(capacity int) *sharedModelCache {
 // tableFor returns the compiled cluster table for the digest, running
 // compile at most once per cached digest fleet-wide: concurrent callers for
 // the same cluster all block on the first caller's compilation and share its
-// result. With the cache disabled every caller compiles a private table.
+// result.
 func (c *sharedModelCache) tableFor(cd ClusterDigest, compile func() *topo.ClusterTable) *topo.ClusterTable {
-	if !c.enabled() {
-		c.tableCompiles.Add(1)
-		return compile()
-	}
 	key := string(cd)
 	c.tablesMu.Lock()
 	e, ok := c.tables[key]
@@ -533,13 +466,8 @@ func (c *sharedModelCache) tableFor(cd ClusterDigest, compile func() *topo.Clust
 // at most once per cached digest fleet-wide: concurrent callers for the same
 // app all block on the first caller's compilation and share its result —
 // the DAG walks run once even when N workers compile the app against N
-// distinct clusters simultaneously. With the cache disabled every caller
-// compiles a private table.
+// distinct clusters simultaneously.
 func (c *sharedModelCache) appTableFor(ad Fingerprint, compile func() *appgraph.AppTable) *appgraph.AppTable {
-	if !c.enabled() {
-		c.appCompiles.Add(1)
-		return compile()
-	}
 	c.appsMu.Lock()
 	e, ok := c.apps[ad]
 	if !ok {
@@ -567,12 +495,6 @@ func (c *sharedModelCache) appTableFor(ad Fingerprint, compile func() *appgraph.
 	return e.table
 }
 
-// enabled reports whether the cache stores anything at all (a disabled
-// cache runs every compile closure and retains nothing).
-func (c *sharedModelCache) enabled() bool {
-	return len(c.shards) > 0 && c.shards[0].capacity > 0
-}
-
 func (c *sharedModelCache) shard(key Fingerprint) *modelShard {
 	// Fingerprint is a raw sha256 digest, so any byte is uniform; fold the
 	// first eight into the shard index.
@@ -590,10 +512,6 @@ func (c *sharedModelCache) shard(key Fingerprint) *modelShard {
 // purging and costs an allocation only on insertion, never on a hit.
 func (c *sharedModelCache) getOrCompile(key Fingerprint, cd ClusterDigest, compile func() compiledShape) compiledShape {
 	sh := c.shard(key)
-	if sh.capacity <= 0 {
-		c.compiles.Add(1)
-		return compile()
-	}
 	sh.mu.Lock()
 	e, ok := sh.byKey[key]
 	if !ok {
@@ -630,7 +548,7 @@ func (c *sharedModelCache) getOrCompile(key Fingerprint, cd ClusterDigest, compi
 // shape, which the next purge or FIFO eviction reclaims — the stale-placement
 // gate keeps it from ever serving a wrong answer.
 func (c *sharedModelCache) purgeForCluster(cd ClusterDigest) int {
-	if !c.enabled() || len(cd) == 0 {
+	if len(cd) == 0 {
 		return 0
 	}
 	tag := string(cd)
@@ -657,7 +575,7 @@ func (c *sharedModelCache) purgeForCluster(cd ClusterDigest) int {
 // cache, both levels. A hit counts any lookup that found an existing entry,
 // including one still being compiled by another worker (the caller waits
 // instead of recompiling); Compiles counts actual compilations, so Misses ==
-// Compiles when caching is on means the singleflight never duplicated work.
+// Compiles means the singleflight never duplicated work.
 // The Cluster* counters track the cluster-table level the same way: with N
 // workers on one shared cluster shape, ClusterCompiles stays at 1. The App*
 // counters track the app-table level: with N workers compiling one app

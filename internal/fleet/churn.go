@@ -77,23 +77,9 @@ func (st *churnState) pristine() bool {
 	return len(st.downDevs) == 0 && len(st.downRegs) == 0 && len(st.degraded) == 0
 }
 
-// stale reports whether the placement references hardware that is down in
-// this state — the per-request gate that keeps cached placements off crashed
-// devices.
-func (st *churnState) stale(p sim.Placement) bool {
-	if len(st.downDevs) == 0 && len(st.downRegs) == 0 {
-		return false
-	}
-	for _, a := range p {
-		if st.downDevs[a.Device] || st.downRegs[a.Registry] {
-			return true
-		}
-	}
-	return false
-}
-
-// staleAssigns is stale for placements in compiled view form — the request
-// path's gate, which never sees a placement map anymore.
+// staleAssigns reports whether a placement (in compiled view form) references
+// hardware that is down in this state — the per-request gate that keeps
+// cached placements off crashed devices.
 func (st *churnState) staleAssigns(assigns []sim.Assignment) bool {
 	if len(st.downDevs) == 0 && len(st.downRegs) == 0 {
 		return false

@@ -575,7 +575,7 @@ func TestDegradationLadder(t *testing.T) {
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
-	if _, degraded, err := f.scheduleAttempt(w2, app, nil, 1, time.Time{}); err != nil {
+	if _, degraded, err := f.scheduleAttempt(w2, app, model, 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	} else if degraded {
 		t.Fatal("non-pass scheduler reported a downgrade")

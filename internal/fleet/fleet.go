@@ -77,15 +77,6 @@ type Config struct {
 	// CacheSize bounds the placement LRU in entries. Zero means the
 	// default of 1024; a negative value disables placement memoization.
 	CacheSize int
-	// ModelCacheSize bounds the fleet-wide shared compiled-shape cache
-	// (cost model + simulator plan) in entries. Zero means the default of
-	// 256; a negative value disables sharing — every request then compiles
-	// a transient simulator plan, and every placement-cache miss a
-	// transient cost model. Unlike the placement cache it is keyed by
-	// (app, cluster) only, so one compiled shape serves every scheduler
-	// and every worker on the same request shape, with a singleflight fill
-	// deduplicating concurrent compilations.
-	ModelCacheSize int
 	// SimOptions apply to every simulation run; per-request seeds are
 	// folded in on top. A fleet is a long-lived service, so by default
 	// SimOptions.WarmCaches is forced on — device layer caches persist
@@ -137,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
-	}
-	if c.ModelCacheSize == 0 {
-		c.ModelCacheSize = defaultModelCacheSize
 	}
 	if !c.ColdCaches {
 		c.SimOptions.WarmCaches = true
@@ -352,9 +340,9 @@ type job struct {
 	req      Request
 	enqueued time.Time
 	done     chan *Response
-	// ctx is the submitter's context when it came through SubmitCtx (nil
-	// from plain Submit): a request whose submitter has already given up is
-	// answered with its context error instead of being scheduled.
+	// ctx is the submitter's context (nil from plain Submit): a request whose
+	// submitter has already given up is answered with its context error
+	// instead of being scheduled.
 	ctx context.Context
 
 	// Batch plumbing: a non-nil items marks a batch head occupying one
@@ -418,7 +406,7 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		cfg:    cfg,
 		cache:  newPlacementCache(cfg.CacheSize),
-		models: newSharedModelCache(cfg.ModelCacheSize),
+		models: newSharedModelCache(modelCacheSize),
 	}
 	per := (cfg.QueueDepth + cfg.QueueShards - 1) / cfg.QueueShards
 	f.queues = make([]chan *job, cfg.QueueShards)
@@ -571,52 +559,21 @@ func (f *Fleet) tryEnqueue(j *job, home int) bool {
 	return false
 }
 
-// Submit enqueues a request without blocking. The returned channel delivers
-// exactly one Response when the request completes. A full queue rejects the
-// request with ErrQueueFull; a closed fleet rejects with ErrClosed.
-func (f *Fleet) Submit(req Request) (<-chan *Response, error) {
+// admit is the one admission path for single requests: validate, draw a
+// pooled job, and enqueue it on its home shard (spilling to siblings). With
+// block set a full queue waits on the home shard until space frees or ctx is
+// cancelled; otherwise it rejects with ErrQueueFull. A non-nil ctx rides on
+// the job, so a submitter that gives up while its request is still queued
+// gets the context error back instead of paying for a schedule; block
+// requires one.
+func (f *Fleet) admit(ctx context.Context, req Request, block bool) (<-chan *Response, error) {
 	if req.App == nil {
 		return nil, fmt.Errorf("fleet: request without app")
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	j := f.getJob()
-	j.req = req
-	j.enqueued = time.Now()
-
-	// The read lock lets many submitters race each other but excludes
-	// Close, so a send can never hit a closed channel.
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	if f.tryEnqueue(j, f.shardFor(&j.req)) {
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
-	}
-	f.putJob(j)
-	f.rejected.Add(1)
-	return nil, ErrQueueFull
-}
-
-// SubmitCtx enqueues a request, blocking on a full admission queue until
-// space frees, the context is cancelled, or the fleet closes — the
-// cooperative alternative to Submit's immediate ErrQueueFull. Cancellation
-// while blocked returns ctx.Err() and counts as a rejection; once accepted,
-// the request also remembers the context, so a submitter that gives up while
-// its request is still queued gets the context error back instead of paying
-// for a schedule.
-func (f *Fleet) SubmitCtx(ctx context.Context, req Request) (<-chan *Response, error) {
-	if req.App == nil {
-		return nil, fmt.Errorf("fleet: request without app")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
 	if req.Tenant == "" {
 		req.Tenant = "default"
@@ -626,11 +583,11 @@ func (f *Fleet) SubmitCtx(ctx context.Context, req Request) (<-chan *Response, e
 	j.enqueued = time.Now()
 	j.ctx = ctx
 
-	// Holding the read lock across the blocking send is deadlock-free:
-	// workers keep draining every shard until Close closes them, and
-	// Close's write lock cannot be acquired until this send (or
-	// cancellation) releases the read side — so the send always completes
-	// or cancels, and can never hit a closed channel. Blocking on the home
+	// The read lock lets many submitters race each other but excludes
+	// Close, so a send can never hit a closed channel. Holding it across the
+	// blocking send is deadlock-free: workers keep draining every shard until
+	// Close closes them, and Close's write lock cannot be acquired until this
+	// send (or cancellation) releases the read side. Blocking on the home
 	// shard alone is enough: work stealing guarantees it drains.
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -640,62 +597,49 @@ func (f *Fleet) SubmitCtx(ctx context.Context, req Request) (<-chan *Response, e
 		return nil, ErrClosed
 	}
 	home := f.shardFor(&j.req)
-	if f.tryEnqueue(j, home) {
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
+	if !f.tryEnqueue(j, home) {
+		if !block {
+			f.putJob(j)
+			f.rejected.Add(1)
+			return nil, ErrQueueFull
+		}
+		select {
+		case f.queues[home] <- j:
+			f.queued.Add(j.weight())
+		case <-ctx.Done():
+			f.putJob(j)
+			f.rejected.Add(1)
+			return nil, ctx.Err()
+		}
 	}
-	select {
-	case f.queues[home] <- j:
-		f.queued.Add(1)
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
-	case <-ctx.Done():
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ctx.Err()
-	}
+	f.submitted.Add(1)
+	f.inFlight.Add(1)
+	return j.done, nil
+}
+
+// Submit enqueues a request without blocking. The returned channel delivers
+// exactly one Response when the request completes. A full queue rejects the
+// request with ErrQueueFull; a closed fleet rejects with ErrClosed.
+func (f *Fleet) Submit(req Request) (<-chan *Response, error) {
+	return f.admit(nil, req, false)
+}
+
+// SubmitCtx enqueues a request, blocking on a full admission queue until
+// space frees, the context is cancelled, or the fleet closes — the
+// cooperative alternative to Submit's immediate ErrQueueFull. Cancellation
+// while blocked returns ctx.Err() and counts as a rejection; once accepted,
+// the request also remembers the context (see admit).
+func (f *Fleet) SubmitCtx(ctx context.Context, req Request) (<-chan *Response, error) {
+	return f.admit(ctx, req, true)
 }
 
 // TrySubmitCtx enqueues a request without blocking — Submit's immediate
 // ErrQueueFull backpressure — while remembering the context the way
-// SubmitCtx does, so a submitter that gives up while its request is still
-// queued gets the context error back instead of paying for a schedule. This
-// is the serving front-end's admission call: reject-fast on overload, but
-// never schedule for a caller that already hung up.
+// SubmitCtx does. This is the serving front-end's admission call:
+// reject-fast on overload, but never schedule for a caller that already hung
+// up.
 func (f *Fleet) TrySubmitCtx(ctx context.Context, req Request) (<-chan *Response, error) {
-	if req.App == nil {
-		return nil, fmt.Errorf("fleet: request without app")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	j := f.getJob()
-	j.req = req
-	j.enqueued = time.Now()
-	j.ctx = ctx
-
-	// The read lock lets many submitters race each other but excludes
-	// Close, so a send can never hit a closed channel.
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	if f.tryEnqueue(j, f.shardFor(&j.req)) {
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
-	}
-	f.putJob(j)
-	f.rejected.Add(1)
-	return nil, ErrQueueFull
+	return f.admit(ctx, req, false)
 }
 
 // SubmitBatch admits a batch of requests as one unit: one queue handoff, one
@@ -786,9 +730,11 @@ func (f *Fleet) QueueShards() int { return len(f.queues) }
 // Workers returns the scheduler/simulator pool size.
 func (f *Fleet) Workers() int { return f.cfg.Workers }
 
-// Do submits a request and blocks for its response (or ctx cancellation).
+// Do submits a request (without blocking on a full queue) and blocks for its
+// response or ctx cancellation; a request still queued when ctx is cancelled
+// is never scheduled.
 func (f *Fleet) Do(ctx context.Context, req Request) (*Response, error) {
-	ch, err := f.Submit(req)
+	ch, err := f.admit(ctx, req, false)
 	if err != nil {
 		return nil, err
 	}
@@ -932,15 +878,18 @@ func (w *workerState) fallbackScheduler() sched.Scheduler {
 	return w.fallback
 }
 
-// defaultModelCacheSize bounds the fleet-wide compiled-shape cache. Models
-// and plans are a few dense arrays each; 256 covers the distinct shapes of
-// a large multi-tenant mix without unbounded growth.
-const defaultModelCacheSize = 256
+// modelCacheSize bounds the fleet-wide shared compiled-shape cache (cost
+// model + simulator plan) in entries. Models and plans are a few dense arrays
+// each; 256 covers the distinct shapes of a large multi-tenant mix without
+// unbounded growth. Unlike the placement cache it is keyed by (app, cluster)
+// only, so one compiled shape serves every scheduler and every worker on the
+// same request shape.
+const modelCacheSize = 256
 
 // passPoolCap bounds each worker's pass and rebound-plan pools. Both are
 // keyed by compiled-object identity, so they normally track the shared
-// shape cache; the cap matters when that cache is disabled or churning
-// (fresh identities per request) and evicts one arbitrary entry per
+// shape cache; the cap matters when that cache is churning (fresh identities
+// per request) and evicts one arbitrary entry per
 // insertion instead of growing without bound — hot entries survive and
 // evicted shared-cache objects are not pinned indefinitely.
 const passPoolCap = 64
@@ -1082,13 +1031,10 @@ func (f *Fleet) processBatch(w *workerState, head *job) {
 // (sched.PassScheduler — DEEP) run on a pooled Pass keyed by model — the
 // pool is scheduler-independent, so the exact scheduler and the degraded
 // fallback share passes; plain ModelSchedulers run on the shared model with
-// fresh scratch, and everything else falls back to the string-keyed Schedule
-// path against the churn-filtered cluster view.
+// fresh scratch, and everything else (for which shape compiles no model)
+// falls back to the string-keyed Schedule path against the churn-filtered
+// cluster view.
 func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, app *dag.App, model *costmodel.Model) (sim.Placement, error) {
-	if model == nil {
-		// The shape was compiled without a model (non-model scheduler).
-		return scheduler.Schedule(app, w.effCluster)
-	}
 	switch s := scheduler.(type) {
 	case sched.PassScheduler:
 		p := w.passes[model]
@@ -1133,13 +1079,11 @@ func (f *Fleet) recordSolver(shard int, st sched.SolverStats) {
 // PassSchedulers (the exact DEEP family) — other schedulers have no cheaper
 // rung to fall to. Returns the placement and whether it is degraded.
 func (f *Fleet) scheduleAttempt(w *workerState, app *dag.App, model *costmodel.Model, attempt int, deadline time.Time) (sim.Placement, bool, error) {
-	if model != nil {
-		if _, exact := w.scheduler.(sched.PassScheduler); exact {
-			pressed := !deadline.IsZero() && w.exactDur > 0 && time.Until(deadline) < w.exactDur
-			if attempt > 0 || pressed {
-				p, err := f.scheduleOn(w, w.fallbackScheduler(), app, model)
-				return p, err == nil, err
-			}
+	if _, exact := w.scheduler.(sched.PassScheduler); exact {
+		pressed := !deadline.IsZero() && w.exactDur > 0 && time.Until(deadline) < w.exactDur
+		if attempt > 0 || pressed {
+			p, err := f.scheduleOn(w, w.fallbackScheduler(), app, model)
+			return p, err == nil, err
 		}
 	}
 	t0 := time.Now()
@@ -1152,19 +1096,14 @@ func (f *Fleet) scheduleAttempt(w *workerState, app *dag.App, model *costmodel.M
 
 // shape returns the request's compiled model and executor plan from the
 // fleet-wide cache, compiling them on first sight of the (app, cluster)
-// shape. The plan is always compiled, since every request simulates. The
-// cost model is compiled only when it can pay for itself: the scheduler
-// must be able to read it, and the cache must be enabled — with the cache
-// disabled the model would be dead weight on placement-cache hits, so
-// schedule() falls back to the string-keyed path instead (which compiles
-// its own transient model per miss, the pre-cache behavior). The key folds
-// in the worker's own cluster digest, so workers with identical clusters
-// (the normal case — every worker runs Config.NewCluster) share one
-// compiled shape per app, and a reconfigured cluster can never alias
-// another's shapes.
+// shape. The plan is always compiled, since every request simulates; the
+// cost model only when the scheduler can read one (scheduleOn falls back to
+// the string-keyed path otherwise). The key folds in the worker's own cluster
+// digest, so workers with identical clusters (the normal case — every worker
+// runs Config.NewCluster) share one compiled shape per app, and a
+// reconfigured cluster can never alias another's shapes.
 func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compiledShape {
-	_, modelScheduler := w.scheduler.(sched.ModelScheduler)
-	needModel := modelScheduler && f.models.enabled()
+	_, needModel := w.scheduler.(sched.ModelScheduler)
 	return f.models.getOrCompile(fingerprint(w.clusterDigest, appDigest, ""), w.clusterDigest, func() compiledShape {
 		// Cross-product passes only: the cluster-side tables come
 		// precompiled from the worker's shared cluster table and the
@@ -1189,8 +1128,7 @@ func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compi
 // compiled tables stay shared, but the device handles (whose layer caches
 // the Exec drives and flushes) must be the worker's private ones. The
 // rebinding is memoized per shared plan; a plan already bound to this
-// worker's cluster (the shape cache disabled, or this worker compiled it)
-// passes through untouched.
+// worker's cluster (this worker compiled it) passes through untouched.
 func (w *workerState) planFor(app *dag.App, shared *sim.Plan) *sim.Plan {
 	if bound, ok := w.plans[shared]; ok {
 		return bound

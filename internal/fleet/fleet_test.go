@@ -16,25 +16,36 @@ import (
 	"deep/internal/workload"
 )
 
+// testFleet starts a fleet that the test's cleanup closes and then audits:
+// once Close has drained the pool, every admitted request must have been
+// answered exactly once and nothing may be left queued — the conservation law
+// the front-door benchmark checks from outside through /v1/stats.
 func testFleet(t *testing.T, cfg Config) *Fleet {
 	t.Helper()
 	f := New(cfg)
-	t.Cleanup(f.Close)
+	t.Cleanup(func() {
+		f.Close()
+		s := f.Stats()
+		if s.Submitted != s.Completed+s.Failed || s.InFlight != 0 || f.queued.Load() != 0 {
+			t.Errorf("conservation broken after Close: submitted %d != completed %d + failed %d (in flight %d, queued %d)",
+				s.Submitted, s.Completed, s.Failed, s.InFlight, f.queued.Load())
+		}
+	})
 	return f
 }
 
 // waitWorkersStarted blocks until every worker goroutine has resolved its
-// cluster table — the one shared-cache lookup (or, with the cache disabled,
-// compile) each worker performs before serving. A worker the runtime has not
-// scheduled yet has not counted its lookup, so a test that pins exact
-// cluster-table stats must wait here first; the wait is bounded.
+// cluster table — the one shared-cache lookup each worker performs before
+// serving. A worker the runtime has not scheduled yet has not counted its
+// lookup, so a test that pins exact cluster-table stats must wait here
+// first; the wait is bounded.
 func waitWorkersStarted(t *testing.T, f *Fleet) {
 	t.Helper()
 	want := int64(f.Workers())
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s := f.Stats().ModelCache
-		if s.ClusterHits+s.ClusterMisses >= want || s.ClusterCompiles >= want {
+		if s.ClusterHits+s.ClusterMisses >= want {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -497,32 +508,32 @@ func fpOf(s string) (f Fingerprint) {
 
 func TestLRUEviction(t *testing.T) {
 	c := newPlacementCache(2)
-	p := sim.Placement{"m": {Device: "d", Registry: "r"}}
-	c.Put(fpOf("a"), p)
-	c.Put(fpOf("b"), p)
-	if _, ok := c.Get(fpOf("a")); !ok { // refresh "a"
+	v := NewPlacementView(sim.Placement{"m": {Device: "d", Registry: "r"}})
+	c.PutView(fpOf("a"), v)
+	c.PutView(fpOf("b"), v)
+	if _, ok := c.GetView(fpOf("a")); !ok { // refresh "a"
 		t.Fatal("a missing")
 	}
-	c.Put(fpOf("c"), p) // evicts "b", the LRU entry
-	if _, ok := c.Get(fpOf("b")); ok {
+	c.PutView(fpOf("c"), v) // evicts "b", the LRU entry
+	if _, ok := c.GetView(fpOf("b")); ok {
 		t.Fatal("b survived eviction")
 	}
-	if _, ok := c.Get(fpOf("a")); !ok {
+	if _, ok := c.GetView(fpOf("a")); !ok {
 		t.Fatal("refreshed entry was evicted")
 	}
-	if _, ok := c.Get(fpOf("c")); !ok {
+	if _, ok := c.GetView(fpOf("c")); !ok {
 		t.Fatal("newest entry missing")
 	}
 	stats := c.Stats()
 	if stats.Evictions != 1 || stats.Entries != 2 {
 		t.Fatalf("stats %+v, want 1 eviction and 2 entries", stats)
 	}
-	// Mutating a Get result must not corrupt the cached copy.
-	got, _ := c.Get(fpOf("a"))
-	got["m"] = sim.Assignment{Device: "x", Registry: "y"}
-	again, _ := c.Get(fpOf("a"))
-	if again["m"].Device != "d" {
-		t.Fatal("cache entry mutated through a Get copy")
+	// The view handed to PutView may alias request-pooled scratch: reusing
+	// that scratch must not corrupt the cached copy.
+	v.assigns[0] = sim.Assignment{Device: "x", Registry: "y"}
+	again, _ := c.GetView(fpOf("a"))
+	if a, _ := again.Get("m"); a.Device != "d" {
+		t.Fatal("cache entry mutated through the view it was stored from")
 	}
 }
 

@@ -340,28 +340,6 @@ func TestModelKeyChangesWithCluster(t *testing.T) {
 	}
 }
 
-// TestModelCacheDisabled: a negative ModelCacheSize compiles per request
-// and caches nothing.
-func TestModelCacheDisabled(t *testing.T) {
-	c := newSharedModelCache(-1)
-	app := workload.VideoProcessing()
-	cd := DigestCluster(workload.Testbed())
-	key := cd.ModelKey(app)
-	var n int
-	for i := 0; i < 3; i++ {
-		c.getOrCompile(key, nil, func() compiledShape {
-			n++
-			return compiledShape{model: costmodel.Compile(app, workload.Testbed())}
-		})
-	}
-	if n != 3 {
-		t.Fatalf("disabled cache compiled %d times, want 3", n)
-	}
-	if s := c.Stats(); s.Entries != 0 {
-		t.Fatalf("disabled cache holds %d entries", s.Entries)
-	}
-}
-
 // TestModelCacheEviction: FIFO-bounded shards evict and recompile.
 func TestModelCacheEviction(t *testing.T) {
 	c := newSharedModelCache(modelCacheShards) // one entry per shard

@@ -4,180 +4,21 @@ package game
 // strictly dominated strategy never removes a Nash equilibrium, so solving
 // the reduced game is sound and often dramatically cheaper.
 
-// Reduced is a game together with the original indices of the surviving
-// strategies.
-type Reduced struct {
-	Game    *Game
-	RowOrig []int // surviving row index -> original row index
-	ColOrig []int // surviving col index -> original col index
-}
-
-// EliminateDominated repeatedly removes strictly dominated pure strategies
-// from both players until a fixed point. The returned mapping lets callers
-// translate equilibria of the reduced game back to the original.
-func (g *Game) EliminateDominated() Reduced {
-	rows, cols := g.Shape()
-	rowAlive := make([]bool, rows)
-	colAlive := make([]bool, cols)
-	for i := range rowAlive {
-		rowAlive[i] = true
-	}
-	for j := range colAlive {
-		colAlive[j] = true
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		// Row strategies: i dominated by k if A[k][j] > A[i][j] for all
-		// alive j.
-		for i := 0; i < rows; i++ {
-			if !rowAlive[i] || countTrue(rowAlive) == 1 {
-				continue
-			}
-			for k := 0; k < rows; k++ {
-				if k == i || !rowAlive[k] {
-					continue
-				}
-				if strictlyBetterRow(g.A, k, i, colAlive) {
-					rowAlive[i] = false
-					changed = true
-					break
-				}
-			}
-		}
-		// Column strategies: j dominated by l under B.
-		for j := 0; j < cols; j++ {
-			if !colAlive[j] || countTrue(colAlive) == 1 {
-				continue
-			}
-			for l := 0; l < cols; l++ {
-				if l == j || !colAlive[l] {
-					continue
-				}
-				if strictlyBetterCol(g.B, l, j, rowAlive) {
-					colAlive[j] = false
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	rowOrig := aliveIndices(rowAlive)
-	colOrig := aliveIndices(colAlive)
-	a := NewMatrix(len(rowOrig), len(colOrig))
-	b := NewMatrix(len(rowOrig), len(colOrig))
-	for ri, i := range rowOrig {
-		for cj, j := range colOrig {
-			a.Set(ri, cj, g.A.At(i, j))
-			b.Set(ri, cj, g.B.At(i, j))
-		}
-	}
-	return Reduced{Game: New(a, b), RowOrig: rowOrig, ColOrig: colOrig}
-}
-
-// ReduceDominatedInPlace runs the same iterated elimination as
-// EliminateDominated but without building a fresh game: the surviving
-// payoffs are compacted into the top-left corner of A and B and the shapes
-// updated, so arena-backed games reduce without allocating. rowOrig and
-// colOrig are caller-provided scratch with capacity at least the game's
-// original dimensions; on return rowOrig[:rows] and colOrig[:cols] map each
-// surviving index back to its original one. Strict dominance never removes
-// a Nash equilibrium and the compaction preserves strategy order, so
-// solving the reduced game yields equilibria of the original, in the same
-// scan order.
-func (g *Game) ReduceDominatedInPlace(rowOrig, colOrig []int) (rows, cols int) {
-	nr, nc := g.Shape()
-	rowOrig = rowOrig[:nr]
-	colOrig = colOrig[:nc]
-	// The scratch doubles as alive flags during elimination, then is
-	// rewritten into the surviving-index maps.
-	for i := range rowOrig {
-		rowOrig[i] = 1
-	}
-	for j := range colOrig {
-		colOrig[j] = 1
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		for i := 0; i < nr; i++ {
-			if rowOrig[i] == 0 || countNonzero(rowOrig) == 1 {
-				continue
-			}
-			for k := 0; k < nr; k++ {
-				if k == i || rowOrig[k] == 0 {
-					continue
-				}
-				if strictlyBetterRowFlags(g.A, k, i, colOrig) {
-					rowOrig[i] = 0
-					changed = true
-					break
-				}
-			}
-		}
-		for j := 0; j < nc; j++ {
-			if colOrig[j] == 0 || countNonzero(colOrig) == 1 {
-				continue
-			}
-			for l := 0; l < nc; l++ {
-				if l == j || colOrig[l] == 0 {
-					continue
-				}
-				if strictlyBetterColFlags(g.B, l, j, rowOrig) {
-					colOrig[j] = 0
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	rows, cols = countNonzero(rowOrig), countNonzero(colOrig)
-	// Compact survivors toward the top-left. In-place is safe because every
-	// write lands at or before its read: ri <= i, cj <= j, cols <= nc.
-	ri := 0
-	for i := 0; i < nr; i++ {
-		if rowOrig[i] == 0 {
-			continue
-		}
-		cj := 0
-		for j := 0; j < nc; j++ {
-			if colOrig[j] == 0 {
-				continue
-			}
-			g.A.Data[ri*cols+cj] = g.A.Data[i*nc+j]
-			g.B.Data[ri*cols+cj] = g.B.Data[i*nc+j]
-			cj++
-		}
-		ri++
-	}
-	// Rewrite the alive flags into index maps; writes trail reads here too.
-	ri = 0
-	for i, f := range rowOrig {
-		if f != 0 {
-			rowOrig[ri] = i
-			ri++
-		}
-	}
-	cj := 0
-	for j, f := range colOrig {
-		if f != 0 {
-			colOrig[cj] = j
-			cj++
-		}
-	}
-	g.A.Rows, g.A.Cols, g.A.Data = rows, cols, g.A.Data[:rows*cols]
-	g.B.Rows, g.B.Cols, g.B.Data = rows, cols, g.B.Data[:rows*cols]
-	return rows, cols
-}
-
-// ReduceDominatedPrefiltered is ReduceDominatedInPlace with a row/column
-// max-min dominance screen ahead of the full pairwise sweeps. If strategy k
-// strictly dominates i, then evaluating k at i's best (argmax) and k's worst
-// (argmin) alive columns gives two necessary conditions:
+// ReduceDominatedPrefiltered repeatedly removes strictly dominated pure
+// strategies from both players until a fixed point, without building a fresh
+// game: the surviving payoffs are compacted into the top-left corner of A and
+// B and the shapes updated, so arena-backed games reduce without allocating.
+// rowOrig and colOrig are caller-provided scratch with capacity at least the
+// game's original dimensions; on return rowOrig[:rows] and colOrig[:cols] map
+// each surviving index back to its original one. The compaction preserves
+// strategy order, so solving the reduced game yields equilibria of the
+// original, in the same scan order. A game with no rows or no columns has
+// nothing to compare and is returned unchanged under identity maps.
+//
+// A row/column max-min dominance screen runs ahead of the full pairwise
+// sweeps. If strategy k strictly dominates i, then evaluating k at i's best
+// (argmax) and k's worst (argmin) alive columns gives two necessary
+// conditions:
 //
 //	min_j A[k][j] > min_j A[i][j] + tol   and   max_j A[k][j] > max_j A[i][j] + tol
 //
@@ -192,7 +33,8 @@ func (g *Game) ReduceDominatedInPlace(rowOrig, colOrig []int) (rows, cols int) {
 // die repeatedly under mass elimination). The screen only skips pairs
 // strictlyBetter would reject and candidates scan in the same order, so the
 // elimination sequence — and therefore the surviving game, compaction, and
-// index maps — is identical to ReduceDominatedInPlace on every input.
+// index maps — is identical to the unscreened elimination on every input
+// (the EliminateDominated oracle in dominance_oracle_test.go).
 //
 // fscratch is caller-provided float scratch with capacity at least
 // 2*(rows+cols); arena-backed callers pass arena floats so the screen, like
@@ -200,13 +42,17 @@ func (g *Game) ReduceDominatedInPlace(rowOrig, colOrig []int) (rows, cols int) {
 func (g *Game) ReduceDominatedPrefiltered(rowOrig, colOrig []int, fscratch []float64) (rows, cols int) {
 	const tol = 1e-12
 	nr, nc := g.Shape()
-	if nr == 0 || nc == 0 {
-		// Degenerate shapes have nothing to screen; keep the pinned
-		// behavior by running the reference reduction.
-		return g.ReduceDominatedInPlace(rowOrig, colOrig)
-	}
 	rowOrig = rowOrig[:nr]
 	colOrig = colOrig[:nc]
+	if nr == 0 || nc == 0 {
+		for i := range rowOrig {
+			rowOrig[i] = i
+		}
+		for j := range colOrig {
+			colOrig[j] = j
+		}
+		return nr, nc
+	}
 	rowMin := fscratch[:nr]
 	rowMax := fscratch[nr : 2*nr]
 	colMin := fscratch[2*nr : 2*nr+nc]
@@ -291,9 +137,9 @@ func (g *Game) ReduceDominatedPrefiltered(rowOrig, colOrig []int, fscratch []flo
 	}
 
 	// Later sweeps: the unscreened fixed-point loop over the survivors. The
-	// first sweep above eliminated at least as much as an unscreened first
-	// sweep's... exactly as much — identical sequence — so entering here
-	// unconditionally reproduces ReduceDominatedInPlace's remaining sweeps.
+	// first sweep above eliminated exactly what an unscreened first sweep
+	// would have — identical sequence — so the loop runs only if it removed
+	// something.
 	changed := aliveRows < nr || aliveCols < nc
 	for changed {
 		changed = false
@@ -331,7 +177,9 @@ func (g *Game) ReduceDominatedPrefiltered(rowOrig, colOrig []int, fscratch []flo
 		}
 	}
 
-	rows, cols = countNonzero(rowOrig), countNonzero(colOrig)
+	rows, cols = aliveRows, aliveCols
+	// Compact survivors toward the top-left. In-place is safe because every
+	// write lands at or before its read: ri <= i, cj <= j, cols <= nc.
 	ri := 0
 	for i := 0; i < nr; i++ {
 		if rowOrig[i] == 0 {
@@ -348,6 +196,7 @@ func (g *Game) ReduceDominatedPrefiltered(rowOrig, colOrig []int, fscratch []flo
 		}
 		ri++
 	}
+	// Rewrite the alive flags into index maps; writes trail reads here too.
 	ri = 0
 	for i, f := range rowOrig {
 		if f != 0 {
@@ -367,47 +216,9 @@ func (g *Game) ReduceDominatedPrefiltered(rowOrig, colOrig []int, fscratch []flo
 	return rows, cols
 }
 
-// Expand maps a profile of the reduced game back to the original strategy
-// space, assigning zero probability to eliminated strategies.
-func (r Reduced) Expand(p Profile, origRows, origCols int) Profile {
-	row := make([]float64, origRows)
-	for ri, i := range r.RowOrig {
-		row[i] = p.Row[ri]
-	}
-	col := make([]float64, origCols)
-	for cj, j := range r.ColOrig {
-		col[j] = p.Col[cj]
-	}
-	return Profile{Row: row, Col: col}
-}
-
-func strictlyBetterRow(a *Matrix, k, i int, colAlive []bool) bool {
-	for j := 0; j < a.Cols; j++ {
-		if !colAlive[j] {
-			continue
-		}
-		if a.At(k, j) <= a.At(i, j)+1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
-func strictlyBetterCol(b *Matrix, l, j int, rowAlive []bool) bool {
-	for i := 0; i < b.Rows; i++ {
-		if !rowAlive[i] {
-			continue
-		}
-		if b.At(i, l) <= b.At(i, j)+1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
-// strictlyBetterRowFlags and strictlyBetterColFlags mirror the []bool
-// variants for the in-place reduction's int-flag scratch; the comparison
-// semantics (strict, 1e-12 tolerance) must stay identical.
+// strictlyBetterRowFlags and strictlyBetterColFlags are the dominance test
+// over the reduction's int-flag scratch: strict, with a 1e-12 tolerance —
+// the same comparison the oracle's []bool variants make.
 func strictlyBetterRowFlags(a *Matrix, k, i int, colAlive []int) bool {
 	for j := 0; j < a.Cols; j++ {
 		if colAlive[j] == 0 {
@@ -430,34 +241,4 @@ func strictlyBetterColFlags(b *Matrix, l, j int, rowAlive []int) bool {
 		}
 	}
 	return true
-}
-
-func countTrue(v []bool) int {
-	n := 0
-	for _, b := range v {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-func countNonzero(v []int) int {
-	n := 0
-	for _, f := range v {
-		if f != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func aliveIndices(v []bool) []int {
-	var out []int
-	for i, b := range v {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -166,9 +166,6 @@ func NewPass(model *costmodel.Model, arena *game.Arena) *Pass {
 	}
 }
 
-// Assigned returns the last run's compiled assignment for a microservice.
-func (p *Pass) Assigned(ms int32) costmodel.Option { return p.placed[ms] }
-
 // Placement materializes the last run's placement as a string-keyed map
 // (this is the one allocating step of a warm pass).
 func (p *Pass) Placement() sim.Placement {
@@ -180,8 +177,8 @@ func (p *Pass) Placement() sim.Placement {
 }
 
 // ScheduleInto runs one scheduling pass over the pass's model, writing the
-// compiled placement into the pass's scratch (read it back via Placement or
-// Assigned). On a reused Pass it does not allocate.
+// compiled placement into the pass's scratch (read it back via Placement). On
+// a reused Pass it does not allocate.
 func (s *DEEP) ScheduleInto(p *Pass) error {
 	model, st := p.model, p.st
 	stages, err := model.Stages()

@@ -516,7 +516,7 @@ func TestEquivalenceCorpusPlacements(t *testing.T) {
 func TestEquivalenceCorpusEstimator(t *testing.T) {
 	for _, c := range equivalenceCorpus(t) {
 		ref := newLegacyEstimator(c.app, c.cluster)
-		est := NewEstimator(c.app, c.cluster)
+		est := newNamedState(t, c.app, c.cluster)
 		stages, err := legacyStages(c.app)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -533,7 +533,7 @@ func TestEquivalenceCorpusEstimator(t *testing.T) {
 			for _, n := range stage {
 				m := c.app.Microservice(n)
 				refOpts := ref.Options(m)
-				gotOpts := est.Options(m)
+				gotOpts := est.options(n)
 				if len(refOpts) != len(gotOpts) {
 					t.Fatalf("%s/%s: %d options, legacy %d", c.name, n, len(gotOpts), len(refOpts))
 				}
@@ -541,20 +541,20 @@ func TestEquivalenceCorpusEstimator(t *testing.T) {
 					if gotOpts[i] != o {
 						t.Fatalf("%s/%s: option %d = %v, legacy %v", c.name, n, i, gotOpts[i], o)
 					}
-					if w, g := ref.Energy(m, o, nil), est.Energy(m, o, nil); w != g {
+					if w, g := float64(ref.Energy(m, o, nil)), est.energy(n, o, nil); w != g {
 						t.Errorf("%s/%s/%v: solo energy %v, legacy %v", c.name, n, o, g, w)
 					}
-					if w, g := ref.Energy(m, o, co), est.Energy(m, o, co); w != g {
+					if w, g := float64(ref.Energy(m, o, co)), est.energy(n, o, co); w != g {
 						t.Errorf("%s/%s/%v: staged energy %v, legacy %v", c.name, n, o, g, w)
 					}
-					if w, g := ref.CompletionTime(m, o, co), est.CompletionTime(m, o, co); w != g {
+					if w, g := ref.CompletionTime(m, o, co), est.completionTime(n, o, co); w != g {
 						t.Errorf("%s/%s/%v: CT %v, legacy %v", c.name, n, o, g, w)
 					}
 				}
 			}
 			for _, n := range stage {
 				ref.Commit(n, placement[n])
-				est.Commit(n, placement[n])
+				est.commit(n, placement[n])
 			}
 		}
 	}

@@ -1,3 +1,15 @@
+// Package sched implements DEEP's scheduling layer: the Nash-game-based
+// scheduler of the paper's Section III-E, which jointly picks the executing
+// device sched(m_i) and the source registry regist(m_i) for every
+// microservice to minimize total energy, plus the baselines the evaluation
+// compares against (exclusively Docker Hub, exclusively regional, greedy,
+// HEFT-like, round-robin, random).
+//
+// All schedulers run on the compiled, integer-indexed cost model of
+// internal/costmodel: Schedule compiles the (app, cluster) pair and
+// delegates to ScheduleModel, which works entirely in dense arrays — fleet
+// workers cache compiled models per request fingerprint and skip the
+// compilation step for repeated shapes.
 package sched
 
 import (
@@ -41,7 +53,7 @@ type ModelScheduler interface {
 type PassScheduler interface {
 	ModelScheduler
 	// ScheduleInto runs one pass over the Pass's model. Read the placement
-	// back via Pass.Placement or Pass.Assigned.
+	// back via Pass.Placement.
 	ScheduleInto(p *Pass) error
 }
 

@@ -3,6 +3,8 @@ package sched
 import (
 	"testing"
 
+	"deep/internal/costmodel"
+	"deep/internal/dag"
 	"deep/internal/sim"
 	"deep/internal/workload"
 )
@@ -191,13 +193,84 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
+// namedState is these tests' name→index front-end over costmodel.State: the
+// pair is compiled once and every query translates microservice, device and
+// registry names to the model's indices, so the estimator tests can ask the
+// compiled cost model their questions in the paper's vocabulary. A name the
+// model does not know fails the test.
+type namedState struct {
+	t     *testing.T
+	model *costmodel.Model
+	st    *costmodel.State
+}
+
+func newNamedState(t *testing.T, app *dag.App, cluster *sim.Cluster) *namedState {
+	model := costmodel.Compile(app, cluster)
+	return &namedState{t: t, model: model, st: model.NewState()}
+}
+
+func (q *namedState) ms(name string) int32 {
+	q.t.Helper()
+	id, ok := q.model.MSID(name)
+	if !ok {
+		q.t.Fatalf("microservice %q outside the compiled app", name)
+	}
+	return id
+}
+
+func (q *namedState) option(a sim.Assignment) costmodel.Option {
+	q.t.Helper()
+	o, ok := q.model.Intern(a)
+	if !ok {
+		q.t.Fatalf("assignment %s/%s outside the compiled cluster", a.Device, a.Registry)
+	}
+	return o
+}
+
+// co translates same-stage co-assignments into the parallel slices the state
+// takes.
+func (q *namedState) co(co map[string]sim.Assignment) (ms []int32, opts []costmodel.Option) {
+	q.t.Helper()
+	for name, a := range co {
+		ms = append(ms, q.ms(name))
+		opts = append(opts, q.option(a))
+	}
+	return ms, opts
+}
+
+// options lists the microservice's feasible assignments in the model's
+// canonical order (device name, then registry name).
+func (q *namedState) options(name string) []sim.Assignment {
+	q.t.Helper()
+	opts := q.model.Options(q.ms(name))
+	out := make([]sim.Assignment, len(opts))
+	for i, o := range opts {
+		out[i] = q.model.Assignment(o)
+	}
+	return out
+}
+
+func (q *namedState) energy(name string, a sim.Assignment, co map[string]sim.Assignment) float64 {
+	q.t.Helper()
+	coMS, coOpt := q.co(co)
+	return q.st.Energy(q.ms(name), q.option(a), coMS, coOpt)
+}
+
+func (q *namedState) completionTime(name string, a sim.Assignment, co map[string]sim.Assignment) float64 {
+	q.t.Helper()
+	coMS, coOpt := q.co(co)
+	return q.st.CompletionTime(q.ms(name), q.option(a), coMS, coOpt)
+}
+
+func (q *namedState) commit(name string, a sim.Assignment) {
+	q.t.Helper()
+	q.st.Commit(q.ms(name), q.option(a))
+}
+
 func TestEstimatorOptionsDeterministic(t *testing.T) {
-	cluster := workload.Testbed()
-	app := workload.VideoProcessing()
-	est := NewEstimator(app, cluster)
-	m := app.Microservice("video/transcode")
-	o1 := est.Options(m)
-	o2 := est.Options(m)
+	est := newNamedState(t, workload.VideoProcessing(), workload.Testbed())
+	o1 := est.options("video/transcode")
+	o2 := est.options("video/transcode")
 	if len(o1) != 4 {
 		t.Fatalf("want 4 options (2 devices × 2 registries), got %d", len(o1))
 	}
@@ -209,16 +282,14 @@ func TestEstimatorOptionsDeterministic(t *testing.T) {
 }
 
 func TestEstimatorSharedContention(t *testing.T) {
-	cluster := workload.Testbed()
-	app := workload.VideoProcessing()
-	est := NewEstimator(app, cluster)
-	m := app.Microservice("video/ha-train")
+	est := newNamedState(t, workload.VideoProcessing(), workload.Testbed())
+	const m = "video/ha-train"
 	solo := sim.Assignment{Device: "medium", Registry: "regional"}
-	alone := float64(est.Energy(m, solo, nil))
+	alone := est.energy(m, solo, nil)
 	co := map[string]sim.Assignment{
 		"video/la-train": {Device: "small", Registry: "regional"},
 	}
-	contended := float64(est.Energy(m, solo, co))
+	contended := est.energy(m, solo, co)
 	if contended <= alone {
 		t.Errorf("cross-device shared pulls should cost more: %v vs %v", contended, alone)
 	}
@@ -226,7 +297,7 @@ func TestEstimatorSharedContention(t *testing.T) {
 	coSame := map[string]sim.Assignment{
 		"video/la-train": {Device: "medium", Registry: "regional"},
 	}
-	sameDev := float64(est.Energy(m, solo, coSame))
+	sameDev := est.energy(m, solo, coSame)
 	if sameDev != alone {
 		t.Errorf("same-device pulls should not split capacity: %v vs %v", sameDev, alone)
 	}
@@ -242,7 +313,7 @@ func TestEstimatorMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est := NewEstimator(app, cluster)
+		est := newNamedState(t, app, cluster)
 		stages, _ := app.Stages()
 		for _, stage := range stages {
 			co := map[string]sim.Assignment{}
@@ -250,8 +321,7 @@ func TestEstimatorMatchesSimulator(t *testing.T) {
 				co[n] = p[n]
 			}
 			for _, n := range stage {
-				m := app.Microservice(n)
-				predicted := float64(est.Energy(m, p[n], co))
+				predicted := est.energy(n, p[n], co)
 				simRow, _ := res.ByName(n)
 				actual := float64(simRow.TotalEnergy())
 				if diff := abs(predicted-actual) / actual; diff > 0.02 {
@@ -260,7 +330,7 @@ func TestEstimatorMatchesSimulator(t *testing.T) {
 				}
 			}
 			for _, n := range stage {
-				est.Commit(n, p[n])
+				est.commit(n, p[n])
 			}
 		}
 	}

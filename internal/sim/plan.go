@@ -20,9 +20,10 @@ import (
 // with zero steady-state allocations.
 //
 // The cluster-side tables (name tables, link tables, idle power) live in a
-// topo.ClusterTable; CompilePlanOn layers the application-side pass over a
-// caller-supplied table so N applications on one cluster share one topology
-// scan, and CompilePlan compiles a private table on the fly.
+// topo.ClusterTable and the application-side structure in an
+// appgraph.AppTable; CompilePlanOnTables layers the cross-product pass over
+// caller-supplied tables so N applications on one cluster share one topology
+// scan, and CompilePlan compiles private tables on the fly.
 //
 // A Plan is immutable after CompilePlan and safe for concurrent Exec.Run
 // calls on separate Execs. It snapshots the cluster's topology, power
@@ -108,8 +109,8 @@ const (
 )
 
 // CompileClusterTable compiles the cluster-side substrate shared by this
-// package's CompilePlanOn and costmodel.CompileOn: name tables, interned
-// devices, dense link tables, and idle power. Compile it once per cluster
+// package's CompilePlanOnTables and costmodel.CompileShapeOn: name tables,
+// interned devices, dense link tables, and idle power. Compile it once per cluster
 // (the fleet caches one per cluster digest) and feed it to every
 // application-side compile against that cluster.
 func CompileClusterTable(cluster *Cluster) *topo.ClusterTable {
@@ -125,21 +126,14 @@ func CompileClusterTable(cluster *Cluster) *topo.ClusterTable {
 	})
 }
 
-// CompilePlan builds the compiled executor plan, compiling a private cluster
-// table on the fly. It never fails: structural problems in the DAG (cycles,
-// disconnection) are captured and surface from Exec.Run exactly where the
-// legacy executor reported them. Callers compiling several applications
-// against one cluster should CompileClusterTable once and use CompilePlanOn.
-func CompilePlan(app *dag.App, cluster *Cluster) *Plan {
-	return CompilePlanOn(app, cluster, CompileClusterTable(cluster))
-}
-
-// CompilePlanOn builds the plan's application-side pass over a shared
-// cluster table, compiling a private app table on the fly. Callers that hold
-// both substrates (the fleet, the fused shape compile) should use
+// CompilePlan builds the compiled executor plan, compiling a private app
+// table and cluster table on the fly. It never fails: structural problems in
+// the DAG (cycles, disconnection) are captured and surface from Exec.Run
+// exactly where the legacy executor reported them. Callers compiling several
+// applications against one cluster should CompileClusterTable once and use
 // CompilePlanOnTables.
-func CompilePlanOn(app *dag.App, cluster *Cluster, tab *topo.ClusterTable) *Plan {
-	return CompilePlanOnTables(appgraph.Compile(app), cluster, tab)
+func CompilePlan(app *dag.App, cluster *Cluster) *Plan {
+	return CompilePlanOnTables(appgraph.Compile(app), cluster, CompileClusterTable(cluster))
 }
 
 // CompilePlanOnTables is the real compile: a thin per-(microservice, device)

@@ -66,8 +66,8 @@ type View struct {
 // name tables and index maps, interned device handles, the dense
 // registry→device / device→device / source→device link tables, per-registry
 // shared-uplink flags, and per-device idle power. Application-side compilers
-// (costmodel.CompileOn, sim.CompilePlanOn) layer their per-microservice
-// tables on top of it.
+// (costmodel.CompileShapeOn, sim.CompilePlanOnTables) layer their
+// per-microservice tables on top of it.
 type ClusterTable struct {
 	devNames []string
 	regNames []string
