@@ -290,8 +290,10 @@ func BenchmarkSimRun(b *testing.B) {
 // over a warm topo.ClusterTable. fused compiles one appgraph.AppTable and
 // then emits the model and plan in a single walk (costmodel.CompileShapeOn).
 // fused_warmapp starts from a cached AppTable — what a known app arriving on
-// a new cluster pays, the fleet's app-digest cache hit. BENCH_compile.json
-// records ns/op and allocs/op; CI's allocguard gates the alloc counts.
+// a new cluster pays, the fleet's app-digest cache hit. fused_reuse is fused
+// into a warm appgraph.Scratch + costmodel.Scratch — what a fleet worker
+// pays for a shape it sees for the first time. BENCH_compile.json records
+// ns/op and allocs/op; CI's allocguard gates the alloc counts.
 func BenchmarkCompileShape(b *testing.B) {
 	cfg := workload.DefaultGeneratorConfig(12, 42)
 	cfg.StageWidth = 4
@@ -327,6 +329,20 @@ func BenchmarkCompileShape(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				model, plan := costmodel.CompileShapeOn(at, c.cluster, table)
+				if model == nil || plan == nil {
+					b.Fatal("compile failed")
+				}
+			}
+		})
+		b.Run(c.name+"/fused_reuse", func(b *testing.B) {
+			table := sim.CompileClusterTable(c.cluster)
+			var apps appgraph.Scratch
+			var shapes costmodel.Scratch
+			shapes.CompileShapeOn(apps.Compile(c.app), c.cluster, table)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				model, plan := shapes.CompileShapeOn(apps.Compile(c.app), c.cluster, table)
 				if model == nil || plan == nil {
 					b.Fatal("compile failed")
 				}

@@ -10,8 +10,10 @@
 // (the fleet keys it by app digest) and shared across clusters and across
 // both compilers.
 //
-// An AppTable is immutable after Compile and safe for any number of
-// concurrent readers. It snapshots the application's structure; mutating the
+// An AppTable from the package-level Compile is immutable and safe for any
+// number of concurrent readers — the form the fleet shares. One compiled
+// into a caller's Scratch is private to that caller and overwritten by its
+// next compile. Either snapshots the application's structure; mutating the
 // app afterwards is not supported (the same contract as topo.ClusterTable).
 // Accessors returning slices return the table's own backing arrays — callers
 // must treat them as read-only.
@@ -29,6 +31,7 @@ import (
 	"sort"
 
 	"deep/internal/dag"
+	"deep/internal/slab"
 	"deep/internal/units"
 )
 
@@ -102,28 +105,65 @@ type AppTable struct {
 // work sharing the table avoids repeating per cluster and per compiler. It
 // never fails: structural problems are captured (errors verbatim) and
 // surface from the consumers exactly where they always did.
-func Compile(app *dag.App) *AppTable {
-	t := &AppTable{app: app}
+func Compile(app *dag.App) *AppTable { return new(Scratch).Compile(app) }
 
-	t.msNames = make([]string, 0, len(app.Microservices))
-	for _, m := range app.Microservices {
-		t.msNames = append(t.msNames, m.Name)
+// Scratch is recycled storage for one AppTable: the table and a backing
+// slice per element type, each sized once per compile and carved into the
+// table's columns and rows. Compile overwrites the previous table in place,
+// so a Scratch has a single owner (a fleet worker keeps one for shapes it
+// sees for the first time) and its table is valid only until the next
+// Compile; a table that is to be shared comes from the package-level Compile,
+// which is this same compile on a Scratch of its own.
+type Scratch struct {
+	t        AppTable
+	names    slab.Slab[string]
+	ms       slab.Slab[*dag.Microservice]
+	sizes    slab.Slab[units.Bytes] // image sizes, external inputs
+	masks    slab.Slab[uint8]
+	edges    slab.Slab[Edge]   // in-edge rows, then out-edge rows
+	edgeRows slab.Slab[[]Edge] // inputs, outputs
+	ids      slab.Slab[int32]  // edge endpoints and degrees (compile-time only), topo, stages
+	idRows   slab.Slab[[]int32]
+	tags     slab.Slab[byte]
+	tagRows  slab.Slab[[]byte]
+}
+
+var phaseNames = [numPhases]string{PhaseDeploy: "deploy", PhaseTransfer: "transfer", PhaseProcess: "process"}
+
+// Compile builds app's table in the scratch, replacing the one it held.
+func (s *Scratch) Compile(app *dag.App) *AppTable {
+	t := &s.t
+	*t = AppTable{app: app, msIndex: t.msIndex}
+
+	s.names.Reset(len(app.Microservices))
+	names := s.names.Rest()
+	for i, m := range app.Microservices {
+		names[i] = m.Name
 	}
-	sort.Strings(t.msNames)
-	t.msNames = slices.Compact(t.msNames)
-	t.msIndex = indexOf(t.msNames)
+	sort.Strings(names)
+	nm := len(slices.Compact(names))
+	t.msNames = s.names.Cut(nm)
+	if t.msIndex == nil {
+		t.msIndex = make(map[string]int32, nm)
+	} else {
+		clear(t.msIndex)
+	}
+	for i, n := range t.msNames {
+		t.msIndex[n] = int32(i)
+	}
 
-	nm := len(t.msNames)
-	t.ms = make([]*dag.Microservice, nm)
+	s.ms.Reset(nm)
+	t.ms = s.ms.Cut(nm)
+	clear(t.ms)
 	for _, m := range app.Microservices {
 		if i, ok := t.msIndex[m.Name]; ok && t.ms[i] == nil {
 			t.ms[i] = m
 		}
 	}
 
-	t.imageSize = make([]units.Bytes, nm)
-	t.extInput = make([]units.Bytes, nm)
-	t.archMask = make([]uint8, nm)
+	s.sizes.Reset(2 * nm)
+	s.masks.Reset(nm)
+	t.imageSize, t.extInput, t.archMask = s.sizes.Cut(nm), s.sizes.Cut(nm), s.masks.Cut(nm)
 	for i, m := range t.ms {
 		t.imageSize[i] = m.ImageSize
 		t.extInput[i] = m.ExternalInput
@@ -137,64 +177,105 @@ func Compile(app *dag.App) *AppTable {
 		t.archMask[i] = mask
 	}
 
-	t.inputs = make([][]Edge, nm)
-	t.outputs = make([][]Edge, nm)
-	for _, e := range app.Dataflows {
+	t.validErr = app.Validate()
+	// One round of graph walks for the app's lifetime: Validate left the
+	// ordering walk in the dag memo, so Order is a read.
+	ord, err := app.Order()
+	t.stagesErr, t.topoErr = err, err
+	numStages := 0
+	if err == nil {
+		numStages = ord.Stages
+	}
+
+	// Resolve every edge once, counting degrees, then cut each row at its
+	// final size and fill in declaration order.
+	ne := len(app.Dataflows)
+	s.ids.Reset(2*ne + 4*nm + numStages)
+	ends, inDeg, outDeg := s.ids.Cut(2*ne), s.ids.Cut(nm), s.ids.Cut(nm)
+	clear(inDeg)
+	clear(outDeg)
+	kept := 0
+	for i, e := range app.Dataflows {
 		to, okTo := t.msIndex[e.To]
 		from, okFrom := t.msIndex[e.From]
 		if !okTo || !okFrom {
 			// A dangling edge cannot alter costs: the legacy compilers
 			// skipped it identically.
+			ends[2*i] = -1
+			continue
+		}
+		ends[2*i], ends[2*i+1] = from, to
+		inDeg[to]++
+		outDeg[from]++
+		kept++
+	}
+	s.edges.Reset(2 * kept)
+	s.edgeRows.Reset(2 * nm)
+	t.inputs, t.outputs = s.edgeRows.Cut(nm), s.edgeRows.Cut(nm)
+	for i := range t.inputs {
+		t.inputs[i] = s.edges.Cut(int(inDeg[i]))[:0]
+	}
+	for i := range t.outputs {
+		t.outputs[i] = s.edges.Cut(int(outDeg[i]))[:0]
+	}
+	for i, e := range app.Dataflows {
+		from, to := ends[2*i], ends[2*i+1]
+		if from < 0 {
 			continue
 		}
 		t.inputs[to] = append(t.inputs[to], Edge{MS: from, Size: e.Size})
 		t.outputs[from] = append(t.outputs[from], Edge{MS: to, Size: e.Size})
 	}
 
-	// One round of graph walks for the whole table's lifetime. The dag-level
-	// memo makes the nested TopoOrder calls inside Validate and Stages hit
-	// the same computation, so this is ~one walk per distinct result.
-	t.validErr = app.Validate()
-	if stages, err := app.Stages(); err != nil {
-		t.stagesErr = err
-	} else {
-		t.stages = make([][]int32, len(stages))
-		for i, stage := range stages {
-			ids := make([]int32, len(stage))
-			for k, n := range stage {
-				ids[k] = t.msIndex[n]
-			}
-			// Stage names are sorted lexicographically and ids ascend in
-			// name order, so ids are already ascending; the sort is a cheap
-			// invariant guard.
-			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-			t.stages[i] = ids
+	if err == nil {
+		// The graph resolved, so names are unique and a vertex's rank by
+		// name is its id. Filling the stages in name order leaves each one
+		// ascending, the order the schedulers and the executor visit.
+		t.topo = s.ids.Cut(nm)
+		for i, v := range ord.Topo {
+			t.topo[i] = ord.Rank[v]
 		}
-	}
-	if order, err := app.TopoOrder(); err != nil {
-		t.topoErr = err
-	} else {
-		t.topo = make([]int32, len(order))
-		for i, n := range order {
-			t.topo[i] = t.msIndex[n]
+		width := s.ids.Cut(numStages)
+		clear(width)
+		for _, l := range ord.Level {
+			width[l]++
+		}
+		s.idRows.Reset(numStages)
+		t.stages = s.idRows.Cut(numStages)
+		for l := range t.stages {
+			t.stages[l] = s.ids.Cut(int(width[l]))[:0]
+		}
+		for _, v := range ord.ByName {
+			l := ord.Level[v]
+			t.stages[l] = append(t.stages[l], ord.Rank[v])
 		}
 	}
 
-	for phase, tag := range []string{"deploy", "transfer", "process"} {
-		t.jitterTag[phase] = make([][]byte, nm)
+	// Every tag is "|app|ms|phase"; size the byte slab for all of them first,
+	// so appending never moves the rows already cut from it.
+	size := 0
+	for _, tag := range phaseNames {
+		size += nm * (3 + len(app.Name) + len(tag))
+		for _, name := range t.msNames {
+			size += len(name)
+		}
+	}
+	s.tags.Reset(size)
+	s.tagRows.Reset(numPhases * nm)
+	for phase, tag := range phaseNames {
+		t.jitterTag[phase] = s.tagRows.Cut(nm)
 		for i, name := range t.msNames {
-			t.jitterTag[phase][i] = []byte("|" + app.Name + "|" + name + "|" + tag)
+			b := s.tags.Rest()[:0]
+			b = append(b, '|')
+			b = append(b, app.Name...)
+			b = append(b, '|')
+			b = append(b, name...)
+			b = append(b, '|')
+			b = append(b, tag...)
+			t.jitterTag[phase][i] = s.tags.Cut(len(b))
 		}
 	}
 	return t
-}
-
-func indexOf(names []string) map[string]int32 {
-	idx := make(map[string]int32, len(names))
-	for i, n := range names {
-		idx[n] = int32(i)
-	}
-	return idx
 }
 
 // App returns the application the table was compiled from.

@@ -193,3 +193,50 @@ func TestCompileDuplicateNames(t *testing.T) {
 		t.Fatal("duplicate names must still fail validation")
 	}
 }
+
+// TestScratchCompileMatchesFresh: a table compiled into a scratch that last
+// held a larger app (and a larger one compiled over a smaller) is deep-equal
+// to a fresh Compile, every row down to nil-versus-empty — broken apps
+// included, whose rows exist so the compilers can report the error.
+func TestScratchCompileMatchesFresh(t *testing.T) {
+	big := dag.NewApp("big")
+	for i := 0; i < 12; i++ {
+		if err := big.AddMicroservice(&dag.Microservice{Name: string(rune('a' + i)), ImageSize: units.Bytes(i) * units.MB}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < i; j += 3 {
+			if err := big.AddDataflow(string(rune('a'+j)), string(rune('a'+i)), units.Bytes(i+j)*units.KB); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cyclic := dag.NewApp("cyclic")
+	for _, n := range []string{"x", "y"} {
+		if err := cyclic.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"x", "y"}, {"y", "x"}} {
+		if err := cyclic.AddDataflow(e[0], e[1], units.KB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small := []*dag.App{
+		buildApp(t),
+		cyclic,
+		{Name: "dups", Microservices: []*dag.Microservice{{Name: "dup"}, {Name: "dup"}}},
+		{Name: "dangling", Microservices: []*dag.Microservice{{Name: "only"}}, Dataflows: []dag.Dataflow{{From: "only", To: "gone", Size: units.KB}}},
+		dag.NewApp("empty"),
+	}
+	wantBig := Compile(big)
+	var s Scratch
+	for _, app := range small {
+		s.Compile(big)
+		if got, want := s.Compile(app), Compile(app); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s over a larger app:\ngot  %+v\nwant %+v", app.Name, got, want)
+		}
+		if got := s.Compile(big); !reflect.DeepEqual(got, wantBig) {
+			t.Errorf("larger app over %s differs from a fresh compile", app.Name)
+		}
+	}
+}

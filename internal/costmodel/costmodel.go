@@ -14,28 +14,33 @@
 // cluster's power models are pure functions of (state, microservice); all
 // shipped models are.
 //
-// A Model is immutable after Compile and safe for concurrent readers; the
-// mutable scratch lives in State (one per scheduling pass, arena-style, not
-// goroutine-safe). Fleet workers cache one Model per request fingerprint and
-// reuse it across requests.
+// A Model from Compile or the package-level CompileShapeOn is immutable and
+// safe for concurrent readers — the form the fleet caches per request shape
+// and shares between workers. One compiled into a caller's Scratch is the
+// other kind: private to that caller, recycled, and overwritten by its next
+// compile (a fleet worker keeps one Scratch for shapes it sees for the first
+// time). Either way the mutable pass state lives in State (one per
+// scheduling pass, arena-style, not goroutine-safe).
 //
 // The cluster-side tables (device/registry names, dense link tables,
 // shared-uplink flags) live in a topo.ClusterTable and the application-side
 // structure in an appgraph.AppTable; CompileShapeOn layers the cross-product
 // pass over caller-supplied tables so N applications on one cluster (or one
 // application on N clusters) share the substrates, and Compile builds
-// private tables on the fly.
+// private tables on the fly. There is one compile body, Scratch's: it sizes
+// the option tables with a counting pass and carves them from one backing
+// slice per element type, and the fresh entry points run it on a zero
+// Scratch.
 package costmodel
 
 import (
 	"math"
-	"sort"
 
 	"deep/internal/appgraph"
 	"deep/internal/dag"
-	"deep/internal/energy"
 	"deep/internal/game"
 	"deep/internal/sim"
+	"deep/internal/slab"
 	"deep/internal/topo"
 	"deep/internal/units"
 )
@@ -89,9 +94,8 @@ type Model struct {
 
 	// opts holds each microservice's feasible options in canonical order
 	// (device name, then registry name) — enumerated once at compile, so
-	// Options never re-sorts. assigns is the same list in string form.
-	opts    [][]Option
-	assigns [][]sim.Assignment
+	// Options never re-sorts.
+	opts [][]Option
 
 	// soloCells[ms][k] is the flattened (device axis × registry axis) cell
 	// of opts[ms][k] in the solo cooperation game's matrix — precomputed so
@@ -117,33 +121,47 @@ type Model struct {
 // string-keyed schedulers validated. Callers that hold the substrates, or
 // that also simulate, use CompileShapeOn.
 func Compile(app *dag.App, cluster *sim.Cluster) *Model {
-	return compileModel(appgraph.Compile(app), cluster, sim.CompileClusterTable(cluster), nil)
+	m, _ := CompileShapeOn(appgraph.Compile(app), cluster, sim.CompileClusterTable(cluster))
+	return m
 }
 
 // CompileShapeOn fuses the cost-model and simulator compiles into a single
 // walk over (at, tab): the simulator plan prices every (microservice,
 // device) pair once, and the model layers its option tables over those same
 // rows instead of re-querying the pure per-pair functions (ProcessingTime,
-// the three phase power draws, feasibility). This is the fleet's cold path,
-// pinned bit-identical to Compile + sim.CompilePlan (the fused equivalence
-// corpus in internal/sched). tab must describe cluster's shape (same
-// devices, registries, topology routes — the fleet guarantees this by keying
-// tables on the cluster digest).
+// the three phase power draws, feasibility). This is the fleet's cold path.
+// tab must describe cluster's shape (same devices, registries, topology
+// routes — the fleet guarantees this by keying tables on the cluster
+// digest).
 func CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.ClusterTable) (*Model, *sim.Plan) {
-	plan := sim.CompilePlanOnTables(at, cluster, tab)
-	return compileModel(at, cluster, tab, plan), plan
+	return new(Scratch).CompileShapeOn(at, cluster, tab)
 }
 
-// compileModel builds the model over the two substrates. When plan is
-// non-nil (the fused path) the per-(microservice, device) rows are shared
-// with the plan — already priced over the same tables — and its feasibility
-// row drives option enumeration; otherwise the rows are computed here.
-// Either way the populated values are identical: the pricing functions are
-// pure per (device shape, microservice), and the only divergence — the
-// plan prices infeasible pairs while the standalone path leaves them zero —
-// is unobservable, because options only ever name feasible devices.
-func compileModel(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.ClusterTable, plan *sim.Plan) *Model {
-	m := &Model{App: at.App(), Cluster: cluster, tab: tab}
+// Scratch is recycled storage for one compiled shape — a Model and the Plan
+// it is layered over: the two values and a backing slice per element type,
+// sized once per compile by a counting pass and carved into the option
+// tables. CompileShapeOn overwrites the previous shape in place, so a
+// Scratch has a single owner (a fleet worker keeps one for shapes it sees
+// for the first time) and its shape is valid only until the next compile; a
+// shape that is to be shared comes from the package-level CompileShapeOn,
+// which is this same compile on a Scratch of its own.
+type Scratch struct {
+	// Plan is the simulator half, usable alone by a caller whose scheduler
+	// reads no model.
+	Plan sim.PlanScratch
+
+	m       Model
+	opts    slab.Slab[Option]
+	optRows slab.Slab[[]Option]
+	ids     slab.Slab[int32] // two per-registry compile-time rows; then solo device axes, registry axes, cells
+	idRows  slab.Slab[[]int32]
+}
+
+// CompileShapeOn builds the shape in the scratch, replacing the one it held.
+func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.ClusterTable) (*Model, *sim.Plan) {
+	plan := s.Plan.Compile(at, cluster, tab)
+	m := &s.m
+	*m = Model{App: at.App(), Cluster: cluster, tab: tab}
 
 	m.msNames = at.MSNames()
 	m.msIndex = at.MSIndex()
@@ -153,8 +171,6 @@ func compileModel(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.Cluster
 	m.regIndex = tab.RegIndex()
 
 	nm, nd, nr := len(m.msNames), len(m.devNames), len(m.regNames)
-
-	devices := tab.Devices()
 
 	m.regShared = tab.RegShared()
 	m.regLink = tab.RegLinks()
@@ -166,33 +182,49 @@ func compileModel(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.Cluster
 	m.extInput = at.ExtInputs()
 	m.inputs = at.Inputs()
 
+	// The per-(microservice, device) rows are the plan's, priced over the
+	// same tables. The plan prices infeasible pairs too; that is
+	// unobservable, because options only ever name feasible devices.
 	var feasible []bool
-	if plan != nil {
-		feasible, m.tp, m.pullW, m.recvW, m.procW = plan.MSRows()
-	} else {
-		m.tp = make([]float64, nm*nd)
-		m.pullW = make([]units.Watts, nm*nd)
-		m.recvW = make([]units.Watts, nm*nd)
-		m.procW = make([]units.Watts, nm*nd)
-	}
-	m.opts = make([][]Option, nm)
-	m.assigns = make([][]sim.Assignment, nm)
-	m.soloCells = make([][]int32, nm)
-	m.soloDevs = make([][]int32, nm)
-	m.soloRegs = make([][]int32, nm)
+	feasible, m.tp, m.pullW, m.recvW, m.procW = plan.MSRows()
 
-	msPtr := at.Microservices()
+	// A device contributes one option per registry that routes to it, to
+	// every microservice it can run: count before carving.
+	numOpts, numDevs := 0, 0
+	for d := 0; d < nd; d++ {
+		regs := 0
+		for r := 0; r < nr; r++ {
+			if m.regLink[r*nd+d].OK {
+				regs++
+			}
+		}
+		if regs == 0 {
+			continue
+		}
+		for mi := 0; mi < nm; mi++ {
+			if feasible[mi*nd+d] {
+				numOpts += regs
+				numDevs++
+			}
+		}
+	}
+	s.opts.Reset(numOpts)
+	s.optRows.Reset(nm)
+	s.ids.Reset(2*nr + numDevs + nm*nr + numOpts)
+	s.idRows.Reset(3 * nm)
+	m.opts = s.optRows.Cut(nm)
+	m.soloDevs, m.soloRegs, m.soloCells = s.idRows.Cut(nm), s.idRows.Cut(nm), s.idRows.Cut(nm)
+	// seenBy[r] == mi+1 marks registry r reachable from a device feasible
+	// for microservice mi; axisPos[r] is then r's column in mi's solo game.
+	seenBy, axisPos := s.ids.Cut(nr), s.ids.Cut(nr)
+	clear(seenBy)
+
 	for mi := 0; mi < nm; mi++ {
-		ms := msPtr[mi]
-		var opts []Option
-		var regSeen int64 // bitset over registries reachable from a feasible device
+		// Options iterate devices, then registries, both ascending: the
+		// canonical order, and the order of the solo axes.
+		row, devs := s.opts.Rest()[:0], s.ids.Rest()[:0]
 		for d := 0; d < nd; d++ {
-			base := mi*nd + d
-			if plan != nil {
-				if !feasible[base] {
-					continue
-				}
-			} else if !tab.Feasible(int32(d), ms) {
+			if !feasible[mi*nd+d] {
 				continue
 			}
 			first := true
@@ -200,61 +232,34 @@ func compileModel(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.Cluster
 				if !m.regLink[r*nd+d].OK {
 					continue
 				}
-				opts = append(opts, Option{Device: int32(d), Registry: int32(r)})
+				row = append(row, Option{Device: int32(d), Registry: int32(r)})
 				if first {
-					m.soloDevs[mi] = append(m.soloDevs[mi], int32(d))
+					devs = append(devs, int32(d))
 					first = false
 				}
-				if nr <= 64 {
-					regSeen |= 1 << r
-				} else if !contains(m.soloRegs[mi], int32(r)) {
-					m.soloRegs[mi] = append(m.soloRegs[mi], int32(r))
-				}
-			}
-			if plan == nil {
-				di := devices[d]
-				m.tp[base] = di.ProcessingTime(ms.Req.CPU)
-				m.pullW[base] = di.Power.Power(energy.Pulling, ms.Name)
-				m.recvW[base] = di.Power.Power(energy.Receiving, ms.Name)
-				m.procW[base] = di.Power.Power(energy.Processing, ms.Name)
+				seenBy[r] = int32(mi) + 1
 			}
 		}
-		if nr <= 64 {
-			for r := 0; r < nr; r++ {
-				if regSeen&(1<<r) != 0 {
-					m.soloRegs[mi] = append(m.soloRegs[mi], int32(r))
-				}
+		m.opts[mi] = s.opts.Cut(len(row))
+		m.soloDevs[mi] = s.ids.Cut(len(devs))
+		regs := s.ids.Rest()[:0]
+		for r := 0; r < nr; r++ {
+			if seenBy[r] == int32(mi)+1 {
+				axisPos[r] = int32(len(regs))
+				regs = append(regs, int32(r))
 			}
-		} else {
-			sort.Slice(m.soloRegs[mi], func(a, b int) bool { return m.soloRegs[mi][a] < m.soloRegs[mi][b] })
 		}
-		m.opts[mi] = opts
-		assigns := make([]sim.Assignment, len(opts))
-		for k, o := range opts {
-			assigns[k] = sim.Assignment{Device: m.devNames[o.Device], Registry: m.regNames[o.Registry]}
-		}
-		m.assigns[mi] = assigns
+		m.soloRegs[mi] = s.ids.Cut(len(regs))
 
-		// Options iterate devices, then registries, both ascending — the
-		// same order as the solo axes — so the device axis index advances
-		// whenever the device changes and the registry axis is a short scan.
-		cells := make([]int32, len(opts))
-		axisRegs := m.soloRegs[mi]
-		nRegAxis := int32(len(axisRegs))
+		// The device axis index advances whenever the device changes.
+		cells := s.ids.Cut(len(row))
 		di, lastDev := int32(-1), int32(-1)
-		for k, o := range opts {
+		for k, o := range row {
 			if o.Device != lastDev {
 				di++
 				lastDev = o.Device
 			}
-			var j int32
-			for x, r := range axisRegs {
-				if r == o.Registry {
-					j = int32(x)
-					break
-				}
-			}
-			cells[k] = di*nRegAxis + j
+			cells[k] = di*int32(len(regs)) + axisPos[o.Registry]
 		}
 		m.soloCells[mi] = cells
 	}
@@ -269,16 +274,7 @@ func compileModel(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.Cluster
 		m.stages, m.stagesErr = at.Stages()
 		m.topo, m.topoErr = at.Topo()
 	}
-	return m
-}
-
-func contains(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return m, plan
 }
 
 // NumMicroservices returns the number of compiled microservices.
@@ -309,9 +305,6 @@ func (m *Model) RegistryID(name string) (int32, bool) {
 // (device name, then registry name). The slice is shared — callers must not
 // mutate it.
 func (m *Model) Options(ms int32) []Option { return m.opts[ms] }
-
-// Assignments returns Options in string form, same order, also shared.
-func (m *Model) Assignments(ms int32) []sim.Assignment { return m.assigns[ms] }
 
 // Assignment converts a compiled option back to its string form.
 func (m *Model) Assignment(o Option) sim.Assignment {
@@ -407,15 +400,19 @@ func (s *State) LendArena(a *GameArena) { s.arena = a }
 
 // NewState returns scratch sized for the model, with nothing placed.
 func (m *Model) NewState() *State {
-	s := &State{
-		m:      m,
-		placed: make([]int32, len(m.msNames)),
-		seen:   make([]uint64, len(m.devNames)),
-	}
-	for i := range s.placed {
-		s.placed[i] = -1
-	}
+	s := new(State)
+	s.Retarget(m)
 	return s
+}
+
+// Retarget points the scratch at another model, growing it where that model
+// is larger, and forgets all commitments. The arena is kept.
+func (s *State) Retarget(m *Model) {
+	s.m = m
+	s.placed = slab.Grow(s.placed, len(m.msNames))
+	// Stale marks are harmless: they are all below the next epoch.
+	s.seen = slab.Grow(s.seen, len(m.devNames))
+	s.Reset()
 }
 
 // Reset forgets all commitments, recycling the scratch for another pass.

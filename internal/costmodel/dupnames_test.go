@@ -152,7 +152,7 @@ func TestDuplicateNamesFirstOccurrenceWins(t *testing.T) {
 		if !ok1 || !ok2 {
 			t.Fatalf("microservice %q missing from a model", name)
 		}
-		a1, a2 := mDup.Assignments(id1), mDedup.Assignments(id2)
+		a1, a2 := assignments(mDup, id1), assignments(mDedup, id2)
 		if !reflect.DeepEqual(a1, a2) {
 			t.Errorf("%s: options diverge:\ndup:   %v\ndedup: %v", name, a1, a2)
 		}
@@ -237,4 +237,13 @@ func TestDuplicateMicroserviceNamesStillRejected(t *testing.T) {
 	if _, err := sim.NewExec().Run(plan, placement, sim.Options{}); err == nil || err.Error() != wantErr.Error() {
 		t.Errorf("Exec.Run = %v, want %v", err, wantErr)
 	}
+}
+
+// assignments is the microservice's option table in string form.
+func assignments(m *costmodel.Model, ms int32) []sim.Assignment {
+	var out []sim.Assignment
+	for _, o := range m.Options(ms) {
+		out = append(out, m.Assignment(o))
+	}
+	return out
 }

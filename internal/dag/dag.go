@@ -117,13 +117,14 @@ type appMemo struct {
 	validDone bool
 	validErr  error
 
-	topoDone bool
-	topo     []string
-	topoErr  error
+	// order is the one ordering walk; topo and stages are its name forms,
+	// built on first request and sharing its error.
+	orderDone bool
+	order     *Order
+	orderErr  error
 
-	stagesDone bool
-	stages     [][]string
-	stagesErr  error
+	topo   []string
+	stages [][]string
 
 	digestDone bool
 	digest     [sha256.Size]byte
@@ -261,7 +262,7 @@ func (a *App) validateLocked() error {
 		e := a.Dataflows[i]
 		return fmt.Errorf("dag: %s: duplicate dataflow %s->%s", a.Name, e.From, e.To)
 	}
-	if _, err := a.topoOrderLocked(); err != nil {
+	if _, err := a.orderLocked(); err != nil {
 		return err
 	}
 	if !g.weaklyConnected() {
@@ -385,6 +386,34 @@ func (g *graph) weaklyConnected() bool {
 	return components <= 1
 }
 
+// Order is the application's ordering walk in index form, a vertex being a
+// position in Microservices: what TopoOrder and Stages report by name,
+// without the names. Shared and read-only, like their results.
+type Order struct {
+	ByName []int32 // vertices in ascending name order
+	Rank   []int32 // Rank[v] is v's position in ByName
+	Topo   []int32 // vertices in TopoOrder's order
+	Level  []int32 // Level[v] is v's barrier stage: its longest path from a source
+	Stages int     // number of barrier stages (1 for an empty app, as Stages reports)
+}
+
+// Order returns the memoized ordering walk, or TopoOrder's error (the same
+// value) when the graph does not resolve or has a cycle.
+func (a *App) Order() (*Order, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.orderLocked()
+}
+
+func (a *App) orderLocked() (*Order, error) {
+	a.memoFreshLocked()
+	if !a.memo.orderDone {
+		a.memo.order, a.memo.orderErr = a.computeOrder()
+		a.memo.orderDone = true
+	}
+	return a.memo.order, a.memo.orderErr
+}
+
 // TopoOrder returns a deterministic topological order of the microservice
 // names (Kahn's algorithm with lexicographic tie-breaking), or an error when
 // the graph has a cycle. The returned slice is memoized until the next
@@ -392,30 +421,33 @@ func (g *graph) weaklyConnected() bool {
 func (a *App) TopoOrder() ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.topoOrderLocked()
-}
-
-func (a *App) topoOrderLocked() ([]string, error) {
-	a.memoFreshLocked()
-	if a.memo.topoDone {
-		return a.memo.topo, a.memo.topoErr
+	ord, err := a.orderLocked()
+	if err != nil {
+		return nil, err
 	}
-	a.memo.topo, a.memo.topoErr = a.topoOrder()
-	a.memo.topoDone = true
-	return a.memo.topo, a.memo.topoErr
+	if a.memo.topo == nil {
+		a.memo.topo = make([]string, len(ord.Topo))
+		for i, v := range ord.Topo {
+			a.memo.topo[i] = a.Microservices[v].Name
+		}
+	}
+	return a.memo.topo, nil
 }
 
-// topoOrder is Kahn's algorithm always taking the ready vertex whose name
+// computeOrder is Kahn's algorithm always taking the ready vertex whose name
 // sorts first: vertices are ranked by name once, and the ready set is a
-// binary min-heap of ranks.
-func (a *App) topoOrder() ([]string, error) {
+// binary min-heap of ranks. Levels fall out of the same pass — every
+// predecessor of a vertex is emitted before it, so pushing level+1 along the
+// out-edges of each emitted vertex leaves the longest path from a source.
+func (a *App) computeOrder() (*Order, error) {
 	g, err := a.graphLocked()
 	if err != nil {
 		return nil, err
 	}
 	n := g.n
-	buf := make([]int32, 4*n)
-	byRank, rank, indeg, ready := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:3*n]
+	buf := make([]int32, 6*n)
+	ord := &Order{ByName: buf[:n], Rank: buf[n : 2*n], Topo: buf[2*n : 2*n : 3*n], Level: buf[3*n : 4*n], Stages: 1}
+	byRank, rank, indeg, ready := ord.ByName, ord.Rank, buf[4*n:5*n], buf[5*n:5*n]
 	for v := range byRank {
 		byRank[v] = int32(v)
 	}
@@ -433,16 +465,22 @@ func (a *App) topoOrder() ([]string, error) {
 			ready = append(ready, rank[v])
 		}
 	}
-	order := make([]string, 0, n)
 	for len(ready) > 0 {
 		v := byRank[ready[0]]
 		last := len(ready) - 1
 		ready[0] = ready[last]
 		ready = ready[:last]
 		siftDown(ready)
-		order = append(order, a.Microservices[v].Name)
+		ord.Topo = append(ord.Topo, v)
+		if int(ord.Level[v]) >= ord.Stages {
+			ord.Stages = int(ord.Level[v]) + 1
+		}
 		for _, i := range g.out[g.start[v]:g.start[v+1]] {
-			if t := g.to[i]; indeg[t] == 1 {
+			t := g.to[i]
+			if ord.Level[t] <= ord.Level[v] {
+				ord.Level[t] = ord.Level[v] + 1
+			}
+			if indeg[t] == 1 {
 				ready = append(ready, rank[t])
 				siftUp(ready)
 			} else {
@@ -450,10 +488,10 @@ func (a *App) topoOrder() ([]string, error) {
 			}
 		}
 	}
-	if len(order) != n {
+	if len(ord.Topo) != n {
 		return nil, fmt.Errorf("dag: %s: cycle detected", a.Name)
 	}
-	return order, nil
+	return ord, nil
 }
 
 // siftUp restores the min-heap after an append.
@@ -494,42 +532,19 @@ func siftDown(h []int32) {
 func (a *App) Stages() ([][]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.memoFreshLocked()
-	if a.memo.stagesDone {
-		return a.memo.stages, a.memo.stagesErr
-	}
-	a.memo.stages, a.memo.stagesErr = a.stages()
-	a.memo.stagesDone = true
-	return a.memo.stages, a.memo.stagesErr
-}
-
-func (a *App) stages() ([][]string, error) {
-	order, err := a.topoOrderLocked()
+	ord, err := a.orderLocked()
 	if err != nil {
 		return nil, err
 	}
-	level := make(map[string]int, len(order))
-	maxLevel := 0
-	for _, n := range order {
-		l := 0
-		for _, e := range a.Inputs(n) {
-			if level[e.From]+1 > l {
-				l = level[e.From] + 1
-			}
-		}
-		level[n] = l
-		if l > maxLevel {
-			maxLevel = l
+	if a.memo.stages == nil {
+		// Filling in name order leaves every stage sorted.
+		a.memo.stages = make([][]string, ord.Stages)
+		for _, v := range ord.ByName {
+			l := ord.Level[v]
+			a.memo.stages[l] = append(a.memo.stages[l], a.Microservices[v].Name)
 		}
 	}
-	stages := make([][]string, maxLevel+1)
-	for _, n := range order {
-		stages[level[n]] = append(stages[level[n]], n)
-	}
-	for _, s := range stages {
-		sort.Strings(s)
-	}
-	return stages, nil
+	return a.memo.stages, nil
 }
 
 // Digest returns the canonical SHA-256 digest of the application: its name

@@ -179,3 +179,44 @@ func TestMemoSurvivesDirectFieldReassignment(t *testing.T) {
 		t.Fatalf("single-vertex app should validate: %v", err)
 	}
 }
+
+// TestOrderIsTheIndexFormOfTheNames: Order reports what TopoOrder and Stages
+// report, as positions in Microservices — ranks ascend by name, Topo names
+// TopoOrder, levels rebuild Stages — and shares TopoOrder's error.
+func TestOrderIsTheIndexFormOfTheNames(t *testing.T) {
+	a := memoApp(t, []string{"d", "b", "a", "c", "e"},
+		[][2]string{{"d", "b"}, {"d", "a"}, {"b", "c"}, {"a", "c"}, {"d", "e"}})
+	ord, err := a.Order()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, _ := a.TopoOrder()
+	stages, _ := a.Stages()
+	for i, v := range ord.Topo {
+		if a.Microservices[v].Name != topo[i] {
+			t.Fatalf("Topo[%d] is %q, TopoOrder says %q", i, a.Microservices[v].Name, topo[i])
+		}
+	}
+	got := make([][]string, ord.Stages)
+	for r, v := range ord.ByName {
+		if ord.Rank[v] != int32(r) {
+			t.Fatalf("Rank[%d] = %d, want %d", v, ord.Rank[v], r)
+		}
+		if r > 0 && a.Microservices[ord.ByName[r-1]].Name >= a.Microservices[v].Name {
+			t.Fatalf("ByName not ascending at %d", r)
+		}
+		got[ord.Level[v]] = append(got[ord.Level[v]], a.Microservices[v].Name)
+	}
+	if want := [][]string{{"d"}, {"a", "b", "e"}, {"c"}}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stages, want) {
+		t.Fatalf("levels give %v, Stages %v, want %v", got, stages, want)
+	}
+
+	cyclic := memoApp(t, []string{"x", "y"}, [][2]string{{"x", "y"}, {"y", "x"}})
+	_, topoErr := cyclic.TopoOrder()
+	if ord, err := cyclic.Order(); ord != nil || err == nil || err != topoErr {
+		t.Fatalf("Order on a cycle: %v, %v; TopoOrder's error %v", ord, err, topoErr)
+	}
+	if _, err := cyclic.Stages(); err != topoErr {
+		t.Fatalf("Stages error %v is not TopoOrder's %v", err, topoErr)
+	}
+}

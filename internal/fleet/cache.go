@@ -3,6 +3,7 @@ package fleet
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -311,9 +312,16 @@ func (c *placementCache) Stats() CacheStats {
 // immutable and safe to share across the whole worker pool; workers rebind
 // the plan's device handles to their private clusters before executing
 // (workerState.planFor), so sharing the tables never shares cache state.
+//
+// That holds for a shape from the shared cache. A private shape is the
+// other kind: compiled into one worker's recycled scratch on the fleet's
+// first sight of its key (Fleet.shape), valid until that worker's next first
+// sight, and so never cached, pooled by identity, or referenced from a
+// Response.
 type compiledShape struct {
-	model *costmodel.Model
-	plan  *sim.Plan
+	model   *costmodel.Model
+	plan    *sim.Plan
+	private bool
 }
 
 // sharedModelCache is the fleet-wide three-level compiled-shape cache.
@@ -333,6 +341,15 @@ type compiledShape struct {
 // key blocks on that one compilation instead of redundantly compiling its
 // own copy. Hot tenants therefore compile once per fleet, not once per
 // worker.
+//
+// Admission to the inner level is by second sight: each shard keeps a small
+// direct-mapped filter of key hashes, and a key that is neither cached nor
+// in the filter is only remembered there — its caller compiles it privately
+// (Fleet.shape) and nothing is inserted. At the edge most dataflows are seen
+// once; they no longer cost a cache slot, an app-table slot and ~80 KB of
+// retained tables each, nor evict the shapes that do return. A key that
+// comes back while its hash survives in the filter is compiled fresh and
+// shared exactly as before.
 //
 // Compiled tables, models, and plans are immutable and safe for concurrent
 // ScheduleModel and Exec.Run calls, which is what makes sharing them across
@@ -356,9 +373,10 @@ type sharedModelCache struct {
 	apps     map[Fingerprint]*appEntry
 	appOrder []Fingerprint
 
-	hits     atomic.Int64
-	misses   atomic.Int64
-	compiles atomic.Int64
+	hits       atomic.Int64
+	misses     atomic.Int64
+	compiles   atomic.Int64
+	firstSight atomic.Int64
 
 	tableHits     atomic.Int64
 	tableMisses   atomic.Int64
@@ -387,12 +405,18 @@ type appEntry struct {
 // appTableCap bounds the app-table level.
 const appTableCap = 256
 
-// modelShard is one lock domain: a FIFO-bounded map of fill entries.
+// modelShard is one lock domain: a FIFO-bounded map of fill entries and the
+// second-sight filter in front of it.
 type modelShard struct {
 	mu       sync.Mutex
 	capacity int
 	byKey    map[Fingerprint]*modelEntry
 	order    []Fingerprint
+	// sighted[h%len] == h records that a key hashing to h missed here and
+	// has not been overwritten by a later miss since. Direct-mapped and
+	// fixed-size: a flood of one-shot keys can only forget other one-shot
+	// keys, never grow.
+	sighted [shapeFilterSlots / modelCacheShards]uint64
 }
 
 // modelEntry is a singleflight cell: once guards the one compilation, and
@@ -510,11 +534,29 @@ func (c *sharedModelCache) shard(key Fingerprint) *modelShard {
 // all block on the first caller's compilation and share its result. cd is
 // the cluster digest the key folded in; it tags the entry for churn-epoch
 // purging and costs an allocation only on insertion, never on a hit.
-func (c *sharedModelCache) getOrCompile(key Fingerprint, cd ClusterDigest, compile func() compiledShape) compiledShape {
+//
+// seen is false on the first sight of a key: nothing was compiled or
+// inserted, the key's hash was noted, and the caller compiles a private
+// shape, app table included, for this one request — counted here, on its
+// behalf, as one shape and one app table compiled outside every level.
+func (c *sharedModelCache) getOrCompile(key Fingerprint, cd ClusterDigest, compile func() compiledShape) (shape compiledShape, seen bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	e, ok := sh.byKey[key]
 	if !ok {
+		// The shard index took the key's first eight bytes; the filter
+		// takes the next eight (never zero, the empty slot).
+		h := binary.LittleEndian.Uint64(key[8:16]) | 1
+		if slot := &sh.sighted[h%uint64(len(sh.sighted))]; *slot != h {
+			*slot = h
+			sh.mu.Unlock()
+			c.misses.Add(1)
+			c.firstSight.Add(1)
+			c.compiles.Add(1)
+			c.appMisses.Add(1)
+			c.appCompiles.Add(1)
+			return compiledShape{}, false
+		}
 		e = &modelEntry{cd: string(cd)}
 		if len(sh.order) >= sh.capacity {
 			oldest := sh.order[0]
@@ -536,7 +578,7 @@ func (c *sharedModelCache) getOrCompile(key Fingerprint, cd ClusterDigest, compi
 		c.compiles.Add(1)
 		e.shape = compile()
 	})
-	return e.shape
+	return e.shape, true
 }
 
 // purgeForCluster drops every compiled shape tagged with the given cluster
@@ -575,7 +617,11 @@ func (c *sharedModelCache) purgeForCluster(cd ClusterDigest) int {
 // cache, both levels. A hit counts any lookup that found an existing entry,
 // including one still being compiled by another worker (the caller waits
 // instead of recompiling); Compiles counts actual compilations, so Misses ==
-// Compiles means the singleflight never duplicated work.
+// Compiles means the singleflight never duplicated work. FirstSight counts
+// the misses whose key was new to the second-sight filter: each was compiled
+// into a worker's private scratch (counted in Compiles and AppCompiles like
+// any other) and inserted nowhere, so Misses - FirstSight shapes were
+// compiled to be shared.
 // The Cluster* counters track the cluster-table level the same way: with N
 // workers on one shared cluster shape, ClusterCompiles stays at 1. The App*
 // counters track the app-table level: with N workers compiling one app
@@ -585,6 +631,8 @@ type ModelCacheStats struct {
 	Misses   int64 `json:"misses"`
 	Compiles int64 `json:"compiles"`
 	Entries  int   `json:"entries"`
+
+	FirstSight int64 `json:"first_sight"`
 
 	ClusterHits     int64 `json:"cluster_hits"`
 	ClusterMisses   int64 `json:"cluster_misses"`
@@ -603,6 +651,7 @@ func (c *sharedModelCache) Stats() ModelCacheStats {
 		Hits:            c.hits.Load(),
 		Misses:          c.misses.Load(),
 		Compiles:        c.compiles.Load(),
+		FirstSight:      c.firstSight.Load(),
 		ClusterHits:     c.tableHits.Load(),
 		ClusterMisses:   c.tableMisses.Load(),
 		ClusterCompiles: c.tableCompiles.Load(),

@@ -519,9 +519,15 @@ func TestDegradationLadder(t *testing.T) {
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
 	app := workload.VideoProcessing()
-	model := costmodel.Compile(app, cluster)
+	shape := compiledShape{model: costmodel.Compile(app, cluster)}
+	j := &job{req: Request{App: app}}
+	// attemptOn runs one rung and returns the placement it left in j.
+	attemptOn := func(w *workerState, attempt int, deadline time.Time) (sim.Placement, bool, error) {
+		degraded, err := f.scheduleAttempt(w, j, shape, attempt, deadline)
+		return PlacementView{names: j.names, assigns: j.assigns}.Materialize(), degraded, err
+	}
 
-	exact, degraded, err := f.scheduleAttempt(w, app, model, 0, time.Time{})
+	exact, degraded, err := attemptOn(w, 0, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +538,7 @@ func TestDegradationLadder(t *testing.T) {
 		t.Fatal("exact schedule did not record its duration")
 	}
 
-	retry, degraded, err := f.scheduleAttempt(w, app, model, 1, time.Time{})
+	retry, degraded, err := attemptOn(w, 1, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +551,7 @@ func TestDegradationLadder(t *testing.T) {
 
 	// Best-response reference: the degraded rung must equal DEEP with pair
 	// games capped to one cell.
-	want, err := (&sched.DEEP{MaxPairCells: 1}).ScheduleModel(model)
+	want, err := (&sched.DEEP{MaxPairCells: 1}).ScheduleModel(shape.model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +562,7 @@ func TestDegradationLadder(t *testing.T) {
 	// Deadline pressure steers attempt 0 onto the degraded rung when the
 	// remaining budget is below the last exact duration.
 	w.exactDur = time.Hour
-	pressed, degraded, err := f.scheduleAttempt(w, app, model, 0, time.Now().Add(time.Millisecond))
+	pressed, degraded, err := attemptOn(w, 0, time.Now().Add(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +581,7 @@ func TestDegradationLadder(t *testing.T) {
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
-	if _, degraded, err := f.scheduleAttempt(w2, app, model, 1, time.Time{}); err != nil {
+	if _, degraded, err := attemptOn(w2, 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	} else if degraded {
 		t.Fatal("non-pass scheduler reported a downgrade")
@@ -617,12 +623,18 @@ func TestChurnEpochShapeHygiene(t *testing.T) {
 			t.Fatal(err, resp.Err)
 		}
 	}
+	// A shape is cached on its second sight, so each epoch's takes two.
+	do()
 	do() // base-epoch shape
 	base := f.Stats().ModelCache.Entries
+	if base != 1 {
+		t.Fatalf("base shape not cached on second sight: %d entries", base)
+	}
 
 	if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{"medium-00"}}); err != nil {
 		t.Fatal(err)
 	}
+	do()
 	do() // epoch-1 shape, keyed by the churned digest
 	if got := f.Stats().ModelCache.Entries; got != base+1 {
 		t.Fatalf("churned shape not cached: %d entries, want %d", got, base+1)
@@ -641,6 +653,7 @@ func TestChurnEpochShapeHygiene(t *testing.T) {
 		t.Fatalf("after supersede purge: %d entries, want %d", got, base)
 	}
 
+	do()
 	do() // epoch-2 shape
 	compiles := f.Stats().ModelCache.Compiles
 

@@ -1,0 +1,213 @@
+package fleet
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"deep/internal/costmodel"
+	"deep/internal/dag"
+	"deep/internal/sched"
+	"deep/internal/sim"
+	"deep/internal/workload"
+)
+
+// oneShot generates a distinct app per seed: never seen before by a fleet
+// that has not been handed this seed.
+func oneShot(t *testing.T, size int, seed int64) *dag.App {
+	t.Helper()
+	cfg := workload.DefaultGeneratorConfig(size, seed)
+	cfg.StageWidth = 3
+	app, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+// reference schedules and simulates the app the long way round — a fresh
+// costmodel.Compile, a fresh DEEP pass, sim.Run — on a cluster of its own.
+func reference(t *testing.T, app *dag.App, mk func() *sim.Cluster, opts sim.Options) (sim.Placement, *sim.Result) {
+	t.Helper()
+	cluster := mk()
+	placement, err := sched.NewDEEP().ScheduleModel(costmodel.Compile(app, cluster))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(app, cluster, placement, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return placement, res
+}
+
+func scaled4() *sim.Cluster { return workload.ScaledTestbed(4) }
+
+// TestFirstSightResponsesDoNotAliasScratch: one worker compiles a stream of
+// never-seen apps of every size into its one recycled scratch, and no
+// response is released until the stream ends. Each must still read exactly
+// as an independent compile, schedule and simulation of its app — so nothing
+// a Response exposes (placement names and assignments, result rows, app
+// name) points into storage a later first sight overwrote.
+func TestFirstSightResponsesDoNotAliasScratch(t *testing.T) {
+	simOpts := sim.Options{Jitter: 0.02}
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled4, SimOptions: simOpts, ColdCaches: true})
+	const n = 48
+	apps := make([]*dag.App, n)
+	resps := make([]*Response, n)
+	for i := range apps {
+		apps[i] = oneShot(t, 2+i%15, int64(1000+i))
+		resp, err := f.Do(context.Background(), Request{Tenant: "edge", App: apps[i], Seed: int64(i)})
+		if err != nil || resp.Err != nil {
+			t.Fatal(err, resp.Err)
+		}
+		resps[i] = resp
+	}
+	if s := f.Stats().ModelCache; s.FirstSight != n || s.Compiles != n || s.Entries != 0 || s.AppEntries != 0 {
+		t.Fatalf("%d one-shot apps: %+v, want %d first sights, as many compiles, nothing cached", n, s, n)
+	}
+	for i, resp := range resps {
+		opts := simOpts
+		opts.Seed = int64(i)
+		wantPlacement, wantResult := reference(t, apps[i], scaled4, opts)
+		if got := resp.Placement.Materialize(); !reflect.DeepEqual(got, wantPlacement) {
+			t.Errorf("app %d (%s): held placement %v, independent %v", i, apps[i].Name, got, wantPlacement)
+		}
+		if !reflect.DeepEqual(resp.Result, wantResult) {
+			t.Errorf("app %d (%s): held result diverges from an independent run:\nheld: %+v\nwant: %+v", i, apps[i].Name, resp.Result, wantResult)
+		}
+		if resp.App != apps[i].Name {
+			t.Errorf("app %d: response names %q, want %q", i, resp.App, apps[i].Name)
+		}
+		resp.Release()
+	}
+}
+
+// TestFirstSightInterleavedUnderChurn: eight workers serve one-shot apps
+// (private, recycled shapes) interleaved with repeated ones (shared shapes)
+// while a device fails and recovers mid-stream. Every response must be the
+// right answer for its epoch: on the pristine cluster the independent
+// reference bit for bit, on the degraded one a complete placement that
+// avoids the failed device.
+func TestFirstSightInterleavedUnderChurn(t *testing.T) {
+	f := testFleet(t, Config{Workers: 8, QueueDepth: 512, NewCluster: scaled4, ColdCaches: true})
+	const failed = "medium-01"
+	hot := []*dag.App{workload.VideoProcessing(), workload.TextProcessing(), oneShot(t, 9, 7)}
+	type answer struct {
+		placement sim.Placement
+		result    *sim.Result
+	}
+	expect := func(app *dag.App) answer {
+		p, r := reference(t, app, scaled4, sim.Options{})
+		return answer{p, r}
+	}
+	wantHot := make([]answer, len(hot))
+	for i, app := range hot {
+		wantHot[i] = expect(app)
+	}
+
+	const n = 360
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		switch i {
+		case n / 3:
+			// Requests are in flight: some were scheduled before the failure
+			// and are served after it.
+			if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{failed}}); err != nil {
+				t.Fatal(err)
+			}
+		case 2 * n / 3:
+			// Drained first, so a response stamped with the recovered epoch
+			// was also scheduled in it.
+			wg.Wait()
+			if _, _, err := f.ApplyChurn(ChurnDelta{RecoverDevices: []string{failed}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		app, want := hot[i%len(hot)], wantHot[i%len(hot)]
+		if i%2 == 1 {
+			app = oneShot(t, 3+i%12, int64(5000+i))
+			want = expect(app)
+		}
+		ch, err := f.SubmitCtx(context.Background(), Request{Tenant: fmt.Sprintf("t%d", i%5), App: app})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp := <-ch
+			defer resp.Release()
+			if resp.Err != nil {
+				t.Errorf("%s: %v", app.Name, resp.Err)
+				return
+			}
+			if resp.Placement.Len() != len(app.Microservices) || resp.Result.App != app.Name {
+				t.Errorf("%s: response covers %d microservices of app %q", app.Name, resp.Placement.Len(), resp.Result.App)
+				return
+			}
+			if resp.Epoch == 1 {
+				for name, a := range resp.Placement.All() {
+					if a.Device == failed {
+						t.Errorf("%s: %s placed on %s while it was down", app.Name, name, failed)
+					}
+				}
+				return
+			}
+			if got := resp.Placement.Materialize(); !reflect.DeepEqual(got, want.placement) {
+				t.Errorf("%s (epoch %d): placement %v, independent %v", app.Name, resp.Epoch, got, want.placement)
+			}
+			if !reflect.DeepEqual(resp.Result, want.result) {
+				t.Errorf("%s (epoch %d): result diverges from an independent run", app.Name, resp.Epoch)
+			}
+		}()
+	}
+	wg.Wait()
+	if s := f.Stats().ModelCache; s.FirstSight < n/2 {
+		t.Errorf("%d first sights for %d one-shot apps (stats: %+v)", s.FirstSight, n/2, s)
+	}
+}
+
+// TestFirstSightFloodKeepsHotShape: between two sights of a cached hot app,
+// ten shape caches' worth of one-shot apps go by. None of them may enter the
+// shape cache or the app-table level, so the hot shape is still there — no
+// recompile — and neither level grew.
+func TestFirstSightFloodKeepsHotShape(t *testing.T) {
+	f := testFleet(t, Config{Workers: 1, CacheSize: -1})
+	do := func(app *dag.App) {
+		t.Helper()
+		resp, err := f.Do(context.Background(), Request{App: app})
+		if err != nil || resp.Err != nil {
+			t.Fatal(err, resp.Err)
+		}
+		resp.Release()
+	}
+	hot := workload.VideoProcessing()
+	do(hot)
+	do(hot) // second sight: compiled to be shared
+	before := f.Stats().ModelCache
+	if before.Entries != 1 || before.AppEntries != 1 {
+		t.Fatalf("hot shape not cached on second sight: %+v", before)
+	}
+
+	const flood = 10 * modelCacheSize
+	for i := 0; i < flood; i++ {
+		do(oneShot(t, 3, int64(20000+i)))
+	}
+	do(hot)
+	after := f.Stats().ModelCache
+	if after.Entries != before.Entries || after.AppEntries != before.AppEntries {
+		t.Errorf("flood grew the caches: %d/%d entries, were %d/%d", after.Entries, after.AppEntries, before.Entries, before.AppEntries)
+	}
+	if got := after.FirstSight - before.FirstSight; got != flood {
+		t.Errorf("%d first sights during a flood of %d one-shot apps", got, flood)
+	}
+	if shared, was := after.Compiles-after.FirstSight, before.Compiles-before.FirstSight; shared != was {
+		t.Errorf("hot shape recompiled after the flood: %d shared compiles, were %d", shared, was)
+	}
+	if after.Hits != before.Hits+1 {
+		t.Errorf("third sight of the hot shape was not a hit: %d hits, were %d", after.Hits, before.Hits)
+	}
+}

@@ -456,6 +456,7 @@ func (f *Fleet) collectGauges() {
 	reg.Gauge("fleet_shape_cache_hits").Set(float64(s.ModelCache.Hits))
 	reg.Gauge("fleet_shape_cache_misses").Set(float64(s.ModelCache.Misses))
 	reg.Gauge("fleet_shape_cache_compiles").Set(float64(s.ModelCache.Compiles))
+	reg.Gauge("fleet_shape_cache_first_sight").Set(float64(s.ModelCache.FirstSight))
 	reg.Gauge("fleet_cluster_table_compiles").Set(float64(s.ModelCache.ClusterCompiles))
 	reg.Gauge("fleet_app_table_compiles").Set(float64(s.ModelCache.AppCompiles))
 	reg.Gauge("fleet_app_table_entries").Set(float64(s.ModelCache.AppEntries))
@@ -767,8 +768,9 @@ func (f *Fleet) Close() {
 // (simulation mutates device layer caches), the cluster digest computed
 // once, the shared cluster table resolved once against that digest, a pooled
 // simulator Exec, and a pool of scheduler passes keyed by compiled model.
-// Compiled tables, models, and plans live in the fleet-wide shared cache, not
-// here: hot tenants compile once per fleet rather than once per worker.
+// Compiled tables, models, and plans that are seen again live in the
+// fleet-wide shared cache, not here: hot tenants compile once per fleet
+// rather than once per worker. Only first sights compile here.
 type workerState struct {
 	scheduler     sched.Scheduler
 	cluster       *sim.Cluster
@@ -791,6 +793,16 @@ type workerState struct {
 	// (the normal case) share one, resolved through the fleet-wide cache.
 	table *topo.ClusterTable
 	exec  *sim.Exec
+
+	// apps, shapes and pass are the worker's own storage for shapes the
+	// fleet sees for the first time (sharedModelCache's second-sight rule):
+	// the app table, model and plan are compiled into them, used for that
+	// one request, and overwritten by the next first sight. Nothing compiled
+	// there enters the shared cache, passes or plans, and nothing in a
+	// Response may alias it.
+	apps   appgraph.Scratch
+	shapes costmodel.Scratch
+	pass   *sched.Pass
 
 	passes map[*costmodel.Model]*sched.Pass
 	// arena is the game scratch every pass of this worker draws from. A
@@ -885,6 +897,13 @@ func (w *workerState) fallbackScheduler() sched.Scheduler {
 // only, so one compiled shape serves every scheduler and every worker on the
 // same request shape.
 const modelCacheSize = 256
+
+// shapeFilterSlots is the size of the shape cache's second-sight filter, in
+// key hashes across all shards. A key is admitted when it returns before
+// ~this many other keys have missed, so the filter should remember somewhat
+// more than the cache can hold (a key that returns later than that would be
+// evicted before its third sight anyway) and no more.
+const shapeFilterSlots = 4 * modelCacheSize
 
 // passPoolCap bounds each worker's pass and rebound-plan pools. Both are
 // keyed by compiled-object identity, so they normally track the shared
@@ -1027,34 +1046,58 @@ func (f *Fleet) processBatch(w *workerState, head *job) {
 }
 
 // scheduleOn computes a placement for the job with the given scheduler on
-// the shared compiled model. Schedulers that support reusable passes
-// (sched.PassScheduler — DEEP) run on a pooled Pass keyed by model — the
-// pool is scheduler-independent, so the exact scheduler and the degraded
-// fallback share passes; plain ModelSchedulers run on the shared model with
+// the compiled shape, into the job's (names, assigns) scratch. Schedulers
+// that support reusable passes (sched.PassScheduler — DEEP) run on a pooled
+// Pass keyed by model — the pool is scheduler-independent, so the exact
+// scheduler and the degraded fallback share passes — and write their result
+// straight into the scratch; plain ModelSchedulers run on the model with
 // fresh scratch, and everything else (for which shape compiles no model)
 // falls back to the string-keyed Schedule path against the churn-filtered
 // cluster view.
-func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, app *dag.App, model *costmodel.Model) (sim.Placement, error) {
+func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, j *job, shape compiledShape) error {
+	var placement sim.Placement
+	var err error
 	switch s := scheduler.(type) {
 	case sched.PassScheduler:
-		p := w.passes[model]
-		if p == nil {
-			if len(w.passes) >= passPoolCap {
-				evictOnePoolEntry(w.passes)
-			}
-			p = sched.NewPass(model, w.arena)
-			w.passes[model] = p
-		}
+		p := w.passFor(shape)
 		if err := s.ScheduleInto(p); err != nil {
-			return nil, err
+			return err
 		}
 		f.recordSolver(w.shard, p.Solver())
-		return p.Placement(), nil
+		j.names, j.assigns = p.AppendPlacement(j.names[:0], j.assigns[:0])
+		return nil
 	case sched.ModelScheduler:
-		return s.ScheduleModel(model)
+		placement, err = s.ScheduleModel(shape.model)
 	default:
-		return scheduler.Schedule(app, w.effCluster)
+		placement, err = scheduler.Schedule(j.req.App, w.effCluster)
 	}
+	if err == nil {
+		j.names, j.assigns = sortedPlacement(placement, j.names, j.assigns)
+	}
+	return err
+}
+
+// passFor returns the reusable pass for the shape's model: the worker's one
+// retargeted pass for a private shape (whose model is about to be
+// overwritten, so it must never key the pool), the pooled one otherwise.
+func (w *workerState) passFor(shape compiledShape) *sched.Pass {
+	if shape.private {
+		if w.pass == nil {
+			w.pass = sched.NewPass(shape.model, w.arena)
+		} else {
+			w.pass.Retarget(shape.model)
+		}
+		return w.pass
+	}
+	p := w.passes[shape.model]
+	if p == nil {
+		if len(w.passes) >= passPoolCap {
+			evictOnePoolEntry(w.passes)
+		}
+		p = sched.NewPass(shape.model, w.arena)
+		w.passes[shape.model] = p
+	}
+	return p
 }
 
 // recordSolver folds one pass's per-path stage-game counts into the fleet's
@@ -1077,58 +1120,73 @@ func (f *Fleet) recordSolver(shard int, st sched.SolverStats) {
 // retry or when the deadline cannot absorb another exact game (estimated by
 // the worker's last exact schedule duration). The fallback applies only to
 // PassSchedulers (the exact DEEP family) — other schedulers have no cheaper
-// rung to fall to. Returns the placement and whether it is degraded.
-func (f *Fleet) scheduleAttempt(w *workerState, app *dag.App, model *costmodel.Model, attempt int, deadline time.Time) (sim.Placement, bool, error) {
+// rung to fall to. The placement lands in the job's scratch (scheduleOn);
+// the result reports whether it is degraded.
+func (f *Fleet) scheduleAttempt(w *workerState, j *job, shape compiledShape, attempt int, deadline time.Time) (bool, error) {
 	if _, exact := w.scheduler.(sched.PassScheduler); exact {
 		pressed := !deadline.IsZero() && w.exactDur > 0 && time.Until(deadline) < w.exactDur
 		if attempt > 0 || pressed {
-			p, err := f.scheduleOn(w, w.fallbackScheduler(), app, model)
-			return p, err == nil, err
+			err := f.scheduleOn(w, w.fallbackScheduler(), j, shape)
+			return err == nil, err
 		}
 	}
 	t0 := time.Now()
-	p, err := f.scheduleOn(w, w.scheduler, app, model)
+	err := f.scheduleOn(w, w.scheduler, j, shape)
 	if err == nil {
 		w.exactDur = time.Since(t0)
 	}
-	return p, false, err
+	return false, err
 }
 
-// shape returns the request's compiled model and executor plan from the
-// fleet-wide cache, compiling them on first sight of the (app, cluster)
-// shape. The plan is always compiled, since every request simulates; the
-// cost model only when the scheduler can read one (scheduleOn falls back to
-// the string-keyed path otherwise). The key folds in the worker's own cluster
-// digest, so workers with identical clusters (the normal case — every worker
-// runs Config.NewCluster) share one compiled shape per app, and a
-// reconfigured cluster can never alias another's shapes.
+// shape returns the request's compiled model and executor plan. The plan is
+// always compiled, since every request simulates; the cost model only when
+// the scheduler can read one (scheduleOn falls back to the string-keyed path
+// otherwise). A shape the fleet has seen before comes from the fleet-wide
+// cache, compiled fresh on its second sight and shared from then on: the key
+// folds in the worker's own cluster digest, so workers with identical
+// clusters (the normal case — every worker runs Config.NewCluster) share one
+// compiled shape per app, and a reconfigured cluster can never alias
+// another's shapes. A shape seen for the first time — at the edge the common
+// request, and most never return — is compiled into the worker's recycled
+// scratch instead, valid for this request only, so it allocates nothing and
+// retains nothing.
 func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compiledShape {
-	_, needModel := w.scheduler.(sched.ModelScheduler)
-	return f.models.getOrCompile(fingerprint(w.clusterDigest, appDigest, ""), w.clusterDigest, func() compiledShape {
-		// Cross-product passes only: the cluster-side tables come
-		// precompiled from the worker's shared cluster table and the
-		// app-side structure from the digest-keyed shared app table, so a
-		// cold shape pays neither the O(devices²) topology scans nor the
-		// DAG validation walks — one fused pricing walk emits the model
-		// and the plan together.
+	s, seen := f.models.getOrCompile(fingerprint(w.clusterDigest, appDigest, ""), w.clusterDigest, func() compiledShape {
 		at := f.models.appTableFor(appDigest, func() *appgraph.AppTable {
 			return appgraph.Compile(app)
 		})
-		var s compiledShape
-		if needModel {
-			s.model, s.plan = costmodel.CompileShapeOn(at, w.cluster, w.table)
-		} else {
-			s.plan = sim.CompilePlanOnTables(at, w.cluster, w.table)
-		}
-		return s
+		return w.compileOn(at, new(costmodel.Scratch))
 	})
+	if !seen {
+		s = w.compileOn(w.apps.Compile(app), &w.shapes)
+		s.private = true
+	}
+	return s
+}
+
+// compileOn compiles the shape of (at, the worker's cluster) into the given
+// storage — fresh for a shape to be shared, the worker's own for a private
+// one. Cross-product passes only: the cluster-side tables come precompiled
+// from the worker's shared cluster table and the app-side structure from
+// the app table, so a cold shape pays neither the O(devices²) topology scans
+// nor a second round of DAG walks — one fused pricing walk emits the model
+// and the plan together.
+func (w *workerState) compileOn(at *appgraph.AppTable, into *costmodel.Scratch) compiledShape {
+	var s compiledShape
+	if _, needModel := w.scheduler.(sched.ModelScheduler); needModel {
+		s.model, s.plan = into.CompileShapeOn(at, w.cluster, w.table)
+	} else {
+		s.plan = into.Plan.Compile(at, w.cluster, w.table)
+	}
+	return s
 }
 
 // planFor resolves the shared plan against the worker's own cluster: the
 // compiled tables stay shared, but the device handles (whose layer caches
 // the Exec drives and flushes) must be the worker's private ones. The
 // rebinding is memoized per shared plan; a plan already bound to this
-// worker's cluster (this worker compiled it) passes through untouched.
+// worker's cluster (this worker compiled it — every private plan is)
+// passes through untouched and unmemoized.
 func (w *workerState) planFor(app *dag.App, shared *sim.Plan) *sim.Plan {
 	if bound, ok := w.plans[shared]; ok {
 		return bound
@@ -1227,12 +1285,10 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 				return f.finish(w, resp, j)
 			}
 			var err error
-			var placement sim.Placement
-			placement, degraded, err = f.scheduleAttempt(w, j.req.App, shape.model, attempt, deadline)
+			degraded, err = f.scheduleAttempt(w, j, shape, attempt, deadline)
 			if err == nil {
-				// Compile the scheduler's map into the job's pooled view
-				// scratch; the response serves slices, never the map.
-				j.names, j.assigns = view.setFromPlacement(placement, j.names, j.assigns)
+				// The response serves the job's pooled scratch, never a map.
+				view = PlacementView{names: j.names, assigns: j.assigns}
 				if !degraded {
 					// Degraded placements stay out of the memo: once the
 					// pressure passes, the shape deserves its exact

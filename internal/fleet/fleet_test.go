@@ -572,8 +572,11 @@ func TestBatchAndSingleShareKeys(t *testing.T) {
 	if s.Cache.Misses != 1 || s.Cache.Hits != int64(len(reqs)) {
 		t.Errorf("placement cache misses=%d hits=%d, want 1 and %d", s.Cache.Misses, s.Cache.Hits, len(reqs))
 	}
-	if s.ModelCache.Compiles != 1 || s.ModelCache.AppCompiles != 1 {
-		t.Errorf("shape compiles=%d app compiles=%d, want 1 and 1", s.ModelCache.Compiles, s.ModelCache.AppCompiles)
+	// One private compile on first sight, one shared compile on second, for
+	// shape and app table alike; every later item is a hit on the one entry.
+	if mc := s.ModelCache; mc.FirstSight != 1 || mc.Compiles != 2 || mc.AppCompiles != 2 || mc.Entries != 1 || mc.AppEntries != 1 {
+		t.Errorf("first sights=%d shape compiles=%d app compiles=%d entries=%d/%d, want 1, 2, 2 and 1/1",
+			mc.FirstSight, mc.Compiles, mc.AppCompiles, mc.Entries, mc.AppEntries)
 	}
 }
 

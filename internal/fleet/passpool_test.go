@@ -15,9 +15,11 @@ import (
 )
 
 // TestWorkerPassPool pins the per-worker pass pool: repeated schedule calls
-// for the same compiled model reuse one sched.Pass (no per-request Pass
+// for the same shared model reuse one sched.Pass (no per-request Pass
 // allocation), produce the same placement as a fresh ScheduleModel, and the
-// pool stays keyed by model identity across interleaved shapes.
+// pool stays keyed by model identity across interleaved shapes. A private
+// shape — whose model the worker is about to overwrite — is scheduled on the
+// worker's one retargeted pass and never keys the pool.
 func TestWorkerPassPool(t *testing.T) {
 	f := New(Config{Workers: 1})
 	defer f.Close()
@@ -29,26 +31,28 @@ func TestWorkerPassPool(t *testing.T) {
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
-	video := costmodel.Compile(workload.VideoProcessing(), cluster)
-	text := costmodel.Compile(workload.TextProcessing(), cluster)
+	video := compiledShape{model: costmodel.Compile(workload.VideoProcessing(), cluster)}
+	text := compiledShape{model: costmodel.Compile(workload.TextProcessing(), cluster)}
+	schedule := func(app *dag.App, shape compiledShape) sim.Placement {
+		t.Helper()
+		j := &job{req: Request{App: app}}
+		if err := f.scheduleOn(w, w.scheduler, j, shape); err != nil {
+			t.Fatal(err)
+		}
+		return PlacementView{names: j.names, assigns: j.assigns}.Materialize()
+	}
 
-	want, err := sched.NewDEEP().ScheduleModel(video)
+	want, err := sched.NewDEEP().ScheduleModel(video.model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var videoPass *sched.Pass
 	for round := 0; round < 3; round++ {
-		got, err := f.scheduleOn(w, w.scheduler, workload.VideoProcessing(), video)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := schedule(workload.VideoProcessing(), video); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: pooled pass placement diverges: %v vs %v", round, got, want)
 		}
-		if _, err := f.scheduleOn(w, w.scheduler, workload.TextProcessing(), text); err != nil {
-			t.Fatal(err)
-		}
-		if p := w.passes[video]; videoPass == nil {
+		schedule(workload.TextProcessing(), text)
+		if p := w.passes[video.model]; videoPass == nil {
 			videoPass = p
 		} else if p != videoPass {
 			t.Fatalf("round %d: pass for the video model was reallocated", round)
@@ -57,10 +61,39 @@ func TestWorkerPassPool(t *testing.T) {
 	if len(w.passes) != 2 {
 		t.Fatalf("pool holds %d passes, want 2 (one per model)", len(w.passes))
 	}
+
+	// Private shapes of alternating sizes share the one retargeted pass.
+	wantText, err := sched.NewDEEP().ScheduleModel(text.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var private *sched.Pass
+	for round := 0; round < 3; round++ {
+		for _, c := range []struct {
+			app   *dag.App
+			shape compiledShape
+			want  sim.Placement
+		}{
+			{workload.TextProcessing(), compiledShape{model: text.model, private: true}, wantText},
+			{workload.VideoProcessing(), compiledShape{model: video.model, private: true}, want},
+		} {
+			if got := schedule(c.app, c.shape); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("round %d: retargeted pass placement diverges: %v vs %v", round, got, c.want)
+			}
+			if private == nil {
+				private = w.pass
+			} else if w.pass != private {
+				t.Fatalf("round %d: the private pass was reallocated", round)
+			}
+		}
+	}
+	if len(w.passes) != 2 || w.passes[video.model] != videoPass {
+		t.Fatalf("private shapes touched the pool: %d entries", len(w.passes))
+	}
 }
 
-// TestWorkerPassPoolBounded: once the pool hits its cap it resets instead
-// of growing without bound (the shape-cache-disabled configuration).
+// TestWorkerPassPoolBounded: once the pool hits its cap it evicts instead
+// of growing without bound (shared shapes churning through the cache).
 func TestWorkerPassPoolBounded(t *testing.T) {
 	f := New(Config{Workers: 1})
 	defer f.Close()
@@ -72,10 +105,10 @@ func TestWorkerPassPoolBounded(t *testing.T) {
 		exec:       sim.NewExec(),
 		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
-	app := workload.VideoProcessing()
+	j := &job{req: Request{App: workload.VideoProcessing()}}
 	for i := 0; i < passPoolCap+10; i++ {
-		model := costmodel.Compile(app, cluster) // fresh identity each time
-		if _, err := f.scheduleOn(w, w.scheduler, app, model); err != nil {
+		shape := compiledShape{model: costmodel.Compile(j.req.App, cluster)} // fresh identity each time
+		if err := f.scheduleOn(w, w.scheduler, j, shape); err != nil {
 			t.Fatal(err)
 		}
 		if len(w.passes) > passPoolCap {

@@ -85,11 +85,12 @@ func (v PlacementView) Materialize() sim.Placement {
 	return p
 }
 
-// setFromPlacement compiles a map into the view using (and growing) the
-// provided scratch slices, returning them for reuse: the cache-miss path's
-// alloc-free counterpart of NewPlacementView. Names are insertion-sorted —
-// placements are request-sized — so no sort closure allocates.
-func (v *PlacementView) setFromPlacement(p sim.Placement, names []string, assigns []sim.Assignment) ([]string, []sim.Assignment) {
+// sortedPlacement compiles a map into parallel name and assignment slices,
+// ascending by name, reusing (and growing) the provided scratch: the
+// alloc-free counterpart of NewPlacementView for schedulers that answer
+// with a map. Names are insertion-sorted — placements are request-sized — so
+// no sort closure allocates.
+func sortedPlacement(p sim.Placement, names []string, assigns []sim.Assignment) ([]string, []sim.Assignment) {
 	names = names[:0]
 	for name := range p {
 		names = append(names, name)
@@ -103,7 +104,5 @@ func (v *PlacementView) setFromPlacement(p sim.Placement, names []string, assign
 	for _, name := range names {
 		assigns = append(assigns, p[name])
 	}
-	v.names = names
-	v.assigns = assigns
 	return names, assigns
 }

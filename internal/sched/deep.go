@@ -5,6 +5,7 @@ import (
 	"deep/internal/dag"
 	"deep/internal/game"
 	"deep/internal/sim"
+	"deep/internal/slab"
 )
 
 // DEEP is the paper's Nash-game-based scheduler. The application is
@@ -154,16 +155,22 @@ func (p *Pass) Solver() SolverStats { return p.solver }
 // shares between all its passes so that it grows once, not once per model;
 // nil gives the pass an arena of its own.
 func NewPass(model *costmodel.Model, arena *game.Arena) *Pass {
+	p := &Pass{st: new(costmodel.State)}
+	p.st.LendArena(arena)
+	p.Retarget(model)
+	return p
+}
+
+// Retarget points the pass at another model, growing its scratch where that
+// model is larger, so one Pass can serve a stream of models that are each
+// scheduled once. The last run's placement is discarded.
+func (p *Pass) Retarget(model *costmodel.Model) {
 	width := model.MaxStageWidth()
-	st := model.NewState()
-	st.LendArena(arena)
-	return &Pass{
-		model:  model,
-		st:     st,
-		cur:    make([]costmodel.Option, width),
-		opts:   make([][]costmodel.Option, width),
-		placed: make([]costmodel.Option, model.NumMicroservices()),
-	}
+	p.model = model
+	p.st.Retarget(model)
+	p.cur = slab.Grow(p.cur, width)
+	p.opts = slab.Grow(p.opts, width)
+	p.placed = slab.Grow(p.placed, model.NumMicroservices())
 }
 
 // Placement materializes the last run's placement as a string-keyed map
@@ -174,6 +181,18 @@ func (p *Pass) Placement() sim.Placement {
 		placement[p.model.MSName(int32(ms))] = p.model.Assignment(o)
 	}
 	return placement
+}
+
+// AppendPlacement appends the last run's placement to parallel name and
+// assignment slices, ascending by name (microservice ids ascend in name
+// order) — the indexed form sim.Exec.RunIndexed and the fleet's placement
+// views take, with no map in between.
+func (p *Pass) AppendPlacement(names []string, assigns []sim.Assignment) ([]string, []sim.Assignment) {
+	for ms, o := range p.placed {
+		names = append(names, p.model.MSName(int32(ms)))
+		assigns = append(assigns, p.model.Assignment(o))
+	}
+	return names, assigns
 }
 
 // ScheduleInto runs one scheduling pass over the pass's model, writing the

@@ -19,7 +19,9 @@ import (
 	"deep/internal/appgraph"
 	"deep/internal/costmodel"
 	"deep/internal/dag"
+	"deep/internal/netsim"
 	"deep/internal/sim"
+	"deep/internal/units"
 	"deep/internal/workload"
 )
 
@@ -205,4 +207,160 @@ func TestFusedCompileInvalidAppParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// manyRegistries is ScaledTestbed(2) plus 70 mirror registries, each routed
+// to two of the four devices: more registries than a machine word has bits,
+// and ragged option rows.
+func manyRegistries(t *testing.T) *sim.Cluster {
+	t.Helper()
+	c := workload.ScaledTestbed(2)
+	for r := 0; r < 70; r++ {
+		node := fmt.Sprintf("mirror-node-%02d", r)
+		c.Topology.AddNode(node)
+		for k := 0; k < 2; k++ {
+			if err := c.Topology.AddLink(netsim.Link{
+				From: node, To: c.Devices[(r+k)%len(c.Devices)].Name,
+				BW: workload.RegionalMediumBW / 2, RTT: workload.RegionalSetupTime, SharedCapacity: r%2 == 0,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Registries = append(c.Registries, sim.RegistryInfo{Name: fmt.Sprintf("mirror-%02d", r), Node: node, Shared: r%2 == 0})
+	}
+	return c
+}
+
+// TestScratchCompileMatchesFresh pins the recycled compile to the fresh one:
+// a shape compiled into a scratch that last held a larger shape, and a
+// larger shape compiled over a smaller one, are deep-equal — Model and Plan,
+// every row down to nil-versus-empty — to costmodel.CompileShapeOn on a
+// fresh app table, and schedule and simulate identically. The cases are the
+// fused corpus plus the shapes a stale slab could most plausibly leak into:
+// a duplicate-name app, a cyclic app, an app with a microservice no device
+// can run, and a cluster with more than 64 registries.
+func TestScratchCompileMatchesFresh(t *testing.T) {
+	type tc = struct {
+		name string
+		app  *dag.App
+		mk   func() *sim.Cluster
+	}
+	cases := fusedCorpus(t)
+
+	cyclic := dag.NewApp("cyclic")
+	for _, n := range []string{"x", "y"} {
+		if err := cyclic.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"x", "y"}, {"y", "x"}} {
+		if err := cyclic.AddDataflow(e[0], e[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dups := &dag.App{Name: "dups", Microservices: []*dag.Microservice{{Name: "dup"}, {Name: "dup"}, {Name: "solo"}}}
+	infeasible := dag.NewApp("infeasible")
+	for _, m := range []*dag.Microservice{
+		{Name: "fits", ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 100}},
+		{Name: "giant", ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 100, Cores: 1 << 20}},
+	} {
+		if err := infeasible.AddMicroservice(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := infeasible.AddDataflow("fits", "giant", units.MB); err != nil {
+		t.Fatal(err)
+	}
+	synth, err := workload.Generate(workload.DefaultGeneratorConfig(9, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases,
+		tc{"cyclic/testbed", cyclic, workload.Testbed},
+		tc{"duplicate-names/testbed", dups, workload.Testbed},
+		tc{"infeasible/testbed", infeasible, workload.Testbed},
+		tc{"synthetic9-3/registries72", synth, func() *sim.Cluster { return manyRegistries(t) }},
+		tc{"infeasible/registries72", infeasible, func() *sim.Cluster { return manyRegistries(t) }},
+	)
+
+	// The other shape in the scratch: larger than every case in every
+	// dimension but registries.
+	cfg := workload.DefaultGeneratorConfig(20, 11)
+	cfg.StageWidth = 4
+	bigApp, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigCluster := workload.ScaledTestbed(6)
+	bigTab := sim.CompileClusterTable(bigCluster)
+	wantBigModel, wantBigPlan := costmodel.CompileShapeOn(appgraph.Compile(bigApp), bigCluster, bigTab)
+
+	var apps appgraph.Scratch
+	var shapes costmodel.Scratch
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cluster := c.mk()
+			tab := sim.CompileClusterTable(cluster)
+			wantModel, wantPlan := costmodel.CompileShapeOn(appgraph.Compile(c.app), cluster, tab)
+
+			shapes.CompileShapeOn(apps.Compile(bigApp), bigCluster, bigTab)
+			model, plan := shapes.CompileShapeOn(apps.Compile(c.app), cluster, tab)
+			if !reflect.DeepEqual(model, wantModel) {
+				t.Fatal("model compiled over a larger shape differs from a fresh compile")
+			}
+			if !reflect.DeepEqual(plan, wantPlan) {
+				t.Fatal("plan compiled over a larger shape differs from a fresh compile")
+			}
+			for ms := int32(0); ms < int32(model.NumMicroservices()); ms++ {
+				if (model.Options(ms) == nil) != (wantModel.Options(ms) == nil) {
+					t.Fatalf("microservice %d: option row nil-ness differs", ms)
+				}
+			}
+			if c.app == infeasible {
+				if id, _ := model.MSID("giant"); model.Options(id) != nil {
+					t.Fatalf("infeasible microservice has option row %v, want nil", model.Options(id))
+				}
+			}
+
+			// Same placement bytes, same simulation bits, same error values.
+			want, wantErr := NewDEEP().ScheduleModel(wantModel)
+			got, gotErr := NewDEEP().ScheduleModel(model)
+			if !reflect.DeepEqual(got, want) || !sameError(gotErr, wantErr) {
+				t.Fatalf("DEEP on the recycled model: %v, %v; fresh: %v, %v", got, gotErr, want, wantErr)
+			}
+			_, wantStagesErr := wantModel.Stages()
+			_, wantTopoErr := wantModel.Topo()
+			if _, err := model.Stages(); err != wantStagesErr {
+				t.Fatalf("Stages error %v, fresh %v", err, wantStagesErr)
+			}
+			if _, err := model.Topo(); err != wantTopoErr {
+				t.Fatalf("Topo error %v, fresh %v", err, wantTopoErr)
+			}
+			exec := sim.NewExec()
+			for _, opts := range []sim.Options{{}, {Seed: 7, Jitter: 0.02}} {
+				wantRes, wantErr := exec.Run(wantPlan, want, opts)
+				if wantErr == nil {
+					wantRes = wantRes.Clone()
+				}
+				gotRes, gotErr := exec.Run(plan, want, opts)
+				if !reflect.DeepEqual(gotRes, wantRes) || !sameError(gotErr, wantErr) {
+					t.Fatalf("sim on the recycled plan (opts %+v): %+v, %v; fresh: %+v, %v", opts, gotRes, gotErr, wantRes, wantErr)
+				}
+			}
+
+			// The reverse order: the larger shape over this one.
+			bigModel, bigPlan := shapes.CompileShapeOn(apps.Compile(bigApp), bigCluster, bigTab)
+			if !reflect.DeepEqual(bigModel, wantBigModel) || !reflect.DeepEqual(bigPlan, wantBigPlan) {
+				t.Fatal("larger shape compiled over this one differs from a fresh compile")
+			}
+		})
+	}
+}
+
+// sameError reports whether two errors are both nil or carry the same text.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
 }

@@ -53,7 +53,7 @@ type ModelScheduler interface {
 type PassScheduler interface {
 	ModelScheduler
 	// ScheduleInto runs one pass over the Pass's model. Read the placement
-	// back via Pass.Placement.
+	// back via Pass.Placement or Pass.AppendPlacement.
 	ScheduleInto(p *Pass) error
 }
 

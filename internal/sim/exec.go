@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"deep/internal/slab"
 	"deep/internal/units"
 )
 
@@ -66,20 +67,20 @@ func NewExec() *Exec { return &Exec{} }
 // so an Exec shared across plans settles at the largest shape.
 func (e *Exec) size(p *Plan) {
 	nm, nd, nr := len(p.msNames), len(p.devNames), len(p.regNames)
-	e.assignDev = growInt32(e.assignDev, nm)
-	e.assignReg = growInt32(e.assignReg, nm)
-	e.pulls = growPulls(e.pulls, nm)
-	e.finish = growFloats(e.finish, nm)
-	e.msRes = growResults(e.msRes, nm)
-	e.devFree = growFloats(e.devFree, nd)
-	e.devEnergy = growJoules(e.devEnergy, nd)
-	e.pullEnd = growFloats(e.pullEnd, nd)
-	e.pullEndEp = growUints(e.pullEndEp, nd)
-	e.pullSeen = growUints(e.pullSeen, nr*nd)
-	e.nPull = growInt32(e.nPull, nr)
-	e.nPullEp = growUints(e.nPullEp, nr)
-	e.regBytes = growBytes(e.regBytes, nr)
-	e.regUsed = growBools(e.regUsed, nr)
+	e.assignDev = slab.Grow(e.assignDev, nm)
+	e.assignReg = slab.Grow(e.assignReg, nm)
+	e.pulls = slab.Grow(e.pulls, nm)
+	e.finish = slab.Grow(e.finish, nm)
+	e.msRes = slab.Grow(e.msRes, nm)
+	e.devFree = slab.Grow(e.devFree, nd)
+	e.devEnergy = slab.Grow(e.devEnergy, nd)
+	e.pullEnd = slab.Grow(e.pullEnd, nd)
+	e.pullEndEp = slab.Grow(e.pullEndEp, nd)
+	e.pullSeen = slab.Grow(e.pullSeen, nr*nd)
+	e.nPull = slab.Grow(e.nPull, nr)
+	e.nPullEp = slab.Grow(e.nPullEp, nr)
+	e.regBytes = slab.Grow(e.regBytes, nr)
+	e.regUsed = slab.Grow(e.regUsed, nr)
 }
 
 // Run replays the plan under the placement and returns per-microservice
@@ -331,63 +332,4 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// grow helpers: reslice within capacity, reallocate otherwise. Zeroing is
-// the caller's job where run-spanning state requires it.
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
-}
-
-func growUints(s []uint64, n int) []uint64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint64, n)
-}
-
-func growJoules(s []units.Joules, n int) []units.Joules {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]units.Joules, n)
-}
-
-func growBytes(s []units.Bytes, n int) []units.Bytes {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]units.Bytes, n)
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
-}
-
-func growPulls(s []execPull, n int) []execPull {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]execPull, n)
-}
-
-func growResults(s []MicroserviceResult, n int) []MicroserviceResult {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]MicroserviceResult, n)
 }

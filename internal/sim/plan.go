@@ -7,6 +7,7 @@ import (
 	"deep/internal/dag"
 	"deep/internal/device"
 	"deep/internal/energy"
+	"deep/internal/slab"
 	"deep/internal/topo"
 	"deep/internal/units"
 )
@@ -25,8 +26,10 @@ import (
 // caller-supplied tables so N applications on one cluster share one topology
 // scan, and CompilePlan compiles private tables on the fly.
 //
-// A Plan is immutable after CompilePlan and safe for concurrent Exec.Run
-// calls on separate Execs. It snapshots the cluster's topology, power
+// A Plan from CompilePlan or CompilePlanOnTables is immutable and safe for
+// concurrent Exec.Run calls on separate Execs — the form the fleet shares.
+// One compiled into a caller's PlanScratch is private to that caller and
+// overwritten by its next compile. It snapshots the cluster's topology, power
 // models, and layer decomposition; mutating the cluster afterwards is not
 // supported (the same contract as costmodel.Model). The paired Exec still
 // drives the cluster's real per-device layer caches, so warm-cache state
@@ -147,8 +150,29 @@ func CompilePlan(app *dag.App, cluster *Cluster) *Plan {
 // cluster itself, so a table compiled from a digest-identical sibling
 // cluster never leaks that sibling's layer caches into this plan's runs.
 func CompilePlanOnTables(at *appgraph.AppTable, cluster *Cluster, tab *topo.ClusterTable) *Plan {
-	app := at.App()
-	p := &Plan{app: app, cluster: cluster, tab: tab}
+	return new(PlanScratch).Compile(at, cluster, tab)
+}
+
+// PlanScratch is recycled storage for one Plan: the plan and a backing slice
+// per element type, sized once per compile from (microservices, devices) and
+// carved into the plan's columns. Compile overwrites the previous plan in
+// place, so a PlanScratch has a single owner and its plan is valid only
+// until the next Compile; a plan that is to be shared comes from
+// CompilePlanOnTables, which is this same compile on a scratch of its own.
+type PlanScratch struct {
+	p         Plan
+	devices   slab.Slab[*device.Device]
+	feasible  slab.Slab[bool]
+	layers    slab.Slab[Layer] // the synthetic single layers of images the cluster does not decompose
+	layerRows slab.Slab[[]Layer]
+	tp        slab.Slab[float64]
+	watts     slab.Slab[units.Watts] // pull, receive, process, then the three draws above idle
+}
+
+// Compile builds the plan in the scratch, replacing the one it held.
+func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo.ClusterTable) *Plan {
+	p := &s.p
+	*p = Plan{app: at.App(), cluster: cluster, tab: tab}
 
 	p.msNames = at.MSNames()
 	p.msIndex = at.MSIndex()
@@ -165,7 +189,8 @@ func CompilePlanOnTables(at *appgraph.AppTable, cluster *Cluster, tab *topo.Clus
 	// resolve falls back to the table's handle — only reachable when the
 	// caller pairs a table with a differently-shaped cluster, which the
 	// digest keying rules out.
-	p.devices = make([]*device.Device, nd)
+	s.devices.Reset(nd)
+	p.devices = s.devices.Cut(nd)
 	for i, name := range p.devNames {
 		if d := cluster.Device(name); d != nil {
 			p.devices[i] = d
@@ -185,19 +210,25 @@ func CompilePlanOnTables(at *appgraph.AppTable, cluster *Cluster, tab *topo.Clus
 	p.extInput = at.ExtInputs()
 	p.jitterTag = at.PhaseTags()
 
-	p.feasible = make([]bool, nm*nd)
-	p.layers = make([][]Layer, nm)
-	p.tp = make([]float64, nm*nd)
-	p.pullW = make([]units.Watts, nm*nd)
-	p.recvW = make([]units.Watts, nm*nd)
-	p.procW = make([]units.Watts, nm*nd)
-	p.actPullW = make([]units.Watts, nm*nd)
-	p.actRecvW = make([]units.Watts, nm*nd)
-	p.actProcW = make([]units.Watts, nm*nd)
+	s.feasible.Reset(nm * nd)
+	s.tp.Reset(nm * nd)
+	s.watts.Reset(6 * nm * nd)
+	s.layers.Reset(nm)
+	s.layerRows.Reset(nm)
+	p.feasible = s.feasible.Cut(nm * nd)
+	p.tp = s.tp.Cut(nm * nd)
+	p.pullW, p.recvW, p.procW = s.watts.Cut(nm*nd), s.watts.Cut(nm*nd), s.watts.Cut(nm*nd)
+	p.actPullW, p.actRecvW, p.actProcW = s.watts.Cut(nm*nd), s.watts.Cut(nm*nd), s.watts.Cut(nm*nd)
+	p.layers = s.layerRows.Cut(nm)
 
 	for i := 0; i < nm; i++ {
 		m := p.ms[i]
-		p.layers[i] = cluster.LayersOf(m)
+		if ls, ok := cluster.Layers[m.Name]; ok {
+			p.layers[i] = ls
+		} else {
+			p.layers[i] = s.layers.Cut(1)
+			p.layers[i][0] = defaultLayer(m)
+		}
 		for d := 0; d < nd; d++ {
 			dev := p.devices[d]
 			base := i*nd + d

@@ -125,7 +125,13 @@ func (c *Cluster) LayersOf(m *dag.Microservice) []Layer {
 	if ls, ok := c.Layers[m.Name]; ok {
 		return ls
 	}
-	return []Layer{{Digest: "sha256:" + m.Name, Size: m.ImageSize}}
+	return []Layer{defaultLayer(m)}
+}
+
+// defaultLayer is the synthetic layer of an image the cluster does not
+// decompose: one layer spanning the image.
+func defaultLayer(m *dag.Microservice) Layer {
+	return Layer{Digest: "sha256:" + m.Name, Size: m.ImageSize}
 }
 
 // Validate checks that the placement is complete and feasible for the app on
