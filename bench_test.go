@@ -145,13 +145,14 @@ func Benchmark_AblationContention(b *testing.B) {
 // cold (Schedule: compile the cost model, then play the games) and warm
 // (ScheduleModel on a precompiled model — the fleet workers' steady state,
 // where compiled models are memoized per request fingerprint). The scaled50
-// pair stages are over the cap and go to best-response dynamics, so one more
-// row covers the exact window at size: the front-door benchmark's
+// pair stages are over the cap and go to best-response dynamics, so two more
+// rows cover the exact game at size, as warm passes on a reused Pass (the
+// fleet's path, 0 allocs): scaled24 is the front-door benchmark's
 // cold_unique shape — a 16-microservice generated app on 24 devices, whose
-// pair stages are 48x48 = 2 304-cell exact games — as a warm pass on a
-// reused Pass (the fleet's pooled path, 0 allocs). The CI bench smoke step
-// runs this with -benchtime=10x; BENCH_sched.json records ns/op and
-// allocs/op for the DEEP path.
+// pair stages are 48x48 = 2 304-cell games — and scaled40 the same app on 40
+// devices, 80x80 = 6 400 cells, near the top of what DefaultMaxPairCells
+// keeps exact. The CI bench smoke step runs this with -benchtime=10x;
+// BENCH_sched.json records ns/op and allocs/op for the DEEP path.
 func BenchmarkSchedule(b *testing.B) {
 	cfg := workload.DefaultGeneratorConfig(12, 42)
 	cfg.StageWidth = 4
@@ -195,24 +196,35 @@ func BenchmarkSchedule(b *testing.B) {
 		})
 	}
 
-	b.Run("deep/synthetic16/scaled24/warm", func(b *testing.B) {
-		app, err := workload.Generate(workload.DefaultGeneratorConfig(16, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := sched.NewDEEP()
-		p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(12)), nil)
-		if err := s.ScheduleInto(p); err != nil { // grow the arena
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.ScheduleInto(p); err != nil {
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{
+		{"deep/synthetic16/scaled24/warm", 12},
+		{"deep/synthetic16/scaled40/warm", 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			app, err := workload.Generate(workload.DefaultGeneratorConfig(16, 1))
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			s := sched.NewDEEP()
+			p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(c.scale)), nil)
+			if err := s.ScheduleInto(p); err != nil { // grow the arena
+				b.Fatal(err)
+			}
+			if st := p.Solver(); st.BestResponse != 0 {
+				b.Fatalf("%d stages left the exact path", st.BestResponse)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.ScheduleInto(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSimulatorRun times one dataflow-processing simulation.
@@ -759,7 +771,7 @@ func BenchmarkShardedQueue(b *testing.B) {
 // BenchmarkStageRecord isolates the fleet's per-request instrumentation
 // cost: folding a full stage trace into the six per-stage histograms, the
 // end-to-end latency observation, the slow ring's fast path, and — what a
-// placement-cache miss adds on top — the four solver-path counters. That is
+// placement-cache miss adds on top — the three solver-path counters. That is
 // everything a fleet worker records per request since the observability
 // layer landed. The allocguard baseline pins this at zero allocations.
 func BenchmarkStageRecord(b *testing.B) {
@@ -769,7 +781,6 @@ func BenchmarkStageRecord(b *testing.B) {
 	ring := obs.NewSlowRing(64, time.Hour, latency) // fixed bar nothing reaches
 	solver := [...]*obs.Counter{
 		reg.Counter("fleet_solver_path_total{path=exact}"),
-		reg.Counter("fleet_solver_path_total{path=iesds}"),
 		reg.Counter("fleet_solver_path_total{path=best_response}"),
 		reg.Counter("fleet_solver_nonconverged_total"),
 	}

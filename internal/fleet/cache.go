@@ -316,12 +316,13 @@ func (c *placementCache) Stats() CacheStats {
 // That holds for a shape from the shared cache. A private shape is the
 // other kind: compiled into one worker's recycled scratch on the fleet's
 // first sight of its key (Fleet.shape), valid until that worker's next first
-// sight, and so never cached, pooled by identity, or referenced from a
-// Response.
+// sight, and so never cached, memoized by identity, or referenced from a
+// Response. Nothing downstream tells the two kinds apart: the worker's one
+// scheduling pass is retargeted at either, and planFor passes a plan already
+// bound to the worker's own cluster through unmemoized.
 type compiledShape struct {
-	model   *costmodel.Model
-	plan    *sim.Plan
-	private bool
+	model *costmodel.Model
+	plan  *sim.Plan
 }
 
 // sharedModelCache is the fleet-wide three-level compiled-shape cache.

@@ -413,7 +413,7 @@ func TestDriveWithChaos(t *testing.T) {
 // waiting forever, and counts the rejection.
 func TestSubmitCtxCancelWhileBlocked(t *testing.T) {
 	block := make(chan struct{})
-	f := New(Config{Workers: 1, QueueDepth: 1, NewCluster: func() *sim.Cluster {
+	f := testFleet(t, Config{Workers: 1, QueueDepth: 1, NewCluster: func() *sim.Cluster {
 		<-block // stall worker startup so nothing drains the queue
 		return workload.Testbed()
 	}})
@@ -452,7 +452,7 @@ func TestSubmitCtxCancelWhileBlocked(t *testing.T) {
 // answered with the context error instead of being scheduled.
 func TestSubmitCtxAbandonedInQueue(t *testing.T) {
 	block := make(chan struct{})
-	f := New(Config{Workers: 1, QueueDepth: 4, NewCluster: func() *sim.Cluster {
+	f := testFleet(t, Config{Workers: 1, QueueDepth: 4, NewCluster: func() *sim.Cluster {
 		<-block
 		return workload.Testbed()
 	}})
@@ -478,7 +478,7 @@ func TestSubmitCtxAbandonedInQueue(t *testing.T) {
 // the queue fails typed, and the counter records it.
 func TestRequestDeadline(t *testing.T) {
 	block := make(chan struct{})
-	f := New(Config{Workers: 1, QueueDepth: 4, NewCluster: func() *sim.Cluster {
+	f := testFleet(t, Config{Workers: 1, QueueDepth: 4, NewCluster: func() *sim.Cluster {
 		<-block
 		return workload.Testbed()
 	}})
@@ -508,15 +508,13 @@ func TestRequestDeadline(t *testing.T) {
 // runs the exact scheduler, any retry falls back to best-response dynamics
 // (degraded), and non-pass schedulers never downgrade.
 func TestDegradationLadder(t *testing.T) {
-	f := New(Config{Workers: 1})
-	defer f.Close()
+	f := testFleet(t, Config{Workers: 1})
 	cluster := workload.Testbed()
 	w := &workerState{
 		scheduler:  sched.NewDEEP(),
 		cluster:    cluster,
 		effCluster: cluster,
 		exec:       sim.NewExec(),
-		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
 	app := workload.VideoProcessing()
 	shape := compiledShape{model: costmodel.Compile(app, cluster)}
@@ -579,7 +577,6 @@ func TestDegradationLadder(t *testing.T) {
 		cluster:    cluster,
 		effCluster: cluster,
 		exec:       sim.NewExec(),
-		passes:     make(map[*costmodel.Model]*sched.Pass),
 	}
 	if _, degraded, err := attemptOn(w2, 1, time.Time{}); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 //   - after Close returns, the counters reconcile: everything submitted was
 //     completed or failed, nothing is left in flight.
 func TestDrainRaceStress(t *testing.T) {
-	f := New(Config{
+	f := testFleet(t, Config{
 		Workers:    2,
 		QueueDepth: 8,
 		CacheSize:  -1, // every request schedules for real, maximizing overlap

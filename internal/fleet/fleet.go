@@ -61,7 +61,7 @@ type Config struct {
 	// min(Workers, GOMAXPROCS)). Submitters pick a shard by hashing
 	// (tenant, app name) — the same keys that dominate the request
 	// fingerprint — so a hot tenant's requests land on one worker's home
-	// shard and keep its pass pool and the 8-way model cache shard warm.
+	// shard and keep the 8-way model cache shard warm.
 	// Workers drain their home shard first and work-steal from siblings, so
 	// skewed tenant traffic can never strand idle workers. On a single-core
 	// box the default collapses to one shard — exactly the pre-sharding
@@ -288,8 +288,8 @@ type Fleet struct {
 	// many best-response games ran out of iterations without settling
 	// (fleet_solver_nonconverged_total). Placement-cache hits run no games
 	// and add nothing.
-	solverExact, solverReduced, solverBestResponse *obs.Counter
-	solverNonconverged                             *obs.Counter
+	solverExact, solverBestResponse *obs.Counter
+	solverNonconverged              *obs.Counter
 
 	mu     sync.RWMutex
 	closed bool
@@ -421,7 +421,6 @@ func New(cfg Config) *Fleet {
 	f.latency = reg.Histogram("fleet_request_latency_s")
 	f.slow = obs.NewSlowRing(cfg.SlowRingSize, cfg.SlowThreshold, f.latency)
 	f.solverExact = reg.Counter("fleet_solver_path_total{path=exact}")
-	f.solverReduced = reg.Counter("fleet_solver_path_total{path=iesds}")
 	f.solverBestResponse = reg.Counter("fleet_solver_path_total{path=best_response}")
 	f.solverNonconverged = reg.Counter("fleet_solver_nonconverged_total")
 	reg.OnCollect(f.collectGauges)
@@ -515,7 +514,7 @@ func (f *Fleet) Stats() Stats {
 
 // shardFor hashes (tenant, app name) — FNV-1a, no allocation — onto a home
 // shard. The same keys dominate the request fingerprint, so one tenant's hot
-// shape keeps landing on one worker's home shard: its pass pool and
+// shape keeps landing on one worker's home shard: its rebound plans and
 // model-cache shard stay warm. The full app digest would be the exact
 // affinity key, but for an app not yet digested it is a sha256 pass the
 // submitter should not pay; the name is free and wrong only for same-named
@@ -767,7 +766,7 @@ func (f *Fleet) Close() {
 // workerState is the per-worker context: a private scheduler and cluster
 // (simulation mutates device layer caches), the cluster digest computed
 // once, the shared cluster table resolved once against that digest, a pooled
-// simulator Exec, and a pool of scheduler passes keyed by compiled model.
+// simulator Exec, and one scheduler pass retargeted at each request's model.
 // Compiled tables, models, and plans that are seen again live in the
 // fleet-wide shared cache, not here: hot tenants compile once per fleet
 // rather than once per worker. Only first sights compile here.
@@ -794,21 +793,20 @@ type workerState struct {
 	table *topo.ClusterTable
 	exec  *sim.Exec
 
-	// apps, shapes and pass are the worker's own storage for shapes the
-	// fleet sees for the first time (sharedModelCache's second-sight rule):
-	// the app table, model and plan are compiled into them, used for that
-	// one request, and overwritten by the next first sight. Nothing compiled
-	// there enters the shared cache, passes or plans, and nothing in a
-	// Response may alias it.
+	// apps and shapes are the worker's own storage for shapes the fleet sees
+	// for the first time (sharedModelCache's second-sight rule): the app
+	// table, model and plan are compiled into them, used for that one
+	// request, and overwritten by the next first sight. Nothing compiled
+	// there enters the shared cache or plans, and nothing in a Response may
+	// alias it.
 	apps   appgraph.Scratch
 	shapes costmodel.Scratch
-	pass   *sched.Pass
 
-	passes map[*costmodel.Model]*sched.Pass
-	// arena is the game scratch every pass of this worker draws from. A
-	// worker runs one pass at a time and grants do not outlive a stage, so
-	// a never-seen model's fresh Pass finds the arena already grown instead
-	// of doubling its own up from empty.
+	// pass is the worker's one scheduling pass, retargeted at whichever
+	// model — shared or private — the current request schedules on
+	// (passFor); it keeps nothing of a model between requests. arena is the
+	// game scratch it draws from.
+	pass  *sched.Pass
 	arena *game.Arena
 	// plans memoizes shared plans rebound to this worker's own cluster:
 	// simulation drives (and on cold runs flushes) device layer caches, so
@@ -905,21 +903,13 @@ const modelCacheSize = 256
 // evicted before its third sight anyway) and no more.
 const shapeFilterSlots = 4 * modelCacheSize
 
-// passPoolCap bounds each worker's pass and rebound-plan pools. Both are
-// keyed by compiled-object identity, so they normally track the shared
-// shape cache; the cap matters when that cache is churning (fresh identities
-// per request) and evicts one arbitrary entry per
-// insertion instead of growing without bound — hot entries survive and
-// evicted shared-cache objects are not pinned indefinitely.
-const passPoolCap = 64
-
-// evictOnePoolEntry drops one arbitrary entry from a pool map at capacity.
-func evictOnePoolEntry[K comparable, V any](pool map[K]V) {
-	for k := range pool {
-		delete(pool, k)
-		return
-	}
-}
+// planMemoCap bounds each worker's rebound-plan memo (workerState.plans). It
+// is keyed by shared-plan identity, so it normally tracks the shared shape
+// cache; the cap matters when that cache is churning (fresh identities per
+// request): planFor then drops one arbitrary entry per insertion instead of
+// growing without bound — hot entries survive and evicted shared-cache plans
+// are not pinned indefinitely.
+const planMemoCap = 64
 
 // worker owns one scheduler and one cluster and processes jobs until the
 // queue closes. The worker index doubles as the obs shard, so concurrent
@@ -933,7 +923,6 @@ func (f *Fleet) worker(i int) {
 		clusterDigest: DigestCluster(cluster),
 		shard:         i,
 		exec:          sim.NewExec(),
-		passes:        make(map[*costmodel.Model]*sched.Pass),
 		arena:         game.NewArena(),
 		plans:         make(map[*sim.Plan]*sim.Plan),
 		rng:           uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
@@ -1047,10 +1036,10 @@ func (f *Fleet) processBatch(w *workerState, head *job) {
 
 // scheduleOn computes a placement for the job with the given scheduler on
 // the compiled shape, into the job's (names, assigns) scratch. Schedulers
-// that support reusable passes (sched.PassScheduler — DEEP) run on a pooled
-// Pass keyed by model — the pool is scheduler-independent, so the exact
-// scheduler and the degraded fallback share passes — and write their result
-// straight into the scratch; plain ModelSchedulers run on the model with
+// that support reusable passes (sched.PassScheduler — DEEP) run on the
+// worker's one Pass — it is scheduler-independent, so the exact scheduler and
+// the degraded fallback share it — and write their result straight into the
+// scratch; plain ModelSchedulers run on the model with
 // fresh scratch, and everything else (for which shape compiles no model)
 // falls back to the string-keyed Schedule path against the churn-filtered
 // cluster view.
@@ -1077,27 +1066,17 @@ func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, j *job, sh
 	return err
 }
 
-// passFor returns the reusable pass for the shape's model: the worker's one
-// retargeted pass for a private shape (whose model is about to be
-// overwritten, so it must never key the pool), the pooled one otherwise.
+// passFor retargets the worker's one reusable pass at the shape's model.
+// Shared and private shapes take the same path: a Pass keeps no per-model
+// memo, so retargeting costs two capacity checks on top of the Reset every
+// ScheduleInto runs anyway.
 func (w *workerState) passFor(shape compiledShape) *sched.Pass {
-	if shape.private {
-		if w.pass == nil {
-			w.pass = sched.NewPass(shape.model, w.arena)
-		} else {
-			w.pass.Retarget(shape.model)
-		}
-		return w.pass
+	if w.pass == nil {
+		w.pass = sched.NewPass(shape.model, w.arena)
+	} else {
+		w.pass.Retarget(shape.model)
 	}
-	p := w.passes[shape.model]
-	if p == nil {
-		if len(w.passes) >= passPoolCap {
-			evictOnePoolEntry(w.passes)
-		}
-		p = sched.NewPass(shape.model, w.arena)
-		w.passes[shape.model] = p
-	}
-	return p
+	return w.pass
 }
 
 // recordSolver folds one pass's per-path stage-game counts into the fleet's
@@ -1110,7 +1089,6 @@ func (f *Fleet) recordSolver(shard int, st sched.SolverStats) {
 		}
 	}
 	add(f.solverExact, st.Exact)
-	add(f.solverReduced, st.Reduced)
 	add(f.solverBestResponse, st.BestResponse)
 	add(f.solverNonconverged, st.NonConverged)
 }
@@ -1159,7 +1137,6 @@ func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compi
 	})
 	if !seen {
 		s = w.compileOn(w.apps.Compile(app), &w.shapes)
-		s.private = true
 	}
 	return s
 }
@@ -1200,8 +1177,11 @@ func (w *workerState) planFor(app *dag.App, shared *sim.Plan) *sim.Plan {
 	if bound == shared {
 		return shared
 	}
-	if len(w.plans) >= passPoolCap {
-		evictOnePoolEntry(w.plans)
+	if len(w.plans) >= planMemoCap {
+		for k := range w.plans {
+			delete(w.plans, k)
+			break
+		}
 	}
 	w.plans[shared] = bound
 	return bound
@@ -1210,7 +1190,7 @@ func (w *workerState) planFor(app *dag.App, shared *sim.Plan) *sim.Plan {
 // process runs the (possibly memoized) schedule-then-simulate pipeline for
 // one job on the worker's private scheduler and cluster, stamping each
 // stage's wall time into the worker's reusable trace as it goes. In steady
-// state — shape cache hot, placement memoized or pass pooled, layer caches
+// state — shape cache hot, placement memoized or pass reused, layer caches
 // warm, no churn in flight — the whole path allocates only the response
 // plumbing and the caller-owned placement and result copies; the stamping
 // itself is monotonic-clock reads into a fixed array, alloc-free, and churn

@@ -242,7 +242,7 @@ func TestQueueFullRejection(t *testing.T) {
 		<-block // stall worker startup so nothing drains the queue
 		return workload.Testbed()
 	}
-	f := New(Config{Workers: 1, QueueDepth: 2, NewCluster: slowCluster})
+	f := testFleet(t, Config{Workers: 1, QueueDepth: 2, NewCluster: slowCluster})
 	defer func() {
 		close(block)
 		f.Close()
@@ -272,7 +272,7 @@ func TestQueueFullRejection(t *testing.T) {
 // TestCloseDrains submits a batch, closes immediately, and checks every
 // accepted request still gets exactly one response.
 func TestCloseDrains(t *testing.T) {
-	f := New(Config{Workers: 2, QueueDepth: 128})
+	f := testFleet(t, Config{Workers: 2, QueueDepth: 128})
 	var pending []<-chan *Response
 	for i := 0; i < 40; i++ {
 		ch, err := f.Submit(Request{App: workload.VideoProcessing(), Seed: int64(i)})

@@ -145,8 +145,8 @@ func TestStageTracingEndToEnd(t *testing.T) {
 // best-response dynamics cycle until the budget runs out is counted as
 // non-converged instead of passing for a fixed point.
 func TestSolverPathCounters(t *testing.T) {
-	solver := func(f *Fleet) (exact, iesds, br, nonconverged float64) {
-		return f.solverExact.Value(), f.solverReduced.Value(), f.solverBestResponse.Value(), f.solverNonconverged.Value()
+	solver := func(f *Fleet) (exact, br, nonconverged float64) {
+		return f.solverExact.Value(), f.solverBestResponse.Value(), f.solverNonconverged.Value()
 	}
 	do := func(f *Fleet, req Request) {
 		t.Helper()
@@ -163,12 +163,12 @@ func TestSolverPathCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	do(f, Request{Tenant: "t", App: app})
-	if exact, iesds, br, bad := solver(f); exact != float64(len(stages)) || iesds != 0 || br != 0 || bad != 0 {
-		t.Fatalf("after one cold text deploy: exact=%v iesds=%v best_response=%v nonconverged=%v, want %d exact games",
-			exact, iesds, br, bad, len(stages))
+	if exact, br, bad := solver(f); exact != float64(len(stages)) || br != 0 || bad != 0 {
+		t.Fatalf("after one cold text deploy: exact=%v best_response=%v nonconverged=%v, want %d exact games",
+			exact, br, bad, len(stages))
 	}
 	do(f, Request{Tenant: "t", App: app}) // placement-cache hit: no games played
-	if exact, _, _, _ := solver(f); exact != float64(len(stages)) {
+	if exact, _, _ := solver(f); exact != float64(len(stages)) {
 		t.Fatalf("a placement-cache hit moved the exact counter to %v", exact)
 	}
 
@@ -179,9 +179,9 @@ func TestSolverPathCounters(t *testing.T) {
 		return cluster
 	}})
 	do(cf, Request{Tenant: "t", App: cyclingApp})
-	if exact, iesds, br, bad := solver(cf); exact != 1 || iesds != 0 || br != 1 || bad != 1 {
-		t.Fatalf("after the cycling deploy: exact=%v iesds=%v best_response=%v nonconverged=%v, want 1/0/1/1",
-			exact, iesds, br, bad)
+	if exact, br, bad := solver(cf); exact != 1 || br != 1 || bad != 1 {
+		t.Fatalf("after the cycling deploy: exact=%v best_response=%v nonconverged=%v, want 1/1/1",
+			exact, br, bad)
 	}
 	var b strings.Builder
 	if err := cf.Metrics().Obs().WritePrometheus(&b); err != nil {
@@ -189,7 +189,6 @@ func TestSolverPathCounters(t *testing.T) {
 	}
 	for _, want := range []string{
 		`fleet_solver_path_total{path="exact"} 1`,
-		`fleet_solver_path_total{path="iesds"} 0`,
 		`fleet_solver_path_total{path="best_response"} 1`,
 		`fleet_solver_nonconverged_total 1`,
 	} {
@@ -199,7 +198,7 @@ func TestSolverPathCounters(t *testing.T) {
 	}
 
 	// Recording a pass's counts allocates nothing.
-	st := sched.SolverStats{Exact: 3, Reduced: 1, BestResponse: 2, NonConverged: 1}
+	st := sched.SolverStats{Exact: 3, BestResponse: 2, NonConverged: 1}
 	if allocs := testing.AllocsPerRun(100, func() { f.recordSolver(0, st) }); allocs != 0 {
 		t.Fatalf("recordSolver allocates %.1f objects per call", allocs)
 	}

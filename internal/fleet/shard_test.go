@@ -26,7 +26,7 @@ func TestQueueLenAggregatesShards(t *testing.T) {
 		<-block
 		return workload.Testbed()
 	}
-	f := New(Config{Workers: 1, QueueShards: 2, QueueDepth: 4, NewCluster: stalled})
+	f := testFleet(t, Config{Workers: 1, QueueShards: 2, QueueDepth: 4, NewCluster: stalled})
 	unblocked := false
 	defer func() {
 		if !unblocked {
@@ -189,7 +189,7 @@ func TestSubmitBatchQueueFull(t *testing.T) {
 		<-block
 		return workload.Testbed()
 	}
-	f := New(Config{Workers: 1, QueueShards: 1, QueueDepth: 2, NewCluster: stalled})
+	f := testFleet(t, Config{Workers: 1, QueueShards: 1, QueueDepth: 2, NewCluster: stalled})
 	unblocked := false
 	defer func() {
 		if !unblocked {
@@ -248,7 +248,7 @@ func TestSubmitBatchQueueFull(t *testing.T) {
 // app-less items reject before touching the queue, a canceled context
 // rejects with its error, and a closed fleet answers ErrClosed.
 func TestSubmitBatchValidation(t *testing.T) {
-	f := New(Config{Workers: 1})
+	f := testFleet(t, Config{Workers: 1})
 	if _, err := f.SubmitBatch(context.Background(), nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}

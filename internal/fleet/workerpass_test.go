@@ -14,105 +14,110 @@ import (
 	"deep/internal/workload"
 )
 
-// TestWorkerPassPool pins the per-worker pass pool: repeated schedule calls
-// for the same shared model reuse one sched.Pass (no per-request Pass
-// allocation), produce the same placement as a fresh ScheduleModel, and the
-// pool stays keyed by model identity across interleaved shapes. A private
-// shape — whose model the worker is about to overwrite — is scheduled on the
-// worker's one retargeted pass and never keys the pool.
-func TestWorkerPassPool(t *testing.T) {
-	f := New(Config{Workers: 1})
-	defer f.Close()
-	cluster := workload.Testbed()
+// TestWorkerSchedulesEveryShapeOnOnePass: one worker schedules interleaved
+// shared shapes (video, text) and first-sight shapes of every size (compiled
+// into its recycled scratch, each overwriting the last) on one sched.Pass,
+// retargeted per request. Every placement equals a fresh ScheduleModel on an
+// independent compile, the pass is never reallocated, and once it has grown
+// to the largest model a schedule allocates nothing.
+func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
+	f := testFleet(t, Config{Workers: 1})
+	cluster := scaled4()
 	w := &workerState{
 		scheduler:  sched.NewDEEP(),
 		cluster:    cluster,
 		effCluster: cluster,
 		exec:       sim.NewExec(),
-		passes:     make(map[*costmodel.Model]*sched.Pass),
+		table:      sim.CompileClusterTable(cluster),
 	}
-	video := compiledShape{model: costmodel.Compile(workload.VideoProcessing(), cluster)}
-	text := compiledShape{model: costmodel.Compile(workload.TextProcessing(), cluster)}
-	schedule := func(app *dag.App, shape compiledShape) sim.Placement {
+	fresh := func(app *dag.App) sim.Placement {
 		t.Helper()
-		j := &job{req: Request{App: app}}
-		if err := f.scheduleOn(w, w.scheduler, j, shape); err != nil {
+		want, err := sched.NewDEEP().ScheduleModel(costmodel.Compile(app, scaled4()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return PlacementView{names: j.names, assigns: j.assigns}.Materialize()
+		return want
 	}
+	shared := func(app *dag.App) compiledShape {
+		return compiledShape{model: costmodel.Compile(app, cluster)}
+	}
+	firstSight := func(app *dag.App) compiledShape {
+		return w.compileOn(w.apps.Compile(app), &w.shapes)
+	}
+	video, text := workload.VideoProcessing(), workload.TextProcessing()
+	videoShape, textShape := shared(video), shared(text)
 
-	want, err := sched.NewDEEP().ScheduleModel(video.model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var videoPass *sched.Pass
+	j := &job{}
+	var pass *sched.Pass
+	var last compiledShape
 	for round := 0; round < 3; round++ {
-		if got := schedule(workload.VideoProcessing(), video); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: pooled pass placement diverges: %v vs %v", round, got, want)
-		}
-		schedule(workload.TextProcessing(), text)
-		if p := w.passes[video.model]; videoPass == nil {
-			videoPass = p
-		} else if p != videoPass {
-			t.Fatalf("round %d: pass for the video model was reallocated", round)
-		}
-	}
-	if len(w.passes) != 2 {
-		t.Fatalf("pool holds %d passes, want 2 (one per model)", len(w.passes))
-	}
-
-	// Private shapes of alternating sizes share the one retargeted pass.
-	wantText, err := sched.NewDEEP().ScheduleModel(text.model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var private *sched.Pass
-	for round := 0; round < 3; round++ {
-		for _, c := range []struct {
+		for i, c := range []struct {
 			app   *dag.App
-			shape compiledShape
-			want  sim.Placement
+			shape func(*dag.App) compiledShape
 		}{
-			{workload.TextProcessing(), compiledShape{model: text.model, private: true}, wantText},
-			{workload.VideoProcessing(), compiledShape{model: video.model, private: true}, want},
+			{video, func(*dag.App) compiledShape { return videoShape }},
+			{oneShot(t, 14, int64(10+round)), firstSight},
+			{text, func(*dag.App) compiledShape { return textShape }},
+			{oneShot(t, 3, int64(20+round)), firstSight},
+			{oneShot(t, 9, int64(30+round)), firstSight},
 		} {
-			if got := schedule(c.app, c.shape); !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("round %d: retargeted pass placement diverges: %v vs %v", round, got, c.want)
+			last = c.shape(c.app)
+			j.req.App = c.app
+			if err := f.scheduleOn(w, w.scheduler, j, last); err != nil {
+				t.Fatal(err)
 			}
-			if private == nil {
-				private = w.pass
-			} else if w.pass != private {
-				t.Fatalf("round %d: the private pass was reallocated", round)
+			got := PlacementView{names: j.names, assigns: j.assigns}.Materialize()
+			if want := fresh(c.app); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d step %d (%s): retargeted pass placed %v, a fresh pass %v", round, i, c.app.Name, got, want)
+			}
+			if pass == nil {
+				pass = w.pass
+			} else if w.pass != pass {
+				t.Fatalf("round %d step %d (%s): the worker's pass was reallocated", round, i, c.app.Name)
 			}
 		}
 	}
-	if len(w.passes) != 2 || w.passes[video.model] != videoPass {
-		t.Fatalf("private shapes touched the pool: %d entries", len(w.passes))
+
+	// last is still valid: no first sight has overwritten the scratch since.
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, shape := range []compiledShape{videoShape, last, textShape} {
+			if err := f.scheduleOn(w, w.scheduler, j, shape); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm schedules across three models allocate %.1f objects per round", allocs)
+	}
+	if w.pass != pass {
+		t.Error("the worker's pass was reallocated during the warm rounds")
 	}
 }
 
-// TestWorkerPassPoolBounded: once the pool hits its cap it evicts instead
-// of growing without bound (shared shapes churning through the cache).
-func TestWorkerPassPoolBounded(t *testing.T) {
-	f := New(Config{Workers: 1})
-	defer f.Close()
-	cluster := workload.Testbed()
-	w := &workerState{
-		scheduler:  sched.NewDEEP(),
-		cluster:    cluster,
-		effCluster: cluster,
-		exec:       sim.NewExec(),
-		passes:     make(map[*costmodel.Model]*sched.Pass),
+// TestWorkerPlanMemoBounded: the rebound-plan memo serves a repeated shared
+// plan from the map, never memoizes a plan already bound to the worker's own
+// cluster, and at its cap evicts instead of growing (shared shapes churning
+// through the cache hand the worker a fresh plan identity per request).
+func TestWorkerPlanMemoBounded(t *testing.T) {
+	app := workload.VideoProcessing()
+	own, other := workload.Testbed(), workload.Testbed()
+	w := &workerState{cluster: own, plans: make(map[*sim.Plan]*sim.Plan)}
+
+	shared := sim.CompilePlan(app, other)
+	bound := w.planFor(app, shared)
+	if bound == shared || bound.Cluster() != own {
+		t.Fatal("a shared plan was not rebound to the worker's own cluster")
 	}
-	j := &job{req: Request{App: workload.VideoProcessing()}}
-	for i := 0; i < passPoolCap+10; i++ {
-		shape := compiledShape{model: costmodel.Compile(j.req.App, cluster)} // fresh identity each time
-		if err := f.scheduleOn(w, w.scheduler, j, shape); err != nil {
-			t.Fatal(err)
-		}
-		if len(w.passes) > passPoolCap {
-			t.Fatalf("pool grew to %d entries, cap is %d", len(w.passes), passPoolCap)
+	if again := w.planFor(app, shared); again != bound || len(w.plans) != 1 {
+		t.Fatalf("second lookup rebound again (memo holds %d)", len(w.plans))
+	}
+	if mine := sim.CompilePlan(app, own); w.planFor(app, mine) != mine || len(w.plans) != 1 {
+		t.Fatalf("a plan bound to the worker's own cluster was copied or memoized (memo holds %d)", len(w.plans))
+	}
+	for i := 0; i < planMemoCap+10; i++ {
+		w.planFor(app, sim.CompilePlan(app, other)) // fresh identity each time
+		if len(w.plans) > planMemoCap {
+			t.Fatalf("memo grew to %d entries, cap is %d", len(w.plans), planMemoCap)
 		}
 	}
 }

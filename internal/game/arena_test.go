@@ -183,26 +183,6 @@ func TestBestResponsesIntoMatchesAllocating(t *testing.T) {
 	}
 }
 
-// TestTieBreakContract pins the determinism contract the fleet placement
-// cache relies on: stable toward current, else lowest index, tolerance 1e-9.
-func TestTieBreakContract(t *testing.T) {
-	u := []float64{1, 3, 3, 2}
-	if got := TieBreak(u, -1); got != 1 {
-		t.Fatalf("lowest-index tie-break = %d, want 1", got)
-	}
-	if got := TieBreak(u, 2); got != 2 {
-		t.Fatalf("stable tie-break = %d, want 2", got)
-	}
-	if got := TieBreak(u, 0); got != 1 {
-		t.Fatalf("dominated current kept: %d, want 1", got)
-	}
-	// Within tolerance counts as tied.
-	v := []float64{3 - 5e-10, 3}
-	if got := TieBreak(v, 0); got != 0 {
-		t.Fatalf("within-tolerance current dropped: %d, want 0", got)
-	}
-}
-
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

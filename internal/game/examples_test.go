@@ -1,6 +1,6 @@
 package game
 
-// Canonical games used by tests and by the scheduler's payoff construction.
+// Canonical games used as fixtures by this package's tests.
 
 // PrisonersDilemma returns the classic prisoner's dilemma with the standard
 // payoff ordering T > R > P > S (temptation, reward, punishment, sucker).

@@ -324,3 +324,23 @@ func (g *Game) SelectEquilibrium(eqs []Profile) (Profile, bool) {
 	}
 	return best, true
 }
+
+// Regret returns the maximum payoff either player forgoes at (x, y) relative
+// to its best response — zero exactly at Nash equilibria.
+func (g *Game) Regret(x, y []float64) float64 {
+	rowU := g.A.MulVec(y)
+	colU := g.B.VecMul(x)
+	curRow, curCol := g.Payoffs(x, y)
+	worst := 0.0
+	for _, u := range rowU {
+		if d := u - curRow; d > worst {
+			worst = d
+		}
+	}
+	for _, u := range colU {
+		if d := u - curCol; d > worst {
+			worst = d
+		}
+	}
+	return worst
+}

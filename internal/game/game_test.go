@@ -259,81 +259,6 @@ func TestSupportEnumerationRandomAgreesWithIsNash(t *testing.T) {
 	}
 }
 
-func TestEliminateDominatedPD(t *testing.T) {
-	g := PrisonersDilemma(5, 3, 1, 0)
-	r := g.EliminateDominated()
-	if rows, cols := r.Game.Shape(); rows != 1 || cols != 1 {
-		t.Fatalf("PD should reduce to 1x1, got %dx%d", rows, cols)
-	}
-	if r.RowOrig[0] != 1 || r.ColOrig[0] != 1 {
-		t.Errorf("surviving strategy should be defect: %v %v", r.RowOrig, r.ColOrig)
-	}
-	exp := r.Expand(Profile{Row: []float64{1}, Col: []float64{1}}, 2, 2)
-	if exp.Row[1] != 1 || exp.Col[1] != 1 {
-		t.Errorf("Expand wrong: %+v", exp)
-	}
-}
-
-func TestEliminateDominatedPreservesNash(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		rows := 2 + rng.Intn(3)
-		cols := 2 + rng.Intn(3)
-		a := NewMatrix(rows, cols)
-		b := NewMatrix(rows, cols)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-			b.Data[i] = rng.NormFloat64()
-		}
-		g := New(a, b)
-		red := g.EliminateDominated()
-		eqs := red.Game.SupportEnumeration()
-		for _, e := range eqs {
-			full := red.Expand(e, rows, cols)
-			if !g.IsNash(full.Row, full.Col, 1e-6) {
-				t.Errorf("trial %d: reduced-game NE is not an NE of the original", trial)
-			}
-		}
-	}
-}
-
-func TestBestResponseDynamicsCoordination(t *testing.T) {
-	g := Coordination([]float64{1, 5, 2})
-	r, c, ok := g.BestResponseDynamics(0, 0, 100)
-	if !ok {
-		t.Fatal("did not converge")
-	}
-	if r != c {
-		t.Errorf("converged to non-coordinated profile (%d,%d)", r, c)
-	}
-	if !g.isPureNash(r, c) {
-		t.Errorf("(%d,%d) is not a pure NE", r, c)
-	}
-}
-
-func TestBestResponseDynamicsPD(t *testing.T) {
-	g := PrisonersDilemma(5, 3, 1, 0)
-	r, c, ok := g.BestResponseDynamics(0, 0, 100)
-	if !ok || r != 1 || c != 1 {
-		t.Errorf("PD dynamics should reach (defect,defect): (%d,%d,%v)", r, c, ok)
-	}
-}
-
-func TestFictitiousPlayMatchingPennies(t *testing.T) {
-	g := MatchingPennies()
-	rowEmp, colEmp := g.FictitiousPlay(0, 0, 20000)
-	for _, p := range rowEmp {
-		if !approx(p, 0.5, 0.05) {
-			t.Errorf("row empirical %v should approach uniform", rowEmp)
-		}
-	}
-	for _, p := range colEmp {
-		if !approx(p, 0.5, 0.05) {
-			t.Errorf("col empirical %v should approach uniform", colEmp)
-		}
-	}
-}
-
 func TestRegretZeroAtEquilibrium(t *testing.T) {
 	g := BattleOfTheSexes()
 	eqs := g.SupportEnumeration()

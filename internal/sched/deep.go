@@ -24,17 +24,14 @@ import (
 //     plays a bimatrix game whose strategies are full (device, registry)
 //     assignments; the payoff coupling captures shared-registry contention.
 //     The welfare-maximal pure equilibrium is chosen. Pair games larger
-//     than MaxPairCells payoff cells first get one rescue attempt up to
-//     DominancePairCells: fill the full bimatrix and shrink it by iterated
-//     elimination of strictly dominated strategies (IESDS, which never
-//     removes a Nash equilibrium) — if the survivors fit under the cap the
-//     reduced game is solved exactly, matching the uncapped answer. Games
-//     that stay over the cap fall back to best-response dynamics — the same
-//     congestion-style potential game, whose iterative dynamics reach an
-//     equilibrium without materializing tens of thousands of cells.
+//     than MaxPairCells payoff cells are not materialized: they go to
+//     best-response dynamics over the same payoffs, several times cheaper
+//     per pass but reaching *an* equilibrium, not the welfare-maximal one,
+//     and only when they converge.
 //
-//   - Larger stages run best-response dynamics, which converge for these
-//     congestion-style payoffs.
+//   - Larger stages run best-response dynamics, which settle in a few
+//     sweeps on every shipped workload but carry no guarantee (SolverStats
+//     counts the stages that did not).
 //
 // The game layer is batch-priced and allocation-free in steady state. A
 // pair game costs O(|o1|+|o2|) option pricings, not O(|o1|·|o2|): the only
@@ -49,52 +46,35 @@ import (
 // Every matrix, price row, and mask comes from the pass's GameArena; a
 // reusable Pass makes repeated warm passes allocate nothing at all.
 type DEEP struct {
-	// MaxPairCells caps the two-microservice bimatrix game at |o1|·|o2|
-	// payoff cells; larger pair stages are solved by best-response dynamics.
-	// Zero means uncapped (always play the full pair game — the historical
-	// behavior); NewDEEP sets DefaultMaxPairCells.
+	// MaxPairCells is where exactness is traded for speed: a
+	// two-microservice stage whose bimatrix has at most this many payoff
+	// cells (|o1|·|o2|) is solved exactly, a larger one by best-response
+	// dynamics. Zero means uncapped (always play the full pair game — the
+	// historical behavior); NewDEEP sets DefaultMaxPairCells; the fleet's
+	// degraded rung sets 1, sending every pair stage to the dynamics.
 	MaxPairCells int
-
-	// DominancePairCells widens the exact window for pair games over
-	// MaxPairCells: a game of at most this many cells is filled in full and
-	// reduced by IESDS; if the survivors fit under MaxPairCells the reduced
-	// game is solved exactly — strict dominance never removes a Nash
-	// equilibrium and the reduction preserves strategy order, so the answer
-	// is the uncapped game's — and otherwise best-response dynamics run as
-	// before. Zero disables the window (the pure cap/fallback split), which
-	// is also the right setting for latency-critical degraded modes like the
-	// fleet's MaxPairCells=1 fallback rung.
-	DominancePairCells int
 }
 
-// DefaultMaxPairCells is the pair-game cap NewDEEP installs: testbed-sized
-// clusters (a few dozen options per microservice) keep the exact game, while
-// scaled clusters — where the quadratic blowup dominates the whole
-// scheduling pass — take the convergent dynamics instead.
-const DefaultMaxPairCells = 4096
+// DefaultMaxPairCells is the pair-game cap NewDEEP installs: pair stages of
+// up to 90 options a side are solved exactly, larger ones by the dynamics.
+// The exact game is O(cells) — two prices per strategy, one select per cell,
+// one equilibrium scan — and the dynamics O(options) per sweep, so the line
+// is a price, not a feasibility limit. A whole 16-microservice pass on a
+// reused Pass, exact against forced best response (MaxPairCells 1), measured
+// on a 2-vCPU host: 57 vs 12 µs at 48 options per microservice
+// (ScaledTestbed(12)), 147 vs 19 µs at 80 (ScaledTestbed(20)), 809 vs 46 µs
+// at 200 (ScaledTestbed(50)). The cap keeps every game up to the middle
+// figure exact — where an exact answer costs about a tenth of a millisecond
+// more than a heuristic one — and leaves the 10k-cell-and-up games of the
+// largest scaled clusters, where the quadratic fill is the whole pass, on
+// the dynamics.
+const DefaultMaxPairCells = 8192
 
-// DefaultDominancePairCells is the IESDS rescue window NewDEEP installs:
-// pair games up to 2x the cap try dominance reduction before surrendering to
-// best-response dynamics. Filling the bimatrix is cheap — two prices per
-// strategy, then an O(cells) select — so what bounds the window is the
-// reduction: its elimination sweeps are O((|o1|+|o2|)·cells) worst case.
-// The factor is deliberately modest because the biggest scaled-cluster
-// games (100x100 options, 10k cells) are exactly the ones whose
-// best-response routing bought the game layer its throughput, so they stay
-// on the dynamics.
-const DefaultDominancePairCells = 2 * DefaultMaxPairCells
-
-// DEEP supports the fleet's pooled-pass scheduling path.
+// DEEP supports the fleet's reusable-pass scheduling path.
 var _ PassScheduler = (*DEEP)(nil)
 
-// NewDEEP returns the Nash scheduler with the default pair-game cap and
-// IESDS rescue window.
-func NewDEEP() *DEEP {
-	return &DEEP{
-		MaxPairCells:       DefaultMaxPairCells,
-		DominancePairCells: DefaultDominancePairCells,
-	}
-}
+// NewDEEP returns the Nash scheduler with the default pair-game cap.
+func NewDEEP() *DEEP { return &DEEP{MaxPairCells: DefaultMaxPairCells} }
 
 // NewDEEPUncapped returns the Nash scheduler with the pair-game cap
 // disabled: every two-microservice stage plays the exact bimatrix game
@@ -134,17 +114,16 @@ type Pass struct {
 }
 
 // SolverStats counts how the stage games of one scheduling pass were
-// solved. Exact, Reduced and BestResponse partition the stages: Exact is
-// the full game solved for its welfare-maximal equilibrium (every solo
-// stage, and pair stages within MaxPairCells), Reduced a pair game the
-// IESDS window brought under the cap and solved exactly, BestResponse a
-// stage handed to the dynamics (wide stages and over-cap pairs).
-// NonConverged counts the BestResponse stages whose dynamics were still
-// moving when the iteration budget ran out — their assignment is the last
-// profile visited, not a fixed point.
+// solved. Exact and BestResponse partition the stages: Exact is the full
+// game solved for its welfare-maximal equilibrium (every solo stage, and
+// pair stages within MaxPairCells), BestResponse a stage handed to the
+// dynamics (wide stages and over-cap pairs). NonConverged counts the
+// BestResponse stages whose dynamics were still moving when the iteration
+// budget ran out — their assignment is the last profile visited, not a
+// fixed point.
 type SolverStats struct {
-	Exact, Reduced, BestResponse int
-	NonConverged                 int
+	Exact, BestResponse int
+	NonConverged        int
 }
 
 // Solver returns the last run's per-path stage-game counts.
@@ -216,31 +195,17 @@ func (s *DEEP) ScheduleInto(p *Pass) error {
 			}
 			opts[k] = o
 		}
-		solved := false
 		switch {
 		case len(stage) == 1:
 			assigned[0], err = scheduleSolo(model, st, stage[0])
-			solved = true
 			p.solver.Exact++
 		case len(stage) == 2 && (s.MaxPairCells <= 0 || len(opts[0])*len(opts[1]) <= s.MaxPairCells):
 			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1])
-			solved = true
 			p.solver.Exact++
-		case len(stage) == 2 && s.DominancePairCells > 0 && len(opts[0])*len(opts[1]) <= s.DominancePairCells:
-			// Mid-size pair games (over the cap, within the dominance
-			// window): try IESDS reduction for an exact answer; games that
-			// stay over the cap join the best-response fallback below.
-			assigned[0], assigned[1], solved, err = schedulePairReduced(model, st, stage[0], stage[1], s.MaxPairCells)
-			if solved {
-				p.solver.Reduced++
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if !solved {
-			// Wide stages — and pair stages over the cap — go to
-			// best-response dynamics.
+		default:
+			// Wide stages, and pair stages on the far side of the
+			// speed/exactness line MaxPairCells draws, go to best-response
+			// dynamics.
 			for k := range stage {
 				assigned[k] = opts[k][0]
 			}
@@ -248,6 +213,9 @@ func (s *DEEP) ScheduleInto(p *Pass) error {
 			if _, converged := bestResponse(st, stage, opts, assigned); !converged {
 				p.solver.NonConverged++
 			}
+		}
+		if err != nil {
+			return err
 		}
 		for k, ms := range stage {
 			p.placed[ms] = assigned[k]
@@ -372,46 +340,6 @@ func pricePairGame(model *costmodel.Model, st *costmodel.State, g *game.Game, m1
 			}
 		}
 	}
-}
-
-// schedulePairReduced is the mid-size rung between the exact pair game and
-// best-response dynamics: fill the full bimatrix, shrink it by iterated
-// elimination of strictly dominated strategies, and if the survivors fit
-// under maxCells solve the reduced game exactly, translating the equilibrium
-// back through the surviving-index maps. IESDS never removes a Nash
-// equilibrium and the in-place compaction preserves strategy order, so a
-// solved=true result is exactly what the uncapped game would return.
-// solved=false means the game stayed over the cap; the caller falls back to
-// best-response dynamics (which reset the arena and reprice from the dense
-// tables — nothing priced here is reused).
-func schedulePairReduced(model *costmodel.Model, st *costmodel.State, m1, m2 int32, maxCells int) (costmodel.Option, costmodel.Option, bool, error) {
-	o1 := model.Options(m1)
-	o2 := model.Options(m2)
-	if len(o1) == 0 {
-		return costmodel.Option{}, costmodel.Option{}, false, infeasibleError{ms: model.MSName(m1)}
-	}
-	if len(o2) == 0 {
-		return costmodel.Option{}, costmodel.Option{}, false, infeasibleError{ms: model.MSName(m2)}
-	}
-	ar := st.Arena()
-	ar.Reset()
-	g := game.NewFromArena(ar, len(o1), len(o2))
-	rowOrig := ar.Ints(len(o1))
-	colOrig := ar.Ints(len(o2))
-	fscratch := ar.Floats(2 * (len(o1) + len(o2)))
-	pricePairGame(model, st, g, m1, m2)
-
-	if nr, nc := g.ReduceDominatedPrefiltered(rowOrig, colOrig, fscratch); nr*nc > maxCells {
-		return costmodel.Option{}, costmodel.Option{}, false, nil
-	}
-	if best, ok := g.BestPureNash(); ok {
-		return o1[rowOrig[best.Row]], o2[colOrig[best.Col]], true, nil
-	}
-	p, err := g.LemkeHowsonAny()
-	if err != nil {
-		return costmodel.Option{}, costmodel.Option{}, false, err
-	}
-	return o1[rowOrig[argmax(p.Row)]], o2[colOrig[argmax(p.Col)]], true, nil
 }
 
 // bestResponseBudget is the sweep budget of bestResponse.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"deep/internal/costmodel"
@@ -128,6 +129,70 @@ func TestDefaultCapLeavesTestbedExact(t *testing.T) {
 		for name, w := range want {
 			if got[name] != w {
 				t.Errorf("%s: %s differs under default cap", app.Name, name)
+			}
+		}
+	}
+}
+
+// TestDefaultCapKeepsMidScaleExact walks the upper half of what the default
+// cap keeps exact — seeded 16-microservice apps on ScaledTestbed(17…22), pair
+// games of 68x68 to 88x88 options, 4 624 to 7 744 cells — and pins that it
+// is exact there: NewDEEP places every microservice where NewDEEPUncapped
+// does, no stage is counted under BestResponse, every pair placement carries
+// the regret certificate, and a warm pass on the reused Pass allocates
+// nothing.
+func TestDefaultCapKeepsMidScaleExact(t *testing.T) {
+	const lo = DefaultMaxPairCells / 2 // each case must play a game above this
+	for scale := 17; scale <= 22; scale++ {
+		cluster := workload.ScaledTestbed(scale)
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("synthetic16-%d/scaled%d", seed, 2*scale)
+			app, err := workload.Generate(workload.DefaultGeneratorConfig(16, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := costmodel.Compile(app, cluster)
+			stages, err := model.Stages()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want := NewPass(model, nil)
+			if err := NewDEEPUncapped().ScheduleInto(want); err != nil {
+				t.Fatalf("%s: uncapped: %v", name, err)
+			}
+			s, p := NewDEEP(), NewPass(model, nil)
+			if err := s.ScheduleInto(p); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := p.Solver(); got != (SolverStats{Exact: len(stages)}) {
+				t.Errorf("%s: solver stats %+v, want all %d stages exact", name, got, len(stages))
+			}
+			for _, stage := range stages {
+				for _, ms := range stage {
+					if p.placed[ms] != want.placed[ms] {
+						t.Errorf("%s: stage %v: %s placed at %v under the default cap, %v uncapped", name, stage,
+							model.MSName(ms), model.Assignment(p.placed[ms]), model.Assignment(want.placed[ms]))
+					}
+				}
+			}
+
+			inRange := 0
+			walkPairStages(t, name, model, func(st *costmodel.State, m1, m2 int32) {
+				if cells := certifyPairStage(t, name, model, st, m1, m2); cells > lo && cells <= DefaultMaxPairCells {
+					inRange++
+				}
+			})
+			if inRange == 0 {
+				t.Errorf("%s: no pair game between %d and %d cells; the case is vacuous", name, lo, DefaultMaxPairCells)
+			}
+
+			if allocs := testing.AllocsPerRun(10, func() {
+				if err := s.ScheduleInto(p); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s: warm pass allocates %.1f objects per run", name, allocs)
 			}
 		}
 	}

@@ -47,9 +47,9 @@ type ModelScheduler interface {
 
 // PassScheduler is a ModelScheduler that can additionally run on a
 // caller-owned reusable Pass, writing the placement into the pass's scratch
-// instead of allocating fresh state per call. The fleet's workers pool one
-// Pass per compiled model and take this path, making repeated warm
-// scheduling passes allocation-free (placement materialization aside).
+// instead of allocating fresh state per call. A fleet worker keeps one Pass,
+// retargets it at each request's model and takes this path, making repeated
+// warm scheduling passes allocation-free (placement materialization aside).
 type PassScheduler interface {
 	ModelScheduler
 	// ScheduleInto runs one pass over the Pass's model. Read the placement
