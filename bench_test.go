@@ -209,7 +209,7 @@ func BenchmarkSchedule(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := sched.NewDEEP()
-			p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(c.scale)), nil)
+			p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(c.scale)))
 			if err := s.ScheduleInto(p); err != nil { // grow the arena
 				b.Fatal(err)
 			}

@@ -392,12 +392,6 @@ func (s *State) Arena() *GameArena {
 	return s.arena
 }
 
-// LendArena makes the state draw its game scratch from a rather than from
-// an arena of its own. Grants never outlive a stage, so states that are
-// never used concurrently can share one arena and grow it once between
-// them. A nil a leaves the state to create its own.
-func (s *State) LendArena(a *GameArena) { s.arena = a }
-
 // NewState returns scratch sized for the model, with nothing placed.
 func (m *Model) NewState() *State {
 	s := new(State)
@@ -484,8 +478,12 @@ func (m *Model) pullTime(l topo.Link, ms int32, n int) float64 {
 // between them: both pull from the same shared registry onto different
 // devices. It is deployTime's contention scan for a single co-assignment,
 // and symmetric in its arguments.
-func (m *Model) Contend(x, y Option) bool {
-	return m.regShared[x.Registry] && y.Registry == x.Registry && y.Device != x.Device
+func (m *Model) Contend(x, y Option) bool { return Contend(m.regShared, x, y) }
+
+// Contend is Model.Contend over bare per-registry shared-uplink flags (a
+// cluster table's RegShared), for callers that hold the flags but no model.
+func Contend(regShared []bool, x, y Option) bool {
+	return regShared[x.Registry] && y.Registry == x.Registry && y.Device != x.Device
 }
 
 // transferTime computes Tc onto the device: every incoming dataflow from

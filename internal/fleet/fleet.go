@@ -24,7 +24,6 @@ import (
 	"deep/internal/appgraph"
 	"deep/internal/costmodel"
 	"deep/internal/dag"
-	"deep/internal/game"
 	"deep/internal/monitor"
 	"deep/internal/netsim"
 	"deep/internal/obs"
@@ -804,10 +803,9 @@ type workerState struct {
 
 	// pass is the worker's one scheduling pass, retargeted at whichever
 	// model — shared or private — the current request schedules on
-	// (passFor); it keeps nothing of a model between requests. arena is the
-	// game scratch it draws from.
-	pass  *sched.Pass
-	arena *game.Arena
+	// (passFor); it keeps nothing of a model between requests but its
+	// scratch, game arena included.
+	pass *sched.Pass
 	// plans memoizes shared plans rebound to this worker's own cluster:
 	// simulation drives (and on cold runs flushes) device layer caches, so
 	// each worker must execute against its private devices even when the
@@ -923,7 +921,6 @@ func (f *Fleet) worker(i int) {
 		clusterDigest: DigestCluster(cluster),
 		shard:         i,
 		exec:          sim.NewExec(),
-		arena:         game.NewArena(),
 		plans:         make(map[*sim.Plan]*sim.Plan),
 		rng:           uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 	}
@@ -1072,7 +1069,7 @@ func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, j *job, sh
 // ScheduleInto runs anyway.
 func (w *workerState) passFor(shape compiledShape) *sched.Pass {
 	if w.pass == nil {
-		w.pass = sched.NewPass(shape.model, w.arena)
+		w.pass = sched.NewPass(shape.model)
 	} else {
 		w.pass.Retarget(shape.model)
 	}

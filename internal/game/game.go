@@ -200,8 +200,9 @@ func (g *Game) PureNash() []Profile {
 	return out
 }
 
-// scanPureNash is the one pure-equilibrium kernel: it calls yield(i, j) for
-// every pure-strategy Nash equilibrium, in row-major order, in O(cells).
+// scanPureNash is the pure-equilibrium kernel on a materialized bimatrix: it
+// calls yield(i, j) for every pure-strategy Nash equilibrium, in row-major
+// order, in O(cells).
 // Cell (i, j) is an equilibrium when no entry of A's column j beats A[i][j]
 // and no entry of B's row i beats B[i][j], each by more than 1e-12. Beating
 // a threshold is monotone in the challenger, so "some entry does" is "the
@@ -262,40 +263,54 @@ func (g *Game) PureNashInto(dst []PureProfile) []PureProfile {
 	return dst
 }
 
+// prefer is the one tie rule of every equilibrium selection: a challenger
+// with social welfare w and row payoff r displaces the incumbent (bestW,
+// bestR) when its welfare is higher by more than 1e-12, or ties within 1e-12
+// and its row payoff is higher by more than 1e-12.
+func prefer(w, r, bestW, bestR float64) bool {
+	return w > bestW+1e-12 || (math.Abs(w-bestW) <= 1e-12 && r > bestR+1e-12)
+}
+
+// PureSelection is the welfare-maximal choice among pure equilibria offered
+// one at a time: the first offer is taken, and a later one replaces it only
+// under prefer — so offering equilibria in row-major order reproduces
+// SelectEquilibrium's tie-breaks (welfare, then row payoff, then first in
+// order). The zero value is empty.
+type PureSelection struct {
+	Best PureProfile
+	OK   bool
+
+	welfare, row float64
+}
+
+// Offer considers the equilibrium p, whose payoffs are row and col.
+func (s *PureSelection) Offer(p PureProfile, row, col float64) {
+	if w := row + col; !s.OK || prefer(w, row, s.welfare, s.row) {
+		s.Best, s.OK, s.welfare, s.row = p, true, w, row
+	}
+}
+
 // SelectPure picks, among the provided pure equilibria, the one maximizing
 // social welfare with SelectEquilibrium's exact tie-breaks (row payoff, then
 // first in row-major order). It returns false on an empty slice.
 func (g *Game) SelectPure(eqs []PureProfile) (PureProfile, bool) {
-	if len(eqs) == 0 {
-		return PureProfile{}, false
+	var sel PureSelection
+	for _, e := range eqs {
+		sel.Offer(e, g.A.At(e.Row, e.Col), g.B.At(e.Row, e.Col))
 	}
-	best := eqs[0]
-	bestR := g.A.At(best.Row, best.Col)
-	bestW := bestR + g.B.At(best.Row, best.Col)
-	for _, e := range eqs[1:] {
-		r := g.A.At(e.Row, e.Col)
-		w := r + g.B.At(e.Row, e.Col)
-		if w > bestW+1e-12 || (math.Abs(w-bestW) <= 1e-12 && r > bestR+1e-12) {
-			best, bestW, bestR = e, w, r
-		}
-	}
-	return best, true
+	return sel.Best, sel.OK
 }
 
 // BestPureNash returns the welfare-maximal pure Nash equilibrium — exactly
 // SelectEquilibrium(PureNash()) restricted to pure profiles — scanning cells
 // row-major without allocating. ok is false when the game has no pure
 // equilibrium.
-func (g *Game) BestPureNash() (p PureProfile, ok bool) {
-	var bestW, bestR float64
+func (g *Game) BestPureNash() (PureProfile, bool) {
+	var sel PureSelection
 	g.scanPureNash(func(i, j int) {
-		r := g.A.At(i, j)
-		w := r + g.B.At(i, j)
-		if !ok || w > bestW+1e-12 || (math.Abs(w-bestW) <= 1e-12 && r > bestR+1e-12) {
-			p, bestW, bestR, ok = PureProfile{Row: i, Col: j}, w, r, true
-		}
+		sel.Offer(PureProfile{Row: i, Col: j}, g.A.At(i, j), g.B.At(i, j))
 	})
-	return p, ok
+	return sel.Best, sel.OK
 }
 
 // SocialWelfare returns the sum of both players' payoffs at (x, y).
@@ -318,7 +333,7 @@ func (g *Game) SelectEquilibrium(eqs []Profile) (Profile, bool) {
 	for _, e := range eqs[1:] {
 		w := g.SocialWelfare(e.Row, e.Col)
 		r, _ := g.Payoffs(e.Row, e.Col)
-		if w > bestW+1e-12 || (math.Abs(w-bestW) <= 1e-12 && r > bestR+1e-12) {
+		if prefer(w, r, bestW, bestR) {
 			best, bestW, bestR = e, w, r
 		}
 	}

@@ -23,51 +23,54 @@ import (
 //   - A pair of microservices (the HA/LA train and infer/score stages)
 //     plays a bimatrix game whose strategies are full (device, registry)
 //     assignments; the payoff coupling captures shared-registry contention.
-//     The welfare-maximal pure equilibrium is chosen. Pair games larger
-//     than MaxPairCells payoff cells are not materialized: they go to
-//     best-response dynamics over the same payoffs, several times cheaper
-//     per pass but reaching *an* equilibrium, not the welfare-maximal one,
-//     and only when they converge.
+//     The welfare-maximal pure equilibrium is chosen. Pair stages larger
+//     than MaxPairCells cells go to best-response dynamics over the same
+//     payoffs instead, reaching *an* equilibrium, not the welfare-maximal
+//     one, and only when they converge.
 //
 //   - Larger stages run best-response dynamics, which settle in a few
 //     sweeps on every shipped workload but carry no guarantee (SolverStats
 //     counts the stages that did not).
 //
 // The game layer is batch-priced and allocation-free in steady state. A
-// pair game costs O(|o1|+|o2|) option pricings, not O(|o1|·|o2|): the only
+// pair stage costs O(|o1|+|o2|) option pricings, not O(|o1|·|o2|): the only
 // coupling between two co-staged options is whether they divide one shared
-// registry's uplink (costmodel.Model.Contend), so every strategy has
-// exactly two prices — contended or not — which one
-// costmodel.State.EnergyRowPair call per player computes, and the bimatrix
-// is an O(cells) select between them. That holds for two players only: in a
+// registry's uplink (costmodel.Contend), so every strategy has exactly two
+// prices — contended or not — which one costmodel.State.EnergyRowPair call
+// per player computes. Those four price rows are the whole game, and the
+// pure path builds no bimatrix: pairStage.bestPure takes every best response
+// from per-registry tables and sweeps the cells reading payoffs straight
+// from the rows (the matrix is materialized only for Lemke–Howson, on a
+// stage with no pure equilibrium). That holds for two players only: in a
 // stage of three or more the uplink can be divided three or more ways, the
 // price depends on the whole profile, and those stages (and the solo game)
 // price rows against the current profile with costmodel.State.EnergyRow.
-// Every matrix, price row, and mask comes from the pass's GameArena; a
+// Every price row, matrix, and mask comes from the pass's GameArena; a
 // reusable Pass makes repeated warm passes allocate nothing at all.
 type DEEP struct {
 	// MaxPairCells is where exactness is traded for speed: a
-	// two-microservice stage whose bimatrix has at most this many payoff
-	// cells (|o1|·|o2|) is solved exactly, a larger one by best-response
-	// dynamics. Zero means uncapped (always play the full pair game — the
-	// historical behavior); NewDEEP sets DefaultMaxPairCells; the fleet's
-	// degraded rung sets 1, sending every pair stage to the dynamics.
+	// two-microservice stage of at most this many cells (|o1|·|o2|) is
+	// solved exactly, a larger one by best-response dynamics. Zero means
+	// uncapped (always play the full pair game — the historical behavior);
+	// NewDEEP sets DefaultMaxPairCells; the fleet's degraded rung sets 1,
+	// sending every pair stage to the dynamics.
 	MaxPairCells int
 }
 
 // DefaultMaxPairCells is the pair-game cap NewDEEP installs: pair stages of
 // up to 90 options a side are solved exactly, larger ones by the dynamics.
-// The exact game is O(cells) — two prices per strategy, one select per cell,
-// one equilibrium scan — and the dynamics O(options) per sweep, so the line
-// is a price, not a feasibility limit. A whole 16-microservice pass on a
-// reused Pass, exact against forced best response (MaxPairCells 1), measured
-// on a 2-vCPU host: 57 vs 12 µs at 48 options per microservice
-// (ScaledTestbed(12)), 147 vs 19 µs at 80 (ScaledTestbed(20)), 809 vs 46 µs
-// at 200 (ScaledTestbed(50)). The cap keeps every game up to the middle
-// figure exact — where an exact answer costs about a tenth of a millisecond
-// more than a heuristic one — and leaves the 10k-cell-and-up games of the
-// largest scaled clusters, where the quadratic fill is the whole pass, on
-// the dynamics.
+// The exact pure path builds no bimatrix — per-registry best responses, then
+// a cell sweep that skips every row no column's best response lets through —
+// and the dynamics are O(options) per sweep, so the line is a price, not a
+// feasibility limit, and no longer a large one. A whole 16-microservice pass
+// on a reused Pass, exact against forced best response (MaxPairCells 1),
+// medians of five runs on a 2-vCPU host: 19 vs 15 µs at 48 options per
+// microservice (ScaledTestbed(12)), 32 vs 25 µs at 80 (ScaledTestbed(20)),
+// 93 vs 70 µs at 200 (ScaledTestbed(50), uncapped). The cap keeps every
+// stage up to 80 options a side exact and leaves the 10k-cell-and-up stages
+// of the largest scaled clusters on the dynamics; whether it is still worth
+// having is a question of behaviour (the dynamics find *an* equilibrium,
+// the exact path the welfare-maximal one), not of speed.
 const DefaultMaxPairCells = 8192
 
 // DEEP supports the fleet's reusable-pass scheduling path.
@@ -77,8 +80,8 @@ var _ PassScheduler = (*DEEP)(nil)
 func NewDEEP() *DEEP { return &DEEP{MaxPairCells: DefaultMaxPairCells} }
 
 // NewDEEPUncapped returns the Nash scheduler with the pair-game cap
-// disabled: every two-microservice stage plays the exact bimatrix game
-// regardless of size.
+// disabled: every two-microservice stage is solved exactly regardless of
+// size.
 func NewDEEPUncapped() *DEEP { return &DEEP{} }
 
 // Name implements Scheduler.
@@ -91,7 +94,7 @@ func (s *DEEP) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, erro
 
 // ScheduleModel implements ModelScheduler.
 func (s *DEEP) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
-	p := NewPass(model, nil)
+	p := NewPass(model)
 	if err := s.ScheduleInto(p); err != nil {
 		return nil, err
 	}
@@ -129,13 +132,12 @@ type SolverStats struct {
 // Solver returns the last run's per-path stage-game counts.
 func (p *Pass) Solver() SolverStats { return p.solver }
 
-// NewPass allocates scratch sized for the model. The game layer's matrices
-// and price rows come from arena, which a caller running one pass at a time
-// shares between all its passes so that it grows once, not once per model;
-// nil gives the pass an arena of its own.
-func NewPass(model *costmodel.Model, arena *game.Arena) *Pass {
+// NewPass allocates scratch sized for the model, including the game arena
+// its price rows and matrices come from. A caller scheduling a stream of
+// models keeps one Pass and Retargets it, so the arena grows once, not once
+// per model.
+func NewPass(model *costmodel.Model) *Pass {
 	p := &Pass{st: new(costmodel.State)}
-	p.st.LendArena(arena)
 	p.Retarget(model)
 	return p
 }
@@ -230,9 +232,6 @@ func (s *DEEP) ScheduleInto(p *Pass) error {
 // the arena-backed payoff matrix via the model's precomputed solo cells.
 func scheduleSolo(model *costmodel.Model, st *costmodel.State, ms int32) (costmodel.Option, error) {
 	opts := model.Options(ms)
-	if len(opts) == 0 {
-		return costmodel.Option{}, infeasibleError{ms: model.MSName(ms)}
-	}
 	// Distinct devices become row strategies, registries column strategies.
 	devices, registries := model.SoloAxes(ms)
 	cells := model.SoloCells(ms)
@@ -280,66 +279,30 @@ func scheduleSolo(model *costmodel.Model, st *costmodel.State, ms int32) (costmo
 	return costmodel.Option{Device: devices[best.Row], Registry: registries[best.Col]}, nil
 }
 
-// schedulePair solves the two-microservice bimatrix game over full
-// assignments: the welfare-maximal pure equilibrium of the matrix
-// pricePairGame fills, or — when the game has none — a Lemke–Howson
-// equilibrium rounded to each player's likeliest strategy.
+// schedulePair solves the two-microservice game over full assignments: the
+// welfare-maximal pure equilibrium, found from the stage's price rows
+// (pairStage.bestPure), or — when the game has none — a Lemke–Howson
+// equilibrium of the materialized bimatrix rounded to each player's
+// likeliest strategy.
 func schedulePair(model *costmodel.Model, st *costmodel.State, m1, m2 int32) (costmodel.Option, costmodel.Option, error) {
-	o1 := model.Options(m1)
-	o2 := model.Options(m2)
-	if len(o1) == 0 {
-		return costmodel.Option{}, costmodel.Option{}, infeasibleError{ms: model.MSName(m1)}
-	}
-	if len(o2) == 0 {
-		return costmodel.Option{}, costmodel.Option{}, infeasibleError{ms: model.MSName(m2)}
-	}
 	ar := st.Arena()
 	ar.Reset()
-	g := game.NewFromArena(ar, len(o1), len(o2))
-	pricePairGame(model, st, g, m1, m2)
+	ps := newPairStage(model, st, ar, m1, m2)
 
 	// Prefer pure equilibria (deployable directly); among them take the
 	// welfare-maximal one, i.e. minimum combined energy.
-	if best, ok := g.BestPureNash(); ok {
-		return o1[best.Row], o2[best.Col], nil
+	if i, j, ok := ps.bestPure(ar); ok {
+		return ps.o1[i], ps.o2[j], nil
 	}
 	// Degenerate case: take any equilibrium and round each player to the
 	// highest-probability strategy.
+	g := game.NewFromArena(ar, len(ps.o1), len(ps.o2))
+	pricePairGame(&ps, g)
 	p, err := g.LemkeHowsonAny()
 	if err != nil {
 		return costmodel.Option{}, costmodel.Option{}, err
 	}
-	return o1[argmax(p.Row)], o2[argmax(p.Col)], nil
-}
-
-// pricePairGame fills g's bimatrix for the (m1, m2) pair game over their
-// option sets o1 x o2: A[i][j] = -Energy(m1, o1[i]) and B[i][j] = -Energy(m2,
-// o2[j]) under the co-assignment (o1[i], o2[j]), bit for bit. With one
-// opponent an option's energy takes one of two values — whether or not the
-// opponent's option Contends with it for a shared registry's uplink — so
-// each player's row is priced once at both levels (|o1|+|o2| pricings) and
-// every cell selects between them; Contend is symmetric, so one test serves
-// both matrices. Stages of three or more have no such shortcut (the uplink
-// can be split more than two ways) and never come here. The price scratch
-// comes from the state's arena, which must own g.
-func pricePairGame(model *costmodel.Model, st *costmodel.State, g *game.Game, m1, m2 int32) {
-	o1, o2 := model.Options(m1), model.Options(m2)
-	ar := st.Arena()
-	solo1, shared1 := ar.Floats(len(o1)), ar.Floats(len(o1))
-	solo2, shared2 := ar.Floats(len(o2)), ar.Floats(len(o2))
-	st.EnergyRowPair(m1, o1, solo1, shared1)
-	st.EnergyRowPair(m2, o2, solo2, shared2)
-	for i, x := range o1 {
-		a, b := g.A.RowView(i), g.B.RowView(i)
-		aSolo, aShared := -solo1[i], -shared1[i]
-		for j, y := range o2 {
-			if model.Contend(x, y) {
-				a[j], b[j] = aShared, -shared2[j]
-			} else {
-				a[j], b[j] = aSolo, -solo2[j]
-			}
-		}
-	}
+	return ps.o1[argmax(p.Row)], ps.o2[argmax(p.Col)], nil
 }
 
 // bestResponseBudget is the sweep budget of bestResponse.

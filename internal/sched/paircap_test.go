@@ -6,7 +6,6 @@ import (
 
 	"deep/internal/costmodel"
 	"deep/internal/dag"
-	"deep/internal/game"
 	"deep/internal/sim"
 	"deep/internal/workload"
 )
@@ -157,11 +156,11 @@ func TestDefaultCapKeepsMidScaleExact(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want := NewPass(model, nil)
+			want := NewPass(model)
 			if err := NewDEEPUncapped().ScheduleInto(want); err != nil {
 				t.Fatalf("%s: uncapped: %v", name, err)
 			}
-			s, p := NewDEEP(), NewPass(model, nil)
+			s, p := NewDEEP(), NewPass(model)
 			if err := s.ScheduleInto(p); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -221,7 +220,7 @@ func TestWarmPassAllocationFree(t *testing.T) {
 	for _, c := range cases {
 		s := NewDEEP()
 		model := costmodel.Compile(c.app, c.cluster)
-		p := NewPass(model, nil)
+		p := NewPass(model)
 		if err := s.ScheduleInto(p); err != nil { // warm up arena and scratch
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -239,45 +238,5 @@ func TestWarmPassAllocationFree(t *testing.T) {
 				t.Errorf("%s: repeated pass moved %s", c.name, name)
 			}
 		}
-	}
-}
-
-// TestLentArenaIsGrownOnce pins what a fleet worker relies on: passes over
-// different models that share one lent arena place exactly as passes with
-// arenas of their own, and once the arena has served one model of a shape a
-// fresh pass over another draws its game scratch from it instead of growing
-// a new one.
-func TestLentArenaIsGrownOnce(t *testing.T) {
-	cluster := workload.ScaledTestbed(12)
-	models := make([]*costmodel.Model, 3)
-	for i := range models {
-		app, err := workload.Generate(workload.DefaultGeneratorConfig(16, int64(i+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		models[i] = costmodel.Compile(app, cluster)
-	}
-	s := NewDEEP()
-	freshPass := func(m *costmodel.Model, arena *game.Arena) *Pass {
-		p := NewPass(m, arena)
-		if err := s.ScheduleInto(p); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	arena := game.NewArena()
-	for _, m := range models {
-		own, lent := freshPass(m, nil).Placement(), freshPass(m, arena).Placement()
-		for name, want := range own {
-			if lent[name] != want {
-				t.Errorf("%s placed at %v on a lent arena, %v on its own", name, lent[name], want)
-			}
-		}
-	}
-	// models[0] again, as a never-seen model would arrive at a warm worker.
-	ownAllocs := testing.AllocsPerRun(20, func() { freshPass(models[0], nil) })
-	lentAllocs := testing.AllocsPerRun(20, func() { freshPass(models[0], arena) })
-	if lentAllocs >= ownAllocs {
-		t.Errorf("fresh pass on a grown lent arena: %.0f allocs, on its own: %.0f", lentAllocs, ownAllocs)
 	}
 }

@@ -1,0 +1,200 @@
+package sched
+
+import (
+	"math"
+
+	"deep/internal/costmodel"
+	"deep/internal/game"
+)
+
+// pairStage is a two-microservice stage game in its two-price form. With one
+// opponent an option's energy takes one of two values — whether or not the
+// opponent's option Contends with it for a shared registry's uplink — so the
+// option rows, each priced once at both levels (costmodel.State.EnergyRowPair),
+// and the registries' shared-uplink flags are the whole game: cell (i, j)
+// pays the row player -shared1[i] and the column player -shared2[j] when
+// costmodel.Contend(regShared, o1[i], o2[j]), else -solo1[i] and -solo2[j].
+// Both option rows are in canonical (device, registry) order with no
+// repeats, as costmodel.Model.Options returns them. Stages of three or more
+// have no such form (the uplink can be split more than two ways) and never
+// come here.
+type pairStage struct {
+	o1, o2         []costmodel.Option
+	regShared      []bool
+	solo1, shared1 []float64
+	solo2, shared2 []float64
+}
+
+// newPairStage prices the (m1, m2) stage of the pass, its four price rows
+// drawn from ar.
+func newPairStage(model *costmodel.Model, st *costmodel.State, ar *game.Arena, m1, m2 int32) pairStage {
+	ps := pairStage{o1: model.Options(m1), o2: model.Options(m2), regShared: model.Table().RegShared()}
+	ps.solo1, ps.shared1 = ar.Floats(len(ps.o1)), ar.Floats(len(ps.o1))
+	ps.solo2, ps.shared2 = ar.Floats(len(ps.o2)), ar.Floats(len(ps.o2))
+	st.EnergyRowPair(m1, ps.o1, ps.solo1, ps.shared1)
+	st.EnergyRowPair(m2, ps.o2, ps.solo2, ps.shared2)
+	return ps
+}
+
+// pricePairGame materializes the stage as g's bimatrix (|o1|×|o2|), bit for
+// bit the payoffs bestPure reads without it. Only a stage with no pure
+// equilibrium, which goes on to Lemke–Howson, and the tests that pin
+// bestPure need the matrix.
+func pricePairGame(ps *pairStage, g *game.Game) {
+	for i, x := range ps.o1 {
+		a, b := g.A.RowView(i), g.B.RowView(i)
+		aSolo, aShared := -ps.solo1[i], -ps.shared1[i]
+		for j, y := range ps.o2 {
+			if costmodel.Contend(ps.regShared, x, y) {
+				a[j], b[j] = aShared, -ps.shared2[j]
+			} else {
+				a[j], b[j] = aSolo, -ps.solo2[j]
+			}
+		}
+	}
+}
+
+// bestPure returns the stage's welfare-maximal pure equilibrium — the cell
+// BestPureNash picks on pricePairGame's matrix, with the same tie rule
+// (game.PureSelection) — without building the matrix. The scan behind
+// BestPureNash takes each column's maximum of A and each row's maximum of B
+// (the best-response payoffs against that opponent option) and keeps the
+// cells within 1e-12 of both; here bestReplies computes those maxima from
+// per-registry tables in O(|o1|+|o2|+registries), and the row-major sweep
+// reads each cell's payoffs from Contend and the price rows. A row whose two
+// prices are both more than 1e-12 below every column maximum can satisfy no
+// column and is skipped whole, which is what makes the sweep cheap: on
+// generated 16-microservice apps over 24 and 40 devices about 7 % of rows
+// survive. ok is false when the stage has no pure equilibrium. Scratch comes
+// from ar.
+func (ps *pairStage) bestPure(ar *game.Arena) (row, col int, ok bool) {
+	match1, match2 := ar.Ints(len(ps.o1)), ar.Ints(len(ps.o2))
+	matchOptions(ps.o1, ps.o2, match1, match2)
+	colMax, rowMax := ar.Floats(len(ps.o2)), ar.Floats(len(ps.o1))
+	bestReplies(colMax, ps.o1, ps.solo1, ps.shared1, ps.o2, match2, ps.regShared, ar)
+	bestReplies(rowMax, ps.o2, ps.solo2, ps.shared2, ps.o1, match1, ps.regShared, ar)
+
+	minCol := math.Inf(1)
+	for _, v := range colMax {
+		if v < minCol {
+			minCol = v
+		}
+	}
+	var sel game.PureSelection
+	for i, x := range ps.o1 {
+		aSolo, aShared := -ps.solo1[i], -ps.shared1[i]
+		if minCol > aSolo+1e-12 && minCol > aShared+1e-12 {
+			continue // false for a NaN price, which no column maximum beats
+		}
+		bMax := rowMax[i]
+		for j, y := range ps.o2 {
+			a, b := aSolo, -ps.solo2[j]
+			if costmodel.Contend(ps.regShared, x, y) {
+				a, b = aShared, -ps.shared2[j]
+			}
+			if colMax[j] > a+1e-12 || bMax > b+1e-12 {
+				continue
+			}
+			sel.Offer(game.PureProfile{Row: i, Col: j}, a, b)
+		}
+	}
+	return sel.Best.Row, sel.Best.Col, sel.OK
+}
+
+// matchOptions pairs up the options the two rows have in common: match1[i]
+// is the index of o1[i] in o2 and match2[j] that of o2[j] in o1, or -1. Both
+// rows are in canonical order, so one merge walk finds every pair.
+func matchOptions(o1, o2 []costmodel.Option, match1, match2 []int) {
+	for i := range match1 {
+		match1[i] = -1
+	}
+	for j := range match2 {
+		match2[j] = -1
+	}
+	for i, j := 0, 0; i < len(o1) && j < len(o2); {
+		x, y := o1[i], o2[j]
+		switch {
+		case x == y:
+			match1[i], match2[j] = j, i
+			i++
+			j++
+		case x.Device < y.Device || (x.Device == y.Device && x.Registry < y.Registry):
+			i++
+		default:
+			j++
+		}
+	}
+}
+
+// bestReplies writes into dst[k] the best payoff a player with options own,
+// priced solo and shared, can reach against the opponent's option opp[k]:
+// the maximum over own of -shared[x] where x Contends with opp[k] and
+// -solo[x] elsewhere — a column maximum of A when own is the row player's, a
+// row maximum of B when it is the column player's. oppMatch[k] is the index
+// in own of opp[k] itself (matchOptions), or -1. Against an option on an
+// unshared registry nothing contends, so the answer is the best solo payoff
+// anywhere. Against one on a shared registry r the candidates are the best
+// solo payoff outside r (the best registry's, or the runner-up's when r is
+// the best), the best shared payoff inside r on another device (r's top
+// two: options in one registry are on distinct devices), and the solo payoff
+// of the option on the opponent's own (device, r). Maxima start at -Inf and
+// move only on a strict >, so NaN never becomes one — the maxima the
+// matrix scan takes, at any mix of NaN and ±Inf.
+func bestReplies(dst []float64, own []costmodel.Option, solo, shared []float64, opp []costmodel.Option, oppMatch []int, regShared []bool, ar *game.Arena) {
+	nr := len(regShared)
+	soloBest, top, next := ar.Floats(nr), ar.Floats(nr), ar.Floats(nr)
+	topDev := ar.Ints(nr)
+	ninf := math.Inf(-1)
+	for r := range soloBest {
+		soloBest[r], top[r], next[r] = ninf, ninf, ninf
+	}
+	for k, x := range own {
+		r := x.Registry
+		if v := -solo[k]; v > soloBest[r] {
+			soloBest[r] = v
+		}
+		if !regShared[r] {
+			continue
+		}
+		switch v := -shared[k]; {
+		case v > top[r]:
+			next[r], top[r], topDev[r] = top[r], v, int(x.Device)
+		case v > next[r]:
+			next[r] = v
+		}
+	}
+	first, second, firstReg := ninf, ninf, int32(-1)
+	for r, v := range soloBest {
+		switch {
+		case v > first:
+			second, first, firstReg = first, v, int32(r)
+		case v > second:
+			second = v
+		}
+	}
+
+	for k, y := range opp {
+		r := y.Registry
+		if !regShared[r] {
+			dst[k] = first
+			continue
+		}
+		best := first
+		if r == firstReg {
+			best = second
+		}
+		in := top[r]
+		if topDev[r] == int(y.Device) {
+			in = next[r]
+		}
+		if in > best {
+			best = in
+		}
+		if i := oppMatch[k]; i >= 0 {
+			if v := -solo[i]; v > best {
+				best = v
+			}
+		}
+		dst[k] = best
+	}
+}

@@ -124,13 +124,14 @@ func walkPairStages(t *testing.T, name string, model *costmodel.Model, visit fun
 	return pairs
 }
 
-// fillPairGame builds the (m1, m2) stage game on the state's arena exactly
-// as schedulePair does.
+// fillPairGame prices the (m1, m2) stage on the state's arena exactly as
+// schedulePair does and materializes its bimatrix.
 func fillPairGame(model *costmodel.Model, st *costmodel.State, m1, m2 int32) *game.Game {
 	ar := st.Arena()
 	ar.Reset()
-	g := game.NewFromArena(ar, len(model.Options(m1)), len(model.Options(m2)))
-	pricePairGame(model, st, g, m1, m2)
+	ps := newPairStage(model, st, ar, m1, m2)
+	g := game.NewFromArena(ar, len(ps.o1), len(ps.o2))
+	pricePairGame(&ps, g)
 	return g
 }
 
@@ -215,6 +216,126 @@ func TestPairPlacementsAreEquilibria(t *testing.T) {
 	}
 }
 
+// checkKernelAgainstMatrix requires bestPure to return what BestPureNash
+// returns on the stage's materialized bimatrix: the same cell, or no pure
+// equilibrium on both sides. It reports whether there is one.
+func checkKernelAgainstMatrix(t *testing.T, name string, ps *pairStage) bool {
+	t.Helper()
+	ar := game.NewArena()
+	i, j, ok := ps.bestPure(ar)
+	g := game.NewFromArena(ar, len(ps.o1), len(ps.o2))
+	pricePairGame(ps, g)
+	want, wantOK := g.BestPureNash()
+	if ok != wantOK || (ok && (i != want.Row || j != want.Col)) {
+		t.Fatalf("%s: bestPure = (%d, %d, %v), BestPureNash on the matrix = (%d, %d, %v)",
+			name, i, j, ok, want.Row, want.Col, wantOK)
+	}
+	return ok
+}
+
+// TestPairKernelMatchesMatrix pins the matrix-free kernel to the scan it
+// replaced on every pair stage of the pair-game corpus and of 200 generated
+// 16-microservice apps on four cluster sizes (4 to 80 options a side), each
+// stage priced against the upstream placements the uncapped pass commits.
+func TestPairKernelMatchesMatrix(t *testing.T) {
+	cases := pairGameCorpus(t)
+	for _, scale := range []int{1, 4, 12, 20} {
+		cluster := workload.ScaledTestbed(scale)
+		for seed := int64(1); seed <= 200; seed++ {
+			app, err := workload.Generate(workload.DefaultGeneratorConfig(16, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, corpusCase{fmt.Sprintf("synthetic16-%d/scaled%d", seed, 2*scale), app, cluster})
+		}
+	}
+	stages, none := 0, 0
+	for _, c := range cases {
+		model := costmodel.Compile(c.app, c.cluster)
+		stages += walkPairStages(t, c.name, model, func(st *costmodel.State, m1, m2 int32) {
+			ar := st.Arena()
+			ar.Reset()
+			ps := newPairStage(model, st, ar, m1, m2)
+			if !checkKernelAgainstMatrix(t, fmt.Sprintf("%s: stage (%s, %s)", c.name, model.MSName(m1), model.MSName(m2)), &ps) {
+				none++
+			}
+		})
+	}
+	if stages < 800 {
+		t.Fatalf("walked %d pair stages; the pin needs the whole corpus", stages)
+	}
+	t.Logf("%d pair stages, %d without a pure equilibrium", stages, none)
+}
+
+// fuzzPairStage decodes bytes into a pair stage on a grid of at most 6
+// devices × 4 registries: a shape byte each for devices and registries, a
+// byte of shared-uplink flags, three bytes per player choosing its options
+// among the grid's cells (one at least), then one byte per price — solo and
+// shared for each option, row player first — from an alphabet dense in the
+// values the kernel has to classify exactly: ties inside and at the 1e-12
+// tolerance, ±Inf and NaN.
+func fuzzPairStage(data []byte) (pairStage, bool) {
+	if len(data) < 9 {
+		return pairStage{}, false
+	}
+	nd, nr := 1+int(data[0]%6), 1+int(data[1]%4)
+	ps := pairStage{regShared: make([]bool, nr)}
+	for r := range ps.regShared {
+		ps.regShared[r] = data[2]&(1<<r) != 0
+	}
+	options := func(mask []byte) []costmodel.Option {
+		var opts []costmodel.Option
+		for d := 0; d < nd; d++ {
+			for r := 0; r < nr; r++ {
+				if bit := d*nr + r; mask[bit/8]&(1<<(bit%8)) != 0 {
+					opts = append(opts, costmodel.Option{Device: int32(d), Registry: int32(r)})
+				}
+			}
+		}
+		if len(opts) == 0 {
+			opts = append(opts, costmodel.Option{})
+		}
+		return opts
+	}
+	ps.o1, ps.o2 = options(data[3:6]), options(data[6:9])
+	data = data[9:]
+	alphabet := [...]float64{
+		0, 1, 2, 3, 1 + 5e-13, 1 - 5e-13, 1 + 1e-12, 2 + 2e-12, 2 - 1e-12,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	prices := func(n int) []float64 {
+		row := make([]float64, n)
+		for k := range row {
+			if len(data) > 0 {
+				row[k] = alphabet[int(data[0])%len(alphabet)]
+				data = data[1:]
+			}
+		}
+		return row
+	}
+	ps.solo1, ps.shared1 = prices(len(ps.o1)), prices(len(ps.o1))
+	ps.solo2, ps.shared2 = prices(len(ps.o2)), prices(len(ps.o2))
+	return ps, true
+}
+
+// FuzzPairKernelMatchesMatrix: on any small pair stage — random option
+// sets, shared flags and price rows, NaN and ±Inf included — the kernel
+// returns the cell BestPureNash picks on the materialized bimatrix.
+func FuzzPairKernelMatchesMatrix(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 0x03, 0, 0, 0x03, 0, 0, 1, 2, 1, 3, 1, 2, 2, 1})                   // 2 devices, 1 shared registry
+	f.Add([]byte{3, 1, 1, 0xff, 0, 0, 0xff, 0, 0, 4, 5, 6, 4, 0, 0, 1, 1, 5, 6, 5, 6, 4, 5}) // ties inside tolerance
+	f.Add([]byte{5, 3, 0x05, 0xff, 0xff, 0xff, 0xaa, 0x55, 0xaa, 9, 10, 11, 0, 1, 2, 3, 11}) // 6x4, NaN and ±Inf
+	f.Add([]byte{2, 2, 0, 0x07, 0, 0, 0x38, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0, 0, 0})       // nothing shared
+	f.Add([]byte{0, 1, 3, 0x01, 0, 0, 0x02, 0, 0, 1, 2, 3, 0})                               // disjoint registries
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps, ok := fuzzPairStage(data)
+		if !ok {
+			return
+		}
+		checkKernelAgainstMatrix(t, "fuzz", &ps)
+	})
+}
+
 func indexOfOption(opts []costmodel.Option, o costmodel.Option) int {
 	for i, x := range opts {
 		if x == o {
@@ -252,7 +373,7 @@ func TestSolverStatsPartitionStages(t *testing.T) {
 	if solo == 0 || pair == 0 || wide == 0 {
 		t.Fatalf("fixture needs every stage width: %d solo, %d pair, %d wide", solo, pair, wide)
 	}
-	p := NewPass(model, nil)
+	p := NewPass(model)
 	for _, c := range []struct {
 		name string
 		s    *DEEP
@@ -305,7 +426,7 @@ func TestBestResponseReportsNonConvergence(t *testing.T) {
 		t.Errorf("cycling stage: bestResponse = (%d, %v), want (%d, false)", iters, converged, bestResponseBudget)
 	}
 
-	p := NewPass(model, nil)
+	p := NewPass(model)
 	if err := NewDEEP().ScheduleInto(p); err != nil {
 		t.Fatal(err)
 	}

@@ -96,6 +96,63 @@ func TestClusterRoundTripDigest(t *testing.T) {
 	}
 }
 
+// FuzzDecodeClusterSpec: whatever bytes arrive, DecodeClusterSpec and
+// Cluster answer with a cluster or an error, never a panic, and a spec both
+// accept survives the wire — encoded back with ClusterSpecOf, marshalled,
+// decoded and materialized again, it yields a cluster with the same
+// canonical digest.
+func FuzzDecodeClusterSpec(f *testing.F) {
+	for _, c := range []*sim.Cluster{workload.Testbed(), workload.ScaledTestbed(2)} {
+		spec, err := wire.ClusterSpecOf(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"amd64","cores":2,"speed_mips":100,` +
+		`"power":{"kind":"table","static_w":1,"process_w":{"m":2},"transfer_w":{"m":0.5}}}],` +
+		`"registries":[{"name":"r","node":"n","shared":true}],"nodes":["n","s"],` +
+		`"links":[{"from":"n","to":"d","bw_bytes_per_s":1e6,"rtt_seconds":0.1,"shared":true},{"from":"s","to":"d","bw_bytes_per_s":5e5}],` +
+		`"source_node":"s","layers":{"m":[{"digest":"sha256:a","size_bytes":10}],"e":[]}}`))
+	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"arm64","power":{}},{"name":"d","arch":"amd64","power":{"kind":"linear"}}],"links":[{"from":"d","to":"d","bw_bytes_per_s":1}]}`))
+	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"riscv","power":{}}]}`))
+	f.Add([]byte(`{"version":1,"devices":[],"registries":[{"name":"r"}]}`))
+	f.Add([]byte(`{"version":99}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := wire.DecodeClusterSpec(data)
+		if err != nil {
+			return
+		}
+		c, err := spec.Cluster()
+		if err != nil {
+			return
+		}
+		back, err := wire.ClusterSpecOf(c)
+		if err != nil {
+			t.Fatalf("accepted cluster does not encode: %v", err)
+		}
+		raw, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("accepted cluster does not marshal: %v", err)
+		}
+		again, err := wire.DecodeClusterSpec(raw)
+		if err != nil {
+			t.Fatalf("re-encoded cluster spec rejected: %v\n%s", err, raw)
+		}
+		c2, err := again.Cluster()
+		if err != nil {
+			t.Fatalf("re-encoded cluster does not materialize: %v\n%s", err, raw)
+		}
+		if !bytes.Equal(fleet.DigestCluster(c), fleet.DigestCluster(c2)) {
+			t.Fatalf("wire round trip changed the canonical cluster digest\nin:  %s\nout: %s", data, raw)
+		}
+	})
+}
+
 // TestVersionGate pins the versioning rule: 0 (missing) and future versions
 // are rejected, current is accepted.
 func TestVersionGate(t *testing.T) {
