@@ -21,7 +21,6 @@ import (
 	"deep/internal/appgraph"
 	"deep/internal/bench"
 	"deep/internal/costmodel"
-	"deep/internal/game"
 	"deep/internal/obs"
 	"deep/internal/registry"
 	"deep/internal/sched"
@@ -374,45 +373,6 @@ func BenchmarkCompileAppTable(b *testing.B) {
 		app := workload.VideoProcessing()
 		if at := appgraph.Compile(app); at.NumMicroservices() == 0 {
 			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkLemkeHowson4x4 times the Lemke-Howson pivot on the pair games
-// DEEP solves per stage.
-func BenchmarkLemkeHowson4x4(b *testing.B) {
-	a := game.NewMatrix(4, 4)
-	bb := game.NewMatrix(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			a.Set(i, j, float64((i*7+j*3)%11))
-			bb.Set(i, j, float64((i*5+j*11)%13))
-		}
-	}
-	g := game.New(a, bb)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.LemkeHowsonAny(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSupportEnumeration4x4 times exhaustive equilibrium enumeration.
-func BenchmarkSupportEnumeration4x4(b *testing.B) {
-	a := game.NewMatrix(4, 4)
-	bb := game.NewMatrix(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			a.Set(i, j, float64((i*7+j*3)%11))
-			bb.Set(i, j, float64((i*5+j*11)%13))
-		}
-	}
-	g := game.New(a, bb)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if eqs := g.SupportEnumeration(); len(eqs) == 0 {
-			b.Fatal("no equilibria")
 		}
 	}
 }

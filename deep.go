@@ -210,10 +210,10 @@ func NewSystem(cluster *Cluster) *System { return core.NewSystem(cluster) }
 
 // NewDEEPScheduler returns the paper's Nash-game scheduler with the default
 // pair-game cap (sched.DefaultMaxPairCells), the line between exactness and
-// speed: a two-microservice stage whose bimatrix game fits under it is
-// solved for its welfare-maximal equilibrium, a larger one goes to
-// best-response dynamics — several times cheaper per pass, but an
-// equilibrium only when the dynamics settle.
+// speed: a two-microservice stage whose game (|o1|·|o2| cells) fits under it
+// is solved for its welfare-maximal equilibrium, a larger one goes to
+// best-response dynamics — somewhat cheaper per pass, but an equilibrium
+// only when the dynamics settle.
 func NewDEEPScheduler() Scheduler { return sched.NewDEEP() }
 
 // NewExclusiveScheduler pins every deployment to one registry ("hub" or

@@ -28,8 +28,8 @@
 // pass over caller-supplied tables so N applications on one cluster (or one
 // application on N clusters) share the substrates, and Compile builds
 // private tables on the fly. There is one compile body, Scratch's: it sizes
-// the option tables with a counting pass and carves them from one backing
-// slice per element type, and the fresh entry points run it on a zero
+// the option table with a counting pass and carves every microservice's row
+// from one backing slice, and the fresh entry points run it on a zero
 // Scratch.
 package costmodel
 
@@ -97,16 +97,6 @@ type Model struct {
 	// Options never re-sorts.
 	opts [][]Option
 
-	// soloCells[ms][k] is the flattened (device axis × registry axis) cell
-	// of opts[ms][k] in the solo cooperation game's matrix — precomputed so
-	// a whole EnergyRow scatters into the payoff matrix with no searches.
-	soloCells [][]int32
-
-	// Per-microservice solo-game axes: the distinct feasible devices and the
-	// distinct reachable registries among opts, ascending (= name order).
-	soloDevs [][]int32
-	soloRegs [][]int32
-
 	// Barrier stages and topological order, memoized at compile time
 	// (they require DAG validation, whose error is stored alongside).
 	stages    [][]int32
@@ -138,13 +128,13 @@ func CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.Clust
 }
 
 // Scratch is recycled storage for one compiled shape — a Model and the Plan
-// it is layered over: the two values and a backing slice per element type,
-// sized once per compile by a counting pass and carved into the option
-// tables. CompileShapeOn overwrites the previous shape in place, so a
-// Scratch has a single owner (a fleet worker keeps one for shapes it sees
-// for the first time) and its shape is valid only until the next compile; a
-// shape that is to be shared comes from the package-level CompileShapeOn,
-// which is this same compile on a Scratch of its own.
+// it is layered over: the two values and the backing slices of the option
+// table, sized once per compile by a counting pass and carved into rows.
+// CompileShapeOn overwrites the previous shape in place, so a Scratch has a
+// single owner (a fleet worker keeps one for shapes it sees for the first
+// time) and its shape is valid only until the next compile; a shape that is
+// to be shared comes from the package-level CompileShapeOn, which is this
+// same compile on a Scratch of its own.
 type Scratch struct {
 	// Plan is the simulator half, usable alone by a caller whose scheduler
 	// reads no model.
@@ -153,8 +143,6 @@ type Scratch struct {
 	m       Model
 	opts    slab.Slab[Option]
 	optRows slab.Slab[[]Option]
-	ids     slab.Slab[int32] // two per-registry compile-time rows; then solo device axes, registry axes, cells
-	idRows  slab.Slab[[]int32]
 }
 
 // CompileShapeOn builds the shape in the scratch, replacing the one it held.
@@ -190,7 +178,7 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 
 	// A device contributes one option per registry that routes to it, to
 	// every microservice it can run: count before carving.
-	numOpts, numDevs := 0, 0
+	numOpts := 0
 	for d := 0; d < nd; d++ {
 		regs := 0
 		for r := 0; r < nr; r++ {
@@ -198,70 +186,30 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 				regs++
 			}
 		}
-		if regs == 0 {
-			continue
-		}
 		for mi := 0; mi < nm; mi++ {
 			if feasible[mi*nd+d] {
 				numOpts += regs
-				numDevs++
 			}
 		}
 	}
 	s.opts.Reset(numOpts)
 	s.optRows.Reset(nm)
-	s.ids.Reset(2*nr + numDevs + nm*nr + numOpts)
-	s.idRows.Reset(3 * nm)
 	m.opts = s.optRows.Cut(nm)
-	m.soloDevs, m.soloRegs, m.soloCells = s.idRows.Cut(nm), s.idRows.Cut(nm), s.idRows.Cut(nm)
-	// seenBy[r] == mi+1 marks registry r reachable from a device feasible
-	// for microservice mi; axisPos[r] is then r's column in mi's solo game.
-	seenBy, axisPos := s.ids.Cut(nr), s.ids.Cut(nr)
-	clear(seenBy)
-
 	for mi := 0; mi < nm; mi++ {
 		// Options iterate devices, then registries, both ascending: the
-		// canonical order, and the order of the solo axes.
-		row, devs := s.opts.Rest()[:0], s.ids.Rest()[:0]
+		// canonical order.
+		row := s.opts.Rest()[:0]
 		for d := 0; d < nd; d++ {
 			if !feasible[mi*nd+d] {
 				continue
 			}
-			first := true
 			for r := 0; r < nr; r++ {
-				if !m.regLink[r*nd+d].OK {
-					continue
+				if m.regLink[r*nd+d].OK {
+					row = append(row, Option{Device: int32(d), Registry: int32(r)})
 				}
-				row = append(row, Option{Device: int32(d), Registry: int32(r)})
-				if first {
-					devs = append(devs, int32(d))
-					first = false
-				}
-				seenBy[r] = int32(mi) + 1
 			}
 		}
 		m.opts[mi] = s.opts.Cut(len(row))
-		m.soloDevs[mi] = s.ids.Cut(len(devs))
-		regs := s.ids.Rest()[:0]
-		for r := 0; r < nr; r++ {
-			if seenBy[r] == int32(mi)+1 {
-				axisPos[r] = int32(len(regs))
-				regs = append(regs, int32(r))
-			}
-		}
-		m.soloRegs[mi] = s.ids.Cut(len(regs))
-
-		// The device axis index advances whenever the device changes.
-		cells := s.ids.Cut(len(row))
-		di, lastDev := int32(-1), int32(-1)
-		for k, o := range row {
-			if o.Device != lastDev {
-				di++
-				lastDev = o.Device
-			}
-			cells[k] = di*int32(len(regs)) + axisPos[o.Registry]
-		}
-		m.soloCells[mi] = cells
 	}
 
 	// Structure was captured when the app table compiled; map it the way
@@ -318,18 +266,6 @@ func (m *Model) Intern(a sim.Assignment) (Option, bool) {
 	return Option{Device: d, Registry: r}, okD && okR
 }
 
-// SoloAxes returns the distinct feasible devices and distinct reachable
-// registries among the microservice's options, ascending by name — the row
-// and column strategies of the solo cooperation game. Shared slices.
-func (m *Model) SoloAxes(ms int32) (devices, registries []int32) {
-	return m.soloDevs[ms], m.soloRegs[ms]
-}
-
-// SoloCells maps each of the microservice's options to its flattened
-// (device axis)×(registry axis) cell in the solo game matrix — parallel to
-// Options, precomputed at compile time. Shared slice.
-func (m *Model) SoloCells(ms int32) []int32 { return m.soloCells[ms] }
-
 // LinkOK reports whether the registry's node routes to the device.
 func (m *Model) LinkOK(reg, dev int32) bool {
 	return m.regLink[int(reg)*len(m.devNames)+int(dev)].OK
@@ -363,18 +299,18 @@ func (m *Model) MaxStageWidth() int {
 	return w
 }
 
-// GameArena is the bump-allocated scratch the game layer draws payoff
-// matrices, price rows, feasibility masks, and support/mixed-strategy
-// buffers from. It is owned by a State (one per scheduling pass) and reset
-// per stage; see game.Arena for the grant/Reset contract.
+// GameArena is the bump-allocated scratch the stage solvers draw price rows,
+// per-device and per-registry tables, and index buffers from — no stage
+// builds a payoff matrix. It is owned by a State (one per scheduling pass)
+// and reset per stage; see game.Arena for the grant/Reset contract.
 type GameArena = game.Arena
 
 // State is the arena-style scratch for one scheduling pass: the devices of
 // microservices committed in earlier stages, an epoch-marked device set for
 // counting shared-registry contention, and a lazily created GameArena for
-// the game layer's matrices and buffers. Energy, CompletionTime, EnergyRow,
-// and EnergyRowPair do not allocate. Not safe for concurrent use; allocate one per
-// pass (or Reset).
+// the stage solvers' price rows and tables. Energy, CompletionTime,
+// EnergyRow, and EnergyRowPair do not allocate. Not safe for concurrent use;
+// allocate one per pass (or Reset).
 type State struct {
 	m      *Model
 	placed []int32 // device id per microservice, -1 = unplaced

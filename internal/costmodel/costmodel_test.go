@@ -402,47 +402,6 @@ func TestEnergyRowPairMatchesEnergy(t *testing.T) {
 	}
 }
 
-// TestSoloCellsConsistent: the precomputed scatter cells agree with the solo
-// axes — cell k is (index of device in axis)×len(regs) + (index of registry).
-func TestSoloCellsConsistent(t *testing.T) {
-	app, cluster := contentionFixture(t)
-	m := Compile(app, cluster)
-	for _, name := range []string{"a", "b", "c"} {
-		ms := ids(t, m, name)[0]
-		devices, registries := m.SoloAxes(ms)
-		cells := m.SoloCells(ms)
-		opts := m.Options(ms)
-		if len(cells) != len(opts) {
-			t.Fatalf("%s: %d cells for %d options", name, len(cells), len(opts))
-		}
-		seen := map[int32]bool{}
-		for k, o := range opts {
-			i := indexOf32(devices, o.Device)
-			j := indexOf32(registries, o.Registry)
-			if i < 0 || j < 0 {
-				t.Fatalf("%s: option %v outside solo axes", name, o)
-			}
-			want := int32(i*len(registries) + j)
-			if cells[k] != want {
-				t.Errorf("%s: cell[%d] = %d, want %d", name, k, cells[k], want)
-			}
-			if seen[cells[k]] {
-				t.Errorf("%s: duplicate cell %d", name, cells[k])
-			}
-			seen[cells[k]] = true
-		}
-	}
-}
-
-func indexOf32(s []int32, v int32) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
 func approxEqual(a, b float64) bool {
 	d := a - b
 	if d < 0 {

@@ -78,6 +78,9 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 		}
 	}
 
+	if raceEnabled {
+		return // the race detector allocates on its own
+	}
 	// last is still valid: no first sight has overwritten the scratch since.
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, shape := range []compiledShape{videoShape, last, textShape} {

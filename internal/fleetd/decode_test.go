@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"deep/internal/fleet"
 	"deep/internal/obs"
+	"deep/internal/sim"
 	"deep/internal/workload"
 )
 
@@ -289,6 +291,71 @@ func FuzzDeployHandlers(f *testing.F) {
 			default:
 				t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
 			}
+		}
+	})
+}
+
+// FuzzChurnHandler sends arbitrary bytes to the admin /v1/churn of a real
+// fleet, as a POST or (when get is set) a GET: the answer is always a 200
+// carrying the new epoch, or a structured 400, 405 or 413 — never a 500,
+// never a panic. Accepted deltas accumulate on the fleet, so later inputs
+// meet a cluster already churned.
+func FuzzChurnHandler(f *testing.F) {
+	for _, body := range []string{
+		`{"fail_devices":["medium-00"]}`,
+		`{"recover_devices":["medium-00"],"fail_registries":["regional"]}`,
+		`{"links":[{"a":"regional","b":"small-01","factor":0.25},{"a":"medium-00","b":"small-00","factor":1e-320}]}`,
+		`{"links":[{"a":"hub","b":"medium-01","factor":-3}],"recover_registries":["regional"]}`,
+		`{"fail_devices":["no-such"]}`,
+		`{"links":[{"a":"hub","b":"regional","factor":0.5}]}`,
+		`{"fail_devices":"medium-00"}`,
+		`{} trailing`,
+	} {
+		f.Add(false, []byte(body))
+	}
+	f.Add(true, []byte(`{}`))
+	fl := fleet.New(fleet.Config{Workers: 1, NewCluster: func() *sim.Cluster { return workload.ScaledTestbed(2) }})
+	f.Cleanup(fl.Close)
+	s, err := New(Config{Backend: fl, Registry: fl.Metrics().Obs(), MaxBodyBytes: 4 << 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.AdminHandler()
+	f.Fuzz(func(t *testing.T, get bool, body []byte) {
+		method := http.MethodPost
+		if get {
+			method = http.MethodGet
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/v1/churn", bytes.NewReader(body)))
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%d with Content-Type %q: %q", rec.Code, ct, rec.Body)
+		}
+		var out struct {
+			Error *struct {
+				Code, Message string
+			}
+			Epoch *int64
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%d with a body that is not JSON: %q", rec.Code, rec.Body)
+		}
+		wantCode := map[int]string{
+			http.StatusBadRequest:            codeInvalidRequest,
+			http.StatusMethodNotAllowed:      codeMethod,
+			http.StatusRequestEntityTooLarge: codeBodyTooLarge,
+		}
+		switch code, isError := wantCode[rec.Code]; {
+		case rec.Code == http.StatusOK:
+			if out.Error != nil || out.Epoch == nil || *out.Epoch < 1 {
+				t.Fatalf("malformed 200: %s", rec.Body)
+			}
+		case isError:
+			if out.Error == nil || out.Error.Code != code || out.Error.Message == "" {
+				t.Fatalf("malformed %d: %s", rec.Code, rec.Body)
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
 }

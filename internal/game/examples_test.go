@@ -12,17 +12,15 @@ func PrisonersDilemma(t, r, p, s float64) *Game {
 	}
 	a := MatrixFrom([][]float64{{r, s}, {t, p}})
 	b := MatrixFrom([][]float64{{r, t}, {s, p}})
-	g := New(a, b)
-	g.RowLabels = []string{"cooperate", "defect"}
-	g.ColLabels = []string{"cooperate", "defect"}
-	return g
+	return New(a, b)
 }
 
-// MatchingPennies returns the zero-sum matching pennies game, whose unique
-// equilibrium is uniform mixing by both players.
+// MatchingPennies returns the zero-sum matching pennies game, which has no
+// pure equilibrium.
 func MatchingPennies() *Game {
 	a := MatrixFrom([][]float64{{1, -1}, {-1, 1}})
-	return NewZeroSum(a)
+	b := MatrixFrom([][]float64{{-1, 1}, {1, -1}})
+	return New(a, b)
 }
 
 // BattleOfTheSexes returns the classic coordination game with two pure
@@ -49,5 +47,12 @@ func Coordination(payoff []float64) *Game {
 // FromCosts builds a game from cost matrices (lower is better) by negating
 // them into utilities, which is how DEEP turns energy costs into payoffs.
 func FromCosts(costA, costB *Matrix) *Game {
-	return New(costA.Clone().Scale(-1), costB.Clone().Scale(-1))
+	neg := func(m *Matrix) *Matrix {
+		out := NewMatrix(m.Rows, m.Cols)
+		for k, v := range m.Data {
+			out.Data[k] = -v
+		}
+		return out
+	}
+	return New(neg(costA), neg(costB))
 }

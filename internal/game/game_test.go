@@ -21,18 +21,22 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 9 {
 		t.Errorf("Set failed")
 	}
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 {
-		t.Errorf("transpose wrong: %v", tr)
+}
+
+// TestRowViewAndColInto: RowView aliases the backing row; a column is read
+// out by multiplying with a pure column vector.
+func TestRowViewAndColInto(t *testing.T) {
+	m := MatrixFrom([][]float64{{1, 2, 3}, {4, 5, 6}})
+	rv := m.RowView(1)
+	if rv[0] != 4 || rv[2] != 6 {
+		t.Fatalf("RowView = %v", rv)
 	}
-	if got := m.Row(1); got[0] != 4 || got[2] != 6 {
-		t.Errorf("Row(1) = %v", got)
+	rv[1] = 50
+	if m.At(1, 1) != 50 {
+		t.Fatal("RowView is not a view")
 	}
-	if got := m.Col(2); got[0] != 3 || got[1] != 6 {
-		t.Errorf("Col(2) = %v", got)
-	}
-	if m.Min() != 2 || m.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", m.Min(), m.Max())
+	if got := m.MulVec(Pure(3, 2)); got[0] != 3 || got[1] != 6 {
+		t.Fatalf("column 2 = %v", got)
 	}
 }
 
@@ -60,53 +64,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestSolveLinear(t *testing.T) {
-	a := MatrixFrom([][]float64{{2, 1}, {1, 3}})
-	x, ok := SolveLinear(a, []float64{5, 10})
-	if !ok {
-		t.Fatal("singular")
-	}
-	if !approx(x[0], 1, 1e-9) || !approx(x[1], 3, 1e-9) {
-		t.Errorf("x = %v", x)
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	a := MatrixFrom([][]float64{{1, 2}, {2, 4}})
-	if _, ok := SolveLinear(a, []float64{1, 2}); ok {
-		t.Error("expected singular detection")
-	}
-}
-
-func TestSolveLinearProperty(t *testing.T) {
-	// Random well-conditioned systems: A·x recovered from b = A·x0.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(6)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, rng.NormFloat64())
-			}
-			a.Set(i, i, a.At(i, i)+float64(n)) // diagonally dominant
-		}
-		x0 := make([]float64, n)
-		for i := range x0 {
-			x0[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(x0)
-		x, ok := SolveLinear(a, b)
-		if !ok {
-			t.Fatalf("trial %d: unexpected singular", trial)
-		}
-		for i := range x {
-			if !approx(x[i], x0[i], 1e-6) {
-				t.Fatalf("trial %d: x=%v want %v", trial, x, x0)
-			}
-		}
-	}
-}
-
 func TestPrisonersDilemmaPureNash(t *testing.T) {
 	g := PrisonersDilemma(5, 3, 1, 0)
 	eqs := g.PureNash()
@@ -129,41 +86,21 @@ func TestPrisonersDilemmaValidation(t *testing.T) {
 	PrisonersDilemma(1, 2, 3, 4)
 }
 
-func TestMatchingPenniesSupportEnum(t *testing.T) {
-	g := MatchingPennies()
-	if eqs := g.PureNash(); len(eqs) != 0 {
-		t.Errorf("matching pennies has no pure NE, got %d", len(eqs))
-	}
-	eqs := g.SupportEnumeration()
-	if len(eqs) != 1 {
-		t.Fatalf("want 1 mixed NE, got %d", len(eqs))
-	}
-	for _, p := range eqs[0].Row {
-		if !approx(p, 0.5, 1e-9) {
-			t.Errorf("row strategy %v not uniform", eqs[0].Row)
-		}
-	}
-	for _, p := range eqs[0].Col {
-		if !approx(p, 0.5, 1e-9) {
-			t.Errorf("col strategy %v not uniform", eqs[0].Col)
-		}
-	}
-}
-
+// TestBattleOfTheSexes: two pure equilibria of equal welfare; the tie goes
+// to the row player's payoff.
 func TestBattleOfTheSexes(t *testing.T) {
 	g := BattleOfTheSexes()
 	pure := g.PureNash()
 	if len(pure) != 2 {
 		t.Fatalf("want 2 pure NE, got %d", len(pure))
 	}
-	all := g.SupportEnumeration()
-	if len(all) != 3 {
-		t.Fatalf("want 3 NE total (2 pure + 1 mixed), got %d", len(all))
-	}
-	for _, e := range all {
-		if !g.IsNash(e.Row, e.Col, 1e-6) {
-			t.Errorf("support enumeration returned non-equilibrium %v", e)
+	for _, e := range pure {
+		if r := g.Regret(e.Row, e.Col); r != 0 {
+			t.Errorf("pure equilibrium %v has regret %v", e, r)
 		}
+	}
+	if best, ok := g.BestPureNash(); !ok || best != (PureProfile{0, 0}) {
+		t.Errorf("BestPureNash = %v, %v; want (0, 0), the row player's favourite", best, ok)
 	}
 }
 
@@ -182,6 +119,26 @@ func TestCoordination(t *testing.T) {
 	}
 }
 
+// TestMatchingPenniesSupportEnum: matching pennies has no pure equilibrium;
+// its only equilibrium is the uniform mix on both supports, which has zero
+// regret while a skewed mix does not.
+func TestMatchingPenniesSupportEnum(t *testing.T) {
+	g := MatchingPennies()
+	if eqs := g.PureNash(); len(eqs) != 0 {
+		t.Errorf("matching pennies has no pure NE, got %d", len(eqs))
+	}
+	if _, ok := g.BestPureNash(); ok {
+		t.Error("BestPureNash found a pure NE in matching pennies")
+	}
+	uniform := []float64{0.5, 0.5}
+	if reg := g.Regret(uniform, uniform); !approx(reg, 0, 1e-12) {
+		t.Errorf("uniform mix should be an equilibrium, regret = %v", reg)
+	}
+	if reg := g.Regret([]float64{0.6, 0.4}, uniform); reg <= 0 {
+		t.Errorf("skewed row mix should have positive regret, got %v", reg)
+	}
+}
+
 func TestSelectEquilibriumEmpty(t *testing.T) {
 	g := MatchingPennies()
 	if _, ok := g.SelectEquilibrium(nil); ok {
@@ -189,80 +146,9 @@ func TestSelectEquilibriumEmpty(t *testing.T) {
 	}
 }
 
-func TestLemkeHowsonPD(t *testing.T) {
-	g := PrisonersDilemma(5, 3, 1, 0)
-	for label := 0; label < 4; label++ {
-		p, err := g.LemkeHowson(label)
-		if err != nil {
-			t.Fatalf("label %d: %v", label, err)
-		}
-		if !g.IsNash(p.Row, p.Col, 1e-6) {
-			t.Errorf("label %d: not a NE: %+v", label, p)
-		}
-	}
-}
-
-func TestLemkeHowsonMatchingPennies(t *testing.T) {
-	g := MatchingPennies()
-	p, err := g.LemkeHowsonAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsNash(p.Row, p.Col, 1e-6) {
-		t.Errorf("not an equilibrium: %+v", p)
-	}
-}
-
-func TestLemkeHowsonRandomGames(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		rows := 2 + rng.Intn(3)
-		cols := 2 + rng.Intn(3)
-		a := NewMatrix(rows, cols)
-		b := NewMatrix(rows, cols)
-		for i := range a.Data {
-			a.Data[i] = rng.Float64()
-			b.Data[i] = rng.Float64()
-		}
-		g := New(a, b)
-		p, err := g.LemkeHowsonAny()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !g.IsNash(p.Row, p.Col, 1e-5) {
-			t.Errorf("trial %d: regret %v too high", trial, g.Regret(p.Row, p.Col))
-		}
-	}
-}
-
-func TestSupportEnumerationRandomAgreesWithIsNash(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 60; trial++ {
-		rows := 2 + rng.Intn(2)
-		cols := 2 + rng.Intn(2)
-		a := NewMatrix(rows, cols)
-		b := NewMatrix(rows, cols)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-			b.Data[i] = rng.NormFloat64()
-		}
-		g := New(a, b)
-		eqs := g.SupportEnumeration()
-		if len(eqs) == 0 {
-			t.Fatalf("trial %d: no equilibrium found (every finite game has one)", trial)
-		}
-		for _, e := range eqs {
-			if !g.IsNash(e.Row, e.Col, 1e-6) {
-				t.Errorf("trial %d: false equilibrium, regret %v", trial, g.Regret(e.Row, e.Col))
-			}
-		}
-	}
-}
-
 func TestRegretZeroAtEquilibrium(t *testing.T) {
 	g := BattleOfTheSexes()
-	eqs := g.SupportEnumeration()
-	for _, e := range eqs {
+	for _, e := range g.PureNash() {
 		if reg := g.Regret(e.Row, e.Col); reg > 1e-6 {
 			t.Errorf("regret at equilibrium = %v", reg)
 		}
@@ -286,6 +172,26 @@ func TestFromCosts(t *testing.T) {
 	}
 }
 
+// TestUniformAndPure: Pure(n, i) is the i-th unit vector, so the pure
+// strategies of an n-action player average to the uniform mix.
+func TestUniformAndPure(t *testing.T) {
+	if p := Pure(3, 1); p[0] != 0 || p[1] != 1 || p[2] != 0 {
+		t.Errorf("Pure(3,1) = %v", p)
+	}
+	const n = 4
+	mean := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for k, p := range Pure(n, i) {
+			mean[k] += p / n
+		}
+	}
+	for _, p := range mean {
+		if !approx(p, 1.0/n, 1e-12) {
+			t.Errorf("mean of pure strategies %v is not uniform", mean)
+		}
+	}
+}
+
 func TestPayoffsQuick(t *testing.T) {
 	// Property: payoffs at pure profiles equal matrix entries.
 	f := func(seed int64) bool {
@@ -306,32 +212,5 @@ func TestPayoffsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUniformAndPure(t *testing.T) {
-	u := Uniform(4)
-	s := 0.0
-	for _, p := range u {
-		s += p
-	}
-	if !approx(s, 1, 1e-12) {
-		t.Errorf("uniform does not sum to 1: %v", u)
-	}
-	p := Pure(3, 1)
-	if p[0] != 0 || p[1] != 1 || p[2] != 0 {
-		t.Errorf("Pure(3,1) = %v", p)
-	}
-}
-
-func TestZeroSum(t *testing.T) {
-	a := MatrixFrom([][]float64{{2, -1}, {0, 3}})
-	g := NewZeroSum(a)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if g.A.At(i, j)+g.B.At(i, j) != 0 {
-				t.Errorf("not zero-sum at (%d,%d)", i, j)
-			}
-		}
 	}
 }

@@ -43,44 +43,32 @@ func oraclePureNash(g *Game) []PureProfile {
 // oracleBestPureNash is the old BestPureNash: the per-cell scan followed by
 // the welfare / row-payoff / first-in-order selection.
 func oracleBestPureNash(g *Game) (PureProfile, bool) {
-	return g.SelectPure(oraclePureNash(g))
+	var sel PureSelection
+	for _, e := range oraclePureNash(g) {
+		sel.Offer(e, g.A.At(e.Row, e.Col), g.B.At(e.Row, e.Col))
+	}
+	return sel.Best, sel.OK
 }
 
-// checkAgainstOracle pins the three public scans to the per-cell oracle on
-// one game, heap-built and arena-built.
+// checkAgainstOracle pins the two public scans to the per-cell oracle on one
+// game.
 func checkAgainstOracle(t *testing.T, name string, a, b [][]float64) {
 	t.Helper()
-	heap := New(MatrixFrom(a), MatrixFrom(b))
-	ar := NewArena()
-	arena := NewFromArena(ar, heap.A.Rows, heap.A.Cols)
-	copy(arena.A.Data, heap.A.Data)
-	copy(arena.B.Data, heap.B.Data)
-
-	want := oraclePureNash(heap)
-	wantBest, wantOK := oracleBestPureNash(heap)
-	for _, g := range []*Game{heap, arena} {
-		got := g.PureNashInto(nil)
-		if len(got) != len(want) {
-			t.Fatalf("%s: PureNashInto found %v, oracle %v", name, got, want)
+	g := New(MatrixFrom(a), MatrixFrom(b))
+	want := oraclePureNash(g)
+	wantBest, wantOK := oracleBestPureNash(g)
+	profiles := g.PureNash()
+	if len(profiles) != len(want) {
+		t.Fatalf("%s: PureNash found %d equilibria, oracle %d", name, len(profiles), len(want))
+	}
+	for k, p := range profiles {
+		if p.Row[want[k].Row] != 1 || p.Col[want[k].Col] != 1 {
+			t.Fatalf("%s: PureNash profile %d is not the one-hot form of %v (row-major order)", name, k, want[k])
 		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("%s: equilibrium %d is %v, oracle %v (row-major order)", name, k, got[k], want[k])
-			}
-		}
-		profiles := g.PureNash()
-		if len(profiles) != len(want) {
-			t.Fatalf("%s: PureNash found %d equilibria, oracle %d", name, len(profiles), len(want))
-		}
-		for k, p := range profiles {
-			if p.Row[want[k].Row] != 1 || p.Col[want[k].Col] != 1 {
-				t.Fatalf("%s: PureNash profile %d is not the one-hot form of %v", name, k, want[k])
-			}
-		}
-		best, ok := g.BestPureNash()
-		if ok != wantOK || best != wantBest {
-			t.Fatalf("%s: BestPureNash=(%v, %v), oracle (%v, %v)", name, best, ok, wantBest, wantOK)
-		}
+	}
+	best, ok := g.BestPureNash()
+	if ok != wantOK || best != wantBest {
+		t.Fatalf("%s: BestPureNash=(%v, %v), oracle (%v, %v)", name, best, ok, wantBest, wantOK)
 	}
 }
 
@@ -162,29 +150,6 @@ func TestPureNashKernelMatchesOracleRandom(t *testing.T) {
 			return m
 		}
 		checkAgainstOracle(t, "random", fill(), fill())
-	}
-}
-
-// TestPureNashScanAllocationFree: on an arena-backed game every scan draws
-// its column scratch from the arena.
-func TestPureNashScanAllocationFree(t *testing.T) {
-	ar := NewArena()
-	scratch := make([]PureProfile, 0, 64)
-	run := func() {
-		ar.Reset()
-		g := NewFromArena(ar, 6, 7)
-		for k := range g.A.Data {
-			g.A.Data[k] = float64(k % 5)
-			g.B.Data[k] = float64(k % 3)
-		}
-		if _, ok := g.BestPureNash(); !ok {
-			t.Fatal("no pure equilibrium in the fixture")
-		}
-		scratch = g.PureNashInto(scratch)
-	}
-	run() // grow the arena
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Errorf("arena-backed scans allocate %.1f objects per run", allocs)
 	}
 }
 

@@ -164,16 +164,27 @@ func (*RoundRobin) ScheduleModel(model *costmodel.Model) (sim.Placement, error) 
 		if len(opts) == 0 {
 			return nil, infeasibleError{ms: model.MSName(ms)}
 		}
-		// Rotate over the microservice's distinct feasible devices.
-		devices, _ := model.SoloAxes(ms)
-		dev := devices[next%len(devices)]
+		// Rotate over the microservice's distinct feasible devices: the
+		// device runs of its canonically ordered option row. Each device
+		// deploys from the first registry that reaches it.
+		devices := 0
+		for k, o := range opts {
+			if k == 0 || o.Device != opts[k-1].Device {
+				devices++
+			}
+		}
+		run := next % devices
 		next++
-		for _, o := range opts {
-			if o.Device == dev {
+		for k, o := range opts {
+			if k > 0 && o.Device == opts[k-1].Device {
+				continue
+			}
+			if run == 0 {
 				placement[model.MSName(ms)] = model.Assignment(o)
 				st.Commit(ms, o)
 				break
 			}
+			run--
 		}
 	}
 	return placement, nil

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+
 	"deep/internal/costmodel"
 	"deep/internal/dag"
 	"deep/internal/game"
@@ -21,9 +24,10 @@ import (
 //     welfare-maximal Nash equilibrium is selected.
 //
 //   - A pair of microservices (the HA/LA train and infer/score stages)
-//     plays a bimatrix game whose strategies are full (device, registry)
+//     plays a two-player game whose strategies are full (device, registry)
 //     assignments; the payoff coupling captures shared-registry contention.
-//     The welfare-maximal pure equilibrium is chosen. Pair stages larger
+//     The welfare-maximal pure equilibrium is chosen; one always exists
+//     (pairStage.bestPure carries the proof). Pair stages larger
 //     than MaxPairCells cells go to best-response dynamics over the same
 //     payoffs instead, reaching *an* equilibrium, not the welfare-maximal
 //     one, and only when they converge.
@@ -32,21 +36,23 @@ import (
 //     sweeps on every shipped workload but carry no guarantee (SolverStats
 //     counts the stages that did not).
 //
-// The game layer is batch-priced and allocation-free in steady state. A
-// pair stage costs O(|o1|+|o2|) option pricings, not O(|o1|·|o2|): the only
-// coupling between two co-staged options is whether they divide one shared
-// registry's uplink (costmodel.Contend), so every strategy has exactly two
-// prices — contended or not — which one costmodel.State.EnergyRowPair call
-// per player computes. Those four price rows are the whole game, and the
-// pure path builds no bimatrix: pairStage.bestPure takes every best response
-// from per-registry tables and sweeps the cells reading payoffs straight
-// from the rows (the matrix is materialized only for Lemke–Howson, on a
-// stage with no pure equilibrium). That holds for two players only: in a
+// No stage builds a payoff matrix; each is solved from its price rows,
+// batch-priced and allocation-free in steady state. A solo stage is one
+// costmodel.State.EnergyRow call: its game is common-interest, so the
+// equilibria are the options minimal on both their device and their
+// registry, read straight from the row (soloEquilibrium). A pair stage costs
+// O(|o1|+|o2|) option pricings, not O(|o1|·|o2|): the only coupling between
+// two co-staged options is whether they divide one shared registry's uplink
+// (costmodel.Contend), so every strategy has exactly two prices — contended
+// or not — which one costmodel.State.EnergyRowPair call per player computes.
+// Those four price rows are the whole game: pairStage.bestPure takes every
+// best response from per-registry tables and sweeps the cells reading
+// payoffs straight from the rows. That holds for two players only: in a
 // stage of three or more the uplink can be divided three or more ways, the
-// price depends on the whole profile, and those stages (and the solo game)
-// price rows against the current profile with costmodel.State.EnergyRow.
-// Every price row, matrix, and mask comes from the pass's GameArena; a
-// reusable Pass makes repeated warm passes allocate nothing at all.
+// price depends on the whole profile, and those stages price rows against
+// the current profile with EnergyRow. Every price row and table comes from
+// the pass's GameArena; a reusable Pass makes repeated warm passes allocate
+// nothing at all.
 type DEEP struct {
 	// MaxPairCells is where exactness is traded for speed: a
 	// two-microservice stage of at most this many cells (|o1|·|o2|) is
@@ -59,7 +65,7 @@ type DEEP struct {
 
 // DefaultMaxPairCells is the pair-game cap NewDEEP installs: pair stages of
 // up to 90 options a side are solved exactly, larger ones by the dynamics.
-// The exact pure path builds no bimatrix — per-registry best responses, then
+// The exact path builds no bimatrix — per-registry best responses, then
 // a cell sweep that skips every row no column's best response lets through —
 // and the dynamics are O(options) per sweep, so the line is a price, not a
 // feasibility limit, and no longer a large one. A whole 16-microservice pass
@@ -133,7 +139,7 @@ type SolverStats struct {
 func (p *Pass) Solver() SolverStats { return p.solver }
 
 // NewPass allocates scratch sized for the model, including the game arena
-// its price rows and matrices come from. A caller scheduling a stream of
+// its price rows and tables come from. A caller scheduling a stream of
 // models keeps one Pass and Retargets it, so the arena grows once, not once
 // per model.
 func NewPass(model *costmodel.Model) *Pass {
@@ -227,82 +233,130 @@ func (s *DEEP) ScheduleInto(p *Pass) error {
 	return nil
 }
 
-// scheduleSolo solves the one-microservice device×registry cooperation game.
-// The whole option row is priced by one EnergyRow call and scattered into
-// the arena-backed payoff matrix via the model's precomputed solo cells.
+// scheduleSolo solves the one-microservice device×registry cooperation game
+// from its option row, priced by one EnergyRow call.
 func scheduleSolo(model *costmodel.Model, st *costmodel.State, ms int32) (costmodel.Option, error) {
 	opts := model.Options(ms)
-	// Distinct devices become row strategies, registries column strategies.
-	devices, registries := model.SoloAxes(ms)
-	cells := model.SoloCells(ms)
-	nr := len(registries)
 	ar := st.Arena()
 	ar.Reset()
-
 	prices := ar.Floats(len(opts))
 	st.EnergyRow(ms, opts, nil, nil, prices)
-	g := game.NewFromArena(ar, len(devices), nr)
-	feasible := ar.Mask(len(devices) * nr)
+	k, ok := soloEquilibrium(opts, prices, model.NumRegistries(), ar)
+	if !ok {
+		return costmodel.Option{}, infeasibleError{ms: model.MSName(ms)}
+	}
+	return opts[k], nil
+}
+
+// soloEquilibrium returns the index of the solo game's welfare-maximal pure
+// equilibrium, read from the option row without building the game. The game
+// is a devices × registries matrix over the distinct devices and registries
+// among opts, both ascending; both players are paid -prices[k] at option k's
+// cell and -pen at every other cell, where pen is ten times the worst price
+// (worst+1 when that is not larger), so a cell that is not an option is
+// never better than a feasible one. The game is common-interest, so a cell is an
+// equilibrium when neither its device's maximum nor its registry's maximum
+// beats it by more than 1e-12. Maxima start at -Inf and move on a strict >,
+// so NaN never becomes one and a NaN cell is always an equilibrium, as in
+// the matrix scan (game.Game.BestPureNash).
+//
+// Registry maxima come from an nr-indexed arena row, device maxima from each
+// device's run of the canonically ordered row. Both are taken over options
+// only: -pen is at most every option's payoff but NaN, so a penalty cell
+// never moves a maximum an option's payoff is in, and a line of NaN options
+// decides the same at -Inf as at -pen. Equilibria are offered to
+// game.PureSelection in canonical option order, which is the matrix's
+// row-major order, so the tie-breaks are the matrix's. A penalty cell can be
+// an equilibrium only on a device whose maximum is within 1e-12 of -pen
+// (all-+Inf or NaN rows, or prices under about 1e-13 J), and only there is
+// the whole registry axis walked. ok is false when a penalty cell wins or
+// the row is empty: there is no feasible assignment.
+func soloEquilibrium(opts []costmodel.Option, prices []float64, nr int, ar *game.Arena) (k int, ok bool) {
 	worst := 0.0
-	for k := range opts {
-		c := prices[k]
-		g.A.Data[cells[k]] = -c
-		feasible.Set(int(cells[k]))
+	for _, c := range prices {
 		if c > worst {
 			worst = c
 		}
 	}
-	// Infeasible (link-broken) cells get a penalty strictly worse than every
-	// feasible entry. worst*10 preserves the historical payoffs whenever
-	// worst > 0; when every feasible cost is 0 it would tie infeasible cells
-	// with feasible ones, so fall back to worst+1.
 	pen := worst * 10
 	if pen <= worst {
 		pen = worst + 1
 	}
-	for c := range g.A.Data {
-		if !feasible.Has(c) {
-			g.A.Data[c] = -pen
+	penalty := -pen
+
+	ninf := math.Inf(-1)
+	regMax, regOpts := ar.Floats(nr), ar.Ints(nr)
+	for r := range regMax {
+		regMax[r] = ninf
+	}
+	for k, o := range opts {
+		regOpts[o.Registry]++
+		if v := -prices[k]; v > regMax[o.Registry] {
+			regMax[o.Registry] = v
 		}
 	}
-	copy(g.B.Data, g.A.Data) // common-interest game: both players pay the energy
 
-	best, ok := g.BestPureNash()
-	if !ok {
-		// A common-interest game always has a pure equilibrium at its
-		// argmax; reaching here means the matrix was empty.
-		return costmodel.Option{}, infeasibleError{ms: model.MSName(ms)}
+	var sel game.PureSelection
+	for start, end := 0, 0; start < len(opts); start = end {
+		dev, devMax := opts[start].Device, ninf
+		for end = start; end < len(opts) && opts[end].Device == dev; end++ {
+			if v := -prices[end]; v > devMax {
+				devMax = v
+			}
+		}
+		if devMax > penalty+1e-12 {
+			for k := start; k < end; k++ {
+				if v := -prices[k]; unbeaten(v, devMax, regMax[opts[k].Registry]) {
+					sel.Offer(game.PureProfile{Row: k}, v, v)
+				}
+			}
+			continue
+		}
+		// Penalty cells may be equilibria here: walk the registry axis (the
+		// registries with options), offering each in its place (Row -1 marks
+		// one).
+		k := start
+		for r, n := range regOpts {
+			switch {
+			case n == 0:
+			case k < end && opts[k].Registry == int32(r):
+				if v := -prices[k]; unbeaten(v, devMax, regMax[r]) {
+					sel.Offer(game.PureProfile{Row: k}, v, v)
+				}
+				k++
+			case unbeaten(penalty, devMax, regMax[r]):
+				sel.Offer(game.PureProfile{Row: -1}, penalty, penalty)
+			}
+		}
 	}
-	if !feasible.Has(best.Row*nr + best.Col) {
-		return costmodel.Option{}, infeasibleError{ms: model.MSName(ms)}
+	if !sel.OK || sel.Best.Row < 0 {
+		return 0, false
 	}
-	return costmodel.Option{Device: devices[best.Row], Registry: registries[best.Col]}, nil
+	return sel.Best.Row, true
+}
+
+// unbeaten reports whether payoff v is within 1e-12 of both maxima over the
+// lines through its cell — the pure-equilibrium test of a common-interest
+// game.
+func unbeaten(v, rowMax, colMax float64) bool {
+	return !(rowMax > v+1e-12 || colMax > v+1e-12)
 }
 
 // schedulePair solves the two-microservice game over full assignments: the
-// welfare-maximal pure equilibrium, found from the stage's price rows
-// (pairStage.bestPure), or — when the game has none — a Lemke–Howson
-// equilibrium of the materialized bimatrix rounded to each player's
-// likeliest strategy.
+// welfare-maximal pure equilibrium, found from the stage's price rows by
+// pairStage.bestPure. Such a stage always has one (bestPure's doc comment
+// proves it), so the error is unreachable while the cost model keeps the
+// proof's premise.
 func schedulePair(model *costmodel.Model, st *costmodel.State, m1, m2 int32) (costmodel.Option, costmodel.Option, error) {
 	ar := st.Arena()
 	ar.Reset()
 	ps := newPairStage(model, st, ar, m1, m2)
-
-	// Prefer pure equilibria (deployable directly); among them take the
-	// welfare-maximal one, i.e. minimum combined energy.
-	if i, j, ok := ps.bestPure(ar); ok {
-		return ps.o1[i], ps.o2[j], nil
+	i, j, ok := ps.bestPure(ar)
+	if !ok {
+		return costmodel.Option{}, costmodel.Option{}, fmt.Errorf("sched: pair stage (%q, %q) has no pure equilibrium",
+			model.MSName(m1), model.MSName(m2))
 	}
-	// Degenerate case: take any equilibrium and round each player to the
-	// highest-probability strategy.
-	g := game.NewFromArena(ar, len(ps.o1), len(ps.o2))
-	pricePairGame(&ps, g)
-	p, err := g.LemkeHowsonAny()
-	if err != nil {
-		return costmodel.Option{}, costmodel.Option{}, err
-	}
-	return ps.o1[argmax(p.Row)], ps.o2[argmax(p.Col)], nil
+	return ps.o1[i], ps.o2[j], nil
 }
 
 // bestResponseBudget is the sweep budget of bestResponse.
@@ -353,14 +407,4 @@ func bestResponse(st *costmodel.State, stage []int32, opts [][]costmodel.Option,
 		}
 	}
 	return bestResponseBudget, false
-}
-
-func argmax(v []float64) int {
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -128,9 +128,9 @@ type legacyScheduler struct {
 	schedule func(app *dag.App, cluster *sim.Cluster) (sim.Placement, error)
 }
 
-func legacyAll(seed int64) []legacyScheduler {
+func legacyAll(t testing.TB, seed int64) []legacyScheduler {
 	return []legacyScheduler{
-		{"deep", legacyDEEP},
+		{"deep", func(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) { return legacyDEEP(t, app, cluster) }},
 		{"exclusive-hub", legacyExclusive("hub")},
 		{"exclusive-regional", legacyExclusive("regional")},
 		{"greedy-energy", legacyMyopic(func(e *legacyEstimator, m *dag.Microservice, a sim.Assignment) float64 {
@@ -151,7 +151,7 @@ func legacyStages(app *dag.App) ([][]string, error) {
 	return app.Stages()
 }
 
-func legacyDEEP(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+func legacyDEEP(t testing.TB, app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
 	stages, err := legacyStages(app)
 	if err != nil {
 		return nil, err
@@ -166,7 +166,7 @@ func legacyDEEP(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
 		case 1:
 			assigned, err = legacySolo(est, app.Microservice(names[0]))
 		case 2:
-			assigned, err = legacyPair(est, app.Microservice(names[0]), app.Microservice(names[1]))
+			assigned, err = legacyPair(t, est, app.Microservice(names[0]), app.Microservice(names[1]))
 		default:
 			assigned, err = legacyBestResponse(est, app, names, nil)
 		}
@@ -225,7 +225,10 @@ func legacySolo(est *legacyEstimator, m *dag.Microservice) (map[string]sim.Assig
 	return map[string]sim.Assignment{m.Name: choice}, nil
 }
 
-func legacyPair(est *legacyEstimator, m1, m2 *dag.Microservice) (map[string]sim.Assignment, error) {
+// legacyPair is the original pair game, whose fallback on a stage with no
+// pure equilibrium was Lemke–Howson. No stage reaches it (pairStage.bestPure
+// proves why), so reaching it fails the test.
+func legacyPair(t testing.TB, est *legacyEstimator, m1, m2 *dag.Microservice) (map[string]sim.Assignment, error) {
 	o1 := est.Options(m1)
 	o2 := est.Options(m2)
 	if len(o1) == 0 {
@@ -250,14 +253,8 @@ func legacyPair(est *legacyEstimator, m1, m2 *dag.Microservice) (map[string]sim.
 			m2.Name: o2[best.ColSupport()[0]],
 		}, nil
 	}
-	p, err := g.LemkeHowsonAny()
-	if err != nil {
-		return nil, err
-	}
-	return map[string]sim.Assignment{
-		m1.Name: o1[argmax(p.Row)],
-		m2.Name: o2[argmax(p.Col)],
-	}, nil
+	t.Fatalf("legacy pair stage (%s, %s) has no pure equilibrium", m1.Name, m2.Name)
+	return nil, nil
 }
 
 // legacyBestResponse runs the original synchronous best-response dynamics.
@@ -483,7 +480,7 @@ func equivalenceCorpus(t *testing.T) []corpusCase {
 func TestEquivalenceCorpusPlacements(t *testing.T) {
 	const seed = 1
 	for _, c := range equivalenceCorpus(t) {
-		legacy := legacyAll(seed)
+		legacy := legacyAll(t, seed)
 		for i, s := range All(seed) {
 			ref := legacy[i]
 			if ref.name != s.Name() {
@@ -521,7 +518,7 @@ func TestEquivalenceCorpusEstimator(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		placement, err := legacyDEEP(c.app, c.cluster)
+		placement, err := legacyDEEP(t, c.app, c.cluster)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -16,7 +16,7 @@ import (
 // the mechanics, not the math.
 func TestUncappedDEEPMatchesLegacy(t *testing.T) {
 	for _, c := range equivalenceCorpus(t) {
-		want, wantErr := legacyDEEP(c.app, c.cluster)
+		want, wantErr := legacyDEEP(t, c.app, c.cluster)
 		got, gotErr := NewDEEPUncapped().Schedule(c.app, c.cluster)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error mismatch: legacy=%v uncapped=%v", c.name, wantErr, gotErr)

@@ -36,37 +36,49 @@ func newPairStage(model *costmodel.Model, st *costmodel.State, ar *game.Arena, m
 	return ps
 }
 
-// pricePairGame materializes the stage as g's bimatrix (|o1|×|o2|), bit for
-// bit the payoffs bestPure reads without it. Only a stage with no pure
-// equilibrium, which goes on to Lemke–Howson, and the tests that pin
-// bestPure need the matrix.
-func pricePairGame(ps *pairStage, g *game.Game) {
-	for i, x := range ps.o1 {
-		a, b := g.A.RowView(i), g.B.RowView(i)
-		aSolo, aShared := -ps.solo1[i], -ps.shared1[i]
-		for j, y := range ps.o2 {
-			if costmodel.Contend(ps.regShared, x, y) {
-				a[j], b[j] = aShared, -ps.shared2[j]
-			} else {
-				a[j], b[j] = aSolo, -ps.solo2[j]
-			}
-		}
-	}
-}
-
 // bestPure returns the stage's welfare-maximal pure equilibrium — the cell
-// BestPureNash picks on pricePairGame's matrix, with the same tie rule
-// (game.PureSelection) — without building the matrix. The scan behind
-// BestPureNash takes each column's maximum of A and each row's maximum of B
-// (the best-response payoffs against that opponent option) and keeps the
-// cells within 1e-12 of both; here bestReplies computes those maxima from
-// per-registry tables in O(|o1|+|o2|+registries), and the row-major sweep
-// reads each cell's payoffs from Contend and the price rows. A row whose two
-// prices are both more than 1e-12 below every column maximum can satisfy no
-// column and is skipped whole, which is what makes the sweep cheap: on
-// generated 16-microservice apps over 24 and 40 devices about 7 % of rows
-// survive. ok is false when the stage has no pure equilibrium. Scratch comes
-// from ar.
+// game.Game.BestPureNash picks on the stage's materialized bimatrix, with the
+// same tie rule (game.PureSelection) — without building the matrix. The scan
+// behind BestPureNash takes each column's maximum of A and each row's
+// maximum of B (the best-response payoffs against that opponent option) and
+// keeps the cells within 1e-12 of both; here bestReplies computes those
+// maxima from per-registry tables in O(|o1|+|o2|+registries), and the
+// row-major sweep reads each cell's payoffs from Contend and the price rows.
+// A row whose two prices are both more than 1e-12 below every column maximum
+// can satisfy no column and is skipped whole, which is what makes the sweep
+// cheap: on generated 16-microservice apps over 24 and 40 devices about 7 %
+// of rows survive. Scratch comes from ar.
+//
+// ok is false only for a stage with no pure equilibrium, and the cost model
+// produces none. Write c for an option's solo price and d for its contended
+// one; EnergyRowPair gives c ≤ d on every option of both players whenever
+// power draws are nonnegative (wire rejects negative ones). Under that
+// premise and any contention relation:
+//
+//  1. A strategy whose c exceeds its player's smallest d is strictly
+//     dominated by the strategy with that d, which costs at most that much
+//     against anything. Drop every such strategy of both players at once.
+//     The smallest-d strategies stay, so an equilibrium of what remains is
+//     one of the whole game: a dropped strategy costs more than the kept
+//     smallest-d one, which costs no less than the equilibrium's.
+//  2. In what remains, every uncontended price is at most the player's
+//     smallest d, so at most every contended price.
+//  3. If no remaining profile is uncontended, each player pays its d whatever
+//     the other does, and the two cheapest-d strategies are an equilibrium.
+//  4. Otherwise let x₁ be the row player's cheapest-c strategy among those
+//     with an uncontended partner, and y₁ the cheapest-c uncontended partner
+//     of x₁. At (x₁, y₁) both pay c. A column deviation pays the c of an
+//     uncontended partner of x₁, no less than y₁'s, or a d, no less than any
+//     c (step 2). A row deviation pays the c of a strategy with an
+//     uncontended partner (y₁), no less than x₁'s, or a d. Neither gains, so
+//     (x₁, y₁) is an equilibrium.
+//
+// A NaN price (0 W times an unreachable transfer) is outside the ordering,
+// but it hits both levels of its option, because the transfer term is the
+// same at both. The scan never beats a NaN payoff, so that option paired
+// with the opponent's best reply is an equilibrium. TestPairStagesAlwaysPure
+// re-checks the claim exhaustively on a small grid, and
+// TestPairPricesContendedNotBelowSolo checks the premise on the corpus.
 func (ps *pairStage) bestPure(ar *game.Arena) (row, col int, ok bool) {
 	match1, match2 := ar.Ints(len(ps.o1)), ar.Ints(len(ps.o2))
 	matchOptions(ps.o1, ps.o2, match1, match2)

@@ -85,26 +85,23 @@ func pairGameCorpus(t *testing.T) []corpusCase {
 	return cases
 }
 
-// walkPairStages runs the uncapped scheduler's stage loop over the model,
+// walkStages runs the uncapped scheduler's stage loop over the model,
 // committing every stage's choice so later stages price transfers from
-// placed upstreams, and calls visit at each two-microservice stage before it
-// is solved. It returns the number of pair stages visited.
-func walkPairStages(t *testing.T, name string, model *costmodel.Model, visit func(st *costmodel.State, m1, m2 int32)) int {
+// placed upstreams, and calls visit at each stage before it is solved.
+func walkStages(t *testing.T, name string, model *costmodel.Model, visit func(st *costmodel.State, stage []int32)) {
 	t.Helper()
 	stages, err := model.Stages()
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	st := model.NewState()
-	pairs := 0
 	for _, stage := range stages {
+		visit(st, stage)
 		assigned := make([]costmodel.Option, len(stage))
 		switch len(stage) {
 		case 1:
 			assigned[0], err = scheduleSolo(model, st, stage[0])
 		case 2:
-			pairs++
-			visit(st, stage[0], stage[1])
 			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1])
 		default:
 			opts := make([][]costmodel.Option, len(stage))
@@ -121,7 +118,44 @@ func walkPairStages(t *testing.T, name string, model *costmodel.Model, visit fun
 			st.Commit(ms, assigned[k])
 		}
 	}
+}
+
+// walkPairStages is walkStages visiting only the two-microservice stages. It
+// returns the number of pair stages visited.
+func walkPairStages(t *testing.T, name string, model *costmodel.Model, visit func(st *costmodel.State, m1, m2 int32)) int {
+	t.Helper()
+	pairs := 0
+	walkStages(t, name, model, func(st *costmodel.State, stage []int32) {
+		if len(stage) == 2 {
+			pairs++
+			visit(st, stage[0], stage[1])
+		}
+	})
 	return pairs
+}
+
+// pricePairGame materializes the stage as g's bimatrix (|o1|×|o2|), bit for
+// bit the payoffs bestPure reads without it: cell (i, j) pays -shared1[i] and
+// -shared2[j] when the two options Contend, -solo1[i] and -solo2[j] otherwise.
+func pricePairGame(ps *pairStage, g *game.Game) {
+	for i, x := range ps.o1 {
+		a, b := g.A.RowView(i), g.B.RowView(i)
+		aSolo, aShared := -ps.solo1[i], -ps.shared1[i]
+		for j, y := range ps.o2 {
+			if costmodel.Contend(ps.regShared, x, y) {
+				a[j], b[j] = aShared, -ps.shared2[j]
+			} else {
+				a[j], b[j] = aSolo, -ps.solo2[j]
+			}
+		}
+	}
+}
+
+// pairMatrix materializes the stage's bimatrix.
+func pairMatrix(ps *pairStage) *game.Game {
+	g := game.New(game.NewMatrix(len(ps.o1), len(ps.o2)), game.NewMatrix(len(ps.o1), len(ps.o2)))
+	pricePairGame(ps, g)
+	return g
 }
 
 // fillPairGame prices the (m1, m2) stage on the state's arena exactly as
@@ -130,9 +164,7 @@ func fillPairGame(model *costmodel.Model, st *costmodel.State, m1, m2 int32) *ga
 	ar := st.Arena()
 	ar.Reset()
 	ps := newPairStage(model, st, ar, m1, m2)
-	g := game.NewFromArena(ar, len(ps.o1), len(ps.o2))
-	pricePairGame(&ps, g)
-	return g
+	return pairMatrix(&ps)
 }
 
 // TestPairGameMatchesCellByCellEnergy is the pricing oracle: every cell of
@@ -221,11 +253,8 @@ func TestPairPlacementsAreEquilibria(t *testing.T) {
 // equilibrium on both sides. It reports whether there is one.
 func checkKernelAgainstMatrix(t *testing.T, name string, ps *pairStage) bool {
 	t.Helper()
-	ar := game.NewArena()
-	i, j, ok := ps.bestPure(ar)
-	g := game.NewFromArena(ar, len(ps.o1), len(ps.o2))
-	pricePairGame(ps, g)
-	want, wantOK := g.BestPureNash()
+	i, j, ok := ps.bestPure(game.NewArena())
+	want, wantOK := pairMatrix(ps).BestPureNash()
 	if ok != wantOK || (ok && (i != want.Row || j != want.Col)) {
 		t.Fatalf("%s: bestPure = (%d, %d, %v), BestPureNash on the matrix = (%d, %d, %v)",
 			name, i, j, ok, want.Row, want.Col, wantOK)
@@ -233,12 +262,11 @@ func checkKernelAgainstMatrix(t *testing.T, name string, ps *pairStage) bool {
 	return ok
 }
 
-// TestPairKernelMatchesMatrix pins the matrix-free kernel to the scan it
-// replaced on every pair stage of the pair-game corpus and of 200 generated
-// 16-microservice apps on four cluster sizes (4 to 80 options a side), each
-// stage priced against the upstream placements the uncapped pass commits.
-func TestPairKernelMatchesMatrix(t *testing.T) {
-	cases := pairGameCorpus(t)
+// generatedCorpus is 200 generated 16-microservice apps on four cluster
+// sizes, 4 to 80 options a side.
+func generatedCorpus(t *testing.T) []corpusCase {
+	t.Helper()
+	var cases []corpusCase
 	for _, scale := range []int{1, 4, 12, 20} {
 		cluster := workload.ScaledTestbed(scale)
 		for seed := int64(1); seed <= 200; seed++ {
@@ -249,8 +277,16 @@ func TestPairKernelMatchesMatrix(t *testing.T) {
 			cases = append(cases, corpusCase{fmt.Sprintf("synthetic16-%d/scaled%d", seed, 2*scale), app, cluster})
 		}
 	}
+	return cases
+}
+
+// TestPairKernelMatchesMatrix pins the matrix-free kernel to the scan it
+// replaced on every pair stage of the pair-game corpus and the generated
+// corpus, each stage priced against the upstream placements the uncapped
+// pass commits.
+func TestPairKernelMatchesMatrix(t *testing.T) {
 	stages, none := 0, 0
-	for _, c := range cases {
+	for _, c := range append(pairGameCorpus(t), generatedCorpus(t)...) {
 		model := costmodel.Compile(c.app, c.cluster)
 		stages += walkPairStages(t, c.name, model, func(st *costmodel.State, m1, m2 int32) {
 			ar := st.Arena()
@@ -264,7 +300,122 @@ func TestPairKernelMatchesMatrix(t *testing.T) {
 	if stages < 800 {
 		t.Fatalf("walked %d pair stages; the pin needs the whole corpus", stages)
 	}
-	t.Logf("%d pair stages, %d without a pure equilibrium", stages, none)
+	if none != 0 {
+		t.Fatalf("%d of %d pair stages without a pure equilibrium", none, stages)
+	}
+	t.Logf("%d pair stages", stages)
+}
+
+// TestPairPricesContendedNotBelowSolo checks the premise of bestPure's
+// pure-existence proof where the scheduler meets it: on every pair stage of
+// TestPairKernelMatchesMatrix's corpus, EnergyRowPair prices each option at
+// least as high contended as solo (NaN only at both levels at once), and
+// bit-identically at both levels where the registry is unshared or does not
+// route to the device.
+func TestPairPricesContendedNotBelowSolo(t *testing.T) {
+	stages, raised := 0, 0
+	for _, c := range append(pairGameCorpus(t), generatedCorpus(t)...) {
+		model := costmodel.Compile(c.app, c.cluster)
+		regShared := model.Table().RegShared()
+		stages += walkPairStages(t, c.name, model, func(st *costmodel.State, m1, m2 int32) {
+			for _, ms := range []int32{m1, m2} {
+				opts := model.Options(ms)
+				solo, shared := make([]float64, len(opts)), make([]float64, len(opts))
+				st.EnergyRowPair(ms, opts, solo, shared)
+				for k, o := range opts {
+					s, d := solo[k], shared[k]
+					where := fmt.Sprintf("%s: %s at %v", c.name, model.MSName(ms), model.Assignment(o))
+					if !regShared[o.Registry] || !model.LinkOK(o.Registry, o.Device) {
+						if math.Float64bits(s) != math.Float64bits(d) {
+							t.Fatalf("%s: one contention level, but solo %v and shared %v", where, s, d)
+						}
+						continue
+					}
+					if math.IsNaN(s) != math.IsNaN(d) || d < s {
+						t.Fatalf("%s: contended price %v below solo %v", where, d, s)
+					}
+					if d > s {
+						raised++
+					}
+				}
+			}
+		})
+	}
+	if stages < 800 || raised == 0 {
+		t.Fatalf("walked %d pair stages, %d options dearer contended; the check needs the whole corpus", stages, raised)
+	}
+}
+
+// exhaustPairStages runs bestPure over every pair stage on a 2-device ×
+// 2-registry grid with both players offered all four options: each of the
+// four sets of shared-uplink flags, and each assignment of a (solo, shared)
+// price pair from {0, 1, 2}² to the eight options — only pairs with shared ≥
+// solo when ordered. It returns the number of stages run and how many had no
+// pure equilibrium, stopping at the first such stage when stopAtNone.
+func exhaustPairStages(ordered, stopAtNone bool) (stages, none int) {
+	// Unequal pairs come first, so the unordered search, which stops at its
+	// first stage without an equilibrium, meets one early.
+	var levels [][2]float64
+	for _, p := range [][2]float64{{0, 1}, {1, 0}, {0, 2}, {2, 0}, {1, 2}, {2, 1}, {0, 0}, {1, 1}, {2, 2}} {
+		if p[1] >= p[0] || !ordered {
+			levels = append(levels, p)
+		}
+	}
+	grid := []costmodel.Option{{Device: 0, Registry: 0}, {Device: 0, Registry: 1}, {Device: 1, Registry: 0}, {Device: 1, Registry: 1}}
+	ar := game.NewArena()
+	for flags := 3; flags >= 0; flags-- { // both registries shared first: contention is likeliest
+		ps := pairStage{
+			o1: grid, o2: grid,
+			regShared: []bool{flags&1 != 0, flags&2 != 0},
+			solo1:     make([]float64, 4), shared1: make([]float64, 4),
+			solo2: make([]float64, 4), shared2: make([]float64, 4),
+		}
+		var digit [8]int // option k's level: the row player's k < 4, the column player's k-4
+		for {
+			for k, l := range digit {
+				p := levels[l]
+				if k < 4 {
+					ps.solo1[k], ps.shared1[k] = p[0], p[1]
+				} else {
+					ps.solo2[k-4], ps.shared2[k-4] = p[0], p[1]
+				}
+			}
+			ar.Reset()
+			stages++
+			if _, _, ok := ps.bestPure(ar); !ok {
+				if none++; stopAtNone {
+					return stages, none
+				}
+			}
+			k := 0
+			for ; k < len(digit) && digit[k] == len(levels)-1; k++ {
+				digit[k] = 0
+			}
+			if k == len(digit) {
+				break
+			}
+			digit[k]++
+		}
+	}
+	return stages, none
+}
+
+// TestPairStagesAlwaysPure re-proves bestPure's pure-existence claim on the
+// cost model's structure — options as (device, registry) cells, contention on
+// a shared registry across devices — by exhaustive search: all 4 · 6⁸ ≈ 6.7 M
+// ordered stages of the small grid have a pure equilibrium. The negative
+// control drops the ordering and must find a stage with none, or the search
+// could not tell the premise mattered.
+func TestPairStagesAlwaysPure(t *testing.T) {
+	stages, none := exhaustPairStages(true, false)
+	if stages != 4*1679616 || none != 0 {
+		t.Fatalf("ordered prices: %d of %d stages without a pure equilibrium", none, stages)
+	}
+	if stages, none := exhaustPairStages(false, true); none == 0 {
+		t.Fatalf("unordered prices: all %d stages have a pure equilibrium; the search is vacuous", stages)
+	} else {
+		t.Logf("unordered prices: first stage without a pure equilibrium at %d", stages)
+	}
 }
 
 // fuzzPairStage decodes bytes into a pair stage on a grid of at most 6

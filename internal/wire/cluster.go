@@ -161,8 +161,25 @@ func (s *ClusterSpec) Cluster() (*sim.Cluster, error) {
 	return c, nil
 }
 
-// model materializes the power spec.
+// model materializes the power spec. A negative draw is refused: it makes
+// energies negative, and a contended price could then fall below its solo
+// price, which the scheduler's pure-equilibrium proof for pair stages rules
+// out (sched's pairStage.bestPure).
 func (p *PowerSpec) model() (energy.PowerModel, error) {
+	var negative string
+	switch {
+	case p.StaticW < 0:
+		negative = "static_w"
+	case p.PullW < 0:
+		negative = "pull_w"
+	case p.ReceiveW < 0:
+		negative = "receive_w"
+	case p.ProcessingW < 0:
+		negative = "processing_w"
+	}
+	if negative != "" {
+		return nil, fmt.Errorf("negative %s", negative)
+	}
 	linear := energy.LinearModel{
 		StaticW:     units.Watts(p.StaticW),
 		PullW:       units.Watts(p.PullW),
@@ -174,22 +191,38 @@ func (p *PowerSpec) model() (energy.PowerModel, error) {
 		return linear, nil
 	case "table":
 		tm := energy.TableModel{Fallback: linear}
-		if len(p.ProcessW) > 0 {
-			tm.ProcessW = make(map[string]units.Watts, len(p.ProcessW))
-			for k, v := range p.ProcessW {
-				tm.ProcessW[k] = units.Watts(v)
-			}
+		var err error
+		if tm.ProcessW, err = drawTable("process_w", p.ProcessW); err != nil {
+			return nil, err
 		}
-		if len(p.TransferW) > 0 {
-			tm.TransferW = make(map[string]units.Watts, len(p.TransferW))
-			for k, v := range p.TransferW {
-				tm.TransferW[k] = units.Watts(v)
-			}
+		if tm.TransferW, err = drawTable("transfer_w", p.TransferW); err != nil {
+			return nil, err
 		}
 		return tm, nil
 	default:
 		return nil, fmt.Errorf("unknown power model kind %q (want linear|table)", p.Kind)
 	}
+}
+
+// drawTable materializes a per-microservice draw table (nil when empty),
+// refusing a negative entry by the smallest such microservice name, so the
+// error is the same on every decode.
+func drawTable(field string, table map[string]float64) (map[string]units.Watts, error) {
+	if len(table) == 0 {
+		return nil, nil
+	}
+	out := make(map[string]units.Watts, len(table))
+	bad, found := "", false
+	for k, v := range table {
+		if v < 0 && (!found || k < bad) {
+			bad, found = k, true
+		}
+		out[k] = units.Watts(v)
+	}
+	if found {
+		return nil, fmt.Errorf("negative %s for microservice %q", field, bad)
+	}
+	return out, nil
 }
 
 // ClusterSpecOf encodes an in-memory cluster as its wire form, stamped with

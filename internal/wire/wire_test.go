@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deep/internal/dag"
+	"deep/internal/energy"
 	"deep/internal/fleet"
 	"deep/internal/sim"
 	"deep/internal/wire"
@@ -97,10 +98,11 @@ func TestClusterRoundTripDigest(t *testing.T) {
 }
 
 // FuzzDecodeClusterSpec: whatever bytes arrive, DecodeClusterSpec and
-// Cluster answer with a cluster or an error, never a panic, and a spec both
-// accept survives the wire — encoded back with ClusterSpecOf, marshalled,
-// decoded and materialized again, it yields a cluster with the same
-// canonical digest.
+// Cluster answer with a cluster or an error, never a panic; every device of
+// a cluster they accept draws nonnegative power in every state, for every
+// microservice its spec names; and the spec survives the wire — encoded back
+// with ClusterSpecOf, marshalled, decoded and materialized again, it yields
+// a cluster with the same canonical digest.
 func FuzzDecodeClusterSpec(f *testing.F) {
 	for _, c := range []*sim.Cluster{workload.Testbed(), workload.ScaledTestbed(2)} {
 		spec, err := wire.ClusterSpecOf(c)
@@ -122,6 +124,7 @@ func FuzzDecodeClusterSpec(f *testing.F) {
 	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"riscv","power":{}}]}`))
 	f.Add([]byte(`{"version":1,"devices":[],"registries":[{"name":"r"}]}`))
 	f.Add([]byte(`{"version":99}`))
+	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"amd64","power":{"kind":"table","static_w":1,"transfer_w":{"m":-0.5}}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := wire.DecodeClusterSpec(data)
 		if err != nil {
@@ -130,6 +133,22 @@ func FuzzDecodeClusterSpec(f *testing.F) {
 		c, err := spec.Cluster()
 		if err != nil {
 			return
+		}
+		for i, d := range c.Devices {
+			names := []string{"", "m"}
+			for ms := range spec.Devices[i].Power.ProcessW {
+				names = append(names, ms)
+			}
+			for ms := range spec.Devices[i].Power.TransferW {
+				names = append(names, ms)
+			}
+			for _, state := range []energy.State{energy.Idle, energy.Pulling, energy.Receiving, energy.Processing} {
+				for _, ms := range names {
+					if w := d.Power.Power(state, ms); !(w >= 0) {
+						t.Fatalf("device %q draws %v W %s for %q\n%s", d.Name, w, state, ms, data)
+					}
+				}
+			}
 		}
 		back, err := wire.ClusterSpecOf(c)
 		if err != nil {
@@ -151,6 +170,41 @@ func FuzzDecodeClusterSpec(f *testing.F) {
 			t.Fatalf("wire round trip changed the canonical cluster digest\nin:  %s\nout: %s", data, raw)
 		}
 	})
+}
+
+// TestNegativePowerRejected: a negative draw makes energies negative and can
+// price a contended option below its solo price, so each field, and each
+// entry of the two draw tables, is refused by name.
+func TestNegativePowerRejected(t *testing.T) {
+	for _, tc := range []struct {
+		power string
+		want  string
+	}{
+		{`{"static_w":-1}`, `negative static_w`},
+		{`{"static_w":1,"pull_w":-0.5}`, `negative pull_w`},
+		{`{"kind":"linear","receive_w":-2}`, `negative receive_w`},
+		{`{"processing_w":-1e-9}`, `negative processing_w`},
+		{`{"kind":"table","process_w":{"b":-1,"a":-2,"c":3}}`, `negative process_w for microservice "a"`},
+		{`{"kind":"table","process_w":{"a":1},"transfer_w":{"m":-0.5}}`, `negative transfer_w for microservice "m"`},
+	} {
+		body := `{"version":1,"devices":[{"name":"x","arch":"amd64","power":` + tc.power + `}]}`
+		spec, err := wire.DecodeClusterSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.power, err)
+		}
+		_, err = spec.Cluster()
+		if want := `wire: device "x": ` + tc.want; err == nil || err.Error() != want {
+			t.Errorf("%s: Cluster() = %v, want %q", tc.power, err, want)
+		}
+	}
+	ok := `{"version":1,"devices":[{"name":"x","arch":"amd64","power":{"kind":"table","static_w":0,"process_w":{"a":0},"transfer_w":{"a":1}}}]}`
+	spec, err := wire.DecodeClusterSpec([]byte(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Cluster(); err != nil {
+		t.Errorf("zero and positive draws refused: %v", err)
+	}
 }
 
 // TestVersionGate pins the versioning rule: 0 (missing) and future versions
