@@ -22,7 +22,6 @@ import (
 	"deep/internal/bench"
 	"deep/internal/costmodel"
 	"deep/internal/obs"
-	"deep/internal/registry"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/topo"
@@ -373,23 +372,6 @@ func BenchmarkCompileAppTable(b *testing.B) {
 		app := workload.VideoProcessing()
 		if at := appgraph.Compile(app); at.NumMicroservices() == 0 {
 			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkRegistryPushPull times an in-memory V2 push+pull round trip.
-func BenchmarkRegistryPushPull(b *testing.B) {
-	reg := registry.New(registry.NewMemDriver())
-	layer := make([]byte, 64<<10)
-	d := registry.DigestOf(layer)
-	b.SetBytes(int64(len(layer)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := reg.PutBlob(d, layer); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := reg.GetBlob(d); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

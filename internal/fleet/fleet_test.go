@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"deep/internal/chaos"
 	"deep/internal/dag"
 	"deep/internal/sched"
 	"deep/internal/sim"
@@ -410,6 +412,92 @@ func TestDriveSparseArrivalsHonorDeadline(t *testing.T) {
 	}
 	if report.Elapsed > 3*time.Second {
 		t.Fatalf("report claims %s elapsed", report.Elapsed)
+	}
+}
+
+// seededArrivals is a Poisson process that draws from its own source, not
+// the driver's (which the mix sampling shares), so a test can recount the
+// schedule.
+type seededArrivals struct {
+	p   *Poisson
+	rng *rand.Rand
+}
+
+func (s *seededArrivals) Name() string { return "seeded-poisson" }
+
+func (s *seededArrivals) Next(*rand.Rand) float64 { return s.p.Next(s.rng) }
+
+// TestDriveOffersItsRate asserts the driver paces arrivals on an absolute
+// clock. At 20 000/s the gaps average 50µs, so one relative timer per gap
+// adds its overshoot to every later arrival and sends a small fraction of the
+// schedule. The worker stays stalled until the window closes, so every
+// submission past the one-slot queue is a cheap rejection and the driver has
+// the CPU to itself at any GOMAXPROCS.
+func TestDriveOffersItsRate(t *testing.T) {
+	const rate, seed = 20000, 11
+	const window = 200 * time.Millisecond
+	p := NewPoisson(rate)
+	scheduled := 0
+	rng := rand.New(rand.NewSource(seed))
+	for sum := p.Next(rng); sum < window.Seconds(); sum += p.Next(rng) {
+		scheduled++
+	}
+
+	block := make(chan struct{})
+	f := testFleet(t, Config{Workers: 1, QueueDepth: 1, NewCluster: func() *sim.Cluster {
+		<-block
+		return workload.Testbed()
+	}})
+	time.AfterFunc(window, func() { close(block) })
+	report, err := Drive(context.Background(), f, TrafficConfig{
+		Arrivals: &seededArrivals{p: p, rng: rand.New(rand.NewSource(seed))},
+		Mix:      CaseStudyMix(),
+		Duration: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scheduled * 8 / 10; report.Attempts < want {
+		t.Fatalf("offered %d of %d scheduled arrivals in %s, want at least %d", report.Attempts, scheduled, window, want)
+	}
+}
+
+// TestDriveRejectsInvalidChaos asserts a hand-built schedule is validated
+// before the first arrival, so no event fires out of sequence and no invalid
+// delta reaches ApplyChurn.
+func TestDriveRejectsInvalidChaos(t *testing.T) {
+	cases := []struct {
+		name   string
+		events []chaos.Event
+	}{
+		{"out of order", []chaos.Event{
+			{At: 2 * time.Millisecond, Kind: chaos.DeviceCrash, Target: "medium"},
+			{At: time.Millisecond, Kind: chaos.DeviceRecover, Target: "medium"},
+		}},
+		{"double crash", []chaos.Event{
+			{At: time.Millisecond, Kind: chaos.DeviceCrash, Target: "medium"},
+			{At: 2 * time.Millisecond, Kind: chaos.DeviceCrash, Target: "medium"},
+		}},
+		{"factor 5", []chaos.Event{
+			{At: time.Millisecond, Kind: chaos.LinkDegrade, A: "hub", B: "medium", Factor: 5},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testFleet(t, Config{Workers: 1})
+			report, err := Drive(context.Background(), f, TrafficConfig{
+				Arrivals: NewPoisson(1000),
+				Mix:      CaseStudyMix(),
+				Requests: 10,
+				Chaos:    &chaos.Schedule{Events: tc.events},
+			})
+			if err == nil {
+				t.Fatalf("invalid schedule accepted (%d attempts)", report.Attempts)
+			}
+			if s := f.Stats(); s.Submitted != 0 || s.Churn.EpochsApplied != 0 {
+				t.Fatalf("rejected session still submitted %d requests and applied %d epochs", s.Submitted, s.Churn.EpochsApplied)
+			}
+		})
 	}
 }
 

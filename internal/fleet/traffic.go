@@ -107,6 +107,13 @@ func Drive(ctx context.Context, f *Fleet, cfg TrafficConfig) (*Report, error) {
 	if cfg.Requests <= 0 && cfg.Duration <= 0 {
 		return nil, fmt.Errorf("fleet: traffic needs a request or duration bound")
 	}
+	if cfg.Chaos != nil {
+		// A hand-built schedule would otherwise fire out of sequence or
+		// hand ApplyChurn an unpaired recovery or an out-of-range factor.
+		if err := cfg.Chaos.Validate(); err != nil {
+			return nil, fmt.Errorf("fleet: traffic chaos: %w", err)
+		}
+	}
 	if cfg.Speedup <= 0 {
 		cfg.Speedup = 1
 	}
@@ -193,29 +200,37 @@ func Drive(ctx context.Context, f *Fleet, cfg TrafficConfig) (*Report, error) {
 		<-timer.C
 	}
 
+	// Arrival i is due at start + Σgaps/Speedup, the same absolute clock the
+	// chaos replay uses: one relative timer per gap would add each timer's
+	// overshoot to every later arrival and under-offer the asked rate. A
+	// driver that has fallen behind submits everything already due at once.
+	var offset float64 // seconds from start to the next arrival
 drive:
 	for cfg.Requests <= 0 || attempts < cfg.Requests {
 		gap := cfg.Arrivals.Next(rng) / cfg.Speedup
-		sleep := time.Duration(gap * float64(time.Second))
-		if math.IsInf(gap, 1) || sleep < 0 {
+		offset += gap
+		due := time.Duration(offset * float64(time.Second))
+		if math.IsInf(gap, 1) || !(gap >= 0) || due < 0 {
 			// The process will never produce another arrival (e.g. a zero
-			// rate). Waiting forever serves no one; the session is over.
+			// rate, or a gap past time.Duration's range). Waiting forever
+			// serves no one; the session is over.
 			break drive
 		}
+		at := start.Add(due)
 		// Never sleep past the deadline: a sparse arrival sequence must
 		// not overshoot a Duration bound by one (unbounded) gap.
-		if !deadline.IsZero() {
-			if remaining := time.Until(deadline); sleep > remaining {
-				timer.Reset(remaining)
+		if !deadline.IsZero() && !at.Before(deadline) {
+			if wait := time.Until(deadline); wait > 0 {
+				timer.Reset(wait)
 				select {
 				case <-timer.C:
 				case <-ctx.Done():
 				}
-				break drive
 			}
+			break drive
 		}
-		if sleep > 0 {
-			timer.Reset(sleep)
+		if wait := time.Until(at); wait > 0 {
+			timer.Reset(wait)
 			select {
 			case <-timer.C:
 			case <-ctx.Done():

@@ -1,13 +1,9 @@
 package netsim
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
-	"time"
 
 	"deep/internal/units"
 )
@@ -208,34 +204,5 @@ func TestSharedLinkSchedulerZeroCapacity(t *testing.T) {
 func TestMakespanEmpty(t *testing.T) {
 	if MakespanOf(nil) != 0 {
 		t.Error("empty makespan should be 0")
-	}
-}
-
-func TestRateLimitedReaderUnlimited(t *testing.T) {
-	r := NewRateLimitedReader(strings.NewReader("hello"), 0)
-	out, err := io.ReadAll(r)
-	if err != nil || string(out) != "hello" {
-		t.Fatalf("unlimited read: %q %v", out, err)
-	}
-}
-
-func TestRateLimitedReaderThrottles(t *testing.T) {
-	// Inject a fake clock: each sleep advances it.
-	data := bytes.Repeat([]byte("x"), 1000)
-	rl := NewRateLimitedReader(bytes.NewReader(data), 100) // 100 B/s
-	var fake time.Time
-	var slept time.Duration
-	rl.now = func() time.Time { return fake }
-	rl.sleep = func(d time.Duration) { slept += d; fake = fake.Add(d) }
-	rl.burst = 100
-	rl.bucket = 100
-
-	out, err := io.ReadAll(rl)
-	if err != nil || len(out) != 1000 {
-		t.Fatalf("read: %d bytes, %v", len(out), err)
-	}
-	// 1000 bytes at 100 B/s with 100-byte burst: about 9 seconds of sleep.
-	if slept < 8*time.Second || slept > 11*time.Second {
-		t.Errorf("slept %v, want ≈9s", slept)
 	}
 }
