@@ -311,6 +311,12 @@ func BenchmarkCompileShape(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The front-door benchmark's cold_unique shape: 16 microservices from
+	// the default generator on 24 devices in two classes.
+	cold, err := workload.Generate(workload.DefaultGeneratorConfig(16, 42))
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		app     *deep.App
@@ -318,6 +324,7 @@ func BenchmarkCompileShape(b *testing.B) {
 	}{
 		{"compile/video/testbed", workload.VideoProcessing(), workload.Testbed()},
 		{"compile/synthetic12/scaled50", synth, workload.ScaledTestbed(25)},
+		{"compile/synthetic16/scaled24", cold, workload.ScaledTestbed(12)},
 	}
 	for _, c := range cases {
 		b.Run(c.name+"/fused", func(b *testing.B) {

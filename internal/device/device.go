@@ -5,6 +5,8 @@ package device
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 
 	"deep/internal/dag"
@@ -114,6 +116,47 @@ func (d *Device) ProcessingTime(load units.MI) float64 {
 func (d *Device) WithName(name string) *Device {
 	d.Name = name
 	return d
+}
+
+// ClassKey renders everything a compiled plan prices on this device — arch,
+// cores, memory, storage, and exact speed and power model (%#v skips the
+// units' rounding String methods) — as its cluster-digest record minus the
+// name.
+func (d *Device) ClassKey() string {
+	return fmt.Sprintf("%s|%d|%v|%d|%d|%#v", d.Arch, d.Cores, float64(d.Speed), d.Memory, d.Storage, d.Power)
+}
+
+// SameClass reports d.ClassKey() == o.ClassKey(), rendering the keys only
+// when the fields cannot decide (never, for devices cloned from one spec).
+func (d *Device) SameClass(o *Device) bool {
+	a, b := float64(d.Speed), float64(o.Speed)
+	sameSpeed := math.Float64bits(a) == math.Float64bits(b)
+	// Distinct floats render distinctly, -0 included, unless both are NaN.
+	if d.Arch != o.Arch || d.Cores != o.Cores || d.Memory != o.Memory || d.Storage != o.Storage ||
+		!sameSpeed && !(math.IsNaN(a) && math.IsNaN(b)) {
+		return false
+	}
+	return sameSpeed && samePower(d.Power, o.Power) || d.ClassKey() == o.ClassKey()
+}
+
+// samePower reports bit-identical models sharing their maps: they render alike.
+func samePower(a, b energy.PowerModel) bool {
+	switch a := a.(type) {
+	case energy.LinearModel:
+		b, ok := b.(energy.LinearModel)
+		return ok && sameBits(a.StaticW, b.StaticW) && sameBits(a.PullW, b.PullW) &&
+			sameBits(a.ReceiveW, b.ReceiveW) && sameBits(a.ProcessingW, b.ProcessingW)
+	case energy.TableModel:
+		b, ok := b.(energy.TableModel)
+		return ok && samePower(a.Fallback, b.Fallback) &&
+			reflect.ValueOf(a.ProcessW).UnsafePointer() == reflect.ValueOf(b.ProcessW).UnsafePointer() &&
+			reflect.ValueOf(a.TransferW).UnsafePointer() == reflect.ValueOf(b.TransferW).UnsafePointer()
+	}
+	return false
+}
+
+func sameBits(a, b units.Watts) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }
 
 // String renders the device spec.

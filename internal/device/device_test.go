@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math"
 	"testing"
 
 	"deep/internal/dag"
@@ -28,6 +29,70 @@ func TestCanRun(t *testing.T) {
 		if err := d.CanRun(m); err == nil {
 			t.Errorf("CanRun(%s) should fail", m.Name)
 		}
+	}
+}
+
+// TestClassKey: the key ignores the name and nothing a plan prices —
+// exact speed and exact power draws included.
+func TestClassKey(t *testing.T) {
+	base := testDevice().ClassKey()
+	if got := testDevice().WithName("other").ClassKey(); got != base {
+		t.Errorf("renamed device changed class key: %q vs %q", got, base)
+	}
+	for name, mutate := range map[string]func(*Device){
+		"arch":      func(d *Device) { d.Arch = dag.ARM64 },
+		"cores":     func(d *Device) { d.Cores++ },
+		"speed":     func(d *Device) { d.Speed += 0.25 },
+		"memory":    func(d *Device) { d.Memory++ },
+		"storage":   func(d *Device) { d.Storage++ },
+		"power":     func(d *Device) { d.Power = energy.LinearModel{StaticW: 2, PullW: 1} },
+		"milliwatt": func(d *Device) { d.Power = energy.LinearModel{StaticW: 2.001} },
+	} {
+		d := testDevice()
+		mutate(d)
+		if d.ClassKey() == base {
+			t.Errorf("%s change kept the class key %q", name, base)
+		}
+	}
+}
+
+// TestSameClass: SameClass is exactly class-key equality — signed zeros,
+// NaN payloads and equal-content maps included — and devices sharing one
+// spec's power model are compared without rendering a key.
+func TestSameClass(t *testing.T) {
+	table := func(proc units.Watts) energy.TableModel {
+		return energy.TableModel{
+			Fallback: energy.LinearModel{StaticW: 2, ProcessingW: 3},
+			ProcessW: map[string]units.Watts{"a": proc, "b": 4},
+		}
+	}
+	shared := table(5)
+	withPower := func(pm energy.PowerModel) *Device {
+		d := testDevice()
+		d.Power = pm
+		return d
+	}
+	withSpeed := func(bits uint64) *Device {
+		d := testDevice()
+		d.Speed = units.MIPS(math.Float64frombits(bits))
+		return d
+	}
+	devs := []*Device{
+		testDevice(), testDevice().WithName("other"),
+		withPower(shared), withPower(shared), withPower(table(5)), withPower(table(6)),
+		withPower(energy.LinearModel{StaticW: 0}), withPower(energy.LinearModel{StaticW: units.Watts(math.Copysign(0, -1))}),
+		withSpeed(0x7ff8000000000001), withSpeed(0x7ff8000000000002),
+		withSpeed(0), withSpeed(1 << 63),
+	}
+	for i, a := range devs {
+		for j, b := range devs {
+			if got, want := a.SameClass(b), a.ClassKey() == b.ClassKey(); got != want {
+				t.Errorf("devices %d, %d: SameClass = %v, keys %q vs %q", i, j, got, a.ClassKey(), b.ClassKey())
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { devs[2].SameClass(devs[3]) }); n != 0 {
+		t.Errorf("SameClass on a shared power model allocated %v times: it rendered keys", n)
 	}
 }
 

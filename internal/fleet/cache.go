@@ -99,11 +99,10 @@ func writeClusterFingerprint(w io.Writer, c *sim.Cluster) {
 			continue
 		}
 		devSeen[d.Name] = true
-		// %v over the power model is deterministic: fmt prints maps in
-		// sorted key order. Names are quoted so separator bytes inside
-		// them cannot realign records.
-		devices = append(devices, fmt.Sprintf("dev|%s|%s|%d|%d|%d|%d|%v",
-			quoted(d.Name), d.Arch, d.Cores, int64(d.Speed), d.Memory, d.Storage, d.Power))
+		// Name plus class key: devices share a price class exactly when
+		// their records differ only in the name. Names are quoted so
+		// separator bytes inside them cannot realign records.
+		devices = append(devices, "dev|"+quoted(d.Name)+"|"+d.ClassKey())
 	}
 	sort.Strings(devices)
 	for _, d := range devices {
@@ -126,7 +125,8 @@ func writeClusterFingerprint(w io.Writer, c *sim.Cluster) {
 	for _, a := range nodes {
 		for _, b := range nodes {
 			if l, ok := c.Topology.LinkBetween(a, b); ok {
-				fmt.Fprintf(w, "link|%s|%s|%d|%g|%t\n", quoted(a), quoted(b), int64(l.BW), l.RTT, l.SharedCapacity)
+				fmt.Fprintf(w, "link|%s|%s|%s|%g|%t\n", quoted(a), quoted(b),
+					strconv.FormatFloat(float64(l.BW), 'g', -1, 64), l.RTT, l.SharedCapacity)
 			}
 		}
 	}

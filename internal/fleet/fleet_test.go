@@ -12,6 +12,7 @@ import (
 
 	"deep/internal/chaos"
 	"deep/internal/dag"
+	"deep/internal/energy"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/units"
@@ -134,6 +135,40 @@ func TestFingerprintSensitivity(t *testing.T) {
 	tweaked.Dataflows[0].Size++
 	if other := FingerprintOf(tweaked, cluster, "deep"); other == base {
 		t.Fatal("perturbed dataflow collided")
+	}
+}
+
+// TestClusterDigestExactFloats: device speeds, power draws and link
+// bandwidths are digested as exact floats, so clusters that differ only in a
+// fraction get different digests (and never share tables or placements).
+func TestClusterDigestExactFloats(t *testing.T) {
+	withSpeed := func(speed units.MIPS) ClusterDigest {
+		c := workload.Testbed()
+		c.Devices[0].Speed = speed
+		return DigestCluster(c)
+	}
+	if string(withSpeed(30000.25)) == string(withSpeed(30000.75)) {
+		t.Fatal("device speeds 30000.25 and 30000.75 share a digest")
+	}
+	withIdle := func(w units.Watts) ClusterDigest {
+		c := workload.Testbed()
+		pm := c.Devices[0].Power.(energy.TableModel)
+		pm.Fallback.StaticW = w
+		c.Devices[0].Power = pm
+		return DigestCluster(c)
+	}
+	if string(withIdle(5.001)) == string(withIdle(5.004)) {
+		t.Fatal("idle draws 5.001 W and 5.004 W share a digest")
+	}
+	withBW := func(bw units.Bandwidth) ClusterDigest {
+		c := workload.Testbed()
+		if err := c.Topology.SetBandwidth(workload.HubNode, workload.MediumNode, bw); err != nil {
+			t.Fatal(err)
+		}
+		return DigestCluster(c)
+	}
+	if string(withBW(1e6+0.25)) == string(withBW(1e6+0.75)) {
+		t.Fatal("link bandwidths differing in the fraction share a digest")
 	}
 }
 

@@ -20,11 +20,16 @@ import (
 // from the simulation hot path; an Exec replays a Plan under any placement
 // with zero steady-state allocations.
 //
-// The cluster-side tables (name tables, link tables, idle power) live in a
-// topo.ClusterTable and the application-side structure in an
+// The cluster-side tables (name tables, device classes, link tables, idle
+// power) live in a topo.ClusterTable and the application-side structure in an
 // appgraph.AppTable; CompilePlanOnTables layers the cross-product pass over
 // caller-supplied tables so N applications on one cluster share one topology
 // scan, and CompilePlan compiles private tables on the fly.
+// The cross product is priced once per device class (topo.ClusterTable: the
+// devices whose digest records differ only in the name) and broadcast to the
+// class's devices; only the draws above idle are per device. Since the class
+// key is the digest record minus the name, a power model whose %#v rendering
+// hides behaviour breaks the plan and the fleet's caches alike.
 //
 // A Plan from CompilePlan or CompilePlanOnTables is immutable and safe for
 // concurrent Exec.Run calls on separate Execs — the form the fleet shares.
@@ -113,9 +118,9 @@ const (
 
 // CompileClusterTable compiles the cluster-side substrate shared by this
 // package's CompilePlanOnTables and costmodel.CompileShapeOn: name tables,
-// interned devices, dense link tables, and idle power. Compile it once per cluster
-// (the fleet caches one per cluster digest) and feed it to every
-// application-side compile against that cluster.
+// interned devices, device classes, dense link tables, and idle power.
+// Compile it once per cluster (the fleet caches one per cluster digest) and
+// feed it to every application-side compile against that cluster.
 func CompileClusterTable(cluster *Cluster) *topo.ClusterTable {
 	regs := make([]topo.Registry, len(cluster.Registries))
 	for i, r := range cluster.Registries {
@@ -139,8 +144,8 @@ func CompilePlan(app *dag.App, cluster *Cluster) *Plan {
 	return CompilePlanOnTables(appgraph.Compile(app), cluster, CompileClusterTable(cluster))
 }
 
-// CompilePlanOnTables is the real compile: a thin per-(microservice, device)
-// pricing pass over the app-side substrate (at) and the cluster-side
+// CompilePlanOnTables is the real compile: a thin per-(microservice, device
+// class) pricing pass over the app-side substrate (at) and the cluster-side
 // substrate (tab). Everything app-only — name table, edge rows, stages,
 // topological order, validation errors, jitter tags — is referenced from the
 // app table; everything cluster-only from the cluster table; only the cross
@@ -166,7 +171,7 @@ type PlanScratch struct {
 	layers    slab.Slab[Layer] // the synthetic single layers of images the cluster does not decompose
 	layerRows slab.Slab[[]Layer]
 	tp        slab.Slab[float64]
-	watts     slab.Slab[units.Watts] // pull, receive, process, then the three draws above idle
+	watts     slab.Slab[units.Watts] // pull, receive, process, the three draws above idle, then per-class rows
 }
 
 // Compile builds the plan in the scratch, replacing the one it held.
@@ -210,9 +215,12 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	p.extInput = at.ExtInputs()
 	p.jitterTag = at.PhaseTags()
 
-	s.feasible.Reset(nm * nd)
-	s.tp.Reset(nm * nd)
-	s.watts.Reset(6 * nm * nd)
+	// Price each class's representative into the class rows, then broadcast.
+	devClass, classRep := tab.DevClasses(), tab.ClassReps()
+	nc := len(classRep)
+	s.feasible.Reset(nm*nd + nc)
+	s.tp.Reset(nm*nd + nc)
+	s.watts.Reset(6*nm*nd + 3*nc)
 	s.layers.Reset(nm)
 	s.layerRows.Reset(nm)
 	p.feasible = s.feasible.Cut(nm * nd)
@@ -220,6 +228,8 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	p.pullW, p.recvW, p.procW = s.watts.Cut(nm*nd), s.watts.Cut(nm*nd), s.watts.Cut(nm*nd)
 	p.actPullW, p.actRecvW, p.actProcW = s.watts.Cut(nm*nd), s.watts.Cut(nm*nd), s.watts.Cut(nm*nd)
 	p.layers = s.layerRows.Cut(nm)
+	cFeasible, cTp := s.feasible.Cut(nc), s.tp.Cut(nc)
+	cPullW, cRecvW, cProcW := s.watts.Cut(nc), s.watts.Cut(nc), s.watts.Cut(nc)
 
 	for i := 0; i < nm; i++ {
 		m := p.ms[i]
@@ -229,17 +239,22 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 			p.layers[i] = s.layers.Cut(1)
 			p.layers[i][0] = defaultLayer(m)
 		}
-		for d := 0; d < nd; d++ {
+		for c, d := range classRep {
 			dev := p.devices[d]
+			cFeasible[c] = dev.CanRun(m) == nil
+			cTp[c] = dev.ProcessingTime(m.Req.CPU)
+			cPullW[c] = dev.Power.Power(energy.Pulling, m.Name)
+			cRecvW[c] = dev.Power.Power(energy.Receiving, m.Name)
+			cProcW[c] = dev.Power.Power(energy.Processing, m.Name)
+		}
+		for d, c := range devClass {
 			base := i*nd + d
-			p.feasible[base] = dev.CanRun(m) == nil
-			p.tp[base] = dev.ProcessingTime(m.Req.CPU)
-			p.pullW[base] = dev.Power.Power(energy.Pulling, m.Name)
-			p.recvW[base] = dev.Power.Power(energy.Receiving, m.Name)
-			p.procW[base] = dev.Power.Power(energy.Processing, m.Name)
-			p.actPullW[base] = p.pullW[base] - p.idleW[d]
-			p.actRecvW[base] = p.recvW[base] - p.idleW[d]
-			p.actProcW[base] = p.procW[base] - p.idleW[d]
+			p.feasible[base] = cFeasible[c]
+			p.tp[base] = cTp[c]
+			p.pullW[base], p.recvW[base], p.procW[base] = cPullW[c], cRecvW[c], cProcW[c]
+			p.actPullW[base] = cPullW[c] - p.idleW[d]
+			p.actRecvW[base] = cRecvW[c] - p.idleW[d]
+			p.actProcW[base] = cProcW[c] - p.idleW[d]
 		}
 	}
 

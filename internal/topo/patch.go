@@ -1,10 +1,6 @@
 package topo
 
 import (
-	"slices"
-	"sort"
-
-	"deep/internal/device"
 	"deep/internal/energy"
 	"deep/internal/units"
 )
@@ -36,36 +32,12 @@ type Delta struct {
 // two compiles whose endpoints are absent from delta.TouchedNodes is served
 // stale from the old table.
 func (t *ClusterTable) Patch(v View, delta Delta) *ClusterTable {
-	n := &ClusterTable{}
-
-	n.devNames = make([]string, 0, len(v.Devices))
-	for _, d := range v.Devices {
-		n.devNames = append(n.devNames, d.Name)
-	}
-	sort.Strings(n.devNames)
-	n.devNames = slices.Compact(n.devNames)
-	n.devIndex = indexOf(n.devNames)
-
-	n.regNames = make([]string, 0, len(v.Registries))
-	for _, r := range v.Registries {
-		n.regNames = append(n.regNames, r.Name)
-	}
-	sort.Strings(n.regNames)
-	n.regNames = slices.Compact(n.regNames)
-	n.regIndex = indexOf(n.regNames)
-
+	n := newTable(v)
 	nd, nr := len(n.devNames), len(n.regNames)
 
 	touched := make(map[string]bool, len(delta.TouchedNodes))
 	for _, node := range delta.TouchedNodes {
 		touched[node] = true
-	}
-
-	n.devices = make([]*device.Device, nd)
-	for _, d := range v.Devices {
-		if i, ok := n.devIndex[d.Name]; ok && n.devices[i] == nil {
-			n.devices[i] = d
-		}
 	}
 
 	// oldDev[d] is the old table's id for new device d, or -1 when the
@@ -86,16 +58,6 @@ func (t *ClusterTable) Patch(v View, delta Delta) *ClusterTable {
 		devReusable[d] = oldDev[d] >= 0 && !touched[n.devNames[d]]
 	}
 
-	n.regShared = make([]bool, nr)
-	n.regNodes = make([]string, nr)
-	regSet := make([]bool, nr)
-	for _, r := range v.Registries {
-		if i, ok := n.regIndex[r.Name]; ok && !regSet[i] {
-			regSet[i] = true
-			n.regShared[i] = r.Shared
-			n.regNodes[i] = r.Node
-		}
-	}
 	// oldReg[r] is the old table's id for new registry r when its node is
 	// unchanged and untouched — the condition for copying its link row.
 	oldReg := make([]int32, nr)

@@ -129,6 +129,12 @@ func TestPatchEquivalence(t *testing.T) {
 			v := tc.view()
 			patched := baseTab.Patch(v, Delta{})
 			full := Compile(v)
+			// Joiners and leavers reshape the class table too.
+			if !reflect.DeepEqual(patched.DevClasses(), full.DevClasses()) ||
+				!reflect.DeepEqual(patched.ClassReps(), full.ClassReps()) {
+				t.Fatalf("class table: patched %v / %v, full %v / %v",
+					patched.DevClasses(), patched.ClassReps(), full.DevClasses(), full.ClassReps())
+			}
 			if !reflect.DeepEqual(patched, full) {
 				t.Fatalf("patched table != full compile\npatched: %+v\nfull:    %+v", patched, full)
 			}
@@ -213,5 +219,10 @@ func TestPatchReplacedDeviceHandle(t *testing.T) {
 	id, _ := patched.DevID("dev-01")
 	if patched.IdleW()[id] != 42 {
 		t.Fatalf("idle power not re-derived for replaced handle: %v", patched.IdleW()[id])
+	}
+	// The replacement's spec differs, so it must leave the shared class
+	// rather than inherit the old handle's key.
+	if got := len(patched.ClassReps()); got != 2 || patched.DevClasses()[id] == patched.DevClasses()[0] {
+		t.Fatalf("replaced handle not reclassified: classes %v", patched.DevClasses())
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"slices"
 	"sort"
 
-	"deep/internal/dag"
 	"deep/internal/device"
 	"deep/internal/energy"
 	"deep/internal/netsim"
@@ -63,11 +62,17 @@ type View struct {
 }
 
 // ClusterTable is the compiled cluster-side substrate: sorted + compacted
-// name tables and index maps, interned device handles, the dense
-// registry→device / device→device / source→device link tables, per-registry
-// shared-uplink flags, and per-device idle power. Application-side compilers
-// (costmodel.CompileShapeOn, sim.CompilePlanOnTables) layer their
-// per-microservice tables on top of it.
+// name tables and index maps, interned device handles, the device class
+// table, the dense registry→device / device→device / source→device link
+// tables, per-registry shared-uplink flags, and per-device idle power.
+// Application-side compilers (costmodel.CompileShapeOn,
+// sim.CompilePlanOnTables) layer their per-microservice tables on top of it.
+//
+// A device class is the set of devices that agree on everything a plan
+// prices: arch, cores, exact speed, memory, storage and power model. Its key
+// is device.ClassKey, the device's cluster-digest record minus its name, so
+// class and digest equality never disagree: a power model whose %#v hides
+// behaviour breaks both alike.
 type ClusterTable struct {
 	devNames []string
 	regNames []string
@@ -79,6 +84,11 @@ type ClusterTable struct {
 	// feasibility predicate (device.CanRun: architecture + static
 	// resources) and the layer cache the simulator drives.
 	devices []*device.Device
+
+	// devClass[d] is device d's class, numbered in order of first
+	// appearance over device ids; classRep[c] is class c's first device.
+	devClass []int32
+	classRep []int32
 
 	regShared []bool
 
@@ -104,51 +114,13 @@ type ClusterTable struct {
 // O(numReg·numDev + numDev²) LinkBetween lookups — which is exactly the work
 // sharing the table avoids repeating per application.
 func Compile(v View) *ClusterTable {
-	t := &ClusterTable{}
-
-	t.devNames = make([]string, 0, len(v.Devices))
-	for _, d := range v.Devices {
-		t.devNames = append(t.devNames, d.Name)
-	}
-	sort.Strings(t.devNames)
-	t.devNames = slices.Compact(t.devNames)
-	t.devIndex = indexOf(t.devNames)
-
-	t.regNames = make([]string, 0, len(v.Registries))
-	for _, r := range v.Registries {
-		t.regNames = append(t.regNames, r.Name)
-	}
-	sort.Strings(t.regNames)
-	t.regNames = slices.Compact(t.regNames)
-	t.regIndex = indexOf(t.regNames)
-
+	t := newTable(v)
 	nd, nr := len(t.devNames), len(t.regNames)
-
-	t.devices = make([]*device.Device, nd)
-	for _, d := range v.Devices {
-		if i, ok := t.devIndex[d.Name]; ok && t.devices[i] == nil {
-			t.devices[i] = d
-		}
-	}
-
-	t.regShared = make([]bool, nr)
-	t.regNodes = make([]string, nr)
-	regNodes := t.regNodes
-	regSet := make([]bool, nr)
-	for _, r := range v.Registries {
-		// First occurrence wins on duplicate names, matching
-		// sim.Cluster.Registry and both legacy compilers.
-		if i, ok := t.regIndex[r.Name]; ok && !regSet[i] {
-			regSet[i] = true
-			t.regShared[i] = r.Shared
-			regNodes[i] = r.Node
-		}
-	}
 
 	t.regLink = make([]Link, nr*nd)
 	for r := 0; r < nr; r++ {
 		for d := 0; d < nd; d++ {
-			t.regLink[r*nd+d] = compileLink(v.Topology, regNodes[r], t.devNames[d])
+			t.regLink[r*nd+d] = compileLink(v.Topology, t.regNodes[r], t.devNames[d])
 		}
 	}
 	t.devLink = make([]Link, nd*nd)
@@ -169,6 +141,67 @@ func Compile(v View) *ClusterTable {
 	t.idleW = make([]units.Watts, nd)
 	for d := 0; d < nd; d++ {
 		t.idleW[d] = t.devices[d].Power.Power(energy.Idle, "")
+	}
+	return t
+}
+
+// classify numbers the device classes in order of first appearance.
+func classify(devices []*device.Device) (devClass, classRep []int32) {
+	n := len(devices)
+	ids := make([]int32, 2*n) // one backing: never more classes than devices
+	devClass, classRep = ids[:n:n], ids[n:n]
+	for d, dev := range devices {
+		c := 0
+		for c < len(classRep) && !dev.SameClass(devices[classRep[c]]) {
+			c++
+		}
+		if c == len(classRep) {
+			classRep = append(classRep, int32(d))
+		}
+		devClass[d] = int32(c)
+	}
+	return devClass, classRep
+}
+
+// newTable builds what Compile and Patch both derive from the view alone:
+// the name tables, interned devices, device classes, and registry flags and
+// nodes. First occurrence wins on duplicate names, matching
+// sim.Cluster.Device/Registry and both legacy compilers.
+func newTable(v View) *ClusterTable {
+	t := &ClusterTable{}
+
+	t.devNames = make([]string, 0, len(v.Devices))
+	for _, d := range v.Devices {
+		t.devNames = append(t.devNames, d.Name)
+	}
+	sort.Strings(t.devNames)
+	t.devNames = slices.Compact(t.devNames)
+	t.devIndex = indexOf(t.devNames)
+
+	t.regNames = make([]string, 0, len(v.Registries))
+	for _, r := range v.Registries {
+		t.regNames = append(t.regNames, r.Name)
+	}
+	sort.Strings(t.regNames)
+	t.regNames = slices.Compact(t.regNames)
+	t.regIndex = indexOf(t.regNames)
+
+	t.devices = make([]*device.Device, len(t.devNames))
+	for _, d := range v.Devices {
+		if i, ok := t.devIndex[d.Name]; ok && t.devices[i] == nil {
+			t.devices[i] = d
+		}
+	}
+	t.devClass, t.classRep = classify(t.devices)
+
+	nr := len(t.regNames)
+	t.regShared, t.regNodes = make([]bool, nr), make([]string, nr)
+	regSet := make([]bool, nr)
+	for _, r := range v.Registries {
+		if i, ok := t.regIndex[r.Name]; ok && !regSet[i] {
+			regSet[i] = true
+			t.regShared[i], t.regNodes[i] = r.Shared, r.Node
+		}
 	}
 	return t
 }
@@ -222,21 +255,14 @@ func (t *ClusterTable) RegID(name string) (int32, bool) {
 	return id, ok
 }
 
-// Devices returns the interned device handles (shared slice, parallel to
-// DevNames).
-func (t *ClusterTable) Devices() []*device.Device { return t.devices }
-
 // Device returns the interned handle for a device id.
 func (t *ClusterTable) Device(d int32) *device.Device { return t.devices[d] }
 
-// Feasible reports whether device d can run the microservice — the
-// architecture and static-resource predicate costmodel's option enumeration
-// evaluates per (microservice, device) cell. The simulator plan evaluates
-// the same predicate on its own re-interned device handles instead, because
-// its feasibility table must describe the cluster the plan executes against.
-func (t *ClusterTable) Feasible(d int32, m *dag.Microservice) bool {
-	return t.devices[d].CanRun(m) == nil
-}
+// DevClasses returns each device's class id (shared slice).
+func (t *ClusterTable) DevClasses() []int32 { return t.devClass }
+
+// ClassReps returns each class's first device id (shared slice).
+func (t *ClusterTable) ClassReps() []int32 { return t.classRep }
 
 // RegShared returns the per-registry shared-uplink flags (shared slice).
 func (t *ClusterTable) RegShared() []bool { return t.regShared }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 
 	"deep/internal/dag"
@@ -100,12 +101,46 @@ func TestCompileTable(t *testing.T) {
 		t.Fatalf("idle power of a = %v, want 1 (first occurrence's model)", w)
 	}
 
-	// Feasibility predicate delegates to the interned device.
-	ms := &dag.Microservice{Name: "m", ImageSize: units.MB, Req: dag.Requirements{Cores: 4, CPU: 100}}
-	if tab.Feasible(aID, ms) {
-		t.Fatal("4-core microservice should not fit the 2-core first device a")
+	// a and b differ in spec, so each is its own class; the losing
+	// duplicate "a" founds none.
+	if got := len(tab.ClassReps()); got != 2 {
+		t.Fatalf("classes = %d, want 2", got)
 	}
-	if !tab.Feasible(bID, ms) {
-		t.Fatal("4-core microservice should fit device b")
+	if cls := tab.DevClasses(); cls[aID] == cls[bID] {
+		t.Fatalf("distinct specs a and b share class %d", cls[aID])
+	}
+}
+
+// TestDeviceClasses pins the class table: devices share a class exactly
+// when their class keys (digest records minus the name) agree, classes are
+// numbered by first appearance over device ids, and each class's
+// representative is its first device.
+func TestDeviceClasses(t *testing.T) {
+	pm := func(idle units.Watts) energy.TableModel {
+		return energy.TableModel{
+			Fallback: energy.LinearModel{StaticW: idle, PullW: 1, ReceiveW: 1, ProcessingW: 1},
+			ProcessW: map[string]units.Watts{"m": 7},
+		}
+	}
+	top := netsim.NewTopology()
+	mk := func(name string, speed units.MIPS, model energy.PowerModel) *device.Device {
+		top.AddNode(name)
+		return device.New(name, dag.AMD64, 4, speed, units.GB, 8*units.GB, model)
+	}
+	v := View{Topology: top, Devices: []*device.Device{
+		mk("d0", 1000, pm(1)),
+		mk("d1", 1000, pm(1)),   // equal maps, distinct values: same class as d0
+		mk("d2", 1000.5, pm(1)), // fractional speed difference: own class
+		mk("d3", 1000, pm(2)),   // different power map: own class
+		mk("d4", 1000.5, pm(1)), // joins d2's class
+		mk("d5", 1000, pm(1)),   // joins d0's class
+		mk("d6", 1000, energy.LinearModel{StaticW: 1, PullW: 1, ReceiveW: 1, ProcessingW: 1}),
+	}}
+	tab := Compile(v)
+	if want := []int32{0, 0, 1, 2, 1, 0, 3}; !reflect.DeepEqual(tab.DevClasses(), want) {
+		t.Fatalf("DevClasses = %v, want %v", tab.DevClasses(), want)
+	}
+	if want := []int32{0, 2, 3, 6}; !reflect.DeepEqual(tab.ClassReps(), want) {
+		t.Fatalf("ClassReps = %v, want %v", tab.ClassReps(), want)
 	}
 }
