@@ -36,6 +36,9 @@ const (
 	codeScheduleFailed = "schedule_failed"
 	codeNotFound       = "not_found"
 	codeMethod         = "method_not_allowed"
+	// codeInternal is a 500 the server caused itself: a response it could
+	// not encode (a NaN or ±Inf makespan or energy).
+	codeInternal = "internal"
 )
 
 // defaultMaxBodyBytes bounds request bodies: app specs are a few KiB, so one
@@ -389,11 +392,29 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	out := deployResponseOf(resp)
-	// Everything the wire response needs is copied out; recycle the pooled
-	// response before the (comparatively slow) encode.
+	answer := s.bodies.Get().(*requestBody)
+	var encoded bool
+	answer.data, encoded = appendDeploy(answer.data[:0], resp)
 	resp.Release()
-	writeJSON(w, http.StatusOK, out)
+	s.writeAnswer(w, answer, encoded)
+}
+
+// writeAnswer sends an appended deploy answer, newline-terminated like
+// json.Encoder's and framed by Content-Length, then returns its buffer to
+// the pool. ok false means a float would not encode: the 500 goes out
+// instead, as writeJSON sends it.
+func (s *Server) writeAnswer(w http.ResponseWriter, answer *requestBody, ok bool) {
+	defer s.releaseBody(answer)
+	if !ok {
+		writeEncodeFailure(w)
+		return
+	}
+	answer.data = append(answer.data, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(answer.data)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(answer.data)
 }
 
 // requestBody is one pooled deploy-request buffer, with the batch scanner's
@@ -609,27 +630,6 @@ func (s *Server) countDecode(fast bool) {
 	}
 }
 
-// deployResponseOf copies a successful fleet response into its wire form —
-// after which the caller is free to Release the original.
-func deployResponseOf(resp *fleet.Response) DeployResponse {
-	out := DeployResponse{
-		Tenant:      resp.Tenant,
-		App:         resp.App,
-		Epoch:       resp.Epoch,
-		CacheHit:    resp.CacheHit,
-		Degraded:    resp.Degraded,
-		QueueWaitMS: float64(resp.QueueWait) / float64(time.Millisecond),
-		LatencyMS:   float64(resp.Latency) / float64(time.Millisecond),
-		Placement:   make(map[string]AssignmentSpec, resp.Placement.Len()),
-		MakespanS:   resp.Result.Makespan,
-		EnergyJ:     float64(resp.Result.TotalEnergy),
-	}
-	for ms, a := range resp.Placement.All() {
-		out.Placement[ms] = AssignmentSpec{Device: a.Device, Registry: a.Registry}
-	}
-	return out
-}
-
 func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, codeMethod, "POST only", 0)
@@ -697,33 +697,39 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Accepted: the fleet answers every item exactly once, in submission
 	// order — same completion guarantee as the single-deploy path, batch-wide.
-	out := DeployBatchResponse{Tenant: tenant, Results: make([]DeployBatchResult, 0, n)}
-	for range n {
+	// Each response is appended and released as it arrives; one that will
+	// not encode spoils the answer, but the rest are still received.
+	answer := s.bodies.Get().(*requestBody)
+	buf, encoded := appendBatchOpen(answer.data[:0], tenant), true
+	for i := range n {
 		resp := <-ch
 		s.observe(resp)
 		if s.draining.Load() {
 			labels.drained.Add(1)
 		}
-		res := DeployBatchResult{Index: resp.Index}
-		if resp.Err != nil {
-			e := &BatchItemError{Message: resp.Err.Error()}
-			switch {
-			case errors.Is(resp.Err, fleet.ErrDeadline), errors.Is(resp.Err, context.DeadlineExceeded):
-				e.Code = codeDeadline
-			case errors.Is(resp.Err, context.Canceled):
-				e.Code = codeInvalidRequest
-			default:
-				e.Code = codeScheduleFailed
+		if encoded {
+			if i > 0 {
+				buf = append(buf, ',')
 			}
-			res.Error = e
-		} else {
-			d := deployResponseOf(resp)
-			res.Deploy = &d
+			buf, encoded = appendBatchResult(buf, resp)
 		}
 		resp.Release()
-		out.Results = append(out.Results, res)
 	}
-	writeJSON(w, http.StatusOK, out)
+	answer.data = append(buf, "]}"...)
+	s.writeAnswer(w, answer, encoded)
+}
+
+// batchErrorCode is the structured code of one failed batch item, mapped as
+// the single-deploy path maps the same errors to statuses.
+func batchErrorCode(err error) string {
+	switch {
+	case errors.Is(err, fleet.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
+		return codeDeadline
+	case errors.Is(err, context.Canceled):
+		return codeInvalidRequest
+	default:
+		return codeScheduleFailed
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -898,11 +904,18 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 	writeJSON(w, status, body)
 }
 
+// writeEncodeFailure answers a response that would not encode (a NaN or ±Inf
+// float) with the structured 500.
+func writeEncodeFailure(w http.ResponseWriter) {
+	writeError(w, http.StatusInternalServerError, codeInternal, "encoding response", 0)
+}
+
 // writeJSON renders a JSON response body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"encoding response"}}`, http.StatusInternalServerError)
+		// The error envelope is two strings, so this cannot recurse twice.
+		writeEncodeFailure(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -19,6 +20,7 @@ import (
 	"deep/internal/obs"
 	"deep/internal/sched"
 	"deep/internal/sim"
+	"deep/internal/units"
 	"deep/internal/wire"
 	"deep/internal/workload"
 )
@@ -427,6 +429,16 @@ type stubBackend struct {
 	queueLen  int
 	queueCap  int
 	workers   int
+	// result, when set, is the Result of every response; else a zero one.
+	result *sim.Result
+}
+
+func (s *stubBackend) respond(req fleet.Request, index int) *fleet.Response {
+	result := s.result
+	if result == nil {
+		result = &sim.Result{}
+	}
+	return &fleet.Response{Tenant: req.Tenant, App: req.App.Name, Index: index, Result: result}
 }
 
 func (s *stubBackend) TrySubmitCtx(ctx context.Context, req fleet.Request) (<-chan *fleet.Response, error) {
@@ -434,7 +446,7 @@ func (s *stubBackend) TrySubmitCtx(ctx context.Context, req fleet.Request) (<-ch
 		return nil, s.submitErr
 	}
 	ch := make(chan *fleet.Response, 1)
-	ch <- &fleet.Response{Tenant: req.Tenant, App: req.App.Name, Placement: fleet.PlacementView{}, Result: &sim.Result{}}
+	ch <- s.respond(req, 0)
 	return ch, nil
 }
 func (s *stubBackend) SubmitBatch(ctx context.Context, reqs []fleet.Request) (<-chan *fleet.Response, error) {
@@ -443,7 +455,7 @@ func (s *stubBackend) SubmitBatch(ctx context.Context, reqs []fleet.Request) (<-
 	}
 	ch := make(chan *fleet.Response, len(reqs))
 	for i, req := range reqs {
-		ch <- &fleet.Response{Tenant: req.Tenant, App: req.App.Name, Index: i, Placement: fleet.PlacementView{}, Result: &sim.Result{}}
+		ch <- s.respond(req, i)
 	}
 	return ch, nil
 }
@@ -855,4 +867,66 @@ func TestDeployBatchBackendErrors(t *testing.T) {
 	if len(out.Results) != 2 || out.Results[0].Index != 0 || out.Results[1].Index != 1 {
 		t.Fatalf("stub batch results: %+v", out.Results)
 	}
+}
+
+// TestEncodeFailureIsStructured500: a makespan or energy that encoding/json
+// refuses (NaN, ±Inf) is answered on both deploy endpoints with a 500 that
+// keeps the error contract — JSON content type, the structured envelope, a
+// code from the declared table.
+func TestEncodeFailureIsStructured500(t *testing.T) {
+	video := appJSON(t, workload.VideoProcessing())
+	for name, result := range map[string]*sim.Result{
+		"NaN makespan": {Makespan: math.NaN(), TotalEnergy: 1},
+		"+Inf energy":  {Makespan: 1, TotalEnergy: units.Joules(math.Inf(1))},
+		"-Inf energy":  {Makespan: 1, TotalEnergy: units.Joules(math.Inf(-1))},
+	} {
+		s, err := New(Config{Backend: &stubBackend{workers: 1, result: result}, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, body := range map[string][]byte{
+			deployURL: deployBody(t, "acme"),
+			batchURL:  batchBody(t, "acme", video, video),
+		} {
+			rec := serve(s.Handler(), path, body)
+			if rec.Code != http.StatusInternalServerError {
+				t.Errorf("%s on %s: status %d, want 500", name, path, rec.Code)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s on %s: Content-Type %q", name, path, ct)
+			}
+			want := `{"error":{"code":"internal","message":"encoding response"}}` + "\n"
+			if got := rec.Body.String(); got != want {
+				t.Errorf("%s on %s: body %q, want %q", name, path, got, want)
+			}
+		}
+	}
+}
+
+// TestDeployAnswersAreFramed: deploy answers carry Content-Length, so a
+// 16-item batch answer is one framed body, not a chunked stream.
+func TestDeployAnswersAreFramed(t *testing.T) {
+	env := newEnv(t, fleet.Config{Workers: 2}, Config{})
+	video := appJSON(t, workload.VideoProcessing())
+	apps := make([][]byte, 16)
+	for i := range apps {
+		apps[i] = video
+	}
+	check := func(name string, resp *http.Response, data []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, data)
+		}
+		if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				name, resp.ContentLength, resp.TransferEncoding, len(data))
+		}
+	}
+	resp, data := postBatch(t, env.url, batchBody(t, "acme", apps...))
+	check("16-item batch", resp, data)
+	if len(data) < 4<<10 {
+		t.Errorf("16-item batch answer is %d bytes: too small to have needed chunking", len(data))
+	}
+	resp, data = postDeploy(t, env.url, deployBody(t, "acme"))
+	check("single deploy", resp, data)
 }
