@@ -135,31 +135,26 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 	t := &s.t
 	*t = AppTable{app: app, msIndex: t.msIndex}
 
-	s.names.Reset(len(app.Microservices))
-	names := s.names.Rest()
-	for i, m := range app.Microservices {
-		names[i] = m.Name
-	}
-	sort.Strings(names)
-	nm := len(slices.Compact(names))
-	t.msNames = s.names.Cut(nm)
-	if t.msIndex == nil {
-		t.msIndex = make(map[string]int32, nm)
-	} else {
-		clear(t.msIndex)
-	}
-	for i, n := range t.msNames {
-		t.msIndex[n] = int32(i)
+	t.validErr = app.Validate()
+	// One round of graph walks for the app's lifetime: Validate left the
+	// ordering walk in the dag memo, so Order is a read.
+	ord, err := app.Order()
+	t.stagesErr, t.topoErr = err, err
+	numStages := 0
+	if err == nil {
+		numStages = ord.Stages
 	}
 
-	s.ms.Reset(nm)
-	t.ms = s.ms.Cut(nm)
-	clear(t.ms)
-	for _, m := range app.Microservices {
-		if i, ok := t.msIndex[m.Name]; ok && t.ms[i] == nil {
-			t.ms[i] = m
-		}
+	// The name table, its handles, and every edge's endpoints as ids (a
+	// dangling edge's source is -1).
+	s.ids.Reset(2*len(app.Dataflows) + 4*len(app.Microservices) + numStages)
+	var from, to []int32
+	if err == nil {
+		from, to = s.rankedNames(app, ord)
+	} else {
+		from, to = s.sortedNames(app)
 	}
+	nm := len(t.msNames)
 
 	s.sizes.Reset(2 * nm)
 	s.masks.Reset(nm)
@@ -177,36 +172,18 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 		t.archMask[i] = mask
 	}
 
-	t.validErr = app.Validate()
-	// One round of graph walks for the app's lifetime: Validate left the
-	// ordering walk in the dag memo, so Order is a read.
-	ord, err := app.Order()
-	t.stagesErr, t.topoErr = err, err
-	numStages := 0
-	if err == nil {
-		numStages = ord.Stages
-	}
-
-	// Resolve every edge once, counting degrees, then cut each row at its
-	// final size and fill in declaration order.
-	ne := len(app.Dataflows)
-	s.ids.Reset(2*ne + 4*nm + numStages)
-	ends, inDeg, outDeg := s.ids.Cut(2*ne), s.ids.Cut(nm), s.ids.Cut(nm)
+	// Count degrees, then cut each row at its final size and fill in
+	// declaration order.
+	inDeg, outDeg := s.ids.Cut(nm), s.ids.Cut(nm)
 	clear(inDeg)
 	clear(outDeg)
 	kept := 0
-	for i, e := range app.Dataflows {
-		to, okTo := t.msIndex[e.To]
-		from, okFrom := t.msIndex[e.From]
-		if !okTo || !okFrom {
-			// A dangling edge cannot alter costs: the legacy compilers
-			// skipped it identically.
-			ends[2*i] = -1
+	for i := range app.Dataflows {
+		if from[i] < 0 {
 			continue
 		}
-		ends[2*i], ends[2*i+1] = from, to
-		inDeg[to]++
-		outDeg[from]++
+		inDeg[to[i]]++
+		outDeg[from[i]]++
 		kept++
 	}
 	s.edges.Reset(2 * kept)
@@ -219,12 +196,12 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 		t.outputs[i] = s.edges.Cut(int(outDeg[i]))[:0]
 	}
 	for i, e := range app.Dataflows {
-		from, to := ends[2*i], ends[2*i+1]
-		if from < 0 {
+		src, dst := from[i], to[i]
+		if src < 0 {
 			continue
 		}
-		t.inputs[to] = append(t.inputs[to], Edge{MS: from, Size: e.Size})
-		t.outputs[from] = append(t.outputs[from], Edge{MS: to, Size: e.Size})
+		t.inputs[dst] = append(t.inputs[dst], Edge{MS: src, Size: e.Size})
+		t.outputs[src] = append(t.outputs[src], Edge{MS: dst, Size: e.Size})
 	}
 
 	if err == nil {
@@ -276,6 +253,71 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 		}
 	}
 	return t
+}
+
+// rankedNames fills the name table and its handles for an app whose
+// ordering walk stands, and returns the edges' endpoints: its names are
+// unique and its edges resolved, so the walk has numbered both already and
+// ids are ranks.
+func (s *Scratch) rankedNames(app *dag.App, ord *dag.Order) (from, to []int32) {
+	t, nm := &s.t, len(ord.ByName)
+	s.names.Reset(nm)
+	s.ms.Reset(nm)
+	t.msNames, t.ms = s.names.Cut(nm), s.ms.Cut(nm)
+	for r, v := range ord.ByName {
+		t.ms[r] = app.Microservices[v]
+		t.msNames[r] = t.ms[r].Name
+	}
+	t.indexNames()
+	return ord.From, ord.To
+}
+
+// sortedNames is rankedNames for an app whose walk failed (duplicate names,
+// dangling edges, a cycle): the names are sorted and compacted, the first
+// vertex under a name is its handle, and a dangling edge's source is -1.
+func (s *Scratch) sortedNames(app *dag.App) (from, to []int32) {
+	t := &s.t
+	s.names.Reset(len(app.Microservices))
+	names := s.names.Rest()
+	for i, m := range app.Microservices {
+		names[i] = m.Name
+	}
+	sort.Strings(names)
+	nm := len(slices.Compact(names))
+	t.msNames = s.names.Cut(nm)
+	t.indexNames()
+	s.ms.Reset(nm)
+	t.ms = s.ms.Cut(nm)
+	clear(t.ms)
+	for _, m := range app.Microservices {
+		if i := t.msIndex[m.Name]; t.ms[i] == nil {
+			t.ms[i] = m
+		}
+	}
+	from, to = s.ids.Cut(len(app.Dataflows)), s.ids.Cut(len(app.Dataflows))
+	for i, e := range app.Dataflows {
+		var okFrom, okTo bool
+		from[i], okFrom = t.msIndex[e.From]
+		to[i], okTo = t.msIndex[e.To]
+		if !okFrom || !okTo {
+			// A dangling edge cannot alter costs: the legacy compilers
+			// skipped it identically.
+			from[i] = -1
+		}
+	}
+	return from, to
+}
+
+// indexNames rebuilds the name -> id map from the name table.
+func (t *AppTable) indexNames() {
+	if t.msIndex == nil {
+		t.msIndex = make(map[string]int32, len(t.msNames))
+	} else {
+		clear(t.msIndex)
+	}
+	for i, n := range t.msNames {
+		t.msIndex[n] = int32(i)
+	}
 }
 
 // App returns the application the table was compiled from.

@@ -2,13 +2,21 @@
 // acyclic graphs of containerized microservices interconnected by dataflows,
 // following Section III-A of the paper. It provides validation, topological
 // ordering, synchronization-barrier stages, and critical-path analysis.
+//
+// An App is built one of two ways. NewApp plus AddMicroservice and
+// AddDataflow grow it incrementally, each mutation dropping the memoized
+// graph walks. A Builder takes a whole graph in one pass — the form a decoded
+// spec arrives in — and hands back an App at its final size whose memo is
+// born filled: the resolved graph and the validation walks are already
+// there. Both make the same checks with the same messages, and both leave
+// the same App; a later AddMicroservice or AddDataflow on a built App drops
+// the prefilled memo like any other.
 package dag
 
 import (
 	"crypto/sha256"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,15 +144,45 @@ func NewApp(name string) *App {
 }
 
 // AddMicroservice appends a microservice. It returns an error when the name
-// is empty or already taken, or when a size or requirement is negative: the
+// is empty or already taken, when a size or requirement is negative (the
 // cost model turns those into negative transfer and compute times, which
-// would lower the reported makespan and energy.
+// would lower the reported makespan and energy), or when the CPU load is
+// not below 2^63 instructions (see checkVertex).
 func (a *App) AddMicroservice(m *Microservice) error {
-	if m.Name == "" {
-		return fmt.Errorf("dag: %s: microservice with empty name", a.Name)
+	_, dup := a.byName[m.Name]
+	if err := checkVertex(a.Name, m, dup); err != nil {
+		return err
 	}
-	if _, dup := a.byName[m.Name]; dup {
-		return fmt.Errorf("dag: %s: duplicate microservice %q", a.Name, m.Name)
+	a.byName[m.Name] = int32(len(a.Microservices))
+	a.Microservices = append(a.Microservices, m)
+	a.invalidate()
+	return nil
+}
+
+// AddDataflow appends an edge. Both endpoints must already exist.
+func (a *App) AddDataflow(from, to string, size units.Bytes) error {
+	_, fromOK := a.byName[from]
+	_, toOK := a.byName[to]
+	if err := checkEdge(a.Name, from, to, fromOK, toOK, size); err != nil {
+		return err
+	}
+	a.Dataflows = append(a.Dataflows, Dataflow{From: from, To: to, Size: size})
+	a.invalidate()
+	return nil
+}
+
+// checkVertex is the vertex check AddMicroservice and Builder.Microservice
+// share; dup reports that the name is already taken. The CPU load must stay
+// below 2^63 instructions because the digest records it as an int64 count of
+// instructions, and Go's conversion of a float past that range (or of NaN)
+// is implementation-specific: on amd64 every such load records the same
+// value, so two apps differing only there would share one digest.
+func checkVertex(app string, m *Microservice, dup bool) error {
+	if m.Name == "" {
+		return fmt.Errorf("dag: %s: microservice with empty name", app)
+	}
+	if dup {
+		return fmt.Errorf("dag: %s: duplicate microservice %q", app, m.Name)
 	}
 	var negative string
 	switch {
@@ -162,30 +200,27 @@ func (a *App) AddMicroservice(m *Microservice) error {
 		negative = "external input"
 	}
 	if negative != "" {
-		return fmt.Errorf("dag: %s: microservice %q has negative %s", a.Name, m.Name, negative)
+		return fmt.Errorf("dag: %s: microservice %q has negative %s", app, m.Name, negative)
 	}
-	a.byName[m.Name] = int32(len(a.Microservices))
-	a.Microservices = append(a.Microservices, m)
-	a.invalidate()
+	if !(float64(m.Req.CPU)*1e6 < 0x1p63) {
+		return fmt.Errorf("dag: %s: microservice %q has CPU load %g MI, not below 2^63 instructions", app, m.Name, float64(m.Req.CPU))
+	}
 	return nil
 }
 
-// AddDataflow appends an edge. Both endpoints must already exist.
-func (a *App) AddDataflow(from, to string, size units.Bytes) error {
-	if _, ok := a.byName[from]; !ok {
-		return fmt.Errorf("dag: %s: dataflow from unknown microservice %q", a.Name, from)
+// checkEdge is the edge check AddDataflow and Builder.Dataflow share;
+// fromOK and toOK report that the endpoints name existing microservices.
+func checkEdge(app, from, to string, fromOK, toOK bool, size units.Bytes) error {
+	switch {
+	case !fromOK:
+		return fmt.Errorf("dag: %s: dataflow from unknown microservice %q", app, from)
+	case !toOK:
+		return fmt.Errorf("dag: %s: dataflow to unknown microservice %q", app, to)
+	case from == to:
+		return fmt.Errorf("dag: %s: self-loop on %q", app, from)
+	case size < 0:
+		return fmt.Errorf("dag: %s: negative dataflow size %s->%s", app, from, to)
 	}
-	if _, ok := a.byName[to]; !ok {
-		return fmt.Errorf("dag: %s: dataflow to unknown microservice %q", a.Name, to)
-	}
-	if from == to {
-		return fmt.Errorf("dag: %s: self-loop on %q", a.Name, from)
-	}
-	if size < 0 {
-		return fmt.Errorf("dag: %s: negative dataflow size %s->%s", a.Name, from, to)
-	}
-	a.Dataflows = append(a.Dataflows, Dataflow{From: from, To: to, Size: size})
-	a.invalidate()
 	return nil
 }
 
@@ -295,7 +330,7 @@ func (a *App) graphLocked() (*graph, error) {
 // slices were written directly gets the same two checks here, against an
 // index rebuilt from the slices, with the mutation methods' messages.
 func (a *App) resolve() (*graph, error) {
-	n, edges := len(a.Microservices), len(a.Dataflows)
+	n := len(a.Microservices)
 	index := a.byName
 	fresh := len(index) == n
 	for i := 0; fresh && i < n; i++ {
@@ -311,13 +346,7 @@ func (a *App) resolve() (*graph, error) {
 			index[m.Name] = int32(i)
 		}
 	}
-	buf := make([]int32, 3*edges+n+2)
-	g := &graph{n: n, from: buf[:edges], to: buf[edges : 2*edges], out: buf[2*edges : 3*edges]}
-	// A counting sort by source, stable so each group keeps declaration
-	// order: count into next[v+2], prefix-sum so next[v+1] is where v's
-	// group begins, then let filling advance it to where the group ends —
-	// which is where v+1's begins, leaving next[:n+1] the group starts.
-	next := buf[3*edges:]
+	g := newGraph(n, len(a.Dataflows))
 	for i, e := range a.Dataflows {
 		from, ok := index[e.From]
 		if !ok {
@@ -328,6 +357,26 @@ func (a *App) resolve() (*graph, error) {
 			return nil, fmt.Errorf("dag: %s: dataflow to unknown microservice %q", a.Name, e.To)
 		}
 		g.from[i], g.to[i] = from, to
+	}
+	g.link()
+	return g, nil
+}
+
+// newGraph allocates a graph of n vertices and the given number of edges in
+// one slice; the caller fills from and to, then calls link.
+func newGraph(n, edges int) *graph {
+	buf := make([]int32, 3*edges+n+2)
+	return &graph{n: n, from: buf[:edges], to: buf[edges : 2*edges], out: buf[2*edges : 3*edges], start: buf[3*edges:]}
+}
+
+// link groups the edges by source. It is a counting sort, stable so each
+// group keeps declaration order: count into next[v+2], prefix-sum so
+// next[v+1] is where v's group begins, then let filling advance it to where
+// the group ends — which is where v+1's begins, leaving next[:n+1] the group
+// starts.
+func (g *graph) link() {
+	next := g.start
+	for _, from := range g.from {
 		next[from+2]++
 	}
 	for v := 2; v < len(next); v++ {
@@ -337,8 +386,7 @@ func (a *App) resolve() (*graph, error) {
 		g.out[next[from+1]] = int32(i)
 		next[from+1]++
 	}
-	g.start = next[:n+1]
-	return g, nil
+	g.start = next[:g.n+1]
 }
 
 // duplicateEdge returns the position of the first dataflow that repeats the
@@ -395,6 +443,9 @@ type Order struct {
 	Topo   []int32 // vertices in TopoOrder's order
 	Level  []int32 // Level[v] is v's barrier stage: its longest path from a source
 	Stages int     // number of barrier stages (1 for an empty app, as Stages reports)
+	// From[i] and To[i] are the ranks of Dataflows[i]'s endpoints: each
+	// edge resolved once, in the name-order numbering.
+	From, To []int32
 }
 
 // Order returns the memoized ordering walk, or TopoOrder's error (the same
@@ -444,9 +495,10 @@ func (a *App) computeOrder() (*Order, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := g.n
-	buf := make([]int32, 6*n)
-	ord := &Order{ByName: buf[:n], Rank: buf[n : 2*n], Topo: buf[2*n : 2*n : 3*n], Level: buf[3*n : 4*n], Stages: 1}
+	n, edges := g.n, len(g.from)
+	buf := make([]int32, 6*n+2*edges)
+	ord := &Order{ByName: buf[:n], Rank: buf[n : 2*n], Topo: buf[2*n : 2*n : 3*n], Level: buf[3*n : 4*n], Stages: 1,
+		From: buf[6*n : 6*n+edges], To: buf[6*n+edges:]}
 	byRank, rank, indeg, ready := ord.ByName, ord.Rank, buf[4*n:5*n], buf[5*n:5*n]
 	for v := range byRank {
 		byRank[v] = int32(v)
@@ -457,8 +509,9 @@ func (a *App) computeOrder() (*Order, error) {
 	for r, v := range byRank {
 		rank[v] = int32(r)
 	}
-	for _, t := range g.to {
+	for i, t := range g.to {
 		indeg[t]++
+		ord.From[i], ord.To[i] = rank[g.from[i]], rank[t]
 	}
 	for _, v := range byRank { // ascending ranks already form a heap
 		if indeg[v] == 0 {
@@ -570,72 +623,91 @@ func (a *App) Digest() [sha256.Size]byte {
 // so a separator byte inside a name can never realign two distinct apps onto
 // the same digest. The record stream is a compatibility surface: cached
 // keys and recorded expectations depend on it byte for byte.
+//
+// The records are appended into one buffer, on the stack for an app of the
+// size the front door sees, and hashed in one call. Vertices and edges are
+// put in order by sorting index permutations, stably, so apps whose slices
+// were written directly with repeated names or edges hash as they always did.
 func (a *App) computeDigest() [sha256.Size]byte {
-	h := sha256.New()
-	var buf []byte
-	num := func(v int64) {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, v, 10)
+	ms, edges := a.Microservices, a.Dataflows
+	var permStack [128]int32
+	perm := permStack[:0]
+	if n := len(ms) + len(edges); n > len(permStack) {
+		perm = make([]int32, 0, n)
 	}
-	field := func(s string) {
-		num(int64(len(s)))
-		buf = append(buf, '|')
-		buf = append(buf, s...)
+	for i := range ms {
+		perm = append(perm, int32(i))
 	}
-	flush := func() {
-		buf = append(buf, '\n')
-		h.Write(buf)
-		buf = buf[:0]
+	for i := range edges {
+		perm = append(perm, int32(i))
 	}
-	buf = append(buf, "app"...)
-	field(a.Name)
-	flush()
-	ms := append([]*Microservice(nil), a.Microservices...)
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-	for _, m := range ms {
-		buf = append(buf, "ms"...)
-		field(m.Name)
-		num(int64(m.ImageSize))
-		num(int64(m.ExternalInput))
-		num(int64(len(m.Arches)))
-		for _, arch := range m.Arches {
-			field(string(arch))
+	byName, byEnds := perm[:len(ms)], perm[len(ms):]
+	slices.SortStableFunc(byName, func(x, y int32) int { return strings.Compare(ms[x].Name, ms[y].Name) })
+	slices.SortStableFunc(byEnds, func(x, y int32) int {
+		if c := strings.Compare(edges[x].From, edges[y].From); c != 0 {
+			return c
 		}
-		num(int64(m.Req.Cores))
-		num(int64(m.Req.CPU * 1e6))
-		num(int64(m.Req.Memory))
-		num(int64(m.Req.Storage))
-		num(int64(len(m.Images)))
-		flush()
-		regs := make([]string, 0, len(m.Images))
-		for reg := range m.Images {
-			regs = append(regs, reg)
-		}
-		sort.Strings(regs)
-		for _, reg := range regs {
-			buf = append(buf, "img"...)
-			field(reg)
-			field(m.Images[reg])
-			flush()
-		}
-	}
-	edges := append([]Dataflow(nil), a.Dataflows...)
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
+		return strings.Compare(edges[x].To, edges[y].To)
 	})
-	for _, e := range edges {
-		buf = append(buf, "df"...)
-		field(e.From)
-		field(e.To)
-		num(int64(e.Size))
-		flush()
+
+	var bufStack [4096]byte
+	buf := append(bufStack[:0], "app"...)
+	buf = appendField(buf, a.Name)
+	buf = append(buf, '\n')
+	for _, v := range byName {
+		m := ms[v]
+		buf = append(buf, "ms"...)
+		buf = appendField(buf, m.Name)
+		buf = appendNum(buf, int64(m.ImageSize))
+		buf = appendNum(buf, int64(m.ExternalInput))
+		buf = appendNum(buf, int64(len(m.Arches)))
+		for _, arch := range m.Arches {
+			buf = appendField(buf, string(arch))
+		}
+		buf = appendNum(buf, int64(m.Req.Cores))
+		buf = appendNum(buf, int64(m.Req.CPU*1e6))
+		buf = appendNum(buf, int64(m.Req.Memory))
+		buf = appendNum(buf, int64(m.Req.Storage))
+		buf = appendNum(buf, int64(len(m.Images)))
+		buf = append(buf, '\n')
+		var imgStack [8]image
+		imgs := imgStack[:0]
+		for reg, ref := range m.Images {
+			imgs = append(imgs, image{reg, ref})
+		}
+		slices.SortFunc(imgs, func(x, y image) int { return strings.Compare(x.registry, y.registry) })
+		for _, img := range imgs {
+			buf = append(buf, "img"...)
+			buf = appendField(buf, img.registry)
+			buf = appendField(buf, img.ref)
+			buf = append(buf, '\n')
+		}
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	for _, i := range byEnds {
+		e := &edges[i]
+		buf = append(buf, "df"...)
+		buf = appendField(buf, e.From)
+		buf = appendField(buf, e.To)
+		buf = appendNum(buf, int64(e.Size))
+		buf = append(buf, '\n')
+	}
+	return sha256.Sum256(buf)
+}
+
+// image is one entry of a microservice's image map, as the digest sorts it.
+type image struct{ registry, ref string }
+
+// appendNum appends one numeric digest field.
+func appendNum(buf []byte, v int64) []byte {
+	buf = append(buf, '|')
+	return strconv.AppendInt(buf, v, 10)
+}
+
+// appendField appends one string digest field, length first.
+func appendField(buf []byte, s string) []byte {
+	buf = appendNum(buf, int64(len(s)))
+	buf = append(buf, '|')
+	return append(buf, s...)
 }
 
 // CriticalPath returns the path through the DAG maximizing the sum of the

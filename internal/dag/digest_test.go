@@ -1,6 +1,7 @@
 package dag_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"sort"
@@ -221,4 +222,79 @@ func TestDigestConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// fuzzBytes hands out a fuzz input a byte at a time, zeros once it runs out.
+type fuzzBytes []byte
+
+func (f *fuzzBytes) next() byte {
+	if len(*f) == 0 {
+		return 0
+	}
+	c := (*f)[0]
+	*f = (*f)[1:]
+	return c
+}
+
+// name draws a one- or two-letter name over a three-letter alphabet, so
+// repeated vertices, repeated edges and cycles are common.
+func (f *fuzzBytes) name() string {
+	c := f.next()
+	s := string(rune('a' + c%3))
+	if c&4 != 0 {
+		s += string(rune('a' + (c>>3)%3))
+	}
+	return s
+}
+
+// FuzzDigestMatchesLegacy: for apps written straight into the exported
+// slices — repeated names, repeated and dangling edges, cycles, up to ten
+// images a vertex (more than the digest sorts on the stack), arch lists nil,
+// empty and not — Digest is byte-identical to the legacy record stream.
+func FuzzDigestMatchesLegacy(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte("\x07\x04abcdefghijklmnopqrstuvwxyz0123456789\x05\x01\x02\x03\x04\x05\x06"))
+	f.Add(bytes.Repeat([]byte{0xff, 0x0a, 0x33}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		app := dag.NewApp(in.name())
+		for n := int(in.next() % 9); n > 0; n-- {
+			m := &dag.Microservice{
+				Name:          in.name(),
+				ImageSize:     units.Bytes(in.next()) << (in.next() % 40),
+				ExternalInput: units.Bytes(in.next()),
+				Req: dag.Requirements{
+					Cores:   int(in.next() % 9),
+					CPU:     units.MI(in.next()) * 1.5,
+					Memory:  units.Bytes(in.next()) << 20,
+					Storage: units.Bytes(in.next()) << 10,
+				},
+			}
+			switch arches := in.next(); arches % 4 {
+			case 1:
+				m.Arches = []dag.Arch{}
+			case 2:
+				m.Arches = []dag.Arch{dag.ARM64}
+			case 3:
+				m.Arches = []dag.Arch{dag.AMD64, dag.ARM64, dag.Arch(in.name())}
+			}
+			if images := int(in.next() % 11); images > 0 {
+				m.Images = make(map[string]string, images)
+				for i := 0; i < images; i++ {
+					m.Images["reg"+strconv.Itoa(i)+in.name()] = in.name() + ":" + strconv.Itoa(int(in.next()))
+				}
+			}
+			app.Microservices = append(app.Microservices, m)
+		}
+		for n := int(in.next() % 12); n > 0; n-- {
+			app.Dataflows = append(app.Dataflows, dag.Dataflow{From: in.name(), To: in.name(), Size: units.Bytes(in.next())})
+		}
+		if in.next()%2 == 1 {
+			app.Validate() // a filled memo must not change the digest
+		}
+		if app.Digest() != legacyAppDigest(app) {
+			t.Fatalf("digest differs from the legacy record stream for input %q", data)
+		}
+	})
 }

@@ -137,6 +137,33 @@ func TestDeclinedBodiesAnswerAsBefore(t *testing.T) {
 	}
 }
 
+// TestHugeCPULoadRejected: a CPU load at or past 2^63 instructions has no
+// digest record of its own (1e13 and 1e15 MI used to share one digest, and
+// so one cached shape and placement), so both deploy endpoints refuse it as
+// an invalid request, in the dag package's words.
+func TestHugeCPULoadRejected(t *testing.T) {
+	for _, cpu := range []string{"1e13", "1e15", "9223372036854.776"} {
+		spec := `{"version":1,"name":"a","microservices":[{"name":"m","image_size_bytes":1,"cpu_mi":` + cpu + `}]}`
+		msg := "wire: dag: a: microservice \\\"m\\\" has CPU load "
+		for _, tc := range []struct{ path, body, prefix string }{
+			{deployURL, `{"tenant":"acme","app":` + spec + `}`, msg},
+			{batchURL, `{"tenant":"acme","items":[{"app":` + smallApp + `},{"app":` + spec + `}]}`, "items[1]: " + msg},
+		} {
+			s, _ := stubServer(t, 0)
+			rec := serve(s.Handler(), tc.path, []byte(tc.body))
+			want := `{"error":{"code":"invalid_request","message":"` + tc.prefix
+			if rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Body.String(), want) {
+				t.Errorf("%s cpu_mi %s: %d %s", tc.path, cpu, rec.Code, rec.Body)
+			}
+		}
+	}
+	s, _ := stubServer(t, 0)
+	ok := `{"tenant":"acme","app":{"version":1,"name":"a","microservices":[{"name":"m","image_size_bytes":1,"cpu_mi":9.2e12}]}}`
+	if rec := serve(s.Handler(), deployURL, []byte(ok)); rec.Code != http.StatusOK {
+		t.Errorf("cpu_mi 9.2e12 (under 2^63 instructions): %d %s", rec.Code, rec.Body)
+	}
+}
+
 func decodeCounts(t testing.TB, s *Server) (fast, fallback int) {
 	t.Helper()
 	return int(s.decodeFast.Value()), int(s.decodeFallback.Value())

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"deep/internal/dag"
 	"deep/internal/units"
@@ -67,18 +68,34 @@ func (s *AppSpec) App() (*dag.App, error) {
 	if s.Name == "" {
 		return nil, fmt.Errorf("wire: app spec without a name")
 	}
-	app := dag.NewApp(s.Name)
+	ab := appBuilds.Get().(*appBuild)
+	defer appBuilds.Put(ab)
+	app, err := ab.spec(s)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
+	return app, nil
+}
+
+// spec builds the app s describes, leaving ab empty.
+func (ab *appBuild) spec(s *AppSpec) (*dag.App, error) {
+	defer ab.reset()
+	b := &ab.b
+	b.Name = s.Name
 	for i := range s.Microservices {
 		ms := &s.Microservices[i]
-		arches := make([]dag.Arch, 0, len(ms.Arches))
+		arches := ab.arches[:0]
 		for _, a := range ms.Arches {
 			switch dag.Arch(a) {
-			case dag.AMD64, dag.ARM64:
-				arches = append(arches, dag.Arch(a))
+			case dag.AMD64:
+				arches = append(arches, dag.AMD64)
+			case dag.ARM64:
+				arches = append(arches, dag.ARM64)
 			default:
-				return nil, fmt.Errorf("wire: microservice %q: unknown architecture %q", ms.Name, a)
+				return nil, fmt.Errorf("microservice %q: unknown architecture %q", ms.Name, a)
 			}
 		}
+		ab.arches = arches
 		var images map[string]string
 		if len(ms.Images) > 0 {
 			images = make(map[string]string, len(ms.Images))
@@ -86,7 +103,7 @@ func (s *AppSpec) App() (*dag.App, error) {
 				images[k] = v
 			}
 		}
-		err := app.AddMicroservice(&dag.Microservice{
+		err := b.Microservice(dag.Microservice{
 			Name:      ms.Name,
 			ImageSize: units.Bytes(ms.ImageSizeBytes),
 			Images:    images,
@@ -100,18 +117,36 @@ func (s *AppSpec) App() (*dag.App, error) {
 			ExternalInput: units.Bytes(ms.ExternalInputBytes),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("wire: %w", err)
+			return nil, err
 		}
 	}
 	for _, df := range s.Dataflows {
-		if err := app.AddDataflow(df.From, df.To, units.Bytes(df.SizeBytes)); err != nil {
-			return nil, fmt.Errorf("wire: %w", err)
+		if err := b.Dataflow(df.From, df.To, units.Bytes(df.SizeBytes)); err != nil {
+			return nil, err
 		}
 	}
-	if err := app.Validate(); err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
-	return app, nil
+	return b.App()
+}
+
+// appBuild is the pooled scratch of one app decode, by the scanner or from
+// an AppSpec: the builder, and the arch list each vertex is read into before
+// the builder copies it. A non-nil arch list gives every vertex non-nil
+// Arches, which is what AppSpec.App has always built.
+type appBuild struct {
+	b      dag.Builder
+	arches []dag.Arch
+}
+
+var appBuilds = sync.Pool{New: func() any { return newAppBuild() }}
+
+func newAppBuild() *appBuild { return &appBuild{arches: make([]dag.Arch, 0, 2)} }
+
+// reset drops every reference the scratch holds, so a pooled one keeps no
+// request's strings alive.
+func (ab *appBuild) reset() {
+	ab.b.Reset()
+	clear(ab.arches[:cap(ab.arches)])
+	ab.arches = ab.arches[:0]
 }
 
 // AppSpecOf encodes an in-memory DAG as its wire form, stamped with the

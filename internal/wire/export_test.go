@@ -1,5 +1,7 @@
 package wire
 
+import "deep/internal/dag"
+
 // SetHash replaces the interner's body hash so tests can force distinct
 // bodies onto one key.
 func (in *Interner) SetHash(h func([]byte) uint64) { in.hash = h }
@@ -12,3 +14,14 @@ const (
 
 // ScanApp is the app-spec scanner an interner miss tries first.
 var ScanApp = scanApp
+
+// AppScratch is the pooled scratch an app decode builds in.
+type AppScratch = appBuild
+
+func NewAppScratch() *AppScratch { return newAppBuild() }
+
+// ScanAppWith and BuildWith are scanApp and AppSpec.App on a given scratch,
+// for tests that inspect what the scratch holds afterwards.
+func ScanAppWith(ab *AppScratch, body []byte) (*dag.App, bool) { return ab.scan(body) }
+
+func BuildWith(ab *AppScratch, s *AppSpec) (*dag.App, error) { return ab.spec(s) }

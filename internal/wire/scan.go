@@ -161,18 +161,27 @@ const (
 )
 
 // scanApp decodes a canonical app spec straight into a validated *dag.App,
-// through the same dag.AddMicroservice, AddDataflow and Validate calls
-// AppSpec.App makes. Every string in the app is a substring of one copy of
-// body, so a decode allocates the vertices, their arch slices and image maps,
-// and nothing per name.
+// through the dag.Builder AppSpec.App builds with: each dataflow endpoint is
+// resolved once, as the edge is read, and the app comes out at its final
+// size with its memo filled. Every string in the app is a substring of one
+// copy of body, so a decode allocates the app's storage and image maps, and
+// nothing per name.
 func scanApp(body []byte) (*dag.App, bool) {
-	s := appScanner{scanner: scanner{buf: body}, text: string(body)}
-	app := dag.NewApp("")
+	ab := appBuilds.Get().(*appBuild)
+	defer appBuilds.Put(ab)
+	return ab.scan(body)
+}
+
+// scan is scanApp on the given scratch, which it leaves empty.
+func (ab *appBuild) scan(body []byte) (*dag.App, bool) {
+	defer ab.reset()
+	s := appScanner{scanner: scanner{buf: body}, text: string(body), ab: ab}
+	b := &ab.b
 	var version int64
 	var seen fieldSet
 	// "dataflows" may precede "microservices" (an encoder that sorts keys
-	// writes them so); AddDataflow needs the vertices, so such an array is
-	// skipped and read once the object is done.
+	// writes them so); the builder needs the vertices first, so such an
+	// array is skipped and read once the object is done.
 	dataflowsAt := -1
 	ok := s.object(func(key []byte) (ok bool) {
 		switch string(key) {
@@ -180,16 +189,16 @@ func scanApp(body []byte) (*dag.App, bool) {
 			version, ok = s.integer()
 			return ok && seen.first(specVersion)
 		case "name":
-			app.Name, ok = s.string()
+			b.Name, ok = s.string()
 			return ok && seen.first(specName)
 		case "microservices":
-			return seen.first(specMicroservices) && s.array(func() bool { return s.microservice(app) })
+			return seen.first(specMicroservices) && s.array(s.microservice)
 		case "dataflows":
 			if !seen.first(specDataflows) {
 				return false
 			}
 			if seen&specMicroservices != 0 {
-				return s.dataflows(app)
+				return s.dataflows()
 			}
 			s.skipSpace()
 			dataflowsAt = s.pos
@@ -199,19 +208,21 @@ func scanApp(body []byte) (*dag.App, bool) {
 	}) && s.end()
 	if ok && dataflowsAt >= 0 {
 		s.pos = dataflowsAt
-		ok = s.dataflows(app)
+		ok = s.dataflows()
 	}
-	if !ok || version < 1 || version > AppSpecVersion || app.Name == "" || app.Validate() != nil {
+	if !ok || version < 1 || version > AppSpecVersion || b.Name == "" {
 		return nil, false
 	}
-	return app, true
+	app, err := b.App()
+	return app, err == nil
 }
 
 // appScanner is a scanner that also holds its buffer as one string, which
-// the app's strings are cut from.
+// the app's strings are cut from, and the scratch it builds the app in.
 type appScanner struct {
 	scanner
 	text string
+	ab   *appBuild
 }
 
 // cut returns span, a subslice of buf, as a substring of text. Subslices of
@@ -234,11 +245,12 @@ func (s *appScanner) bytes() (units.Bytes, bool) {
 	return units.Bytes(n), ok
 }
 
-func (s *appScanner) microservice(app *dag.App) bool {
-	// AppSpec.App leaves a vertex without arches an empty slice, not nil.
-	m := &dag.Microservice{Arches: []dag.Arch{}}
+func (s *appScanner) microservice() bool {
+	// The scratch's arch list is never nil, so neither are the vertex's
+	// Arches: AppSpec.App leaves a vertex without arches an empty slice.
+	m := dag.Microservice{Arches: s.ab.arches[:0]}
 	var seen fieldSet
-	return s.object(func(key []byte) (ok bool) {
+	ok := s.object(func(key []byte) (ok bool) {
 		var f fieldSet
 		switch string(key) {
 		case "name":
@@ -281,7 +293,6 @@ func (s *appScanner) microservice(app *dag.App) bool {
 			m.Req.Storage, ok = s.bytes()
 		case "arches":
 			f = msArches
-			m.Arches = make([]dag.Arch, 0, 2)
 			ok = s.array(func() bool {
 				arch, _ := s.str()
 				switch string(arch) {
@@ -299,10 +310,12 @@ func (s *appScanner) microservice(app *dag.App) bool {
 			m.ExternalInput, ok = s.bytes()
 		}
 		return ok && seen.first(f)
-	}) && app.AddMicroservice(m) == nil
+	})
+	s.ab.arches = m.Arches[:0] // keep the list if it grew
+	return ok && s.ab.b.Microservice(m) == nil
 }
 
-func (s *appScanner) dataflows(app *dag.App) bool {
+func (s *appScanner) dataflows() bool {
 	return s.array(func() bool {
 		var from, to string
 		var size units.Bytes
@@ -321,7 +334,7 @@ func (s *appScanner) dataflows(app *dag.App) bool {
 				size, ok = s.bytes()
 			}
 			return ok && seen.first(f)
-		}) && app.AddDataflow(from, to, size) == nil
+		}) && s.ab.b.Dataflow(from, to, size) == nil
 	})
 }
 

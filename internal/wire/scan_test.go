@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -291,6 +292,79 @@ func TestWarmDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestScanAppAllocs gates what a spec-table miss costs a canonical body:
+// scanning a 16-microservice spec into a validated app and hashing it.
+func TestScanAppAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	app, err := workload.Generate(workload.DefaultGeneratorConfig(16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := appBody(t, app)
+	got := testing.AllocsPerRun(200, func() {
+		app, ok := wire.ScanApp(spec)
+		if !ok {
+			t.Fatal("declined")
+		}
+		app.Digest()
+	})
+	if got > 20 {
+		t.Errorf("scan + digest of a 16-microservice spec: %.1f allocs, want <= 20", got)
+	}
+}
+
+// TestAppScratchHoldsNothing: the scratch a decode builds in is pooled, so
+// once the decode returns — accepted, declined or rejected, by the scanner
+// or from an AppSpec — every slot of its backing arrays is zero and its
+// name index is empty: it keeps no request's strings or maps alive.
+func TestAppScratchHoldsNothing(t *testing.T) {
+	ab := wire.NewAppScratch()
+	bodies := [][]byte{appBody(t, workload.VideoProcessing())}
+	for _, app := range appCorpus(t)[:8] {
+		bodies = append(bodies, appBody(t, app))
+	}
+	for _, bad := range append(append([]string(nil), rejectedBodies...), nonCanonicalBodies...) {
+		bodies = append(bodies, []byte(bad))
+	}
+	for _, body := range bodies {
+		wire.ScanAppWith(ab, body)
+		checkHoldsNothing(t, "scan", reflect.ValueOf(ab).Elem())
+		if spec, err := wire.DecodeAppSpec(body); err == nil {
+			wire.BuildWith(ab, spec)
+			checkHoldsNothing(t, "build", reflect.ValueOf(ab).Elem())
+		}
+	}
+}
+
+// checkHoldsNothing walks v: every slice must be zero up to its capacity,
+// every map empty, every string empty.
+func checkHoldsNothing(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			checkHoldsNothing(t, path+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+	case reflect.Slice:
+		full := v.Slice(0, v.Cap())
+		for i := 0; i < full.Len(); i++ {
+			if !full.Index(i).IsZero() {
+				t.Fatalf("%s[%d] still holds %v", path, i, full.Index(i))
+			}
+		}
+	case reflect.Map:
+		if v.Len() != 0 {
+			t.Fatalf("%s still holds %d entries", path, v.Len())
+		}
+	default:
+		if !v.IsZero() {
+			t.Fatalf("%s still holds %v", path, v)
+		}
+	}
+}
+
 // FuzzScanMatchesReference: for any body, whenever one of the scanners
 // accepts, the reference decoder accepts too with equal tenant, seed and
 // deadline, byte-equal app spans, and an equal app (fields and digest).
@@ -358,6 +432,20 @@ func BenchmarkScan(b *testing.B) {
 			if !ok {
 				b.Fatal("declined")
 			}
+			sinkApp = app
+		}
+	})
+	// What an interner miss pays for a canonical body: the scan, then the
+	// digest it memoizes before the app is shared.
+	b.Run("app16_digest", func(b *testing.B) {
+		b.SetBytes(int64(len(spec)))
+		b.ReportAllocs()
+		for b.Loop() {
+			app, ok := wire.ScanApp(spec)
+			if !ok {
+				b.Fatal("declined")
+			}
+			app.Digest()
 			sinkApp = app
 		}
 	})
