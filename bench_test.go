@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -529,13 +530,38 @@ func BenchmarkFleetChurn(b *testing.B) {
 	}
 }
 
+// driveConcurrently serves b.N requests through the fleet from `callers`
+// goroutines: caller c repeatedly claims the next step request numbers,
+// from i on, and calls serve(c, i), until b.N are claimed. Any error fails
+// the benchmark.
+func driveConcurrently(b *testing.B, callers, step int, serve func(c, i int) error) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(int64(step))) - step
+				if i >= b.N {
+					return
+				}
+				if err := serve(c, i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // BenchmarkFleetThroughput measures sustained deployment throughput through
 // the fleet service across worker-pool sizes with the placement cache on
-// and off. Each iteration pushes one request through the closed feedback
-// loop: submit until the admission queue fills, then drain the oldest
-// in-flight response before retrying, so the queue stays saturated and the
-// pool is never idle. The req/s metric (and the BENCH_fleet.json baseline —
-// see README) comes from b.N over wall time.
+// and off. As many callers as there are workers each serve requests through
+// Fleet.Do back to back — the path the HTTP front door takes — so every
+// worker stays borrowed and none waits long. The req/s metric (and the
+// BENCH_fleet.json baseline — see README) comes from b.N over wall time.
 func BenchmarkFleetThroughput(b *testing.B) {
 	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -560,34 +586,17 @@ func BenchmarkFleetThroughput(b *testing.B) {
 						ColdCaches: !warmSim,
 					})
 					defer f.Close()
+					ctx := context.Background()
 					b.ResetTimer()
-					pending := make([]<-chan *deep.FleetResponse, 0, b.N)
-					for i := 0; i < b.N; i++ {
-						req := deep.FleetRequest{App: apps[i%len(apps)], Seed: int64(i)}
-						for {
-							ch, err := f.Submit(req)
-							if err == nil {
-								pending = append(pending, ch)
-								break
-							}
-							if !errors.Is(err, deep.ErrFleetQueueFull) {
-								b.Fatal(err)
-							}
-							resp := <-pending[0]
-							if resp.Err != nil {
-								b.Fatal(resp.Err)
-							}
-							resp.Release()
-							pending = pending[1:]
+					driveConcurrently(b, workers, 1, func(_, i int) error {
+						resp, err := f.Do(ctx, deep.FleetRequest{App: apps[i%len(apps)], Seed: int64(i)})
+						if err != nil {
+							return err
 						}
-					}
-					for _, ch := range pending {
-						resp := <-ch
-						if resp.Err != nil {
-							b.Fatal(resp.Err)
-						}
+						err = resp.Err
 						resp.Release()
-					}
+						return err
+					})
 					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 				})
 			}
@@ -596,11 +605,12 @@ func BenchmarkFleetThroughput(b *testing.B) {
 }
 
 // BenchmarkSubmitBatch measures the amortized admission path: requests enter
-// 16 at a time through Fleet.SubmitBatch, which charges one handoff, one
-// time.Now(), and one shard slot per batch instead of per request. b.N counts
-// requests, so allocs/op here is allocs *per request* and is directly
-// comparable to the single-submit rows — the BENCH_fleet.json baseline pins
-// it at the amortized (≤2 allocs/req) level.
+// 16 at a time through Fleet.DoBatch, which charges one admission, one
+// time.Now(), and one borrowed worker per batch instead of per request, from
+// as many callers as there are workers. b.N counts requests, so allocs/op
+// here is allocs *per request* and is directly comparable to the
+// single-request rows — the BENCH_fleet.json baseline pins it at the
+// amortized level.
 func BenchmarkSubmitBatch(b *testing.B) {
 	const batchSize = 16
 	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
@@ -613,105 +623,29 @@ func BenchmarkSubmitBatch(b *testing.B) {
 			})
 			defer f.Close()
 			ctx := context.Background()
-			reqs := make([]deep.FleetRequest, batchSize)
-			type inflight struct {
-				ch <-chan *deep.FleetResponse
-				n  int
+			batches := make([][]deep.FleetRequest, workers)
+			for c := range batches {
+				batches[c] = make([]deep.FleetRequest, batchSize)
 			}
 			b.ResetTimer()
-			pending := make([]inflight, 0, b.N/batchSize+1)
-			for submitted := 0; submitted < b.N; {
-				n := batchSize
-				if rest := b.N - submitted; rest < n {
-					n = rest
-				}
+			driveConcurrently(b, workers, batchSize, func(c, first int) error {
+				reqs := batches[c]
+				n := min(batchSize, b.N-first)
 				for i := 0; i < n; i++ {
-					reqs[i] = deep.FleetRequest{App: apps[(submitted+i)%len(apps)], Seed: int64(submitted + i)}
+					reqs[i] = deep.FleetRequest{App: apps[(first+i)%len(apps)], Seed: int64(first + i)}
 				}
-				for {
-					ch, err := f.SubmitBatch(ctx, reqs[:n])
-					if err == nil {
-						pending = append(pending, inflight{ch, n})
-						break
-					}
-					if !errors.Is(err, deep.ErrFleetQueueFull) {
-						b.Fatal(err)
-					}
-					head := pending[0]
-					for j := 0; j < head.n; j++ {
-						resp := <-head.ch
-						if resp.Err != nil {
-							b.Fatal(resp.Err)
-						}
-						resp.Release()
-					}
-					pending = pending[1:]
-				}
-				submitted += n
-			}
-			for _, fl := range pending {
-				for j := 0; j < fl.n; j++ {
-					resp := <-fl.ch
-					if resp.Err != nil {
-						b.Fatal(resp.Err)
+				var failed error
+				err := f.DoBatch(ctx, reqs[:n], func(resp *deep.FleetResponse) {
+					if resp.Err != nil && failed == nil {
+						failed = resp.Err
 					}
 					resp.Release()
+				})
+				if err != nil {
+					return err
 				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}
-
-// BenchmarkShardedQueue compares admission-queue sharding levels under the
-// same closed feedback loop as BenchmarkFleetThroughput: shards=1 is the
-// pre-sharding single-channel queue, shards=4 spreads the same capacity over
-// four channels keyed by tenant so producers and the work-stealing consumers
-// contend on disjoint locks. Eight tenants keep every shard populated.
-func BenchmarkShardedQueue(b *testing.B) {
-	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
-	tenants := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			f := deep.NewFleet(deep.FleetConfig{
-				Workers:     4,
-				QueueDepth:  256,
-				QueueShards: shards,
-				CacheSize:   1024,
+				return failed
 			})
-			defer f.Close()
-			b.ResetTimer()
-			pending := make([]<-chan *deep.FleetResponse, 0, b.N)
-			for i := 0; i < b.N; i++ {
-				req := deep.FleetRequest{
-					Tenant: tenants[i%len(tenants)],
-					App:    apps[i%len(apps)],
-					Seed:   int64(i),
-				}
-				for {
-					ch, err := f.Submit(req)
-					if err == nil {
-						pending = append(pending, ch)
-						break
-					}
-					if !errors.Is(err, deep.ErrFleetQueueFull) {
-						b.Fatal(err)
-					}
-					resp := <-pending[0]
-					if resp.Err != nil {
-						b.Fatal(resp.Err)
-					}
-					resp.Release()
-					pending = pending[1:]
-				}
-			}
-			for _, ch := range pending {
-				resp := <-ch
-				if resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
-				resp.Release()
-			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
 	}

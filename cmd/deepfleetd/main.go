@@ -15,6 +15,10 @@
 //	curl -s localhost:8080/v1/stats
 //	curl -s -X POST localhost:9091/v1/drain
 //
+// A deploy runs on its HTTP handler's goroutine: it borrows one of -workers
+// fleet workers, or waits for one in one of -queue waiter slots (a batch
+// takes one), and is answered 429 queue_full when none is free.
+//
 // The public address serves only deploy, read-only introspection, and
 // probes. Operator endpoints — /v1/churn, /v1/drain, /debug/vars,
 // /debug/pprof/*, /debug/slow — live on -admin-addr (keep it loopback-only;
@@ -50,8 +54,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (:0 picks a random port, printed on stdout)")
 	adminAddr := flag.String("admin-addr", "", "admin listener for /v1/churn, /v1/drain, and /debug/* — keep it loopback-only (empty disables)")
 	workers := flag.Int("workers", 4, "scheduler/simulator worker pool size")
-	queue := flag.Int("queue", 256, "admission queue depth")
-	queueShards := flag.Int("queue-shards", 0, "admission queue shards (0 = min(workers, GOMAXPROCS))")
+	queue := flag.Int("queue", 256, "waiter slots: deploys that may wait for a busy worker pool before 429")
 	cacheSize := flag.Int("cache", 1024, "placement cache entries (0 disables)")
 	scheduler := flag.String("scheduler", "deep", "scheduling method: deep|exclusive-hub|exclusive-regional|greedy-energy|min-ct|round-robin|random")
 	clusterSize := flag.Int("cluster", 1, "testbed device pairs (1 = the paper's two-device testbed)")
@@ -87,7 +90,6 @@ func main() {
 	f := fleet.New(fleet.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		QueueShards:  *queueShards,
 		CacheSize:    *cacheSize,
 		NewScheduler: newScheduler,
 		NewCluster:   func() *sim.Cluster { return workload.ScaledTestbed(*clusterSize) },

@@ -295,20 +295,24 @@ func ScheduleOnTables(s Scheduler, at *AppTable, cluster *Cluster, table *Cluste
 	return s.Schedule(at.App(), cluster)
 }
 
-// Fleet errors, re-exported for errors.Is checks against Submit results.
+// Fleet errors, re-exported for errors.Is checks against Do and Submit
+// results.
 var (
-	// ErrFleetQueueFull reports a rejected (not enqueued) request.
+	// ErrFleetQueueFull reports a rejected (not admitted) request: every
+	// worker busy and every waiter slot taken.
 	ErrFleetQueueFull = fleet.ErrQueueFull
 	// ErrFleetClosed reports a submission after Close.
 	ErrFleetClosed = fleet.ErrClosed
-	// ErrFleetDeadline reports a request whose deadline expired before it
-	// could be scheduled or simulated (FleetRequest.Deadline).
+	// ErrFleetDeadline reports a request whose deadline expired while it
+	// waited for a worker or before it could be scheduled or simulated
+	// (FleetRequest.Deadline).
 	ErrFleetDeadline = fleet.ErrDeadline
 )
 
-// NewFleet starts a multi-tenant deployment service: a bounded admission
-// queue feeding a pool of scheduler/simulator workers with an LRU of
-// memoized placements. Close it to drain.
+// NewFleet starts a multi-tenant deployment service: a pool of
+// scheduler/simulator workers that callers borrow (waiting in bounded waiter
+// slots when all are busy) with an LRU of memoized placements. Close it to
+// drain.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
 // NewFleetPlacementView compiles a placement map into the indexed read-only

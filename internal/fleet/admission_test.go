@@ -38,11 +38,10 @@ func trackJobs(f *Fleet) func() (held int) {
 
 // TestAdmissionTable pins what every exported admission entry point answers
 // to every way a request can be turned away: the error, how many rejections
-// Stats counts (an already-cancelled context is not counted, cancellation
-// while blocked on a full queue is), and that every job drawn for the
-// rejected request went back to the pool. The one cell outside the table is
-// Do cancelled while it waits for its response, which admits the request
-// first: TestDoCancelledWhileQueued.
+// Stats counts (an already-cancelled context is not counted), and that no
+// job is left holding the rejected request. The cells outside the table are
+// the waits that admit the request first: TestDoCancelledWhileQueued and
+// TestRequestDeadline.
 func TestAdmissionTable(t *testing.T) {
 	app := workload.TextProcessing()
 
@@ -50,28 +49,22 @@ func TestAdmissionTable(t *testing.T) {
 		name     string
 		items    int64 // requests per call
 		takesCtx bool
-		blocks   bool // waits on a full queue instead of rejecting
 		call     func(f *Fleet, ctx context.Context, req Request) error
 	}{
-		{"Submit", 1, false, false, func(f *Fleet, _ context.Context, req Request) error {
+		{"Submit", 1, false, func(f *Fleet, _ context.Context, req Request) error {
 			_, err := f.Submit(req)
 			return err
 		}},
-		{"SubmitCtx", 1, true, true, func(f *Fleet, ctx context.Context, req Request) error {
-			_, err := f.SubmitCtx(ctx, req)
-			return err
-		}},
-		{"TrySubmitCtx", 1, true, false, func(f *Fleet, ctx context.Context, req Request) error {
-			_, err := f.TrySubmitCtx(ctx, req)
-			return err
-		}},
-		{"SubmitBatch", 2, true, false, func(f *Fleet, ctx context.Context, req Request) error {
+		{"SubmitBatch", 2, true, func(f *Fleet, ctx context.Context, req Request) error {
 			_, err := f.SubmitBatch(ctx, []Request{req, req})
 			return err
 		}},
-		{"Do", 1, true, false, func(f *Fleet, ctx context.Context, req Request) error {
+		{"Do", 1, true, func(f *Fleet, ctx context.Context, req Request) error {
 			_, err := f.Do(ctx, req)
 			return err
+		}},
+		{"DoBatch", 2, true, func(f *Fleet, ctx context.Context, req Request) error {
+			return f.DoBatch(ctx, []Request{req, req}, func(r *Response) { r.Release() })
 		}},
 	}
 
@@ -81,16 +74,16 @@ func TestAdmissionTable(t *testing.T) {
 		f.Close()
 		return f, 0
 	}
-	// full holds one accepted request in a one-slot queue no worker drains
-	// until the test ends.
+	// full: the only worker is busy and the one waiter slot is taken, until
+	// the test ends. The first request filled in borrows the worker and parks
+	// in the scheduler, the second waits.
 	full := func(t *testing.T) (*Fleet, int) {
-		block := make(chan struct{})
-		f := testFleet(t, Config{Workers: 1, QueueShards: 1, QueueDepth: 1, NewCluster: func() *sim.Cluster {
-			<-block
-			return workload.Testbed()
-		}})
-		t.Cleanup(func() { close(block) }) // runs before testFleet's Close
-		return f, 1
+		hold := &holdSched{started: make(chan struct{}, 1), release: make(chan struct{})}
+		f := testFleet(t, Config{Workers: 1, QueueDepth: 1, CacheSize: -1,
+			NewScheduler: func() sched.Scheduler { return hold }})
+		t.Cleanup(func() { close(hold.release) }) // runs before testFleet's Close
+		waitIdle(t, f)
+		return f, 2
 	}
 
 	conditions := []struct {
@@ -98,27 +91,20 @@ func TestAdmissionTable(t *testing.T) {
 		fleet         func(*testing.T) (f *Fleet, fill int)
 		req           Request
 		cancelled     bool // the context is cancelled before the call
-		cancelBlocked bool // the context is cancelled once the call blocks
-		applies       func(takesCtx, blocks bool) bool
+		appliesNoCtx  bool
 		wantErr       error
 		wantText      string
 		countsPerItem int64
 	}{
-		{name: "nil app", fleet: idle, req: Request{Tenant: "t"},
-			applies: func(_, _ bool) bool { return true }, wantText: "without app"},
-		{name: "closed fleet", fleet: closed, req: Request{App: app},
-			applies: func(_, _ bool) bool { return true }, wantErr: ErrClosed, countsPerItem: 1},
-		{name: "full queue", fleet: full, req: Request{App: app},
-			applies: func(_, blocks bool) bool { return !blocks }, wantErr: ErrQueueFull, countsPerItem: 1},
-		{name: "already-cancelled ctx", fleet: idle, req: Request{App: app}, cancelled: true,
-			applies: func(takesCtx, _ bool) bool { return takesCtx }, wantErr: context.Canceled},
-		{name: "cancelled while blocked", fleet: full, req: Request{App: app}, cancelBlocked: true,
-			applies: func(_, blocks bool) bool { return blocks }, wantErr: context.Canceled, countsPerItem: 1},
+		{name: "nil app", fleet: idle, req: Request{Tenant: "t"}, appliesNoCtx: true, wantText: "without app"},
+		{name: "closed fleet", fleet: closed, req: Request{App: app}, appliesNoCtx: true, wantErr: ErrClosed, countsPerItem: 1},
+		{name: "full queue", fleet: full, req: Request{App: app}, appliesNoCtx: true, wantErr: ErrQueueFull, countsPerItem: 1},
+		{name: "already-cancelled ctx", fleet: idle, req: Request{App: app}, cancelled: true, wantErr: context.Canceled},
 	}
 
 	for _, c := range conditions {
 		for _, e := range entries {
-			if !c.applies(e.takesCtx, e.blocks) {
+			if !e.takesCtx && !c.appliesNoCtx {
 				continue
 			}
 			t.Run(e.name+"/"+c.name, func(t *testing.T) {
@@ -138,15 +124,6 @@ func TestAdmissionTable(t *testing.T) {
 
 				errc := make(chan error, 1)
 				go func() { errc <- e.call(f, ctx, c.req) }()
-				if c.cancelBlocked {
-					// The call is blocked once it holds the admission read
-					// lock and does not let go: Close's write lock stays out.
-					for f.mu.TryLock() {
-						f.mu.Unlock()
-						time.Sleep(time.Millisecond)
-					}
-					cancel()
-				}
 				var err error
 				select {
 				case err = <-errc:
@@ -169,10 +146,44 @@ func TestAdmissionTable(t *testing.T) {
 						before.Submitted, after.Submitted, before.InFlight, after.InFlight)
 				}
 				if got := held(); got != fill {
-					t.Errorf("%d jobs still hold a request, want %d (the rejected request's went back to the pool)", got, fill)
+					t.Errorf("%d jobs still hold a request, want %d (the rejected request holds none)", got, fill)
 				}
 			})
 		}
+	}
+}
+
+// holdSched parks every Schedule call until release is closed, signalling
+// each arrival on started — a worker held busy for as long as a test needs.
+type holdSched struct {
+	started chan struct{}
+	release chan struct{}
+}
+
+func (s *holdSched) Name() string { return "hold" }
+func (s *holdSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+	select {
+	case s.started <- struct{}{}:
+	default:
+	}
+	<-s.release
+	p := make(sim.Placement, len(app.Microservices))
+	for _, ms := range app.Microservices {
+		p[ms.Name] = sim.Assignment{Device: cluster.Devices[0].Name, Registry: cluster.Registries[0].Name}
+	}
+	return p, nil
+}
+
+// waitIdle blocks until every worker has been set up and is in the pool, so
+// a test's next Workers admissions borrow one each and take no waiter slot.
+func waitIdle(t *testing.T, f *Fleet) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(f.idle) < f.Workers() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers idle after 5s", len(f.idle), f.Workers())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -408,89 +408,47 @@ func TestDriveWithChaos(t *testing.T) {
 	}
 }
 
-// TestSubmitCtxCancelWhileBlocked pins satellite behavior: a SubmitCtx
-// blocked on a full admission queue honors context cancellation instead of
-// waiting forever, and counts the rejection.
-func TestSubmitCtxCancelWhileBlocked(t *testing.T) {
-	block := make(chan struct{})
-	f := testFleet(t, Config{Workers: 1, QueueDepth: 1, NewCluster: func() *sim.Cluster {
-		<-block // stall worker startup so nothing drains the queue
-		return workload.Testbed()
-	}})
-	defer func() {
-		close(block)
-		f.Close()
-	}()
-
-	app := workload.TextProcessing()
-	if _, err := f.SubmitCtx(context.Background(), Request{App: app}); err != nil {
-		t.Fatal(err) // fills the queue
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := f.SubmitCtx(ctx, Request{App: app})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked SubmitCtx returned %v, want context.DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("cancellation took %s", waited)
-	}
-	if got := f.Stats().Rejected; got != 1 {
-		t.Fatalf("rejection counter %d, want 1", got)
-	}
-	// An already-cancelled context never enqueues.
-	done, cancelled := context.WithCancel(context.Background())
-	cancelled()
-	if _, err := f.SubmitCtx(done, Request{App: app}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled SubmitCtx returned %v", err)
-	}
-}
-
-// TestSubmitCtxAbandonedInQueue pins the accepted-then-abandoned path: a
-// request whose submitter cancels while it still sits in the queue is
-// answered with the context error instead of being scheduled.
-func TestSubmitCtxAbandonedInQueue(t *testing.T) {
-	block := make(chan struct{})
-	f := testFleet(t, Config{Workers: 1, QueueDepth: 4, NewCluster: func() *sim.Cluster {
-		<-block
-		return workload.Testbed()
-	}})
-	defer f.Close()
+// TestSubmitBatchAbandonedWhileWaiting pins the admitted-then-abandoned
+// path: a batch whose caller cancels while it still waits for a worker has
+// every item answered with the context error instead of being scheduled.
+func TestSubmitBatchAbandonedWhileWaiting(t *testing.T) {
+	f, unblock := stalledFleet(t, Config{Workers: 1, QueueDepth: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := f.SubmitCtx(ctx, Request{App: workload.TextProcessing()})
+	app := workload.TextProcessing()
+	ch, err := f.SubmitBatch(ctx, []Request{{App: app}, {App: app}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()     // abandon while queued
-	close(block) // now let the worker start and drain
-	resp := <-ch
-	if !errors.Is(resp.Err, context.Canceled) {
-		t.Fatalf("abandoned request completed with %v, want context.Canceled", resp.Err)
+	cancel() // abandon while waiting
+	for i := 0; i < 2; i++ {
+		resp := <-ch
+		if !errors.Is(resp.Err, context.Canceled) || resp.Index != i {
+			t.Fatalf("abandoned item %d answered %v (index %d), want context.Canceled", i, resp.Err, resp.Index)
+		}
+		if resp.Result != nil {
+			t.Fatal("abandoned request was simulated anyway")
+		}
+		resp.Release()
 	}
-	if resp.Result != nil {
-		t.Fatal("abandoned request was simulated anyway")
+	unblock()
+	if s := f.Stats(); s.Failed != 2 || s.InFlight != 0 || f.QueueLen() != 0 {
+		t.Fatalf("failed %d, in flight %d, queued %d; want 2, 0, 0", s.Failed, s.InFlight, f.QueueLen())
 	}
 }
 
-// TestRequestDeadline pins ErrDeadline: a request whose deadline expires in
-// the queue fails typed, and the counter records it.
+// TestRequestDeadline pins ErrDeadline: a request whose deadline expires
+// while it waits for a worker fails typed when it expires — not when a worker
+// frees up — and the counter records it.
 func TestRequestDeadline(t *testing.T) {
-	block := make(chan struct{})
-	f := testFleet(t, Config{Workers: 1, QueueDepth: 4, NewCluster: func() *sim.Cluster {
-		<-block
-		return workload.Testbed()
-	}})
-	defer f.Close()
+	f, unblock := stalledFleet(t, Config{Workers: 1, QueueDepth: 4})
 
 	ch, err := f.Submit(Request{App: workload.TextProcessing(), Deadline: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let the deadline lapse in-queue
-	close(block)
-	resp := <-ch
+	resp := <-ch // the pool is still empty
+	unblock()
 	if !errors.Is(resp.Err, ErrDeadline) {
 		t.Fatalf("expired request failed with %v, want ErrDeadline", resp.Err)
 	}

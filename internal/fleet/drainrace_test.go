@@ -13,12 +13,13 @@ import (
 )
 
 // TestDrainRaceStress interleaves the three things a serving fleet does at
-// once in production — admission (SubmitCtx and TrySubmitCtx), churn epochs,
-// and drain (Close) — under the race detector, and pins the drain contract:
+// once in production — admission (Do and Submit), churn epochs, and drain
+// (Close) — under the race detector, and pins the drain contract:
 //
-//   - every accepted request's channel delivers a response (never hangs),
-//   - submits that lose the race against Close get ErrClosed (or
-//     ErrQueueFull), never a nil channel with nil error,
+//   - every accepted request is answered (Do returns its response, a
+//     Submit channel delivers; never a hang),
+//   - calls that lose the race against Close get ErrClosed (or
+//     ErrQueueFull), never a nil response or channel with nil error,
 //   - after Close returns, the counters reconcile: everything submitted was
 //     completed or failed, nothing is left in flight.
 func TestDrainRaceStress(t *testing.T) {
@@ -35,7 +36,9 @@ func TestDrainRaceStress(t *testing.T) {
 		pending  []<-chan *Response
 		accepted atomic.Int64
 		closedN  atomic.Int64
-		stop     = make(chan struct{})
+		// Responses Do answered synchronously, ok and failed.
+		doneDo, failedDo atomic.Int64
+		stop             = make(chan struct{})
 	)
 
 	var wg sync.WaitGroup
@@ -56,18 +59,27 @@ func TestDrainRaceStress(t *testing.T) {
 					req.Deadline = time.Millisecond // exercise deadline failures under drain
 				}
 				var (
-					ch  <-chan *Response
-					err error
+					ch   <-chan *Response
+					resp *Response
+					err  error
 				)
 				if i%2 == 0 {
-					ch, err = f.SubmitCtx(ctx, req)
+					resp, err = f.Do(ctx, req)
 				} else {
-					ch, err = f.TrySubmitCtx(ctx, req)
+					ch, err = f.Submit(req)
 				}
 				switch {
+				case err == nil && resp != nil:
+					accepted.Add(1)
+					if resp.Err != nil {
+						failedDo.Add(1)
+					} else {
+						doneDo.Add(1)
+					}
+					resp.Release()
 				case err == nil:
 					if ch == nil {
-						t.Error("accepted submit returned nil channel")
+						t.Error("accepted call returned neither response nor channel")
 						return
 					}
 					accepted.Add(1)
@@ -119,20 +131,20 @@ func TestDrainRaceStress(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Late submits against the closed fleet must deterministically report
+	// Late calls against the closed fleet must deterministically report
 	// ErrClosed on both entry points.
-	if _, err := f.SubmitCtx(context.Background(), Request{App: apps[0]}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitCtx after Close: %v, want ErrClosed", err)
+	if _, err := f.Do(context.Background(), Request{App: apps[0]}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Do after Close: %v, want ErrClosed", err)
 	}
-	if _, err := f.TrySubmitCtx(context.Background(), Request{App: apps[0]}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("TrySubmitCtx after Close: %v, want ErrClosed", err)
+	if _, err := f.Submit(Request{App: apps[0]}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
 	}
 
-	// Every accepted request must have been served: Close drains the queue
-	// before stopping the workers, so each channel delivers without blocking
-	// beyond a generous guard.
+	// Every accepted request must have been served: Close waits for every
+	// admitted caller, so each channel delivers without blocking beyond a
+	// generous guard.
 	guard := time.After(10 * time.Second)
-	done, failed := 0, 0
+	done, failed := int(doneDo.Load()), int(failedDo.Load())
 	for _, ch := range pending {
 		select {
 		case resp := <-ch:
@@ -150,8 +162,8 @@ func TestDrainRaceStress(t *testing.T) {
 	}
 
 	st := f.Stats()
-	if got := int64(len(pending)); st.Submitted != got || accepted.Load() != got {
-		t.Errorf("submitted %d, accepted %d, collected %d channels", st.Submitted, accepted.Load(), got)
+	if got := int64(done + failed); st.Submitted != got || accepted.Load() != got {
+		t.Errorf("submitted %d, accepted %d, answered %d", st.Submitted, accepted.Load(), got)
 	}
 	if st.Completed+st.Failed != st.Submitted {
 		t.Errorf("completed %d + failed %d != submitted %d", st.Completed, st.Failed, st.Submitted)

@@ -131,7 +131,7 @@ func TestFirstSightInterleavedUnderChurn(t *testing.T) {
 			app = oneShot(t, 3+i%12, int64(5000+i))
 			want = expect(app)
 		}
-		ch, err := f.SubmitCtx(context.Background(), Request{Tenant: fmt.Sprintf("t%d", i%5), App: app})
+		ch, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", i%5), App: app})
 		if err != nil {
 			t.Fatal(err)
 		}

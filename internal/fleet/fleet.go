@@ -1,10 +1,12 @@
 // Package fleet is DEEP's multi-tenant deployment service: it turns the
 // single-shot Figure 1 pipeline (schedule one app, simulate it, report) into
-// a throughput machine. Deployment requests enter a bounded admission queue
-// with backpressure, fan out to a pool of scheduler workers, and have their
-// placements memoized in a concurrency-safe LRU keyed by a canonical
-// fingerprint of (app DAG, cluster, scheduler) — the Nash best-response
-// iteration is deterministic, so repeated shapes skip the game entirely.
+// a throughput machine. A deployment request borrows one of a fixed pool of
+// scheduler workers and runs on its caller's goroutine; only when every
+// worker is busy does it wait, in one of a bounded number of waiter slots,
+// and past them it is rejected. Placements are memoized in a
+// concurrency-safe LRU keyed by a canonical fingerprint of (app DAG,
+// cluster, scheduler) — the Nash best-response iteration is deterministic,
+// so repeated shapes skip the game entirely.
 // The package also ships an open-loop traffic driver (Poisson, bursty, and
 // diurnal arrival processes over configurable application mixes) for
 // scenario sweeps far beyond the paper's two case studies.
@@ -15,8 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,13 +36,14 @@ import (
 
 // Submission errors.
 var (
-	// ErrQueueFull is returned by Submit when the admission queue is at
-	// capacity; the request was rejected, not enqueued.
+	// ErrQueueFull is returned at admission when every worker is busy and
+	// every waiter slot is taken; the request was rejected, not admitted.
 	ErrQueueFull = errors.New("fleet: admission queue full")
 	// ErrClosed is returned by Submit after Close began.
 	ErrClosed = errors.New("fleet: closed")
 	// ErrDeadline is wrapped into a Response.Err when the request's deadline
-	// expired before its placement could be scheduled or simulated.
+	// expired while it waited for a worker, or before its placement could be
+	// scheduled or simulated.
 	ErrDeadline = errors.New("fleet: deadline exceeded")
 )
 
@@ -51,21 +53,12 @@ type Config struct {
 	// owns a private scheduler instance and a private cluster, so workers
 	// never contend on scheduler state or device layer caches.
 	Workers int
-	// QueueDepth bounds the admission queue (default 64). A Submit against
-	// a full queue is rejected with ErrQueueFull and counted. The depth is
-	// split across QueueShards bounded queues (rounding the per-shard
-	// capacity up, so the aggregate QueueCap may slightly exceed this).
+	// QueueDepth bounds the callers waiting for a worker (default 64): a
+	// caller that finds every worker busy takes one of QueueDepth waiter
+	// slots — a whole batch takes one — and with none free it is rejected
+	// with ErrQueueFull and counted. A caller that finds an idle worker takes
+	// no slot.
 	QueueDepth int
-	// QueueShards is the number of independent admission queues (default
-	// min(Workers, GOMAXPROCS)). Submitters pick a shard by hashing
-	// (tenant, app name) — the same keys that dominate the request
-	// fingerprint — so a hot tenant's requests land on one worker's home
-	// shard and keep the 8-way model cache shard warm.
-	// Workers drain their home shard first and work-steal from siblings, so
-	// skewed tenant traffic can never strand idle workers. On a single-core
-	// box the default collapses to one shard — exactly the pre-sharding
-	// queue.
-	QueueShards int
 	// NewScheduler constructs one scheduler per worker (default
 	// sched.NewDEEP). Any method from sched.All works.
 	NewScheduler func() sched.Scheduler
@@ -110,15 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.QueueShards <= 0 {
-		c.QueueShards = c.Workers
-		if p := runtime.GOMAXPROCS(0); p < c.QueueShards {
-			c.QueueShards = p
-		}
-		if c.QueueShards < 1 {
-			c.QueueShards = 1
-		}
-	}
 	if c.NewScheduler == nil {
 		c.NewScheduler = func() sched.Scheduler { return sched.NewDEEP() }
 	}
@@ -159,8 +143,10 @@ type Request struct {
 	// Config.SimOptions).
 	Seed int64
 	// Deadline bounds the request's total service time, measured from
-	// enqueue. A request whose deadline expires before scheduling or
-	// simulation fails with ErrDeadline; deadline pressure also steers
+	// admission. A request whose deadline expires while it waits for a
+	// worker, or before scheduling or simulation, fails with ErrDeadline (a
+	// waiting caller arms a timer for it; one that borrows a worker at once
+	// arms none); deadline pressure also steers
 	// schedulable requests onto the degraded (best-response) ladder rung
 	// when the exact game is expected to blow the budget. Zero means no
 	// deadline.
@@ -189,7 +175,8 @@ type Response struct {
 	// CacheHit is true when the placement came from the memo instead of a
 	// scheduling pass.
 	CacheHit bool
-	// QueueWait is the time spent in the admission queue.
+	// QueueWait is the time spent waiting to borrow a worker: zero but for
+	// the clock reads when one was idle at admission.
 	QueueWait time.Duration
 	// Latency is the end-to-end service time (queue wait + scheduling +
 	// simulation).
@@ -207,8 +194,8 @@ type Response struct {
 	// fallback instead of the exact scheduler (deadline pressure or churn
 	// retry).
 	Degraded bool
-	// Index is the request's position within its SubmitBatch call; 0 for
-	// single-request submissions.
+	// Index is the request's position within its DoBatch or SubmitBatch
+	// call; 0 for single-request submissions.
 	Index int
 	// Err is non-nil when scheduling or simulation failed.
 	Err error
@@ -253,31 +240,36 @@ type Stats struct {
 }
 
 // Fleet is a concurrent multi-tenant deployment service. Create with New,
-// submit with Submit or Do, stop with Close.
+// serve with Do or DoBatch (or their channel-returning wrappers Submit and
+// SubmitBatch), stop with Close.
 type Fleet struct {
 	cfg    Config
 	cache  *placementCache
 	models *sharedModelCache
-	// queues are the sharded bounded admission queues (Config.QueueShards).
-	// Submitters enqueue on their hash-picked home shard and spill over to
-	// siblings when it is full; workers drain home-first and steal. queued
-	// tracks the aggregate backlog in requests (a batch counts each item),
-	// which is what serving layers size Retry-After hints from.
-	queues []chan *job
-	queued atomic.Int64
-	qcap   int
+	// idle is the worker pool: every workerState no caller is using, FIFO.
+	// A caller borrows one, runs the pipeline on its own goroutine and puts
+	// it back, so a deploy crosses no goroutine boundary. A caller that finds
+	// it empty takes one of Config.QueueDepth waiter slots (waiting) and
+	// blocks on it; a returned worker goes straight to a blocked waiter
+	// before any newcomer can take it. queued counts the requests the
+	// waiters carry (a batch counts each item), which is what serving layers
+	// size Retry-After hints from.
+	idle    chan *workerState
+	waiting atomic.Int64
+	queued  atomic.Int64
 	// jobPool recycles the whole per-request chain — job, Response, Result
-	// buffers, placement-view scratch, and the cap-1 done channel — via the
-	// Response.Release contract. A job re-enters the pool only after its
-	// response was released, which proves the done channel was drained, so
-	// reusing the channel can never cross-deliver between submitters.
+	// buffers, placement-view scratch, and the cap-1 done channel Submit
+	// answers on — via the Response.Release contract. A job re-enters the
+	// pool only after its response was released, which proves the done
+	// channel was drained, so reusing the channel can never cross-deliver
+	// between submitters.
 	jobPool sync.Pool
 
 	// Telemetry, interned in the Metrics' backing obs registry: per-stage
 	// latency histograms, the end-to-end request-latency histogram the
-	// rolling slow threshold reads, and the slow-request ring. Workers
-	// record on their own shard, so instrumentation adds no shared cache
-	// lines (and no allocations) to the request path.
+	// rolling slow threshold reads, and the slow-request ring. A request is
+	// recorded on its worker's own shard, so instrumentation adds no shared
+	// cache lines (and no allocations) to the request path.
 	stages  *obs.StageSet
 	latency *obs.Histogram
 	slow    *obs.SlowRing
@@ -290,6 +282,9 @@ type Fleet struct {
 	solverExact, solverBestResponse *obs.Counter
 	solverNonconverged              *obs.Counter
 
+	// mu orders admission against Close; wg counts every admitted caller
+	// until it has answered all its requests, plus the worker setups still
+	// running, so Close returns only when all of them are done.
 	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
@@ -338,21 +333,9 @@ type job struct {
 	f        *Fleet
 	req      Request
 	enqueued time.Time
-	done     chan *Response
-	// ctx is the submitter's context (nil from plain Submit): a request whose
-	// submitter has already given up is answered with its context error
-	// instead of being scheduled.
-	ctx context.Context
-
-	// Batch plumbing: a non-nil items marks a batch head occupying one
-	// queue slot for the whole batch; items[0] is the head itself, and
-	// every item's response is delivered on the shared bdone channel
-	// (capacity len(items)) in submission order. Workers copy both fields
-	// into locals before processing: an early item's response can be
-	// received and Released — recycling its job, the head included — while
-	// later items are still being scheduled.
-	items []*job
-	bdone chan *Response
+	// done is the channel Submit answers on, made by the first Submit to
+	// draw the job; Do and DoBatch never touch it.
+	done chan *Response
 
 	// Pool-owned response buffers, recycled by Response.Release: the
 	// response itself, the detached copy of the Exec's result, and the
@@ -364,31 +347,33 @@ type job struct {
 	assigns []sim.Assignment
 }
 
-// weight is the number of admission slots the job accounts for in QueueLen:
-// each batch item counts, since each is one request a worker must serve.
-func (j *job) weight() int64 {
-	if j.items != nil {
-		return int64(len(j.items))
-	}
-	return 1
-}
-
-// getJob draws a job from the pool (or mints one with its done channel).
-func (f *Fleet) getJob() *job {
+// getJob draws a job from the pool (or mints one) for a request admitted at
+// enqueued, filling in the default tenant.
+func (f *Fleet) getJob(req Request, enqueued time.Time) *job {
 	j := f.jobPool.Get().(*job)
 	j.f = f
+	if req.Tenant == "" {
+		req.Tenant = "default"
+	}
+	j.req = req
+	j.enqueued = enqueued
 	return j
+}
+
+// deadline is when the request's budget runs out; zero for none.
+func (j *job) deadline() time.Time {
+	if j.req.Deadline <= 0 {
+		return time.Time{}
+	}
+	return j.enqueued.Add(j.req.Deadline)
 }
 
 // putJob clears a job's references and returns it to the pool. Buffers with
 // reusable capacity — the result's slices and maps, the placement-view
 // scratch, the done channel — are kept; everything that pins caller memory
-// (the app, the context, batch plumbing, view aliases) is dropped.
+// (the app, view aliases) is dropped.
 func (f *Fleet) putJob(j *job) {
 	j.req = Request{}
-	j.ctx = nil
-	j.items = nil
-	j.bdone = nil
 	j.enqueued = time.Time{}
 	r := &j.resp
 	r.Tenant, r.App = "", ""
@@ -399,21 +384,19 @@ func (f *Fleet) putJob(j *job) {
 	f.jobPool.Put(j)
 }
 
-// New starts a fleet with the given config, spinning up the worker pool.
+// New starts a fleet with the given config. Each worker is set up on its own
+// goroutine and joins the pool when ready, so New does not wait for
+// Config.NewCluster; a caller that arrives first waits for a worker like any
+// other.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
 		cfg:    cfg,
 		cache:  newPlacementCache(cfg.CacheSize),
 		models: newSharedModelCache(modelCacheSize),
+		idle:   make(chan *workerState, cfg.Workers),
 	}
-	per := (cfg.QueueDepth + cfg.QueueShards - 1) / cfg.QueueShards
-	f.queues = make([]chan *job, cfg.QueueShards)
-	for i := range f.queues {
-		f.queues[i] = make(chan *job, per)
-	}
-	f.qcap = per * cfg.QueueShards
-	f.jobPool.New = func() any { return &job{done: make(chan *Response, 1)} }
+	f.jobPool.New = func() any { return new(job) }
 	reg := cfg.Metrics.Obs()
 	f.overflowLabels = newTenantLabels(reg, "other")
 	f.stages = obs.NewStageSet(reg, "fleet_stage_seconds")
@@ -430,7 +413,10 @@ func New(cfg Config) *Fleet {
 	f.churn.Store(&churnState{})
 	f.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go f.worker(i)
+		go func() {
+			defer f.wg.Done()
+			f.idle <- f.newWorker(i)
+		}()
 	}
 	return f
 }
@@ -511,253 +497,284 @@ func (f *Fleet) Stats() Stats {
 	}
 }
 
-// shardFor hashes (tenant, app name) — FNV-1a, no allocation — onto a home
-// shard. The same keys dominate the request fingerprint, so one tenant's hot
-// shape keeps landing on one worker's home shard: its rebound plans and
-// model-cache shard stay warm. The full app digest would be the exact
-// affinity key, but for an app not yet digested it is a sha256 pass the
-// submitter should not pay; the name is free and wrong only for same-named
-// structurally distinct apps, where affinity is a performance hint, not a
-// correctness input.
-func (f *Fleet) shardFor(req *Request) int {
-	n := len(f.queues)
-	if n == 1 {
-		return 0
-	}
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := 0; i < len(req.Tenant); i++ {
-		h = (h ^ uint64(req.Tenant[i])) * fnvPrime
-	}
-	h = (h ^ '/') * fnvPrime
-	name := req.App.Name
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * fnvPrime
-	}
-	return int(h % uint64(n))
-}
-
-// tryEnqueue offers the job to its home shard, spilling over to siblings
-// when it is full: a request is only rejected when every shard is at
-// capacity, so the aggregate QueueDepth bound holds regardless of hash skew.
-// Must be called under f.mu.RLock with f.closed already checked.
-func (f *Fleet) tryEnqueue(j *job, home int) bool {
-	qs := f.queues
-	n := len(qs)
-	for i := 0; i < n; i++ {
-		select {
-		case qs[(home+i)%n] <- j:
-			f.queued.Add(j.weight())
-			return true
-		default:
-		}
-	}
-	return false
-}
-
-// admit is the one admission path for single requests: validate, draw a
-// pooled job, and enqueue it on its home shard (spilling to siblings). With
-// block set a full queue waits on the home shard until space frees or ctx is
-// cancelled; otherwise it rejects with ErrQueueFull. A non-nil ctx rides on
-// the job, so a submitter that gives up while its request is still queued
-// gets the context error back instead of paying for a schedule; block
-// requires one.
-func (f *Fleet) admit(ctx context.Context, req Request, block bool) (<-chan *Response, error) {
+// check validates a single request before admission. An already-cancelled
+// ctx turns it away uncounted, like a malformed request.
+func check(ctx context.Context, req *Request) error {
 	if req.App == nil {
-		return nil, fmt.Errorf("fleet: request without app")
+		return fmt.Errorf("fleet: request without app")
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	j := f.getJob()
-	j.req = req
-	j.enqueued = time.Now()
-	j.ctx = ctx
-
-	// The read lock lets many submitters race each other but excludes
-	// Close, so a send can never hit a closed channel. Holding it across the
-	// blocking send is deadlock-free: workers keep draining every shard until
-	// Close closes them, and Close's write lock cannot be acquired until this
-	// send (or cancellation) releases the read side. Blocking on the home
-	// shard alone is enough: work stealing guarantees it drains.
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	home := f.shardFor(&j.req)
-	if !f.tryEnqueue(j, home) {
-		if !block {
-			f.putJob(j)
-			f.rejected.Add(1)
-			return nil, ErrQueueFull
-		}
-		select {
-		case f.queues[home] <- j:
-			f.queued.Add(j.weight())
-		case <-ctx.Done():
-			f.putJob(j)
-			f.rejected.Add(1)
-			return nil, ctx.Err()
-		}
-	}
-	f.submitted.Add(1)
-	f.inFlight.Add(1)
-	return j.done, nil
+	return ctx.Err()
 }
 
-// Submit enqueues a request without blocking. The returned channel delivers
-// exactly one Response when the request completes. A full queue rejects the
-// request with ErrQueueFull; a closed fleet rejects with ErrClosed.
-func (f *Fleet) Submit(req Request) (<-chan *Response, error) {
-	return f.admit(nil, req, false)
-}
-
-// SubmitCtx enqueues a request, blocking on a full admission queue until
-// space frees, the context is cancelled, or the fleet closes — the
-// cooperative alternative to Submit's immediate ErrQueueFull. Cancellation
-// while blocked returns ctx.Err() and counts as a rejection; once accepted,
-// the request also remembers the context (see admit).
-func (f *Fleet) SubmitCtx(ctx context.Context, req Request) (<-chan *Response, error) {
-	return f.admit(ctx, req, true)
-}
-
-// TrySubmitCtx enqueues a request without blocking — Submit's immediate
-// ErrQueueFull backpressure — while remembering the context the way
-// SubmitCtx does. This is the serving front-end's admission call:
-// reject-fast on overload, but never schedule for a caller that already hung
-// up.
-func (f *Fleet) TrySubmitCtx(ctx context.Context, req Request) (<-chan *Response, error) {
-	return f.admit(ctx, req, false)
-}
-
-// SubmitBatch admits a batch of requests as one unit: one queue handoff, one
-// enqueue timestamp, and one worker pass over the whole batch. The returned
-// channel delivers exactly len(reqs) responses in submission order, each
-// tagged with its Index; every response follows the Release contract.
-// Admission is all-or-nothing and non-blocking: the batch occupies a single
-// shard slot, and a fleet with no free slot rejects the whole batch with
-// ErrQueueFull (counting len(reqs) rejections). The context, if non-nil,
-// covers every item the way TrySubmitCtx's does. The reqs slice itself is
-// not retained.
-func (f *Fleet) SubmitBatch(ctx context.Context, reqs []Request) (<-chan *Response, error) {
+// checkBatch is check for a batch: it must be non-empty and every item must
+// carry an app.
+func checkBatch(ctx context.Context, reqs []Request) error {
 	if len(reqs) == 0 {
-		return nil, fmt.Errorf("fleet: empty batch")
+		return fmt.Errorf("fleet: empty batch")
 	}
 	for i := range reqs {
 		if reqs[i].App == nil {
-			return nil, fmt.Errorf("fleet: batch request %d without app", i)
+			return fmt.Errorf("fleet: batch request %d without app", i)
 		}
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	now := time.Now()
-	items := make([]*job, len(reqs))
-	for i, req := range reqs {
-		if req.Tenant == "" {
-			req.Tenant = "default"
-		}
-		it := f.getJob()
-		it.req = req
-		it.enqueued = now
-		it.ctx = ctx
-		items[i] = it
-	}
-	head := items[0]
-	head.items = items
-	head.bdone = make(chan *Response, len(reqs))
+	return ctx.Err()
+}
 
-	n := int64(len(reqs))
+// admit is the one admission path: it registers one caller carrying n
+// requests (a single request, or a whole batch) and hands it an idle worker,
+// or nil when every worker is busy and the caller has taken a waiter slot
+// instead. A fleet that is closed, or whose QueueDepth waiter slots are all
+// taken, rejects the caller and counts n rejections. On success the caller
+// holds one wg count, which it releases once every request it carries has
+// been answered.
+func (f *Fleet) admit(n int64) (*workerState, error) {
+	// The read lock lets callers race each other but excludes Close, so
+	// every wg.Add happens before Close's wg.Wait.
 	f.mu.RLock()
-	defer f.mu.RUnlock()
 	if f.closed {
-		f.recycleBatch(items)
+		f.mu.RUnlock()
 		f.rejected.Add(n)
 		return nil, ErrClosed
 	}
-	if !f.tryEnqueue(head, f.shardFor(&head.req)) {
-		f.recycleBatch(items)
-		f.rejected.Add(n)
-		return nil, ErrQueueFull
+	f.wg.Add(1)
+	f.mu.RUnlock()
+	var w *workerState
+	select {
+	case w = <-f.idle:
+	default:
+		if f.waiting.Add(1) > int64(f.cfg.QueueDepth) {
+			f.waiting.Add(-1)
+			f.wg.Done()
+			f.rejected.Add(n)
+			return nil, ErrQueueFull
+		}
+		f.queued.Add(n)
 	}
 	f.submitted.Add(n)
 	f.inFlight.Add(n)
-	return head.bdone, nil
+	return w, nil
 }
 
-// recycleBatch returns a rejected batch's jobs to the pool (the head's batch
-// plumbing is cleared by putJob).
-func (f *Fleet) recycleBatch(items []*job) {
-	for _, it := range items {
-		f.putJob(it)
+// await blocks an admitted caller in its waiter slot until a worker is
+// returned to the pool, ctx is done, or the deadline passes. It is the only
+// place a request arms a timer, and only when it has a deadline: a caller
+// that borrowed a worker at admission never gets here. A wait that ends
+// without a worker returns ctx.Err() or ErrDeadline. Either way the slot and
+// the n queued requests are given back.
+func (f *Fleet) await(ctx context.Context, deadline time.Time, n int64) (*workerState, error) {
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	var w *workerState
+	var err error
+	select {
+	case w = <-f.idle:
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-expired:
+		err = ErrDeadline
+	}
+	f.queued.Add(-n)
+	f.waiting.Add(-1)
+	return w, err
+}
+
+// Do serves one request on the caller's goroutine: it borrows an idle
+// worker — or, when every worker is busy, waits for one in a waiter slot —
+// runs the pipeline and puts the worker back. A full set of waiter slots
+// rejects the request with ErrQueueFull, a closed fleet with ErrClosed. A
+// caller whose ctx is done while it waits gets ctx.Err() and no response (the
+// request counts as failed and is never scheduled); a request whose deadline
+// passes while it waits is answered with a response failed with ErrDeadline.
+func (f *Fleet) Do(ctx context.Context, req Request) (*Response, error) {
+	if err := check(ctx, &req); err != nil {
+		return nil, err
+	}
+	enqueued := time.Now()
+	w, err := f.admit(1)
+	if err != nil {
+		return nil, err
+	}
+	defer f.wg.Done()
+	return f.serve(ctx, w, f.getJob(req, enqueued))
+}
+
+// serve answers one admitted request: it waits for a worker when admission
+// handed it none, runs the pipeline on it, and returns it to the pool. A
+// wait cut short by ctx fails the request and returns ctx.Err() without a
+// response.
+func (f *Fleet) serve(ctx context.Context, w *workerState, j *job) (*Response, error) {
+	if w == nil {
+		var err error
+		if w, err = f.await(ctx, j.deadline(), 1); err != nil {
+			resp := f.fail(j, err)
+			if errors.Is(err, ErrDeadline) {
+				return resp, nil
+			}
+			resp.Release()
+			return nil, err
+		}
+	}
+	resp := f.process(w, j)
+	f.deliver(w.shard, resp)
+	f.idle <- w
+	return resp, nil
+}
+
+// DoBatch serves a batch of requests as one unit on the caller's goroutine:
+// one admission, one timestamp, and one borrowed worker runs every item back
+// to back. each receives every item's response in submission order, tagged
+// with its Index, and owns it under the Release contract. Admission is
+// all-or-nothing: the batch takes a single waiter slot however many items it
+// carries, and a fleet with no free slot rejects the whole batch with
+// ErrQueueFull (counting len(reqs) rejections). A waiting batch arms one
+// timer, at its latest item deadline, and only when every item has one. If
+// its wait ends early — ctx done or that deadline passed — every item is
+// answered through each with the error; so is every item not yet run when
+// ctx is done. The error return is for admission only.
+func (f *Fleet) DoBatch(ctx context.Context, reqs []Request, each func(*Response)) error {
+	if err := checkBatch(ctx, reqs); err != nil {
+		return err
+	}
+	enqueued := time.Now()
+	w, err := f.admit(int64(len(reqs)))
+	if err != nil {
+		return err
+	}
+	defer f.wg.Done()
+	f.serveBatch(ctx, w, reqs, enqueued, each)
+	return nil
+}
+
+// serveBatch answers every request of one admitted batch, in order.
+func (f *Fleet) serveBatch(ctx context.Context, w *workerState, reqs []Request, enqueued time.Time, each func(*Response)) {
+	var err error
+	if w == nil {
+		w, err = f.await(ctx, waitDeadline(reqs, enqueued), int64(len(reqs)))
+	}
+	for i := range reqs {
+		j := f.getJob(reqs[i], enqueued)
+		if err == nil {
+			err = ctx.Err()
+		}
+		var resp *Response
+		if err != nil {
+			resp = f.fail(j, err)
+		} else {
+			resp = f.process(w, j)
+			f.deliver(w.shard, resp)
+		}
+		resp.Index = i
+		each(resp)
+	}
+	if w != nil {
+		f.idle <- w
 	}
 }
 
-// QueueLen returns the number of requests currently waiting in the admission
-// queues (not yet picked up by a worker), summed across shards; each batch
-// item counts as one request. Serving layers use it to derive Retry-After
-// hints.
-func (f *Fleet) QueueLen() int {
-	if n := f.queued.Load(); n > 0 {
-		return int(n)
+// waitDeadline is when a waiting batch gives up: its latest item deadline,
+// or never when any item has none.
+func waitDeadline(reqs []Request, enqueued time.Time) time.Time {
+	var latest time.Duration
+	for i := range reqs {
+		if reqs[i].Deadline <= 0 {
+			return time.Time{}
+		}
+		latest = max(latest, reqs[i].Deadline)
 	}
-	// A worker's decrement can land between a submitter's send and its
-	// increment; clamp the transient negative to empty.
-	return 0
+	return enqueued.Add(latest)
 }
 
-// QueueCap returns the aggregate admission capacity across all shards
-// (QueueDepth rounded up to a multiple of QueueShards).
-func (f *Fleet) QueueCap() int { return f.qcap }
+// fail answers a request that is not run: its wait for a worker ended
+// (ctx done, or ErrDeadline) or its batch's caller hung up before its turn.
+// It is recorded like any failed request, its whole latency in the queue
+// stage.
+func (f *Fleet) fail(j *job, err error) *Response {
+	if errors.Is(err, ErrDeadline) {
+		f.deadlineExceeded.Add(1)
+		err = fmt.Errorf("fleet: waiting for a worker for %s: %w", j.req.App.Name, err)
+	}
+	resp := j.reset()
+	resp.Err = err
+	resp.Latency = time.Since(j.enqueued)
+	resp.QueueWait = resp.Latency
+	resp.Stages = obs.StageTrace{}
+	resp.Stages.D[obs.StageQueue] = resp.Latency
+	f.deliver(0, resp)
+	return resp
+}
 
-// QueueShards returns the number of admission queue shards.
-func (f *Fleet) QueueShards() int { return len(f.queues) }
+// Submit is Do without the wait: it admits the request at once — so
+// ErrQueueFull and ErrClosed come back from the call — and serves it on a
+// goroutine of its own, which delivers exactly one Response on the returned
+// channel. There is at most one such goroutine per worker and waiter slot.
+func (f *Fleet) Submit(req Request) (<-chan *Response, error) {
+	if err := check(context.Background(), &req); err != nil {
+		return nil, err
+	}
+	enqueued := time.Now()
+	w, err := f.admit(1)
+	if err != nil {
+		return nil, err
+	}
+	j := f.getJob(req, enqueued)
+	if j.done == nil {
+		j.done = make(chan *Response, 1)
+	}
+	done := j.done
+	go func() {
+		defer f.wg.Done()
+		resp, _ := f.serve(context.Background(), w, j)
+		done <- resp
+	}()
+	return done, nil
+}
+
+// SubmitBatch is DoBatch without the wait: admission happens in the call,
+// and the returned channel delivers exactly len(reqs) responses in
+// submission order. The context, if non-nil, covers every item as DoBatch's
+// does. The reqs slice itself is not retained.
+func (f *Fleet) SubmitBatch(ctx context.Context, reqs []Request) (<-chan *Response, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := checkBatch(ctx, reqs); err != nil {
+		return nil, err
+	}
+	enqueued := time.Now()
+	w, err := f.admit(int64(len(reqs)))
+	if err != nil {
+		return nil, err
+	}
+	reqs = slices.Clone(reqs)
+	done := make(chan *Response, len(reqs))
+	go func() {
+		defer f.wg.Done()
+		f.serveBatch(ctx, w, reqs, enqueued, func(resp *Response) { done <- resp })
+	}()
+	return done, nil
+}
+
+// QueueLen returns the number of requests currently waiting for a worker;
+// each batch item counts as one request. Serving layers use it to derive
+// Retry-After hints.
+func (f *Fleet) QueueLen() int { return int(f.queued.Load()) }
+
+// QueueCap returns the number of waiter slots, Config.QueueDepth.
+func (f *Fleet) QueueCap() int { return f.cfg.QueueDepth }
 
 // Workers returns the scheduler/simulator pool size.
 func (f *Fleet) Workers() int { return f.cfg.Workers }
 
-// Do submits a request (without blocking on a full queue) and blocks for its
-// response or ctx cancellation; a request still queued when ctx is cancelled
-// is never scheduled.
-func (f *Fleet) Do(ctx context.Context, req Request) (*Response, error) {
-	ch, err := f.admit(ctx, req, false)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case resp := <-ch:
-		return resp, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Close stops admission and drains: every request already accepted is
-// completed before Close returns. Safe to call more than once.
+// Close stops admission and drains: every caller already admitted — the
+// waiting ones included, which receive workers as borrowers return them — is
+// answered before Close returns. Safe to call more than once.
 func (f *Fleet) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		f.wg.Wait()
-		return
-	}
 	f.closed = true
-	for _, q := range f.queues {
-		close(q)
-	}
 	f.mu.Unlock()
 	f.wg.Wait()
 }
@@ -773,15 +790,10 @@ type workerState struct {
 	scheduler     sched.Scheduler
 	cluster       *sim.Cluster
 	clusterDigest ClusterDigest
-	// shard is this worker's obs shard index: each worker records its
-	// counters and histogram observations on its own cache line.
+	// shard is this worker's obs shard index: whoever borrows the worker
+	// records its counters and histogram observations on the worker's own
+	// cache line.
 	shard int
-	// home is the admission queue shard this worker drains first; siblings
-	// are stolen from only when it is empty, preserving the submit-side
-	// tenant affinity. selCases is the prebuilt blocking-select set over
-	// every shard (nil with one shard), used only when all shards are empty.
-	home     int
-	selCases []reflect.SelectCase
 	// trace is the reusable per-request stage breakdown; process resets it
 	// at the top of every request so failure short-circuits leave the
 	// untouched stages at zero rather than at the prior request's values.
@@ -909,11 +921,10 @@ const shapeFilterSlots = 4 * modelCacheSize
 // are not pinned indefinitely.
 const planMemoCap = 64
 
-// worker owns one scheduler and one cluster and processes jobs until the
-// queue closes. The worker index doubles as the obs shard, so concurrent
-// workers never contend on an instrument cache line.
-func (f *Fleet) worker(i int) {
-	defer f.wg.Done()
+// newWorker builds worker i: its own scheduler and cluster, and the shared
+// cluster-side tables it compiles on. The worker index doubles as the obs
+// shard, so concurrent borrowers never contend on an instrument cache line.
+func (f *Fleet) newWorker(i int) *workerState {
 	cluster := f.cfg.NewCluster()
 	w := &workerState{
 		scheduler:     f.cfg.NewScheduler(),
@@ -926,109 +937,29 @@ func (f *Fleet) worker(i int) {
 	}
 	// Resolve the cluster-side compiled substrate once per worker lifetime:
 	// the first worker per cluster digest compiles it, the rest share it.
-	// (With a deterministic Config.NewCluster this is the fleet's own base
-	// table, pre-filled in New.)
 	w.table = f.models.tableFor(w.clusterDigest, func() *topo.ClusterTable {
 		return sim.CompileClusterTable(cluster)
 	})
 	w.ownDigest = w.clusterDigest
 	w.effCluster = cluster
 	w.adopt(f, f.churn.Load())
-	w.home = i % len(f.queues)
-	if len(f.queues) > 1 {
-		w.selCases = make([]reflect.SelectCase, len(f.queues))
-		for k, q := range f.queues {
-			w.selCases[k] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(q)}
-		}
-	}
-	for {
-		j := f.dequeue(w)
-		if j == nil {
-			return
-		}
-		f.queued.Add(-j.weight())
-		if j.items != nil {
-			f.processBatch(w, j)
-			continue
-		}
-		resp := f.process(w, j)
-		f.deliver(w, j.done, resp)
-	}
+	return w
 }
 
-// dequeue returns the next job for the worker, or nil when the fleet is
-// closed and fully drained. The worker scans its home shard first and then
-// steals from siblings (non-blocking), so submit-side affinity holds under
-// load but a single hot shard fans out across the whole pool. When every
-// shard is empty it blocks on all of them at once — a reflect.Select on the
-// idle path only, where its allocations cost nothing that matters.
-func (f *Fleet) dequeue(w *workerState) *job {
-	qs := f.queues
-	n := len(qs)
-	if n == 1 {
-		j, ok := <-qs[0]
-		if !ok {
-			return nil
-		}
-		return j
-	}
-	for {
-		sawClosed := false
-		for i := 0; i < n; i++ {
-			select {
-			case j, ok := <-qs[(w.home+i)%n]:
-				if ok {
-					return j
-				}
-				sawClosed = true
-			default:
-			}
-		}
-		if sawClosed {
-			// Channels close only in Close, after f.closed stopped all
-			// admission — so every send happened before the close we just
-			// observed, and a scan that found nothing means every shard is
-			// drained for good.
-			return nil
-		}
-		if _, recv, ok := reflect.Select(w.selCases); ok {
-			return recv.Interface().(*job)
-		}
-		// A shard closed while we were blocked: rescan to drain stragglers
-		// from the other shards before exiting.
-	}
-}
-
-// deliver closes out one processed request: fleet counters, the per-stage
-// and per-tenant telemetry, and the response send (done is the job's own
-// channel, or the shared batch channel — both buffered, so the send never
-// blocks a worker).
-func (f *Fleet) deliver(w *workerState, done chan<- *Response, resp *Response) {
+// deliver closes out one answered request: the fleet counters, and the
+// per-stage and per-tenant telemetry on the given obs shard (the serving
+// worker's, or shard 0 for a request no worker ran).
+func (f *Fleet) deliver(shard int, resp *Response) {
 	f.inFlight.Add(-1)
 	if resp.Err != nil {
 		f.failed.Add(1)
 	} else {
 		f.completed.Add(1)
 	}
-	f.stages.RecordAt(w.shard, &w.trace)
-	f.latency.ObserveAt(w.shard, resp.Latency.Seconds())
-	f.slow.Observe(resp.Tenant, resp.App, resp.Latency, &w.trace, resp.CacheHit, resp.Err != nil)
-	f.observe(w.shard, resp)
-	done <- resp
-}
-
-// processBatch serves one batch head: every item processed back to back on
-// this worker, responses streamed to the shared channel in submission order.
-// The head's batch fields are copied out first — an early item's response
-// can be Released (recycling its job, the head included) while later items
-// are still in flight.
-func (f *Fleet) processBatch(w *workerState, head *job) {
-	items, bdone := head.items, head.bdone
-	for idx, item := range items {
-		resp := f.process(w, item)
-		resp.Index = idx
-		f.deliver(w, bdone, resp)
-	}
+	f.stages.RecordAt(shard, &resp.Stages)
+	f.latency.ObserveAt(shard, resp.Latency.Seconds())
+	f.slow.Observe(resp.Tenant, resp.App, resp.Latency, &resp.Stages, resp.CacheHit, resp.Err != nil)
+	f.observe(shard, resp)
 }
 
 // scheduleOn computes a placement for the job with the given scheduler on
@@ -1202,33 +1133,9 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	start := time.Now()
 	w.trace.Reset()
 	w.trace.D[obs.StageQueue] = start.Sub(j.enqueued)
-	// The response is the job's pooled buffer: reset every public field a
-	// prior life may have set (finish overwrites Latency and Stages on
-	// every path), wire up the Release plumbing, and keep the buffers.
-	resp := &j.resp
-	resp.Tenant = j.req.Tenant
-	resp.App = j.req.App.Name
-	resp.Placement = PlacementView{}
-	resp.Result = nil
-	resp.CacheHit = false
-	resp.Epoch = 0
-	resp.Degraded = false
-	resp.Index = 0
-	resp.Err = nil
+	resp := j.reset()
 	resp.QueueWait = w.trace.D[obs.StageQueue]
-	resp.owner = j
-	resp.pooled = true
-
-	// A submitter that gave up while the request sat in the queue gets its
-	// context error back without paying for a schedule.
-	if j.ctx != nil && j.ctx.Err() != nil {
-		resp.Err = j.ctx.Err()
-		return f.finish(w, resp, j)
-	}
-	var deadline time.Time
-	if j.req.Deadline > 0 {
-		deadline = j.enqueued.Add(j.req.Deadline)
-	}
+	deadline := j.deadline()
 
 	if st := f.churn.Load(); st != w.churn {
 		w.adopt(f, st)
@@ -1330,6 +1237,26 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	result.CloneInto(&j.result)
 	resp.Result = &j.result
 	return f.finish(w, resp, j)
+}
+
+// reset readies the job's pooled response for a new answer: every public
+// field a prior life may have set is cleared (finish and fail overwrite
+// Latency, QueueWait and Stages on every path), the Release plumbing is
+// wired up, and the buffers are kept.
+func (j *job) reset() *Response {
+	resp := &j.resp
+	resp.Tenant = j.req.Tenant
+	resp.App = j.req.App.Name
+	resp.Placement = PlacementView{}
+	resp.Result = nil
+	resp.CacheHit = false
+	resp.Epoch = 0
+	resp.Degraded = false
+	resp.Index = 0
+	resp.Err = nil
+	resp.owner = j
+	resp.pooled = true
+	return resp
 }
 
 // finish closes out a response: end-to-end latency and the stage breakdown

@@ -271,12 +271,12 @@ func TestStress(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejection fills the queue deterministically with a stalled
-// worker pool and checks rejections are surfaced and counted.
+// TestQueueFullRejection fills the waiter slots deterministically with a
+// stalled worker pool and checks rejections are surfaced and counted.
 func TestQueueFullRejection(t *testing.T) {
 	block := make(chan struct{})
 	slowCluster := func() *sim.Cluster {
-		<-block // stall worker startup so nothing drains the queue
+		<-block // stall worker setup: the pool stays empty, so every caller waits
 		return workload.Testbed()
 	}
 	f := testFleet(t, Config{Workers: 1, QueueDepth: 2, NewCluster: slowCluster})

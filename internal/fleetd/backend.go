@@ -18,24 +18,28 @@ import (
 // it directly; tests substitute stubs to pin handler behavior (error
 // mapping, Retry-After derivation) without spinning up worker pools.
 type Backend interface {
-	// TrySubmitCtx admits a request without blocking: ErrQueueFull on a full
-	// admission queue (the handler turns it into a 429), ErrClosed once the
-	// fleet is draining. The context rides along so a client that hangs up
-	// while queued never costs a schedule.
-	TrySubmitCtx(ctx context.Context, req fleet.Request) (<-chan *fleet.Response, error)
-	// SubmitBatch admits a whole batch atomically without blocking: either
-	// every request is accepted (responses stream back in submission order,
-	// each carrying its Index) or none is, with the same sentinel errors as
-	// TrySubmitCtx.
-	SubmitBatch(ctx context.Context, reqs []fleet.Request) (<-chan *fleet.Response, error)
+	// Do serves one request on the handler's goroutine and returns its
+	// response: ErrQueueFull when every worker is busy and every waiter slot
+	// taken (the handler turns it into a 429), ErrClosed once the fleet is
+	// draining. The context carries client hang-up, so a client that leaves
+	// while waiting for a worker never costs a schedule (ctx.Err(), no
+	// response); the request's own deadline comes back as a response failed
+	// with fleet.ErrDeadline.
+	Do(ctx context.Context, req fleet.Request) (*fleet.Response, error)
+	// DoBatch serves a whole batch, admitted atomically: either every
+	// request is admitted and each receives every response in submission
+	// order (each carrying its Index), or none is, with the same sentinel
+	// errors as Do.
+	DoBatch(ctx context.Context, reqs []fleet.Request, each func(*fleet.Response)) error
 	// ApplyChurn applies one live cluster delta.
 	ApplyChurn(delta fleet.ChurnDelta) (epoch int64, invalidated int, err error)
 	// Stats snapshots the fleet counters.
 	Stats() fleet.Stats
 	// SlowRequests returns the slow-request ring contents.
 	SlowRequests() []obs.SlowRequest
-	// QueueLen, QueueCap, and Workers describe the admission queue; the
-	// handlers derive Retry-After hints from them.
+	// QueueLen, QueueCap, and Workers describe the waiting requests, the
+	// waiter slots and the worker pool; the handlers derive Retry-After
+	// hints from them.
 	QueueLen() int
 	QueueCap() int
 	Workers() int

@@ -332,10 +332,9 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	labels := s.labelsFor(tenant)
 
-	ctx, cancel := context.WithTimeout(r.Context(), req.Deadline)
-	defer cancel()
-
-	ch, err := s.cfg.Backend.TrySubmitCtx(ctx, req)
+	// The fleet serves the request on this goroutine and enforces its
+	// deadline itself; r.Context() carries client hang-up.
+	resp, err := s.cfg.Backend.Do(r.Context(), req)
 	switch {
 	case errors.Is(err, fleet.ErrQueueFull):
 		labels.rejected.Add(1)
@@ -349,12 +348,12 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
 		return
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, fleet.ErrDeadline):
-		// The deadline expired at admission (e.g. a client-supplied budget
-		// already spent): a timeout, not a malformed request.
+		// A timeout, not a malformed request.
 		labels.rejected.Add(1)
 		writeError(w, http.StatusGatewayTimeout, codeDeadline, err.Error(), 0)
 		return
 	case errors.Is(err, context.Canceled):
+		// The client hung up before or while waiting for a worker.
 		labels.rejected.Add(1)
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
 		return
@@ -365,14 +364,10 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, codeScheduleFailed, err.Error(), 0)
 		return
 	}
+	// Answered: an admitted request always is, even while draining
+	// (Fleet.Close completes every admitted request) — that is what "drain
+	// completes accepted requests" means at the HTTP layer.
 	labels.accepted.Add(1)
-
-	// Accepted: the fleet owns the request now and will always answer —
-	// drain (Fleet.Close) completes every accepted request, and an expired
-	// context is answered with its context error. So waiting on the channel
-	// alone cannot hang, and the handler must wait even while draining: that
-	// is what "drain completes accepted requests" means at the HTTP layer.
-	resp := <-ch
 	s.observe(resp)
 	if s.draining.Load() {
 		labels.drained.Add(1)
@@ -645,12 +640,6 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := len(reqs)
-	// The shared context rides the batch's longest per-item deadline; items
-	// with shorter budgets are answered individually with ErrDeadline.
-	var maxDeadline time.Duration
-	for i := range reqs {
-		maxDeadline = max(maxDeadline, reqs[i].Deadline)
-	}
 
 	// One admission check for the whole batch: n in-flight slots, n tokens.
 	release, code, retry := s.lim.admitN(tenant, time.Now(), n, s.serviceEstimate(n))
@@ -666,10 +655,29 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	labels := s.labelsFor(tenant)
 
-	ctx, cancel := context.WithTimeout(r.Context(), maxDeadline)
-	defer cancel()
-
-	ch, err := s.cfg.Backend.SubmitBatch(ctx, reqs)
+	// The fleet answers every admitted item exactly once, in submission
+	// order, on this goroutine — the same completion guarantee as the
+	// single-deploy path, batch-wide. Each response is appended and released
+	// as it arrives; one that will not encode spoils the answer, but the rest
+	// are still received.
+	answer := s.bodies.Get().(*requestBody)
+	buf, encoded := appendBatchOpen(answer.data[:0], tenant), true
+	err := s.cfg.Backend.DoBatch(r.Context(), reqs, func(resp *fleet.Response) {
+		s.observe(resp)
+		if s.draining.Load() {
+			labels.drained.Add(1)
+		}
+		if encoded {
+			if resp.Index > 0 {
+				buf = append(buf, ',')
+			}
+			buf, encoded = appendBatchResult(buf, resp)
+		}
+		resp.Release()
+	})
+	if err != nil {
+		s.releaseBody(answer)
+	}
 	switch {
 	case errors.Is(err, fleet.ErrQueueFull):
 		labels.rejected.Add(float64(n))
@@ -694,27 +702,6 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	labels.accepted.Add(float64(n))
-
-	// Accepted: the fleet answers every item exactly once, in submission
-	// order — same completion guarantee as the single-deploy path, batch-wide.
-	// Each response is appended and released as it arrives; one that will
-	// not encode spoils the answer, but the rest are still received.
-	answer := s.bodies.Get().(*requestBody)
-	buf, encoded := appendBatchOpen(answer.data[:0], tenant), true
-	for i := range n {
-		resp := <-ch
-		s.observe(resp)
-		if s.draining.Load() {
-			labels.drained.Add(1)
-		}
-		if encoded {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf, encoded = appendBatchResult(buf, resp)
-		}
-		resp.Release()
-	}
 	answer.data = append(buf, "]}"...)
 	s.writeAnswer(w, answer, encoded)
 }

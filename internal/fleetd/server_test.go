@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -441,23 +442,20 @@ func (s *stubBackend) respond(req fleet.Request, index int) *fleet.Response {
 	return &fleet.Response{Tenant: req.Tenant, App: req.App.Name, Index: index, Result: result}
 }
 
-func (s *stubBackend) TrySubmitCtx(ctx context.Context, req fleet.Request) (<-chan *fleet.Response, error) {
+func (s *stubBackend) Do(ctx context.Context, req fleet.Request) (*fleet.Response, error) {
 	if s.submitErr != nil {
 		return nil, s.submitErr
 	}
-	ch := make(chan *fleet.Response, 1)
-	ch <- s.respond(req, 0)
-	return ch, nil
+	return s.respond(req, 0), nil
 }
-func (s *stubBackend) SubmitBatch(ctx context.Context, reqs []fleet.Request) (<-chan *fleet.Response, error) {
+func (s *stubBackend) DoBatch(ctx context.Context, reqs []fleet.Request, each func(*fleet.Response)) error {
 	if s.submitErr != nil {
-		return nil, s.submitErr
+		return s.submitErr
 	}
-	ch := make(chan *fleet.Response, len(reqs))
 	for i, req := range reqs {
-		ch <- s.respond(req, i)
+		each(s.respond(req, i))
 	}
-	return ch, nil
+	return nil
 }
 func (s *stubBackend) ApplyChurn(fleet.ChurnDelta) (int64, int, error) {
 	return 0, 0, fmt.Errorf("stub: no churn")
@@ -653,6 +651,80 @@ func TestSubmitErrorMapping(t *testing.T) {
 	resp, data = postDeploy(t, ts.URL, deployBody(t, "map"))
 	if resp.StatusCode != http.StatusInternalServerError || errCode(t, data) != codeScheduleFailed {
 		t.Fatalf("unknown submit error: status %d body %s, want 500 %s", resp.StatusCode, data, codeScheduleFailed)
+	}
+}
+
+// gateSched records every app it is asked to place and parks on the one
+// named "gate" until released.
+type gateSched struct {
+	mu      sync.Mutex
+	seen    []string
+	started chan struct{}
+	release chan struct{}
+}
+
+func (s *gateSched) Name() string { return "gate" }
+func (s *gateSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+	s.mu.Lock()
+	s.seen = append(s.seen, app.Name)
+	s.mu.Unlock()
+	if app.Name == "gate" {
+		close(s.started)
+		<-s.release
+	}
+	p := make(sim.Placement, len(app.Microservices))
+	for _, ms := range app.Microservices {
+		p[ms.Name] = sim.Assignment{Device: cluster.Devices[0].Name, Registry: cluster.Registries[0].Name}
+	}
+	return p, nil
+}
+
+// TestDeadlineWhileWaiting pins the deadline of a deploy that has to wait
+// for a worker, end to end: with the only worker held, a deploy asking for
+// 20 ms is answered 504 deadline_exceeded once those 20 ms are up — while
+// the worker is still held, not when it frees — its app never reaches the
+// scheduler, and the fleet counts one expired deadline.
+func TestDeadlineWhileWaiting(t *testing.T) {
+	gate := &gateSched{started: make(chan struct{}), release: make(chan struct{})}
+	env := newEnv(t, fleet.Config{Workers: 1, CacheSize: -1,
+		NewScheduler: func() sched.Scheduler { return gate }}, Config{})
+	held := workload.TextProcessing()
+	held.Name = "gate"
+	ch, err := env.f.Submit(fleet.Request{App: held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.started
+
+	app, err := json.Marshal(wire.AppSpecOf(workload.VideoProcessing()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"tenant": "late", "deadline_ms": 20, "app": json.RawMessage(app)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, data := postDeploy(t, env.url, body)
+	elapsed := time.Since(start)
+	close(gate.release)
+	if resp.StatusCode != http.StatusGatewayTimeout || errCode(t, data) != codeDeadline {
+		t.Fatalf("deploy behind a held worker: status %d body %s, want 504 %s", resp.StatusCode, data, codeDeadline)
+	}
+	if elapsed < 20*time.Millisecond || elapsed > 5*time.Second {
+		t.Errorf("answered after %s, want the 20 ms deadline plus slack", elapsed)
+	}
+	if r := <-ch; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	gate.mu.Lock()
+	seen := slices.Clone(gate.seen)
+	gate.mu.Unlock()
+	if len(seen) != 1 || seen[0] != "gate" {
+		t.Errorf("scheduler saw %v, want only the held app", seen)
+	}
+	if got := env.f.Stats().Churn.DeadlineExceeded; got != 1 {
+		t.Errorf("deadline_exceeded = %d, want 1", got)
 	}
 }
 
