@@ -174,7 +174,7 @@ func BenchmarkSchedule(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(c.app, c.cluster); err != nil {
+				if _, err := sched.Schedule(s, c.app, c.cluster); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -264,7 +264,7 @@ func BenchmarkSimRun(b *testing.B) {
 		{"sim/synthetic12/scaled50", synth, workload.ScaledTestbed(25)},
 	}
 	for _, c := range cases {
-		placement, err := sched.NewDEEP().Schedule(c.app, c.cluster)
+		placement, err := sched.Schedule(sched.NewDEEP(), c.app, c.cluster)
 		if err != nil {
 			b.Fatal(err)
 		}

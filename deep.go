@@ -101,7 +101,9 @@ type (
 	// of clusters — the fleet caches one per app digest.
 	AppTable = appgraph.AppTable
 
-	// Scheduler produces placements.
+	// Scheduler produces placements from a compiled cost model: every
+	// scheduler implements ScheduleModel, and Schedule / ScheduleOnTables
+	// compile the model for it.
 	Scheduler = sched.Scheduler
 	// System is the Figure 1 pipeline.
 	System = core.System
@@ -276,23 +278,21 @@ func CompileSimPlanOnTables(at *AppTable, cluster *Cluster, table *ClusterTable)
 // caches are warm. Not safe for concurrent use — one per worker.
 func NewSimExec() *SimExec { return sim.NewExec() }
 
-// Schedule computes a placement with the given scheduler.
+// Schedule compiles the cost model of app on cluster and computes a
+// placement on it with the given scheduler.
 func Schedule(s Scheduler, app *App, cluster *Cluster) (Placement, error) {
-	return s.Schedule(app, cluster)
+	return sched.Schedule(s, app, cluster)
 }
 
-// ScheduleOnTables computes a placement over both shared substrates: every
-// shipped scheduler runs on a compiled cost model, which compiles as a thin
-// pass over (AppTable, ClusterTable) with no DAG or topology re-derivation —
-// the cold path for scheduling one app across many clusters (or many apps on
-// one cluster). Schedulers that cannot read a model fall back to Schedule.
-// The tables must come from the same app and an identically-shaped cluster.
+// ScheduleOnTables computes a placement over both shared substrates: the
+// cost model compiles as a thin pass over (AppTable, ClusterTable) with no
+// DAG or topology re-derivation — the cold path for scheduling one app
+// across many clusters (or many apps on one cluster) — and the scheduler
+// runs on it. The tables must come from the same app and an
+// identically-shaped cluster.
 func ScheduleOnTables(s Scheduler, at *AppTable, cluster *Cluster, table *ClusterTable) (Placement, error) {
-	if ms, ok := s.(sched.ModelScheduler); ok {
-		model, _ := costmodel.CompileShapeOn(at, cluster, table)
-		return ms.ScheduleModel(model)
-	}
-	return s.Schedule(at.App(), cluster)
+	model, _ := costmodel.CompileShapeOn(at, cluster, table)
+	return s.ScheduleModel(model)
 }
 
 // Fleet errors, re-exported for errors.Is checks against Do and Submit

@@ -25,7 +25,7 @@ func SchedulerComparison(seed int64) ([]SchedulerComparisonRow, error) {
 	var rows []SchedulerComparisonRow
 	for _, app := range workload.Apps() {
 		for _, s := range sched.All(seed) {
-			p, err := s.Schedule(app, cluster)
+			p, err := sched.Schedule(s, app, cluster)
 			if err != nil {
 				return nil, err
 			}
@@ -83,7 +83,7 @@ func BandwidthSweep(app string, factors []float64) ([]BandwidthSweepRow, error) 
 		row := BandwidthSweepRow{App: theApp.Name,
 			RegionalBW: cluster.Topology.Bandwidth(workload.RegionalNode, workload.MediumNode)}
 		for _, s := range []sched.Scheduler{sched.NewDEEP(), sched.NewExclusive("regional"), sched.NewExclusive("hub")} {
-			p, err := s.Schedule(theApp, cluster)
+			p, err := sched.Schedule(s, theApp, cluster)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +135,7 @@ func CacheAblation(appName string, runs int) ([]CacheAblationRow, error) {
 		app = workload.TextProcessing()
 	}
 	s := sched.NewDEEP()
-	p, err := s.Schedule(app, cluster)
+	p, err := sched.Schedule(s, app, cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func ContentionAblation() ([]ContentionRow, error) {
 		if appName == "text" {
 			app = workload.TextProcessing()
 		}
-		nashP, err := sched.NewDEEP().Schedule(app, cluster)
+		nashP, err := sched.Schedule(sched.NewDEEP(), app, cluster)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +202,7 @@ func ContentionAblation() ([]ContentionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		blindP, err := sched.NewGreedyEnergy().Schedule(app, cluster)
+		blindP, err := sched.Schedule(sched.NewGreedyEnergy(), app, cluster)
 		if err != nil {
 			return nil, err
 		}

@@ -80,7 +80,7 @@ func ScaleSweep(sizes []int, seed int64) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		pDeep, err := sched.NewDEEP().Schedule(app, cluster)
+		pDeep, err := sched.Schedule(sched.NewDEEP(), app, cluster)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +88,7 @@ func ScaleSweep(sizes []int, seed int64) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		pRand, err := sched.NewRandom(seed).Schedule(app, cluster)
+		pRand, err := sched.Schedule(sched.NewRandom(seed), app, cluster)
 		if err != nil {
 			return nil, err
 		}

@@ -146,7 +146,7 @@ func Table3() ([]Table3Row, error) {
 	s := sched.NewDEEP()
 	var rows []Table3Row
 	for _, app := range workload.Apps() {
-		p, err := s.Schedule(app, cluster)
+		p, err := sched.Schedule(s, app, cluster)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +211,7 @@ func Fig3a() ([]Fig3aRow, error) {
 	s := sched.NewDEEP()
 	var rows []Fig3aRow
 	for _, app := range workload.Apps() {
-		p, err := s.Schedule(app, cluster)
+		p, err := sched.Schedule(s, app, cluster)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +266,7 @@ func Fig3b() ([]Fig3bRow, error) {
 	for _, app := range workload.Apps() {
 		var deepE float64
 		for _, m := range methods {
-			p, err := m.Schedule(app, cluster)
+			p, err := sched.Schedule(m, app, cluster)
 			if err != nil {
 				return nil, err
 			}

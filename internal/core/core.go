@@ -58,7 +58,7 @@ func (s *System) Deploy(app *dag.App) (*Deployment, error) {
 	s.Metrics.SetGauge("stages_"+app.Name, float64(len(stages)))
 
 	// Scheduling (the Nash game).
-	placement, err := s.Scheduler.Schedule(app, s.Cluster)
+	placement, err := sched.Schedule(s.Scheduler, app, s.Cluster)
 	if err != nil {
 		return nil, fmt.Errorf("core: scheduling: %w", err)
 	}
@@ -91,7 +91,7 @@ type MethodResult struct {
 func (s *System) Compare(app *dag.App, schedulers []sched.Scheduler) ([]MethodResult, error) {
 	var out []MethodResult
 	for _, sc := range schedulers {
-		p, err := sc.Schedule(app, s.Cluster)
+		p, err := sched.Schedule(sc, app, s.Cluster)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", sc.Name(), err)
 		}

@@ -54,8 +54,7 @@ type Option struct {
 
 // Model is the compiled cost model for one (application, cluster) pair.
 type Model struct {
-	App     *dag.App
-	Cluster *sim.Cluster
+	App *dag.App
 
 	tab *topo.ClusterTable
 
@@ -136,9 +135,7 @@ func CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.Clust
 // to be shared comes from the package-level CompileShapeOn, which is this
 // same compile on a Scratch of its own.
 type Scratch struct {
-	// Plan is the simulator half, usable alone by a caller whose scheduler
-	// reads no model.
-	Plan sim.PlanScratch
+	plan sim.PlanScratch
 
 	m       Model
 	opts    slab.Slab[Option]
@@ -147,9 +144,9 @@ type Scratch struct {
 
 // CompileShapeOn builds the shape in the scratch, replacing the one it held.
 func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, tab *topo.ClusterTable) (*Model, *sim.Plan) {
-	plan := s.Plan.Compile(at, cluster, tab)
+	plan := s.plan.Compile(at, cluster, tab)
 	m := &s.m
-	*m = Model{App: at.App(), Cluster: cluster, tab: tab}
+	*m = Model{App: at.App(), tab: tab}
 
 	m.msNames = at.MSNames()
 	m.msIndex = at.MSIndex()

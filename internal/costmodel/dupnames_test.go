@@ -176,8 +176,8 @@ func TestDuplicateNamesFirstOccurrenceWins(t *testing.T) {
 
 	// Placements: every scheduler, byte-identical across dup and dedup.
 	for _, s := range sched.All(7) {
-		got, errGot := s.Schedule(app, dup)
-		want, errWant := s.Schedule(app, dedup)
+		got, errGot := sched.Schedule(s, app, dup)
+		want, errWant := sched.Schedule(s, app, dedup)
 		if (errGot == nil) != (errWant == nil) {
 			t.Fatalf("%s: error divergence: %v vs %v", s.Name(), errGot, errWant)
 		}
@@ -188,7 +188,7 @@ func TestDuplicateNamesFirstOccurrenceWins(t *testing.T) {
 
 	// Simulation: bit-identical results (jitter on — it hashes app and
 	// microservice names, which duplicates must not perturb).
-	placement, err := sched.NewDEEP().Schedule(app, dedup)
+	placement, err := sched.Schedule(sched.NewDEEP(), app, dedup)
 	if err != nil {
 		t.Fatal(err)
 	}

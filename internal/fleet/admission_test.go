@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"deep/internal/dag"
+	"deep/internal/costmodel"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/workload"
@@ -153,7 +153,7 @@ func TestAdmissionTable(t *testing.T) {
 	}
 }
 
-// holdSched parks every Schedule call until release is closed, signalling
+// holdSched parks every ScheduleModel call until release is closed, signalling
 // each arrival on started — a worker held busy for as long as a test needs.
 type holdSched struct {
 	started chan struct{}
@@ -161,17 +161,24 @@ type holdSched struct {
 }
 
 func (s *holdSched) Name() string { return "hold" }
-func (s *holdSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+func (s *holdSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	select {
 	case s.started <- struct{}{}:
 	default:
 	}
 	<-s.release
-	p := make(sim.Placement, len(app.Microservices))
-	for _, ms := range app.Microservices {
-		p[ms.Name] = sim.Assignment{Device: cluster.Devices[0].Name, Registry: cluster.Registries[0].Name}
+	return firstOptions(model), nil
+}
+
+// firstOptions places every microservice at its first option in the model:
+// the placement of a test scheduler that only needs a valid one. The model's
+// options name live hardware only, so it stays valid under churn.
+func firstOptions(model *costmodel.Model) sim.Placement {
+	p := make(sim.Placement, model.NumMicroservices())
+	for ms := range int32(model.NumMicroservices()) {
+		p[model.MSName(ms)] = model.Assignment(model.Options(ms)[0])
 	}
-	return p, nil
+	return p
 }
 
 // waitIdle blocks until every worker has been set up and is in the pool, so
@@ -192,24 +199,20 @@ func waitIdle(t *testing.T, f *Fleet) {
 type recordingSched struct {
 	mu      sync.Mutex
 	seen    []string
-	started chan struct{} // closed when the slow app reaches Schedule
+	started chan struct{} // closed when the slow app reaches ScheduleModel
 	release chan struct{}
 }
 
 func (s *recordingSched) Name() string { return "recording" }
-func (s *recordingSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+func (s *recordingSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	s.mu.Lock()
-	s.seen = append(s.seen, app.Name)
+	s.seen = append(s.seen, model.App.Name)
 	s.mu.Unlock()
-	if app.Name == "slow" {
+	if model.App.Name == "slow" {
 		close(s.started)
 		<-s.release
 	}
-	p := make(sim.Placement, len(app.Microservices))
-	for _, ms := range app.Microservices {
-		p[ms.Name] = sim.Assignment{Device: cluster.Devices[0].Name, Registry: cluster.Registries[0].Name}
-	}
-	return p, nil
+	return firstOptions(model), nil
 }
 
 // TestDoCancelledWhileQueued: Do carries its context into the queue, so a

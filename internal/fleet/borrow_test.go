@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"deep/internal/dag"
+	"deep/internal/costmodel"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/workload"
@@ -234,7 +234,7 @@ func TestCloseDrainsWaiters(t *testing.T) {
 	}
 }
 
-// barrierSched blocks every Schedule call until `need` of them are in
+// barrierSched blocks every ScheduleModel call until `need` of them are in
 // flight at once, then releases them all — provable worker concurrency.
 type barrierSched struct {
 	need int
@@ -245,7 +245,7 @@ type barrierSched struct {
 }
 
 func (s *barrierSched) Name() string { return "barrier" }
-func (s *barrierSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+func (s *barrierSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	s.mu.Lock()
 	s.arrived++
 	if s.arrived == s.need {
@@ -257,11 +257,7 @@ func (s *barrierSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placeme
 	case <-time.After(10 * time.Second):
 		return nil, fmt.Errorf("barrier: only %d of %d schedulers arrived", s.arrived, s.need)
 	}
-	p := make(sim.Placement, len(app.Microservices))
-	for _, ms := range app.Microservices {
-		p[ms.Name] = sim.Assignment{Device: cluster.Devices[0].Name, Registry: cluster.Registries[0].Name}
-	}
-	return p, nil
+	return firstOptions(model), nil
 }
 
 // TestBorrowConcurrency pins the pool's liveness property: concurrent

@@ -307,8 +307,8 @@ func (c *placementCache) Stats() CacheStats {
 }
 
 // compiledShape bundles everything the fleet compiles once per (app,
-// cluster) pair: the scheduler's cost model (nil when the fleet's
-// scheduler cannot read one) and the simulator's executor plan. Both are
+// cluster) pair: the scheduler's cost model and the simulator's executor
+// plan. Both are
 // immutable and safe to share across the whole worker pool; workers rebind
 // the plan's device handles to their private clusters before executing
 // (workerState.planFor), so sharing the tables never shares cache state.

@@ -469,10 +469,9 @@ func TestDegradationLadder(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1})
 	cluster := workload.Testbed()
 	w := &workerState{
-		scheduler:  sched.NewDEEP(),
-		cluster:    cluster,
-		effCluster: cluster,
-		exec:       sim.NewExec(),
+		scheduler: sched.NewDEEP(),
+		cluster:   cluster,
+		exec:      sim.NewExec(),
 	}
 	app := workload.VideoProcessing()
 	shape := compiledShape{model: costmodel.Compile(app, cluster)}
@@ -531,10 +530,9 @@ func TestDegradationLadder(t *testing.T) {
 
 	// A non-pass scheduler has no cheaper rung: retries stay exact.
 	w2 := &workerState{
-		scheduler:  sched.NewRoundRobin(),
-		cluster:    cluster,
-		effCluster: cluster,
-		exec:       sim.NewExec(),
+		scheduler: sched.NewRoundRobin(),
+		cluster:   cluster,
+		exec:      sim.NewExec(),
 	}
 	if _, degraded, err := attemptOn(w2, 1, time.Time{}); err != nil {
 		t.Fatal(err)

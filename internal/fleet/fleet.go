@@ -60,7 +60,9 @@ type Config struct {
 	// no slot.
 	QueueDepth int
 	// NewScheduler constructs one scheduler per worker (default
-	// sched.NewDEEP). Any method from sched.All works.
+	// sched.NewDEEP). Any method from sched.All works: every scheduler runs
+	// on the worker's compiled model, so under churn it sees only the live
+	// devices and registries.
 	NewScheduler func() sched.Scheduler
 	// NewCluster constructs one cluster per worker (default
 	// workload.Testbed). Workers need private clusters because simulation
@@ -829,27 +831,24 @@ type workerState struct {
 	// the private cluster's immutable digest, kept so adoption can check
 	// compatibility with the fleet's base — when they differ (a
 	// non-deterministic Config.NewCluster) the worker keeps its own
-	// substrate and only the stale-placement gate protects it. effCluster
-	// is the churn-filtered view of the private cluster handed to legacy
-	// (non-model) schedulers; fallback is the lazily built best-response
-	// scheduler for the degradation ladder; exactDur tracks the last exact
-	// schedule's duration for deadline triage; rng seeds the retry backoff
-	// jitter.
-	churn      *churnState
-	ownDigest  ClusterDigest
-	effCluster *sim.Cluster
-	fallback   sched.Scheduler
-	exactDur   time.Duration
-	rng        uint64
+	// substrate and only the stale-placement gate protects it. fallback is
+	// the lazily built best-response scheduler for the degradation ladder;
+	// exactDur tracks the last exact schedule's duration for deadline
+	// triage; rng seeds the retry backoff jitter.
+	churn     *churnState
+	ownDigest ClusterDigest
+	fallback  sched.Scheduler
+	exactDur  time.Duration
+	rng       uint64
 }
 
 // adopt installs a published churn state on the worker: the patched cluster
-// table, the effective digest every cache key folds in, and the filtered
-// cluster view for legacy schedulers. Runs only when the epoch pointer
-// changed, so the steady-state request path pays one atomic load and one
-// compare. Reading the fleet's base fields here is safe without churnMu:
-// they are written before the state pointer is published and read only
-// after it is observed.
+// table every model compiles on (so schedulers never see a down device or
+// registry) and the effective digest every cache key folds in. Runs only
+// when the epoch pointer changed, so the steady-state request path pays one
+// atomic load and one compare. Reading the fleet's base fields here is safe
+// without churnMu: they are written before the state pointer is published
+// and read only after it is observed.
 func (w *workerState) adopt(f *Fleet, st *churnState) {
 	w.churn = st
 	if st.table == nil {
@@ -862,30 +861,6 @@ func (w *workerState) adopt(f *Fleet, st *churnState) {
 	}
 	w.table = st.table
 	w.clusterDigest = st.digest
-	if len(st.downDevs) == 0 && len(st.downRegs) == 0 {
-		w.effCluster = w.cluster
-		return
-	}
-	// Filter the worker's own devices (the handles whose layer caches its
-	// simulations drive). The topology is left as the private cluster's
-	// base: only non-model custom schedulers read it, and link degradation
-	// is advisory for them.
-	eff := &sim.Cluster{
-		Topology:   w.cluster.Topology,
-		SourceNode: w.cluster.SourceNode,
-		Layers:     w.cluster.Layers,
-	}
-	for _, d := range w.cluster.Devices {
-		if !st.downDevs[d.Name] {
-			eff.Devices = append(eff.Devices, d)
-		}
-	}
-	for _, r := range w.cluster.Registries {
-		if !st.downRegs[r.Name] {
-			eff.Registries = append(eff.Registries, r)
-		}
-	}
-	w.effCluster = eff
 }
 
 // fallbackScheduler returns the degraded-rung scheduler: DEEP with every
@@ -941,7 +916,6 @@ func (f *Fleet) newWorker(i int) *workerState {
 		return sim.CompileClusterTable(cluster)
 	})
 	w.ownDigest = w.clusterDigest
-	w.effCluster = cluster
 	w.adopt(f, f.churn.Load())
 	return w
 }
@@ -967,15 +941,9 @@ func (f *Fleet) deliver(shard int, resp *Response) {
 // that support reusable passes (sched.PassScheduler — DEEP) run on the
 // worker's one Pass — it is scheduler-independent, so the exact scheduler and
 // the degraded fallback share it — and write their result straight into the
-// scratch; plain ModelSchedulers run on the model with
-// fresh scratch, and everything else (for which shape compiles no model)
-// falls back to the string-keyed Schedule path against the churn-filtered
-// cluster view.
+// scratch; every other scheduler runs on the model with fresh scratch.
 func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, j *job, shape compiledShape) error {
-	var placement sim.Placement
-	var err error
-	switch s := scheduler.(type) {
-	case sched.PassScheduler:
+	if s, ok := scheduler.(sched.PassScheduler); ok {
 		p := w.passFor(shape)
 		if err := s.ScheduleInto(p); err != nil {
 			return err
@@ -983,11 +951,8 @@ func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, j *job, sh
 		f.recordSolver(w.shard, p.Solver())
 		j.names, j.assigns = p.AppendPlacement(j.names[:0], j.assigns[:0])
 		return nil
-	case sched.ModelScheduler:
-		placement, err = s.ScheduleModel(shape.model)
-	default:
-		placement, err = scheduler.Schedule(j.req.App, w.effCluster)
 	}
+	placement, err := scheduler.ScheduleModel(shape.model)
 	if err == nil {
 		j.names, j.assigns = sortedPlacement(placement, j.names, j.assigns)
 	}
@@ -1044,15 +1009,13 @@ func (f *Fleet) scheduleAttempt(w *workerState, j *job, shape compiledShape, att
 	return false, err
 }
 
-// shape returns the request's compiled model and executor plan. The plan is
-// always compiled, since every request simulates; the cost model only when
-// the scheduler can read one (scheduleOn falls back to the string-keyed path
-// otherwise). A shape the fleet has seen before comes from the fleet-wide
-// cache, compiled fresh on its second sight and shared from then on: the key
-// folds in the worker's own cluster digest, so workers with identical
-// clusters (the normal case — every worker runs Config.NewCluster) share one
-// compiled shape per app, and a reconfigured cluster can never alias
-// another's shapes. A shape seen for the first time — at the edge the common
+// shape returns the request's compiled model and executor plan: the model
+// every scheduler reads and the plan every request simulates on. A shape the
+// fleet has seen before comes from the fleet-wide cache, compiled fresh on
+// its second sight and shared from then on: the key folds in the worker's
+// own cluster digest, so workers with identical clusters (the normal case —
+// every worker runs Config.NewCluster) share one compiled shape per app, and
+// a reconfigured cluster can never alias another's shapes. A shape seen for the first time — at the edge the common
 // request, and most never return — is compiled into the worker's recycled
 // scratch instead, valid for this request only, so it allocates nothing and
 // retains nothing.
@@ -1078,11 +1041,7 @@ func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compi
 // and the plan together.
 func (w *workerState) compileOn(at *appgraph.AppTable, into *costmodel.Scratch) compiledShape {
 	var s compiledShape
-	if _, needModel := w.scheduler.(sched.ModelScheduler); needModel {
-		s.model, s.plan = into.CompileShapeOn(at, w.cluster, w.table)
-	} else {
-		s.plan = into.Plan.Compile(at, w.cluster, w.table)
-	}
+	s.model, s.plan = into.CompileShapeOn(at, w.cluster, w.table)
 	return s
 }
 

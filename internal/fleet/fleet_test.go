@@ -93,7 +93,7 @@ func TestCacheHitMatchesColdSchedule(t *testing.T) {
 	}
 
 	// Fresh but structurally identical app objects must hit and match.
-	reference, err := sched.NewDEEP().Schedule(workload.TextProcessing(), workload.Testbed())
+	reference, err := sched.Schedule(sched.NewDEEP(), workload.TextProcessing(), workload.Testbed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +111,65 @@ func TestCacheHitMatchesColdSchedule(t *testing.T) {
 	}
 	if stats := f.Stats(); stats.Cache.Hits < 5 {
 		t.Fatalf("want >= 5 cache hits, got %+v", stats.Cache)
+	}
+}
+
+// TestFleetServesEveryScheduler runs each built-in scheduler through Do: on
+// a first sight, a shared compile and a cache hit the fleet's placement is
+// the one sched.Schedule computes from the app and cluster, and after a
+// device fails no served placement names it.
+func TestFleetServesEveryScheduler(t *testing.T) {
+	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing()}
+	for i, s := range sched.All(1) {
+		t.Run(s.Name(), func(t *testing.T) {
+			f := testFleet(t, Config{
+				Workers:      2,
+				NewCluster:   scaled2,
+				NewScheduler: func() sched.Scheduler { return sched.All(1)[i] },
+			})
+			used := map[string]bool{}
+			for _, app := range apps {
+				want, err := sched.Schedule(s, app, scaled2())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 3; round++ {
+					resp, err := f.Do(context.Background(), Request{App: app})
+					if err != nil || resp.Err != nil {
+						t.Fatal(err, resp.Err)
+					}
+					if got := resp.Placement.Materialize(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s round %d: fleet placed %v, sched.Schedule %v", app.Name, round, got, want)
+					}
+				}
+				for _, a := range want {
+					used[a.Device] = true
+				}
+			}
+
+			var down string
+			for d := range used {
+				if down == "" || d < down {
+					down = d
+				}
+			}
+			if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{down}}); err != nil {
+				t.Fatal(err)
+			}
+			for _, app := range apps {
+				for round := 0; round < 3; round++ {
+					resp, err := f.Do(context.Background(), Request{App: app})
+					if err != nil || resp.Err != nil {
+						t.Fatal(err, resp.Err)
+					}
+					for ms, a := range resp.Placement.All() {
+						if a.Device == down {
+							t.Fatalf("%s round %d: %s placed on failed device %s", app.Name, round, ms, down)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -24,11 +24,10 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1})
 	cluster := scaled4()
 	w := &workerState{
-		scheduler:  sched.NewDEEP(),
-		cluster:    cluster,
-		effCluster: cluster,
-		exec:       sim.NewExec(),
-		table:      sim.CompileClusterTable(cluster),
+		scheduler: sched.NewDEEP(),
+		cluster:   cluster,
+		exec:      sim.NewExec(),
+		table:     sim.CompileClusterTable(cluster),
 	}
 	fresh := func(app *dag.App) sim.Placement {
 		t.Helper()
@@ -171,7 +170,7 @@ func TestWorkersSimulateOnPrivateClusters(t *testing.T) {
 	app := workload.VideoProcessing()
 
 	refCluster := workload.Testbed()
-	placement, err := sched.NewDEEP().Schedule(app, refCluster)
+	placement, err := sched.Schedule(sched.NewDEEP(), app, refCluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestFleetWarmSimResults(t *testing.T) {
 	}
 
 	refCluster := workload.Testbed()
-	placement, err := sched.NewDEEP().Schedule(app, refCluster)
+	placement, err := sched.Schedule(sched.NewDEEP(), app, refCluster)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,9 @@ func appendBatchResult(dst []byte, resp *fleet.Response) (_ []byte, ok bool) {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(resp.Index), 10)
 	if resp.Err != nil {
+		_, code := answerError(resp.Err)
 		dst = append(dst, `,"error":{"code":`...)
-		dst = appendString(dst, batchErrorCode(resp.Err))
+		dst = appendString(dst, code)
 		dst = append(dst, `,"message":`...)
 		dst = appendString(dst, resp.Err.Error())
 		return append(dst, `}}`...), true

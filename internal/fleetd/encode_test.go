@@ -55,7 +55,8 @@ func referenceBatch(tenant string, resps []*fleet.Response) ([]byte, error) {
 	for _, resp := range resps {
 		res := DeployBatchResult{Index: resp.Index}
 		if resp.Err != nil {
-			res.Error = &BatchItemError{Code: batchErrorCode(resp.Err), Message: resp.Err.Error()}
+			_, code := answerError(resp.Err)
+			res.Error = &BatchItemError{Code: code, Message: resp.Err.Error()}
 		} else {
 			d := deployResponseOf(resp)
 			res.Deploy = &d

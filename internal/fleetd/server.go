@@ -18,6 +18,7 @@ import (
 
 	"deep/internal/fleet"
 	"deep/internal/obs"
+	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/wire"
 )
@@ -34,6 +35,7 @@ const (
 	codeDraining       = "draining"
 	codeDeadline       = "deadline_exceeded"
 	codeScheduleFailed = "schedule_failed"
+	codeInfeasible     = "infeasible"
 	codeNotFound       = "not_found"
 	codeMethod         = "method_not_allowed"
 	// codeInternal is a 500 the server caused itself: a response it could
@@ -375,16 +377,8 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if resp.Err != nil {
 		respErr := resp.Err
 		resp.Release()
-		switch {
-		case errors.Is(respErr, fleet.ErrDeadline), errors.Is(respErr, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, codeDeadline, respErr.Error(), 0)
-		case errors.Is(respErr, context.Canceled):
-			// Client went away; 499-style. The exact status is moot (nobody
-			// is listening) but the connection teardown wants one.
-			writeError(w, http.StatusBadRequest, codeInvalidRequest, respErr.Error(), 0)
-		default:
-			writeError(w, http.StatusInternalServerError, codeScheduleFailed, respErr.Error(), 0)
-		}
+		status, code := answerError(respErr)
+		writeError(w, status, code, respErr.Error(), 0)
 		return
 	}
 	answer := s.bodies.Get().(*requestBody)
@@ -706,16 +700,22 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeAnswer(w, answer, encoded)
 }
 
-// batchErrorCode is the structured code of one failed batch item, mapped as
-// the single-deploy path maps the same errors to statuses.
-func batchErrorCode(err error) string {
+// answerError maps an answered deploy's error to the status a single deploy
+// answers with and the code both a single deploy and a batch item carry.
+func answerError(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, fleet.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
-		return codeDeadline
+		return http.StatusGatewayTimeout, codeDeadline
 	case errors.Is(err, context.Canceled):
-		return codeInvalidRequest
+		// Client went away; 499-style. The exact status is moot (nobody is
+		// listening) but the connection teardown wants one.
+		return http.StatusBadRequest, codeInvalidRequest
+	case errors.Is(err, sched.ErrInfeasible):
+		// The spec asks for something no device can run: the client's to
+		// fix, not a server fault.
+		return http.StatusUnprocessableEntity, codeInfeasible
 	default:
-		return codeScheduleFailed
+		return http.StatusInternalServerError, codeScheduleFailed
 	}
 }
 

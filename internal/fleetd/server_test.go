@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"deep/internal/costmodel"
 	"deep/internal/dag"
 	"deep/internal/fleet"
 	"deep/internal/obs"
@@ -35,9 +36,9 @@ type slowSched struct {
 }
 
 func (s *slowSched) Name() string { return "slow" }
-func (s *slowSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+func (s *slowSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	time.Sleep(s.delay)
-	return s.inner.Schedule(app, cluster)
+	return s.inner.ScheduleModel(model)
 }
 
 type testEnv struct {
@@ -664,17 +665,17 @@ type gateSched struct {
 }
 
 func (s *gateSched) Name() string { return "gate" }
-func (s *gateSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+func (s *gateSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	s.mu.Lock()
-	s.seen = append(s.seen, app.Name)
+	s.seen = append(s.seen, model.App.Name)
 	s.mu.Unlock()
-	if app.Name == "gate" {
+	if model.App.Name == "gate" {
 		close(s.started)
 		<-s.release
 	}
-	p := make(sim.Placement, len(app.Microservices))
-	for _, ms := range app.Microservices {
-		p[ms.Name] = sim.Assignment{Device: cluster.Devices[0].Name, Registry: cluster.Registries[0].Name}
+	p := make(sim.Placement, model.NumMicroservices())
+	for ms := range int32(model.NumMicroservices()) {
+		p[model.MSName(ms)] = model.Assignment(model.Options(ms)[0])
 	}
 	return p, nil
 }
@@ -735,11 +736,11 @@ func TestDeadlineWhileWaiting(t *testing.T) {
 type failSched struct{ inner sched.Scheduler }
 
 func (s *failSched) Name() string { return "fail" }
-func (s *failSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	if app.Name == "boom" {
+func (s *failSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
+	if model.App.Name == "boom" {
 		return nil, fmt.Errorf("synthetic scheduler failure")
 	}
-	return s.inner.Schedule(app, cluster)
+	return s.inner.ScheduleModel(model)
 }
 
 func batchBody(t testing.TB, tenant string, apps ...[]byte) []byte {
@@ -846,6 +847,53 @@ func TestDeployBatchPerItemError(t *testing.T) {
 	}
 	if out.Results[1].Deploy != nil {
 		t.Fatalf("boom item carries a deploy body: %+v", out.Results[1].Deploy)
+	}
+}
+
+// TestInfeasibleAppIs422 pins the answer to an app no device can run: its
+// spec, not the server, is at fault, so a single deploy answers 422
+// infeasible, and in a batch that item carries the code while its
+// neighbours are placed.
+func TestInfeasibleAppIs422(t *testing.T) {
+	env := newEnv(t, fleet.Config{Workers: 2}, Config{})
+	spec := wire.AppSpecOf(workload.VideoProcessing())
+	for i := range spec.Microservices {
+		if spec.Microservices[i].Name == "video/transcode" {
+			spec.Microservices[i].MemoryBytes = 1 << 50
+		}
+	}
+	huge, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"tenant": "acme", "app": json.RawMessage(huge)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postDeploy(t, env.url, body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || errCode(t, data) != codeInfeasible {
+		t.Fatalf("single deploy: status %d body %s, want 422 %s", resp.StatusCode, data, codeInfeasible)
+	}
+
+	resp, data = postBatch(t, env.url, batchBody(t, "acme",
+		appJSON(t, workload.VideoProcessing()), huge, appJSON(t, workload.TextProcessing())))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
+	}
+	var out DeployBatchResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 3 {
+		t.Fatalf("got %d results, want 3", len(out.Results))
+	}
+	for _, i := range []int{0, 2} {
+		if res := out.Results[i]; res.Error != nil || res.Deploy == nil || len(res.Deploy.Placement) == 0 {
+			t.Fatalf("results[%d] not placed: %+v", i, res)
+		}
+	}
+	if res := out.Results[1]; res.Error == nil || res.Error.Code != codeInfeasible || res.Deploy != nil {
+		t.Fatalf("infeasible item: %+v, want error code %s", res, codeInfeasible)
 	}
 }
 

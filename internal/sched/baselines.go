@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"deep/internal/costmodel"
-	"deep/internal/dag"
 	"deep/internal/sim"
 )
 
@@ -19,12 +18,7 @@ func NewExclusive(registry string) *Exclusive { return &Exclusive{registry: regi
 // Name implements Scheduler.
 func (s *Exclusive) Name() string { return "exclusive-" + s.registry }
 
-// Schedule implements Scheduler.
-func (s *Exclusive) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	return s.ScheduleModel(costmodel.Compile(app, cluster))
-}
-
-// ScheduleModel implements ModelScheduler.
+// ScheduleModel implements Scheduler.
 func (s *Exclusive) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	stages, err := model.Stages()
 	if err != nil {
@@ -77,12 +71,7 @@ func NewGreedyEnergy() *GreedyEnergy { return &GreedyEnergy{} }
 // Name implements Scheduler.
 func (*GreedyEnergy) Name() string { return "greedy-energy" }
 
-// Schedule implements Scheduler.
-func (s *GreedyEnergy) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	return s.ScheduleModel(costmodel.Compile(app, cluster))
-}
-
-// ScheduleModel implements ModelScheduler.
+// ScheduleModel implements Scheduler.
 func (*GreedyEnergy) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	return scheduleMyopic(model, (*costmodel.State).Energy)
 }
@@ -97,12 +86,7 @@ func NewMinCompletionTime() *MinCompletionTime { return &MinCompletionTime{} }
 // Name implements Scheduler.
 func (*MinCompletionTime) Name() string { return "min-ct" }
 
-// Schedule implements Scheduler.
-func (s *MinCompletionTime) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	return s.ScheduleModel(costmodel.Compile(app, cluster))
-}
-
-// ScheduleModel implements ModelScheduler.
+// ScheduleModel implements Scheduler.
 func (*MinCompletionTime) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	return scheduleMyopic(model, (*costmodel.State).CompletionTime)
 }
@@ -145,12 +129,7 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 // Name implements Scheduler.
 func (*RoundRobin) Name() string { return "round-robin" }
 
-// Schedule implements Scheduler.
-func (s *RoundRobin) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	return s.ScheduleModel(costmodel.Compile(app, cluster))
-}
-
-// ScheduleModel implements ModelScheduler.
+// ScheduleModel implements Scheduler.
 func (*RoundRobin) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	order, err := model.Topo()
 	if err != nil {
@@ -199,12 +178,7 @@ func NewRandom(seed int64) *Random { return &Random{seed: seed} }
 // Name implements Scheduler.
 func (*Random) Name() string { return "random" }
 
-// Schedule implements Scheduler.
-func (s *Random) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	return s.ScheduleModel(costmodel.Compile(app, cluster))
-}
-
-// ScheduleModel implements ModelScheduler.
+// ScheduleModel implements Scheduler.
 func (s *Random) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	order, err := model.Topo()
 	if err != nil {

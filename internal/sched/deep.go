@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"deep/internal/costmodel"
-	"deep/internal/dag"
 	"deep/internal/game"
 	"deep/internal/sim"
 	"deep/internal/slab"
@@ -93,12 +92,7 @@ func NewDEEPUncapped() *DEEP { return &DEEP{} }
 // Name implements Scheduler.
 func (*DEEP) Name() string { return "deep" }
 
-// Schedule implements Scheduler.
-func (s *DEEP) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	return s.ScheduleModel(costmodel.Compile(app, cluster))
-}
-
-// ScheduleModel implements ModelScheduler.
+// ScheduleModel implements Scheduler.
 func (s *DEEP) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
 	p := NewPass(model)
 	if err := s.ScheduleInto(p); err != nil {

@@ -487,7 +487,7 @@ func TestEquivalenceCorpusPlacements(t *testing.T) {
 				t.Fatalf("scheduler order mismatch: %s vs %s", ref.name, s.Name())
 			}
 			want, wantErr := ref.schedule(c.app, c.cluster)
-			got, gotErr := s.Schedule(c.app, c.cluster)
+			got, gotErr := Schedule(s, c.app, c.cluster)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("%s/%s: error mismatch: legacy=%v new=%v", c.name, s.Name(), wantErr, gotErr)
 			}

@@ -86,13 +86,8 @@ func TestFusedCompileMatchesLegacyWrappers(t *testing.T) {
 			legacyScheds, fusedScheds := All(seed), All(seed)
 			var placement sim.Placement
 			for i, ls := range legacyScheds {
-				lm, ok := ls.(ModelScheduler)
-				if !ok {
-					t.Fatalf("%s is not a ModelScheduler", ls.Name())
-				}
-				fm := fusedScheds[i].(ModelScheduler)
-				want, errL := lm.ScheduleModel(legacyModel)
-				got, errF := fm.ScheduleModel(fusedModel)
+				want, errL := ls.ScheduleModel(legacyModel)
+				got, errF := fusedScheds[i].ScheduleModel(fusedModel)
 				if (errL == nil) != (errF == nil) {
 					t.Fatalf("%s: error mismatch: legacy %v, fused %v", ls.Name(), errL, errF)
 				}
@@ -188,9 +183,8 @@ func TestFusedCompileInvalidAppParity(t *testing.T) {
 			}
 
 			for i, s := range All(1) {
-				ms := s.(ModelScheduler)
-				_, errL := ms.ScheduleModel(legacyModel)
-				_, errF := All(1)[i].(ModelScheduler).ScheduleModel(fusedModel)
+				_, errL := s.ScheduleModel(legacyModel)
+				_, errF := All(1)[i].ScheduleModel(fusedModel)
 				if errL == nil || errF == nil {
 					t.Fatalf("%s scheduled a broken app: legacy %v, fused %v", s.Name(), errL, errF)
 				}

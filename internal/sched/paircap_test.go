@@ -17,7 +17,7 @@ import (
 func TestUncappedDEEPMatchesLegacy(t *testing.T) {
 	for _, c := range equivalenceCorpus(t) {
 		want, wantErr := legacyDEEP(t, c.app, c.cluster)
-		got, gotErr := NewDEEPUncapped().Schedule(c.app, c.cluster)
+		got, gotErr := Schedule(NewDEEPUncapped(), c.app, c.cluster)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error mismatch: legacy=%v uncapped=%v", c.name, wantErr, gotErr)
 		}
@@ -117,11 +117,11 @@ func TestPairCapFallbackFeasibleAndBounded(t *testing.T) {
 func TestDefaultCapLeavesTestbedExact(t *testing.T) {
 	cluster := workload.Testbed()
 	for _, app := range workload.Apps() {
-		want, err := NewDEEPUncapped().Schedule(app, cluster)
+		want, err := Schedule(NewDEEPUncapped(), app, cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewDEEP().Schedule(app, cluster)
+		got, err := Schedule(NewDEEP(), app, cluster)
 		if err != nil {
 			t.Fatal(err)
 		}

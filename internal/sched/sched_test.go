@@ -13,7 +13,7 @@ func TestDEEPReproducesTableIII(t *testing.T) {
 	cluster := workload.Testbed()
 	s := NewDEEP()
 	for _, app := range workload.Apps() {
-		got, err := s.Schedule(app, cluster)
+		got, err := Schedule(s, app, cluster)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -36,7 +36,7 @@ func TestDEEPPlacementIsFeasible(t *testing.T) {
 	cluster := workload.Testbed()
 	s := NewDEEP()
 	for _, app := range workload.Apps() {
-		p, err := s.Schedule(app, cluster)
+		p, err := Schedule(s, app, cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestAllSchedulersProduceFeasiblePlacements(t *testing.T) {
 	cluster := workload.Testbed()
 	for _, s := range All(1) {
 		for _, app := range workload.Apps() {
-			p, err := s.Schedule(app, cluster)
+			p, err := Schedule(s, app, cluster)
 			if err != nil {
 				t.Errorf("%s on %s: %v", s.Name(), app.Name, err)
 				continue
@@ -67,7 +67,7 @@ func TestExclusivePinsRegistry(t *testing.T) {
 	for _, reg := range []string{"hub", "regional"} {
 		s := NewExclusive(reg)
 		for _, app := range workload.Apps() {
-			p, err := s.Schedule(app, cluster)
+			p, err := Schedule(s, app, cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestDEEPBeatsExclusiveMethods(t *testing.T) {
 	for _, app := range workload.Apps() {
 		energies := map[string]float64{}
 		for _, s := range []Scheduler{NewDEEP(), NewExclusive("hub"), NewExclusive("regional")} {
-			p, err := s.Schedule(app, cluster)
+			p, err := Schedule(s, app, cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestDEEPBeatsOrMatchesGreedy(t *testing.T) {
 	for _, app := range workload.Apps() {
 		var deepE, greedyE float64
 		for _, s := range []Scheduler{NewDEEP(), NewGreedyEnergy()} {
-			p, err := s.Schedule(app, cluster)
+			p, err := Schedule(s, app, cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,11 +146,11 @@ func TestDEEPBeatsOrMatchesGreedy(t *testing.T) {
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	cluster := workload.Testbed()
 	app := workload.TextProcessing()
-	p1, err := NewRandom(7).Schedule(app, cluster)
+	p1, err := Schedule(NewRandom(7), app, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewRandom(7).Schedule(workload.TextProcessing(), cluster)
+	p2, err := Schedule(NewRandom(7), workload.TextProcessing(), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 func TestRoundRobinSpreadsDevices(t *testing.T) {
 	cluster := workload.Testbed()
 	app := workload.VideoProcessing()
-	p, err := NewRoundRobin().Schedule(app, cluster)
+	p, err := Schedule(NewRoundRobin(), app, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ type corpusCase struct {
 }
 
 func deepPlace(app *dag.App, c *sim.Cluster) (sim.Placement, error) {
-	return sched.NewDEEP().Schedule(app, c)
+	return sched.Schedule(sched.NewDEEP(), app, c)
 }
 
 // layeredTestbed is the calibrated testbed with every case-study image

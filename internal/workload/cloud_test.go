@@ -34,7 +34,7 @@ func TestCloudOffloadTradeoff(t *testing.T) {
 	app := TextProcessing()
 
 	fast := CloudTestbed(15 * units.MBps)
-	pFast, err := sched.NewDEEP().Schedule(app, fast)
+	pFast, err := sched.Schedule(sched.NewDEEP(), app, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCloudOffloadTradeoff(t *testing.T) {
 	}
 
 	slow := CloudTestbed(unitsMBps(1))
-	pSlow, err := sched.NewDEEP().Schedule(app, slow)
+	pSlow, err := sched.Schedule(sched.NewDEEP(), app, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCloudOffloadSavesEnergy(t *testing.T) {
 	app := TextProcessing()
 	cluster := CloudTestbed(15 * units.MBps)
 
-	pCloud, err := sched.NewDEEP().Schedule(app, cluster)
+	pCloud, err := sched.Schedule(sched.NewDEEP(), app, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCloudOffloadSavesEnergy(t *testing.T) {
 func TestCloudVideoStaysMostlyEdge(t *testing.T) {
 	app := VideoProcessing()
 	cluster := CloudTestbed(15 * units.MBps)
-	p, err := sched.NewDEEP().Schedule(app, cluster)
+	p, err := sched.Schedule(sched.NewDEEP(), app, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}

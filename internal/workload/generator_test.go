@@ -90,7 +90,7 @@ func TestGeneratedAppsScheduleAndRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []sched.Scheduler{sched.NewDEEP(), sched.NewGreedyEnergy()} {
-			p, err := s.Schedule(app, cluster)
+			p, err := sched.Schedule(s, app, cluster)
 			if err != nil {
 				t.Fatalf("seed=%d %s: %v", seed, s.Name(), err)
 			}
@@ -113,7 +113,7 @@ func TestDEEPRobustOnSyntheticWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pDeep, err := sched.NewDEEP().Schedule(app, cluster)
+		pDeep, err := sched.Schedule(sched.NewDEEP(), app, cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestDEEPRobustOnSyntheticWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pGreedy, err := sched.NewGreedyEnergy().Schedule(app, cluster)
+		pGreedy, err := sched.Schedule(sched.NewGreedyEnergy(), app, cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
