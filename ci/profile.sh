@@ -4,7 +4,7 @@
 #   ./ci/profile.sh cold_unique        # 10 s profile
 #   ./ci/profile.sh churn_zipf 5
 #
-# Runs `benchmark/run.sh --workload W --seconds 20 --trace 0` in the
+# Runs `benchmark/run.sh --workload W --seconds N --trace 0` in the
 # background, waits for the measured phase (the runner boots the daemon three
 # times and the third boot serves it), takes a CPU profile from the daemon's
 # admin listener (/debug/pprof/profile), waits for the run to finish, and
@@ -22,12 +22,19 @@ mkdir -p "$out"
 # are counted.
 : >"$log"
 
-bash "$root/benchmark/run.sh" --workload "$w" --seconds 20 --trace 0 >"$out/$w.run" 2>&1 &
+# The profile must fall inside the measured phase. cold_unique's phase is a
+# fixed sequence of 4000 requests per requested second, which a daemon
+# serving 11k-16k deploys/s finishes in a quarter to a third of the requested
+# time; six requested seconds per profiled second (at least 30) outlast the
+# profile on every workload.
+run_secs=$((secs * 6 > 30 ? secs * 6 : 30))
+bash "$root/benchmark/run.sh" --workload "$w" --seconds "$run_secs" --trace 0 >"$out/$w.run" 2>&1 &
 run=$!
 trap 'kill "$run" 2>/dev/null || true' EXIT
 
 # The third "admin on" line is the boot that serves the measured phase; its
-# warm-up takes a few seconds more.
+# warm-up and the host-speed reading before the first slice take well under
+# a second.
 prefix="deepfleetd: admin on "
 for _ in $(seq 600); do
 	if [ "$(grep -c "^$prefix" "$log" || true)" -ge 3 ]; then
@@ -41,8 +48,14 @@ for _ in $(seq 600); do
 done
 admin=$(grep "^$prefix" "$log" | sed -n 3p | cut -c$((${#prefix} + 1))-)
 [ -n "$admin" ] || { echo "profile: no third boot within 120 s" >&2; exit 1; }
-sleep 6
-curl -fsS -o "$out/$w.pprof" "http://$admin/debug/pprof/profile?seconds=$secs"
+sleep 1
+# The first two boots each logged one "draining" line when they were
+# stopped; a third means the measured phase ended while the profile ran.
+if ! curl -fsS -o "$out/$w.pprof" "http://$admin/debug/pprof/profile?seconds=$secs" ||
+	[ "$(grep -c ': draining$' "$log" || true)" -ge 3 ]; then
+	echo "profile: the daemon left its measured phase before the ${secs} s profile finished (see $out/$w.run); try fewer seconds" >&2
+	exit 1
+fi
 
 wait "$run"
 trap - EXIT

@@ -239,3 +239,52 @@ func TestConcurrentDeploysShareInternedApp(t *testing.T) {
 		t.Fatalf("spec table after %d deploys of one body: %v", clients*rounds, got)
 	}
 }
+
+// TestProbeNeverTakesReferenceEntry: a spec the table admitted from the
+// reference decoder (here a name written with an escape) is never taken at
+// the scanner's cursor, so its envelope still declines and goes the
+// fallback path; and a hit is counted once, where the request is built,
+// however many times its envelope was probed before declining.
+func TestProbeNeverTakesReferenceEntry(t *testing.T) {
+	s, reg := stubServer(t, 0)
+	h := s.Handler()
+	hits := func() int {
+		c, ok := reg.LookupCounter("fleetd_spec_intern_hits")
+		if !ok {
+			t.Fatal("fleetd_spec_intern_hits not interned")
+		}
+		return int(c.Value())
+	}
+	step := func(name, path, body string, status, fast, fallback, wantHits int) {
+		t.Helper()
+		if rec := serve(h, path, []byte(body)); rec.Code != status {
+			t.Fatalf("%s: status %d (%s), want %d", name, rec.Code, rec.Body, status)
+		}
+		if gotFast, gotFallback := decodeCounts(t, s); gotFast != fast || gotFallback != fallback {
+			t.Fatalf("%s: fast=%d fallback=%d, want %d and %d", name, gotFast, gotFallback, fast, fallback)
+		}
+		if got := hits(); got != wantHits {
+			t.Fatalf("%s: %d hits, want %d", name, got, wantHits)
+		}
+	}
+
+	escaped := `{"version":1,"name":"\u0041","microservices":[{"name":"m","image_size_bytes":1}]}`
+	env := `{"tenant":"acme","app":` + escaped + `}`
+	step("escaped spec, first sight", deployURL, env, 200, 0, 1, 0)
+	step("escaped spec, admitted", deployURL, env, 200, 0, 2, 0)
+	if _, _, ok := s.specs.ScanDeploy([]byte(env)); ok {
+		t.Fatal("the table's scanner took a reference-decoded spec at its cursor")
+	}
+	step("escaped spec, interned", deployURL, env, 200, 0, 3, 1)
+
+	video := string(appJSON(t, workload.VideoProcessing()))
+	step("video, first sight", deployURL, `{"app":`+video+`}`, 200, 1, 3, 1)
+	step("video, admitted", deployURL, `{"app":`+video+`}`, 200, 2, 3, 1)
+	step("video, interned", deployURL, `{"app":`+video+`}`, 200, 3, 3, 2)
+	// Probed twice, then declined for the duplicate key: the reference
+	// decoder serves the last "app", one hit.
+	step("duplicate app", deployURL, `{"app":`+video+`,"app":`+video+`}`, 200, 3, 4, 3)
+	// Probed, then declined for the bytes after it, then rejected: no hit.
+	step("trailing garbage", deployURL, `{"app":`+video+`} garbage`, 400, 3, 4, 3)
+	step("batch, second item truncated", batchURL, `{"items":[{"app":`+video+`},{"app":`+video[:len(video)-1]+`}]}`, 400, 3, 4, 3)
+}

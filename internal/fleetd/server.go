@@ -87,7 +87,8 @@ type Config struct {
 type Server struct {
 	cfg Config
 	lim *limiter
-	// specs interns app specs by their body bytes: a repeated spec skips the
+	// specs interns app specs by their body bytes: the envelope scanners
+	// recognise a repeated spec where it starts, so it skips the walk, the
 	// strict decode, the DAG build and the digest, and every request carrying
 	// it shares one read-only *dag.App (the contract on fleet.Request.App).
 	specs *wire.Interner
@@ -500,7 +501,7 @@ func (s *Server) decodeDeploy(w http.ResponseWriter, r *http.Request) (tenant st
 	var item wire.DeployItem
 	fast := false
 	if readErr == io.EOF {
-		tenant, item, fast = wire.ScanDeploy(body.data)
+		tenant, item, fast = s.specs.ScanDeploy(body.data)
 	}
 	if !fast {
 		var env DeployRequest
@@ -535,7 +536,7 @@ func (s *Server) decodeDeployBatch(w http.ResponseWriter, r *http.Request) (tena
 	var items []wire.DeployItem
 	fast := false
 	if readErr == io.EOF {
-		tenant, items, fast = wire.ScanDeployBatch(body.data, body.items[:0], maxBatchItems)
+		tenant, items, fast = s.specs.ScanDeployBatch(body.data, body.items[:0], maxBatchItems)
 	}
 	if fast {
 		body.items = items
@@ -600,7 +601,7 @@ func checkTenant(w http.ResponseWriter, tenant *string) bool {
 // through the spec table, the deadline clamped to MaxDeadline. fast reports
 // that the spec did not need the reference decoder.
 func (s *Server) requestOf(tenant string, item wire.DeployItem) (req fleet.Request, fast bool, err error) {
-	app, fast, err := s.specs.App(item.App)
+	app, fast, err := s.specs.ItemApp(item)
 	if err != nil {
 		return fleet.Request{}, false, err
 	}

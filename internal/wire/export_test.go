@@ -2,15 +2,21 @@ package wire
 
 import "deep/internal/dag"
 
-// SetHash replaces the interner's body hash so tests can force distinct
-// bodies onto one key.
+// SetHash replaces the interner's key hash, which sees at most InternKeyLen
+// bytes of a body, so tests can force distinct bodies onto one key.
 func (in *Interner) SetHash(h func([]byte) uint64) { in.hash = h }
 
 // Interner bounds, for tests that probe them.
 const (
 	InternMaxBody = internMaxBody
 	InternCap     = internShards * internShardCap
+	InternKeyLen  = internKeyLen
+	InternWays    = internWays
 )
+
+// ProbeHit reports whether ItemApp answers item from the entry its scanner
+// found at the cursor, without looking the table up.
+func ProbeHit(item DeployItem) bool { return item.held() != nil }
 
 // ScanApp is the app-spec scanner an interner miss tries first.
 var ScanApp = scanApp

@@ -12,8 +12,8 @@ import (
 
 // Bounds of the spec table. It sits behind a public port, so everything a
 // client can make it hold is capped: entries (256 in all, the size of the
-// fleet's app-table level it feeds), bytes per retained body, and the
-// first-sight filter, which is a fixed array.
+// fleet's app-table level it feeds), bodies per key, bytes per retained
+// body, and the first-sight filter, which is a fixed array.
 const (
 	internShards   = 8
 	internShardCap = 32
@@ -23,25 +23,42 @@ const (
 	internMaxBody = 64 << 10
 	// internSeenSlots sizes each shard's first-sight filter.
 	internSeenSlots = 256
+	// internKeyLen is how much of a body its key hashes: a probe at the
+	// envelope scanner's cursor hashes this many bytes, not knowing yet
+	// where the spec ends.
+	internKeyLen = 64
+	// internWays bounds the bodies one key holds, so a probe compares at
+	// most this many stored bodies against the buffer.
+	internWays = 4
 )
 
 // Interner is a content-addressed table from raw app-spec bytes to the
 // validated *dag.App they decode to, with the app's digest already memoized.
 // A service deploys the same few applications over and over; for a repeated
 // body the table replaces the strict decode, the DAG build and validation,
-// and the sha256 pass with one hash and one byte comparison.
+// and the sha256 pass with one short hash and one byte comparison.
 //
-// Bodies are keyed by a 64-bit maphash under a per-process random seed, and a
-// hit is served only after bytes.Equal against the stored body, so a hash
-// collision — accidental or constructed — costs a miss, never an aliased
-// spec. A miss decodes the body as a caller without the table would — the
-// scanner for a canonical body, DecodeAppSpec and AppSpec.App for the rest —
-// so every strictness check and error string is unchanged; rejected bodies
-// are never stored.
+// A body is keyed by a 64-bit maphash, under a per-process random seed, of
+// its first internKeyLen bytes (of all of it, if shorter). A key chains at
+// most internWays bodies; a further body on a full key is not admitted, so
+// the bodies already there stay. A hit is served only after bytes.Equal
+// against the stored body, so a hash collision or a shared prefix —
+// accidental or constructed — costs a miss, never an aliased spec. A miss
+// decodes the body as a caller without the table would — the scanner for a
+// canonical body, DecodeAppSpec and AppSpec.App for the rest — so every
+// strictness check and error string is unchanged; rejected bodies are never
+// stored.
 //
-// Admission is on second sight: the first time a body is seen only its hash
-// is remembered, in a fixed-size filter, and the body and app are retained
-// when the same hash arrives again. Never-repeated or flooding bodies
+// Because the key needs no more than the first internKeyLen bytes, the
+// envelope scanners of a table (Interner.ScanDeploy, ScanDeployBatch) look a
+// stored spec up where it starts in the request buffer, before they know
+// where it ends: a stored body that the app scanner accepted, matched byte
+// for byte at the cursor, stands in for walking the spec (see probe).
+//
+// Admission is on second sight of the whole body: the first time a body is
+// seen only its full-body maphash is remembered, in a fixed-size filter, and
+// the body and app are retained when the same hash arrives again. Never-
+// repeated or flooding bodies — those sharing a key's prefix included —
 // therefore cannot evict hot specs or grow memory. Each of the 8 shards is a
 // 32-slot CLOCK ring, so a body that keeps hitting survives a run of
 // admissions that evicts its idle neighbours.
@@ -49,9 +66,11 @@ const (
 // Interned apps are shared by every request that carries the same body and
 // must be treated as read-only. All methods are safe for concurrent use.
 type Interner struct {
-	// hash is maphash.Bytes under a per-process seed; tests replace it to
-	// force collisions.
-	hash   func([]byte) uint64
+	// hash is maphash.Bytes under a per-process seed, applied to a key's
+	// at most internKeyLen bytes; tests replace it to force collisions.
+	hash func([]byte) uint64
+	// seed hashes whole bodies for the first-sight filter.
+	seed   maphash.Seed
 	shards [internShards]internShard
 
 	hits     *obs.Counter
@@ -62,36 +81,53 @@ type Interner struct {
 }
 
 type internShard struct {
-	mu     sync.Mutex
-	byHash map[uint64]*internEntry
-	ring   [internShardCap]*internEntry
-	hand   int
-	// seen is the first-sight filter, direct-mapped by hash: a slot holds
-	// the last hash that landed on it.
+	mu sync.Mutex
+	// byKey heads each key's chain of at most internWays entries.
+	byKey map[uint64]*internEntry
+	ring  [internShardCap]*internEntry
+	hand  int
+	// seen is the first-sight filter, direct-mapped by full-body hash: a
+	// slot holds the last hash that landed on it.
 	seen [internSeenSlots]uint64
 }
 
-// internEntry is immutable after admission except for the CLOCK bit.
+// internEntry is immutable after admission except for the CLOCK bit and the
+// chain link, both guarded by the shard lock.
 type internEntry struct {
-	hash uint64
+	key  uint64
 	body []byte
 	app  *dag.App
-	used bool // referenced since the hand last passed; guarded by the shard lock
+	// canonical records that scanApp accepted body, so the envelope
+	// scanner, which would have walked it, may skip it instead.
+	canonical bool
+	used      bool // referenced since the hand last passed
+	next      *internEntry
+}
+
+// internProbe is what an envelope scanner of a table learned at an "app"
+// value: the key of the bytes at the cursor and the stored entry that
+// matched there, if any. It travels in the DeployItem to Interner.ItemApp,
+// so a miss neither hashes nor looks up a second time.
+type internProbe struct {
+	entry *internEntry
+	key   uint64
+	keyed bool // key is the hash of the internKeyLen bytes at the cursor
 }
 
 // NewInterner returns an empty table whose counters <name>_hits, _misses,
 // _admitted, _evicted and gauge <name>_bytes are interned in reg.
 func NewInterner(reg *obs.Registry, name string) *Interner {
-	seed := maphash.MakeSeed()
+	keySeed := maphash.MakeSeed()
 	in := &Interner{
-		hash:     func(b []byte) uint64 { return maphash.Bytes(seed, b) },
+		hash:     func(b []byte) uint64 { return maphash.Bytes(keySeed, b) },
+		seed:     maphash.MakeSeed(),
 		hits:     reg.Counter(name + "_hits"),
 		misses:   reg.Counter(name + "_misses"),
 		admitted: reg.Counter(name + "_admitted"),
 		evicted:  reg.Counter(name + "_evicted"),
 	}
 	for i := range in.shards {
-		in.shards[i].byHash = make(map[uint64]*internEntry, internShardCap)
+		in.shards[i].byKey = make(map[uint64]*internEntry, internShardCap)
 	}
 	bytesGauge := reg.Gauge(name + "_bytes")
 	reg.OnCollect(func() { bytesGauge.Set(float64(in.retained.Load())) })
@@ -104,19 +140,75 @@ func NewInterner(reg *obs.Registry, name string) *Interner {
 // AppSpec.App, whose error it returns verbatim. fast reports that the
 // reference decoder did not run. body may be reused once App returns.
 func (in *Interner) App(body []byte) (app *dag.App, fast bool, err error) {
-	h := in.hash(body)
-	sh := &in.shards[h%internShards]
+	key := in.hash(body[:min(len(body), internKeyLen)])
+	sh := &in.shards[key%internShards]
 	sh.mu.Lock()
-	if e := sh.byHash[h]; e != nil && bytes.Equal(e.body, body) {
-		e.used = true
-		sh.mu.Unlock()
+	for e := sh.byKey[key]; e != nil; e = e.next {
+		if bytes.Equal(e.body, body) {
+			e.used = true
+			sh.mu.Unlock()
+			in.hits.Add(1)
+			return e.app, true, nil
+		}
+	}
+	sh.mu.Unlock()
+	return in.decode(body, key)
+}
+
+// ItemApp is App for the spec of an item: the item's probe, when a scanner
+// of this table made one, answers a hit without touching the table again
+// and hands a miss its key. An item from anywhere else is App(item.App).
+func (in *Interner) ItemApp(item DeployItem) (app *dag.App, fast bool, err error) {
+	if e := item.held(); e != nil {
 		in.hits.Add(1)
 		return e.app, true, nil
 	}
-	sh.mu.Unlock()
-	in.misses.Add(1)
+	if p := item.probe; p.keyed && len(item.App) >= internKeyLen {
+		return in.decode(item.App, p.key)
+	}
+	// Unprobed, or shorter than the probed bytes and so keyed by all of
+	// itself.
+	return in.App(item.App)
+}
 
-	app, fast = scanApp(body)
+// held returns the entry whose body item.App is, when the probe found one:
+// the probe matched the entry's bytes where the span starts, so a span as
+// long is the entry's body.
+func (item *DeployItem) held() *internEntry {
+	if e := item.probe.entry; e != nil && len(e.body) == len(item.App) {
+		return e
+	}
+	return nil
+}
+
+// probe looks for a stored body at buf[pos:], under the key of the next
+// internKeyLen bytes. It reports the entry whose body is there byte for byte
+// and is exactly one object (no whitespace after it); a body in JSON has one
+// end, so at most one stored body qualifies, and it is the span the walk
+// would return if the walk accepts. A probe with fewer than internKeyLen
+// bytes left reports nothing and no key.
+func (in *Interner) probe(buf []byte, pos int) internProbe {
+	rest := buf[pos:]
+	if len(rest) < internKeyLen {
+		return internProbe{}
+	}
+	key := in.hash(rest[:internKeyLen])
+	sh := &in.shards[key%internShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for e := sh.byKey[key]; e != nil; e = e.next {
+		if n := len(e.body); n <= len(rest) && e.body[n-1] == '}' && bytes.Equal(e.body, rest[:n]) {
+			e.used = true
+			return internProbe{entry: e, key: key, keyed: true}
+		}
+	}
+	return internProbe{key: key, keyed: true}
+}
+
+// decode is the miss path of App and ItemApp, for a body under key.
+func (in *Interner) decode(body []byte, key uint64) (*dag.App, bool, error) {
+	in.misses.Add(1)
+	app, fast := scanApp(body)
 	if !fast {
 		spec, err := DecodeAppSpec(body)
 		if err != nil {
@@ -130,39 +222,65 @@ func (in *Interner) App(body []byte) (app *dag.App, fast bool, err error) {
 	// (and every later request sharing an interned app) find it memoized.
 	app.Digest()
 	if len(body) <= internMaxBody {
-		in.admit(sh, h, body, app)
+		in.admit(key, body, app, fast)
 	}
 	return app, fast, nil
 }
 
-// admit records one sighting of an accepted body: the first stores its hash
-// in the filter, the second retains the body and app, evicting the first
-// ring entry not referenced since the hand last passed it.
-func (in *Interner) admit(sh *internShard, h uint64, body []byte, app *dag.App) {
+// admit records one sighting of an accepted body: the first stores its
+// full-body hash in the filter, the second retains the body and app, evicting
+// the first ring entry not referenced since the hand last passed it — unless
+// the key already chains internWays bodies.
+func (in *Interner) admit(key uint64, body []byte, app *dag.App, canonical bool) {
+	h := maphash.Bytes(in.seed, body)
+	sh := &in.shards[key%internShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if seen := &sh.seen[(h/internShards)%internSeenSlots]; *seen != h {
+	if seen := &sh.seen[h%internSeenSlots]; *seen != h {
 		*seen = h
 		return
 	}
-	if sh.byHash[h] != nil {
-		// A different body owns this hash (or a concurrent request just
-		// admitted this one); the incumbent stays.
-		return
+	ways := 0
+	for e := sh.byKey[key]; e != nil; e = e.next {
+		if bytes.Equal(e.body, body) {
+			return // a concurrent request just admitted it
+		}
+		ways++
+	}
+	if ways == internWays {
+		return // the residents stay
 	}
 	for cur := sh.ring[sh.hand]; cur != nil && cur.used; cur = sh.ring[sh.hand] {
 		cur.used = false
 		sh.hand = (sh.hand + 1) % internShardCap
 	}
 	if old := sh.ring[sh.hand]; old != nil {
-		delete(sh.byHash, old.hash)
+		sh.unlink(old)
 		in.retained.Add(-int64(len(old.body)))
 		in.evicted.Add(1)
 	}
-	e := &internEntry{hash: h, body: bytes.Clone(body), app: app}
+	e := &internEntry{key: key, body: bytes.Clone(body), app: app, canonical: canonical, next: sh.byKey[key]}
 	sh.ring[sh.hand] = e
 	sh.hand = (sh.hand + 1) % internShardCap
-	sh.byHash[h] = e
+	sh.byKey[key] = e
 	in.retained.Add(int64(len(body)))
 	in.admitted.Add(1)
+}
+
+// unlink removes e from its key's chain.
+func (sh *internShard) unlink(e *internEntry) {
+	switch head := sh.byKey[e.key]; {
+	case head != e:
+		for p := head; p != nil; p = p.next {
+			if p.next == e {
+				p.next = e.next
+				break
+			}
+		}
+	case e.next != nil:
+		sh.byKey[e.key] = e.next
+	default:
+		delete(sh.byKey, e.key)
+	}
+	e.next = nil
 }

@@ -206,8 +206,10 @@ func TestInternerOversizedBodyNotRetained(t *testing.T) {
 	}
 }
 
-// numberedBodies returns n distinct valid bodies and a hash that sends body
-// i to key i+1 — shard (i+1)%8 — so a test knows exactly which ring fills.
+// numberedBodies returns n distinct valid bodies and a key hash that sends
+// body i to key i+1 — shard (i+1)%8 — so a test knows exactly which ring
+// fills. The key hash sees a body's first InternKeyLen bytes, which hold its
+// numbered name.
 func numberedBodies(t *testing.T, n int) ([][]byte, func([]byte) uint64) {
 	t.Helper()
 	bodies := make([][]byte, n)
@@ -218,9 +220,13 @@ func numberedBodies(t *testing.T, n int) ([][]byte, func([]byte) uint64) {
 			t.Fatal(err)
 		}
 		bodies[i] = appBody(t, app)
-		keys[string(bodies[i])] = uint64(i + 1)
+		prefix := string(bodies[i][:min(len(bodies[i]), wire.InternKeyLen)])
+		if _, dup := keys[prefix]; dup {
+			t.Fatalf("bodies share their first %d bytes: %s", wire.InternKeyLen, prefix)
+		}
+		keys[prefix] = uint64(i + 1)
 	}
-	return bodies, func(b []byte) uint64 { return keys[string(b)] }
+	return bodies, func(prefix []byte) uint64 { return keys[string(prefix)] }
 }
 
 // TestInternerEntryBound: 256 hot bodies spread evenly fill the table; the
@@ -282,38 +288,74 @@ func TestInternerFloodCannotGrowTable(t *testing.T) {
 	}
 }
 
-// TestInternerCollisionNeverAliases forces every body onto one hash key: the
-// incumbent keeps being served for its own bytes, and a different body under
-// the same key is decoded fresh every time — never answered with the
-// incumbent's app, never displacing it.
+// TestInternerPrefixFloodNotAdmitted: bodies that share their key — the
+// first InternKeyLen bytes — are still admitted on the second sight of the
+// whole body, never on the first sight of a sibling.
+func TestInternerPrefixFloodNotAdmitted(t *testing.T) {
+	in, reg := newInterner()
+	var bodies [][]byte
+	for i := 0; i < 16; i++ {
+		app := dag.NewApp(fmt.Sprintf("%s-%d", strings.Repeat("p", wire.InternKeyLen), i))
+		if err := app.AddMicroservice(&dag.Microservice{Name: "m", ImageSize: 1}); err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, appBody(t, app))
+	}
+	for _, body := range bodies {
+		if _, _, err := in.App(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := statsOf(t, reg); s.admitted != 0 {
+		t.Fatalf("one sight each of %d prefix-sharing bodies admitted %d", len(bodies), s.admitted)
+	}
+	checkAgainstFresh(t, in, bodies[0])
+	if s := statsOf(t, reg); s.admitted != 1 {
+		t.Fatalf("second sight of one body: %+v, want it alone admitted", s)
+	}
+}
+
+// TestInternerCollisionNeverAliases forces every body onto one key: the
+// InternWays residents keep being served for their own bytes, and a further
+// body on the full key is decoded fresh every time — never answered with a
+// resident's app, never displacing one.
 func TestInternerCollisionNeverAliases(t *testing.T) {
 	in, reg := newInterner()
 	in.SetHash(func([]byte) uint64 { return 42 })
-	video := appBody(t, workload.VideoProcessing())
-	text := appBody(t, workload.TextProcessing())
-
-	checkAgainstFresh(t, in, video) // admitted under key 42
-	incumbent, _, err := in.App(video)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		got, _, err := in.App(text)
+	bodies, _ := numberedBodies(t, wire.InternWays+1)
+	residents := make([]*dag.App, wire.InternWays)
+	total := 0
+	for i, body := range bodies[:wire.InternWays] {
+		checkAgainstFresh(t, in, body) // admitted under key 42
+		app, _, err := in.App(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == incumbent || got.Name == incumbent.Name {
-			t.Fatalf("colliding body answered with app %q", got.Name)
+		residents[i] = app
+		total += len(body)
+	}
+	extra := bodies[wire.InternWays]
+	want, _ := fresh(extra)
+	for i := 0; i < 4; i++ {
+		got, _, err := in.App(extra)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want, _ := fresh(text)
+		for _, r := range residents {
+			if got == r || got.Name == r.Name {
+				t.Fatalf("colliding body answered with app %q", r.Name)
+			}
+		}
 		if !sameApp(got, want) {
 			t.Fatal("colliding body's app differs from a fresh decode")
 		}
 	}
-	if again, _, err := in.App(video); err != nil || again != incumbent {
-		t.Fatal("collisions displaced the incumbent")
+	for i, body := range bodies[:wire.InternWays] {
+		if again, _, err := in.App(body); err != nil || again != residents[i] {
+			t.Fatalf("resident %d no longer served after the collisions", i)
+		}
 	}
-	if s := statsOf(t, reg); s.admitted != 1 || s.evicted != 0 || s.bytes != len(video) {
+	if s := statsOf(t, reg); s.admitted != wire.InternWays || s.evicted != 0 || s.bytes != total {
 		t.Fatalf("collisions changed the table: %+v", s)
 	}
 }

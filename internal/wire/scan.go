@@ -30,6 +30,14 @@ import (
 // reference decoder would have accepted with the same result, which
 // FuzzScanMatchesReference checks. A body outside the subset that the
 // reference decoder accepts is still served, at the reference decoder's cost.
+//
+// The envelope scanners of a spec table (Interner.ScanDeploy,
+// Interner.ScanDeployBatch) ask the table, at each "app" value, whether a
+// stored spec starts at the cursor. A stored body that scanApp accepted and
+// that is there byte for byte stands in for the walk: the cursor jumps past
+// it, and the item carries the entry. Such a body is one skipValue accepts
+// (it nests 4 deep, under the same string and number rules), so the jump
+// gives the walk's decision and span; FuzzProbeMatchesWalk checks that.
 
 // DeployItem is one deployment as the envelope scanners read it: the fields
 // of fleetd.DeployRequest and fleetd.DeployBatchItem.
@@ -40,6 +48,8 @@ type DeployItem struct {
 	// byte of the value to last. From a scanner it aliases the scanned
 	// buffer; nil when the envelope has no "app".
 	App []byte
+
+	probe internProbe // what a table's scanner found at App; see ItemApp
 }
 
 // ScanDeploy reads a POST /v1/deploy envelope held in buf. The tenant is
@@ -47,7 +57,14 @@ type DeployItem struct {
 // app spec is a span of buf, not decoded — it has only been checked to be
 // one well-formed JSON object.
 func ScanDeploy(buf []byte) (tenant string, item DeployItem, ok bool) {
-	s := scanner{buf: buf}
+	return (*Interner)(nil).ScanDeploy(buf)
+}
+
+// ScanDeploy is the package's ScanDeploy, recognising the specs the table
+// holds where they start; resolve the item with ItemApp. A nil table scans
+// without one.
+func (in *Interner) ScanDeploy(buf []byte) (tenant string, item DeployItem, ok bool) {
+	s := scanner{buf: buf, in: in}
 	var name []byte
 	var seen fieldSet
 	ok = s.object(func(key []byte) bool {
@@ -68,7 +85,14 @@ func ScanDeploy(buf []byte) (tenant string, item DeployItem, ok bool) {
 // appending its items to items. It declines a batch of more than maxItems,
 // so a pooled items slice stays bounded.
 func ScanDeployBatch(buf []byte, items []DeployItem, maxItems int) (tenant string, _ []DeployItem, ok bool) {
-	s := scanner{buf: buf}
+	return (*Interner)(nil).ScanDeployBatch(buf, items, maxItems)
+}
+
+// ScanDeployBatch is the package's ScanDeployBatch, recognising the specs
+// the table holds where they start; resolve each item with ItemApp. A nil
+// table scans without one.
+func (in *Interner) ScanDeployBatch(buf []byte, items []DeployItem, maxItems int) (tenant string, _ []DeployItem, ok bool) {
+	s := scanner{buf: buf, in: in}
 	var name []byte
 	var seen fieldSet
 	ok = s.object(func(key []byte) bool {
@@ -110,9 +134,26 @@ func (s *scanner) itemField(key []byte, item *DeployItem, seen *fieldSet) (ok bo
 		item.DeadlineMS, ok = s.integer()
 	case "app":
 		f = itemApp
-		item.App, ok = s.rawObject()
+		ok = s.app(item)
 	}
 	return ok && seen.first(f)
+}
+
+// app reads an "app" value into item. With a table, a stored canonical spec
+// at the cursor is taken whole, unwalked.
+func (s *scanner) app(item *DeployItem) (ok bool) {
+	if s.in != nil {
+		s.skipSpace()
+		item.probe = s.in.probe(s.buf, s.pos)
+		if e := item.probe.entry; e != nil && e.canonical {
+			start := s.pos
+			s.pos += len(e.body)
+			item.App = s.buf[start:s.pos]
+			return true
+		}
+	}
+	item.App, ok = s.rawObject()
+	return ok
 }
 
 // fieldSet records which keys of one object have been read; a key seen
@@ -345,6 +386,7 @@ func (s *appScanner) dataflows() bool {
 type scanner struct {
 	buf []byte
 	pos int
+	in  *Interner // the envelope scanners' spec table, if any
 }
 
 func (s *scanner) skipSpace() { s.pos = spaceEnd(s.buf, s.pos) }
@@ -506,9 +548,10 @@ func (s *scanner) rawObject() ([]byte, bool) {
 // skipValue consumes one well-formed value of any shape without reading it:
 // objects, arrays, strings and numbers, under the same rules as everywhere
 // else, so a skipped span is one encoding/json would also take as a single
-// value. This is the whole cost of a deploy whose spec is interned, hence
-// one loop with the cursor in a register and a bit stack of open containers
-// (1 = object) rather than a descent through object and array.
+// value. It walks every deploy's spec that the table does not recognise at
+// the cursor, hence one loop with the cursor in a register and a bit stack
+// of open containers (1 = object) rather than a descent through object and
+// array.
 func (s *scanner) skipValue() bool {
 	buf, i := s.buf, s.pos
 	var open uint32

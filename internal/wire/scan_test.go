@@ -247,9 +247,10 @@ func TestScanBatchItemCap(t *testing.T) {
 }
 
 // TestWarmDecodeAllocs extends the fleet's warm-path gate to the front door:
-// decoding a deploy whose spec is interned — envelope scan, hash, byte
-// compare — allocates only the tenant string, for a single deploy and for a
-// 16-item batch alike.
+// decoding a deploy whose spec is interned allocates only the tenant string,
+// for a single deploy and for a 16-item batch alike — whether the table
+// recognises the spec at the scanner's cursor (probed) or after the walk
+// (walked: envelope scan, hash, byte compare).
 func TestWarmDecodeAllocs(t *testing.T) {
 	in, _ := newInterner()
 	spec := appBody(t, workload.VideoProcessing())
@@ -261,34 +262,45 @@ func TestWarmDecodeAllocs(t *testing.T) {
 	}
 	batch := mustMarshal(t, req)
 	items := make([]wire.DeployItem, 0, 64)
-	lookup := func(item wire.DeployItem) {
-		if app, fast, err := in.App(item.App); err != nil || !fast || app == nil {
-			t.Fatalf("interned spec: app=%v fast=%v err=%v", app, fast, err)
+	for _, path := range []struct {
+		name   string
+		single func([]byte) (string, wire.DeployItem, bool)
+		batch  func([]byte, []wire.DeployItem, int) (string, []wire.DeployItem, bool)
+		app    func(wire.DeployItem) (*dag.App, bool, error)
+	}{
+		{"walked", wire.ScanDeploy, wire.ScanDeployBatch,
+			func(item wire.DeployItem) (*dag.App, bool, error) { return in.App(item.App) }},
+		{"probed", in.ScanDeploy, in.ScanDeployBatch, in.ItemApp},
+	} {
+		lookup := func(item wire.DeployItem) {
+			if app, fast, err := path.app(item); err != nil || !fast || app == nil {
+				t.Fatalf("%s: interned spec: app=%v fast=%v err=%v", path.name, app, fast, err)
+			}
 		}
-	}
-	decodeSingle := func() {
-		tenant, item, ok := wire.ScanDeploy(single)
-		if !ok || tenant != "acme" {
-			t.Fatal("canonical deploy envelope declined")
-		}
-		lookup(item)
-	}
-	decodeBatch := func() {
-		tenant, got, ok := wire.ScanDeployBatch(batch, items[:0], 64)
-		if !ok || tenant != "acme" || len(got) != 16 {
-			t.Fatal("canonical batch envelope declined")
-		}
-		for _, item := range got {
+		decodeSingle := func() {
+			tenant, item, ok := path.single(single)
+			if !ok || tenant != "acme" {
+				t.Fatalf("%s: canonical deploy envelope declined", path.name)
+			}
 			lookup(item)
 		}
-	}
-	decodeSingle()
-	decodeSingle() // second sight admits the spec
-	if got := testing.AllocsPerRun(200, decodeSingle); got > 1 {
-		t.Errorf("interned single deploy decode: %.1f allocs, want <= 1", got)
-	}
-	if got := testing.AllocsPerRun(100, decodeBatch); got > 1 {
-		t.Errorf("interned 16-item batch decode: %.1f allocs, want <= 1", got)
+		decodeBatch := func() {
+			tenant, got, ok := path.batch(batch, items[:0], 64)
+			if !ok || tenant != "acme" || len(got) != 16 {
+				t.Fatalf("%s: canonical batch envelope declined", path.name)
+			}
+			for _, item := range got {
+				lookup(item)
+			}
+		}
+		decodeSingle()
+		decodeSingle() // second sight admits the spec
+		if got := testing.AllocsPerRun(200, decodeSingle); got > 1 {
+			t.Errorf("%s: interned single deploy decode: %.1f allocs, want <= 1", path.name, got)
+		}
+		if got := testing.AllocsPerRun(100, decodeBatch); got > 1 {
+			t.Errorf("%s: interned 16-item batch decode: %.1f allocs, want <= 1", path.name, got)
+		}
 	}
 }
 
@@ -391,6 +403,124 @@ func FuzzScanMatchesReference(f *testing.F) {
 	})
 }
 
+// Specs FuzzProbeMatchesWalk's table holds besides the corpus: a canonical
+// spec shorter than the probe's key, and two the table admits from the
+// reference decoder only — an escape, which the walk declines, and a key in
+// another case, which it accepts.
+const (
+	shortApp   = `{"version":1,"name":"a","microservices":[{"name":"m"}]}`
+	escapedApp = `{"version":1,"name":"\u0041","microservices":[{"name":"m","image_size_bytes":1}]}`
+	foldedApp  = `{"version":1,"Name":"folded","microservices":[{"name":"m","image_size_bytes":1}]}`
+)
+
+// probeTable returns a table holding the corpus specs (one of them a second
+// time with a newline after it), shortApp, escapedApp and foldedApp, each
+// admitted on its second sight.
+func probeTable(tb testing.TB) (*wire.Interner, [][]byte) {
+	tb.Helper()
+	in, _ := newInterner()
+	var specs [][]byte
+	for _, app := range appCorpus(tb) {
+		specs = append(specs, appBody(tb, app))
+	}
+	specs = append(specs, append(bytes.Clone(specs[0]), '\n'),
+		[]byte(shortApp), []byte(escapedApp), []byte(foldedApp))
+	for _, spec := range specs {
+		for sight := 0; sight < 2; sight++ {
+			if _, _, err := in.App(spec); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return in, specs
+}
+
+// checkProbeAgainstWalk: the table's envelope scanners return what the
+// table-less ones do — tenant, seeds, deadlines, app spans and the verdict —
+// and an item whose spec the probe recognised resolves to the table's own
+// app for those bytes; any other item to what a fresh decode gives.
+func checkProbeAgainstWalk(t testing.TB, in *wire.Interner, data []byte) {
+	t.Helper()
+	var items []wire.DeployItem
+	wantTenant, want, wantOK := wire.ScanDeploy(data)
+	tenant, item, ok := in.ScanDeploy(data)
+	if ok != wantOK || tenant != wantTenant || !sameItem(item, want) {
+		t.Fatalf("deploy: probed (%q, %+v, %v), walked (%q, %+v, %v)\n%q", tenant, item, ok, wantTenant, want, wantOK, data)
+	}
+	if ok {
+		items = append(items, item)
+	}
+	const maxItems = 64
+	wantTenant, wantItems, wantOK := wire.ScanDeployBatch(data, nil, maxItems)
+	tenant, got, ok := in.ScanDeployBatch(data, nil, maxItems)
+	if ok != wantOK || tenant != wantTenant || len(got) != len(wantItems) {
+		t.Fatalf("batch: probed (%q, %d items, %v), walked (%q, %d items, %v)\n%q", tenant, len(got), ok, wantTenant, len(wantItems), wantOK, data)
+	}
+	for i := range got {
+		if !sameItem(got[i], wantItems[i]) {
+			t.Fatalf("batch item %d: probed %+v, walked %+v\n%q", i, got[i], wantItems[i], data)
+		}
+	}
+	items = append(items, got...)
+
+	// Look every recognised spec up by its bytes before any miss below can
+	// admit a body and evict one.
+	held := make([]*dag.App, len(items))
+	for i, item := range items {
+		if wire.ProbeHit(item) {
+			app, _, err := in.App(item.App)
+			if err != nil {
+				t.Fatalf("probed spec rejected: %v\n%s", err, item.App)
+			}
+			held[i] = app
+		}
+	}
+	for i, item := range items {
+		app, _, err := in.ItemApp(item)
+		if held[i] != nil {
+			if app != held[i] || err != nil {
+				t.Fatalf("probed item's app is not the table's for its bytes\n%s", item.App)
+			}
+			continue
+		}
+		wantApp, wantErr := fresh(item.App)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("item spec: err = %v, fresh decode says %v\n%s", err, wantErr, item.App)
+		}
+		if err == nil && !sameApp(app, wantApp) {
+			t.Fatalf("item spec's app differs from a fresh decode\n%s", item.App)
+		}
+	}
+}
+
+// FuzzProbeMatchesWalk: recognising a stored spec at the scanner's cursor
+// changes nothing a scan returns, only what it costs.
+func FuzzProbeMatchesWalk(f *testing.F) {
+	in, specs := probeTable(f)
+	if _, item, ok := in.ScanDeploy([]byte(envelope(string(specs[0])))); !ok || !wire.ProbeHit(item) {
+		f.Fatal("a stored spec was not recognised at the cursor")
+	}
+	var batch fleetd.DeployBatchRequest
+	for i, spec := range specs {
+		env := envelope(string(spec))
+		f.Add([]byte(env))
+		f.Add([]byte(env + ` garbage`))
+		f.Add([]byte(env[:len(env)-1]))
+		f.Add([]byte(`{"app":` + string(spec[:len(spec)-1])))
+		f.Add([]byte(`{"app":` + string(spec) + `x}`))
+		f.Add([]byte(`{"app":` + string(spec) + `,"app":` + string(spec) + `}`))
+		f.Add([]byte(`{"app":` + string(bytes.TrimSpace(spec)) + "\n}"))
+		if len(batch.Items) < 4 && json.Valid(spec) {
+			batch.Items = append(batch.Items, fleetd.DeployBatchItem{Seed: int64(i), App: spec})
+		}
+	}
+	f.Add(mustMarshal(f, batch))
+	f.Add([]byte(`{"items":[{"app":` + shortApp + `},{"app":` + foldedApp + `},{"app":` + escapedApp + `}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkProbeAgainstWalk(t, in, data)
+	})
+}
+
 // sinkApp keeps BenchmarkScan's decodes from being optimised away.
 var sinkApp *dag.App
 
@@ -412,6 +542,24 @@ func BenchmarkScan(b *testing.B) {
 		for b.Loop() {
 			if _, _, ok := wire.ScanDeployBatch(batch, items[:0], 64); !ok {
 				b.Fatal("declined")
+			}
+		}
+	})
+	// The same batch scanned by a table holding its spec: each item is
+	// recognised at the cursor, not walked.
+	b.Run("batch16_envelope_interned", func(b *testing.B) {
+		in, _ := newInterner()
+		for sight := 0; sight < 2; sight++ {
+			if _, _, err := in.App(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		items := make([]wire.DeployItem, 0, 64)
+		b.SetBytes(int64(len(batch)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, got, ok := in.ScanDeployBatch(batch, items[:0], 64); !ok || !wire.ProbeHit(got[15]) {
+				b.Fatal("declined or walked")
 			}
 		}
 	})
