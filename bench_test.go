@@ -242,11 +242,12 @@ func BenchmarkSimulatorRun(b *testing.B) {
 // BenchmarkSimRun times the compiled simulator under the fleet request
 // path: the paper's case-study applications on the calibrated testbed plus
 // a wider synthetic app on a 50-node scaled testbed, each placed by DEEP.
-// cold runs sim.Run end to end (compile the plan, fresh Exec, flushed layer
-// caches — the one-shot path); warm runs a reusable Exec over a precompiled
-// Plan with warm caches — the fleet workers' steady state, which allocates
-// nothing (pinned by TestWarmExecAllocationFree and the BENCH_sim.json
-// baseline gated in CI).
+// cold runs sim.Run end to end (compile the plan, fresh Exec, empty layer
+// caches — the one-shot path); exec_cold runs a reusable Exec over a
+// precompiled Plan from empty caches — what a fleet worker runs for every
+// request; warm runs it with the cluster's warm caches. Both Exec rows
+// allocate nothing (pinned by TestColdExecAllocationFree,
+// TestWarmExecAllocationFree and the BENCH_sim.json baseline gated in CI).
 func BenchmarkSimRun(b *testing.B) {
 	cfg := workload.DefaultGeneratorConfig(12, 42)
 	cfg.StageWidth = 4
@@ -277,22 +278,28 @@ func BenchmarkSimRun(b *testing.B) {
 				}
 			}
 		})
-		b.Run(c.name+"/warm", func(b *testing.B) {
-			plan := sim.CompilePlan(c.app, c.cluster)
-			exec := sim.NewExec()
-			// Prime: fill the layer caches and size the Exec scratch.
-			if _, err := exec.Run(plan, placement, sim.Options{}); err != nil {
-				b.Fatal(err)
+		for _, warm := range []bool{false, true} {
+			name := c.name + "/exec_cold"
+			if warm {
+				name = c.name + "/warm"
 			}
-			opts := sim.Options{WarmCaches: true}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			b.Run(name, func(b *testing.B) {
+				plan := sim.CompilePlan(c.app, c.cluster)
+				exec := sim.NewExec()
+				opts := sim.Options{WarmCaches: warm}
+				// Prime: size the Exec scratch (and fill the layer caches).
 				if _, err := exec.Run(plan, placement, opts); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := exec.Run(plan, placement, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -566,40 +573,30 @@ func BenchmarkFleetThroughput(b *testing.B) {
 	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, cached := range []bool{false, true} {
-			for _, warmSim := range []bool{false, true} {
-				cacheSize := -1
-				if cached {
-					cacheSize = 1024
-				}
-				simName := "cold"
-				if warmSim {
-					simName = "warm"
-				}
-				name := fmt.Sprintf("workers=%d/cache=%v/sim=%s", workers, cached, simName)
-				b.Run(name, func(b *testing.B) {
-					f := deep.NewFleet(deep.FleetConfig{
-						Workers:    workers,
-						QueueDepth: 256,
-						CacheSize:  cacheSize,
-						// sim=warm is the fleet default; the cold rows opt
-						// out to keep the per-request-flush dimension.
-						ColdCaches: !warmSim,
-					})
-					defer f.Close()
-					ctx := context.Background()
-					b.ResetTimer()
-					driveConcurrently(b, workers, 1, func(_, i int) error {
-						resp, err := f.Do(ctx, deep.FleetRequest{App: apps[i%len(apps)], Seed: int64(i)})
-						if err != nil {
-							return err
-						}
-						err = resp.Err
-						resp.Release()
-						return err
-					})
-					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-				})
+			cacheSize := -1
+			if cached {
+				cacheSize = 1024
 			}
+			b.Run(fmt.Sprintf("workers=%d/cache=%v", workers, cached), func(b *testing.B) {
+				f := deep.NewFleet(deep.FleetConfig{
+					Workers:    workers,
+					QueueDepth: 256,
+					CacheSize:  cacheSize,
+				})
+				defer f.Close()
+				ctx := context.Background()
+				b.ResetTimer()
+				driveConcurrently(b, workers, 1, func(_, i int) error {
+					resp, err := f.Do(ctx, deep.FleetRequest{App: apps[i%len(apps)], Seed: int64(i)})
+					if err != nil {
+						return err
+					}
+					err = resp.Err
+					resp.Release()
+					return err
+				})
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			})
 		}
 	}
 }

@@ -72,7 +72,6 @@ func main() {
 	duration := flag.Duration("duration", 0, "stop after this wall time (0 = unbounded)")
 	speedup := flag.Float64("speedup", 1, "replay arrivals this many times faster than real time")
 	scheduler := flag.String("scheduler", "deep", "scheduling method: deep|exclusive-hub|exclusive-regional|greedy-energy|min-ct|round-robin|random")
-	cold := flag.Bool("cold", false, "flush device layer caches before every simulation (opt out of the long-lived-service warm default)")
 	clusterSize := flag.Int("cluster", 1, "testbed device pairs (1 = the paper's two-device testbed)")
 	mixKind := flag.String("mix", "casestudy", "application mix: casestudy|synthetic")
 	tenants := flag.Int("tenants", 4, "synthetic mix: number of tenants")
@@ -174,15 +173,11 @@ func main() {
 	}
 
 	f := deep.NewFleet(deep.FleetConfig{
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		CacheSize:    *cacheSize,
-		NewScheduler: schedulerByName,
-		NewCluster:   func() *deep.Cluster { return deep.ScaledTestbed(*clusterSize) },
-		// The fleet defaults to warm simulation caches (a long-lived
-		// service keeps its image caches); -cold restores per-request
-		// flushing for one-shot-style measurements.
-		ColdCaches:    *cold,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		CacheSize:     *cacheSize,
+		NewScheduler:  schedulerByName,
+		NewCluster:    func() *deep.Cluster { return deep.ScaledTestbed(*clusterSize) },
 		SlowThreshold: *slowThreshold,
 		SlowRingSize:  *slowRing,
 	})
@@ -201,12 +196,8 @@ func main() {
 	if *cacheSize < 0 {
 		cacheLabel = "off"
 	}
-	simLabel := "warm"
-	if *cold {
-		simLabel = "cold"
-	}
-	fmt.Printf("deepfleet: workers=%d queue=%d cache=%s arrivals=%s cluster-pairs=%d scheduler=%s sim=%s\n",
-		*workers, *queue, cacheLabel, *arrivals, *clusterSize, *scheduler, simLabel)
+	fmt.Printf("deepfleet: workers=%d queue=%d cache=%s arrivals=%s cluster-pairs=%d scheduler=%s\n",
+		*workers, *queue, cacheLabel, *arrivals, *clusterSize, *scheduler)
 	start := time.Now()
 	report, err := deep.DriveFleet(ctx, f, deep.TrafficConfig{
 		Arrivals: proc,

@@ -266,16 +266,17 @@ func CompileAppTable(app *App) *AppTable { return appgraph.Compile(app) }
 // CompileSimPlanOnTables compiles a simulation plan over both substrates —
 // a shared AppTable and a shared ClusterTable — so neither side of the
 // (app, cluster) pair is re-derived (see examples/customapp). The tables
-// must come from the same app and an identically-shaped cluster (normally
-// the same one).
+// must come from the same app and from cluster itself: a warm run drives the
+// layer caches of the table's devices.
 func CompileSimPlanOnTables(at *AppTable, cluster *Cluster, table *ClusterTable) *SimPlan {
 	return sim.CompilePlanOnTables(at, cluster, table)
 }
 
 // NewSimExec returns a reusable simulator executor. Exec.Run(plan,
 // placement, opts) returns a Result owned by the executor (valid until the
-// next Run; Clone it to keep it), and allocates nothing once the layer
-// caches are warm. Not safe for concurrent use — one per worker.
+// next Run; Clone it to keep it), and allocates nothing once its scratch
+// has grown to the plan, cold or warm. Not safe for concurrent use — one per
+// worker.
 func NewSimExec() *SimExec { return sim.NewExec() }
 
 // Schedule compiles the cost model of app on cluster and computes a

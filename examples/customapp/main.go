@@ -167,8 +167,9 @@ func multiAppOneCluster() {
 			log.Fatal(err)
 		}
 		plan := deep.CompileSimPlanOnTables(at, cluster, table)
-		// Cold runs (the default flushes layer caches first) keep the rows
-		// comparable as standalone per-variant costs, whatever the order.
+		// Cold runs (the default starts from empty layer caches and leaves
+		// the cluster's alone) keep the rows comparable as standalone
+		// per-variant costs, whatever the order.
 		res, err := exec.Run(plan, placement, deep.Options{})
 		if err != nil {
 			log.Fatal(err)

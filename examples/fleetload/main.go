@@ -20,9 +20,9 @@ func main() {
 	}
 	mix = append(mix, deep.CaseStudyMix()...)
 
-	// Simulation runs with warm device layer caches by default — the fleet
-	// models a long-lived service whose clusters keep their image caches
-	// across requests. Set ColdCaches: true to flush before every run.
+	// Every simulation starts from empty device layer caches, so a
+	// deployment's energy and makespan depend only on its app, the cluster,
+	// its placement and its seed — not on which worker served it.
 	f := deep.NewFleet(deep.FleetConfig{
 		Workers:    4,
 		QueueDepth: 128,

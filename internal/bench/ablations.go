@@ -126,8 +126,9 @@ type CacheAblationRow struct {
 	DeployTime float64     // summed T_d
 }
 
-// CacheAblation runs the DEEP placement repeatedly with warm caches: the
-// second run should pull nothing.
+// CacheAblation runs the DEEP placement repeatedly with warm caches on a
+// fresh testbed: the first run starts from its empty caches, and the second
+// should pull nothing.
 func CacheAblation(appName string, runs int) ([]CacheAblationRow, error) {
 	cluster := workload.Testbed()
 	app := workload.VideoProcessing()
@@ -141,7 +142,7 @@ func CacheAblation(appName string, runs int) ([]CacheAblationRow, error) {
 	}
 	var rows []CacheAblationRow
 	for run := 0; run < runs; run++ {
-		res, err := sim.Run(app, cluster, p, sim.Options{WarmCaches: run > 0})
+		res, err := sim.Run(app, cluster, p, sim.Options{WarmCaches: true})
 		if err != nil {
 			return nil, err
 		}

@@ -102,8 +102,9 @@ func TestRecordedBaselinesParse(t *testing.T) {
 		"deep/synthetic16/scaled24/warm",
 		"sim/video/testbed/warm",
 		"sim/synthetic12/scaled50/cold",
-		"workers=4/cache=false/sim=cold",
-		"workers=4/cache=true/sim=warm",
+		"sim/video/testbed/exec_cold",
+		"workers=4/cache=false",
+		"workers=4/cache=true",
 		"StageRecord",
 	} {
 		if _, ok := got[want]; !ok {

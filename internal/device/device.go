@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 
 	"deep/internal/dag"
 	"deep/internal/energy"
@@ -24,10 +23,7 @@ type Device struct {
 	Storage units.Bytes // STOR_j
 	Power   energy.PowerModel
 
-	mu        sync.Mutex
-	usedMem   units.Bytes
-	usedStore units.Bytes
-	cache     *LayerCache
+	cache *LayerCache
 }
 
 // New constructs a device with a layer cache sized to its storage.
@@ -59,51 +55,6 @@ func (d *Device) CanRun(m *dag.Microservice) error {
 		return fmt.Errorf("device %s: %s needs %s storage, have %s", d.Name, m.Name, need, d.Storage)
 	}
 	return nil
-}
-
-// Reserve admits a microservice's memory and storage, or errors when the
-// remaining capacity is insufficient.
-func (d *Device) Reserve(m *dag.Microservice) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.usedMem+m.Req.Memory > d.Memory {
-		return fmt.Errorf("device %s: out of memory for %s (%s used of %s)", d.Name, m.Name, d.usedMem, d.Memory)
-	}
-	store := m.Req.Storage + m.ImageSize
-	if d.usedStore+store > d.Storage {
-		return fmt.Errorf("device %s: out of storage for %s (%s used of %s)", d.Name, m.Name, d.usedStore, d.Storage)
-	}
-	d.usedMem += m.Req.Memory
-	d.usedStore += store
-	return nil
-}
-
-// Release returns a microservice's reservation.
-func (d *Device) Release(m *dag.Microservice) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.usedMem -= m.Req.Memory
-	d.usedStore -= m.Req.Storage + m.ImageSize
-	if d.usedMem < 0 {
-		d.usedMem = 0
-	}
-	if d.usedStore < 0 {
-		d.usedStore = 0
-	}
-}
-
-// UsedMemory returns the memory currently reserved.
-func (d *Device) UsedMemory() units.Bytes {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.usedMem
-}
-
-// UsedStorage returns the storage currently reserved.
-func (d *Device) UsedStorage() units.Bytes {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.usedStore
 }
 
 // ProcessingTime returns T_p for the given load on this device.

@@ -96,34 +96,6 @@ func TestSameClass(t *testing.T) {
 	}
 }
 
-func TestReserveRelease(t *testing.T) {
-	d := testDevice()
-	m := &dag.Microservice{Name: "m", ImageSize: 2 * units.GB, Req: dag.Requirements{Memory: 4 * units.GB, Storage: units.GB}}
-	if err := d.Reserve(m); err != nil {
-		t.Fatal(err)
-	}
-	if d.UsedMemory() != 4*units.GB {
-		t.Errorf("used memory = %v", d.UsedMemory())
-	}
-	if d.UsedStorage() != 3*units.GB {
-		t.Errorf("used storage = %v", d.UsedStorage())
-	}
-	// A second large reservation should fail on memory.
-	m2 := &dag.Microservice{Name: "m2", Req: dag.Requirements{Memory: 6 * units.GB}}
-	if err := d.Reserve(m2); err == nil {
-		t.Error("over-reservation should fail")
-	}
-	d.Release(m)
-	if d.UsedMemory() != 0 || d.UsedStorage() != 0 {
-		t.Error("release did not restore capacity")
-	}
-	// Double release must not go negative.
-	d.Release(m)
-	if d.UsedMemory() != 0 {
-		t.Error("double release went negative")
-	}
-}
-
 func TestProcessingTime(t *testing.T) {
 	d := testDevice() // 1000 MI/s
 	if got := d.ProcessingTime(5000); got != 5 {
@@ -160,13 +132,6 @@ func TestLayerCacheBasics(t *testing.T) {
 	if c.Used() != 40 || c.Len() != 1 {
 		t.Errorf("used=%v len=%v", c.Used(), c.Len())
 	}
-	h, m := c.Stats()
-	if h != 1 || m != 1 {
-		t.Errorf("stats = %d/%d", h, m)
-	}
-	if r := c.HitRatio(); r != 0.5 {
-		t.Errorf("hit ratio = %v", r)
-	}
 }
 
 func TestLayerCacheEviction(t *testing.T) {
@@ -199,29 +164,6 @@ func TestLayerCacheOversized(t *testing.T) {
 	}
 }
 
-func TestLayerCachePinning(t *testing.T) {
-	c := NewLayerCache(100)
-	c.Put("a", 60)
-	if !c.Pin("a") {
-		t.Fatal("pin failed")
-	}
-	// a is pinned; inserting b (60) cannot evict it.
-	if c.Put("b", 60) {
-		t.Error("put should fail when only pinned entries could be evicted")
-	}
-	c.Unpin("a")
-	if !c.Put("b", 60) {
-		t.Error("put should succeed after unpin")
-	}
-	if c.Contains("a") {
-		t.Error("a should be evicted after unpin")
-	}
-	if c.Pin("missing") {
-		t.Error("pinning a missing digest should report false")
-	}
-	c.Unpin("missing") // must not panic
-}
-
 func TestLayerCacheRePutRefreshes(t *testing.T) {
 	c := NewLayerCache(100)
 	c.Put("a", 50)
@@ -239,7 +181,6 @@ func TestLayerCacheRePutRefreshes(t *testing.T) {
 func TestLayerCacheFlush(t *testing.T) {
 	c := NewLayerCache(100)
 	c.Put("a", 10)
-	c.Pin("a")
 	c.Flush()
 	if c.Len() != 0 || c.Used() != 0 {
 		t.Error("flush did not clear")
@@ -254,5 +195,104 @@ func TestLayerCacheInvariantNeverOverCapacity(t *testing.T) {
 		if c.Used() > c.Capacity() {
 			t.Fatalf("iteration %d: used %v > capacity %v", i, c.Used(), c.Capacity())
 		}
+	}
+}
+
+// TestLayerCacheMatchesReferenceLRU drives the index-linked cache and a
+// plain recency-ordered slice through one random sequence of lookups,
+// inserts and flushes: contents, byte use and eviction order must agree at
+// every step, so vacated slots reused from the free list never corrupt the
+// recency chain.
+func TestLayerCacheMatchesReferenceLRU(t *testing.T) {
+	type ref struct {
+		digest string
+		size   units.Bytes
+	}
+	var lru []ref // front = most recent
+	var used units.Bytes
+	const capacity = 300
+	find := func(d string) int {
+		for i, e := range lru {
+			if e.digest == d {
+				return i
+			}
+		}
+		return -1
+	}
+	touch := func(i int) {
+		e := lru[i]
+		lru = append(lru[:i], lru[i+1:]...)
+		lru = append([]ref{e}, lru...)
+	}
+
+	c := NewLayerCache(capacity)
+	rng := uint64(7)
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	for step := 0; step < 5000; step++ {
+		d := string(rune('a' + next(12)))
+		switch op := next(10); {
+		case op < 4:
+			want := find(d) >= 0
+			if want {
+				touch(find(d))
+			}
+			if got := c.Has(d); got != want {
+				t.Fatalf("step %d: Has(%s) = %v, want %v", step, d, got, want)
+			}
+		case op < 9:
+			size := units.Bytes(10 + next(120))
+			if i := find(d); i >= 0 {
+				touch(i)
+			} else {
+				for used+size > capacity {
+					used -= lru[len(lru)-1].size
+					lru = lru[:len(lru)-1]
+				}
+				lru = append([]ref{{d, size}}, lru...)
+				used += size
+			}
+			if !c.Put(d, size) {
+				t.Fatalf("step %d: Put(%s, %d) refused", step, d, size)
+			}
+		default:
+			lru, used = lru[:0], 0
+			c.Flush()
+		}
+		if c.Used() != used || c.Len() != len(lru) {
+			t.Fatalf("step %d: used=%v len=%d, want %v and %d", step, c.Used(), c.Len(), used, len(lru))
+		}
+		for _, e := range lru {
+			if !c.Contains(e.digest) {
+				t.Fatalf("step %d: %s evicted out of LRU order", step, e.digest)
+			}
+		}
+	}
+}
+
+// TestLayerCacheRefillAllocationFree: Reset keeps the cache's storage, so
+// emptying it and refilling it to the same shape allocates nothing — what a
+// cold simulation run does with each device's scratch cache.
+func TestLayerCacheRefillAllocationFree(t *testing.T) {
+	c := NewLayerCache(0)
+	digests := []string{"a", "b", "c", "d", "e", "f"}
+	fill := func() {
+		c.Reset(100)
+		for _, d := range digests {
+			if !c.Has(d) {
+				c.Put(d, 30) // evicts as it goes: 3 fit
+			}
+		}
+	}
+	fill()
+	if c.Capacity() != 100 || c.Len() != 3 || !c.Contains("f") || c.Contains("a") {
+		t.Fatalf("refill: capacity %v, %d entries", c.Capacity(), c.Len())
+	}
+	if n := testing.AllocsPerRun(20, fill); n != 0 {
+		t.Errorf("Reset and refill allocate %v times, want 0", n)
 	}
 }

@@ -20,9 +20,9 @@ import (
 // testFleet's Close): the pool stays empty, so every admitted caller waits.
 func stalledFleet(t *testing.T, cfg Config) (f *Fleet, unblock func()) {
 	block := make(chan struct{})
-	cfg.NewCluster = func() *sim.Cluster {
+	cfg.NewScheduler = func() sched.Scheduler {
 		<-block
-		return workload.Testbed()
+		return sched.NewDEEP()
 	}
 	f = testFleet(t, cfg)
 	var once sync.Once

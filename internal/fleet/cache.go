@@ -38,9 +38,9 @@ func FingerprintOf(app *dag.App, cluster *sim.Cluster, scheduler string) Fingerp
 
 // ClusterDigest is the precomputed canonical digest of one cluster. The
 // cluster side of a fingerprint is by far its most expensive part (device
-// power models, the topology link matrix) and is invariant for a fleet
-// worker's whole lifetime, so workers digest their private cluster once and
-// reuse it for every request.
+// power models, the topology link matrix) and is invariant for a churn
+// epoch's whole lifetime, so the fleet digests its cluster once and each
+// epoch derives its digest from that one.
 type ClusterDigest []byte
 
 // DigestCluster canonically digests a cluster.
@@ -308,18 +308,16 @@ func (c *placementCache) Stats() CacheStats {
 
 // compiledShape bundles everything the fleet compiles once per (app,
 // cluster) pair: the scheduler's cost model and the simulator's executor
-// plan. Both are
-// immutable and safe to share across the whole worker pool; workers rebind
-// the plan's device handles to their private clusters before executing
-// (workerState.planFor), so sharing the tables never shares cache state.
+// plan. Both are immutable and safe to share across the whole worker pool: a
+// fleet simulates cold, so a run keeps its layer caches in the worker's own
+// Exec and never writes the plan or the cluster behind it.
 //
 // That holds for a shape from the shared cache. A private shape is the
 // other kind: compiled into one worker's recycled scratch on the fleet's
 // first sight of its key (Fleet.shape), valid until that worker's next first
-// sight, and so never cached, memoized by identity, or referenced from a
-// Response. Nothing downstream tells the two kinds apart: the worker's one
-// scheduling pass is retargeted at either, and planFor passes a plan already
-// bound to the worker's own cluster through unmemoized.
+// sight, and so never cached or referenced from a Response. Nothing
+// downstream tells the two kinds apart: the worker's one scheduling pass is
+// retargeted at either, and its Exec runs either plan.
 type compiledShape struct {
 	model *costmodel.Model
 	plan  *sim.Plan
@@ -355,15 +353,15 @@ type compiledShape struct {
 // Compiled tables, models, and plans are immutable and safe for concurrent
 // ScheduleModel and Exec.Run calls, which is what makes sharing them across
 // the pool sound; cluster identity is part of every key (ModelKey folds the
-// cluster digest in), so a worker with a different cluster can never be
-// handed a stale shape.
+// cluster digest in), so a worker on another churn epoch can never be handed
+// a stale shape.
 type sharedModelCache struct {
 	shards []modelShard
 
-	// Cluster-table level, keyed by raw cluster digest bytes. Clusters are
-	// few (normally one per fleet — every worker runs Config.NewCluster),
-	// so one lock suffices; the FIFO bound only matters when callers churn
-	// through reconfigured clusters.
+	// Cluster-table level, keyed by raw cluster digest bytes. A fleet
+	// compiles one (its cluster's, in New; churn epochs patch that table
+	// instead), so one lock suffices; the FIFO bound only matters when
+	// callers churn through reconfigured clusters.
 	tablesMu   sync.Mutex
 	tables     map[string]*tableEntry
 	tableOrder []string
@@ -490,8 +488,8 @@ func (c *sharedModelCache) tableFor(cd ClusterDigest, compile func() *topo.Clust
 // appTableFor returns the compiled app table for the digest, running compile
 // at most once per cached digest fleet-wide: concurrent callers for the same
 // app all block on the first caller's compilation and share its result —
-// the DAG walks run once even when N workers compile the app against N
-// distinct clusters simultaneously.
+// the DAG walks run once even when workers compile the app against several
+// churn epochs' clusters simultaneously.
 func (c *sharedModelCache) appTableFor(ad Fingerprint, compile func() *appgraph.AppTable) *appgraph.AppTable {
 	c.appsMu.Lock()
 	e, ok := c.apps[ad]
@@ -623,10 +621,11 @@ func (c *sharedModelCache) purgeForCluster(cd ClusterDigest) int {
 // into a worker's private scratch (counted in Compiles and AppCompiles like
 // any other) and inserted nowhere, so Misses - FirstSight shapes were
 // compiled to be shared.
-// The Cluster* counters track the cluster-table level the same way: with N
-// workers on one shared cluster shape, ClusterCompiles stays at 1. The App*
-// counters track the app-table level: with N workers compiling one app
-// against N distinct clusters, AppCompiles stays at 1.
+// The Cluster* counters track the cluster-table level the same way: a fleet
+// compiles its one cluster's table in New, so ClusterCompiles stays at 1
+// (churn epochs patch it). The App* counters track the app-table level: with
+// workers compiling one app against N epochs' clusters, AppCompiles stays
+// at 1.
 type ModelCacheStats struct {
 	Hits     int64 `json:"hits"`
 	Misses   int64 `json:"misses"`

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
 	"deep/internal/chaos"
 	"deep/internal/sim"
@@ -59,9 +58,10 @@ func DeltaForEvent(ev chaos.Event) ChurnDelta {
 
 // churnState is one epoch's immutable view of the churned cluster: the down
 // sets, the incrementally patched cluster table, and the effective digest
-// keying every cache whose contents depend on the cluster. Workers adopt a
-// state by pointer (one atomic load and compare per request), so everything
-// here must stay read-only after publication.
+// keying every cache whose contents depend on the cluster (epoch 0 carries
+// the base cluster's own table and digest). Workers adopt a state by pointer
+// (one atomic load per request), so everything here must stay read-only
+// after publication.
 type churnState struct {
 	epoch    int64
 	downDevs map[string]bool
@@ -134,7 +134,6 @@ type ChurnStats struct {
 func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err error) {
 	f.churnMu.Lock()
 	defer f.churnMu.Unlock()
-	f.ensureBase()
 	prev := f.churn.Load()
 
 	for _, lists := range [][]string{delta.FailDevices, delta.RecoverDevices} {
@@ -229,12 +228,7 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 		next.table = f.baseTable
 		next.digest = f.baseDigest
 	} else {
-		from := prev.table
-		if from == nil {
-			// First churn ever: patch from the base table.
-			from = f.baseTable
-		}
-		next.table = from.Patch(f.churnView(next), topo.Delta{TouchedNodes: touchedNodes})
+		next.table = prev.table.Patch(f.churnView(next), topo.Delta{TouchedNodes: touchedNodes})
 		next.digest = f.effectiveDigest(next)
 	}
 
@@ -268,7 +262,7 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 	// the store keeps the window in which a worker still on the old epoch
 	// re-inserts a stray shape as small as possible; such a stray is
 	// harmless and reclaimed by the next purge or FIFO eviction.
-	if len(prev.digest) > 0 && !bytes.Equal(prev.digest, f.baseDigest) && !bytes.Equal(prev.digest, next.digest) {
+	if !bytes.Equal(prev.digest, f.baseDigest) && !bytes.Equal(prev.digest, next.digest) {
 		if n := f.models.purgeForCluster(prev.digest); n > 0 {
 			f.shapesPurged.Add(int64(n))
 		}
@@ -279,22 +273,6 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 // ApplyChaosEvent applies one chaos event as a churn delta.
 func (f *Fleet) ApplyChaosEvent(ev chaos.Event) (int64, int, error) {
 	return f.ApplyChurn(DeltaForEvent(ev))
-}
-
-// ensureBase lazily builds the fleet's canonical base cluster, its digest,
-// and its compiled table — the ancestor every churn patch derives from.
-// Called under churnMu; a fleet that never churns never runs it (and so
-// never pays the extra Config.NewCluster call). Workers see the base fields
-// through the published churn state's release/acquire edge.
-func (f *Fleet) ensureBase() {
-	if f.base != nil {
-		return
-	}
-	f.base = f.cfg.NewCluster()
-	f.baseDigest = DigestCluster(f.base)
-	f.baseTable = f.models.tableFor(f.baseDigest, func() *topo.ClusterTable {
-		return sim.CompileClusterTable(f.base)
-	})
 }
 
 // churnView assembles the effective cluster view for a churn state: the base
@@ -375,17 +353,3 @@ func sortedKeys(m map[string]bool) []string {
 // plus two re-schedules. Churn faster than three epochs within one request's
 // service time is a thrashing cluster, not a recoverable race.
 const churnMaxAttempts = 3
-
-// churnBackoffBase is the first retry's mean backoff; each further attempt
-// doubles it. Jitter (0–100% of the base, from the worker-local xorshift)
-// decorrelates workers retrying after the same churn event.
-const churnBackoffBase = 50 * time.Microsecond
-
-// backoff sleeps the jittered exponential backoff before retry `attempt`.
-func (w *workerState) backoff(attempt int) {
-	base := churnBackoffBase << attempt
-	w.rng ^= w.rng << 13
-	w.rng ^= w.rng >> 7
-	w.rng ^= w.rng << 17
-	time.Sleep(base + time.Duration(w.rng%uint64(base)))
-}

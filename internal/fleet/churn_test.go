@@ -470,7 +470,6 @@ func TestDegradationLadder(t *testing.T) {
 	cluster := workload.Testbed()
 	w := &workerState{
 		scheduler: sched.NewDEEP(),
-		cluster:   cluster,
 		exec:      sim.NewExec(),
 	}
 	app := workload.VideoProcessing()
@@ -531,7 +530,6 @@ func TestDegradationLadder(t *testing.T) {
 	// A non-pass scheduler has no cheaper rung: retries stay exact.
 	w2 := &workerState{
 		scheduler: sched.NewRoundRobin(),
-		cluster:   cluster,
 		exec:      sim.NewExec(),
 	}
 	if _, degraded, err := attemptOn(w2, 1, time.Time{}); err != nil {

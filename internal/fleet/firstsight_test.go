@@ -53,7 +53,7 @@ func scaled4() *sim.Cluster { return workload.ScaledTestbed(4) }
 // name) points into storage a later first sight overwrote.
 func TestFirstSightResponsesDoNotAliasScratch(t *testing.T) {
 	simOpts := sim.Options{Jitter: 0.02}
-	f := testFleet(t, Config{Workers: 1, NewCluster: scaled4, SimOptions: simOpts, ColdCaches: true})
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled4, SimOptions: simOpts})
 	const n = 48
 	apps := make([]*dag.App, n)
 	resps := make([]*Response, n)
@@ -92,7 +92,7 @@ func TestFirstSightResponsesDoNotAliasScratch(t *testing.T) {
 // reference bit for bit, on the degraded one a complete placement that
 // avoids the failed device.
 func TestFirstSightInterleavedUnderChurn(t *testing.T) {
-	f := testFleet(t, Config{Workers: 8, QueueDepth: 512, NewCluster: scaled4, ColdCaches: true})
+	f := testFleet(t, Config{Workers: 8, QueueDepth: 512, NewCluster: scaled4})
 	const failed = "medium-01"
 	hot := []*dag.App{workload.VideoProcessing(), workload.TextProcessing(), oneShot(t, 9, 7)}
 	type answer struct {

@@ -13,7 +13,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -50,8 +49,8 @@ var (
 // Config tunes a Fleet.
 type Config struct {
 	// Workers is the scheduler/simulator pool size (default 1). Each worker
-	// owns a private scheduler instance and a private cluster, so workers
-	// never contend on scheduler state or device layer caches.
+	// owns a private scheduler instance and simulator scratch; all of them
+	// read the fleet's one cluster, which no request mutates.
 	Workers int
 	// QueueDepth bounds the callers waiting for a worker (default 64): a
 	// caller that finds every worker busy takes one of QueueDepth waiter
@@ -64,24 +63,19 @@ type Config struct {
 	// on the worker's compiled model, so under churn it sees only the live
 	// devices and registries.
 	NewScheduler func() sched.Scheduler
-	// NewCluster constructs one cluster per worker (default
-	// workload.Testbed). Workers need private clusters because simulation
-	// mutates device layer caches.
+	// NewCluster constructs the fleet's cluster (default workload.Testbed).
+	// New calls it once; every worker schedules and simulates on that one
+	// cluster, and churn epochs derive from it.
 	NewCluster func() *sim.Cluster
 	// CacheSize bounds the placement LRU in entries. Zero means the
 	// default of 1024; a negative value disables placement memoization.
 	CacheSize int
-	// SimOptions apply to every simulation run; per-request seeds are
-	// folded in on top. A fleet is a long-lived service, so by default
-	// SimOptions.WarmCaches is forced on — device layer caches persist
-	// across requests, the way a real cluster's image caches do. Set
-	// ColdCaches to keep whatever WarmCaches value this carries.
+	// SimOptions carry the Seed and Jitter of every simulation run;
+	// per-request seeds are folded in on top. WarmCaches is cleared: every
+	// run starts from empty layer caches, as core.System.Deploy's does, so
+	// an answer depends on the app, the epoch's cluster, the placement and
+	// the seed, never on which worker ran it or what it ran before.
 	SimOptions sim.Options
-	// ColdCaches opts out of the warm-cache default: when true, SimOptions
-	// is taken verbatim (its zero value flushes every device layer cache
-	// before each run — the one-shot benchmarking behavior, not what a
-	// long-lived service wants).
-	ColdCaches bool
 	// Metrics receives per-tenant aggregates (default: a fresh registry).
 	// Its backing obs registry (Metrics.Obs) also carries the fleet's
 	// per-stage latency histograms and point-in-time gauges, so rendering
@@ -114,9 +108,7 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
-	if !c.ColdCaches {
-		c.SimOptions.WarmCaches = true
-	}
+	c.SimOptions.WarmCaches = false
 	if c.Metrics == nil {
 		c.Metrics = monitor.NewMetrics()
 	}
@@ -304,17 +296,16 @@ type Fleet struct {
 	failed    atomic.Int64
 	inFlight  atomic.Int64
 
-	// Churn machinery. base is the fleet's canonical cluster (one more
-	// Config.NewCluster call, made lazily by the first ApplyChurn) whose
-	// device handles intern every churn epoch's patched table;
-	// baseTable/baseDigest are its compiled substrate and digest, shared
-	// through the model cache with workers whose private clusters digest
-	// identically. All three are written under churnMu and published to
-	// workers through the churn pointer's release/acquire edge. chaosTopo
-	// is a lazy clone of the base topology that accumulates link
-	// degradations (mutated only under churnMu; the base topology is never
-	// touched, so restores read base bandwidths). churn is the published
-	// epoch state workers adopt with one atomic load per request.
+	// The cluster and churn machinery. base is the fleet's one cluster, made
+	// by New's only Config.NewCluster call: every shape compiles on it, and
+	// its device handles intern every churn epoch's patched table.
+	// baseTable/baseDigest are its compiled substrate and digest, which the
+	// epoch-0 state carries and a full recovery restores. All three are
+	// immutable after New. chaosTopo is a lazy clone of the base topology
+	// that accumulates link degradations (mutated only under churnMu; the
+	// base topology is never touched, so restores read base bandwidths).
+	// churn is the published epoch state workers adopt with one atomic load
+	// per request.
 	base       *sim.Cluster
 	baseDigest ClusterDigest
 	baseTable  *topo.ClusterTable
@@ -386,10 +377,11 @@ func (f *Fleet) putJob(j *job) {
 	f.jobPool.Put(j)
 }
 
-// New starts a fleet with the given config. Each worker is set up on its own
-// goroutine and joins the pool when ready, so New does not wait for
-// Config.NewCluster; a caller that arrives first waits for a worker like any
-// other.
+// New starts a fleet with the given config. It builds the fleet's cluster
+// (Config.NewCluster, once) and its compiled table; each worker is then set
+// up on its own goroutine and joins the pool when ready, so New does not wait
+// for Config.NewScheduler, and a caller that arrives first waits for a worker
+// like any other.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
@@ -408,16 +400,20 @@ func New(cfg Config) *Fleet {
 	f.solverBestResponse = reg.Counter("fleet_solver_path_total{path=best_response}")
 	f.solverNonconverged = reg.Counter("fleet_solver_nonconverged_total")
 	reg.OnCollect(f.collectGauges)
-	// Epoch 0 is the pristine pre-churn state: nil table and digest mean
-	// "every worker keeps its own substrate". The fleet's canonical base
-	// cluster is built lazily on the first ApplyChurn (ensureBase), so a
-	// fleet that never churns never pays for it.
-	f.churn.Store(&churnState{})
+	f.base = cfg.NewCluster()
+	f.baseDigest = DigestCluster(f.base)
+	f.baseTable = f.models.tableFor(f.baseDigest, func() *topo.ClusterTable {
+		return sim.CompileClusterTable(f.base)
+	})
+	// Epoch 0 is the pristine pre-churn state: the base cluster exactly.
+	f.churn.Store(&churnState{table: f.baseTable, digest: f.baseDigest})
 	f.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go func() {
 			defer f.wg.Done()
-			f.idle <- f.newWorker(i)
+			// The worker index doubles as the obs shard, so concurrent
+			// borrowers never contend on an instrument cache line.
+			f.idle <- &workerState{scheduler: cfg.NewScheduler(), shard: i, exec: sim.NewExec()}
 		}()
 	}
 	return f
@@ -781,17 +777,14 @@ func (f *Fleet) Close() {
 	f.wg.Wait()
 }
 
-// workerState is the per-worker context: a private scheduler and cluster
-// (simulation mutates device layer caches), the cluster digest computed
-// once, the shared cluster table resolved once against that digest, a pooled
+// workerState is the per-worker context: a private scheduler, a pooled
 // simulator Exec, and one scheduler pass retargeted at each request's model.
-// Compiled tables, models, and plans that are seen again live in the
-// fleet-wide shared cache, not here: hot tenants compile once per fleet
-// rather than once per worker. Only first sights compile here.
+// The cluster is the fleet's, read through the adopted churn state; compiled
+// tables, models, and plans that are seen again live in the fleet-wide
+// shared cache, not here: hot tenants compile once per fleet rather than
+// once per worker. Only first sights compile here.
 type workerState struct {
-	scheduler     sched.Scheduler
-	cluster       *sim.Cluster
-	clusterDigest ClusterDigest
+	scheduler sched.Scheduler
 	// shard is this worker's obs shard index: whoever borrows the worker
 	// records its counters and histogram observations on the worker's own
 	// cache line.
@@ -800,18 +793,13 @@ type workerState struct {
 	// at the top of every request so failure short-circuits leave the
 	// untouched stages at zero rather than at the prior request's values.
 	trace obs.StageTrace
-	// table is the cluster-side compiled substrate every app-side compile
-	// for this worker builds on; workers with digest-identical clusters
-	// (the normal case) share one, resolved through the fleet-wide cache.
-	table *topo.ClusterTable
 	exec  *sim.Exec
 
 	// apps and shapes are the worker's own storage for shapes the fleet sees
 	// for the first time (sharedModelCache's second-sight rule): the app
 	// table, model and plan are compiled into them, used for that one
 	// request, and overwritten by the next first sight. Nothing compiled
-	// there enters the shared cache or plans, and nothing in a Response may
-	// alias it.
+	// there enters the shared cache, and nothing in a Response may alias it.
 	apps   appgraph.Scratch
 	shapes costmodel.Scratch
 
@@ -820,47 +808,16 @@ type workerState struct {
 	// (passFor); it keeps nothing of a model between requests but its
 	// scratch, game arena included.
 	pass *sched.Pass
-	// plans memoizes shared plans rebound to this worker's own cluster:
-	// simulation drives (and on cold runs flushes) device layer caches, so
-	// each worker must execute against its private devices even when the
-	// compiled tables are shared fleet-wide.
-	plans map[*sim.Plan]*sim.Plan
 
-	// Churn adoption. churn is the last-adopted epoch state (one pointer
-	// compare per request decides whether anything changed); ownDigest is
-	// the private cluster's immutable digest, kept so adoption can check
-	// compatibility with the fleet's base — when they differ (a
-	// non-deterministic Config.NewCluster) the worker keeps its own
-	// substrate and only the stale-placement gate protects it. fallback is
-	// the lazily built best-response scheduler for the degradation ladder;
-	// exactDur tracks the last exact schedule's duration for deadline
-	// triage; rng seeds the retry backoff jitter.
-	churn     *churnState
-	ownDigest ClusterDigest
-	fallback  sched.Scheduler
-	exactDur  time.Duration
-	rng       uint64
-}
-
-// adopt installs a published churn state on the worker: the patched cluster
-// table every model compiles on (so schedulers never see a down device or
-// registry) and the effective digest every cache key folds in. Runs only
-// when the epoch pointer changed, so the steady-state request path pays one
-// atomic load and one compare. Reading the fleet's base fields here is safe
-// without churnMu: they are written before the state pointer is published
-// and read only after it is observed.
-func (w *workerState) adopt(f *Fleet, st *churnState) {
-	w.churn = st
-	if st.table == nil {
-		// The pristine epoch-0 state: the worker's own substrate is already
-		// exactly right.
-		return
-	}
-	if !bytes.Equal(w.ownDigest, f.baseDigest) {
-		return
-	}
-	w.table = st.table
-	w.clusterDigest = st.digest
+	// churn is the epoch state the current request runs on: its patched
+	// cluster table every model compiles on (so schedulers never see a down
+	// device or registry) and its effective digest every cache key folds
+	// in. fallback is the lazily built best-response scheduler for the
+	// degradation ladder; exactDur tracks the last exact schedule's duration
+	// for deadline triage.
+	churn    *churnState
+	fallback sched.Scheduler
+	exactDur time.Duration
 }
 
 // fallbackScheduler returns the degraded-rung scheduler: DEEP with every
@@ -887,38 +844,6 @@ const modelCacheSize = 256
 // more than the cache can hold (a key that returns later than that would be
 // evicted before its third sight anyway) and no more.
 const shapeFilterSlots = 4 * modelCacheSize
-
-// planMemoCap bounds each worker's rebound-plan memo (workerState.plans). It
-// is keyed by shared-plan identity, so it normally tracks the shared shape
-// cache; the cap matters when that cache is churning (fresh identities per
-// request): planFor then drops one arbitrary entry per insertion instead of
-// growing without bound — hot entries survive and evicted shared-cache plans
-// are not pinned indefinitely.
-const planMemoCap = 64
-
-// newWorker builds worker i: its own scheduler and cluster, and the shared
-// cluster-side tables it compiles on. The worker index doubles as the obs
-// shard, so concurrent borrowers never contend on an instrument cache line.
-func (f *Fleet) newWorker(i int) *workerState {
-	cluster := f.cfg.NewCluster()
-	w := &workerState{
-		scheduler:     f.cfg.NewScheduler(),
-		cluster:       cluster,
-		clusterDigest: DigestCluster(cluster),
-		shard:         i,
-		exec:          sim.NewExec(),
-		plans:         make(map[*sim.Plan]*sim.Plan),
-		rng:           uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
-	}
-	// Resolve the cluster-side compiled substrate once per worker lifetime:
-	// the first worker per cluster digest compiles it, the rest share it.
-	w.table = f.models.tableFor(w.clusterDigest, func() *topo.ClusterTable {
-		return sim.CompileClusterTable(cluster)
-	})
-	w.ownDigest = w.clusterDigest
-	w.adopt(f, f.churn.Load())
-	return w
-}
 
 // deliver closes out one answered request: the fleet counters, and the
 // per-stage and per-tenant telemetry on the given obs shard (the serving
@@ -1012,82 +937,52 @@ func (f *Fleet) scheduleAttempt(w *workerState, j *job, shape compiledShape, att
 // shape returns the request's compiled model and executor plan: the model
 // every scheduler reads and the plan every request simulates on. A shape the
 // fleet has seen before comes from the fleet-wide cache, compiled fresh on
-// its second sight and shared from then on: the key folds in the worker's
-// own cluster digest, so workers with identical clusters (the normal case —
-// every worker runs Config.NewCluster) share one compiled shape per app, and
-// a reconfigured cluster can never alias another's shapes. A shape seen for the first time — at the edge the common
-// request, and most never return — is compiled into the worker's recycled
-// scratch instead, valid for this request only, so it allocates nothing and
-// retains nothing.
+// its second sight and shared from then on: the key folds in the epoch's
+// cluster digest, so one compiled shape per app serves every worker, and a
+// churned cluster can never alias another epoch's shapes. A shape seen for
+// the first time — at the edge the common request, and most never return —
+// is compiled into the worker's recycled scratch instead, valid for this
+// request only, so it allocates nothing and retains nothing.
 func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compiledShape {
-	s, seen := f.models.getOrCompile(fingerprint(w.clusterDigest, appDigest, ""), w.clusterDigest, func() compiledShape {
+	st := w.churn
+	s, seen := f.models.getOrCompile(fingerprint(st.digest, appDigest, ""), st.digest, func() compiledShape {
 		at := f.models.appTableFor(appDigest, func() *appgraph.AppTable {
 			return appgraph.Compile(app)
 		})
-		return w.compileOn(at, new(costmodel.Scratch))
+		return f.compileOn(st, at, new(costmodel.Scratch))
 	})
 	if !seen {
-		s = w.compileOn(w.apps.Compile(app), &w.shapes)
+		s = f.compileOn(st, w.apps.Compile(app), &w.shapes)
 	}
 	return s
 }
 
-// compileOn compiles the shape of (at, the worker's cluster) into the given
-// storage — fresh for a shape to be shared, the worker's own for a private
+// compileOn compiles the shape of (at, the epoch's cluster) into the given
+// storage — fresh for a shape to be shared, a worker's own for a private
 // one. Cross-product passes only: the cluster-side tables come precompiled
-// from the worker's shared cluster table and the app-side structure from
-// the app table, so a cold shape pays neither the O(devices²) topology scans
-// nor a second round of DAG walks — one fused pricing walk emits the model
-// and the plan together.
-func (w *workerState) compileOn(at *appgraph.AppTable, into *costmodel.Scratch) compiledShape {
+// in the epoch's cluster table and the app-side structure from the app
+// table, so a cold shape pays neither the O(devices²) topology scans nor a
+// second round of DAG walks — one fused pricing walk emits the model and the
+// plan together.
+func (f *Fleet) compileOn(st *churnState, at *appgraph.AppTable, into *costmodel.Scratch) compiledShape {
 	var s compiledShape
-	s.model, s.plan = into.CompileShapeOn(at, w.cluster, w.table)
+	s.model, s.plan = into.CompileShapeOn(at, f.base, st.table)
 	return s
-}
-
-// planFor resolves the shared plan against the worker's own cluster: the
-// compiled tables stay shared, but the device handles (whose layer caches
-// the Exec drives and flushes) must be the worker's private ones. The
-// rebinding is memoized per shared plan; a plan already bound to this
-// worker's cluster (this worker compiled it — every private plan is)
-// passes through untouched and unmemoized.
-func (w *workerState) planFor(app *dag.App, shared *sim.Plan) *sim.Plan {
-	if bound, ok := w.plans[shared]; ok {
-		return bound
-	}
-	bound, ok := shared.Rebind(w.cluster)
-	if !ok {
-		// Shape mismatch (cannot happen while keys fold the cluster digest
-		// in): fall back to a private compilation.
-		bound = sim.CompilePlan(app, w.cluster)
-	}
-	if bound == shared {
-		return shared
-	}
-	if len(w.plans) >= planMemoCap {
-		for k := range w.plans {
-			delete(w.plans, k)
-			break
-		}
-	}
-	w.plans[shared] = bound
-	return bound
 }
 
 // process runs the (possibly memoized) schedule-then-simulate pipeline for
-// one job on the worker's private scheduler and cluster, stamping each
-// stage's wall time into the worker's reusable trace as it goes. In steady
-// state — shape cache hot, placement memoized or pass reused, layer caches
-// warm, no churn in flight — the whole path allocates only the response
-// plumbing and the caller-owned placement and result copies; the stamping
-// itself is monotonic-clock reads into a fixed array, alloc-free, and churn
-// awareness costs one atomic load and one pointer compare.
+// one job on the worker's private scheduler, stamping each stage's wall time
+// into the worker's reusable trace as it goes. In steady state — shape cache
+// hot, placement memoized or pass reused, no churn in flight — the whole path
+// allocates nothing once the job pool is full; the stamping itself is
+// monotonic-clock reads into a fixed array, and churn awareness costs one
+// atomic load.
 //
 // Under churn the path loops: every computed or cached placement is
 // re-validated against the latest published epoch before it is served, and a
-// placement caught referencing crashed hardware is purged and re-scheduled
-// (bounded retries, jittered backoff, degraded-scheduler rung on retry).
-// Stage stamps accumulate across attempts.
+// placement caught referencing crashed hardware is purged and re-scheduled on
+// the latest epoch at once (bounded retries, degraded-scheduler rung on
+// retry). Stage stamps accumulate across attempts.
 func (f *Fleet) process(w *workerState, j *job) *Response {
 	start := time.Now()
 	w.trace.Reset()
@@ -1096,9 +991,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	resp.QueueWait = w.trace.D[obs.StageQueue]
 	deadline := j.deadline()
 
-	if st := f.churn.Load(); st != w.churn {
-		w.adopt(f, st)
-	}
+	w.churn = f.churn.Load()
 
 	// Memoized on the app: only the first request to carry this *dag.App
 	// pays the sha256 pass over it.
@@ -1110,7 +1003,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	var view PlacementView
 	var hit bool
 	for attempt := 0; ; attempt++ {
-		key := fingerprint(w.clusterDigest, appDigest, w.scheduler.Name())
+		key := fingerprint(w.churn.digest, appDigest, w.scheduler.Name())
 		shape = f.shape(w, j.req.App, appDigest)
 		now := time.Now()
 		w.trace.D[obs.StageCompile] += now.Sub(mark)
@@ -1162,8 +1055,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 				return f.finish(w, resp, j)
 			}
 			f.reschedules.Add(1)
-			w.backoff(attempt)
-			w.adopt(f, f.churn.Load())
+			w.churn = latest
 			mark = time.Now()
 			continue
 		}
@@ -1184,7 +1076,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	}
 	opts := f.cfg.SimOptions
 	opts.Seed += j.req.Seed
-	result, err := w.exec.RunIndexed(w.planFor(j.req.App, shape.plan), view.names, view.assigns, opts)
+	result, err := w.exec.RunIndexed(shape.plan, view.names, view.assigns, opts)
 	w.trace.D[obs.StageSim] = time.Since(mark)
 	if err != nil {
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, err)

@@ -37,27 +37,6 @@ func testFleet(t *testing.T, cfg Config) *Fleet {
 	return f
 }
 
-// waitWorkersStarted blocks until every worker goroutine has resolved its
-// cluster table — the one shared-cache lookup each worker performs before
-// serving. A worker the runtime has not scheduled yet has not counted its
-// lookup, so a test that pins exact cluster-table stats must wait here
-// first; the wait is bounded.
-func waitWorkersStarted(t *testing.T, f *Fleet) {
-	t.Helper()
-	want := int64(f.Workers())
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := f.Stats().ModelCache
-		if s.ClusterHits+s.ClusterMisses >= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("workers still starting after 5s: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestDoVideoAndText(t *testing.T) {
 	f := testFleet(t, Config{Workers: 2})
 	for _, app := range []*dag.App{workload.VideoProcessing(), workload.TextProcessing()} {
@@ -333,14 +312,9 @@ func TestStress(t *testing.T) {
 // TestQueueFullRejection fills the waiter slots deterministically with a
 // stalled worker pool and checks rejections are surfaced and counted.
 func TestQueueFullRejection(t *testing.T) {
-	block := make(chan struct{})
-	slowCluster := func() *sim.Cluster {
-		<-block // stall worker setup: the pool stays empty, so every caller waits
-		return workload.Testbed()
-	}
-	f := testFleet(t, Config{Workers: 1, QueueDepth: 2, NewCluster: slowCluster})
+	f, unblock := stalledFleet(t, Config{Workers: 1, QueueDepth: 2})
 	defer func() {
-		close(block)
+		unblock()
 		f.Close()
 	}()
 
@@ -537,12 +511,8 @@ func TestDriveOffersItsRate(t *testing.T) {
 		scheduled++
 	}
 
-	block := make(chan struct{})
-	f := testFleet(t, Config{Workers: 1, QueueDepth: 1, NewCluster: func() *sim.Cluster {
-		<-block
-		return workload.Testbed()
-	}})
-	time.AfterFunc(window, func() { close(block) })
+	f, unblock := stalledFleet(t, Config{Workers: 1, QueueDepth: 1})
+	time.AfterFunc(window, unblock)
 	report, err := Drive(context.Background(), f, TrafficConfig{
 		Arrivals: &seededArrivals{p: p, rng: rand.New(rand.NewSource(seed))},
 		Mix:      CaseStudyMix(),

@@ -1,0 +1,109 @@
+package fleet
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"deep/internal/core"
+	"deep/internal/dag"
+	"deep/internal/sim"
+	"deep/internal/workload"
+)
+
+// effectiveCluster is the cluster a churn epoch describes, built the way a
+// library caller would: a fresh base cluster minus the down devices and
+// registries.
+func effectiveCluster(base func() *sim.Cluster, downDevs, downRegs map[string]bool) *sim.Cluster {
+	c := base()
+	devs := c.Devices[:0]
+	for _, d := range c.Devices {
+		if !downDevs[d.Name] {
+			devs = append(devs, d)
+		}
+	}
+	c.Devices = devs
+	regs := c.Registries[:0]
+	for _, r := range c.Registries {
+		if !downRegs[r.Name] {
+			regs = append(regs, r)
+		}
+	}
+	c.Registries = regs
+	return c
+}
+
+// TestEveryAnswerIsCoreDeploy: a deploy's answer is a function of the app,
+// the epoch's cluster, the placement and the seed. On 1, 2 and 8 workers,
+// across repeated calls and concurrent callers (so the pool lends workers in
+// varying order) and across a device crash, its recovery and a registry
+// outage, every Result equals core.System.Deploy's on that epoch's effective
+// cluster, bit for bit — the library pipeline the paper's figures run.
+func TestEveryAnswerIsCoreDeploy(t *testing.T) {
+	synth, err := workload.Generate(workload.DefaultGeneratorConfig(16, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing(), synth}
+	epochs := []struct {
+		name               string
+		delta              ChurnDelta
+		downDevs, downRegs map[string]bool
+	}{
+		{"base", ChurnDelta{}, nil, nil},
+		{"crash", ChurnDelta{FailDevices: []string{"medium-00"}}, map[string]bool{"medium-00": true}, nil},
+		{"recover", ChurnDelta{RecoverDevices: []string{"medium-00"}}, nil, nil},
+		{"outage", ChurnDelta{FailRegistries: []string{"regional"}}, nil, map[string]bool{"regional": true}},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			f := testFleet(t, Config{Workers: workers, QueueDepth: 256, NewCluster: scaled2})
+			for i, ep := range epochs {
+				if i > 0 {
+					if _, _, err := f.ApplyChurn(ep.delta); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := make([]*sim.Result, len(apps))
+				for k, app := range apps {
+					dep, err := core.NewSystem(effectiveCluster(scaled2, ep.downDevs, ep.downRegs)).Deploy(app)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[k] = dep.Result
+				}
+				check := func(call string, k int) {
+					resp, err := f.Do(context.Background(), Request{App: apps[k], Seed: int64(k)})
+					if err != nil || resp.Err != nil {
+						t.Error(err, resp)
+						return
+					}
+					defer resp.Release()
+					if !reflect.DeepEqual(resp.Result, want[k]) {
+						t.Errorf("%s %s %s: fleet answered %.6g s / %.6g J, core %.6g s / %.6g J",
+							ep.name, call, apps[k].Name, resp.Result.Makespan, float64(resp.Result.TotalEnergy),
+							want[k].Makespan, float64(want[k].TotalEnergy))
+					}
+				}
+				for call := 0; call < 5; call++ {
+					for k := range apps {
+						check(fmt.Sprintf("call %d", call), k)
+					}
+				}
+				var wg sync.WaitGroup
+				for c := 0; c < 2*workers+1; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for call := 0; call < 3; call++ {
+							check(fmt.Sprintf("caller %d call %d", c, call), (c+call)%len(apps))
+						}
+					}()
+				}
+				wg.Wait()
+			}
+		})
+	}
+}

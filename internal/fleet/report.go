@@ -39,11 +39,6 @@ type Report struct {
 	Arrivals string        `json:"arrivals"`
 	Elapsed  time.Duration `json:"elapsed"`
 
-	// SimWarm reports the fleet's simulation cache mode for the session:
-	// true (the long-lived-service default) keeps device layer caches warm
-	// across requests; false (Config.ColdCaches) flushes them per request.
-	SimWarm bool `json:"sim_warm"`
-
 	// Attempts counts every submission the driver tried; Rejected the
 	// queue-full rejections among them.
 	Attempts  int `json:"attempts"`
@@ -217,11 +212,7 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 // String renders the report as the deepfleet CLI prints it.
 func (r *Report) String() string {
 	var b strings.Builder
-	sim := "warm (long-lived service default)"
-	if !r.SimWarm {
-		sim = "cold (per-request cache flush)"
-	}
-	fmt.Fprintf(&b, "arrivals=%s elapsed=%s sim=%s\n", r.Arrivals, r.Elapsed.Round(time.Millisecond), sim)
+	fmt.Fprintf(&b, "arrivals=%s elapsed=%s\n", r.Arrivals, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(&b, "requests: attempted=%d completed=%d rejected=%d failed=%d\n",
 		r.Attempts, r.Completed, r.Rejected, r.Failed)
 	fmt.Fprintf(&b, "throughput: %.1f req/s completed (%.1f req/s offered)\n", r.Throughput, r.OfferedRate)

@@ -269,15 +269,14 @@ func TestClusterTableSingleflight(t *testing.T) {
 }
 
 // TestFleetCompilesClusterOnce pins the two-level cache's outer level: 8
-// workers sharing one cluster shape under many distinct app shapes (with
-// placement memoization off, so every request schedules) perform exactly one
-// topo.Compile for the whole fleet — one cluster-table miss from the first
-// worker up, seven hits from the rest — while the inner level still compiles
+// workers sharing the fleet's one cluster under many distinct app shapes
+// (with placement memoization off, so every request schedules) perform
+// exactly one topo.Compile for the whole fleet — New's one cluster-table
+// miss, and no worker asks again — while the inner level still compiles
 // once per app shape.
 func TestFleetCompilesClusterOnce(t *testing.T) {
 	const workers = 8
 	f := testFleet(t, Config{Workers: workers, QueueDepth: 256, CacheSize: -1})
-	waitWorkersStarted(t, f)
 
 	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing()}
 	for i := 0; i < 6; i++ {
@@ -310,8 +309,8 @@ func TestFleetCompilesClusterOnce(t *testing.T) {
 		t.Errorf("%d cluster-table compilations across %d workers, want 1 (stats: %+v)",
 			s.ClusterCompiles, workers, s)
 	}
-	if s.ClusterMisses != 1 || s.ClusterHits != workers-1 {
-		t.Errorf("cluster-table misses=%d hits=%d, want 1 and %d", s.ClusterMisses, s.ClusterHits, workers-1)
+	if s.ClusterMisses != 1 || s.ClusterHits != 0 {
+		t.Errorf("cluster-table misses=%d hits=%d, want 1 and 0", s.ClusterMisses, s.ClusterHits)
 	}
 	if s.ClusterEntries != 1 {
 		t.Errorf("%d cluster-table entries, want 1", s.ClusterEntries)
@@ -468,62 +467,70 @@ func TestAppTableSingleflight(t *testing.T) {
 }
 
 // TestFleetCompilesAppOnce pins the three-level cache's app level: 8 workers
-// each holding a *distinct* cluster (so nothing else is shared — every
-// worker's shape key and cluster table differ) submit the same app, and the
+// serve the same app on 8 churn epochs, each a cluster with a digest of its
+// own (so nothing else is shared — every epoch's shape key differs), and the
 // whole fleet performs exactly one shared appgraph.Compile: the DAG
 // validation, topo order, and stage partition run once and every shared
-// per-cluster shape compile layers over that one table. (Each of the 8 keys
-// is also sighted once first, compiled into its worker's private scratch,
-// app table included; those are FirstSight and touch no level.)
+// per-epoch shape compile layers over that one table. (Each of the 8 keys is
+// also sighted once first, compiled into its worker's private scratch, app
+// table included; those are FirstSight and touch no level.)
 func TestFleetCompilesAppOnce(t *testing.T) {
-	const workers = 8
-	var next atomic.Int64
+	const workers, epochs = 8, 8
 	f := testFleet(t, Config{
 		Workers:    workers,
 		QueueDepth: 256,
 		CacheSize:  -1,
-		NewCluster: func() *sim.Cluster {
-			// Distinct scale per worker: 8 different cluster digests.
-			return workload.ScaledTestbed(int(next.Add(1)))
-		},
+		NewCluster: func() *sim.Cluster { return workload.ScaledTestbed(epochs) },
 	})
-	waitWorkersStarted(t, f)
 
 	app := workload.VideoProcessing()
-	var wg sync.WaitGroup
-	for i := 0; i < 320; i++ {
-		ch, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", i%4), App: app, Seed: int64(i)})
-		if err != nil {
-			continue // bounded queue; coverage doesn't need every request
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if resp := <-ch; resp.Err != nil {
-				t.Error(resp.Err)
+	digests := map[string]bool{}
+	for epoch := 0; epoch < epochs; epoch++ {
+		if epoch > 0 {
+			// Each crash adds a device to the down set: a new effective digest.
+			if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{fmt.Sprintf("medium-%02d", epoch-1)}}); err != nil {
+				t.Fatal(err)
 			}
-		}()
+		}
+		digests[string(f.churn.Load().digest)] = true
+		var wg sync.WaitGroup
+		for i := 0; i < 40; i++ {
+			ch, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", i%4), App: app, Seed: int64(i)})
+			if err != nil {
+				continue // bounded queue; coverage doesn't need every request
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if resp := <-ch; resp.Err != nil {
+					t.Error(resp.Err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	if len(digests) != epochs {
+		t.Fatalf("%d epochs produced %d distinct cluster digests", epochs, len(digests))
+	}
 
 	s := f.Stats().ModelCache
-	if s.FirstSight != workers {
-		t.Errorf("%d first sights for %d distinct shape keys (stats: %+v)", s.FirstSight, workers, s)
+	if s.FirstSight != epochs {
+		t.Errorf("%d first sights for %d distinct shape keys (stats: %+v)", s.FirstSight, epochs, s)
 	}
 	// Net of the private compiles, which count on every level they stand in for.
 	s.Compiles -= s.FirstSight
 	s.AppCompiles -= s.FirstSight
 	s.AppMisses -= s.FirstSight
 	if s.AppCompiles != 1 {
-		t.Errorf("%d shared appgraph.Compile runs across %d workers, want exactly 1 (stats: %+v)",
-			s.AppCompiles, workers, s)
+		t.Errorf("%d shared appgraph.Compile runs across %d epochs, want exactly 1 (stats: %+v)",
+			s.AppCompiles, epochs, s)
 	}
 	if s.AppEntries != 1 {
 		t.Errorf("%d app-table entries, want 1", s.AppEntries)
 	}
-	// 8 distinct digests, 8 compiles, no sharing on the cluster side.
-	if s.ClusterCompiles != workers {
-		t.Errorf("%d cluster-table compilations, want %d (distinct clusters)", s.ClusterCompiles, workers)
+	// One cluster, compiled once; every epoch patched its table.
+	if s.ClusterCompiles != 1 {
+		t.Errorf("%d cluster-table compilations, want 1 (epochs patch)", s.ClusterCompiles)
 	}
 	// Every shape compile asked the app level for the same digest: one miss
 	// (the compile), the rest hits.

@@ -272,7 +272,6 @@ drive:
 	cache.Misses -= cacheBefore.Misses
 	cache.Evictions -= cacheBefore.Evictions
 	report := buildReport(cfg.Arrivals.Name(), attempts, rejected, elapsed, responses, cache)
-	report.SimWarm = f.cfg.SimOptions.WarmCaches
 	if cfg.Chaos != nil {
 		report.Churn = buildChurnReport(eventsFired, churnBefore, f.Stats().Churn, responses)
 	}

@@ -21,13 +21,11 @@ import (
 // independent compile, the pass is never reallocated, and once it has grown
 // to the largest model a schedule allocates nothing.
 func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1})
-	cluster := scaled4()
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled4})
+	cluster := f.base
 	w := &workerState{
 		scheduler: sched.NewDEEP(),
-		cluster:   cluster,
 		exec:      sim.NewExec(),
-		table:     sim.CompileClusterTable(cluster),
 	}
 	fresh := func(app *dag.App) sim.Placement {
 		t.Helper()
@@ -41,7 +39,7 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 		return compiledShape{model: costmodel.Compile(app, cluster)}
 	}
 	firstSight := func(app *dag.App) compiledShape {
-		return w.compileOn(w.apps.Compile(app), &w.shapes)
+		return f.compileOn(f.churn.Load(), w.apps.Compile(app), &w.shapes)
 	}
 	video, text := workload.VideoProcessing(), workload.TextProcessing()
 	videoShape, textShape := shared(video), shared(text)
@@ -96,34 +94,6 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 	}
 }
 
-// TestWorkerPlanMemoBounded: the rebound-plan memo serves a repeated shared
-// plan from the map, never memoizes a plan already bound to the worker's own
-// cluster, and at its cap evicts instead of growing (shared shapes churning
-// through the cache hand the worker a fresh plan identity per request).
-func TestWorkerPlanMemoBounded(t *testing.T) {
-	app := workload.VideoProcessing()
-	own, other := workload.Testbed(), workload.Testbed()
-	w := &workerState{cluster: own, plans: make(map[*sim.Plan]*sim.Plan)}
-
-	shared := sim.CompilePlan(app, other)
-	bound := w.planFor(app, shared)
-	if bound == shared || bound.Cluster() != own {
-		t.Fatal("a shared plan was not rebound to the worker's own cluster")
-	}
-	if again := w.planFor(app, shared); again != bound || len(w.plans) != 1 {
-		t.Fatalf("second lookup rebound again (memo holds %d)", len(w.plans))
-	}
-	if mine := sim.CompilePlan(app, own); w.planFor(app, mine) != mine || len(w.plans) != 1 {
-		t.Fatalf("a plan bound to the worker's own cluster was copied or memoized (memo holds %d)", len(w.plans))
-	}
-	for i := 0; i < planMemoCap+10; i++ {
-		w.planFor(app, sim.CompilePlan(app, other)) // fresh identity each time
-		if len(w.plans) > planMemoCap {
-			t.Fatalf("memo grew to %d entries, cap is %d", len(w.plans), planMemoCap)
-		}
-	}
-}
-
 // TestShapeCacheDistinguishesAppNames: two structurally identical apps
 // under different names must not alias one compiled shape — the simulator
 // labels results (and keys jitter) by app name.
@@ -159,14 +129,13 @@ func TestShapeCacheDistinguishesAppNames(t *testing.T) {
 	}
 }
 
-// TestWorkersSimulateOnPrivateClusters: with several workers hammering one
-// hot shape cold (ColdCaches opts out of the warm default, so every run
-// flushes), every response must be bit-identical to a standalone cold
-// sim.Run — shared compiled plans must not share device layer caches across
-// workers, or concurrent flush/pull interleavings would make results
-// nondeterministic.
-func TestWorkersSimulateOnPrivateClusters(t *testing.T) {
-	f := testFleet(t, Config{Workers: 8, QueueDepth: 256, ColdCaches: true})
+// TestWorkersShareOneClusterColdly: with several workers hammering one hot
+// shape on the fleet's one cluster, every response must be bit-identical to
+// a standalone cold sim.Run — each run keeps its layer caches in its
+// worker's Exec, so concurrent runs on shared plans cannot see one
+// another's pulls.
+func TestWorkersShareOneClusterColdly(t *testing.T) {
+	f := testFleet(t, Config{Workers: 8, QueueDepth: 256})
 	app := workload.VideoProcessing()
 
 	refCluster := workload.Testbed()
@@ -199,42 +168,4 @@ func TestWorkersSimulateOnPrivateClusters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestFleetWarmSimResults: a fleet configured with warm caches serves
-// steady-state requests whose results match a standalone warm sim.Run on an
-// identical cluster — the compiled executor path end to end.
-func TestFleetWarmSimResults(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1, SimOptions: sim.Options{WarmCaches: true}})
-	app := workload.TextProcessing()
-	first, err := f.Do(context.Background(), Request{App: app})
-	if err != nil || first.Err != nil {
-		t.Fatal(err, first)
-	}
-	second, err := f.Do(context.Background(), Request{App: app})
-	if err != nil || second.Err != nil {
-		t.Fatal(err, second)
-	}
-
-	refCluster := workload.Testbed()
-	placement, err := sched.Schedule(sched.NewDEEP(), app, refCluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmFirst, err := sim.Run(app, refCluster, placement, sim.Options{WarmCaches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmSecond, err := sim.Run(app, refCluster, placement, sim.Options{WarmCaches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First fleet request ran against untouched (empty) caches, as does the
-	// first warm standalone run on a fresh cluster; the second is fully hot.
-	if !reflect.DeepEqual(first.Result, warmFirst) {
-		t.Fatalf("first warm fleet result diverges:\nfleet: %+v\nref:   %+v", first.Result, warmFirst)
-	}
-	if !reflect.DeepEqual(second.Result, warmSecond) {
-		t.Fatalf("steady-state warm fleet result diverges:\nfleet: %+v\nref:   %+v", second.Result, warmSecond)
-	}
 }

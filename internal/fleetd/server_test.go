@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"deep/internal/core"
 	"deep/internal/costmodel"
 	"deep/internal/dag"
 	"deep/internal/fleet"
@@ -1049,4 +1050,40 @@ func TestDeployAnswersAreFramed(t *testing.T) {
 	}
 	resp, data = postDeploy(t, env.url, deployBody(t, "acme"))
 	check("single deploy", resp, data)
+}
+
+// TestDeployAnswersMatchCore: through the front door, the makespan and
+// energy of a deploy are what the library pipeline (core.System.Deploy, the
+// one the paper's Fig. 3 runs) computes for the same app and cluster — on
+// the first deploy and on every repeat, which hits the placement cache and
+// runs on the same worker.
+func TestDeployAnswersMatchCore(t *testing.T) {
+	env := newEnv(t, fleet.Config{Workers: 1}, Config{})
+	for _, app := range []*dag.App{workload.VideoProcessing(), workload.TextProcessing()} {
+		dep, err := core.NewSystem(workload.Testbed()).Deploy(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(map[string]any{"tenant": "acme", "app": json.RawMessage(appJSON(t, app))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 0; call < 3; call++ {
+			resp, data := postDeploy(t, env.url, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s deploy %d: status %d: %s", app.Name, call, resp.StatusCode, data)
+			}
+			var out DeployResponse
+			if err := json.Unmarshal(data, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.CacheHit != (call > 0) {
+				t.Fatalf("%s deploy %d: cache_hit %v", app.Name, call, out.CacheHit)
+			}
+			if out.MakespanS != dep.Result.Makespan || out.EnergyJ != float64(dep.Result.TotalEnergy) {
+				t.Errorf("%s deploy %d: answered %v s / %v J, core %v s / %v J", app.Name, call,
+					out.MakespanS, out.EnergyJ, dep.Result.Makespan, float64(dep.Result.TotalEnergy))
+			}
+		}
+	}
 }

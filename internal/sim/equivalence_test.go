@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"deep/internal/dag"
+	"deep/internal/device"
 	"deep/internal/energy"
 	"deep/internal/sched"
 	"deep/internal/sim"
@@ -241,6 +242,32 @@ func layeredTestbed() *sim.Cluster {
 	return c
 }
 
+// tightTestbed is the calibrated testbed with the small device's storage cut
+// to 5.2 GB: just above what text/ha-train needs on its own, below what the
+// text case study's paper placement pulls onto it. The small device's
+// microservices share layers, and text/la-score reuses text/ha-train's top
+// layer, which LRU eviction has dropped by then, so eviction order decides
+// the bytes a run pulls (TestTightTestbedRepulls pins that).
+func tightTestbed() *sim.Cluster {
+	c := workload.Testbed()
+	for i, d := range c.Devices {
+		if d.Name == workload.SmallNode {
+			c.Devices[i] = device.New(d.Name, d.Arch, d.Cores, d.Speed, d.Memory, 5200*units.MB, d.Power)
+		}
+	}
+	base := sim.Layer{Digest: "base", Size: 1000 * units.MB}
+	train := sim.Layer{Digest: "train", Size: 1500 * units.MB}
+	score := sim.Layer{Digest: "score", Size: 1500 * units.MB}
+	top := func(ms string, size units.Bytes) sim.Layer { return sim.Layer{Digest: "top-" + ms, Size: size} }
+	c.Layers = map[string][]sim.Layer{
+		"text/ha-train": {base, train, top("ha-train", 500*units.MB)},
+		"text/la-train": {base, train, top("la-train", 500*units.MB)},
+		"text/ha-score": {base, score, top("ha-score", 300*units.MB)},
+		"text/la-score": {base, top("ha-train", 500*units.MB), top("la-score", 300*units.MB)},
+	}
+	return c
+}
+
 func corpus(t *testing.T) []corpusCase {
 	t.Helper()
 	synth, err := workload.Generate(workload.DefaultGeneratorConfig(12, 42))
@@ -263,6 +290,8 @@ func corpus(t *testing.T) []corpusCase {
 		{"video/layered/deep", workload.VideoProcessing(), layeredTestbed, deepPlace},
 		{"synthetic12/scaled5/deep", synth, func() *sim.Cluster { return workload.ScaledTestbed(5) }, deepPlace},
 		{"synthetic10wide/scaled3/deep", synthWide, func() *sim.Cluster { return workload.ScaledTestbed(3) }, deepPlace},
+		{"text/tight/paper", workload.TextProcessing(), tightTestbed,
+			func(*dag.App, *sim.Cluster) (sim.Placement, error) { return workload.PaperPlacement("text"), nil }},
 	}
 }
 
@@ -275,10 +304,10 @@ func requireIdentical(t *testing.T, label string, want, got *sim.Result) {
 }
 
 // TestCompiledExecMatchesLegacy pins the compiled executor bit-identical to
-// the legacy port across the corpus, for jitter off and on, over a
-// cold-then-warm-then-warm cache sequence. Legacy and compiled runs drive
-// separate but identically constructed clusters, since both mutate device
-// layer caches.
+// the legacy port across the corpus, for jitter off and on, over three warm
+// runs from the fresh cluster's empty caches. Legacy and compiled runs drive
+// separate but identically constructed clusters, since warm runs of both
+// mutate device layer caches.
 func TestCompiledExecMatchesLegacy(t *testing.T) {
 	for _, c := range corpus(t) {
 		for _, jitter := range []float64{0, 0.03} {
@@ -293,7 +322,7 @@ func TestCompiledExecMatchesLegacy(t *testing.T) {
 				plan := sim.CompilePlan(c.app, compiledCluster)
 				exec := sim.NewExec()
 				for run, opts := range []sim.Options{
-					{Seed: 7, Jitter: jitter},
+					{Seed: 7, Jitter: jitter, WarmCaches: true},
 					{Seed: 7, Jitter: jitter, WarmCaches: true},
 					{Seed: 11, Jitter: jitter, WarmCaches: true},
 				} {
@@ -360,9 +389,10 @@ func TestExecSharedAcrossPlans(t *testing.T) {
 		}
 		fixtures = append(fixtures, fixture{c: c, legacyCluster: lc, plan: sim.CompilePlan(c.app, cc), placement: placement})
 	}
-	// Interleave: each round runs every fixture once, warm after round 0.
+	// Interleave: each round runs every fixture once, warm from the fresh
+	// clusters' empty caches on.
 	for round := 0; round < 3; round++ {
-		opts := sim.Options{Seed: int64(round), Jitter: 0.01, WarmCaches: round > 0}
+		opts := sim.Options{Seed: int64(round), Jitter: 0.01, WarmCaches: true}
 		for _, f := range fixtures {
 			want, err := legacyRun(f.c.app, f.legacyCluster, f.placement, opts)
 			if err != nil {
@@ -387,7 +417,7 @@ func TestExecResultReuseRequiresClone(t *testing.T) {
 	plan := sim.CompilePlan(app, cluster)
 	exec := sim.NewExec()
 
-	first, err := exec.Run(plan, placement, sim.Options{})
+	first, err := exec.Run(plan, placement, sim.Options{WarmCaches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,4 +431,120 @@ func TestExecResultReuseRequiresClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "clone", want, snapshot)
+}
+
+// TestTightTestbedRepulls pins the premise of the corpus's capacity-binding
+// case: the small device's storage is below the distinct layer bytes placed
+// on it, so a run evicts, and a layer evicted before its second use is
+// pulled twice.
+func TestTightTestbedRepulls(t *testing.T) {
+	c := tightTestbed()
+	placement := workload.PaperPlacement("text")
+	res, err := sim.Run(workload.TextProcessing(), c, placement, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[string]units.Bytes{}
+	var pulled units.Bytes
+	for _, m := range res.Microservices {
+		if m.Device != workload.SmallNode {
+			continue
+		}
+		pulled += m.BytesPulled
+		for _, l := range c.Layers[m.Name] {
+			distinct[l.Digest] = l.Size
+		}
+	}
+	var total units.Bytes
+	for _, size := range distinct {
+		total += size
+	}
+	if small := c.Device(workload.SmallNode); total <= small.Storage || pulled <= total {
+		t.Fatalf("capacity does not bind: %v distinct layer bytes on %v of storage, %v pulled", total, small.Storage, pulled)
+	}
+}
+
+// cacheState is what a device layer cache holds: byte use, entry count, and
+// which of a run's layer digests are present.
+type cacheState struct {
+	used    units.Bytes
+	entries int
+	present map[string]bool
+}
+
+// foreignLayer is a layer no corpus app pulls, cached on a device before
+// the runs so that a cold run that flushed the cluster would show.
+func foreignLayer(d *device.Device) string { return "foreign-" + d.Name }
+
+// clusterCaches snapshots every device cache of the cluster against the
+// layer digests the app's microservices pull and the device's foreign layer.
+func clusterCaches(app *dag.App, c *sim.Cluster) []cacheState {
+	var out []cacheState
+	for _, d := range c.Devices {
+		st := cacheState{used: d.Cache().Used(), entries: d.Cache().Len(), present: map[string]bool{}}
+		st.present[foreignLayer(d)] = d.Cache().Contains(foreignLayer(d))
+		for _, m := range app.Microservices {
+			for _, l := range c.LayersOf(m) {
+				st.present[l.Digest] = d.Cache().Contains(l.Digest)
+			}
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// TestColdRunLeavesClusterUntouched: across the corpus, a cold run on a
+// reused Exec, between two warm runs on the same cluster (whose caches also
+// hold a layer no run pulls), equals a legacy cold run on a fresh cluster and
+// leaves every device layer cache as it found it — contents, byte use and
+// recency alike, so the second warm run answers what it would have with no
+// cold run in between.
+func TestColdRunLeavesClusterUntouched(t *testing.T) {
+	for _, c := range corpus(t) {
+		t.Run(c.name, func(t *testing.T) {
+			cluster, legacyCluster := c.cluster(), c.cluster()
+			placement, err := c.place(c.app, legacyCluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cl := range []*sim.Cluster{cluster, legacyCluster} {
+				for _, d := range cl.Devices {
+					d.Cache().Put(foreignLayer(d), units.MB)
+				}
+			}
+			plan := sim.CompilePlan(c.app, cluster)
+			exec := sim.NewExec()
+			warm := sim.Options{Seed: 5, Jitter: 0.02, WarmCaches: true}
+			cold := sim.Options{Seed: 5, Jitter: 0.02}
+
+			for round := 0; round < 2; round++ {
+				want, err := legacyRun(c.app, legacyCluster, placement, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := exec.Run(plan, placement, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, fmt.Sprintf("warm run %d", round), want, got)
+				if round == 1 {
+					break
+				}
+
+				before := clusterCaches(c.app, cluster)
+				want, err = legacyRun(c.app, c.cluster(), placement, cold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = exec.Run(plan, placement, cold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, "cold run", want, got)
+				if after := clusterCaches(c.app, cluster); !reflect.DeepEqual(before, after) {
+					t.Fatalf("cold run changed the cluster's layer caches:\nbefore %+v\nafter  %+v", before, after)
+				}
+			}
+		})
+	}
 }

@@ -5,16 +5,18 @@ import (
 	"math"
 	"strconv"
 
+	"deep/internal/device"
 	"deep/internal/slab"
 	"deep/internal/units"
 )
 
 // Exec is the reusable scratch for repeated compiled simulation runs: flat
 // pull records, finish times, device serialization horizons, per-device
-// energy accumulators, and a reusable Result buffer, all sized to the
-// largest plan seen so far. Repeated Exec.Run calls on a warm layer cache
-// allocate nothing at all; the returned Result is bit-identical to what the
-// legacy map-based executor produced for the same inputs.
+// energy accumulators, cold-run layer caches, and a reusable Result buffer,
+// all sized to the largest plan seen so far. Repeated Exec.Run calls on a
+// compiled plan allocate nothing at all, cold or warm; the returned Result
+// is bit-identical to what the legacy map-based executor produced for the
+// same inputs.
 //
 // An Exec is not safe for concurrent use; give each worker its own. It may
 // be shared sequentially across plans of any shape.
@@ -46,6 +48,15 @@ type Exec struct {
 	// placement (the legacy executor created a map entry even for 0 bytes).
 	regBytes []units.Bytes
 	regUsed  []bool
+
+	// Cold-run layer caches, one per plan device, made on first use. A run
+	// without WarmCaches resets device d's to the device's storage on its
+	// first touch (when cacheRun[d] is not the current run) and never reads
+	// or writes the cluster's own caches, so a cold run is a pure function
+	// of its inputs.
+	caches   []*device.LayerCache
+	cacheRun []uint64
+	runs     uint64
 
 	seedBuf []byte
 	res     Result
@@ -81,6 +92,26 @@ func (e *Exec) size(p *Plan) {
 	e.nPullEp = slab.Grow(e.nPullEp, nr)
 	e.regBytes = slab.Grow(e.regBytes, nr)
 	e.regUsed = slab.Grow(e.regUsed, nr)
+	e.cacheRun = slab.Grow(e.cacheRun, nd)
+	e.caches = slab.Grow(e.caches, nd)
+}
+
+// layerCache is the cache a run reads and fills for device d: the device's
+// own under WarmCaches, else the Exec's, emptied on the run's first touch.
+func (e *Exec) layerCache(p *Plan, d int32, warm bool) *device.LayerCache {
+	if warm {
+		return p.devices[d].Cache()
+	}
+	c := e.caches[d]
+	if c == nil {
+		c = device.NewLayerCache(0)
+		e.caches[d] = c
+	} else if e.cacheRun[d] == e.runs {
+		return c
+	}
+	e.cacheRun[d] = e.runs
+	c.Reset(p.devices[d].Storage)
+	return c
 }
 
 // Run replays the plan under the placement and returns per-microservice
@@ -131,11 +162,7 @@ func (e *Exec) RunIndexed(p *Plan, names []string, assigns []Assignment, opts Op
 // run replays the plan with assignDev/assignReg already filled.
 func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 	nd := len(p.devNames)
-	if !opts.WarmCaches {
-		for _, d := range p.cluster.Devices {
-			d.Cache().Flush()
-		}
-	}
+	e.runs++
 	for d := 0; d < nd; d++ {
 		e.devFree[d] = 0
 		e.devEnergy[d] = 0
@@ -165,12 +192,12 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 		// to several distinct devices at once divide its uplink capacity.
 		for _, ms := range stage {
 			d := e.assignDev[ms]
-			dev := p.devices[d]
+			cache := e.layerCache(p, d, opts.WarmCaches)
 			var missing units.Bytes
 			for _, layer := range p.layers[ms] {
-				if !dev.Cache().Has(layer.Digest) {
+				if !cache.Has(layer.Digest) {
 					missing += layer.Size
-					dev.Cache().Put(layer.Digest, layer.Size)
+					cache.Put(layer.Digest, layer.Size)
 				}
 			}
 			e.pulls[ms].missing = missing

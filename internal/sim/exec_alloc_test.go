@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"deep/internal/device"
+	"deep/internal/units"
 )
 
 // TestCompilePlanDuplicateNames: duplicate device, registry, or
@@ -50,8 +51,8 @@ func TestWarmExecAllocationFree(t *testing.T) {
 	plan := CompilePlan(app, cluster)
 	exec := NewExec()
 
-	// Prime: one cold run fills the layer caches and sizes the scratch.
-	if _, err := exec.Run(plan, placement, Options{}); err != nil {
+	// Prime: one warm run fills the layer caches and sizes the scratch.
+	if _, err := exec.Run(plan, placement, Options{WarmCaches: true}); err != nil {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
@@ -68,6 +69,41 @@ func TestWarmExecAllocationFree(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("warm Exec.Run (jitter=%v) allocates %v times per call, want 0", opts.Jitter, allocs)
+		}
+	}
+}
+
+// TestColdExecAllocationFree: a cold run keeps its layer caches in the Exec,
+// emptied and refilled on every run without reallocating, so once the plan
+// is compiled and the scratch sized, a cold Exec.Run allocates nothing
+// either — jitter included, and with images split into shared layers.
+func TestColdExecAllocationFree(t *testing.T) {
+	app := chainApp(t)
+	cluster := testCluster()
+	cluster.Layers = map[string][]Layer{
+		"a": {{Digest: "base", Size: 80 * units.MB}, {Digest: "a-top", Size: 20 * units.MB}},
+		"b": {{Digest: "base", Size: 80 * units.MB}, {Digest: "b-top", Size: 120 * units.MB}},
+	}
+	placement := Placement{
+		"a": {Device: "devA", Registry: "hub"},
+		"b": {Device: "devB", Registry: "regional"},
+	}
+	plan := CompilePlan(app, cluster)
+	exec := NewExec()
+	for _, opts := range []Options{{}, {Jitter: 0.05, Seed: 42}} {
+		first, err := exec.Run(plan, placement, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Microservices[0].BytesPulled == 0 {
+			t.Fatal("a cold run pulled nothing")
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := exec.Run(plan, placement, opts); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("cold Exec.Run (jitter=%v) allocates %v times per call, want 0", opts.Jitter, allocs)
 		}
 	}
 }

@@ -15,8 +15,11 @@ type Options struct {
 	// phase duration (e.g. 0.02 → ±2 %), reproducing the min–max ranges the
 	// paper reports over repeated measurements. Zero disables noise.
 	Jitter float64
-	// WarmCaches skips pre-run cache flushing, letting earlier deployments
-	// on the same devices be reused.
+	// WarmCaches runs against the cluster's own device layer caches: layers
+	// earlier warm runs left there are not pulled again, and this run's
+	// pulls are committed there. Without it a run starts from empty caches
+	// of its own and leaves the cluster's untouched, so its answer depends
+	// only on the app, cluster, placement and the options above.
 	WarmCaches bool
 }
 

@@ -210,7 +210,7 @@ func TestRunLayerCacheSkipsPull(t *testing.T) {
 		"a": {Device: "devA", Registry: "hub"},
 		"b": {Device: "devA", Registry: "hub"},
 	}
-	res, err := Run(app, cluster, placement, Options{})
+	res, err := Run(app, cluster, placement, Options{WarmCaches: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,14 +36,14 @@ import (
 // One compiled into a caller's PlanScratch is private to that caller and
 // overwritten by its next compile. It snapshots the cluster's topology, power
 // models, and layer decomposition; mutating the cluster afterwards is not
-// supported (the same contract as costmodel.Model). The paired Exec still
+// supported (the same contract as costmodel.Model). A cold run keeps its
+// layer caches in the Exec and touches no device; only a WarmCaches run
 // drives the cluster's real per-device layer caches, so warm-cache state
-// keeps flowing between compiled runs, legacy sim.Run calls, and any other
+// flows between warm compiled runs, legacy sim.Run calls, and any other
 // observer of device.LayerCache.
 type Plan struct {
-	app     *dag.App
-	cluster *Cluster
-	tab     *topo.ClusterTable
+	app *dag.App
+	tab *topo.ClusterTable
 
 	// Application-side name table; ids are positions, sorted and compacted
 	// so ascending id order is ascending name order (the executor's
@@ -57,10 +57,8 @@ type Plan struct {
 	regIndex map[string]int32
 
 	// ms[i] is the microservice with id i (first occurrence on duplicate
-	// names, matching the name-table compaction); devices[d] the device
-	// handle interned from the plan's own cluster, so an Exec drives this
-	// cluster's layer caches even when the table was compiled from a
-	// digest-identical sibling.
+	// names, matching the name-table compaction); devices[d] the cluster
+	// table's interned handle for device d.
 	ms      []*dag.Microservice
 	devices []*device.Device
 
@@ -149,11 +147,9 @@ func CompilePlan(app *dag.App, cluster *Cluster) *Plan {
 // substrate (tab). Everything app-only — name table, edge rows, stages,
 // topological order, validation errors, jitter tags — is referenced from the
 // app table; everything cluster-only from the cluster table; only the cross
-// product is computed here. tab must describe cluster's shape (same devices,
-// registries, topology routes — the fleet guarantees this by keying tables
-// on the cluster digest); the plan's device handles are re-interned from
-// cluster itself, so a table compiled from a digest-identical sibling
-// cluster never leaks that sibling's layer caches into this plan's runs.
+// product is computed here. tab must be compiled from cluster, or patched
+// from such a table (a churn epoch's view of it): the plan takes its device
+// handles, whose layer caches warm runs drive, from the table.
 func CompilePlanOnTables(at *appgraph.AppTable, cluster *Cluster, tab *topo.ClusterTable) *Plan {
 	return new(PlanScratch).Compile(at, cluster, tab)
 }
@@ -166,7 +162,6 @@ func CompilePlanOnTables(at *appgraph.AppTable, cluster *Cluster, tab *topo.Clus
 // CompilePlanOnTables, which is this same compile on a scratch of its own.
 type PlanScratch struct {
 	p         Plan
-	devices   slab.Slab[*device.Device]
 	feasible  slab.Slab[bool]
 	layers    slab.Slab[Layer] // the synthetic single layers of images the cluster does not decompose
 	layerRows slab.Slab[[]Layer]
@@ -177,7 +172,7 @@ type PlanScratch struct {
 // Compile builds the plan in the scratch, replacing the one it held.
 func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo.ClusterTable) *Plan {
 	p := &s.p
-	*p = Plan{app: at.App(), cluster: cluster, tab: tab}
+	*p = Plan{app: at.App(), tab: tab}
 
 	p.msNames = at.MSNames()
 	p.msIndex = at.MSIndex()
@@ -189,20 +184,7 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	nm, nd := len(p.msNames), len(p.devNames)
 
 	p.ms = at.Microservices()
-	// Re-intern device handles from the plan's own cluster (first
-	// occurrence wins, matching Cluster.Device). A name the cluster cannot
-	// resolve falls back to the table's handle — only reachable when the
-	// caller pairs a table with a differently-shaped cluster, which the
-	// digest keying rules out.
-	s.devices.Reset(nd)
-	p.devices = s.devices.Cut(nd)
-	for i, name := range p.devNames {
-		if d := cluster.Device(name); d != nil {
-			p.devices[i] = d
-		} else {
-			p.devices[i] = tab.Device(int32(i))
-		}
-	}
+	p.devices = tab.Devices()
 
 	p.regShared = tab.RegShared()
 	p.regLink = tab.RegLinks()
@@ -270,33 +252,6 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	return p
 }
 
-// Rebind returns a view of the plan that executes against an equivalent
-// cluster: same device, registry, topology, and layer shape (callers
-// sharing plans across workers guarantee this by keying them on a cluster
-// digest). The immutable compiled tables are shared between the views; only
-// the device handles — and with them the layer caches the Exec drives and
-// flushes — are swapped, so one fleet-wide plan can execute against each
-// worker's private cache state without workers mutating one another's
-// clusters. Returns false when the cluster does not resolve every device
-// name (the shapes differ; compile a fresh plan instead).
-func (p *Plan) Rebind(cluster *Cluster) (*Plan, bool) {
-	if cluster == p.cluster {
-		return p, true
-	}
-	devices := make([]*device.Device, len(p.devNames))
-	for i, name := range p.devNames {
-		d := cluster.Device(name)
-		if d == nil {
-			return nil, false
-		}
-		devices[i] = d
-	}
-	q := *p
-	q.cluster = cluster
-	q.devices = devices
-	return &q, true
-}
-
 // NumMicroservices returns the number of compiled microservices.
 func (p *Plan) NumMicroservices() int { return len(p.msNames) }
 
@@ -308,9 +263,6 @@ func (p *Plan) NumRegistries() int { return len(p.regNames) }
 
 // App returns the application the plan was compiled from.
 func (p *Plan) App() *dag.App { return p.app }
-
-// Cluster returns the cluster the plan was compiled against.
-func (p *Plan) Cluster() *Cluster { return p.cluster }
 
 // Table returns the cluster-side table the plan was compiled on.
 func (p *Plan) Table() *topo.ClusterTable { return p.tab }

@@ -143,7 +143,7 @@ func TestPlanClassesMatchPerDevice(t *testing.T) {
 	feasible, _, _, _, _ := p.MSRows()
 	i := appgraph.Compile(amdOnly).MSIndex()["ms-02"]
 	for d, name := range p.Table().DevNames() {
-		if arm := p.Table().Device(int32(d)).Arch == dag.ARM64; feasible[int(i)*p.NumDevices()+d] == arm {
+		if arm := p.Table().Devices()[d].Arch == dag.ARM64; feasible[int(i)*p.NumDevices()+d] == arm {
 			t.Fatalf("ms-02 on %s: feasible = %v", name, !arm)
 		}
 	}

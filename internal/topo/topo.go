@@ -255,8 +255,8 @@ func (t *ClusterTable) RegID(name string) (int32, bool) {
 	return id, ok
 }
 
-// Device returns the interned handle for a device id.
-func (t *ClusterTable) Device(d int32) *device.Device { return t.devices[d] }
+// Devices returns the interned handles, indexed by device id (shared slice).
+func (t *ClusterTable) Devices() []*device.Device { return t.devices }
 
 // DevClasses returns each device's class id (shared slice).
 func (t *ClusterTable) DevClasses() []int32 { return t.devClass }

@@ -68,7 +68,7 @@ func TestCompileTable(t *testing.T) {
 	}
 	// First occurrence wins: device "a" is the ARM one, and the duplicate
 	// registry's src node lost to regnode.
-	if dev := tab.Device(aID); dev.Arch != dag.ARM64 || dev != v.Devices[1] {
+	if dev := tab.Devices()[aID]; dev.Arch != dag.ARM64 || dev != v.Devices[1] {
 		t.Fatalf("interned device a = %v, want the first occurrence", dev)
 	}
 	if !tab.RegShared()[0] {
