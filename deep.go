@@ -142,7 +142,7 @@ type (
 
 	// ChaosSchedule is a deterministic seeded fault-injection schedule,
 	// replayed against a fleet during a DriveFleet session via
-	// TrafficConfig.Chaos (or manually with Fleet.ApplyChaosEvent).
+	// TrafficConfig.Chaos (or manually with Fleet.ApplyChurn).
 	ChaosSchedule = chaos.Schedule
 	// ChaosEvent is one fault-injection event (device crash/recover,
 	// registry outage/recover, link degrade/restore).
@@ -315,10 +315,6 @@ var (
 // slots when all are busy) with an LRU of memoized placements. Close it to
 // drain.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
-
-// NewFleetPlacementView compiles a placement map into the indexed read-only
-// form FleetResponse carries.
-func NewFleetPlacementView(p Placement) FleetPlacementView { return fleet.NewPlacementView(p) }
 
 // NewMetrics returns an empty instrument registry (pass it to several
 // fleets via FleetConfig.Metrics to aggregate them into one exposition).

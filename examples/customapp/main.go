@@ -150,6 +150,8 @@ func multiAppOneCluster() {
 	fmt.Println("\nMulti-app reuse: one ClusterTable, three pipeline variants")
 	fmt.Printf("%-16s %12s %12s\n", "app", "makespan [s]", "energy [kJ]")
 	scheduler := deep.NewDEEPScheduler()
+	var best *deep.Result
+	bestName := ""
 	for _, scale := range []struct {
 		name string
 		mult float64
@@ -175,7 +177,13 @@ func multiAppOneCluster() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-16s %12.1f %12.3f\n", scale.name, res.Makespan, res.TotalEnergy.Kilojoules())
+		if best == nil || res.TotalEnergy < best.TotalEnergy {
+			// res belongs to exec and is overwritten by its next Run;
+			// Clone keeps this one.
+			best, bestName = res.Clone(), scale.name
+		}
 	}
+	fmt.Printf("lowest energy: %s (%.1f s, %.3f kJ)\n", bestName, best.Makespan, best.TotalEnergy.Kilojoules())
 }
 
 // oneAppManyClusters is the mirror of multiAppOneCluster: one pipeline

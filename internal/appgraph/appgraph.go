@@ -96,7 +96,7 @@ type AppTable struct {
 	topoErr   error
 
 	// jitterTag[phase][ms] is the byte suffix "|app|ms|phase" the
-	// simulator's jitterer hashes after the run seed.
+	// simulator's jitter hashes after the run seed.
 	jitterTag [numPhases][][]byte
 }
 

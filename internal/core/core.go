@@ -12,7 +12,6 @@ import (
 	"deep/internal/monitor"
 	"deep/internal/sched"
 	"deep/internal/sim"
-	"deep/internal/units"
 )
 
 // System is a configured DEEP instance bound to a cluster.
@@ -125,44 +124,4 @@ func DistributionOf(p sim.Placement) Distribution {
 		d[a.Device][a.Registry] += frac
 	}
 	return d
-}
-
-// EnergySummary aggregates a result the way Figure 3 reports it.
-type EnergySummary struct {
-	Total   units.Joules
-	PerMS   map[string]units.Joules
-	Heavies []string // microservices above the mean, sorted by energy desc
-}
-
-// Summarize builds the Figure 3a view of a result.
-func Summarize(res *sim.Result) EnergySummary {
-	s := EnergySummary{Total: res.TotalEnergy, PerMS: make(map[string]units.Joules)}
-	var mean float64
-	for _, m := range res.Microservices {
-		s.PerMS[m.Name] = m.TotalEnergy()
-		mean += float64(m.TotalEnergy())
-	}
-	if len(res.Microservices) > 0 {
-		mean /= float64(len(res.Microservices))
-	}
-	type pair struct {
-		name string
-		e    float64
-	}
-	var above []pair
-	for n, e := range s.PerMS {
-		if float64(e) > mean {
-			above = append(above, pair{n, float64(e)})
-		}
-	}
-	sort.Slice(above, func(i, j int) bool {
-		if above[i].e != above[j].e {
-			return above[i].e > above[j].e
-		}
-		return above[i].name < above[j].name
-	})
-	for _, p := range above {
-		s.Heavies = append(s.Heavies, p.name)
-	}
-	return s
 }

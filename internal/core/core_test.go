@@ -78,21 +78,3 @@ func TestDistributionOf(t *testing.T) {
 		t.Error("empty placement should give empty distribution")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	sys := NewSystem(workload.Testbed())
-	dep, err := sys.Deploy(workload.VideoProcessing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(dep.Result)
-	if s.Total != dep.Result.TotalEnergy {
-		t.Error("total mismatch")
-	}
-	if len(s.PerMS) != 6 {
-		t.Errorf("per-ms entries = %d", len(s.PerMS))
-	}
-	if len(s.Heavies) == 0 || s.Heavies[0] != "video/ha-train" {
-		t.Errorf("heavies = %v", s.Heavies)
-	}
-}

@@ -709,75 +709,3 @@ func appendField(buf []byte, s string) []byte {
 	buf = append(buf, '|')
 	return append(buf, s...)
 }
-
-// CriticalPath returns the path through the DAG maximizing the sum of the
-// given per-microservice weights, along with that sum. Dataflow sizes do not
-// contribute; callers fold transfer costs into the weights if desired.
-func (a *App) CriticalPath(weight func(*Microservice) float64) ([]string, float64, error) {
-	order, err := a.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	dist := make(map[string]float64, len(order))
-	prev := make(map[string]string, len(order))
-	for _, n := range order {
-		best := 0.0
-		bestPrev := ""
-		for _, e := range a.Inputs(n) {
-			if dist[e.From] > best || (dist[e.From] == best && bestPrev == "") {
-				best = dist[e.From]
-				bestPrev = e.From
-			}
-		}
-		dist[n] = best + weight(a.Microservice(n))
-		prev[n] = bestPrev
-	}
-	// Find the sink with maximum distance.
-	endName, endDist := "", -1.0
-	for _, n := range order {
-		if dist[n] > endDist {
-			endName, endDist = n, dist[n]
-		}
-	}
-	var path []string
-	for n := endName; n != ""; n = prev[n] {
-		path = append(path, n)
-	}
-	// Reverse.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, endDist, nil
-}
-
-// TotalImageSize returns the sum of all image sizes.
-func (a *App) TotalImageSize() units.Bytes {
-	var total units.Bytes
-	for _, m := range a.Microservices {
-		total += m.ImageSize
-	}
-	return total
-}
-
-// TotalDataflow returns the sum of all dataflow sizes.
-func (a *App) TotalDataflow() units.Bytes {
-	var total units.Bytes
-	for _, e := range a.Dataflows {
-		total += e.Size
-	}
-	return total
-}
-
-// DOT renders the application in Graphviz DOT format for documentation.
-func (a *App) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", a.Name)
-	for _, m := range a.Microservices {
-		fmt.Fprintf(&b, "  %q [label=\"%s\\n%s\"];\n", m.Name, m.Name, m.ImageSize)
-	}
-	for _, e := range a.Dataflows {
-		fmt.Fprintf(&b, "  %q -> %q [label=\"%s\"];\n", e.From, e.To, e.Size)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

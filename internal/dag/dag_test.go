@@ -289,22 +289,6 @@ func TestStagesCoverAllOnce(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	a := diamond(t)
-	w := map[string]float64{"src": 1, "left": 10, "right": 2, "sink": 1}
-	path, total, err := a.CriticalPath(func(m *Microservice) float64 { return w[m.Name] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 12 {
-		t.Errorf("critical path weight = %v, want 12", total)
-	}
-	want := []string{"src", "left", "sink"}
-	if strings.Join(path, ",") != strings.Join(want, ",") {
-		t.Errorf("path = %v, want %v", path, want)
-	}
-}
-
 func TestInputsOutputs(t *testing.T) {
 	a := diamond(t)
 	in := a.Inputs("sink")
@@ -320,16 +304,6 @@ func TestInputsOutputs(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
-	a := diamond(t)
-	if got := a.TotalImageSize(); got != 4*units.MB {
-		t.Errorf("TotalImageSize = %v", got)
-	}
-	if got := a.TotalDataflow(); got != 40*units.MB {
-		t.Errorf("TotalDataflow = %v", got)
-	}
-}
-
 func TestSupportsArch(t *testing.T) {
 	m := &Microservice{Name: "m"}
 	if !m.SupportsArch(AMD64) || !m.SupportsArch(ARM64) {
@@ -341,16 +315,6 @@ func TestSupportsArch(t *testing.T) {
 	}
 	if m.SupportsArch(ARM64) {
 		t.Error("should not support arm64")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	a := diamond(t)
-	dot := a.DOT()
-	for _, frag := range []string{"digraph", `"src" -> "left"`, "rankdir=LR"} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("DOT output missing %q:\n%s", frag, dot)
-		}
 	}
 }
 

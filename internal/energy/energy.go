@@ -6,7 +6,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"deep/internal/units"
@@ -79,56 +78,30 @@ func (m TableModel) Power(state State, ms string) units.Watts {
 	return m.Fallback.Power(state, ms)
 }
 
-// Sample is one entry of a meter's time series.
-type Sample struct {
-	At           float64 // virtual time, seconds
-	Duration     float64 // seconds spent in this state
-	State        State
-	Microservice string
-	Power        units.Watts
-	Energy       units.Joules
-}
-
 // Meter integrates a device's power over virtual time. It is safe for
 // concurrent use.
 type Meter struct {
-	mu      sync.Mutex
-	model   PowerModel
-	total   units.Joules
-	byState map[State]units.Joules
-	byMS    map[string]units.Joules
-	series  []Sample
+	mu    sync.Mutex
+	model PowerModel
+	total units.Joules
 }
 
 // NewMeter returns a meter that prices intervals using the model.
 func NewMeter(model PowerModel) *Meter {
-	return &Meter{
-		model:   model,
-		byState: make(map[State]units.Joules),
-		byMS:    make(map[string]units.Joules),
-	}
+	return &Meter{model: model}
 }
 
-// Record accounts for `seconds` of virtual time spent in the given state on
-// behalf of the given microservice and returns the energy consumed by the
-// interval. Negative durations are an error.
+// Record accounts for `seconds` of virtual time, starting at `at`, spent in
+// the given state on behalf of the given microservice and returns the energy
+// consumed by the interval. Negative durations are an error.
 func (m *Meter) Record(at, seconds float64, state State, microservice string) (units.Joules, error) {
 	if seconds < 0 {
 		return 0, fmt.Errorf("energy: negative duration %v", seconds)
 	}
-	w := m.model.Power(state, microservice)
-	e := w.Over(seconds)
+	e := m.model.Power(state, microservice).Over(seconds)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.total += e
-	m.byState[state] += e
-	if microservice != "" {
-		m.byMS[microservice] += e
-	}
-	m.series = append(m.series, Sample{
-		At: at, Duration: seconds, State: state,
-		Microservice: microservice, Power: w, Energy: e,
-	})
 	return e, nil
 }
 
@@ -137,64 +110,4 @@ func (m *Meter) Total() units.Joules {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.total
-}
-
-// ByState returns a copy of the per-state energy accounting.
-func (m *Meter) ByState() map[State]units.Joules {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[State]units.Joules, len(m.byState))
-	for k, v := range m.byState {
-		out[k] = v
-	}
-	return out
-}
-
-// ByMicroservice returns a copy of the per-microservice energy accounting.
-func (m *Meter) ByMicroservice() map[string]units.Joules {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]units.Joules, len(m.byMS))
-	for k, v := range m.byMS {
-		out[k] = v
-	}
-	return out
-}
-
-// Series returns a copy of the sample time series ordered by time.
-func (m *Meter) Series() []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Sample, len(m.series))
-	copy(out, m.series)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Reset clears all recorded energy.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.total = 0
-	m.byState = make(map[State]units.Joules)
-	m.byMS = make(map[string]units.Joules)
-	m.series = nil
-}
-
-// Report summarizes the energy consumption of one device run.
-type Report struct {
-	Device         string
-	Total          units.Joules
-	ByState        map[State]units.Joules
-	ByMicroservice map[string]units.Joules
-}
-
-// Snapshot produces a report for the device name.
-func (m *Meter) Snapshot(device string) Report {
-	return Report{
-		Device:         device,
-		Total:          m.Total(),
-		ByState:        m.ByState(),
-		ByMicroservice: m.ByMicroservice(),
-	}
 }

@@ -61,48 +61,12 @@ func TestMeterIntegration(t *testing.T) {
 	if got := m.Total(); got != 110 {
 		t.Errorf("total = %v, want 110J", got)
 	}
-	by := m.ByState()
-	if by[Processing] != 100 || by[Idle] != 10 {
-		t.Errorf("by state = %v", by)
-	}
-	byMS := m.ByMicroservice()
-	if byMS["ms1"] != 100 {
-		t.Errorf("by microservice = %v", byMS)
-	}
-	if _, ok := byMS[""]; ok {
-		t.Error("empty microservice should not be tracked")
-	}
 }
 
 func TestMeterNegativeDuration(t *testing.T) {
 	m := NewMeter(LinearModel{})
 	if _, err := m.Record(0, -1, Idle, ""); err == nil {
 		t.Error("negative duration should error")
-	}
-}
-
-func TestMeterSeriesOrdered(t *testing.T) {
-	m := NewMeter(LinearModel{StaticW: 1})
-	_, _ = m.Record(5, 1, Idle, "")
-	_, _ = m.Record(1, 1, Idle, "")
-	_, _ = m.Record(3, 1, Idle, "")
-	s := m.Series()
-	if len(s) != 3 {
-		t.Fatalf("series len = %d", len(s))
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i].At < s[i-1].At {
-			t.Errorf("series not ordered: %v", s)
-		}
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	m := NewMeter(LinearModel{StaticW: 1})
-	_, _ = m.Record(0, 10, Idle, "")
-	m.Reset()
-	if m.Total() != 0 || len(m.Series()) != 0 {
-		t.Error("reset did not clear")
 	}
 }
 
@@ -119,47 +83,5 @@ func TestMeterConcurrentSafety(t *testing.T) {
 	wg.Wait()
 	if got := m.Total(); math.Abs(float64(got)-50) > 1e-9 {
 		t.Errorf("concurrent total = %v, want 50", got)
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	m := NewMeter(LinearModel{StaticW: 2})
-	_, _ = m.Record(0, 3, Idle, "")
-	r := m.Snapshot("dev0")
-	if r.Device != "dev0" || r.Total != 6 {
-		t.Errorf("snapshot = %+v", r)
-	}
-}
-
-// Property: total equals the sum of per-state totals and (>=) per-
-// microservice totals.
-func TestMeterAccountingConsistency(t *testing.T) {
-	m := NewMeter(LinearModel{StaticW: 1, ProcessingW: 3, PullW: 2})
-	intervals := []struct {
-		d     float64
-		state State
-		ms    string
-	}{
-		{5, Processing, "a"}, {3, Pulling, "a"}, {2, Idle, ""},
-		{7, Processing, "b"}, {1, Receiving, "b"},
-	}
-	for i, iv := range intervals {
-		if _, err := m.Record(float64(i), iv.d, iv.state, iv.ms); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stateSum units.Joules
-	for _, v := range m.ByState() {
-		stateSum += v
-	}
-	if math.Abs(float64(stateSum-m.Total())) > 1e-9 {
-		t.Errorf("state sum %v != total %v", stateSum, m.Total())
-	}
-	var msSum units.Joules
-	for _, v := range m.ByMicroservice() {
-		msSum += v
-	}
-	if msSum > m.Total() {
-		t.Errorf("microservice sum %v exceeds total %v", msSum, m.Total())
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"deep/internal/workload"
 )
 
-func BenchmarkFingerprintOf(b *testing.B) {
+func BenchmarkFingerprintCold(b *testing.B) {
 	app := workload.TextProcessing()
 	cluster := workload.Testbed()
 	for i := 0; i < b.N; i++ {
-		FingerprintOf(app, cluster, "deep")
+		DigestCluster(cluster).Fingerprint(app, "deep")
 	}
 }
 

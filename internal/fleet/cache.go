@@ -27,15 +27,6 @@ import (
 // hot path allocates nothing.
 type Fingerprint [sha256.Size]byte
 
-// FingerprintOf computes the canonical fingerprint. Every input the
-// schedulers read is folded into the digest — microservice requirements,
-// image sizes, architectures, dataflow edges, device specs and power models,
-// registries, topology links — so structurally identical requests collide
-// (hit the cache) and any divergence, however small, does not.
-func FingerprintOf(app *dag.App, cluster *sim.Cluster, scheduler string) Fingerprint {
-	return DigestCluster(cluster).Fingerprint(app, scheduler)
-}
-
 // ClusterDigest is the precomputed canonical digest of one cluster. The
 // cluster side of a fingerprint is by far its most expensive part (device
 // power models, the topology link matrix) and is invariant for a churn
@@ -50,15 +41,14 @@ func DigestCluster(c *sim.Cluster) ClusterDigest {
 	return ClusterDigest(h.Sum(nil))
 }
 
-// ModelKey digests only the inputs a compiled cost model depends on — the
-// application and the cluster — so one compiled model serves every
-// scheduler on the same request shape.
-func (cd ClusterDigest) ModelKey(app *dag.App) Fingerprint {
-	return cd.Fingerprint(app, "")
-}
-
 // Fingerprint combines the precomputed cluster digest with an application
-// and scheduler name into the full cache key.
+// and scheduler name into the full cache key. Every input the schedulers
+// read is folded into the two digests — microservice requirements, image
+// sizes, architectures, dataflow edges, device specs and power models,
+// registries, topology links — so structurally identical requests collide
+// (hit the cache) and any divergence, however small, does not. With an empty
+// scheduler name it is the shape key: one compiled model serves every
+// scheduler on the same request shape.
 func (cd ClusterDigest) Fingerprint(app *dag.App, scheduler string) Fingerprint {
 	return fingerprint(cd, app.Digest(), scheduler)
 }
@@ -352,9 +342,9 @@ type compiledShape struct {
 //
 // Compiled tables, models, and plans are immutable and safe for concurrent
 // ScheduleModel and Exec.Run calls, which is what makes sharing them across
-// the pool sound; cluster identity is part of every key (ModelKey folds the
-// cluster digest in), so a worker on another churn epoch can never be handed
-// a stale shape.
+// the pool sound; cluster identity is part of every key (the shape key
+// folds the cluster digest in), so a worker on another churn epoch can never
+// be handed a stale shape.
 type sharedModelCache struct {
 	shards []modelShard
 

@@ -270,11 +270,6 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 	return next.epoch, invalidated, nil
 }
 
-// ApplyChaosEvent applies one chaos event as a churn delta.
-func (f *Fleet) ApplyChaosEvent(ev chaos.Event) (int64, int, error) {
-	return f.ApplyChurn(DeltaForEvent(ev))
-}
-
 // churnView assembles the effective cluster view for a churn state: the base
 // cluster minus down devices and registries, over the chaos topology when any
 // link has ever been mutated.

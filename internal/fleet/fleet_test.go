@@ -153,25 +153,25 @@ func TestFleetServesEveryScheduler(t *testing.T) {
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	cluster := workload.Testbed()
-	base := FingerprintOf(workload.TextProcessing(), cluster, "deep")
-	if again := FingerprintOf(workload.TextProcessing(), cluster, "deep"); again != base {
+	cd := DigestCluster(workload.Testbed())
+	base := cd.Fingerprint(workload.TextProcessing(), "deep")
+	if again := cd.Fingerprint(workload.TextProcessing(), "deep"); again != base {
 		t.Fatal("identical inputs produced different fingerprints")
 	}
-	if other := FingerprintOf(workload.VideoProcessing(), cluster, "deep"); other == base {
+	if other := cd.Fingerprint(workload.VideoProcessing(), "deep"); other == base {
 		t.Fatal("different apps collided")
 	}
-	if other := FingerprintOf(workload.TextProcessing(), cluster, "round-robin"); other == base {
+	if other := cd.Fingerprint(workload.TextProcessing(), "round-robin"); other == base {
 		t.Fatal("different schedulers collided")
 	}
 	bigger := workload.ScaledTestbed(2)
-	if other := FingerprintOf(workload.TextProcessing(), bigger, "deep"); other == base {
+	if other := DigestCluster(bigger).Fingerprint(workload.TextProcessing(), "deep"); other == base {
 		t.Fatal("different clusters collided")
 	}
 	// A one-byte perturbation of a dataflow size must change the digest.
 	tweaked := workload.TextProcessing()
 	tweaked.Dataflows[0].Size++
-	if other := FingerprintOf(tweaked, cluster, "deep"); other == base {
+	if other := cd.Fingerprint(tweaked, "deep"); other == base {
 		t.Fatal("perturbed dataflow collided")
 	}
 }
@@ -214,7 +214,7 @@ func TestClusterDigestExactFloats(t *testing.T) {
 // microservice name cannot realign two distinct apps onto one digest
 // (name "m|5" + size 0 vs name "m" + size 5).
 func TestFingerprintSeparatorInName(t *testing.T) {
-	cluster := workload.Testbed()
+	cd := DigestCluster(workload.Testbed())
 	mk := func(name string, size int64) *dag.App {
 		a := dag.NewApp("x")
 		if err := a.AddMicroservice(&dag.Microservice{Name: name, ImageSize: units.Bytes(size)}); err != nil {
@@ -224,7 +224,7 @@ func TestFingerprintSeparatorInName(t *testing.T) {
 	}
 	a := mk("m|5", 0)
 	b := mk("m", 5)
-	if FingerprintOf(a, cluster, "deep") == FingerprintOf(b, cluster, "deep") {
+	if cd.Fingerprint(a, "deep") == cd.Fingerprint(b, "deep") {
 		t.Fatal("separator byte in a name realigned two distinct apps")
 	}
 }
@@ -625,10 +625,11 @@ func TestSyntheticMixDeterminism(t *testing.T) {
 	if len(a) != 3 || len(a[0].Apps) != 2 {
 		t.Fatalf("mix shape: %d tenants, %d apps", len(a), len(a[0].Apps))
 	}
+	cd := DigestCluster(workload.Testbed())
 	for i := range a {
 		for j := range a[i].Apps {
-			fa := FingerprintOf(a[i].Apps[j], workload.Testbed(), "deep")
-			fb := FingerprintOf(b[i].Apps[j], workload.Testbed(), "deep")
+			fa := cd.Fingerprint(a[i].Apps[j], "deep")
+			fb := cd.Fingerprint(b[i].Apps[j], "deep")
 			if fa != fb {
 				t.Fatalf("tenant %d app %d not deterministic", i, j)
 			}

@@ -39,7 +39,7 @@ func TestSharedModelCacheSingleflight(t *testing.T) {
 			t.Fatal(err)
 		}
 		apps[i] = app
-		fps[i] = cd.ModelKey(app)
+		fps[i] = cd.Fingerprint(app, "")
 	}
 
 	var compiles, firstSights [keys]atomic.Int64
@@ -338,7 +338,7 @@ func TestModelKeyChangesWithCluster(t *testing.T) {
 	app := workload.VideoProcessing()
 	small := DigestCluster(workload.Testbed())
 	big := DigestCluster(workload.ScaledTestbed(2))
-	k1, k2 := small.ModelKey(app), big.ModelKey(app)
+	k1, k2 := small.Fingerprint(app, ""), big.Fingerprint(app, "")
 	if k1 == k2 {
 		t.Fatal("model keys collide across different clusters")
 	}
@@ -379,7 +379,7 @@ func TestModelCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		apps = append(apps, app)
-		keys = append(keys, cd.ModelKey(app))
+		keys = append(keys, cd.Fingerprint(app, ""))
 	}
 	compiled := 0
 	fill := func(i int) {

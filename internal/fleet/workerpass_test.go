@@ -113,7 +113,7 @@ func TestShapeCacheDistinguishesAppNames(t *testing.T) {
 		return app
 	}
 	cd := DigestCluster(workload.Testbed())
-	if cd.ModelKey(build("alpha")) == cd.ModelKey(build("beta")) {
+	if cd.Fingerprint(build("alpha"), "") == cd.Fingerprint(build("beta"), "") {
 		t.Fatal("model keys collide across app names")
 	}
 

@@ -17,9 +17,9 @@ import (
 	"deep/internal/workload"
 )
 
-// TestTrailingDataRejected table-tests all five strict decoders: each reads
+// TestTrailingDataRejected table-tests all four strict decoders: each reads
 // exactly one JSON value, and anything but whitespace after it is a 400
-// invalid_request (an error, for the two spec decoders) instead of being
+// invalid_request (an error, for the app spec decoder) instead of being
 // silently dropped.
 func TestTrailingDataRejected(t *testing.T) {
 	env := newEnv(t, fleet.Config{Workers: 1}, Config{})
@@ -50,14 +50,6 @@ func TestTrailingDataRejected(t *testing.T) {
 		}
 	}
 	video := appJSON(t, workload.VideoProcessing())
-	cluster, err := wire.ClusterSpecOf(workload.Testbed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusterJSON, err := json.Marshal(cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		send func([]byte) (int, []byte)
@@ -67,7 +59,6 @@ func TestTrailingDataRejected(t *testing.T) {
 		{"handleDeployBatch", post(env.url + "/v1/deploy:batch"), batchBody(t, "acme", video, video)},
 		{"handleChurn", post(env.adminURL + "/v1/churn"), []byte(`{}`)},
 		{"DecodeAppSpec", spec(func(b []byte) error { _, err := wire.DecodeAppSpec(b); return err }), video},
-		{"DecodeClusterSpec", spec(func(b []byte) error { _, err := wire.DecodeClusterSpec(b); return err }), clusterJSON},
 	}
 	for _, tc := range cases {
 		for _, ok := range []string{"", "\n", " \t\r\n "} {

@@ -18,9 +18,10 @@ import (
 type Link struct {
 	From, To string
 	BW       units.Bandwidth
-	// SharedCapacity marks the link's source as a shared uplink: all
-	// concurrent transfers from the same source divide BW fairly. This
-	// models a single regional registry server's NIC.
+	// SharedCapacity marks the link's source as a shared uplink, such as a
+	// single regional registry server's NIC. It is part of the cluster's
+	// digest and wire spec; the simulator and the cost model price the
+	// sharing from the registry's own Shared flag (sim.RegistryInfo).
 	SharedCapacity bool
 	// RTT in seconds; the paper neglects it (default 0), but the model
 	// supports it for sensitivity studies.
@@ -113,24 +114,6 @@ func (t *Topology) TransferTime(a, b string, size units.Bytes) float64 {
 		return math.Inf(1)
 	}
 	return l.RTT + l.BW.Seconds(size)
-}
-
-// FairShareTime returns the transfer time when `concurrent` transfers share
-// the link's source capacity. Non-shared links are unaffected by
-// concurrency. concurrent < 1 is treated as 1.
-func (t *Topology) FairShareTime(a, b string, size units.Bytes, concurrent int) float64 {
-	l, ok := t.LinkBetween(a, b)
-	if !ok {
-		return math.Inf(1)
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	bw := l.BW
-	if l.SharedCapacity && concurrent > 1 {
-		bw = l.BW / units.Bandwidth(concurrent)
-	}
-	return l.RTT + bw.Seconds(size)
 }
 
 // Clone returns a deep copy of the topology; useful for what-if analyses.

@@ -172,7 +172,7 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 		e.regUsed[r] = false
 	}
 
-	// Deterministic jitter: the legacy jitterer FNV-1a-hashed
+	// Deterministic jitter: the historical implementation FNV-1a-hashed
 	// "seed|app|ms|phase"; the compiled path hashes the seed's digits once
 	// and continues per (ms, phase) from the plan's precomputed tag bytes —
 	// the same byte stream, so the factors are bit-identical.

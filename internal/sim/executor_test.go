@@ -379,3 +379,44 @@ func TestPlacementClone(t *testing.T) {
 		t.Error("clone aliases original")
 	}
 }
+
+// TestClusterLookupSeesEdits: Device and Registry answer from the slices as
+// they are now, so an element replaced in place after a lookup is found under
+// its new name and no longer under its old one, and where two elements share
+// a name the first one wins.
+func TestClusterLookupSeesEdits(t *testing.T) {
+	c := testCluster()
+	devA, devB := c.Devices[0], c.Devices[1]
+	if c.Device("devA") != devA || c.Device("devB") != devB {
+		t.Fatal("lookup of the built devices failed")
+	}
+	if _, ok := c.Registry("hub"); !ok {
+		t.Fatal("lookup of the built registry failed")
+	}
+
+	renamed := devA.WithName("renamed")
+	c.Devices[0] = renamed
+	if got := c.Device("renamed"); got != renamed {
+		t.Errorf("Device(renamed) = %v after an in-place replace, want the new device", got)
+	}
+	if got := c.Device("devA"); got != nil {
+		t.Errorf("Device(devA) = %v after devA was replaced, want nil", got)
+	}
+	c.Registries[0] = RegistryInfo{Name: "mirror", Node: "hubNode"}
+	if r, ok := c.Registry("mirror"); !ok || r.Node != "hubNode" {
+		t.Errorf("Registry(mirror) = %+v, %v after an in-place replace", r, ok)
+	}
+	if _, ok := c.Registry("hub"); ok {
+		t.Error("Registry(hub) still found after hub was replaced")
+	}
+
+	twin := devA.WithName("devB")
+	c.Devices[0] = twin
+	if got := c.Device("devB"); got != twin {
+		t.Errorf("Device(devB) = %v with two devices named devB, want the first", got)
+	}
+	c.Registries = append(c.Registries, RegistryInfo{Name: "mirror", Node: "regNode"})
+	if r, _ := c.Registry("mirror"); r.Node != "hubNode" {
+		t.Errorf("Registry(mirror) = %+v with two registries named mirror, want the first", r)
+	}
+}

@@ -5,10 +5,14 @@ import (
 	"hash/fnv"
 	"strconv"
 	"testing"
+
+	"deep/internal/appgraph"
+	"deep/internal/dag"
+	"deep/internal/units"
 )
 
 // referenceFactor is the historical fmt.Fprintf + hash/fnv implementation
-// the allocation-free jitterer replaced; the produced factors must stay
+// the allocation-free factor replaced; the produced factors must stay
 // bit-identical.
 func referenceFactor(seed int64, width float64, app, ms, phase string) float64 {
 	if width == 0 {
@@ -20,23 +24,40 @@ func referenceFactor(seed int64, width float64, app, ms, phase string) float64 {
 	return 1 - width + 2*width*u
 }
 
+// TestJitterFactorBitIdentical drives the executor's factor — the seed's
+// FNV-1a state continued over the app table's precomputed "|app|ms|phase"
+// tag — against the reference, over names with the separator in them, the
+// empty app name, seeds of either sign up to ±9e18 and width 0.
 func TestJitterFactorBitIdentical(t *testing.T) {
-	apps := []string{"video", "text", "app|with|pipes", ""}
-	mss := []string{"encode", "ocr", "a"}
-	phases := []string{"deploy", "transfer", "process"}
-	seeds := []int64{0, 1, -1, 42, -9000000000000000000, 9000000000000000000}
-	widths := []float64{0, 0.02, 0.5, 1.5}
-	for _, app := range apps {
+	apps := []string{"video", "text", "app|with|pipes", "", "corpus"}
+	mss := []string{"encode", "ocr", "a", "detect"}
+	seeds := []int64{0, 1, -1, 5, -31, 42, 1 << 40, -9000000000000000000, 9000000000000000000}
+	widths := []float64{0, 0.02, 0.07, 0.5, 1.5}
+	phases := [...]string{phaseDeploy: "deploy", phaseTransfer: "transfer", phaseProcess: "process"}
+	for _, name := range apps {
+		app := dag.NewApp(name)
 		for _, ms := range mss {
-			for _, phase := range phases {
+			if err := app.AddMicroservice(&dag.Microservice{Name: ms, ImageSize: units.MB}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := appgraph.Compile(app)
+		tags := at.PhaseTags()
+		for _, ms := range mss {
+			id, ok := at.MSID(ms)
+			if !ok {
+				t.Fatalf("app %q: no id for %q", name, ms)
+			}
+			for phase, phaseName := range phases {
 				for _, seed := range seeds {
+					var digits [20]byte
+					seedH := fnvAdd(fnvOffset64, strconv.AppendInt(digits[:0], seed, 10))
 					for _, width := range widths {
-						j := jitterer{seed: seed, width: width, app: app}
-						got := j.factor(ms, phase)
-						want := referenceFactor(seed, width, app, ms, phase)
+						got := jitterFactor(seedH, tags[phase][id], width)
+						want := referenceFactor(seed, width, name, ms, phaseName)
 						if got != want {
 							t.Fatalf("factor(%d,%v,%q,%q,%q) = %v, reference %v",
-								seed, width, app, ms, phase, got, want)
+								seed, width, name, ms, phaseName, got, want)
 						}
 					}
 				}
@@ -45,33 +66,8 @@ func TestJitterFactorBitIdentical(t *testing.T) {
 	}
 }
 
-// TestJitterFactorMatchesCompiledPath pins the executor's precomputed-tag
-// hashing (seed state + tag continuation) against the jitterer.
-func TestJitterFactorMatchesCompiledPath(t *testing.T) {
-	const width = 0.07
-	for _, seed := range []int64{0, 5, -31, 1 << 40} {
-		j := jitterer{seed: seed, width: width, app: "corpus"}
-		var digits [20]byte
-		seedH := fnvAdd(fnvOffset64, strconv.AppendInt(digits[:0], seed, 10))
-		for _, ms := range []string{"encode", "detect"} {
-			for _, phase := range []string{"deploy", "transfer", "process"} {
-				tag := []byte("|corpus|" + ms + "|" + phase)
-				if got, want := jitterFactor(seedH, tag, width), j.factor(ms, phase); got != want {
-					t.Fatalf("compiled factor %v != jitterer %v for seed %d %s/%s", got, want, seed, ms, phase)
-				}
-			}
-		}
-	}
-}
-
 func TestJitterFactorAllocationFree(t *testing.T) {
-	j := jitterer{seed: 42, width: 0.05, app: "video"}
 	var sink float64
-	if allocs := testing.AllocsPerRun(200, func() {
-		sink += j.factor("encode", "process")
-	}); allocs != 0 {
-		t.Fatalf("jitterer.factor allocates %v times per call", allocs)
-	}
 	tag := []byte("|video|encode|process")
 	if allocs := testing.AllocsPerRun(200, func() {
 		sink += jitterFactor(12345, tag, 0.05)

@@ -101,7 +101,7 @@ type Plan struct {
 	appErr    error
 	stagesErr error
 
-	// jitterTag[phase][ms] is the byte suffix "|app|ms|phase" the jitterer
+	// jitterTag[phase][ms] is the byte suffix "|app|ms|phase" the jitter
 	// hashes after the run seed; precomputing it makes the per-phase factor
 	// a pure FNV-1a continuation.
 	jitterTag [3][][]byte
@@ -252,17 +252,8 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	return p
 }
 
-// NumMicroservices returns the number of compiled microservices.
-func (p *Plan) NumMicroservices() int { return len(p.msNames) }
-
 // NumDevices returns the number of compiled devices.
 func (p *Plan) NumDevices() int { return len(p.devNames) }
-
-// NumRegistries returns the number of compiled registries.
-func (p *Plan) NumRegistries() int { return len(p.regNames) }
-
-// App returns the application the plan was compiled from.
-func (p *Plan) App() *dag.App { return p.app }
 
 // Table returns the cluster-side table the plan was compiled on.
 func (p *Plan) Table() *topo.ClusterTable { return p.tab }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"deep/internal/dag"
 	"deep/internal/device"
@@ -59,64 +58,26 @@ type Cluster struct {
 	// treated as a single layer covering the whole image. Layer digests
 	// shared between images enable cache reuse.
 	Layers map[string][]Layer
-
-	// idx interns device and registry names to positions, built lazily on
-	// first lookup so Device and Registry are O(1) on the scheduling and
-	// simulation hot paths. It is rebuilt when Devices or Registries
-	// change length, so append-then-lookup construction patterns stay
-	// correct; replacing elements in place after the first lookup is not
-	// supported.
-	idx atomic.Pointer[clusterIndex]
 }
 
-// clusterIndex is the interned name→position view of a cluster. Duplicate
-// names keep their first occurrence, matching the former linear scans.
-// nDev/nReg record the slice lengths the index was built from, so the
-// staleness check stays correct when duplicates shrink the maps.
-type clusterIndex struct {
-	device   map[string]*device.Device
-	registry map[string]int
-	nDev     int
-	nReg     int
-}
-
-func (c *Cluster) index() *clusterIndex {
-	idx := c.idx.Load()
-	if idx != nil && idx.nDev == len(c.Devices) && idx.nReg == len(c.Registries) {
-		return idx
-	}
-	idx = &clusterIndex{
-		device:   make(map[string]*device.Device, len(c.Devices)),
-		registry: make(map[string]int, len(c.Registries)),
-		nDev:     len(c.Devices),
-		nReg:     len(c.Registries),
-	}
-	for _, d := range c.Devices {
-		if _, dup := idx.device[d.Name]; !dup {
-			idx.device[d.Name] = d
-		}
-	}
-	for i, r := range c.Registries {
-		if _, dup := idx.registry[r.Name]; !dup {
-			idx.registry[r.Name] = i
-		}
-	}
-	c.idx.Store(idx)
-	return idx
-}
-
-// Device returns the named device, or nil.
+// Device returns the first device with the name, or nil.
 func (c *Cluster) Device(name string) *device.Device {
-	return c.index().device[name]
+	for _, d := range c.Devices {
+		if d.Name == name {
+			return d
+		}
+	}
+	return nil
 }
 
-// Registry returns the named registry and whether it exists.
+// Registry returns the first registry with the name and whether one exists.
 func (c *Cluster) Registry(name string) (RegistryInfo, bool) {
-	i, ok := c.index().registry[name]
-	if !ok {
-		return RegistryInfo{}, false
+	for _, r := range c.Registries {
+		if r.Name == name {
+			return r, true
+		}
 	}
-	return c.Registries[i], true
+	return RegistryInfo{}, false
 }
 
 // LayersOf returns the image layers of a microservice, defaulting to a

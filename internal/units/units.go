@@ -2,11 +2,10 @@
 // used throughout DEEP: byte sizes, bandwidths, processing loads (millions of
 // instructions), processing speeds, power, and energy. All quantities are
 // strongly typed so that a bandwidth cannot be confused with a size, and all
-// support parsing and human-readable formatting.
+// support human-readable formatting.
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -27,12 +26,6 @@ const (
 	MiB = 1024 * KiB
 	GiB = 1024 * MiB
 )
-
-// Megabytes returns the size expressed in (decimal) megabytes.
-func (b Bytes) Megabytes() float64 { return float64(b) / float64(MB) }
-
-// Gigabytes returns the size expressed in (decimal) gigabytes.
-func (b Bytes) Gigabytes() float64 { return float64(b) / float64(GB) }
 
 // String formats the size with an adaptive decimal unit.
 func (b Bytes) String() string {
@@ -58,37 +51,6 @@ func trimFloat(v float64) string {
 	s = strings.TrimRight(s, "0")
 	s = strings.TrimRight(s, ".")
 	return s
-}
-
-// ParseBytes parses strings such as "5.78GB", "700MB", "64GiB", or "1024".
-// A bare number is interpreted as bytes.
-func ParseBytes(s string) (Bytes, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("units: empty size")
-	}
-	units := []struct {
-		suffix string
-		mult   Bytes
-	}{
-		{"TB", TB}, {"GiB", GiB}, {"GB", GB}, {"MiB", MiB}, {"MB", MB},
-		{"KiB", KiB}, {"KB", KB}, {"B", Byte},
-	}
-	for _, u := range units {
-		if strings.HasSuffix(s, u.suffix) {
-			num := strings.TrimSpace(strings.TrimSuffix(s, u.suffix))
-			v, err := strconv.ParseFloat(num, 64)
-			if err != nil {
-				return 0, fmt.Errorf("units: parse %q: %v", s, err)
-			}
-			return Bytes(math.Round(v * float64(u.mult))), nil
-		}
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse %q: %v", s, err)
-	}
-	return Bytes(math.Round(v)), nil
 }
 
 // Bandwidth is a transfer rate in bytes per second.

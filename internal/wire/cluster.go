@@ -1,16 +1,11 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
-	"deep/internal/dag"
-	"deep/internal/device"
 	"deep/internal/energy"
-	"deep/internal/netsim"
 	"deep/internal/sim"
-	"deep/internal/units"
 )
 
 // ClusterSpec is the wire form of the infrastructure a fleet runs against:
@@ -70,159 +65,6 @@ type LinkSpec struct {
 type LayerSpec struct {
 	Digest    string `json:"digest"`
 	SizeBytes int64  `json:"size_bytes"`
-}
-
-// DecodeClusterSpec parses a ClusterSpec from JSON, rejecting unknown fields,
-// trailing data, and unsupported versions.
-func DecodeClusterSpec(data []byte) (*ClusterSpec, error) {
-	var s ClusterSpec
-	if err := DecodeStrict(bytes.NewReader(data), &s); err != nil {
-		return nil, fmt.Errorf("wire: decoding cluster spec: %w", err)
-	}
-	if err := checkVersion("cluster", s.Version, ClusterSpecVersion); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// Cluster materializes the spec as an in-memory cluster, building the
-// topology and device handles.
-func (s *ClusterSpec) Cluster() (*sim.Cluster, error) {
-	if err := checkVersion("cluster", s.Version, ClusterSpecVersion); err != nil {
-		return nil, err
-	}
-	if len(s.Devices) == 0 {
-		return nil, fmt.Errorf("wire: cluster spec without devices")
-	}
-	topo := netsim.NewTopology()
-	for _, n := range s.Nodes {
-		topo.AddNode(n)
-	}
-	for _, l := range s.Links {
-		topo.AddNode(l.From)
-		topo.AddNode(l.To)
-	}
-	if s.SourceNode != "" {
-		topo.AddNode(s.SourceNode)
-	}
-	devices := make([]*device.Device, 0, len(s.Devices))
-	for i := range s.Devices {
-		ds := &s.Devices[i]
-		if ds.Name == "" {
-			return nil, fmt.Errorf("wire: device %d without a name", i)
-		}
-		arch := dag.Arch(ds.Arch)
-		if arch != dag.AMD64 && arch != dag.ARM64 {
-			return nil, fmt.Errorf("wire: device %q: unknown architecture %q", ds.Name, ds.Arch)
-		}
-		pm, err := ds.Power.model()
-		if err != nil {
-			return nil, fmt.Errorf("wire: device %q: %w", ds.Name, err)
-		}
-		devices = append(devices, device.New(ds.Name, arch, ds.Cores, units.MIPS(ds.SpeedMIPS),
-			units.Bytes(ds.MemoryBytes), units.Bytes(ds.StorageBytes), pm))
-		topo.AddNode(ds.Name)
-	}
-	for _, rs := range s.Registries {
-		if rs.Node == "" {
-			return nil, fmt.Errorf("wire: registry %q without a node", rs.Name)
-		}
-		topo.AddNode(rs.Node)
-	}
-	for _, l := range s.Links {
-		err := topo.AddLink(netsim.Link{
-			From: l.From, To: l.To,
-			BW:             units.Bandwidth(l.BWBytesPerS),
-			RTT:            l.RTTSeconds,
-			SharedCapacity: l.Shared,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("wire: link %s->%s: %w", l.From, l.To, err)
-		}
-	}
-	c := &sim.Cluster{
-		Devices:    devices,
-		Topology:   topo,
-		SourceNode: s.SourceNode,
-	}
-	for _, rs := range s.Registries {
-		c.Registries = append(c.Registries, sim.RegistryInfo{Name: rs.Name, Node: rs.Node, Shared: rs.Shared})
-	}
-	if len(s.Layers) > 0 {
-		c.Layers = make(map[string][]sim.Layer, len(s.Layers))
-		for ms, ls := range s.Layers {
-			rows := make([]sim.Layer, 0, len(ls))
-			for _, l := range ls {
-				rows = append(rows, sim.Layer{Digest: l.Digest, Size: units.Bytes(l.SizeBytes)})
-			}
-			c.Layers[ms] = rows
-		}
-	}
-	return c, nil
-}
-
-// model materializes the power spec. A negative draw is refused: it makes
-// energies negative, and a contended price could then fall below its solo
-// price, which the scheduler's pure-equilibrium proof for pair stages rules
-// out (sched's pairStage.bestPure).
-func (p *PowerSpec) model() (energy.PowerModel, error) {
-	var negative string
-	switch {
-	case p.StaticW < 0:
-		negative = "static_w"
-	case p.PullW < 0:
-		negative = "pull_w"
-	case p.ReceiveW < 0:
-		negative = "receive_w"
-	case p.ProcessingW < 0:
-		negative = "processing_w"
-	}
-	if negative != "" {
-		return nil, fmt.Errorf("negative %s", negative)
-	}
-	linear := energy.LinearModel{
-		StaticW:     units.Watts(p.StaticW),
-		PullW:       units.Watts(p.PullW),
-		ReceiveW:    units.Watts(p.ReceiveW),
-		ProcessingW: units.Watts(p.ProcessingW),
-	}
-	switch p.Kind {
-	case "", "linear":
-		return linear, nil
-	case "table":
-		tm := energy.TableModel{Fallback: linear}
-		var err error
-		if tm.ProcessW, err = drawTable("process_w", p.ProcessW); err != nil {
-			return nil, err
-		}
-		if tm.TransferW, err = drawTable("transfer_w", p.TransferW); err != nil {
-			return nil, err
-		}
-		return tm, nil
-	default:
-		return nil, fmt.Errorf("unknown power model kind %q (want linear|table)", p.Kind)
-	}
-}
-
-// drawTable materializes a per-microservice draw table (nil when empty),
-// refusing a negative entry by the smallest such microservice name, so the
-// error is the same on every decode.
-func drawTable(field string, table map[string]float64) (map[string]units.Watts, error) {
-	if len(table) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]units.Watts, len(table))
-	bad, found := "", false
-	for k, v := range table {
-		if v < 0 && (!found || k < bad) {
-			bad, found = k, true
-		}
-		out[k] = units.Watts(v)
-	}
-	if found {
-		return nil, fmt.Errorf("negative %s for microservice %q", field, bad)
-	}
-	return out, nil
 }
 
 // ClusterSpecOf encodes an in-memory cluster as its wire form, stamped with

@@ -55,14 +55,8 @@ type DeployItem struct {
 // ScanDeploy reads a POST /v1/deploy envelope held in buf. The tenant is
 // copied out (it outlives the request as a label and in fleet.Request); the
 // app spec is a span of buf, not decoded — it has only been checked to be
-// one well-formed JSON object.
-func ScanDeploy(buf []byte) (tenant string, item DeployItem, ok bool) {
-	return (*Interner)(nil).ScanDeploy(buf)
-}
-
-// ScanDeploy is the package's ScanDeploy, recognising the specs the table
-// holds where they start; resolve the item with ItemApp. A nil table scans
-// without one.
+// one well-formed JSON object, unless the table holds it where it starts;
+// resolve the item with ItemApp. A nil table scans without one.
 func (in *Interner) ScanDeploy(buf []byte) (tenant string, item DeployItem, ok bool) {
 	s := scanner{buf: buf, in: in}
 	var name []byte
@@ -82,15 +76,8 @@ func (in *Interner) ScanDeploy(buf []byte) (tenant string, item DeployItem, ok b
 }
 
 // ScanDeployBatch reads a POST /v1/deploy:batch envelope held in buf,
-// appending its items to items. It declines a batch of more than maxItems,
-// so a pooled items slice stays bounded.
-func ScanDeployBatch(buf []byte, items []DeployItem, maxItems int) (tenant string, _ []DeployItem, ok bool) {
-	return (*Interner)(nil).ScanDeployBatch(buf, items, maxItems)
-}
-
-// ScanDeployBatch is the package's ScanDeployBatch, recognising the specs
-// the table holds where they start; resolve each item with ItemApp. A nil
-// table scans without one.
+// appending its items to items, as ScanDeploy reads one item. It declines a
+// batch of more than maxItems, so a pooled items slice stays bounded.
 func (in *Interner) ScanDeployBatch(buf []byte, items []DeployItem, maxItems int) (tenant string, _ []DeployItem, ok bool) {
 	s := scanner{buf: buf, in: in}
 	var name []byte

@@ -13,6 +13,9 @@ import (
 	"deep/internal/workload"
 )
 
+// walk is the table-less scanner: a nil spec table walks every app value.
+var walk *wire.Interner
+
 // referenceDeploy and referenceBatch decode an envelope the way the handlers
 // do when the scanner declines.
 func referenceDeploy(body []byte) (string, wire.DeployItem, error) {
@@ -62,7 +65,7 @@ func checkScanAgainstReference(t testing.TB, data []byte) (deploy, batch, spec b
 		return true
 	}
 
-	tenant, item, deploy := wire.ScanDeploy(data)
+	tenant, item, deploy := walk.ScanDeploy(data)
 	if deploy {
 		wantTenant, want, err := referenceDeploy(data)
 		if err != nil {
@@ -75,7 +78,7 @@ func checkScanAgainstReference(t testing.TB, data []byte) (deploy, batch, spec b
 	}
 
 	const maxItems = 64
-	tenant, items, batch := wire.ScanDeployBatch(data, nil, maxItems)
+	tenant, items, batch := walk.ScanDeployBatch(data, nil, maxItems)
 	if batch {
 		wantTenant, want, err := referenceBatch(data)
 		if err != nil {
@@ -238,10 +241,10 @@ func TestScanBatchItemCap(t *testing.T) {
 	body := func(n int) []byte {
 		return []byte(`{"items":[` + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + `]}`)
 	}
-	if _, items, ok := wire.ScanDeployBatch(body(3), nil, 3); !ok || len(items) != 3 {
+	if _, items, ok := walk.ScanDeployBatch(body(3), nil, 3); !ok || len(items) != 3 {
 		t.Fatalf("3 items under a cap of 3: ok=%v, %d items", ok, len(items))
 	}
-	if _, items, ok := wire.ScanDeployBatch(body(4), nil, 3); ok || items != nil {
+	if _, items, ok := walk.ScanDeployBatch(body(4), nil, 3); ok || items != nil {
 		t.Fatalf("4 items under a cap of 3 accepted (%d items)", len(items))
 	}
 }
@@ -268,7 +271,7 @@ func TestWarmDecodeAllocs(t *testing.T) {
 		batch  func([]byte, []wire.DeployItem, int) (string, []wire.DeployItem, bool)
 		app    func(wire.DeployItem) (*dag.App, bool, error)
 	}{
-		{"walked", wire.ScanDeploy, wire.ScanDeployBatch,
+		{"walked", walk.ScanDeploy, walk.ScanDeployBatch,
 			func(item wire.DeployItem) (*dag.App, bool, error) { return in.App(item.App) }},
 		{"probed", in.ScanDeploy, in.ScanDeployBatch, in.ItemApp},
 	} {
@@ -442,7 +445,7 @@ func probeTable(tb testing.TB) (*wire.Interner, [][]byte) {
 func checkProbeAgainstWalk(t testing.TB, in *wire.Interner, data []byte) {
 	t.Helper()
 	var items []wire.DeployItem
-	wantTenant, want, wantOK := wire.ScanDeploy(data)
+	wantTenant, want, wantOK := walk.ScanDeploy(data)
 	tenant, item, ok := in.ScanDeploy(data)
 	if ok != wantOK || tenant != wantTenant || !sameItem(item, want) {
 		t.Fatalf("deploy: probed (%q, %+v, %v), walked (%q, %+v, %v)\n%q", tenant, item, ok, wantTenant, want, wantOK, data)
@@ -451,7 +454,7 @@ func checkProbeAgainstWalk(t testing.TB, in *wire.Interner, data []byte) {
 		items = append(items, item)
 	}
 	const maxItems = 64
-	wantTenant, wantItems, wantOK := wire.ScanDeployBatch(data, nil, maxItems)
+	wantTenant, wantItems, wantOK := walk.ScanDeployBatch(data, nil, maxItems)
 	tenant, got, ok := in.ScanDeployBatch(data, nil, maxItems)
 	if ok != wantOK || tenant != wantTenant || len(got) != len(wantItems) {
 		t.Fatalf("batch: probed (%q, %d items, %v), walked (%q, %d items, %v)\n%q", tenant, len(got), ok, wantTenant, len(wantItems), wantOK, data)
@@ -540,7 +543,7 @@ func BenchmarkScan(b *testing.B) {
 		b.SetBytes(int64(len(batch)))
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, _, ok := wire.ScanDeployBatch(batch, items[:0], 64); !ok {
+			if _, _, ok := walk.ScanDeployBatch(batch, items[:0], 64); !ok {
 				b.Fatal("declined")
 			}
 		}

@@ -1,15 +1,17 @@
 package wire_test
 
 import (
-	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"deep/internal/dag"
+	"deep/internal/device"
 	"deep/internal/energy"
 	"deep/internal/fleet"
 	"deep/internal/sim"
+	"deep/internal/units"
 	"deep/internal/wire"
 	"deep/internal/workload"
 )
@@ -46,7 +48,7 @@ func appBody(tb testing.TB, app *dag.App) []byte {
 // as the original, so wire-submitted requests share every digest-keyed cache
 // with in-process traffic.
 func TestAppRoundTripDigest(t *testing.T) {
-	cluster := workload.Testbed()
+	cd := fleet.DigestCluster(workload.Testbed())
 	for _, orig := range appCorpus(t) {
 		app, err := fresh(appBody(t, orig))
 		if err != nil {
@@ -55,156 +57,124 @@ func TestAppRoundTripDigest(t *testing.T) {
 		if app.Digest() != orig.Digest() {
 			t.Errorf("%s: wire round trip changed the canonical app digest", orig.Name)
 		}
-		want := fleet.FingerprintOf(orig, cluster, "deep")
-		if got := fleet.FingerprintOf(app, cluster, "deep"); got != want {
+		want := cd.Fingerprint(orig, "deep")
+		if got := cd.Fingerprint(app, "deep"); got != want {
 			t.Errorf("%s: wire round trip changed the canonical fingerprint", orig.Name)
 		}
 	}
 }
 
-// TestClusterRoundTripDigest pins the same for clusters: the testbed and a
-// scaled cluster survive the wire with their canonical digests intact.
-func TestClusterRoundTripDigest(t *testing.T) {
-	cases := []struct {
+// TestClusterSpecOfMatchesCluster pins the encoder behind GET /v1/cluster:
+// the spec carries every device field, each power model's kind and draws,
+// the registries, every topology link once in sorted (from, to) order, and
+// the layers, exactly as the cluster holds them.
+func TestClusterSpecOfMatchesCluster(t *testing.T) {
+	layered := workload.Testbed()
+	layered.Devices = append(layered.Devices, device.New("lin", dag.AMD64, 2, 500, units.GB, 8*units.GB,
+		energy.LinearModel{StaticW: 3, PullW: 1.5, ReceiveW: 0.25, ProcessingW: 7}))
+	layered.Layers = map[string][]sim.Layer{
+		"ingest": {{Digest: "sha256:base", Size: 300 * units.MB}},
+		"train":  {{Digest: "sha256:base", Size: 300 * units.MB}, {Digest: "sha256:train", Size: 2 * units.GB}},
+	}
+	kinds := map[string]bool{}
+	for _, tc := range []struct {
 		name    string
 		cluster *sim.Cluster
 	}{
 		{"testbed", workload.Testbed()},
 		{"scaled4", workload.ScaledTestbed(4)},
-	}
-	for _, tc := range cases {
-		spec, err := wire.ClusterSpecOf(tc.cluster)
+		{"layered", layered},
+	} {
+		c := tc.cluster
+		spec, err := wire.ClusterSpecOf(c)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", tc.name, err)
+		if spec.Version != wire.ClusterSpecVersion || spec.SourceNode != c.SourceNode {
+			t.Errorf("%s: version %d source %q, want %d %q", tc.name, spec.Version, spec.SourceNode, wire.ClusterSpecVersion, c.SourceNode)
 		}
-		decoded, err := wire.DecodeClusterSpec(raw)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tc.name, err)
-		}
-		back, err := decoded.Cluster()
-		if err != nil {
-			t.Fatalf("%s: materialize: %v", tc.name, err)
-		}
-		want := fleet.DigestCluster(tc.cluster)
-		got := fleet.DigestCluster(back)
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s: wire round trip changed the canonical cluster digest", tc.name)
-		}
-	}
-}
-
-// FuzzDecodeClusterSpec: whatever bytes arrive, DecodeClusterSpec and
-// Cluster answer with a cluster or an error, never a panic; every device of
-// a cluster they accept draws nonnegative power in every state, for every
-// microservice its spec names; and the spec survives the wire — encoded back
-// with ClusterSpecOf, marshalled, decoded and materialized again, it yields
-// a cluster with the same canonical digest.
-func FuzzDecodeClusterSpec(f *testing.F) {
-	for _, c := range []*sim.Cluster{workload.Testbed(), workload.ScaledTestbed(2)} {
-		spec, err := wire.ClusterSpecOf(c)
-		if err != nil {
-			f.Fatal(err)
-		}
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"amd64","cores":2,"speed_mips":100,` +
-		`"power":{"kind":"table","static_w":1,"process_w":{"m":2},"transfer_w":{"m":0.5}}}],` +
-		`"registries":[{"name":"r","node":"n","shared":true}],"nodes":["n","s"],` +
-		`"links":[{"from":"n","to":"d","bw_bytes_per_s":1e6,"rtt_seconds":0.1,"shared":true},{"from":"s","to":"d","bw_bytes_per_s":5e5}],` +
-		`"source_node":"s","layers":{"m":[{"digest":"sha256:a","size_bytes":10}],"e":[]}}`))
-	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"arm64","power":{}},{"name":"d","arch":"amd64","power":{"kind":"linear"}}],"links":[{"from":"d","to":"d","bw_bytes_per_s":1}]}`))
-	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"riscv","power":{}}]}`))
-	f.Add([]byte(`{"version":1,"devices":[],"registries":[{"name":"r"}]}`))
-	f.Add([]byte(`{"version":99}`))
-	f.Add([]byte(`{"version":1,"devices":[{"name":"d","arch":"amd64","power":{"kind":"table","static_w":1,"transfer_w":{"m":-0.5}}}]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := wire.DecodeClusterSpec(data)
-		if err != nil {
-			return
-		}
-		c, err := spec.Cluster()
-		if err != nil {
-			return
+		if len(spec.Devices) != len(c.Devices) {
+			t.Fatalf("%s: %d devices, want %d", tc.name, len(spec.Devices), len(c.Devices))
 		}
 		for i, d := range c.Devices {
-			names := []string{"", "m"}
-			for ms := range spec.Devices[i].Power.ProcessW {
-				names = append(names, ms)
+			want := wire.DeviceSpec{
+				Name: d.Name, Arch: string(d.Arch), Cores: d.Cores, SpeedMIPS: float64(d.Speed),
+				MemoryBytes: int64(d.Memory), StorageBytes: int64(d.Storage), Power: powerSpec(t, d.Power),
 			}
-			for ms := range spec.Devices[i].Power.TransferW {
-				names = append(names, ms)
+			if !reflect.DeepEqual(spec.Devices[i], want) {
+				t.Errorf("%s: device %d = %+v, want %+v", tc.name, i, spec.Devices[i], want)
 			}
-			for _, state := range []energy.State{energy.Idle, energy.Pulling, energy.Receiving, energy.Processing} {
-				for _, ms := range names {
-					if w := d.Power.Power(state, ms); !(w >= 0) {
-						t.Fatalf("device %q draws %v W %s for %q\n%s", d.Name, w, state, ms, data)
-					}
+			kinds[spec.Devices[i].Power.Kind] = true
+		}
+		var regs []wire.RegistrySpec
+		for _, r := range c.Registries {
+			regs = append(regs, wire.RegistrySpec{Name: r.Name, Node: r.Node, Shared: r.Shared})
+		}
+		if !reflect.DeepEqual(spec.Registries, regs) {
+			t.Errorf("%s: registries %+v, want %+v", tc.name, spec.Registries, regs)
+		}
+		nodes := c.Topology.Nodes()
+		if !reflect.DeepEqual(spec.Nodes, nodes) {
+			t.Errorf("%s: nodes %v, want %v", tc.name, spec.Nodes, nodes)
+		}
+		var links []wire.LinkSpec
+		for _, a := range nodes {
+			for _, b := range nodes {
+				if l, ok := c.Topology.LinkBetween(a, b); ok && a != b {
+					links = append(links, wire.LinkSpec{From: a, To: b, BWBytesPerS: float64(l.BW), RTTSeconds: l.RTT, Shared: l.SharedCapacity})
 				}
 			}
 		}
-		back, err := wire.ClusterSpecOf(c)
-		if err != nil {
-			t.Fatalf("accepted cluster does not encode: %v", err)
+		if len(links) == 0 || !reflect.DeepEqual(spec.Links, links) {
+			t.Errorf("%s: links %+v, want %+v", tc.name, spec.Links, links)
 		}
-		raw, err := json.Marshal(back)
-		if err != nil {
-			t.Fatalf("accepted cluster does not marshal: %v", err)
+		var layers map[string][]wire.LayerSpec
+		for ms, ls := range c.Layers {
+			if layers == nil {
+				layers = map[string][]wire.LayerSpec{}
+			}
+			for _, l := range ls {
+				layers[ms] = append(layers[ms], wire.LayerSpec{Digest: l.Digest, SizeBytes: int64(l.Size)})
+			}
 		}
-		again, err := wire.DecodeClusterSpec(raw)
-		if err != nil {
-			t.Fatalf("re-encoded cluster spec rejected: %v\n%s", err, raw)
+		if !reflect.DeepEqual(spec.Layers, layers) {
+			t.Errorf("%s: layers %+v, want %+v", tc.name, spec.Layers, layers)
 		}
-		c2, err := again.Cluster()
-		if err != nil {
-			t.Fatalf("re-encoded cluster does not materialize: %v\n%s", err, raw)
-		}
-		if !bytes.Equal(fleet.DigestCluster(c), fleet.DigestCluster(c2)) {
-			t.Fatalf("wire round trip changed the canonical cluster digest\nin:  %s\nout: %s", data, raw)
-		}
-	})
+	}
+	if !kinds["linear"] || !kinds["table"] {
+		t.Errorf("power kinds covered: %v, want linear and table", kinds)
+	}
 }
 
-// TestNegativePowerRejected: a negative draw makes energies negative and can
-// price a contended option below its solo price, so each field, and each
-// entry of the two draw tables, is refused by name.
-func TestNegativePowerRejected(t *testing.T) {
-	for _, tc := range []struct {
-		power string
-		want  string
-	}{
-		{`{"static_w":-1}`, `negative static_w`},
-		{`{"static_w":1,"pull_w":-0.5}`, `negative pull_w`},
-		{`{"kind":"linear","receive_w":-2}`, `negative receive_w`},
-		{`{"processing_w":-1e-9}`, `negative processing_w`},
-		{`{"kind":"table","process_w":{"b":-1,"a":-2,"c":3}}`, `negative process_w for microservice "a"`},
-		{`{"kind":"table","process_w":{"a":1},"transfer_w":{"m":-0.5}}`, `negative transfer_w for microservice "m"`},
-	} {
-		body := `{"version":1,"devices":[{"name":"x","arch":"amd64","power":` + tc.power + `}]}`
-		spec, err := wire.DecodeClusterSpec([]byte(body))
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tc.power, err)
+// powerSpec is the wire form a device's power model must take: its kind,
+// its four state draws (a table's fallback) and a table's per-microservice
+// draws.
+func powerSpec(t *testing.T, pm energy.PowerModel) wire.PowerSpec {
+	t.Helper()
+	watts := func(m map[string]units.Watts) map[string]float64 {
+		if len(m) == 0 {
+			return nil
 		}
-		_, err = spec.Cluster()
-		if want := `wire: device "x": ` + tc.want; err == nil || err.Error() != want {
-			t.Errorf("%s: Cluster() = %v, want %q", tc.power, err, want)
+		out := make(map[string]float64, len(m))
+		for k, v := range m {
+			out[k] = float64(v)
 		}
+		return out
 	}
-	ok := `{"version":1,"devices":[{"name":"x","arch":"amd64","power":{"kind":"table","static_w":0,"process_w":{"a":0},"transfer_w":{"a":1}}}]}`
-	spec, err := wire.DecodeClusterSpec([]byte(ok))
-	if err != nil {
-		t.Fatal(err)
+	linear := func(kind string, m energy.LinearModel) wire.PowerSpec {
+		return wire.PowerSpec{Kind: kind, StaticW: float64(m.StaticW), PullW: float64(m.PullW),
+			ReceiveW: float64(m.ReceiveW), ProcessingW: float64(m.ProcessingW)}
 	}
-	if _, err := spec.Cluster(); err != nil {
-		t.Errorf("zero and positive draws refused: %v", err)
+	switch m := pm.(type) {
+	case energy.LinearModel:
+		return linear("linear", m)
+	case energy.TableModel:
+		ps := linear("table", m.Fallback)
+		ps.ProcessW, ps.TransferW = watts(m.ProcessW), watts(m.TransferW)
+		return ps
 	}
+	t.Fatalf("power model %T has no wire form", pm)
+	return wire.PowerSpec{}
 }
 
 // TestVersionGate pins the versioning rule: 0 (missing) and future versions
@@ -216,9 +186,6 @@ func TestVersionGate(t *testing.T) {
 	if _, err := wire.DecodeAppSpec([]byte(`{"version":99,"name":"a"}`)); err == nil || !strings.Contains(err.Error(), "unsupported") {
 		t.Errorf("future app version accepted: %v", err)
 	}
-	if _, err := wire.DecodeClusterSpec([]byte(`{"version":99}`)); err == nil || !strings.Contains(err.Error(), "unsupported") {
-		t.Errorf("future cluster version accepted: %v", err)
-	}
 	if _, err := wire.DecodeAppSpec([]byte(`{"version":1,"name":"a","microservices":[{"name":"m","image_size_bytes":1}]}`)); err != nil {
 		t.Errorf("current app version rejected: %v", err)
 	}
@@ -229,9 +196,6 @@ func TestVersionGate(t *testing.T) {
 func TestUnknownFieldsRejected(t *testing.T) {
 	if _, err := wire.DecodeAppSpec([]byte(`{"version":1,"name":"a","bogus":true}`)); err == nil {
 		t.Error("unknown app field accepted")
-	}
-	if _, err := wire.DecodeClusterSpec([]byte(`{"version":1,"bogus":true}`)); err == nil {
-		t.Error("unknown cluster field accepted")
 	}
 }
 
@@ -263,8 +227,5 @@ func TestStructuralErrorsSurface(t *testing.T) {
 	}
 	if _, err := (&wire.AppSpec{Version: 1, Name: "x", Microservices: []wire.MicroserviceSpec{{Name: "m", Arches: []string{"riscv"}}}}).App(); err == nil {
 		t.Error("unknown arch accepted")
-	}
-	if _, err := (&wire.ClusterSpec{Version: 1, Devices: []wire.DeviceSpec{{Name: "d", Arch: "amd64", Power: wire.PowerSpec{Kind: "quadratic"}}}}).Cluster(); err == nil {
-		t.Error("unknown power kind accepted")
 	}
 }
