@@ -25,41 +25,63 @@ func referenceFactor(seed int64, width float64, app, ms, phase string) float64 {
 }
 
 // TestJitterFactorBitIdentical drives the executor's factor — the seed's
-// FNV-1a state continued over the app table's precomputed "|app|ms|phase"
-// tag — against the reference, over names with the separator in them, the
-// empty app name, seeds of either sign up to ±9e18 and width 0.
+// FNV-1a state continued over an "|app|ms|phase" tag — against the
+// reference, over names with the separator in them, the empty app name,
+// seeds of either sign up to ±9e18 and width 0.
 func TestJitterFactorBitIdentical(t *testing.T) {
-	apps := []string{"video", "text", "app|with|pipes", "", "corpus"}
-	mss := []string{"encode", "ocr", "a", "detect"}
-	seeds := []int64{0, 1, -1, 5, -31, 42, 1 << 40, -9000000000000000000, 9000000000000000000}
-	widths := []float64{0, 0.02, 0.07, 0.5, 1.5}
-	phases := [...]string{phaseDeploy: "deploy", phaseTransfer: "transfer", phaseProcess: "process"}
-	for _, name := range apps {
-		app := dag.NewApp(name)
+	apps := []string{"video", "text", "app|with|pipes", ""}
+	mss := []string{"encode", "ocr", "a"}
+	phases := []string{"deploy", "transfer", "process"}
+	seeds := []int64{0, 1, -1, 42, -9000000000000000000, 9000000000000000000}
+	widths := []float64{0, 0.02, 0.5, 1.5}
+	for _, app := range apps {
 		for _, ms := range mss {
-			if err := app.AddMicroservice(&dag.Microservice{Name: ms, ImageSize: units.MB}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		at := appgraph.Compile(app)
-		tags := at.PhaseTags()
-		for _, ms := range mss {
-			id, ok := at.MSID(ms)
-			if !ok {
-				t.Fatalf("app %q: no id for %q", name, ms)
-			}
-			for phase, phaseName := range phases {
+			for _, phase := range phases {
+				tag := []byte("|" + app + "|" + ms + "|" + phase)
 				for _, seed := range seeds {
 					var digits [20]byte
 					seedH := fnvAdd(fnvOffset64, strconv.AppendInt(digits[:0], seed, 10))
 					for _, width := range widths {
-						got := jitterFactor(seedH, tags[phase][id], width)
-						want := referenceFactor(seed, width, name, ms, phaseName)
+						got := jitterFactor(seedH, tag, width)
+						want := referenceFactor(seed, width, app, ms, phase)
 						if got != want {
 							t.Fatalf("factor(%d,%v,%q,%q,%q) = %v, reference %v",
-								seed, width, name, ms, phaseName, got, want)
+								seed, width, app, ms, phase, got, want)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestJitterFactorMatchesCompiledPath pins the tags the app table
+// precomputes per phase and microservice id against the reference, so the
+// executor's compiled path draws the same factors as the historical one.
+func TestJitterFactorMatchesCompiledPath(t *testing.T) {
+	const width = 0.07
+	mss := []string{"encode", "detect"}
+	app := dag.NewApp("corpus")
+	for _, ms := range mss {
+		if err := app.AddMicroservice(&dag.Microservice{Name: ms, ImageSize: units.MB}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := appgraph.Compile(app)
+	tags := at.PhaseTags()
+	phases := [...]string{phaseDeploy: "deploy", phaseTransfer: "transfer", phaseProcess: "process"}
+	for _, seed := range []int64{0, 5, -31, 1 << 40} {
+		var digits [20]byte
+		seedH := fnvAdd(fnvOffset64, strconv.AppendInt(digits[:0], seed, 10))
+		for _, ms := range mss {
+			id, ok := at.MSID(ms)
+			if !ok {
+				t.Fatalf("no id for %q", ms)
+			}
+			for phase, phaseName := range phases {
+				got := jitterFactor(seedH, tags[phase][id], width)
+				if want := referenceFactor(seed, width, "corpus", ms, phaseName); got != want {
+					t.Fatalf("compiled factor %v != reference %v for seed %d %s/%s", got, want, seed, ms, phaseName)
 				}
 			}
 		}
