@@ -248,7 +248,7 @@ func CompileSimPlan(app *App, cluster *Cluster) *SimPlan {
 // tables, interned device handles, the dense registry→device /
 // device→device / source link tables, and idle power. It is immutable, safe
 // to share across goroutines, and reusable for any number of applications
-// on the same cluster — the fleet caches one per cluster digest.
+// on the same cluster — the fleet compiles its cluster's once.
 func CompileClusterTable(cluster *Cluster) *ClusterTable {
 	return sim.CompileClusterTable(cluster)
 }

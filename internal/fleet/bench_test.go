@@ -6,18 +6,15 @@ import (
 	"deep/internal/workload"
 )
 
-func BenchmarkFingerprintCold(b *testing.B) {
-	app := workload.TextProcessing()
-	cluster := workload.Testbed()
-	for i := 0; i < b.N; i++ {
-		DigestCluster(cluster).Fingerprint(app, "deep")
-	}
-}
+// keySink keeps the benchmarked key build from being optimized away.
+var keySink cacheKey
 
+// BenchmarkFingerprintPerRequest times a request's cache-key build: the
+// epoch's cluster key and the app's memoized digest.
 func BenchmarkFingerprintPerRequest(b *testing.B) {
 	app := workload.TextProcessing()
-	cd := DigestCluster(workload.Testbed())
+	st := &churnState{}
 	for i := 0; i < b.N; i++ {
-		cd.Fingerprint(app, "deep")
+		keySink = cacheKey{cluster: st.key, app: app.Digest()}
 	}
 }

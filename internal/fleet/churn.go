@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sort"
@@ -57,18 +56,17 @@ func DeltaForEvent(ev chaos.Event) ChurnDelta {
 }
 
 // churnState is one epoch's immutable view of the churned cluster: the down
-// sets, the incrementally patched cluster table, and the effective digest
-// keying every cache whose contents depend on the cluster (epoch 0 carries
-// the base cluster's own table and digest). Workers adopt a state by pointer
-// (one atomic load per request), so everything here must stay read-only
-// after publication.
+// sets, the incrementally patched cluster table, and the key that is the
+// cluster half of every cache key (epoch 0 carries the base cluster's own
+// table and the zero key). Workers adopt a state by pointer (one atomic load
+// per request), so everything here must stay read-only after publication.
 type churnState struct {
 	epoch    int64
 	downDevs map[string]bool
 	downRegs map[string]bool
 	degraded map[[2]string]float64
 	table    *topo.ClusterTable
-	digest   ClusterDigest
+	key      [sha256.Size]byte
 }
 
 // pristine reports whether the state is the base cluster exactly: nothing
@@ -104,7 +102,7 @@ type ChurnStats struct {
 	// EpochsApplied counts ApplyChurn calls; Invalidated the placement-cache
 	// entries dropped because they referenced newly crashed hardware;
 	// ShapesPurged the compiled shapes dropped because their churn epoch was
-	// abandoned (superseded by a new digest or recovered to pristine).
+	// abandoned (superseded by a new key or recovered to pristine).
 	EpochsApplied int64 `json:"epochs_applied"`
 	Invalidated   int64 `json:"invalidated"`
 	ShapesPurged  int64 `json:"shapes_purged"`
@@ -122,7 +120,7 @@ type ChurnStats struct {
 // ApplyChurn applies one delta to the fleet's effective cluster view: it
 // patches the compiled cluster table incrementally from the previous epoch's
 // table (O(changed·devices) link recompiles instead of Compile's full
-// O(devices²) scan), computes the new effective digest, drops placement-cache
+// O(devices²) scan), computes the new epoch's key, drops placement-cache
 // entries that reference newly crashed hardware, bumps the cluster epoch, and
 // publishes the new state for workers to adopt on their next request. It
 // returns the new epoch and the number of invalidated placements.
@@ -222,14 +220,13 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 	}
 
 	if next.pristine() {
-		// Full recovery restores the base table and digest by identity, so
-		// every pre-churn cache entry (placements, compiled shapes) is warm
-		// again immediately.
+		// Full recovery restores the base table and the zero key by
+		// identity, so every pre-churn cache entry (placements, compiled
+		// shapes) is warm again immediately.
 		next.table = f.baseTable
-		next.digest = f.baseDigest
 	} else {
 		next.table = prev.table.Patch(f.churnView(next), topo.Delta{TouchedNodes: touchedNodes})
-		next.digest = f.effectiveDigest(next)
+		next.key = effectiveKey(next)
 	}
 
 	if len(newDevs)+len(newRegs) > 0 {
@@ -255,15 +252,15 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 	f.churnEpochs.Add(1)
 	f.churn.Store(next)
 
-	// Epoch hygiene: the previous epoch's digest is now unreachable — no
+	// Epoch hygiene: the previous epoch's key is now unreachable — no
 	// worker will ever key a lookup by it again — unless it is the base
-	// digest (pristine recovery must keep pre-churn caches warm) or the new
-	// state re-derived the identical digest (a no-op delta). Purging after
-	// the store keeps the window in which a worker still on the old epoch
-	// re-inserts a stray shape as small as possible; such a stray is
+	// cluster's zero key (pristine recovery must keep pre-churn caches warm)
+	// or the new state re-derived the identical key (a no-op delta). Purging
+	// after the store keeps the window in which a worker still on the old
+	// epoch re-inserts a stray shape as small as possible; such a stray is
 	// harmless and reclaimed by the next purge or FIFO eviction.
-	if !bytes.Equal(prev.digest, f.baseDigest) && !bytes.Equal(prev.digest, next.digest) {
-		if n := f.models.purgeForCluster(prev.digest); n > 0 {
+	if prev.key != ([sha256.Size]byte{}) && prev.key != next.key {
+		if n := f.models.purgeForCluster(prev.key); n > 0 {
 			f.shapesPurged.Add(int64(n))
 		}
 	}
@@ -295,13 +292,12 @@ func (f *Fleet) churnView(st *churnState) topo.View {
 	return v
 }
 
-// effectiveDigest derives the churned cluster's digest from the base digest
-// and the sorted down sets and degradations — canonical, so two routes to the
-// same effective cluster (crash A then B, or B then A) key the same cache
-// entries, and O(churn) instead of re-digesting the whole cluster.
-func (f *Fleet) effectiveDigest(st *churnState) ClusterDigest {
+// effectiveKey hashes a churned state's sorted down sets and degradations.
+// A fleet has one base cluster, so these alone tell its epochs apart. The key
+// is canonical, so two routes to the same effective cluster (crash A then B,
+// or B then A) key the same cache entries, and it costs O(churn).
+func effectiveKey(st *churnState) (key [sha256.Size]byte) {
 	h := sha256.New()
-	h.Write(f.baseDigest)
 	for _, name := range sortedKeys(st.downDevs) {
 		h.Write([]byte("down|" + name + "\n"))
 	}
@@ -324,7 +320,8 @@ func (f *Fleet) effectiveDigest(st *churnState) ClusterDigest {
 				strconv.FormatFloat(st.degraded[k], 'g', -1, 64) + "\n"))
 		}
 	}
-	return ClusterDigest(h.Sum(nil))
+	h.Sum(key[:0])
+	return key
 }
 
 func copySet(m map[string]bool, extra int) map[string]bool {

@@ -22,7 +22,8 @@ func scaled2() *sim.Cluster { return workload.ScaledTestbed(2) }
 // TestApplyChurnEpochsAndInvalidation pins the ApplyChurn contract: every
 // call bumps the epoch, crashing the devices a memoized placement uses drops
 // that entry, unknown names are rejected without advancing the epoch, and a
-// full recovery restores the base digest so pre-churn cache keys come back.
+// full recovery restores the base cluster's key so pre-churn cache keys come
+// back.
 func TestApplyChurnEpochsAndInvalidation(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
 	app := workload.VideoProcessing()
@@ -90,8 +91,8 @@ func TestApplyChurnEpochsAndInvalidation(t *testing.T) {
 		t.Fatalf("failed churn advanced the epoch to %d", got)
 	}
 
-	// Full recovery is pristine: the base digest returns by identity, so the
-	// placement memoized at epoch 1... is keyed by the churned digest; the
+	// Full recovery is pristine: the base key returns by identity, so the
+	// placement memoized at epoch 1... is keyed by the churned key; the
 	// original pre-churn entry was invalidated, but the post-recovery
 	// schedule re-fills the base key and repeats hit again.
 	if _, _, err := f.ApplyChurn(ChurnDelta{RecoverDevices: fail}); err != nil {
@@ -146,7 +147,7 @@ func TestRegistryOutageSteersPlacements(t *testing.T) {
 // TestLinkDegradationChangesDigest pins the cache-key semantics of link
 // churn: degrading a link re-keys the placement cache (the effective cluster
 // changed even though no hardware left), and restoring it brings the
-// pre-churn entries back by digest identity.
+// pre-churn entries back by key identity.
 func TestLinkDegradationChangesDigest(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
 	app := workload.TextProcessing()
@@ -185,6 +186,69 @@ func TestLinkDegradationChangesDigest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(restored.Placement, warm.Placement) {
 		t.Fatal("restored cluster serves a different placement")
+	}
+}
+
+// TestChurnKeyIsCanonical pins that an epoch's key depends on the effective
+// cluster, not on the route to it: two devices failed in one order, or two
+// links degraded in one order, key the placement cache exactly as the same
+// changes applied in the other order, so the first deploy after the reverse
+// route hits the entry the first route filled.
+func TestChurnKeyIsCanonical(t *testing.T) {
+	routes := []struct {
+		name          string
+		first, second ChurnDelta
+		recover       ChurnDelta
+	}{
+		{
+			name:    "devices",
+			first:   ChurnDelta{FailDevices: []string{"medium-00"}},
+			second:  ChurnDelta{FailDevices: []string{"medium-01"}},
+			recover: ChurnDelta{RecoverDevices: []string{"medium-00", "medium-01"}},
+		},
+		{
+			name:    "links",
+			first:   ChurnDelta{Links: []LinkChange{{A: "hub", B: "medium-00", Factor: 0.1}}},
+			second:  ChurnDelta{Links: []LinkChange{{A: "medium-01", B: "hub", Factor: 0.3}}},
+			recover: ChurnDelta{Links: []LinkChange{{A: "hub", B: "medium-00"}, {A: "hub", B: "medium-01"}}},
+		},
+	}
+	for _, route := range routes {
+		t.Run(route.name, func(t *testing.T) {
+			f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
+			app := workload.VideoProcessing()
+			apply := func(deltas ...ChurnDelta) {
+				t.Helper()
+				for _, d := range deltas {
+					if _, _, err := f.ApplyChurn(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			deploy := func() *Response {
+				t.Helper()
+				resp, err := f.Do(context.Background(), Request{App: app})
+				if err != nil || resp.Err != nil {
+					t.Fatal(err, resp.Err)
+				}
+				return resp
+			}
+
+			apply(route.first, route.second)
+			forward := deploy()
+			if forward.CacheHit {
+				t.Fatal("the first deploy on the churned cluster hit the cache")
+			}
+			apply(route.recover)
+			apply(route.second, route.first)
+			reverse := deploy()
+			if !reverse.CacheHit {
+				t.Fatal("the reverse route to the same cluster missed the placement cache")
+			}
+			if !reflect.DeepEqual(reverse.Placement, forward.Placement) {
+				t.Fatal("the reverse route serves a different placement")
+			}
+		})
 	}
 }
 
@@ -561,7 +625,7 @@ func TestDeltaForEvent(t *testing.T) {
 
 // TestChurnEpochShapeHygiene pins the eviction half of the churn story: when
 // an epoch is abandoned — superseded by further churn or recovered from — the
-// compiled shapes keyed by its digest leave the shape cache immediately
+// compiled shapes of that epoch leave the shape cache immediately
 // instead of lingering until FIFO pressure evicts them, while the base
 // epoch's shapes survive recovery warm.
 func TestChurnEpochShapeHygiene(t *testing.T) {
@@ -586,7 +650,7 @@ func TestChurnEpochShapeHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 	do()
-	do() // epoch-1 shape, keyed by the churned digest
+	do() // epoch-1 shape, keyed by the churned key
 	if got := f.Stats().ModelCache.Entries; got != base+1 {
 		t.Fatalf("churned shape not cached: %d entries, want %d", got, base+1)
 	}
@@ -608,7 +672,7 @@ func TestChurnEpochShapeHygiene(t *testing.T) {
 	do() // epoch-2 shape
 	compiles := f.Stats().ModelCache.Compiles
 
-	// Pristine recovery abandons epoch 2 and restores the base digest by
+	// Pristine recovery abandons epoch 2 and restores the base key by
 	// identity: the epoch-2 shape is purged and the base shape serves warm,
 	// with no recompilation.
 	if _, _, err := f.ApplyChurn(ChurnDelta{RecoverDevices: []string{"medium-00", "medium-01"}}); err != nil {

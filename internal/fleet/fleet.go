@@ -4,9 +4,10 @@
 // scheduler workers and runs on its caller's goroutine; only when every
 // worker is busy does it wait, in one of a bounded number of waiter slots,
 // and past them it is rejected. Placements are memoized in a
-// concurrency-safe LRU keyed by a canonical fingerprint of (app DAG,
-// cluster, scheduler) — the Nash best-response iteration is deterministic,
-// so repeated shapes skip the game entirely.
+// concurrency-safe LRU keyed by (churn epoch's cluster, app digest) — a
+// fleet runs one cluster and one scheduling method, and the Nash
+// best-response iteration is deterministic, so repeated shapes skip the game
+// entirely.
 // The package also ships an open-loop traffic driver (Poisson, bursty, and
 // diurnal arrival processes over configurable application mixes) for
 // scenario sweeps far beyond the paper's two case studies.
@@ -61,7 +62,8 @@ type Config struct {
 	// NewScheduler constructs one scheduler per worker (default
 	// sched.NewDEEP). Any method from sched.All works: every scheduler runs
 	// on the worker's compiled model, so under churn it sees only the live
-	// devices and registries.
+	// devices and registries. Every call must return the same method: one
+	// fleet runs one, and its cache keys do not name it.
 	NewScheduler func() sched.Scheduler
 	// NewCluster constructs the fleet's cluster (default workload.Testbed).
 	// New calls it once; every worker schedules and simulates on that one
@@ -298,20 +300,20 @@ type Fleet struct {
 
 	// The cluster and churn machinery. base is the fleet's one cluster, made
 	// by New's only Config.NewCluster call: every shape compiles on it, and
-	// its device handles intern every churn epoch's patched table.
-	// baseTable/baseDigest are its compiled substrate and digest, which the
-	// epoch-0 state carries and a full recovery restores. All three are
-	// immutable after New. chaosTopo is a lazy clone of the base topology
-	// that accumulates link degradations (mutated only under churnMu; the
-	// base topology is never touched, so restores read base bandwidths).
-	// churn is the published epoch state workers adopt with one atomic load
-	// per request.
-	base       *sim.Cluster
-	baseDigest ClusterDigest
-	baseTable  *topo.ClusterTable
-	churnMu    sync.Mutex
-	chaosTopo  *netsim.Topology
-	churn      atomic.Pointer[churnState]
+	// its device handles intern every churn epoch's patched table. baseTable
+	// is its compiled substrate, which the epoch-0 state carries and a full
+	// recovery restores; clusterCompiles counts the full table compiles
+	// (New's one). All three are immutable after New. chaosTopo is a lazy
+	// clone of the base topology that accumulates link degradations (mutated
+	// only under churnMu; the base topology is never touched, so restores
+	// read base bandwidths). churn is the published epoch state workers adopt
+	// with one atomic load per request.
+	base            *sim.Cluster
+	baseTable       *topo.ClusterTable
+	clusterCompiles int64
+	churnMu         sync.Mutex
+	chaosTopo       *netsim.Topology
+	churn           atomic.Pointer[churnState]
 
 	churnEpochs      atomic.Int64
 	churnInvalidated atomic.Int64
@@ -401,12 +403,10 @@ func New(cfg Config) *Fleet {
 	f.solverNonconverged = reg.Counter("fleet_solver_nonconverged_total")
 	reg.OnCollect(f.collectGauges)
 	f.base = cfg.NewCluster()
-	f.baseDigest = DigestCluster(f.base)
-	f.baseTable = f.models.tableFor(f.baseDigest, func() *topo.ClusterTable {
-		return sim.CompileClusterTable(f.base)
-	})
+	f.baseTable = sim.CompileClusterTable(f.base)
+	f.clusterCompiles++
 	// Epoch 0 is the pristine pre-churn state: the base cluster exactly.
-	f.churn.Store(&churnState{table: f.baseTable, digest: f.baseDigest})
+	f.churn.Store(&churnState{table: f.baseTable})
 	f.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go func() {
@@ -461,16 +461,14 @@ func (f *Fleet) collectGauges() {
 // first: the full stage breakdown of every captured tail outlier.
 func (f *Fleet) SlowRequests() []obs.SlowRequest { return f.slow.Snapshot() }
 
-// StageHistogram exposes one stage's live histogram (for tests and custom
-// exposition); the same instruments are rendered by Metrics().Obs().
-func (f *Fleet) StageHistogram(s obs.Stage) *obs.Histogram { return f.stages.Histogram(s) }
-
 // Metrics returns the registry receiving per-tenant aggregates.
 func (f *Fleet) Metrics() *monitor.Metrics { return f.cfg.Metrics }
 
 // Stats snapshots the fleet counters.
 func (f *Fleet) Stats() Stats {
 	st := f.churn.Load()
+	models := f.models.Stats()
+	models.ClusterCompiles = f.clusterCompiles
 	return Stats{
 		Submitted:  f.submitted.Load(),
 		Rejected:   f.rejected.Load(),
@@ -478,7 +476,7 @@ func (f *Fleet) Stats() Stats {
 		Failed:     f.failed.Load(),
 		InFlight:   f.inFlight.Load(),
 		Cache:      f.cache.Stats(),
-		ModelCache: f.models.Stats(),
+		ModelCache: models,
 		Churn: ChurnStats{
 			Epoch:            st.epoch,
 			DownDevices:      len(st.downDevs),
@@ -761,9 +759,6 @@ func (f *Fleet) SubmitBatch(ctx context.Context, reqs []Request) (<-chan *Respon
 // Retry-After hints.
 func (f *Fleet) QueueLen() int { return int(f.queued.Load()) }
 
-// QueueCap returns the number of waiter slots, Config.QueueDepth.
-func (f *Fleet) QueueCap() int { return f.cfg.QueueDepth }
-
 // Workers returns the scheduler/simulator pool size.
 func (f *Fleet) Workers() int { return f.cfg.Workers }
 
@@ -811,8 +806,8 @@ type workerState struct {
 
 	// churn is the epoch state the current request runs on: its patched
 	// cluster table every model compiles on (so schedulers never see a down
-	// device or registry) and its effective digest every cache key folds
-	// in. fallback is the lazily built best-response scheduler for the
+	// device or registry) and its key, the cluster half of every cache key.
+	// fallback is the lazily built best-response scheduler for the
 	// degradation ladder; exactDur tracks the last exact schedule's duration
 	// for deadline triage.
 	churn    *churnState
@@ -833,9 +828,8 @@ func (w *workerState) fallbackScheduler() sched.Scheduler {
 // modelCacheSize bounds the fleet-wide shared compiled-shape cache (cost
 // model + simulator plan) in entries. Models and plans are a few dense arrays
 // each; 256 covers the distinct shapes of a large multi-tenant mix without
-// unbounded growth. Unlike the placement cache it is keyed by (app, cluster)
-// only, so one compiled shape serves every scheduler and every worker on the
-// same request shape.
+// unbounded growth. It takes the placement cache's key, so one compiled shape
+// serves every worker on the same request shape.
 const modelCacheSize = 256
 
 // shapeFilterSlots is the size of the shape cache's second-sight filter, in
@@ -937,16 +931,16 @@ func (f *Fleet) scheduleAttempt(w *workerState, j *job, shape compiledShape, att
 // shape returns the request's compiled model and executor plan: the model
 // every scheduler reads and the plan every request simulates on. A shape the
 // fleet has seen before comes from the fleet-wide cache, compiled fresh on
-// its second sight and shared from then on: the key folds in the epoch's
-// cluster digest, so one compiled shape per app serves every worker, and a
+// its second sight and shared from then on: the key's cluster half is the
+// worker's epoch's, so one compiled shape per app serves every worker, and a
 // churned cluster can never alias another epoch's shapes. A shape seen for
 // the first time — at the edge the common request, and most never return —
 // is compiled into the worker's recycled scratch instead, valid for this
 // request only, so it allocates nothing and retains nothing.
-func (f *Fleet) shape(w *workerState, app *dag.App, appDigest Fingerprint) compiledShape {
+func (f *Fleet) shape(w *workerState, app *dag.App, key cacheKey) compiledShape {
 	st := w.churn
-	s, seen := f.models.getOrCompile(fingerprint(st.digest, appDigest, ""), st.digest, func() compiledShape {
-		at := f.models.appTableFor(appDigest, func() *appgraph.AppTable {
+	s, seen := f.models.getOrCompile(key, func() compiledShape {
+		at := f.models.appTableFor(key.app, func() *appgraph.AppTable {
 			return appgraph.Compile(app)
 		})
 		return f.compileOn(st, at, new(costmodel.Scratch))
@@ -993,9 +987,9 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 
 	w.churn = f.churn.Load()
 
-	// Memoized on the app: only the first request to carry this *dag.App
-	// pays the sha256 pass over it.
-	appDigest := Fingerprint(j.req.App.Digest())
+	// The app digest is memoized on the app: only the first request to carry
+	// this *dag.App pays the sha256 pass over it.
+	key := cacheKey{cluster: w.churn.key, app: j.req.App.Digest()}
 	mark := time.Now()
 	w.trace.D[obs.StageFingerprint] = mark.Sub(start)
 
@@ -1003,8 +997,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	var view PlacementView
 	var hit bool
 	for attempt := 0; ; attempt++ {
-		key := fingerprint(w.churn.digest, appDigest, w.scheduler.Name())
-		shape = f.shape(w, j.req.App, appDigest)
+		shape = f.shape(w, j.req.App, key)
 		now := time.Now()
 		w.trace.D[obs.StageCompile] += now.Sub(mark)
 		mark = now
@@ -1056,6 +1049,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 			}
 			f.reschedules.Add(1)
 			w.churn = latest
+			key.cluster = latest.key
 			mark = time.Now()
 			continue
 		}

@@ -12,7 +12,6 @@ import (
 
 	"deep/internal/chaos"
 	"deep/internal/dag"
-	"deep/internal/energy"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/units"
@@ -153,60 +152,19 @@ func TestFleetServesEveryScheduler(t *testing.T) {
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	cd := DigestCluster(workload.Testbed())
-	base := cd.Fingerprint(workload.TextProcessing(), "deep")
-	if again := cd.Fingerprint(workload.TextProcessing(), "deep"); again != base {
+	key := func(app *dag.App) cacheKey { return cacheKey{app: app.Digest()} }
+	base := key(workload.TextProcessing())
+	if again := key(workload.TextProcessing()); again != base {
 		t.Fatal("identical inputs produced different fingerprints")
 	}
-	if other := cd.Fingerprint(workload.VideoProcessing(), "deep"); other == base {
+	if other := key(workload.VideoProcessing()); other == base {
 		t.Fatal("different apps collided")
-	}
-	if other := cd.Fingerprint(workload.TextProcessing(), "round-robin"); other == base {
-		t.Fatal("different schedulers collided")
-	}
-	bigger := workload.ScaledTestbed(2)
-	if other := DigestCluster(bigger).Fingerprint(workload.TextProcessing(), "deep"); other == base {
-		t.Fatal("different clusters collided")
 	}
 	// A one-byte perturbation of a dataflow size must change the digest.
 	tweaked := workload.TextProcessing()
 	tweaked.Dataflows[0].Size++
-	if other := cd.Fingerprint(tweaked, "deep"); other == base {
+	if other := key(tweaked); other == base {
 		t.Fatal("perturbed dataflow collided")
-	}
-}
-
-// TestClusterDigestExactFloats: device speeds, power draws and link
-// bandwidths are digested as exact floats, so clusters that differ only in a
-// fraction get different digests (and never share tables or placements).
-func TestClusterDigestExactFloats(t *testing.T) {
-	withSpeed := func(speed units.MIPS) ClusterDigest {
-		c := workload.Testbed()
-		c.Devices[0].Speed = speed
-		return DigestCluster(c)
-	}
-	if string(withSpeed(30000.25)) == string(withSpeed(30000.75)) {
-		t.Fatal("device speeds 30000.25 and 30000.75 share a digest")
-	}
-	withIdle := func(w units.Watts) ClusterDigest {
-		c := workload.Testbed()
-		pm := c.Devices[0].Power.(energy.TableModel)
-		pm.Fallback.StaticW = w
-		c.Devices[0].Power = pm
-		return DigestCluster(c)
-	}
-	if string(withIdle(5.001)) == string(withIdle(5.004)) {
-		t.Fatal("idle draws 5.001 W and 5.004 W share a digest")
-	}
-	withBW := func(bw units.Bandwidth) ClusterDigest {
-		c := workload.Testbed()
-		if err := c.Topology.SetBandwidth(workload.HubNode, workload.MediumNode, bw); err != nil {
-			t.Fatal(err)
-		}
-		return DigestCluster(c)
-	}
-	if string(withBW(1e6+0.25)) == string(withBW(1e6+0.75)) {
-		t.Fatal("link bandwidths differing in the fraction share a digest")
 	}
 }
 
@@ -214,7 +172,6 @@ func TestClusterDigestExactFloats(t *testing.T) {
 // microservice name cannot realign two distinct apps onto one digest
 // (name "m|5" + size 0 vs name "m" + size 5).
 func TestFingerprintSeparatorInName(t *testing.T) {
-	cd := DigestCluster(workload.Testbed())
 	mk := func(name string, size int64) *dag.App {
 		a := dag.NewApp("x")
 		if err := a.AddMicroservice(&dag.Microservice{Name: name, ImageSize: units.Bytes(size)}); err != nil {
@@ -224,7 +181,7 @@ func TestFingerprintSeparatorInName(t *testing.T) {
 	}
 	a := mk("m|5", 0)
 	b := mk("m", 5)
-	if cd.Fingerprint(a, "deep") == cd.Fingerprint(b, "deep") {
+	if a.Digest() == b.Digest() {
 		t.Fatal("separator byte in a name realigned two distinct apps")
 	}
 }
@@ -625,12 +582,9 @@ func TestSyntheticMixDeterminism(t *testing.T) {
 	if len(a) != 3 || len(a[0].Apps) != 2 {
 		t.Fatalf("mix shape: %d tenants, %d apps", len(a), len(a[0].Apps))
 	}
-	cd := DigestCluster(workload.Testbed())
 	for i := range a {
 		for j := range a[i].Apps {
-			fa := cd.Fingerprint(a[i].Apps[j], "deep")
-			fb := cd.Fingerprint(b[i].Apps[j], "deep")
-			if fa != fb {
+			if a[i].Apps[j].Digest() != b[i].Apps[j].Digest() {
 				t.Fatalf("tenant %d app %d not deterministic", i, j)
 			}
 		}
@@ -653,10 +607,10 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// fpOf builds a distinct Fingerprint from a short label, for cache tests.
-func fpOf(s string) (f Fingerprint) {
-	copy(f[:], s)
-	return f
+// fpOf builds a distinct cache key from a short label, for cache tests.
+func fpOf(s string) (k cacheKey) {
+	copy(k.app[:], s)
+	return k
 }
 
 func TestLRUEviction(t *testing.T) {

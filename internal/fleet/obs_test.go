@@ -103,7 +103,11 @@ func TestStageTracingEndToEnd(t *testing.T) {
 
 	var snap obs.HistogramSnapshot
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
-		f.StageHistogram(s).Snapshot(&snap)
+		h, ok := f.Metrics().Obs().LookupHistogram("fleet_stage_seconds{stage=" + s.String() + "}")
+		if !ok {
+			t.Fatalf("stage %s histogram not interned", s)
+		}
+		h.Snapshot(&snap)
 		if snap.Count != n {
 			t.Fatalf("stage %s histogram count = %d, want %d", s, snap.Count, n)
 		}

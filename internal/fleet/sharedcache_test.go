@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,12 +11,7 @@ import (
 	"deep/internal/appgraph"
 	"deep/internal/costmodel"
 	"deep/internal/dag"
-	"deep/internal/device"
-	"deep/internal/energy"
-	"deep/internal/netsim"
 	"deep/internal/sim"
-	"deep/internal/topo"
-	"deep/internal/units"
 	"deep/internal/workload"
 )
 
@@ -30,8 +26,7 @@ func TestSharedModelCacheSingleflight(t *testing.T) {
 	)
 	c := newSharedModelCache(64)
 	apps := make([]*dag.App, keys)
-	fps := make([]Fingerprint, keys)
-	cd := DigestCluster(workload.Testbed())
+	fps := make([]cacheKey, keys)
 	for i := range apps {
 		cfg := workload.DefaultGeneratorConfig(4, int64(i+1))
 		app, err := workload.Generate(cfg)
@@ -39,7 +34,7 @@ func TestSharedModelCacheSingleflight(t *testing.T) {
 			t.Fatal(err)
 		}
 		apps[i] = app
-		fps[i] = cd.Fingerprint(app, "")
+		fps[i] = cacheKey{app: app.Digest()}
 	}
 
 	var compiles, firstSights [keys]atomic.Int64
@@ -53,7 +48,7 @@ func TestSharedModelCacheSingleflight(t *testing.T) {
 			got[g] = make([]*costmodel.Model, keys)
 			for r := 0; r < rounds; r++ {
 				k := (g + r) % keys
-				shape, seen := c.getOrCompile(fps[k], nil, func() compiledShape {
+				shape, seen := c.getOrCompile(fps[k], func() compiledShape {
 					compiles[k].Add(1)
 					time.Sleep(time.Millisecond) // widen the race window
 					return compiledShape{model: costmodel.Compile(apps[k], cluster)}
@@ -141,139 +136,11 @@ func TestFleetCompilesOncePerShape(t *testing.T) {
 	}
 }
 
-// TestClusterDigestCanonicalizesDuplicates: the cluster digest hashes only
-// each name's first occurrence — the entry the compiled ClusterTable
-// resolves the name to. A cluster carrying duplicate losers digests equal to
-// the same cluster without them (identical compiled behavior, one shared
-// table), while swapping which spec comes first changes the winner and must
-// change the digest — digest equality coincides exactly with compiled
-// semantics, which is what makes digest-keyed table sharing sound.
-func TestClusterDigestCanonicalizesDuplicates(t *testing.T) {
-	pm := energy.LinearModel{StaticW: 1, PullW: 2, ReceiveW: 3, ProcessingW: 4}
-	specA := func() *device.Device { return device.New("d", dag.AMD64, 8, 10000, 8*units.GB, 64*units.GB, pm) }
-	specB := func() *device.Device { return device.New("d", dag.ARM64, 2, 1000, units.GB, 8*units.GB, pm) }
-	topology := func(t *testing.T) *netsim.Topology {
-		t.Helper()
-		top := netsim.NewTopology()
-		top.AddNode("hubnode")
-		top.AddNode("d")
-		if err := top.AddLink(netsim.Link{From: "hubnode", To: "d", BW: 10 * units.MBps, RTT: 1}); err != nil {
-			t.Fatal(err)
-		}
-		return top
-	}
-	build := func(devs ...*device.Device) *sim.Cluster {
-		return &sim.Cluster{
-			Devices:    devs,
-			Registries: []sim.RegistryInfo{{Name: "hub", Node: "hubnode"}},
-			Topology:   topology(t),
-		}
-	}
-
-	base := DigestCluster(build(specA()))
-	withLoser := DigestCluster(build(specA(), specB()))
-	swapped := DigestCluster(build(specB(), specA()))
-
-	if string(base) != string(withLoser) {
-		t.Error("a duplicate losing entry changed the digest; identical compiled tables would not be shared")
-	}
-	if string(base) == string(swapped) {
-		t.Error("swapping the winning spec kept the digest; differently-compiled clusters would share one table")
-	}
-
-	regBase := DigestCluster(&sim.Cluster{
-		Registries: []sim.RegistryInfo{{Name: "r", Node: "hubnode", Shared: true}},
-		Topology:   topology(t),
-	})
-	regWithLoser := DigestCluster(&sim.Cluster{
-		Registries: []sim.RegistryInfo{{Name: "r", Node: "hubnode", Shared: true}, {Name: "r", Node: "elsewhere"}},
-		Topology:   topology(t),
-	})
-	regSwapped := DigestCluster(&sim.Cluster{
-		Registries: []sim.RegistryInfo{{Name: "r", Node: "elsewhere"}, {Name: "r", Node: "hubnode", Shared: true}},
-		Topology:   topology(t),
-	})
-	if string(regBase) != string(regWithLoser) {
-		t.Error("a duplicate losing registry changed the digest")
-	}
-	if string(regBase) == string(regSwapped) {
-		t.Error("swapping the winning registry kept the digest")
-	}
-}
-
-// TestClusterTableSingleflight hammers the cluster-table level from many
-// goroutines (run under -race in CI) and asserts each digest compiled
-// exactly once with every caller handed the same table.
-func TestClusterTableSingleflight(t *testing.T) {
-	const (
-		goroutines = 16
-		rounds     = 50
-	)
-	c := newSharedModelCache(64)
-	clusters := []*sim.Cluster{workload.Testbed(), workload.ScaledTestbed(2)}
-	digests := make([]ClusterDigest, len(clusters))
-	for i, cl := range clusters {
-		digests[i] = DigestCluster(cl)
-	}
-
-	var compiles [2]atomic.Int64
-	got := make([][]*topo.ClusterTable, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g] = make([]*topo.ClusterTable, len(clusters))
-			for r := 0; r < rounds; r++ {
-				k := (g + r) % len(clusters)
-				tab := c.tableFor(digests[k], func() *topo.ClusterTable {
-					compiles[k].Add(1)
-					time.Sleep(time.Millisecond) // widen the race window
-					return sim.CompileClusterTable(clusters[k])
-				})
-				if got[g][k] == nil {
-					got[g][k] = tab
-				} else if got[g][k] != tab {
-					t.Errorf("goroutine %d digest %d: table changed identity", g, k)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	for k := range compiles {
-		if n := compiles[k].Load(); n != 1 {
-			t.Errorf("digest %d compiled %d times, want exactly 1", k, n)
-		}
-	}
-	for g := 1; g < goroutines; g++ {
-		for k := range got[0] {
-			if got[g][k] != got[0][k] {
-				t.Errorf("goroutine %d digest %d: different table than goroutine 0", g, k)
-			}
-		}
-	}
-	s := c.Stats()
-	if s.ClusterCompiles != int64(len(clusters)) {
-		t.Errorf("stats report %d cluster compiles, want %d", s.ClusterCompiles, len(clusters))
-	}
-	if s.ClusterMisses != int64(len(clusters)) {
-		t.Errorf("stats report %d cluster misses, want %d", s.ClusterMisses, len(clusters))
-	}
-	if want := int64(goroutines*rounds - len(clusters)); s.ClusterHits != want {
-		t.Errorf("stats report %d cluster hits, want %d", s.ClusterHits, want)
-	}
-	if s.ClusterEntries != len(clusters) {
-		t.Errorf("stats report %d cluster entries, want %d", s.ClusterEntries, len(clusters))
-	}
-}
-
-// TestFleetCompilesClusterOnce pins the two-level cache's outer level: 8
-// workers sharing the fleet's one cluster under many distinct app shapes
-// (with placement memoization off, so every request schedules) perform
-// exactly one topo.Compile for the whole fleet — New's one cluster-table
-// miss, and no worker asks again — while the inner level still compiles
-// once per app shape.
+// TestFleetCompilesClusterOnce: 8 workers sharing the fleet's one cluster
+// under many distinct app shapes (with placement memoization off, so every
+// request schedules) perform exactly one topo.Compile for the whole fleet —
+// New's, and no worker compiles again — while the shape level still
+// compiles once per app shape.
 func TestFleetCompilesClusterOnce(t *testing.T) {
 	const workers = 8
 	f := testFleet(t, Config{Workers: workers, QueueDepth: 256, CacheSize: -1})
@@ -309,12 +176,6 @@ func TestFleetCompilesClusterOnce(t *testing.T) {
 		t.Errorf("%d cluster-table compilations across %d workers, want 1 (stats: %+v)",
 			s.ClusterCompiles, workers, s)
 	}
-	if s.ClusterMisses != 1 || s.ClusterHits != 0 {
-		t.Errorf("cluster-table misses=%d hits=%d, want 1 and 0", s.ClusterMisses, s.ClusterHits)
-	}
-	if s.ClusterEntries != 1 {
-		t.Errorf("%d cluster-table entries, want 1", s.ClusterEntries)
-	}
 	if shared := s.Compiles - s.FirstSight; shared != int64(len(apps)) || s.FirstSight > int64(len(apps)) {
 		t.Errorf("%d shared and %d first-sight shape compilations for %d app shapes (stats: %+v)", shared, s.FirstSight, len(apps), s)
 	}
@@ -322,55 +183,20 @@ func TestFleetCompilesClusterOnce(t *testing.T) {
 
 // sharedShape is getOrCompile past the second-sight filter: a key the cache
 // has not sighted is asked for twice, as its second caller would.
-func sharedShape(c *sharedModelCache, key Fingerprint, compile func() compiledShape) compiledShape {
-	shape, seen := c.getOrCompile(key, nil, compile)
+func sharedShape(c *sharedModelCache, key cacheKey, compile func() compiledShape) compiledShape {
+	shape, seen := c.getOrCompile(key, compile)
 	if !seen {
-		shape, _ = c.getOrCompile(key, nil, compile)
+		shape, _ = c.getOrCompile(key, compile)
 	}
 	return shape
-}
-
-// TestModelKeyChangesWithCluster pins the no-stale-reuse property: the
-// model key folds the cluster digest in, so after a cluster change the same
-// app maps to a different entry and a fresh compilation — a worker can
-// never be handed a model compiled against another cluster shape.
-func TestModelKeyChangesWithCluster(t *testing.T) {
-	app := workload.VideoProcessing()
-	small := DigestCluster(workload.Testbed())
-	big := DigestCluster(workload.ScaledTestbed(2))
-	k1, k2 := small.Fingerprint(app, ""), big.Fingerprint(app, "")
-	if k1 == k2 {
-		t.Fatal("model keys collide across different clusters")
-	}
-
-	c := newSharedModelCache(16)
-	m1 := sharedShape(c, k1, func() compiledShape {
-		return compiledShape{model: costmodel.Compile(app, workload.Testbed())}
-	}).model
-	m2 := sharedShape(c, k2, func() compiledShape {
-		return compiledShape{model: costmodel.Compile(app, workload.ScaledTestbed(2))}
-	}).model
-	if m1 == m2 {
-		t.Fatal("distinct cluster keys shared one compiled model")
-	}
-	if n1, n2 := m1.NumDevices(), m2.NumDevices(); n1 == n2 {
-		t.Fatalf("expected different device counts, got %d and %d", n1, n2)
-	}
-	if got := sharedShape(c, k1, func() compiledShape {
-		t.Fatal("unexpected recompilation of a cached key")
-		return compiledShape{}
-	}).model; got != m1 {
-		t.Fatal("cached model identity changed")
-	}
 }
 
 // TestModelCacheEviction: FIFO-bounded shards evict and recompile.
 func TestModelCacheEviction(t *testing.T) {
 	c := newSharedModelCache(modelCacheShards) // one entry per shard
-	cd := DigestCluster(workload.Testbed())
 	cluster := workload.Testbed()
 
-	var keys []Fingerprint
+	var keys []cacheKey
 	var apps []*dag.App
 	for i := 0; i < 4; i++ {
 		cfg := workload.DefaultGeneratorConfig(3, int64(100+i))
@@ -379,7 +205,7 @@ func TestModelCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		apps = append(apps, app)
-		keys = append(keys, cd.Fingerprint(app, ""))
+		keys = append(keys, cacheKey{app: app.Digest()})
 	}
 	compiled := 0
 	fill := func(i int) {
@@ -409,7 +235,7 @@ func TestAppTableSingleflight(t *testing.T) {
 	)
 	c := newSharedModelCache(64)
 	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing()}
-	digests := make([]Fingerprint, len(apps))
+	digests := make([][sha256.Size]byte, len(apps))
 	for i, app := range apps {
 		digests[i] = app.Digest()
 	}
@@ -466,8 +292,8 @@ func TestAppTableSingleflight(t *testing.T) {
 	}
 }
 
-// TestFleetCompilesAppOnce pins the three-level cache's app level: 8 workers
-// serve the same app on 8 churn epochs, each a cluster with a digest of its
+// TestFleetCompilesAppOnce pins the two-level cache's app level: 8 workers
+// serve the same app on 8 churn epochs, each a cluster with a key of its
 // own (so nothing else is shared — every epoch's shape key differs), and the
 // whole fleet performs exactly one shared appgraph.Compile: the DAG
 // validation, topo order, and stage partition run once and every shared
@@ -484,15 +310,15 @@ func TestFleetCompilesAppOnce(t *testing.T) {
 	})
 
 	app := workload.VideoProcessing()
-	digests := map[string]bool{}
+	keys := map[[sha256.Size]byte]bool{}
 	for epoch := 0; epoch < epochs; epoch++ {
 		if epoch > 0 {
-			// Each crash adds a device to the down set: a new effective digest.
+			// Each crash adds a device to the down set: a new epoch key.
 			if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{fmt.Sprintf("medium-%02d", epoch-1)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		digests[string(f.churn.Load().digest)] = true
+		keys[f.churn.Load().key] = true
 		var wg sync.WaitGroup
 		for i := 0; i < 40; i++ {
 			ch, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", i%4), App: app, Seed: int64(i)})
@@ -509,8 +335,8 @@ func TestFleetCompilesAppOnce(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if len(digests) != epochs {
-		t.Fatalf("%d epochs produced %d distinct cluster digests", epochs, len(digests))
+	if len(keys) != epochs {
+		t.Fatalf("%d epochs produced %d distinct cluster keys", epochs, len(keys))
 	}
 
 	s := f.Stats().ModelCache

@@ -112,8 +112,7 @@ func TestShapeCacheDistinguishesAppNames(t *testing.T) {
 		}
 		return app
 	}
-	cd := DigestCluster(workload.Testbed())
-	if cd.Fingerprint(build("alpha"), "") == cd.Fingerprint(build("beta"), "") {
+	if build("alpha").Digest() == build("beta").Digest() {
 		t.Fatal("model keys collide across app names")
 	}
 

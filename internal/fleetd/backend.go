@@ -37,11 +37,9 @@ type Backend interface {
 	Stats() fleet.Stats
 	// SlowRequests returns the slow-request ring contents.
 	SlowRequests() []obs.SlowRequest
-	// QueueLen, QueueCap, and Workers describe the waiting requests, the
-	// waiter slots and the worker pool; the handlers derive Retry-After
-	// hints from them.
+	// QueueLen and Workers describe the waiting requests and the worker
+	// pool; the handlers derive Retry-After hints from them.
 	QueueLen() int
-	QueueCap() int
 	Workers() int
 }
 

@@ -435,7 +435,6 @@ func TestDrainCompletesAcceptedRequests(t *testing.T) {
 type stubBackend struct {
 	submitErr error
 	queueLen  int
-	queueCap  int
 	workers   int
 	// result, when set, is the Result of every response; else a zero one.
 	result *sim.Result
@@ -470,11 +469,10 @@ func (s *stubBackend) ApplyChurn(fleet.ChurnDelta) (int64, int, error) {
 func (s *stubBackend) Stats() fleet.Stats              { return fleet.Stats{} }
 func (s *stubBackend) SlowRequests() []obs.SlowRequest { return nil }
 func (s *stubBackend) QueueLen() int                   { return s.queueLen }
-func (s *stubBackend) QueueCap() int                   { return s.queueCap }
 func (s *stubBackend) Workers() int                    { return s.workers }
 
 func TestBackendStub(t *testing.T) {
-	stub := &stubBackend{submitErr: fleet.ErrQueueFull, queueLen: 8, queueCap: 8, workers: 2}
+	stub := &stubBackend{submitErr: fleet.ErrQueueFull, queueLen: 8, workers: 2}
 	reg := obs.NewRegistry()
 	s, err := New(Config{Backend: stub, Registry: reg})
 	if err != nil {
@@ -958,7 +956,7 @@ func TestDeployBatchValidation(t *testing.T) {
 // the backend seam: queue-full and draining reject the envelope with the
 // same codes and Retry-After derivation as single deploys.
 func TestDeployBatchBackendErrors(t *testing.T) {
-	stub := &stubBackend{submitErr: fleet.ErrQueueFull, queueLen: 8, queueCap: 8, workers: 2}
+	stub := &stubBackend{submitErr: fleet.ErrQueueFull, queueLen: 8, workers: 2}
 	reg := obs.NewRegistry()
 	s, err := New(Config{Backend: stub, Registry: reg})
 	if err != nil {

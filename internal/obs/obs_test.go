@@ -128,8 +128,12 @@ func TestStageTraceAndSet(t *testing.T) {
 		t.Fatalf("Total = %v", tr.Total())
 	}
 	ss.RecordAt(1, &tr)
+	queue, ok := r.LookupHistogram("stage_seconds{stage=queue}")
+	if !ok {
+		t.Fatal("stage histogram not interned under labeled name")
+	}
 	var s HistogramSnapshot
-	ss.Histogram(StageQueue).Snapshot(&s)
+	queue.Snapshot(&s)
 	if s.Count != 1 || s.Sum != 0.002 {
 		t.Fatalf("queue stage snapshot = %+v", s)
 	}
@@ -278,7 +282,8 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	if s.Count != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", s.Count, goroutines*perG)
 	}
-	ss.Histogram(StageSchedule).Snapshot(&s)
+	sched, _ := r.LookupHistogram("st{stage=schedule}")
+	sched.Snapshot(&s)
 	if s.Count != goroutines*perG {
 		t.Fatalf("stage histogram count = %d, want %d", s.Count, goroutines*perG)
 	}

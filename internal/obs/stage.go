@@ -8,7 +8,7 @@ import (
 
 // Stage identifies one segment of the fleet's request path. The taxonomy
 // follows the path's actual order: admission-queue residency, request
-// fingerprinting, compiled-shape resolution (cluster-table / cost-model /
+// fingerprinting, compiled-shape resolution (app-table / cost-model /
 // simulator-plan compile, amortized to a cache lookup when warm), placement
 // -cache lookup, scheduling (the Nash pass, zero on placement-cache hits),
 // and simulator execution.
@@ -24,7 +24,7 @@ const (
 	StageFingerprint
 	// StageCompile is compiled-shape resolution against the fleet-wide
 	// shape cache; on a warm shape it is the cache lookup alone, on a cold
-	// one it includes the cluster-table/model/plan compilation.
+	// one it includes the app-table/model/plan compilation.
 	StageCompile
 	// StageCacheLookup is the placement-cache probe.
 	StageCacheLookup
@@ -109,6 +109,3 @@ func (ss *StageSet) RecordAt(shard int, t *StageTrace) {
 		ss.hists[s].ObserveAt(shard, t.D[s].Seconds())
 	}
 }
-
-// Histogram returns one stage's histogram.
-func (ss *StageSet) Histogram(s Stage) *Histogram { return ss.hists[s] }

@@ -8,7 +8,7 @@
 // Every scheduler runs on the compiled, integer-indexed cost model of
 // internal/costmodel, through one contract: ScheduleModel reads a model and
 // works entirely in dense arrays. Fleet workers cache compiled models per
-// request fingerprint and hand schedulers the cached model; callers holding
+// (churn epoch, app) key and hand schedulers the cached model; callers holding
 // an (app, cluster) pair go through the package function Schedule, which
 // compiles the pair first.
 package sched

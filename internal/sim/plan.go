@@ -117,7 +117,7 @@ const (
 // CompileClusterTable compiles the cluster-side substrate shared by this
 // package's CompilePlanOnTables and costmodel.CompileShapeOn: name tables,
 // interned devices, device classes, dense link tables, and idle power.
-// Compile it once per cluster (the fleet caches one per cluster digest) and
+// Compile it once per cluster (the fleet compiles its one cluster's) and
 // feed it to every application-side compile against that cluster.
 func CompileClusterTable(cluster *Cluster) *topo.ClusterTable {
 	regs := make([]topo.Registry, len(cluster.Registries))

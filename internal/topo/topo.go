@@ -5,8 +5,8 @@
 // rebuilt identical sorted name tables, dense link tables, device interning,
 // and idle-power rows from scratch on every cold (app, cluster) shape. A
 // ClusterTable is everything in those compilers that depends only on the
-// cluster — compiled once per cluster (the fleet keys it by cluster digest)
-// and shared across applications and across both compilers.
+// cluster — compiled once per cluster (the fleet compiles its one cluster's
+// in New) and shared across applications and across both compilers.
 //
 // A ClusterTable is immutable after Compile and safe for any number of
 // concurrent readers. It snapshots the topology's routes and the devices'
