@@ -22,6 +22,7 @@ import (
 	"deep/internal/appgraph"
 	"deep/internal/bench"
 	"deep/internal/costmodel"
+	"deep/internal/energy"
 	"deep/internal/obs"
 	"deep/internal/sched"
 	"deep/internal/sim"
@@ -143,15 +144,17 @@ func Benchmark_AblationContention(b *testing.B) {
 // best-response dynamics) on a 50-node scaled testbed. Each case runs both
 // cold (Schedule: compile the cost model, then play the games) and warm
 // (ScheduleModel on a precompiled model — the fleet workers' steady state,
-// where compiled models are memoized per request fingerprint). The scaled50
-// pair stages are over the cap and go to best-response dynamics, so two more
-// rows cover the exact game at size, as warm passes on a reused Pass (the
-// fleet's path, 0 allocs): scaled24 is the front-door benchmark's
+// where compiled models are memoized per request fingerprint). Four more
+// rows time the exact pair game at size, as warm passes on a reused Pass
+// (the fleet's path, 0 allocs): scaled24 is the front-door benchmark's
 // cold_unique shape — a 16-microservice generated app on 24 devices, whose
-// pair stages are 48x48 = 2 304-cell games — and scaled40 the same app on 40
-// devices, 80x80 = 6 400 cells, near the top of what DefaultMaxPairCells
-// keeps exact. The CI bench smoke step runs this with -benchtime=10x;
-// BENCH_sched.json records ns/op and allocs/op for the DEEP path.
+// pair stages are 48x48 = 2 304-cell games — scaled40 the same app on 40
+// devices (80x80 = 6 400 cells) and scaled100 on 100 (200x200 = 40 000
+// cells). scaled100/allties is the adversarial case: the same app and
+// cluster with every power draw zeroed, so every price is 0, every pair cell
+// ties, bestPure's row skip never fires and its sweep offers every cell.
+// The CI bench smoke step runs this with -benchtime=10x; BENCH_sched.json
+// records ns/op and allocs/op for the DEEP path.
 func BenchmarkSchedule(b *testing.B) {
 	cfg := workload.DefaultGeneratorConfig(12, 42)
 	cfg.StageWidth = 4
@@ -195,12 +198,20 @@ func BenchmarkSchedule(b *testing.B) {
 		})
 	}
 
+	zeroPower := func(c *deep.Cluster) *deep.Cluster {
+		for _, d := range c.Devices {
+			d.Power = energy.LinearModel{}
+		}
+		return c
+	}
 	for _, c := range []struct {
-		name  string
-		scale int
+		name    string
+		cluster *deep.Cluster
 	}{
-		{"deep/synthetic16/scaled24/warm", 12},
-		{"deep/synthetic16/scaled40/warm", 20},
+		{"deep/synthetic16/scaled24/warm", workload.ScaledTestbed(12)},
+		{"deep/synthetic16/scaled40/warm", workload.ScaledTestbed(20)},
+		{"deep/synthetic16/scaled100/warm", workload.ScaledTestbed(50)},
+		{"deep/synthetic16/scaled100/allties/warm", zeroPower(workload.ScaledTestbed(50))},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			app, err := workload.Generate(workload.DefaultGeneratorConfig(16, 1))
@@ -208,7 +219,7 @@ func BenchmarkSchedule(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := sched.NewDEEP()
-			p := sched.NewPass(costmodel.Compile(app, workload.ScaledTestbed(c.scale)))
+			p := sched.NewPass(costmodel.Compile(app, c.cluster))
 			if err := s.ScheduleInto(p); err != nil { // grow the arena
 				b.Fatal(err)
 			}

@@ -156,7 +156,7 @@ type (
 	// LinkChange is one link-bandwidth change inside a ChurnDelta.
 	LinkChange = fleet.LinkChange
 	// ChurnStats snapshots the fleet's churn machinery (current epoch, down
-	// sets, invalidation/re-schedule/downgrade counters); part of FleetStats.
+	// sets, invalidation/re-schedule/deadline counters); part of FleetStats.
 	ChurnStats = fleet.ChurnStats
 	// ChurnReport summarizes one chaos session inside a FleetReport.
 	ChurnReport = fleet.ChurnReport
@@ -210,12 +210,10 @@ func TextProcessing() *App { return workload.TextProcessing() }
 // NewSystem returns a DEEP system (Nash scheduler) bound to a cluster.
 func NewSystem(cluster *Cluster) *System { return core.NewSystem(cluster) }
 
-// NewDEEPScheduler returns the paper's Nash-game scheduler with the default
-// pair-game cap (sched.DefaultMaxPairCells), the line between exactness and
-// speed: a two-microservice stage whose game (|o1|·|o2| cells) fits under it
-// is solved for its welfare-maximal equilibrium, a larger one goes to
-// best-response dynamics — somewhat cheaper per pass, but an equilibrium
-// only when the dynamics settle.
+// NewDEEPScheduler returns the paper's Nash-game scheduler: every one- and
+// two-microservice stage is solved for its welfare-maximal equilibrium, at
+// any number of options; stages of three or more run best-response
+// dynamics.
 func NewDEEPScheduler() Scheduler { return sched.NewDEEP() }
 
 // NewExclusiveScheduler pins every deployment to one registry ("hub" or

@@ -108,12 +108,9 @@ type ChurnStats struct {
 	ShapesPurged  int64 `json:"shapes_purged"`
 	// StaleRejected counts placements caught referencing down hardware at
 	// the response gate; Reschedules the retry attempts those rejections
-	// triggered; Downgrades the responses served by the best-response
-	// fallback instead of the exact scheduler; DeadlineExceeded the requests
-	// failed with ErrDeadline.
+	// triggered; DeadlineExceeded the requests failed with ErrDeadline.
 	StaleRejected    int64 `json:"stale_rejected"`
 	Reschedules      int64 `json:"reschedules"`
-	Downgrades       int64 `json:"downgrades"`
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
 }
 

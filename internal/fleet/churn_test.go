@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"deep/internal/chaos"
-	"deep/internal/costmodel"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/workload"
@@ -526,80 +525,64 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestDegradationLadder pins scheduleAttempt's rungs directly: attempt 0
-// runs the exact scheduler, any retry falls back to best-response dynamics
-// (degraded), and non-pass schedulers never downgrade.
-func TestDegradationLadder(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1})
-	cluster := workload.Testbed()
-	w := &workerState{
-		scheduler: sched.NewDEEP(),
-		exec:      sim.NewExec(),
-	}
+// TestChurnRetryIsExactAndMemoized pins what a churn retry serves: a cached
+// placement that names a device down at the latest epoch is caught by the
+// stale gate, rescheduled once on that epoch, and the answer is exactly
+// NewDEEP's on the epoch's effective cluster — not flagged degraded, and
+// memoized, so the next deploy of the app is a cache hit on it.
+func TestChurnRetryIsExactAndMemoized(t *testing.T) {
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
 	app := workload.VideoProcessing()
-	shape := compiledShape{model: costmodel.Compile(app, cluster)}
-	j := &job{req: Request{App: app}}
-	// attemptOn runs one rung and returns the placement it left in j.
-	attemptOn := func(w *workerState, attempt int, deadline time.Time) (sim.Placement, bool, error) {
-		degraded, err := f.scheduleAttempt(w, j, shape, attempt, deadline)
-		return PlacementView{names: j.names, assigns: j.assigns}.Materialize(), degraded, err
+	const down = "medium-00"
+	if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{down}}); err != nil {
+		t.Fatal(err)
 	}
 
-	exact, degraded, err := attemptOn(w, 0, time.Time{})
+	// Plant a placement on the down device under the latest epoch's key.
+	stale, err := sched.Schedule(sched.NewDEEP(), app, scaled2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if degraded {
-		t.Fatal("attempt 0 with no deadline ran degraded")
+	for name, a := range stale {
+		a.Device = down
+		stale[name] = a
 	}
-	if w.exactDur <= 0 {
-		t.Fatal("exact schedule did not record its duration")
-	}
+	names, assigns := sortedPlacement(stale, nil, nil)
+	key := cacheKey{cluster: f.churn.Load().key, app: app.Digest()}
+	f.cache.PutView(key, PlacementView{names: names, assigns: assigns})
 
-	retry, degraded, err := attemptOn(w, 1, time.Time{})
+	want, err := sched.Schedule(sched.NewDEEP(), app, effectiveCluster(scaled2, map[string]bool{down: true}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !degraded {
-		t.Fatal("retry attempt did not fall back to the degraded rung")
+	retry, err := f.Do(context.Background(), Request{App: app})
+	if err != nil || retry.Err != nil {
+		t.Fatal(err, retry.Err)
 	}
-	if len(retry) != len(exact) {
-		t.Fatalf("degraded placement covers %d microservices, exact covers %d", len(retry), len(exact))
+	defer retry.Release()
+	if st := f.Stats().Churn; st.StaleRejected != 1 || st.Reschedules != 1 {
+		t.Fatalf("stale rejected %d, reschedules %d; want 1, 1", st.StaleRejected, st.Reschedules)
 	}
-
-	// Best-response reference: the degraded rung must equal DEEP with pair
-	// games capped to one cell.
-	want, err := (&sched.DEEP{MaxPairCells: 1}).ScheduleModel(shape.model)
-	if err != nil {
-		t.Fatal(err)
+	if retry.Degraded || retry.CacheHit {
+		t.Fatalf("retry answered degraded=%v cache_hit=%v, want an exact fresh schedule", retry.Degraded, retry.CacheHit)
 	}
-	if !reflect.DeepEqual(retry, want) {
-		t.Fatal("degraded rung diverges from best-response dynamics")
+	if got := retry.Placement.Materialize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("retry placed %v, NewDEEP on the epoch's cluster %v", got, want)
 	}
 
-	// Deadline pressure steers attempt 0 onto the degraded rung when the
-	// remaining budget is below the last exact duration.
-	w.exactDur = time.Hour
-	pressed, degraded, err := attemptOn(w, 0, time.Now().Add(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+	again, err := f.Do(context.Background(), Request{App: app})
+	if err != nil || again.Err != nil {
+		t.Fatal(err, again.Err)
 	}
-	if !degraded {
-		t.Fatal("deadline pressure did not downgrade")
+	defer again.Release()
+	if !again.CacheHit {
+		t.Fatal("the retry's placement was not memoized")
 	}
-	if len(pressed) != len(exact) {
-		t.Fatal("pressed placement incomplete")
+	if got := again.Placement.Materialize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache hit placed %v, want the retry's %v", got, want)
 	}
-
-	// A non-pass scheduler has no cheaper rung: retries stay exact.
-	w2 := &workerState{
-		scheduler: sched.NewRoundRobin(),
-		exec:      sim.NewExec(),
-	}
-	if _, degraded, err := attemptOn(w2, 1, time.Time{}); err != nil {
-		t.Fatal(err)
-	} else if degraded {
-		t.Fatal("non-pass scheduler reported a downgrade")
+	if st := f.Stats().Churn; st.Reschedules != 1 {
+		t.Fatalf("reschedules %d after the hit, want 1", st.Reschedules)
 	}
 }
 

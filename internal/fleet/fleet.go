@@ -142,10 +142,8 @@ type Request struct {
 	// admission. A request whose deadline expires while it waits for a
 	// worker, or before scheduling or simulation, fails with ErrDeadline (a
 	// waiting caller arms a timer for it; one that borrows a worker at once
-	// arms none); deadline pressure also steers
-	// schedulable requests onto the degraded (best-response) ladder rung
-	// when the exact game is expected to blow the budget. Zero means no
-	// deadline.
+	// arms none). The placement is always exact: a deadline never buys a
+	// cheaper solver. Zero means no deadline.
 	Deadline time.Duration
 }
 
@@ -186,9 +184,9 @@ type Response struct {
 	// against: the placement references no device or registry that was down
 	// at that epoch.
 	Epoch int64
-	// Degraded is true when the placement came from the best-response
-	// fallback instead of the exact scheduler (deadline pressure or churn
-	// retry).
+	// Degraded is always false: every placement is exact. It is kept
+	// because benchmark/replay.go copies it and clients may read the
+	// "degraded" field of a deploy answer.
 	Degraded bool
 	// Index is the request's position within its DoBatch or SubmitBatch
 	// call; 0 for single-request submissions.
@@ -320,7 +318,6 @@ type Fleet struct {
 	shapesPurged     atomic.Int64
 	staleRejected    atomic.Int64
 	reschedules      atomic.Int64
-	downgrades       atomic.Int64
 	deadlineExceeded atomic.Int64
 }
 
@@ -453,7 +450,6 @@ func (f *Fleet) collectGauges() {
 	reg.Gauge("fleet_churn_shapes_purged").Set(float64(s.Churn.ShapesPurged))
 	reg.Gauge("fleet_churn_stale_rejected").Set(float64(s.Churn.StaleRejected))
 	reg.Gauge("fleet_churn_reschedules").Set(float64(s.Churn.Reschedules))
-	reg.Gauge("fleet_churn_downgrades").Set(float64(s.Churn.Downgrades))
 	reg.Gauge("fleet_churn_deadline_exceeded").Set(float64(s.Churn.DeadlineExceeded))
 }
 
@@ -487,7 +483,6 @@ func (f *Fleet) Stats() Stats {
 			ShapesPurged:     f.shapesPurged.Load(),
 			StaleRejected:    f.staleRejected.Load(),
 			Reschedules:      f.reschedules.Load(),
-			Downgrades:       f.downgrades.Load(),
 			DeadlineExceeded: f.deadlineExceeded.Load(),
 		},
 	}
@@ -807,22 +802,7 @@ type workerState struct {
 	// churn is the epoch state the current request runs on: its patched
 	// cluster table every model compiles on (so schedulers never see a down
 	// device or registry) and its key, the cluster half of every cache key.
-	// fallback is the lazily built best-response scheduler for the
-	// degradation ladder; exactDur tracks the last exact schedule's duration
-	// for deadline triage.
-	churn    *churnState
-	fallback sched.Scheduler
-	exactDur time.Duration
-}
-
-// fallbackScheduler returns the degraded-rung scheduler: DEEP with every
-// pair game capped down to best-response dynamics — the cheap, always-fast
-// approximation the paper's own large-stage path uses.
-func (w *workerState) fallbackScheduler() sched.Scheduler {
-	if w.fallback == nil {
-		w.fallback = &sched.DEEP{MaxPairCells: 1}
-	}
-	return w.fallback
+	churn *churnState
 }
 
 // modelCacheSize bounds the fleet-wide shared compiled-shape cache (cost
@@ -855,14 +835,13 @@ func (f *Fleet) deliver(shard int, resp *Response) {
 	f.observe(shard, resp)
 }
 
-// scheduleOn computes a placement for the job with the given scheduler on
+// scheduleOn computes a placement for the job with the worker's scheduler on
 // the compiled shape, into the job's (names, assigns) scratch. Schedulers
 // that support reusable passes (sched.PassScheduler — DEEP) run on the
-// worker's one Pass — it is scheduler-independent, so the exact scheduler and
-// the degraded fallback share it — and write their result straight into the
-// scratch; every other scheduler runs on the model with fresh scratch.
-func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, j *job, shape compiledShape) error {
-	if s, ok := scheduler.(sched.PassScheduler); ok {
+// worker's one Pass and write their result straight into the scratch; every
+// other scheduler runs on the model with fresh scratch.
+func (f *Fleet) scheduleOn(w *workerState, j *job, shape compiledShape) error {
+	if s, ok := w.scheduler.(sched.PassScheduler); ok {
 		p := w.passFor(shape)
 		if err := s.ScheduleInto(p); err != nil {
 			return err
@@ -871,7 +850,7 @@ func (f *Fleet) scheduleOn(w *workerState, scheduler sched.Scheduler, j *job, sh
 		j.names, j.assigns = p.AppendPlacement(j.names[:0], j.assigns[:0])
 		return nil
 	}
-	placement, err := scheduler.ScheduleModel(shape.model)
+	placement, err := w.scheduler.ScheduleModel(shape.model)
 	if err == nil {
 		j.names, j.assigns = sortedPlacement(placement, j.names, j.assigns)
 	}
@@ -903,29 +882,6 @@ func (f *Fleet) recordSolver(shard int, st sched.SolverStats) {
 	add(f.solverExact, st.Exact)
 	add(f.solverBestResponse, st.BestResponse)
 	add(f.solverNonconverged, st.NonConverged)
-}
-
-// scheduleAttempt runs one rung of the degradation ladder: the exact
-// scheduler normally, or the best-response fallback when this is a churn
-// retry or when the deadline cannot absorb another exact game (estimated by
-// the worker's last exact schedule duration). The fallback applies only to
-// PassSchedulers (the exact DEEP family) — other schedulers have no cheaper
-// rung to fall to. The placement lands in the job's scratch (scheduleOn);
-// the result reports whether it is degraded.
-func (f *Fleet) scheduleAttempt(w *workerState, j *job, shape compiledShape, attempt int, deadline time.Time) (bool, error) {
-	if _, exact := w.scheduler.(sched.PassScheduler); exact {
-		pressed := !deadline.IsZero() && w.exactDur > 0 && time.Until(deadline) < w.exactDur
-		if attempt > 0 || pressed {
-			err := f.scheduleOn(w, w.fallbackScheduler(), j, shape)
-			return err == nil, err
-		}
-	}
-	t0 := time.Now()
-	err := f.scheduleOn(w, w.scheduler, j, shape)
-	if err == nil {
-		w.exactDur = time.Since(t0)
-	}
-	return false, err
 }
 
 // shape returns the request's compiled model and executor plan: the model
@@ -974,9 +930,9 @@ func (f *Fleet) compileOn(st *churnState, at *appgraph.AppTable, into *costmodel
 //
 // Under churn the path loops: every computed or cached placement is
 // re-validated against the latest published epoch before it is served, and a
-// placement caught referencing crashed hardware is purged and re-scheduled on
-// the latest epoch at once (bounded retries, degraded-scheduler rung on
-// retry). Stage stamps accumulate across attempts.
+// placement caught referencing crashed hardware is purged and re-scheduled
+// exactly on the latest epoch at once, and that placement is memoized like
+// any other (bounded retries). Stage stamps accumulate across attempts.
 func (f *Fleet) process(w *workerState, j *job) *Response {
 	start := time.Now()
 	w.trace.Reset()
@@ -1006,24 +962,18 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		now = time.Now()
 		w.trace.D[obs.StageCacheLookup] += now.Sub(mark)
 		mark = now
-		degraded := false
 		if !hit {
 			if !deadline.IsZero() && !now.Before(deadline) {
 				f.deadlineExceeded.Add(1)
 				resp.Err = fmt.Errorf("fleet: scheduling %s: %w", j.req.App.Name, ErrDeadline)
 				return f.finish(w, resp, j)
 			}
-			var err error
-			degraded, err = f.scheduleAttempt(w, j, shape, attempt, deadline)
+			err := f.scheduleOn(w, j, shape)
 			if err == nil {
-				// The response serves the job's pooled scratch, never a map.
+				// The response serves the job's pooled scratch, never a map;
+				// the memo copies it.
 				view = PlacementView{names: j.names, assigns: j.assigns}
-				if !degraded {
-					// Degraded placements stay out of the memo: once the
-					// pressure passes, the shape deserves its exact
-					// placement. The memo copies the scratch.
-					f.cache.PutView(key, view)
-				}
+				f.cache.PutView(key, view)
 			}
 			now = time.Now()
 			w.trace.D[obs.StageSchedule] += now.Sub(mark)
@@ -1054,10 +1004,6 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 			continue
 		}
 		resp.Epoch = latest.epoch
-		resp.Degraded = degraded
-		if degraded {
-			f.downgrades.Add(1)
-		}
 		resp.CacheHit = hit
 		resp.Placement = view
 		break
@@ -1096,7 +1042,6 @@ func (j *job) reset() *Response {
 	resp.Result = nil
 	resp.CacheHit = false
 	resp.Epoch = 0
-	resp.Degraded = false
 	resp.Index = 0
 	resp.Err = nil
 	resp.owner = j

@@ -94,13 +94,8 @@ type ChurnReport struct {
 	StaleRejected int64 `json:"stale_rejected"`
 	// Reschedules counts retry attempts triggered by stale rejections.
 	Reschedules int64 `json:"reschedules"`
-	// Downgrades counts requests served by the best-response fallback
-	// scheduler instead of the exact pass scheduler.
-	Downgrades int64 `json:"downgrades"`
 	// DeadlineExceeded counts requests that ran out of deadline mid-pipeline.
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
-	// DegradedResponses counts completed responses flagged Degraded.
-	DegradedResponses int `json:"degraded_responses"`
 	// FirstPostChurnMean / FirstPostChurnMax summarize the latency of the
 	// first completed request at each distinct post-churn epoch — the
 	// requests that paid the incremental-recompile and re-placement cost.
@@ -228,8 +223,8 @@ func (r *Report) String() string {
 		100*r.Cache.HitRate(), r.Cache.Hits, r.Cache.Misses, r.Cache.Evictions, r.Cache.Entries)
 	fmt.Fprintf(&b, "simulated energy: %s\n", r.TotalEnergy)
 	if c := r.Churn; c != nil {
-		fmt.Fprintf(&b, "churn: events=%d epochs=%d invalidated=%d stale-rejected=%d reschedules=%d downgrades=%d degraded=%d deadline-exceeded=%d\n",
-			c.Events, c.EpochsApplied, c.Invalidated, c.StaleRejected, c.Reschedules, c.Downgrades, c.DegradedResponses, c.DeadlineExceeded)
+		fmt.Fprintf(&b, "churn: events=%d epochs=%d invalidated=%d stale-rejected=%d reschedules=%d deadline-exceeded=%d\n",
+			c.Events, c.EpochsApplied, c.Invalidated, c.StaleRejected, c.Reschedules, c.DeadlineExceeded)
 		if c.FirstPostChurnMax > 0 {
 			fmt.Fprintf(&b, "churn: first-post-churn latency mean=%s max=%s\n",
 				c.FirstPostChurnMean.Round(time.Microsecond), c.FirstPostChurnMax.Round(time.Microsecond))

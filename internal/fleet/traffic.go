@@ -296,16 +296,12 @@ func buildChurnReport(events int, before, after ChurnStats, responses []*Respons
 		Invalidated:      after.Invalidated - before.Invalidated,
 		StaleRejected:    after.StaleRejected - before.StaleRejected,
 		Reschedules:      after.Reschedules - before.Reschedules,
-		Downgrades:       after.Downgrades - before.Downgrades,
 		DeadlineExceeded: after.DeadlineExceeded - before.DeadlineExceeded,
 	}
 	firstByEpoch := make(map[int64]time.Duration)
 	for _, resp := range responses {
 		if resp.Err != nil {
 			continue
-		}
-		if resp.Degraded {
-			r.DegradedResponses++
 		}
 		if resp.Epoch == 0 {
 			continue

@@ -60,7 +60,7 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 		} {
 			last = c.shape(c.app)
 			j.req.App = c.app
-			if err := f.scheduleOn(w, w.scheduler, j, last); err != nil {
+			if err := f.scheduleOn(w, j, last); err != nil {
 				t.Fatal(err)
 			}
 			got := PlacementView{names: j.names, assigns: j.assigns}.Materialize()
@@ -81,7 +81,7 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 	// last is still valid: no first sight has overwritten the scratch since.
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, shape := range []compiledShape{videoShape, last, textShape} {
-			if err := f.scheduleOn(w, w.scheduler, j, shape); err != nil {
+			if err := f.scheduleOn(w, j, shape); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -220,7 +220,9 @@ type DeployRequest struct {
 	App json.RawMessage `json:"app"`
 }
 
-// DeployResponse is the POST /v1/deploy success body.
+// DeployResponse is the POST /v1/deploy success body. Degraded is always
+// false: every placement is exact. It is kept because benchmark/replay.go
+// copies it and clients may read "degraded".
 type DeployResponse struct {
 	Tenant      string                    `json:"tenant"`
 	App         string                    `json:"app"`
@@ -605,9 +607,11 @@ func (s *Server) requestOf(tenant string, item wire.DeployItem) (req fleet.Reque
 	if err != nil {
 		return fleet.Request{}, false, err
 	}
-	deadline := time.Duration(item.DeadlineMS) * time.Millisecond
-	if deadline <= 0 || deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
+	// Clamp in milliseconds: converting first would wrap a huge deadline_ms
+	// into a short, even sub-millisecond, budget.
+	deadline := s.cfg.MaxDeadline
+	if ms := item.DeadlineMS; ms > 0 && ms <= int64(s.cfg.MaxDeadline/time.Millisecond) {
+		deadline = time.Duration(ms) * time.Millisecond
 	}
 	return fleet.Request{Tenant: tenant, App: app, Seed: item.Seed, Deadline: deadline}, fast, nil
 }

@@ -733,10 +733,53 @@ func TestDeadlineWhileWaiting(t *testing.T) {
 	}
 }
 
+// deadlineBackend records the deadline of every request it serves.
+type deadlineBackend struct {
+	Backend
+	mu   sync.Mutex
+	seen []time.Duration
+}
+
+func (b *deadlineBackend) Do(ctx context.Context, req fleet.Request) (*fleet.Response, error) {
+	b.mu.Lock()
+	b.seen = append(b.seen, req.Deadline)
+	b.mu.Unlock()
+	return b.Backend.Do(ctx, req)
+}
+
+// TestHugeDeadlineClampsToMax pins the deadline clamp against overflow: a
+// deadline_ms whose nanoseconds wrap int64 (18446744073710 ms would become
+// 448 µs) gets the MaxDeadline budget and is served, not answered 504 once
+// a 2 ms schedule has spent the wrapped budget.
+func TestHugeDeadlineClampsToMax(t *testing.T) {
+	f := fleet.New(fleet.Config{Workers: 1, NewScheduler: func() sched.Scheduler {
+		return &slowSched{inner: sched.NewDEEP(), delay: 2 * time.Millisecond}
+	}})
+	t.Cleanup(f.Close)
+	backend := &deadlineBackend{Backend: f}
+	s, err := New(Config{Backend: backend, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	app := appJSON(t, workload.VideoProcessing())
+	body := []byte(`{"tenant":"far","deadline_ms":18446744073710,"app":` + string(app) + `}`)
+	resp, data := postDeploy(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy with a huge deadline_ms: status %d body %s, want 200", resp.StatusCode, data)
+	}
+	backend.mu.Lock()
+	defer backend.mu.Unlock()
+	if want := []time.Duration{s.cfg.MaxDeadline}; !reflect.DeepEqual(backend.seen, want) {
+		t.Fatalf("fleet saw deadlines %v, want %v", backend.seen, want)
+	}
+}
+
 // failSched fails any app named "boom" and delegates the rest — a per-item
-// scheduler fault inside an otherwise healthy batch. It is not a
-// PassScheduler, so the fleet has no degraded rung to rescue the failure
-// with; the error must surface as that item's structured result.
+// scheduler fault inside an otherwise healthy batch; the error must surface
+// as that item's structured result.
 type failSched struct{ inner sched.Scheduler }
 
 func (s *failSched) Name() string { return "fail" }

@@ -26,10 +26,7 @@ import (
 //     plays a two-player game whose strategies are full (device, registry)
 //     assignments; the payoff coupling captures shared-registry contention.
 //     The welfare-maximal pure equilibrium is chosen; one always exists
-//     (pairStage.bestPure carries the proof). Pair stages larger
-//     than MaxPairCells cells go to best-response dynamics over the same
-//     payoffs instead, reaching *an* equilibrium, not the welfare-maximal
-//     one, and only when they converge.
+//     (pairStage.bestPure carries the proof), at any number of options.
 //
 //   - Larger stages run best-response dynamics, which settle in a few
 //     sweeps on every shipped workload but carry no guarantee (SolverStats
@@ -52,42 +49,13 @@ import (
 // the current profile with EnergyRow. Every price row and table comes from
 // the pass's GameArena; a reusable Pass makes repeated warm passes allocate
 // nothing at all.
-type DEEP struct {
-	// MaxPairCells is where exactness is traded for speed: a
-	// two-microservice stage of at most this many cells (|o1|·|o2|) is
-	// solved exactly, a larger one by best-response dynamics. Zero means
-	// uncapped (always play the full pair game — the historical behavior);
-	// NewDEEP sets DefaultMaxPairCells; the fleet's degraded rung sets 1,
-	// sending every pair stage to the dynamics.
-	MaxPairCells int
-}
-
-// DefaultMaxPairCells is the pair-game cap NewDEEP installs: pair stages of
-// up to 90 options a side are solved exactly, larger ones by the dynamics.
-// The exact path builds no bimatrix — per-registry best responses, then
-// a cell sweep that skips every row no column's best response lets through —
-// and the dynamics are O(options) per sweep, so the line is a price, not a
-// feasibility limit, and no longer a large one. A whole 16-microservice pass
-// on a reused Pass, exact against forced best response (MaxPairCells 1),
-// medians of five runs on a 2-vCPU host: 19 vs 15 µs at 48 options per
-// microservice (ScaledTestbed(12)), 32 vs 25 µs at 80 (ScaledTestbed(20)),
-// 93 vs 70 µs at 200 (ScaledTestbed(50), uncapped). The cap keeps every
-// stage up to 80 options a side exact and leaves the 10k-cell-and-up stages
-// of the largest scaled clusters on the dynamics; whether it is still worth
-// having is a question of behaviour (the dynamics find *an* equilibrium,
-// the exact path the welfare-maximal one), not of speed.
-const DefaultMaxPairCells = 8192
+type DEEP struct{}
 
 // DEEP supports the fleet's reusable-pass scheduling path.
 var _ PassScheduler = (*DEEP)(nil)
 
-// NewDEEP returns the Nash scheduler with the default pair-game cap.
-func NewDEEP() *DEEP { return &DEEP{MaxPairCells: DefaultMaxPairCells} }
-
-// NewDEEPUncapped returns the Nash scheduler with the pair-game cap
-// disabled: every two-microservice stage is solved exactly regardless of
-// size.
-func NewDEEPUncapped() *DEEP { return &DEEP{} }
+// NewDEEP returns the Nash scheduler.
+func NewDEEP() *DEEP { return &DEEP{} }
 
 // Name implements Scheduler.
 func (*DEEP) Name() string { return "deep" }
@@ -118,12 +86,11 @@ type Pass struct {
 
 // SolverStats counts how the stage games of one scheduling pass were
 // solved. Exact and BestResponse partition the stages: Exact is the full
-// game solved for its welfare-maximal equilibrium (every solo stage, and
-// pair stages within MaxPairCells), BestResponse a stage handed to the
-// dynamics (wide stages and over-cap pairs). NonConverged counts the
-// BestResponse stages whose dynamics were still moving when the iteration
-// budget ran out — their assignment is the last profile visited, not a
-// fixed point.
+// game solved for its welfare-maximal equilibrium (every solo and pair
+// stage), BestResponse a stage of three or more handed to the dynamics.
+// NonConverged counts the BestResponse stages whose dynamics were still
+// moving when the iteration budget ran out — their assignment is the last
+// profile visited, not a fixed point.
 type SolverStats struct {
 	Exact, BestResponse int
 	NonConverged        int
@@ -179,7 +146,7 @@ func (p *Pass) AppendPlacement(names []string, assigns []sim.Assignment) ([]stri
 // ScheduleInto runs one scheduling pass over the pass's model, writing the
 // compiled placement into the pass's scratch (read it back via Placement). On
 // a reused Pass it does not allocate.
-func (s *DEEP) ScheduleInto(p *Pass) error {
+func (*DEEP) ScheduleInto(p *Pass) error {
 	model, st := p.model, p.st
 	stages, err := model.Stages()
 	if err != nil {
@@ -201,13 +168,10 @@ func (s *DEEP) ScheduleInto(p *Pass) error {
 		case len(stage) == 1:
 			assigned[0], err = scheduleSolo(model, st, stage[0])
 			p.solver.Exact++
-		case len(stage) == 2 && (s.MaxPairCells <= 0 || len(opts[0])*len(opts[1]) <= s.MaxPairCells):
+		case len(stage) == 2:
 			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1])
 			p.solver.Exact++
 		default:
-			// Wide stages, and pair stages on the far side of the
-			// speed/exactness line MaxPairCells draws, go to best-response
-			// dynamics.
 			for k := range stage {
 				assigned[k] = opts[k][0]
 			}

@@ -85,7 +85,7 @@ func pairGameCorpus(t *testing.T) []corpusCase {
 	return cases
 }
 
-// walkStages runs the uncapped scheduler's stage loop over the model,
+// walkStages runs the scheduler's stage loop over the model,
 // committing every stage's choice so later stages price transfers from
 // placed upstreams, and calls visit at each stage before it is solved.
 func walkStages(t *testing.T, name string, model *costmodel.Model, visit func(st *costmodel.State, stage []int32)) {
@@ -497,7 +497,8 @@ func indexOfOption(opts []costmodel.Option, o costmodel.Option) int {
 }
 
 // TestSolverStatsPartitionStages: the per-path counts a pass records add up
-// to its stages, and both rungs land where the cap sends them.
+// to its stages: solo and pair stages are exact, wider ones go to the
+// dynamics.
 func TestSolverStatsPartitionStages(t *testing.T) {
 	cfg := workload.DefaultGeneratorConfig(13, 3)
 	cfg.StageWidth = 4 // stage widths 1 2 4 3 2 1
@@ -525,20 +526,11 @@ func TestSolverStatsPartitionStages(t *testing.T) {
 		t.Fatalf("fixture needs every stage width: %d solo, %d pair, %d wide", solo, pair, wide)
 	}
 	p := NewPass(model)
-	for _, c := range []struct {
-		name string
-		s    *DEEP
-		want SolverStats
-	}{
-		{"uncapped", NewDEEPUncapped(), SolverStats{Exact: solo + pair, BestResponse: wide}},
-		{"capped", &DEEP{MaxPairCells: 1}, SolverStats{Exact: solo, BestResponse: pair + wide}},
-	} {
-		if err := c.s.ScheduleInto(p); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := p.Solver(); got != c.want {
-			t.Errorf("%s: solver stats %+v, want %+v", c.name, got, c.want)
-		}
+	if err := NewDEEP().ScheduleInto(p); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Solver(), (SolverStats{Exact: solo + pair, BestResponse: wide}); got != want {
+		t.Errorf("solver stats %+v, want %+v", got, want)
 	}
 }
 
