@@ -456,7 +456,7 @@ func BenchmarkClusterPatch(b *testing.B) {
 // the BENCH_fleet.json pooled-path baseline — churn awareness is one atomic
 // load and one pointer compare); the churning row runs the same closed loop while
 // a background goroutine crashes and recovers devices continuously, forcing
-// epoch adoptions, cache invalidations, and re-schedules.
+// epoch adoptions and re-schedules on each new epoch's key.
 func BenchmarkFleetChurn(b *testing.B) {
 	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
 	for _, churning := range []bool{false, true} {

@@ -20,9 +20,10 @@
 //   - Robustness: GenerateChaos builds seeded fault schedules (device
 //     crashes, registry outages, link degradation) that TrafficConfig.Chaos
 //     replays against a live fleet; Fleet.ApplyChurn patches the compiled
-//     cluster substrate incrementally, stale placements are detected and
-//     re-scheduled, and deadline-pressed requests degrade to best-response
-//     dynamics instead of failing.
+//     cluster substrate incrementally and gives each epoch its own cache
+//     key, a stale gate keeps every answer off hardware down at the latest
+//     epoch (re-scheduling exactly on that epoch), and a request whose
+//     deadline passes fails with ErrFleetDeadline.
 //   - Observability: every fleet carries a Metrics registry of sharded
 //     lock-free instruments (NewMetrics), per-request stage timing
 //     (StageTrace on each FleetResponse, per-stage quantiles in the
@@ -156,7 +157,7 @@ type (
 	// LinkChange is one link-bandwidth change inside a ChurnDelta.
 	LinkChange = fleet.LinkChange
 	// ChurnStats snapshots the fleet's churn machinery (current epoch, down
-	// sets, invalidation/re-schedule/deadline counters); part of FleetStats.
+	// sets, stale-gate/re-schedule/deadline counters); part of FleetStats.
 	ChurnStats = fleet.ChurnStats
 	// ChurnReport summarizes one chaos session inside a FleetReport.
 	ChurnReport = fleet.ChurnReport

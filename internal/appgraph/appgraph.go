@@ -35,15 +35,9 @@ import (
 	"deep/internal/units"
 )
 
-// Arch-support bitmask bits, one per architecture the testbed ships.
-const (
-	ArchBitAMD64 uint8 = 1 << iota
-	ArchBitARM64
-)
-
-// Edge is one compiled dataflow endpoint: for in-edge rows MS is the source
-// microservice id, for out-edge rows the sink id. Rows preserve the DAG's
-// declaration order — the order the estimator accumulates transfer times in.
+// Edge is one compiled incoming dataflow: MS is the source microservice id.
+// Rows preserve the DAG's declaration order — the order the estimator
+// accumulates transfer times in.
 type Edge struct {
 	MS   int32
 	Size units.Bytes
@@ -59,10 +53,10 @@ const (
 
 // AppTable is the compiled application-side substrate: sorted + compacted
 // microservice name table and index map, interned microservice handles,
-// dense topological-order and barrier-stage rows, in-edge and out-edge
-// dataflow rows, per-microservice image sizes, external inputs, and
-// arch-support bitmasks, the structural-validation results both compilers
-// previously re-derived, and the simulator's per-phase jitter tags.
+// dense topological-order and barrier-stage rows, in-edge dataflow rows,
+// per-microservice image sizes and external inputs, the
+// structural-validation results both compilers previously re-derived, and
+// the simulator's per-phase jitter tags.
 // Per-cluster compilers (costmodel.CompileShapeOn, sim.CompilePlanOnTables)
 // layer their per-(microservice, device) tables on top of it.
 type AppTable struct {
@@ -79,10 +73,8 @@ type AppTable struct {
 
 	imageSize []units.Bytes // per microservice
 	extInput  []units.Bytes // per microservice
-	archMask  []uint8       // per microservice (bits over the shipped arches)
 
-	inputs  [][]Edge // per microservice: incoming dataflows, DAG order
-	outputs [][]Edge // per microservice: outgoing dataflows, DAG order
+	inputs [][]Edge // per microservice: incoming dataflows, DAG order
 
 	// Structural validation, captured once at compile time. validErr is
 	// App.Validate's result verbatim; stages/topo carry App.Stages and
@@ -119,10 +111,9 @@ type Scratch struct {
 	names    slab.Slab[string]
 	ms       slab.Slab[*dag.Microservice]
 	sizes    slab.Slab[units.Bytes] // image sizes, external inputs
-	masks    slab.Slab[uint8]
-	edges    slab.Slab[Edge]   // in-edge rows, then out-edge rows
-	edgeRows slab.Slab[[]Edge] // inputs, outputs
-	ids      slab.Slab[int32]  // edge endpoints and degrees (compile-time only), topo, stages
+	edges    slab.Slab[Edge]        // in-edge rows
+	edgeRows slab.Slab[[]Edge]      // inputs
+	ids      slab.Slab[int32]       // edge endpoints and in-degrees (compile-time only), topo, stages
 	idRows   slab.Slab[[]int32]
 	tags     slab.Slab[byte]
 	tagRows  slab.Slab[[]byte]
@@ -147,7 +138,7 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 
 	// The name table, its handles, and every edge's endpoints as ids (a
 	// dangling edge's source is -1).
-	s.ids.Reset(2*len(app.Dataflows) + 4*len(app.Microservices) + numStages)
+	s.ids.Reset(2*len(app.Dataflows) + 3*len(app.Microservices) + numStages)
 	var from, to []int32
 	if err == nil {
 		from, to = s.rankedNames(app, ord)
@@ -157,51 +148,34 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 	nm := len(t.msNames)
 
 	s.sizes.Reset(2 * nm)
-	s.masks.Reset(nm)
-	t.imageSize, t.extInput, t.archMask = s.sizes.Cut(nm), s.sizes.Cut(nm), s.masks.Cut(nm)
+	t.imageSize, t.extInput = s.sizes.Cut(nm), s.sizes.Cut(nm)
 	for i, m := range t.ms {
 		t.imageSize[i] = m.ImageSize
 		t.extInput[i] = m.ExternalInput
-		var mask uint8
-		if m.SupportsArch(dag.AMD64) {
-			mask |= ArchBitAMD64
-		}
-		if m.SupportsArch(dag.ARM64) {
-			mask |= ArchBitARM64
-		}
-		t.archMask[i] = mask
 	}
 
-	// Count degrees, then cut each row at its final size and fill in
+	// Count in-degrees, then cut each row at its final size and fill in
 	// declaration order.
-	inDeg, outDeg := s.ids.Cut(nm), s.ids.Cut(nm)
+	inDeg := s.ids.Cut(nm)
 	clear(inDeg)
-	clear(outDeg)
 	kept := 0
 	for i := range app.Dataflows {
 		if from[i] < 0 {
 			continue
 		}
 		inDeg[to[i]]++
-		outDeg[from[i]]++
 		kept++
 	}
-	s.edges.Reset(2 * kept)
-	s.edgeRows.Reset(2 * nm)
-	t.inputs, t.outputs = s.edgeRows.Cut(nm), s.edgeRows.Cut(nm)
+	s.edges.Reset(kept)
+	s.edgeRows.Reset(nm)
+	t.inputs = s.edgeRows.Cut(nm)
 	for i := range t.inputs {
 		t.inputs[i] = s.edges.Cut(int(inDeg[i]))[:0]
 	}
-	for i := range t.outputs {
-		t.outputs[i] = s.edges.Cut(int(outDeg[i]))[:0]
-	}
 	for i, e := range app.Dataflows {
-		src, dst := from[i], to[i]
-		if src < 0 {
-			continue
+		if src, dst := from[i], to[i]; src >= 0 {
+			t.inputs[dst] = append(t.inputs[dst], Edge{MS: src, Size: e.Size})
 		}
-		t.inputs[dst] = append(t.inputs[dst], Edge{MS: src, Size: e.Size})
-		t.outputs[src] = append(t.outputs[src], Edge{MS: dst, Size: e.Size})
 	}
 
 	if err == nil {
@@ -339,9 +313,6 @@ func (t *AppTable) MSID(name string) (int32, bool) {
 	return id, ok
 }
 
-// MS returns the interned microservice handle for an id.
-func (t *AppTable) MS(i int32) *dag.Microservice { return t.ms[i] }
-
 // Microservices returns the interned handles (shared slice, parallel to
 // MSNames).
 func (t *AppTable) Microservices() []*dag.Microservice { return t.ms }
@@ -352,31 +323,9 @@ func (t *AppTable) ImageSizes() []units.Bytes { return t.imageSize }
 // ExtInputs returns the per-microservice external inputs (shared slice).
 func (t *AppTable) ExtInputs() []units.Bytes { return t.extInput }
 
-// ArchMasks returns the per-microservice arch-support bitmasks (shared
-// slice; bits are the ArchBit* constants).
-func (t *AppTable) ArchMasks() []uint8 { return t.archMask }
-
-// SupportsArch reports whether microservice i has an image for the
-// architecture — the bitmask fast path for the shipped arches, falling back
-// to the handle for anything else.
-func (t *AppTable) SupportsArch(i int32, a dag.Arch) bool {
-	switch a {
-	case dag.AMD64:
-		return t.archMask[i]&ArchBitAMD64 != 0
-	case dag.ARM64:
-		return t.archMask[i]&ArchBitARM64 != 0
-	default:
-		return t.ms[i].SupportsArch(a)
-	}
-}
-
 // Inputs returns the per-microservice in-edge rows (shared slices, DAG
 // declaration order).
 func (t *AppTable) Inputs() [][]Edge { return t.inputs }
-
-// Outputs returns the per-microservice out-edge rows (shared slices, DAG
-// declaration order).
-func (t *AppTable) Outputs() [][]Edge { return t.outputs }
 
 // ValidateErr returns App.Validate's result, captured verbatim at compile
 // time (nil for a structurally valid app).
@@ -389,21 +338,6 @@ func (t *AppTable) Stages() ([][]int32, error) { return t.stages, t.stagesErr }
 // Topo returns the deterministic topological order as microservice ids with
 // App.TopoOrder's own error.
 func (t *AppTable) Topo() ([]int32, error) { return t.topo, t.topoErr }
-
-// MaxStageWidth returns the widest barrier stage (0 when stages are
-// unavailable), for sizing per-stage scratch once.
-func (t *AppTable) MaxStageWidth() int {
-	if t.stagesErr != nil {
-		return 0
-	}
-	w := 0
-	for _, s := range t.stages {
-		if len(s) > w {
-			w = len(s)
-		}
-	}
-	return w
-}
 
 // PhaseTags returns the simulator's jitter-hash byte suffixes, indexed
 // [Phase*][ms id] (shared slices): "|app|ms|deploy" and friends, hashed

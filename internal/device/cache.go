@@ -145,13 +145,6 @@ func (c *LayerCache) Used() units.Bytes {
 	return c.used
 }
 
-// Capacity returns the configured byte budget.
-func (c *LayerCache) Capacity() units.Bytes {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
-}
-
 // Len returns the number of cached layers.
 func (c *LayerCache) Len() int {
 	c.mu.Lock()

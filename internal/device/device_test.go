@@ -149,8 +149,8 @@ func TestLayerCacheEviction(t *testing.T) {
 	if !c.Contains("a") || !c.Contains("c") {
 		t.Error("a and c should remain")
 	}
-	if c.Used() > c.Capacity() {
-		t.Errorf("used %v exceeds capacity %v", c.Used(), c.Capacity())
+	if c.Used() > c.capacity {
+		t.Errorf("used %v exceeds capacity %v", c.Used(), c.capacity)
 	}
 }
 
@@ -192,8 +192,8 @@ func TestLayerCacheInvariantNeverOverCapacity(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		d := string(rune('a'+i%26)) + string(rune('0'+i%10))
 		c.Put(d, units.Bytes(50+i%200))
-		if c.Used() > c.Capacity() {
-			t.Fatalf("iteration %d: used %v > capacity %v", i, c.Used(), c.Capacity())
+		if c.Used() > c.capacity {
+			t.Fatalf("iteration %d: used %v > capacity %v", i, c.Used(), c.capacity)
 		}
 	}
 }
@@ -289,8 +289,8 @@ func TestLayerCacheRefillAllocationFree(t *testing.T) {
 		}
 	}
 	fill()
-	if c.Capacity() != 100 || c.Len() != 3 || !c.Contains("f") || c.Contains("a") {
-		t.Fatalf("refill: capacity %v, %d entries", c.Capacity(), c.Len())
+	if c.capacity != 100 || c.Len() != 3 || !c.Contains("f") || c.Contains("a") {
+		t.Fatalf("refill: capacity %v, %d entries", c.capacity, c.Len())
 	}
 	if n := testing.AllocsPerRun(20, fill); n != 0 {
 		t.Errorf("Reset and refill allocate %v times, want 0", n)

@@ -35,6 +35,11 @@ func (k cacheKey) word(i int) uint64 {
 // rather than Go maps — so a cached placement is immutable by construction
 // and a lookup shares the entry's slices with the caller instead of cloning a
 // mutable map.
+//
+// An entry answers for its key: it is written only by a schedule on the
+// churn state whose key it carries, so churn never sweeps the cache. An
+// epoch's entries that churn leaves behind age out through the LRU bound, and
+// serve again as hits when the epoch's key returns.
 type placementCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -117,47 +122,6 @@ func (c *placementCache) PutView(key cacheKey, v PlacementView) {
 	}
 }
 
-// InvalidateIf drops every entry whose compiled assignments satisfy pred and
-// returns how many were dropped. ApplyChurn uses it to evict placements that
-// reference newly crashed hardware; the scan is O(entries) but runs only on
-// churn events, never on the request path.
-func (c *placementCache) InvalidateIf(pred func(assigns []sim.Assignment) bool) int {
-	if c.capacity <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if pred(e.assigns) {
-			c.order.Remove(el)
-			delete(c.byKey, e.key)
-			dropped++
-		}
-		el = next
-	}
-	return dropped
-}
-
-// Remove drops one entry by key, reporting whether it existed. The request
-// path uses it to purge a placement caught stale at the response gate.
-func (c *placementCache) Remove(key cacheKey) bool {
-	if c.capacity <= 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.byKey, key)
-	return true
-}
-
 // Len returns the number of cached placements.
 func (c *placementCache) Len() int {
 	c.mu.Lock()
@@ -234,7 +198,9 @@ type compiledShape struct {
 // Compiled tables, models, and plans are immutable and safe for concurrent
 // ScheduleModel and Exec.Run calls, which is what makes sharing them across
 // the pool sound; the churn epoch's key is half of every key, so a worker on
-// another epoch can never be handed a stale shape.
+// another epoch can never be handed a stale shape, and churn purges nothing:
+// an abandoned epoch's shapes age out through the FIFO bound, or serve warm
+// when its key returns.
 type sharedModelCache struct {
 	shards []modelShard
 
@@ -390,34 +356,6 @@ func (c *sharedModelCache) getOrCompile(key cacheKey, compile func() compiledSha
 		e.shape = compile()
 	})
 	return e.shape, true
-}
-
-// purgeForCluster drops every compiled shape whose key's cluster half is the
-// given churn key and returns how many were dropped. ApplyChurn calls it when
-// an epoch is abandoned (superseded or recovered from) so the dead epoch's
-// shapes stop occupying cache slots until FIFO pressure happens to evict
-// them. A caller already holding an entry keeps using it safely (entries are
-// immutable after fill); a worker racing this purge on the old epoch may
-// re-insert one stray shape, which the next purge or FIFO eviction reclaims —
-// the stale-placement gate keeps it from ever serving a wrong answer.
-func (c *sharedModelCache) purgeForCluster(cluster [sha256.Size]byte) int {
-	purged := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		kept := sh.order[:0]
-		for _, k := range sh.order {
-			if k.cluster == cluster {
-				delete(sh.byKey, k)
-				purged++
-				continue
-			}
-			kept = append(kept, k)
-		}
-		sh.order = kept
-		sh.mu.Unlock()
-	}
-	return purged
 }
 
 // ModelCacheStats is a point-in-time view of the shared compiled-shape

@@ -99,13 +99,8 @@ type ChurnStats struct {
 	DownDevices    int `json:"down_devices"`
 	DownRegistries int `json:"down_registries"`
 	DegradedLinks  int `json:"degraded_links"`
-	// EpochsApplied counts ApplyChurn calls; Invalidated the placement-cache
-	// entries dropped because they referenced newly crashed hardware;
-	// ShapesPurged the compiled shapes dropped because their churn epoch was
-	// abandoned (superseded by a new key or recovered to pristine).
+	// EpochsApplied counts ApplyChurn calls.
 	EpochsApplied int64 `json:"epochs_applied"`
-	Invalidated   int64 `json:"invalidated"`
-	ShapesPurged  int64 `json:"shapes_purged"`
 	// StaleRejected counts placements caught referencing down hardware at
 	// the response gate; Reschedules the retry attempts those rejections
 	// triggered; DeadlineExceeded the requests failed with ErrDeadline.
@@ -117,16 +112,21 @@ type ChurnStats struct {
 // ApplyChurn applies one delta to the fleet's effective cluster view: it
 // patches the compiled cluster table incrementally from the previous epoch's
 // table (O(changed·devices) link recompiles instead of Compile's full
-// O(devices²) scan), computes the new epoch's key, drops placement-cache
-// entries that reference newly crashed hardware, bumps the cluster epoch, and
-// publishes the new state for workers to adopt on their next request. It
-// returns the new epoch and the number of invalidated placements.
+// O(devices²) scan), computes the new epoch's key, bumps the cluster epoch,
+// and publishes the new state for workers to adopt on their next request. It
+// returns the new epoch. The middle result is always 0; it is kept for
+// benchmark/replay.go (ROADMAP item 1b).
+//
+// Churn changes the key and leaves the caches alone: every cache entry was
+// written by a schedule on the state its key names, so it stays valid for
+// that key. A full recovery restores the base key, and the pre-churn entries
+// hit again.
 //
 // Deltas are serialized; the request path never blocks on one (workers read
 // the published state atomically). All names must exist in the base cluster;
 // failing an already-down target or recovering a healthy one is a no-op for
 // that target, so replaying overlapping chaos schedules is safe.
-func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err error) {
+func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, _ int, err error) {
 	f.churnMu.Lock()
 	defer f.churnMu.Unlock()
 	prev := f.churn.Load()
@@ -162,21 +162,14 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 	for k, v := range prev.degraded {
 		next.degraded[k] = v
 	}
-	var newDevs, newRegs []string
 	for _, name := range delta.FailDevices {
-		if !next.downDevs[name] {
-			next.downDevs[name] = true
-			newDevs = append(newDevs, name)
-		}
+		next.downDevs[name] = true
 	}
 	for _, name := range delta.RecoverDevices {
 		delete(next.downDevs, name)
 	}
 	for _, name := range delta.FailRegistries {
-		if !next.downRegs[name] {
-			next.downRegs[name] = true
-			newRegs = append(newRegs, name)
-		}
+		next.downRegs[name] = true
 	}
 	for _, name := range delta.RecoverRegistries {
 		delete(next.downRegs, name)
@@ -226,42 +219,9 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, invalidated int, err 
 		next.key = effectiveKey(next)
 	}
 
-	if len(newDevs)+len(newRegs) > 0 {
-		dead := make(map[string]bool, len(newDevs))
-		deadRegs := make(map[string]bool, len(newRegs))
-		for _, d := range newDevs {
-			dead[d] = true
-		}
-		for _, r := range newRegs {
-			deadRegs[r] = true
-		}
-		invalidated = f.cache.InvalidateIf(func(assigns []sim.Assignment) bool {
-			for _, a := range assigns {
-				if dead[a.Device] || deadRegs[a.Registry] {
-					return true
-				}
-			}
-			return false
-		})
-		f.churnInvalidated.Add(int64(invalidated))
-	}
-
 	f.churnEpochs.Add(1)
 	f.churn.Store(next)
-
-	// Epoch hygiene: the previous epoch's key is now unreachable — no
-	// worker will ever key a lookup by it again — unless it is the base
-	// cluster's zero key (pristine recovery must keep pre-churn caches warm)
-	// or the new state re-derived the identical key (a no-op delta). Purging
-	// after the store keeps the window in which a worker still on the old
-	// epoch re-inserts a stray shape as small as possible; such a stray is
-	// harmless and reclaimed by the next purge or FIFO eviction.
-	if prev.key != ([sha256.Size]byte{}) && prev.key != next.key {
-		if n := f.models.purgeForCluster(prev.key); n > 0 {
-			f.shapesPurged.Add(int64(n))
-		}
-	}
-	return next.epoch, invalidated, nil
+	return next.epoch, 0, nil
 }
 
 // churnView assembles the effective cluster view for a churn state: the base

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"deep/internal/chaos"
+	"deep/internal/costmodel"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/workload"
@@ -18,12 +20,13 @@ import (
 
 func scaled2() *sim.Cluster { return workload.ScaledTestbed(2) }
 
-// TestApplyChurnEpochsAndInvalidation pins the ApplyChurn contract: every
-// call bumps the epoch, crashing the devices a memoized placement uses drops
-// that entry, unknown names are rejected without advancing the epoch, and a
-// full recovery restores the base cluster's key so pre-churn cache keys come
-// back.
-func TestApplyChurnEpochsAndInvalidation(t *testing.T) {
+// TestApplyChurnEpochs pins the ApplyChurn contract: every call bumps the
+// epoch, a crash moves requests to the new epoch's key (a miss, scheduled on
+// surviving devices), unknown names are rejected without advancing the
+// epoch, and a full recovery restores the base cluster's key by identity, so
+// the very first deploy after it hits the pre-churn entry: churn changes the
+// key and leaves the caches alone.
+func TestApplyChurnEpochs(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
 	app := workload.VideoProcessing()
 
@@ -34,38 +37,40 @@ func TestApplyChurnEpochsAndInvalidation(t *testing.T) {
 	if cold.Epoch != 0 {
 		t.Fatalf("pre-churn epoch %d, want 0", cold.Epoch)
 	}
+	want := cold.Placement.Materialize()
 
 	// Crash every device the memoized placement references.
 	used := map[string]bool{}
-	for _, a := range cold.Placement.All() {
+	for _, a := range want {
 		used[a.Device] = true
 	}
 	var fail []string
 	for d := range used {
 		fail = append(fail, d)
 	}
-	epoch, invalidated, err := f.ApplyChurn(ChurnDelta{FailDevices: fail})
+	epoch, _, err := f.ApplyChurn(ChurnDelta{FailDevices: fail})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if epoch != 1 {
 		t.Fatalf("epoch %d after first churn, want 1", epoch)
 	}
-	if invalidated < 1 {
-		t.Fatal("crashing the placement's devices invalidated no cache entries")
+	st := f.Stats()
+	if st.Churn.Epoch != 1 || st.Churn.DownDevices != len(fail) || st.Churn.EpochsApplied != 1 {
+		t.Fatalf("unexpected churn stats %+v", st.Churn)
 	}
-	st := f.Stats().Churn
-	if st.Epoch != 1 || st.DownDevices != len(fail) || st.EpochsApplied != 1 || st.Invalidated < 1 {
-		t.Fatalf("unexpected churn stats %+v", st)
+	if st.Cache.Entries != 1 {
+		t.Fatalf("churn touched the placement cache: %d entries, want 1", st.Cache.Entries)
 	}
 
-	// The next request must re-schedule (entry gone) onto surviving devices.
+	// The next request keys the churned epoch: a miss, scheduled onto
+	// surviving devices.
 	warm, err := f.Do(context.Background(), Request{App: app})
 	if err != nil || warm.Err != nil {
 		t.Fatal(err, warm.Err)
 	}
 	if warm.CacheHit {
-		t.Fatal("request after invalidation still hit the cache")
+		t.Fatal("request on the churned epoch hit the base key's entry")
 	}
 	if warm.Epoch != 1 {
 		t.Fatalf("post-churn epoch %d, want 1", warm.Epoch)
@@ -90,10 +95,9 @@ func TestApplyChurnEpochsAndInvalidation(t *testing.T) {
 		t.Fatalf("failed churn advanced the epoch to %d", got)
 	}
 
-	// Full recovery is pristine: the base key returns by identity, so the
-	// placement memoized at epoch 1... is keyed by the churned key; the
-	// original pre-churn entry was invalidated, but the post-recovery
-	// schedule re-fills the base key and repeats hit again.
+	// Full recovery is pristine: the base key returns by identity, and the
+	// pre-churn entry, valid for that key all along, answers the first
+	// deploy.
 	if _, _, err := f.ApplyChurn(ChurnDelta{RecoverDevices: fail}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +108,11 @@ func TestApplyChurnEpochsAndInvalidation(t *testing.T) {
 	if err != nil || first.Err != nil {
 		t.Fatal(err, first.Err)
 	}
-	again, err := f.Do(context.Background(), Request{App: app})
-	if err != nil || again.Err != nil {
-		t.Fatal(err, again.Err)
+	if !first.CacheHit {
+		t.Fatal("first deploy after full recovery missed the pre-churn entry")
 	}
-	if !again.CacheHit {
-		t.Fatal("recovered fleet does not serve its cache")
-	}
-	if !reflect.DeepEqual(again.Placement, cold.Placement) {
-		t.Fatal("recovered fleet schedules differently from the pristine fleet")
+	if got := first.Placement.Materialize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered fleet placed %v, pre-churn placement %v", got, want)
 	}
 }
 
@@ -525,46 +525,79 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestChurnRetryIsExactAndMemoized pins what a churn retry serves: a cached
-// placement that names a device down at the latest epoch is caught by the
-// stale gate, rescheduled once on that epoch, and the answer is exactly
-// NewDEEP's on the epoch's effective cluster — not flagged degraded, and
+// gateSched is sched.NewDEEP whose first ScheduleModel call signals started
+// and parks until release closes; later calls run straight through. A test
+// uses it to land churn between a schedule and its stale gate.
+type gateSched struct {
+	once    sync.Once
+	started chan struct{}
+	release chan struct{}
+}
+
+func (s *gateSched) Name() string { return "gate" }
+func (s *gateSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
+	s.once.Do(func() {
+		close(s.started)
+		<-s.release
+	})
+	return sched.NewDEEP().ScheduleModel(model)
+}
+
+// TestChurnRetryIsExactAndMemoized pins what a churn retry serves when churn
+// races a schedule: the first schedule parks, a device its placement uses
+// fails, and on release the stale gate rejects the placement (it names the
+// down device), the request reschedules once on the latest epoch, and the
+// answer is exactly NewDEEP's on that epoch's effective cluster. It is
 // memoized, so the next deploy of the app is a cache hit on it.
 func TestChurnRetryIsExactAndMemoized(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
+	gate := &gateSched{started: make(chan struct{}), release: make(chan struct{})}
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2,
+		NewScheduler: func() sched.Scheduler { return gate }})
 	app := workload.VideoProcessing()
-	const down = "medium-00"
-	if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{down}}); err != nil {
-		t.Fatal(err)
-	}
 
-	// Plant a placement on the down device under the latest epoch's key.
-	stale, err := sched.Schedule(sched.NewDEEP(), app, scaled2())
+	base, err := sched.Schedule(sched.NewDEEP(), app, scaled2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, a := range stale {
-		a.Device = down
-		stale[name] = a
+	down := base[app.Microservices[0].Name].Device
+
+	type answer struct {
+		resp *Response
+		err  error
 	}
-	names, assigns := sortedPlacement(stale, nil, nil)
-	key := cacheKey{cluster: f.churn.Load().key, app: app.Digest()}
-	f.cache.PutView(key, PlacementView{names: names, assigns: assigns})
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := f.Do(context.Background(), Request{App: app})
+		done <- answer{resp, err}
+	}()
+	<-gate.started
+	if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{down}}); err != nil {
+		close(gate.release)
+		t.Fatal(err)
+	}
+	close(gate.release)
+	got := <-done
+	if got.err != nil || got.resp.Err != nil {
+		t.Fatal(got.err, got.resp.Err)
+	}
+	retry := got.resp
+	defer retry.Release()
 
 	want, err := sched.Schedule(sched.NewDEEP(), app, effectiveCluster(scaled2, map[string]bool{down: true}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	retry, err := f.Do(context.Background(), Request{App: app})
-	if err != nil || retry.Err != nil {
-		t.Fatal(err, retry.Err)
+	for ms, a := range retry.Placement.All() {
+		if a.Device == down {
+			t.Fatalf("retry placed %s on the down device %s", ms, down)
+		}
 	}
-	defer retry.Release()
 	if st := f.Stats().Churn; st.StaleRejected != 1 || st.Reschedules != 1 {
 		t.Fatalf("stale rejected %d, reschedules %d; want 1, 1", st.StaleRejected, st.Reschedules)
 	}
-	if retry.Degraded || retry.CacheHit {
-		t.Fatalf("retry answered degraded=%v cache_hit=%v, want an exact fresh schedule", retry.Degraded, retry.CacheHit)
+	if retry.Degraded || retry.CacheHit || retry.Epoch != 1 {
+		t.Fatalf("retry answered degraded=%v cache_hit=%v epoch=%d, want an exact fresh schedule at epoch 1",
+			retry.Degraded, retry.CacheHit, retry.Epoch)
 	}
 	if got := retry.Placement.Materialize(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("retry placed %v, NewDEEP on the epoch's cluster %v", got, want)
@@ -583,6 +616,49 @@ func TestChurnRetryIsExactAndMemoized(t *testing.T) {
 	}
 	if st := f.Stats().Churn; st.Reschedules != 1 {
 		t.Fatalf("reschedules %d after the hit, want 1", st.Reschedules)
+	}
+}
+
+// TestChurnStaleEntryNeverServed pins the stale gate as the one safety
+// check: an entry that contradicts its own key cannot come out of a
+// schedule, but one planted under the latest epoch's key, naming a device
+// down at that epoch, is rejected on every attempt. The request fails after
+// churnMaxAttempts and the entry is never served.
+func TestChurnStaleEntryNeverServed(t *testing.T) {
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
+	app := workload.VideoProcessing()
+	const down = "medium-00"
+	if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{down}}); err != nil {
+		t.Fatal(err)
+	}
+
+	stale, err := sched.Schedule(sched.NewDEEP(), app, scaled2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range stale {
+		a.Device = down
+		stale[name] = a
+	}
+	names, assigns := sortedPlacement(stale, nil, nil)
+	key := cacheKey{cluster: f.churn.Load().key, app: app.Digest()}
+	f.cache.PutView(key, PlacementView{names: names, assigns: assigns})
+
+	resp, err := f.Do(context.Background(), Request{App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Release()
+	want := fmt.Sprintf("stale after %d attempts", churnMaxAttempts)
+	if resp.Err == nil || !strings.Contains(resp.Err.Error(), want) {
+		t.Fatalf("planted stale entry answered err=%v placement=%v, want %q", resp.Err, resp.Placement.Materialize(), want)
+	}
+	if resp.Placement.Len() != 0 || resp.Result != nil {
+		t.Fatalf("a failed request carries placement %v, result %v", resp.Placement.Materialize(), resp.Result)
+	}
+	if st := f.Stats().Churn; st.StaleRejected != churnMaxAttempts || st.Reschedules != churnMaxAttempts-1 {
+		t.Fatalf("stale rejected %d, reschedules %d; want %d, %d",
+			st.StaleRejected, st.Reschedules, churnMaxAttempts, churnMaxAttempts-1)
 	}
 }
 
@@ -606,65 +682,55 @@ func TestDeltaForEvent(t *testing.T) {
 	}
 }
 
-// TestChurnEpochShapeHygiene pins the eviction half of the churn story: when
-// an epoch is abandoned — superseded by further churn or recovered from — the
-// compiled shapes of that epoch leave the shape cache immediately
-// instead of lingering until FIFO pressure evicts them, while the base
-// epoch's shapes survive recovery warm.
-func TestChurnEpochShapeHygiene(t *testing.T) {
+// TestChurnFlipFlopServesWarm pins that churn leaves the caches alone: a
+// device that fails, recovers and fails again returns the fleet to an epoch
+// it has served, whose key (canonical in the down sets) names the same
+// placement and shape entries, so the deploy is a placement hit and nothing
+// is recompiled. After the second recovery the base key hits again.
+func TestChurnFlipFlopServesWarm(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
 	app := workload.VideoProcessing()
-	do := func() {
+	do := func() *Response {
 		t.Helper()
 		resp, err := f.Do(context.Background(), Request{App: app})
 		if err != nil || resp.Err != nil {
 			t.Fatal(err, resp.Err)
 		}
+		return resp
+	}
+	churn := func(d ChurnDelta) {
+		t.Helper()
+		if _, _, err := f.ApplyChurn(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A shape is cached on its second sight, so each epoch's takes two.
 	do()
-	do() // base-epoch shape
-	base := f.Stats().ModelCache.Entries
-	if base != 1 {
-		t.Fatalf("base shape not cached on second sight: %d entries", base)
-	}
-
-	if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{"medium-00"}}); err != nil {
-		t.Fatal(err)
-	}
 	do()
-	do() // epoch-1 shape, keyed by the churned key
-	if got := f.Stats().ModelCache.Entries; got != base+1 {
-		t.Fatalf("churned shape not cached: %d entries, want %d", got, base+1)
-	}
-
-	// Further churn abandons epoch 1: its shape must be purged even though
-	// nothing evicted it.
-	if _, _, err := f.ApplyChurn(ChurnDelta{FailDevices: []string{"medium-01"}}); err != nil {
-		t.Fatal(err)
-	}
+	fail := ChurnDelta{FailDevices: []string{"medium-00"}}
+	heal := ChurnDelta{RecoverDevices: []string{"medium-00"}}
+	churn(fail)
+	do()
+	do()
 	st := f.Stats()
-	if st.Churn.ShapesPurged < 1 {
-		t.Fatalf("superseded epoch purged no shapes: %+v", st.Churn)
+	if st.ModelCache.Entries != 2 || st.Cache.Entries != 2 {
+		t.Fatalf("two epochs' entries not cached: %d shapes, %d placements", st.ModelCache.Entries, st.Cache.Entries)
 	}
-	if got := st.ModelCache.Entries; got != base {
-		t.Fatalf("after supersede purge: %d entries, want %d", got, base)
+	compiles := st.ModelCache.Compiles
+
+	churn(heal)
+	churn(fail)
+	if resp := do(); !resp.CacheHit || resp.Epoch != 3 {
+		t.Fatalf("re-entered epoch answered cache_hit=%v at epoch %d, want a hit at 3", resp.CacheHit, resp.Epoch)
+	}
+	if got := f.Stats().ModelCache.Compiles; got != compiles {
+		t.Fatalf("re-entered epoch recompiled its shape (%d -> %d compiles)", compiles, got)
 	}
 
-	do()
-	do() // epoch-2 shape
-	compiles := f.Stats().ModelCache.Compiles
-
-	// Pristine recovery abandons epoch 2 and restores the base key by
-	// identity: the epoch-2 shape is purged and the base shape serves warm,
-	// with no recompilation.
-	if _, _, err := f.ApplyChurn(ChurnDelta{RecoverDevices: []string{"medium-00", "medium-01"}}); err != nil {
-		t.Fatal(err)
+	churn(heal)
+	if resp := do(); !resp.CacheHit || resp.Epoch != 4 {
+		t.Fatalf("recovered fleet answered cache_hit=%v at epoch %d, want a hit at 4", resp.CacheHit, resp.Epoch)
 	}
-	if got := f.Stats().ModelCache.Entries; got != base {
-		t.Fatalf("after recovery purge: %d entries, want %d", got, base)
-	}
-	do()
 	if got := f.Stats().ModelCache.Compiles; got != compiles {
 		t.Fatalf("recovered fleet recompiled the base shape (%d -> %d compiles)", compiles, got)
 	}

@@ -101,7 +101,7 @@ func TestDrainRaceStress(t *testing.T) {
 
 	// Churn epochs roll the whole run, including while Close drains the
 	// queue: failures and recoveries of a device the placements use, so
-	// stale-placement rescheduling and shape-cache purges interleave with
+	// stale-placement rescheduling and epoch-key changes interleave with
 	// admission and drain.
 	wg.Add(1)
 	go func() {

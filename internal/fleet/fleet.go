@@ -314,8 +314,6 @@ type Fleet struct {
 	churn           atomic.Pointer[churnState]
 
 	churnEpochs      atomic.Int64
-	churnInvalidated atomic.Int64
-	shapesPurged     atomic.Int64
 	staleRejected    atomic.Int64
 	reschedules      atomic.Int64
 	deadlineExceeded atomic.Int64
@@ -446,8 +444,6 @@ func (f *Fleet) collectGauges() {
 	reg.Gauge("fleet_churn_down_registries").Set(float64(s.Churn.DownRegistries))
 	reg.Gauge("fleet_churn_degraded_links").Set(float64(s.Churn.DegradedLinks))
 	reg.Gauge("fleet_churn_epochs_applied").Set(float64(s.Churn.EpochsApplied))
-	reg.Gauge("fleet_churn_invalidated").Set(float64(s.Churn.Invalidated))
-	reg.Gauge("fleet_churn_shapes_purged").Set(float64(s.Churn.ShapesPurged))
 	reg.Gauge("fleet_churn_stale_rejected").Set(float64(s.Churn.StaleRejected))
 	reg.Gauge("fleet_churn_reschedules").Set(float64(s.Churn.Reschedules))
 	reg.Gauge("fleet_churn_deadline_exceeded").Set(float64(s.Churn.DeadlineExceeded))
@@ -479,8 +475,6 @@ func (f *Fleet) Stats() Stats {
 			DownRegistries:   len(st.downRegs),
 			DegradedLinks:    len(st.degraded),
 			EpochsApplied:    f.churnEpochs.Load(),
-			Invalidated:      f.churnInvalidated.Load(),
-			ShapesPurged:     f.shapesPurged.Load(),
 			StaleRejected:    f.staleRejected.Load(),
 			Reschedules:      f.reschedules.Load(),
 			DeadlineExceeded: f.deadlineExceeded.Load(),
@@ -929,10 +923,12 @@ func (f *Fleet) compileOn(st *churnState, at *appgraph.AppTable, into *costmodel
 // atomic load.
 //
 // Under churn the path loops: every computed or cached placement is
-// re-validated against the latest published epoch before it is served, and a
-// placement caught referencing crashed hardware is purged and re-scheduled
-// exactly on the latest epoch at once, and that placement is memoized like
-// any other (bounded retries). Stage stamps accumulate across attempts.
+// re-validated against the latest published epoch before it is served. A
+// placement caught referencing crashed hardware is not served: the request
+// moves to the latest epoch's key and is answered from that key's entry or
+// re-scheduled exactly on that epoch, and the new placement is memoized like
+// any other (bounded retries). The rejected entry stays, valid for its own
+// key. Stage stamps accumulate across attempts.
 func (f *Fleet) process(w *workerState, j *job) *Response {
 	start := time.Now()
 	w.trace.Reset()
@@ -990,9 +986,6 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		latest := f.churn.Load()
 		if latest.staleAssigns(view.assigns) {
 			f.staleRejected.Add(1)
-			if hit {
-				f.cache.Remove(key)
-			}
 			if attempt+1 >= churnMaxAttempts {
 				resp.Err = fmt.Errorf("fleet: scheduling %s: placement stale after %d attempts under churn", j.req.App.Name, attempt+1)
 				return f.finish(w, resp, j)

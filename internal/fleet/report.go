@@ -86,9 +86,6 @@ type ChurnReport struct {
 	Events int `json:"events"`
 	// EpochsApplied counts ApplyChurn calls (each bumps the cluster epoch).
 	EpochsApplied int64 `json:"epochs_applied"`
-	// Invalidated counts placement-cache entries dropped because their
-	// placements referenced hardware that went down.
-	Invalidated int64 `json:"invalidated"`
 	// StaleRejected counts placements (cached or fresh) rejected by the
 	// stale gate because churn landed between schedule and validation.
 	StaleRejected int64 `json:"stale_rejected"`
@@ -223,8 +220,8 @@ func (r *Report) String() string {
 		100*r.Cache.HitRate(), r.Cache.Hits, r.Cache.Misses, r.Cache.Evictions, r.Cache.Entries)
 	fmt.Fprintf(&b, "simulated energy: %s\n", r.TotalEnergy)
 	if c := r.Churn; c != nil {
-		fmt.Fprintf(&b, "churn: events=%d epochs=%d invalidated=%d stale-rejected=%d reschedules=%d deadline-exceeded=%d\n",
-			c.Events, c.EpochsApplied, c.Invalidated, c.StaleRejected, c.Reschedules, c.DeadlineExceeded)
+		fmt.Fprintf(&b, "churn: events=%d epochs=%d stale-rejected=%d reschedules=%d deadline-exceeded=%d\n",
+			c.Events, c.EpochsApplied, c.StaleRejected, c.Reschedules, c.DeadlineExceeded)
 		if c.FirstPostChurnMax > 0 {
 			fmt.Fprintf(&b, "churn: first-post-churn latency mean=%s max=%s\n",
 				c.FirstPostChurnMean.Round(time.Microsecond), c.FirstPostChurnMax.Round(time.Microsecond))

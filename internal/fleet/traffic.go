@@ -293,7 +293,6 @@ func buildChurnReport(events int, before, after ChurnStats, responses []*Respons
 	r := &ChurnReport{
 		Events:           events,
 		EpochsApplied:    after.EpochsApplied - before.EpochsApplied,
-		Invalidated:      after.Invalidated - before.Invalidated,
 		StaleRejected:    after.StaleRejected - before.StaleRejected,
 		Reschedules:      after.Reschedules - before.Reschedules,
 		DeadlineExceeded: after.DeadlineExceeded - before.DeadlineExceeded,

@@ -31,8 +31,9 @@ type Backend interface {
 	// order (each carrying its Index), or none is, with the same sentinel
 	// errors as Do.
 	DoBatch(ctx context.Context, reqs []fleet.Request, each func(*fleet.Response)) error
-	// ApplyChurn applies one live cluster delta.
-	ApplyChurn(delta fleet.ChurnDelta) (epoch int64, invalidated int, err error)
+	// ApplyChurn applies one live cluster delta and returns the new epoch
+	// (the middle result is always 0, as in fleet.Fleet.ApplyChurn).
+	ApplyChurn(delta fleet.ChurnDelta) (epoch int64, _ int, err error)
 	// Stats snapshots the fleet counters.
 	Stats() fleet.Stats
 	// SlowRequests returns the slow-request ring contents.

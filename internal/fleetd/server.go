@@ -764,12 +764,12 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	for _, lc := range req.Links {
 		delta.Links = append(delta.Links, fleet.LinkChange{A: lc.A, B: lc.B, Factor: lc.Factor})
 	}
-	epoch, invalidated, err := s.cfg.Backend.ApplyChurn(delta)
+	epoch, _, err := s.cfg.Backend.ApplyChurn(delta)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"epoch": epoch, "invalidated": int64(invalidated)})
+	writeJSON(w, http.StatusOK, map[string]int64{"epoch": epoch})
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {

@@ -371,15 +371,6 @@ func TestResultSortedAndLookup(t *testing.T) {
 	}
 }
 
-func TestPlacementClone(t *testing.T) {
-	p := Placement{"a": {Device: "d", Registry: "r"}}
-	c := p.Clone()
-	c["a"] = Assignment{Device: "x", Registry: "y"}
-	if p["a"].Device != "d" {
-		t.Error("clone aliases original")
-	}
-}
-
 // TestClusterLookupSeesEdits: Device and Registry answer from the slices as
 // they are now, so an element replaced in place after a lookup is found under
 // its new name and no longer under its old one, and where two elements share

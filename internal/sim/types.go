@@ -21,15 +21,6 @@ type Assignment struct {
 // Placement maps every microservice of an application to its assignment.
 type Placement map[string]Assignment
 
-// Clone returns a copy of the placement.
-func (p Placement) Clone() Placement {
-	c := make(Placement, len(p))
-	for k, v := range p {
-		c[k] = v
-	}
-	return c
-}
-
 // RegistryInfo describes one image registry available to the cluster.
 type RegistryInfo struct {
 	Name string // e.g. "hub", "regional"
