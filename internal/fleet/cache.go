@@ -34,7 +34,8 @@ func (k cacheKey) word(i int) uint64 {
 // are stored in compiled form — parallel sorted-name and assignment slices
 // rather than Go maps — so a cached placement is immutable by construction
 // and a lookup shares the entry's slices with the caller instead of cloning a
-// mutable map.
+// mutable map. An entry also holds the placement's simulated answer once its
+// first hit has stored it, which every later hit serves as it stands.
 //
 // An entry answers for its key: it is written only by a schedule on the
 // churn state whose key it carries, so churn never sweeps the cache. An
@@ -57,10 +58,21 @@ type cacheEntry struct {
 	// of the memoized placement.
 	names   []string
 	assigns []sim.Assignment
+	// result is the placement's simulated answer on its key's cluster, nil
+	// until the entry's first hit fills it (Fleet.process; only when
+	// Config.SimOptions.Jitter is zero, so the answer is a function of the
+	// key). A stored result is immutable. Two first hits may race and both
+	// store; their results are equal.
+	result atomic.Pointer[sim.Result]
+}
+
+// view returns the entry's placement, aliasing its immutable slices.
+func (e *cacheEntry) view() PlacementView {
+	return PlacementView{names: e.names, assigns: e.assigns}
 }
 
 // newPlacementCache returns an LRU holding up to capacity placements.
-// capacity <= 0 disables caching entirely (every GetView misses, PutView is a
+// capacity <= 0 disables caching entirely (every Get misses, PutView is a
 // no-op).
 func newPlacementCache(capacity int) *placementCache {
 	return &placementCache{
@@ -70,31 +82,32 @@ func newPlacementCache(capacity int) *placementCache {
 	}
 }
 
-// GetView returns the memoized placement's compiled view, recording a hit or
-// miss: the returned view aliases the entry's immutable slices, which stay
-// valid even past eviction (evicting drops the cache's reference, never
-// mutates the slices), so a hit costs zero allocations.
-func (c *placementCache) GetView(key cacheKey) (PlacementView, bool) {
+// Get returns the key's entry, recording a hit or miss; nil on a miss. The
+// entry's placement and result are immutable and stay valid even past
+// eviction (evicting drops the cache's reference, never mutates the entry),
+// so a hit costs zero allocations.
+func (c *placementCache) Get(key cacheKey) *cacheEntry {
 	if c.capacity <= 0 {
-		return PlacementView{}, false
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
-		return PlacementView{}, false
+		return nil
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return PlacementView{names: e.names, assigns: e.assigns}, true
+	return el.Value.(*cacheEntry)
 }
 
 // PutView memoizes a placement, evicting the least recently used entry when
 // full. The entry gets its own copies of the slices — a view handed in may
 // alias request-pooled scratch, and entries must stay immutable for the
-// lifetime of every view ever served from them.
+// lifetime of every view ever served from them. A key already present keeps
+// its entry (first write wins): an entry's placement never changes, so its
+// result slot always describes it. Two schedules of one key agree anyway.
 func (c *placementCache) PutView(key cacheKey, v PlacementView) {
 	if c.capacity <= 0 {
 		return
@@ -102,9 +115,6 @@ func (c *placementCache) PutView(key cacheKey, v PlacementView) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.names = append([]string(nil), v.names...)
-		e.assigns = append([]sim.Assignment(nil), v.assigns...)
 		c.order.MoveToFront(el)
 		return
 	}

@@ -76,7 +76,10 @@ type Config struct {
 	// per-request seeds are folded in on top. WarmCaches is cleared: every
 	// run starts from empty layer caches, as core.System.Deploy's does, so
 	// an answer depends on the app, the epoch's cluster, the placement and
-	// the seed, never on which worker ran it or what it ran before.
+	// the seed, never on which worker ran it or what it ran before. With
+	// Jitter zero the seed has no effect either, so the answer is a function
+	// of the placement-cache key, and a placement entry stores it on its
+	// first hit and serves it to every later one.
 	SimOptions sim.Options
 	// Metrics receives per-tenant aggregates (default: a fresh registry).
 	// Its backing obs registry (Metrics.Obs) also carries the fleet's
@@ -136,7 +139,8 @@ type Request struct {
 	// apps by spec bytes and submits the same pointer for every repeat).
 	App *dag.App
 	// Seed perturbs this request's simulation jitter (combined with
-	// Config.SimOptions).
+	// Config.SimOptions). With SimOptions.Jitter zero — the daemon's setting
+	// — there is no jitter, and Seed never changes an answer.
 	Seed int64
 	// Deadline bounds the request's total service time, measured from
 	// admission. A request whose deadline expires while it waits for a
@@ -163,8 +167,11 @@ type Response struct {
 	// aliases the memo's immutable compiled entry, so serving it allocates
 	// nothing. Valid until Release.
 	Placement PlacementView
-	// Result points at a pool-owned buffer, valid until Release; nil when
-	// Err is set.
+	// Result is the simulated answer, valid until Release; nil when Err is
+	// set. On a memoized hit it aliases the placement entry's immutable
+	// result, shared by every response for that key: read-only, like
+	// Placement. Otherwise it points at a pool-owned buffer. Clone it to keep
+	// it past Release.
 	Result *sim.Result
 	// CacheHit is true when the placement came from the memo instead of a
 	// scheduling pass.
@@ -800,18 +807,21 @@ type workerState struct {
 }
 
 // modelCacheSize bounds the fleet-wide shared compiled-shape cache (cost
-// model + simulator plan) in entries. Models and plans are a few dense arrays
-// each; 256 covers the distinct shapes of a large multi-tenant mix without
-// unbounded growth. It takes the placement cache's key, so one compiled shape
-// serves every worker on the same request shape.
-const modelCacheSize = 256
+// model + simulator plan) in entries. It takes the placement cache's key, so
+// one compiled shape serves every worker on the same request shape. A
+// placement hit reads a shape only to fill its entry's result slot, once per
+// entry, so the level serves mostly repeat placement misses: a key the
+// placement LRU evicted, or every request when placement memoization is off.
+// 64 covers those for a hot tenant mix; a larger level only holds the
+// shapes of entries whose answers are already stored.
+const modelCacheSize = 64
 
 // shapeFilterSlots is the size of the shape cache's second-sight filter, in
 // key hashes across all shards. A key is admitted when it returns before
-// ~this many other keys have missed, so the filter should remember somewhat
-// more than the cache can hold (a key that returns later than that would be
-// evicted before its third sight anyway) and no more.
-const shapeFilterSlots = 4 * modelCacheSize
+// ~this many other keys have missed. It is pinned rather than derived from
+// modelCacheSize: 128 slots a shard keep a hot mix's keys apart, where 32
+// (a 256-slot filter) let eight fixed keys overwrite each other's slots.
+const shapeFilterSlots = 1024
 
 // deliver closes out one answered request: the fleet counters, and the
 // per-stage and per-tenant telemetry on the given obs shard (the serving
@@ -878,8 +888,10 @@ func (f *Fleet) recordSolver(shard int, st sched.SolverStats) {
 	add(f.solverNonconverged, st.NonConverged)
 }
 
-// shape returns the request's compiled model and executor plan: the model
-// every scheduler reads and the plan every request simulates on. A shape the
+// shape returns the request's compiled model and executor plan: the model a
+// placement miss schedules on and the plan a simulated answer runs on. A
+// memoized answer needs neither, so process calls shape only on a placement
+// miss and on a hit whose entry holds no result yet. A shape the
 // fleet has seen before comes from the fleet-wide cache, compiled fresh on
 // its second sight and shared from then on: the key's cluster half is the
 // worker's epoch's, so one compiled shape per app serves every worker, and a
@@ -914,13 +926,24 @@ func (f *Fleet) compileOn(st *churnState, at *appgraph.AppTable, into *costmodel
 	return s
 }
 
-// process runs the (possibly memoized) schedule-then-simulate pipeline for
+// process runs the (possibly memoized) lookup-schedule-simulate pipeline for
 // one job on the worker's private scheduler, stamping each stage's wall time
-// into the worker's reusable trace as it goes. In steady state — shape cache
-// hot, placement memoized or pass reused, no churn in flight — the whole path
-// allocates nothing once the job pool is full; the stamping itself is
-// monotonic-clock reads into a fixed array, and churn awareness costs one
-// atomic load.
+// into the worker's reusable trace as it goes.
+//
+// The placement is looked up before the shape: a miss compiles the shape
+// (Fleet.shape), schedules on it and memoizes the placement; a hit needs no
+// shape to find its placement. A hit whose entry already holds its
+// simulated answer serves it as it stands — no shape, no simulation. Any
+// other answer is simulated on the shape: a miss's, and a hit's on an entry
+// whose result slot is still empty — the first hit fills it, as long as
+// SimOptions.Jitter is zero (with jitter every request simulates with its
+// own seed, and nothing is stored). A miss never fills the slot: most misses
+// at the edge never return, and their results would only take memory.
+//
+// In steady state — placement and answer memoized, no churn in flight — the
+// whole path allocates nothing once the job pool is full; the stamping
+// itself is monotonic-clock reads into a fixed array, and churn awareness
+// costs one atomic load.
 //
 // Under churn the path loops: every computed or cached placement is
 // re-validated against the latest published epoch before it is served. A
@@ -947,18 +970,19 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 
 	var shape compiledShape
 	var view PlacementView
-	var hit bool
+	var entry *cacheEntry
 	for attempt := 0; ; attempt++ {
-		shape = f.shape(w, j.req.App, key)
+		entry = f.cache.Get(key)
 		now := time.Now()
-		w.trace.D[obs.StageCompile] += now.Sub(mark)
-		mark = now
-
-		view, hit = f.cache.GetView(key)
-		now = time.Now()
 		w.trace.D[obs.StageCacheLookup] += now.Sub(mark)
 		mark = now
-		if !hit {
+		if entry != nil {
+			view = entry.view()
+		} else {
+			shape = f.shape(w, j.req.App, key)
+			now = time.Now()
+			w.trace.D[obs.StageCompile] += now.Sub(mark)
+			mark = now
 			if !deadline.IsZero() && !now.Before(deadline) {
 				f.deadlineExceeded.Add(1)
 				resp.Err = fmt.Errorf("fleet: scheduling %s: %w", j.req.App.Name, ErrDeadline)
@@ -997,11 +1021,24 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 			continue
 		}
 		resp.Epoch = latest.epoch
-		resp.CacheHit = hit
+		resp.CacheHit = entry != nil
 		resp.Placement = view
 		break
 	}
 
+	memoize := entry != nil && f.cfg.SimOptions.Jitter == 0
+	if memoize {
+		if r := entry.result.Load(); r != nil {
+			resp.Result = r
+			return f.finish(w, resp, j)
+		}
+	}
+	if entry != nil {
+		shape = f.shape(w, j.req.App, key)
+		now := time.Now()
+		w.trace.D[obs.StageCompile] += now.Sub(mark)
+		mark = now
+	}
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		f.deadlineExceeded.Add(1)
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, ErrDeadline)
@@ -1013,6 +1050,14 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	w.trace.D[obs.StageSim] = time.Since(mark)
 	if err != nil {
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, err)
+		return f.finish(w, resp, j)
+	}
+	if memoize {
+		// The first hit stores a detached copy, which this and every later
+		// response for the key share.
+		stored := result.Clone()
+		entry.result.Store(stored)
+		resp.Result = stored
 		return f.finish(w, resp, j)
 	}
 	// The exec's result buffer is reused on the next request; the response

@@ -618,17 +618,17 @@ func TestLRUEviction(t *testing.T) {
 	v := NewPlacementView(sim.Placement{"m": {Device: "d", Registry: "r"}})
 	c.PutView(fpOf("a"), v)
 	c.PutView(fpOf("b"), v)
-	if _, ok := c.GetView(fpOf("a")); !ok { // refresh "a"
+	if c.Get(fpOf("a")) == nil { // refresh "a"
 		t.Fatal("a missing")
 	}
 	c.PutView(fpOf("c"), v) // evicts "b", the LRU entry
-	if _, ok := c.GetView(fpOf("b")); ok {
+	if c.Get(fpOf("b")) != nil {
 		t.Fatal("b survived eviction")
 	}
-	if _, ok := c.GetView(fpOf("a")); !ok {
+	if c.Get(fpOf("a")) == nil {
 		t.Fatal("refreshed entry was evicted")
 	}
-	if _, ok := c.GetView(fpOf("c")); !ok {
+	if c.Get(fpOf("c")) == nil {
 		t.Fatal("newest entry missing")
 	}
 	stats := c.Stats()
@@ -638,9 +638,35 @@ func TestLRUEviction(t *testing.T) {
 	// The view handed to PutView may alias request-pooled scratch: reusing
 	// that scratch must not corrupt the cached copy.
 	v.assigns[0] = sim.Assignment{Device: "x", Registry: "y"}
-	again, _ := c.GetView(fpOf("a"))
-	if a, _ := again.Get("m"); a.Device != "d" {
+	if a, _ := c.Get(fpOf("a")).view().Get("m"); a.Device != "d" {
 		t.Fatal("cache entry mutated through the view it was stored from")
+	}
+}
+
+// TestPutViewFirstWriteWins: a second PutView under a present key keeps the
+// entry as it was — its placement and its stored result — so a result slot
+// always describes the placement beside it.
+func TestPutViewFirstWriteWins(t *testing.T) {
+	c := newPlacementCache(4)
+	key := fpOf("a")
+	c.PutView(key, NewPlacementView(sim.Placement{"m": {Device: "d", Registry: "r"}}))
+	e := c.Get(key)
+	stored := &sim.Result{App: "a", Makespan: 1, TotalEnergy: 2}
+	e.result.Store(stored)
+
+	c.PutView(key, NewPlacementView(sim.Placement{"m": {Device: "x", Registry: "y"}}))
+	again := c.Get(key)
+	if again != e {
+		t.Fatal("a second put replaced the entry")
+	}
+	if a, _ := again.view().Get("m"); a.Device != "d" || a.Registry != "r" {
+		t.Fatalf("a second put changed the placement to %+v", a)
+	}
+	if got := again.result.Load(); got != stored {
+		t.Fatalf("a second put changed the stored result to %+v", got)
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 0 {
+		t.Fatalf("stats %+v, want 1 entry and no eviction", s)
 	}
 }
 

@@ -90,8 +90,16 @@ func TestStageTracingEndToEnd(t *testing.T) {
 		if err != nil || resp.Err != nil {
 			t.Fatal(err, resp.Err)
 		}
-		if resp.Stages.D[obs.StageFingerprint] <= 0 || resp.Stages.D[obs.StageSim] <= 0 {
+		if resp.Stages.D[obs.StageFingerprint] <= 0 || resp.Stages.D[obs.StageCacheLookup] <= 0 {
 			t.Fatalf("stages not stamped: %+v", resp.Stages)
+		}
+		// The miss and the first hit simulate (the first hit stores the
+		// answer in the placement entry); every later hit serves the stored
+		// answer and neither compiles a shape nor simulates.
+		if simulated, compiled := resp.Stages.D[obs.StageSim], resp.Stages.D[obs.StageCompile]; i < 2 && simulated <= 0 {
+			t.Fatalf("request %d did not stamp its simulation: %+v", i, resp.Stages)
+		} else if i >= 2 && (simulated != 0 || compiled != 0 || !resp.CacheHit) {
+			t.Fatalf("request %d was not a memoized hit: cache_hit=%v %+v", i, resp.CacheHit, resp.Stages)
 		}
 		if resp.Stages.D[obs.StageQueue] != resp.QueueWait {
 			t.Fatalf("queue stage %v != QueueWait %v", resp.Stages.D[obs.StageQueue], resp.QueueWait)
@@ -134,12 +142,12 @@ func TestStageTracingEndToEnd(t *testing.T) {
 	if len(slow) != n {
 		t.Fatalf("slow ring holds %d, want %d", len(slow), n)
 	}
-	for _, sr := range slow {
+	for i, sr := range slow {
 		if sr.Tenant != "t" || sr.App != app.Name || sr.Total <= 0 {
 			t.Fatalf("slow entry malformed: %+v", sr)
 		}
-		if sr.Stages.D[obs.StageSim] <= 0 {
-			t.Fatalf("slow entry lost its stage breakdown: %+v", sr)
+		if sr.Stages.D[obs.StageCacheLookup] <= 0 || (i < 2) != (sr.Stages.D[obs.StageSim] > 0) {
+			t.Fatalf("slow entry %d lost its stage breakdown: %+v", i, sr)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"deep/internal/core"
 	"deep/internal/dag"
+	"deep/internal/obs"
 	"deep/internal/sim"
 	"deep/internal/workload"
 )
@@ -41,6 +42,9 @@ func effectiveCluster(base func() *sim.Cluster, downDevs, downRegs map[string]bo
 // varying order) and across a device crash, its recovery and a registry
 // outage, every Result equals core.System.Deploy's on that epoch's effective
 // cluster, bit for bit — the library pipeline the paper's figures run.
+// From the third call of an app on an epoch on, the answer is the one its
+// placement entry stored: a hit that neither compiles a shape nor
+// simulates, so the memoized path is the one checked.
 func TestEveryAnswerIsCoreDeploy(t *testing.T) {
 	synth, err := workload.Generate(workload.DefaultGeneratorConfig(16, 3))
 	if err != nil {
@@ -74,13 +78,17 @@ func TestEveryAnswerIsCoreDeploy(t *testing.T) {
 					}
 					want[k] = dep.Result
 				}
-				check := func(call string, k int) {
+				check := func(call string, k int, memoized bool) {
 					resp, err := f.Do(context.Background(), Request{App: apps[k], Seed: int64(k)})
 					if err != nil || resp.Err != nil {
 						t.Error(err, resp)
 						return
 					}
 					defer resp.Release()
+					if memoized && (!resp.CacheHit || resp.Stages.D[obs.StageSim] != 0 || resp.Stages.D[obs.StageCompile] != 0) {
+						t.Errorf("%s %s %s: not a memoized hit: cache_hit=%v, stages %+v",
+							ep.name, call, apps[k].Name, resp.CacheHit, resp.Stages)
+					}
 					if !reflect.DeepEqual(resp.Result, want[k]) {
 						t.Errorf("%s %s %s: fleet answered %.6g s / %.6g J, core %.6g s / %.6g J",
 							ep.name, call, apps[k].Name, resp.Result.Makespan, float64(resp.Result.TotalEnergy),
@@ -89,7 +97,7 @@ func TestEveryAnswerIsCoreDeploy(t *testing.T) {
 				}
 				for call := 0; call < 5; call++ {
 					for k := range apps {
-						check(fmt.Sprintf("call %d", call), k)
+						check(fmt.Sprintf("call %d", call), k, call >= 2)
 					}
 				}
 				var wg sync.WaitGroup
@@ -98,7 +106,7 @@ func TestEveryAnswerIsCoreDeploy(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						for call := 0; call < 3; call++ {
-							check(fmt.Sprintf("caller %d call %d", c, call), (c+call)%len(apps))
+							check(fmt.Sprintf("caller %d call %d", c, call), (c+call)%len(apps), true)
 						}
 					}()
 				}

@@ -212,7 +212,8 @@ func (s *Server) AdminHandler() http.Handler {
 type DeployRequest struct {
 	// Tenant labels the requester (default "default").
 	Tenant string `json:"tenant,omitempty"`
-	// Seed perturbs the simulation jitter.
+	// Seed perturbs the simulation jitter (fleet.Request.Seed). deepfleetd
+	// simulates without jitter, so there seed never changes an answer.
 	Seed int64 `json:"seed,omitempty"`
 	// DeadlineMS bounds total service time; 0 means the server default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -258,7 +259,8 @@ type DeployBatchRequest struct {
 
 // DeployBatchItem is one deployment inside a batch envelope.
 type DeployBatchItem struct {
-	// Seed perturbs the simulation jitter for this item.
+	// Seed perturbs the simulation jitter for this item, as
+	// DeployRequest.Seed does: under deepfleetd it never changes an answer.
 	Seed int64 `json:"seed,omitempty"`
 	// DeadlineMS bounds this item's service time; 0 means the server default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
