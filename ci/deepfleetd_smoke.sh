@@ -2,8 +2,8 @@
 # End-to-end smoke for cmd/deepfleetd: boot the daemon on a random port with
 # a tiny queue and a 1 req/s tenant budget, deploy a testbed app and assert a
 # placement, force a 429 with Retry-After, scrape the per-tenant HTTP
-# counters, the spec-table counters and the decode-path counters off /metrics,
-# then SIGTERM and require a clean bounded drain.
+# counters, the spec-table counters, the decode-path and the encode-path
+# counters off /metrics, then SIGTERM and require a clean bounded drain.
 #
 # Deterministic by construction: the second deploy trades on an empty token
 # bucket (rate=1 burst=1), so the 429 does not depend on timing. The
@@ -144,6 +144,28 @@ for want in 'fleetd_decode_fast_total 3' 'fleetd_decode_fallback_total 0'; do
   }
 done
 echo "smoke: three canonical posts decoded on the fast path, none fell back"
+
+# The same app once more, under a fresh tenant whose bucket is full. The
+# first deploy missed the placement cache and the third was its entry's
+# first hit: both encoded their answer's tail (placement, makespan, energy),
+# and the first hit stored it in the entry. This fourth post is answered
+# with the stored tail.
+sed 's/"tenant": "smoke"/"tenant": "smoke-encode"/' "$deploy" >"$workdir/deploy4.json"
+repeat=$(curl -fsS -X POST "$base/v1/deploy" -d @"$workdir/deploy4.json")
+[ "$(echo "$repeat" | jq -c '[.placement, .makespan_s, .total_energy_j]')" = \
+  "$(echo "$resp" | jq -c '[.placement, .makespan_s, .total_energy_j]')" ] || {
+  echo "stored answer differs from the first: $repeat" >&2
+  exit 1
+}
+metrics=$(curl -fsS "$base/metrics")
+for want in 'fleetd_encode_fresh_total 2' 'fleetd_encode_stored_total 1'; do
+  echo "$metrics" | grep -qx "$want" || {
+    echo "encode path: want '$want', got:" >&2
+    echo "$metrics" | grep fleetd_encode >&2 || true
+    exit 1
+  }
+done
+echo "smoke: a repeated deploy answered with its entry's stored tail"
 
 # Batched admission, on a fresh tenant so the exact-count greps above stay
 # untouched. A 2-item batch needs 2 tokens against burst=1, so it can NEVER

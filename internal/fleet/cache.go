@@ -35,7 +35,8 @@ func (k cacheKey) word(i int) uint64 {
 // rather than Go maps — so a cached placement is immutable by construction
 // and a lookup shares the entry's slices with the caller instead of cloning a
 // mutable map. An entry also holds the placement's simulated answer once its
-// first hit has stored it, which every later hit serves as it stands.
+// first hit has stored it, which every later hit serves as it stands, and a
+// slot for the serving layer's encoding of that answer (Encoded).
 //
 // An entry answers for its key: it is written only by a schedule on the
 // churn state whose key it carries, so churn never sweeps the cache. An
@@ -61,9 +62,36 @@ type cacheEntry struct {
 	// result is the placement's simulated answer on its key's cluster, nil
 	// until the entry's first hit fills it (Fleet.process; only when
 	// Config.SimOptions.Jitter is zero, so the answer is a function of the
-	// key). A stored result is immutable. Two first hits may race and both
-	// store; their results are equal.
+	// key). A stored result is immutable. Two first hits may race; the first
+	// to store wins, and both serve the winner.
 	result atomic.Pointer[sim.Result]
+	// encoded holds what the serving layer derives from result, for it to
+	// reuse (Response.Encoded). It lives and dies with the entry.
+	encoded Encoded
+}
+
+// Encoded is a write-once slot for the bytes a serving layer encodes from a
+// placement entry's stored answer. The fleet never reads or writes them: it
+// only hands the slot out beside the result it describes (Response.Encoded).
+type Encoded struct{ p atomic.Pointer[[]byte] }
+
+// Load returns the stored bytes, nil while the slot is empty. They are
+// shared by every response for the entry's key: read-only.
+func (e *Encoded) Load() []byte {
+	if p := e.p.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store fills an empty slot with a copy of b; the first write wins, and a
+// later one is dropped.
+func (e *Encoded) Store(b []byte) {
+	if e.p.Load() != nil {
+		return
+	}
+	stored := append([]byte(nil), b...)
+	e.p.CompareAndSwap(nil, &stored)
 }
 
 // view returns the entry's placement, aliasing its immutable slices.

@@ -173,6 +173,13 @@ type Response struct {
 	// Placement. Otherwise it points at a pool-owned buffer. Clone it to keep
 	// it past Release.
 	Result *sim.Result
+	// Encoded is the placement entry's slot for an encoding of the answer,
+	// set exactly when Result is the entry's stored result: nil on a miss,
+	// with SimOptions.Jitter above zero, and when Err is set. The fleet
+	// never fills it; a serving layer may, with bytes that are a function
+	// of Placement and Result alone, and every later response for the key
+	// carries them. Like Result, it is not to be touched after Release.
+	Encoded *Encoded
 	// CacheHit is true when the placement came from the memo instead of a
 	// scheduling pass.
 	CacheHit bool
@@ -376,6 +383,7 @@ func (f *Fleet) putJob(j *job) {
 	r.Tenant, r.App = "", ""
 	r.Placement = PlacementView{}
 	r.Result = nil
+	r.Encoded = nil
 	r.Err = nil
 	r.owner = nil
 	f.jobPool.Put(j)
@@ -933,7 +941,8 @@ func (f *Fleet) compileOn(st *churnState, at *appgraph.AppTable, into *costmodel
 // The placement is looked up before the shape: a miss compiles the shape
 // (Fleet.shape), schedules on it and memoizes the placement; a hit needs no
 // shape to find its placement. A hit whose entry already holds its
-// simulated answer serves it as it stands — no shape, no simulation. Any
+// simulated answer serves it as it stands — no shape, no simulation — and
+// hands out the entry's encoded slot beside it (Response.Encoded). Any
 // other answer is simulated on the shape: a miss's, and a hit's on an entry
 // whose result slot is still empty — the first hit fills it, as long as
 // SimOptions.Jitter is zero (with jitter every request simulates with its
@@ -1029,7 +1038,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	memoize := entry != nil && f.cfg.SimOptions.Jitter == 0
 	if memoize {
 		if r := entry.result.Load(); r != nil {
-			resp.Result = r
+			resp.Result, resp.Encoded = r, &entry.encoded
 			return f.finish(w, resp, j)
 		}
 	}
@@ -1054,10 +1063,15 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	}
 	if memoize {
 		// The first hit stores a detached copy, which this and every later
-		// response for the key share.
+		// response for the key share. Of racing first hits the first store
+		// wins and every one serves it, so one key has one result pointer,
+		// and the entry's encoded slot always describes the result served
+		// beside it.
 		stored := result.Clone()
-		entry.result.Store(stored)
-		resp.Result = stored
+		if !entry.result.CompareAndSwap(nil, stored) {
+			stored = entry.result.Load()
+		}
+		resp.Result, resp.Encoded = stored, &entry.encoded
 		return f.finish(w, resp, j)
 	}
 	// The exec's result buffer is reused on the next request; the response
@@ -1078,6 +1092,7 @@ func (j *job) reset() *Response {
 	resp.App = j.req.App.Name
 	resp.Placement = PlacementView{}
 	resp.Result = nil
+	resp.Encoded = nil
 	resp.CacheHit = false
 	resp.Epoch = 0
 	resp.Index = 0

@@ -15,19 +15,47 @@ import (
 // json.Encoder.Encode writes for the DeployResponse or DeployBatchResponse
 // the fleet response stands for — same field order, same float format, same
 // string escaping — straight from the *fleet.Response, with no intermediate
-// struct or placement map. The
-// placement view is already sorted by name, the order encoding/json sorts
-// map keys into. Everything else the server answers (errors, stats, churn,
-// drain) still goes through writeJSON.
+// struct or placement map. The placement view is already sorted by name, the
+// order encoding/json sorts map keys into. Everything else the server
+// answers (errors, stats, churn, drain) still goes through writeJSON.
+//
+// A deploy answer is a head and a tail. The head — tenant, app, epoch,
+// cache_hit, degraded, queue_wait_ms, latency_ms — is the request's own and
+// is appended every time. The tail — placement, makespan_s, total_energy_j
+// and the closing brace — is a function of the placement and the simulated
+// answer alone. On a memoized hit both are the placement entry's, so the
+// tail is a function of the cache key: the response carries the entry's
+// fleet.Encoded slot, the first answer to find it empty appends the tail and
+// stores a copy there, and every later answer for the key copies the stored
+// bytes after its head, as a registry serves a manifest's stored bytes.
 
 // appendDeploy appends resp's DeployResponse object (no trailing newline).
-// ok is false, and dst comes back unchanged, when the makespan or energy is
-// NaN or ±Inf: encoding/json refuses those, so the answer is a 500.
-func appendDeploy(dst []byte, resp *fleet.Response) (_ []byte, ok bool) {
+// stored reports that its tail was copied from resp.Encoded. ok is false,
+// and dst comes back unchanged, when the makespan or energy is NaN or ±Inf:
+// encoding/json refuses those, so the answer is a 500 (and nothing is
+// stored).
+func appendDeploy(dst []byte, resp *fleet.Response) (_ []byte, stored, ok bool) {
+	if resp.Encoded != nil {
+		if tail := resp.Encoded.Load(); tail != nil {
+			return append(appendDeployHead(dst, resp), tail...), true, true
+		}
+	}
 	makespan, energy := resp.Result.Makespan, float64(resp.Result.TotalEnergy)
 	if !finite(makespan) || !finite(energy) {
-		return dst, false
+		return dst, false, false
 	}
+	dst = appendDeployHead(dst, resp)
+	tail := len(dst)
+	dst = appendDeployTail(dst, resp.Placement, makespan, energy)
+	if resp.Encoded != nil {
+		resp.Encoded.Store(dst[tail:])
+	}
+	return dst, false, true
+}
+
+// appendDeployHead appends a DeployResponse up to its placement: the fields
+// that differ between requests for one key.
+func appendDeployHead(dst []byte, resp *fleet.Response) []byte {
 	dst = append(dst, `{"tenant":`...)
 	dst = appendString(dst, resp.Tenant)
 	dst = append(dst, `,"app":`...)
@@ -41,10 +69,15 @@ func appendDeploy(dst []byte, resp *fleet.Response) (_ []byte, ok bool) {
 	dst = append(dst, `,"queue_wait_ms":`...)
 	dst = appendFloat(dst, float64(resp.QueueWait)/float64(time.Millisecond))
 	dst = append(dst, `,"latency_ms":`...)
-	dst = appendFloat(dst, float64(resp.Latency)/float64(time.Millisecond))
+	return appendFloat(dst, float64(resp.Latency)/float64(time.Millisecond))
+}
+
+// appendDeployTail appends the rest of a DeployResponse, from its placement
+// to its closing brace; makespan and energy must be finite.
+func appendDeployTail(dst []byte, placement fleet.PlacementView, makespan, energy float64) []byte {
 	dst = append(dst, `,"placement":{`...)
-	for i := range resp.Placement.Len() {
-		ms, a := resp.Placement.At(i)
+	for i := range placement.Len() {
+		ms, a := placement.At(i)
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -59,7 +92,7 @@ func appendDeploy(dst []byte, resp *fleet.Response) (_ []byte, ok bool) {
 	dst = appendFloat(dst, makespan)
 	dst = append(dst, `,"total_energy_j":`...)
 	dst = appendFloat(dst, energy)
-	return append(dst, '}'), true
+	return append(dst, '}')
 }
 
 // appendBatchOpen appends a DeployBatchResponse up to its first result.
@@ -71,8 +104,9 @@ func appendBatchOpen(dst []byte, tenant string) []byte {
 
 // appendBatchResult appends one DeployBatchResult: the item's deploy body,
 // or its structured error. The caller separates results with commas and
-// closes the batch with `]}` and the newline; ok is appendDeploy's.
-func appendBatchResult(dst []byte, resp *fleet.Response) (_ []byte, ok bool) {
+// closes the batch with `]}` and the newline; stored and ok are
+// appendDeploy's (stored is false for an error).
+func appendBatchResult(dst []byte, resp *fleet.Response) (_ []byte, stored, ok bool) {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(resp.Index), 10)
 	if resp.Err != nil {
@@ -81,13 +115,13 @@ func appendBatchResult(dst []byte, resp *fleet.Response) (_ []byte, ok bool) {
 		dst = appendString(dst, code)
 		dst = append(dst, `,"message":`...)
 		dst = appendString(dst, resp.Err.Error())
-		return append(dst, `}}`...), true
+		return append(dst, `}}`...), false, true
 	}
 	dst = append(dst, `,"deploy":`...)
-	if dst, ok = appendDeploy(dst, resp); !ok {
-		return dst, false
+	if dst, stored, ok = appendDeploy(dst, resp); !ok {
+		return dst, false, false
 	}
-	return append(dst, '}'), true
+	return append(dst, '}'), stored, true
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

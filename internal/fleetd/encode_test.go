@@ -67,24 +67,31 @@ func referenceBatch(tenant string, resps []*fleet.Response) ([]byte, error) {
 }
 
 // appendSingle and appendBatch append exactly what the two deploy handlers
-// send, trailing newline included.
-func appendSingle(dst []byte, resp *fleet.Response) ([]byte, bool) {
-	dst, ok := appendDeploy(dst, resp)
-	return append(dst, '\n'), ok
+// send, trailing newline included; stored counts the deploy tails copied
+// from a response's Encoded slot.
+func appendSingle(dst []byte, resp *fleet.Response) (_ []byte, stored int, ok bool) {
+	dst, fromSlot, ok := appendDeploy(dst, resp)
+	if fromSlot {
+		stored = 1
+	}
+	return append(dst, '\n'), stored, ok
 }
 
-func appendBatch(dst []byte, tenant string, resps []*fleet.Response) ([]byte, bool) {
+func appendBatch(dst []byte, tenant string, resps []*fleet.Response) (_ []byte, stored int, ok bool) {
 	dst = appendBatchOpen(dst, tenant)
 	for i, resp := range resps {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		var ok bool
-		if dst, ok = appendBatchResult(dst, resp); !ok {
-			return dst, false
+		var fromSlot bool
+		if dst, fromSlot, ok = appendBatchResult(dst, resp); !ok {
+			return dst, stored, false
+		}
+		if fromSlot {
+			stored++
 		}
 	}
-	return append(dst, "]}\n"...), true
+	return append(dst, "]}\n"...), stored, true
 }
 
 // checkEncode asserts that the append encoder and the reference agree: both
@@ -97,6 +104,61 @@ func checkEncode(t *testing.T, name string, got []byte, ok bool, want []byte, er
 	if ok && !bytes.Equal(got, want) {
 		t.Fatalf("%s:\nappend    %q\nreference %q", name, got, want)
 	}
+}
+
+// withSlots returns copies of resps in which every deploy carries an empty
+// Encoded slot of its own, as the fleet hands one out on a memoized hit.
+func withSlots(resps ...*fleet.Response) []*fleet.Response {
+	out := make([]*fleet.Response, len(resps))
+	for i, resp := range resps {
+		c := *resp
+		if c.Err == nil {
+			c.Encoded = new(fleet.Encoded)
+		}
+		out[i] = &c
+	}
+	return out
+}
+
+// checkStored encodes resps twice through encode after withSlots gave them
+// empty slots. Both answers must be the reference bytes, or both refused.
+// The first must fill every deploy's slot and copy from none, the second
+// must copy every deploy's tail from its slot; a refused answer leaves the
+// slot of each deploy whose floats do not encode empty.
+func checkStored(t *testing.T, name string, resps []*fleet.Response,
+	encode func([]*fleet.Response) ([]byte, int, bool), want []byte, err error) {
+	t.Helper()
+	resps = withSlots(resps...)
+	deploys := 0
+	for _, resp := range resps {
+		if resp.Err == nil {
+			deploys++
+		}
+	}
+	for pass := range 2 {
+		got, stored, ok := encode(resps)
+		checkEncode(t, fmt.Sprintf("%s, stored pass %d", name, pass), got, ok, want, err)
+		if !ok {
+			for _, resp := range resps {
+				if resp.Err == nil && !encodable(resp) && resp.Encoded.Load() != nil {
+					t.Fatalf("%s, stored pass %d: a refused answer filled its slot", name, pass)
+				}
+			}
+			continue
+		}
+		if wantStored := pass * deploys; stored != wantStored {
+			t.Fatalf("%s, stored pass %d: %d tails from slots, want %d", name, pass, stored, wantStored)
+		}
+		for _, resp := range resps {
+			if resp.Err == nil && resp.Encoded.Load() == nil {
+				t.Fatalf("%s, stored pass %d: a deploy left its slot empty", name, pass)
+			}
+		}
+	}
+}
+
+func encodable(resp *fleet.Response) bool {
+	return finite(resp.Result.Makespan) && finite(float64(resp.Result.TotalEnergy))
 }
 
 // fleetFixtures deploys each app twice on a real fleet (a miss, then a
@@ -159,10 +221,13 @@ func TestEncodeMatchesReference(t *testing.T) {
 		t.Fatal("second deploy of the same app missed the placement cache")
 	}
 
+	single := func(resps []*fleet.Response) ([]byte, int, bool) { return appendSingle(nil, resps[0]) }
 	for i, resp := range resps {
-		got, ok := appendSingle(nil, resp)
+		name := fmt.Sprintf("deploy %d (%s)", i, resp.App)
+		got, _, ok := appendSingle(nil, resp)
 		want, err := referenceDeploy(resp)
-		checkEncode(t, fmt.Sprintf("deploy %d (%s)", i, resp.App), got, ok, want, err)
+		checkEncode(t, name, got, ok, want, err)
+		checkStored(t, name, []*fleet.Response{resp}, single, want, err)
 	}
 
 	failures := []error{
@@ -180,10 +245,13 @@ func TestEncodeMatchesReference(t *testing.T) {
 		}
 	}
 	for _, tenant := range []string{"acme", "a<b&c>d", `ten"ant`} {
+		encode := func(resps []*fleet.Response) ([]byte, int, bool) { return appendBatch(nil, tenant, resps) }
 		for _, items := range [][]*fleet.Response{batch, batch[:1], batch[1:2]} {
-			got, ok := appendBatch(nil, tenant, items)
+			name := fmt.Sprintf("batch of %d for %q", len(items), tenant)
+			got, _, ok := appendBatch(nil, tenant, items)
 			want, err := referenceBatch(tenant, items)
-			checkEncode(t, fmt.Sprintf("batch of %d for %q", len(items), tenant), got, ok, want, err)
+			checkEncode(t, name, got, ok, want, err)
+			checkStored(t, name, items, encode, want, err)
 		}
 	}
 }
@@ -210,7 +278,9 @@ func drawString(b []byte) string {
 // FuzzEncodeMatchesReference: for any strings drawn from the escape-dense
 // alphabet and any floats, a deploy answer and a batch answer holding it and
 // an error item are the bytes encoding/json writes — and a NaN or ±Inf
-// makespan or energy fails on both sides.
+// makespan or energy fails on both sides. Each is also encoded twice from an
+// empty Encoded slot: the first fills it, the second copies its tail, both
+// are the reference bytes, and a refused answer leaves the slot empty.
 func FuzzEncodeMatchesReference(f *testing.F) {
 	seeds := []float64{
 		0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0),
@@ -233,9 +303,11 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 			CacheHit: flags&1 != 0, Degraded: flags&2 != 0, Epoch: epoch,
 			QueueWait: time.Duration(queueWait), Latency: time.Duration(latency),
 		}
-		got, ok := appendSingle(nil, resp)
+		got, _, ok := appendSingle(nil, resp)
 		want, err := referenceDeploy(resp)
 		checkEncode(t, "deploy", got, ok, want, err)
+		checkStored(t, "deploy", []*fleet.Response{resp},
+			func(resps []*fleet.Response) ([]byte, int, bool) { return appendSingle(nil, resps[0]) }, want, err)
 
 		failed := &fleet.Response{Index: 1, Err: errors.New(drawString(names))}
 		batch := []*fleet.Response{resp, failed}
@@ -243,14 +315,17 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 			batch[0], batch[1] = failed, resp
 			failed.Index, resp.Index = 0, 1
 		}
-		got, ok = appendBatch(nil, resp.Tenant, batch)
+		got, _, ok = appendBatch(nil, resp.Tenant, batch)
 		want, err = referenceBatch(resp.Tenant, batch)
 		checkEncode(t, "batch", got, ok, want, err)
+		checkStored(t, "batch", batch,
+			func(resps []*fleet.Response) ([]byte, int, bool) { return appendBatch(nil, resp.Tenant, resps) }, want, err)
 	})
 }
 
 // TestAppendDeployAllocs gates the append encoder at zero allocations for a
-// warm answer (case-study names, finite floats) into a buffer already grown.
+// warm answer (case-study names, finite floats) into a buffer already grown,
+// both encoded and copied from a filled Encoded slot.
 func TestAppendDeployAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -259,12 +334,23 @@ func TestAppendDeployAllocs(t *testing.T) {
 	for i, resp := range resps {
 		resp.Index = i
 	}
+	slotted := withSlots(resps...)
 	buf := make([]byte, 0, 16<<10)
-	if got := testing.AllocsPerRun(100, func() { buf, _ = appendSingle(buf[:0], resps[1]) }); got != 0 {
-		t.Errorf("warm deploy answer: %.1f allocs, want 0", got)
+	if buf, _, _ = appendBatch(buf[:0], "acme", slotted); slotted[1].Encoded.Load() == nil {
+		t.Fatal("encoding left the slot empty")
 	}
-	if got := testing.AllocsPerRun(100, func() { buf, _ = appendBatch(buf[:0], "acme", resps) }); got != 0 {
-		t.Errorf("warm batch answer: %.1f allocs, want 0", got)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"warm deploy answer", func() { buf, _, _ = appendSingle(buf[:0], resps[1]) }},
+		{"warm batch answer", func() { buf, _, _ = appendBatch(buf[:0], "acme", resps) }},
+		{"stored deploy answer", func() { buf, _, _ = appendSingle(buf[:0], slotted[1]) }},
+		{"stored batch answer", func() { buf, _, _ = appendBatch(buf[:0], "acme", slotted) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.run); got != 0 {
+			t.Errorf("%s: %.1f allocs, want 0", c.name, got)
+		}
 	}
 }
 
@@ -272,7 +358,9 @@ func TestAppendDeployAllocs(t *testing.T) {
 // placement, a 16-microservice generated one, and a 16-item batch of the
 // latter — through the reflective reference (deployResponseOf, then
 // json.Encoder into a fresh buffer, as writeJSON did) and through the append
-// encoder into a reused buffer, as the handlers now do.
+// encoder into a reused buffer, as the handlers do on a miss or a first hit.
+// The stored rows are what they do on a memoized hit: each response carries
+// a filled Encoded slot, so only the head is encoded.
 func BenchmarkFrontDoorEncode(b *testing.B) {
 	single := fleetFixtures(b, workload.Testbed, workload.VideoProcessing())[1]
 	synthetic := fleetFixtures(b, scaled, generated(b, 16, 1))[1]
@@ -282,7 +370,7 @@ func BenchmarkFrontDoorEncode(b *testing.B) {
 		item.Index = i
 		batch[i] = &item
 	}
-	row := func(name string, reference func() ([]byte, error), appended func([]byte) ([]byte, bool)) {
+	row := func(name string, reference func() ([]byte, error), appended func([]byte) ([]byte, int, bool)) {
 		b.Run(name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
@@ -296,7 +384,7 @@ func BenchmarkFrontDoorEncode(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				var ok bool
-				if buf, ok = appended(buf[:0]); !ok {
+				if buf, _, ok = appended(buf[:0]); !ok {
 					b.Fatal("not encodable")
 				}
 			}
@@ -307,8 +395,28 @@ func BenchmarkFrontDoorEncode(b *testing.B) {
 		resp *fleet.Response
 	}{{"single_casestudy", single}, {"single_synthetic16", synthetic}} {
 		row(r.name, func() ([]byte, error) { return referenceDeploy(r.resp) },
-			func(dst []byte) ([]byte, bool) { return appendSingle(dst, r.resp) })
+			func(dst []byte) ([]byte, int, bool) { return appendSingle(dst, r.resp) })
 	}
 	row("batch16", func() ([]byte, error) { return referenceBatch("acme", batch) },
-		func(dst []byte) ([]byte, bool) { return appendBatch(dst, "acme", batch) })
+		func(dst []byte) ([]byte, int, bool) { return appendBatch(dst, "acme", batch) })
+
+	stored := func(name string, appended func([]byte) ([]byte, int, bool), want int) {
+		if _, n, ok := appended(nil); !ok || n != 0 {
+			b.Fatalf("%s: filling the slots: ok=%v, %d tails from slots", name, ok, n)
+		}
+		b.Run(name+"/stored", func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for b.Loop() {
+				var n int
+				if buf, n, _ = appended(buf[:0]); n != want {
+					b.Fatalf("%d tails from slots, want %d", n, want)
+				}
+			}
+		})
+	}
+	singleSlotted := withSlots(single)[0]
+	stored("single_casestudy", func(dst []byte) ([]byte, int, bool) { return appendSingle(dst, singleSlotted) }, 1)
+	batchSlotted := withSlots(batch...)
+	stored("batch16", func(dst []byte) ([]byte, int, bool) { return appendBatch(dst, "acme", batchSlotted) }, len(batch))
 }

@@ -101,6 +101,12 @@ type Server struct {
 	// client whose encoder leaves the canonical subset shows up here.
 	decodeFast     *obs.Counter
 	decodeFallback *obs.Counter
+	// encodeStored counts deploy answers whose tail (placement, makespan,
+	// energy) was copied from the placement entry's stored bytes;
+	// encodeFresh those whose tail was encoded, and stored if the response
+	// carried an empty slot. Each handler adds to them once per request.
+	encodeStored *obs.Counter
+	encodeFresh  *obs.Counter
 
 	draining  atomic.Bool
 	drainCh   chan struct{}
@@ -140,6 +146,8 @@ func New(cfg Config) (*Server, error) {
 	s.bodies.New = func() any { return &requestBody{data: make([]byte, 0, 4<<10)} }
 	s.decodeFast = cfg.Registry.Counter("fleetd_decode_fast_total")
 	s.decodeFallback = cfg.Registry.Counter("fleetd_decode_fallback_total")
+	s.encodeStored = cfg.Registry.Counter("fleetd_encode_stored_total")
+	s.encodeFresh = cfg.Registry.Counter("fleetd_encode_fresh_total")
 	s.overflow = newHTTPLabels(cfg.Registry, "other")
 	if cfg.Cluster != nil {
 		spec, err := wire.ClusterSpecOf(cfg.Cluster)
@@ -387,9 +395,15 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	answer := s.bodies.Get().(*requestBody)
-	var encoded bool
-	answer.data, encoded = appendDeploy(answer.data[:0], resp)
+	var stored, encoded bool
+	answer.data, stored, encoded = appendDeploy(answer.data[:0], resp)
 	resp.Release()
+	switch {
+	case encoded && stored:
+		s.encodeStored.Add(1)
+	case encoded:
+		s.encodeFresh.Add(1)
+	}
 	s.writeAnswer(w, answer, encoded)
 }
 
@@ -663,6 +677,7 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 	// are still received.
 	answer := s.bodies.Get().(*requestBody)
 	buf, encoded := appendBatchOpen(answer.data[:0], tenant), true
+	stored, fresh := 0, 0
 	err := s.cfg.Backend.DoBatch(r.Context(), reqs, func(resp *fleet.Response) {
 		s.observe(resp)
 		if s.draining.Load() {
@@ -672,7 +687,14 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 			if resp.Index > 0 {
 				buf = append(buf, ',')
 			}
-			buf, encoded = appendBatchResult(buf, resp)
+			var fromSlot bool
+			buf, fromSlot, encoded = appendBatchResult(buf, resp)
+			switch {
+			case fromSlot:
+				stored++
+			case resp.Err == nil:
+				fresh++
+			}
 		}
 		resp.Release()
 	})
@@ -703,6 +725,12 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	labels.accepted.Add(float64(n))
+	if encoded && stored > 0 {
+		s.encodeStored.Add(float64(stored))
+	}
+	if encoded && fresh > 0 {
+		s.encodeFresh.Add(float64(fresh))
+	}
 	answer.data = append(buf, "]}"...)
 	s.writeAnswer(w, answer, encoded)
 }

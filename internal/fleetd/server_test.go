@@ -1133,3 +1133,43 @@ func TestDeployAnswersMatchCore(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodePathCounters pins what fleetd_encode_stored_total and
+// fleetd_encode_fresh_total count: deploy answers, single or batch items,
+// by whether their tail was copied from the placement entry's stored bytes.
+// A miss and a first hit encode theirs (the first hit stores it), a later
+// hit copies it, and an error item counts in neither. A stored tail is the
+// one the first hit encoded.
+func TestEncodePathCounters(t *testing.T) {
+	env := newEnv(t, fleet.Config{
+		Workers:      1,
+		NewScheduler: func() sched.Scheduler { return &failSched{inner: sched.NewDEEP()} },
+	}, Config{})
+	counts := func(name string, stored, fresh int) {
+		t.Helper()
+		if gotStored, gotFresh := int(env.s.encodeStored.Value()), int(env.s.encodeFresh.Value()); gotStored != stored || gotFresh != fresh {
+			t.Fatalf("%s: stored=%d fresh=%d, want %d and %d", name, gotStored, gotFresh, stored, fresh)
+		}
+	}
+	var tails []string
+	for call, want := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 2}} {
+		resp, data := postDeploy(t, env.url, deployBody(t, "acme"))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("deploy %d: status %d: %s", call, resp.StatusCode, data)
+		}
+		counts(fmt.Sprintf("deploy %d", call), want[0], want[1])
+		tails = append(tails, string(data[bytes.Index(data, []byte(`,"placement":`)):]))
+		if tails[call] != tails[0] {
+			t.Fatalf("deploy %d tail %s, deploy 0 tail %s", call, tails[call], tails[0])
+		}
+	}
+	boom := workload.VideoProcessing()
+	boom.Name = "boom"
+	video := appJSON(t, workload.VideoProcessing())
+	resp, data := postBatch(t, env.url,
+		batchBody(t, "acme", video, appJSON(t, boom), appJSON(t, workload.TextProcessing()), video))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, data)
+	}
+	counts("batch of two stored hits, an error and a miss", 4, 3)
+}
