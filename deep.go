@@ -4,7 +4,8 @@
 //
 // The package re-exports the pieces a downstream user composes:
 //
-//   - Application modeling: NewApp / Microservice / Dataflow (package dag).
+//   - Application modeling: an AppBuilder takes Microservice vertices and
+//     Dataflow edges and builds a validated App (package dag).
 //   - The calibrated two-device testbed and the paper's two case-study
 //     applications: Testbed, VideoProcessing, TextProcessing.
 //   - Scheduling: the Nash-game DEEP scheduler and every baseline. All
@@ -58,8 +59,11 @@ import (
 
 // Re-exported model types.
 type (
-	// App is a dataflow application DAG.
+	// App is a dataflow application DAG, valid and read-only once built.
 	App = dag.App
+	// AppBuilder builds an App from its microservices and dataflows; its
+	// App method validates the graph. The zero value is ready to use.
+	AppBuilder = dag.Builder
 	// Microservice is one containerized vertex of an App.
 	Microservice = dag.Microservice
 	// Dataflow is one edge of an App.
@@ -196,9 +200,6 @@ const (
 	MB = units.MB
 	GB = units.GB
 )
-
-// NewApp returns an empty application.
-func NewApp(name string) *App { return dag.NewApp(name) }
 
 // Testbed builds the paper's calibrated two-device cluster: the medium
 // Intel i7-7700 device, the small Raspberry Pi 4 device, Docker Hub, and

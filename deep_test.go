@@ -18,8 +18,8 @@ func TestPublicQuickstart(t *testing.T) {
 }
 
 func TestPublicCustomApp(t *testing.T) {
-	app := deep.NewApp("custom")
-	if err := app.AddMicroservice(&deep.Microservice{
+	b := deep.AppBuilder{Name: "custom"}
+	if err := b.Microservice(deep.Microservice{
 		Name:      "stage1",
 		ImageSize: 100 * deep.MB,
 		Req:       deep.Requirements{Cores: 1, CPU: 30000, Memory: deep.GB},
@@ -27,7 +27,7 @@ func TestPublicCustomApp(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.AddMicroservice(&deep.Microservice{
+	if err := b.Microservice(deep.Microservice{
 		Name:      "stage2",
 		ImageSize: 200 * deep.MB,
 		Req:       deep.Requirements{Cores: 1, CPU: 60000, Memory: deep.GB},
@@ -35,7 +35,11 @@ func TestPublicCustomApp(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.AddDataflow("stage1", "stage2", 50*deep.MB); err != nil {
+	if err := b.Dataflow("stage1", "stage2", 50*deep.MB); err != nil {
+		t.Fatal(err)
+	}
+	app, err := b.App()
+	if err != nil {
 		t.Fatal(err)
 	}
 	cluster := deep.Testbed()

@@ -25,7 +25,7 @@ func buildApp() *deep.App { return buildAppScaled("iot-analytics", 1) }
 // lighter and heavier variants of the same shape, as one tenant might deploy
 // across editions.
 func buildAppScaled(name string, mult float64) *deep.App {
-	app := deep.NewApp(name)
+	b := deep.AppBuilder{Name: name}
 	stages := []struct {
 		name  string
 		image deep.Bytes
@@ -39,7 +39,7 @@ func buildAppScaled(name string, mult float64) *deep.App {
 		{"publish", 150 * deep.MB, 150000, 0},
 	}
 	for _, s := range stages {
-		m := &deep.Microservice{
+		err := b.Microservice(deep.Microservice{
 			Name:      s.name,
 			ImageSize: s.image,
 			Req: deep.Requirements{
@@ -47,16 +47,20 @@ func buildAppScaled(name string, mult float64) *deep.App {
 			},
 			Arches:        []deep.Arch{deep.AMD64, deep.ARM64},
 			ExternalInput: s.input,
-		}
-		if err := app.AddMicroservice(m); err != nil {
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
 	}
 	edges := [][2]string{{"ingest", "clean"}, {"clean", "features"}, {"features", "model"}, {"model", "publish"}}
 	for _, e := range edges {
-		if err := app.AddDataflow(e[0], e[1], 400*deep.MB); err != nil {
+		if err := b.Dataflow(e[0], e[1], 400*deep.MB); err != nil {
 			log.Fatal(err)
 		}
+	}
+	app, err := b.App()
+	if err != nil {
+		log.Fatal(err)
 	}
 	return app
 }

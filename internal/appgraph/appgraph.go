@@ -13,23 +13,15 @@
 // An AppTable from the package-level Compile is immutable and safe for any
 // number of concurrent readers — the form the fleet shares. One compiled
 // into a caller's Scratch is private to that caller and overwritten by its
-// next compile. Either snapshots the application's structure; mutating the
-// app afterwards is not supported (the same contract as topo.ClusterTable).
-// Accessors returning slices return the table's own backing arrays — callers
-// must treat them as read-only.
+// next compile. Accessors returning slices return the table's own backing
+// arrays — callers must treat them as read-only.
 //
-// Duplicate names: the name table is sorted and compacted, and on duplicate
-// microservice names the first occurrence (in the app's declaration order)
-// wins everywhere — matching both compilers' historical interning. (A
-// duplicate name still fails Validate, and that error is preserved verbatim
-// in ValidateErr; the table's rows exist so the compilers can keep reporting
-// the error exactly where the legacy paths did.)
+// A dag.App is valid by construction, so a table never carries a structural
+// error: its names are unique, its edges resolved, and the ordering walk the
+// App stores gives the ids, the topological order and the stages.
 package appgraph
 
 import (
-	"slices"
-	"sort"
-
 	"deep/internal/dag"
 	"deep/internal/slab"
 	"deep/internal/units"
@@ -51,24 +43,22 @@ const (
 	numPhases
 )
 
-// AppTable is the compiled application-side substrate: sorted + compacted
-// microservice name table and index map, interned microservice handles,
-// dense topological-order and barrier-stage rows, in-edge dataflow rows,
-// per-microservice image sizes and external inputs, the
-// structural-validation results both compilers previously re-derived, and
-// the simulator's per-phase jitter tags.
+// AppTable is the compiled application-side substrate: sorted microservice
+// name table and index map, interned microservice handles, dense
+// topological-order and barrier-stage rows, in-edge dataflow rows,
+// per-microservice image sizes and external inputs, and the simulator's
+// per-phase jitter tags.
 // Per-cluster compilers (costmodel.CompileShapeOn, sim.CompilePlanOnTables)
 // layer their per-(microservice, device) tables on top of it.
 type AppTable struct {
 	app *dag.App
 
-	// Name table; ids are positions, sorted and compacted so ascending id
-	// order is ascending name order (the compilers' canonical order).
+	// Name table; ids are positions, sorted so ascending id order is
+	// ascending name order (the compilers' canonical order).
 	msNames []string
 	msIndex map[string]int32
 
-	// ms[i] is the microservice with id i (first occurrence on duplicate
-	// names, matching the name-table compaction).
+	// ms[i] is the microservice with id i.
 	ms []*dag.Microservice
 
 	imageSize []units.Bytes // per microservice
@@ -76,27 +66,17 @@ type AppTable struct {
 
 	inputs [][]Edge // per microservice: incoming dataflows, DAG order
 
-	// Structural validation, captured once at compile time. validErr is
-	// App.Validate's result verbatim; stages/topo carry App.Stages and
-	// App.TopoOrder translated to dense id rows with their own errors, so
-	// each consumer can keep surfacing exactly the error its legacy path
-	// reported.
-	validErr  error
-	stages    [][]int32
-	stagesErr error
-	topo      []int32
-	topoErr   error
+	// The app's barrier stages and topological order as id rows.
+	stages [][]int32
+	topo   []int32
 
 	// jitterTag[phase][ms] is the byte suffix "|app|ms|phase" the
 	// simulator's jitter hashes after the run seed.
 	jitterTag [numPhases][][]byte
 }
 
-// Compile builds the app table. It performs the full set of DAG graph walks
-// — validation, topological order, barrier stages — which is exactly the
-// work sharing the table avoids repeating per cluster and per compiler. It
-// never fails: structural problems are captured (errors verbatim) and
-// surface from the consumers exactly where they always did.
+// Compile builds the app table: the rows every per-cluster compiler would
+// otherwise rebuild from the app, translated once from its ordering walk.
 func Compile(app *dag.App) *AppTable { return new(Scratch).Compile(app) }
 
 // Scratch is recycled storage for one AppTable: the table and a backing
@@ -113,7 +93,7 @@ type Scratch struct {
 	sizes    slab.Slab[units.Bytes] // image sizes, external inputs
 	edges    slab.Slab[Edge]        // in-edge rows
 	edgeRows slab.Slab[[]Edge]      // inputs
-	ids      slab.Slab[int32]       // edge endpoints and in-degrees (compile-time only), topo, stages
+	ids      slab.Slab[int32]       // in-degrees and stage widths (compile-time only), topo, stages
 	idRows   slab.Slab[[]int32]
 	tags     slab.Slab[byte]
 	tagRows  slab.Slab[[]byte]
@@ -126,26 +106,19 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 	t := &s.t
 	*t = AppTable{app: app, msIndex: t.msIndex}
 
-	t.validErr = app.Validate()
-	// One round of graph walks for the app's lifetime: Validate left the
-	// ordering walk in the dag memo, so Order is a read.
-	ord, err := app.Order()
-	t.stagesErr, t.topoErr = err, err
-	numStages := 0
-	if err == nil {
-		numStages = ord.Stages
-	}
+	ord := app.Order()
+	nm, numStages := len(ord.ByName), ord.Stages
 
-	// The name table, its handles, and every edge's endpoints as ids (a
-	// dangling edge's source is -1).
-	s.ids.Reset(2*len(app.Dataflows) + 3*len(app.Microservices) + numStages)
-	var from, to []int32
-	if err == nil {
-		from, to = s.rankedNames(app, ord)
-	} else {
-		from, to = s.sortedNames(app)
+	// The name table and its handles. Names are unique and edges resolved,
+	// so the walk has numbered both already and ids are ranks.
+	s.names.Reset(nm)
+	s.ms.Reset(nm)
+	t.msNames, t.ms = s.names.Cut(nm), s.ms.Cut(nm)
+	for r, v := range ord.ByName {
+		t.ms[r] = app.Microservices[v]
+		t.msNames[r] = t.ms[r].Name
 	}
-	nm := len(t.msNames)
+	t.indexNames()
 
 	s.sizes.Reset(2 * nm)
 	t.imageSize, t.extInput = s.sizes.Cut(nm), s.sizes.Cut(nm)
@@ -156,50 +129,42 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 
 	// Count in-degrees, then cut each row at its final size and fill in
 	// declaration order.
+	s.ids.Reset(3*nm + numStages)
 	inDeg := s.ids.Cut(nm)
 	clear(inDeg)
-	kept := 0
-	for i := range app.Dataflows {
-		if from[i] < 0 {
-			continue
-		}
-		inDeg[to[i]]++
-		kept++
+	for _, to := range ord.To {
+		inDeg[to]++
 	}
-	s.edges.Reset(kept)
+	s.edges.Reset(len(app.Dataflows))
 	s.edgeRows.Reset(nm)
 	t.inputs = s.edgeRows.Cut(nm)
 	for i := range t.inputs {
 		t.inputs[i] = s.edges.Cut(int(inDeg[i]))[:0]
 	}
 	for i, e := range app.Dataflows {
-		if src, dst := from[i], to[i]; src >= 0 {
-			t.inputs[dst] = append(t.inputs[dst], Edge{MS: src, Size: e.Size})
-		}
+		dst := ord.To[i]
+		t.inputs[dst] = append(t.inputs[dst], Edge{MS: ord.From[i], Size: e.Size})
 	}
 
-	if err == nil {
-		// The graph resolved, so names are unique and a vertex's rank by
-		// name is its id. Filling the stages in name order leaves each one
-		// ascending, the order the schedulers and the executor visit.
-		t.topo = s.ids.Cut(nm)
-		for i, v := range ord.Topo {
-			t.topo[i] = ord.Rank[v]
-		}
-		width := s.ids.Cut(numStages)
-		clear(width)
-		for _, l := range ord.Level {
-			width[l]++
-		}
-		s.idRows.Reset(numStages)
-		t.stages = s.idRows.Cut(numStages)
-		for l := range t.stages {
-			t.stages[l] = s.ids.Cut(int(width[l]))[:0]
-		}
-		for _, v := range ord.ByName {
-			l := ord.Level[v]
-			t.stages[l] = append(t.stages[l], ord.Rank[v])
-		}
+	// Filling the stages in name order leaves each one ascending, the order
+	// the schedulers and the executor visit.
+	t.topo = s.ids.Cut(nm)
+	for i, v := range ord.Topo {
+		t.topo[i] = ord.Rank[v]
+	}
+	width := s.ids.Cut(numStages)
+	clear(width)
+	for _, l := range ord.Level {
+		width[l]++
+	}
+	s.idRows.Reset(numStages)
+	t.stages = s.idRows.Cut(numStages)
+	for l := range t.stages {
+		t.stages[l] = s.ids.Cut(int(width[l]))[:0]
+	}
+	for _, v := range ord.ByName {
+		l := ord.Level[v]
+		t.stages[l] = append(t.stages[l], ord.Rank[v])
 	}
 
 	// Every tag is "|app|ms|phase"; size the byte slab for all of them first,
@@ -229,59 +194,6 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 	return t
 }
 
-// rankedNames fills the name table and its handles for an app whose
-// ordering walk stands, and returns the edges' endpoints: its names are
-// unique and its edges resolved, so the walk has numbered both already and
-// ids are ranks.
-func (s *Scratch) rankedNames(app *dag.App, ord *dag.Order) (from, to []int32) {
-	t, nm := &s.t, len(ord.ByName)
-	s.names.Reset(nm)
-	s.ms.Reset(nm)
-	t.msNames, t.ms = s.names.Cut(nm), s.ms.Cut(nm)
-	for r, v := range ord.ByName {
-		t.ms[r] = app.Microservices[v]
-		t.msNames[r] = t.ms[r].Name
-	}
-	t.indexNames()
-	return ord.From, ord.To
-}
-
-// sortedNames is rankedNames for an app whose walk failed (duplicate names,
-// dangling edges, a cycle): the names are sorted and compacted, the first
-// vertex under a name is its handle, and a dangling edge's source is -1.
-func (s *Scratch) sortedNames(app *dag.App) (from, to []int32) {
-	t := &s.t
-	s.names.Reset(len(app.Microservices))
-	names := s.names.Rest()
-	for i, m := range app.Microservices {
-		names[i] = m.Name
-	}
-	sort.Strings(names)
-	nm := len(slices.Compact(names))
-	t.msNames = s.names.Cut(nm)
-	t.indexNames()
-	s.ms.Reset(nm)
-	t.ms = s.ms.Cut(nm)
-	clear(t.ms)
-	for _, m := range app.Microservices {
-		if i := t.msIndex[m.Name]; t.ms[i] == nil {
-			t.ms[i] = m
-		}
-	}
-	from, to = s.ids.Cut(len(app.Dataflows)), s.ids.Cut(len(app.Dataflows))
-	for i, e := range app.Dataflows {
-		var okFrom, okTo bool
-		from[i], okFrom = t.msIndex[e.From]
-		to[i], okTo = t.msIndex[e.To]
-		if !okFrom || !okTo {
-			// A dangling edge cannot alter costs: the legacy compilers
-			// skipped it identically.
-			from[i] = -1
-		}
-	}
-	return from, to
-}
-
 // indexNames rebuilds the name -> id map from the name table.
 func (t *AppTable) indexNames() {
 	if t.msIndex == nil {
@@ -297,11 +209,11 @@ func (t *AppTable) indexNames() {
 // App returns the application the table was compiled from.
 func (t *AppTable) App() *dag.App { return t.app }
 
-// NumMicroservices returns the number of compiled (distinct) microservices.
+// NumMicroservices returns the number of compiled microservices.
 func (t *AppTable) NumMicroservices() int { return len(t.msNames) }
 
-// MSNames returns the sorted, compacted microservice name table (shared
-// slice; positions are microservice ids).
+// MSNames returns the sorted microservice name table (shared slice;
+// positions are microservice ids).
 func (t *AppTable) MSNames() []string { return t.msNames }
 
 // MSIndex returns the microservice name→id map (shared; read-only).
@@ -327,17 +239,12 @@ func (t *AppTable) ExtInputs() []units.Bytes { return t.extInput }
 // declaration order).
 func (t *AppTable) Inputs() [][]Edge { return t.inputs }
 
-// ValidateErr returns App.Validate's result, captured verbatim at compile
-// time (nil for a structurally valid app).
-func (t *AppTable) ValidateErr() error { return t.validErr }
-
 // Stages returns the barrier stages as microservice ids (each stage
-// ascending = lexicographic name order) with App.Stages' own error.
-func (t *AppTable) Stages() ([][]int32, error) { return t.stages, t.stagesErr }
+// ascending = lexicographic name order).
+func (t *AppTable) Stages() [][]int32 { return t.stages }
 
-// Topo returns the deterministic topological order as microservice ids with
-// App.TopoOrder's own error.
-func (t *AppTable) Topo() ([]int32, error) { return t.topo, t.topoErr }
+// Topo returns the deterministic topological order as microservice ids.
+func (t *AppTable) Topo() []int32 { return t.topo }
 
 // PhaseTags returns the simulator's jitter-hash byte suffixes, indexed
 // [Phase*][ms id] (shared slices): "|app|ms|deploy" and friends, hashed

@@ -10,25 +10,35 @@ import (
 
 func buildApp(t *testing.T) *dag.App {
 	t.Helper()
-	a := dag.NewApp("vid")
-	add := func(m *dag.Microservice) {
+	b := dag.Builder{Name: "vid"}
+	add := func(m dag.Microservice) {
 		t.Helper()
-		if err := a.AddMicroservice(m); err != nil {
+		if err := b.Microservice(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	add(&dag.Microservice{Name: "src", ImageSize: 10 * units.MB, ExternalInput: 2 * units.MB, Arches: []dag.Arch{dag.AMD64}})
-	add(&dag.Microservice{Name: "det", ImageSize: 30 * units.MB, Arches: []dag.Arch{dag.AMD64, dag.ARM64}})
-	add(&dag.Microservice{Name: "agg", ImageSize: 5 * units.MB})
+	add(dag.Microservice{Name: "src", ImageSize: 10 * units.MB, ExternalInput: 2 * units.MB, Arches: []dag.Arch{dag.AMD64}})
+	add(dag.Microservice{Name: "det", ImageSize: 30 * units.MB, Arches: []dag.Arch{dag.AMD64, dag.ARM64}})
+	add(dag.Microservice{Name: "agg", ImageSize: 5 * units.MB})
 	flow := func(from, to string, size units.Bytes) {
 		t.Helper()
-		if err := a.AddDataflow(from, to, size); err != nil {
+		if err := b.Dataflow(from, to, size); err != nil {
 			t.Fatal(err)
 		}
 	}
 	flow("src", "det", 1*units.MB)
 	flow("src", "agg", 3*units.MB)
 	flow("det", "agg", 2*units.MB)
+	return mustApp(t, &b)
+}
+
+// mustApp builds what b holds.
+func mustApp(t *testing.T, b *dag.Builder) *dag.App {
+	t.Helper()
+	a, err := b.App()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return a
 }
 
@@ -78,22 +88,11 @@ func TestCompileTable(t *testing.T) {
 	}
 
 	// Structure mirrors the dag walks exactly.
-	if err := tab.ValidateErr(); err != nil {
-		t.Fatalf("ValidateErr = %v, want nil", err)
+	if want := []int32{srcID, detID, aggID}; !reflect.DeepEqual(tab.Topo(), want) {
+		t.Fatalf("Topo %v, want %v", tab.Topo(), want)
 	}
-	topo, err := tab.Topo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int32{srcID, detID, aggID}; !reflect.DeepEqual(topo, want) {
-		t.Fatalf("Topo %v, want %v", topo, want)
-	}
-	stages, err := tab.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := [][]int32{{srcID}, {detID}, {aggID}}; !reflect.DeepEqual(stages, want) {
-		t.Fatalf("Stages %v, want %v", stages, want)
+	if want := [][]int32{{srcID}, {detID}, {aggID}}; !reflect.DeepEqual(tab.Stages(), want) {
+		t.Fatalf("Stages %v, want %v", tab.Stages(), want)
 	}
 
 	// Jitter tags match the simulator's historical byte stream.
@@ -109,104 +108,33 @@ func TestCompileTable(t *testing.T) {
 	}
 }
 
-// TestCompileErrorParity pins that compile captures the dag walks' errors
-// verbatim — same error values a direct call returns (the memo guarantees
-// value identity).
-func TestCompileErrorParity(t *testing.T) {
-	a := dag.NewApp("cyclic")
-	for _, n := range []string{"x", "y"} {
-		if err := a.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range [][2]string{{"x", "y"}, {"y", "x"}} {
-		if err := a.AddDataflow(e[0], e[1], 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	tab := Compile(a)
-	if tab.ValidateErr() == nil {
-		t.Fatal("cycle compiled without a validation error")
-	}
-	if got := a.Validate(); got != tab.ValidateErr() {
-		t.Fatalf("ValidateErr %v is not the verbatim dag error %v", tab.ValidateErr(), got)
-	}
-	if _, err := tab.Topo(); err == nil {
-		t.Fatal("cycle produced a topo order")
-	} else if direct, derr := a.TopoOrder(); derr != err || direct != nil {
-		t.Fatalf("Topo error %v not verbatim (%v)", err, derr)
-	}
-	if _, err := tab.Stages(); err == nil {
-		t.Fatal("cycle produced stages")
-	}
-}
-
-// TestCompileDuplicateNames: first occurrence wins in the handle table and
-// validation still reports the duplicate.
-func TestCompileDuplicateNames(t *testing.T) {
-	first := &dag.Microservice{Name: "dup", ImageSize: 1 * units.MB}
-	second := &dag.Microservice{Name: "dup", ImageSize: 9 * units.MB}
-	a := &dag.App{Name: "dups", Microservices: []*dag.Microservice{first, second}}
-
-	tab := Compile(a)
-	if tab.NumMicroservices() != 1 {
-		t.Fatalf("NumMicroservices %d, want 1 after compaction", tab.NumMicroservices())
-	}
-	id, _ := tab.MSID("dup")
-	if tab.Microservices()[id] != first {
-		t.Fatal("duplicate interning did not keep the first occurrence")
-	}
-	if tab.ImageSizes()[id] != 1*units.MB {
-		t.Fatalf("ImageSizes[dup] = %v, want the first occurrence's 1MB", tab.ImageSizes()[id])
-	}
-	if tab.ValidateErr() == nil {
-		t.Fatal("duplicate names must still fail validation")
-	}
-}
-
 // TestScratchCompileMatchesFresh: a table compiled into a scratch that last
 // held a larger app (and a larger one compiled over a smaller) is deep-equal
-// to a fresh Compile, every row down to nil-versus-empty — broken apps
-// included, whose rows exist so the compilers can report the error.
+// to a fresh Compile, every row down to nil-versus-empty.
 func TestScratchCompileMatchesFresh(t *testing.T) {
-	big := dag.NewApp("big")
+	big := dag.Builder{Name: "big"}
 	for i := 0; i < 12; i++ {
-		if err := big.AddMicroservice(&dag.Microservice{Name: string(rune('a' + i)), ImageSize: units.Bytes(i) * units.MB}); err != nil {
+		if err := big.Microservice(dag.Microservice{Name: string(rune('a' + i)), ImageSize: units.Bytes(i) * units.MB}); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < i; j += 3 {
-			if err := big.AddDataflow(string(rune('a'+j)), string(rune('a'+i)), units.Bytes(i+j)*units.KB); err != nil {
+			if err := big.Dataflow(string(rune('a'+j)), string(rune('a'+i)), units.Bytes(i+j)*units.KB); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	cyclic := dag.NewApp("cyclic")
-	for _, n := range []string{"x", "y"} {
-		if err := cyclic.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
-			t.Fatal(err)
-		}
+	wantBig := Compile(mustApp(t, &big))
+	only := dag.Builder{Name: "only"}
+	if err := only.Microservice(dag.Microservice{Name: "only"}); err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range [][2]string{{"x", "y"}, {"y", "x"}} {
-		if err := cyclic.AddDataflow(e[0], e[1], units.KB); err != nil {
-			t.Fatal(err)
-		}
-	}
-	small := []*dag.App{
-		buildApp(t),
-		cyclic,
-		{Name: "dups", Microservices: []*dag.Microservice{{Name: "dup"}, {Name: "dup"}}},
-		{Name: "dangling", Microservices: []*dag.Microservice{{Name: "only"}}, Dataflows: []dag.Dataflow{{From: "only", To: "gone", Size: units.KB}}},
-		dag.NewApp("empty"),
-	}
-	wantBig := Compile(big)
 	var s Scratch
-	for _, app := range small {
-		s.Compile(big)
+	for _, app := range []*dag.App{buildApp(t), mustApp(t, &only)} {
+		s.Compile(wantBig.App())
 		if got, want := s.Compile(app), Compile(app); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s over a larger app:\ngot  %+v\nwant %+v", app.Name, got, want)
 		}
-		if got := s.Compile(big); !reflect.DeepEqual(got, wantBig) {
+		if got := s.Compile(wantBig.App()); !reflect.DeepEqual(got, wantBig) {
 			t.Errorf("larger app over %s differs from a fresh compile", app.Name)
 		}
 	}

@@ -42,19 +42,12 @@ type Deployment struct {
 // Deploy runs the full Figure 1 pipeline for one application.
 func (s *System) Deploy(app *dag.App) (*Deployment, error) {
 	// Requirement analysis: every microservice must fit at least one
-	// device (validated inside scheduling), and the app must be a sound
-	// DAG.
-	if err := app.Validate(); err != nil {
-		return nil, fmt.Errorf("core: requirement analysis: %w", err)
-	}
+	// device (validated inside scheduling); the app is a sound DAG, as
+	// every built dag.App is.
 	s.Metrics.Log(0, "requirements-analyzed", map[string]string{"app": app.Name})
 
 	// Dependency analysis: synchronization-barrier stages.
-	stages, err := app.Stages()
-	if err != nil {
-		return nil, fmt.Errorf("core: dependency analysis: %w", err)
-	}
-	s.Metrics.SetGauge("stages_"+app.Name, float64(len(stages)))
+	s.Metrics.SetGauge("stages_"+app.Name, float64(len(app.Stages())))
 
 	// Scheduling (the Nash game).
 	placement, err := sched.Schedule(s.Scheduler, app, s.Cluster)

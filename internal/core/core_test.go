@@ -33,15 +33,6 @@ func TestDeployPipeline(t *testing.T) {
 	}
 }
 
-func TestDeployRejectsInvalidApp(t *testing.T) {
-	sys := NewSystem(workload.Testbed())
-	app := workload.TextProcessing()
-	app.Microservices = nil // corrupt it
-	if _, err := sys.Deploy(app); err == nil {
-		t.Error("invalid app accepted")
-	}
-}
-
 func TestCompareSortsByEnergy(t *testing.T) {
 	sys := NewSystem(workload.Testbed())
 	out, err := sys.Compare(workload.VideoProcessing(), sched.All(3))

@@ -96,19 +96,14 @@ type Model struct {
 	// Options never re-sorts.
 	opts [][]Option
 
-	// Barrier stages and topological order, memoized at compile time
-	// (they require DAG validation, whose error is stored alongside).
-	stages    [][]int32
-	stagesErr error
-	topo      []int32
-	topoErr   error
+	// Barrier stages and topological order (the app table's).
+	stages [][]int32
+	topo   []int32
 }
 
 // Compile builds the indexed model alone, compiling a private app table and
-// cluster table on the fly. It never fails: structural problems in the DAG
-// (cycles, disconnection) surface from Stages and Topo, matching where the
-// string-keyed schedulers validated. Callers that hold the substrates, or
-// that also simulate, use CompileShapeOn.
+// cluster table on the fly. Callers that hold the substrates, or that also
+// simulate, use CompileShapeOn.
 func Compile(app *dag.App, cluster *sim.Cluster) *Model {
 	m, _ := CompileShapeOn(appgraph.Compile(app), cluster, sim.CompileClusterTable(cluster))
 	return m
@@ -209,16 +204,7 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 		m.opts[mi] = s.opts.Cut(len(row))
 	}
 
-	// Structure was captured when the app table compiled; map it the way
-	// the schedulers expect — a failed validation surfaces from both Stages
-	// and Topo, the individual walk errors otherwise — so the model stays
-	// genuinely immutable and concurrent ScheduleModel calls never write.
-	if err := at.ValidateErr(); err != nil {
-		m.stagesErr, m.topoErr = err, err
-	} else {
-		m.stages, m.stagesErr = at.Stages()
-		m.topo, m.topoErr = at.Topo()
-	}
+	m.stages, m.topo = at.Stages(), at.Topo()
 	return m, plan
 }
 
@@ -273,22 +259,16 @@ func (m *Model) Table() *topo.ClusterTable { return m.tab }
 
 // Stages returns the barrier stages as microservice ids, each stage
 // ascending (= lexicographic name order, the order the schedulers visit).
-// DAG validation errors, captured at compile time, surface here.
-func (m *Model) Stages() ([][]int32, error) { return m.stages, m.stagesErr }
+func (m *Model) Stages() [][]int32 { return m.stages }
 
-// Topo returns the deterministic topological order as microservice ids;
-// DAG validation errors, captured at compile time, surface here.
-func (m *Model) Topo() ([]int32, error) { return m.topo, m.topoErr }
+// Topo returns the deterministic topological order as microservice ids.
+func (m *Model) Topo() []int32 { return m.topo }
 
-// MaxStageWidth returns the widest barrier stage (0 when stages are
-// unavailable), for sizing per-stage scratch once.
+// MaxStageWidth returns the widest barrier stage, for sizing per-stage
+// scratch once.
 func (m *Model) MaxStageWidth() int {
-	stages, err := m.Stages()
-	if err != nil {
-		return 0
-	}
 	w := 0
-	for _, s := range stages {
+	for _, s := range m.stages {
 		if len(s) > w {
 			w = len(s)
 		}

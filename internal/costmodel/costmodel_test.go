@@ -20,8 +20,11 @@ const (
 )
 
 // contentionFixture builds a three-device cluster with one shared-capacity
-// registry and one unshared registry, plus a three-microservice stage.
-func contentionFixture(t *testing.T) (*dag.App, *sim.Cluster) {
+// registry and one unshared registry, plus a three-microservice stage a, b, c
+// with the given dataflows among them. Each of a, b, c also feeds an empty
+// dataflow to a sink z, which joins the graph without giving any of the
+// three an input.
+func contentionFixture(t *testing.T, flows ...dag.Dataflow) (*dag.App, *sim.Cluster) {
 	t.Helper()
 	pm := energy.LinearModel{StaticW: 2, PullW: 3, ReceiveW: 4, ProcessingW: 10}
 	topo := netsim.NewTopology()
@@ -55,15 +58,24 @@ func contentionFixture(t *testing.T) (*dag.App, *sim.Cluster) {
 		SourceNode: "src",
 	}
 
-	app := dag.NewApp("contention")
-	for _, name := range []string{"a", "b", "c"} {
-		if err := app.AddMicroservice(&dag.Microservice{
+	b := dag.Builder{Name: "contention"}
+	for _, name := range []string{"a", "b", "c", "z"} {
+		if err := b.Microservice(dag.Microservice{
 			Name:      name,
 			ImageSize: units.GB,
 			Req:       dag.Requirements{Cores: 1, CPU: 50_000, Memory: units.GB},
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, e := range append(flows, dag.Dataflow{From: "a", To: "z"}, dag.Dataflow{From: "b", To: "z"}, dag.Dataflow{From: "c", To: "z"}) {
+		if err := b.Dataflow(e.From, e.To, e.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app, err := b.App()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return app, cluster
 }
@@ -98,7 +110,8 @@ func opt(t *testing.T, m *Model, dev, reg string) Option {
 }
 
 // completion with an empty transfer phase isolates Td: CT = Td + Tp here
-// because the fixture microservices have no dataflows or external input.
+// because the fixture's a, b and c have no incoming dataflow or external
+// input.
 func deployTime(t *testing.T, st *State, ms int32, o Option, coMS []int32, coOpt []Option) float64 {
 	t.Helper()
 	tp := 50_000.0 / 10_000.0 // CPU / speed
@@ -195,10 +208,7 @@ func TestContentionScopedToRegistry(t *testing.T) {
 // TestEnergyPricesPhases: Energy = pullW·Td + recvW·Tc + procW·Tp with the
 // fixture's linear power model.
 func TestEnergyPricesPhases(t *testing.T) {
-	app, cluster := contentionFixture(t)
-	if err := app.AddDataflow("a", "b", 500*units.MB); err != nil {
-		t.Fatal(err)
-	}
+	app, cluster := contentionFixture(t, dag.Dataflow{From: "a", To: "b", Size: 500 * units.MB})
 	m := Compile(app, cluster)
 	st := m.NewState()
 	msIDs := ids(t, m, "a", "b")
@@ -270,10 +280,7 @@ func TestOptionsCanonicalOrder(t *testing.T) {
 // per-option Energy, solo, under stage co-assignments, and with earlier
 // stages committed (the device-run memoization must not change a bit).
 func TestEnergyRowMatchesEnergy(t *testing.T) {
-	app, cluster := contentionFixture(t)
-	if err := app.AddDataflow("a", "b", 500*units.MB); err != nil {
-		t.Fatal(err)
-	}
+	app, cluster := contentionFixture(t, dag.Dataflow{From: "a", To: "b", Size: 500 * units.MB})
 	m := Compile(app, cluster)
 	st := m.NewState()
 	msIDs := ids(t, m, "a", "b", "c")
@@ -332,10 +339,7 @@ func TestEnergyRowAllocationFree(t *testing.T) {
 // contention count past two, which is exactly what the pair batch does not
 // price: the test pins that limit too.
 func TestEnergyRowPairMatchesEnergy(t *testing.T) {
-	app, cluster := contentionFixture(t)
-	if err := app.AddDataflow("a", "b", 500*units.MB); err != nil {
-		t.Fatal(err)
-	}
+	app, cluster := contentionFixture(t, dag.Dataflow{From: "a", To: "b", Size: 500 * units.MB})
 	// A second shared registry that routes to d1 alone: (d2, far) and
 	// (d3, far) are not feasible options, but they can still be priced.
 	cluster.Topology.AddNode("farnode")

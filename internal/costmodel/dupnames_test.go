@@ -8,8 +8,8 @@ package costmodel_test
 // everywhere. This test pins that contract on the unified table — duplicate
 // entries must be invisible next to a cluster with the duplicates removed —
 // for every scheduler's placements, the cost model's option enumeration and
-// estimates, and the simulator's results, and pins that apps with duplicate
-// microservice names keep failing validation identically in both compilers.
+// estimates, and the simulator's results. (Microservice names cannot
+// repeat: dag.Builder refuses a duplicate.)
 
 import (
 	"reflect"
@@ -102,21 +102,25 @@ func dupClusters(t *testing.T) (dup, dedup *sim.Cluster) {
 // links.
 func dupApp(t *testing.T) *dag.App {
 	t.Helper()
-	app := dag.NewApp("dupcorpus")
-	for _, m := range []*dag.Microservice{
+	b := dag.Builder{Name: "dupcorpus"}
+	for _, m := range []dag.Microservice{
 		{Name: "a", ImageSize: units.GB, Req: dag.Requirements{Cores: 1, CPU: 50_000, Memory: units.GB}, ExternalInput: 100 * units.MB},
 		{Name: "b", ImageSize: 2 * units.GB, Req: dag.Requirements{Cores: 1, CPU: 30_000, Memory: units.GB}},
 		{Name: "c", ImageSize: units.GB, Req: dag.Requirements{Cores: 1, CPU: 20_000, Memory: units.GB}, Arches: []dag.Arch{dag.AMD64}},
 		{Name: "sink", ImageSize: 500 * units.MB, Req: dag.Requirements{Cores: 1, CPU: 10_000, Memory: units.GB}},
 	} {
-		if err := app.AddMicroservice(m); err != nil {
+		if err := b.Microservice(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, from := range []string{"a", "b", "c"} {
-		if err := app.AddDataflow(from, "sink", 200*units.MB); err != nil {
+		if err := b.Dataflow(from, "sink", 200*units.MB); err != nil {
 			t.Fatal(err)
 		}
+	}
+	app, err := b.App()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return app
 }
@@ -201,41 +205,6 @@ func TestDuplicateNamesFirstOccurrenceWins(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("sim results diverge under %+v:\ndup:   %+v\ndedup: %+v", opts, got, want)
 		}
-	}
-}
-
-// TestDuplicateMicroserviceNamesStillRejected: apps with duplicate
-// microservice names (constructible only by hand — AddMicroservice rejects
-// them) fail DAG validation, and both compilers surface that same error the
-// way they did before the shared-table refactor.
-func TestDuplicateMicroserviceNamesStillRejected(t *testing.T) {
-	ms := func(name string) *dag.Microservice {
-		return &dag.Microservice{Name: name, ImageSize: units.MB, Req: dag.Requirements{CPU: 1000}}
-	}
-	app := &dag.App{
-		Name:          "dupms",
-		Microservices: []*dag.Microservice{ms("x"), ms("x"), ms("y")},
-		Dataflows:     []dag.Dataflow{{From: "x", To: "y", Size: units.MB}},
-	}
-	_, cluster := dupClusters(t)
-
-	wantErr := app.Validate()
-	if wantErr == nil {
-		t.Fatal("expected duplicate-name app to fail validation")
-	}
-
-	model := costmodel.Compile(app, cluster)
-	if _, err := model.Stages(); err == nil || err.Error() != wantErr.Error() {
-		t.Errorf("model.Stages() = %v, want %v", err, wantErr)
-	}
-
-	plan := sim.CompilePlan(app, cluster)
-	placement := sim.Placement{
-		"x": {Device: "d1", Registry: "hub"},
-		"y": {Device: "d1", Registry: "hub"},
-	}
-	if _, err := sim.NewExec().Run(plan, placement, sim.Options{}); err == nil || err.Error() != wantErr.Error() {
-		t.Errorf("Exec.Run = %v, want %v", err, wantErr)
 	}
 }
 

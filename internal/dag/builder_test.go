@@ -3,6 +3,7 @@ package dag_test
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"deep/internal/dag"
@@ -10,7 +11,7 @@ import (
 	"deep/internal/workload"
 )
 
-// recipe is an app as a list of additions, for building it both ways.
+// recipe is an app as a list of additions.
 type recipe struct {
 	name  string
 	ms    []dag.Microservice
@@ -23,26 +24,6 @@ func recipeOf(app *dag.App) recipe {
 		r.ms = append(r.ms, *m)
 	}
 	return r
-}
-
-// byAddPath builds r through NewApp, AddMicroservice, AddDataflow and
-// Validate, stopping at the first error.
-func byAddPath(r recipe) (*dag.App, error) {
-	app := dag.NewApp(r.name)
-	for _, m := range r.ms {
-		if err := app.AddMicroservice(&m); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range r.edges {
-		if err := app.AddDataflow(e.From, e.To, e.Size); err != nil {
-			return nil, err
-		}
-	}
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	return app, nil
 }
 
 // byBuilder builds r through b, stopping at the first error.
@@ -113,82 +94,148 @@ func malformed(base recipe) map[string]recipe {
 	return out
 }
 
-// TestBuilderMatchesAddPath: on the digest corpus and on malformed variants
-// of it, a Builder and the incremental methods accept and reject alike, with
-// the same message, and build the same app — fields, walks and digest. An
-// addition to a built app drops the memo the builder filled.
+// malformedMessages is what a Builder answers each malformed variant of the
+// video case study with, "" for the five it accepts. The messages are part
+// of the front door's 400 answers, so each is pinned exactly.
+var malformedMessages = map[string]string{
+	"empty name":              `dag: video: microservice with empty name`,
+	"duplicate vertex":        `dag: video: duplicate microservice "video/transcode"`,
+	"no vertices":             `dag: video: no microservices`,
+	"dangling from":           `dag: video: dataflow from unknown microservice "nowhere"`,
+	"dangling to":             `dag: video: dataflow to unknown microservice "nowhere"`,
+	"self-loop":               `dag: video: self-loop on "video/transcode"`,
+	"negative edge":           `dag: video: negative dataflow size video/transcode->video/frame`,
+	"duplicate edge":          `dag: video: duplicate dataflow video/transcode->video/frame`,
+	"cycle":                   `dag: video: cycle detected`,
+	"disconnected":            `dag: video: application graph is not connected`,
+	"no edges":                `dag: video: application graph is not connected`,
+	"second only":             "",
+	"negative image size":     `dag: video: microservice "video/la-infer" has negative image size`,
+	"negative cores":          `dag: video: microservice "video/la-infer" has negative cores`,
+	"negative CPU":            `dag: video: microservice "video/la-infer" has negative CPU load`,
+	"negative memory":         `dag: video: microservice "video/la-infer" has negative memory`,
+	"negative storage":        `dag: video: microservice "video/la-infer" has negative storage`,
+	"negative external input": `dag: video: microservice "video/la-infer" has negative external input`,
+	"CPU 1e13":                `dag: video: microservice "video/la-infer" has CPU load 1e+13 MI, not below 2^63 instructions`,
+	"CPU NaN":                 `dag: video: microservice "video/la-infer" has CPU load NaN MI, not below 2^63 instructions`,
+	"CPU +Inf":                `dag: video: microservice "video/la-infer" has CPU load +Inf MI, not below 2^63 instructions`,
+	"CPU at the bound":        `dag: video: microservice "video/la-infer" has CPU load 9.223372036854775e+12 MI, not below 2^63 instructions`,
+	"CPU below the bound":     "",
+	"nil arches":              "",
+	"empty arches":            "",
+	"images":                  "",
+}
+
+// TestBuilderMatchesAddPath: one reused Builder rejects each malformed
+// variant of the video case study with its pinned message, returning no
+// app, and builds each accepted variant and every digest-corpus app with a
+// correct ordering walk and the legacy digest. A corpus app rebuilt from
+// its own recipe is the same app.
 func TestBuilderMatchesAddPath(t *testing.T) {
 	var b dag.Builder // one builder throughout, as a pool would reuse it
-	cases := map[string]recipe{}
-	for _, app := range digestCorpus(t) {
-		cases[app.Name] = recipeOf(app)
+	variants := malformed(recipeOf(workload.VideoProcessing()))
+	if len(variants) != len(malformedMessages) {
+		t.Fatalf("%d malformed variants, %d pinned messages", len(variants), len(malformedMessages))
 	}
-	for name, r := range malformed(recipeOf(workload.VideoProcessing())) {
-		cases["video/"+name] = r
-	}
-	accepted, rejected := 0, 0
-	for name, r := range cases {
-		want, wantErr := byAddPath(r)
+	rejected := 0
+	for name, r := range variants {
+		want, ok := malformedMessages[name]
+		if !ok {
+			t.Errorf("%s: no pinned message", name)
+			continue
+		}
 		got, err := byBuilder(&b, r)
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Errorf("%s: builder says %v, add path %v", name, err, wantErr)
+		if want != "" {
+			rejected++
+			if err == nil || err.Error() != want || got != nil {
+				t.Errorf("%s: builder says %v (app %v), want %q", name, err, got != nil, want)
+			}
 			continue
 		}
 		if err != nil {
-			if got != nil {
-				t.Errorf("%s: rejected app returned", name)
-			}
-			rejected++
+			t.Errorf("%s: rejected: %v", name, err)
 			continue
 		}
-		accepted++
-		if got.Name != want.Name || !reflect.DeepEqual(got.Microservices, want.Microservices) || !reflect.DeepEqual(got.Dataflows, want.Dataflows) {
-			t.Errorf("%s: built app differs from the add path's", name)
-			continue
-		}
-		checkSameWalks(t, name, got, want)
-
-		// The built app is a normal app: an addition drops its memo.
-		if err := got.AddMicroservice(&dag.Microservice{Name: "zz-added"}); err != nil {
-			t.Fatal(err)
-		}
-		if got.Digest() != legacyAppDigest(got) {
-			t.Errorf("%s: AddMicroservice left the built app's digest stale", name)
-		}
-		if err := got.AddDataflow(got.Microservices[0].Name, "zz-added", 1); err != nil {
-			t.Fatal(err)
-		}
-		if got.Digest() != legacyAppDigest(got) || got.Validate() != nil {
-			t.Errorf("%s: AddDataflow left the built app's memo stale", name)
-		}
+		checkBuilt(t, name, got)
 	}
-	// Every corpus app and five variants build; the 21 other variants fail.
-	if want := len(digestCorpus(t)) + 5; accepted != want || rejected != 21 {
-		t.Fatalf("%d accepted and %d rejected, want %d and 21", accepted, rejected, want)
+	if rejected != 21 {
+		t.Fatalf("%d variants rejected, want 21", rejected)
+	}
+	for _, app := range digestCorpus(t) {
+		got, err := byBuilder(&b, recipeOf(app))
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		if got.Name != app.Name || !reflect.DeepEqual(got.Microservices, app.Microservices) || !reflect.DeepEqual(got.Dataflows, app.Dataflows) ||
+			!reflect.DeepEqual(got.Order(), app.Order()) || got.Digest() != app.Digest() {
+			t.Errorf("%s: rebuilt app differs from the original", app.Name)
+		}
+		checkBuilt(t, app.Name, got)
 	}
 }
 
-func checkSameWalks(t *testing.T, name string, got, want *dag.App) {
+// checkBuilt holds a built app's stored walk and digest to their
+// definitions: ranks are name order, Topo is Kahn's algorithm taking the
+// least-named ready vertex, levels are longest paths from a source, edge
+// ranks name their endpoints, and the digest is the legacy record stream.
+func checkBuilt(t *testing.T, name string, app *dag.App) {
 	t.Helper()
-	if got.Validate() != nil || want.Validate() != nil {
-		t.Errorf("%s: accepted app fails Validate", name)
+	ord, ms := app.Order(), app.Microservices
+	nameOf := func(v int32) string { return ms[v].Name }
+	byName := make([]string, len(ms))
+	for i, m := range ms {
+		byName[i] = m.Name
 	}
-	gotTopo, err1 := got.TopoOrder()
-	wantTopo, err2 := want.TopoOrder()
-	gotStages, err3 := got.Stages()
-	wantStages, err4 := want.Stages()
-	gotOrder, err5 := got.Order()
-	wantOrder, err6 := want.Order()
-	for _, err := range []error{err1, err2, err3, err4, err5, err6} {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	slices.Sort(byName)
+	for r, v := range ord.ByName {
+		if nameOf(v) != byName[r] || ord.Rank[v] != int32(r) {
+			t.Errorf("%s: rank %d holds %q (rank back %d)", name, r, nameOf(v), ord.Rank[v])
+			return
 		}
 	}
-	if !reflect.DeepEqual(gotTopo, wantTopo) || !reflect.DeepEqual(gotStages, wantStages) || !reflect.DeepEqual(gotOrder, wantOrder) {
-		t.Errorf("%s: walks differ: topo %v / %v, stages %v / %v", name, gotTopo, wantTopo, gotStages, wantStages)
+	for i, e := range app.Dataflows {
+		if byName[ord.From[i]] != e.From || byName[ord.To[i]] != e.To {
+			t.Errorf("%s: edge %d ranks do not name %s->%s", name, i, e.From, e.To)
+			return
+		}
 	}
-	if d := got.Digest(); d != want.Digest() || d != legacyAppDigest(want) {
-		t.Errorf("%s: digests differ", name)
+	// Kahn's algorithm by name, and longest paths, the slow way.
+	indeg, level := map[string]int{}, map[string]int32{}
+	for _, e := range app.Dataflows {
+		indeg[e.To]++
+	}
+	var topo []string
+	done := map[string]bool{}
+	for len(topo) < len(ms) {
+		next := ""
+		for _, n := range byName {
+			if !done[n] && indeg[n] == 0 {
+				next = n
+				break
+			}
+		}
+		done[next] = true
+		topo = append(topo, next)
+		for _, e := range app.Dataflows {
+			if e.From == next {
+				indeg[e.To]--
+				level[e.To] = max(level[e.To], level[next]+1)
+			}
+		}
+	}
+	stages := 0
+	for i, v := range ord.Topo {
+		if nameOf(v) != topo[i] || ord.Level[v] != level[topo[i]] {
+			t.Errorf("%s: topo %d is %q at level %d, want %q at %d", name, i, nameOf(v), ord.Level[v], topo[i], level[topo[i]])
+			return
+		}
+		stages = max(stages, int(ord.Level[v])+1)
+	}
+	if ord.Stages != stages || len(app.Stages()) != stages {
+		t.Errorf("%s: %d stages recorded, %d in Stages, want %d", name, ord.Stages, len(app.Stages()), stages)
+	}
+	if app.Digest() != legacyAppDigest(app) {
+		t.Errorf("%s: digest differs from the legacy record stream", name)
 	}
 }
 
@@ -197,18 +244,21 @@ func checkSameWalks(t *testing.T, name string, got, want *dag.App) {
 // one value, so 1e13 and 1e15 MI shared a digest); it is refused by name.
 func TestHugeCPULoadRejected(t *testing.T) {
 	for _, cpu := range []float64{1e13, 1e15, 0x1p63 / 1e6, math.NaN(), math.Inf(1)} {
-		a := dag.NewApp("x")
-		err := a.AddMicroservice(&dag.Microservice{Name: "m", Req: dag.Requirements{CPU: units.MI(cpu)}})
-		if err == nil || len(a.Microservices) != 0 {
+		b := dag.Builder{Name: "x"}
+		err := b.Microservice(dag.Microservice{Name: "m", Req: dag.Requirements{CPU: units.MI(cpu)}})
+		if err == nil {
 			t.Errorf("CPU load %g MI accepted", cpu)
 			continue
 		}
 		if want := `dag: x: microservice "m" has CPU load`; err.Error()[:len(want)] != want {
 			t.Errorf("CPU load %g MI: %v", cpu, err)
 		}
+		if _, err := b.App(); err == nil {
+			t.Errorf("CPU load %g MI: the refused vertex was added", cpu)
+		}
 	}
-	a := dag.NewApp("x")
-	if err := a.AddMicroservice(&dag.Microservice{Name: "m", Req: dag.Requirements{CPU: 9.2e12}}); err != nil {
+	b := dag.Builder{Name: "x"}
+	if err := b.Microservice(dag.Microservice{Name: "m", Req: dag.Requirements{CPU: 9.2e12}}); err != nil {
 		t.Errorf("9.2e12 MI (under 2^63 instructions) refused: %v", err)
 	}
 }

@@ -2,56 +2,80 @@ package dag
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"deep/internal/units"
 )
 
-func diamond(t *testing.T) *App {
+// build builds an app of unit-sized vertices and edges through a Builder,
+// failing the test on an add-time error and returning App's result.
+func build(t *testing.T, name string, names []string, edges [][2]string) (*App, error) {
 	t.Helper()
-	a := NewApp("diamond")
-	for _, n := range []string{"src", "left", "right", "sink"} {
-		if err := a.AddMicroservice(&Microservice{Name: n, ImageSize: units.MB}); err != nil {
+	b := Builder{Name: name}
+	for _, n := range names {
+		if err := b.Microservice(Microservice{Name: n, ImageSize: units.MB}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	edges := [][2]string{{"src", "left"}, {"src", "right"}, {"left", "sink"}, {"right", "sink"}}
 	for _, e := range edges {
-		if err := a.AddDataflow(e[0], e[1], 10*units.MB); err != nil {
+		if err := b.Dataflow(e[0], e[1], 10*units.MB); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return b.App()
+}
+
+// mustBuild is build for a graph that must be accepted.
+func mustBuild(t *testing.T, name string, names []string, edges [][2]string) *App {
+	t.Helper()
+	a, err := build(t, name, names, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return a
 }
 
-func TestValidateOK(t *testing.T) {
-	a := diamond(t)
-	if err := a.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+func diamond(t *testing.T) *App {
+	t.Helper()
+	return mustBuild(t, "diamond", []string{"src", "left", "right", "sink"},
+		[][2]string{{"src", "left"}, {"src", "right"}, {"left", "sink"}, {"right", "sink"}})
+}
+
+// topoNames is the app's topological order by name.
+func topoNames(a *App) []string {
+	var names []string
+	for _, v := range a.Order().Topo {
+		names = append(names, a.Microservices[v].Name)
 	}
+	return names
+}
+
+func TestValidateOK(t *testing.T) {
+	diamond(t) // fails the test if Builder.App refuses it
 }
 
 func TestDuplicateMicroservice(t *testing.T) {
-	a := NewApp("x")
-	if err := a.AddMicroservice(&Microservice{Name: "m"}); err != nil {
+	b := Builder{Name: "x"}
+	if err := b.Microservice(Microservice{Name: "m"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddMicroservice(&Microservice{Name: "m"}); err == nil {
+	if err := b.Microservice(Microservice{Name: "m"}); err == nil {
 		t.Error("expected duplicate error")
 	}
 }
 
 func TestEmptyNameRejected(t *testing.T) {
-	a := NewApp("x")
-	if err := a.AddMicroservice(&Microservice{}); err == nil {
+	var b Builder
+	if err := b.Microservice(Microservice{}); err == nil {
 		t.Error("expected empty-name error")
 	}
 }
 
 func TestNegativeImageSizeRejected(t *testing.T) {
-	a := NewApp("x")
-	if err := a.AddMicroservice(&Microservice{Name: "m", ImageSize: -1}); err == nil {
+	var b Builder
+	if err := b.Microservice(Microservice{Name: "m", ImageSize: -1}); err == nil {
 		t.Error("expected negative size error")
 	}
 }
@@ -71,106 +95,60 @@ func TestNegativeFieldsRejected(t *testing.T) {
 		{"external input", Microservice{ExternalInput: -5e12}},
 	}
 	for _, tc := range cases {
-		a := NewApp("x")
+		b := Builder{Name: "x"}
 		tc.ms.Name = "m"
-		err := a.AddMicroservice(&tc.ms)
+		err := b.Microservice(tc.ms)
 		want := `dag: x: microservice "m" has negative ` + tc.field
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %q", tc.field, err, want)
 		}
-		if len(a.Microservices) != 0 || a.Microservice("m") != nil {
-			t.Errorf("%s: rejected microservice was added", tc.field)
+		if _, err := b.App(); err == nil || err.Error() != "dag: x: no microservices" {
+			t.Errorf("%s: rejected microservice was added (App: %v)", tc.field, err)
 		}
 	}
 }
 
-// TestDirectWritesAreRechecked: an app whose exported slices were written
-// without the mutation methods has a stale name index; the graph walks
-// resolve against the slices and repeat the mutation methods' checks.
-func TestDirectWritesAreRechecked(t *testing.T) {
-	a := diamond(t)
-	a.Microservices = append(a.Microservices, &Microservice{Name: "tail"})
-	a.Dataflows = append(a.Dataflows, Dataflow{From: "sink", To: "tail"})
-	order, err := a.TopoOrder()
-	if err != nil || order[len(order)-1] != "tail" {
-		t.Fatalf("appended vertex and edge not walked: %v, %v", order, err)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	a.Dataflows = append(a.Dataflows, Dataflow{From: "tail", To: "nowhere"})
-	if err := a.Validate(); err == nil || !strings.Contains(err.Error(), `dataflow to unknown microservice "nowhere"`) {
-		t.Errorf("dangling dataflow: %v", err)
-	}
-	a.Dataflows = a.Dataflows[:len(a.Dataflows)-1]
-	a.Microservices = append(a.Microservices, &Microservice{Name: "src"})
-	if err := a.Validate(); err == nil || !strings.Contains(err.Error(), `duplicate microservice "src"`) {
-		t.Errorf("duplicated name: %v", err)
-	}
-}
-
 func TestDataflowValidation(t *testing.T) {
-	a := NewApp("x")
-	_ = a.AddMicroservice(&Microservice{Name: "m"})
-	if err := a.AddDataflow("nope", "m", 1); err == nil {
+	b := Builder{Name: "x"}
+	_ = b.Microservice(Microservice{Name: "m"})
+	if err := b.Dataflow("nope", "m", 1); err == nil {
 		t.Error("unknown source should error")
 	}
-	if err := a.AddDataflow("m", "nope", 1); err == nil {
+	if err := b.Dataflow("m", "nope", 1); err == nil {
 		t.Error("unknown target should error")
 	}
-	if err := a.AddDataflow("m", "m", 1); err == nil {
+	if err := b.Dataflow("m", "m", 1); err == nil {
 		t.Error("self-loop should error")
 	}
-	_ = a.AddMicroservice(&Microservice{Name: "n"})
-	if err := a.AddDataflow("m", "n", -5); err == nil {
+	_ = b.Microservice(Microservice{Name: "n"})
+	if err := b.Dataflow("m", "n", -5); err == nil {
 		t.Error("negative size should error")
 	}
 }
 
 func TestCycleDetected(t *testing.T) {
-	a := NewApp("cyc")
-	for _, n := range []string{"a", "b", "c"} {
-		_ = a.AddMicroservice(&Microservice{Name: n})
-	}
-	_ = a.AddDataflow("a", "b", 1)
-	_ = a.AddDataflow("b", "c", 1)
-	_ = a.AddDataflow("c", "a", 1)
-	if _, err := a.TopoOrder(); err == nil {
-		t.Error("cycle not detected")
-	}
-	if err := a.Validate(); err == nil {
-		t.Error("Validate should reject cycles")
+	a, err := build(t, "cyc", []string{"a", "b", "c"}, [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}})
+	if a != nil || err == nil || err.Error() != "dag: cyc: cycle detected" {
+		t.Errorf("cycle built: %v, %v", a, err)
 	}
 }
 
 func TestDisconnectedRejected(t *testing.T) {
-	a := NewApp("disc")
-	_ = a.AddMicroservice(&Microservice{Name: "a"})
-	_ = a.AddMicroservice(&Microservice{Name: "b"})
-	if err := a.Validate(); err == nil {
+	if _, err := build(t, "disc", []string{"a", "b"}, nil); err == nil {
 		t.Error("disconnected graph should be rejected")
 	}
 }
 
 func TestDuplicateEdgeRejected(t *testing.T) {
-	a := NewApp("dup")
-	_ = a.AddMicroservice(&Microservice{Name: "a"})
-	_ = a.AddMicroservice(&Microservice{Name: "b"})
-	_ = a.AddDataflow("a", "b", 1)
-	_ = a.AddDataflow("a", "b", 2)
-	if err := a.Validate(); err == nil {
+	if _, err := build(t, "dup", []string{"a", "b"}, [][2]string{{"a", "b"}, {"a", "b"}}); err == nil {
 		t.Error("duplicate edge should be rejected")
 	}
 }
 
 func TestTopoOrderDeterministic(t *testing.T) {
-	a := diamond(t)
-	first, err := a.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := topoNames(diamond(t))
 	for i := 0; i < 10; i++ {
-		again, _ := a.TopoOrder()
+		again := topoNames(diamond(t))
 		if strings.Join(again, ",") != strings.Join(first, ",") {
 			t.Fatalf("nondeterministic topo order: %v vs %v", again, first)
 		}
@@ -188,25 +166,8 @@ func TestTopoOrderDeterministic(t *testing.T) {
 func TestTopoOrderPropertyRandomDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(10)
-		a := NewApp("rand")
-		names := make([]string, n)
-		for i := range names {
-			names[i] = string(rune('a' + i))
-			_ = a.AddMicroservice(&Microservice{Name: names[i]})
-		}
-		// Edges only from lower to higher index: guaranteed acyclic.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.3 {
-					_ = a.AddDataflow(names[i], names[j], 1)
-				}
-			}
-		}
-		order, err := a.TopoOrder()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		a := randomDAG(t, rng, 2+rng.Intn(10), 0.3)
+		order := topoNames(a)
 		pos := map[string]int{}
 		for i, nm := range order {
 			pos[nm] = i
@@ -220,11 +181,7 @@ func TestTopoOrderPropertyRandomDAGs(t *testing.T) {
 }
 
 func TestStages(t *testing.T) {
-	a := diamond(t)
-	stages, err := a.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stages := diamond(t).Stages()
 	if len(stages) != 3 {
 		t.Fatalf("want 3 stages, got %d: %v", len(stages), stages)
 	}
@@ -243,23 +200,8 @@ func TestStagesCoverAllOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(8)
-		a := NewApp("rand")
-		names := make([]string, n)
-		for i := range names {
-			names[i] = string(rune('a' + i))
-			_ = a.AddMicroservice(&Microservice{Name: names[i]})
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.4 {
-					_ = a.AddDataflow(names[i], names[j], 1)
-				}
-			}
-		}
-		stages, err := a.Stages()
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := randomDAG(t, rng, n, 0.4)
+		stages := a.Stages()
 		seen := map[string]int{}
 		for _, s := range stages {
 			for _, m := range s {
@@ -289,21 +231,6 @@ func TestStagesCoverAllOnce(t *testing.T) {
 	}
 }
 
-func TestInputsOutputs(t *testing.T) {
-	a := diamond(t)
-	in := a.Inputs("sink")
-	if len(in) != 2 {
-		t.Errorf("sink inputs = %v", in)
-	}
-	out := a.Outputs("src")
-	if len(out) != 2 {
-		t.Errorf("src outputs = %v", out)
-	}
-	if got := a.Inputs("src"); len(got) != 0 {
-		t.Errorf("src should have no inputs: %v", got)
-	}
-}
-
 func TestSupportsArch(t *testing.T) {
 	m := &Microservice{Name: "m"}
 	if !m.SupportsArch(AMD64) || !m.SupportsArch(ARM64) {
@@ -318,12 +245,67 @@ func TestSupportsArch(t *testing.T) {
 	}
 }
 
-func TestMicroserviceLookup(t *testing.T) {
-	a := diamond(t)
-	if a.Microservice("left") == nil {
-		t.Error("lookup failed")
+// randomDAG builds an n-vertex DAG whose edges run from lower to higher
+// index: each vertex after the first gets one from a random earlier vertex,
+// so the graph is connected, and every other pair an edge with probability p.
+func randomDAG(t *testing.T, rng *rand.Rand, n int, p float64) *App {
+	t.Helper()
+	b := Builder{Name: "rand"}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = string(rune('a' + i))
+		if err := b.Microservice(Microservice{Name: names[i]}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if a.Microservice("nope") != nil {
-		t.Error("lookup of unknown should return nil")
+	for j := 1; j < n; j++ {
+		parent := rng.Intn(j)
+		for i := 0; i < j; i++ {
+			if i == parent || rng.Float64() < p {
+				if err := b.Dataflow(names[i], names[j], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	a, err := b.App()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestOrderIsTheIndexFormOfTheNames: Order reports the topological order
+// and the stages as positions in Microservices — ranks ascend by name, Topo
+// is a topological order, levels rebuild Stages — and a cyclic graph has no
+// order: the Builder rejects it.
+func TestOrderIsTheIndexFormOfTheNames(t *testing.T) {
+	a := mustBuild(t, "order", []string{"d", "b", "a", "c", "e"},
+		[][2]string{{"d", "b"}, {"d", "a"}, {"b", "c"}, {"a", "c"}, {"d", "e"}})
+	ord := a.Order()
+	if want := []string{"d", "a", "b", "c", "e"}; !reflect.DeepEqual(topoNames(a), want) {
+		t.Fatalf("Topo names %v, want %v", topoNames(a), want)
+	}
+	got := make([][]string, ord.Stages)
+	for r, v := range ord.ByName {
+		if ord.Rank[v] != int32(r) {
+			t.Fatalf("Rank[%d] = %d, want %d", v, ord.Rank[v], r)
+		}
+		if r > 0 && a.Microservices[ord.ByName[r-1]].Name >= a.Microservices[v].Name {
+			t.Fatalf("ByName not ascending at %d", r)
+		}
+		got[ord.Level[v]] = append(got[ord.Level[v]], a.Microservices[v].Name)
+	}
+	if want := [][]string{{"d"}, {"a", "b", "e"}, {"c"}}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(a.Stages(), want) {
+		t.Fatalf("levels give %v, Stages %v, want %v", got, a.Stages(), want)
+	}
+	for i, e := range a.Dataflows {
+		if a.Microservices[ord.ByName[ord.From[i]]].Name != e.From || a.Microservices[ord.ByName[ord.To[i]]].Name != e.To {
+			t.Fatalf("edge %d ranks (%d, %d) do not name %s->%s", i, ord.From[i], ord.To[i], e.From, e.To)
+		}
+	}
+
+	if cyclic, err := build(t, "cyclic", []string{"x", "y"}, [][2]string{{"x", "y"}, {"y", "x"}}); cyclic != nil || err == nil || err.Error() != "dag: cyclic: cycle detected" {
+		t.Fatalf("cyclic graph: %v, %v", cyclic, err)
 	}
 }

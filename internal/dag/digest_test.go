@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"sort"
 	"strconv"
-	"sync"
 	"testing"
 
 	"deep/internal/dag"
@@ -142,16 +141,20 @@ func TestDigestMatchesLegacyFleetDigest(t *testing.T) {
 // edge order, so two builds of one graph in different orders collide.
 func TestDigestDeclarationOrderIndependent(t *testing.T) {
 	build := func(names []string, edges [][2]string) *dag.App {
-		a := dag.NewApp("order")
+		b := dag.Builder{Name: "order"}
 		for _, n := range names {
-			if err := a.AddMicroservice(&dag.Microservice{Name: n, ImageSize: units.MB}); err != nil {
+			if err := b.Microservice(dag.Microservice{Name: n, ImageSize: units.MB}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, e := range edges {
-			if err := a.AddDataflow(e[0], e[1], units.KB); err != nil {
+			if err := b.Dataflow(e[0], e[1], units.KB); err != nil {
 				t.Fatal(err)
 			}
+		}
+		a, err := b.App()
+		if err != nil {
+			t.Fatal(err)
 		}
 		return a
 	}
@@ -160,68 +163,6 @@ func TestDigestDeclarationOrderIndependent(t *testing.T) {
 	if a.Digest() != b.Digest() {
 		t.Fatal("declaration order changed the digest")
 	}
-}
-
-// TestDigestMemoInvalidatedByMutation: the digest rides the same memo as
-// Validate/TopoOrder/Stages — both mutation methods must drop it, and so
-// must the length guard when the exported slices are written directly.
-func TestDigestMemoInvalidatedByMutation(t *testing.T) {
-	a := dag.NewApp("mut")
-	for _, n := range []string{"a", "b"} {
-		if err := a.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d0 := a.Digest()
-	if a.Digest() != d0 {
-		t.Fatal("digest not stable between mutations")
-	}
-	if err := a.AddDataflow("a", "b", 7); err != nil {
-		t.Fatal(err)
-	}
-	d1 := a.Digest()
-	if d1 == d0 {
-		t.Fatal("AddDataflow left a stale digest")
-	}
-	if err := a.AddMicroservice(&dag.Microservice{Name: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	d2 := a.Digest()
-	if d2 == d1 {
-		t.Fatal("AddMicroservice left a stale digest")
-	}
-	if d2 != legacyAppDigest(a) {
-		t.Fatal("post-mutation digest is not the digest of the mutated app")
-	}
-	a.Dataflows = nil // bypasses AddDataflow's invalidation
-	if got := a.Digest(); got == d2 || got != legacyAppDigest(a) {
-		t.Fatal("length guard did not drop the digest after a direct slice write")
-	}
-}
-
-// TestDigestConcurrent: eight goroutines racing the first Digest call on one
-// app all get the same value (run under -race in CI).
-func TestDigestConcurrent(t *testing.T) {
-	app := workload.VideoProcessing()
-	want := legacyAppDigest(app)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				if app.Digest() != want {
-					t.Error("concurrent Digest returned a different value")
-					return
-				}
-				if err := app.Validate(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // fuzzBytes hands out a fuzz input a byte at a time, zeros once it runs out.
@@ -247,20 +188,26 @@ func (f *fuzzBytes) name() string {
 	return s
 }
 
-// FuzzDigestMatchesLegacy: for apps written straight into the exported
-// slices — repeated names, repeated and dangling edges, cycles, up to ten
-// images a vertex (more than the digest sorts on the stack), arch lists nil,
-// empty and not — Digest is byte-identical to the legacy record stream.
+// FuzzDigestMatchesLegacy: vertices and edges drawn from the input — names
+// repeated, edges repeated, dangling and cyclic, up to ten images a vertex
+// (more than the digest sorts on the stack), arch lists nil, empty and not
+// — are fed through one reused Builder. A refused addition leaves no trace,
+// App either refuses the graph with an error or builds it, never panicking,
+// and a built app's Digest is the legacy record stream byte for byte.
 func FuzzDigestMatchesLegacy(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add([]byte("\x07\x04abcdefghijklmnopqrstuvwxyz0123456789\x05\x01\x02\x03\x04\x05\x06"))
 	f.Add(bytes.Repeat([]byte{0xff, 0x0a, 0x33}, 40))
+	var b dag.Builder // reused across inputs, as a pool would reuse it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
-		app := dag.NewApp(in.name())
+		b.Reset()
+		b.Name = in.name()
+		var names []string // the vertices added
+		edges := 0
 		for n := int(in.next() % 9); n > 0; n-- {
-			m := &dag.Microservice{
+			m := dag.Microservice{
 				Name:          in.name(),
 				ImageSize:     units.Bytes(in.next()) << (in.next() % 40),
 				ExternalInput: units.Bytes(in.next()),
@@ -285,13 +232,34 @@ func FuzzDigestMatchesLegacy(f *testing.F) {
 					m.Images["reg"+strconv.Itoa(i)+in.name()] = in.name() + ":" + strconv.Itoa(int(in.next()))
 				}
 			}
-			app.Microservices = append(app.Microservices, m)
+			if b.Microservice(m) == nil {
+				names = append(names, m.Name)
+			}
+		}
+		// An endpoint is mostly an added vertex, so some graphs connect;
+		// one draw in eight is any name, known or not.
+		endpoint := func() string {
+			c := in.next()
+			if len(names) == 0 || c%8 == 7 {
+				return in.name()
+			}
+			return names[int(c)%len(names)]
 		}
 		for n := int(in.next() % 12); n > 0; n-- {
-			app.Dataflows = append(app.Dataflows, dag.Dataflow{From: in.name(), To: in.name(), Size: units.Bytes(in.next())})
+			if b.Dataflow(endpoint(), endpoint(), units.Bytes(in.next())) == nil {
+				edges++
+			}
 		}
-		if in.next()%2 == 1 {
-			app.Validate() // a filled memo must not change the digest
+		app, err := b.App()
+		if err != nil {
+			if app != nil {
+				t.Fatalf("refused app returned for input %q", data)
+			}
+			return
+		}
+		if len(app.Microservices) != len(names) || len(app.Dataflows) != edges {
+			t.Fatalf("built %d vertices and %d edges, %d and %d added, for input %q",
+				len(app.Microservices), len(app.Dataflows), len(names), edges, data)
 		}
 		if app.Digest() != legacyAppDigest(app) {
 			t.Fatalf("digest differs from the legacy record stream for input %q", data)

@@ -11,6 +11,7 @@ import (
 	"deep/internal/costmodel"
 	"deep/internal/sched"
 	"deep/internal/sim"
+	"deep/internal/wire"
 	"deep/internal/workload"
 )
 
@@ -225,8 +226,7 @@ func TestDoCancelledWhileQueued(t *testing.T) {
 		CacheSize:    -1, // every request that is served must reach the scheduler
 		NewScheduler: func() sched.Scheduler { return rec },
 	})
-	slow := workload.TextProcessing()
-	slow.Name = "slow"
+	slow := rebuilt(t, workload.TextProcessing(), func(s *wire.AppSpec) { s.Name = "slow" })
 	slowDone, err := f.Submit(Request{App: slow})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 var keySink cacheKey
 
 // BenchmarkFingerprintPerRequest times a request's cache-key build: the
-// epoch's cluster key and the app's memoized digest.
+// epoch's cluster key and the app's stored digest.
 func BenchmarkFingerprintPerRequest(b *testing.B) {
 	app := workload.TextProcessing()
 	st := &churnState{}

@@ -16,7 +16,7 @@ import (
 // A fleet serves one cluster with one scheduling method, so what a cached
 // shape or placement depends on is the app and the churn epoch's effective
 // cluster: cluster is the churn state's key (zero for the base cluster) and
-// app the app's memoized dag.App.Digest. The key is a plain comparable
+// app the app's stored dag.App.Digest. The key is a plain comparable
 // value, so building one costs no hash and no allocation.
 type cacheKey struct {
 	cluster [sha256.Size]byte

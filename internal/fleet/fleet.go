@@ -132,11 +132,11 @@ type Request struct {
 	// Tenant labels the requester for per-tenant aggregation (default
 	// "default").
 	Tenant string
-	// App is the application to deploy. The fleet only reads it, and keys
-	// every cache by its memoized App.Digest, so from submission on the
-	// caller must treat it as read-only too. In return one *dag.App may be
-	// shared by any number of concurrent requests (the serving layer interns
-	// apps by spec bytes and submits the same pointer for every repeat).
+	// App is the application to deploy. The fleet only reads it and keys
+	// every cache by its App.Digest, stored when the app was built; a built
+	// app is read-only, so one *dag.App may be shared by any number of
+	// concurrent requests (the serving layer interns apps by spec bytes and
+	// submits the same pointer for every repeat).
 	App *dag.App
 	// Seed perturbs this request's simulation jitter (combined with
 	// Config.SimOptions). With SimOptions.Jitter zero — the daemon's setting
@@ -971,8 +971,8 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 
 	w.churn = f.churn.Load()
 
-	// The app digest is memoized on the app: only the first request to carry
-	// this *dag.App pays the sha256 pass over it.
+	// The app digest was stored when the app was built: reading it hashes
+	// nothing.
 	key := cacheKey{cluster: w.churn.key, app: j.req.App.Digest()}
 	mark := time.Now()
 	w.trace.D[obs.StageFingerprint] = mark.Sub(start)

@@ -15,6 +15,7 @@ import (
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/units"
+	"deep/internal/wire"
 	"deep/internal/workload"
 )
 
@@ -151,6 +152,19 @@ func TestFleetServesEveryScheduler(t *testing.T) {
 	}
 }
 
+// rebuilt builds app again with edit applied to its spec: a built app is
+// read-only.
+func rebuilt(t testing.TB, app *dag.App, edit func(*wire.AppSpec)) *dag.App {
+	t.Helper()
+	spec := wire.AppSpecOf(app)
+	edit(spec)
+	out, err := spec.App()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	key := func(app *dag.App) cacheKey { return cacheKey{app: app.Digest()} }
 	base := key(workload.TextProcessing())
@@ -161,8 +175,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Fatal("different apps collided")
 	}
 	// A one-byte perturbation of a dataflow size must change the digest.
-	tweaked := workload.TextProcessing()
-	tweaked.Dataflows[0].Size++
+	tweaked := rebuilt(t, workload.TextProcessing(), func(s *wire.AppSpec) { s.Dataflows[0].SizeBytes++ })
 	if other := key(tweaked); other == base {
 		t.Fatal("perturbed dataflow collided")
 	}
@@ -173,8 +186,12 @@ func TestFingerprintSensitivity(t *testing.T) {
 // (name "m|5" + size 0 vs name "m" + size 5).
 func TestFingerprintSeparatorInName(t *testing.T) {
 	mk := func(name string, size int64) *dag.App {
-		a := dag.NewApp("x")
-		if err := a.AddMicroservice(&dag.Microservice{Name: name, ImageSize: units.Bytes(size)}); err != nil {
+		b := dag.Builder{Name: "x"}
+		if err := b.Microservice(dag.Microservice{Name: name, ImageSize: units.Bytes(size)}); err != nil {
+			t.Fatal(err)
+		}
+		a, err := b.App()
+		if err != nil {
 			t.Fatal(err)
 		}
 		return a
@@ -714,7 +731,7 @@ func TestBatchAndSingleShareKeys(t *testing.T) {
 }
 
 // TestWarmPathAllocs gates the steady-state request path — placement
-// memoized, shape compiled, app digest memoized, response released — at two
+// memoized, shape compiled, app digest stored, response released — at two
 // allocations per request, single and batched alike.
 func TestWarmPathAllocs(t *testing.T) {
 	if raceEnabled {

@@ -170,10 +170,7 @@ func TestSolverPathCounters(t *testing.T) {
 	// The text pipeline on the testbed: solo and pair stages, all exact.
 	f := testFleet(t, Config{Workers: 1})
 	app := workload.TextProcessing()
-	stages, err := app.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stages := app.Stages()
 	do(f, Request{Tenant: "t", App: app})
 	if exact, br, bad := solver(f); exact != float64(len(stages)) || br != 0 || bad != 0 {
 		t.Fatalf("after one cold text deploy: exact=%v best_response=%v nonconverged=%v, want %d exact games",

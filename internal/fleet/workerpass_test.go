@@ -99,15 +99,19 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 // labels results (and keys jitter) by app name.
 func TestShapeCacheDistinguishesAppNames(t *testing.T) {
 	build := func(name string) *dag.App {
-		app := dag.NewApp(name)
+		b := dag.Builder{Name: name}
 		for _, n := range []string{"a", "b"} {
-			if err := app.AddMicroservice(&dag.Microservice{
+			if err := b.Microservice(dag.Microservice{
 				Name: n, ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 100},
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := app.AddDataflow("a", "b", units.MB); err != nil {
+		if err := b.Dataflow("a", "b", units.MB); err != nil {
+			t.Fatal(err)
+		}
+		app, err := b.App()
+		if err != nil {
 			t.Fatal(err)
 		}
 		return app

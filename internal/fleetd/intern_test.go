@@ -164,8 +164,7 @@ func TestSpecInternMetrics(t *testing.T) {
 // and the table never holds it.
 func TestOversizedSpecNotRetained(t *testing.T) {
 	env := newEnv(t, fleet.Config{Workers: 1}, Config{})
-	big := workload.TextProcessing()
-	big.Name = strings.Repeat("n", 65<<10)
+	big := rebuilt(t, workload.TextProcessing(), func(s *wire.AppSpec) { s.Name = strings.Repeat("n", 65<<10) })
 	body, err := json.Marshal(map[string]any{"tenant": "acme", "app": json.RawMessage(appJSON(t, big))})
 	if err != nil {
 		t.Fatal(err)

@@ -693,8 +693,7 @@ func TestDeadlineWhileWaiting(t *testing.T) {
 	gate := &gateSched{started: make(chan struct{}), release: make(chan struct{})}
 	env := newEnv(t, fleet.Config{Workers: 1, CacheSize: -1,
 		NewScheduler: func() sched.Scheduler { return gate }}, Config{})
-	held := workload.TextProcessing()
-	held.Name = "gate"
+	held := rebuilt(t, workload.TextProcessing(), func(s *wire.AppSpec) { s.Name = "gate" })
 	ch, err := env.f.Submit(fleet.Request{App: held})
 	if err != nil {
 		t.Fatal(err)
@@ -790,6 +789,19 @@ func (s *failSched) ScheduleModel(model *costmodel.Model) (sim.Placement, error)
 	return s.inner.ScheduleModel(model)
 }
 
+// rebuilt builds app again with edit applied to its spec: a built app is
+// read-only.
+func rebuilt(t testing.TB, app *dag.App, edit func(*wire.AppSpec)) *dag.App {
+	t.Helper()
+	spec := wire.AppSpecOf(app)
+	edit(spec)
+	out, err := spec.App()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func batchBody(t testing.TB, tenant string, apps ...[]byte) []byte {
 	t.Helper()
 	items := make([]map[string]any, len(apps))
@@ -867,8 +879,7 @@ func TestDeployBatchPerItemError(t *testing.T) {
 		Workers:      1,
 		NewScheduler: func() sched.Scheduler { return &failSched{inner: sched.NewDEEP()} },
 	}, Config{})
-	boom := workload.VideoProcessing()
-	boom.Name = "boom"
+	boom := rebuilt(t, workload.VideoProcessing(), func(s *wire.AppSpec) { s.Name = "boom" })
 	resp, data := postBatch(t, env.url,
 		batchBody(t, "acme", appJSON(t, workload.VideoProcessing()), appJSON(t, boom), appJSON(t, workload.VideoProcessing())))
 	if resp.StatusCode != http.StatusOK {
@@ -1163,8 +1174,7 @@ func TestEncodePathCounters(t *testing.T) {
 			t.Fatalf("deploy %d tail %s, deploy 0 tail %s", call, tails[call], tails[0])
 		}
 	}
-	boom := workload.VideoProcessing()
-	boom.Name = "boom"
+	boom := rebuilt(t, workload.VideoProcessing(), func(s *wire.AppSpec) { s.Name = "boom" })
 	video := appJSON(t, workload.VideoProcessing())
 	resp, data := postBatch(t, env.url,
 		batchBody(t, "acme", video, appJSON(t, boom), appJSON(t, workload.TextProcessing()), video))

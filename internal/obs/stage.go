@@ -18,9 +18,8 @@ const (
 	// StageQueue is time spent in the admission queue before a worker
 	// picked the request up.
 	StageQueue Stage = iota
-	// StageFingerprint is reading the app's canonical digest: memoized on
-	// the dag.App, so ~0 unless this request is the first to carry the app
-	// and pays its sha256 pass.
+	// StageFingerprint is reading the app's canonical digest: a field the
+	// dag.App was built with, so ~0 on every request.
 	StageFingerprint
 	// StageCompile is compiled-shape resolution against the fleet-wide
 	// shape cache; on a warm shape it is the cache lookup alone, on a cold

@@ -20,10 +20,6 @@ func (s *Exclusive) Name() string { return "exclusive-" + s.registry }
 
 // ScheduleModel implements Scheduler.
 func (s *Exclusive) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
-	stages, err := model.Stages()
-	if err != nil {
-		return nil, err
-	}
 	regID, regOK := model.RegistryID(s.registry)
 	st := model.NewState()
 	placement := make(sim.Placement, model.NumMicroservices())
@@ -31,7 +27,7 @@ func (s *Exclusive) ScheduleModel(model *costmodel.Model) (sim.Placement, error)
 	cur := make([]costmodel.Option, width)
 	optsBuf := make([][]costmodel.Option, width)
 
-	for _, stage := range stages {
+	for _, stage := range model.Stages() {
 		// Iterate to a fixed point of best responses with the registry
 		// pinned; within a stage co-assignments couple through contention.
 		assigned := cur[:len(stage)]
@@ -94,10 +90,7 @@ func (*MinCompletionTime) ScheduleModel(model *costmodel.Model) (sim.Placement, 
 // scheduleMyopic places microservices in topological order, each at its own
 // cost-minimal option under the given objective, ignoring stage contention.
 func scheduleMyopic(model *costmodel.Model, objective func(*costmodel.State, int32, costmodel.Option, []int32, []costmodel.Option) float64) (sim.Placement, error) {
-	order, err := model.Topo()
-	if err != nil {
-		return nil, err
-	}
+	order := model.Topo()
 	st := model.NewState()
 	placement := make(sim.Placement, len(order))
 	for _, ms := range order {
@@ -131,10 +124,7 @@ func (*RoundRobin) Name() string { return "round-robin" }
 
 // ScheduleModel implements Scheduler.
 func (*RoundRobin) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
-	order, err := model.Topo()
-	if err != nil {
-		return nil, err
-	}
+	order := model.Topo()
 	st := model.NewState()
 	placement := make(sim.Placement, len(order))
 	next := 0
@@ -180,10 +170,7 @@ func (*Random) Name() string { return "random" }
 
 // ScheduleModel implements Scheduler.
 func (s *Random) ScheduleModel(model *costmodel.Model) (sim.Placement, error) {
-	order, err := model.Topo()
-	if err != nil {
-		return nil, err
-	}
+	order := model.Topo()
 	rng := rand.New(rand.NewSource(s.seed))
 	st := model.NewState()
 	placement := make(sim.Placement, len(order))

@@ -148,13 +148,9 @@ func (p *Pass) AppendPlacement(names []string, assigns []sim.Assignment) ([]stri
 // a reused Pass it does not allocate.
 func (*DEEP) ScheduleInto(p *Pass) error {
 	model, st := p.model, p.st
-	stages, err := model.Stages()
-	if err != nil {
-		return err
-	}
 	st.Reset()
 	p.solver = SolverStats{}
-	for _, stage := range stages {
+	for _, stage := range model.Stages() {
 		assigned := p.cur[:len(stage)]
 		opts := p.opts[:len(stage)]
 		for k, ms := range stage {
@@ -164,6 +160,7 @@ func (*DEEP) ScheduleInto(p *Pass) error {
 			}
 			opts[k] = o
 		}
+		var err error
 		switch {
 		case len(stage) == 1:
 			assigned[0], err = scheduleSolo(model, st, stage[0])

@@ -90,7 +90,7 @@ func (e *legacyEstimator) estimate(m *dag.Microservice, a sim.Assignment, co map
 		b.Td = link.RTT + bw.Seconds(m.ImageSize)
 	}
 
-	for _, in := range e.App.Inputs(m.Name) {
+	for _, in := range inputsOf(e.App, m.Name) {
 		fromDev := a.Device
 		if pa, ok := e.Placed[in.From]; ok {
 			fromDev = pa.Device
@@ -144,18 +144,39 @@ func legacyAll(t testing.TB, seed int64) []legacyScheduler {
 	}
 }
 
-func legacyStages(app *dag.App) ([][]string, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
+// msByName is the app's microservice under a name, nil when there is none.
+func msByName(app *dag.App, name string) *dag.Microservice {
+	for _, m := range app.Microservices {
+		if m.Name == name {
+			return m
+		}
 	}
-	return app.Stages()
+	return nil
+}
+
+// inputsOf is the dataflows entering the named microservice.
+func inputsOf(app *dag.App, name string) []dag.Dataflow {
+	var in []dag.Dataflow
+	for _, e := range app.Dataflows {
+		if e.To == name {
+			in = append(in, e)
+		}
+	}
+	return in
+}
+
+// topoNames is the app's topological order by name.
+func topoNames(app *dag.App) []string {
+	var names []string
+	for _, v := range app.Order().Topo {
+		names = append(names, app.Microservices[v].Name)
+	}
+	return names
 }
 
 func legacyDEEP(t testing.TB, app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	stages, err := legacyStages(app)
-	if err != nil {
-		return nil, err
-	}
+	stages := app.Stages()
+	var err error
 	est := newLegacyEstimator(app, cluster)
 	placement := make(sim.Placement, len(app.Microservices))
 	for _, stage := range stages {
@@ -164,9 +185,9 @@ func legacyDEEP(t testing.TB, app *dag.App, cluster *sim.Cluster) (sim.Placement
 		var assigned map[string]sim.Assignment
 		switch len(names) {
 		case 1:
-			assigned, err = legacySolo(est, app.Microservice(names[0]))
+			assigned, err = legacySolo(est, msByName(app, names[0]))
 		case 2:
-			assigned, err = legacyPair(t, est, app.Microservice(names[0]), app.Microservice(names[1]))
+			assigned, err = legacyPair(t, est, msByName(app, names[0]), msByName(app, names[1]))
 		default:
 			assigned, err = legacyBestResponse(est, app, names, nil)
 		}
@@ -267,7 +288,7 @@ func legacyBestResponse(est *legacyEstimator, app *dag.App, names []string, filt
 	cur := make(map[string]sim.Assignment, len(names))
 	optsOf := make(map[string][]sim.Assignment, len(names))
 	for _, n := range names {
-		m := app.Microservice(n)
+		m := msByName(app, n)
 		var opts []sim.Assignment
 		for _, o := range est.Options(m) {
 			if filter == nil || filter(o) {
@@ -283,7 +304,7 @@ func legacyBestResponse(est *legacyEstimator, app *dag.App, names []string, filt
 	for iter := 0; iter < 100; iter++ {
 		changed := false
 		for _, n := range names {
-			m := app.Microservice(n)
+			m := msByName(app, n)
 			prev := cur[n]
 			best := prev
 			bestC := float64(est.Energy(m, best, cur))
@@ -307,10 +328,7 @@ func legacyBestResponse(est *legacyEstimator, app *dag.App, names []string, filt
 
 func legacyExclusive(registry string) func(*dag.App, *sim.Cluster) (sim.Placement, error) {
 	return func(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-		stages, err := legacyStages(app)
-		if err != nil {
-			return nil, err
-		}
+		stages := app.Stages()
 		est := newLegacyEstimator(app, cluster)
 		placement := make(sim.Placement, len(app.Microservices))
 		for _, stage := range stages {
@@ -331,23 +349,13 @@ func legacyExclusive(registry string) func(*dag.App, *sim.Cluster) (sim.Placemen
 	}
 }
 
-func legacyTopo(app *dag.App) ([]string, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	return app.TopoOrder()
-}
-
 func legacyMyopic(cost func(*legacyEstimator, *dag.Microservice, sim.Assignment) float64) func(*dag.App, *sim.Cluster) (sim.Placement, error) {
 	return func(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-		order, err := legacyTopo(app)
-		if err != nil {
-			return nil, err
-		}
+		order := topoNames(app)
 		est := newLegacyEstimator(app, cluster)
 		placement := make(sim.Placement, len(order))
 		for _, name := range order {
-			m := app.Microservice(name)
+			m := msByName(app, name)
 			opts := est.Options(m)
 			if len(opts) == 0 {
 				return nil, infeasibleError{ms: name}
@@ -367,15 +375,12 @@ func legacyMyopic(cost func(*legacyEstimator, *dag.Microservice, sim.Assignment)
 }
 
 func legacyRoundRobin(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-	order, err := legacyTopo(app)
-	if err != nil {
-		return nil, err
-	}
+	order := topoNames(app)
 	est := newLegacyEstimator(app, cluster)
 	placement := make(sim.Placement, len(order))
 	next := 0
 	for _, name := range order {
-		m := app.Microservice(name)
+		m := msByName(app, name)
 		opts := est.Options(m)
 		if len(opts) == 0 {
 			return nil, infeasibleError{ms: name}
@@ -396,15 +401,12 @@ func legacyRoundRobin(app *dag.App, cluster *sim.Cluster) (sim.Placement, error)
 
 func legacyRandom(seed int64) func(*dag.App, *sim.Cluster) (sim.Placement, error) {
 	return func(app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
-		order, err := legacyTopo(app)
-		if err != nil {
-			return nil, err
-		}
+		order := topoNames(app)
 		rng := rand.New(rand.NewSource(seed))
 		est := newLegacyEstimator(app, cluster)
 		placement := make(sim.Placement, len(order))
 		for _, name := range order {
-			m := app.Microservice(name)
+			m := msByName(app, name)
 			opts := est.Options(m)
 			if len(opts) == 0 {
 				return nil, infeasibleError{ms: name}
@@ -514,10 +516,7 @@ func TestEquivalenceCorpusEstimator(t *testing.T) {
 	for _, c := range equivalenceCorpus(t) {
 		ref := newLegacyEstimator(c.app, c.cluster)
 		est := newNamedState(t, c.app, c.cluster)
-		stages, err := legacyStages(c.app)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		stages := c.app.Stages()
 		placement, err := legacyDEEP(t, c.app, c.cluster)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -528,7 +527,7 @@ func TestEquivalenceCorpusEstimator(t *testing.T) {
 				co[n] = placement[n]
 			}
 			for _, n := range stage {
-				m := c.app.Microservice(n)
+				m := msByName(c.app, n)
 				refOpts := ref.Options(m)
 				gotOpts := est.options(n)
 				if len(refOpts) != len(gotOpts) {

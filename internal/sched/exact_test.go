@@ -52,10 +52,7 @@ func certifyAtScale(t *testing.T, lo, hi int, visit func(name string, largest in
 				t.Fatal(err)
 			}
 			model := costmodel.Compile(app, cluster)
-			stages, err := model.Stages()
-			if err != nil {
-				t.Fatal(err)
-			}
+			stages := model.Stages()
 
 			s, p := NewDEEP(), NewPass(model)
 			if err := s.ScheduleInto(p); err != nil {
@@ -128,10 +125,7 @@ func TestDefaultCapLeavesTestbedExact(t *testing.T) {
 	cluster := workload.Testbed()
 	for _, app := range workload.Apps() {
 		model := costmodel.Compile(app, cluster)
-		stages, err := model.Stages()
-		if err != nil {
-			t.Fatal(err)
-		}
+		stages := model.Stages()
 		var want SolverStats
 		for _, stage := range stages {
 			if len(stage) <= 2 {
@@ -185,15 +179,13 @@ func pairCapCorpus(t *testing.T) ([]*dag.App, *sim.Cluster) {
 // pair-game cap fell back to, and what wide stages still get.
 func dynamicsPlacement(t *testing.T, model *costmodel.Model) sim.Placement {
 	t.Helper()
-	stages, err := model.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stages := model.Stages()
 	st := model.NewState()
 	placement := make(sim.Placement, model.NumMicroservices())
 	for _, stage := range stages {
 		assigned := make([]costmodel.Option, len(stage))
 		if len(stage) == 1 {
+			var err error
 			if assigned[0], err = scheduleSolo(model, st, stage[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -223,10 +215,7 @@ func TestPairCapFallbackFeasibleAndBounded(t *testing.T) {
 	pairs := 0
 	for _, app := range apps {
 		model := costmodel.Compile(app, cluster)
-		stages, err := model.Stages()
-		if err != nil {
-			t.Fatal(err)
-		}
+		stages := model.Stages()
 		for _, stage := range stages {
 			if len(stage) == 2 {
 				pairs++

@@ -118,91 +118,6 @@ func TestFusedCompileMatchesLegacyWrappers(t *testing.T) {
 	}
 }
 
-// TestFusedCompileInvalidAppParity: structurally broken applications surface
-// the same error values from the fused compile as from the legacy wrappers
-// — schedulers and simulator alike.
-func TestFusedCompileInvalidAppParity(t *testing.T) {
-	mkCyclic := func() *dag.App {
-		a := dag.NewApp("cyclic")
-		for _, n := range []string{"x", "y"} {
-			if err := a.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, e := range [][2]string{{"x", "y"}, {"y", "x"}} {
-			if err := a.AddDataflow(e[0], e[1], 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return a
-	}
-	mkDisconnected := func() *dag.App {
-		a := dag.NewApp("split")
-		for _, n := range []string{"a", "b", "c"} {
-			if err := a.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := a.AddDataflow("a", "b", 0); err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	mkDupNames := func() *dag.App {
-		return &dag.App{Name: "dups", Microservices: []*dag.Microservice{
-			{Name: "dup"}, {Name: "dup"},
-		}}
-	}
-
-	for _, bad := range []struct {
-		name string
-		mk   func() *dag.App
-	}{
-		{"cyclic", mkCyclic},
-		{"disconnected", mkDisconnected},
-		{"duplicate-names", mkDupNames},
-	} {
-		t.Run(bad.name, func(t *testing.T) {
-			app := bad.mk()
-			cluster := workload.Testbed()
-
-			legacyModel := costmodel.Compile(app, cluster)
-			legacyPlan := sim.CompilePlan(app, cluster)
-			fusedModel, fusedPlan := costmodel.CompileShapeOn(
-				appgraph.Compile(app), cluster, sim.CompileClusterTable(cluster))
-
-			_, wantStagesErr := legacyModel.Stages()
-			_, gotStagesErr := fusedModel.Stages()
-			if wantStagesErr == nil || gotStagesErr != wantStagesErr {
-				t.Fatalf("Stages error not verbatim: legacy %v, fused %v", wantStagesErr, gotStagesErr)
-			}
-			_, wantTopoErr := legacyModel.Topo()
-			_, gotTopoErr := fusedModel.Topo()
-			if wantTopoErr == nil || gotTopoErr != wantTopoErr {
-				t.Fatalf("Topo error not verbatim: legacy %v, fused %v", wantTopoErr, gotTopoErr)
-			}
-
-			for i, s := range All(1) {
-				_, errL := s.ScheduleModel(legacyModel)
-				_, errF := All(1)[i].ScheduleModel(fusedModel)
-				if errL == nil || errF == nil {
-					t.Fatalf("%s scheduled a broken app: legacy %v, fused %v", s.Name(), errL, errF)
-				}
-				if errL.Error() != errF.Error() {
-					t.Fatalf("%s error diverges: legacy %q, fused %q", s.Name(), errL, errF)
-				}
-			}
-
-			exec := sim.NewExec()
-			_, errL := exec.Run(legacyPlan, sim.Placement{}, sim.Options{})
-			_, errF := exec.Run(fusedPlan, sim.Placement{}, sim.Options{})
-			if errL == nil || errF != errL {
-				t.Fatalf("sim error not verbatim: legacy %v, fused %v", errL, errF)
-			}
-		})
-	}
-}
-
 // manyRegistries is ScaledTestbed(2) plus 70 mirror registries, each routed
 // to two of the four devices: more registries than a machine word has bits,
 // and ragged option rows.
@@ -231,8 +146,8 @@ func manyRegistries(t *testing.T) *sim.Cluster {
 // every row down to nil-versus-empty — to costmodel.CompileShapeOn on a
 // fresh app table, and schedule and simulate identically. The cases are the
 // fused corpus plus the shapes a stale slab could most plausibly leak into:
-// a duplicate-name app, a cyclic app, an app with a microservice no device
-// can run, and a cluster with more than 64 registries.
+// an app with a microservice no device can run, and a cluster with more
+// than 64 registries.
 func TestScratchCompileMatchesFresh(t *testing.T) {
 	type tc = struct {
 		name string
@@ -241,28 +156,20 @@ func TestScratchCompileMatchesFresh(t *testing.T) {
 	}
 	cases := fusedCorpus(t)
 
-	cyclic := dag.NewApp("cyclic")
-	for _, n := range []string{"x", "y"} {
-		if err := cyclic.AddMicroservice(&dag.Microservice{Name: n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range [][2]string{{"x", "y"}, {"y", "x"}} {
-		if err := cyclic.AddDataflow(e[0], e[1], 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dups := &dag.App{Name: "dups", Microservices: []*dag.Microservice{{Name: "dup"}, {Name: "dup"}, {Name: "solo"}}}
-	infeasible := dag.NewApp("infeasible")
-	for _, m := range []*dag.Microservice{
+	b := dag.Builder{Name: "infeasible"}
+	for _, m := range []dag.Microservice{
 		{Name: "fits", ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 100}},
 		{Name: "giant", ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 100, Cores: 1 << 20}},
 	} {
-		if err := infeasible.AddMicroservice(m); err != nil {
+		if err := b.Microservice(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := infeasible.AddDataflow("fits", "giant", units.MB); err != nil {
+	if err := b.Dataflow("fits", "giant", units.MB); err != nil {
+		t.Fatal(err)
+	}
+	infeasible, err := b.App()
+	if err != nil {
 		t.Fatal(err)
 	}
 	synth, err := workload.Generate(workload.DefaultGeneratorConfig(9, 3))
@@ -270,8 +177,6 @@ func TestScratchCompileMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases = append(cases,
-		tc{"cyclic/testbed", cyclic, workload.Testbed},
-		tc{"duplicate-names/testbed", dups, workload.Testbed},
 		tc{"infeasible/testbed", infeasible, workload.Testbed},
 		tc{"synthetic9-3/registries72", synth, func() *sim.Cluster { return manyRegistries(t) }},
 		tc{"infeasible/registries72", infeasible, func() *sim.Cluster { return manyRegistries(t) }},
@@ -321,14 +226,6 @@ func TestScratchCompileMatchesFresh(t *testing.T) {
 			got, gotErr := NewDEEP().ScheduleModel(model)
 			if !reflect.DeepEqual(got, want) || !sameError(gotErr, wantErr) {
 				t.Fatalf("DEEP on the recycled model: %v, %v; fresh: %v, %v", got, gotErr, want, wantErr)
-			}
-			_, wantStagesErr := wantModel.Stages()
-			_, wantTopoErr := wantModel.Topo()
-			if _, err := model.Stages(); err != wantStagesErr {
-				t.Fatalf("Stages error %v, fresh %v", err, wantStagesErr)
-			}
-			if _, err := model.Topo(); err != wantTopoErr {
-				t.Fatalf("Topo error %v, fresh %v", err, wantTopoErr)
 			}
 			exec := sim.NewExec()
 			for _, opts := range []sim.Options{{}, {Seed: 7, Jitter: 0.02}} {

@@ -90,14 +90,12 @@ func pairGameCorpus(t *testing.T) []corpusCase {
 // placed upstreams, and calls visit at each stage before it is solved.
 func walkStages(t *testing.T, name string, model *costmodel.Model, visit func(st *costmodel.State, stage []int32)) {
 	t.Helper()
-	stages, err := model.Stages()
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
+	stages := model.Stages()
 	st := model.NewState()
 	for _, stage := range stages {
 		visit(st, stage)
 		assigned := make([]costmodel.Option, len(stage))
+		var err error
 		switch len(stage) {
 		case 1:
 			assigned[0], err = scheduleSolo(model, st, stage[0])
@@ -507,10 +505,7 @@ func TestSolverStatsPartitionStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := costmodel.Compile(app, workload.ScaledTestbed(4))
-	stages, err := model.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stages := model.Stages()
 	solo, pair, wide := 0, 0, 0
 	for _, s := range stages {
 		switch len(s) {
@@ -540,10 +535,7 @@ func TestSolverStatsPartitionStages(t *testing.T) {
 func TestBestResponseReportsNonConvergence(t *testing.T) {
 	app, cluster := workload.CyclingStage()
 	model := costmodel.Compile(app, cluster)
-	stages, err := model.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stages := model.Stages()
 	if len(stages) != 2 || len(stages[1]) != 3 {
 		t.Fatalf("fixture stages %v, want a solo stage then a three-player stage", stages)
 	}
@@ -585,10 +577,7 @@ func TestBestResponseReportsNonConvergence(t *testing.T) {
 	// And a stage that does settle says so, well inside the budget.
 	text := costmodel.Compile(workload.TextProcessing(), workload.Testbed())
 	tst := text.NewState()
-	tstages, err := text.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tstages := text.Stages()
 	for _, s := range tstages {
 		o := make([][]costmodel.Option, len(s))
 		c := make([]costmodel.Option, len(s))

@@ -314,7 +314,7 @@ func TestEstimatorMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		est := newNamedState(t, app, cluster)
-		stages, _ := app.Stages()
+		stages := app.Stages()
 		for _, stage := range stages {
 			co := map[string]sim.Assignment{}
 			for _, n := range stage {

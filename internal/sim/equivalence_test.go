@@ -42,15 +42,34 @@ func (j legacyJitterer) factor(ms, phase string) float64 {
 	return 1 - j.width + 2*j.width*u
 }
 
-// legacyRun is the pre-compilation executor, ported verbatim.
+// msByName is the app's microservice under a name, nil when there is none.
+func msByName(app *dag.App, name string) *dag.Microservice {
+	for _, m := range app.Microservices {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
+}
+
+// inputsOf is the dataflows entering the named microservice.
+func inputsOf(app *dag.App, name string) []dag.Dataflow {
+	var in []dag.Dataflow
+	for _, e := range app.Dataflows {
+		if e.To == name {
+			in = append(in, e)
+		}
+	}
+	return in
+}
+
+// legacyRun is the pre-compilation executor, ported verbatim; msByName and
+// inputsOf stand in for its two name lookups.
 func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts sim.Options) (*sim.Result, error) {
 	if err := cluster.Validate(app, placement); err != nil {
 		return nil, err
 	}
-	stages, err := app.Stages()
-	if err != nil {
-		return nil, err
-	}
+	stages := app.Stages()
 	if !opts.WarmCaches {
 		for _, d := range cluster.Devices {
 			d.Cache().Flush()
@@ -84,7 +103,7 @@ func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts
 		pulls := make(map[string]*pull, len(order))
 		devsPulling := make(map[string]map[string]bool)
 		for _, name := range order {
-			m := app.Microservice(name)
+			m := msByName(app, name)
 			a := placement[name]
 			reg, _ := cluster.Registry(a.Registry)
 			dev := cluster.Device(a.Device)
@@ -130,14 +149,14 @@ func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts
 		}
 
 		for _, name := range order {
-			m := app.Microservice(name)
+			m := msByName(app, name)
 			a := placement[name]
 			dev := cluster.Device(a.Device)
 			p := pulls[name]
 			td := p.td
 
 			tc := 0.0
-			for _, e := range app.Inputs(name) {
+			for _, e := range inputsOf(app, name) {
 				fromDev := placement[e.From].Device
 				tc += cluster.Topology.TransferTime(fromDev, a.Device, e.Size)
 			}
@@ -200,9 +219,8 @@ func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts
 		EnergyByDevice:    make(map[string]units.Joules),
 		BytesFromRegistry: bytesFromRegistry,
 	}
-	order, _ := app.TopoOrder()
-	for _, name := range order {
-		r := results[name]
+	for _, v := range app.Order().Topo {
+		r := results[app.Microservices[v].Name]
 		res.Microservices = append(res.Microservices, *r)
 		res.TotalEnergy += r.TotalEnergy()
 	}

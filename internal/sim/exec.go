@@ -122,9 +122,6 @@ func (e *Exec) Run(p *Plan, placement Placement, opts Options) (*Result, error) 
 	if err := p.validate(placement); err != nil {
 		return nil, err
 	}
-	if p.stagesErr != nil {
-		return nil, p.stagesErr
-	}
 	e.size(p)
 	for i, name := range p.msNames {
 		a := placement[name]
@@ -142,9 +139,6 @@ func (e *Exec) Run(p *Plan, placement Placement, opts Options) (*Result, error) 
 func (e *Exec) RunIndexed(p *Plan, names []string, assigns []Assignment, opts Options) (*Result, error) {
 	if err := p.validateIndexed(names, assigns); err != nil {
 		return nil, err
-	}
-	if p.stagesErr != nil {
-		return nil, p.stagesErr
 	}
 	e.size(p)
 	for i, name := range p.msNames {

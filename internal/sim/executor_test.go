@@ -47,25 +47,34 @@ func testCluster() *Cluster {
 	}
 }
 
-// chainApp builds a -> b with the given sizes.
-func chainApp(t *testing.T) *dag.App {
+// buildApp builds an app from its vertices and edges through a Builder.
+func buildApp(t testing.TB, name string, ms []dag.Microservice, edges []dag.Dataflow) *dag.App {
 	t.Helper()
-	app := dag.NewApp("chain")
-	must := func(err error) {
-		if err != nil {
+	b := dag.Builder{Name: name}
+	for _, m := range ms {
+		if err := b.Microservice(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(app.AddMicroservice(&dag.Microservice{
-		Name: "a", ImageSize: 100 * units.MB,
-		Req: dag.Requirements{CPU: 2000},
-	}))
-	must(app.AddMicroservice(&dag.Microservice{
-		Name: "b", ImageSize: 200 * units.MB,
-		Req: dag.Requirements{CPU: 1000},
-	}))
-	must(app.AddDataflow("a", "b", 50*units.MB))
+	for _, e := range edges {
+		if err := b.Dataflow(e.From, e.To, e.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app, err := b.App()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return app
+}
+
+// chainApp builds a -> b with the given sizes.
+func chainApp(t *testing.T) *dag.App {
+	t.Helper()
+	return buildApp(t, "chain", []dag.Microservice{
+		{Name: "a", ImageSize: 100 * units.MB, Req: dag.Requirements{CPU: 2000}},
+		{Name: "b", ImageSize: 200 * units.MB, Req: dag.Requirements{CPU: 1000}},
+	}, []dag.Dataflow{{From: "a", To: "b", Size: 50 * units.MB}})
 }
 
 func TestRunChainTimings(t *testing.T) {
@@ -139,15 +148,11 @@ func TestRunEnergyAccounting(t *testing.T) {
 func TestRunSharedRegistryContention(t *testing.T) {
 	// Two microservices in the same stage pulling from the shared regional
 	// registry must split its capacity; from the hub they would not.
-	app := dag.NewApp("par")
+	var ms []dag.Microservice
 	for _, n := range []string{"src", "x", "y"} {
-		err := app.AddMicroservice(&dag.Microservice{Name: n, ImageSize: 100 * units.MB, Req: dag.Requirements{CPU: 500}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms = append(ms, dag.Microservice{Name: n, ImageSize: 100 * units.MB, Req: dag.Requirements{CPU: 500}})
 	}
-	_ = app.AddDataflow("src", "x", 0)
-	_ = app.AddDataflow("src", "y", 0)
+	app := buildApp(t, "par", ms, []dag.Dataflow{{From: "src", To: "x"}, {From: "src", To: "y"}})
 
 	cluster := testCluster()
 	regional := Placement{
@@ -237,14 +242,10 @@ func TestRunLayerCacheSkipsPull(t *testing.T) {
 
 func TestRunDeviceSerialization(t *testing.T) {
 	// Two same-stage microservices on one device execute one after another.
-	app := dag.NewApp("par")
-	for _, n := range []string{"x", "y"} {
-		err := app.AddMicroservice(&dag.Microservice{Name: n, ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 1000}})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = app.AddDataflow("x", "y", 0) // chain to keep the graph connected
+	app := buildApp(t, "par", []dag.Microservice{
+		{Name: "x", ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 1000}},
+		{Name: "y", ImageSize: 10 * units.MB, Req: dag.Requirements{CPU: 1000}},
+	}, []dag.Dataflow{{From: "x", To: "y"}}) // chain to keep the graph connected
 	cluster := testCluster()
 	placement := Placement{
 		"x": {Device: "devA", Registry: "hub"},
@@ -281,14 +282,10 @@ func TestRunValidatesPlacement(t *testing.T) {
 }
 
 func TestRunArchConstraint(t *testing.T) {
-	app := dag.NewApp("archy")
-	err := app.AddMicroservice(&dag.Microservice{
+	app := buildApp(t, "archy", []dag.Microservice{{
 		Name: "amdonly", ImageSize: units.MB,
 		Arches: []dag.Arch{dag.AMD64},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}, nil)
 	cluster := testCluster()
 	p := Placement{"amdonly": {Device: "devB", Registry: "hub"}} // devB is arm64
 	if _, err := Run(app, cluster, p, Options{}); err == nil {

@@ -75,37 +75,30 @@ func TestSimulatorInvariants(t *testing.T) {
 // randomApp builds a random layered DAG compatible with testCluster.
 func randomApp(t *testing.T, rng *rand.Rand, n int) *dag.App {
 	t.Helper()
-	app := dag.NewApp("rand")
 	names := make([]string, n)
+	ms := make([]dag.Microservice, n)
 	for i := 0; i < n; i++ {
 		names[i] = string(rune('a' + i))
-		err := app.AddMicroservice(&dag.Microservice{
+		ms[i] = dag.Microservice{
 			Name:      names[i],
 			ImageSize: units.Bytes(1+rng.Intn(500)) * units.MB,
 			Req:       dag.Requirements{CPU: units.MI(100 + rng.Intn(5000))},
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	// Chain backbone keeps the DAG connected; extra forward edges add
 	// fan-out.
+	var edges []dag.Dataflow
 	for i := 1; i < n; i++ {
-		if err := app.AddDataflow(names[i-1], names[i], units.Bytes(rng.Intn(100))*units.MB); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, dag.Dataflow{From: names[i-1], To: names[i], Size: units.Bytes(rng.Intn(100)) * units.MB})
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 2; j < n; j++ {
 			if rng.Float64() < 0.15 {
-				_ = app.AddDataflow(names[i], names[j], units.Bytes(rng.Intn(50))*units.MB)
+				edges = append(edges, dag.Dataflow{From: names[i], To: names[j], Size: units.Bytes(rng.Intn(50)) * units.MB})
 			}
 		}
 	}
-	if err := app.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return app
+	return buildApp(t, "rand", ms, edges)
 }
 
 // Energy is monotone in registry link speed: slowing every registry link

@@ -61,12 +61,8 @@ func TestJitterFactorBitIdentical(t *testing.T) {
 func TestJitterFactorMatchesCompiledPath(t *testing.T) {
 	const width = 0.07
 	mss := []string{"encode", "detect"}
-	app := dag.NewApp("corpus")
-	for _, ms := range mss {
-		if err := app.AddMicroservice(&dag.Microservice{Name: ms, ImageSize: units.MB}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	app := buildApp(t, "corpus", []dag.Microservice{{Name: mss[0], ImageSize: units.MB}, {Name: mss[1], ImageSize: units.MB}},
+		[]dag.Dataflow{{From: mss[0], To: mss[1]}})
 	at := appgraph.Compile(app)
 	tags := at.PhaseTags()
 	phases := [...]string{phaseDeploy: "deploy", phaseTransfer: "transfer", phaseProcess: "process"}

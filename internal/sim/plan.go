@@ -94,12 +94,9 @@ type Plan struct {
 	idleW    []units.Watts // per device (the cluster table's)
 
 	// Barrier stages (each ascending = lexicographic name order, the order
-	// the legacy executor sorted into per call) and topological order, with
-	// the structural validation errors captured at compile time.
-	stages    [][]int32
-	topo      []int32
-	appErr    error
-	stagesErr error
+	// the legacy executor sorted into per call) and topological order.
+	stages [][]int32
+	topo   []int32
 
 	// jitterTag[phase][ms] is the byte suffix "|app|ms|phase" the jitter
 	// hashes after the run seed; precomputing it makes the per-phase factor
@@ -240,15 +237,7 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 		}
 	}
 
-	// Structural validation was captured when the app table compiled, so
-	// runs never re-walk the DAG. The errors surface from Exec.Run in the
-	// same order the legacy executor reported them: app validation,
-	// placement checks, then stages.
-	p.appErr = at.ValidateErr()
-	p.stages, p.stagesErr = at.Stages()
-	if order, err := at.Topo(); err == nil {
-		p.topo = order
-	}
+	p.stages, p.topo = at.Stages(), at.Topo()
 	return p
 }
 
@@ -272,9 +261,6 @@ func (p *Plan) MSRows() (feasible []bool, tp []float64, pullW, recvW, procW []un
 // precomputed feasibility table, so a valid placement validates with zero
 // allocations.
 func (p *Plan) validate(placement Placement) error {
-	if p.appErr != nil {
-		return p.appErr
-	}
 	nd := len(p.devNames)
 	for _, m := range p.app.Microservices {
 		a, ok := placement[m.Name]
@@ -288,7 +274,7 @@ func (p *Plan) validate(placement Placement) error {
 		if _, okR := p.regIndex[a.Registry]; !okR {
 			return fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
 		}
-		if i, okM := p.msIndex[m.Name]; okM && !p.feasible[int(i)*nd+int(d)] {
+		if !p.feasible[int(p.msIndex[m.Name])*nd+int(d)] {
 			return fmt.Errorf("sim: infeasible placement: %w", p.devices[d].CanRun(m))
 		}
 	}
@@ -300,9 +286,6 @@ func (p *Plan) validate(placement Placement) error {
 // order, same errors, but lookups are binary searches instead of map hits,
 // so no placement map ever has to exist.
 func (p *Plan) validateIndexed(names []string, assigns []Assignment) error {
-	if p.appErr != nil {
-		return p.appErr
-	}
 	nd := len(p.devNames)
 	for _, m := range p.app.Microservices {
 		k := searchSortedNames(names, m.Name)
@@ -317,7 +300,7 @@ func (p *Plan) validateIndexed(names []string, assigns []Assignment) error {
 		if _, okR := p.regIndex[a.Registry]; !okR {
 			return fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
 		}
-		if i, okM := p.msIndex[m.Name]; okM && !p.feasible[int(i)*nd+int(d)] {
+		if !p.feasible[int(p.msIndex[m.Name])*nd+int(d)] {
 			return fmt.Errorf("sim: infeasible placement: %w", p.devices[d].CanRun(m))
 		}
 	}

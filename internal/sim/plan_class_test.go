@@ -92,6 +92,32 @@ func generated(t testing.TB, n int, seed int64) *dag.App {
 	return app
 }
 
+// withArches builds a second app like app but with the named
+// microservice's Arches replaced: a built app is read-only.
+func withArches(t testing.TB, app *dag.App, name string, arches []dag.Arch) *dag.App {
+	t.Helper()
+	b := dag.Builder{Name: app.Name}
+	for _, m := range app.Microservices {
+		m := *m
+		if m.Name == name {
+			m.Arches = arches
+		}
+		if err := b.Microservice(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range app.Dataflows {
+		if err := b.Dataflow(e.From, e.To, e.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := b.App()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestPlanClassesMatchPerDevice(t *testing.T) {
 	ownClasses := workload.ScaledTestbed(4)
 	for i, d := range ownClasses.Devices {
@@ -110,8 +136,7 @@ func TestPlanClassesMatchPerDevice(t *testing.T) {
 	med.ProcessW = procW
 	splitPower.Devices[2].Power = med
 
-	amdOnly := generated(t, 16, 5)
-	amdOnly.Microservice("ms-02").Arches = []dag.Arch{dag.AMD64}
+	amdOnly := withArches(t, generated(t, 16, 5), "ms-02", []dag.Arch{dag.AMD64})
 
 	cases := []struct {
 		name    string
@@ -166,8 +191,12 @@ func TestPlanFeasibleFirstOccurrence(t *testing.T) {
 		Registries: []sim.RegistryInfo{{Name: "hub", Node: "hub"}},
 		Topology:   top,
 	}
-	app := dag.NewApp("one")
-	if err := app.AddMicroservice(&dag.Microservice{Name: "m", ImageSize: units.MB, Req: dag.Requirements{Cores: 4, CPU: 100}}); err != nil {
+	b := dag.Builder{Name: "one"}
+	if err := b.Microservice(dag.Microservice{Name: "m", ImageSize: units.MB, Req: dag.Requirements{Cores: 4, CPU: 100}}); err != nil {
+		t.Fatal(err)
+	}
+	app, err := b.App()
+	if err != nil {
 		t.Fatal(err)
 	}
 	p := sim.CompilePlan(app, cluster)
@@ -197,7 +226,7 @@ func FuzzPlanClassesMatchPerDevice(f *testing.F) {
 		}
 		app := generated(t, 1+int(uint64(seed)%6), seed)
 		if len(app.Microservices) > 1 {
-			app.Microservices[1].Arches = []dag.Arch{dag.AMD64}
+			app = withArches(t, app, app.Microservices[1].Name, []dag.Arch{dag.AMD64})
 		}
 		table := func(idle units.Watts, proc units.Watts) energy.TableModel {
 			return energy.TableModel{

@@ -89,9 +89,6 @@ func defaultLayer(m *dag.Microservice) Layer {
 // Validate checks that the placement is complete and feasible for the app on
 // this cluster.
 func (c *Cluster) Validate(app *dag.App, p Placement) error {
-	if err := app.Validate(); err != nil {
-		return err
-	}
 	for _, m := range app.Microservices {
 		a, ok := p[m.Name]
 		if !ok {

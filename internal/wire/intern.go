@@ -33,7 +33,7 @@ const (
 )
 
 // Interner is a content-addressed table from raw app-spec bytes to the
-// validated *dag.App they decode to, with the app's digest already memoized.
+// validated *dag.App they decode to, built once, its digest stored with it.
 // A service deploys the same few applications over and over; for a repeated
 // body the table replaces the strict decode, the DAG build and validation,
 // and the sha256 pass with one short hash and one byte comparison.
@@ -218,9 +218,6 @@ func (in *Interner) decode(body []byte, key uint64) (*dag.App, bool, error) {
 			return nil, false, err
 		}
 	}
-	// Hash the app here, on the decoding goroutine, so the fleet's workers
-	// (and every later request sharing an interned app) find it memoized.
-	app.Digest()
 	if len(body) <= internMaxBody {
 		in.admit(key, body, app, fast)
 	}

@@ -192,13 +192,39 @@ func TestInternerRejectedBodiesNeverStored(t *testing.T) {
 	}
 }
 
+// rebuilt builds app again with edit applied to its spec: a built app is
+// read-only.
+func rebuilt(t testing.TB, app *dag.App, edit func(*wire.AppSpec)) *dag.App {
+	t.Helper()
+	spec := wire.AppSpecOf(app)
+	edit(spec)
+	out, err := spec.App()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// oneVertex builds an app of one microservice, m.
+func oneVertex(t testing.TB, name string) *dag.App {
+	t.Helper()
+	b := dag.Builder{Name: name}
+	if err := b.Microservice(dag.Microservice{Name: "m", ImageSize: 1}); err != nil {
+		t.Fatal(err)
+	}
+	app, err := b.App()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
 // TestInternerOversizedBodyNotRetained: a valid body past the retention
 // bound is served correctly and never held, so 256 near-MaxBodyBytes specs
 // cannot pin memory.
 func TestInternerOversizedBodyNotRetained(t *testing.T) {
 	in, reg := newInterner()
-	big := workload.VideoProcessing()
-	big.Name = strings.Repeat("n", wire.InternMaxBody+1)
+	big := rebuilt(t, workload.VideoProcessing(), func(s *wire.AppSpec) { s.Name = strings.Repeat("n", wire.InternMaxBody+1) })
 	body := appBody(t, big)
 	checkAgainstFresh(t, in, body)
 	if s := statsOf(t, reg); s != (internStats{misses: 3}) {
@@ -215,11 +241,7 @@ func numberedBodies(t *testing.T, n int) ([][]byte, func([]byte) uint64) {
 	bodies := make([][]byte, n)
 	keys := make(map[string]uint64, n)
 	for i := range bodies {
-		app := dag.NewApp(fmt.Sprintf("app-%d", i))
-		if err := app.AddMicroservice(&dag.Microservice{Name: "m", ImageSize: 1}); err != nil {
-			t.Fatal(err)
-		}
-		bodies[i] = appBody(t, app)
+		bodies[i] = appBody(t, oneVertex(t, fmt.Sprintf("app-%d", i)))
 		prefix := string(bodies[i][:min(len(bodies[i]), wire.InternKeyLen)])
 		if _, dup := keys[prefix]; dup {
 			t.Fatalf("bodies share their first %d bytes: %s", wire.InternKeyLen, prefix)
@@ -295,11 +317,7 @@ func TestInternerPrefixFloodNotAdmitted(t *testing.T) {
 	in, reg := newInterner()
 	var bodies [][]byte
 	for i := 0; i < 16; i++ {
-		app := dag.NewApp(fmt.Sprintf("%s-%d", strings.Repeat("p", wire.InternKeyLen), i))
-		if err := app.AddMicroservice(&dag.Microservice{Name: "m", ImageSize: 1}); err != nil {
-			t.Fatal(err)
-		}
-		bodies = append(bodies, appBody(t, app))
+		bodies = append(bodies, appBody(t, oneVertex(t, fmt.Sprintf("%s-%d", strings.Repeat("p", wire.InternKeyLen), i))))
 	}
 	for _, body := range bodies {
 		if _, _, err := in.App(body); err != nil {

@@ -191,9 +191,9 @@ const (
 // scanApp decodes a canonical app spec straight into a validated *dag.App,
 // through the dag.Builder AppSpec.App builds with: each dataflow endpoint is
 // resolved once, as the edge is read, and the app comes out at its final
-// size with its memo filled. Every string in the app is a substring of one
-// copy of body, so a decode allocates the app's storage and image maps, and
-// nothing per name.
+// size with its ordering walk and digest. Every string in the app is a
+// substring of one copy of body, so a decode allocates the app's storage and
+// image maps, and nothing per name.
 func scanApp(body []byte) (*dag.App, bool) {
 	ab := appBuilds.Get().(*appBuild)
 	defer appBuilds.Put(ab)

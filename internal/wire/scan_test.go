@@ -575,6 +575,8 @@ func BenchmarkScan(b *testing.B) {
 			}
 		}
 	})
+	// What an interner miss pays for a canonical body: the scan and the
+	// build, whose App stores the digest.
 	b.Run("app16", func(b *testing.B) {
 		b.SetBytes(int64(len(spec)))
 		b.ReportAllocs()
@@ -583,20 +585,6 @@ func BenchmarkScan(b *testing.B) {
 			if !ok {
 				b.Fatal("declined")
 			}
-			sinkApp = app
-		}
-	})
-	// What an interner miss pays for a canonical body: the scan, then the
-	// digest it memoizes before the app is shared.
-	b.Run("app16_digest", func(b *testing.B) {
-		b.SetBytes(int64(len(spec)))
-		b.ReportAllocs()
-		for b.Loop() {
-			app, ok := wire.ScanApp(spec)
-			if !ok {
-				b.Fatal("declined")
-			}
-			app.Digest()
 			sinkApp = app
 		}
 	})

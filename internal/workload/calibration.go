@@ -164,13 +164,13 @@ func Testbed() *sim.Cluster {
 // buildApp assembles one case-study DAG from Table II rows plus the edge
 // structure of Figure 2.
 func buildApp(appName string, edges [][2]string, source string) *dag.App {
-	a := dag.NewApp(appName)
+	b := dag.Builder{Name: appName}
 	derived := make(map[string]Derived)
 	for _, r := range Rows(appName) {
 		d := Derive(r)
 		derived[r.Name] = d
 		ref, _ := CatalogRef(appName, r.Name)
-		m := &dag.Microservice{
+		m := dag.Microservice{
 			Name:      appName + "/" + r.Name,
 			ImageSize: units.Bytes(math.Round(r.SizeGB * float64(units.GB))),
 			Images: map[string]string{
@@ -188,7 +188,7 @@ func buildApp(appName string, edges [][2]string, source string) *dag.App {
 		if r.Name == source {
 			m.ExternalInput = d.InputSize
 		}
-		if err := a.AddMicroservice(m); err != nil {
+		if err := b.Microservice(m); err != nil {
 			panic(fmt.Sprintf("workload: %v", err))
 		}
 	}
@@ -196,11 +196,12 @@ func buildApp(appName string, edges [][2]string, source string) *dag.App {
 		// The edge is sized by the *consumer's* input-budget so its
 		// completion time matches Table II.
 		size := derived[e[1]].InputSize
-		if err := a.AddDataflow(appName+"/"+e[0], appName+"/"+e[1], size); err != nil {
+		if err := b.Dataflow(appName+"/"+e[0], appName+"/"+e[1], size); err != nil {
 			panic(fmt.Sprintf("workload: %v", err))
 		}
 	}
-	if err := a.Validate(); err != nil {
+	a, err := b.App()
+	if err != nil {
 		panic(fmt.Sprintf("workload: %v", err))
 	}
 	return a

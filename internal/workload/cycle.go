@@ -74,7 +74,7 @@ func CyclingStage() (*dag.App, *sim.Cluster) {
 		Topology: topo,
 	}
 
-	app := dag.NewApp("cycling-stage")
+	b := dag.Builder{Name: "cycling-stage"}
 	for _, m := range []struct {
 		name  string
 		cores int
@@ -85,7 +85,7 @@ func CyclingStage() (*dag.App, *sim.Cluster) {
 		{"b", 4, 4 * units.GB},  // d1 lacks the memory, d3 the cores
 		{"c", 1, 16 * units.GB}, // only d3 has the memory
 	} {
-		if err := app.AddMicroservice(&dag.Microservice{
+		if err := b.Microservice(dag.Microservice{
 			Name:      m.name,
 			ImageSize: image,
 			Req:       dag.Requirements{Cores: m.cores, CPU: 10_000, Memory: m.mem},
@@ -94,9 +94,13 @@ func CyclingStage() (*dag.App, *sim.Cluster) {
 		}
 	}
 	for _, to := range []string{"a", "b", "c"} {
-		if err := app.AddDataflow("ingest", to, units.MB); err != nil {
+		if err := b.Dataflow("ingest", to, units.MB); err != nil {
 			panic(fmt.Sprintf("workload: cycling stage app: %v", err))
 		}
+	}
+	app, err := b.App()
+	if err != nil {
+		panic(fmt.Sprintf("workload: cycling stage app: %v", err))
 	}
 	return app, cluster
 }

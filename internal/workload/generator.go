@@ -53,10 +53,11 @@ func Generate(cfg GeneratorConfig) (*dag.App, error) {
 		return nil, fmt.Errorf("workload: inverted generator bounds")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	app := dag.NewApp(fmt.Sprintf("synthetic-%d-%d", cfg.Microservices, cfg.Seed))
+	b := dag.Builder{Name: fmt.Sprintf("synthetic-%d-%d", cfg.Microservices, cfg.Seed)}
+	names := make([]string, cfg.Microservices)
 
-	// Lay microservices into stages.
-	var stages [][]string
+	// Lay microservices into stages, by vertex number.
+	var stages [][]int
 	made := 0
 	for made < cfg.Microservices {
 		width := 1 + rng.Intn(cfg.StageWidth)
@@ -68,12 +69,11 @@ func Generate(cfg GeneratorConfig) (*dag.App, error) {
 		if width > cfg.Microservices-made {
 			width = cfg.Microservices - made
 		}
-		var stage []string
+		var stage []int
 		for i := 0; i < width; i++ {
-			name := fmt.Sprintf("ms-%02d", made)
-			made++
-			m := &dag.Microservice{
-				Name:      name,
+			names[made] = fmt.Sprintf("ms-%02d", made)
+			m := dag.Microservice{
+				Name:      names[made],
 				ImageSize: randBytes(rng, cfg.ImageSizeMin, cfg.ImageSizeMax),
 				Req: dag.Requirements{
 					Cores:  1,
@@ -85,36 +85,41 @@ func Generate(cfg GeneratorConfig) (*dag.App, error) {
 			if len(stages) == 0 {
 				m.ExternalInput = randBytes(rng, cfg.DataflowMin, cfg.DataflowMax)
 			}
-			if err := app.AddMicroservice(m); err != nil {
+			if err := b.Microservice(m); err != nil {
 				return nil, err
 			}
-			stage = append(stage, name)
+			stage = append(stage, made)
+			made++
 		}
 		stages = append(stages, stage)
 	}
 	// Wire each stage to the previous: every vertex gets at least one
 	// incoming edge from a random member of the prior stage; extra edges
-	// keep the graph interesting.
+	// keep the graph interesting. feeds[v] records that v has an out-edge.
+	feeds := make([]bool, cfg.Microservices)
+	dataflow := func(from, to int) error {
+		feeds[from] = true
+		return b.Dataflow(names[from], names[to], randBytes(rng, cfg.DataflowMin, cfg.DataflowMax))
+	}
 	for si := 1; si < len(stages); si++ {
 		prev := stages[si-1]
 		for _, to := range stages[si] {
-			from := prev[rng.Intn(len(prev))]
-			if err := app.AddDataflow(from, to, randBytes(rng, cfg.DataflowMin, cfg.DataflowMax)); err != nil {
+			if err := dataflow(prev[rng.Intn(len(prev))], to); err != nil {
 				return nil, err
 			}
 		}
 		// Make sure every member of the previous stage feeds someone, so
 		// the DAG stays connected.
 		for _, from := range prev {
-			if len(app.Outputs(from)) == 0 {
-				to := stages[si][rng.Intn(len(stages[si]))]
-				if err := app.AddDataflow(from, to, randBytes(rng, cfg.DataflowMin, cfg.DataflowMax)); err != nil {
+			if !feeds[from] {
+				if err := dataflow(from, stages[si][rng.Intn(len(stages[si]))]); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	if err := app.Validate(); err != nil {
+	app, err := b.App()
+	if err != nil {
 		return nil, fmt.Errorf("workload: generated app invalid: %w", err)
 	}
 	return app, nil

