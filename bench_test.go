@@ -311,15 +311,14 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileShape times the cold (app, cluster) compile path — the
-// first sight of a request shape — in the two forms the fleet pays, both
-// over a warm topo.ClusterTable. fused compiles one appgraph.AppTable and
-// then emits the model and plan in a single walk (costmodel.CompileShapeOn).
-// fused_warmapp starts from a cached AppTable — what a known app arriving on
-// a new cluster pays, the fleet's app-digest cache hit. fused_reuse is fused
-// into a warm appgraph.Scratch + costmodel.Scratch — what a fleet worker
-// pays for a shape it sees for the first time. BENCH_compile.json records
-// ns/op and allocs/op; CI's allocguard gates the alloc counts.
+// BenchmarkCompileShape times the cold (app, cluster) compile path, over a
+// warm topo.ClusterTable. fused compiles one appgraph.AppTable and then
+// emits the model and plan in a single walk (costmodel.CompileShapeOn), into
+// fresh storage a library caller can share. fused_warmapp starts from a
+// cached AppTable — a known app arriving on a new cluster. fused_reuse is
+// fused into a warm appgraph.Scratch + costmodel.Scratch — what a fleet
+// worker pays for every shape it compiles. BENCH_compile.json records ns/op
+// and allocs/op; CI's allocguard gates the alloc counts.
 func BenchmarkCompileShape(b *testing.B) {
 	cfg := workload.DefaultGeneratorConfig(12, 42)
 	cfg.StageWidth = 4

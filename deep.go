@@ -261,9 +261,8 @@ func CompileClusterTable(cluster *Cluster) *ClusterTable {
 // topo/stage/edge rows, and per-microservice scalars. It is immutable, safe
 // to share across goroutines, and reusable for any number of clusters — the
 // one-app-many-clusters mirror of CompileClusterTable (see
-// examples/customapp). Validation errors are captured, not returned: a table
-// compiled from a broken DAG reports them through the compiled model and
-// plan exactly as the direct compile paths do.
+// examples/customapp). It never fails: an App is validated when it is built,
+// so every App compiles.
 func CompileAppTable(app *App) *AppTable { return appgraph.Compile(app) }
 
 // CompileSimPlanOnTables compiles a simulation plan over both substrates —

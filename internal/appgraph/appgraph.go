@@ -7,13 +7,12 @@
 // (map-allocating graph walks) and rebuilt identical sorted name tables and
 // dataflow rows for the same application. An AppTable is everything in those
 // compilers that depends only on the application — compiled once per app
-// (the fleet keys it by app digest) and shared across clusters and across
-// both compilers.
+// and shared across clusters and across both compilers.
 //
 // An AppTable from the package-level Compile is immutable and safe for any
-// number of concurrent readers — the form the fleet shares. One compiled
-// into a caller's Scratch is private to that caller and overwritten by its
-// next compile. Accessors returning slices return the table's own backing
+// number of concurrent readers. One compiled into a caller's Scratch — the
+// form the fleet compiles every request's table in — is private to that
+// caller and overwritten by its next compile. Accessors returning slices return the table's own backing
 // arrays — callers must treat them as read-only.
 //
 // A dag.App is valid by construction, so a table never carries a structural

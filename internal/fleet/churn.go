@@ -57,7 +57,7 @@ func DeltaForEvent(ev chaos.Event) ChurnDelta {
 
 // churnState is one epoch's immutable view of the churned cluster: the down
 // sets, the incrementally patched cluster table, and the key that is the
-// cluster half of every cache key (epoch 0 carries the base cluster's own
+// cluster half of every placement-cache key (epoch 0 carries the base cluster's own
 // table and the zero key). Workers adopt a state by pointer (one atomic load
 // per request), so everything here must stay read-only after publication.
 type churnState struct {
@@ -117,7 +117,7 @@ type ChurnStats struct {
 // returns the new epoch. The middle result is always 0; it is kept for
 // benchmark/replay.go (ROADMAP item 1b).
 //
-// Churn changes the key and leaves the caches alone: every cache entry was
+// Churn changes the key and leaves the cache alone: every cache entry was
 // written by a schedule on the state its key names, so it stays valid for
 // that key. A full recovery restores the base key, and the pre-churn entries
 // hit again.
@@ -211,8 +211,8 @@ func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, _ int, err error) {
 
 	if next.pristine() {
 		// Full recovery restores the base table and the zero key by
-		// identity, so every pre-churn cache entry (placements, compiled
-		// shapes) is warm again immediately.
+		// identity, so every pre-churn placement entry is warm again
+		// immediately.
 		next.table = f.baseTable
 	} else {
 		next.table = prev.table.Patch(f.churnView(next), topo.Delta{TouchedNodes: touchedNodes})

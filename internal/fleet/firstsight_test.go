@@ -29,14 +29,14 @@ func oneShot(t *testing.T, size int, seed int64) *dag.App {
 
 // reference schedules and simulates the app the long way round — a fresh
 // costmodel.Compile, a fresh DEEP pass, sim.Run — on a cluster of its own.
-func reference(t *testing.T, app *dag.App, mk func() *sim.Cluster, opts sim.Options) (sim.Placement, *sim.Result) {
+func reference(t *testing.T, app *dag.App, mk func() *sim.Cluster) (sim.Placement, *sim.Result) {
 	t.Helper()
 	cluster := mk()
 	placement, err := sched.NewDEEP().ScheduleModel(costmodel.Compile(app, cluster))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(app, cluster, placement, opts)
+	res, err := sim.Run(app, cluster, placement, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,28 +50,22 @@ func scaled4() *sim.Cluster { return workload.ScaledTestbed(4) }
 // response is released until the stream ends. Each must still read exactly
 // as an independent compile, schedule and simulation of its app — so nothing
 // a Response exposes (placement names and assignments, result rows, app
-// name) points into storage a later first sight overwrote.
+// name) points into storage a later compile overwrote.
 func TestFirstSightResponsesDoNotAliasScratch(t *testing.T) {
-	simOpts := sim.Options{Jitter: 0.02}
-	f := testFleet(t, Config{Workers: 1, NewCluster: scaled4, SimOptions: simOpts})
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled4})
 	const n = 48
 	apps := make([]*dag.App, n)
 	resps := make([]*Response, n)
 	for i := range apps {
 		apps[i] = oneShot(t, 2+i%15, int64(1000+i))
-		resp, err := f.Do(context.Background(), Request{Tenant: "edge", App: apps[i], Seed: int64(i)})
+		resp, err := f.Do(context.Background(), Request{Tenant: "edge", App: apps[i]})
 		if err != nil || resp.Err != nil {
 			t.Fatal(err, resp.Err)
 		}
 		resps[i] = resp
 	}
-	if s := f.Stats().ModelCache; s.FirstSight != n || s.Compiles != n || s.Entries != 0 || s.AppEntries != 0 {
-		t.Fatalf("%d one-shot apps: %+v, want %d first sights, as many compiles, nothing cached", n, s, n)
-	}
 	for i, resp := range resps {
-		opts := simOpts
-		opts.Seed = int64(i)
-		wantPlacement, wantResult := reference(t, apps[i], scaled4, opts)
+		wantPlacement, wantResult := reference(t, apps[i], scaled4)
 		if got := resp.Placement.Materialize(); !reflect.DeepEqual(got, wantPlacement) {
 			t.Errorf("app %d (%s): held placement %v, independent %v", i, apps[i].Name, got, wantPlacement)
 		}
@@ -86,8 +80,8 @@ func TestFirstSightResponsesDoNotAliasScratch(t *testing.T) {
 }
 
 // TestFirstSightInterleavedUnderChurn: eight workers serve one-shot apps
-// (private, recycled shapes) interleaved with repeated ones (shared shapes)
-// while a device fails and recovers mid-stream. Every response must be the
+// interleaved with repeated ones, every shape compiled into the serving
+// worker's recycled scratch, while a device fails and recovers mid-stream. Every response must be the
 // right answer for its epoch: on the pristine cluster the independent
 // reference bit for bit, on the degraded one a complete placement that
 // avoids the failed device.
@@ -100,7 +94,7 @@ func TestFirstSightInterleavedUnderChurn(t *testing.T) {
 		result    *sim.Result
 	}
 	expect := func(app *dag.App) answer {
-		p, r := reference(t, app, scaled4, sim.Options{})
+		p, r := reference(t, app, scaled4)
 		return answer{p, r}
 	}
 	wantHot := make([]answer, len(hot))
@@ -165,49 +159,4 @@ func TestFirstSightInterleavedUnderChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := f.Stats().ModelCache; s.FirstSight < n/2 {
-		t.Errorf("%d first sights for %d one-shot apps (stats: %+v)", s.FirstSight, n/2, s)
-	}
-}
-
-// TestFirstSightFloodKeepsHotShape: between two sights of a cached hot app,
-// ten shape caches' worth of one-shot apps go by. None of them may enter the
-// shape cache or the app-table level, so the hot shape is still there — no
-// recompile — and neither level grew.
-func TestFirstSightFloodKeepsHotShape(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1, CacheSize: -1})
-	do := func(app *dag.App) {
-		t.Helper()
-		resp, err := f.Do(context.Background(), Request{App: app})
-		if err != nil || resp.Err != nil {
-			t.Fatal(err, resp.Err)
-		}
-		resp.Release()
-	}
-	hot := workload.VideoProcessing()
-	do(hot)
-	do(hot) // second sight: compiled to be shared
-	before := f.Stats().ModelCache
-	if before.Entries != 1 || before.AppEntries != 1 {
-		t.Fatalf("hot shape not cached on second sight: %+v", before)
-	}
-
-	const flood = 10 * modelCacheSize
-	for i := 0; i < flood; i++ {
-		do(oneShot(t, 3, int64(20000+i)))
-	}
-	do(hot)
-	after := f.Stats().ModelCache
-	if after.Entries != before.Entries || after.AppEntries != before.AppEntries {
-		t.Errorf("flood grew the caches: %d/%d entries, were %d/%d", after.Entries, after.AppEntries, before.Entries, before.AppEntries)
-	}
-	if got := after.FirstSight - before.FirstSight; got != flood {
-		t.Errorf("%d first sights during a flood of %d one-shot apps", got, flood)
-	}
-	if shared, was := after.Compiles-after.FirstSight, before.Compiles-before.FirstSight; shared != was {
-		t.Errorf("hot shape recompiled after the flood: %d shared compiles, were %d", shared, was)
-	}
-	if after.Hits != before.Hits+1 {
-		t.Errorf("third sight of the hot shape was not a hit: %d hits, were %d", after.Hits, before.Hits)
-	}
 }

@@ -7,7 +7,9 @@
 // concurrency-safe LRU keyed by (churn epoch's cluster, app digest) — a
 // fleet runs one cluster and one scheduling method, and the Nash
 // best-response iteration is deterministic, so repeated shapes skip the game
-// entirely.
+// entirely. A request that needs the compiled (app, cluster) shape — a
+// placement miss, or an entry's first hit — compiles it in its worker's own
+// recycled scratch.
 // The package also ships an open-loop traffic driver (Poisson, bursty, and
 // diurnal arrival processes over configurable application mixes) for
 // scenario sweeps far beyond the paper's two case studies.
@@ -72,15 +74,6 @@ type Config struct {
 	// CacheSize bounds the placement LRU in entries. Zero means the
 	// default of 1024; a negative value disables placement memoization.
 	CacheSize int
-	// SimOptions carry the Seed and Jitter of every simulation run;
-	// per-request seeds are folded in on top. WarmCaches is cleared: every
-	// run starts from empty layer caches, as core.System.Deploy's does, so
-	// an answer depends on the app, the epoch's cluster, the placement and
-	// the seed, never on which worker ran it or what it ran before. With
-	// Jitter zero the seed has no effect either, so the answer is a function
-	// of the placement-cache key, and a placement entry stores it on its
-	// first hit and serves it to every later one.
-	SimOptions sim.Options
 	// Metrics receives per-tenant aggregates (default: a fresh registry).
 	// Its backing obs registry (Metrics.Obs) also carries the fleet's
 	// per-stage latency histograms and point-in-time gauges, so rendering
@@ -113,7 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
-	c.SimOptions.WarmCaches = false
 	if c.Metrics == nil {
 		c.Metrics = monitor.NewMetrics()
 	}
@@ -138,9 +130,11 @@ type Request struct {
 	// concurrent requests (the serving layer interns apps by spec bytes and
 	// submits the same pointer for every repeat).
 	App *dag.App
-	// Seed perturbs this request's simulation jitter (combined with
-	// Config.SimOptions). With SimOptions.Jitter zero — the daemon's setting
-	// — there is no jitter, and Seed never changes an answer.
+	// Seed is the client's simulation seed. A fleet simulates with the zero
+	// sim.Options — no jitter, empty layer caches, as core.System.Deploy
+	// does — so Seed never changes an answer: an answer is a function of the
+	// app and the epoch's cluster, and a placement entry stores it on its
+	// first hit and serves it to every later one.
 	Seed int64
 	// Deadline bounds the request's total service time, measured from
 	// admission. A request whose deadline expires while it waits for a
@@ -174,11 +168,10 @@ type Response struct {
 	// it past Release.
 	Result *sim.Result
 	// Encoded is the placement entry's slot for an encoding of the answer,
-	// set exactly when Result is the entry's stored result: nil on a miss,
-	// with SimOptions.Jitter above zero, and when Err is set. The fleet
-	// never fills it; a serving layer may, with bytes that are a function
-	// of Placement and Result alone, and every later response for the key
-	// carries them. Like Result, it is not to be touched after Release.
+	// set exactly when Result is the entry's stored result: nil on a miss and
+	// when Err is set. The fleet never fills it; a serving layer may, with
+	// bytes that are a function of Placement and Result alone, and every
+	// later response for the key carries them. Like Result, it is not to be touched after Release.
 	Encoded *Encoded
 	// CacheHit is true when the placement came from the memo instead of a
 	// scheduling pass.
@@ -251,9 +244,8 @@ type Stats struct {
 // serve with Do or DoBatch (or their channel-returning wrappers Submit and
 // SubmitBatch), stop with Close.
 type Fleet struct {
-	cfg    Config
-	cache  *placementCache
-	models *sharedModelCache
+	cfg   Config
+	cache *placementCache
 	// idle is the worker pool: every workerState no caller is using, FIFO.
 	// A caller borrows one, runs the pipeline on its own goroutine and puts
 	// it back, so a deploy crosses no goroutine boundary. A caller that finds
@@ -319,10 +311,11 @@ type Fleet struct {
 	// clone of the base topology that accumulates link degradations (mutated
 	// only under churnMu; the base topology is never touched, so restores
 	// read base bandwidths). churn is the published epoch state workers adopt
-	// with one atomic load per request.
+	// with one atomic load per request. compiles counts the shapes compiled.
 	base            *sim.Cluster
 	baseTable       *topo.ClusterTable
 	clusterCompiles int64
+	compiles        atomic.Int64
 	churnMu         sync.Mutex
 	chaosTopo       *netsim.Topology
 	churn           atomic.Pointer[churnState]
@@ -397,10 +390,9 @@ func (f *Fleet) putJob(j *job) {
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
-		cfg:    cfg,
-		cache:  newPlacementCache(cfg.CacheSize),
-		models: newSharedModelCache(modelCacheSize),
-		idle:   make(chan *workerState, cfg.Workers),
+		cfg:   cfg,
+		cache: newPlacementCache(cfg.CacheSize),
+		idle:  make(chan *workerState, cfg.Workers),
 	}
 	f.jobPool.New = func() any { return new(job) }
 	reg := cfg.Metrics.Obs()
@@ -445,13 +437,9 @@ func (f *Fleet) collectGauges() {
 	reg.Gauge("fleet_placement_cache_misses").Set(float64(s.Cache.Misses))
 	reg.Gauge("fleet_placement_cache_evictions").Set(float64(s.Cache.Evictions))
 	reg.Gauge("fleet_placement_cache_entries").Set(float64(s.Cache.Entries))
-	reg.Gauge("fleet_shape_cache_hits").Set(float64(s.ModelCache.Hits))
-	reg.Gauge("fleet_shape_cache_misses").Set(float64(s.ModelCache.Misses))
 	reg.Gauge("fleet_shape_cache_compiles").Set(float64(s.ModelCache.Compiles))
-	reg.Gauge("fleet_shape_cache_first_sight").Set(float64(s.ModelCache.FirstSight))
 	reg.Gauge("fleet_cluster_table_compiles").Set(float64(s.ModelCache.ClusterCompiles))
 	reg.Gauge("fleet_app_table_compiles").Set(float64(s.ModelCache.AppCompiles))
-	reg.Gauge("fleet_app_table_entries").Set(float64(s.ModelCache.AppEntries))
 	reg.Gauge("fleet_slow_requests_captured").Set(float64(f.slow.Captured()))
 	reg.Gauge("fleet_slow_threshold_s").Set(f.slow.Threshold().Seconds())
 	reg.Gauge("fleet_churn_epoch").Set(float64(s.Churn.Epoch))
@@ -474,8 +462,7 @@ func (f *Fleet) Metrics() *monitor.Metrics { return f.cfg.Metrics }
 // Stats snapshots the fleet counters.
 func (f *Fleet) Stats() Stats {
 	st := f.churn.Load()
-	models := f.models.Stats()
-	models.ClusterCompiles = f.clusterCompiles
+	compiles := f.compiles.Load()
 	return Stats{
 		Submitted:  f.submitted.Load(),
 		Rejected:   f.rejected.Load(),
@@ -483,7 +470,7 @@ func (f *Fleet) Stats() Stats {
 		Failed:     f.failed.Load(),
 		InFlight:   f.inFlight.Load(),
 		Cache:      f.cache.Stats(),
-		ModelCache: models,
+		ModelCache: ModelCacheStats{Compiles: compiles, ClusterCompiles: f.clusterCompiles, AppCompiles: compiles},
 		Churn: ChurnStats{
 			Epoch:            st.epoch,
 			DownDevices:      len(st.downDevs),
@@ -777,11 +764,9 @@ func (f *Fleet) Close() {
 }
 
 // workerState is the per-worker context: a private scheduler, a pooled
-// simulator Exec, and one scheduler pass retargeted at each request's model.
-// The cluster is the fleet's, read through the adopted churn state; compiled
-// tables, models, and plans that are seen again live in the fleet-wide
-// shared cache, not here: hot tenants compile once per fleet rather than
-// once per worker. Only first sights compile here.
+// simulator Exec, the scratch every shape is compiled into, and one scheduler
+// pass retargeted at each request's model. The cluster is the fleet's, read
+// through the adopted churn state.
 type workerState struct {
 	scheduler sched.Scheduler
 	// shard is this worker's obs shard index: whoever borrows the worker
@@ -794,18 +779,16 @@ type workerState struct {
 	trace obs.StageTrace
 	exec  *sim.Exec
 
-	// apps and shapes are the worker's own storage for shapes the fleet sees
-	// for the first time (sharedModelCache's second-sight rule): the app
-	// table, model and plan are compiled into them, used for that one
-	// request, and overwritten by the next first sight. Nothing compiled
-	// there enters the shared cache, and nothing in a Response may alias it.
+	// apps and shapes are the worker's storage for the request's shape: the
+	// app table, model and plan are compiled into them, used for that one
+	// request, and overwritten by the next compile. Nothing in a Response
+	// may alias them.
 	apps   appgraph.Scratch
 	shapes costmodel.Scratch
 
-	// pass is the worker's one scheduling pass, retargeted at whichever
-	// model — shared or private — the current request schedules on
-	// (passFor); it keeps nothing of a model between requests but its
-	// scratch, game arena included.
+	// pass is the worker's one scheduling pass, retargeted at the model the
+	// current request schedules on (passFor); it keeps nothing of a model
+	// between requests but its scratch, game arena included.
 	pass *sched.Pass
 
 	// churn is the epoch state the current request runs on: its patched
@@ -813,23 +796,6 @@ type workerState struct {
 	// device or registry) and its key, the cluster half of every cache key.
 	churn *churnState
 }
-
-// modelCacheSize bounds the fleet-wide shared compiled-shape cache (cost
-// model + simulator plan) in entries. It takes the placement cache's key, so
-// one compiled shape serves every worker on the same request shape. A
-// placement hit reads a shape only to fill its entry's result slot, once per
-// entry, so the level serves mostly repeat placement misses: a key the
-// placement LRU evicted, or every request when placement memoization is off.
-// 64 covers those for a hot tenant mix; a larger level only holds the
-// shapes of entries whose answers are already stored.
-const modelCacheSize = 64
-
-// shapeFilterSlots is the size of the shape cache's second-sight filter, in
-// key hashes across all shards. A key is admitted when it returns before
-// ~this many other keys have missed. It is pinned rather than derived from
-// modelCacheSize: 128 slots a shard keep a hot mix's keys apart, where 32
-// (a 256-slot filter) let eight fixed keys overwrite each other's slots.
-const shapeFilterSlots = 1024
 
 // deliver closes out one answered request: the fleet counters, and the
 // per-stage and per-tenant telemetry on the given obs shard (the serving
@@ -869,10 +835,9 @@ func (f *Fleet) scheduleOn(w *workerState, j *job, shape compiledShape) error {
 	return err
 }
 
-// passFor retargets the worker's one reusable pass at the shape's model.
-// Shared and private shapes take the same path: a Pass keeps no per-model
-// memo, so retargeting costs two capacity checks on top of the Reset every
-// ScheduleInto runs anyway.
+// passFor retargets the worker's one reusable pass at the shape's model. A
+// Pass keeps no per-model memo, so retargeting costs two capacity checks on
+// top of the Reset every ScheduleInto runs anyway.
 func (w *workerState) passFor(shape compiledShape) *sched.Pass {
 	if w.pass == nil {
 		w.pass = sched.NewPass(shape.model)
@@ -896,41 +861,19 @@ func (f *Fleet) recordSolver(shard int, st sched.SolverStats) {
 	add(f.solverNonconverged, st.NonConverged)
 }
 
-// shape returns the request's compiled model and executor plan: the model a
-// placement miss schedules on and the plan a simulated answer runs on. A
-// memoized answer needs neither, so process calls shape only on a placement
-// miss and on a hit whose entry holds no result yet. A shape the
-// fleet has seen before comes from the fleet-wide cache, compiled fresh on
-// its second sight and shared from then on: the key's cluster half is the
-// worker's epoch's, so one compiled shape per app serves every worker, and a
-// churned cluster can never alias another epoch's shapes. A shape seen for
-// the first time — at the edge the common request, and most never return —
-// is compiled into the worker's recycled scratch instead, valid for this
-// request only, so it allocates nothing and retains nothing.
-func (f *Fleet) shape(w *workerState, app *dag.App, key cacheKey) compiledShape {
-	st := w.churn
-	s, seen := f.models.getOrCompile(key, func() compiledShape {
-		at := f.models.appTableFor(key.app, func() *appgraph.AppTable {
-			return appgraph.Compile(app)
-		})
-		return f.compileOn(st, at, new(costmodel.Scratch))
-	})
-	if !seen {
-		s = f.compileOn(st, w.apps.Compile(app), &w.shapes)
-	}
-	return s
-}
-
-// compileOn compiles the shape of (at, the epoch's cluster) into the given
-// storage — fresh for a shape to be shared, a worker's own for a private
-// one. Cross-product passes only: the cluster-side tables come precompiled
-// in the epoch's cluster table and the app-side structure from the app
-// table, so a cold shape pays neither the O(devices²) topology scans nor a
-// second round of DAG walks — one fused pricing walk emits the model and the
-// plan together.
-func (f *Fleet) compileOn(st *churnState, at *appgraph.AppTable, into *costmodel.Scratch) compiledShape {
+// shape compiles the request's model and executor plan on the worker's
+// epoch's cluster: the model a placement miss schedules on and the plan a
+// simulated answer runs on. A memoized answer needs neither, so process calls
+// shape only on a placement miss and on a hit whose entry holds no result
+// yet. The shape is compiled into the worker's recycled scratch, valid for
+// this request only, so it allocates nothing and retains nothing. Only the
+// cross product is priced: the cluster-side tables come precompiled in the
+// epoch's cluster table, and one fused walk over the app table emits the
+// model and the plan together.
+func (f *Fleet) shape(w *workerState, app *dag.App) compiledShape {
+	f.compiles.Add(1)
 	var s compiledShape
-	s.model, s.plan = into.CompileShapeOn(at, f.base, st.table)
+	s.model, s.plan = w.shapes.CompileShapeOn(w.apps.Compile(app), f.base, w.churn.table)
 	return s
 }
 
@@ -944,10 +887,9 @@ func (f *Fleet) compileOn(st *churnState, at *appgraph.AppTable, into *costmodel
 // simulated answer serves it as it stands — no shape, no simulation — and
 // hands out the entry's encoded slot beside it (Response.Encoded). Any
 // other answer is simulated on the shape: a miss's, and a hit's on an entry
-// whose result slot is still empty — the first hit fills it, as long as
-// SimOptions.Jitter is zero (with jitter every request simulates with its
-// own seed, and nothing is stored). A miss never fills the slot: most misses
-// at the edge never return, and their results would only take memory.
+// whose result slot is still empty — the first hit fills it. A miss never
+// fills the slot: most misses at the edge never return, and their results
+// would only take memory.
 //
 // In steady state — placement and answer memoized, no churn in flight — the
 // whole path allocates nothing once the job pool is full; the stamping
@@ -988,7 +930,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		if entry != nil {
 			view = entry.view()
 		} else {
-			shape = f.shape(w, j.req.App, key)
+			shape = f.shape(w, j.req.App)
 			now = time.Now()
 			w.trace.D[obs.StageCompile] += now.Sub(mark)
 			mark = now
@@ -1035,15 +977,12 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		break
 	}
 
-	memoize := entry != nil && f.cfg.SimOptions.Jitter == 0
-	if memoize {
+	if entry != nil {
 		if r := entry.result.Load(); r != nil {
 			resp.Result, resp.Encoded = r, &entry.encoded
 			return f.finish(w, resp, j)
 		}
-	}
-	if entry != nil {
-		shape = f.shape(w, j.req.App, key)
+		shape = f.shape(w, j.req.App)
 		now := time.Now()
 		w.trace.D[obs.StageCompile] += now.Sub(mark)
 		mark = now
@@ -1053,15 +992,13 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, ErrDeadline)
 		return f.finish(w, resp, j)
 	}
-	opts := f.cfg.SimOptions
-	opts.Seed += j.req.Seed
-	result, err := w.exec.RunIndexed(shape.plan, view.names, view.assigns, opts)
+	result, err := w.exec.RunIndexed(shape.plan, view.names, view.assigns, sim.Options{})
 	w.trace.D[obs.StageSim] = time.Since(mark)
 	if err != nil {
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, err)
 		return f.finish(w, resp, j)
 	}
-	if memoize {
+	if entry != nil {
 		// The first hit stores a detached copy, which this and every later
 		// response for the key share. Of racing first hits the first store
 		// wins and every one serves it, so one key has one result pointer,

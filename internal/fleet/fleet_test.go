@@ -94,7 +94,7 @@ func TestCacheHitMatchesColdSchedule(t *testing.T) {
 }
 
 // TestFleetServesEveryScheduler runs each built-in scheduler through Do: on
-// a first sight, a shared compile and a cache hit the fleet's placement is
+// a miss, an entry's first hit and a stored answer the fleet's placement is
 // the one sched.Schedule computes from the app and cluster, and after a
 // device fails no served placement names it.
 func TestFleetServesEveryScheduler(t *testing.T) {
@@ -722,11 +722,93 @@ func TestBatchAndSingleShareKeys(t *testing.T) {
 	if s.Cache.Misses != 1 || s.Cache.Hits != int64(len(reqs)) {
 		t.Errorf("placement cache misses=%d hits=%d, want 1 and %d", s.Cache.Misses, s.Cache.Hits, len(reqs))
 	}
-	// One private compile on first sight, one shared compile on second, for
-	// shape and app table alike; every later item is a hit on the one entry.
-	if mc := s.ModelCache; mc.FirstSight != 1 || mc.Compiles != 2 || mc.AppCompiles != 2 || mc.Entries != 1 || mc.AppEntries != 1 {
-		t.Errorf("first sights=%d shape compiles=%d app compiles=%d entries=%d/%d, want 1, 2, 2 and 1/1",
-			mc.FirstSight, mc.Compiles, mc.AppCompiles, mc.Entries, mc.AppEntries)
+}
+
+// TestCompileCountLaw pins what model_cache.compiles counts: one shape per
+// placement miss and one per entry's first hit, none once the entry holds
+// its answer. N distinct apps deployed three times each compile 2N shapes
+// (app tables alike), and the third round adds none. With placement
+// memoization off, every deploy compiles.
+func TestCompileCountLaw(t *testing.T) {
+	const n = 6
+	apps := make([]*dag.App, n)
+	for i := range apps {
+		apps[i] = oneShot(t, 3+i, int64(300+i))
+	}
+	deployAll := func(f *Fleet) {
+		t.Helper()
+		for _, app := range apps {
+			resp, err := f.Do(context.Background(), Request{App: app})
+			if err != nil || resp.Err != nil {
+				t.Fatal(err, resp.Err)
+			}
+			resp.Release()
+		}
+	}
+
+	f := testFleet(t, Config{Workers: 2})
+	deployAll(f)
+	deployAll(f)
+	mc := f.Stats().ModelCache
+	if mc.Compiles != 2*n || mc.AppCompiles != mc.Compiles {
+		t.Fatalf("%d apps deployed twice: %d shape and %d app-table compiles, want %d each", n, mc.Compiles, mc.AppCompiles, 2*n)
+	}
+	deployAll(f)
+	if got := f.Stats().ModelCache.Compiles; got != mc.Compiles {
+		t.Errorf("third round compiled %d shapes, want 0: every entry holds its answer", got-mc.Compiles)
+	}
+
+	off := testFleet(t, Config{Workers: 2, CacheSize: -1})
+	for range 3 {
+		deployAll(off)
+	}
+	if s := off.Stats(); s.ModelCache.Compiles != s.Completed || s.Completed != 3*n {
+		t.Errorf("memoization off: %d compiles for %d deploys, want one each (%d)", s.ModelCache.Compiles, s.Completed, 3*n)
+	}
+}
+
+// TestFleetCompilesClusterOnce: 8 workers sharing the fleet's one cluster
+// under many distinct app shapes (with placement memoization off, so every
+// request schedules) perform exactly one topo.Compile for the whole fleet —
+// New's, and no worker compiles again — while every request compiles its
+// own shape.
+func TestFleetCompilesClusterOnce(t *testing.T) {
+	const workers = 8
+	f := testFleet(t, Config{Workers: workers, QueueDepth: 256, CacheSize: -1})
+
+	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing()}
+	for i := 0; i < 6; i++ {
+		cfg := workload.DefaultGeneratorConfig(5, int64(i+1))
+		app, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 320; i++ {
+		ch, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", i%4), App: apps[i%len(apps)], Seed: int64(i)})
+		if err != nil {
+			continue // bounded queue; coverage doesn't need every request
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp := <-ch; resp.Err != nil {
+				t.Error(resp.Err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	s := f.Stats()
+	if s.ModelCache.ClusterCompiles != 1 {
+		t.Errorf("%d cluster-table compilations across %d workers, want 1 (stats: %+v)",
+			s.ModelCache.ClusterCompiles, workers, s.ModelCache)
+	}
+	if s.ModelCache.Compiles != s.Completed {
+		t.Errorf("%d shape compilations for %d deploys, want one each", s.ModelCache.Compiles, s.Completed)
 	}
 }
 

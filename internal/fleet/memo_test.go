@@ -9,60 +9,9 @@ import (
 
 	"deep/internal/core"
 	"deep/internal/dag"
-	"deep/internal/obs"
 	"deep/internal/sim"
 	"deep/internal/workload"
 )
-
-// TestJitteredHitsSimulatePerRequest: with SimOptions.Jitter above zero an
-// answer depends on the request's seed, so a placement hit still simulates
-// every request. Two seeds give different results, each equal to a fresh
-// RunIndexed of the memoized placement with that seed, and the entry's
-// result slot stays empty. No response carries an encoded slot: its answer
-// is not the entry's.
-func TestJitteredHitsSimulatePerRequest(t *testing.T) {
-	opts := sim.Options{Seed: 3, Jitter: 0.05}
-	f := testFleet(t, Config{Workers: 1, SimOptions: opts})
-	app := workload.VideoProcessing()
-	do := func(seed int64) *Response {
-		t.Helper()
-		resp, err := f.Do(context.Background(), Request{App: app, Seed: seed})
-		if err != nil || resp.Err != nil {
-			t.Fatal(err, resp.Err)
-		}
-		return resp
-	}
-	do(0).Release() // the miss: schedules and memoizes the placement
-
-	plan := sim.CompilePlan(app, workload.Testbed())
-	var results [2]*sim.Result
-	for i, seed := range []int64{1, 2} {
-		resp := do(seed)
-		if !resp.CacheHit || resp.Stages.D[obs.StageSim] <= 0 {
-			t.Fatalf("seed %d: cache_hit=%v, stages %+v; want a hit that simulates", seed, resp.CacheHit, resp.Stages)
-		}
-		if resp.Encoded != nil {
-			t.Fatalf("seed %d: a jittered hit carries the entry's encoded slot", seed)
-		}
-		o := opts
-		o.Seed += seed
-		want, err := sim.NewExec().RunIndexed(plan, resp.Placement.names, resp.Placement.assigns, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(resp.Result, want) {
-			t.Fatalf("seed %d: hit answered %.9g J, a fresh run %.9g J", seed, float64(resp.Result.TotalEnergy), float64(want.TotalEnergy))
-		}
-		results[i] = resp.Result.Clone()
-		resp.Release()
-	}
-	if reflect.DeepEqual(results[0], results[1]) {
-		t.Fatal("two seeds gave the same jittered result: the test exercises nothing")
-	}
-	if e := f.cache.Get(cacheKey{app: app.Digest()}); e == nil || e.result.Load() != nil {
-		t.Fatalf("entry %v: want a placement with an empty result slot", e)
-	}
-}
 
 // TestConcurrentFirstHitsAgree: many callers hit a just-scheduled key at
 // once, so several may simulate it and race to fill its result slot. Every

@@ -15,8 +15,8 @@ import (
 )
 
 // TestWorkerSchedulesEveryShapeOnOnePass: one worker schedules interleaved
-// shared shapes (video, text) and first-sight shapes of every size (compiled
-// into its recycled scratch, each overwriting the last) on one sched.Pass,
+// freshly compiled shapes (video, text) and scratch shapes of every size
+// (compiled by Fleet.shape, each overwriting the last) on one sched.Pass,
 // retargeted per request. Every placement equals a fresh ScheduleModel on an
 // independent compile, the pass is never reallocated, and once it has grown
 // to the largest model a schedule allocates nothing.
@@ -26,6 +26,7 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 	w := &workerState{
 		scheduler: sched.NewDEEP(),
 		exec:      sim.NewExec(),
+		churn:     f.churn.Load(),
 	}
 	fresh := func(app *dag.App) sim.Placement {
 		t.Helper()
@@ -38,9 +39,7 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 	shared := func(app *dag.App) compiledShape {
 		return compiledShape{model: costmodel.Compile(app, cluster)}
 	}
-	firstSight := func(app *dag.App) compiledShape {
-		return f.compileOn(f.churn.Load(), w.apps.Compile(app), &w.shapes)
-	}
+	scratch := func(app *dag.App) compiledShape { return f.shape(w, app) }
 	video, text := workload.VideoProcessing(), workload.TextProcessing()
 	videoShape, textShape := shared(video), shared(text)
 
@@ -53,10 +52,10 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 			shape func(*dag.App) compiledShape
 		}{
 			{video, func(*dag.App) compiledShape { return videoShape }},
-			{oneShot(t, 14, int64(10+round)), firstSight},
+			{oneShot(t, 14, int64(10+round)), scratch},
 			{text, func(*dag.App) compiledShape { return textShape }},
-			{oneShot(t, 3, int64(20+round)), firstSight},
-			{oneShot(t, 9, int64(30+round)), firstSight},
+			{oneShot(t, 3, int64(20+round)), scratch},
+			{oneShot(t, 9, int64(30+round)), scratch},
 		} {
 			last = c.shape(c.app)
 			j.req.App = c.app
@@ -78,7 +77,7 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 	if raceEnabled {
 		return // the race detector allocates on its own
 	}
-	// last is still valid: no first sight has overwritten the scratch since.
+	// last is still valid: no compile has overwritten the scratch since.
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, shape := range []compiledShape{videoShape, last, textShape} {
 			if err := f.scheduleOn(w, j, shape); err != nil {
@@ -95,8 +94,9 @@ func TestWorkerSchedulesEveryShapeOnOnePass(t *testing.T) {
 }
 
 // TestShapeCacheDistinguishesAppNames: two structurally identical apps
-// under different names must not alias one compiled shape — the simulator
-// labels results (and keys jitter) by app name.
+// under different names must not alias one cache key — the simulator labels
+// results (and keys jitter) by app name, and a placement entry stores its
+// answer.
 func TestShapeCacheDistinguishesAppNames(t *testing.T) {
 	build := func(name string) *dag.App {
 		b := dag.Builder{Name: name}
@@ -120,7 +120,7 @@ func TestShapeCacheDistinguishesAppNames(t *testing.T) {
 		t.Fatal("model keys collide across app names")
 	}
 
-	f := testFleet(t, Config{Workers: 1, SimOptions: sim.Options{Jitter: 0.05}})
+	f := testFleet(t, Config{Workers: 1})
 	for _, name := range []string{"alpha", "beta"} {
 		resp, err := f.Do(context.Background(), Request{App: build(name)})
 		if err != nil || resp.Err != nil {

@@ -21,9 +21,8 @@ const (
 	// StageFingerprint is reading the app's canonical digest: a field the
 	// dag.App was built with, so ~0 on every request.
 	StageFingerprint
-	// StageCompile is compiled-shape resolution against the fleet-wide
-	// shape cache; on a warm shape it is the cache lookup alone, on a cold
-	// one it includes the app-table/model/plan compilation.
+	// StageCompile is the app-table/model/plan compilation into the
+	// worker's scratch; 0 on a hit answered from its placement entry.
 	StageCompile
 	// StageCacheLookup is the placement-cache probe.
 	StageCacheLookup

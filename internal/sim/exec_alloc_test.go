@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"deep/internal/appgraph"
+	"deep/internal/dag"
 	"deep/internal/device"
 	"deep/internal/units"
 )
@@ -105,5 +109,49 @@ func TestColdExecAllocationFree(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("cold Exec.Run (jitter=%v) allocates %v times per call, want 0", opts.Jitter, allocs)
 		}
+	}
+}
+
+// TestScratchRecompileReusesDigests: a scratch that recompiles images it has
+// priced before, in any order, takes their synthetic layer digests from its
+// memo and allocates nothing; every layer still reads as defaultLayer's. An
+// app with more images than planDigestCap starts the memo over, and still
+// compiles the right layers.
+func TestScratchRecompileReusesDigests(t *testing.T) {
+	cluster := testCluster()
+	tab := CompileClusterTable(cluster)
+	chain := appgraph.Compile(chainApp(t))
+	other := appgraph.Compile(buildApp(t, "other", []dag.Microservice{
+		{Name: "x", ImageSize: 30 * units.MB, Req: dag.Requirements{CPU: 500}},
+		{Name: "y", ImageSize: 40 * units.MB, Req: dag.Requirements{CPU: 700}},
+	}, []dag.Dataflow{{From: "x", To: "y", Size: units.MB}}))
+	ms := make([]dag.Microservice, planDigestCap+1)
+	edges := make([]dag.Dataflow, len(ms)-1)
+	for i := range ms {
+		ms[i] = dag.Microservice{Name: fmt.Sprintf("m%03d", i), ImageSize: units.MB, Req: dag.Requirements{CPU: 100}}
+		if i > 0 {
+			edges[i-1] = dag.Dataflow{From: ms[i-1].Name, To: ms[i].Name, Size: units.MB}
+		}
+	}
+	wide := appgraph.Compile(buildApp(t, "wide", ms, edges))
+
+	var s PlanScratch
+	compile := func(at *appgraph.AppTable) {
+		t.Helper()
+		p := s.Compile(at, cluster, tab)
+		for i, m := range p.ms {
+			if want := []Layer{defaultLayer(m)}; !reflect.DeepEqual(p.layers[i], want) {
+				t.Fatalf("%s: layers %v, want %v", m.Name, p.layers[i], want)
+			}
+		}
+	}
+	for _, at := range []*appgraph.AppTable{chain, other, chain, wide, other, wide, chain} {
+		compile(at)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		s.Compile(chain, cluster, tab)
+		s.Compile(other, cluster, tab)
+	}); allocs != 0 {
+		t.Errorf("recompiling two known apps allocates %v times, want 0", allocs)
 	}
 }

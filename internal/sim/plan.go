@@ -130,11 +130,10 @@ func CompileClusterTable(cluster *Cluster) *topo.ClusterTable {
 }
 
 // CompilePlan builds the compiled executor plan, compiling a private app
-// table and cluster table on the fly. It never fails: structural problems in
-// the DAG (cycles, disconnection) are captured and surface from Exec.Run
-// exactly where the legacy executor reported them. Callers compiling several
-// applications against one cluster should CompileClusterTable once and use
-// CompilePlanOnTables.
+// table and cluster table on the fly. It never fails: a built dag.App is
+// valid (acyclic and connected), so there is nothing left to reject. Callers
+// compiling several applications against one cluster should
+// CompileClusterTable once and use CompilePlanOnTables.
 func CompilePlan(app *dag.App, cluster *Cluster) *Plan {
 	return CompilePlanOnTables(appgraph.Compile(app), cluster, CompileClusterTable(cluster))
 }
@@ -142,11 +141,11 @@ func CompilePlan(app *dag.App, cluster *Cluster) *Plan {
 // CompilePlanOnTables is the real compile: a thin per-(microservice, device
 // class) pricing pass over the app-side substrate (at) and the cluster-side
 // substrate (tab). Everything app-only — name table, edge rows, stages,
-// topological order, validation errors, jitter tags — is referenced from the
-// app table; everything cluster-only from the cluster table; only the cross
-// product is computed here. tab must be compiled from cluster, or patched
-// from such a table (a churn epoch's view of it): the plan takes its device
-// handles, whose layer caches warm runs drive, from the table.
+// topological order, jitter tags — is referenced from the app table;
+// everything cluster-only from the cluster table; only the cross product is
+// computed here. tab must be compiled from cluster, or patched from such a
+// table (a churn epoch's view of it): the plan takes its device handles,
+// whose layer caches warm runs drive, from the table.
 func CompilePlanOnTables(at *appgraph.AppTable, cluster *Cluster, tab *topo.ClusterTable) *Plan {
 	return new(PlanScratch).Compile(at, cluster, tab)
 }
@@ -164,11 +163,25 @@ type PlanScratch struct {
 	layerRows slab.Slab[[]Layer]
 	tp        slab.Slab[float64]
 	watts     slab.Slab[units.Watts] // pull, receive, process, the three draws above idle, then per-class rows
+
+	// digests maps an image name to its synthetic layer digest, so a scratch
+	// that recompiles an image it priced before allocates no new string. A
+	// scratch starts it on its second compile (a fresh, shared plan never
+	// needs it) and clears it at planDigestCap names. Each key is a slice of
+	// its own digest, never the app's string.
+	digests map[string]string
 }
+
+// planDigestCap bounds PlanScratch.digests: more image names than a hot
+// tenant mix has, few enough to stay a few kilobytes.
+const planDigestCap = 256
 
 // Compile builds the plan in the scratch, replacing the one it held.
 func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo.ClusterTable) *Plan {
 	p := &s.p
+	if p.app != nil && s.digests == nil {
+		s.digests = make(map[string]string)
+	}
 	*p = Plan{app: at.App(), tab: tab}
 
 	p.msNames = at.MSNames()
@@ -216,7 +229,7 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 			p.layers[i] = ls
 		} else {
 			p.layers[i] = s.layers.Cut(1)
-			p.layers[i][0] = defaultLayer(m)
+			p.layers[i][0] = Layer{Digest: s.layerDigest(m), Size: m.ImageSize}
 		}
 		for c, d := range classRep {
 			dev := p.devices[d]
@@ -239,6 +252,22 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 
 	p.stages, p.topo = at.Stages(), at.Topo()
 	return p
+}
+
+// layerDigest is defaultLayer(m).Digest, taken from the scratch's digests
+// when it holds one for the image.
+func (s *PlanScratch) layerDigest(m *dag.Microservice) string {
+	if d, ok := s.digests[m.Name]; ok {
+		return d
+	}
+	d := defaultLayer(m).Digest
+	if s.digests != nil {
+		if len(s.digests) >= planDigestCap {
+			clear(s.digests)
+		}
+		s.digests[d[len(d)-len(m.Name):]] = d
+	}
+	return d
 }
 
 // NumDevices returns the number of compiled devices.
