@@ -119,7 +119,8 @@ sed 's/"tenant": "smoke"/"tenant": "smoke-intern"/' "$deploy" >"$workdir/deploy3
 curl -fsS -X POST "$base/v1/deploy" -d @"$workdir/deploy3.json" >/dev/null
 metrics=$(curl -fsS "$base/metrics")
 for want in 'fleetd_spec_intern_misses 2' 'fleetd_spec_intern_admitted 1' \
-  'fleetd_spec_intern_hits 1' 'fleetd_spec_intern_evicted 0'; do
+  'fleetd_spec_intern_hits 1' 'fleetd_spec_intern_evicted 0' \
+  'fleetd_spec_intern_entries 1'; do
   echo "$metrics" | grep -qx "$want" || {
     echo "spec table: want '$want', got:" >&2
     echo "$metrics" | grep fleetd_spec_intern >&2 || true
@@ -131,7 +132,7 @@ echo "$metrics" | grep -q '^fleetd_spec_intern_bytes [1-9]' || {
   echo "$metrics" | grep fleetd_spec_intern >&2 || true
   exit 1
 }
-echo "smoke: spec table saw 2 misses, 1 admission, 1 hit for one body posted three times"
+echo "smoke: spec table saw 2 misses, 1 admission, 1 hit and holds 1 entry for one body posted three times"
 
 # All three posts were canonical JSON (indented, but that is whitespace), so
 # the scanner decoded every one and encoding/json never ran on the accept

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"deep"
+	"deep/internal/fleet"
 )
 
 // debugListener serves the observability surface on its own mux (the default
@@ -65,7 +66,7 @@ func debugListener(addr string, f *deep.Fleet) *http.Server {
 func main() {
 	workers := flag.Int("workers", 4, "scheduler/simulator worker pool size")
 	queue := flag.Int("queue", 256, "admission queue depth")
-	cacheSize := flag.Int("cache", 1024, "placement cache entries (0 disables)")
+	cacheSize := flag.Int("cache", fleet.DefaultCacheSize, "placement cache entries (0 disables)")
 	arrivals := flag.String("arrivals", "poisson", "arrival process: poisson|bursty|diurnal")
 	rate := flag.Float64("rate", 100, "mean arrival rate in requests per second")
 	requests := flag.Int("requests", 1000, "stop after this many submission attempts (0 = unbounded)")

@@ -55,7 +55,7 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "admin listener for /v1/churn, /v1/drain, and /debug/* — keep it loopback-only (empty disables)")
 	workers := flag.Int("workers", 4, "scheduler/simulator worker pool size")
 	queue := flag.Int("queue", 256, "waiter slots: deploys that may wait for a busy worker pool before 429")
-	cacheSize := flag.Int("cache", 1024, "placement cache entries (0 disables: every deploy is compiled, scheduled and simulated)")
+	cacheSize := flag.Int("cache", fleet.DefaultCacheSize, "placement cache entries (0 disables: every deploy is compiled, scheduled and simulated)")
 	scheduler := flag.String("scheduler", "deep", "scheduling method: deep|exclusive-hub|exclusive-regional|greedy-energy|min-ct|round-robin|random")
 	clusterSize := flag.Int("cluster", 1, "testbed device pairs (1 = the paper's two-device testbed)")
 	seed := flag.Int64("seed", 1, "randomness seed for randomized baseline schedulers")

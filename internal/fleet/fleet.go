@@ -71,8 +71,8 @@ type Config struct {
 	// New calls it once; every worker schedules and simulates on that one
 	// cluster, and churn epochs derive from it.
 	NewCluster func() *sim.Cluster
-	// CacheSize bounds the placement LRU in entries. Zero means the
-	// default of 1024; a negative value disables placement memoization.
+	// CacheSize bounds the placement LRU in entries. Zero means
+	// DefaultCacheSize; a negative value disables placement memoization.
 	CacheSize int
 	// Metrics receives per-tenant aggregates (default: a fresh registry).
 	// Its backing obs registry (Metrics.Obs) also carries the fleet's
@@ -104,7 +104,7 @@ func (c Config) withDefaults() Config {
 		c.NewCluster = workload.Testbed
 	}
 	if c.CacheSize == 0 {
-		c.CacheSize = 1024
+		c.CacheSize = DefaultCacheSize
 	}
 	if c.Metrics == nil {
 		c.Metrics = monitor.NewMetrics()
@@ -114,6 +114,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// DefaultCacheSize is the placement cache's default bound in entries. The
+// front door's spec table holds as many app specs (wire.SpecTableEntries),
+// so both app-keyed tables at the door keep the same working set.
+const DefaultCacheSize = 1024
 
 // defaultSlowRingSize bounds the slow-request ring: enough tail outliers to
 // explain an incident, small enough to be memory-irrelevant.

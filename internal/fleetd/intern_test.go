@@ -80,8 +80,8 @@ func TestTrailingDataRejected(t *testing.T) {
 }
 
 // internMetrics scrapes /metrics and returns the spec-table samples by
-// suffix (hits, misses, admitted, evicted, bytes), checking each family's
-// declared type on the way.
+// suffix (hits, misses, admitted, evicted, entries, bytes), checking each
+// family's declared type on the way.
 func internMetrics(t *testing.T, url string) map[string]int {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
@@ -94,10 +94,10 @@ func internMetrics(t *testing.T, url string) map[string]int {
 		t.Fatal(err)
 	}
 	out := map[string]int{}
-	for _, suffix := range []string{"hits", "misses", "admitted", "evicted", "bytes"} {
+	for _, suffix := range []string{"hits", "misses", "admitted", "evicted", "entries", "bytes"} {
 		name := "fleetd_spec_intern_" + suffix
 		kind := "counter"
-		if suffix == "bytes" {
+		if suffix == "entries" || suffix == "bytes" {
 			kind = "gauge"
 		}
 		if !strings.Contains(string(text), "# TYPE "+name+" "+kind+"\n") {
@@ -126,9 +126,9 @@ func TestSpecInternMetrics(t *testing.T) {
 	video := appJSON(t, workload.VideoProcessing())
 	body := deployBody(t, "acme")
 	want := []map[string]int{
-		{"hits": 0, "misses": 1, "admitted": 0, "evicted": 0, "bytes": 0},
-		{"hits": 0, "misses": 2, "admitted": 1, "evicted": 0, "bytes": len(video)},
-		{"hits": 1, "misses": 2, "admitted": 1, "evicted": 0, "bytes": len(video)},
+		{"hits": 0, "misses": 1, "admitted": 0, "evicted": 0, "entries": 0, "bytes": 0},
+		{"hits": 0, "misses": 2, "admitted": 1, "evicted": 0, "entries": 1, "bytes": len(video)},
+		{"hits": 1, "misses": 2, "admitted": 1, "evicted": 0, "entries": 1, "bytes": len(video)},
 	}
 	for i, w := range want {
 		if resp, data := postDeploy(t, env.url, body); resp.StatusCode != http.StatusOK {
@@ -160,6 +160,15 @@ func TestSpecInternMetrics(t *testing.T) {
 	}
 }
 
+// TestSpecTableHoldsWhatPlacementsHold: the door's two app-keyed tables are
+// sized alike, so in steady state a spec whose placement is memoized is not
+// decoded again either.
+func TestSpecTableHoldsWhatPlacementsHold(t *testing.T) {
+	if wire.SpecTableEntries != fleet.DefaultCacheSize {
+		t.Fatalf("spec table holds %d apps, placement cache %d by default", wire.SpecTableEntries, fleet.DefaultCacheSize)
+	}
+}
+
 // TestOversizedSpecNotRetained: a valid 65 KiB app spec deploys every time
 // and the table never holds it.
 func TestOversizedSpecNotRetained(t *testing.T) {
@@ -174,7 +183,7 @@ func TestOversizedSpecNotRetained(t *testing.T) {
 			t.Fatalf("deploy %d: status %d: %s", i+1, resp.StatusCode, data[:min(len(data), 200)])
 		}
 	}
-	if got := internMetrics(t, env.url); got["admitted"] != 0 || got["bytes"] != 0 || got["misses"] != 3 {
+	if got := internMetrics(t, env.url); got["admitted"] != 0 || got["entries"] != 0 || got["bytes"] != 0 || got["misses"] != 3 {
 		t.Fatalf("oversized spec: %v, want 3 misses and nothing retained", got)
 	}
 }

@@ -7,29 +7,33 @@ import (
 )
 
 // Stage identifies one segment of the fleet's request path. The taxonomy
-// follows the path's actual order: admission-queue residency, request
-// fingerprinting, compiled-shape resolution (app-table / cost-model /
-// simulator-plan compile, amortized to a cache lookup when warm), placement
-// -cache lookup, scheduling (the Nash pass, zero on placement-cache hits),
-// and simulator execution.
+// follows the path's actual order: waiting for a worker, reading the cache
+// key, the placement-cache lookup, shape compilation into the worker's
+// scratch (appgraph, cost model and simulator plan; only on a miss and on an
+// entry's first hit), scheduling (the Nash pass, only on a miss), and
+// simulator execution. A hit answered from its placement entry stamps only
+// the wait, the key and the lookup.
 type Stage uint8
 
 const (
-	// StageQueue is time spent in the admission queue before a worker
-	// picked the request up.
+	// StageQueue is time from admission until a worker runs the request:
+	// ~0 when the caller borrowed an idle worker, the wait in a waiter slot
+	// otherwise. A request that never runs has its whole latency here.
 	StageQueue Stage = iota
-	// StageFingerprint is reading the app's canonical digest: a field the
-	// dag.App was built with, so ~0 on every request.
+	// StageFingerprint is building the cache key: loading the churn epoch
+	// and reading the digest the dag.App was built with, which hashes
+	// nothing.
 	StageFingerprint
-	// StageCompile is the app-table/model/plan compilation into the
-	// worker's scratch; 0 on a hit answered from its placement entry.
+	// StageCompile is the shape compilation into the worker's scratch; 0 on
+	// a hit answered from its placement entry.
 	StageCompile
 	// StageCacheLookup is the placement-cache probe.
 	StageCacheLookup
-	// StageSchedule is the scheduling pass plus the cache fill; ~0 on
+	// StageSchedule is the scheduling pass plus the cache fill; 0 on
 	// placement-cache hits.
 	StageSchedule
-	// StageSim is plan rebinding plus simulator execution.
+	// StageSim is simulator execution of the placement on the compiled
+	// plan; 0 on a hit answered from its placement entry.
 	StageSim
 	// NumStages bounds the enum; StageTrace arrays are indexed by Stage.
 	NumStages

@@ -9,10 +9,24 @@ func (in *Interner) SetHash(h func([]byte) uint64) { in.hash = h }
 // Interner bounds, for tests that probe them.
 const (
 	InternMaxBody = internMaxBody
-	InternCap     = internShards * internShardCap
 	InternKeyLen  = internKeyLen
 	InternWays    = internWays
 )
+
+// Held returns the body the table keeps for these exact bytes, if it holds
+// them, without counting a hit or marking the entry used.
+func (in *Interner) Held(body []byte) (string, bool) {
+	key := in.hash(body[:min(len(body), internKeyLen)])
+	sh := &in.shards[key%internShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for e := sh.byKey[key]; e != nil; e = e.next {
+		if e.body == string(body) {
+			return e.body, true
+		}
+	}
+	return "", false
+}
 
 // ProbeHit reports whether ItemApp answers item from the entry its scanner
 // found at the cursor, without looking the table up.
@@ -28,6 +42,6 @@ func NewAppScratch() *AppScratch { return newAppBuild() }
 
 // ScanAppWith and BuildWith are scanApp and AppSpec.App on a given scratch,
 // for tests that inspect what the scratch holds afterwards.
-func ScanAppWith(ab *AppScratch, body []byte) (*dag.App, bool) { return ab.scan(body) }
+func ScanAppWith(ab *AppScratch, body []byte) (*dag.App, string, bool) { return ab.scan(body) }
 
 func BuildWith(ab *AppScratch, s *AppSpec) (*dag.App, error) { return ab.spec(s) }

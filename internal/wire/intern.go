@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -11,15 +10,15 @@ import (
 )
 
 // Bounds of the spec table. It sits behind a public port, so everything a
-// client can make it hold is capped: entries (256 in all, the size of the
-// fleet's app-table level it feeds), bodies per key, bytes per retained
-// body, and the first-sight filter, which is a fixed array.
+// client can make it hold is capped: entries (SpecTableEntries in all),
+// bodies per key, bytes per retained body, and the first-sight filter, which
+// is a fixed array.
 const (
 	internShards   = 8
-	internShardCap = 32
+	internShardCap = 128
 	// internMaxBody is the largest body the table retains. Case-study specs
-	// are 1–3 KiB; the front door accepts bodies up to 1 MiB, and 256 of
-	// those would pin a quarter of a gigabyte.
+	// are 1–3 KiB; the front door accepts bodies up to 1 MiB, and a full
+	// table of those would pin a gigabyte. At this bound it pins 64 MiB.
 	internMaxBody = 64 << 10
 	// internSeenSlots sizes each shard's first-sight filter.
 	internSeenSlots = 256
@@ -32,6 +31,12 @@ const (
 	internWays = 4
 )
 
+// SpecTableEntries is how many app specs the table holds: as many as the
+// fleet's placement cache holds placements by default (fleet.DefaultCacheSize),
+// so a spec whose placement is memoized is, in steady state, not decoded
+// again either.
+const SpecTableEntries = internShards * internShardCap
+
 // Interner is a content-addressed table from raw app-spec bytes to the
 // validated *dag.App they decode to, built once, its digest stored with it.
 // A service deploys the same few applications over and over; for a repeated
@@ -41,8 +46,8 @@ const (
 // A body is keyed by a 64-bit maphash, under a per-process random seed, of
 // its first internKeyLen bytes (of all of it, if shorter). A key chains at
 // most internWays bodies; a further body on a full key is not admitted, so
-// the bodies already there stay. A hit is served only after bytes.Equal
-// against the stored body, so a hash collision or a shared prefix —
+// the bodies already there stay. A hit is served only after a byte-for-byte
+// comparison with the stored body, so a hash collision or a shared prefix —
 // accidental or constructed — costs a miss, never an aliased spec. A miss
 // decodes the body as a caller without the table would — the scanner for a
 // canonical body, DecodeAppSpec and AppSpec.App for the rest — so every
@@ -57,11 +62,15 @@ const (
 //
 // Admission is on second sight of the whole body: the first time a body is
 // seen only its full-body maphash is remembered, in a fixed-size filter, and
-// the body and app are retained when the same hash arrives again. Never-
-// repeated or flooding bodies — those sharing a key's prefix included —
-// therefore cannot evict hot specs or grow memory. Each of the 8 shards is a
-// 32-slot CLOCK ring, so a body that keeps hitting survives a run of
-// admissions that evicts its idle neighbours.
+// the entry — one copy of the body, and the app — is retained when the same
+// hash arrives again. Never-repeated or flooding bodies — those sharing a
+// key's prefix included — therefore cannot evict hot specs or grow memory.
+// Each of the 8 shards is a 128-slot CLOCK ring, so a body that keeps
+// hitting survives a run of admissions that evicts its idle neighbours.
+//
+// An entry keeps one copy of its body. For a canonical body it is the string
+// the scanner cut the app's names from, which the app holds anyway; a body
+// only the reference decoder accepts is copied once, when it is admitted.
 //
 // Interned apps are shared by every request that carries the same body and
 // must be treated as read-only. All methods are safe for concurrent use.
@@ -78,6 +87,7 @@ type Interner struct {
 	admitted *obs.Counter
 	evicted  *obs.Counter
 	retained atomic.Int64 // body bytes currently held
+	entries  atomic.Int64 // entries currently held
 }
 
 type internShard struct {
@@ -94,8 +104,10 @@ type internShard struct {
 // internEntry is immutable after admission except for the CLOCK bit and the
 // chain link, both guarded by the shard lock.
 type internEntry struct {
-	key  uint64
-	body []byte
+	key uint64
+	// body is the admitted spec, byte for byte; for a canonical body it is
+	// the string app's names are substrings of.
+	body string
 	app  *dag.App
 	// canonical records that scanApp accepted body, so the envelope
 	// scanner, which would have walked it, may skip it instead.
@@ -115,7 +127,8 @@ type internProbe struct {
 }
 
 // NewInterner returns an empty table whose counters <name>_hits, _misses,
-// _admitted, _evicted and gauge <name>_bytes are interned in reg.
+// _admitted, _evicted and gauges <name>_entries and _bytes are interned in
+// reg.
 func NewInterner(reg *obs.Registry, name string) *Interner {
 	keySeed := maphash.MakeSeed()
 	in := &Interner{
@@ -129,8 +142,12 @@ func NewInterner(reg *obs.Registry, name string) *Interner {
 	for i := range in.shards {
 		in.shards[i].byKey = make(map[uint64]*internEntry, internShardCap)
 	}
+	entriesGauge := reg.Gauge(name + "_entries")
 	bytesGauge := reg.Gauge(name + "_bytes")
-	reg.OnCollect(func() { bytesGauge.Set(float64(in.retained.Load())) })
+	reg.OnCollect(func() {
+		entriesGauge.Set(float64(in.entries.Load()))
+		bytesGauge.Set(float64(in.retained.Load()))
+	})
 	return in
 }
 
@@ -144,7 +161,7 @@ func (in *Interner) App(body []byte) (app *dag.App, fast bool, err error) {
 	sh := &in.shards[key%internShards]
 	sh.mu.Lock()
 	for e := sh.byKey[key]; e != nil; e = e.next {
-		if bytes.Equal(e.body, body) {
+		if e.body == string(body) {
 			e.used = true
 			sh.mu.Unlock()
 			in.hits.Add(1)
@@ -197,7 +214,7 @@ func (in *Interner) probe(buf []byte, pos int) internProbe {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for e := sh.byKey[key]; e != nil; e = e.next {
-		if n := len(e.body); n <= len(rest) && e.body[n-1] == '}' && bytes.Equal(e.body, rest[:n]) {
+		if n := len(e.body); n <= len(rest) && e.body[n-1] == '}' && e.body == string(rest[:n]) {
 			e.used = true
 			return internProbe{entry: e, key: key, keyed: true}
 		}
@@ -208,7 +225,7 @@ func (in *Interner) probe(buf []byte, pos int) internProbe {
 // decode is the miss path of App and ItemApp, for a body under key.
 func (in *Interner) decode(body []byte, key uint64) (*dag.App, bool, error) {
 	in.misses.Add(1)
-	app, fast := scanApp(body)
+	app, text, fast := scanApp(body)
 	if !fast {
 		spec, err := DecodeAppSpec(body)
 		if err != nil {
@@ -219,7 +236,7 @@ func (in *Interner) decode(body []byte, key uint64) (*dag.App, bool, error) {
 		}
 	}
 	if len(body) <= internMaxBody {
-		in.admit(key, body, app, fast)
+		in.admit(key, body, text, app)
 	}
 	return app, fast, nil
 }
@@ -227,8 +244,10 @@ func (in *Interner) decode(body []byte, key uint64) (*dag.App, bool, error) {
 // admit records one sighting of an accepted body: the first stores its
 // full-body hash in the filter, the second retains the body and app, evicting
 // the first ring entry not referenced since the hand last passed it — unless
-// the key already chains internWays bodies.
-func (in *Interner) admit(key uint64, body []byte, app *dag.App, canonical bool) {
+// the key already chains internWays bodies. text is the scanner's copy of a
+// canonical body, kept as the entry's body; it is "" when the reference
+// decoder built app, and then the body is copied only if it is retained.
+func (in *Interner) admit(key uint64, body []byte, text string, app *dag.App) {
 	h := maphash.Bytes(in.seed, body)
 	sh := &in.shards[key%internShards]
 	sh.mu.Lock()
@@ -239,7 +258,7 @@ func (in *Interner) admit(key uint64, body []byte, app *dag.App, canonical bool)
 	}
 	ways := 0
 	for e := sh.byKey[key]; e != nil; e = e.next {
-		if bytes.Equal(e.body, body) {
+		if e.body == string(body) {
 			return // a concurrent request just admitted it
 		}
 		ways++
@@ -254,13 +273,19 @@ func (in *Interner) admit(key uint64, body []byte, app *dag.App, canonical bool)
 	if old := sh.ring[sh.hand]; old != nil {
 		sh.unlink(old)
 		in.retained.Add(-int64(len(old.body)))
+		in.entries.Add(-1)
 		in.evicted.Add(1)
 	}
-	e := &internEntry{key: key, body: bytes.Clone(body), app: app, canonical: canonical, next: sh.byKey[key]}
+	canonical := text != ""
+	if !canonical {
+		text = string(body)
+	}
+	e := &internEntry{key: key, body: text, app: app, canonical: canonical, next: sh.byKey[key]}
 	sh.ring[sh.hand] = e
 	sh.hand = (sh.hand + 1) % internShardCap
 	sh.byKey[key] = e
 	in.retained.Add(int64(len(body)))
+	in.entries.Add(1)
 	in.admitted.Add(1)
 }
 

@@ -1,12 +1,14 @@
 package wire_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"deep/internal/dag"
 	"deep/internal/obs"
@@ -22,7 +24,7 @@ func newInterner() (*wire.Interner, *obs.Registry) {
 }
 
 // internStats reads the interner's instruments back out of its registry.
-type internStats struct{ hits, misses, admitted, evicted, bytes int }
+type internStats struct{ hits, misses, admitted, evicted, entries, bytes int }
 
 func statsOf(t testing.TB, reg *obs.Registry) internStats {
 	t.Helper()
@@ -33,15 +35,18 @@ func statsOf(t testing.TB, reg *obs.Registry) internStats {
 		}
 		return int(c.Value())
 	}
-	// The bytes gauge is published by a collect hook; any exposition pass
-	// runs it.
+	// The gauges are published by a collect hook; any exposition pass runs
+	// it.
 	reg.Vars()
-	g, ok := reg.LookupGauge(internName + "_bytes")
-	if !ok {
-		t.Fatalf("gauge %s_bytes not interned", internName)
+	gauge := func(suffix string) int {
+		g, ok := reg.LookupGauge(internName + suffix)
+		if !ok {
+			t.Fatalf("gauge %s%s not interned", internName, suffix)
+		}
+		v, _ := g.Value()
+		return int(v)
 	}
-	bytes, _ := g.Value()
-	return internStats{counter("_hits"), counter("_misses"), counter("_admitted"), counter("_evicted"), int(bytes)}
+	return internStats{counter("_hits"), counter("_misses"), counter("_admitted"), counter("_evicted"), gauge("_entries"), gauge("_bytes")}
 }
 
 // fresh decodes a body the way a caller without the table does.
@@ -152,7 +157,7 @@ func TestInternerSecondSightAdmission(t *testing.T) {
 	if second == first {
 		t.Fatal("second sight served an app the table should not have held")
 	}
-	if s := statsOf(t, reg); s != (internStats{misses: 2, admitted: 1, bytes: len(body)}) {
+	if s := statsOf(t, reg); s != (internStats{misses: 2, admitted: 1, entries: 1, bytes: len(body)}) {
 		t.Fatalf("after two sights: %+v, want two misses, one admission, the body retained", s)
 	}
 	third, _, err := in.App(body)
@@ -162,7 +167,7 @@ func TestInternerSecondSightAdmission(t *testing.T) {
 	if third != second {
 		t.Fatal("third sight did not serve the interned app")
 	}
-	if s := statsOf(t, reg); s != (internStats{hits: 1, misses: 2, admitted: 1, bytes: len(body)}) {
+	if s := statsOf(t, reg); s != (internStats{hits: 1, misses: 2, admitted: 1, entries: 1, bytes: len(body)}) {
 		t.Fatalf("after three sights: %+v", s)
 	}
 	// The table copied the body: scribbling over the caller's slice must
@@ -173,6 +178,139 @@ func TestInternerSecondSightAdmission(t *testing.T) {
 	}
 	if again, _, err := in.App(clobbered); err != nil || again != second {
 		t.Fatal("interned entry did not survive the caller reusing its buffer")
+	}
+}
+
+// refBody is a valid spec only the reference decoder accepts: the video
+// spec with a case-folded key, which encoding/json matches and the scanner
+// declines.
+func refBody(t testing.TB) []byte {
+	t.Helper()
+	body := bytes.Replace(appBody(t, workload.VideoProcessing()), []byte(`"version"`), []byte(`"Version"`), 1)
+	if _, _, ok := wire.ScanApp(body); ok {
+		t.Fatal("the scanner accepted a case-folded key")
+	}
+	return body
+}
+
+// within reports whether s lies inside the bytes of outer.
+func within(s, outer string) bool {
+	base := uintptr(unsafe.Pointer(unsafe.StringData(outer)))
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return base <= p && p+uintptr(len(s)) <= base+uintptr(len(outer))
+}
+
+// TestInternerCanonicalBodyHeldOnce: the body an entry keeps for a canonical
+// spec is the string the scanner cut the app's names from, so the app and
+// the entry share one copy of it.
+func TestInternerCanonicalBodyHeldOnce(t *testing.T) {
+	in, reg := newInterner()
+	body := appBody(t, workload.VideoProcessing())
+	checkAgainstFresh(t, in, body)
+	held, ok := in.Held(body)
+	if !ok {
+		t.Fatal("the body was not admitted")
+	}
+	app, _, err := in.App(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !within(app.Name, held) {
+		t.Fatal("the app's name is not a substring of the held body")
+	}
+	for _, m := range app.Microservices {
+		if !within(m.Name, held) {
+			t.Fatalf("microservice %q is not a substring of the held body", m.Name)
+		}
+	}
+	if s := statsOf(t, reg); s.bytes != len(body) || s.entries != 1 {
+		t.Fatalf("%+v, want one entry of %d bytes", s, len(body))
+	}
+}
+
+// admissionAllocs returns what a first sight of body allocates and what its
+// admission, the second sight, allocates, each on tables of its own.
+func admissionAllocs(t *testing.T, body []byte) (first, admit float64) {
+	t.Helper()
+	const runs = 50
+	sightsOn := func(seen int) ([]*wire.Interner, func()) {
+		tables := make([]*wire.Interner, runs+1)
+		for i := range tables {
+			tables[i], _ = newInterner()
+			for range seen {
+				tables[i].App(body)
+			}
+		}
+		next := 0
+		return tables, func() {
+			tables[next].App(body)
+			next++
+		}
+	}
+	_, sight := sightsOn(0)
+	first = testing.AllocsPerRun(runs, sight)
+	tables, sight := sightsOn(1)
+	admit = testing.AllocsPerRun(runs, sight)
+	for _, in := range tables {
+		if _, ok := in.Held(body); !ok {
+			t.Fatal("a second sight did not admit the body")
+		}
+	}
+	return first, admit
+}
+
+// TestInternerAdmissionAllocs: admitting a canonical body allocates exactly
+// one object more than seeing it first, the entry; it keeps the scan's
+// string as the body. A body only the reference decoder accepts costs one
+// more, its single copy.
+func TestInternerAdmissionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	if first, admit := admissionAllocs(t, appBody(t, workload.VideoProcessing())); admit != first+1 {
+		t.Errorf("canonical body: first sight %.0f allocs, admission %.0f, want one more", first, admit)
+	}
+	if first, admit := admissionAllocs(t, refBody(t)); admit != first+2 {
+		t.Errorf("reference-decoded body: first sight %.0f allocs, admission %.0f, want two more", first, admit)
+	}
+}
+
+// TestInternerReferenceBodyHeldOnce: a body only the reference decoder
+// accepts is retained as one copy of its bytes, which the caller's buffer
+// does not alias, and it is served only for equal bytes.
+func TestInternerReferenceBodyHeldOnce(t *testing.T) {
+	in, reg := newInterner()
+	body := refBody(t)
+	checkAgainstFresh(t, in, body)
+	want := internStats{hits: 1, misses: 2, admitted: 1, entries: 1, bytes: len(body)}
+	if s := statsOf(t, reg); s != want {
+		t.Fatalf("%+v, want %+v", s, want)
+	}
+	held, ok := in.Held(body)
+	if !ok || unsafe.StringData(held) == unsafe.SliceData(body) {
+		t.Fatal("the body is not held in a copy of its own")
+	}
+	interned, _, err := in.App(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same spec in other bytes: another case fold, and the canonical
+	// form. Each is a miss answered by a fresh decode.
+	for _, other := range [][]byte{
+		bytes.Replace(body, []byte(`"Version"`), []byte(`"VERSION"`), 1),
+		appBody(t, workload.VideoProcessing()),
+	} {
+		got, _, err := in.App(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == interned {
+			t.Fatalf("%.40s... was answered with the entry of other bytes", other)
+		}
+	}
+	want.hits, want.misses = 2, 4
+	if s := statsOf(t, reg); s != want {
+		t.Fatalf("after two other forms: %+v, want %+v", s, want)
 	}
 }
 
@@ -220,8 +358,8 @@ func oneVertex(t testing.TB, name string) *dag.App {
 }
 
 // TestInternerOversizedBodyNotRetained: a valid body past the retention
-// bound is served correctly and never held, so 256 near-MaxBodyBytes specs
-// cannot pin memory.
+// bound is served correctly and never held, so a table full of
+// near-MaxBodyBytes specs cannot pin memory.
 func TestInternerOversizedBodyNotRetained(t *testing.T) {
 	in, reg := newInterner()
 	big := rebuilt(t, workload.VideoProcessing(), func(s *wire.AppSpec) { s.Name = strings.Repeat("n", wire.InternMaxBody+1) })
@@ -251,29 +389,29 @@ func numberedBodies(t *testing.T, n int) ([][]byte, func([]byte) uint64) {
 	return bodies, func(prefix []byte) uint64 { return keys[string(prefix)] }
 }
 
-// TestInternerEntryBound: 256 hot bodies spread evenly fill the table; the
-// 257th evicts one instead of growing it, and retained bytes track the
-// entries exactly.
+// TestInternerEntryBound: SpecTableEntries hot bodies spread evenly fill the
+// table; one more evicts one instead of growing it, and retained bytes track
+// the entries exactly.
 func TestInternerEntryBound(t *testing.T) {
 	in, reg := newInterner()
-	bodies, hash := numberedBodies(t, wire.InternCap+1)
+	bodies, hash := numberedBodies(t, wire.SpecTableEntries+1)
 	in.SetHash(hash)
 	total := 0
-	for _, body := range bodies[:wire.InternCap] {
+	for _, body := range bodies[:wire.SpecTableEntries] {
 		checkAgainstFresh(t, in, body)
 		total += len(body)
 	}
-	if s := statsOf(t, reg); s.admitted != wire.InternCap || s.evicted != 0 || s.bytes != total {
-		t.Fatalf("full table: %+v, want %d admitted, 0 evicted, %d bytes", s, wire.InternCap, total)
+	if s := statsOf(t, reg); s.admitted != wire.SpecTableEntries || s.evicted != 0 || s.entries != wire.SpecTableEntries || s.bytes != total {
+		t.Fatalf("full table: %+v, want %d admitted, 0 evicted, %d bytes", s, wire.SpecTableEntries, total)
 	}
-	extra := bodies[wire.InternCap]
+	extra := bodies[wire.SpecTableEntries]
 	checkAgainstFresh(t, in, extra)
 	s := statsOf(t, reg)
-	if s.admitted != wire.InternCap+1 || s.evicted != 1 {
-		t.Fatalf("257th body: %+v, want one more admission and exactly one eviction", s)
+	if s.admitted != wire.SpecTableEntries+1 || s.evicted != 1 || s.entries != wire.SpecTableEntries {
+		t.Fatalf("one body past a full table: %+v, want one more admission and exactly one eviction", s)
 	}
-	// Body i+1 ≡ 257 (mod 8) shares the newcomer's shard; the CLOCK hand
-	// started at that ring's first admission, body 0.
+	// The newcomer's key, SpecTableEntries+1, is 1 mod 8: it shares body 0's
+	// shard, where the CLOCK hand started at that ring's first admission.
 	if want := total + len(extra) - len(bodies[0]); s.bytes != want {
 		t.Fatalf("retained %d bytes, want %d (newcomer in, body 0 out)", s.bytes, want)
 	}
@@ -289,7 +427,7 @@ func TestInternerEntryBound(t *testing.T) {
 // repeated bodies than the table holds leave it within its entry bound.
 func TestInternerFloodCannotGrowTable(t *testing.T) {
 	in, reg := newInterner()
-	bodies, _ := numberedBodies(t, 3*wire.InternCap)
+	bodies, _ := numberedBodies(t, 3*wire.SpecTableEntries)
 	perBody := 0
 	for _, body := range bodies {
 		for sight := 0; sight < 2; sight++ {
@@ -302,11 +440,11 @@ func TestInternerFloodCannotGrowTable(t *testing.T) {
 		}
 	}
 	s := statsOf(t, reg)
-	if held := s.admitted - s.evicted; held > wire.InternCap || held <= 0 {
-		t.Fatalf("table holds %d entries, bound is %d (%+v)", held, wire.InternCap, s)
+	if held := s.admitted - s.evicted; held > wire.SpecTableEntries || held <= 0 || held != s.entries {
+		t.Fatalf("table holds %d entries, bound is %d (%+v)", held, wire.SpecTableEntries, s)
 	}
-	if s.bytes > wire.InternCap*perBody {
-		t.Fatalf("retained %d bytes, bound is %d", s.bytes, wire.InternCap*perBody)
+	if s.bytes > wire.SpecTableEntries*perBody {
+		t.Fatalf("retained %d bytes, bound is %d", s.bytes, wire.SpecTableEntries*perBody)
 	}
 }
 

@@ -193,15 +193,17 @@ const (
 // resolved once, as the edge is read, and the app comes out at its final
 // size with its ordering walk and digest. Every string in the app is a
 // substring of one copy of body, so a decode allocates the app's storage and
-// image maps, and nothing per name.
-func scanApp(body []byte) (*dag.App, bool) {
+// image maps, and nothing per name. That copy is returned as text: the app
+// already holds it, so a spec table that keeps text as the body keeps the
+// bytes once.
+func scanApp(body []byte) (app *dag.App, text string, ok bool) {
 	ab := appBuilds.Get().(*appBuild)
 	defer appBuilds.Put(ab)
 	return ab.scan(body)
 }
 
 // scan is scanApp on the given scratch, which it leaves empty.
-func (ab *appBuild) scan(body []byte) (*dag.App, bool) {
+func (ab *appBuild) scan(body []byte) (*dag.App, string, bool) {
 	defer ab.reset()
 	s := appScanner{scanner: scanner{buf: body}, text: string(body), ab: ab}
 	b := &ab.b
@@ -239,10 +241,13 @@ func (ab *appBuild) scan(body []byte) (*dag.App, bool) {
 		ok = s.dataflows()
 	}
 	if !ok || version < 1 || version > AppSpecVersion || b.Name == "" {
-		return nil, false
+		return nil, "", false
 	}
 	app, err := b.App()
-	return app, err == nil
+	if err != nil {
+		return nil, "", false
+	}
+	return app, s.text, true
 }
 
 // appScanner is a scanner that also holds its buffer as one string, which

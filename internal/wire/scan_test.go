@@ -48,12 +48,15 @@ func sameItem(a, b wire.DeployItem) bool {
 func checkScanAgainstReference(t testing.TB, data []byte) (deploy, batch, spec bool) {
 	t.Helper()
 	checkApp := func(body []byte) bool {
-		app, ok := wire.ScanApp(body)
+		app, text, ok := wire.ScanApp(body)
 		if !ok {
-			if app != nil {
-				t.Fatal("declined app spec returned an app")
+			if app != nil || text != "" {
+				t.Fatal("declined app spec returned an app or its text")
 			}
 			return false
+		}
+		if text != string(body) {
+			t.Fatalf("accepted app spec handed back text %q, not its body", text)
 		}
 		want, err := fresh(body)
 		if err != nil {
@@ -319,7 +322,7 @@ func TestScanAppAllocs(t *testing.T) {
 	}
 	spec := appBody(t, app)
 	got := testing.AllocsPerRun(200, func() {
-		app, ok := wire.ScanApp(spec)
+		app, _, ok := wire.ScanApp(spec)
 		if !ok {
 			t.Fatal("declined")
 		}
@@ -581,7 +584,7 @@ func BenchmarkScan(b *testing.B) {
 		b.SetBytes(int64(len(spec)))
 		b.ReportAllocs()
 		for b.Loop() {
-			app, ok := wire.ScanApp(spec)
+			app, _, ok := wire.ScanApp(spec)
 			if !ok {
 				b.Fatal("declined")
 			}
