@@ -3,7 +3,9 @@
 # a tiny queue and a 1 req/s tenant budget, deploy a testbed app and assert a
 # placement, force a 429 with Retry-After, scrape the per-tenant HTTP
 # counters, the spec-table counters, the decode-path and the encode-path
-# counters off /metrics, then SIGTERM and require a clean bounded drain.
+# counters off /metrics, check that the door's accepted count equals the
+# fleet's submitted and answered counts, then SIGTERM and require a clean
+# bounded drain.
 #
 # Deterministic by construction: the second deploy trades on an empty token
 # bucket (rate=1 burst=1), so the 429 does not depend on timing. The
@@ -196,6 +198,24 @@ for ms in ingest infer; do
   [ -n "$device" ] || { echo "batch result has no placement for $ms" >&2; exit 1; }
 done
 echo "smoke: oversized batch shed atomically, 1-item batch deployed per-item"
+
+# Conservation, with the door idle: the door counts a request accepted
+# exactly when the fleet admits it, so the per-tenant accepted counters sum
+# to the fleet's submitted count, and every submitted request has been
+# answered, completed or failed.
+metrics=$(curl -fsS "$base/metrics")
+accepted=$(echo "$metrics" | awk '/^fleetd_http_accepted\{/ {s += $2} END {printf "%d", s}')
+gauge() { echo "$metrics" | awk -v name="$1" '$1 == name {printf "%d", $2}'; }
+submitted=$(gauge fleet_requests_submitted)
+completed=$(gauge fleet_requests_completed)
+failed=$(gauge fleet_requests_failed)
+[ -n "$submitted" ] && [ -n "$completed" ] && [ -n "$failed" ] &&
+  [ "$accepted" = "$submitted" ] && [ "$((completed + failed))" = "$submitted" ] || {
+  echo "conservation: accepted $accepted, submitted '$submitted', completed '$completed' + failed '$failed'" >&2
+  echo "$metrics" | grep -E '^(fleetd_http_accepted|fleet_requests_)' >&2 || true
+  exit 1
+}
+echo "smoke: door accepted $accepted = fleet submitted $submitted = completed $completed + failed $failed"
 
 # SIGTERM must drain cleanly well inside -drain-timeout: readiness flips,
 # accepted work completes, the process exits 0 and says so.

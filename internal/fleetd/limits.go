@@ -41,26 +41,17 @@ func (g *tenantGate) takeTokens(now time.Time, rate, burst, n float64) (bool, ti
 	return false, time.Duration((n - g.tokens) / rate * float64(time.Second))
 }
 
-// tenantGateCap bounds the per-tenant gate map, mirroring the fleet's tenant
-// label interning: past the cap, new tenant names share one overflow gate, so
-// a submitter churning through unbounded tenant names cannot grow server
-// memory (it only throttles itself harder).
-const tenantGateCap = 1024
-
-// limiter applies per-tenant token-bucket rate limits and in-flight
-// concurrency quotas. Zero rate disables rate limiting; zero maxInFlight
-// disables the quota.
+// limiter is the per-tenant admission policy: token-bucket rate limits and
+// in-flight concurrency quotas, applied to the gate in each tenant's record
+// (tenantRecord). Zero rate disables rate limiting; zero maxInFlight
+// disables the quota, so with neither set admission touches no gate.
 type limiter struct {
 	rate        float64
 	burst       float64
 	maxInFlight int64
-
-	mu       sync.Mutex
-	gates    map[string]*tenantGate
-	overflow tenantGate
 }
 
-func newLimiter(rate float64, burst int, maxInFlight int) *limiter {
+func newLimiter(rate float64, burst int, maxInFlight int) limiter {
 	b := float64(burst)
 	if b < 1 {
 		b = rate
@@ -68,47 +59,21 @@ func newLimiter(rate float64, burst int, maxInFlight int) *limiter {
 			b = 1
 		}
 	}
-	return &limiter{
-		rate:        rate,
-		burst:       b,
-		maxInFlight: int64(maxInFlight),
-		gates:       make(map[string]*tenantGate),
-	}
+	return limiter{rate: rate, burst: b, maxInFlight: int64(maxInFlight)}
 }
 
-// gate returns the tenant's admission gate, interning up to tenantGateCap.
-func (l *limiter) gate(tenant string) *tenantGate {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	g, ok := l.gates[tenant]
-	if !ok {
-		if len(l.gates) >= tenantGateCap {
-			return &l.overflow
-		}
-		g = &tenantGate{}
-		l.gates[tenant] = g
-	}
-	return g
-}
-
-// admit runs both checks for one request. On success it returns a release
-// function the handler must call when the request finishes; on failure it
-// returns the rejection code and a Retry-After hint.
+// admitN runs both checks on one tenant's gate for n requests — a single
+// deploy is n = 1, a batch takes n in-flight slots and n bucket tokens, each
+// check atomic. On success it returns a release function the handler must
+// call when the requests finish; on failure it returns the rejection code
+// and a Retry-After hint.
 //
 // The in-flight quota is checked before the token bucket: a tenant pinned at
 // its concurrency quota must not also burn bucket tokens on every 429, which
 // would push recovery out past the Retry-After hint. A rate rejection, in
-// turn, returns the in-flight slot it optimistically took, so a rejected
+// turn, returns the in-flight slots it optimistically took, so a rejected
 // request of either kind consumes nothing.
-func (l *limiter) admit(tenant string, now time.Time, quotaRetry time.Duration) (release func(), code string, retry time.Duration) {
-	return l.admitN(tenant, now, 1, quotaRetry)
-}
-
-// admitN is admit for a batch of n requests: n in-flight slots and n bucket
-// tokens, taken atomically per check — a batch either fully clears a gate or
-// leaves it untouched, so a rejected batch consumes nothing.
-func (l *limiter) admitN(tenant string, now time.Time, n int, quotaRetry time.Duration) (release func(), code string, retry time.Duration) {
-	g := l.gate(tenant)
+func (l *limiter) admitN(g *tenantGate, now time.Time, n int, quotaRetry time.Duration) (release func(), code string, retry time.Duration) {
 	nn := int64(n)
 	release = func() {}
 	if l.maxInFlight > 0 {

@@ -48,9 +48,9 @@ const (
 const defaultMaxBodyBytes = 1 << 20
 
 // maxTenantLen bounds tenant names at decode time. Tenant names become
-// metric label values and rate-limiter keys, so they must stay short: a
-// megabyte-long name would otherwise ride into /metrics output and gate-map
-// keys verbatim.
+// metric label values and tenant-table keys, so they must stay short: a
+// megabyte-long name would otherwise ride into /metrics output and the
+// table's keys verbatim.
 const maxTenantLen = 128
 
 // Config tunes a Server.
@@ -86,7 +86,7 @@ type Config struct {
 // drain with StartDrain.
 type Server struct {
 	cfg Config
-	lim *limiter
+	lim limiter
 	// specs interns app specs by their body bytes: the envelope scanners
 	// recognise a repeated spec where it starts, so it skips the walk, the
 	// strict decode, the DAG build and the digest, and every request carrying
@@ -116,12 +116,16 @@ type Server struct {
 	// Retry-After hints for queue-full and quota rejections derive from it.
 	ewmaNS atomic.Int64
 
-	// labels interns per-tenant HTTP counters, bounded by tenantGateCap;
-	// past the cap, unseen tenants share the fixed overflow set so neither
-	// this map nor the registry grows with tenant-name churn.
-	labels     sync.Map
-	labelCount atomic.Int64
-	overflow   *httpLabels
+	// tenants is the one per-tenant table: name → *tenantRecord, the
+	// tenant's admission gate and HTTP counters. A known tenant is a lock-free
+	// load; tenantMu serializes only the interning of a new one, which stops
+	// at tenantGateCap records. Past the cap, unseen tenants share overflow
+	// (tenant "other"), so neither this table nor the registry grows with
+	// tenant-name churn.
+	tenants     sync.Map
+	tenantMu    sync.Mutex
+	tenantCount atomic.Int64
+	overflow    *tenantRecord
 
 	clusterJSON []byte
 }
@@ -143,12 +147,16 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, drainCh: make(chan struct{})}
 	s.lim = newLimiter(cfg.RatePerSec, cfg.Burst, cfg.MaxInFlight)
 	s.specs = wire.NewInterner(cfg.Registry, "fleetd_spec_intern")
-	s.bodies.New = func() any { return &requestBody{data: make([]byte, 0, 4<<10)} }
+	s.bodies.New = func() any {
+		b := &requestBody{data: make([]byte, 0, 4<<10)}
+		b.keep = func(resp *fleet.Response) { b.resp = resp }
+		return b
+	}
 	s.decodeFast = cfg.Registry.Counter("fleetd_decode_fast_total")
 	s.decodeFallback = cfg.Registry.Counter("fleetd_decode_fallback_total")
 	s.encodeStored = cfg.Registry.Counter("fleetd_encode_stored_total")
 	s.encodeFresh = cfg.Registry.Counter("fleetd_encode_fresh_total")
-	s.overflow = newHTTPLabels(cfg.Registry, "other")
+	s.overflow = newTenantRecord(cfg.Registry, "other")
 	if cfg.Cluster != nil {
 		spec, err := wire.ClusterSpecOf(cfg.Cluster)
 		if err != nil {
@@ -316,85 +324,35 @@ type LinkChangeSpec struct {
 }
 
 func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethod, "POST only", 0)
-		return
-	}
-	if s.draining.Load() {
-		// Tenant is unknown before the body is read; shed under the default
-		// label rather than paying a decode for a request we will not serve.
-		s.labelsFor("default").shed.Add(1)
-		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
+	if !s.open(w, r) {
 		return
 	}
 	tenant, req, ok := s.decodeDeploy(w, r)
 	if !ok {
 		return
 	}
-
-	// Admission runs before labelsFor: a rejected request must not be the
-	// thing that interns a new tenant's counters.
-	release, code, retry := s.lim.admit(tenant, time.Now(), s.serviceEstimate(1))
-	if release == nil {
-		s.labelsFor(tenant).rejected.Add(1)
-		msg := "per-tenant rate limit exceeded"
-		if code == codeQuotaExceeded {
-			msg = "per-tenant in-flight quota exceeded"
-		}
-		writeError(w, http.StatusTooManyRequests, code, msg, retry)
+	t := s.tenant(tenant)
+	// A single deploy is a one-item batch. Its slice and the callback that
+	// keeps its response live in a pooled buffer, which then carries the
+	// answer, so handing them to the backend allocates nothing.
+	answer := s.bodies.Get().(*requestBody)
+	answer.reqs = append(answer.reqs[:0], req)
+	admitted := s.serve(w, r, t, answer.reqs, answer.keep)
+	resp := answer.resp
+	answer.resp = nil
+	if !admitted {
+		s.releaseBody(answer)
 		return
 	}
-	defer release()
-	labels := s.labelsFor(tenant)
-
-	// The fleet serves the request on this goroutine and enforces its
-	// deadline itself; r.Context() carries client hang-up.
-	resp, err := s.cfg.Backend.Do(r.Context(), req)
-	switch {
-	case errors.Is(err, fleet.ErrQueueFull):
-		labels.rejected.Add(1)
-		// Retry-After: how long until the queue backlog ahead of this
-		// request has been served, at the smoothed service rate.
-		writeError(w, http.StatusTooManyRequests, codeQueueFull, "admission queue full",
-			s.serviceEstimate(s.cfg.Backend.QueueLen()+1))
-		return
-	case errors.Is(err, fleet.ErrClosed):
-		labels.shed.Add(1)
-		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
-		return
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, fleet.ErrDeadline):
-		// A timeout, not a malformed request.
-		labels.rejected.Add(1)
-		writeError(w, http.StatusGatewayTimeout, codeDeadline, err.Error(), 0)
-		return
-	case errors.Is(err, context.Canceled):
-		// The client hung up before or while waiting for a worker.
-		labels.rejected.Add(1)
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
-		return
-	case err != nil:
-		// Anything else is a backend fault, not a client spec error —
-		// mirror the post-response switch's default.
-		labels.rejected.Add(1)
-		writeError(w, http.StatusInternalServerError, codeScheduleFailed, err.Error(), 0)
-		return
-	}
-	// Answered: an admitted request always is, even while draining
-	// (Fleet.Close completes every admitted request) — that is what "drain
-	// completes accepted requests" means at the HTTP layer.
-	labels.accepted.Add(1)
-	s.observe(resp)
-	if s.draining.Load() {
-		labels.drained.Add(1)
-	}
+	s.answered(t, resp)
 	if resp.Err != nil {
 		respErr := resp.Err
 		resp.Release()
+		s.releaseBody(answer)
 		status, code := answerError(respErr)
 		writeError(w, status, code, respErr.Error(), 0)
 		return
 	}
-	answer := s.bodies.Get().(*requestBody)
 	var stored, encoded bool
 	answer.data, stored, encoded = appendDeploy(answer.data[:0], resp)
 	resp.Release()
@@ -405,6 +363,93 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		s.encodeFresh.Add(1)
 	}
 	s.writeAnswer(w, answer, encoded)
+}
+
+// open answers what both deploy endpoints answer before reading a body: 405
+// to anything but POST, 503 draining once drain began. The tenant is
+// unknown before the body is read, so a shed request counts under the
+// default tenant rather than paying a decode for a request that will not be
+// served.
+func (s *Server) open(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, codeMethod, "POST only", 0)
+		return false
+	}
+	if s.draining.Load() {
+		s.shed(w, s.tenant("default"), 1)
+		return false
+	}
+	return true
+}
+
+// serve is the one deploy path after the envelope decode, for a single
+// deploy (one request) and a batch alike. It charges the tenant's limiter
+// for every request, then hands them to the backend's DoBatch, which
+// admits all or none and passes every answer to each, in order, on this
+// goroutine. It reports whether the fleet admitted them; if not, it has
+// written the rejection and counted it. Every admitted request counts as
+// accepted, whatever its answer — one whose client hung up while it waited
+// included — so the door's accepted count is the fleet's submitted count.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, t *tenantRecord, reqs []fleet.Request, each func(*fleet.Response)) bool {
+	n := len(reqs)
+	release, code, retry := s.lim.admitN(&t.gate, time.Now(), n, s.serviceEstimate(n))
+	if release == nil {
+		t.rejected.Add(float64(n))
+		msg := "per-tenant rate limit exceeded"
+		if code == codeQuotaExceeded {
+			msg = "per-tenant in-flight quota exceeded"
+		}
+		writeError(w, http.StatusTooManyRequests, code, msg, retry)
+		return false
+	}
+	// The fleet enforces each request's deadline itself; r.Context()
+	// carries client hang-up.
+	err := s.cfg.Backend.DoBatch(r.Context(), reqs, each)
+	release()
+	if err != nil {
+		s.refuse(w, t, n, err)
+		return false
+	}
+	// An admitted request is always answered, even while draining
+	// (Fleet.Close completes every admitted request) — that is what "drain
+	// completes accepted requests" means at the HTTP layer.
+	t.accepted.Add(float64(n))
+	return true
+}
+
+// refuse answers n requests the backend did not admit, and counts them.
+func (s *Server) refuse(w http.ResponseWriter, t *tenantRecord, n int, err error) {
+	switch {
+	case errors.Is(err, fleet.ErrQueueFull):
+		t.rejected.Add(float64(n))
+		// Retry-After: how long until the queue backlog ahead of these
+		// requests has been served, at the smoothed service rate.
+		writeError(w, http.StatusTooManyRequests, codeQueueFull, "admission queue full",
+			s.serviceEstimate(s.cfg.Backend.QueueLen()+n))
+	case errors.Is(err, fleet.ErrClosed):
+		s.shed(w, t, n)
+	default:
+		// A deadline spent or a client gone before admission, or a backend
+		// fault: the status and code an admitted request failing so gets.
+		t.rejected.Add(float64(n))
+		status, code := answerError(err)
+		writeError(w, status, code, err.Error(), 0)
+	}
+}
+
+// shed answers n requests turned away because the server is draining.
+func (s *Server) shed(w http.ResponseWriter, t *tenantRecord, n int) {
+	t.shed.Add(float64(n))
+	writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
+}
+
+// answered folds one admitted request's answer into the service-time EWMA
+// and counts it as drained when it completes during drain.
+func (s *Server) answered(t *tenantRecord, resp *fleet.Response) {
+	s.observe(resp)
+	if s.draining.Load() {
+		t.drained.Add(1)
+	}
 }
 
 // writeAnswer sends an appended deploy answer, newline-terminated like
@@ -426,10 +471,15 @@ func (s *Server) writeAnswer(w http.ResponseWriter, answer *requestBody, ok bool
 }
 
 // requestBody is one pooled deploy-request buffer, with the batch scanner's
-// item scratch beside it.
+// item scratch beside it. As a single deploy's answer buffer it also
+// carries the deploy as a one-item batch: reqs, and keep, made once per
+// buffer, which stores the batch's one response in resp.
 type requestBody struct {
 	data  []byte
 	items []wire.DeployItem
+	reqs  []fleet.Request
+	resp  *fleet.Response
+	keep  func(*fleet.Response)
 }
 
 // maxPooledBody is the largest buffer the pool keeps: a full 64-item batch of
@@ -467,8 +517,9 @@ func (s *Server) releaseBody(body *requestBody) {
 		return
 	}
 	// The item spans alias data, possibly an outgrown one; a declined scan
-	// leaves some past len.
+	// leaves some past len. A request holds its tenant and app.
 	clear(body.items[:cap(body.items)])
+	clear(body.reqs)
 	s.bodies.Put(body)
 }
 
@@ -641,48 +692,21 @@ func (s *Server) countDecode(fast bool) {
 }
 
 func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethod, "POST only", 0)
-		return
-	}
-	if s.draining.Load() {
-		s.labelsFor("default").shed.Add(1)
-		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
+	if !s.open(w, r) {
 		return
 	}
 	tenant, reqs, ok := s.decodeDeployBatch(w, r)
 	if !ok {
 		return
 	}
-	n := len(reqs)
-
-	// One admission check for the whole batch: n in-flight slots, n tokens.
-	release, code, retry := s.lim.admitN(tenant, time.Now(), n, s.serviceEstimate(n))
-	if release == nil {
-		s.labelsFor(tenant).rejected.Add(float64(n))
-		msg := "per-tenant rate limit exceeded"
-		if code == codeQuotaExceeded {
-			msg = "per-tenant in-flight quota exceeded"
-		}
-		writeError(w, http.StatusTooManyRequests, code, msg, retry)
-		return
-	}
-	defer release()
-	labels := s.labelsFor(tenant)
-
-	// The fleet answers every admitted item exactly once, in submission
-	// order, on this goroutine — the same completion guarantee as the
-	// single-deploy path, batch-wide. Each response is appended and released
-	// as it arrives; one that will not encode spoils the answer, but the rest
-	// are still received.
+	t := s.tenant(tenant)
+	// Each response is appended and released as it arrives; one that will
+	// not encode spoils the answer, but the rest are still received.
 	answer := s.bodies.Get().(*requestBody)
 	buf, encoded := appendBatchOpen(answer.data[:0], tenant), true
 	stored, fresh := 0, 0
-	err := s.cfg.Backend.DoBatch(r.Context(), reqs, func(resp *fleet.Response) {
-		s.observe(resp)
-		if s.draining.Load() {
-			labels.drained.Add(1)
-		}
+	if !s.serve(w, r, t, reqs, func(resp *fleet.Response) {
+		s.answered(t, resp)
 		if encoded {
 			if resp.Index > 0 {
 				buf = append(buf, ',')
@@ -697,34 +721,10 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Release()
-	})
-	if err != nil {
+	}) {
 		s.releaseBody(answer)
-	}
-	switch {
-	case errors.Is(err, fleet.ErrQueueFull):
-		labels.rejected.Add(float64(n))
-		writeError(w, http.StatusTooManyRequests, codeQueueFull, "admission queue full",
-			s.serviceEstimate(s.cfg.Backend.QueueLen()+n))
-		return
-	case errors.Is(err, fleet.ErrClosed):
-		labels.shed.Add(float64(n))
-		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
-		return
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, fleet.ErrDeadline):
-		labels.rejected.Add(float64(n))
-		writeError(w, http.StatusGatewayTimeout, codeDeadline, err.Error(), 0)
-		return
-	case errors.Is(err, context.Canceled):
-		labels.rejected.Add(float64(n))
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), 0)
-		return
-	case err != nil:
-		labels.rejected.Add(float64(n))
-		writeError(w, http.StatusInternalServerError, codeScheduleFailed, err.Error(), 0)
 		return
 	}
-	labels.accepted.Add(float64(n))
 	if encoded && stored > 0 {
 		s.encodeStored.Add(float64(stored))
 	}
@@ -866,19 +866,26 @@ func (s *Server) observe(resp *fleet.Response) {
 	}
 }
 
-// httpLabels is one tenant's HTTP counter set: accepted (admitted to the
-// fleet), rejected (429: rate, quota, or queue), shed (503 while draining),
-// drained (accepted requests completed during drain).
-type httpLabels struct {
+// tenantGateCap bounds the tenant table: past the cap, new tenant names
+// share one overflow record, so a submitter churning through unbounded
+// tenant names cannot grow server memory (it only throttles itself harder).
+const tenantGateCap = 1024
+
+// tenantRecord is one tenant at the door: its admission gate and its HTTP
+// counters — accepted (admitted to the fleet, whatever the answer), rejected
+// (429 rate, quota or queue; 504, 400 or 500 at admission), shed (503 while
+// draining) and drained (admitted requests answered during drain).
+type tenantRecord struct {
+	gate     tenantGate
 	accepted *obs.Counter
 	rejected *obs.Counter
 	shed     *obs.Counter
 	drained  *obs.Counter
 }
 
-// newHTTPLabels interns one tenant's counter set in the registry.
-func newHTTPLabels(reg *obs.Registry, tenant string) *httpLabels {
-	return &httpLabels{
+// newTenantRecord interns one tenant's counters in the registry.
+func newTenantRecord(reg *obs.Registry, tenant string) *tenantRecord {
+	return &tenantRecord{
 		accepted: reg.Counter("fleetd_http_accepted{tenant=" + tenant + "}"),
 		rejected: reg.Counter("fleetd_http_rejected{tenant=" + tenant + "}"),
 		shed:     reg.Counter("fleetd_http_shed{tenant=" + tenant + "}"),
@@ -886,23 +893,29 @@ func newHTTPLabels(reg *obs.Registry, tenant string) *httpLabels {
 	}
 }
 
-// labelsFor returns one tenant's HTTP counters, bounded like the fleet's
-// tenant labels. The cap check precedes any Registry.Counter call: the
-// registry interns forever (no eviction), so past the cap unseen tenants
-// record under the shared tenant="other" set rather than minting four new
-// registry entries per hostile tenant name.
-func (s *Server) labelsFor(tenant string) *httpLabels {
-	if v, ok := s.labels.Load(tenant); ok {
-		return v.(*httpLabels)
+// tenant returns one tenant's record, interning up to tenantGateCap. The
+// cap check precedes any Registry.Counter call: the registry interns forever
+// (no eviction), so past the cap unseen tenants share the overflow record
+// rather than minting four new registry entries per hostile tenant name.
+func (s *Server) tenant(name string) *tenantRecord {
+	if v, ok := s.tenants.Load(name); ok {
+		return v.(*tenantRecord)
 	}
-	if s.labelCount.Load() >= tenantGateCap {
+	if s.tenantCount.Load() >= tenantGateCap {
 		return s.overflow
 	}
-	v, loaded := s.labels.LoadOrStore(tenant, newHTTPLabels(s.cfg.Registry, tenant))
-	if !loaded {
-		s.labelCount.Add(1)
+	s.tenantMu.Lock()
+	defer s.tenantMu.Unlock()
+	if v, ok := s.tenants.Load(name); ok {
+		return v.(*tenantRecord)
 	}
-	return v.(*httpLabels)
+	if s.tenantCount.Load() >= tenantGateCap {
+		return s.overflow
+	}
+	t := newTenantRecord(s.cfg.Registry, name)
+	s.tenants.Store(name, t)
+	s.tenantCount.Add(1)
+	return t
 }
 
 // writeError renders the structured error envelope, with Retry-After (whole

@@ -448,12 +448,6 @@ func (s *stubBackend) respond(req fleet.Request, index int) *fleet.Response {
 	return &fleet.Response{Tenant: req.Tenant, App: req.App.Name, Index: index, Result: result}
 }
 
-func (s *stubBackend) Do(ctx context.Context, req fleet.Request) (*fleet.Response, error) {
-	if s.submitErr != nil {
-		return nil, s.submitErr
-	}
-	return s.respond(req, 0), nil
-}
 func (s *stubBackend) DoBatch(ctx context.Context, reqs []fleet.Request, each func(*fleet.Response)) error {
 	if s.submitErr != nil {
 		return s.submitErr
@@ -556,14 +550,14 @@ func TestTenantLabelOverflowBounded(t *testing.T) {
 	fixed := len(reg.CounterNames())
 	const extra = 256
 	for i := 0; i < tenantGateCap+extra; i++ {
-		s.labelsFor(fmt.Sprintf("tenant-%d", i)).accepted.Add(1)
+		s.tenant(fmt.Sprintf("tenant-%d", i)).accepted.Add(1)
 	}
 	want := fixed + 4*tenantGateCap
 	if got := len(reg.CounterNames()); got != want {
 		t.Fatalf("registry holds %d counters after tenant churn, want %d", got, want)
 	}
-	if l := s.labelsFor("one-more-fresh-tenant"); l != s.overflow {
-		t.Fatal("past-cap tenant did not get the shared overflow labels")
+	if l := s.tenant("one-more-fresh-tenant"); l != s.overflow {
+		t.Fatal("past-cap tenant did not get the shared overflow record")
 	}
 	c, ok := reg.LookupCounter("fleetd_http_accepted{tenant=other}")
 	if !ok || c.Value() != extra {
@@ -597,40 +591,40 @@ func TestTenantNameLengthCap(t *testing.T) {
 	}
 }
 
-// TestRejectionsConsumeNothing pins admit's check order: a tenant at its
+// TestRejectionsConsumeNothing pins admitN's check order: a tenant at its
 // in-flight quota is rejected before the token bucket is touched (no token
 // burnt, so recovery matches the Retry-After hint), and a rate rejection
 // returns the in-flight slot it optimistically took.
 func TestRejectionsConsumeNothing(t *testing.T) {
 	now := time.Unix(1000, 0)
 
-	l := newLimiter(1, 2, 1) // 1 token/s, burst 2, 1 in flight
-	release, code, _ := l.admit("t", now, time.Second)
+	l, g := newLimiter(1, 2, 1), &tenantGate{} // 1 token/s, burst 2, 1 in flight
+	release, code, _ := l.admitN(g, now, 1, time.Second)
 	if release == nil {
 		t.Fatalf("first admit rejected with %s", code)
 	}
-	if rel, code, _ := l.admit("t", now, time.Second); rel != nil || code != codeQuotaExceeded {
+	if rel, code, _ := l.admitN(g, now, 1, time.Second); rel != nil || code != codeQuotaExceeded {
 		t.Fatalf("admit at quota: rejected=%v code=%q, want quota_exceeded", rel == nil, code)
 	}
 	release()
 	// Same instant, one token left: it must still be there — the quota
 	// rejection above must not have burnt it.
-	if rel, code, _ := l.admit("t", now, time.Second); rel == nil {
+	if rel, code, _ := l.admitN(g, now, 1, time.Second); rel == nil {
 		t.Fatalf("admit after release rejected with %s: quota rejection burnt a token", code)
 	}
 
-	l2 := newLimiter(1, 1, 1) // burst 1: drain the bucket with one admit
-	rel, code, _ := l2.admit("t", now, time.Second)
+	l2, g2 := newLimiter(1, 1, 1), &tenantGate{} // burst 1: drain the bucket with one admit
+	rel, code, _ := l2.admitN(g2, now, 1, time.Second)
 	if rel == nil {
 		t.Fatalf("first admit rejected with %s", code)
 	}
 	rel()
-	if rel, code, _ := l2.admit("t", now, time.Second); rel != nil || code != codeRateLimited {
+	if rel, code, _ := l2.admitN(g2, now, 1, time.Second); rel != nil || code != codeRateLimited {
 		t.Fatalf("admit on empty bucket: rejected=%v code=%q, want rate_limited", rel == nil, code)
 	}
 	// After refill the tenant must get back in: a leaked in-flight slot from
 	// the rate rejection would trip the quota instead.
-	if rel, code, _ := l2.admit("t", now.Add(2*time.Second), time.Second); rel == nil {
+	if rel, code, _ := l2.admitN(g2, now.Add(2*time.Second), 1, time.Second); rel == nil {
 		t.Fatalf("admit after refill rejected with %s: rate rejection leaked an in-flight slot", code)
 	}
 }
@@ -732,6 +726,105 @@ func TestDeadlineWhileWaiting(t *testing.T) {
 	}
 }
 
+// TestHangUpsConserveAccepted pins the door's count of admitted deploys
+// against the fleet's, with a real fleet whose one worker is held: single
+// deploys whose clients hang up while they wait for a worker are answered
+// 400 invalid_request, and a batch's items carry that code in its 200; each
+// counts as accepted, since the fleet admitted it and fails it. A deploy
+// that waits and is then served, and one refused queue_full, ride along.
+// After it all, the door's accepted sum equals the fleet's submitted, which
+// equals completed plus failed.
+func TestHangUpsConserveAccepted(t *testing.T) {
+	const singles, batches = 3, 2
+	gate := &gateSched{started: make(chan struct{}), release: make(chan struct{})}
+	env := newEnv(t, fleet.Config{Workers: 1, QueueDepth: singles + batches + 1, CacheSize: -1,
+		NewScheduler: func() sched.Scheduler { return gate }}, Config{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	t.Cleanup(release) // before the fleet's Close, which waits for the held deploy
+	h := env.s.Handler()
+	post := func(ctx context.Context, path string, body []byte) <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx))
+			done <- rec
+		}()
+		return done
+	}
+	held := rebuilt(t, workload.TextProcessing(), func(s *wire.AppSpec) { s.Name = "gate" })
+	heldDone := post(context.Background(), deployURL,
+		[]byte(`{"tenant":"held","app":`+string(appJSON(t, held))+`}`))
+	<-gate.started
+
+	video := appJSON(t, workload.VideoProcessing())
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	var gone []<-chan *httptest.ResponseRecorder
+	for range singles {
+		gone = append(gone, post(ctx, deployURL, []byte(`{"tenant":"gone","app":`+string(video)+`}`)))
+	}
+	for range batches {
+		gone = append(gone, post(ctx, batchURL, batchBody(t, "gone-batch", video, video)))
+	}
+	waitDone := post(context.Background(), deployURL, []byte(`{"tenant":"waits","app":`+string(video)+`}`))
+	queued := singles + 2*batches + 1
+	deadline := time.Now().Add(5 * time.Second)
+	for env.f.QueueLen() < queued {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued behind the held worker", env.f.QueueLen(), queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if rec := <-post(context.Background(), deployURL, deployBody(t, "full")); rec.Code != http.StatusTooManyRequests ||
+		errCode(t, rec.Body.Bytes()) != codeQueueFull {
+		t.Fatalf("deploy past every waiter slot: status %d body %s, want 429 %s", rec.Code, rec.Body, codeQueueFull)
+	}
+	hangUp()
+	for i, done := range gone[:singles] {
+		if rec := <-done; rec.Code != http.StatusBadRequest || errCode(t, rec.Body.Bytes()) != codeInvalidRequest {
+			t.Errorf("hung-up deploy %d: status %d body %s, want 400 %s", i, rec.Code, rec.Body, codeInvalidRequest)
+		}
+	}
+	// An admitted batch is answered 200 whatever its items' fates; every
+	// item of a hung-up one carries invalid_request.
+	for i, done := range gone[singles:] {
+		rec := <-done
+		var out DeployBatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK || len(out.Results) != 2 {
+			t.Fatalf("hung-up batch %d: status %d body %s, want 200 with 2 results", i, rec.Code, rec.Body)
+		}
+		for _, res := range out.Results {
+			if res.Error == nil || res.Error.Code != codeInvalidRequest {
+				t.Errorf("hung-up batch %d: item %+v, want error %s", i, res, codeInvalidRequest)
+			}
+		}
+	}
+	release()
+	for name, done := range map[string]<-chan *httptest.ResponseRecorder{"held": heldDone, "waiting": waitDone} {
+		if rec := <-done; rec.Code != http.StatusOK {
+			t.Errorf("%s deploy: status %d body %s, want 200", name, rec.Code, rec.Body)
+		}
+	}
+
+	accepted := 0.0
+	for _, name := range env.s.cfg.Registry.CounterNames() {
+		if strings.HasPrefix(name, "fleetd_http_accepted{") {
+			c, _ := env.s.cfg.Registry.LookupCounter(name)
+			accepted += c.Value()
+		}
+	}
+	st := env.f.Stats()
+	if int64(accepted) != st.Submitted || st.Submitted != st.Completed+st.Failed {
+		t.Fatalf("door accepted %v, fleet submitted %d, completed %d + failed %d",
+			accepted, st.Submitted, st.Completed, st.Failed)
+	}
+	if want := int64(queued + 1); st.Submitted != want || st.Failed != int64(queued-1) {
+		t.Fatalf("fleet submitted %d and failed %d, want %d and %d", st.Submitted, st.Failed, want, queued-1)
+	}
+}
+
 // deadlineBackend records the deadline of every request it serves.
 type deadlineBackend struct {
 	Backend
@@ -739,11 +832,13 @@ type deadlineBackend struct {
 	seen []time.Duration
 }
 
-func (b *deadlineBackend) Do(ctx context.Context, req fleet.Request) (*fleet.Response, error) {
+func (b *deadlineBackend) DoBatch(ctx context.Context, reqs []fleet.Request, each func(*fleet.Response)) error {
 	b.mu.Lock()
-	b.seen = append(b.seen, req.Deadline)
+	for _, req := range reqs {
+		b.seen = append(b.seen, req.Deadline)
+	}
 	b.mu.Unlock()
-	return b.Backend.Do(ctx, req)
+	return b.Backend.DoBatch(ctx, reqs, each)
 }
 
 // TestHugeDeadlineClampsToMax pins the deadline clamp against overflow: a
