@@ -16,20 +16,20 @@
 //     per-microservice completion times and energy.
 //   - The Figure 1 pipeline: NewSystem(...).Deploy(app).
 //   - The multi-tenant deployment service: NewFleet(...) runs concurrent
-//     deployment requests through a scheduler worker pool with memoized
-//     placements, and DriveFleet generates open-loop load against it.
-//   - Robustness: GenerateChaos builds seeded fault schedules (device
-//     crashes, registry outages, link degradation) that TrafficConfig.Chaos
-//     replays against a live fleet; Fleet.ApplyChurn patches the compiled
-//     cluster substrate incrementally and gives each epoch its own cache
-//     key, a stale gate keeps every answer off hardware down at the latest
-//     epoch (re-scheduling exactly on that epoch), and a request whose
-//     deadline passes fails with ErrFleetDeadline.
+//     deployment requests (Fleet.Do) through a scheduler worker pool with
+//     memoized placements. cmd/deepfleetd serves it over HTTP, and
+//     benchmark/run.sh puts load on it through that socket.
+//   - Robustness: Fleet.ApplyChurn applies a ChurnDelta (device crashes,
+//     registry outages, link degradation) to a live fleet: it patches the
+//     compiled cluster substrate incrementally and gives each epoch its own
+//     cache key, a stale gate keeps every answer off hardware down at the
+//     latest epoch (re-scheduling exactly on that epoch), and a request
+//     whose deadline passes fails with ErrFleetDeadline.
 //   - Observability: every fleet carries a Metrics registry of sharded
 //     lock-free instruments (NewMetrics), per-request stage timing
-//     (StageTrace on each FleetResponse, per-stage quantiles in the
-//     FleetReport), a bounded slow-request ring (Fleet.SlowRequests), and
-//     Prometheus/expvar exposition via Telemetry (Metrics.Obs).
+//     (StageTrace on each FleetResponse), a bounded slow-request ring
+//     (Fleet.SlowRequests), and Prometheus/expvar exposition via Telemetry
+//     (Metrics.Obs).
 //
 // Quickstart:
 //
@@ -40,10 +40,7 @@
 package deep
 
 import (
-	"context"
-
 	"deep/internal/appgraph"
-	"deep/internal/chaos"
 	"deep/internal/core"
 	"deep/internal/costmodel"
 	"deep/internal/dag"
@@ -139,25 +136,7 @@ type (
 	FleetPlacementView = fleet.PlacementView
 	// FleetStats snapshots the fleet's admission/cache counters.
 	FleetStats = fleet.Stats
-	// FleetReport aggregates one open-loop load-generation session.
-	FleetReport = fleet.Report
-	// ArrivalProcess generates open-loop inter-arrival gaps.
-	ArrivalProcess = fleet.ArrivalProcess
-	// MixEntry is one application population in a traffic mix.
-	MixEntry = fleet.MixEntry
-	// TrafficConfig drives an open-loop load-generation run.
-	TrafficConfig = fleet.TrafficConfig
 
-	// ChaosSchedule is a deterministic seeded fault-injection schedule,
-	// replayed against a fleet during a DriveFleet session via
-	// TrafficConfig.Chaos (or manually with Fleet.ApplyChurn).
-	ChaosSchedule = chaos.Schedule
-	// ChaosEvent is one fault-injection event (device crash/recover,
-	// registry outage/recover, link degrade/restore).
-	ChaosEvent = chaos.Event
-	// ChaosConfig parameterizes GenerateChaos: per-fault-class Poisson
-	// rates, mean downtimes, and minimum-liveness floors.
-	ChaosConfig = chaos.Config
 	// ChurnDelta is one batch of live cluster changes for Fleet.ApplyChurn:
 	// devices and registries failing or recovering, links degrading.
 	ChurnDelta = fleet.ChurnDelta
@@ -166,8 +145,6 @@ type (
 	// ChurnStats snapshots the fleet's churn machinery (current epoch, down
 	// sets, stale-gate/re-schedule/deadline counters); part of FleetStats.
 	ChurnStats = fleet.ChurnStats
-	// ChurnReport summarizes one chaos session inside a FleetReport.
-	ChurnReport = fleet.ChurnReport
 
 	// Metrics is the string-keyed instrument registry a Fleet reports into
 	// (counters, gauges, histograms, a bounded event log, JSON export).
@@ -184,8 +161,6 @@ type (
 	// SlowRequest is one captured tail outlier: who, when, how slow, and
 	// the full stage breakdown.
 	SlowRequest = obs.SlowRequest
-	// FleetStageStat is one pipeline stage's mean/p99/max in a FleetReport.
-	FleetStageStat = fleet.StageStat
 )
 
 // Architectures supported by the testbed.
@@ -322,33 +297,6 @@ func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 // fleets via FleetConfig.Metrics to aggregate them into one exposition).
 func NewMetrics() *Metrics { return monitor.NewMetrics() }
 
-// DriveFleet generates open-loop traffic against a fleet and blocks until
-// every accepted request completed, returning the aggregated report.
-func DriveFleet(ctx context.Context, f *Fleet, cfg TrafficConfig) (*FleetReport, error) {
-	return fleet.Drive(ctx, f, cfg)
-}
-
-// NewArrivals builds an arrival process by name ("poisson", "bursty", or
-// "diurnal") at the given mean rate in requests per second.
-func NewArrivals(name string, rate float64) (ArrivalProcess, error) {
-	return fleet.NewArrivals(name, rate)
-}
-
-// CaseStudyMix returns the paper's two case studies as a two-tenant traffic
-// mix.
-func CaseStudyMix() []MixEntry { return fleet.CaseStudyMix() }
-
-// SyntheticMix generates a deterministic multi-tenant mix of random DAGs
-// sized `size`, `appsPerTenant` distinct shapes per tenant.
-func SyntheticMix(tenants, appsPerTenant, size int, seed int64) ([]MixEntry, error) {
-	return fleet.SyntheticMix(tenants, appsPerTenant, size, seed)
-}
-
 // ScaledTestbed replicates the calibrated testbed's device pair n times
 // behind the shared hub and regional registries.
 func ScaledTestbed(n int) *Cluster { return workload.ScaledTestbed(n) }
-
-// GenerateChaos builds a deterministic fault-injection schedule from
-// per-class Poisson rates; the same config and seed always yield the same
-// schedule, so chaos runs are exactly reproducible.
-func GenerateChaos(cfg ChaosConfig) (*ChaosSchedule, error) { return chaos.Generate(cfg) }

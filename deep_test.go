@@ -1,6 +1,8 @@
 package deep_test
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"deep"
@@ -14,6 +16,40 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 	if dep.Result.TotalEnergy <= 0 {
 		t.Error("no energy")
+	}
+}
+
+// TestPublicFleet runs the README's fleet snippet: the first Do misses the
+// placement cache and the second hits it, and both answer what the one-shot
+// pipeline answers, bit for bit.
+func TestPublicFleet(t *testing.T) {
+	dep, err := deep.NewSystem(deep.Testbed()).Deploy(deep.TextProcessing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dep.Result.TotalEnergy
+
+	f := deep.NewFleet(deep.FleetConfig{Workers: 8, QueueDepth: 256})
+	defer f.Close()
+	app := deep.TextProcessing()
+	for i, hit := range []bool{false, true} {
+		resp, err := f.Do(context.Background(), deep.FleetRequest{Tenant: "text", App: app})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err != nil {
+			t.Fatalf("deploy %d: %v", i, resp.Err)
+		}
+		if resp.CacheHit != hit {
+			t.Errorf("deploy %d: cache hit %v, want %v", i, resp.CacheHit, hit)
+		}
+		if got := resp.Result.TotalEnergy; math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Errorf("deploy %d: total energy %v, want the pipeline's %v", i, got, want)
+		}
+		resp.Release()
+	}
+	if c := f.Stats().Cache; c.Hits != 1 || c.Misses != 1 {
+		t.Errorf("placement cache %d hits, %d misses; want 1, 1", c.Hits, c.Misses)
 	}
 }
 

@@ -166,15 +166,6 @@ type CacheStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats snapshots the cache counters.
 func (c *placementCache) Stats() CacheStats {
 	c.mu.Lock()

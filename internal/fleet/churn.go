@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 
-	"deep/internal/chaos"
 	"deep/internal/sim"
 	"deep/internal/topo"
 	"deep/internal/units"
@@ -32,27 +31,6 @@ type ChurnDelta struct {
 	FailRegistries    []string
 	RecoverRegistries []string
 	Links             []LinkChange
-}
-
-// DeltaForEvent translates one chaos event into the churn delta that applies
-// it.
-func DeltaForEvent(ev chaos.Event) ChurnDelta {
-	switch ev.Kind {
-	case chaos.DeviceCrash:
-		return ChurnDelta{FailDevices: []string{ev.Target}}
-	case chaos.DeviceRecover:
-		return ChurnDelta{RecoverDevices: []string{ev.Target}}
-	case chaos.RegistryOutage:
-		return ChurnDelta{FailRegistries: []string{ev.Target}}
-	case chaos.RegistryRecover:
-		return ChurnDelta{RecoverRegistries: []string{ev.Target}}
-	case chaos.LinkDegrade:
-		return ChurnDelta{Links: []LinkChange{{A: ev.A, B: ev.B, Factor: ev.Factor}}}
-	case chaos.LinkRestore:
-		return ChurnDelta{Links: []LinkChange{{A: ev.A, B: ev.B}}}
-	default:
-		return ChurnDelta{}
-	}
 }
 
 // churnState is one epoch's immutable view of the churned cluster: the down
@@ -125,7 +103,8 @@ type ChurnStats struct {
 // Deltas are serialized; the request path never blocks on one (workers read
 // the published state atomically). All names must exist in the base cluster;
 // failing an already-down target or recovering a healthy one is a no-op for
-// that target, so replaying overlapping chaos schedules is safe.
+// that target, so overlapping deltas (two /v1/churn posts failing one
+// device, say) are safe.
 func (f *Fleet) ApplyChurn(delta ChurnDelta) (epoch int64, _ int, err error) {
 	f.churnMu.Lock()
 	defer f.churnMu.Unlock()

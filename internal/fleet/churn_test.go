@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"deep/internal/chaos"
 	"deep/internal/costmodel"
 	"deep/internal/sched"
 	"deep/internal/sim"
@@ -417,60 +416,6 @@ func TestChurnStressStaleNeverServed(t *testing.T) {
 	t.Logf("completed=%d failed=%d churn=%+v", completed, failed, f.Stats().Churn)
 }
 
-// TestDriveWithChaos pins the traffic-driver integration: a generated chaos
-// schedule replays against the fleet during an open-loop session and the
-// report carries the churn section.
-func TestDriveWithChaos(t *testing.T) {
-	f := testFleet(t, Config{Workers: 4, QueueDepth: 512, NewCluster: func() *sim.Cluster {
-		return workload.ScaledTestbed(2)
-	}})
-	schedule, err := chaos.Generate(chaos.Config{
-		Seed:           3,
-		Horizon:        300 * time.Millisecond,
-		Devices:        []string{"medium-00", "small-00", "medium-01", "small-01"},
-		MinLiveDevices: 2,
-		CrashRate:      40,
-		MeanDowntime:   30 * time.Millisecond,
-		Registries:     []string{"regional"},
-		OutageRate:     10,
-		MeanOutage:     30 * time.Millisecond,
-		Links:          [][2]string{{"hub", "medium-00"}},
-		DegradeRate:    10,
-		MeanDegrade:    30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schedule.Len() == 0 {
-		t.Fatal("empty chaos schedule")
-	}
-	report, err := Drive(context.Background(), f, TrafficConfig{
-		Arrivals: NewPoisson(300),
-		Mix:      CaseStudyMix(),
-		Duration: 400 * time.Millisecond,
-		Seed:     1,
-		Chaos:    schedule,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Churn == nil {
-		t.Fatal("chaos session produced no churn report")
-	}
-	if report.Churn.Events == 0 {
-		t.Fatal("no chaos events fired during the session")
-	}
-	if report.Churn.EpochsApplied != int64(report.Churn.Events) {
-		t.Fatalf("events=%d but epochs=%d", report.Churn.Events, report.Churn.EpochsApplied)
-	}
-	if report.Completed == 0 {
-		t.Fatal("no requests completed under chaos")
-	}
-	if !strings.Contains(report.String(), "churn:") {
-		t.Fatal("report rendering lost the churn section")
-	}
-}
-
 // TestSubmitBatchAbandonedWhileWaiting pins the admitted-then-abandoned
 // path: a batch whose caller cancels while it still waits for a worker has
 // every item answered with the context error instead of being scheduled.
@@ -659,26 +604,6 @@ func TestChurnStaleEntryNeverServed(t *testing.T) {
 	if st := f.Stats().Churn; st.StaleRejected != churnMaxAttempts || st.Reschedules != churnMaxAttempts-1 {
 		t.Fatalf("stale rejected %d, reschedules %d; want %d, %d",
 			st.StaleRejected, st.Reschedules, churnMaxAttempts, churnMaxAttempts-1)
-	}
-}
-
-// TestDeltaForEvent pins the chaos-event translation table.
-func TestDeltaForEvent(t *testing.T) {
-	cases := []struct {
-		ev   chaos.Event
-		want ChurnDelta
-	}{
-		{chaos.Event{Kind: chaos.DeviceCrash, Target: "d"}, ChurnDelta{FailDevices: []string{"d"}}},
-		{chaos.Event{Kind: chaos.DeviceRecover, Target: "d"}, ChurnDelta{RecoverDevices: []string{"d"}}},
-		{chaos.Event{Kind: chaos.RegistryOutage, Target: "r"}, ChurnDelta{FailRegistries: []string{"r"}}},
-		{chaos.Event{Kind: chaos.RegistryRecover, Target: "r"}, ChurnDelta{RecoverRegistries: []string{"r"}}},
-		{chaos.Event{Kind: chaos.LinkDegrade, A: "a", B: "b", Factor: 0.5}, ChurnDelta{Links: []LinkChange{{A: "a", B: "b", Factor: 0.5}}}},
-		{chaos.Event{Kind: chaos.LinkRestore, A: "a", B: "b"}, ChurnDelta{Links: []LinkChange{{A: "a", B: "b"}}}},
-	}
-	for _, tc := range cases {
-		if got := DeltaForEvent(tc.ev); !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("DeltaForEvent(%v) = %+v, want %+v", tc.ev, got, tc.want)
-		}
 	}
 }
 

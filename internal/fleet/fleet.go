@@ -10,9 +10,8 @@
 // entirely. A request that needs the compiled (app, cluster) shape — a
 // placement miss, or an entry's first hit — compiles it in its worker's own
 // recycled scratch.
-// The package also ships an open-loop traffic driver (Poisson, bursty, and
-// diurnal arrival processes over configurable application mixes) for
-// scenario sweeps far beyond the paper's two case studies.
+// Load reaches a fleet over a socket, through cmd/deepfleetd's HTTP front
+// door (package fleetd); benchmark/run.sh drives it there.
 package fleet
 
 import (
@@ -85,9 +84,6 @@ type Config struct {
 	// retuned to the current p99 of the request-latency histogram, so the
 	// ring tracks the slowest ~1% as load shifts.
 	SlowThreshold time.Duration
-	// SlowRingSize bounds the slow-request ring in entries. Zero means the
-	// default of 64; a negative value disables slow-request capture.
-	SlowRingSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -109,9 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = monitor.NewMetrics()
 	}
-	if c.SlowRingSize == 0 {
-		c.SlowRingSize = defaultSlowRingSize
-	}
 	return c
 }
 
@@ -120,9 +113,9 @@ func (c Config) withDefaults() Config {
 // so both app-keyed tables at the door keep the same working set.
 const DefaultCacheSize = 1024
 
-// defaultSlowRingSize bounds the slow-request ring: enough tail outliers to
+// slowRingSize bounds the slow-request ring: enough tail outliers to
 // explain an incident, small enough to be memory-irrelevant.
-const defaultSlowRingSize = 64
+const slowRingSize = 64
 
 // Request is one tenant's deployment request.
 type Request struct {
@@ -404,7 +397,7 @@ func New(cfg Config) *Fleet {
 	f.overflowLabels = newTenantLabels(reg, "other")
 	f.stages = obs.NewStageSet(reg, "fleet_stage_seconds")
 	f.latency = reg.Histogram("fleet_request_latency_s")
-	f.slow = obs.NewSlowRing(cfg.SlowRingSize, cfg.SlowThreshold, f.latency)
+	f.slow = obs.NewSlowRing(slowRingSize, cfg.SlowThreshold, f.latency)
 	f.solverExact = reg.Counter("fleet_solver_path_total{path=exact}")
 	f.solverBestResponse = reg.Counter("fleet_solver_path_total{path=best_response}")
 	f.solverNonconverged = reg.Counter("fleet_solver_nonconverged_total")

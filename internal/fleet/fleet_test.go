@@ -4,13 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
-	"deep/internal/chaos"
 	"deep/internal/dag"
 	"deep/internal/sched"
 	"deep/internal/sim"
@@ -341,270 +338,6 @@ func TestCloseDrains(t *testing.T) {
 	}
 	if got := f.Stats().Completed; got != 40 {
 		t.Fatalf("completed %d, want 40", got)
-	}
-}
-
-func TestDriveOpenLoop(t *testing.T) {
-	f := testFleet(t, Config{Workers: 4, QueueDepth: 256})
-	mix := CaseStudyMix()
-	report, err := Drive(context.Background(), f, TrafficConfig{
-		Arrivals: NewPoisson(2000),
-		Mix:      mix,
-		Requests: 300,
-		Speedup:  10,
-		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Attempts != 300 {
-		t.Fatalf("attempts %d, want 300", report.Attempts)
-	}
-	if report.Completed+report.Rejected != report.Attempts {
-		t.Fatalf("completed %d + rejected %d != attempts %d", report.Completed, report.Rejected, report.Attempts)
-	}
-	if report.Completed == 0 {
-		t.Fatal("nothing completed")
-	}
-	// Two app shapes cycling through: almost everything after the first
-	// two schedules must hit.
-	if report.Cache.HitRate() < 0.5 {
-		t.Fatalf("cache hit rate %.2f, want > 0.5 on a two-shape mix", report.Cache.HitRate())
-	}
-	if report.LatencyP50 <= 0 || report.LatencyMax < report.LatencyP50 {
-		t.Fatalf("implausible latency quantiles: %+v", report)
-	}
-	for _, tenant := range []string{"video", "text"} {
-		ts, ok := report.PerTenant[tenant]
-		if !ok || ts.Completed == 0 {
-			t.Fatalf("tenant %s missing from report: %+v", tenant, report.PerTenant)
-		}
-		if ts.MeanMakespan <= 0 || ts.Energy <= 0 {
-			t.Fatalf("tenant %s has empty aggregates: %+v", tenant, ts)
-		}
-	}
-	if report.String() == "" {
-		t.Fatal("empty report rendering")
-	}
-}
-
-func TestDriveDurationBound(t *testing.T) {
-	f := testFleet(t, Config{Workers: 2})
-	report, err := Drive(context.Background(), f, TrafficConfig{
-		Arrivals: NewPoisson(500),
-		Mix:      CaseStudyMix(),
-		Duration: 150 * time.Millisecond,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Attempts == 0 {
-		t.Fatal("duration-bounded drive made no attempts")
-	}
-	if report.Elapsed > 5*time.Second {
-		t.Fatalf("drive ran %s for a 150ms bound", report.Elapsed)
-	}
-}
-
-// TestDriveZeroRate asserts a process that will never produce an arrival
-// ends the session instead of busy-looping or blocking forever.
-func TestDriveZeroRate(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1})
-	done := make(chan *Report, 1)
-	go func() {
-		report, err := Drive(context.Background(), f, TrafficConfig{
-			Arrivals: NewPoisson(0),
-			Mix:      CaseStudyMix(),
-			Requests: 10,
-			Seed:     1,
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- report
-	}()
-	select {
-	case report := <-done:
-		if report != nil && report.Attempts != 0 {
-			t.Fatalf("zero-rate drive made %d attempts", report.Attempts)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("zero-rate drive hung")
-	}
-}
-
-// TestDriveSparseArrivalsHonorDeadline asserts a Duration bound is not
-// overshot by one long inter-arrival gap.
-func TestDriveSparseArrivalsHonorDeadline(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1})
-	start := time.Now()
-	// Mean gap 10s >> the 200ms bound.
-	report, err := Drive(context.Background(), f, TrafficConfig{
-		Arrivals: NewPoisson(0.1),
-		Mix:      CaseStudyMix(),
-		Duration: 200 * time.Millisecond,
-		Seed:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > 3*time.Second {
-		t.Fatalf("200ms-bounded drive ran %s", took)
-	}
-	if report.Elapsed > 3*time.Second {
-		t.Fatalf("report claims %s elapsed", report.Elapsed)
-	}
-}
-
-// seededArrivals is a Poisson process that draws from its own source, not
-// the driver's (which the mix sampling shares), so a test can recount the
-// schedule.
-type seededArrivals struct {
-	p   *Poisson
-	rng *rand.Rand
-}
-
-func (s *seededArrivals) Name() string { return "seeded-poisson" }
-
-func (s *seededArrivals) Next(*rand.Rand) float64 { return s.p.Next(s.rng) }
-
-// TestDriveOffersItsRate asserts the driver paces arrivals on an absolute
-// clock. At 20 000/s the gaps average 50µs, so one relative timer per gap
-// adds its overshoot to every later arrival and sends a small fraction of the
-// schedule. The worker stays stalled until the window closes, so every
-// submission past the one-slot queue is a cheap rejection and the driver has
-// the CPU to itself at any GOMAXPROCS.
-func TestDriveOffersItsRate(t *testing.T) {
-	const rate, seed = 20000, 11
-	const window = 200 * time.Millisecond
-	p := NewPoisson(rate)
-	scheduled := 0
-	rng := rand.New(rand.NewSource(seed))
-	for sum := p.Next(rng); sum < window.Seconds(); sum += p.Next(rng) {
-		scheduled++
-	}
-
-	f, unblock := stalledFleet(t, Config{Workers: 1, QueueDepth: 1})
-	time.AfterFunc(window, unblock)
-	report, err := Drive(context.Background(), f, TrafficConfig{
-		Arrivals: &seededArrivals{p: p, rng: rand.New(rand.NewSource(seed))},
-		Mix:      CaseStudyMix(),
-		Duration: window,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := scheduled * 8 / 10; report.Attempts < want {
-		t.Fatalf("offered %d of %d scheduled arrivals in %s, want at least %d", report.Attempts, scheduled, window, want)
-	}
-}
-
-// TestDriveRejectsInvalidChaos asserts a hand-built schedule is validated
-// before the first arrival, so no event fires out of sequence and no invalid
-// delta reaches ApplyChurn.
-func TestDriveRejectsInvalidChaos(t *testing.T) {
-	cases := []struct {
-		name   string
-		events []chaos.Event
-	}{
-		{"out of order", []chaos.Event{
-			{At: 2 * time.Millisecond, Kind: chaos.DeviceCrash, Target: "medium"},
-			{At: time.Millisecond, Kind: chaos.DeviceRecover, Target: "medium"},
-		}},
-		{"double crash", []chaos.Event{
-			{At: time.Millisecond, Kind: chaos.DeviceCrash, Target: "medium"},
-			{At: 2 * time.Millisecond, Kind: chaos.DeviceCrash, Target: "medium"},
-		}},
-		{"factor 5", []chaos.Event{
-			{At: time.Millisecond, Kind: chaos.LinkDegrade, A: "hub", B: "medium", Factor: 5},
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := testFleet(t, Config{Workers: 1})
-			report, err := Drive(context.Background(), f, TrafficConfig{
-				Arrivals: NewPoisson(1000),
-				Mix:      CaseStudyMix(),
-				Requests: 10,
-				Chaos:    &chaos.Schedule{Events: tc.events},
-			})
-			if err == nil {
-				t.Fatalf("invalid schedule accepted (%d attempts)", report.Attempts)
-			}
-			if s := f.Stats(); s.Submitted != 0 || s.Churn.EpochsApplied != 0 {
-				t.Fatalf("rejected session still submitted %d requests and applied %d epochs", s.Submitted, s.Churn.EpochsApplied)
-			}
-		})
-	}
-}
-
-// TestDriveReportsPerSessionCacheStats asserts a second Drive on the same
-// fleet reports only its own cache activity.
-func TestDriveReportsPerSessionCacheStats(t *testing.T) {
-	f := testFleet(t, Config{Workers: 2})
-	cfg := TrafficConfig{
-		Arrivals: NewPoisson(5000),
-		Mix:      CaseStudyMix(),
-		Requests: 50,
-		Seed:     4,
-	}
-	warm, err := Drive(context.Background(), f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cache.Misses == 0 {
-		t.Fatal("warm-up session missed nothing")
-	}
-	measured, err := Drive(context.Background(), f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if measured.Cache.Misses != 0 {
-		t.Fatalf("second session reports %d misses from the first", measured.Cache.Misses)
-	}
-	if total := measured.Cache.Hits + measured.Cache.Misses; int(total) > measured.Completed {
-		t.Fatalf("session reports %d lookups for %d completions", total, measured.Completed)
-	}
-}
-
-func TestDriveContextCancel(t *testing.T) {
-	f := testFleet(t, Config{Workers: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	// Rate 1 req/s: without cancellation this would take ~50s.
-	report, err := Drive(ctx, f, TrafficConfig{
-		Arrivals: NewPoisson(1),
-		Mix:      CaseStudyMix(),
-		Requests: 50,
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Attempts >= 50 {
-		t.Fatalf("cancellation did not stop the driver (attempts=%d)", report.Attempts)
-	}
-}
-
-func TestSyntheticMixDeterminism(t *testing.T) {
-	a, err := SyntheticMix(3, 2, 6, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SyntheticMix(3, 2, 6, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 3 || len(a[0].Apps) != 2 {
-		t.Fatalf("mix shape: %d tenants, %d apps", len(a), len(a[0].Apps))
-	}
-	for i := range a {
-		for j := range a[i].Apps {
-			if a[i].Apps[j].Digest() != b[i].Apps[j].Digest() {
-				t.Fatalf("tenant %d app %d not deterministic", i, j)
-			}
-		}
 	}
 }
 

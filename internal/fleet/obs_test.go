@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -210,62 +209,5 @@ func TestSolverPathCounters(t *testing.T) {
 	st := sched.SolverStats{Exact: 3, BestResponse: 2, NonConverged: 1}
 	if allocs := testing.AllocsPerRun(100, func() { f.recordSolver(0, st) }); allocs != 0 {
 		t.Fatalf("recordSolver allocates %.1f objects per call", allocs)
-	}
-}
-
-// TestDriveReportStages checks the open-loop driver surfaces per-stage
-// quantiles: one StageStat per pipeline stage, in order, with the queue
-// stage's mean consistent with the report's QueueWaitMean.
-func TestDriveReportStages(t *testing.T) {
-	f := testFleet(t, Config{Workers: 2})
-	report, err := Drive(context.Background(), f, TrafficConfig{
-		Arrivals: NewPoisson(500),
-		Mix:      CaseStudyMix(),
-		Requests: 40,
-		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Stages) != int(obs.NumStages) {
-		t.Fatalf("report has %d stage rows, want %d", len(report.Stages), obs.NumStages)
-	}
-	for s := obs.Stage(0); s < obs.NumStages; s++ {
-		st := report.Stages[s]
-		if st.Stage != s.String() {
-			t.Fatalf("stage row %d is %q, want %q", s, st.Stage, s.String())
-		}
-		if st.Mean > st.P99 && st.P99 > 0 || st.P99 > st.Max {
-			t.Fatalf("stage %s stats inconsistent: %+v", st.Stage, st)
-		}
-	}
-	if q := report.Stages[obs.StageQueue]; q.Mean != report.QueueWaitMean {
-		t.Fatalf("queue stage mean %v != QueueWaitMean %v", q.Mean, report.QueueWaitMean)
-	}
-	if !strings.Contains(report.String(), "stage sim_exec") {
-		t.Fatalf("report text lost its stage lines:\n%s", report)
-	}
-}
-
-// TestBuildReportQueueWaitIncludesFailed pins the fix for a long-standing
-// skew: failed requests spent real time in the admission queue, but the
-// report used to drop them from the queue-wait mean (and divide by the
-// completed count), overstating queue health on error-heavy runs.
-func TestBuildReportQueueWaitIncludesFailed(t *testing.T) {
-	responses := []*Response{
-		{Tenant: "t", QueueWait: 10 * time.Millisecond, Latency: 20 * time.Millisecond,
-			Result: &sim.Result{Makespan: 1}},
-		{Tenant: "t", QueueWait: 30 * time.Millisecond, Err: errors.New("boom")},
-	}
-	r := buildReport("test", 2, 0, time.Second, responses, CacheStats{})
-	if r.Completed != 1 || r.Failed != 1 {
-		t.Fatalf("counts: %+v", r)
-	}
-	if want := 20 * time.Millisecond; r.QueueWaitMean != want {
-		t.Fatalf("QueueWaitMean = %v, want %v (failed request's wait must count)", r.QueueWaitMean, want)
-	}
-	// The service-latency quantiles still cover completed requests only.
-	if r.LatencyMean != 20*time.Millisecond {
-		t.Fatalf("LatencyMean = %v", r.LatencyMean)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -150,6 +151,7 @@ func New(cfg Config) (*Server, error) {
 	s.bodies.New = func() any {
 		b := &requestBody{data: make([]byte, 0, 4<<10)}
 		b.keep = func(resp *fleet.Response) { b.resp = resp }
+		b.add = func(resp *fleet.Response) { s.addItem(b, resp) }
 		return b
 	}
 	s.decodeFast = cfg.Registry.Counter("fleetd_decode_fast_total")
@@ -471,15 +473,23 @@ func (s *Server) writeAnswer(w http.ResponseWriter, answer *requestBody, ok bool
 }
 
 // requestBody is one pooled deploy-request buffer, with the batch scanner's
-// item scratch beside it. As a single deploy's answer buffer it also
-// carries the deploy as a one-item batch: reqs, and keep, made once per
-// buffer, which stores the batch's one response in resp.
+// item scratch beside it. As an answer buffer it also carries the deploy's
+// requests (reqs) and the two callbacks, made once per buffer, that the
+// backend hands their responses to: keep stores a single deploy's one
+// response in resp; add (addItem) appends each of a batch's to data.
 type requestBody struct {
 	data  []byte
 	items []wire.DeployItem
 	reqs  []fleet.Request
 	resp  *fleet.Response
 	keep  func(*fleet.Response)
+	add   func(*fleet.Response)
+
+	// A batch's state while add runs: its tenant, whether its answer still
+	// encodes, and how many item tails were copied from an entry or encoded.
+	tenant        *tenantRecord
+	encoded       bool
+	stored, fresh int
 }
 
 // maxPooledBody is the largest buffer the pool keeps: a full 64-item batch of
@@ -520,6 +530,7 @@ func (s *Server) releaseBody(body *requestBody) {
 	// leaves some past len. A request holds its tenant and app.
 	clear(body.items[:cap(body.items)])
 	clear(body.reqs)
+	body.tenant = nil
 	s.bodies.Put(body)
 }
 
@@ -595,11 +606,11 @@ func (s *Server) decodeDeploy(w http.ResponseWriter, r *http.Request) (tenant st
 	return tenant, req, true
 }
 
-// decodeDeployBatch is decodeDeploy for POST /v1/deploy:batch. Every spec is
-// decoded before the caller charges the limiter, so a malformed item rejects
-// the batch without consuming tokens, and a charged batch is one the fleet
-// will actually take.
-func (s *Server) decodeDeployBatch(w http.ResponseWriter, r *http.Request) (tenant string, reqs []fleet.Request, ok bool) {
+// decodeDeployBatch is decodeDeploy for POST /v1/deploy:batch, whose fleet
+// requests it stores in answer.reqs. Every spec is decoded before the
+// caller charges the limiter, so a malformed item rejects the batch without
+// consuming tokens, and a charged batch is one the fleet will actually take.
+func (s *Server) decodeDeployBatch(w http.ResponseWriter, r *http.Request, answer *requestBody) (tenant string, ok bool) {
 	body, readErr := s.readBody(w, r)
 	defer s.releaseBody(body)
 	var items []wire.DeployItem
@@ -612,7 +623,7 @@ func (s *Server) decodeDeployBatch(w http.ResponseWriter, r *http.Request) (tena
 	} else {
 		var env DeployBatchRequest
 		if !decodeReference(w, &replay{body.data, readErr}, &env) {
-			return "", nil, false
+			return "", false
 		}
 		tenant = env.Tenant
 		items = make([]wire.DeployItem, len(env.Items))
@@ -622,34 +633,34 @@ func (s *Server) decodeDeployBatch(w http.ResponseWriter, r *http.Request) (tena
 	}
 	if len(items) == 0 {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "batch without items", 0)
-		return "", nil, false
+		return "", false
 	}
 	if len(items) > maxBatchItems {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest,
 			fmt.Sprintf("batch exceeds %d items", maxBatchItems), 0)
-		return "", nil, false
+		return "", false
 	}
 	if !checkTenant(w, &tenant) {
-		return "", nil, false
+		return "", false
 	}
-	reqs = make([]fleet.Request, len(items))
+	answer.reqs = slices.Grow(answer.reqs[:0], len(items))
 	for i, item := range items {
 		if len(item.App) == 0 {
 			writeError(w, http.StatusBadRequest, codeInvalidRequest,
 				fmt.Sprintf("items[%d] without app spec", i), 0)
-			return "", nil, false
+			return "", false
 		}
 		req, specFast, err := s.requestOf(tenant, item)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, codeInvalidRequest,
 				fmt.Sprintf("items[%d]: %s", i, err), 0)
-			return "", nil, false
+			return "", false
 		}
-		reqs[i] = req
+		answer.reqs = append(answer.reqs, req)
 		fast = fast && specFast
 	}
 	s.countDecode(fast)
-	return tenant, reqs, true
+	return tenant, true
 }
 
 // checkTenant bounds the tenant name (writing the 400 when it is too long)
@@ -695,44 +706,50 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.open(w, r) {
 		return
 	}
-	tenant, reqs, ok := s.decodeDeployBatch(w, r)
-	if !ok {
-		return
-	}
-	t := s.tenant(tenant)
-	// Each response is appended and released as it arrives; one that will
-	// not encode spoils the answer, but the rest are still received.
+	// As for a single deploy, the batch's slice and the callback that
+	// appends its responses live in the pooled answer buffer.
 	answer := s.bodies.Get().(*requestBody)
-	buf, encoded := appendBatchOpen(answer.data[:0], tenant), true
-	stored, fresh := 0, 0
-	if !s.serve(w, r, t, reqs, func(resp *fleet.Response) {
-		s.answered(t, resp)
-		if encoded {
-			if resp.Index > 0 {
-				buf = append(buf, ',')
-			}
-			var fromSlot bool
-			buf, fromSlot, encoded = appendBatchResult(buf, resp)
-			switch {
-			case fromSlot:
-				stored++
-			case resp.Err == nil:
-				fresh++
-			}
-		}
-		resp.Release()
-	}) {
+	tenant, ok := s.decodeDeployBatch(w, r, answer)
+	if !ok {
 		s.releaseBody(answer)
 		return
 	}
-	if encoded && stored > 0 {
-		s.encodeStored.Add(float64(stored))
+	t := s.tenant(tenant)
+	answer.data = appendBatchOpen(answer.data[:0], tenant)
+	answer.tenant, answer.encoded, answer.stored, answer.fresh = t, true, 0, 0
+	if !s.serve(w, r, t, answer.reqs, answer.add) {
+		s.releaseBody(answer)
+		return
 	}
-	if encoded && fresh > 0 {
-		s.encodeFresh.Add(float64(fresh))
+	if answer.encoded && answer.stored > 0 {
+		s.encodeStored.Add(float64(answer.stored))
 	}
-	answer.data = append(buf, "]}"...)
-	s.writeAnswer(w, answer, encoded)
+	if answer.encoded && answer.fresh > 0 {
+		s.encodeFresh.Add(float64(answer.fresh))
+	}
+	answer.data = append(answer.data, "]}"...)
+	s.writeAnswer(w, answer, answer.encoded)
+}
+
+// addItem is a batch answer buffer's add: it appends one response to the
+// answer as it arrives, and releases it. A response that will not encode
+// spoils the answer, but the rest are still received.
+func (s *Server) addItem(answer *requestBody, resp *fleet.Response) {
+	s.answered(answer.tenant, resp)
+	if answer.encoded {
+		if resp.Index > 0 {
+			answer.data = append(answer.data, ',')
+		}
+		var fromSlot bool
+		answer.data, fromSlot, answer.encoded = appendBatchResult(answer.data, resp)
+		switch {
+		case fromSlot:
+			answer.stored++
+		case resp.Err == nil:
+			answer.fresh++
+		}
+	}
+	resp.Release()
 }
 
 // answerError maps an answered deploy's error to the status a single deploy

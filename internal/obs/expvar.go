@@ -48,7 +48,7 @@ func (r *Registry) Expvar() expvar.Func {
 
 // PublishExpvar publishes the registry under the given expvar name.
 // expvar.Publish panics on duplicate names, so call this once per process
-// per name (the deepfleet CLI does it when -debug-addr is set).
+// per name (fleetd.New does it when its Config sets ExpvarName).
 func (r *Registry) PublishExpvar(name string) {
 	expvar.Publish(name, r.Expvar())
 }

@@ -34,8 +34,8 @@
 //
 // Decoded specs feed straight into the fleet's canonical digest machinery:
 // a decoded app hashes identically to a natively built one with the same
-// content, so wire-submitted requests share placement-cache and shape-cache
-// entries with in-process traffic.
+// content, so wire-submitted requests share placement-cache entries with
+// apps built in-process.
 package wire
 
 import (
