@@ -283,11 +283,12 @@ func (m *Model) MaxStageWidth() int {
 type GameArena = game.Arena
 
 // State is the arena-style scratch for one scheduling pass: the devices of
-// microservices committed in earlier stages, an epoch-marked device set for
-// counting shared-registry contention, and a lazily created GameArena for
-// the stage solvers' price rows and tables. Energy, CompletionTime,
-// EnergyRow, and EnergyRowPair do not allocate. Not safe for concurrent use;
-// allocate one per pass (or Reset).
+// microservices committed in earlier stages, an epoch-marked device set (for
+// counting shared-registry contention, and for the devices StageRows keeps),
+// and a lazily created GameArena for the stage solvers' price rows and
+// tables. Energy, CompletionTime, EnergyRow, EnergyRowPair and StageRows do
+// not allocate. Not safe for concurrent use; allocate one per pass (or
+// Reset).
 type State struct {
 	m      *Model
 	placed []int32 // device id per microservice, -1 = unplaced
@@ -331,6 +332,58 @@ func (s *State) Reset() {
 
 // Commit fixes a microservice's assignment for later stages.
 func (s *State) Commit(ms int32, o Option) { s.placed[ms] = o.Device }
+
+// StageRows writes into rows[k] the reduced option row of stage[k]: its
+// canonical row (Options) restricted to the devices the stage keeps, in the
+// same order. A stage keeps every device that hosts a committed upstream of
+// one of its members and, of each twin class (topo.ClusterTable.Twins), the
+// first len(stage) other devices in device order. Rows that lose nothing
+// are the model's own; the others are cut from buf, which must hold the
+// stage's canonical rows end to end. Why a stage game over these rows has
+// the answer it has over the canonical ones is sched.DEEP's argument.
+func (s *State) StageRows(stage []int32, rows [][]Option, buf []Option) {
+	m := s.m
+	reps, next := m.tab.TwinReps(), m.tab.TwinNext()
+	dropped := false
+	s.epoch++
+	keep := s.epoch
+	if len(reps) < len(next) { // some device has a twin
+		for _, ms := range stage {
+			for _, in := range m.inputs[ms] {
+				if pd := s.placed[in.MS]; pd >= 0 {
+					s.seen[pd] = keep
+				}
+			}
+		}
+		for _, d := range reps {
+			kept := 0
+			for ; d >= 0; d = next[d] {
+				switch {
+				case s.seen[d] == keep:
+				case kept < len(stage):
+					kept++
+					s.seen[d] = keep
+				default:
+					dropped = true
+				}
+			}
+		}
+	}
+	for k, ms := range stage {
+		row := m.opts[ms]
+		if dropped {
+			n := 0
+			for _, o := range row {
+				if s.seen[o.Device] == keep {
+					buf[n] = o
+					n++
+				}
+			}
+			row, buf = buf[:n:n], buf[n:]
+		}
+		rows[k] = row
+	}
+}
 
 // phases computes the deployment, transfer, and processing times for ms
 // under option o. coMS/coOpt list the same-stage co-assignments (parallel

@@ -49,6 +49,68 @@ import (
 // the current profile with EnergyRow. Every price row and table comes from
 // the pass's GameArena; a reusable Pass makes repeated warm passes allocate
 // nothing at all.
+//
+// Twin devices are priced once. On a fleet of identical boxes most
+// strategies are copies of one another: devices whose swap leaves every
+// table the cost model reads unchanged are twins (topo.ClusterTable.Twins),
+// and every stage plays over reduced option rows
+// (costmodel.State.StageRows). Each member's row is its canonical row
+// restricted to the devices that host a committed upstream of a stage member
+// plus, of each twin class, the first len(stage) other devices in device
+// order. A cluster without twins plays its canonical rows. The answer is the
+// one the canonical rows give:
+//
+//   - Prices. An option reads its device only through the class rows, its
+//     registry, source and loopback links, and the links from its
+//     upstreams' committed devices; contention counts distinct devices. A
+//     swap of two twins that host no upstream therefore maps every profile
+//     to one where every member pays bit for bit the same.
+//   - Copies come first. Within a class every kept device that hosts no
+//     upstream precedes every dropped one. Map a profile's dropped devices,
+//     one at a time, onto kept twins that no other member occupies (with
+//     len(stage) kept there always is one): the copy lies on kept devices,
+//     has the same payoffs, and comes earlier in canonical order — in a
+//     pair stage the row moves up first, then the column with the row
+//     fixed. The same map, applied to one member's deviation with the
+//     others fixed, puts a copy of every best reply in the reduced row, so
+//     the best-reply maxima, and with them the equilibria on kept devices,
+//     are those of the canonical game; a row is empty only if its
+//     canonical row is, since a row's first device is the first of its
+//     class.
+//   - Selection. Equilibria go to game.PureSelection in canonical order,
+//     so the reduced sequence is the canonical one less later copies of
+//     earlier offers, and a copy could only change the answer by
+//     displacing an incumbent that its earlier twin did not. Write v for
+//     a row payoff, w for a welfare and ε = 1e-12. In a solo stage both
+//     players are paid v and w = 2v, so prefer reduces to v > V + ε/2 for
+//     incumbent V: every replacement raises V, and an offer that did not
+//     beat (or was) the incumbent when it came beats no later one. In a
+//     pair stage, suppose the equilibria's welfares are equal or more than
+//     ε apart. Then a replacement raises w by more than ε, or keeps w and
+//     raises v by more than ε. When the earlier copy came it became the
+//     incumbent, or lost to one whose w was more than ε above its own, or
+//     equal with v at most ε below its own; each stays true of every later
+//     incumbent, so the later copy is never preferred. The premise fails
+//     only where two equilibria's welfares differ by a nonzero amount
+//     within ε: a rounding-level coincidence of unrelated prices, since
+//     twins' prices tie exactly. There the argument does not reach, and the
+//     tests stand in for it: TestEquivalenceCorpusPlacements and
+//     FuzzTwinStagesMatchLegacy hold the reduction to the legacy port's
+//     full-row games, zero-power clusters and clusters whose prices all sit
+//     inside or at the edge of the window included.
+//   - Dynamics. Best-response dynamics start from opts[k][0], the first
+//     device of its class, so kept. A member's scan moves to a later option
+//     only when it is more than 1e-9 below the running best, which only
+//     falls; a dropped option's copy on the first kept twin that no other
+//     member occupies comes earlier at the same price, so the scan never
+//     takes the dropped one, and the dynamics visit the same profiles and
+//     sweeps over either row.
+//
+// Keeping one twin per class instead of len(stage) gives the same answers on
+// every test here: joining a member on its device never costs more than
+// taking that device's twin (no added contention, the same transfers), so
+// the selection never picks a profile spread over twins. The proof needs
+// len(stage), so that is what is kept.
 type DEEP struct{}
 
 // DEEP supports the fleet's reusable-pass scheduling path.
@@ -81,6 +143,7 @@ type Pass struct {
 	cur    []costmodel.Option
 	opts   [][]costmodel.Option
 	placed []costmodel.Option
+	rows   []costmodel.Option // the stages' reduced rows, in placed's backing
 	solver SolverStats
 }
 
@@ -118,7 +181,19 @@ func (p *Pass) Retarget(model *costmodel.Model) {
 	p.st.Retarget(model)
 	p.cur = slab.Grow(p.cur, width)
 	p.opts = slab.Grow(p.opts, width)
-	p.placed = slab.Grow(p.placed, model.NumMicroservices())
+	rows := 0
+	for _, stage := range model.Stages() {
+		n := 0
+		for _, ms := range stage {
+			n += len(model.Options(ms))
+		}
+		rows = max(rows, n)
+	}
+	// placed keeps the whole backing as its capacity, so the next Retarget
+	// regrows from all of it.
+	nm := model.NumMicroservices()
+	buf := slab.Grow(p.placed[:cap(p.placed)], nm+rows)
+	p.placed, p.rows = buf[:nm], buf[nm:]
 }
 
 // Placement materializes the last run's placement as a string-keyed map
@@ -153,20 +228,19 @@ func (*DEEP) ScheduleInto(p *Pass) error {
 	for _, stage := range model.Stages() {
 		assigned := p.cur[:len(stage)]
 		opts := p.opts[:len(stage)]
-		for k, ms := range stage {
-			o := model.Options(ms)
-			if len(o) == 0 {
+		for _, ms := range stage {
+			if len(model.Options(ms)) == 0 {
 				return infeasibleError{ms: model.MSName(ms)}
 			}
-			opts[k] = o
 		}
+		st.StageRows(stage, opts, p.rows)
 		var err error
 		switch {
 		case len(stage) == 1:
-			assigned[0], err = scheduleSolo(model, st, stage[0])
+			assigned[0], err = scheduleSolo(model, st, stage[0], opts[0])
 			p.solver.Exact++
 		case len(stage) == 2:
-			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1])
+			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1], opts[0], opts[1])
 			p.solver.Exact++
 		default:
 			for k := range stage {
@@ -189,9 +263,9 @@ func (*DEEP) ScheduleInto(p *Pass) error {
 }
 
 // scheduleSolo solves the one-microservice device×registry cooperation game
-// from its option row, priced by one EnergyRow call.
-func scheduleSolo(model *costmodel.Model, st *costmodel.State, ms int32) (costmodel.Option, error) {
-	opts := model.Options(ms)
+// from its option row opts (canonical, or a reduced row), priced by one
+// EnergyRow call.
+func scheduleSolo(model *costmodel.Model, st *costmodel.State, ms int32, opts []costmodel.Option) (costmodel.Option, error) {
 	ar := st.Arena()
 	ar.Reset()
 	prices := ar.Floats(len(opts))
@@ -301,11 +375,11 @@ func unbeaten(v, rowMax, colMax float64) bool {
 // welfare-maximal pure equilibrium, found from the stage's price rows by
 // pairStage.bestPure. Such a stage always has one (bestPure's doc comment
 // proves it), so the error is unreachable while the cost model keeps the
-// proof's premise.
-func schedulePair(model *costmodel.Model, st *costmodel.State, m1, m2 int32) (costmodel.Option, costmodel.Option, error) {
+// proof's premise. o1 and o2 are the two option rows, canonical or reduced.
+func schedulePair(model *costmodel.Model, st *costmodel.State, m1, m2 int32, o1, o2 []costmodel.Option) (costmodel.Option, costmodel.Option, error) {
 	ar := st.Arena()
 	ar.Reset()
-	ps := newPairStage(model, st, ar, m1, m2)
+	ps := newPairStage(model, st, ar, m1, m2, o1, o2)
 	i, j, ok := ps.bestPure(ar)
 	if !ok {
 		return costmodel.Option{}, costmodel.Option{}, fmt.Errorf("sched: pair stage (%q, %q) has no pure equilibrium",

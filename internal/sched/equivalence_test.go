@@ -22,9 +22,14 @@ import (
 	"sort"
 	"testing"
 
+	"deep/internal/appgraph"
+	"deep/internal/costmodel"
 	"deep/internal/dag"
+	"deep/internal/device"
+	"deep/internal/energy"
 	"deep/internal/game"
 	"deep/internal/sim"
+	"deep/internal/topo"
 	"deep/internal/units"
 	"deep/internal/workload"
 )
@@ -175,8 +180,17 @@ func topoNames(app *dag.App) []string {
 }
 
 func legacyDEEP(t testing.TB, app *dag.App, cluster *sim.Cluster) (sim.Placement, error) {
+	placement, _, err := legacyDEEPStats(t, app, cluster)
+	return placement, err
+}
+
+// legacyDEEPStats is legacyDEEP counting its stages the way SolverStats
+// does: solo and pair stages exact, wider ones best response, and those
+// whose dynamics ran out of sweeps non-converged.
+func legacyDEEPStats(t testing.TB, app *dag.App, cluster *sim.Cluster) (sim.Placement, SolverStats, error) {
 	stages := app.Stages()
 	var err error
+	var stats SolverStats
 	est := newLegacyEstimator(app, cluster)
 	placement := make(sim.Placement, len(app.Microservices))
 	for _, stage := range stages {
@@ -186,20 +200,27 @@ func legacyDEEP(t testing.TB, app *dag.App, cluster *sim.Cluster) (sim.Placement
 		switch len(names) {
 		case 1:
 			assigned, err = legacySolo(est, msByName(app, names[0]))
+			stats.Exact++
 		case 2:
 			assigned, err = legacyPair(t, est, msByName(app, names[0]), msByName(app, names[1]))
+			stats.Exact++
 		default:
-			assigned, err = legacyBestResponse(est, app, names, nil)
+			var converged bool
+			assigned, converged, err = legacyBestResponse(est, app, names, nil)
+			stats.BestResponse++
+			if !converged {
+				stats.NonConverged++
+			}
 		}
 		if err != nil {
-			return nil, err
+			return nil, stats, err
 		}
 		for name, a := range assigned {
 			placement[name] = a
 			est.Commit(name, a)
 		}
 	}
-	return placement, nil
+	return placement, stats, nil
 }
 
 func legacySolo(est *legacyEstimator, m *dag.Microservice) (map[string]sim.Assignment, error) {
@@ -283,9 +304,10 @@ func legacyPair(t testing.TB, est *legacyEstimator, m1, m2 *dag.Microservice) (m
 // the original cloned the whole co-assignment map per candidate, but the
 // clone's only difference (the deciding microservice's own entry) is
 // skipped by the contention scan, so the copy never changed a payoff.
-// filter restricts each microservice's options (nil keeps all).
-func legacyBestResponse(est *legacyEstimator, app *dag.App, names []string, filter func(sim.Assignment) bool) (map[string]sim.Assignment, error) {
-	cur := make(map[string]sim.Assignment, len(names))
+// filter restricts each microservice's options (nil keeps all). converged
+// is false when the sweep budget ran out with a member still moving.
+func legacyBestResponse(est *legacyEstimator, app *dag.App, names []string, filter func(sim.Assignment) bool) (cur map[string]sim.Assignment, converged bool, err error) {
+	cur = make(map[string]sim.Assignment, len(names))
 	optsOf := make(map[string][]sim.Assignment, len(names))
 	for _, n := range names {
 		m := msByName(app, n)
@@ -296,7 +318,7 @@ func legacyBestResponse(est *legacyEstimator, app *dag.App, names []string, filt
 			}
 		}
 		if len(opts) == 0 {
-			return nil, infeasibleError{ms: n}
+			return nil, false, infeasibleError{ms: n}
 		}
 		optsOf[n] = opts
 		cur[n] = opts[0]
@@ -320,10 +342,10 @@ func legacyBestResponse(est *legacyEstimator, app *dag.App, names []string, filt
 			}
 		}
 		if !changed {
-			return cur, nil
+			return cur, true, nil
 		}
 	}
-	return cur, nil
+	return cur, false, nil
 }
 
 func legacyExclusive(registry string) func(*dag.App, *sim.Cluster) (sim.Placement, error) {
@@ -334,7 +356,7 @@ func legacyExclusive(registry string) func(*dag.App, *sim.Cluster) (sim.Placemen
 		for _, stage := range stages {
 			names := append([]string(nil), stage...)
 			sort.Strings(names)
-			cur, err := legacyBestResponse(est, app, names, func(o sim.Assignment) bool {
+			cur, _, err := legacyBestResponse(est, app, names, func(o sim.Assignment) bool {
 				return o.Registry == registry
 			})
 			if err != nil {
@@ -443,34 +465,124 @@ type corpusCase struct {
 	name    string
 	app     *dag.App
 	cluster *sim.Cluster
+	// tab, when set, is the cluster table the case's model compiles on: a
+	// churn epoch's, patched from the whole cluster's table, with cluster
+	// the view the legacy port schedules on. Nil compiles cluster's own.
+	tab *topo.ClusterTable
 }
 
+// model compiles the case as the fleet does: over its own cluster table, or
+// over the patched epoch table.
+func (c corpusCase) model() *costmodel.Model {
+	if c.tab == nil {
+		return costmodel.Compile(c.app, c.cluster)
+	}
+	m, _ := costmodel.CompileShapeOn(appgraph.Compile(c.app), c.cluster, c.tab)
+	return m
+}
+
+// scaledPower is a device's power model times k: at k = 0 every price is
+// 0 and every stage game ties everywhere; at small k every price sits inside
+// or at the edge of the selection's 1e-12 tie window.
+type scaledPower struct {
+	pm energy.PowerModel
+	k  float64
+}
+
+func (p scaledPower) Power(state energy.State, ms string) units.Watts {
+	return units.Watts(p.k) * p.pm.Power(state, ms)
+}
+
+// scalePower returns the cluster with every device's power model scaled by
+// k. Devices are copied, so the workload's own are left alone.
+func scalePower(c *sim.Cluster, k float64) *sim.Cluster {
+	out := *c
+	out.Devices = make([]*device.Device, len(c.Devices))
+	for i, d := range c.Devices {
+		cp := *d
+		cp.Power = scaledPower{d.Power, k}
+		out.Devices[i] = &cp
+	}
+	return &out
+}
+
+// churned takes the named device down the way the fleet's churn does: the
+// legacy port sees the cluster without it, and the model compiles on the
+// whole cluster's table patched to that view.
+func churned(t *testing.T, base *sim.Cluster, down string) corpusCase {
+	t.Helper()
+	view := *base
+	view.Devices = nil
+	for _, d := range base.Devices {
+		if d.Name != down {
+			view.Devices = append(view.Devices, d)
+		}
+	}
+	if len(view.Devices) == len(base.Devices) {
+		t.Fatalf("no device %q to take down", down)
+	}
+	regs := make([]topo.Registry, len(base.Registries))
+	for i, r := range base.Registries {
+		regs[i] = topo.Registry{Name: r.Name, Node: r.Node, Shared: r.Shared}
+	}
+	tab := sim.CompileClusterTable(base).Patch(topo.View{
+		Devices: view.Devices, Registries: regs, Topology: base.Topology, SourceNode: base.SourceNode,
+	}, topo.Delta{})
+	return corpusCase{cluster: &view, tab: tab}
+}
+
+// equivalenceCorpus is the case-study apps and generated apps of 5, 9 and
+// 13 microservices with stages up to 3 and 4 wide, on: the paper's testbed
+// (no twins); ScaledTestbed(4) and ScaledTestbed(12), the front-door
+// benchmark's cold_unique cluster (two twin classes); ScaledTestbed(4) with
+// one device's hub link halved, so that device leaves its twins; and with a
+// device down through topo.Patch; and ScaledTestbed(4) with every power
+// model zeroed or scaled by 1e-17 to 1e-14, so every price ties or sits
+// near the selection's 1e-12 window.
 func equivalenceCorpus(t *testing.T) []corpusCase {
 	t.Helper()
 	var cases []corpusCase
-	clusters := []struct {
+	perturbed := func() *sim.Cluster {
+		c := workload.ScaledTestbed(4)
+		if err := c.Topology.SetBandwidth(workload.HubNode, workload.MediumNode+"-01", workload.HubMediumBW/2); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	type onCluster struct {
 		name string
-		mk   func() *sim.Cluster
-	}{
-		{"testbed", workload.Testbed},
-		{"scaled4", func() *sim.Cluster { return workload.ScaledTestbed(4) }},
+		mk   func() corpusCase
+	}
+	clusters := []onCluster{
+		{"testbed", func() corpusCase { return corpusCase{cluster: workload.Testbed()} }},
+		{"scaled4", func() corpusCase { return corpusCase{cluster: workload.ScaledTestbed(4)} }},
+		{"scaled24", func() corpusCase { return corpusCase{cluster: workload.ScaledTestbed(12)} }},
+		{"scaled4-perturbed", func() corpusCase { return corpusCase{cluster: perturbed()} }},
+		{"scaled4-down", func() corpusCase { return churned(t, workload.ScaledTestbed(4), workload.MediumNode+"-02") }},
+	}
+	for _, k := range []float64{0, 1e-17, 1e-16, 1e-15, 1e-14} {
+		clusters = append(clusters, onCluster{fmt.Sprintf("scaled4-power%g", k), func() corpusCase {
+			return corpusCase{cluster: scalePower(workload.ScaledTestbed(4), k)}
+		}})
 	}
 	for _, cl := range clusters {
-		cases = append(cases,
-			corpusCase{"video/" + cl.name, workload.VideoProcessing(), cl.mk()},
-			corpusCase{"text/" + cl.name, workload.TextProcessing(), cl.mk()},
-		)
-		for _, size := range []int{5, 9, 13} {
-			for seed := int64(1); seed <= 2; seed++ {
-				cfg := workload.DefaultGeneratorConfig(size, seed)
-				cfg.StageWidth = 4 // stages wide enough to hit best-response
-				app, err := workload.Generate(cfg)
-				if err != nil {
-					t.Fatalf("generate size=%d seed=%d: %v", size, seed, err)
+		on := func(name string, app *dag.App) corpusCase {
+			c := cl.mk()
+			c.name, c.app = name+"/"+cl.name, app
+			return c
+		}
+		cases = append(cases, on("video", workload.VideoProcessing()), on("text", workload.TextProcessing()))
+		for _, width := range []int{3, 4} { // stages wide enough to hit best-response
+			for _, size := range []int{5, 9, 13} {
+				for seed := int64(1); seed <= 2; seed++ {
+					cfg := workload.DefaultGeneratorConfig(size, seed)
+					cfg.StageWidth = width
+					app, err := workload.Generate(cfg)
+					if err != nil {
+						t.Fatalf("generate size=%d seed=%d: %v", size, seed, err)
+					}
+					cases = append(cases, on(fmt.Sprintf("synthetic%d-%d-w%d", size, seed, width), app))
 				}
-				cases = append(cases, corpusCase{
-					fmt.Sprintf("synthetic%d-%d/%s", size, seed, cl.name), app, cl.mk(),
-				})
 			}
 		}
 	}
@@ -478,10 +590,14 @@ func equivalenceCorpus(t *testing.T) []corpusCase {
 }
 
 // TestEquivalenceCorpusPlacements: every scheduler, on every corpus case,
-// must produce a placement byte-identical to the legacy implementation's.
+// must produce a placement byte-identical to the legacy implementation's,
+// and DEEP, which plays its stages over reduced rows, must count its stages
+// as the legacy port's full-row games do.
 func TestEquivalenceCorpusPlacements(t *testing.T) {
 	const seed = 1
+	stages, reduced := 0, 0
 	for _, c := range equivalenceCorpus(t) {
+		model := c.model()
 		legacy := legacyAll(t, seed)
 		for i, s := range All(seed) {
 			ref := legacy[i]
@@ -489,7 +605,7 @@ func TestEquivalenceCorpusPlacements(t *testing.T) {
 				t.Fatalf("scheduler order mismatch: %s vs %s", ref.name, s.Name())
 			}
 			want, wantErr := ref.schedule(c.app, c.cluster)
-			got, gotErr := Schedule(s, c.app, c.cluster)
+			got, gotErr := s.ScheduleModel(model)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("%s/%s: error mismatch: legacy=%v new=%v", c.name, s.Name(), wantErr, gotErr)
 			}
@@ -506,7 +622,50 @@ func TestEquivalenceCorpusPlacements(t *testing.T) {
 				}
 			}
 		}
+		_, wantStats, err := legacyDEEPStats(t, c.app, c.cluster)
+		p := NewPass(model)
+		if gotErr := NewDEEP().ScheduleInto(p); (err == nil) != (gotErr == nil) {
+			t.Fatalf("%s: error mismatch: legacy=%v new=%v", c.name, err, gotErr)
+		}
+		if got := p.Solver(); err == nil && got != wantStats {
+			t.Errorf("%s: solver stats %+v, legacy %+v", c.name, got, wantStats)
+		}
+		if err == nil {
+			s, r := reducedStages(model, p.placed)
+			stages, reduced = stages+s, reduced+r
+		}
 	}
+	// Most stages on the scaled clusters must have dropped twins, or the
+	// pin says nothing about the reduction.
+	if reduced < stages/2 {
+		t.Fatalf("%d of %d stages played over reduced rows; the corpus must exercise the reduction", reduced, stages)
+	}
+	t.Logf("%d of %d stages played over reduced rows", reduced, stages)
+}
+
+// reducedStages replays the pass's stage rows against its placement and
+// counts the stages, and those in which some member's row dropped a twin.
+func reducedStages(model *costmodel.Model, placed []costmodel.Option) (stages, reduced int) {
+	st := model.NewState()
+	for _, stage := range model.Stages() {
+		rows := make([][]costmodel.Option, len(stage))
+		var buf []costmodel.Option
+		for _, ms := range stage {
+			buf = append(buf, model.Options(ms)...)
+		}
+		st.StageRows(stage, rows, buf)
+		stages++
+		for k, ms := range stage {
+			if len(rows[k]) < len(model.Options(ms)) {
+				reduced++
+				break
+			}
+		}
+		for _, ms := range stage {
+			st.Commit(ms, placed[ms])
+		}
+	}
+	return stages, reduced
 }
 
 // TestEquivalenceCorpusEstimator: Energy and CompletionTime must be

@@ -65,7 +65,7 @@ func certifyAtScale(t *testing.T, lo, hi int, visit func(name string, largest in
 			largest := 0
 			walkPairStages(t, name, model, func(st *costmodel.State, m1, m2 int32) {
 				largest = max(largest, certifyPairStage(t, name, model, st, m1, m2))
-				o1, o2, err := schedulePair(model, st, m1, m2)
+				o1, o2, err := schedulePair(model, st, m1, m2, model.Options(m1), model.Options(m2))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -186,7 +186,7 @@ func dynamicsPlacement(t *testing.T, model *costmodel.Model) sim.Placement {
 		assigned := make([]costmodel.Option, len(stage))
 		if len(stage) == 1 {
 			var err error
-			if assigned[0], err = scheduleSolo(model, st, stage[0]); err != nil {
+			if assigned[0], err = scheduleSolo(model, st, stage[0], model.Options(stage[0])); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -15,7 +15,8 @@ import (
 // pays the row player -shared1[i] and the column player -shared2[j] when
 // costmodel.Contend(regShared, o1[i], o2[j]), else -solo1[i] and -solo2[j].
 // Both option rows are in canonical (device, registry) order with no
-// repeats, as costmodel.Model.Options returns them. Stages of three or more
+// repeats, as costmodel.Model.Options and costmodel.State.StageRows return
+// them. Stages of three or more
 // have no such form (the uplink can be split more than two ways) and never
 // come here.
 type pairStage struct {
@@ -25,10 +26,10 @@ type pairStage struct {
 	solo2, shared2 []float64
 }
 
-// newPairStage prices the (m1, m2) stage of the pass, its four price rows
-// drawn from ar.
-func newPairStage(model *costmodel.Model, st *costmodel.State, ar *game.Arena, m1, m2 int32) pairStage {
-	ps := pairStage{o1: model.Options(m1), o2: model.Options(m2), regShared: model.Table().RegShared()}
+// newPairStage prices the (m1, m2) stage of the pass over the option rows
+// o1 and o2, its four price rows drawn from ar.
+func newPairStage(model *costmodel.Model, st *costmodel.State, ar *game.Arena, m1, m2 int32, o1, o2 []costmodel.Option) pairStage {
+	ps := pairStage{o1: o1, o2: o2, regShared: model.Table().RegShared()}
 	ps.solo1, ps.shared1 = ar.Floats(len(ps.o1)), ar.Floats(len(ps.o1))
 	ps.solo2, ps.shared2 = ar.Floats(len(ps.o2)), ar.Floats(len(ps.o2))
 	st.EnergyRowPair(m1, ps.o1, ps.solo1, ps.shared1)

@@ -69,8 +69,8 @@ func pairGameCorpus(t *testing.T) []corpusCase {
 	severed.Devices = append(severed.Devices, device.MediumIntelSpec(severed.Devices[0].Power).WithName("island"))
 
 	cases := []corpusCase{
-		{"video/testbed", workload.VideoProcessing(), workload.Testbed()},
-		{"text/testbed", workload.TextProcessing(), workload.Testbed()},
+		{name: "video/testbed", app: workload.VideoProcessing(), cluster: workload.Testbed()},
+		{name: "text/testbed", app: workload.TextProcessing(), cluster: workload.Testbed()},
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		cases = append(cases, on(synthetic(16, seed), "scaled12", workload.ScaledTestbed(12)))
@@ -98,9 +98,9 @@ func walkStages(t *testing.T, name string, model *costmodel.Model, visit func(st
 		var err error
 		switch len(stage) {
 		case 1:
-			assigned[0], err = scheduleSolo(model, st, stage[0])
+			assigned[0], err = scheduleSolo(model, st, stage[0], model.Options(stage[0]))
 		case 2:
-			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1])
+			assigned[0], assigned[1], err = schedulePair(model, st, stage[0], stage[1], model.Options(stage[0]), model.Options(stage[1]))
 		default:
 			opts := make([][]costmodel.Option, len(stage))
 			for k, ms := range stage {
@@ -161,7 +161,7 @@ func pairMatrix(ps *pairStage) *game.Game {
 func fillPairGame(model *costmodel.Model, st *costmodel.State, m1, m2 int32) *game.Game {
 	ar := st.Arena()
 	ar.Reset()
-	ps := newPairStage(model, st, ar, m1, m2)
+	ps := newPairStage(model, st, ar, m1, m2, model.Options(m1), model.Options(m2))
 	return pairMatrix(&ps)
 }
 
@@ -216,7 +216,7 @@ func TestPairGameMatchesCellByCellEnergy(t *testing.T) {
 func certifyPairStage(t *testing.T, name string, model *costmodel.Model, st *costmodel.State, m1, m2 int32) int {
 	t.Helper()
 	o1, o2 := model.Options(m1), model.Options(m2)
-	p1, p2, err := schedulePair(model, st, m1, m2)
+	p1, p2, err := schedulePair(model, st, m1, m2, model.Options(m1), model.Options(m2))
 	if err != nil {
 		t.Fatalf("%s: exact pair: %v", name, err)
 	}
@@ -272,7 +272,7 @@ func generatedCorpus(t *testing.T) []corpusCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cases = append(cases, corpusCase{fmt.Sprintf("synthetic16-%d/scaled%d", seed, 2*scale), app, cluster})
+			cases = append(cases, corpusCase{name: fmt.Sprintf("synthetic16-%d/scaled%d", seed, 2*scale), app: app, cluster: cluster})
 		}
 	}
 	return cases
@@ -289,7 +289,7 @@ func TestPairKernelMatchesMatrix(t *testing.T) {
 		stages += walkPairStages(t, c.name, model, func(st *costmodel.State, m1, m2 int32) {
 			ar := st.Arena()
 			ar.Reset()
-			ps := newPairStage(model, st, ar, m1, m2)
+			ps := newPairStage(model, st, ar, m1, m2, model.Options(m1), model.Options(m2))
 			if !checkKernelAgainstMatrix(t, fmt.Sprintf("%s: stage (%s, %s)", c.name, model.MSName(m1), model.MSName(m2)), &ps) {
 				none++
 			}
@@ -541,7 +541,7 @@ func TestBestResponseReportsNonConvergence(t *testing.T) {
 	}
 
 	st := model.NewState()
-	first, err := scheduleSolo(model, st, stages[0][0])
+	first, err := scheduleSolo(model, st, stages[0][0], model.Options(stages[0][0]))
 	if err != nil {
 		t.Fatal(err)
 	}

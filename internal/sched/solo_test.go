@@ -96,7 +96,7 @@ func checkSoloAgainstMatrix(t *testing.T, name string, opts []costmodel.Option, 
 func TestSoloKernelMatchesMatrix(t *testing.T) {
 	cases := append(pairGameCorpus(t), generatedCorpus(t)...)
 	for _, c := range fusedCorpus(t) {
-		cases = append(cases, corpusCase{c.name, c.app, c.mk()})
+		cases = append(cases, corpusCase{name: c.name, app: c.app, cluster: c.mk()})
 	}
 	stages, infinite := 0, 0
 	for _, c := range cases {
@@ -119,7 +119,7 @@ func TestSoloKernelMatchesMatrix(t *testing.T) {
 			}
 			checkSoloAgainstMatrix(t, name, opts, prices, model.NumRegistries())
 
-			got, err := scheduleSolo(model, st, ms)
+			got, err := scheduleSolo(model, st, ms, model.Options(ms))
 			want, wantOK := soloMatrix(opts, prices)
 			if (err == nil) != wantOK || (wantOK && got != opts[want]) {
 				t.Fatalf("%s: scheduleSolo = (%v, %v), the matrix picks option %d (ok %v)", name, got, err, want, wantOK)

@@ -28,6 +28,10 @@ type Delta struct {
 // to Compile(v) (pinned by the equivalence test in patch_test.go); the old
 // table is not modified, so readers of previous epochs are never disturbed.
 //
+// Every table is built here — Compile is Patch against the empty table — and
+// the build ends by deriving the twin classes from the finished link tables,
+// so each churn epoch's table carries its own.
+//
 // Correctness depends on the caller's honesty: a link mutated between the
 // two compiles whose endpoints are absent from delta.TouchedNodes is served
 // stale from the old table.
@@ -40,27 +44,21 @@ func (t *ClusterTable) Patch(v View, delta Delta) *ClusterTable {
 		touched[node] = true
 	}
 
-	// oldDev[d] is the old table's id for new device d, or -1 when the
-	// device joined (or was renamed) since the old compile. A device whose
-	// interned handle changed is treated as new: its idle power (and only
-	// its own rows) must be re-derived.
-	oldDev := make([]int32, nd)
+	// reuse[d] is the old table's id for new device d when every link
+	// incident to it is unchanged — it was in the old table under the same
+	// interned handle and is not touched — else -1. A device whose handle
+	// changed is treated as new: its idle power (and only its own rows) must
+	// be re-derived. oldReg[r] is the old table's id for new registry r when
+	// its node is unchanged and untouched — the condition for copying its
+	// link row — else -1. One backing holds both.
+	scratch := make([]int32, nd+nr)
+	reuse, oldReg := scratch[:nd], scratch[nd:]
 	for d := 0; d < nd; d++ {
-		if od, ok := t.devIndex[n.devNames[d]]; ok && t.devices[od] == n.devices[d] {
-			oldDev[d] = od
-		} else {
-			oldDev[d] = -1
+		reuse[d] = -1
+		if od, ok := t.oldDevice(n, d); ok && !touched[n.devNames[d]] {
+			reuse[d] = od
 		}
 	}
-	// devReusable[d]: every link incident to this device is unchanged.
-	devReusable := make([]bool, nd)
-	for d := 0; d < nd; d++ {
-		devReusable[d] = oldDev[d] >= 0 && !touched[n.devNames[d]]
-	}
-
-	// oldReg[r] is the old table's id for new registry r when its node is
-	// unchanged and untouched — the condition for copying its link row.
-	oldReg := make([]int32, nr)
 	for r := 0; r < nr; r++ {
 		oldReg[r] = -1
 		if or, ok := t.regIndex[n.regNames[r]]; ok &&
@@ -73,8 +71,8 @@ func (t *ClusterTable) Patch(v View, delta Delta) *ClusterTable {
 	n.regLink = make([]Link, nr*nd)
 	for r := 0; r < nr; r++ {
 		for d := 0; d < nd; d++ {
-			if or := oldReg[r]; or >= 0 && devReusable[d] {
-				n.regLink[r*nd+d] = t.regLink[int(or)*ond+int(oldDev[d])]
+			if or, od := oldReg[r], reuse[d]; or >= 0 && od >= 0 {
+				n.regLink[r*nd+d] = t.regLink[int(or)*ond+int(od)]
 			} else {
 				n.regLink[r*nd+d] = compileLink(v.Topology, n.regNodes[r], n.devNames[d])
 			}
@@ -83,8 +81,8 @@ func (t *ClusterTable) Patch(v View, delta Delta) *ClusterTable {
 	n.devLink = make([]Link, nd*nd)
 	for f := 0; f < nd; f++ {
 		for d := 0; d < nd; d++ {
-			if devReusable[f] && devReusable[d] {
-				n.devLink[f*nd+d] = t.devLink[int(oldDev[f])*ond+int(oldDev[d])]
+			if of, od := reuse[f], reuse[d]; of >= 0 && od >= 0 {
+				n.devLink[f*nd+d] = t.devLink[int(of)*ond+int(od)]
 			} else {
 				n.devLink[f*nd+d] = compileLink(v.Topology, n.devNames[f], n.devNames[d])
 			}
@@ -96,8 +94,8 @@ func (t *ClusterTable) Patch(v View, delta Delta) *ClusterTable {
 	if n.hasSource {
 		srcReusable := t.srcNode == v.SourceNode && !touched[v.SourceNode]
 		for d := 0; d < nd; d++ {
-			if srcReusable && devReusable[d] {
-				n.srcLink[d] = t.srcLink[oldDev[d]]
+			if srcReusable && reuse[d] >= 0 {
+				n.srcLink[d] = t.srcLink[reuse[d]]
 			} else {
 				n.srcLink[d] = compileLink(v.Topology, v.SourceNode, n.devNames[d])
 			}
@@ -106,11 +104,19 @@ func (t *ClusterTable) Patch(v View, delta Delta) *ClusterTable {
 
 	n.idleW = make([]units.Watts, nd)
 	for d := 0; d < nd; d++ {
-		if oldDev[d] >= 0 {
-			n.idleW[d] = t.idleW[oldDev[d]]
+		if od, ok := t.oldDevice(n, d); ok {
+			n.idleW[d] = t.idleW[od]
 		} else {
 			n.idleW[d] = n.devices[d].Power.Power(energy.Idle, "")
 		}
 	}
+	n.findTwins()
 	return n
+}
+
+// oldDevice returns this table's id for the new table n's device d, when
+// this table holds that device under the same interned handle.
+func (t *ClusterTable) oldDevice(n *ClusterTable, d int) (int32, bool) {
+	od, ok := t.devIndex[n.devNames[d]]
+	return od, ok && t.devices[od] == n.devices[d]
 }

@@ -23,11 +23,11 @@
 package topo
 
 import (
+	"math"
 	"slices"
 	"sort"
 
 	"deep/internal/device"
-	"deep/internal/energy"
 	"deep/internal/netsim"
 	"deep/internal/units"
 )
@@ -73,6 +73,19 @@ type View struct {
 // is device.ClassKey, the device's cluster-digest record minus its name, so
 // class and digest equality never disagree: a power model whose %#v hides
 // behaviour breaks both alike.
+//
+// A twin class is finer: the devices that also agree on every link the cost
+// model reads, so that swapping two of them leaves every table unchanged.
+// Devices d and e are twins when they share a device class, a registry-link
+// column, a source link and a loopback, devLink[d][e] == devLink[e][d], and
+// their device-link rows and columns agree against every third device (links
+// compared bit for bit). Swapping twins is a relabelling that preserves every
+// table, so twinhood is an equivalence: the classes are numbered in order of
+// first appearance over device ids, each device compared only with each
+// class's first device. ScaledTestbed's identical boxes form one twin class
+// per spec; a device whose hub link degrades leaves its class. The scheduler
+// plays each stage game over a few kept twins of each class rather than
+// over every device (sched.DEEP).
 type ClusterTable struct {
 	devNames []string
 	regNames []string
@@ -89,6 +102,13 @@ type ClusterTable struct {
 	// appearance over device ids; classRep[c] is class c's first device.
 	devClass []int32
 	classRep []int32
+
+	// twin[d] is device d's twin class, numbered like devClass; twinRep[c]
+	// is twin class c's first device and twinNext[d] the next device of d's
+	// twin class in device order, -1 after the last.
+	twin     []int32
+	twinRep  []int32
+	twinNext []int32
 
 	regShared []bool
 
@@ -112,44 +132,15 @@ type ClusterTable struct {
 
 // Compile builds the cluster table. It performs the full topology scan —
 // O(numReg·numDev + numDev²) LinkBetween lookups — which is exactly the work
-// sharing the table avoids repeating per application.
-func Compile(v View) *ClusterTable {
-	t := newTable(v)
-	nd, nr := len(t.devNames), len(t.regNames)
+// sharing the table avoids repeating per application. It is Patch against
+// the empty table, which has no link row to copy: one build makes every
+// table, so a churn epoch's patched table and a cold compile of the same
+// view are the same value, twin classes included.
+func Compile(v View) *ClusterTable { return new(ClusterTable).Patch(v, Delta{}) }
 
-	t.regLink = make([]Link, nr*nd)
-	for r := 0; r < nr; r++ {
-		for d := 0; d < nd; d++ {
-			t.regLink[r*nd+d] = compileLink(v.Topology, t.regNodes[r], t.devNames[d])
-		}
-	}
-	t.devLink = make([]Link, nd*nd)
-	for f := 0; f < nd; f++ {
-		for d := 0; d < nd; d++ {
-			t.devLink[f*nd+d] = compileLink(v.Topology, t.devNames[f], t.devNames[d])
-		}
-	}
-	t.hasSource = v.SourceNode != ""
-	t.srcNode = v.SourceNode
-	t.srcLink = make([]Link, nd)
-	if t.hasSource {
-		for d := 0; d < nd; d++ {
-			t.srcLink[d] = compileLink(v.Topology, v.SourceNode, t.devNames[d])
-		}
-	}
-
-	t.idleW = make([]units.Watts, nd)
-	for d := 0; d < nd; d++ {
-		t.idleW[d] = t.devices[d].Power.Power(energy.Idle, "")
-	}
-	return t
-}
-
-// classify numbers the device classes in order of first appearance.
-func classify(devices []*device.Device) (devClass, classRep []int32) {
-	n := len(devices)
-	ids := make([]int32, 2*n) // one backing: never more classes than devices
-	devClass, classRep = ids[:n:n], ids[n:n]
+// classify numbers the device classes in order of first appearance,
+// filling devClass and appending each class's first device to classRep.
+func classify(devices []*device.Device, devClass, classRep []int32) []int32 {
 	for d, dev := range devices {
 		c := 0
 		for c < len(classRep) && !dev.SameClass(devices[classRep[c]]) {
@@ -160,7 +151,70 @@ func classify(devices []*device.Device) (devClass, classRep []int32) {
 		}
 		devClass[d] = int32(c)
 	}
-	return devClass, classRep
+	return classRep
+}
+
+// findTwins fills the twin tables newTable carved, once the link tables are
+// built: classes numbered in order of first appearance, each device compared
+// with the first device of each class found so far, then each class's
+// devices chained in device order.
+func (t *ClusterTable) findTwins() {
+	for d := range t.twin {
+		c := 0
+		for c < len(t.twinRep) && !t.twinOf(d, int(t.twinRep[c])) {
+			c++
+		}
+		if c == len(t.twinRep) {
+			t.twinRep = append(t.twinRep, int32(d))
+		}
+		t.twin[d] = int32(c)
+	}
+	// Chain from the last device down; each class's head ends at its first
+	// device, which is what twinRep held.
+	for c := range t.twinRep {
+		t.twinRep[c] = -1
+	}
+	for d := len(t.twin) - 1; d >= 0; d-- {
+		c := t.twin[d]
+		t.twinNext[d], t.twinRep[c] = t.twinRep[c], int32(d)
+	}
+}
+
+// twinOf reports whether swapping devices d and e leaves every table the
+// cost model reads unchanged: the class rows, the registry, source and
+// loopback links, and the device links between them and to every third
+// device.
+func (t *ClusterTable) twinOf(d, e int) bool {
+	nd := len(t.devNames)
+	dl := t.devLink
+	if t.devClass[d] != t.devClass[e] || !sameLink(t.srcLink[d], t.srcLink[e]) ||
+		!sameLink(dl[d*nd+d], dl[e*nd+e]) || !sameLink(dl[d*nd+e], dl[e*nd+d]) {
+		return false
+	}
+	for r := range t.regNames {
+		if !sameLink(t.regLink[r*nd+d], t.regLink[r*nd+e]) {
+			return false
+		}
+	}
+	rowD, rowE := dl[d*nd:(d+1)*nd], dl[e*nd:(e+1)*nd]
+	for f := range rowD {
+		if f != d && f != e && !sameLink(rowD[f], rowE[f]) {
+			return false
+		}
+	}
+	for f := range nd {
+		if col := dl[f*nd : (f+1)*nd]; f != d && f != e && !sameLink(col[d], col[e]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLink compares two links bit for bit, so a twin never differs from
+// its class's first device by a zero's sign or a NaN.
+func sameLink(a, b Link) bool {
+	return a.OK == b.OK && math.Float64bits(float64(a.BW)) == math.Float64bits(float64(b.BW)) &&
+		math.Float64bits(a.RTT) == math.Float64bits(b.RTT)
 }
 
 // newTable builds what Compile and Patch both derive from the view alone:
@@ -192,7 +246,13 @@ func newTable(v View) *ClusterTable {
 			t.devices[i] = d
 		}
 	}
-	t.devClass, t.classRep = classify(t.devices)
+	// One backing holds the class and twin tables: never more classes than
+	// devices. The twin tables are filled once the links are built.
+	n := len(t.devices)
+	ids := make([]int32, 5*n)
+	t.devClass, t.twin, t.twinNext = ids[:n:n], ids[n:2*n:2*n], ids[2*n:3*n:3*n]
+	t.classRep = classify(t.devices, t.devClass, ids[3*n:3*n:4*n])
+	t.twinRep = ids[4*n : 4*n : 5*n]
 
 	nr := len(t.regNames)
 	t.regShared, t.regNodes = make([]bool, nr), make([]string, nr)
@@ -263,6 +323,18 @@ func (t *ClusterTable) DevClasses() []int32 { return t.devClass }
 
 // ClassReps returns each class's first device id (shared slice).
 func (t *ClusterTable) ClassReps() []int32 { return t.classRep }
+
+// Twins returns each device's twin class id (shared slice).
+func (t *ClusterTable) Twins() []int32 { return t.twin }
+
+// TwinReps returns each twin class's first device id (shared slice); there
+// are as many twin classes as devices when no two devices are twins.
+func (t *ClusterTable) TwinReps() []int32 { return t.twinRep }
+
+// TwinNext returns, per device, the next device of its twin class in device
+// order, -1 after the last (shared slice): a class's devices are its
+// TwinReps entry and the chain from there.
+func (t *ClusterTable) TwinNext() []int32 { return t.twinNext }
 
 // RegShared returns the per-registry shared-uplink flags (shared slice).
 func (t *ClusterTable) RegShared() []bool { return t.regShared }

@@ -144,3 +144,51 @@ func TestDeviceClasses(t *testing.T) {
 		t.Fatalf("ClassReps = %v, want %v", tab.ClassReps(), want)
 	}
 }
+
+// TestTwinsNeedEveryLink pins the twin relation link by link on three
+// identical devices a, b and c in a mesh: two are twins only while the
+// links between them agree both ways and their rows and columns agree
+// against the third (a slower a→c also parts b from c, whose columns
+// differ at a).
+func TestTwinsNeedEveryLink(t *testing.T) {
+	pm := energy.LinearModel{StaticW: 1, PullW: 2, ReceiveW: 3, ProcessingW: 4}
+	build := func(set func(top *netsim.Topology)) *ClusterTable {
+		top := netsim.NewTopology()
+		top.AddNode("reg")
+		var devices []*device.Device
+		for _, n := range []string{"a", "b", "c"} {
+			top.AddNode(n)
+			devices = append(devices, device.New(n, dag.AMD64, 4, 1000, units.GB, 8*units.GB, pm))
+			if err := top.AddLink(netsim.Link{From: "reg", To: n, BW: 10 * units.MBps}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, pair := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "c"}} {
+			if err := top.AddDuplex(pair[0], pair[1], 20*units.MBps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		set(top)
+		return Compile(View{Devices: devices, Registries: []Registry{{Name: "reg", Node: "reg"}}, Topology: top})
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(top *netsim.Topology) error
+		want []int32
+	}{
+		{"full symmetric mesh", func(*netsim.Topology) error { return nil }, []int32{0, 0, 0}},
+		{"a to b differs from b to a", func(top *netsim.Topology) error { return top.SetBandwidth("a", "b", 5*units.MBps) }, []int32{0, 1, 2}},
+		{"a to c differs from b to c", func(top *netsim.Topology) error { return top.SetBandwidth("a", "c", 5*units.MBps) }, []int32{0, 1, 2}},
+		{"c to a differs from c to b", func(top *netsim.Topology) error { return top.SetBandwidth("c", "a", 5*units.MBps) }, []int32{0, 1, 2}},
+		{"registry link to c differs", func(top *netsim.Topology) error { return top.SetBandwidth("reg", "c", 5*units.MBps) }, []int32{0, 0, 1}},
+	} {
+		tab := build(func(top *netsim.Topology) {
+			if err := tc.set(top); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := tab.Twins(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: twins %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
