@@ -20,6 +20,9 @@ trap 'kill -9 "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 go build -o "$workdir/deepfleetd" ./cmd/deepfleetd
 
 log="$workdir/daemon.log"
+# Create the log before the daemon starts: the polls below read it at once,
+# and a sed on a missing file would end the script under set -e.
+: >"$log"
 "$workdir/deepfleetd" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 -workers 1 -queue 1 \
   -rate 1 -burst 1 -drain-timeout 20s >"$log" 2>&1 &
 pid=$!

@@ -38,7 +38,6 @@ import (
 
 	"deep/internal/appgraph"
 	"deep/internal/dag"
-	"deep/internal/game"
 	"deep/internal/sim"
 	"deep/internal/slab"
 	"deep/internal/topo"
@@ -276,11 +275,55 @@ func (m *Model) MaxStageWidth() int {
 	return w
 }
 
-// GameArena is the bump-allocated scratch the stage solvers draw price rows,
-// per-device and per-registry tables, and index buffers from — no stage
-// builds a payoff matrix. It is owned by a State (one per scheduling pass)
-// and reset per stage; see game.Arena for the grant/Reset contract.
-type GameArena = game.Arena
+// GameArena is a bump allocator for the scratch the stage solvers burn
+// through while solving one stage game after another: price rows,
+// per-device and per-registry tables, and index buffers — no stage builds a
+// payoff matrix. Grab what a stage needs, Reset, repeat: in steady state
+// nothing escapes to the garbage collector. It is owned by a State (one per
+// scheduling pass) and reset per stage. Reset recycles every outstanding
+// grant, so callers must not hold arena memory across a Reset. The zero
+// value is an empty arena whose backing buffers grow on demand and are kept
+// across Reset.
+type GameArena struct {
+	floats []float64
+	nf     int
+	ints   []int
+	ni     int
+}
+
+// Reset recycles all grants. Previously returned slices must no longer be
+// used.
+func (a *GameArena) Reset() { a.nf, a.ni = 0, 0 }
+
+// Floats grants a zeroed float buffer of length n.
+func (a *GameArena) Floats(n int) []float64 {
+	if a.nf+n > len(a.floats) {
+		// Grow to fresh backing; grants from the old array stay valid until
+		// the next Reset, they just aren't recycled this cycle.
+		a.floats = make([]float64, growArena(len(a.floats), n))
+		a.nf = 0
+	}
+	out := a.floats[a.nf : a.nf+n]
+	a.nf += n
+	clear(out)
+	return out
+}
+
+// Ints grants a zeroed int buffer of length n.
+func (a *GameArena) Ints(n int) []int {
+	if a.ni+n > len(a.ints) {
+		a.ints = make([]int, growArena(len(a.ints), n))
+		a.ni = 0
+	}
+	out := a.ints[a.ni : a.ni+n]
+	a.ni += n
+	clear(out)
+	return out
+}
+
+func growArena(cur, need int) int {
+	return max(2*cur, need, 64)
+}
 
 // State is the arena-style scratch for one scheduling pass: the devices of
 // microservices committed in earlier stages, an epoch-marked device set (for
@@ -301,7 +344,7 @@ type State struct {
 // Grants are recycled by arena Reset (per stage), not by State.Reset.
 func (s *State) Arena() *GameArena {
 	if s.arena == nil {
-		s.arena = game.NewArena()
+		s.arena = new(GameArena)
 	}
 	return s.arena
 }

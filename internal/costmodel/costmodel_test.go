@@ -420,3 +420,47 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+func TestArenaGrantsAreZeroedAndDisjoint(t *testing.T) {
+	a := new(GameArena)
+	f1 := a.Floats(8)
+	f2 := a.Floats(8)
+	for i := range f1 {
+		f1[i] = 1
+		f2[i] = 2
+	}
+	if f1[0] != 1 || f2[0] != 2 {
+		t.Fatal("grants alias each other")
+	}
+	i1 := a.Ints(4)
+	i1[0] = 7
+
+	a.Reset()
+	g1 := a.Floats(8)
+	for i, v := range g1 {
+		if v != 0 {
+			t.Fatalf("recycled float grant not zeroed at %d: %v", i, v)
+		}
+	}
+	j1 := a.Ints(4)
+	if j1[0] != 0 {
+		t.Fatal("recycled int grant not zeroed")
+	}
+}
+
+// TestArenaSteadyStateAllocationFree: after warm-up, a grab/reset cycle of
+// floats and ints allocates nothing.
+func TestArenaSteadyStateAllocationFree(t *testing.T) {
+	a := new(GameArena)
+	cycle := func() {
+		a.Reset()
+		row := a.Floats(42)
+		buf := a.Floats(12)
+		idx := a.Ints(6)
+		row[0], buf[0], idx[0] = 1, 1, 1
+	}
+	cycle() // warm up backing buffers
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state arena cycle allocates %.1f objects", allocs)
+	}
+}

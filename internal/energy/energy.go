@@ -1,15 +1,10 @@
-// Package energy models the power draw and energy accounting of edge
-// devices, replacing the paper's pyRAPL (Intel RAPL counters) and Ketotek
-// wall-socket power meter with virtual-time meters. Energy is always the
-// integral of power over (virtual) time.
+// Package energy models the power draw of edge devices, replacing the
+// paper's pyRAPL (Intel RAPL counters) and Ketotek wall-socket power meter
+// with power models over virtual time. Energy is always the integral of
+// power over (virtual) time (units.Watts.Over).
 package energy
 
-import (
-	"fmt"
-	"sync"
-
-	"deep/internal/units"
-)
+import "deep/internal/units"
 
 // State describes what a device is doing, which determines its power draw.
 type State string
@@ -76,38 +71,4 @@ func (m TableModel) Power(state State, ms string) units.Watts {
 		}
 	}
 	return m.Fallback.Power(state, ms)
-}
-
-// Meter integrates a device's power over virtual time. It is safe for
-// concurrent use.
-type Meter struct {
-	mu    sync.Mutex
-	model PowerModel
-	total units.Joules
-}
-
-// NewMeter returns a meter that prices intervals using the model.
-func NewMeter(model PowerModel) *Meter {
-	return &Meter{model: model}
-}
-
-// Record accounts for `seconds` of virtual time, starting at `at`, spent in
-// the given state on behalf of the given microservice and returns the energy
-// consumed by the interval. Negative durations are an error.
-func (m *Meter) Record(at, seconds float64, state State, microservice string) (units.Joules, error) {
-	if seconds < 0 {
-		return 0, fmt.Errorf("energy: negative duration %v", seconds)
-	}
-	e := m.model.Power(state, microservice).Over(seconds)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.total += e
-	return e, nil
-}
-
-// Total returns the total energy recorded so far.
-func (m *Meter) Total() units.Joules {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
 }

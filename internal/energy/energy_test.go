@@ -1,8 +1,6 @@
 package energy
 
 import (
-	"math"
-	"sync"
 	"testing"
 
 	"deep/internal/units"
@@ -43,45 +41,5 @@ func TestTableModelLookupAndFallback(t *testing.T) {
 	}
 	if got := m.Power(Idle, "train"); got != 2 {
 		t.Errorf("idle power = %v", got)
-	}
-}
-
-func TestMeterIntegration(t *testing.T) {
-	m := NewMeter(LinearModel{StaticW: 2, ProcessingW: 8})
-	e, err := m.Record(0, 10, Processing, "ms1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != 100 { // (2+8) W * 10 s
-		t.Errorf("interval energy = %v, want 100J", e)
-	}
-	if _, err := m.Record(10, 5, Idle, ""); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Total(); got != 110 {
-		t.Errorf("total = %v, want 110J", got)
-	}
-}
-
-func TestMeterNegativeDuration(t *testing.T) {
-	m := NewMeter(LinearModel{})
-	if _, err := m.Record(0, -1, Idle, ""); err == nil {
-		t.Error("negative duration should error")
-	}
-}
-
-func TestMeterConcurrentSafety(t *testing.T) {
-	m := NewMeter(LinearModel{StaticW: 1})
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _ = m.Record(float64(i), 1, Processing, "ms")
-		}(i)
-	}
-	wg.Wait()
-	if got := m.Total(); math.Abs(float64(got)-50) > 1e-9 {
-		t.Errorf("concurrent total = %v, want 50", got)
 	}
 }

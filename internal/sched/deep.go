@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"deep/internal/costmodel"
-	"deep/internal/game"
 	"deep/internal/sim"
 	"deep/internal/slab"
 )
@@ -77,7 +76,7 @@ import (
 //     are those of the canonical game; a row is empty only if its
 //     canonical row is, since a row's first device is the first of its
 //     class.
-//   - Selection. Equilibria go to game.PureSelection in canonical order,
+//   - Selection. Equilibria go to PureSelection in canonical order,
 //     so the reduced sequence is the canonical one less later copies of
 //     earlier offers, and a copy could only change the answer by
 //     displacing an incumbent that its earlier twin did not. Write v for
@@ -287,20 +286,20 @@ func scheduleSolo(model *costmodel.Model, st *costmodel.State, ms int32, opts []
 // equilibrium when neither its device's maximum nor its registry's maximum
 // beats it by more than 1e-12. Maxima start at -Inf and move on a strict >,
 // so NaN never becomes one and a NaN cell is always an equilibrium, as in
-// the matrix scan (game.Game.BestPureNash).
+// the per-cell definition (a NaN payoff beats nothing and nothing beats it).
 //
 // Registry maxima come from an nr-indexed arena row, device maxima from each
 // device's run of the canonically ordered row. Both are taken over options
 // only: -pen is at most every option's payoff but NaN, so a penalty cell
 // never moves a maximum an option's payoff is in, and a line of NaN options
 // decides the same at -Inf as at -pen. Equilibria are offered to
-// game.PureSelection in canonical option order, which is the matrix's
-// row-major order, so the tie-breaks are the matrix's. A penalty cell can be
-// an equilibrium only on a device whose maximum is within 1e-12 of -pen
-// (all-+Inf or NaN rows, or prices under about 1e-13 J), and only there is
-// the whole registry axis walked. ok is false when a penalty cell wins or
+// PureSelection in canonical option order, which is the matrix's row-major
+// order, so the tie-breaks are the per-cell definition's. A penalty cell
+// can be an equilibrium only on a device whose maximum is within 1e-12 of
+// -pen (all-+Inf or NaN rows, or prices under about 1e-13 J), and only
+// there is the whole registry axis walked. ok is false when a penalty cell wins or
 // the row is empty: there is no feasible assignment.
-func soloEquilibrium(opts []costmodel.Option, prices []float64, nr int, ar *game.Arena) (k int, ok bool) {
+func soloEquilibrium(opts []costmodel.Option, prices []float64, nr int, ar *costmodel.GameArena) (k int, ok bool) {
 	worst := 0.0
 	for _, c := range prices {
 		if c > worst {
@@ -325,7 +324,7 @@ func soloEquilibrium(opts []costmodel.Option, prices []float64, nr int, ar *game
 		}
 	}
 
-	var sel game.PureSelection
+	var sel PureSelection
 	for start, end := 0, 0; start < len(opts); start = end {
 		dev, devMax := opts[start].Device, ninf
 		for end = start; end < len(opts) && opts[end].Device == dev; end++ {
@@ -336,7 +335,7 @@ func soloEquilibrium(opts []costmodel.Option, prices []float64, nr int, ar *game
 		if devMax > penalty+1e-12 {
 			for k := start; k < end; k++ {
 				if v := -prices[k]; unbeaten(v, devMax, regMax[opts[k].Registry]) {
-					sel.Offer(game.PureProfile{Row: k}, v, v)
+					sel.Offer(PureProfile{Row: k}, v, v)
 				}
 			}
 			continue
@@ -350,11 +349,11 @@ func soloEquilibrium(opts []costmodel.Option, prices []float64, nr int, ar *game
 			case n == 0:
 			case k < end && opts[k].Registry == int32(r):
 				if v := -prices[k]; unbeaten(v, devMax, regMax[r]) {
-					sel.Offer(game.PureProfile{Row: k}, v, v)
+					sel.Offer(PureProfile{Row: k}, v, v)
 				}
 				k++
 			case unbeaten(penalty, devMax, regMax[r]):
-				sel.Offer(game.PureProfile{Row: -1}, penalty, penalty)
+				sel.Offer(PureProfile{Row: -1}, penalty, penalty)
 			}
 		}
 	}
@@ -369,6 +368,39 @@ func soloEquilibrium(opts []costmodel.Option, prices []float64, nr int, ar *game
 // game.
 func unbeaten(v, rowMax, colMax float64) bool {
 	return !(rowMax > v+1e-12 || colMax > v+1e-12)
+}
+
+// PureProfile is a pure-strategy profile of a two-player stage game in index
+// form: the row player's strategy and the column player's.
+type PureProfile struct{ Row, Col int }
+
+// prefer is the one tie rule of every equilibrium selection: a challenger
+// with social welfare w and row payoff r displaces the incumbent (bestW,
+// bestR) when its welfare is higher by more than 1e-12, or ties within 1e-12
+// and its row payoff is higher by more than 1e-12. A NaN on either side
+// compares false, so a NaN challenger never displaces and a NaN incumbent
+// is never displaced.
+func prefer(w, r, bestW, bestR float64) bool {
+	return w > bestW+1e-12 || (math.Abs(w-bestW) <= 1e-12 && r > bestR+1e-12)
+}
+
+// PureSelection is the welfare-maximal choice among pure equilibria offered
+// one at a time: the first offer is taken, and a later one replaces it only
+// under prefer — so the tie-breaks are welfare, then row payoff, then first
+// in offer order. Every kernel offers in row-major (canonical option) order.
+// The zero value is empty.
+type PureSelection struct {
+	Best PureProfile
+	OK   bool
+
+	welfare, row float64
+}
+
+// Offer considers the equilibrium p, whose payoffs are row and col.
+func (s *PureSelection) Offer(p PureProfile, row, col float64) {
+	if w := row + col; !s.OK || prefer(w, row, s.welfare, s.row) {
+		s.Best, s.OK, s.welfare, s.row = p, true, w, row
+	}
 }
 
 // schedulePair solves the two-microservice game over full assignments: the

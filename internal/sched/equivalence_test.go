@@ -27,7 +27,6 @@ import (
 	"deep/internal/dag"
 	"deep/internal/device"
 	"deep/internal/energy"
-	"deep/internal/game"
 	"deep/internal/sim"
 	"deep/internal/topo"
 	"deep/internal/units"
@@ -223,6 +222,12 @@ func legacyDEEPStats(t testing.TB, app *dag.App, cluster *sim.Cluster) (sim.Plac
 	return placement, stats, nil
 }
 
+// legacySolo is the original solo game: the devices × registries
+// common-interest bimatrix over the microservice's options, every other
+// cell paying ten times the worst price. It picks on cell payoffs
+// (bestPureCells); the original took welfare as a mixed-strategy product,
+// which is the same on finite payoffs (one-hot products are exact) and read
+// 0·-Inf = NaN wherever a price was +Inf.
 func legacySolo(est *legacyEstimator, m *dag.Microservice) (map[string]sim.Assignment, error) {
 	opts := est.Options(m)
 	if len(opts) == 0 {
@@ -242,33 +247,32 @@ func legacySolo(est *legacyEstimator, m *dag.Microservice) (map[string]sim.Assig
 			worst = c
 		}
 	}
-	a := game.NewMatrix(len(devices), len(registries))
-	b := game.NewMatrix(len(devices), len(registries))
+	a := make([][]float64, len(devices))
 	for i, d := range devices {
+		a[i] = make([]float64, len(registries))
 		for j, r := range registries {
 			o := sim.Assignment{Device: d, Registry: r}
 			c, ok := costs[o]
 			if !ok || !feasible[o] {
 				c = worst * 10
 			}
-			a.Set(i, j, -c)
-			b.Set(i, j, -c)
+			a[i][j] = -c
 		}
 	}
-	g := game.New(a, b)
-	best, ok := g.SelectEquilibrium(g.PureNash())
+	best, ok := bestPureCells(a, a) // common interest: both players pay the energy
 	if !ok {
 		return nil, infeasibleError{ms: m.Name}
 	}
-	choice := sim.Assignment{Device: devices[best.RowSupport()[0]], Registry: registries[best.ColSupport()[0]]}
+	choice := sim.Assignment{Device: devices[best.Row], Registry: registries[best.Col]}
 	if !feasible[choice] {
 		return nil, infeasibleError{ms: m.Name}
 	}
 	return map[string]sim.Assignment{m.Name: choice}, nil
 }
 
-// legacyPair is the original pair game, whose fallback on a stage with no
-// pure equilibrium was Lemke–Howson. No stage reaches it (pairStage.bestPure
+// legacyPair is the original pair game, priced cell by cell and picked on
+// cell payoffs like legacySolo. Its fallback on a stage with no pure
+// equilibrium was Lemke–Howson. No stage reaches it (pairStage.bestPure
 // proves why), so reaching it fails the test.
 func legacyPair(t testing.TB, est *legacyEstimator, m1, m2 *dag.Microservice) (map[string]sim.Assignment, error) {
 	o1 := est.Options(m1)
@@ -279,21 +283,17 @@ func legacyPair(t testing.TB, est *legacyEstimator, m1, m2 *dag.Microservice) (m
 	if len(o2) == 0 {
 		return nil, infeasibleError{ms: m2.Name}
 	}
-	a := game.NewMatrix(len(o1), len(o2))
-	b := game.NewMatrix(len(o1), len(o2))
+	a, b := make([][]float64, len(o1)), make([][]float64, len(o1))
 	for i, x := range o1 {
+		a[i], b[i] = make([]float64, len(o2)), make([]float64, len(o2))
 		for j, y := range o2 {
 			co := map[string]sim.Assignment{m1.Name: x, m2.Name: y}
-			a.Set(i, j, -float64(est.Energy(m1, x, co)))
-			b.Set(i, j, -float64(est.Energy(m2, y, co)))
+			a[i][j] = -float64(est.Energy(m1, x, co))
+			b[i][j] = -float64(est.Energy(m2, y, co))
 		}
 	}
-	g := game.New(a, b)
-	if best, ok := g.SelectEquilibrium(g.PureNash()); ok {
-		return map[string]sim.Assignment{
-			m1.Name: o1[best.RowSupport()[0]],
-			m2.Name: o2[best.ColSupport()[0]],
-		}, nil
+	if best, ok := bestPureCells(a, b); ok {
+		return map[string]sim.Assignment{m1.Name: o1[best.Row], m2.Name: o2[best.Col]}, nil
 	}
 	t.Fatalf("legacy pair stage (%s, %s) has no pure equilibrium", m1.Name, m2.Name)
 	return nil, nil

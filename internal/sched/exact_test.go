@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"deep/internal/costmodel"
@@ -11,10 +12,18 @@ import (
 )
 
 // TestUncappedDEEPMatchesLegacy pins that NewDEEP reproduces the historical
-// placements byte-for-byte on the whole equivalence corpus — the
-// batch-priced, arena-backed game layer changed the mechanics, not the math.
+// placements byte-for-byte on the whole equivalence corpus and on the
+// pair-game corpus's island cases, whose unreachable upstreams price options
+// at +Inf — the batch-priced, arena-backed game layer changed the
+// mechanics, not the math.
 func TestUncappedDEEPMatchesLegacy(t *testing.T) {
-	for _, c := range equivalenceCorpus(t) {
+	cases := equivalenceCorpus(t)
+	for _, c := range pairGameCorpus(t) {
+		if strings.HasSuffix(c.name, "/island2") {
+			cases = append(cases, c)
+		}
+	}
+	for _, c := range cases {
 		want, wantErr := legacyDEEP(t, c.app, c.cluster)
 		got, gotErr := Schedule(NewDEEP(), c.app, c.cluster)
 		if (wantErr == nil) != (gotErr == nil) {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"deep/internal/costmodel"
-	"deep/internal/game"
 )
 
 // pairStage is a two-microservice stage game in its two-price form. With one
@@ -28,7 +27,7 @@ type pairStage struct {
 
 // newPairStage prices the (m1, m2) stage of the pass over the option rows
 // o1 and o2, its four price rows drawn from ar.
-func newPairStage(model *costmodel.Model, st *costmodel.State, ar *game.Arena, m1, m2 int32, o1, o2 []costmodel.Option) pairStage {
+func newPairStage(model *costmodel.Model, st *costmodel.State, ar *costmodel.GameArena, m1, m2 int32, o1, o2 []costmodel.Option) pairStage {
 	ps := pairStage{o1: o1, o2: o2, regShared: model.Table().RegShared()}
 	ps.solo1, ps.shared1 = ar.Floats(len(ps.o1)), ar.Floats(len(ps.o1))
 	ps.solo2, ps.shared2 = ar.Floats(len(ps.o2)), ar.Floats(len(ps.o2))
@@ -37,13 +36,14 @@ func newPairStage(model *costmodel.Model, st *costmodel.State, ar *game.Arena, m
 	return ps
 }
 
-// bestPure returns the stage's welfare-maximal pure equilibrium — the cell
-// game.Game.BestPureNash picks on the stage's materialized bimatrix, with the
-// same tie rule (game.PureSelection) — without building the matrix. The scan
-// behind BestPureNash takes each column's maximum of A and each row's
-// maximum of B (the best-response payoffs against that opponent option) and
-// keeps the cells within 1e-12 of both; here bestReplies computes those
-// maxima from per-registry tables in O(|o1|+|o2|+registries), and the
+// bestPure returns the stage's welfare-maximal pure equilibrium without
+// building its bimatrix (A the row player's payoffs, B the column player's):
+// the cells (i, j) that no entry of A's column j and no entry of B's row i
+// beats by more than 1e-12, offered to PureSelection in row-major order.
+// Beating a threshold is monotone in the challenger, so "some entry does" is
+// "the maximum does": bestReplies computes each column's maximum of A and
+// each row's maximum of B (the best-response payoffs against that opponent
+// option) from per-registry tables in O(|o1|+|o2|+registries), and the
 // row-major sweep reads each cell's payoffs from Contend and the price rows.
 // A row whose two prices are both more than 1e-12 below every column maximum
 // can satisfy no column and is skipped whole, which is what makes the sweep
@@ -76,11 +76,11 @@ func newPairStage(model *costmodel.Model, st *costmodel.State, ar *game.Arena, m
 //
 // A NaN price (0 W times an unreachable transfer) is outside the ordering,
 // but it hits both levels of its option, because the transfer term is the
-// same at both. The scan never beats a NaN payoff, so that option paired
+// same at both. Nothing beats a NaN payoff, so that option paired
 // with the opponent's best reply is an equilibrium. TestPairStagesAlwaysPure
 // re-checks the claim exhaustively on a small grid, and
 // TestPairPricesContendedNotBelowSolo checks the premise on the corpus.
-func (ps *pairStage) bestPure(ar *game.Arena) (row, col int, ok bool) {
+func (ps *pairStage) bestPure(ar *costmodel.GameArena) (row, col int, ok bool) {
 	match1, match2 := ar.Ints(len(ps.o1)), ar.Ints(len(ps.o2))
 	matchOptions(ps.o1, ps.o2, match1, match2)
 	colMax, rowMax := ar.Floats(len(ps.o2)), ar.Floats(len(ps.o1))
@@ -93,7 +93,7 @@ func (ps *pairStage) bestPure(ar *game.Arena) (row, col int, ok bool) {
 			minCol = v
 		}
 	}
-	var sel game.PureSelection
+	var sel PureSelection
 	for i, x := range ps.o1 {
 		aSolo, aShared := -ps.solo1[i], -ps.shared1[i]
 		if minCol > aSolo+1e-12 && minCol > aShared+1e-12 {
@@ -108,7 +108,7 @@ func (ps *pairStage) bestPure(ar *game.Arena) (row, col int, ok bool) {
 			if colMax[j] > a+1e-12 || bMax > b+1e-12 {
 				continue
 			}
-			sel.Offer(game.PureProfile{Row: i, Col: j}, a, b)
+			sel.Offer(PureProfile{Row: i, Col: j}, a, b)
 		}
 	}
 	return sel.Best.Row, sel.Best.Col, sel.OK
@@ -151,9 +151,9 @@ func matchOptions(o1, o2 []costmodel.Option, match1, match2 []int) {
 // the best), the best shared payoff inside r on another device (r's top
 // two: options in one registry are on distinct devices), and the solo payoff
 // of the option on the opponent's own (device, r). Maxima start at -Inf and
-// move only on a strict >, so NaN never becomes one — the maxima the
-// matrix scan takes, at any mix of NaN and ±Inf.
-func bestReplies(dst []float64, own []costmodel.Option, solo, shared []float64, opp []costmodel.Option, oppMatch []int, regShared []bool, ar *game.Arena) {
+// move only on a strict >, so NaN never becomes one and never beats a cell,
+// as in the per-cell definition, at any mix of NaN and ±Inf.
+func bestReplies(dst []float64, own []costmodel.Option, solo, shared []float64, opp []costmodel.Option, oppMatch []int, regShared []bool, ar *costmodel.GameArena) {
 	nr := len(regShared)
 	soloBest, top, next := ar.Floats(nr), ar.Floats(nr), ar.Floats(nr)
 	topDev := ar.Ints(nr)

@@ -7,7 +7,6 @@ import (
 
 	"deep/internal/costmodel"
 	"deep/internal/device"
-	"deep/internal/game"
 	"deep/internal/netsim"
 	"deep/internal/sim"
 	"deep/internal/workload"
@@ -53,20 +52,7 @@ func pairGameCorpus(t *testing.T) []corpusCase {
 	}
 	mirrored.Registries = append(mirrored.Registries, sim.RegistryInfo{Name: "mirror", Node: "mirror-node", Shared: true})
 
-	// An island device: registries and the source reach it, no other device
-	// does, so a dataflow from anywhere else never arrives.
-	severed := workload.ScaledTestbed(2)
-	severed.Topology.AddNode("island")
-	for _, l := range []netsim.Link{
-		{From: workload.HubNode, To: "island", BW: workload.HubMediumBW, RTT: workload.HubSetupTime},
-		{From: workload.RegionalNode, To: "island", BW: workload.RegionalMediumBW, RTT: workload.RegionalSetupTime, SharedCapacity: true},
-		{From: workload.SourceNode, To: "island", BW: workload.InterconnectBW},
-	} {
-		if err := severed.Topology.AddLink(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	severed.Devices = append(severed.Devices, device.MediumIntelSpec(severed.Devices[0].Power).WithName("island"))
+	severed := islandCluster(t)
 
 	cases := []corpusCase{
 		{name: "video/testbed", app: workload.VideoProcessing(), cluster: workload.Testbed()},
@@ -83,6 +69,26 @@ func pairGameCorpus(t *testing.T) []corpusCase {
 		)
 	}
 	return cases
+}
+
+// islandCluster is ScaledTestbed(2) plus a medium device named "island" that
+// the registries and the source reach and no other device does, so a
+// dataflow from anywhere else never arrives: options there price at +Inf.
+func islandCluster(t *testing.T) *sim.Cluster {
+	t.Helper()
+	c := workload.ScaledTestbed(2)
+	c.Topology.AddNode("island")
+	for _, l := range []netsim.Link{
+		{From: workload.HubNode, To: "island", BW: workload.HubMediumBW, RTT: workload.HubSetupTime},
+		{From: workload.RegionalNode, To: "island", BW: workload.RegionalMediumBW, RTT: workload.RegionalSetupTime, SharedCapacity: true},
+		{From: workload.SourceNode, To: "island", BW: workload.InterconnectBW},
+	} {
+		if err := c.Topology.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Devices = append(c.Devices, device.MediumIntelSpec(c.Devices[0].Power).WithName("island"))
+	return c
 }
 
 // walkStages runs the scheduler's stage loop over the model,
@@ -132,33 +138,29 @@ func walkPairStages(t *testing.T, name string, model *costmodel.Model, visit fun
 	return pairs
 }
 
-// pricePairGame materializes the stage as g's bimatrix (|o1|×|o2|), bit for
-// bit the payoffs bestPure reads without it: cell (i, j) pays -shared1[i] and
-// -shared2[j] when the two options Contend, -solo1[i] and -solo2[j] otherwise.
-func pricePairGame(ps *pairStage, g *game.Game) {
+// pairMatrix materializes the stage's bimatrix (|o1|×|o2|), bit for bit
+// the payoffs bestPure reads without it: cell (i, j) pays -shared1[i] and
+// -shared2[j] when the two options Contend, -solo1[i] and -solo2[j]
+// otherwise.
+func pairMatrix(ps *pairStage) (a, b [][]float64) {
+	a, b = make([][]float64, len(ps.o1)), make([][]float64, len(ps.o1))
 	for i, x := range ps.o1 {
-		a, b := g.A.RowView(i), g.B.RowView(i)
+		a[i], b[i] = make([]float64, len(ps.o2)), make([]float64, len(ps.o2))
 		aSolo, aShared := -ps.solo1[i], -ps.shared1[i]
 		for j, y := range ps.o2 {
 			if costmodel.Contend(ps.regShared, x, y) {
-				a[j], b[j] = aShared, -ps.shared2[j]
+				a[i][j], b[i][j] = aShared, -ps.shared2[j]
 			} else {
-				a[j], b[j] = aSolo, -ps.solo2[j]
+				a[i][j], b[i][j] = aSolo, -ps.solo2[j]
 			}
 		}
 	}
-}
-
-// pairMatrix materializes the stage's bimatrix.
-func pairMatrix(ps *pairStage) *game.Game {
-	g := game.New(game.NewMatrix(len(ps.o1), len(ps.o2)), game.NewMatrix(len(ps.o1), len(ps.o2)))
-	pricePairGame(ps, g)
-	return g
+	return a, b
 }
 
 // fillPairGame prices the (m1, m2) stage on the state's arena exactly as
 // schedulePair does and materializes its bimatrix.
-func fillPairGame(model *costmodel.Model, st *costmodel.State, m1, m2 int32) *game.Game {
+func fillPairGame(model *costmodel.Model, st *costmodel.State, m1, m2 int32) (a, b [][]float64) {
 	ar := st.Arena()
 	ar.Reset()
 	ps := newPairStage(model, st, ar, m1, m2, model.Options(m1), model.Options(m2))
@@ -175,19 +177,19 @@ func TestPairGameMatchesCellByCellEnergy(t *testing.T) {
 		model := costmodel.Compile(c.app, c.cluster)
 		total += walkPairStages(t, c.name, model, func(st *costmodel.State, m1, m2 int32) {
 			o1, o2 := model.Options(m1), model.Options(m2)
-			g := fillPairGame(model, st, m1, m2)
+			a, b := fillPairGame(model, st, m1, m2)
 			coMS := []int32{m1, m2}
 			for i, x := range o1 {
 				for j, y := range o2 {
 					co := []costmodel.Option{x, y}
 					wantA := -st.Energy(m1, x, coMS, co)
 					wantB := -st.Energy(m2, y, coMS, co)
-					if got := g.A.At(i, j); math.Float64bits(got) != math.Float64bits(wantA) {
+					if got := a[i][j]; math.Float64bits(got) != math.Float64bits(wantA) {
 						t.Fatalf("%s: stage (%s, %s): A[%d][%d] (%v vs %v) = %v, per-option energy gives %v",
 							c.name, model.MSName(m1), model.MSName(m2), i, j,
 							model.Assignment(x), model.Assignment(y), got, wantA)
 					}
-					if got := g.B.At(i, j); math.Float64bits(got) != math.Float64bits(wantB) {
+					if got := b[i][j]; math.Float64bits(got) != math.Float64bits(wantB) {
 						t.Fatalf("%s: stage (%s, %s): B[%d][%d] (%v vs %v) = %v, per-option energy gives %v",
 							c.name, model.MSName(m1), model.MSName(m2), i, j,
 							model.Assignment(x), model.Assignment(y), got, wantB)
@@ -210,20 +212,17 @@ func TestPairGameMatchesCellByCellEnergy(t *testing.T) {
 }
 
 // certifyPairStage solves the (m1, m2) stage game as schedulePair does and
-// requires the placement to have regret at most 1e-9 in the full stage game:
-// neither microservice can lower its energy by moving alone. It returns the
-// size of the game in cells.
+// requires the placement to have regret at most 1e-9 in the full stage game
+// (stageRegret over the canonical rows): neither microservice can lower its
+// energy by moving alone. It returns the size of the game in cells.
 func certifyPairStage(t *testing.T, name string, model *costmodel.Model, st *costmodel.State, m1, m2 int32) int {
 	t.Helper()
 	o1, o2 := model.Options(m1), model.Options(m2)
-	p1, p2, err := schedulePair(model, st, m1, m2, model.Options(m1), model.Options(m2))
+	p1, p2, err := schedulePair(model, st, m1, m2, o1, o2)
 	if err != nil {
 		t.Fatalf("%s: exact pair: %v", name, err)
 	}
-	g := fillPairGame(model, st, m1, m2)
-	x := game.Pure(len(o1), indexOfOption(o1, p1))
-	y := game.Pure(len(o2), indexOfOption(o2, p2))
-	if r := g.Regret(x, y); !(r <= 1e-9) {
+	if r, _ := stageRegret(st, []int32{m1, m2}, [][]costmodel.Option{o1, o2}, []costmodel.Option{p1, p2}); !(r <= 1e-9) {
 		t.Errorf("%s: stage (%s, %s): placement (%v, %v) has regret %g",
 			name, model.MSName(m1), model.MSName(m2), model.Assignment(p1), model.Assignment(p2), r)
 	}
@@ -246,15 +245,15 @@ func TestPairPlacementsAreEquilibria(t *testing.T) {
 	}
 }
 
-// checkKernelAgainstMatrix requires bestPure to return what BestPureNash
+// checkKernelAgainstMatrix requires bestPure to return what bestPureCells
 // returns on the stage's materialized bimatrix: the same cell, or no pure
 // equilibrium on both sides. It reports whether there is one.
 func checkKernelAgainstMatrix(t *testing.T, name string, ps *pairStage) bool {
 	t.Helper()
-	i, j, ok := ps.bestPure(game.NewArena())
-	want, wantOK := pairMatrix(ps).BestPureNash()
+	i, j, ok := ps.bestPure(new(costmodel.GameArena))
+	want, wantOK := bestPureCells(pairMatrix(ps))
 	if ok != wantOK || (ok && (i != want.Row || j != want.Col)) {
-		t.Fatalf("%s: bestPure = (%d, %d, %v), BestPureNash on the matrix = (%d, %d, %v)",
+		t.Fatalf("%s: bestPure = (%d, %d, %v), the per-cell definition = (%d, %d, %v)",
 			name, i, j, ok, want.Row, want.Col, wantOK)
 	}
 	return ok
@@ -278,8 +277,8 @@ func generatedCorpus(t *testing.T) []corpusCase {
 	return cases
 }
 
-// TestPairKernelMatchesMatrix pins the matrix-free kernel to the scan it
-// replaced on every pair stage of the pair-game corpus and the generated
+// TestPairKernelMatchesMatrix pins the matrix-free kernel to the per-cell
+// definition on every pair stage of the pair-game corpus and the generated
 // corpus, each stage priced against the upstream placements the uncapped
 // pass commits.
 func TestPairKernelMatchesMatrix(t *testing.T) {
@@ -360,7 +359,7 @@ func exhaustPairStages(ordered, stopAtNone bool) (stages, none int) {
 		}
 	}
 	grid := []costmodel.Option{{Device: 0, Registry: 0}, {Device: 0, Registry: 1}, {Device: 1, Registry: 0}, {Device: 1, Registry: 1}}
-	ar := game.NewArena()
+	ar := new(costmodel.GameArena)
 	for flags := 3; flags >= 0; flags-- { // both registries shared first: contention is likeliest
 		ps := pairStage{
 			o1: grid, o2: grid,
@@ -469,7 +468,8 @@ func fuzzPairStage(data []byte) (pairStage, bool) {
 
 // FuzzPairKernelMatchesMatrix: on any small pair stage — random option
 // sets, shared flags and price rows, NaN and ±Inf included — the kernel
-// returns the cell BestPureNash picks on the materialized bimatrix.
+// returns the cell the per-cell definition picks on the materialized
+// bimatrix.
 func FuzzPairKernelMatchesMatrix(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0x03, 0, 0, 0x03, 0, 0, 1, 2, 1, 3, 1, 2, 2, 1})                   // 2 devices, 1 shared registry
 	f.Add([]byte{3, 1, 1, 0xff, 0, 0, 0xff, 0, 0, 4, 5, 6, 4, 0, 0, 1, 1, 5, 6, 5, 6, 4, 5}) // ties inside tolerance
@@ -483,15 +483,6 @@ func FuzzPairKernelMatchesMatrix(f *testing.F) {
 		}
 		checkKernelAgainstMatrix(t, "fuzz", &ps)
 	})
-}
-
-func indexOfOption(opts []costmodel.Option, o costmodel.Option) int {
-	for i, x := range opts {
-		if x == o {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestSolverStatsPartitionStages: the per-path counts a pass records add up

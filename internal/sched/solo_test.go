@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"deep/internal/costmodel"
-	"deep/internal/game"
 )
 
-// soloMatrix is the solo stage as scheduleSolo used to solve it, kept as the
+// soloMatrix is the solo stage as the per-cell definition states it, the
 // oracle soloEquilibrium is pinned against. It builds the devices ×
 // registries common-interest bimatrix over the distinct devices and
 // registries among opts (ascending), pays both players -prices[k] at option
 // k's cell and -pen at every other cell (pen is ten times the worst price,
-// worst+1 when that is not larger), and takes BestPureNash. It returns the
+// worst+1 when that is not larger), and takes bestPureCells. It returns the
 // winning option's index, or ok=false when there is no equilibrium or a
 // penalty cell wins.
 func soloMatrix(opts []costmodel.Option, prices []float64) (k int, ok bool) {
@@ -33,23 +32,23 @@ func soloMatrix(opts []costmodel.Option, prices []float64) (k int, ok bool) {
 	if pen <= worst {
 		pen = worst + 1
 	}
-	nr := len(regs)
-	a := game.NewMatrix(len(devs), nr)
-	optAt := make([]int, len(a.Data))
-	for c := range a.Data {
-		a.Data[c], optAt[c] = -pen, -1
+	a, optAt := make([][]float64, len(devs)), make([][]int, len(devs))
+	for i := range a {
+		a[i], optAt[i] = make([]float64, len(regs)), make([]int, len(regs))
+		for j := range a[i] {
+			a[i][j], optAt[i][j] = -pen, -1
+		}
 	}
 	for k, o := range opts {
-		c := indexOf32(devs, o.Device)*nr + indexOf32(regs, o.Registry)
-		a.Data[c], optAt[c] = -prices[k], k
+		i, j := indexOf32(devs, o.Device), indexOf32(regs, o.Registry)
+		a[i][j], optAt[i][j] = -prices[k], k
 	}
-	b := game.NewMatrix(len(devs), nr)
-	copy(b.Data, a.Data) // common-interest game: both players pay the energy
-	best, ok := game.New(a, b).BestPureNash()
-	if !ok || optAt[best.Row*nr+best.Col] < 0 {
+	// A common-interest game: both players are paid the negated energy.
+	best, ok := bestPureCells(a, a)
+	if !ok || optAt[best.Row][best.Col] < 0 {
 		return 0, false
 	}
-	return optAt[best.Row*nr+best.Col], true
+	return optAt[best.Row][best.Col], true
 }
 
 func insertSorted(s []int32, v int32) []int32 {
@@ -80,7 +79,7 @@ func indexOf32(s []int32, v int32) int {
 // does.
 func checkSoloAgainstMatrix(t *testing.T, name string, opts []costmodel.Option, prices []float64, nr int) {
 	t.Helper()
-	k, ok := soloEquilibrium(opts, prices, nr, game.NewArena())
+	k, ok := soloEquilibrium(opts, prices, nr, new(costmodel.GameArena))
 	want, wantOK := soloMatrix(opts, prices)
 	if ok != wantOK || (ok && k != want) {
 		t.Fatalf("%s: soloEquilibrium = (%d, %v), the matrix = (%d, %v)\noptions %v\nprices %v",

@@ -15,24 +15,25 @@ import (
 )
 
 // The link alphabets of fuzzTwinCluster have few values, so that devices
-// often agree on every link and become twins. A registry may not reach a
-// device (0 is "no link"), but devices and the source always reach every
-// device: an unreachable upstream prices options at +Inf, where the legacy
-// port's selection, which takes welfare as a mixed-strategy product, reads
-// 0·-Inf = NaN and keeps its first equilibrium while the kernels compare
-// the cells themselves.
+// often agree on every link and become twins. 0 is "no link": a registry may
+// not reach a device, and neither may another device or the source, so an
+// upstream's dataflow may never arrive and options price at +Inf.
 var (
 	registryBandwidths = [...]units.Bandwidth{25 * units.MBps, 8 * units.MBps, 12 * units.MBps, 0}
-	meshBandwidths     = [...]units.Bandwidth{12 * units.MBps, 8 * units.MBps, 12 * units.MBps, 25 * units.MBps}
+	meshBandwidths     = [...]units.Bandwidth{12 * units.MBps, 8 * units.MBps, 12 * units.MBps, 25 * units.MBps, 0}
 )
+
+// mesh picks a device or source link from meshBandwidths.
+func mesh(b byte) units.Bandwidth { return meshBandwidths[int(b)%len(meshBandwidths)] }
 
 // fuzzTwinCluster decodes bytes into a small cluster and a generated app's
 // config: a byte each for the device count (2 to 6), the app's size (2 to 8
 // microservices), its stage width (1 to 4) and its seed; then a byte per
 // device choosing its spec (medium or small), its hub and regional links
-// from registryBandwidths and its source link from meshBandwidths; then a
-// byte per device pair choosing the link each way from meshBandwidths (the
-// same both ways unless bit 4 is set). Bytes that run out read as zero: a
+// from registryBandwidths (bits 1-2 and 3-4) and its source link from
+// meshBandwidths (bits 5-7); then a byte per device pair choosing the link
+// each way from meshBandwidths (the low four bits, and the same back unless
+// bit 4 is set, when bits 5-7 choose it). Bytes that run out read as zero: a
 // medium device with the first link of each alphabet, symmetric links.
 func fuzzTwinCluster(data []byte) (*sim.Cluster, workload.GeneratorConfig, bool) {
 	if len(data) < 4 {
@@ -82,17 +83,17 @@ func fuzzTwinCluster(data []byte) (*sim.Cluster, workload.GeneratorConfig, bool)
 		top.AddNode(name)
 		link(workload.HubNode, name, registryBandwidths[b>>1&3], false)
 		link(workload.RegionalNode, name, registryBandwidths[b>>3&3], true)
-		link(workload.SourceNode, name, meshBandwidths[b>>5&3], false)
+		link(workload.SourceNode, name, mesh(b>>5), false)
 	}
 	for i := range nd {
 		for j := i + 1; j < nd; j++ {
 			b := next()
-			back := b
+			back := b & 0x0f
 			if b&0x10 != 0 {
 				back = b >> 5
 			}
-			link(c.Devices[i].Name, c.Devices[j].Name, meshBandwidths[b&3], false)
-			link(c.Devices[j].Name, c.Devices[i].Name, meshBandwidths[back&3], false)
+			link(c.Devices[i].Name, c.Devices[j].Name, mesh(b&0x0f), false)
+			link(c.Devices[j].Name, c.Devices[i].Name, mesh(back), false)
 		}
 	}
 	return c, cfg, true
@@ -108,6 +109,10 @@ func FuzzTwinStagesMatchLegacy(f *testing.F) {
 	f.Add([]byte{1, 3, 2, 9, 0x00, 0x00, 0x00, 0x03, 0x11, 0x00})                   // asymmetric and unequal links split the twins
 	f.Add([]byte{4, 6, 2, 3, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x02, 0x02, 0x03}) // small devices, a varied mesh
 	f.Add([]byte{2, 4, 3, 5, 0x00, 0x08, 0x00, 0x00, 0x06})                         // one regional link differs, one hub link missing
+	f.Add([]byte{2, 6, 1, 9, 0, 0, 0, 0, 0x04, 0x04, 0x04})                         // dev-0 reaches no other device, nor they it
+	f.Add([]byte{2, 5, 1, 48, 0x2a, 0x30, 0x30, 0, 4, 4, 4, 4, 4, 4})               // four devices without a device mesh
+	f.Add([]byte{3, 5, 2, 4, 0x80, 0x00, 0x00, 0x00, 0x00})                         // the source does not reach dev-0
+	f.Add([]byte("800A00B0$"))                                                      // dev-0 and dev-2 do not reach each other
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cluster, cfg, ok := fuzzTwinCluster(data)
 		if !ok {

@@ -2,7 +2,7 @@ package sim_test
 
 // Equivalence corpus for the compiled simulator: legacyRun is a direct port
 // of the historical map-based executor (string-keyed maps, per-stage sorts,
-// energy.Meter accounting, fmt-hashed jitter), kept here as the reference
+// per-device meter accounting, fmt-hashed jitter), kept here as the reference
 // implementation. Every scenario — case-study and synthetic apps, scaled
 // clusters, layered images with shared digests, shared-registry contention,
 // jitter on and off, cold and warm cache sequences — must produce
@@ -76,9 +76,18 @@ func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts
 		}
 	}
 
-	meters := make(map[string]*energy.Meter, len(cluster.Devices))
+	// The legacy per-device meter: each interval's energy is priced on its
+	// own and added to the device's total; a negative duration is an error.
+	meters := make(map[string]units.Joules, len(cluster.Devices))
 	for _, d := range cluster.Devices {
-		meters[d.Name] = energy.NewMeter(d.Power)
+		meters[d.Name] = 0
+	}
+	record := func(dev *device.Device, seconds float64, state energy.State, ms string) error {
+		if seconds < 0 {
+			return fmt.Errorf("energy: negative duration %v", seconds)
+		}
+		meters[dev.Name] += dev.Power.Power(state, ms).Over(seconds)
+		return nil
 	}
 	jit := legacyJitterer{seed: opts.Seed, width: opts.Jitter, app: app.Name}
 
@@ -177,18 +186,17 @@ func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts
 			deviceFree[a.Device] = finish
 			finishOf[name] = finish
 
-			meter := meters[a.Device]
 			idleW := dev.Power.Power(energy.Idle, "")
 			pullW := dev.Power.Power(energy.Pulling, name)
 			recvW := dev.Power.Power(energy.Receiving, name)
 			procW := dev.Power.Power(energy.Processing, name)
-			if _, err := meter.Record(p.start, td, energy.Pulling, name); err != nil {
+			if err := record(dev, td, energy.Pulling, name); err != nil {
 				return nil, err
 			}
-			if _, err := meter.Record(p.done, tc, energy.Receiving, name); err != nil {
+			if err := record(dev, tc, energy.Receiving, name); err != nil {
 				return nil, err
 			}
-			if _, err := meter.Record(startProc, tp, energy.Processing, name); err != nil {
+			if err := record(dev, tp, energy.Processing, name); err != nil {
 				return nil, err
 			}
 			ct := td + tc + tp
@@ -224,8 +232,8 @@ func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts
 		res.Microservices = append(res.Microservices, *r)
 		res.TotalEnergy += r.TotalEnergy()
 	}
-	for name, meter := range meters {
-		res.EnergyByDevice[name] = meter.Total()
+	for name, total := range meters {
+		res.EnergyByDevice[name] = total
 	}
 	return res, nil
 }

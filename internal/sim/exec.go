@@ -285,7 +285,7 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 			// Energy accounting, in the legacy meter's record order (pull,
 			// receive, process) so per-device totals accumulate in the same
 			// floating-point sequence. Negative durations (a jitter width
-			// over 1) fail exactly where energy.Meter.Record did.
+			// over 1) fail exactly where the legacy meter did.
 			if td < 0 {
 				return nil, fmt.Errorf("energy: negative duration %v", td)
 			}
