@@ -656,11 +656,15 @@ func BenchmarkSubmitBatch(b *testing.B) {
 }
 
 // BenchmarkStageRecord isolates the fleet's per-request instrumentation
-// cost: folding a full stage trace into the six per-stage histograms, the
-// end-to-end latency observation, the slow ring's fast path, and — what a
-// placement-cache miss adds on top — the three solver-path counters. That is
-// everything a fleet worker records per request since the observability
-// layer landed. The allocguard baseline pins this at zero allocations.
+// cost: noting a full stage trace into the six per-stage histogram batches,
+// the end-to-end latency and the tenant's four histograms into theirs, the
+// slow ring's fast path, and — what a placement-cache miss adds on top — the
+// three solver-path counters; then publishing what was noted, one FlushAt
+// per histogram and one add per tenant counter (a warm hit's completed and
+// cache-hit counts). That is everything a fleet
+// worker records for a request. trace notes one trace per flush (a single
+// deploy); batch16 notes 16 and flushes once (a 16-item DoBatch), so its
+// ns/op is per batch. The allocguard baselines pin both at zero allocations.
 func BenchmarkStageRecord(b *testing.B) {
 	reg := obs.NewRegistry()
 	stages := obs.NewStageSet(reg, "fleet_stage_seconds")
@@ -671,19 +675,53 @@ func BenchmarkStageRecord(b *testing.B) {
 		reg.Counter("fleet_solver_path_total{path=best_response}"),
 		reg.Counter("fleet_solver_nonconverged_total"),
 	}
+	tenantCounters := [...]*obs.Counter{
+		reg.Counter("fleet_completed{tenant=t}"),
+		reg.Counter("fleet_cache_hits{tenant=t}"),
+	}
+	tenantHists := [...]*obs.Histogram{
+		reg.Histogram("fleet_latency_s{tenant=t}"),
+		reg.Histogram("fleet_queue_wait_s{tenant=t}"),
+		reg.Histogram("fleet_makespan_s{tenant=t}"),
+		reg.Histogram("fleet_energy_j{tenant=t}"),
+	}
 	var tr obs.StageTrace
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
 		tr.D[s] = time.Duration(s+1) * time.Microsecond
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shard := i & (obs.NumShards - 1)
-		stages.RecordAt(shard, &tr)
-		latency.ObserveAt(shard, 1e-4)
-		ring.Observe("tenant", "app", 100*time.Microsecond, &tr, true, false)
-		for _, c := range solver {
-			c.AddAt(shard, 1)
-		}
+	var (
+		stageBatch  obs.StageBatch
+		latBatch    obs.HistogramBatch
+		tenantBatch [len(tenantHists)]obs.HistogramBatch
+	)
+	for _, c := range []struct {
+		name  string
+		notes int
+	}{{"trace", 1}, {"batch16", 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shard := i & (obs.NumShards - 1)
+				for range c.notes {
+					stageBatch.Observe(&tr)
+					latBatch.Observe(1e-4)
+					for k := range tenantBatch {
+						tenantBatch[k].Observe(1e-4)
+					}
+					ring.Observe("tenant", "app", 100*time.Microsecond, &tr, true, false)
+					for _, s := range solver {
+						s.AddAt(shard, 1)
+					}
+				}
+				stages.FlushAt(shard, &stageBatch)
+				latency.FlushAt(shard, &latBatch)
+				for k, h := range tenantHists {
+					h.FlushAt(shard, &tenantBatch[k])
+				}
+				for _, tc := range tenantCounters {
+					tc.AddAt(shard, float64(c.notes))
+				}
+			}
+		})
 	}
 }

@@ -105,7 +105,8 @@ func TestRecordedBaselinesParse(t *testing.T) {
 		"sim/video/testbed/exec_cold",
 		"workers=4/cache=false",
 		"workers=4/cache=true",
-		"StageRecord",
+		"trace",   // BenchmarkStageRecord/trace
+		"batch16", // BenchmarkStageRecord/batch16
 	} {
 		if _, ok := got[want]; !ok {
 			t.Errorf("recorded baselines missing %q (have %d cases)", want, len(got))

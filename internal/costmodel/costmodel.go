@@ -28,13 +28,14 @@
 // pass over caller-supplied tables so N applications on one cluster (or one
 // application on N clusters) share the substrates, and Compile builds
 // private tables on the fly. There is one compile body, Scratch's: it sizes
-// the option table with a counting pass and carves every microservice's row
-// from one backing slice, and the fresh entry points run it on a zero
-// Scratch.
+// the option table with a counting pass and carves one row per distinct
+// feasibility pattern from one backing slice, which every microservice with
+// that pattern shares, and the fresh entry points run it on a zero Scratch.
 package costmodel
 
 import (
 	"math"
+	"slices"
 
 	"deep/internal/appgraph"
 	"deep/internal/dag"
@@ -92,7 +93,8 @@ type Model struct {
 
 	// opts holds each microservice's feasible options in canonical order
 	// (device name, then registry name) — enumerated once at compile, so
-	// Options never re-sorts.
+	// Options never re-sorts. Microservices that can run on the same devices
+	// share one row.
 	opts [][]Option
 
 	// Barrier stages and topological order (the app table's).
@@ -167,19 +169,24 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 	var feasible []bool
 	feasible, m.tp, m.pullW, m.recvW, m.procW = plan.MSRows()
 
-	// A device contributes one option per registry that routes to it, to
-	// every microservice it can run: count before carving.
+	// A row is a function of the microservice's feasibility pattern (which
+	// devices can run it), so microservices with one pattern share one row:
+	// the first of them, in id order, builds it. A device contributes one
+	// option per registry that routes to it, to every row whose pattern
+	// holds it: count before carving.
 	numOpts := 0
-	for d := 0; d < nd; d++ {
-		regs := 0
-		for r := 0; r < nr; r++ {
-			if m.regLink[r*nd+d].OK {
-				regs++
-			}
+	for mi := 0; mi < nm; mi++ {
+		if samePattern(feasible, nd, mi) < mi {
+			continue
 		}
-		for mi := 0; mi < nm; mi++ {
-			if feasible[mi*nd+d] {
-				numOpts += regs
+		for d := 0; d < nd; d++ {
+			if !feasible[mi*nd+d] {
+				continue
+			}
+			for r := 0; r < nr; r++ {
+				if m.regLink[r*nd+d].OK {
+					numOpts++
+				}
 			}
 		}
 	}
@@ -187,6 +194,10 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 	s.optRows.Reset(nm)
 	m.opts = s.optRows.Cut(nm)
 	for mi := 0; mi < nm; mi++ {
+		if first := samePattern(feasible, nd, mi); first < mi {
+			m.opts[mi] = m.opts[first]
+			continue
+		}
 		// Options iterate devices, then registries, both ascending: the
 		// canonical order.
 		row := s.opts.Rest()[:0]
@@ -205,6 +216,19 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 
 	m.stages, m.topo = at.Stages(), at.Topo()
 	return m, plan
+}
+
+// samePattern returns the first microservice, in id order, whose row of
+// the nm×nd feasibility table equals mi's: mi itself when none before it
+// does.
+func samePattern(feasible []bool, nd, mi int) int {
+	row := feasible[mi*nd : (mi+1)*nd]
+	for j := 0; j < mi; j++ {
+		if slices.Equal(feasible[j*nd:(j+1)*nd], row) {
+			return j
+		}
+	}
+	return mi
 }
 
 // NumMicroservices returns the number of compiled microservices.
@@ -232,8 +256,9 @@ func (m *Model) RegistryID(name string) (int32, bool) {
 }
 
 // Options returns the microservice's feasible options in canonical order
-// (device name, then registry name). The slice is shared — callers must not
-// mutate it.
+// (device name, then registry name). The slice is shared — by every
+// microservice that can run on the same devices, among others — so callers
+// must not mutate it.
 func (m *Model) Options(ms int32) []Option { return m.opts[ms] }
 
 // Assignment converts a compiled option back to its string form.

@@ -285,11 +285,17 @@ func TestChurnStressStaleNeverServed(t *testing.T) {
 		mu.Unlock()
 	}
 
-	stop := make(chan struct{})
+	// The loaders start once the first churn has landed: 200 warm deploys
+	// can finish before a goroutine started beside them is first scheduled,
+	// and a stress run without churn stresses nothing.
+	stop, churning := make(chan struct{}), make(chan struct{})
+	var churned sync.Once
+	started := func() { churned.Do(func() { close(churning) }) }
 	var churnWG sync.WaitGroup
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()
+		defer started() // an early error return must not strand the loaders
 		rng := rand.New(rand.NewSource(7))
 		down := map[string]bool{}
 		regionalDown := false
@@ -346,10 +352,12 @@ func TestChurnStressStaleNeverServed(t *testing.T) {
 				regs["regional"] = true
 			}
 			record(epoch, down, regs)
+			started()
 			time.Sleep(300 * time.Microsecond)
 		}
 	}()
 
+	<-churning
 	const loaders = 8
 	const perLoader = 25
 	responses := make(chan *Response, loaders*perLoader)

@@ -226,7 +226,10 @@ func (r *Response) Release() {
 	j.f.putJob(j)
 }
 
-// Stats is a point-in-time view of the fleet's counters.
+// Stats is a point-in-time view of the fleet's counters. A worker publishes
+// the answers it serves once per Do or DoBatch, before that call's last
+// response is handed over, so Completed and Failed may lag, and InFlight
+// lead, by at most the batch each worker is serving.
 type Stats struct {
 	Submitted  int64           `json:"submitted"`
 	Rejected   int64           `json:"rejected"`
@@ -266,8 +269,10 @@ type Fleet struct {
 	// Telemetry, interned in the Metrics' backing obs registry: per-stage
 	// latency histograms, the end-to-end request-latency histogram the
 	// rolling slow threshold reads, and the slow-request ring. A request is
-	// recorded on its worker's own shard, so instrumentation adds no shared
-	// cache lines (and no allocations) to the request path.
+	// noted into its worker's pending batch in plain memory, and the batch
+	// is published on the worker's own shard once per Do or DoBatch, so
+	// instrumentation adds no shared cache lines (and no allocations) to the
+	// request path.
 	stages  *obs.StageSet
 	latency *obs.Histogram
 	slow    *obs.SlowRing
@@ -421,8 +426,9 @@ func New(cfg Config) *Fleet {
 
 // collectGauges publishes the fleet's point-in-time counters as gauges in
 // the obs registry; it runs on every exposition pass (Prometheus scrape,
-// expvar read), so /metrics always reflects the live admission and cache
-// state without any per-request cost.
+// expvar read), so /metrics reflects the live admission and cache state
+// without any per-request cost. Like Stats, the request gauges lag by at
+// most the batch each worker is serving.
 func (f *Fleet) collectGauges() {
 	reg := f.cfg.Metrics.Obs()
 	s := f.Stats()
@@ -604,7 +610,8 @@ func (f *Fleet) serve(ctx context.Context, w *workerState, j *job) (*Response, e
 		}
 	}
 	resp := f.process(w, j)
-	f.deliver(w.shard, resp)
+	f.note(&w.pending, w.shard, resp)
+	f.publish(w.shard, &w.pending)
 	f.idle <- w
 	return resp, nil
 }
@@ -619,7 +626,8 @@ func (f *Fleet) serve(ctx context.Context, w *workerState, j *job) (*Response, e
 // timer, at its latest item deadline, and only when every item has one. If
 // its wait ends early — ctx done or that deadline passed — every item is
 // answered through each with the error; so is every item not yet run when
-// ctx is done. The error return is for admission only.
+// ctx is done. The error return is for admission only. The worker publishes
+// the batch's telemetry once, before each receives the last response.
 func (f *Fleet) DoBatch(ctx context.Context, reqs []Request, each func(*Response)) error {
 	if err := checkBatch(ctx, reqs); err != nil {
 		return err
@@ -650,7 +658,12 @@ func (f *Fleet) serveBatch(ctx context.Context, w *workerState, reqs []Request, 
 			resp = f.fail(j, err)
 		} else {
 			resp = f.process(w, j)
-			f.deliver(w.shard, resp)
+			f.note(&w.pending, w.shard, resp)
+		}
+		// The batch is published before its last response is handed over,
+		// so a caller that has seen every answer sees them all counted.
+		if w != nil && i == len(reqs)-1 {
+			f.publish(w.shard, &w.pending)
 		}
 		resp.Index = i
 		each(resp)
@@ -676,7 +689,8 @@ func waitDeadline(reqs []Request, enqueued time.Time) time.Time {
 // fail answers a request that is not run: its wait for a worker ended
 // (ctx done, or ErrDeadline) or its batch's caller hung up before its turn.
 // It is recorded like any failed request, its whole latency in the queue
-// stage.
+// stage, through a pending batch of its own that it publishes on shard 0 at
+// once: no worker's batch is involved.
 func (f *Fleet) fail(j *job, err error) *Response {
 	if errors.Is(err, ErrDeadline) {
 		f.deadlineExceeded.Add(1)
@@ -688,7 +702,9 @@ func (f *Fleet) fail(j *job, err error) *Response {
 	resp.QueueWait = resp.Latency
 	resp.Stages = obs.StageTrace{}
 	resp.Stages.D[obs.StageQueue] = resp.Latency
-	f.deliver(0, resp)
+	var p pending
+	f.note(&p, 0, resp)
+	f.publish(0, &p)
 	return resp
 }
 
@@ -793,22 +809,111 @@ type workerState struct {
 	// cluster table every model compiles on (so schedulers never see a down
 	// device or registry) and its key, the cluster half of every cache key.
 	churn *churnState
+
+	// pending is the telemetry of the answers the current borrower has
+	// served and not yet published; empty whenever the worker is idle.
+	pending pending
 }
 
-// deliver closes out one answered request: the fleet counters, and the
-// per-stage and per-tenant telemetry on the given obs shard (the serving
-// worker's, or shard 0 for a request no worker ran).
-func (f *Fleet) deliver(shard int, resp *Response) {
-	f.inFlight.Add(-1)
-	if resp.Err != nil {
-		f.failed.Add(1)
+// pending is one borrower's unpublished telemetry: every answer served on a
+// worker is noted here in plain memory (note), and the run is published in
+// one go on the worker's shard (publish) when its Do or DoBatch ends. It
+// holds the fleet's stage and latency histograms, its completed and failed
+// counts (each also one request no longer in flight), and the aggregates of
+// one tenant at a time. The zero value is empty, and a published batch is
+// the zero value again.
+type pending struct {
+	stages    obs.StageBatch
+	latency   obs.HistogramBatch
+	completed int64
+	failed    int64
+
+	// tenantName and tenant name the tenant whose aggregates tenantBatch
+	// holds; nil when it holds none.
+	tenantName string
+	tenant     *tenantLabels
+	tenantBatch
+}
+
+// tenantBatch is one tenant's unpublished aggregates (see tenantLabels).
+type tenantBatch struct {
+	completed, failed, cacheHits         int64
+	latency, queueWait, makespan, energy obs.HistogramBatch
+}
+
+// note closes out one answered request into the pending batch p of the
+// borrower serving on shard: its fleet and tenant counts and histograms
+// wait in p for publish, while the slow ring sees the request at once. An
+// answer for another tenant than the one p holds publishes that tenant's
+// part first. note must run before the response is handed to its receiver,
+// who may Release it.
+func (f *Fleet) note(p *pending, shard int, resp *Response) {
+	failed := resp.Err != nil
+	if failed {
+		p.failed++
 	} else {
-		f.completed.Add(1)
+		p.completed++
 	}
-	f.stages.RecordAt(shard, &resp.Stages)
-	f.latency.ObserveAt(shard, resp.Latency.Seconds())
-	f.slow.Observe(resp.Tenant, resp.App, resp.Latency, &resp.Stages, resp.CacheHit, resp.Err != nil)
-	f.observe(shard, resp)
+	p.stages.Observe(&resp.Stages)
+	p.latency.Observe(resp.Latency.Seconds())
+	f.slow.Observe(resp.Tenant, resp.App, resp.Latency, &resp.Stages, resp.CacheHit, failed)
+
+	if p.tenant == nil || p.tenantName != resp.Tenant {
+		p.publishTenant(shard)
+		p.tenantName, p.tenant = resp.Tenant, f.labelsFor(resp.Tenant)
+	}
+	t := &p.tenantBatch
+	if failed {
+		t.failed++
+		return
+	}
+	t.completed++
+	if resp.CacheHit {
+		t.cacheHits++
+	}
+	t.latency.Observe(resp.Latency.Seconds())
+	t.queueWait.Observe(resp.QueueWait.Seconds())
+	t.makespan.Observe(resp.Result.Makespan)
+	t.energy.Observe(float64(resp.Result.TotalEnergy))
+}
+
+// publish flushes the pending batch p on shard and empties it. The answers
+// it holds leave the in-flight count here, so Stats and the /metrics gauges
+// lag a worker by at most the batch it is serving.
+func (f *Fleet) publish(shard int, p *pending) {
+	if n := p.completed + p.failed; n > 0 {
+		f.inFlight.Add(-n)
+		f.failed.Add(p.failed)
+		f.completed.Add(p.completed)
+		p.completed, p.failed = 0, 0
+	}
+	f.stages.FlushAt(shard, &p.stages)
+	f.latency.FlushAt(shard, &p.latency)
+	p.publishTenant(shard)
+}
+
+// publishTenant flushes the tenant part of p on shard and forgets the
+// tenant.
+func (p *pending) publishTenant(shard int) {
+	l := p.tenant
+	if l == nil {
+		return
+	}
+	t := &p.tenantBatch
+	add := func(c *obs.Counter, n int64) {
+		if n > 0 {
+			c.AddAt(shard, float64(n))
+		}
+	}
+	add(l.failed, t.failed)
+	add(l.completed, t.completed)
+	add(l.cacheHits, t.cacheHits)
+	t.failed, t.completed, t.cacheHits = 0, 0, 0
+	l.latency.FlushAt(shard, &t.latency)
+	l.queueWait.FlushAt(shard, &t.queueWait)
+	l.makespan.FlushAt(shard, &t.makespan)
+	l.energy.FlushAt(shard, &t.energy)
+	p.tenantName, p.tenant = "", nil
 }
 
 // scheduleOn computes a placement for the job with the worker's scheduler on
@@ -1046,9 +1151,10 @@ func (f *Fleet) finish(w *workerState, resp *Response, j *job) *Response {
 	return resp
 }
 
-// tenantLabels caches one tenant's resolved instrument handles so the
-// per-request observe path is a handful of sharded atomic writes — no label
-// concatenation and no registry lookups after first sight of the tenant.
+// tenantLabels caches one tenant's resolved instrument handles so that
+// publishing a tenant's pending aggregates is a handful of sharded atomic
+// writes — no label concatenation and no registry lookups after first sight
+// of the tenant.
 // The instrument names follow the monitor convention (name{tenant=...}), so
 // the same aggregates are readable through Metrics().Counter and rendered
 // as labeled Prometheus families.
@@ -1096,22 +1202,4 @@ func (f *Fleet) labelsFor(tenant string) *tenantLabels {
 		f.labelCount.Add(1)
 	}
 	return v.(*tenantLabels)
-}
-
-// observe folds one response into the per-tenant aggregates on the worker's
-// own shard.
-func (f *Fleet) observe(shard int, resp *Response) {
-	l := f.labelsFor(resp.Tenant)
-	if resp.Err != nil {
-		l.failed.AddAt(shard, 1)
-		return
-	}
-	l.completed.AddAt(shard, 1)
-	if resp.CacheHit {
-		l.cacheHits.AddAt(shard, 1)
-	}
-	l.latency.ObserveAt(shard, resp.Latency.Seconds())
-	l.queueWait.ObserveAt(shard, resp.QueueWait.Seconds())
-	l.makespan.ObserveAt(shard, resp.Result.Makespan)
-	l.energy.ObserveAt(shard, float64(resp.Result.TotalEnergy))
 }

@@ -21,7 +21,8 @@ import (
 //
 // A deploy answer is a head and a tail. The head — tenant, app, epoch,
 // cache_hit, degraded, queue_wait_ms, latency_ms — is the request's own and
-// is appended every time. The tail — placement, makespan_s, total_energy_j
+// is appended every time; its two durations are written from their integer
+// nanoseconds (appendMillis), not through a float search. The tail — placement, makespan_s, total_energy_j
 // and the closing brace — is a function of the placement and the simulated
 // answer alone. On a memoized hit both are the placement entry's, so the
 // tail is a function of the cache key: the response carries the entry's
@@ -67,9 +68,44 @@ func appendDeployHead(dst []byte, resp *fleet.Response) []byte {
 	dst = append(dst, `,"degraded":`...)
 	dst = strconv.AppendBool(dst, resp.Degraded)
 	dst = append(dst, `,"queue_wait_ms":`...)
-	dst = appendFloat(dst, float64(resp.QueueWait)/float64(time.Millisecond))
+	dst = appendMillis(dst, resp.QueueWait)
 	dst = append(dst, `,"latency_ms":`...)
-	return appendFloat(dst, float64(resp.Latency)/float64(time.Millisecond))
+	return appendMillis(dst, resp.Latency)
+}
+
+// appendMillis appends d in milliseconds exactly as appendFloat appends
+// float64(d)/1e6, the DeployResponse field's value, without strconv's
+// shortest-float search: for 0 ≤ d < 10^15 ns it writes the digits of d
+// with the decimal point moved six places left and trailing zeros dropped
+// (1500000 → 1.5, 1 → 0.000001, 0 → 0). Those are the bytes encoding/json
+// writes. float64(d) is exact, since d < 2^53, so the division yields the
+// float64 nearest to the decimal q = d·10⁻⁶, which has at most 15
+// significant digits. A decimal of at most 15 significant digits survives a
+// round trip through float64 (DBL_DIG = 15), so no other decimal that short
+// — in particular none shorter — rounds to the same float64, and the
+// shortest round-tripping form is q itself; and q ≥ 10⁻⁶ unless it is 0,
+// so encoding/json prints it in 'f' form. Any other d falls back to
+// appendFloat.
+func appendMillis(dst []byte, d time.Duration) []byte {
+	if d < 0 || d >= 1e15 {
+		return appendFloat(dst, float64(d)/float64(time.Millisecond))
+	}
+	ms, frac := int64(d/time.Millisecond), int64(d%time.Millisecond)
+	dst = strconv.AppendInt(dst, ms, 10)
+	if frac == 0 {
+		return dst
+	}
+	var digits [7]byte
+	digits[0] = '.'
+	for i := 6; i > 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(digits)
+	for digits[n-1] == '0' {
+		n--
+	}
+	return append(dst, digits[:n]...)
 }
 
 // appendDeployTail appends the rest of a DeployResponse, from its placement

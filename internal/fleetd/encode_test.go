@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -320,6 +321,51 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 		checkEncode(t, "batch", got, ok, want, err)
 		checkStored(t, "batch", batch,
 			func(resps []*fleet.Response) ([]byte, int, bool) { return appendBatch(nil, resp.Tenant, resps) }, want, err)
+	})
+}
+
+// TestAppendMillisMatchesFloat pins the head's integer duration encoder to
+// the float path it replaced, appendFloat(float64(d)/1e6): on every d in
+// [0, 2·10⁶] ns, on random d below 10^15 and at the edges of the integer
+// path (10^15−1 and 10^15, negatives, math.MinInt64 and math.MaxInt64),
+// where the fallback takes over.
+func TestAppendMillisMatchesFloat(t *testing.T) {
+	var got, want []byte
+	check := func(d time.Duration) {
+		got = appendMillis(got[:0], d)
+		want = appendFloat(want[:0], float64(d)/float64(time.Millisecond))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendMillis(%d) = %s, want %s", int64(d), got, want)
+		}
+	}
+	for d := time.Duration(0); d <= 2e6; d++ {
+		check(d)
+	}
+	rng := rand.New(rand.NewPCG(53, 1))
+	draws := 1_000_000
+	if raceEnabled {
+		draws = 100_000 // the detector slows strconv tenfold; nothing here races
+	}
+	for range draws {
+		check(time.Duration(rng.Int64N(1e15)))
+		check(time.Duration(rng.Int64N(1e9))) // the durations a deploy reads
+	}
+	for _, d := range []int64{1e15 - 1, 1e15, 1e15 + 1, -1, -1e6, -1500000, math.MinInt64, math.MaxInt64, 1<<53 - 1, 1 << 53} {
+		check(time.Duration(d))
+	}
+}
+
+// FuzzMillisMatchesFloat is TestAppendMillisMatchesFloat over any int64.
+func FuzzMillisMatchesFloat(f *testing.F) {
+	for _, d := range []int64{0, 1, 999999, 1000000, 1500000, 1e15 - 1, 1e15, -1, math.MinInt64, math.MaxInt64} {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, d int64) {
+		got := appendMillis(nil, time.Duration(d))
+		want := appendFloat(nil, float64(d)/float64(time.Millisecond))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendMillis(%d) = %s, want %s", d, got, want)
+		}
 	})
 }
 

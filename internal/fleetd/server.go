@@ -194,6 +194,12 @@ func (s *Server) Draining() <-chan struct{} { return s.drainCh }
 // surface (pprof exposes blocking profile/trace captures) live on
 // AdminHandler — mounting them here would let any client fail devices,
 // drain the daemon, or pin CPUs with profile requests.
+//
+// The fleet publishes its telemetry once per Backend.DoBatch call — a single
+// deploy, or a whole batch — before the call's last answer is handed back,
+// so /metrics and /v1/stats may lag the answers a worker is still serving
+// by at most its batch: fleet_requests_in_flight drops, and the request
+// counters and histograms rise, when the batch is published.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/deploy", s.handleDeploy)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -29,8 +30,10 @@ type histShard struct {
 }
 
 // Histogram is a sharded fixed-bucket log-scaled histogram. Record with
-// ObserveAt (lock-free, allocation-free); read with Snapshot, which merges
-// the shards. Create with NewHistogram or intern via Registry.Histogram.
+// ObserveAt (lock-free, allocation-free), or note values into a
+// HistogramBatch and publish them with one FlushAt; read with Snapshot,
+// which merges the shards. Create with NewHistogram or intern via
+// Registry.Histogram.
 type Histogram struct {
 	shards [NumShards]histShard
 }
@@ -82,24 +85,82 @@ func (h *Histogram) ObserveAt(shard int, v float64) {
 	s := &h.shards[shard&shardMask]
 	s.count.Add(1)
 	s.cells[bucketIndex(v)].Add(1)
+	s.fold(v, v, v)
+}
+
+// fold adds sum to the shard's sum and lowers its min to lo and raises its
+// max to hi where they extend it.
+func (s *histShard) fold(sum, lo, hi float64) {
 	for {
 		old := s.sum.Load()
-		if s.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		if s.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sum)) {
 			break
 		}
 	}
 	for {
 		old := s.min.Load()
-		if v >= math.Float64frombits(old) || s.min.CompareAndSwap(old, math.Float64bits(v)) {
+		if lo >= math.Float64frombits(old) || s.min.CompareAndSwap(old, math.Float64bits(lo)) {
 			break
 		}
 	}
 	for {
 		old := s.max.Load()
-		if v <= math.Float64frombits(old) || s.max.CompareAndSwap(old, math.Float64bits(v)) {
+		if hi <= math.Float64frombits(old) || s.max.CompareAndSwap(old, math.Float64bits(hi)) {
 			break
 		}
 	}
+}
+
+// HistogramBatch accumulates observations in plain memory for one owner, to
+// be published into a Histogram by one FlushAt: an observation costs no
+// atomic operation, and the flush costs what one ObserveAt does plus one
+// atomic add per touched bucket. The zero value is an empty batch, and a
+// flushed batch is the zero value again. Not safe for concurrent use.
+type HistogramBatch struct {
+	count   uint64
+	sum     float64
+	min     float64 // meaningful when count > 0
+	max     float64 // meaningful when count > 0
+	touched uint64  // bit b set when cells[b] > 0 (HistBuckets ≤ 64)
+	cells   [HistBuckets]uint64
+}
+
+// Observe notes v in the batch.
+func (b *HistogramBatch) Observe(v float64) {
+	// The comparisons are fold's, so a tie (0 and -0) keeps the earlier
+	// value as ObserveAt does.
+	if b.count == 0 || !(v >= b.min) {
+		b.min = v
+	}
+	if b.count == 0 || !(v <= b.max) {
+		b.max = v
+	}
+	b.count++
+	b.sum += v
+	i := bucketIndex(v)
+	b.cells[i]++
+	b.touched |= 1 << i
+}
+
+// FlushAt publishes the batch on the given shard and empties it. The count
+// and every touched bucket are one atomic add each, the sum is one CAS, and
+// min and max are CASed only when they extend the shard's. Afterwards the
+// count, buckets, min and max are what ObserveAt of each noted value would
+// have left (for values that are not NaN); the sum differs at most by the
+// float association of the batch's partial sum.
+func (h *Histogram) FlushAt(shard int, b *HistogramBatch) {
+	if b.count == 0 {
+		return
+	}
+	s := &h.shards[shard&shardMask]
+	s.count.Add(b.count)
+	for m := b.touched; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		s.cells[i].Add(b.cells[i])
+		b.cells[i] = 0
+	}
+	s.fold(b.sum, b.min, b.max)
+	b.count, b.sum, b.min, b.max, b.touched = 0, 0, 0, 0, 0
 }
 
 // HistogramSnapshot is a merged point-in-time view of a Histogram. A

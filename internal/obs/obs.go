@@ -4,8 +4,12 @@
 // histograms are sharded across cache-line-padded cells — a record is one or
 // two uncontended atomic operations on the caller's own shard, no locks, no
 // allocations, no shared cache lines between workers — and reads merge the
-// shards into a snapshot. On top of the instruments sit per-request stage
-// tracing (StageTrace / StageSet), a bounded slow-request ring that captures
+// shards into a snapshot. A hot path that serves requests in runs notes them
+// into plain-memory batches instead (HistogramBatch, StageBatch) and
+// publishes each run with one FlushAt, so a request's record costs no atomic
+// operation at all and the run pays one flush per instrument. On top of the
+// instruments sit per-request stage tracing (StageTrace / StageSet, whose
+// traces arrive through a StageBatch), a bounded slow-request ring that captures
 // the full stage breakdown of tail outliers (SlowRing), and exposition:
 // Prometheus text format, expvar, and an http.Handler for a debug listener.
 //

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -70,6 +71,63 @@ func TestHistogramStats(t *testing.T) {
 	}
 }
 
+// TestHistogramBatchMatchesObserveAt pins FlushAt's exactness: values noted
+// into batches of random lengths and flushed on random shards leave the
+// count, every bucket, min and max exactly where ObserveAt of each value
+// leaves them, the sum within float association, and every flushed batch
+// empty (the zero value). The values include zeros of both signs,
+// negatives, subnormals, the bucket edges and +Inf.
+func TestHistogramBatchMatchesObserveAt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	special := []float64{0, math.Copysign(0, -1), -1, 5e-324, 0x1p-30, 0x1p-31, 0x1p12, 0x1p13, math.Inf(1), 1e300}
+	value := func() float64 {
+		switch rng.IntN(4) {
+		case 0:
+			return special[rng.IntN(len(special))]
+		case 1:
+			return rng.Float64() * 1e-3
+		default:
+			return math.Ldexp(rng.Float64(), rng.IntN(60)-40)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		want, got := NewHistogram(), NewHistogram()
+		var batch HistogramBatch
+		for run := rng.IntN(6); run >= 0; run-- {
+			shard := rng.IntN(2 * NumShards)
+			for n := rng.IntN(40); n > 0; n-- {
+				v := value()
+				if rng.IntN(8) == 0 {
+					v = 1e-4 // repeats, so a tie meets a batch's min and max
+				}
+				want.ObserveAt(shard, v)
+				batch.Observe(v)
+			}
+			got.FlushAt(shard, &batch)
+			if batch != (HistogramBatch{}) {
+				t.Fatalf("trial %d: FlushAt left the batch non-empty", trial)
+			}
+		}
+		for i := range want.shards {
+			w, g := &want.shards[i], &got.shards[i]
+			if w.count.Load() != g.count.Load() || w.min.Load() != g.min.Load() || w.max.Load() != g.max.Load() {
+				t.Fatalf("trial %d shard %d: count/min/max %d %v %v, want %d %v %v", trial, i,
+					g.count.Load(), math.Float64frombits(g.min.Load()), math.Float64frombits(g.max.Load()),
+					w.count.Load(), math.Float64frombits(w.min.Load()), math.Float64frombits(w.max.Load()))
+			}
+			for b := range w.cells {
+				if w.cells[b].Load() != g.cells[b].Load() {
+					t.Fatalf("trial %d shard %d bucket %d: %d, want %d", trial, i, b, g.cells[b].Load(), w.cells[b].Load())
+				}
+			}
+			ws, gs := math.Float64frombits(w.sum.Load()), math.Float64frombits(g.sum.Load())
+			if ws != gs && !(math.Abs(ws-gs) <= 1e-9*math.Abs(ws)) {
+				t.Fatalf("trial %d shard %d: sum %v, want %v", trial, i, gs, ws)
+			}
+		}
+	}
+}
+
 func TestHistogramEmptySnapshotJSONSafe(t *testing.T) {
 	h := NewHistogram()
 	var s HistogramSnapshot
@@ -127,7 +185,12 @@ func TestStageTraceAndSet(t *testing.T) {
 	if tr.Total() != 5*time.Millisecond {
 		t.Fatalf("Total = %v", tr.Total())
 	}
-	ss.RecordAt(1, &tr)
+	var batch StageBatch
+	batch.Observe(&tr)
+	ss.FlushAt(1, &batch)
+	if batch != (StageBatch{}) {
+		t.Fatal("FlushAt left the stage batch non-empty")
+	}
 	queue, ok := r.LookupHistogram("stage_seconds{stage=queue}")
 	if !ok {
 		t.Fatal("stage histogram not interned under labeled name")
@@ -262,12 +325,17 @@ func TestInstrumentsConcurrent(t *testing.T) {
 			defer writers.Done()
 			var tr StageTrace
 			tr.D[StageSchedule] = time.Microsecond
+			var batch StageBatch
 			for i := 0; i < perG; i++ {
 				c.AddAt(g, 1)
 				h.ObserveAt(g, 0.001)
-				ss.RecordAt(g, &tr)
+				batch.Observe(&tr)
+				if i%16 == 15 {
+					ss.FlushAt(g, &batch)
+				}
 				ring.Observe("t", "a", time.Millisecond, &tr, false, false)
 			}
+			ss.FlushAt(g, &batch)
 		}(g)
 	}
 	writers.Wait()
@@ -290,8 +358,9 @@ func TestInstrumentsConcurrent(t *testing.T) {
 }
 
 // TestRecordAllocationFree pins the record path of every hot-path
-// instrument at zero allocations: counter add, histogram observe, stage-set
-// record, and the slow ring's fast path.
+// instrument at zero allocations: counter add, histogram observe, a
+// histogram batch and a stage batch noted and flushed, and the slow ring's
+// fast path.
 func TestRecordAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
@@ -300,11 +369,16 @@ func TestRecordAllocationFree(t *testing.T) {
 	ring := NewSlowRing(16, time.Hour, nil) // fixed bar nothing reaches
 	var tr StageTrace
 	tr.D[StageSim] = time.Microsecond
+	var hb HistogramBatch
+	var sb StageBatch
 
 	if allocs := testing.AllocsPerRun(200, func() {
 		c.AddAt(3, 1)
 		h.ObserveAt(3, 0.0001)
-		ss.RecordAt(3, &tr)
+		hb.Observe(0.0001)
+		h.FlushAt(3, &hb)
+		sb.Observe(&tr)
+		ss.FlushAt(3, &sb)
 		ring.Observe("tenant", "app", 50*time.Microsecond, &tr, true, false)
 	}); allocs != 0 {
 		t.Fatalf("record path allocates %v per run, want 0", allocs)

@@ -89,7 +89,8 @@ func (t StageTrace) MarshalJSON() ([]byte, error) {
 
 // StageSet aggregates stage traces into one histogram per stage (recorded
 // in seconds), interned in a registry as name{stage="..."} so exposition
-// renders them as one labeled Prometheus family.
+// renders them as one labeled Prometheus family. Traces reach it through a
+// StageBatch and FlushAt.
 type StageSet struct {
 	hists [NumStages]*Histogram
 }
@@ -104,10 +105,23 @@ func NewStageSet(r *Registry, name string) *StageSet {
 	return ss
 }
 
-// RecordAt folds one trace into the per-stage histograms on the caller's
-// shard.
-func (ss *StageSet) RecordAt(shard int, t *StageTrace) {
+// StageBatch accumulates stage traces in plain memory, one HistogramBatch
+// per stage, for one StageSet.FlushAt to publish. The zero value is empty.
+type StageBatch struct {
+	hists [NumStages]HistogramBatch
+}
+
+// Observe notes every stage of one trace.
+func (b *StageBatch) Observe(t *StageTrace) {
 	for s := Stage(0); s < NumStages; s++ {
-		ss.hists[s].ObserveAt(shard, t.D[s].Seconds())
+		b.hists[s].Observe(t.D[s].Seconds())
+	}
+}
+
+// FlushAt publishes the batch into the per-stage histograms on the given
+// shard and empties it.
+func (ss *StageSet) FlushAt(shard int, b *StageBatch) {
+	for s := Stage(0); s < NumStages; s++ {
+		ss.hists[s].FlushAt(shard, &b.hists[s])
 	}
 }
