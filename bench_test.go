@@ -447,7 +447,8 @@ func BenchmarkClusterPatch(b *testing.B) {
 	})
 }
 
-// BenchmarkFleetChurn measures the request path with churn machinery live:
+// BenchmarkFleetChurn measures the request path with churn machinery live,
+// through Submit, releasing each answer as soon as it is in:
 // the steady row is the warm cached path on a quiet cluster (it must stay at
 // the BENCH_fleet.json pooled-path baseline — churn awareness is one atomic
 // load and one pointer compare); the churning row runs the same closed loop while
@@ -499,7 +500,27 @@ func BenchmarkFleetChurn(b *testing.B) {
 			failed := 0
 			b.ResetTimer()
 			pending := make([]<-chan *deep.FleetResponse, 0, b.N)
+			settle := func(resp *deep.FleetResponse) {
+				if resp.Err != nil {
+					failed++
+				}
+				resp.Release()
+				pending = pending[1:]
+			}
 			for i := 0; i < b.N; i++ {
+				// The answers already in are released before each
+				// submission, so the job pool recycles whether or not the
+				// workers keep up with this loop; the oldest answer is
+				// waited for only when the queue is full.
+			drained:
+				for len(pending) > 0 {
+					select {
+					case resp := <-pending[0]:
+						settle(resp)
+					default:
+						break drained
+					}
+				}
 				req := deep.FleetRequest{App: apps[i%len(apps)], Seed: int64(i)}
 				for {
 					ch, err := f.Submit(req)
@@ -510,20 +531,11 @@ func BenchmarkFleetChurn(b *testing.B) {
 					if !errors.Is(err, deep.ErrFleetQueueFull) {
 						b.Fatal(err)
 					}
-					resp := <-pending[0]
-					if resp.Err != nil {
-						failed++
-					}
-					resp.Release()
-					pending = pending[1:]
+					settle(<-pending[0])
 				}
 			}
-			for _, ch := range pending {
-				resp := <-ch
-				if resp.Err != nil {
-					failed++
-				}
-				resp.Release()
+			for len(pending) > 0 {
+				settle(<-pending[0])
 			}
 			b.StopTimer()
 			close(stop)

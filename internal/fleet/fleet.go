@@ -368,6 +368,12 @@ func (j *job) deadline() time.Time {
 	return j.enqueued.Add(j.req.Deadline)
 }
 
+// expired reports whether the request's budget is spent at the stamp at, a
+// time since its admission.
+func (j *job) expired(at time.Duration) bool {
+	return j.req.Deadline > 0 && at >= j.req.Deadline
+}
+
 // putJob clears a job's references and returns it to the pool. Buffers with
 // reusable capacity — the result's slices and maps, the placement-view
 // scratch, the done channel — are kept; everything that pins caller memory
@@ -648,10 +654,28 @@ func (f *Fleet) serveBatch(ctx context.Context, w *workerState, reqs []Request, 
 	if w == nil {
 		w, err = f.await(ctx, waitDeadline(reqs, enqueued), int64(len(reqs)))
 	}
+	// Before each item: did the caller hang up? The first item asks Err.
+	// Later ones take a non-blocking receive on Done, read once, which
+	// takes no lock (a nil Done never fires). Done makes a cancelable
+	// context's channel on first use, so a one-item batch, every single
+	// deploy, never asks for it.
+	var done <-chan struct{}
 	for i := range reqs {
 		j := f.getJob(reqs[i], enqueued)
 		if err == nil {
-			err = ctx.Err()
+			switch i {
+			case 0:
+				err = ctx.Err()
+			case 1:
+				done = ctx.Done()
+				fallthrough
+			default:
+				select {
+				case <-done:
+					err = ctx.Err()
+				default:
+				}
+			}
 		}
 		var resp *Response
 		if err != nil {
@@ -995,10 +1019,14 @@ func (f *Fleet) shape(w *workerState, app *dag.App) compiledShape {
 // resident set by 43 % (23.1 → 33.0 MB) on a stream of never-repeated apps,
 // where no stored result is ever read, and to cost CPU there as well.
 //
-// In steady state — placement and answer memoized, no churn in flight — the
-// whole path allocates nothing once the job pool is full; the stamping
-// itself is monotonic-clock reads into a fixed array, and churn awareness
-// costs one atomic load.
+// The clock is read once per stage boundary: each stamp is the time since
+// admission, it closes the open stage and opens the next (stamp), and the
+// last one is the response's Latency, so the stages partition the latency
+// exactly. Both deadline checks compare the stamp just taken with the
+// request's budget. A hit answered from its entry reads the clock three
+// times — queue, fingerprint, and a cache_lookup that runs up to the answer
+// — and in steady state, with no churn in flight, allocates nothing once the
+// job pool is full; churn awareness costs one atomic load.
 //
 // Under churn the path loops: every computed or cached placement is
 // re-validated against the latest published epoch before it is served. A
@@ -1006,42 +1034,38 @@ func (f *Fleet) shape(w *workerState, app *dag.App) compiledShape {
 // moves to the latest epoch's key and is answered from that key's entry or
 // re-scheduled exactly on that epoch, and the new placement is memoized like
 // any other (bounded retries). The rejected entry stays, valid for its own
-// key. Stage stamps accumulate across attempts.
+// key. Stage stamps accumulate across attempts: a rejection closes the stage
+// it ended (the lookup of a hit, the schedule of a miss) and opens the next
+// attempt's cache_lookup.
 func (f *Fleet) process(w *workerState, j *job) *Response {
-	start := time.Now()
 	w.trace.Reset()
-	w.trace.D[obs.StageQueue] = start.Sub(j.enqueued)
+	at := time.Since(j.enqueued)
+	w.trace.D[obs.StageQueue] = at
 	resp := j.reset()
-	resp.QueueWait = w.trace.D[obs.StageQueue]
-	deadline := j.deadline()
+	resp.QueueWait = at
 
 	w.churn = f.churn.Load()
 
 	// The app digest was stored when the app was built: reading it hashes
 	// nothing.
 	key := cacheKey{cluster: w.churn.key, app: j.req.App.Digest()}
-	mark := time.Now()
-	w.trace.D[obs.StageFingerprint] = mark.Sub(start)
+	at = w.stamp(obs.StageFingerprint, at, j)
 
 	var shape compiledShape
 	var view PlacementView
 	var entry *cacheEntry
 	for attempt := 0; ; attempt++ {
 		entry = f.cache.Get(key)
-		now := time.Now()
-		w.trace.D[obs.StageCacheLookup] += now.Sub(mark)
-		mark = now
 		if entry != nil {
 			view = entry.view()
 		} else {
+			at = w.stamp(obs.StageCacheLookup, at, j)
 			shape = f.shape(w, j.req.App)
-			now = time.Now()
-			w.trace.D[obs.StageCompile] += now.Sub(mark)
-			mark = now
-			if !deadline.IsZero() && !now.Before(deadline) {
+			at = w.stamp(obs.StageCompile, at, j)
+			if j.expired(at) {
 				f.deadlineExceeded.Add(1)
 				resp.Err = fmt.Errorf("fleet: scheduling %s: %w", j.req.App.Name, ErrDeadline)
-				return f.finish(w, resp, j)
+				return w.finish(resp, at)
 			}
 			err := f.scheduleOn(w, j, shape)
 			if err == nil {
@@ -1050,12 +1074,10 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 				view = PlacementView{names: j.names, assigns: j.assigns}
 				f.cache.PutView(key, view)
 			}
-			now = time.Now()
-			w.trace.D[obs.StageSchedule] += now.Sub(mark)
-			mark = now
+			at = w.stamp(obs.StageSchedule, at, j)
 			if err != nil {
 				resp.Err = fmt.Errorf("fleet: scheduling %s: %w", j.req.App.Name, err)
-				return f.finish(w, resp, j)
+				return w.finish(resp, at)
 			}
 		}
 
@@ -1065,14 +1087,18 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		latest := f.churn.Load()
 		if latest.staleAssigns(view.assigns) {
 			f.staleRejected.Add(1)
+			ended := obs.StageSchedule
+			if entry != nil {
+				ended = obs.StageCacheLookup
+			}
+			at = w.stamp(ended, at, j)
 			if attempt+1 >= churnMaxAttempts {
 				resp.Err = fmt.Errorf("fleet: scheduling %s: placement stale after %d attempts under churn", j.req.App.Name, attempt+1)
-				return f.finish(w, resp, j)
+				return w.finish(resp, at)
 			}
 			f.reschedules.Add(1)
 			w.churn = latest
 			key.cluster = latest.key
-			mark = time.Now()
 			continue
 		}
 		resp.Epoch = latest.epoch
@@ -1082,25 +1108,24 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	}
 
 	if entry != nil {
-		if r := entry.result.Load(); r != nil {
+		r := entry.result.Load()
+		at = w.stamp(obs.StageCacheLookup, at, j)
+		if r != nil {
 			resp.Result, resp.Encoded = r, &entry.encoded
-			return f.finish(w, resp, j)
+			return w.finish(resp, at)
 		}
 		shape = f.shape(w, j.req.App)
-		now := time.Now()
-		w.trace.D[obs.StageCompile] += now.Sub(mark)
-		mark = now
+		at = w.stamp(obs.StageCompile, at, j)
 	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
+	if j.expired(at) {
 		f.deadlineExceeded.Add(1)
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, ErrDeadline)
-		return f.finish(w, resp, j)
+		return w.finish(resp, at)
 	}
 	result, err := w.exec.RunIndexed(shape.plan, view.names, view.assigns, sim.Options{})
-	w.trace.D[obs.StageSim] = time.Since(mark)
 	if err != nil {
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, err)
-		return f.finish(w, resp, j)
+		return w.finish(resp, w.stamp(obs.StageSim, at, j))
 	}
 	if entry != nil {
 		// The first hit stores a detached copy, which this and every later
@@ -1113,14 +1138,24 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 			stored = entry.result.Load()
 		}
 		resp.Result, resp.Encoded = stored, &entry.encoded
-		return f.finish(w, resp, j)
+	} else {
+		// The exec's result buffer is reused on the next request; the
+		// response escapes to the submitter, so it gets a detached copy —
+		// into the job's pooled buffer, whose slices and maps a warm pool
+		// reuses outright.
+		result.CloneInto(&j.result)
+		resp.Result = &j.result
 	}
-	// The exec's result buffer is reused on the next request; the response
-	// escapes to the submitter, so it gets a detached copy — into the job's
-	// pooled buffer, whose slices and maps a warm pool reuses outright.
-	result.CloneInto(&j.result)
-	resp.Result = &j.result
-	return f.finish(w, resp, j)
+	return w.finish(resp, w.stamp(obs.StageSim, at, j))
+}
+
+// stamp reads the clock once at a stage boundary: it returns the time since
+// the job's admission and adds what passed since the previous stamp, from,
+// to the stage s that boundary closes.
+func (w *workerState) stamp(s obs.Stage, from time.Duration, j *job) time.Duration {
+	at := time.Since(j.enqueued)
+	w.trace.D[s] += at - from
+	return at
 }
 
 // reset readies the job's pooled response for a new answer: every public
@@ -1143,10 +1178,10 @@ func (j *job) reset() *Response {
 	return resp
 }
 
-// finish closes out a response: end-to-end latency and the stage breakdown
-// copied off the worker's reusable trace.
-func (f *Fleet) finish(w *workerState, resp *Response, j *job) *Response {
-	resp.Latency = time.Since(j.enqueued)
+// finish closes out a response: its latency is the last stamp, at, and the
+// stage breakdown that sums to it is copied off the worker's reusable trace.
+func (w *workerState) finish(resp *Response, at time.Duration) *Response {
+	resp.Latency = at
 	resp.Stages = w.trace
 	return resp
 }

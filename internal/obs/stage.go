@@ -27,13 +27,16 @@ const (
 	// StageCompile is the shape compilation into the worker's scratch; 0 on
 	// a hit answered from its placement entry.
 	StageCompile
-	// StageCacheLookup is the placement-cache probe.
+	// StageCacheLookup is the placement-cache probe; on a hit it runs
+	// through the stale-placement gate up to the answer, or up to the
+	// shape compile of an entry whose answer is not stored yet.
 	StageCacheLookup
 	// StageSchedule is the scheduling pass plus the cache fill; 0 on
 	// placement-cache hits.
 	StageSchedule
 	// StageSim is simulator execution of the placement on the compiled
-	// plan; 0 on a hit answered from its placement entry.
+	// plan, up to the detached copy of its result the answer carries; 0 on
+	// a hit answered from its placement entry.
 	StageSim
 	// NumStages bounds the enum; StageTrace arrays are indexed by Stage.
 	NumStages
