@@ -672,8 +672,8 @@ func BenchmarkSubmitBatch(b *testing.B) {
 // the end-to-end latency and the tenant's four histograms into theirs, the
 // slow ring's fast path, and — what a placement-cache miss adds on top — the
 // three solver-path counters; then publishing what was noted, one FlushAt
-// per histogram and one add per tenant counter (a warm hit's completed and
-// cache-hit counts). That is everything a fleet
+// per histogram, the slow ring's count and one add per tenant counter (a
+// warm hit's completed and cache-hit counts). That is everything a fleet
 // worker records for a request. trace notes one trace per flush (a single
 // deploy); batch16 notes 16 and flushes once (a 16-item DoBatch), so its
 // ns/op is per batch. The allocguard baselines pin both at zero allocations.
@@ -727,6 +727,7 @@ func BenchmarkStageRecord(b *testing.B) {
 				}
 				stages.FlushAt(shard, &stageBatch)
 				latency.FlushAt(shard, &latBatch)
+				ring.Count(c.notes)
 				for k, h := range tenantHists {
 					h.FlushAt(shard, &tenantBatch[k])
 				}

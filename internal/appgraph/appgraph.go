@@ -48,7 +48,7 @@ const (
 // per-microservice image sizes and external inputs, and the simulator's
 // per-phase jitter tags.
 // Per-cluster compilers (costmodel.CompileShapeOn, sim.CompilePlanOnTables)
-// layer their per-(microservice, device) tables on top of it.
+// layer their per-(microservice, device class) tables on top of it.
 type AppTable struct {
 	app *dag.App
 

@@ -2,7 +2,7 @@
 // compiles an (application, cluster) pair once into dense integer-indexed
 // arrays — microservices, devices, registries, and feasible options as ints;
 // per-(registry, device) deployment links, per-device-pair transfer links,
-// and per-(microservice, device) processing times and power draws all
+// and per-(microservice, device class) processing times and power draws all
 // precomputed — so the estimator queries that dominate the Nash scheduler's
 // best-response sweeps (Energy, CompletionTime) run with zero allocations
 // and no string comparisons in steady state.
@@ -46,11 +46,10 @@ import (
 )
 
 // Option is one feasible (device, registry) assignment in compiled form.
-// The fields index the model's device and registry tables.
-type Option struct {
-	Device   int32
-	Registry int32
-}
+// The fields index the model's device and registry tables, which are the
+// plan's: an Option is the simulator's Choice, so a pass's placement runs on
+// the plan as it stands (sim.Exec.RunChoices).
+type Option = sim.Choice
 
 // Model is the compiled cost model for one (application, cluster) pair.
 type Model struct {
@@ -85,11 +84,14 @@ type Model struct {
 	extInput  []units.Bytes     // per microservice (the app table's)
 	inputs    [][]appgraph.Edge // per microservice, in dataflow order (the app table's)
 
-	// Per-(microservice, device) tables, indexed ms*numDev+dev.
-	tp    []float64
-	pullW []units.Watts
-	recvW []units.Watts
-	procW []units.Watts
+	// Per-(microservice, device class) tables, the plan's, indexed
+	// ms*numClass+devClass[dev] (cell): every device of a class prices alike.
+	devClass []int32
+	numClass int
+	tp       []float64
+	pullW    []units.Watts
+	recvW    []units.Watts
+	procW    []units.Watts
 
 	// opts holds each microservice's feasible options in canonical order
 	// (device name, then registry name) — enumerated once at compile, so
@@ -112,8 +114,8 @@ func Compile(app *dag.App, cluster *sim.Cluster) *Model {
 
 // CompileShapeOn fuses the cost-model and simulator compiles into a single
 // walk over (at, tab): the simulator plan prices every (microservice,
-// device) pair once, and the model layers its option tables over those same
-// rows instead of re-querying the pure per-pair functions (ProcessingTime,
+// device class) pair once, and the model layers its option tables over those
+// same rows instead of re-querying the pure per-pair functions (ProcessingTime,
 // the three phase power draws, feasibility). This is the fleet's cold path.
 // tab must describe cluster's shape (same devices, registries, topology
 // routes — the fleet guarantees this by keying tables on the cluster
@@ -163,24 +165,28 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 	m.extInput = at.ExtInputs()
 	m.inputs = at.Inputs()
 
-	// The per-(microservice, device) rows are the plan's, priced over the
-	// same tables. The plan prices infeasible pairs too; that is
+	// The per-(microservice, device class) rows are the plan's, priced over
+	// the same tables. The plan prices infeasible pairs too; that is
 	// unobservable, because options only ever name feasible devices.
 	var feasible []bool
-	feasible, m.tp, m.pullW, m.recvW, m.procW = plan.MSRows()
+	m.devClass, feasible, m.tp, m.pullW, m.recvW, m.procW = plan.MSRows()
+	nc := len(tab.ClassReps())
+	m.numClass = nc
 
 	// A row is a function of the microservice's feasibility pattern (which
 	// devices can run it), so microservices with one pattern share one row:
-	// the first of them, in id order, builds it. A device contributes one
-	// option per registry that routes to it, to every row whose pattern
-	// holds it: count before carving.
+	// the first of them, in id order, builds it. Every class has a device,
+	// so two patterns are equal over devices exactly when they are equal
+	// over classes. A device contributes one option per registry that
+	// routes to it, to every row whose pattern holds it: count before
+	// carving.
 	numOpts := 0
 	for mi := 0; mi < nm; mi++ {
-		if samePattern(feasible, nd, mi) < mi {
+		if samePattern(feasible, nc, mi) < mi {
 			continue
 		}
 		for d := 0; d < nd; d++ {
-			if !feasible[mi*nd+d] {
+			if !feasible[mi*nc+int(m.devClass[d])] {
 				continue
 			}
 			for r := 0; r < nr; r++ {
@@ -194,7 +200,7 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 	s.optRows.Reset(nm)
 	m.opts = s.optRows.Cut(nm)
 	for mi := 0; mi < nm; mi++ {
-		if first := samePattern(feasible, nd, mi); first < mi {
+		if first := samePattern(feasible, nc, mi); first < mi {
 			m.opts[mi] = m.opts[first]
 			continue
 		}
@@ -202,7 +208,7 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 		// canonical order.
 		row := s.opts.Rest()[:0]
 		for d := 0; d < nd; d++ {
-			if !feasible[mi*nd+d] {
+			if !feasible[mi*nc+int(m.devClass[d])] {
 				continue
 			}
 			for r := 0; r < nr; r++ {
@@ -219,12 +225,12 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 }
 
 // samePattern returns the first microservice, in id order, whose row of
-// the nm×nd feasibility table equals mi's: mi itself when none before it
+// the nm×nc feasibility table equals mi's: mi itself when none before it
 // does.
-func samePattern(feasible []bool, nd, mi int) int {
-	row := feasible[mi*nd : (mi+1)*nd]
+func samePattern(feasible []bool, nc, mi int) int {
+	row := feasible[mi*nc : (mi+1)*nc]
 	for j := 0; j < mi; j++ {
-		if slices.Equal(feasible[j*nd:(j+1)*nd], row) {
+		if slices.Equal(feasible[j*nc:(j+1)*nc], row) {
 			return j
 		}
 	}
@@ -272,6 +278,9 @@ func (m *Model) Intern(a sim.Assignment) (Option, bool) {
 	r, okR := m.regIndex[a.Registry]
 	return Option{Device: d, Registry: r}, okD && okR
 }
+
+// cell is the index of device dev's class row for microservice ms.
+func (m *Model) cell(ms, dev int32) int { return int(ms)*m.numClass + int(m.devClass[dev]) }
 
 // LinkOK reports whether the registry's node routes to the device.
 func (m *Model) LinkOK(reg, dev int32) bool {
@@ -462,7 +471,7 @@ func (s *State) StageRows(stage []int32, rows [][]Option, buf []Option) {
 func (s *State) phases(ms int32, o Option, coMS []int32, coOpt []Option) (td, tc, tp float64) {
 	td = s.deployTime(ms, o, coMS, coOpt)
 	tc = s.transferTime(ms, o.Device)
-	tp = s.m.tp[int(ms)*len(s.m.devNames)+int(o.Device)]
+	tp = s.m.tp[s.m.cell(ms, o.Device)]
 	return td, tc, tp
 }
 
@@ -556,8 +565,8 @@ func (s *State) transferTime(ms int32, dev int32) float64 {
 // deployment, transfer, and processing phases, in joules.
 func (s *State) Energy(ms int32, o Option, coMS []int32, coOpt []Option) float64 {
 	td, tc, tp := s.phases(ms, o, coMS, coOpt)
-	base := int(ms)*len(s.m.devNames) + int(o.Device)
-	return float64(s.m.pullW[base].Over(td) + s.m.recvW[base].Over(tc) + s.m.procW[base].Over(tp))
+	k := s.m.cell(ms, o.Device)
+	return float64(s.m.pullW[k].Over(td) + s.m.recvW[k].Over(tc) + s.m.procW[k].Over(tp))
 }
 
 // CompletionTime estimates CT(m_i, r_g, d_j) = Td + Tc + Tp in seconds.
@@ -596,8 +605,8 @@ func (s *State) EnergyRow(ms int32, opts []Option, coMS []int32, coOpt []Option,
 // ordered option row.
 func (s *State) deviceTerms(ms, dev int32) (tc, tp float64, pullW, recvW, procW units.Watts) {
 	m := s.m
-	base := int(ms)*len(m.devNames) + int(dev)
-	return s.transferTime(ms, dev), m.tp[base], m.pullW[base], m.recvW[base], m.procW[base]
+	k := m.cell(ms, dev)
+	return s.transferTime(ms, dev), m.tp[k], m.pullW[k], m.recvW[k], m.procW[k]
 }
 
 // EnergyRowPair batch-prices an option row at both contention levels a

@@ -178,10 +178,23 @@ func (c *placementCache) Stats() CacheStats {
 // executor plan. It is compiled into the borrowing worker's recycled scratch
 // (Fleet.shape), valid until that worker's next compile, so it is never
 // cached or referenced from a Response: the worker's one scheduling pass is
-// retargeted at its model, and its Exec runs its plan.
+// retargeted at its model, and its Exec runs its plan. choices is the
+// placement that pass computed on the model, in the ids model and plan
+// share; nil on a shape compiled for a cache entry's placement, or
+// scheduled by a scheduler without passes.
 type compiledShape struct {
-	model *costmodel.Model
-	plan  *sim.Plan
+	model   *costmodel.Model
+	plan    *sim.Plan
+	choices []sim.Choice
+}
+
+// run simulates the answer's placement on the shape's plan: by its pass's
+// ids when it has them, else by the placement's names.
+func (s *compiledShape) run(e *sim.Exec, view PlacementView) (*sim.Result, error) {
+	if s.choices != nil {
+		return e.RunChoices(s.plan, s.choices, sim.Options{})
+	}
+	return e.RunIndexed(s.plan, view.names, view.assigns, sim.Options{})
 }
 
 // ModelCacheStats counts the fleet's compiles. Compiles and AppCompiles are

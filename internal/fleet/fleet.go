@@ -867,10 +867,10 @@ type tenantBatch struct {
 
 // note closes out one answered request into the pending batch p of the
 // borrower serving on shard: its fleet and tenant counts and histograms
-// wait in p for publish, while the slow ring sees the request at once. An
-// answer for another tenant than the one p holds publishes that tenant's
-// part first. note must run before the response is handed to its receiver,
-// who may Release it.
+// wait in p for publish, while the slow ring sees the request at once (it
+// is counted toward a retune at publish). An answer for another tenant than
+// the one p holds publishes that tenant's part first. note must run before
+// the response is handed to its receiver, who may Release it.
 func (f *Fleet) note(p *pending, shard int, resp *Response) {
 	failed := resp.Err != nil
 	if failed {
@@ -903,9 +903,11 @@ func (f *Fleet) note(p *pending, shard int, resp *Response) {
 
 // publish flushes the pending batch p on shard and empties it. The answers
 // it holds leave the in-flight count here, so Stats and the /metrics gauges
-// lag a worker by at most the batch it is serving.
+// lag a worker by at most the batch it is serving; the slow ring counts
+// them here too, once its threshold's source holds their latencies.
 func (f *Fleet) publish(shard int, p *pending) {
-	if n := p.completed + p.failed; n > 0 {
+	n := p.completed + p.failed
+	if n > 0 {
 		f.inFlight.Add(-n)
 		f.failed.Add(p.failed)
 		f.completed.Add(p.completed)
@@ -913,6 +915,7 @@ func (f *Fleet) publish(shard int, p *pending) {
 	}
 	f.stages.FlushAt(shard, &p.stages)
 	f.latency.FlushAt(shard, &p.latency)
+	f.slow.Count(int(n))
 	p.publishTenant(shard)
 }
 
@@ -943,14 +946,16 @@ func (p *pending) publishTenant(shard int) {
 // scheduleOn computes a placement for the job with the worker's scheduler on
 // the compiled shape, into the job's (names, assigns) scratch. Schedulers
 // that support reusable passes (sched.PassScheduler — DEEP) run on the
-// worker's one Pass and write their result straight into the scratch; every
-// other scheduler runs on the model with fresh scratch.
-func (f *Fleet) scheduleOn(w *workerState, j *job, shape compiledShape) error {
+// worker's one Pass and write their result straight into the scratch, and
+// the shape keeps the pass's own id form (Pass.Choices), taken as the pass
+// finishes; every other scheduler runs on the model with fresh scratch.
+func (f *Fleet) scheduleOn(w *workerState, j *job, shape *compiledShape) error {
 	if s, ok := w.scheduler.(sched.PassScheduler); ok {
-		p := w.passFor(shape)
+		p := w.passFor(*shape)
 		if err := s.ScheduleInto(p); err != nil {
 			return err
 		}
+		shape.choices = p.Choices()
 		f.recordSolver(w.shard, p.Solver())
 		j.names, j.assigns = p.AppendPlacement(j.names[:0], j.assigns[:0])
 		return nil
@@ -1067,7 +1072,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 				resp.Err = fmt.Errorf("fleet: scheduling %s: %w", j.req.App.Name, ErrDeadline)
 				return w.finish(resp, at)
 			}
-			err := f.scheduleOn(w, j, shape)
+			err := f.scheduleOn(w, j, &shape)
 			if err == nil {
 				// The response serves the job's pooled scratch, never a map;
 				// the memo copies it.
@@ -1122,7 +1127,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, ErrDeadline)
 		return w.finish(resp, at)
 	}
-	result, err := w.exec.RunIndexed(shape.plan, view.names, view.assigns, sim.Options{})
+	result, err := shape.run(w.exec, view)
 	if err != nil {
 		resp.Err = fmt.Errorf("fleet: simulating %s: %w", j.req.App.Name, err)
 		return w.finish(resp, w.stamp(obs.StageSim, at, j))

@@ -115,3 +115,49 @@ func TestEveryAnswerIsCoreDeploy(t *testing.T) {
 		})
 	}
 }
+
+// TestMissAnswersFromPassChoices: a placement miss simulates the DEEP pass's
+// own id-form placement (Pass.Choices) on its shape's plan, not the names the
+// pass appended. A stream of never-seen apps, each a miss, on the base
+// cluster and after a device crash (a patched cluster table, whose ids the
+// shape's model and plan share) must still equal core.System.Deploy on the
+// epoch's effective cluster bit for bit, placement and result both.
+func TestMissAnswersFromPassChoices(t *testing.T) {
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
+	for _, ep := range []struct {
+		name     string
+		delta    *ChurnDelta
+		downDevs map[string]bool
+	}{
+		{"base", nil, nil},
+		{"crash", &ChurnDelta{FailDevices: []string{"medium-00"}}, map[string]bool{"medium-00": true}},
+	} {
+		if ep.delta != nil {
+			if _, _, err := f.ApplyChurn(*ep.delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for seed := int64(1); seed <= 6; seed++ {
+			app := oneShot(t, 2+2*int(seed), 200+seed)
+			want, err := core.NewSystem(effectiveCluster(scaled2, ep.downDevs, nil)).Deploy(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := f.Do(context.Background(), Request{App: app})
+			if err != nil || resp.Err != nil {
+				t.Fatal(err, resp)
+			}
+			if resp.CacheHit {
+				t.Fatalf("%s %s: a never-seen app hit the placement cache", ep.name, app.Name)
+			}
+			if got := resp.Placement.Materialize(); !reflect.DeepEqual(got, want.Placement) {
+				t.Errorf("%s %s: fleet placed %v, core %v", ep.name, app.Name, got, want.Placement)
+			}
+			if !reflect.DeepEqual(resp.Result, want.Result) {
+				t.Errorf("%s %s: fleet answered %.6g s / %.6g J, core %.6g s / %.6g J", ep.name, app.Name,
+					resp.Result.Makespan, float64(resp.Result.TotalEnergy), want.Result.Makespan, float64(want.Result.TotalEnergy))
+			}
+			resp.Release()
+		}
+	}
+}

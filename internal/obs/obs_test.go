@@ -260,6 +260,7 @@ func TestSlowRingRollingThreshold(t *testing.T) {
 	for i := 0; i < 2*rollEvery; i++ {
 		lat.Observe(0.001)
 		ring.Observe("t", "a", time.Millisecond, &tr, false, false)
+		ring.Count(1)
 	}
 	th := ring.Threshold()
 	if th <= 0 || th > 100*time.Millisecond {
@@ -273,6 +274,55 @@ func TestSlowRingRollingThreshold(t *testing.T) {
 	}
 	if ring.Captured() != captured+3 {
 		t.Fatalf("outliers not captured: %d -> %d", captured, ring.Captured())
+	}
+}
+
+// TestSlowRingCountsInBatches: a rolling ring counted in batches of 16, or
+// of 24 (whose batches straddle the crossings), retunes at the crossings one
+// counted per request does — rollWarmup, then every multiple of rollEvery —
+// and holds the same threshold after every batch. Counting is apart from
+// capture: an outlier is captured on the request that carries it, not when
+// its batch is counted.
+func TestSlowRingCountsInBatches(t *testing.T) {
+	var tr StageTrace
+	for _, batch := range []int{16, 24} {
+		lat1, latB := NewHistogram(), NewHistogram()
+		one, batched := NewSlowRing(8, 0, lat1), NewSlowRing(8, 0, latB)
+		boot := one.Threshold()
+		for n := batch; n <= 3*rollEvery; n += batch {
+			// A 1 ms population, then 1 s from half of rollEvery on, so the
+			// retune at rollEvery moves the threshold.
+			v := 0.001
+			if n > rollEvery/2 {
+				v = 1
+			}
+			for k := 0; k < batch; k++ {
+				lat1.Observe(v)
+				one.Count(1)
+				latB.Observe(v)
+			}
+			batched.Count(batch)
+			got, want := batched.Threshold(), one.Threshold()
+			if got != want {
+				t.Fatalf("batch %d, after %d requests: batched threshold %v, per-request %v", batch, n, got, want)
+			}
+			switch {
+			case n < rollWarmup && got != boot:
+				t.Fatalf("batch %d, after %d requests: retuned before rollWarmup (%v)", batch, n, got)
+			case n >= rollWarmup && n < rollEvery && got > 10*time.Millisecond:
+				t.Fatalf("batch %d, after %d requests: threshold %v, want the 1 ms population's p99", batch, n, got)
+			case n >= rollEvery && got < 100*time.Millisecond:
+				t.Fatalf("batch %d, after %d requests: threshold %v, want the 1 s population's p99", batch, n, got)
+			}
+			if n-batch < rollWarmup && n >= rollWarmup {
+				// An outlier mid-batch: captured at once, before any count.
+				before := batched.Captured()
+				batched.Observe("t", "a", time.Hour, &tr, false, false)
+				if batched.Captured() != before+1 {
+					t.Fatalf("batch %d: an outlier was not captured on the request that carries it", batch)
+				}
+			}
+		}
 	}
 }
 
@@ -334,6 +384,7 @@ func TestInstrumentsConcurrent(t *testing.T) {
 					ss.FlushAt(g, &batch)
 				}
 				ring.Observe("t", "a", time.Millisecond, &tr, false, false)
+				ring.Count(1)
 			}
 			ss.FlushAt(g, &batch)
 		}(g)

@@ -31,12 +31,14 @@ const rollWarmup = 64
 // threshold into a bounded ring buffer. The threshold is either fixed
 // (configured) or rolling — retuned periodically to the latency
 // histogram's current p99 estimate, so the ring tracks "the slowest ~1%"
-// as load shifts. The warm path costs one atomic counter bump and one
-// atomic threshold compare; only actual outliers take the ring's lock.
+// as load shifts. The warm path costs one atomic threshold compare per
+// answer (Observe); only actual outliers take the ring's lock. A rolling
+// ring's retunes are driven by its observation count, which callers add in
+// batches (Count), so no per-answer write is shared between workers.
 type SlowRing struct {
 	threshold atomic.Int64 // ns; requests at or above are captured
 	fixed     bool
-	seen      atomic.Uint64 // observations, drives rolling retunes
+	seen      atomic.Uint64 // observations counted, drives rolling retunes
 	captured  atomic.Int64  // total captures over the ring's lifetime
 
 	latency *Histogram // rolling-threshold source; nil when fixed
@@ -68,21 +70,34 @@ func NewSlowRing(capacity int, threshold time.Duration, latency *Histogram) *Slo
 }
 
 // Observe considers one finished request for capture. The fast path — the
-// overwhelming majority of requests — is branch, atomic add, atomic load,
-// branch: no locks, no allocation.
+// overwhelming majority of requests — is branch, atomic load, branch: no
+// locks, no allocation, and no shared write. It does not count the request
+// toward a rolling retune; Count does.
 func (r *SlowRing) Observe(tenant, app string, total time.Duration, tr *StageTrace, cacheHit, failed bool) {
 	if r == nil || r.buf == nil {
 		return
-	}
-	if !r.fixed {
-		if n := r.seen.Add(1); n == rollWarmup || n%rollEvery == 0 {
-			r.retune()
-		}
 	}
 	if int64(total) < r.threshold.Load() {
 		return
 	}
 	r.capture(tenant, app, total, tr, cacheHit, failed)
+}
+
+// Count adds n observed requests to a rolling ring's count and retunes the
+// threshold when the count crosses rollWarmup or a multiple of rollEvery —
+// the crossings per-request counting retunes at, taken once per batch and
+// at most n requests later. A caller that observes requests in batches
+// counts each batch once, after it has flushed the batch's latencies into
+// the histogram the retune reads. A fixed ring ignores it.
+func (r *SlowRing) Count(n int) {
+	if r == nil || r.buf == nil || r.fixed || n <= 0 {
+		return
+	}
+	to := r.seen.Add(uint64(n))
+	from := to - uint64(n)
+	if from < rollWarmup && to >= rollWarmup || from/rollEvery != to/rollEvery {
+		r.retune()
+	}
 }
 
 // capture appends the outlier, overwriting the oldest entry when full.

@@ -205,6 +205,12 @@ func (p *Pass) Placement() sim.Placement {
 	return placement
 }
 
+// Choices returns the last run's placement in id form, indexed by
+// microservice id — the form sim.Exec.RunChoices takes, on the plan the
+// pass's model was compiled with. The slice is the pass's own: it is valid
+// until the pass runs or is retargeted again.
+func (p *Pass) Choices() []sim.Choice { return p.placed }
+
 // AppendPlacement appends the last run's placement to parallel name and
 // assignment slices, ascending by name (microservice ids ascend in name
 // order) — the indexed form sim.Exec.RunIndexed and the fleet's placement

@@ -241,7 +241,7 @@ func TestPairCapFallbackFeasibleAndBounded(t *testing.T) {
 		want := p.Placement()
 
 		got := dynamicsPlacement(t, model)
-		if err := cluster.Validate(app, got); err != nil {
+		if err := deployable(app, cluster, got); err != nil {
 			t.Errorf("%s: dynamics placement infeasible: %v", app.Name, err)
 			continue
 		}

@@ -2,7 +2,7 @@ package sched
 
 // Fused-compile equivalence: costmodel.CompileShapeOn emits the cost model
 // and the simulator plan in one walk over the shared (AppTable,
-// ClusterTable) substrates, with the model's per-(microservice, device)
+// ClusterTable) substrates, with the model's per-(microservice, class)
 // rows aliased to the plan's. This file pins that fusion bit-identical to
 // the legacy wrappers (costmodel.Compile, sim.CompilePlan) — which the
 // corpora in this package and internal/sim in turn pin to the original

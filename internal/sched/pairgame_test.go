@@ -561,7 +561,7 @@ func TestBestResponseReportsNonConvergence(t *testing.T) {
 	}
 	// The placement is still deployable — non-convergence costs optimality,
 	// not feasibility.
-	if err := cluster.Validate(app, p.Placement()); err != nil {
+	if err := deployable(app, cluster, p.Placement()); err != nil {
 		t.Errorf("cycling stage placement infeasible: %v", err)
 	}
 

@@ -50,7 +50,7 @@ func Schedule(s Scheduler, app *dag.App, cluster *sim.Cluster) (sim.Placement, e
 type PassScheduler interface {
 	Scheduler
 	// ScheduleInto runs one pass over the Pass's model. Read the placement
-	// back via Pass.Placement or Pass.AppendPlacement.
+	// back via Pass.Placement, Pass.AppendPlacement or Pass.Choices.
 	ScheduleInto(p *Pass) error
 }
 

@@ -32,6 +32,12 @@ func TestDEEPReproducesTableIII(t *testing.T) {
 	}
 }
 
+// deployable checks a placement the way a deploy does: by simulating it.
+func deployable(app *dag.App, cluster *sim.Cluster, p sim.Placement) error {
+	_, err := sim.Run(app, cluster, p, sim.Options{})
+	return err
+}
+
 func TestDEEPPlacementIsFeasible(t *testing.T) {
 	cluster := workload.Testbed()
 	s := NewDEEP()
@@ -40,7 +46,7 @@ func TestDEEPPlacementIsFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cluster.Validate(app, p); err != nil {
+		if err := deployable(app, cluster, p); err != nil {
 			t.Errorf("%s: infeasible placement: %v", app.Name, err)
 		}
 	}
@@ -55,7 +61,7 @@ func TestAllSchedulersProduceFeasiblePlacements(t *testing.T) {
 				t.Errorf("%s on %s: %v", s.Name(), app.Name, err)
 				continue
 			}
-			if err := cluster.Validate(app, p); err != nil {
+			if err := deployable(app, cluster, p); err != nil {
 				t.Errorf("%s on %s: %v", s.Name(), app.Name, err)
 			}
 		}

@@ -63,10 +63,33 @@ func inputsOf(app *dag.App, name string) []dag.Dataflow {
 	return in
 }
 
+// legacyValidate is the pre-compilation placement check (the deleted
+// Cluster.Validate), ported verbatim: the walk order and errors every
+// compiled form of placement keeps.
+func legacyValidate(c *sim.Cluster, app *dag.App, p sim.Placement) error {
+	for _, m := range app.Microservices {
+		a, ok := p[m.Name]
+		if !ok {
+			return fmt.Errorf("sim: placement missing microservice %q", m.Name)
+		}
+		d := c.Device(a.Device)
+		if d == nil {
+			return fmt.Errorf("sim: placement of %q names unknown device %q", m.Name, a.Device)
+		}
+		if _, ok := c.Registry(a.Registry); !ok {
+			return fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
+		}
+		if err := d.CanRun(m); err != nil {
+			return fmt.Errorf("sim: infeasible placement: %w", err)
+		}
+	}
+	return nil
+}
+
 // legacyRun is the pre-compilation executor, ported verbatim; msByName and
 // inputsOf stand in for its two name lookups.
 func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts sim.Options) (*sim.Result, error) {
-	if err := cluster.Validate(app, placement); err != nil {
+	if err := legacyValidate(cluster, app, placement); err != nil {
 		return nil, err
 	}
 	stages := app.Stages()

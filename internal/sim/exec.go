@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"deep/internal/device"
@@ -21,12 +22,12 @@ import (
 // An Exec is not safe for concurrent use; give each worker its own. It may
 // be shared sequentially across plans of any shape.
 type Exec struct {
-	// Per-microservice scratch (indexed by plan ms id).
-	assignDev []int32
-	assignReg []int32
-	pulls     []execPull
-	finish    []float64
-	msRes     []MicroserviceResult
+	// Per-microservice scratch (indexed by plan ms id). choices holds a
+	// named placement interned to ids.
+	choices []Choice
+	pulls   []execPull
+	finish  []float64
+	msRes   []MicroserviceResult
 
 	// Per-device scratch. pullEnd is valid only when pullEndEp matches the
 	// current epoch (one epoch per stage), mirroring the legacy executor's
@@ -78,8 +79,7 @@ func NewExec() *Exec { return &Exec{} }
 // so an Exec shared across plans settles at the largest shape.
 func (e *Exec) size(p *Plan) {
 	nm, nd, nr := len(p.msNames), len(p.devNames), len(p.regNames)
-	e.assignDev = slab.Grow(e.assignDev, nm)
-	e.assignReg = slab.Grow(e.assignReg, nm)
+	e.choices = slab.Grow(e.choices, nm)
 	e.pulls = slab.Grow(e.pulls, nm)
 	e.finish = slab.Grow(e.finish, nm)
 	e.msRes = slab.Grow(e.msRes, nm)
@@ -117,18 +117,12 @@ func (e *Exec) layerCache(p *Plan, d int32, warm bool) *device.LayerCache {
 // Run replays the plan under the placement and returns per-microservice
 // timing and energy, exactly as sim.Run does. The returned Result (its
 // slices and maps included) is owned by the Exec and valid only until the
-// next Run call; callers that hand it off should Clone it.
+// next run on it; callers that hand it off should Clone it.
 func (e *Exec) Run(p *Plan, placement Placement, opts Options) (*Result, error) {
-	if err := p.validate(placement); err != nil {
-		return nil, err
-	}
-	e.size(p)
-	for i, name := range p.msNames {
-		a := placement[name]
-		e.assignDev[i] = p.devIndex[a.Device]
-		e.assignReg[i] = p.regIndex[a.Registry]
-	}
-	return e.run(p, opts)
+	return e.runNamed(p, opts, func(name string) (Assignment, bool) {
+		a, ok := placement[name]
+		return a, ok
+	})
 }
 
 // RunIndexed is Run for a placement already in compiled parallel-slice form
@@ -137,24 +131,60 @@ func (e *Exec) Run(p *Plan, placement Placement, opts Options) (*Result, error) 
 // identical to Run on the materialized map; the point is that no map has to
 // be materialized at all.
 func (e *Exec) RunIndexed(p *Plan, names []string, assigns []Assignment, opts Options) (*Result, error) {
-	if err := p.validateIndexed(names, assigns); err != nil {
+	return e.runNamed(p, opts, func(name string) (Assignment, bool) {
+		if k, ok := slices.BinarySearch(names, name); ok {
+			return assigns[k], true
+		}
+		return Assignment{}, false
+	})
+}
+
+// RunChoices is Run for a placement in id form: choices[i] assigns the
+// microservice with id i, its fields index the plan's cluster table — the
+// form a scheduling pass computes (a costmodel.Option is a Choice). The ids
+// are checked by index (count, range, feasibility through the class row),
+// so a valid placement touches no name; the Result is the one Run returns
+// for the same placement by name. choices is read during the call only.
+func (e *Exec) RunChoices(p *Plan, choices []Choice, opts Options) (*Result, error) {
+	if err := p.checkChoices(choices); err != nil {
 		return nil, err
 	}
 	e.size(p)
-	for i, name := range p.msNames {
-		k := searchSortedNames(names, name)
-		if k < 0 {
-			return nil, fmt.Errorf("sim: placement missing microservice %q", name)
-		}
-		a := assigns[k]
-		e.assignDev[i] = p.devIndex[a.Device]
-		e.assignReg[i] = p.regIndex[a.Registry]
-	}
-	return e.run(p, opts)
+	return e.run(p, choices, opts)
 }
 
-// run replays the plan with assignDev/assignReg already filled.
-func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
+// runNamed interns a named placement into e.choices and runs it, where
+// assign returns a microservice's assignment by name. The intern walk goes
+// through the app in declaration order and checks each microservice fully —
+// missing, unknown device, unknown registry, then Plan.checkChoice — so a
+// placement with several faults reports the first one in that order, in
+// every named form.
+func (e *Exec) runNamed(p *Plan, opts Options, assign func(name string) (Assignment, bool)) (*Result, error) {
+	e.size(p)
+	for _, m := range p.app.Microservices {
+		a, ok := assign(m.Name)
+		if !ok {
+			return nil, fmt.Errorf("sim: placement missing microservice %q", m.Name)
+		}
+		d, okD := p.devIndex[a.Device]
+		if !okD {
+			return nil, fmt.Errorf("sim: placement of %q names unknown device %q", m.Name, a.Device)
+		}
+		r, okR := p.regIndex[a.Registry]
+		if !okR {
+			return nil, fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
+		}
+		i, c := p.msIndex[m.Name], Choice{Device: d, Registry: r}
+		if err := p.checkChoice(i, c); err != nil {
+			return nil, err
+		}
+		e.choices[i] = c
+	}
+	return e.run(p, e.choices[:len(p.msNames)], opts)
+}
+
+// run replays the plan under a checked id-form placement.
+func (e *Exec) run(p *Plan, choices []Choice, opts Options) (*Result, error) {
 	nd := len(p.devNames)
 	e.runs++
 	for d := 0; d < nd; d++ {
@@ -185,7 +215,7 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 		// Pulls on one device are serialized; pulls from a shared registry
 		// to several distinct devices at once divide its uplink capacity.
 		for _, ms := range stage {
-			d := e.assignDev[ms]
+			d := choices[ms].Device
 			cache := e.layerCache(p, d, opts.WarmCaches)
 			var missing units.Bytes
 			for _, layer := range p.layers[ms] {
@@ -196,7 +226,7 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 			}
 			e.pulls[ms].missing = missing
 			if missing > 0 {
-				r := e.assignReg[ms]
+				r := choices[ms].Registry
 				cell := int(r)*nd + int(d)
 				if e.pullSeen[cell] != e.epoch {
 					e.pullSeen[cell] = e.epoch
@@ -214,7 +244,7 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 				pl.start, pl.done, pl.td = barrier, barrier, 0
 				continue
 			}
-			d, r := e.assignDev[ms], e.assignReg[ms]
+			d, r := choices[ms].Device, choices[ms].Registry
 			l := p.regLink[int(r)*nd+int(d)]
 			if !l.OK {
 				return nil, fmt.Errorf("sim: no route from registry %s to device %s", p.regNames[r], p.devNames[d])
@@ -242,13 +272,13 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 
 		// --- Transfer + processing phases -------------------------------
 		for _, ms := range stage {
-			d, r := e.assignDev[ms], e.assignReg[ms]
+			d, r := choices[ms].Device, choices[ms].Registry
 			pl := &e.pulls[ms]
 			td := pl.td
 
 			tc := 0.0
 			for _, in := range p.inputs[ms] {
-				dl := p.devLink[int(e.assignDev[in.MS])*nd+int(d)]
+				dl := p.devLink[int(choices[in.MS].Device)*nd+int(d)]
 				if dl.OK {
 					tc += dl.RTT + dl.BW.Seconds(in.Size)
 				} else {
@@ -266,8 +296,8 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 				tc *= jitterFactor(seedH, p.jitterTag[phaseTransfer][ms], jw)
 			}
 
-			base := int(ms)*nd + int(d)
-			tp := p.tp[base]
+			k := p.cell(ms, d)
+			tp := p.tp[k]
 			if jw != 0 {
 				tp *= jitterFactor(seedH, p.jitterTag[phaseProcess][ms], jw)
 			}
@@ -295,13 +325,16 @@ func (e *Exec) run(p *Plan, opts Options) (*Result, error) {
 			if tp < 0 {
 				return nil, fmt.Errorf("energy: negative duration %v", tp)
 			}
-			e.devEnergy[d] += p.pullW[base].Over(td)
-			e.devEnergy[d] += p.recvW[base].Over(tc)
-			e.devEnergy[d] += p.procW[base].Over(tp)
+			pullW, recvW, procW, idleW := p.pullW[k], p.recvW[k], p.procW[k], p.idleW[d]
+			e.devEnergy[d] += pullW.Over(td)
+			e.devEnergy[d] += recvW.Over(tc)
+			e.devEnergy[d] += procW.Over(tp)
 
+			// The draws above idle are taken here, per device: the one
+			// subtraction a precomputed table would hold, so the same bits.
 			ct := td + tc + tp
-			active := p.actPullW[base].Over(td) + p.actRecvW[base].Over(tc) + p.actProcW[base].Over(tp)
-			static := p.idleW[d].Over(ct)
+			active := (pullW - idleW).Over(td) + (recvW - idleW).Over(tc) + (procW - idleW).Over(tp)
+			static := idleW.Over(ct)
 
 			e.regBytes[r] += pl.missing
 			e.regUsed[r] = true

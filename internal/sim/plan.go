@@ -26,10 +26,12 @@ import (
 // caller-supplied tables so N applications on one cluster share one topology
 // scan, and CompilePlan compiles private tables on the fly.
 // The cross product is priced once per device class (topo.ClusterTable: the
-// devices whose digest records differ only in the name) and broadcast to the
-// class's devices; only the draws above idle are per device. Since the class
-// key is the digest record minus the name, a power model whose %#v rendering
-// hides behaviour breaks the plan and the fleet's caches alike.
+// devices whose digest records differ only in the name) and kept as one row
+// per (microservice, class), which every device of the class reads through
+// its class id, as a strided view reads a flat tensor; the draw above idle,
+// the one per-device term, is taken at read. Since the class key is the
+// digest record minus the name, a power model whose %#v rendering hides
+// behaviour breaks the plan and the fleet's caches alike.
 //
 // A Plan from CompilePlan or CompilePlanOnTables is immutable and safe for
 // concurrent Exec.Run calls on separate Execs — the form the fleet shares.
@@ -72,25 +74,23 @@ type Plan struct {
 	srcLink   []topo.Link
 	hasSource bool
 
-	// feasible[i*numDev+d] reports device d can run microservice i
-	// (architecture + static resources), precomputed so per-run placement
-	// validation is allocation-free.
-	feasible []bool
-
 	layers   [][]Layer         // per ms: interned image layers (LayersOf order)
 	inputs   [][]appgraph.Edge // per ms: incoming dataflows in DAG order
 	extInput []units.Bytes     // per ms
 
-	// Per-(microservice, device) tables, indexed ms*numDev+dev. The act*
-	// tables hold the draw above idle, precomputed so the executor prices
-	// active energy without per-run subtractions.
+	// Per-(microservice, device class) tables, indexed ms*numClass+class;
+	// devClass[d] is device d's class (the cluster table's), so device d
+	// reads row cell(ms, d). feasible reports the class can run the
+	// microservice (architecture + static resources), tp its processing
+	// time, and the watts the three phase draws. The executor takes a draw
+	// above idle as (w - idleW[d]) at read.
+	devClass []int32
+	numClass int
+	feasible []bool
 	tp       []float64
 	pullW    []units.Watts
 	recvW    []units.Watts
 	procW    []units.Watts
-	actPullW []units.Watts
-	actRecvW []units.Watts
-	actProcW []units.Watts
 	idleW    []units.Watts // per device (the cluster table's)
 
 	// Barrier stages (each ascending = lexicographic name order, the order
@@ -162,7 +162,7 @@ type PlanScratch struct {
 	layers    slab.Slab[Layer] // the synthetic single layers of images the cluster does not decompose
 	layerRows slab.Slab[[]Layer]
 	tp        slab.Slab[float64]
-	watts     slab.Slab[units.Watts] // pull, receive, process, the three draws above idle, then per-class rows
+	watts     slab.Slab[units.Watts] // pull, receive, process
 
 	// digests maps an image name to its synthetic layer digest, so a scratch
 	// that recompiles an image it priced before allocates no new string. A
@@ -191,7 +191,7 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	p.regNames = tab.RegNames()
 	p.regIndex = tab.RegIndex()
 
-	nm, nd := len(p.msNames), len(p.devNames)
+	nm := len(p.msNames)
 
 	p.ms = at.Microservices()
 	p.devices = tab.Devices()
@@ -207,21 +207,19 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	p.extInput = at.ExtInputs()
 	p.jitterTag = at.PhaseTags()
 
-	// Price each class's representative into the class rows, then broadcast.
-	devClass, classRep := tab.DevClasses(), tab.ClassReps()
+	// Price each class's representative into the class rows.
+	classRep := tab.ClassReps()
 	nc := len(classRep)
-	s.feasible.Reset(nm*nd + nc)
-	s.tp.Reset(nm*nd + nc)
-	s.watts.Reset(6*nm*nd + 3*nc)
+	p.devClass, p.numClass = tab.DevClasses(), nc
+	s.feasible.Reset(nm * nc)
+	s.tp.Reset(nm * nc)
+	s.watts.Reset(3 * nm * nc)
 	s.layers.Reset(nm)
 	s.layerRows.Reset(nm)
-	p.feasible = s.feasible.Cut(nm * nd)
-	p.tp = s.tp.Cut(nm * nd)
-	p.pullW, p.recvW, p.procW = s.watts.Cut(nm*nd), s.watts.Cut(nm*nd), s.watts.Cut(nm*nd)
-	p.actPullW, p.actRecvW, p.actProcW = s.watts.Cut(nm*nd), s.watts.Cut(nm*nd), s.watts.Cut(nm*nd)
+	p.feasible = s.feasible.Cut(nm * nc)
+	p.tp = s.tp.Cut(nm * nc)
+	p.pullW, p.recvW, p.procW = s.watts.Cut(nm*nc), s.watts.Cut(nm*nc), s.watts.Cut(nm*nc)
 	p.layers = s.layerRows.Cut(nm)
-	cFeasible, cTp := s.feasible.Cut(nc), s.tp.Cut(nc)
-	cPullW, cRecvW, cProcW := s.watts.Cut(nc), s.watts.Cut(nc), s.watts.Cut(nc)
 
 	for i := 0; i < nm; i++ {
 		m := p.ms[i]
@@ -232,21 +230,12 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 			p.layers[i][0] = Layer{Digest: s.layerDigest(m), Size: m.ImageSize}
 		}
 		for c, d := range classRep {
-			dev := p.devices[d]
-			cFeasible[c] = dev.CanRun(m) == nil
-			cTp[c] = dev.ProcessingTime(m.Req.CPU)
-			cPullW[c] = dev.Power.Power(energy.Pulling, m.Name)
-			cRecvW[c] = dev.Power.Power(energy.Receiving, m.Name)
-			cProcW[c] = dev.Power.Power(energy.Processing, m.Name)
-		}
-		for d, c := range devClass {
-			base := i*nd + d
-			p.feasible[base] = cFeasible[c]
-			p.tp[base] = cTp[c]
-			p.pullW[base], p.recvW[base], p.procW[base] = cPullW[c], cRecvW[c], cProcW[c]
-			p.actPullW[base] = cPullW[c] - p.idleW[d]
-			p.actRecvW[base] = cRecvW[c] - p.idleW[d]
-			p.actProcW[base] = cProcW[c] - p.idleW[d]
+			dev, k := p.devices[d], i*nc+c
+			p.feasible[k] = dev.CanRun(m) == nil
+			p.tp[k] = dev.ProcessingTime(m.Req.CPU)
+			p.pullW[k] = dev.Power.Power(energy.Pulling, m.Name)
+			p.recvW[k] = dev.Power.Power(energy.Receiving, m.Name)
+			p.procW[k] = dev.Power.Power(energy.Processing, m.Name)
 		}
 	}
 
@@ -276,80 +265,56 @@ func (p *Plan) NumDevices() int { return len(p.devNames) }
 // Table returns the cluster-side table the plan was compiled on.
 func (p *Plan) Table() *topo.ClusterTable { return p.tab }
 
-// MSRows exposes the plan's per-(microservice, device) base tables —
-// feasibility, processing time, and the three phase power draws, all
-// indexed ms*NumDevices()+dev — so the fused cost-model compile can layer
-// the scheduler's option tables over the same rows instead of re-pricing
-// the identical pure-function lookups. Shared slices; read-only.
-func (p *Plan) MSRows() (feasible []bool, tp []float64, pullW, recvW, procW []units.Watts) {
-	return p.feasible, p.tp, p.pullW, p.recvW, p.procW
+// cell is the index of device d's class row for microservice ms.
+func (p *Plan) cell(ms, d int32) int { return int(ms)*p.numClass + int(p.devClass[d]) }
+
+// MSRows exposes the plan's per-(microservice, device class) base tables —
+// feasibility, processing time, and the three phase power draws, all indexed
+// ms*nc+devClass[dev], where nc is the number of the cluster table's classes
+// (len(ClassReps())) and devClass its DevClasses — so the fused cost-model
+// compile can layer the scheduler's option tables over the same rows instead
+// of re-pricing the identical pure-function lookups. Shared slices; read-only.
+func (p *Plan) MSRows() (devClass []int32, feasible []bool, tp []float64, pullW, recvW, procW []units.Watts) {
+	return p.devClass, p.feasible, p.tp, p.pullW, p.recvW, p.procW
 }
 
-// validate checks the placement the way the legacy executor's
-// cluster.Validate did — same walk order, same errors — but against the
-// precomputed feasibility table, so a valid placement validates with zero
-// allocations.
-func (p *Plan) validate(placement Placement) error {
-	nd := len(p.devNames)
-	for _, m := range p.app.Microservices {
-		a, ok := placement[m.Name]
-		if !ok {
-			return fmt.Errorf("sim: placement missing microservice %q", m.Name)
-		}
-		d, okD := p.devIndex[a.Device]
-		if !okD {
-			return fmt.Errorf("sim: placement of %q names unknown device %q", m.Name, a.Device)
-		}
-		if _, okR := p.regIndex[a.Registry]; !okR {
-			return fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
-		}
-		if !p.feasible[int(p.msIndex[m.Name])*nd+int(d)] {
-			return fmt.Errorf("sim: infeasible placement: %w", p.devices[d].CanRun(m))
-		}
+// checkChoice is the one placement check: microservice i's choice c names
+// a device and a registry of the plan, and the device's class can run it.
+// Every form of placement reaches it: an id-form one as it stands, a named
+// one once interned (Exec.runNamed), whose names always intern in range.
+func (p *Plan) checkChoice(i int32, c Choice) error {
+	m := p.ms[i]
+	if uint(c.Device) >= uint(len(p.devNames)) {
+		return fmt.Errorf("sim: placement of %q names unknown device #%d", m.Name, c.Device)
+	}
+	if uint(c.Registry) >= uint(len(p.regNames)) {
+		return fmt.Errorf("sim: placement of %q names unknown registry #%d", m.Name, c.Registry)
+	}
+	if !p.feasible[p.cell(i, c.Device)] {
+		return fmt.Errorf("sim: infeasible placement: %w", p.devices[c.Device].CanRun(m))
 	}
 	return nil
 }
 
-// validateIndexed is validate against a placement already in compiled
-// parallel-slice form (names sorted ascending, assigns parallel): same walk
-// order, same errors, but lookups are binary searches instead of map hits,
-// so no placement map ever has to exist.
-func (p *Plan) validateIndexed(names []string, assigns []Assignment) error {
-	nd := len(p.devNames)
-	for _, m := range p.app.Microservices {
-		k := searchSortedNames(names, m.Name)
-		if k < 0 {
-			return fmt.Errorf("sim: placement missing microservice %q", m.Name)
+// checkChoices checks an id-form placement: one choice per microservice,
+// each passing checkChoice. The walk is in id order, with no name lookup;
+// only a faulty placement walks again, in the app's declaration order, so
+// that its error is the first fault in the order a named placement reports
+// faults (Exec.runNamed).
+func (p *Plan) checkChoices(choices []Choice) error {
+	if len(choices) != len(p.msNames) {
+		return fmt.Errorf("sim: placement has %d choices for %d microservices", len(choices), len(p.msNames))
+	}
+	for i, c := range choices {
+		if p.checkChoice(int32(i), c) == nil {
+			continue
 		}
-		a := assigns[k]
-		d, okD := p.devIndex[a.Device]
-		if !okD {
-			return fmt.Errorf("sim: placement of %q names unknown device %q", m.Name, a.Device)
-		}
-		if _, okR := p.regIndex[a.Registry]; !okR {
-			return fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
-		}
-		if !p.feasible[int(p.msIndex[m.Name])*nd+int(d)] {
-			return fmt.Errorf("sim: infeasible placement: %w", p.devices[d].CanRun(m))
+		for _, m := range p.app.Microservices {
+			id := p.msIndex[m.Name]
+			if err := p.checkChoice(id, choices[id]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
-}
-
-// searchSortedNames binary-searches a sorted name slice, returning the index
-// of name or -1. Hand-rolled so the hot path pays no closure allocation.
-func searchSortedNames(names []string, name string) int {
-	lo, hi := 0, len(names)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if names[mid] < name {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(names) && names[lo] == name {
-		return lo
-	}
-	return -1
 }

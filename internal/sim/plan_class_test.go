@@ -1,9 +1,9 @@
 package sim_test
 
-// The plan prices each microservice once per device class and broadcasts the
-// values to the class's devices. perDeviceRows is the definition it is held
-// to: the straightforward per-(microservice, device) loop, pricing every cell
-// on its own device handle.
+// The plan prices each microservice once per device class and keeps one row
+// per class, which each device reads through its class id. perDeviceRows is
+// the definition it is held to: the straightforward per-(microservice,
+// device) loop, pricing every cell on its own device handle.
 
 import (
 	"fmt"
@@ -21,7 +21,7 @@ import (
 )
 
 // planRows are a plan's per-(microservice, device) tables, indexed
-// ms*numDev+dev.
+// ms*numDev+dev: its class rows expanded through the device classes.
 type planRows struct {
 	Feasible                  []bool
 	Tp                        []float64
@@ -30,10 +30,28 @@ type planRows struct {
 }
 
 func rowsOf(p *sim.Plan) planRows {
-	var r planRows
-	r.Feasible, r.Tp, r.PullW, r.RecvW, r.ProcW = p.MSRows()
+	devClass, feasible, tp, pullW, recvW, procW := p.MSRows()
+	nd, nc := p.NumDevices(), len(p.Table().ClassReps())
+	nm := len(feasible) / nc
+	r := planRows{
+		Feasible: make([]bool, nm*nd), Tp: make([]float64, nm*nd),
+		PullW: make([]units.Watts, nm*nd), RecvW: make([]units.Watts, nm*nd), ProcW: make([]units.Watts, nm*nd),
+	}
+	for i := 0; i < nm; i++ {
+		for d, c := range devClass {
+			k, at := i*nc+int(c), i*nd+d
+			r.Feasible[at], r.Tp[at] = feasible[k], tp[k]
+			r.PullW[at], r.RecvW[at], r.ProcW[at] = pullW[k], recvW[k], procW[k]
+		}
+	}
 	r.ActPullW, r.ActRecvW, r.ActPW = p.ActRows()
 	return r
+}
+
+// feasibleOn reports whether the plan lets microservice i run on device d.
+func feasibleOn(p *sim.Plan, i, d int) bool {
+	devClass, feasible, _, _, _, _ := p.MSRows()
+	return feasible[i*len(p.Table().ClassReps())+int(devClass[d])]
 }
 
 // perDeviceRows prices every (microservice, device) cell on its own device:
@@ -165,10 +183,9 @@ func TestPlanClassesMatchPerDevice(t *testing.T) {
 
 	// The infeasible cells are really there: ms-02 runs on no small device.
 	p := sim.CompilePlan(amdOnly, workload.ScaledTestbed(12))
-	feasible, _, _, _, _ := p.MSRows()
 	i := appgraph.Compile(amdOnly).MSIndex()["ms-02"]
 	for d, name := range p.Table().DevNames() {
-		if arm := p.Table().Devices()[d].Arch == dag.ARM64; feasible[int(i)*p.NumDevices()+d] == arm {
+		if arm := p.Table().Devices()[d].Arch == dag.ARM64; feasibleOn(p, int(i), d) == arm {
 			t.Fatalf("ms-02 on %s: feasible = %v", name, !arm)
 		}
 	}
@@ -200,13 +217,12 @@ func TestPlanFeasibleFirstOccurrence(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := sim.CompilePlan(app, cluster)
-	feasible, _, _, _, _ := p.MSRows()
 	aID, _ := p.Table().DevID("a")
 	bID, _ := p.Table().DevID("b")
-	if feasible[aID] {
+	if feasibleOn(p, 0, int(aID)) {
 		t.Fatal("4-core microservice should not fit the 2-core first device a")
 	}
-	if !feasible[bID] {
+	if !feasibleOn(p, 0, int(bID)) {
 		t.Fatal("4-core microservice should fit device b")
 	}
 }

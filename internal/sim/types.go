@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"deep/internal/dag"
@@ -20,6 +19,14 @@ type Assignment struct {
 
 // Placement maps every microservice of an application to its assignment.
 type Placement map[string]Assignment
+
+// Choice is an Assignment in compiled form: Device and Registry index a
+// cluster table's device and registry tables. A placement in this form is a
+// slice indexed by microservice id (Exec.RunChoices).
+type Choice struct {
+	Device   int32
+	Registry int32
+}
 
 // RegistryInfo describes one image registry available to the cluster.
 type RegistryInfo struct {
@@ -84,28 +91,6 @@ func (c *Cluster) LayersOf(m *dag.Microservice) []Layer {
 // decompose: one layer spanning the image.
 func defaultLayer(m *dag.Microservice) Layer {
 	return Layer{Digest: "sha256:" + m.Name, Size: m.ImageSize}
-}
-
-// Validate checks that the placement is complete and feasible for the app on
-// this cluster.
-func (c *Cluster) Validate(app *dag.App, p Placement) error {
-	for _, m := range app.Microservices {
-		a, ok := p[m.Name]
-		if !ok {
-			return fmt.Errorf("sim: placement missing microservice %q", m.Name)
-		}
-		d := c.Device(a.Device)
-		if d == nil {
-			return fmt.Errorf("sim: placement of %q names unknown device %q", m.Name, a.Device)
-		}
-		if _, ok := c.Registry(a.Registry); !ok {
-			return fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
-		}
-		if err := d.CanRun(m); err != nil {
-			return fmt.Errorf("sim: infeasible placement: %w", err)
-		}
-	}
-	return nil
 }
 
 // MicroserviceResult is the simulated outcome for one microservice: the
