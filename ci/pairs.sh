@@ -13,8 +13,15 @@
 # metric that BENCHMARK.json names, it prints both medians, both
 # interquartile ranges, the change of the medians, how many pairs moved each
 # way (better/worse by the metric's direction) and whether that change
-# exceeds the base's IQR; and whether placement_energy_j was bit-identical
-# on every run of both sides. Every run's output is kept beside the summary.
+# exceeds the base's IQR; then the paired view: the median of the per-pair
+# ratios change/base and its distribution-free (sign-test) interval, the
+# k-th smallest to the k-th largest ratio, with the confidence that it covers
+# the median ratio — the narrowest such interval whose coverage is at least
+# 95 %, or the extremes when none reaches it (n = 10: 2nd-9th, 97.9 %;
+# n = 5: 1st-5th, 93.8 %). An interval that excludes 1.0 is a change; one
+# that contains it is not. Last, whether placement_energy_j was
+# bit-identical on every run of both sides. Every run's output is kept
+# beside the summary.
 #
 # It reports and gates nothing: a run that fails deploys or exits non-zero
 # is counted in the summary, not in the exit status. Needs git, jq and awk;
@@ -78,15 +85,39 @@ done
 		lo = int(h)
 		return lo >= k ? v[k] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 	}
-	# sorted fills v[1..k] with the side'"'"'s values of metric m, ascending,
-	# and returns k.
-	function sorted(side, m, v,   k, p, i, t) {
-		k = 0
-		for (p = 1; p <= npair; p++)
-			if ((side, m, p) in val) v[++k] = val[side, m, p]
+	# sortv sorts v[1..k] ascending and returns k.
+	function sortv(v, k,   p, i, t) {
 		for (p = 2; p <= k; p++)
 			for (i = p; i > 1 && v[i - 1] > v[i]; i--) { t = v[i]; v[i] = v[i - 1]; v[i - 1] = t }
 		return k
+	}
+	# sorted fills v[1..k] with the side'"'"'s values of metric m, ascending,
+	# and returns k.
+	function sorted(side, m, v,   k, p) {
+		k = 0
+		for (p = 1; p <= npair; p++)
+			if ((side, m, p) in val) v[++k] = val[side, m, p]
+		return sortv(v, k)
+	}
+	# ratios fills v[1..k] with metric m'"'"'s per-pair ratios change/base,
+	# ascending, over the pairs that have both values and a non-zero base.
+	function ratios(m, v,   k, p) {
+		k = 0
+		for (p = 1; p <= npair; p++)
+			if (("base", m, p) in val && ("change", m, p) in val && val["base", m, p] != 0)
+				v[++k] = val["change", m, p] / val["base", m, p]
+		return sortv(v, k)
+	}
+	# cover returns the probability that the k-th smallest and the k-th
+	# largest of n paired ratios bracket their median: 1 - 2 P(B <= k - 1)
+	# for B ~ Binomial(n, 1/2).
+	function cover(n, k,   i, c, tail) {
+		c = 1; tail = 0
+		for (i = 0; i < k; i++) {
+			tail += c
+			c = c * (n - i) / (i + 1)
+		}
+		return 1 - 2 * tail / 2 ^ n
 	}
 	NR == FNR { order[++nm] = $1; better[$1] = $2; next }
 	{
@@ -98,7 +129,7 @@ done
 		if ($2 + 0 > npair) npair = $2 + 0
 	}
 	END {
-		printf "%-26s %12s %10s %12s %10s %8s %6s %6s %6s  %s\n", "metric", "base_med", "base_iqr", "change_med", "change_iqr", "delta", "better", "worse", "equal", "delta>base_iqr"
+		printf "%-26s %12s %10s %12s %10s %8s %6s %6s %6s  %-14s %9s %20s %6s\n", "metric", "base_med", "base_iqr", "change_med", "change_iqr", "delta", "better", "worse", "equal", "delta>base_iqr", "ratio_med", "ratio_interval", "cover"
 		for (j = 1; j <= nm; j++) {
 			m = order[j]
 			kb = sorted("base", m, b)
@@ -117,7 +148,12 @@ done
 				else eq++
 			}
 			delta = mb != 0 ? sprintf("%+.2f%%", 100 * (mc - mb) / mb) : "n/a"
-			printf "%-26s %12.6g %10.4g %12.6g %10.4g %8s %6d %6d %6d  %s\n", m, mb, ib, mc, ic, delta, up, down, eq, (mc - mb > ib || mb - mc > ib) ? "yes" : "no"
+			paired = sprintf("%9s %20s %6s", "n/a", "n/a", "n/a")
+			if ((kr = ratios(m, r)) > 0) {
+				for (k = 1; k < kr / 2 && cover(kr, k + 1) >= 0.95; k++) ;
+				paired = sprintf("%9.4f [%8.4f, %8.4f] %5.1f%%", quantile(r, kr, 0.5), r[k], r[kr + 1 - k], 100 * cover(kr, k))
+			}
+			printf "%-26s %12.6g %10.4g %12.6g %10.4g %8s %6d %6d %6d  %-14s %s\n", m, mb, ib, mc, ic, delta, up, down, eq, (mc - mb > ib || mb - mc > ib) ? "yes" : "no", paired
 		}
 		if (energy == "") print "placement_energy_j: no values"
 		else printf "placement_energy_j bit-identical on every run of both sides: %s (%s)\n", energyDiffers ? "no" : "yes", energy

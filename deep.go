@@ -289,8 +289,8 @@ var (
 
 // NewFleet starts a multi-tenant deployment service: a pool of
 // scheduler/simulator workers that callers borrow (waiting in bounded waiter
-// slots when all are busy) with an LRU of memoized placements. Close it to
-// drain.
+// slots when all are busy) with a sharded CLOCK cache of memoized
+// placements. Close it to drain.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
 // NewMetrics returns an empty instrument registry (pass it to several

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"deep/internal/dag"
 	"deep/internal/sched"
 	"deep/internal/sim"
 	"deep/internal/units"
@@ -169,66 +170,91 @@ func FormatCacheAblation(rows []CacheAblationRow) string {
 }
 
 // ContentionRow quantifies what shared-uplink awareness buys: the energy of
-// a placement that ignores contention versus the Nash placement, on a
-// cluster whose regional uplink is heavily shared.
+// a placement that ignores contention versus the Nash placement, for one app
+// on one cluster.
 type ContentionRow struct {
 	App            string
+	Cluster        string
 	NashEnergy     units.Joules
 	BlindEnergy    units.Joules
 	PenaltyOfBlind float64 // percent
 }
 
-// ContentionAblation makes contention matter (regional links scaled down to
-// a single busy server) and compares the Nash scheduler with greedy (which
-// prices options as if it always pulled alone).
+// ContentionAblation compares the Nash scheduler with greedy, which prices
+// options as if it always pulled alone. The paper's two case studies run on
+// the testbed with its regional links slowed to one busy server: every pull
+// then comes from Docker Hub, whose links no two pulls share, so greedy
+// places them as DEEP does. A wide synthetic app (12 microservices, stages up
+// to 4 wide) runs on contended testbeds, where its stages' pulls meet on the
+// regional registry's uplink.
 func ContentionAblation() ([]ContentionRow, error) {
-	var rows []ContentionRow
-	for _, appName := range []string{"video", "text"} {
+	type study struct {
+		app     *dag.App
+		cluster *sim.Cluster
+		name    string
+	}
+	var studies []study
+	for _, app := range []*dag.App{workload.VideoProcessing(), workload.TextProcessing()} {
 		cluster := workload.Testbed()
-		// A slow shared regional server makes concurrent pulls painful.
 		for _, dev := range []string{workload.MediumNode, workload.SmallNode} {
 			if err := cluster.Topology.SetBandwidth(workload.RegionalNode, dev, 4*units.MBps); err != nil {
 				return nil, err
 			}
 		}
-		app := workload.VideoProcessing()
-		if appName == "text" {
-			app = workload.TextProcessing()
-		}
-		nashP, err := sched.Schedule(sched.NewDEEP(), app, cluster)
+		studies = append(studies, study{app, cluster, "testbed, slow regional"})
+	}
+	cfg := workload.DefaultGeneratorConfig(12, 7)
+	cfg.StageWidth = 4
+	wide, err := workload.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range []int{1, 2, 4} {
+		studies = append(studies, study{wide, workload.ContendedTestbed(n), fmt.Sprintf("contended x%d", n)})
+	}
+
+	var rows []ContentionRow
+	for _, s := range studies {
+		nash, err := scheduledEnergy(sched.NewDEEP(), s.app, s.cluster)
 		if err != nil {
 			return nil, err
 		}
-		nashRes, err := sim.Run(app, cluster, nashP, sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		blindP, err := sched.Schedule(sched.NewGreedyEnergy(), app, cluster)
-		if err != nil {
-			return nil, err
-		}
-		blindRes, err := sim.Run(app, cluster, blindP, sim.Options{})
+		blind, err := scheduledEnergy(sched.NewGreedyEnergy(), s.app, s.cluster)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ContentionRow{
-			App:         app.Name,
-			NashEnergy:  nashRes.TotalEnergy,
-			BlindEnergy: blindRes.TotalEnergy,
-			PenaltyOfBlind: 100 * (float64(blindRes.TotalEnergy) - float64(nashRes.TotalEnergy)) /
-				float64(nashRes.TotalEnergy),
+			App:            s.app.Name,
+			Cluster:        s.name,
+			NashEnergy:     nash,
+			BlindEnergy:    blind,
+			PenaltyOfBlind: 100 * (float64(blind) - float64(nash)) / float64(nash),
 		})
 	}
 	return rows, nil
+}
+
+// scheduledEnergy is the simulated energy of the app placed by s.
+func scheduledEnergy(s sched.Scheduler, app *dag.App, cluster *sim.Cluster) (units.Joules, error) {
+	p, err := sched.Schedule(s, app, cluster)
+	if err != nil {
+		return 0, err
+	}
+	res, err := sim.Run(app, cluster, p, sim.Options{})
+	if err != nil {
+		return 0, err
+	}
+	return res.TotalEnergy, nil
 }
 
 // FormatContentionAblation renders the contention study.
 func FormatContentionAblation(rows []ContentionRow) string {
 	var b strings.Builder
 	b.WriteString("Ablation: congestion-aware (Nash) vs congestion-blind (greedy) registry selection\n")
-	fmt.Fprintf(&b, "%-18s %12s %12s %10s\n", "App", "Nash [kJ]", "Blind [kJ]", "penalty")
+	fmt.Fprintf(&b, "%-18s %-24s %12s %12s %10s\n", "App", "Cluster", "Nash [kJ]", "Blind [kJ]", "penalty")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %12.3f %12.3f %9.2f%%\n", r.App, r.NashEnergy.Kilojoules(), r.BlindEnergy.Kilojoules(), r.PenaltyOfBlind)
+		fmt.Fprintf(&b, "%-18s %-24s %12.3f %12.3f %9.2f%%\n", r.App, r.Cluster, r.NashEnergy.Kilojoules(), r.BlindEnergy.Kilojoules(), r.PenaltyOfBlind)
 	}
+	b.WriteString("The case studies read 0.00 %: every pull comes from Docker Hub, which no two\npulls share, so greedy places them as DEEP does. Only wide stages on a\ncontended registry show what the game buys.\n")
 	return b.String()
 }

@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
+	"deep/internal/clockring"
 	"deep/internal/costmodel"
 	"deep/internal/sim"
 )
@@ -21,30 +21,41 @@ type cacheKey struct {
 	app     [sha256.Size]byte
 }
 
-// placementCache is a concurrency-safe LRU of memoized placements. Entries
-// are stored in compiled form — parallel sorted-name and assignment slices
-// rather than Go maps — so a cached placement is immutable by construction
-// and a lookup shares the entry's slices with the caller instead of cloning a
-// mutable map. An entry also holds the placement's simulated answer once its
-// first hit has stored it, which every later hit serves as it stands, and a
-// slot for the serving layer's encoding of that answer (Encoded).
+// placementCache is a concurrency-safe table of memoized placements with the
+// spec table's design (package clockring): clockring.Shards shards by the app
+// digest's first byte, one below clockring.Shards entries, each a map under a
+// read-write lock bounded by one CLOCK ring. Entries are stored in compiled
+// form — parallel sorted-name and assignment slices rather than Go maps — so
+// a cached placement is immutable by construction and a lookup shares the
+// entry's slices with the caller instead of cloning a mutable map. An entry
+// also holds the placement's simulated answer once its first hit has stored
+// it, which every later hit serves as it stands, and a slot for the serving
+// layer's encoding of that answer (Encoded).
 //
 // An entry answers for its key: it is written only by a schedule on the
 // churn state whose key it carries, so churn never sweeps the cache. An
-// epoch's entries that churn leaves behind age out through the LRU bound, and
-// serve again as hits when the epoch's key returns.
+// epoch's entries that churn leaves behind age out through the CLOCK bound,
+// and serve again as hits when the epoch's key returns.
+//
+// Hits and misses are counted by the fleet's workers in their pending
+// telemetry and added here once per Do or DoBatch (count); evictions are
+// counted under the shard's write lock.
 type placementCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used; values are *cacheEntry
-	byKey    map[cacheKey]*list.Element
+	shards       []cacheShard // none when caching is disabled
+	hits, misses atomic.Int64
+}
 
-	hits      int64
-	misses    int64
+// cacheShard is one shard: its entries by key, bounded by its ring, both
+// under mu, and the evictions its ring made.
+type cacheShard struct {
+	mu        sync.RWMutex
+	byKey     map[cacheKey]*cacheEntry
+	ring      clockring.Ring[*cacheEntry]
 	evictions int64
 }
 
 type cacheEntry struct {
+	clockring.Used
 	key cacheKey
 	// names (sorted) and assigns are parallel: the compiled, read-only form
 	// of the memoized placement.
@@ -90,51 +101,70 @@ func (e *cacheEntry) view() PlacementView {
 	return PlacementView{names: e.names, assigns: e.assigns}
 }
 
-// newPlacementCache returns an LRU holding up to capacity placements.
+// newPlacementCache returns a cache holding up to capacity placements.
 // capacity <= 0 disables caching entirely (every Get misses, PutView is a
 // no-op).
 func newPlacementCache(capacity int) *placementCache {
-	return &placementCache{
-		capacity: capacity,
-		order:    list.New(),
-		byKey:    make(map[cacheKey]*list.Element),
+	if capacity <= 0 {
+		return &placementCache{}
 	}
+	n := clockring.Shards
+	if capacity < n {
+		n = 1
+	}
+	c := &placementCache{shards: make([]cacheShard, n)}
+	for i := range c.shards {
+		size := capacity / n
+		if i < capacity%n {
+			size++
+		}
+		c.shards[i].byKey = make(map[cacheKey]*cacheEntry, size)
+		c.shards[i].ring = clockring.New[*cacheEntry](size)
+	}
+	return c
 }
 
-// Get returns the key's entry, recording a hit or miss; nil on a miss. The
-// entry's placement and result are immutable and stay valid even past
-// eviction (evicting drops the cache's reference, never mutates the entry),
-// so a hit costs zero allocations.
+// shard returns the key's shard: the app digest is uniform, so its first
+// byte spreads apps evenly.
+func (c *placementCache) shard(key cacheKey) *cacheShard {
+	return &c.shards[int(key.app[0])%len(c.shards)]
+}
+
+// Get returns the key's entry, nil on a miss; the caller counts which. A hit
+// takes the shard's read lock and marks the entry used. The entry's placement
+// and result are immutable and stay valid even past eviction (evicting drops
+// the cache's reference, never mutates the entry), so a hit costs zero
+// allocations.
 func (c *placementCache) Get(key cacheKey) *cacheEntry {
-	if c.capacity <= 0 {
+	if len(c.shards) == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses++
-		return nil
+	sh := c.shard(key)
+	sh.mu.RLock()
+	e := sh.byKey[key]
+	if e != nil {
+		e.Mark()
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry)
+	sh.mu.RUnlock()
+	return e
 }
 
-// PutView memoizes a placement, evicting the least recently used entry when
-// full. The entry gets its own copies of the slices — a view handed in may
-// alias request-pooled scratch, and entries must stay immutable for the
-// lifetime of every view ever served from them. A key already present keeps
-// its entry (first write wins): an entry's placement never changes, so its
-// result slot always describes it. Two schedules of one key agree anyway.
+// PutView memoizes a placement, evicting the entry the shard's CLOCK hand
+// stops at when the shard is full. The entry gets its own copies of the
+// slices — a view handed in may alias request-pooled scratch, and entries
+// must stay immutable for the lifetime of every view ever served from them. A
+// key already present keeps its entry (first write wins): an entry's
+// placement never changes, so its result slot always describes it. Two
+// schedules of one key agree anyway.
 func (c *placementCache) PutView(key cacheKey, v PlacementView) {
-	if c.capacity <= 0 {
+	if len(c.shards) == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.byKey[key]; ok {
+		e.Mark()
 		return
 	}
 	entry := &cacheEntry{
@@ -142,20 +172,23 @@ func (c *placementCache) PutView(key cacheKey, v PlacementView) {
 		names:   append([]string(nil), v.names...),
 		assigns: append([]sim.Assignment(nil), v.assigns...),
 	}
-	c.byKey[key] = c.order.PushFront(entry)
-	for c.order.Len() > c.capacity {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.byKey, back.Value.(*cacheEntry).key)
-		c.evictions++
+	if old := sh.ring.Put(entry); old != nil {
+		delete(sh.byKey, old.key)
+		sh.evictions++
 	}
+	sh.byKey[key] = entry
 }
 
-// Len returns the number of cached placements.
-func (c *placementCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+// count adds the lookups a worker's Do or DoBatch made to the counters. A
+// disabled cache counts none, and a count of zero adds nothing, so a warm
+// batch, which misses nothing, makes one atomic add.
+func (c *placementCache) count(hits, misses int64) {
+	if len(c.shards) > 0 && hits > 0 {
+		c.hits.Add(hits)
+	}
+	if len(c.shards) > 0 && misses > 0 {
+		c.misses.Add(misses)
+	}
 }
 
 // CacheStats is a point-in-time view of the placement cache.
@@ -166,11 +199,17 @@ type CacheStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters, summing the shards.
 func (c *placementCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.order.Len()}
+	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		s.Evictions += sh.evictions
+		s.Entries += len(sh.byKey)
+		sh.mu.RUnlock()
+	}
+	return s
 }
 
 // compiledShape bundles what the fleet compiles for one request on one

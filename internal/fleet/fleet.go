@@ -4,8 +4,8 @@
 // scheduler workers and runs on its caller's goroutine; only when every
 // worker is busy does it wait, in one of a bounded number of waiter slots,
 // and past them it is rejected. Placements are memoized in a
-// concurrency-safe LRU keyed by (churn epoch's cluster, app digest) — a
-// fleet runs one cluster and one scheduling method, and the Nash
+// concurrency-safe sharded CLOCK cache keyed by (churn epoch's cluster, app
+// digest) — a fleet runs one cluster and one scheduling method, and the Nash
 // best-response iteration is deterministic, so repeated shapes skip the game
 // entirely. A request that needs the compiled (app, cluster) shape — a
 // placement miss, or an entry's first hit — compiles it in its worker's own
@@ -70,7 +70,7 @@ type Config struct {
 	// New calls it once; every worker schedules and simulates on that one
 	// cluster, and churn epochs derive from it.
 	NewCluster func() *sim.Cluster
-	// CacheSize bounds the placement LRU in entries. Zero means
+	// CacheSize bounds the placement cache in entries. Zero means
 	// DefaultCacheSize; a negative value disables placement memoization.
 	CacheSize int
 	// Metrics receives per-tenant aggregates (default: a fresh registry).
@@ -229,7 +229,8 @@ func (r *Response) Release() {
 // Stats is a point-in-time view of the fleet's counters. A worker publishes
 // the answers it serves once per Do or DoBatch, before that call's last
 // response is handed over, so Completed and Failed may lag, and InFlight
-// lead, by at most the batch each worker is serving.
+// lead, by at most the batch each worker is serving; so may the placement
+// cache's Hits and Misses, which the worker counts with its answers.
 type Stats struct {
 	Submitted  int64           `json:"submitted"`
 	Rejected   int64           `json:"rejected"`
@@ -433,8 +434,8 @@ func New(cfg Config) *Fleet {
 // collectGauges publishes the fleet's point-in-time counters as gauges in
 // the obs registry; it runs on every exposition pass (Prometheus scrape,
 // expvar read), so /metrics reflects the live admission and cache state
-// without any per-request cost. Like Stats, the request gauges lag by at
-// most the batch each worker is serving.
+// without any per-request cost. Like Stats, the request and cache-lookup
+// gauges lag by at most the batch each worker is serving.
 func (f *Fleet) collectGauges() {
 	reg := f.cfg.Metrics.Obs()
 	s := f.Stats()
@@ -844,13 +845,16 @@ type workerState struct {
 // one go on the worker's shard (publish) when its Do or DoBatch ends. It
 // holds the fleet's stage and latency histograms, its completed and failed
 // counts (each also one request no longer in flight), and the aggregates of
-// one tenant at a time. The zero value is empty, and a published batch is
-// the zero value again.
+// one tenant at a time. It also counts the placement-cache lookups, which
+// process notes as it makes them. The zero value is empty, and a published
+// batch is the zero value again.
 type pending struct {
 	stages    obs.StageBatch
 	latency   obs.HistogramBatch
 	completed int64
 	failed    int64
+
+	placementHits, placementMisses int64
 
 	// tenantName and tenant name the tenant whose aggregates tenantBatch
 	// holds; nil when it holds none.
@@ -903,8 +907,9 @@ func (f *Fleet) note(p *pending, shard int, resp *Response) {
 
 // publish flushes the pending batch p on shard and empties it. The answers
 // it holds leave the in-flight count here, so Stats and the /metrics gauges
-// lag a worker by at most the batch it is serving; the slow ring counts
-// them here too, once its threshold's source holds their latencies.
+// lag a worker by at most the batch it is serving, and so do the placement
+// cache's hit and miss counts; the slow ring counts them here too, once its
+// threshold's source holds their latencies.
 func (f *Fleet) publish(shard int, p *pending) {
 	n := p.completed + p.failed
 	if n > 0 {
@@ -913,6 +918,8 @@ func (f *Fleet) publish(shard int, p *pending) {
 		f.completed.Add(p.completed)
 		p.completed, p.failed = 0, 0
 	}
+	f.cache.count(p.placementHits, p.placementMisses)
+	p.placementHits, p.placementMisses = 0, 0
 	f.stages.FlushAt(shard, &p.stages)
 	f.latency.FlushAt(shard, &p.latency)
 	f.slow.Count(int(n))
@@ -1062,8 +1069,10 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	for attempt := 0; ; attempt++ {
 		entry = f.cache.Get(key)
 		if entry != nil {
+			w.pending.placementHits++
 			view = entry.view()
 		} else {
+			w.pending.placementMisses++
 			at = w.stamp(obs.StageCacheLookup, at, j)
 			shape = f.shape(w, j.req.App)
 			at = w.stamp(obs.StageCompile, at, j)

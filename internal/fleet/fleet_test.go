@@ -363,33 +363,176 @@ func fpOf(s string) (k cacheKey) {
 	return k
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := newPlacementCache(2)
+// resident reports whether the cache holds key, without marking its entry
+// used.
+func (c *placementCache) resident(key cacheKey) bool {
+	sh := c.shard(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.byKey[key] != nil
+}
+
+// TestSecondChanceEviction pins the CLOCK policy on a one-shard cache: an
+// entry hit since the hand last passed it survives one sweep, which clears
+// its bit, and the first unreferenced entry the hand reaches is evicted.
+func TestSecondChanceEviction(t *testing.T) {
+	c := newPlacementCache(3)
+	if len(c.shards) != 1 {
+		t.Fatalf("a 3-entry cache has %d shards, want one ring", len(c.shards))
+	}
 	v := NewPlacementView(sim.Placement{"m": {Device: "d", Registry: "r"}})
-	c.PutView(fpOf("a"), v)
-	c.PutView(fpOf("b"), v)
-	if c.Get(fpOf("a")) == nil { // refresh "a"
+	for _, k := range []string{"a", "b", "c"} {
+		c.PutView(fpOf(k), v)
+	}
+	if c.Get(fpOf("a")) == nil { // a is referenced; the hand is on it
 		t.Fatal("a missing")
 	}
-	c.PutView(fpOf("c"), v) // evicts "b", the LRU entry
-	if c.Get(fpOf("b")) != nil {
-		t.Fatal("b survived eviction")
+	c.PutView(fpOf("d"), v) // passes a, clearing its bit, and evicts b
+	for k, want := range map[string]bool{"a": true, "b": false, "c": true, "d": true} {
+		if c.resident(fpOf(k)) != want {
+			t.Fatalf("after one sweep: %s resident %v, want %v", k, !want, want)
+		}
 	}
-	if c.Get(fpOf("a")) == nil {
-		t.Fatal("refreshed entry was evicted")
+	if s := c.Stats(); s.Evictions != 1 || s.Entries != 3 {
+		t.Fatalf("stats %+v, want 1 eviction and 3 entries", s)
 	}
-	if c.Get(fpOf("c")) == nil {
-		t.Fatal("newest entry missing")
+	// a had its second chance: unreferenced since, it goes when the hand
+	// comes round again, after c.
+	c.PutView(fpOf("e"), v)
+	c.PutView(fpOf("f"), v)
+	for k, want := range map[string]bool{"a": false, "c": false, "d": true, "e": true, "f": true} {
+		if c.resident(fpOf(k)) != want {
+			t.Fatalf("after the second sweep: %s resident %v, want %v", k, !want, want)
+		}
 	}
-	stats := c.Stats()
-	if stats.Evictions != 1 || stats.Entries != 2 {
-		t.Fatalf("stats %+v, want 1 eviction and 2 entries", stats)
+	if s := c.Stats(); s.Evictions != 3 || s.Entries != 3 {
+		t.Fatalf("stats %+v, want 3 evictions and 3 entries", s)
 	}
 	// The view handed to PutView may alias request-pooled scratch: reusing
 	// that scratch must not corrupt the cached copy.
 	v.assigns[0] = sim.Assignment{Device: "x", Registry: "y"}
-	if a, _ := c.Get(fpOf("a")).view().Get("m"); a.Device != "d" {
+	if a, _ := c.Get(fpOf("d")).view().Get("m"); a.Device != "d" {
 		t.Fatal("cache entry mutated through the view it was stored from")
+	}
+}
+
+// TestCacheShardsSumToCapacity: the shards hold exactly the configured
+// number of entries between them, and a small cache is one ring.
+func TestCacheShardsSumToCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 7, 8, 9, 1023, 1024, 1030} {
+		c := newPlacementCache(capacity)
+		want := 8
+		if capacity < 8 {
+			want = 1
+		}
+		if len(c.shards) != want {
+			t.Errorf("capacity %d: %d shards, want %d", capacity, len(c.shards), want)
+		}
+		// Eight keys per entry, spread evenly over the shards, fill each.
+		v := NewPlacementView(sim.Placement{"m": {Device: "d", Registry: "r"}})
+		for i := 0; i < 8*capacity; i++ {
+			c.PutView(raceKey(i), v)
+		}
+		if s := c.Stats(); s.Entries != capacity || s.Evictions != int64(7*capacity) {
+			t.Errorf("capacity %d: %+v after %d stores", capacity, s, 8*capacity)
+		}
+	}
+}
+
+// raceKey is a distinct cache key whose app digest starts with byte(i), so
+// keys 0..7 land on eight different shards.
+func raceKey(i int) (k cacheKey) {
+	k.app[0], k.app[1] = byte(i), byte(i>>8)
+	return k
+}
+
+// TestCacheConcurrentGetPut races lookups and stores over four times more
+// keys than a small cache holds, then races first writes on keys that fit.
+// Every returned entry must carry its own key and the view put under it, the
+// cache must never hold more than its capacity, and of concurrent stores to
+// an absent key the first wins: every writer then finds one entry.
+func TestCacheConcurrentGetPut(t *testing.T) {
+	const capacity, keys, writers = 16, 64, 8
+	c := newPlacementCache(capacity)
+	viewOf := func(k, g int) PlacementView {
+		return NewPlacementView(sim.Placement{"m": {Device: fmt.Sprint("k", k), Registry: fmt.Sprint("g", g)}})
+	}
+	check := func(e *cacheEntry, k int) error {
+		if e.key != raceKey(k) {
+			return fmt.Errorf("Get(%d) returned the entry of another key", k)
+		}
+		if a, ok := e.view().Get("m"); !ok || a.Device != fmt.Sprint("k", k) {
+			return fmt.Errorf("key %d holds the view %+v", k, a)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := (i*7 + g*13) % keys
+				e := c.Get(raceKey(k))
+				if e == nil {
+					c.PutView(raceKey(k), viewOf(k, g))
+					continue
+				}
+				if err := check(e, k); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if s := c.Stats(); s.Entries > capacity {
+				errs <- fmt.Errorf("cache holds %d entries, capacity %d", s.Entries, capacity)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Entries != capacity || s.Evictions == 0 {
+		t.Fatalf("after the churn: %+v, want a full cache of %d and evictions", s, capacity)
+	}
+
+	// Eight absent keys on eight shards: no store can evict another, so
+	// every writer must find the entry the first store made.
+	c = newPlacementCache(capacity)
+	found := make([][writers]*cacheEntry, 8)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range found {
+				c.PutView(raceKey(k), viewOf(k, g))
+				found[k][g] = c.Get(raceKey(k))
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range found {
+		first := found[k][0]
+		if first == nil {
+			t.Fatalf("key %d: stored and not found", k)
+		}
+		if err := check(first, k); err != nil {
+			t.Fatal(err)
+		}
+		for g, e := range found[k] {
+			if e != first {
+				t.Fatalf("key %d: writer %d found another entry than writer 0: a later store replaced the first", k, g)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"deep/internal/clockring"
 	"deep/internal/dag"
 	"deep/internal/obs"
 )
@@ -14,7 +15,7 @@ import (
 // bodies per key, bytes per retained body, and the first-sight filter, which
 // is a fixed array.
 const (
-	internShards   = 8
+	internShards   = clockring.Shards
 	internShardCap = 128
 	// internMaxBody is the largest body the table retains. Case-study specs
 	// are 1–3 KiB; the front door accepts bodies up to 1 MiB, and a full
@@ -65,8 +66,9 @@ const SpecTableEntries = internShards * internShardCap
 // the entry — one copy of the body, and the app — is retained when the same
 // hash arrives again. Never-repeated or flooding bodies — those sharing a
 // key's prefix included — therefore cannot evict hot specs or grow memory.
-// Each of the 8 shards is a 128-slot CLOCK ring, so a body that keeps
-// hitting survives a run of admissions that evicts its idle neighbours.
+// Each of the 8 shards is a 128-slot CLOCK ring (package clockring), so a
+// body that keeps hitting survives a run of admissions that evicts its idle
+// neighbours, and a hit takes only its shard's read lock.
 //
 // An entry keeps one copy of its body. For a canonical body it is the string
 // the scanner cut the app's names from, which the app holds anyway; a body
@@ -91,19 +93,20 @@ type Interner struct {
 }
 
 type internShard struct {
-	mu sync.Mutex
+	mu sync.RWMutex
 	// byKey heads each key's chain of at most internWays entries.
 	byKey map[uint64]*internEntry
-	ring  [internShardCap]*internEntry
-	hand  int
+	ring  clockring.Ring[*internEntry]
 	// seen is the first-sight filter, direct-mapped by full-body hash: a
 	// slot holds the last hash that landed on it.
 	seen [internSeenSlots]uint64
 }
 
-// internEntry is immutable after admission except for the CLOCK bit and the
-// chain link, both guarded by the shard lock.
+// internEntry is immutable after admission except for the CLOCK bit, which a
+// hit marks under the shard's read lock, and the chain link, which only the
+// write lock changes.
 type internEntry struct {
+	clockring.Used
 	key uint64
 	// body is the admitted spec, byte for byte; for a canonical body it is
 	// the string app's names are substrings of.
@@ -112,7 +115,6 @@ type internEntry struct {
 	// canonical records that scanApp accepted body, so the envelope
 	// scanner, which would have walked it, may skip it instead.
 	canonical bool
-	used      bool // referenced since the hand last passed
 	next      *internEntry
 }
 
@@ -141,6 +143,7 @@ func NewInterner(reg *obs.Registry, name string) *Interner {
 	}
 	for i := range in.shards {
 		in.shards[i].byKey = make(map[uint64]*internEntry, internShardCap)
+		in.shards[i].ring = clockring.New[*internEntry](internShardCap)
 	}
 	entriesGauge := reg.Gauge(name + "_entries")
 	bytesGauge := reg.Gauge(name + "_bytes")
@@ -159,16 +162,16 @@ func NewInterner(reg *obs.Registry, name string) *Interner {
 func (in *Interner) App(body []byte) (app *dag.App, fast bool, err error) {
 	key := in.hash(body[:min(len(body), internKeyLen)])
 	sh := &in.shards[key%internShards]
-	sh.mu.Lock()
+	sh.mu.RLock()
 	for e := sh.byKey[key]; e != nil; e = e.next {
 		if e.body == string(body) {
-			e.used = true
-			sh.mu.Unlock()
+			e.Mark()
+			sh.mu.RUnlock()
 			in.hits.Add(1)
 			return e.app, true, nil
 		}
 	}
-	sh.mu.Unlock()
+	sh.mu.RUnlock()
 	return in.decode(body, key)
 }
 
@@ -211,11 +214,11 @@ func (in *Interner) probe(buf []byte, pos int) internProbe {
 	}
 	key := in.hash(rest[:internKeyLen])
 	sh := &in.shards[key%internShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	for e := sh.byKey[key]; e != nil; e = e.next {
 		if n := len(e.body); n <= len(rest) && e.body[n-1] == '}' && e.body == string(rest[:n]) {
-			e.used = true
+			e.Mark()
 			return internProbe{entry: e, key: key, keyed: true}
 		}
 	}
@@ -266,23 +269,20 @@ func (in *Interner) admit(key uint64, body []byte, text string, app *dag.App) {
 	if ways == internWays {
 		return // the residents stay
 	}
-	for cur := sh.ring[sh.hand]; cur != nil && cur.used; cur = sh.ring[sh.hand] {
-		cur.used = false
-		sh.hand = (sh.hand + 1) % internShardCap
+	canonical := text != ""
+	if !canonical {
+		text = string(body)
 	}
-	if old := sh.ring[sh.hand]; old != nil {
+	e := &internEntry{key: key, body: text, app: app, canonical: canonical}
+	if old := sh.ring.Put(e); old != nil {
+		// The victim may chain under key itself: unlink it before e is
+		// linked at the head.
 		sh.unlink(old)
 		in.retained.Add(-int64(len(old.body)))
 		in.entries.Add(-1)
 		in.evicted.Add(1)
 	}
-	canonical := text != ""
-	if !canonical {
-		text = string(body)
-	}
-	e := &internEntry{key: key, body: text, app: app, canonical: canonical, next: sh.byKey[key]}
-	sh.ring[sh.hand] = e
-	sh.hand = (sh.hand + 1) % internShardCap
+	e.next = sh.byKey[key]
 	sh.byKey[key] = e
 	in.retained.Add(int64(len(body)))
 	in.entries.Add(1)

@@ -6,6 +6,7 @@ import (
 	"deep/internal/device"
 	"deep/internal/netsim"
 	"deep/internal/sim"
+	"deep/internal/units"
 )
 
 // ScaledTestbed replicates the calibrated testbed's device pair n times:
@@ -69,4 +70,18 @@ func ScaledTestbed(n int) *sim.Cluster {
 		Topology:   topo,
 		SourceNode: SourceNode,
 	}
+}
+
+// ContendedTestbed is ScaledTestbed(n) with every device's Docker Hub link
+// slowed to 10 MB/s, so the shared regional registry is the better source
+// for every image and a wide stage's pulls meet on its uplink. On the
+// calibrated links Hub pulls are fast enough that no stage's pulls contend.
+func ContendedTestbed(n int) *sim.Cluster {
+	c := ScaledTestbed(n)
+	for _, d := range c.Devices {
+		if err := c.Topology.SetBandwidth(HubNode, d.Name, 10*units.MBps); err != nil {
+			panic(fmt.Sprintf("workload: contended testbed: %v", err))
+		}
+	}
+	return c
 }
