@@ -11,7 +11,6 @@ package deep_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -448,12 +447,13 @@ func BenchmarkClusterPatch(b *testing.B) {
 }
 
 // BenchmarkFleetChurn measures the request path with churn machinery live,
-// through Submit, releasing each answer as soon as it is in:
-// the steady row is the warm cached path on a quiet cluster (it must stay at
-// the BENCH_fleet.json pooled-path baseline — churn awareness is one atomic
-// load and one pointer compare); the churning row runs the same closed loop while
-// a background goroutine crashes and recovers devices continuously, forcing
-// epoch adoptions and re-schedules on each new epoch's key.
+// as the front door serves a single deploy: one-item DoBatch calls from as
+// many callers as workers. The steady row is the warm cached path on a
+// quiet cluster (it must stay at the BENCH_fleet.json warm-path baseline —
+// churn awareness is one atomic load and one pointer compare); the churning
+// row runs the same callers while a background goroutine crashes and
+// recovers devices continuously, forcing epoch adoptions and re-schedules on
+// each new epoch's key.
 func BenchmarkFleetChurn(b *testing.B) {
 	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
 	for _, churning := range []bool{false, true} {
@@ -462,8 +462,9 @@ func BenchmarkFleetChurn(b *testing.B) {
 			name = "churning"
 		}
 		b.Run(name, func(b *testing.B) {
+			const workers = 4
 			f := deep.NewFleet(deep.FleetConfig{
-				Workers:    4,
+				Workers:    workers,
 				QueueDepth: 256,
 				NewCluster: func() *deep.Cluster { return deep.ScaledTestbed(4) },
 			})
@@ -497,56 +498,26 @@ func BenchmarkFleetChurn(b *testing.B) {
 					}
 				}()
 			}
-			failed := 0
-			b.ResetTimer()
-			pending := make([]<-chan *deep.FleetResponse, 0, b.N)
-			settle := func(resp *deep.FleetResponse) {
+			var failed atomic.Int64
+			count := func(resp *deep.FleetResponse) {
 				if resp.Err != nil {
-					failed++
-				}
-				resp.Release()
-				pending = pending[1:]
-			}
-			for i := 0; i < b.N; i++ {
-				// The answers already in are released before each
-				// submission, so the job pool recycles whether or not the
-				// workers keep up with this loop; the oldest answer is
-				// waited for only when the queue is full.
-			drained:
-				for len(pending) > 0 {
-					select {
-					case resp := <-pending[0]:
-						settle(resp)
-					default:
-						break drained
-					}
-				}
-				req := deep.FleetRequest{App: apps[i%len(apps)], Seed: int64(i)}
-				for {
-					ch, err := f.Submit(req)
-					if err == nil {
-						pending = append(pending, ch)
-						break
-					}
-					if !errors.Is(err, deep.ErrFleetQueueFull) {
-						b.Fatal(err)
-					}
-					settle(<-pending[0])
+					failed.Add(1)
 				}
 			}
-			for len(pending) > 0 {
-				settle(<-pending[0])
-			}
+			ctx := context.Background()
+			b.ResetTimer()
+			driveConcurrently(b, workers, 1, func(_, i int) error {
+				return f.DoBatch(ctx, []deep.FleetRequest{{App: apps[i%len(apps)], Seed: int64(i)}}, count)
+			})
 			b.StopTimer()
 			close(stop)
 			wg.Wait()
-			if !churning && failed > 0 {
-				b.Fatalf("%d requests failed on a quiet cluster", failed)
-			}
-			// Bounded-retry exhaustion under saturation churn is legal but
-			// must stay rare.
-			if failed*100 > b.N {
-				b.Fatalf("%d of %d requests failed under churn", failed, b.N)
+			if n := failed.Load(); !churning && n > 0 {
+				b.Fatalf("%d requests failed on a quiet cluster", n)
+			} else if n*100 > int64(b.N) {
+				// Bounded-retry exhaustion under saturation churn is legal
+				// but must stay rare.
+				b.Fatalf("%d of %d requests failed under churn", n, b.N)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 			st := f.Stats().Churn
@@ -584,9 +555,9 @@ func driveConcurrently(b *testing.B, callers, step int, serve func(c, i int) err
 
 // BenchmarkFleetThroughput measures sustained deployment throughput through
 // the fleet service across worker-pool sizes with the placement cache on
-// and off. As many callers as there are workers each serve requests through
-// Fleet.Do back to back — the path the HTTP front door takes — so every
-// worker stays borrowed and none waits long. The req/s metric (and the
+// and off. As many callers as there are workers each serve requests as
+// one-item Fleet.DoBatch calls back to back — how the HTTP front door serves
+// a single deploy — so every worker stays borrowed and none waits long. The req/s metric (and the
 // BENCH_fleet.json baseline — see README) comes from b.N over wall time.
 func BenchmarkFleetThroughput(b *testing.B) {
 	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
@@ -606,13 +577,14 @@ func BenchmarkFleetThroughput(b *testing.B) {
 				ctx := context.Background()
 				b.ResetTimer()
 				driveConcurrently(b, workers, 1, func(_, i int) error {
-					resp, err := f.Do(ctx, deep.FleetRequest{App: apps[i%len(apps)], Seed: int64(i)})
+					var failed error
+					err := f.DoBatch(ctx, []deep.FleetRequest{{App: apps[i%len(apps)], Seed: int64(i)}}, func(resp *deep.FleetResponse) {
+						failed = resp.Err
+					})
 					if err != nil {
 						return err
 					}
-					err = resp.Err
-					resp.Release()
-					return err
+					return failed
 				})
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 			})
@@ -655,7 +627,6 @@ func BenchmarkSubmitBatch(b *testing.B) {
 					if resp.Err != nil && failed == nil {
 						failed = resp.Err
 					}
-					resp.Release()
 				})
 				if err != nil {
 					return err

@@ -125,11 +125,11 @@ type (
 	FleetConfig = fleet.Config
 	// FleetRequest is one tenant's deployment request.
 	FleetRequest = fleet.Request
-	// FleetResponse is the outcome of one deployment request. Responses are
-	// pooled: call Release once done reading one (see fleet.Response). Its
-	// Result is read-only: on a memoized hit it is the placement entry's
-	// stored answer, shared by every response for that app; Clone it to keep
-	// it past Release.
+	// FleetResponse is the outcome of one deployment request. One from
+	// Fleet.Do, Submit or SubmitBatch is the caller's to keep; one handed to
+	// Fleet.DoBatch's callback is valid until the callback returns (see
+	// fleet.Response). Its Result is read-only: on a memoized hit it is the
+	// placement entry's stored answer, shared by every response for that app.
 	FleetResponse = fleet.Response
 	// FleetPlacementView is the indexed, read-only placement carried by a
 	// FleetResponse (Materialize copies it into a mutable Placement).

@@ -46,7 +46,6 @@ func TestPublicFleet(t *testing.T) {
 		if got := resp.Result.TotalEnergy; math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
 			t.Errorf("deploy %d: total energy %v, want the pipeline's %v", i, got, want)
 		}
-		resp.Release()
 	}
 	if c := f.Stats().Cache; c.Hits != 1 || c.Misses != 1 {
 		t.Errorf("placement cache %d hits, %d misses; want 1, 1", c.Hits, c.Misses)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,32 +16,25 @@ import (
 	"deep/internal/workload"
 )
 
-// trackJobs makes the fleet record every job its pool mints, so a test can
-// count how many are still held by a request (putJob clears req.App on the
-// way back to the pool). Only valid while every submission and Release
-// happens on goroutines the test joins before counting.
-func trackJobs(f *Fleet) func() (held int) {
-	var minted []*job
-	mint := f.jobPool.New
-	f.jobPool.New = func() any {
-		j := mint().(*job)
-		minted = append(minted, j)
-		return j
-	}
-	return func() (held int) {
-		for _, j := range minted {
-			if j.req.App != nil {
-				held++
-			}
+// idleJobsHolding counts the idle workers whose job still holds a request
+// or a response: a worker empties its job once each item is answered. It
+// takes each idle worker out of the pool and puts it back, so it is only
+// valid while the fleet serves nothing that could take one meanwhile.
+func idleJobsHolding(f *Fleet) (held int) {
+	for range len(f.idle) {
+		w := <-f.idle
+		if w.job.req != (Request{}) || !reflect.DeepEqual(w.job.resp, Response{}) {
+			held++
 		}
-		return held
+		f.idle <- w
 	}
+	return held
 }
 
 // TestAdmissionTable pins what every exported admission entry point answers
 // to every way a request can be turned away: the error, how many rejections
 // Stats counts (an already-cancelled context is not counted), and that no
-// job is left holding the rejected request. The cells outside the table are
+// idle worker's job is left holding a request. The cells outside the table are
 // the waits that admit the request first: TestDoCancelledWhileQueued and
 // TestRequestDeadline.
 func TestAdmissionTable(t *testing.T) {
@@ -65,13 +59,21 @@ func TestAdmissionTable(t *testing.T) {
 			return err
 		}},
 		{"DoBatch", 2, true, func(f *Fleet, ctx context.Context, req Request) error {
-			return f.DoBatch(ctx, []Request{req, req}, func(r *Response) { r.Release() })
+			return f.DoBatch(ctx, []Request{req, req}, func(*Response) {})
 		}},
 	}
 
-	idle := func(t *testing.T) (*Fleet, int) { return testFleet(t, Config{Workers: 1}), 0 }
-	closed := func(t *testing.T) (*Fleet, int) {
+	// idle and closed: the one worker has served a request first, so its job
+	// has been used.
+	idle := func(t *testing.T) (*Fleet, int) {
 		f := testFleet(t, Config{Workers: 1})
+		if resp, err := f.Do(context.Background(), Request{App: app}); err != nil || resp.Err != nil {
+			t.Fatal(err, resp.Err)
+		}
+		return f, 0
+	}
+	closed := func(t *testing.T) (*Fleet, int) {
+		f, _ := idle(t)
 		f.Close()
 		return f, 0
 	}
@@ -110,7 +112,6 @@ func TestAdmissionTable(t *testing.T) {
 			}
 			t.Run(e.name+"/"+c.name, func(t *testing.T) {
 				f, fill := c.fleet(t)
-				held := trackJobs(f)
 				for i := 0; i < fill; i++ {
 					if _, err := f.Submit(Request{App: app}); err != nil {
 						t.Fatal(err)
@@ -146,8 +147,8 @@ func TestAdmissionTable(t *testing.T) {
 					t.Errorf("a rejected request was accounted as admitted: submitted %d -> %d, in flight %d -> %d",
 						before.Submitted, after.Submitted, before.InFlight, after.InFlight)
 				}
-				if got := held(); got != fill {
-					t.Errorf("%d jobs still hold a request, want %d (the rejected request holds none)", got, fill)
+				if got := idleJobsHolding(f); got != 0 {
+					t.Errorf("%d idle workers' jobs still hold a request", got)
 				}
 			})
 		}
@@ -218,7 +219,8 @@ func (s *recordingSched) ScheduleModel(model *costmodel.Model) (sim.Placement, e
 
 // TestDoCancelledWhileQueued: Do carries its context into the queue, so a
 // caller that hangs up while its request is parked behind a slow one gets
-// ctx.Err() back and the scheduler never sees its app.
+// its request answered failed with ctx.Err() — Do's own error is for
+// admission only, as DoBatch's is — and the scheduler never sees its app.
 func TestDoCancelledWhileQueued(t *testing.T) {
 	rec := &recordingSched{started: make(chan struct{}), release: make(chan struct{})}
 	f := testFleet(t, Config{
@@ -234,17 +236,21 @@ func TestDoCancelledWhileQueued(t *testing.T) {
 	<-rec.started // the only worker is now busy
 
 	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
+	type answer struct {
+		resp *Response
+		err  error
+	}
+	answers := make(chan answer, 1)
 	go func() {
-		_, err := f.Do(ctx, Request{App: workload.VideoProcessing()})
-		errc <- err
+		resp, err := f.Do(ctx, Request{App: workload.VideoProcessing()})
+		answers <- answer{resp, err}
 	}()
 	for f.Stats().Submitted < 2 { // Do's request is admitted and parked
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Do returned %v, want context.Canceled", err)
+	if a := <-answers; a.err != nil || a.resp == nil || !errors.Is(a.resp.Err, context.Canceled) {
+		t.Fatalf("Do returned %+v, want a response failed with context.Canceled and no error", a)
 	}
 
 	close(rec.release)

@@ -68,7 +68,6 @@ func TestQueueLenCountsWaiters(t *testing.T) {
 			if resp.Err != nil {
 				t.Fatalf("request %d: %v", i, resp.Err)
 			}
-			resp.Release()
 		case <-time.After(10 * time.Second):
 			t.Fatalf("request %d never served", i)
 		}
@@ -128,7 +127,6 @@ func TestQueueDepthIsTheBound(t *testing.T) {
 			if resp.Err != nil {
 				t.Fatalf("request %d: %v", i, resp.Err)
 			}
-			resp.Release()
 		case <-time.After(10 * time.Second):
 			t.Fatalf("request %d never served", i)
 		}
@@ -175,7 +173,6 @@ func TestCloseDrainsWaiters(t *testing.T) {
 			}
 			if err == nil {
 				err = resp.Err
-				resp.Release()
 			}
 			answers <- err
 		}(i)
@@ -274,7 +271,6 @@ func TestBorrowConcurrency(t *testing.T) {
 			resp, err := f.Do(context.Background(), Request{Tenant: "burst", App: app, Seed: int64(i)})
 			if err == nil {
 				err = resp.Err
-				resp.Release()
 			}
 			errs <- err
 		}(i)
@@ -315,7 +311,6 @@ func TestSubmitBatchOrderAndIndex(t *testing.T) {
 		if resp.Tenant != "batch" || resp.Placement.Len() == 0 || resp.Result == nil {
 			t.Fatalf("item %d implausible: %+v", i, resp)
 		}
-		resp.Release()
 	}
 	st := f.Stats()
 	if st.Submitted != 5 || st.Completed != 5 {
@@ -364,7 +359,6 @@ func TestSubmitBatchQueueFull(t *testing.T) {
 				if resp.Err != nil {
 					t.Fatalf("batch item %d: %v", i, resp.Err)
 				}
-				resp.Release()
 			case <-time.After(10 * time.Second):
 				t.Fatal("batch never drained")
 			}
@@ -399,20 +393,4 @@ func TestSubmitBatchValidation(t *testing.T) {
 	if _, err := f.SubmitBatch(context.Background(), []Request{{App: workload.TextProcessing()}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed fleet: %v, want ErrClosed", err)
 	}
-}
-
-// TestResponseReleaseIdempotentOutsideRace pins the documented Release
-// contract in non-race builds: releasing twice is a no-op, not a panic or a
-// double pool put (which would hand one job to two submitters).
-func TestResponseReleaseIdempotentOutsideRace(t *testing.T) {
-	if raceEnabled {
-		t.Skip("double release panics by design under -race")
-	}
-	f := testFleet(t, Config{Workers: 1})
-	resp, err := f.Do(context.Background(), Request{App: workload.TextProcessing()})
-	if err != nil || resp.Err != nil {
-		t.Fatal(err, resp.Err)
-	}
-	resp.Release()
-	resp.Release() // second release must be inert
 }

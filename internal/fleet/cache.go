@@ -151,7 +151,7 @@ func (c *placementCache) Get(key cacheKey) *cacheEntry {
 
 // PutView memoizes a placement, evicting the entry the shard's CLOCK hand
 // stops at when the shard is full. The entry gets its own copies of the
-// slices — a view handed in may alias request-pooled scratch, and entries
+// slices — a view handed in may alias its worker's scratch, and entries
 // must stay immutable for the lifetime of every view ever served from them. A
 // key already present keeps its entry (first write wins): an entry's
 // placement never changes, so its result slot always describes it. Two

@@ -445,7 +445,6 @@ func TestSubmitBatchAbandonedWhileWaiting(t *testing.T) {
 		if resp.Result != nil {
 			t.Fatal("abandoned request was simulated anyway")
 		}
-		resp.Release()
 	}
 	unblock()
 	if s := f.Stats(); s.Failed != 2 || s.InFlight != 0 || f.QueueLen() != 0 {
@@ -534,7 +533,6 @@ func TestChurnRetryIsExactAndMemoized(t *testing.T) {
 		t.Fatal(got.err, got.resp.Err)
 	}
 	retry := got.resp
-	defer retry.Release()
 
 	want, err := sched.Schedule(sched.NewDEEP(), app, effectiveCluster(scaled2, map[string]bool{down: true}, nil))
 	if err != nil {
@@ -560,7 +558,6 @@ func TestChurnRetryIsExactAndMemoized(t *testing.T) {
 	if err != nil || again.Err != nil {
 		t.Fatal(err, again.Err)
 	}
-	defer again.Release()
 	if !again.CacheHit {
 		t.Fatal("the retry's placement was not memoized")
 	}
@@ -601,7 +598,6 @@ func TestChurnStaleEntryNeverServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Release()
 	want := fmt.Sprintf("stale after %d attempts", churnMaxAttempts)
 	if resp.Err == nil || !strings.Contains(resp.Err.Error(), want) {
 		t.Fatalf("planted stale entry answered err=%v placement=%v, want %q", resp.Err, resp.Placement.Materialize(), want)

@@ -76,7 +76,6 @@ func TestDrainRaceStress(t *testing.T) {
 					} else {
 						doneDo.Add(1)
 					}
-					resp.Release()
 				case err == nil:
 					if ch == nil {
 						t.Error("accepted call returned neither response nor channel")

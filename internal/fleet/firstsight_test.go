@@ -75,7 +75,6 @@ func TestFirstSightResponsesDoNotAliasScratch(t *testing.T) {
 		if resp.App != apps[i].Name {
 			t.Errorf("app %d: response names %q, want %q", i, resp.App, apps[i].Name)
 		}
-		resp.Release()
 	}
 }
 
@@ -133,7 +132,6 @@ func TestFirstSightInterleavedUnderChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp := <-ch
-			defer resp.Release()
 			if resp.Err != nil {
 				t.Errorf("%s: %v", app.Name, resp.Err)
 				return

@@ -10,6 +10,13 @@
 // entirely. A request that needs the compiled (app, cluster) shape — a
 // placement miss, or an entry's first hit — compiles it in its worker's own
 // recycled scratch.
+//
+// Every request is served by DoBatch's one routine, and one lifetime rule
+// holds for its answers: a *Response handed to DoBatch's callback is valid
+// until the callback returns, because a miss is answered from the serving
+// worker's own scratch. Nothing is pooled or released; Do, Submit and
+// SubmitBatch hand out copies that are the caller's to keep.
+//
 // Load reaches a fleet over a socket, through cmd/deepfleetd's HTTP front
 // door (package fleetd); benchmark/run.sh drives it there.
 package fleet
@@ -40,7 +47,7 @@ var (
 	// ErrQueueFull is returned at admission when every worker is busy and
 	// every waiter slot is taken; the request was rejected, not admitted.
 	ErrQueueFull = errors.New("fleet: admission queue full")
-	// ErrClosed is returned by Submit after Close began.
+	// ErrClosed is returned at admission after Close began.
 	ErrClosed = errors.New("fleet: closed")
 	// ErrDeadline is wrapped into a Response.Err when the request's deadline
 	// expired while it waited for a worker, or before its placement could be
@@ -145,31 +152,28 @@ type Request struct {
 
 // Response is the outcome of one deployment request.
 //
-// Responses are pool-managed: the fleet recycles the response, its Result
-// buffers, and the job plumbing that carried it once the receiver calls
-// Release. Until Release, every field is the receiver's to read; after
-// Release, none may be touched — copy Placement (Materialize) or Result
-// (Clone) first to keep them. Calling Release is optional (an unreleased
-// response is simply garbage collected, at the cost of a pool miss later),
-// but the warm path only stays allocation-free when responses are returned.
+// A response handed to DoBatch's callback is valid until the callback
+// returns: on a miss its Placement and Result are the serving worker's
+// scratch, which the worker's next request overwrites. Copy what must
+// outlive the callback (PlacementView.Materialize, Result.Clone). A
+// response from Do, Submit or SubmitBatch is a copy the caller keeps.
 type Response struct {
 	Tenant string
 	App    string
 	// Placement is the indexed view of the placement; on a cache hit it
 	// aliases the memo's immutable compiled entry, so serving it allocates
-	// nothing. Valid until Release.
+	// nothing.
 	Placement PlacementView
-	// Result is the simulated answer, valid until Release; nil when Err is
-	// set. On a memoized hit it aliases the placement entry's immutable
-	// result, shared by every response for that key: read-only, like
-	// Placement. Otherwise it points at a pool-owned buffer. Clone it to keep
-	// it past Release.
+	// Result is the simulated answer; nil when Err is set. On a memoized hit
+	// it aliases the placement entry's immutable result, shared by every
+	// response for that key: read-only, like Placement. On a miss it is the
+	// worker's simulator buffer until the response is copied out.
 	Result *sim.Result
 	// Encoded is the placement entry's slot for an encoding of the answer,
 	// set exactly when Result is the entry's stored result: nil on a miss and
 	// when Err is set. The fleet never fills it; a serving layer may, with
 	// bytes that are a function of Placement and Result alone, and every
-	// later response for the key carries them. Like Result, it is not to be touched after Release.
+	// later response for the key carries them.
 	Encoded *Encoded
 	// CacheHit is true when the placement came from the memo instead of a
 	// scheduling pass.
@@ -198,32 +202,26 @@ type Response struct {
 	Index int
 	// Err is non-nil when scheduling or simulation failed.
 	Err error
-
-	// owner is the pooled job this response recycles on Release; nil for
-	// responses the pool does not manage (test fixtures) and after Release.
-	owner *job
-	// pooled stays true after Release so race builds can detect a double
-	// Release (owner alone cannot distinguish released from unmanaged).
-	pooled bool
 }
 
-// Release returns the response and its job plumbing to the fleet's pool.
-// After Release the response, its Placement view, and its Result must not be
-// touched: the buffers will be overwritten by a future request. Releasing a
-// response the pool does not manage is a no-op; releasing the same response
-// twice is a caller bug that panics under the race detector (and is ignored
-// in normal builds — by the second call the job may already be live again,
-// so corrupting it quietly would be far worse than the leak).
-func (r *Response) Release() {
-	j := r.owner
-	if j == nil {
-		if raceEnabled && r.pooled {
-			panic("fleet: Response released twice")
+// Release does nothing: no response is pooled. It is kept because
+// benchmark/replay.go calls it.
+func (r *Response) Release() {}
+
+// detach copies a response out of its worker's job for a caller to keep. A
+// hit's placement and result are its entry's, immutable, and are shared.
+// An answer without the entry's encoded slot — a miss, or a failure — may
+// alias the worker's placement scratch and simulator buffer, so those are
+// copied.
+func (r *Response) detach() *Response {
+	c := *r
+	if r.Encoded == nil {
+		c.Placement = PlacementView{names: slices.Clone(r.Placement.names), assigns: slices.Clone(r.Placement.assigns)}
+		if r.Result != nil {
+			c.Result = r.Result.Clone()
 		}
-		return
 	}
-	r.owner = nil
-	j.f.putJob(j)
+	return &c
 }
 
 // Stats is a point-in-time view of the fleet's counters. A worker publishes
@@ -243,8 +241,8 @@ type Stats struct {
 }
 
 // Fleet is a concurrent multi-tenant deployment service. Create with New,
-// serve with Do or DoBatch (or their channel-returning wrappers Submit and
-// SubmitBatch), stop with Close.
+// serve with DoBatch (Do is its one-item form; Submit and SubmitBatch its
+// channel-returning forms), stop with Close.
 type Fleet struct {
 	cfg   Config
 	cache *placementCache
@@ -259,13 +257,6 @@ type Fleet struct {
 	idle    chan *workerState
 	waiting atomic.Int64
 	queued  atomic.Int64
-	// jobPool recycles the whole per-request chain — job, Response, Result
-	// buffers, placement-view scratch, and the cap-1 done channel Submit
-	// answers on — via the Response.Release contract. A job re-enters the
-	// pool only after its response was released, which proves the done
-	// channel was drained, so reusing the channel can never cross-deliver
-	// between submitters.
-	jobPool sync.Pool
 
 	// Telemetry, interned in the Metrics' backing obs registry: per-stage
 	// latency histograms, the end-to-end request-latency histogram the
@@ -330,66 +321,33 @@ type Fleet struct {
 	deadlineExceeded atomic.Int64
 }
 
+// job is one request in service and the storage its answer is built in.
+// Each worker owns one: serveBatch starts it for every item the worker
+// serves and empties it once the item is answered, so an idle worker holds
+// no app. A miss's placement view aliases names and assigns.
 type job struct {
-	f        *Fleet
 	req      Request
 	enqueued time.Time
-	// done is the channel Submit answers on, made by the first Submit to
-	// draw the job; Do and DoBatch never touch it.
-	done chan *Response
-
-	// Pool-owned response buffers, recycled by Response.Release: the
-	// response itself, the detached copy of the Exec's result, and the
-	// scratch backing cache-miss placement views. In steady state a request
-	// touches none of the allocator.
-	resp    Response
-	result  sim.Result
-	names   []string
-	assigns []sim.Assignment
+	resp     Response
+	names    []string
+	assigns  []sim.Assignment
 }
 
-// getJob draws a job from the pool (or mints one) for a request admitted at
-// enqueued, filling in the default tenant.
-func (f *Fleet) getJob(req Request, enqueued time.Time) *job {
-	j := f.jobPool.Get().(*job)
-	j.f = f
+// start readies the job, empty between items, for a request admitted at
+// enqueued, filling in the default tenant, and returns its response.
+func (j *job) start(req Request, enqueued time.Time) *Response {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	j.req = req
-	j.enqueued = enqueued
-	return j
-}
-
-// deadline is when the request's budget runs out; zero for none.
-func (j *job) deadline() time.Time {
-	if j.req.Deadline <= 0 {
-		return time.Time{}
-	}
-	return j.enqueued.Add(j.req.Deadline)
+	j.req, j.enqueued = req, enqueued
+	j.resp.Tenant, j.resp.App = req.Tenant, req.App.Name
+	return &j.resp
 }
 
 // expired reports whether the request's budget is spent at the stamp at, a
 // time since its admission.
 func (j *job) expired(at time.Duration) bool {
 	return j.req.Deadline > 0 && at >= j.req.Deadline
-}
-
-// putJob clears a job's references and returns it to the pool. Buffers with
-// reusable capacity — the result's slices and maps, the placement-view
-// scratch, the done channel — are kept; everything that pins caller memory
-// (the app, view aliases) is dropped.
-func (f *Fleet) putJob(j *job) {
-	j.req = Request{}
-	j.enqueued = time.Time{}
-	r := &j.resp
-	r.Tenant, r.App = "", ""
-	r.Placement = PlacementView{}
-	r.Result = nil
-	r.Encoded = nil
-	r.Err = nil
-	r.owner = nil
-	f.jobPool.Put(j)
 }
 
 // New starts a fleet with the given config. It builds the fleet's cluster
@@ -404,7 +362,6 @@ func New(cfg Config) *Fleet {
 		cache: newPlacementCache(cfg.CacheSize),
 		idle:  make(chan *workerState, cfg.Workers),
 	}
-	f.jobPool.New = func() any { return new(job) }
 	reg := cfg.Metrics.Obs()
 	f.overflowLabels = newTenantLabels(reg, "other")
 	f.stages = obs.NewStageSet(reg, "fleet_stage_seconds")
@@ -495,24 +452,16 @@ func (f *Fleet) Stats() Stats {
 	}
 }
 
-// check validates a single request before admission. An already-cancelled
-// ctx turns it away uncounted, like a malformed request.
-func check(ctx context.Context, req *Request) error {
-	if req.App == nil {
-		return fmt.Errorf("fleet: request without app")
-	}
-	return ctx.Err()
-}
-
-// checkBatch is check for a batch: it must be non-empty and every item must
-// carry an app.
+// checkBatch validates a batch before admission: it must be non-empty and
+// every item must carry an app. An already-cancelled ctx turns it away
+// uncounted, like a malformed request.
 func checkBatch(ctx context.Context, reqs []Request) error {
 	if len(reqs) == 0 {
 		return fmt.Errorf("fleet: empty batch")
 	}
 	for i := range reqs {
 		if reqs[i].App == nil {
-			return fmt.Errorf("fleet: batch request %d without app", i)
+			return fmt.Errorf("fleet: request %d without app", i)
 		}
 	}
 	return ctx.Err()
@@ -580,61 +529,31 @@ func (f *Fleet) await(ctx context.Context, deadline time.Time, n int64) (*worker
 	return w, err
 }
 
-// Do serves one request on the caller's goroutine: it borrows an idle
-// worker — or, when every worker is busy, waits for one in a waiter slot —
-// runs the pipeline and puts the worker back. A full set of waiter slots
-// rejects the request with ErrQueueFull, a closed fleet with ErrClosed. A
-// caller whose ctx is done while it waits gets ctx.Err() and no response (the
-// request counts as failed and is never scheduled); a request whose deadline
-// passes while it waits is answered with a response failed with ErrDeadline.
+// Do serves one request as a one-item DoBatch and returns a copy of its
+// answer that the caller keeps. Like DoBatch's, its error is for admission
+// only: ErrQueueFull, ErrClosed, ctx.Err() for a context already done, or a
+// request without an app. A request whose wait for a worker ends early —
+// ctx done, or its deadline passed — is answered with a response failed
+// with that error.
 func (f *Fleet) Do(ctx context.Context, req Request) (*Response, error) {
-	if err := check(ctx, &req); err != nil {
-		return nil, err
-	}
-	enqueued := time.Now()
-	w, err := f.admit(1)
-	if err != nil {
-		return nil, err
-	}
-	defer f.wg.Done()
-	return f.serve(ctx, w, f.getJob(req, enqueued))
-}
-
-// serve answers one admitted request: it waits for a worker when admission
-// handed it none, runs the pipeline on it, and returns it to the pool. A
-// wait cut short by ctx fails the request and returns ctx.Err() without a
-// response.
-func (f *Fleet) serve(ctx context.Context, w *workerState, j *job) (*Response, error) {
-	if w == nil {
-		var err error
-		if w, err = f.await(ctx, j.deadline(), 1); err != nil {
-			resp := f.fail(j, err)
-			if errors.Is(err, ErrDeadline) {
-				return resp, nil
-			}
-			resp.Release()
-			return nil, err
-		}
-	}
-	resp := f.process(w, j)
-	f.note(&w.pending, w.shard, resp)
-	f.publish(w.shard, &w.pending)
-	f.idle <- w
-	return resp, nil
+	var resp *Response
+	err := f.DoBatch(ctx, []Request{req}, func(r *Response) { resp = r.detach() })
+	return resp, err
 }
 
 // DoBatch serves a batch of requests as one unit on the caller's goroutine:
 // one admission, one timestamp, and one borrowed worker runs every item back
 // to back. each receives every item's response in submission order, tagged
-// with its Index, and owns it under the Release contract. Admission is
-// all-or-nothing: the batch takes a single waiter slot however many items it
-// carries, and a fleet with no free slot rejects the whole batch with
-// ErrQueueFull (counting len(reqs) rejections). A waiting batch arms one
-// timer, at its latest item deadline, and only when every item has one. If
-// its wait ends early — ctx done or that deadline passed — every item is
-// answered through each with the error; so is every item not yet run when
-// ctx is done. The error return is for admission only. The worker publishes
-// the batch's telemetry once, before each receives the last response.
+// with its Index; a response is valid until each returns (see Response).
+// Admission is all-or-nothing: the batch takes a single waiter slot however
+// many items it carries, and a fleet with no free slot rejects the whole
+// batch with ErrQueueFull (counting len(reqs) rejections). A waiting batch
+// arms one timer, at its latest item deadline, and only when every item has
+// one. If its wait ends early — ctx done or that deadline passed — every
+// item is answered through each with the error; so is every item not yet
+// run when ctx is done. The error return is for admission only. The worker
+// publishes the batch's telemetry once, before each receives the last
+// response.
 func (f *Fleet) DoBatch(ctx context.Context, reqs []Request, each func(*Response)) error {
 	if err := checkBatch(ctx, reqs); err != nil {
 		return err
@@ -649,11 +568,20 @@ func (f *Fleet) DoBatch(ctx context.Context, reqs []Request, each func(*Response
 	return nil
 }
 
-// serveBatch answers every request of one admitted batch, in order.
+// serveBatch answers every request of one admitted batch, in order, from
+// the job of the worker that serves it, and returns the worker to the pool.
+// A batch whose wait for a worker failed answers its items from a job of its
+// own: the one allocation on this path.
 func (f *Fleet) serveBatch(ctx context.Context, w *workerState, reqs []Request, enqueued time.Time, each func(*Response)) {
 	var err error
 	if w == nil {
 		w, err = f.await(ctx, waitDeadline(reqs, enqueued), int64(len(reqs)))
+	}
+	var j *job
+	if w != nil {
+		j = &w.job
+	} else {
+		j = new(job)
 	}
 	// Before each item: did the caller hang up? The first item asks Err.
 	// Later ones take a non-blocking receive on Done, read once, which
@@ -662,7 +590,7 @@ func (f *Fleet) serveBatch(ctx context.Context, w *workerState, reqs []Request, 
 	// deploy, never asks for it.
 	var done <-chan struct{}
 	for i := range reqs {
-		j := f.getJob(reqs[i], enqueued)
+		resp := j.start(reqs[i], enqueued)
 		if err == nil {
 			switch i {
 			case 0:
@@ -678,11 +606,10 @@ func (f *Fleet) serveBatch(ctx context.Context, w *workerState, reqs []Request, 
 				}
 			}
 		}
-		var resp *Response
 		if err != nil {
-			resp = f.fail(j, err)
+			f.fail(j, err)
 		} else {
-			resp = f.process(w, j)
+			f.process(w, j)
 			f.note(&w.pending, w.shard, resp)
 		}
 		// The batch is published before its last response is handed over,
@@ -692,6 +619,7 @@ func (f *Fleet) serveBatch(ctx context.Context, w *workerState, reqs []Request, 
 		}
 		resp.Index = i
 		each(resp)
+		j.req, j.resp = Request{}, Response{}
 	}
 	if w != nil {
 		f.idle <- w
@@ -716,53 +644,34 @@ func waitDeadline(reqs []Request, enqueued time.Time) time.Time {
 // It is recorded like any failed request, its whole latency in the queue
 // stage, through a pending batch of its own that it publishes on shard 0 at
 // once: no worker's batch is involved.
-func (f *Fleet) fail(j *job, err error) *Response {
+func (f *Fleet) fail(j *job, err error) {
 	if errors.Is(err, ErrDeadline) {
 		f.deadlineExceeded.Add(1)
 		err = fmt.Errorf("fleet: waiting for a worker for %s: %w", j.req.App.Name, err)
 	}
-	resp := j.reset()
+	resp := &j.resp
 	resp.Err = err
 	resp.Latency = time.Since(j.enqueued)
 	resp.QueueWait = resp.Latency
-	resp.Stages = obs.StageTrace{}
 	resp.Stages.D[obs.StageQueue] = resp.Latency
 	var p pending
 	f.note(&p, 0, resp)
 	f.publish(0, &p)
-	return resp
 }
 
-// Submit is Do without the wait: it admits the request at once — so
-// ErrQueueFull and ErrClosed come back from the call — and serves it on a
-// goroutine of its own, which delivers exactly one Response on the returned
-// channel. There is at most one such goroutine per worker and waiter slot.
+// Submit is Do without the wait: SubmitBatch of the one request, without a
+// context.
 func (f *Fleet) Submit(req Request) (<-chan *Response, error) {
-	if err := check(context.Background(), &req); err != nil {
-		return nil, err
-	}
-	enqueued := time.Now()
-	w, err := f.admit(1)
-	if err != nil {
-		return nil, err
-	}
-	j := f.getJob(req, enqueued)
-	if j.done == nil {
-		j.done = make(chan *Response, 1)
-	}
-	done := j.done
-	go func() {
-		defer f.wg.Done()
-		resp, _ := f.serve(context.Background(), w, j)
-		done <- resp
-	}()
-	return done, nil
+	return f.SubmitBatch(context.Background(), []Request{req})
 }
 
-// SubmitBatch is DoBatch without the wait: admission happens in the call,
-// and the returned channel delivers exactly len(reqs) responses in
-// submission order. The context, if non-nil, covers every item as DoBatch's
-// does. The reqs slice itself is not retained.
+// SubmitBatch is DoBatch without the wait: admission happens in the call —
+// so ErrQueueFull and ErrClosed come back from it — and a goroutine of its
+// own serves the batch and delivers exactly len(reqs) responses on the
+// returned channel, in submission order, each a copy the receiver keeps.
+// There is at most one such goroutine per worker and waiter slot. The
+// context, if non-nil, covers every item as DoBatch's does. The reqs slice
+// itself is not retained.
 func (f *Fleet) SubmitBatch(ctx context.Context, reqs []Request) (<-chan *Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -779,7 +688,7 @@ func (f *Fleet) SubmitBatch(ctx context.Context, reqs []Request) (<-chan *Respon
 	done := make(chan *Response, len(reqs))
 	go func() {
 		defer f.wg.Done()
-		f.serveBatch(ctx, w, reqs, enqueued, func(resp *Response) { done <- resp })
+		f.serveBatch(ctx, w, reqs, enqueued, func(resp *Response) { done <- resp.detach() })
 	}()
 	return done, nil
 }
@@ -802,7 +711,7 @@ func (f *Fleet) Close() {
 	f.wg.Wait()
 }
 
-// workerState is the per-worker context: a private scheduler, a pooled
+// workerState is the per-worker context: a private scheduler, a reusable
 // simulator Exec, the scratch every shape is compiled into, and one scheduler
 // pass retargeted at each request's model. The cluster is the fleet's, read
 // through the adopted churn state.
@@ -838,6 +747,11 @@ type workerState struct {
 	// pending is the telemetry of the answers the current borrower has
 	// served and not yet published; empty whenever the worker is idle.
 	pending pending
+
+	// job is the request the worker is serving and the storage its answer
+	// is built in; its request and response are empty whenever the worker
+	// is idle.
+	job job
 }
 
 // pending is one borrower's unpublished telemetry: every answer served on a
@@ -873,8 +787,8 @@ type tenantBatch struct {
 // borrower serving on shard: its fleet and tenant counts and histograms
 // wait in p for publish, while the slow ring sees the request at once (it
 // is counted toward a retune at publish). An answer for another tenant than
-// the one p holds publishes that tenant's part first. note must run before
-// the response is handed to its receiver, who may Release it.
+// the one p holds publishes that tenant's part first. note runs before the
+// response is handed to its receiver.
 func (f *Fleet) note(p *pending, shard int, resp *Response) {
 	failed := resp.Err != nil
 	if failed {
@@ -1037,8 +951,8 @@ func (f *Fleet) shape(w *workerState, app *dag.App) compiledShape {
 // exactly. Both deadline checks compare the stamp just taken with the
 // request's budget. A hit answered from its entry reads the clock three
 // times — queue, fingerprint, and a cache_lookup that runs up to the answer
-// — and in steady state, with no churn in flight, allocates nothing once the
-// job pool is full; churn awareness costs one atomic load.
+// — and in steady state, with no churn in flight, allocates nothing; churn
+// awareness costs one atomic load.
 //
 // Under churn the path loops: every computed or cached placement is
 // re-validated against the latest published epoch before it is served. A
@@ -1053,7 +967,7 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 	w.trace.Reset()
 	at := time.Since(j.enqueued)
 	w.trace.D[obs.StageQueue] = at
-	resp := j.reset()
+	resp := &j.resp
 	resp.QueueWait = at
 
 	w.churn = f.churn.Load()
@@ -1083,8 +997,8 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 			}
 			err := f.scheduleOn(w, j, &shape)
 			if err == nil {
-				// The response serves the job's pooled scratch, never a map;
-				// the memo copies it.
+				// The response serves the job's scratch, never a map; the
+				// memo copies it.
 				view = PlacementView{names: j.names, assigns: j.assigns}
 				f.cache.PutView(key, view)
 			}
@@ -1153,12 +1067,10 @@ func (f *Fleet) process(w *workerState, j *job) *Response {
 		}
 		resp.Result, resp.Encoded = stored, &entry.encoded
 	} else {
-		// The exec's result buffer is reused on the next request; the
-		// response escapes to the submitter, so it gets a detached copy —
-		// into the job's pooled buffer, whose slices and maps a warm pool
-		// reuses outright.
-		result.CloneInto(&j.result)
-		resp.Result = &j.result
+		// A miss is answered from the exec's own result buffer: only this
+		// worker's next simulation overwrites it, and that starts after the
+		// response's receiver has returned.
+		resp.Result = result
 	}
 	return w.finish(resp, w.stamp(obs.StageSim, at, j))
 }
@@ -1170,26 +1082,6 @@ func (w *workerState) stamp(s obs.Stage, from time.Duration, j *job) time.Durati
 	at := time.Since(j.enqueued)
 	w.trace.D[s] += at - from
 	return at
-}
-
-// reset readies the job's pooled response for a new answer: every public
-// field a prior life may have set is cleared (finish and fail overwrite
-// Latency, QueueWait and Stages on every path), the Release plumbing is
-// wired up, and the buffers are kept.
-func (j *job) reset() *Response {
-	resp := &j.resp
-	resp.Tenant = j.req.Tenant
-	resp.App = j.req.App.Name
-	resp.Placement = PlacementView{}
-	resp.Result = nil
-	resp.Encoded = nil
-	resp.CacheHit = false
-	resp.Epoch = 0
-	resp.Index = 0
-	resp.Err = nil
-	resp.owner = j
-	resp.pooled = true
-	return resp
 }
 
 // finish closes out a response: its latency is the last stamp, at, and the

@@ -577,7 +577,6 @@ func TestBatchAndSingleShareKeys(t *testing.T) {
 	if resp.CacheHit {
 		t.Fatal("first submission hit an empty placement cache")
 	}
-	resp.Release()
 
 	reqs := []Request{{App: app}, {App: app}, {App: workload.VideoProcessing()}, {App: app}}
 	ch, err := f.SubmitBatch(context.Background(), reqs)
@@ -592,7 +591,6 @@ func TestBatchAndSingleShareKeys(t *testing.T) {
 		if !resp.CacheHit {
 			t.Errorf("batch item %d missed the placement its single submission memoized", resp.Index)
 		}
-		resp.Release()
 	}
 	s := f.Stats()
 	if s.Cache.Misses != 1 || s.Cache.Hits != int64(len(reqs)) {
@@ -618,7 +616,6 @@ func TestCompileCountLaw(t *testing.T) {
 			if err != nil || resp.Err != nil {
 				t.Fatal(err, resp.Err)
 			}
-			resp.Release()
 		}
 	}
 
@@ -689,8 +686,9 @@ func TestFleetCompilesClusterOnce(t *testing.T) {
 }
 
 // TestWarmPathAllocs gates the steady-state request path — placement
-// memoized, shape compiled, app digest stored, response released — at two
-// allocations per request, single and batched alike.
+// memoized, shape compiled, app digest stored — at no allocation per
+// request, through DoBatch, the path the front door serves, with one item
+// and with sixteen.
 func TestWarmPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -698,39 +696,33 @@ func TestWarmPathAllocs(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1})
 	ctx := context.Background()
 	app := workload.TextProcessing()
-	single := func() {
-		resp, err := f.Do(ctx, Request{Tenant: "t", App: app})
-		if err != nil || resp.Err != nil {
-			t.Fatal(err, resp.Err)
-		}
-		resp.Release()
-	}
-	const batchSize = 16
-	reqs := make([]Request, batchSize)
+	reqs := make([]Request, 16)
 	for i := range reqs {
 		reqs[i] = Request{Tenant: "t", App: app}
 	}
-	batch := func() {
-		ch, err := f.SubmitBatch(ctx, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for range reqs {
-			resp := <-ch
-			if resp.Err != nil {
-				t.Fatal(resp.Err)
-			}
-			resp.Release()
+	check := func(resp *Response) {
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
 		}
 	}
-	for i := 0; i < 50; i++ { // fill the caches and the job pool
+	single := func() {
+		if err := f.DoBatch(ctx, reqs[:1], check); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func() {
+		if err := f.DoBatch(ctx, reqs, check); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ { // fill the caches
 		single()
 		batch()
 	}
-	if got := testing.AllocsPerRun(200, single); got > 2 {
-		t.Errorf("warm single request: %.1f allocs, want <= 2", got)
+	if got := testing.AllocsPerRun(200, single); got != 0 {
+		t.Errorf("warm one-item DoBatch: %.1f allocs, want 0", got)
 	}
-	if got := testing.AllocsPerRun(50, batch) / batchSize; got > 2 {
-		t.Errorf("warm batch: %.2f allocs per request, want <= 2", got)
+	if got := testing.AllocsPerRun(50, batch) / float64(len(reqs)); got != 0 {
+		t.Errorf("warm 16-item DoBatch: %.2f allocs per request, want 0", got)
 	}
 }

@@ -37,7 +37,6 @@ func TestConcurrentFirstHitsAgree(t *testing.T) {
 	if miss.Encoded != nil {
 		t.Fatal("a miss carries an encoded slot")
 	}
-	miss.Release()
 	key := cacheKey{app: app.Digest()}
 	if f.cache.Get(key).result.Load() != nil {
 		t.Fatal("a miss filled the entry's result slot")
@@ -57,7 +56,6 @@ func TestConcurrentFirstHitsAgree(t *testing.T) {
 				t.Error(err, resp)
 				return
 			}
-			defer resp.Release()
 			if !resp.CacheHit {
 				t.Errorf("caller %d missed a scheduled key", c)
 			}
@@ -98,7 +96,6 @@ func TestEncodedSlotOnePerKey(t *testing.T) {
 		if miss.CacheHit || miss.Encoded != nil {
 			t.Fatalf("%s: first deploy cache_hit=%v, encoded slot %p; want a miss without one", app.Name, miss.CacheHit, miss.Encoded)
 		}
-		miss.Release()
 	}
 
 	start := make(chan struct{})
@@ -115,7 +112,6 @@ func TestEncodedSlotOnePerKey(t *testing.T) {
 				t.Error(err, resp)
 				return
 			}
-			defer resp.Release()
 			if resp.Encoded == nil {
 				t.Errorf("caller %d: a hit without an encoded slot", c)
 				return
@@ -144,9 +140,10 @@ func TestEncodedSlotOnePerKey(t *testing.T) {
 	}
 }
 
-// TestMissOnRecycledJobHasNoSlot: a miss served on a pooled job whose last
-// response was a memoized hit carries no encoded slot. A leftover slot
-// would have the miss answered with another key's stored bytes.
+// TestMissOnRecycledJobHasNoSlot: a miss served on the job whose last
+// answer was a memoized hit carries no encoded slot. A leftover slot would
+// have the miss answered with another key's stored bytes. One worker serves
+// one batch, so the hit and the miss share its one job.
 func TestMissOnRecycledJobHasNoSlot(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
 	app := workload.VideoProcessing()
@@ -155,35 +152,26 @@ func TestMissOnRecycledJobHasNoSlot(t *testing.T) {
 		if err != nil || resp.Err != nil {
 			t.Fatal(err, resp.Err)
 		}
-		resp.Release()
 	}
-	// sync.Pool may drop a released job (race builds drop some on purpose),
-	// so retry until a miss lands on the job the hit just released.
-	for attempt := range 100 {
-		hit, err := f.Do(context.Background(), Request{App: app})
-		if err != nil || hit.Err != nil {
-			t.Fatal(err, hit.Err)
-		}
-		if !hit.CacheHit || hit.Encoded == nil {
-			t.Fatalf("warm deploy: cache_hit=%v, encoded slot %p; want a hit with one", hit.CacheHit, hit.Encoded)
-		}
-		hit.Release()
-		app2, err := workload.Generate(workload.DefaultGeneratorConfig(6, int64(attempt)+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		miss, err := f.Do(context.Background(), Request{App: app2})
-		if err != nil || miss.Err != nil {
-			t.Fatal(err, miss.Err)
-		}
-		recycled := miss == hit
-		if miss.CacheHit || miss.Encoded != nil {
-			t.Fatalf("attempt %d: miss cache_hit=%v, encoded slot %p (recycled job %v); want no slot", attempt, miss.CacheHit, miss.Encoded, recycled)
-		}
-		miss.Release()
-		if recycled {
-			return
-		}
+	app2, err := workload.Generate(workload.DefaultGeneratorConfig(6, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no miss landed on a recycled job in 100 attempts: the test exercised nothing")
+	var served []*Response
+	err = f.DoBatch(context.Background(), []Request{{App: app}, {App: app2}}, func(resp *Response) {
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		hit := resp.Index == 0
+		if resp.CacheHit != hit || (resp.Encoded != nil) != hit {
+			t.Errorf("item %d: cache_hit=%v, encoded slot %p; want a hit with a slot, then a miss without one", resp.Index, resp.CacheHit, resp.Encoded)
+		}
+		served = append(served, resp)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(served) != 2 || served[0] != served[1] {
+		t.Fatal("the hit and the miss were not answered from one job")
+	}
 }

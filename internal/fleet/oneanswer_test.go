@@ -84,7 +84,6 @@ func TestEveryAnswerIsCoreDeploy(t *testing.T) {
 						t.Error(err, resp)
 						return
 					}
-					defer resp.Release()
 					if memoized && (!resp.CacheHit || resp.Stages.D[obs.StageSim] != 0 || resp.Stages.D[obs.StageCompile] != 0) {
 						t.Errorf("%s %s %s: not a memoized hit: cache_hit=%v, stages %+v",
 							ep.name, call, apps[k].Name, resp.CacheHit, resp.Stages)
@@ -121,7 +120,9 @@ func TestEveryAnswerIsCoreDeploy(t *testing.T) {
 // pass appended. A stream of never-seen apps, each a miss, on the base
 // cluster and after a device crash (a patched cluster table, whose ids the
 // shape's model and plan share) must still equal core.System.Deploy on the
-// epoch's effective cluster bit for bit, placement and result both.
+// epoch's effective cluster bit for bit, placement and result both — read
+// from Do's copy and, inside DoBatch's callback, from the worker's own
+// scratch and simulator buffer.
 func TestMissAnswersFromPassChoices(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
 	for _, ep := range []struct {
@@ -143,21 +144,82 @@ func TestMissAnswersFromPassChoices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := f.Do(context.Background(), Request{App: app})
-			if err != nil || resp.Err != nil {
-				t.Fatal(err, resp)
+			check := func(via string, resp *Response) {
+				if resp.Err != nil {
+					t.Fatal(resp.Err)
+				}
+				if resp.CacheHit {
+					t.Fatalf("%s %s via %s: a never-seen app hit the placement cache", ep.name, app.Name, via)
+				}
+				if got := resp.Placement.Materialize(); !reflect.DeepEqual(got, want.Placement) {
+					t.Errorf("%s %s via %s: fleet placed %v, core %v", ep.name, app.Name, via, got, want.Placement)
+				}
+				if !reflect.DeepEqual(resp.Result, want.Result) {
+					t.Errorf("%s %s via %s: fleet answered %.6g s / %.6g J, core %.6g s / %.6g J", ep.name, app.Name, via,
+						resp.Result.Makespan, float64(resp.Result.TotalEnergy), want.Result.Makespan, float64(want.Result.TotalEnergy))
+				}
 			}
-			if resp.CacheHit {
-				t.Fatalf("%s %s: a never-seen app hit the placement cache", ep.name, app.Name)
+			req := Request{App: app}
+			if seed%2 == 0 {
+				if err := f.DoBatch(context.Background(), []Request{req}, func(resp *Response) { check("DoBatch", resp) }); err != nil {
+					t.Fatal(err)
+				}
+				continue
 			}
-			if got := resp.Placement.Materialize(); !reflect.DeepEqual(got, want.Placement) {
-				t.Errorf("%s %s: fleet placed %v, core %v", ep.name, app.Name, got, want.Placement)
+			resp, err := f.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(resp.Result, want.Result) {
-				t.Errorf("%s %s: fleet answered %.6g s / %.6g J, core %.6g s / %.6g J", ep.name, app.Name,
-					resp.Result.Makespan, float64(resp.Result.TotalEnergy), want.Result.Makespan, float64(want.Result.TotalEnergy))
-			}
-			resp.Release()
+			check("Do", resp)
+		}
+	}
+}
+
+// TestAnswersOutliveTheWorker pins the lifetime rule: an answer from Do or
+// Submit is the caller's to keep. On a one-worker fleet, a Do miss and a
+// Submit miss are snapshotted; then 50 misses of other apps, of other sizes,
+// run on that worker, overwriting its placement scratch and simulator
+// buffer each time. Both answers must still equal their snapshots.
+func TestAnswersOutliveTheWorker(t *testing.T) {
+	f := testFleet(t, Config{Workers: 1, NewCluster: scaled2})
+	snapshot := func(resp *Response) Response {
+		c := *resp
+		c.Placement = NewPlacementView(resp.Placement.Materialize())
+		c.Result = resp.Result.Clone()
+		return c
+	}
+	kept, err := f.Do(context.Background(), Request{App: oneShot(t, 9, 900)})
+	if err != nil || kept.Err != nil {
+		t.Fatal(err, kept.Err)
+	}
+	ch, err := f.Submit(Request{App: oneShot(t, 11, 901)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := <-ch
+	if submitted.Err != nil {
+		t.Fatal(submitted.Err)
+	}
+	if kept.CacheHit || submitted.CacheHit {
+		t.Fatal("a never-seen app hit the placement cache")
+	}
+	want := []Response{snapshot(kept), snapshot(submitted)}
+
+	reqs := make([]Request, 50)
+	for i := range reqs {
+		reqs[i] = Request{App: oneShot(t, 2+i%14, int64(1000+i))}
+	}
+	err = f.DoBatch(context.Background(), reqs, func(resp *Response) {
+		if resp.Err != nil || resp.CacheHit {
+			t.Fatalf("item %d: cache_hit=%v, err %v; want a miss", resp.Index, resp.CacheHit, resp.Err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range []*Response{kept, submitted} {
+		if !reflect.DeepEqual(*resp, want[i]) {
+			t.Errorf("answer %d changed after 50 more misses on its worker:\n got %+v\nwant %+v", i, *resp, want[i])
 		}
 	}
 }

@@ -93,7 +93,6 @@ func TestStagesPartitionLatency(t *testing.T) {
 		reqs := []Request{{App: app}, {App: video}, {App: infeasible}, {App: workload.TextProcessing()}}
 		if err := f.DoBatch(ctx, reqs, func(resp *Response) {
 			partitioned(t, "batch item", resp)
-			resp.Release()
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,6 @@ func TestStagesPartitionLatency(t *testing.T) {
 		if resp == nil || resp.Err != nil {
 			t.Fatalf("retried request answered %+v", resp)
 		}
-		defer resp.Release()
 		if st := f.Stats().Churn; st.Reschedules != 1 {
 			t.Fatalf("reschedules %d, want 1", st.Reschedules)
 		}
@@ -162,7 +160,6 @@ func TestStagesPartitionLatency(t *testing.T) {
 		}
 		resp := <-ch
 		unblock()
-		defer resp.Release()
 		if !errors.Is(resp.Err, ErrDeadline) {
 			t.Fatalf("expired wait answered %v, want ErrDeadline", resp.Err)
 		}

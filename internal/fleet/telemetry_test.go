@@ -171,13 +171,11 @@ func TestTelemetryPublishedPerCallMatchesPerObservation(t *testing.T) {
 			failed++
 		}
 		oracleSingle.record(resp)
-		resp.Release()
 	}
 	for i, k := 0, 0; i < len(reqs); k++ {
 		n := min(sizes[k%len(sizes)], len(reqs)-i)
 		err := batched.DoBatch(ctx, reqs[i:i+n], func(resp *Response) {
 			oracleBatched.record(resp)
-			resp.Release()
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +218,6 @@ func TestTelemetryPublishedPerCallMatchesPerObservation(t *testing.T) {
 			served++
 		}
 		oracleBatched.record(resp)
-		resp.Release()
 	})
 	cancel()
 	if err != nil || served != 1 {

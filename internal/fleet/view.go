@@ -11,13 +11,11 @@ import (
 // sorted-name and assignment slices instead of a Go map. It is the form
 // placements already take inside the memo (cacheEntry), so serving a cached
 // placement shares the entry's immutable slices with the response instead of
-// materializing a fresh map per request — one of the pooled response path's
-// allocation eliminations.
+// materializing a fresh map per request.
 //
-// A view delivered on a Response obeys the Response.Release contract: it is
-// valid until Release is called, after which the view (like every other
-// Response field) must not be touched. Materialize before Release to keep a
-// placement longer.
+// A view delivered on a Response lives as long as the Response does (see
+// Response): inside DoBatch's callback a miss's view is the worker's
+// scratch, so Materialize it to keep the placement past the callback.
 type PlacementView struct {
 	names   []string
 	assigns []sim.Assignment
@@ -76,7 +74,7 @@ func (v PlacementView) All() iter.Seq2[string, sim.Assignment] {
 }
 
 // Materialize rebuilds a caller-owned placement map from the view. Use it to
-// keep a placement past Response.Release.
+// keep a placement past DoBatch's callback.
 func (v PlacementView) Materialize() sim.Placement {
 	p := make(sim.Placement, len(v.names))
 	for i, name := range v.names {

@@ -35,11 +35,13 @@ type Backend interface {
 	// fleet.ErrClosed once the fleet is draining (a 503), ctx.Err() when
 	// the client is gone before admission. Once admitted, each receives
 	// every request's response in submission order, each carrying its
-	// Index, and the error is nil. ctx carries client hang-up: a request
-	// whose client leaves before its turn — while the batch waits for a
-	// worker, or between items — is answered failed with ctx.Err() and
-	// never costs a schedule; a request whose own deadline passes while it
-	// waits is answered failed with fleet.ErrDeadline.
+	// Index, and the error is nil. A response is valid until each returns:
+	// the handlers encode it there and never touch it after. ctx carries
+	// client hang-up: a request whose client leaves before its turn — while
+	// the batch waits for a worker, or between items — is answered failed
+	// with ctx.Err() and never costs a schedule; a request whose own
+	// deadline passes while it waits is answered failed with
+	// fleet.ErrDeadline.
 	DoBatch(ctx context.Context, reqs []fleet.Request, each func(*fleet.Response)) error
 	// ApplyChurn applies one live cluster delta and returns the new epoch
 	// (the middle result is always 0, as in fleet.Fleet.ApplyChurn).

@@ -186,7 +186,6 @@ func fleetFixtures(t testing.TB, cluster func() *sim.Cluster, apps ...*dag.App) 
 				CacheHit:  resp.CacheHit, QueueWait: resp.QueueWait, Latency: resp.Latency,
 				Epoch: resp.Epoch, Degraded: resp.Degraded,
 			})
-			resp.Release()
 		}
 	}
 	return out

@@ -199,7 +199,6 @@ func checkFleetAnswers(t *testing.T, set probeSet, answers []probeAnswer) {
 			}
 			checkAnswer(t, app.Name, round, resp.CacheHit, round > 0,
 				resp.Placement.Materialize(), float64(resp.Result.TotalEnergy), answers[i])
-			resp.Release()
 		}
 	}
 }

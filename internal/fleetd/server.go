@@ -150,7 +150,7 @@ func New(cfg Config) (*Server, error) {
 	s.specs = wire.NewInterner(cfg.Registry, "fleetd_spec_intern")
 	s.bodies.New = func() any {
 		b := &requestBody{data: make([]byte, 0, 4<<10)}
-		b.keep = func(resp *fleet.Response) { b.resp = resp }
+		b.one = func(resp *fleet.Response) { s.addDeploy(b, resp) }
 		b.add = func(resp *fleet.Response) { s.addItem(b, resp) }
 		return b
 	}
@@ -341,36 +341,40 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	}
 	t := s.tenant(tenant)
 	// A single deploy is a one-item batch. Its slice and the callback that
-	// keeps its response live in a pooled buffer, which then carries the
+	// encodes its answer live in a pooled buffer, which then carries the
 	// answer, so handing them to the backend allocates nothing.
 	answer := s.bodies.Get().(*requestBody)
 	answer.reqs = append(answer.reqs[:0], req)
-	admitted := s.serve(w, r, t, answer.reqs, answer.keep)
-	resp := answer.resp
-	answer.resp = nil
-	if !admitted {
+	answer.tenant, answer.encoded = t, false
+	if !s.serve(w, r, t, answer.reqs, answer.one) {
 		s.releaseBody(answer)
 		return
 	}
-	s.answered(t, resp)
+	if err := answer.err; err != nil {
+		s.releaseBody(answer)
+		status, code := answerError(err)
+		writeError(w, status, code, err.Error(), 0)
+		return
+	}
+	s.writeAnswer(w, answer, answer.encoded)
+}
+
+// addDeploy is a single deploy's callback: it appends the answer to the
+// buffer, or keeps the error the deploy failed with.
+func (s *Server) addDeploy(answer *requestBody, resp *fleet.Response) {
+	s.answered(answer.tenant, resp)
 	if resp.Err != nil {
-		respErr := resp.Err
-		resp.Release()
-		s.releaseBody(answer)
-		status, code := answerError(respErr)
-		writeError(w, status, code, respErr.Error(), 0)
+		answer.err = resp.Err
 		return
 	}
-	var stored, encoded bool
-	answer.data, stored, encoded = appendDeploy(answer.data[:0], resp)
-	resp.Release()
+	var stored bool
+	answer.data, stored, answer.encoded = appendDeploy(answer.data[:0], resp)
 	switch {
-	case encoded && stored:
+	case answer.encoded && stored:
 		s.encodeStored.Add(1)
-	case encoded:
+	case answer.encoded:
 		s.encodeFresh.Add(1)
 	}
-	s.writeAnswer(w, answer, encoded)
 }
 
 // open answers what both deploy endpoints answer before reading a body: 405
@@ -481,20 +485,22 @@ func (s *Server) writeAnswer(w http.ResponseWriter, answer *requestBody, ok bool
 // requestBody is one pooled deploy-request buffer, with the batch scanner's
 // item scratch beside it. As an answer buffer it also carries the deploy's
 // requests (reqs) and the two callbacks, made once per buffer, that the
-// backend hands their responses to: keep stores a single deploy's one
-// response in resp; add (addItem) appends each of a batch's to data.
+// backend hands their responses to: one (addDeploy) appends a single
+// deploy's answer to data, add (addItem) each of a batch's. A response is
+// read only inside its callback.
 type requestBody struct {
 	data  []byte
 	items []wire.DeployItem
 	reqs  []fleet.Request
-	resp  *fleet.Response
-	keep  func(*fleet.Response)
+	one   func(*fleet.Response)
 	add   func(*fleet.Response)
 
-	// A batch's state while add runs: its tenant, whether its answer still
-	// encodes, and how many item tails were copied from an entry or encoded.
+	// The deploy's state while its callback runs: its tenant, whether its
+	// answer encodes, a single deploy's error, and how many of a batch's
+	// item tails were copied from an entry or encoded.
 	tenant        *tenantRecord
 	encoded       bool
+	err           error
 	stored, fresh int
 }
 
@@ -536,7 +542,7 @@ func (s *Server) releaseBody(body *requestBody) {
 	// leaves some past len. A request holds its tenant and app.
 	clear(body.items[:cap(body.items)])
 	clear(body.reqs)
-	body.tenant = nil
+	body.tenant, body.err = nil, nil
 	s.bodies.Put(body)
 }
 
@@ -738,8 +744,8 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // addItem is a batch answer buffer's add: it appends one response to the
-// answer as it arrives, and releases it. A response that will not encode
-// spoils the answer, but the rest are still received.
+// answer as it arrives. A response that will not encode spoils the answer,
+// but the rest are still received.
 func (s *Server) addItem(answer *requestBody, resp *fleet.Response) {
 	s.answered(answer.tenant, resp)
 	if answer.encoded {
@@ -755,7 +761,6 @@ func (s *Server) addItem(answer *requestBody, resp *fleet.Response) {
 			answer.fresh++
 		}
 	}
-	resp.Release()
 }
 
 // answerError maps an answered deploy's error to the status a single deploy

@@ -157,42 +157,6 @@ func (r *Result) Clone() *Result {
 	return &c
 }
 
-// CloneInto deep-copies the result into dst, reusing dst's slice and map
-// capacity where possible. It is the allocation-free counterpart of Clone
-// for callers that own a reusable Result buffer (the fleet's pooled response
-// path): after the call dst compares reflect.DeepEqual to Clone's output,
-// but a warm dst allocates nothing.
-func (r *Result) CloneInto(dst *Result) {
-	dst.App = r.App
-	dst.Makespan = r.Makespan
-	dst.TotalEnergy = r.TotalEnergy
-	dst.Microservices = append(dst.Microservices[:0], r.Microservices...)
-	if r.EnergyByDevice == nil {
-		dst.EnergyByDevice = nil
-	} else {
-		if dst.EnergyByDevice == nil {
-			dst.EnergyByDevice = make(map[string]units.Joules, len(r.EnergyByDevice))
-		} else {
-			clear(dst.EnergyByDevice)
-		}
-		for k, v := range r.EnergyByDevice {
-			dst.EnergyByDevice[k] = v
-		}
-	}
-	if r.BytesFromRegistry == nil {
-		dst.BytesFromRegistry = nil
-	} else {
-		if dst.BytesFromRegistry == nil {
-			dst.BytesFromRegistry = make(map[string]units.Bytes, len(r.BytesFromRegistry))
-		} else {
-			clear(dst.BytesFromRegistry)
-		}
-		for k, v := range r.BytesFromRegistry {
-			dst.BytesFromRegistry[k] = v
-		}
-	}
-}
-
 // ByName returns the result row for a microservice and whether it exists.
 func (r *Result) ByName(name string) (MicroserviceResult, bool) {
 	for _, m := range r.Microservices {
