@@ -129,12 +129,14 @@ func (ab *appBuild) spec(s *AppSpec) (*dag.App, error) {
 }
 
 // appBuild is the pooled scratch of one app decode, by the scanner or from
-// an AppSpec: the builder, and the arch list each vertex is read into before
-// the builder copies it. A non-nil arch list gives every vertex non-nil
-// Arches, which is what AppSpec.App has always built.
+// an AppSpec: the builder, the arch list each vertex is read into before
+// the builder copies it, and the scanner's record of the spec. A non-nil
+// arch list gives every vertex non-nil Arches, which is what AppSpec.App has
+// always built.
 type appBuild struct {
 	b      dag.Builder
 	arches []dag.Arch
+	rec    specRecord
 }
 
 var appBuilds = sync.Pool{New: func() any { return newAppBuild() }}
@@ -147,6 +149,7 @@ func (ab *appBuild) reset() {
 	ab.b.Reset()
 	clear(ab.arches[:cap(ab.arches)])
 	ab.arches = ab.arches[:0]
+	ab.rec.reset()
 }
 
 // AppSpecOf encodes an in-memory DAG as its wire form, stamped with the

@@ -161,34 +161,53 @@ func NewInterner(reg *obs.Registry, name string) *Interner {
 // reference decoder did not run. body may be reused once App returns.
 func (in *Interner) App(body []byte) (app *dag.App, fast bool, err error) {
 	key := in.hash(body[:min(len(body), internKeyLen)])
+	if app := in.lookup(key, body); app != nil {
+		return app, true, nil
+	}
+	return in.decode(body, key)
+}
+
+// lookup returns the app the table holds for body under key, counting the
+// hit, or nil.
+func (in *Interner) lookup(key uint64, body []byte) *dag.App {
 	sh := &in.shards[key%internShards]
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	for e := sh.byKey[key]; e != nil; e = e.next {
 		if e.body == string(body) {
 			e.Mark()
-			sh.mu.RUnlock()
 			in.hits.Add(1)
-			return e.app, true, nil
+			return e.app
 		}
 	}
-	sh.mu.RUnlock()
-	return in.decode(body, key)
+	return nil
 }
 
 // ItemApp is App for the spec of an item: the item's probe, when a scanner
 // of this table made one, answers a hit without touching the table again
-// and hands a miss its key. An item from anywhere else is App(item.App).
+// and hands a miss its key; a miss the scanner already built, or declined,
+// is not walked again. An item from anywhere else is App(item.App).
 func (in *Interner) ItemApp(item DeployItem) (app *dag.App, fast bool, err error) {
 	if e := item.held(); e != nil {
 		in.hits.Add(1)
 		return e.app, true, nil
 	}
-	if p := item.probe; p.keyed && len(item.App) >= internKeyLen {
-		return in.decode(item.App, p.key)
+	key := item.probe.key
+	if !item.probe.keyed || len(item.App) < internKeyLen {
+		// Unprobed, or shorter than the probed bytes and so keyed by all
+		// of itself: the probe did not look for it.
+		key = in.hash(item.App[:min(len(item.App), internKeyLen)])
+		if app := in.lookup(key, item.App); app != nil {
+			return app, true, nil
+		}
 	}
-	// Unprobed, or shorter than the probed bytes and so keyed by all of
-	// itself.
-	return in.App(item.App)
+	switch {
+	case item.built != nil:
+		return in.scanned(key, item.App, item.text, item.built), true, nil
+	case item.declined:
+		return in.reference(item.App, key)
+	}
+	return in.decode(item.App, key)
 }
 
 // held returns the entry whose body item.App is, when the probe found one:
@@ -227,21 +246,38 @@ func (in *Interner) probe(buf []byte, pos int) internProbe {
 
 // decode is the miss path of App and ItemApp, for a body under key.
 func (in *Interner) decode(body []byte, key uint64) (*dag.App, bool, error) {
-	in.misses.Add(1)
-	app, text, fast := scanApp(body)
-	if !fast {
-		spec, err := DecodeAppSpec(body)
-		if err != nil {
-			return nil, false, err
-		}
-		if app, err = spec.App(); err != nil {
-			return nil, false, err
-		}
+	if app, text, ok := scanApp(body); ok {
+		return in.scanned(key, body, text, app), true, nil
 	}
+	return in.reference(body, key)
+}
+
+// scanned counts the miss of a body the scanner built app from, with text
+// its copy of the body, and offers it for admission.
+func (in *Interner) scanned(key uint64, body []byte, text string, app *dag.App) *dag.App {
+	in.misses.Add(1)
 	if len(body) <= internMaxBody {
 		in.admit(key, body, text, app)
 	}
-	return app, fast, nil
+	return app
+}
+
+// reference is the miss of a body the scanner declined: the reference
+// decoder builds it, or words the error.
+func (in *Interner) reference(body []byte, key uint64) (*dag.App, bool, error) {
+	in.misses.Add(1)
+	spec, err := DecodeAppSpec(body)
+	if err != nil {
+		return nil, false, err
+	}
+	app, err := spec.App()
+	if err != nil {
+		return nil, false, err
+	}
+	if len(body) <= internMaxBody {
+		in.admit(key, body, "", app)
+	}
+	return app, false, nil
 }
 
 // admit records one sighting of an accepted body: the first stores its

@@ -50,6 +50,12 @@ type DeployItem struct {
 	App []byte
 
 	probe internProbe // what a table's scanner found at App; see ItemApp
+	// built is the app a table's scanner built from App where it walked it,
+	// and text the one copy of App that app's strings are cut from;
+	// declined reports that the walk declined App instead.
+	built    *dag.App
+	text     string
+	declined bool
 }
 
 // ScanDeploy reads a POST /v1/deploy envelope held in buf. The tenant is
@@ -127,17 +133,28 @@ func (s *scanner) itemField(key []byte, item *DeployItem, seen *fieldSet) (ok bo
 }
 
 // app reads an "app" value into item. With a table, a stored canonical spec
-// at the cursor is taken whole, unwalked.
+// at the cursor is taken whole, unwalked; any other spec is walked once,
+// and built where the walk accepts (buildAt). Where it declines, the spec
+// is only skipped, and the item marked so that ItemApp goes straight to the
+// reference decoder.
 func (s *scanner) app(item *DeployItem) (ok bool) {
-	if s.in != nil {
-		s.skipSpace()
-		item.probe = s.in.probe(s.buf, s.pos)
-		if e := item.probe.entry; e != nil && e.canonical {
-			start := s.pos
-			s.pos += len(e.body)
+	if s.in == nil {
+		item.App, ok = s.rawObject()
+		return ok
+	}
+	s.skipSpace()
+	start := s.pos
+	item.probe = s.in.probe(s.buf, start)
+	if e := item.probe.entry; e != nil && e.canonical {
+		s.pos += len(e.body)
+		item.App = s.buf[start:s.pos]
+		return true
+	} else if e == nil {
+		if item.built, item.text, s.pos, ok = buildAt(s.buf, start); ok {
 			item.App = s.buf[start:s.pos]
 			return true
 		}
+		s.pos, item.declined = start, true
 	}
 	item.App, ok = s.rawObject()
 	return ok
@@ -188,12 +205,12 @@ const (
 	dfSize
 )
 
-// scanApp decodes a canonical app spec straight into a validated *dag.App,
-// through the dag.Builder AppSpec.App builds with: each dataflow endpoint is
-// resolved once, as the edge is read, and the app comes out at its final
-// size with its ordering walk and digest. Every string in the app is a
-// substring of one copy of body, so a decode allocates the app's storage and
-// image maps, and nothing per name. That copy is returned as text: the app
+// scanApp decodes a canonical app spec straight into a validated *dag.App:
+// the walk records the spec (walk), one copy of body becomes the text every
+// string is cut from, and the record feeds the dag.Builder AppSpec.App
+// builds with (build), whose App comes out at its final size with its
+// ordering walk and digest. So a decode allocates the app's storage and
+// image maps, and nothing per name. The copy is returned as text: the app
 // already holds it, so a spec table that keeps text as the body keeps the
 // bytes once.
 func scanApp(body []byte) (app *dag.App, text string, ok bool) {
@@ -205,134 +222,232 @@ func scanApp(body []byte) (app *dag.App, text string, ok bool) {
 // scan is scanApp on the given scratch, which it leaves empty.
 func (ab *appBuild) scan(body []byte) (*dag.App, string, bool) {
 	defer ab.reset()
-	s := appScanner{scanner: scanner{buf: body}, text: string(body), ab: ab}
-	b := &ab.b
-	var version int64
+	end, ok := ab.walk(body, 0)
+	if !ok || spaceEnd(body, end) != len(body) {
+		return nil, "", false
+	}
+	text := string(body)
+	app, ok := ab.build(text)
+	if !ok {
+		return nil, "", false
+	}
+	return app, text, true
+}
+
+// buildAt is scanApp for the spec that starts at buf[start], the cursor of
+// an envelope scanner: the same walk, which stops where the spec's object
+// closes, then one copy of exactly buf[start:end] as the text. It returns
+// the app, its text and end.
+func buildAt(buf []byte, start int) (app *dag.App, text string, end int, ok bool) {
+	ab := appBuilds.Get().(*appBuild)
+	defer appBuilds.Put(ab)
+	defer ab.reset()
+	if end, ok = ab.walk(buf, start); !ok {
+		return nil, "", 0, false
+	}
+	text = string(buf[start:end])
+	if app, ok = ab.build(text); !ok {
+		return nil, "", 0, false
+	}
+	return app, text, end, true
+}
+
+// span is where a string lies in the walked spec, quotes excluded, as
+// offsets from the walk's base; the zero span is the empty string.
+type span struct{ from, to int }
+
+// specRecord is an app spec as the walk reads it, before a string of it
+// exists: names and image references as spans, integers parsed, the CPU
+// load as the span of its number (parsed by build, from the text).
+type specRecord struct {
+	version int64
+	name    span
+	ms      []msRecord
+	images  []imageRecord // every vertex's images, concatenated
+	edges   []edgeRecord
+}
+
+type msRecord struct {
+	name                                 span
+	imageSize, memory, storage, extInput int64
+	cores                                int
+	cpu                                  span
+	// arches and images are the vertex's runs of appBuild.arches and
+	// specRecord.images.
+	arches, images [2]int32
+}
+
+type imageRecord struct{ registry, ref span }
+
+type edgeRecord struct {
+	from, to span
+	size     int64
+}
+
+// reset zeroes what the last walk recorded; past len every slot is zero
+// already.
+func (r *specRecord) reset() {
+	clear(r.ms)
+	clear(r.images)
+	clear(r.edges)
+	*r = specRecord{ms: r.ms[:0], images: r.images[:0], edges: r.edges[:0]}
+}
+
+// walk reads the app spec that starts at buf[base] (after whitespace) into
+// ab.rec and returns the index just past its closing brace. Members may
+// come in any order — "dataflows" before "microservices" included — since
+// nothing is built until the object has closed.
+func (ab *appBuild) walk(buf []byte, base int) (end int, ok bool) {
+	s := appScanner{scanner: scanner{buf: buf, pos: base}, base: base, ab: ab}
+	r := &ab.rec
 	var seen fieldSet
-	// "dataflows" may precede "microservices" (an encoder that sorts keys
-	// writes them so); the builder needs the vertices first, so such an
-	// array is skipped and read once the object is done.
-	dataflowsAt := -1
-	ok := s.object(func(key []byte) (ok bool) {
+	ok = s.object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "version":
-			version, ok = s.integer()
+			r.version, ok = s.integer()
 			return ok && seen.first(specVersion)
 		case "name":
-			b.Name, ok = s.string()
+			r.name, ok = s.span()
 			return ok && seen.first(specName)
 		case "microservices":
 			return seen.first(specMicroservices) && s.array(s.microservice)
 		case "dataflows":
-			if !seen.first(specDataflows) {
-				return false
-			}
-			if seen&specMicroservices != 0 {
-				return s.dataflows()
-			}
-			s.skipSpace()
-			dataflowsAt = s.pos
-			return s.skipValue()
+			return seen.first(specDataflows) && s.array(s.dataflow)
 		}
 		return false
-	}) && s.end()
-	if ok && dataflowsAt >= 0 {
-		s.pos = dataflowsAt
-		ok = s.dataflows()
-	}
-	if !ok || version < 1 || version > AppSpecVersion || b.Name == "" {
-		return nil, "", false
-	}
-	app, err := b.App()
-	if err != nil {
-		return nil, "", false
-	}
-	return app, s.text, true
+	})
+	return s.pos, ok
 }
 
-// appScanner is a scanner that also holds its buffer as one string, which
-// the app's strings are cut from, and the scratch it builds the app in.
+// build feeds ab.rec to the builder, cutting every string from text, the
+// walked spec's bytes from its base on, and returns the validated app.
+func (ab *appBuild) build(text string) (*dag.App, bool) {
+	r := &ab.rec
+	if r.version < 1 || r.version > AppSpecVersion || r.name.to == r.name.from {
+		return nil, false
+	}
+	cut := func(sp span) string { return text[sp.from:sp.to] }
+	b := &ab.b
+	b.Name = cut(r.name)
+	for i := range r.ms {
+		m := &r.ms[i]
+		var cpu float64
+		if m.cpu.to > m.cpu.from {
+			// The call encoding/json makes, on the same span.
+			v, err := strconv.ParseFloat(cut(m.cpu), 64)
+			if err != nil {
+				return nil, false
+			}
+			cpu = v
+		}
+		var images map[string]string
+		if imgs := r.images[m.images[0]:m.images[1]]; len(imgs) > 0 {
+			images = make(map[string]string, len(imgs))
+			for _, img := range imgs {
+				images[cut(img.registry)] = cut(img.ref)
+			}
+			if len(images) != len(imgs) {
+				return nil, false // a registry named twice
+			}
+		}
+		// The scratch's arch list is never nil, so neither are the vertex's
+		// Arches: AppSpec.App leaves a vertex without arches an empty slice.
+		err := b.Microservice(dag.Microservice{
+			Name:      cut(m.name),
+			ImageSize: units.Bytes(m.imageSize),
+			Images:    images,
+			Req: dag.Requirements{
+				Cores:   m.cores,
+				CPU:     units.MI(cpu),
+				Memory:  units.Bytes(m.memory),
+				Storage: units.Bytes(m.storage),
+			},
+			Arches:        ab.arches[m.arches[0]:m.arches[1]:m.arches[1]],
+			ExternalInput: units.Bytes(m.extInput),
+		})
+		if err != nil {
+			return nil, false
+		}
+	}
+	for _, e := range r.edges {
+		if b.Dataflow(cut(e.from), cut(e.to), units.Bytes(e.size)) != nil {
+			return nil, false
+		}
+	}
+	app, err := b.App()
+	return app, err == nil
+}
+
+// appScanner is a scanner that records an app spec into its scratch, every
+// string as a span from base.
 type appScanner struct {
 	scanner
-	text string
+	base int
 	ab   *appBuild
 }
 
-// cut returns span, a subslice of buf, as a substring of text. Subslices of
-// buf keep its capacity end, so the capacities give span's offset.
-func (s *appScanner) cut(span []byte) string {
-	start := cap(s.buf) - cap(span)
-	return s.text[start : start+len(span)]
+// spanOf returns the span of b, a subslice of buf. Subslices of buf keep
+// its capacity end, so the capacities give b's offset.
+func (s *appScanner) spanOf(b []byte) span {
+	from := cap(s.buf) - cap(b) - s.base
+	return span{from, from + len(b)}
 }
 
-func (s *appScanner) string() (string, bool) {
-	span, ok := s.str()
+func (s *appScanner) span() (span, bool) {
+	b, ok := s.str()
 	if !ok {
-		return "", false
+		return span{}, false
 	}
-	return s.cut(span), true
-}
-
-func (s *appScanner) bytes() (units.Bytes, bool) {
-	n, ok := s.integer()
-	return units.Bytes(n), ok
+	return s.spanOf(b), true
 }
 
 func (s *appScanner) microservice() bool {
-	// The scratch's arch list is never nil, so neither are the vertex's
-	// Arches: AppSpec.App leaves a vertex without arches an empty slice.
-	m := dag.Microservice{Arches: s.ab.arches[:0]}
+	ab, r := s.ab, &s.ab.rec
+	m := msRecord{arches: [2]int32{int32(len(ab.arches))}, images: [2]int32{int32(len(r.images))}}
 	var seen fieldSet
 	ok := s.object(func(key []byte) (ok bool) {
 		var f fieldSet
 		switch string(key) {
 		case "name":
 			f = msName
-			m.Name, ok = s.string()
+			m.name, ok = s.span()
 		case "image_size_bytes":
 			f = msImageSize
-			m.ImageSize, ok = s.bytes()
+			m.imageSize, ok = s.integer()
 		case "images":
 			f = msImages
 			ok = s.object(func(registry []byte) bool {
-				ref, ok := s.string()
-				if _, dup := m.Images[string(registry)]; !ok || dup {
-					return false
-				}
-				if m.Images == nil {
-					m.Images = make(map[string]string)
-				}
-				m.Images[s.cut(registry)] = ref
-				return true
+				ref, ok := s.span()
+				r.images = append(r.images, imageRecord{s.spanOf(registry), ref})
+				return ok
 			})
 		case "cores":
 			f = msCores
 			var n int64
 			n, ok = s.integer()
-			m.Req.Cores = int(n)
-			ok = ok && int64(m.Req.Cores) == n
+			m.cores = int(n)
+			ok = ok && int64(m.cores) == n
 		case "cpu_mi":
 			f = msCPU
-			if span, _ := s.number(); span != nil {
-				// The call encoding/json makes, on the same span.
-				v, err := strconv.ParseFloat(s.cut(span), 64)
-				m.Req.CPU, ok = units.MI(v), err == nil
+			var b []byte
+			if b, _ = s.number(); b != nil {
+				m.cpu, ok = s.spanOf(b), true
 			}
 		case "memory_bytes":
 			f = msMemory
-			m.Req.Memory, ok = s.bytes()
+			m.memory, ok = s.integer()
 		case "storage_bytes":
 			f = msStorage
-			m.Req.Storage, ok = s.bytes()
+			m.storage, ok = s.integer()
 		case "arches":
 			f = msArches
 			ok = s.array(func() bool {
 				arch, _ := s.str()
 				switch string(arch) {
 				case string(dag.AMD64):
-					m.Arches = append(m.Arches, dag.AMD64)
+					ab.arches = append(ab.arches, dag.AMD64)
 				case string(dag.ARM64):
-					m.Arches = append(m.Arches, dag.ARM64)
+					ab.arches = append(ab.arches, dag.ARM64)
 				default:
 					return false
 				}
@@ -340,35 +455,35 @@ func (s *appScanner) microservice() bool {
 			})
 		case "external_input_bytes":
 			f = msExternalInput
-			m.ExternalInput, ok = s.bytes()
+			m.extInput, ok = s.integer()
 		}
 		return ok && seen.first(f)
 	})
-	s.ab.arches = m.Arches[:0] // keep the list if it grew
-	return ok && s.ab.b.Microservice(m) == nil
+	m.arches[1], m.images[1] = int32(len(ab.arches)), int32(len(r.images))
+	r.ms = append(r.ms, m)
+	return ok
 }
 
-func (s *appScanner) dataflows() bool {
-	return s.array(func() bool {
-		var from, to string
-		var size units.Bytes
-		var seen fieldSet
-		return s.object(func(key []byte) (ok bool) {
-			var f fieldSet
-			switch string(key) {
-			case "from":
-				f = dfFrom
-				from, ok = s.string()
-			case "to":
-				f = dfTo
-				to, ok = s.string()
-			case "size_bytes":
-				f = dfSize
-				size, ok = s.bytes()
-			}
-			return ok && seen.first(f)
-		}) && s.ab.b.Dataflow(from, to, size) == nil
+func (s *appScanner) dataflow() bool {
+	var e edgeRecord
+	var seen fieldSet
+	ok := s.object(func(key []byte) (ok bool) {
+		var f fieldSet
+		switch string(key) {
+		case "from":
+			f = dfFrom
+			e.from, ok = s.span()
+		case "to":
+			f = dfTo
+			e.to, ok = s.span()
+		case "size_bytes":
+			f = dfSize
+			e.size, ok = s.integer()
+		}
+		return ok && seen.first(f)
 	})
+	s.ab.rec.edges = append(s.ab.rec.edges, e)
+	return ok
 }
 
 // scanner is a cursor over one JSON document held in memory. Every method
