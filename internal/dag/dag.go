@@ -317,23 +317,33 @@ func (a *App) Digest() [sha256.Size]byte { return a.digest }
 // The records are appended into one buffer, on the stack for an app of the
 // size the front door sees, and hashed in one call. Names and edges are
 // unique, so the ordering walk's ranks give both orders: vertices in ByName
-// order, edges sorted by their (From, To) ranks.
+// order, edges sorted by their (From, To) ranks, packed into one integer
+// key per edge.
 func (a *App) computeDigest() [sha256.Size]byte {
 	ms, edges, ord := a.Microservices, a.Dataflows, &a.order
-	var permStack [128]int32
-	byEnds := permStack[:0]
-	if len(edges) > len(permStack) {
-		byEnds = make([]int32, 0, len(edges))
+	var keyStack [128]uint64
+	byEnds := keyStack[:0]
+	if len(edges) > len(keyStack) {
+		byEnds = make([]uint64, 0, len(edges))
 	}
-	for i := range edges {
-		byEnds = append(byEnds, int32(i))
-	}
-	slices.SortFunc(byEnds, func(x, y int32) int {
-		if c := cmp.Compare(ord.From[x], ord.From[y]); c != 0 {
-			return c
+	if n := uint64(len(ms)); n*n <= 1<<32 {
+		// One key per edge, (From, To) ranks above its index: the pairs
+		// are unique, so the keys sort as the pairs do.
+		for i := range edges {
+			byEnds = append(byEnds, (uint64(ord.From[i])*n+uint64(ord.To[i]))<<32|uint64(i))
 		}
-		return cmp.Compare(ord.To[x], ord.To[y])
-	})
+		slices.Sort(byEnds)
+	} else {
+		for i := range edges {
+			byEnds = append(byEnds, uint64(i))
+		}
+		slices.SortFunc(byEnds, func(x, y uint64) int {
+			if c := cmp.Compare(ord.From[x], ord.From[y]); c != 0 {
+				return c
+			}
+			return cmp.Compare(ord.To[x], ord.To[y])
+		})
+	}
 
 	var bufStack [4096]byte
 	buf := append(bufStack[:0], "app"...)
@@ -368,8 +378,8 @@ func (a *App) computeDigest() [sha256.Size]byte {
 			buf = append(buf, '\n')
 		}
 	}
-	for _, i := range byEnds {
-		e := &edges[i]
+	for _, k := range byEnds {
+		e := &edges[uint32(k)]
 		buf = append(buf, "df"...)
 		buf = appendField(buf, e.From)
 		buf = appendField(buf, e.To)
