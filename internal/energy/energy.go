@@ -23,6 +23,19 @@ type PowerModel interface {
 	Power(state State, microservice string) units.Watts
 }
 
+// Draws returns the three active draws of a device running microservice
+// ms — Power(Pulling, ms), Power(Receiving, ms) and Power(Processing, ms) —
+// in one call: a model with a Draws method of its own (LinearModel,
+// TableModel) prices them together, any other is asked three times.
+func Draws(m PowerModel, ms string) (pull, recv, proc units.Watts) {
+	if d, ok := m.(interface {
+		Draws(ms string) (pull, recv, proc units.Watts)
+	}); ok {
+		return d.Draws(ms)
+	}
+	return m.Power(Pulling, ms), m.Power(Receiving, ms), m.Power(Processing, ms)
+}
+
 // LinearModel is a simple affine power model: static power plus a per-state
 // increment. It ignores which microservice runs.
 type LinearModel struct {
@@ -44,6 +57,11 @@ func (m LinearModel) Power(state State, _ string) units.Watts {
 	default:
 		return m.StaticW
 	}
+}
+
+// Draws returns the model's three active draws; see the package's Draws.
+func (m LinearModel) Draws(string) (pull, recv, proc units.Watts) {
+	return m.StaticW + m.PullW, m.StaticW + m.ReceiveW, m.StaticW + m.ProcessingW
 }
 
 // TableModel draws per-(microservice, state) power calibrated from
@@ -71,4 +89,17 @@ func (m TableModel) Power(state State, ms string) units.Watts {
 		}
 	}
 	return m.Fallback.Power(state, ms)
+}
+
+// Draws returns what Power returns for ms in the three active states, with
+// one lookup in each table.
+func (m TableModel) Draws(ms string) (pull, recv, proc units.Watts) {
+	pull, recv, proc = m.Fallback.Draws(ms)
+	if w, ok := m.TransferW[ms]; ok {
+		pull, recv = w, w
+	}
+	if w, ok := m.ProcessW[ms]; ok {
+		proc = w
+	}
+	return pull, recv, proc
 }

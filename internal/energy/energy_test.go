@@ -43,3 +43,27 @@ func TestTableModelLookupAndFallback(t *testing.T) {
 		t.Errorf("idle power = %v", got)
 	}
 }
+
+// flatModel has no Draws method, so Draws asks it once per state.
+type flatModel struct{}
+
+func (flatModel) Power(state State, ms string) units.Watts { return units.Watts(len(state) + len(ms)) }
+
+// TestDrawsMatchesPower: one Draws call gives what Power gives in the three
+// active states, for each model with its own Draws and for one without.
+func TestDrawsMatchesPower(t *testing.T) {
+	table := TableModel{
+		Fallback:  LinearModel{StaticW: 2.5, PullW: 0.3, ReceiveW: 0.7, ProcessingW: 8},
+		ProcessW:  map[string]units.Watts{"train": 40, "both": 11},
+		TransferW: map[string]units.Watts{"fetch": 6, "both": 3},
+	}
+	for _, m := range []PowerModel{table, LinearModel{StaticW: 3, PullW: 2, ReceiveW: 1, ProcessingW: 20}, flatModel{}} {
+		for _, ms := range []string{"train", "fetch", "both", "other", ""} {
+			pull, recv, proc := Draws(m, ms)
+			if pull != m.Power(Pulling, ms) || recv != m.Power(Receiving, ms) || proc != m.Power(Processing, ms) {
+				t.Errorf("%T %q: Draws = %v %v %v, Power = %v %v %v", m, ms, pull, recv, proc,
+					m.Power(Pulling, ms), m.Power(Receiving, ms), m.Power(Processing, ms))
+			}
+		}
+	}
+}

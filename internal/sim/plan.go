@@ -233,9 +233,7 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 			dev, k := p.devices[d], i*nc+c
 			p.feasible[k] = dev.CanRun(m) == nil
 			p.tp[k] = dev.ProcessingTime(m.Req.CPU)
-			p.pullW[k] = dev.Power.Power(energy.Pulling, m.Name)
-			p.recvW[k] = dev.Power.Power(energy.Receiving, m.Name)
-			p.procW[k] = dev.Power.Power(energy.Processing, m.Name)
+			p.pullW[k], p.recvW[k], p.procW[k] = energy.Draws(dev.Power, m.Name)
 		}
 	}
 
