@@ -469,34 +469,30 @@ func BenchmarkFleetChurn(b *testing.B) {
 				NewCluster: func() *deep.Cluster { return deep.ScaledTestbed(4) },
 			})
 			defer f.Close()
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			if churning {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					devs := []string{"medium-01", "small-01", "medium-02", "small-02"}
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						d := devs[i%len(devs)]
-						if _, _, err := f.ApplyChurn(deep.ChurnDelta{FailDevices: []string{d}}); err != nil {
-							b.Error(err)
-							return
-						}
-						// Hold the down window open so in-flight placements
-						// can actually go stale before the recovery.
-						time.Sleep(100 * time.Microsecond)
-						if _, _, err := f.ApplyChurn(deep.ChurnDelta{RecoverDevices: []string{d}}); err != nil {
-							b.Error(err)
-							return
-						}
-						time.Sleep(100 * time.Microsecond)
+			// The caller that claims every churnEvery-th request applies the
+			// next churn step before serving it, so a run applies b.N /
+			// churnEvery steps at any core count: even steps fail a device,
+			// odd ones recover it, cycling the four. Steps are applied in
+			// order under mu, a later claim catching up on any not yet
+			// applied.
+			const churnEvery = 100
+			devs := []string{"medium-01", "small-01", "medium-02", "small-02"}
+			var mu sync.Mutex
+			applied := 0
+			churnTo := func(step int) error {
+				mu.Lock()
+				defer mu.Unlock()
+				for ; applied <= step; applied++ {
+					d := devs[applied/2%len(devs)]
+					delta := deep.ChurnDelta{FailDevices: []string{d}}
+					if applied%2 == 1 {
+						delta = deep.ChurnDelta{RecoverDevices: []string{d}}
 					}
-				}()
+					if _, _, err := f.ApplyChurn(delta); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
 			var failed atomic.Int64
 			count := func(resp *deep.FleetResponse) {
@@ -507,11 +503,14 @@ func BenchmarkFleetChurn(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			driveConcurrently(b, workers, 1, func(_, i int) error {
+				if churning && i%churnEvery == 0 {
+					if err := churnTo(i / churnEvery); err != nil {
+						return err
+					}
+				}
 				return f.DoBatch(ctx, []deep.FleetRequest{{App: apps[i%len(apps)], Seed: int64(i)}}, count)
 			})
 			b.StopTimer()
-			close(stop)
-			wg.Wait()
 			if n := failed.Load(); !churning && n > 0 {
 				b.Fatalf("%d requests failed on a quiet cluster", n)
 			} else if n*100 > int64(b.N) {

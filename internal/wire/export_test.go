@@ -6,6 +6,10 @@ import "deep/internal/dag"
 // bytes of a body, so tests can force distinct bodies onto one key.
 func (in *Interner) SetHash(h func([]byte) uint64) { in.hash = h }
 
+// ShareSeeds makes in hash keys and whole bodies as from does, so two
+// tables fed the same bodies in the same order admit the same ones.
+func (in *Interner) ShareSeeds(from *Interner) { in.hash, in.seed = from.hash, from.seed }
+
 // Interner bounds, for tests that probe them.
 const (
 	InternMaxBody = internMaxBody
@@ -45,3 +49,10 @@ func NewAppScratch() *AppScratch { return newAppBuild() }
 func ScanAppWith(ab *AppScratch, body []byte) (*dag.App, string, bool) { return ab.scan(body) }
 
 func BuildWith(ab *AppScratch, s *AppSpec) (*dag.App, error) { return ab.spec(s) }
+
+// ItemBuilt returns the app a table's scanner built from an item where it
+// walked the item's spec, with the text the app's strings are cut from,
+// and whether the walk declined the spec instead.
+func ItemBuilt(item DeployItem) (app *dag.App, text string, declined bool) {
+	return item.built, item.text, item.declined
+}

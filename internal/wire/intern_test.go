@@ -226,6 +226,83 @@ func TestInternerCanonicalBodyHeldOnce(t *testing.T) {
 	if s := statsOf(t, reg); s.bytes != len(body) || s.entries != 1 {
 		t.Fatalf("%+v, want one entry of %d bytes", s, len(body))
 	}
+
+	// A spec the envelope scanner built at its cursor is held as exactly
+	// its span, wherever it sits in the envelope: followed by more members,
+	// or between two other items of a batch.
+	spec := string(body)
+	text, small := appBody(t, workload.TextProcessing()), appBody(t, smallApp(t))
+	for _, tc := range []struct {
+		name  string
+		env   string
+		batch bool
+	}{
+		{"members after app", `{"app":` + spec + `,"seed":7,"tenant":"acme"}`, false},
+		{"middle batch item", `{"items":[{"app":` + string(text) + `},{"seed":2,"app":` + spec +
+			`,"deadline_ms":5},{"app":` + string(small) + `}],"tenant":"acme"}`, true},
+	} {
+		in, reg := newInterner()
+		var app *dag.App
+		var item wire.DeployItem
+		for sight := 1; sight <= 2; sight++ {
+			ok := false
+			if tc.batch {
+				var items []wire.DeployItem
+				if _, items, ok = in.ScanDeployBatch([]byte(tc.env), nil, 64); ok {
+					item = items[1]
+				}
+			} else {
+				_, item, ok = in.ScanDeploy([]byte(tc.env))
+			}
+			if built, _, _ := wire.ItemBuilt(item); !ok || built == nil {
+				t.Fatalf("%s, sight %d: the spec was not built at the cursor (ok=%v)", tc.name, sight, ok)
+			}
+			var err error
+			if app, _, err = in.ItemApp(item); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held, ok := in.Held(item.App)
+		if !ok {
+			t.Fatalf("%s: the spec was not admitted", tc.name)
+		}
+		if s := statsOf(t, reg); s.bytes != len(item.App) || s.entries != 1 || len(held) != len(item.App) {
+			t.Fatalf("%s: %+v holding %d bytes, want one entry of %d bytes", tc.name, s, len(held), len(item.App))
+		}
+		checkNamesWithin(t, tc.name, app, held)
+	}
+}
+
+// smallApp is a generated two-microservice app.
+func smallApp(t testing.TB) *dag.App {
+	t.Helper()
+	app, err := workload.Generate(workload.DefaultGeneratorConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+// checkNamesWithin requires every string of app — its name, the vertex
+// names, image registries and references, and the dataflow endpoints — to
+// lie inside the bytes of held.
+func checkNamesWithin(t *testing.T, what string, app *dag.App, held string) {
+	t.Helper()
+	names := []string{app.Name}
+	for _, m := range app.Microservices {
+		names = append(names, m.Name)
+		for reg, ref := range m.Images {
+			names = append(names, reg, ref)
+		}
+	}
+	for _, df := range app.Dataflows {
+		names = append(names, df.From, df.To)
+	}
+	for _, name := range names {
+		if !within(name, held) {
+			t.Fatalf("%s: %q is not a substring of the held body", what, name)
+		}
+	}
 }
 
 // admissionAllocs returns what a first sight of body allocates and what its

@@ -38,6 +38,15 @@ import (
 // it, and the item carries the entry. Such a body is one skipValue accepts
 // (it nests 4 deep, under the same string and number rules), so the jump
 // gives the walk's decision and span; FuzzProbeMatchesWalk checks that.
+//
+// Any other spec is walked once, at the cursor, by the walk scanApp runs on
+// a whole body: it records the spec, and when the spec's object closes,
+// exactly its span is copied once and the app built from the record
+// (buildAt); the item carries the app and the copy, for ItemApp to count
+// and admit. The walk accepts only what skipValue would, with the same
+// span. Only where it declines does the cursor go back for skipValue
+// (rawObject), and the item is marked, so ItemApp runs the reference
+// decoder without walking again. A nil table only skips each spec.
 
 // DeployItem is one deployment as the envelope scanners read it: the fields
 // of fleetd.DeployRequest and fleetd.DeployBatchItem.
@@ -60,9 +69,10 @@ type DeployItem struct {
 
 // ScanDeploy reads a POST /v1/deploy envelope held in buf. The tenant is
 // copied out (it outlives the request as a label and in fleet.Request); the
-// app spec is a span of buf, not decoded — it has only been checked to be
-// one well-formed JSON object, unless the table holds it where it starts;
-// resolve the item with ItemApp. A nil table scans without one.
+// app spec is a span of buf, which the scanner has built into an app where
+// the table holds none for it, or found held, or checked only to be one
+// well-formed JSON object; resolve the item with ItemApp. A nil table scans
+// without one, skipping the spec.
 func (in *Interner) ScanDeploy(buf []byte) (tenant string, item DeployItem, ok bool) {
 	s := scanner{buf: buf, in: in}
 	var name []byte

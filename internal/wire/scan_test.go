@@ -97,7 +97,66 @@ func checkScanAgainstReference(t testing.TB, data []byte) (deploy, batch, spec b
 			checkApp(items[i].App)
 		}
 	}
+	checkCursorAgainstSpans(t, data, deploy, batch)
 	return deploy, batch, checkApp(data)
+}
+
+// checkCursorAgainstSpans: a table's envelope scanners, which build each
+// spec at their cursor, give the verdict and items the table-less ones do;
+// a built item's app is what a fresh decode of its span gives, cut from a
+// text that is the span; and resolving an accepted envelope's items twice
+// through the table (ItemApp on each scan) leaves its counters where
+// resolving the spans through another table (App) leaves that one's — one
+// admission per spec, and no miss more or fewer.
+func checkCursorAgainstSpans(t testing.TB, data []byte, deploy, batch bool) {
+	t.Helper()
+	scans := []func(in *wire.Interner) ([]wire.DeployItem, bool){
+		func(in *wire.Interner) ([]wire.DeployItem, bool) {
+			_, item, ok := in.ScanDeploy(data)
+			return []wire.DeployItem{item}, ok
+		},
+		func(in *wire.Interner) ([]wire.DeployItem, bool) {
+			_, items, ok := in.ScanDeployBatch(data, nil, 64)
+			return items, ok
+		},
+	}
+	for k, walked := range []bool{deploy, batch} {
+		cursor, cursorReg := newInterner()
+		spans, spansReg := newInterner()
+		spans.ShareSeeds(cursor)
+		for round := 0; round < 2; round++ {
+			items, ok := scans[k](cursor)
+			want, _ := scans[k](walk)
+			if ok != walked {
+				t.Fatalf("envelope %d: the table's scanner says %v, the walk %v\n%q", k, ok, walked, data)
+			}
+			if !ok {
+				break
+			}
+			for i, item := range items {
+				if !sameItem(item, want[i]) {
+					t.Fatalf("envelope %d item %d: cursor %+v, walk %+v\n%q", k, i, item, want[i], data)
+				}
+				wantApp, wantErr := fresh(item.App)
+				if built, text, declined := wire.ItemBuilt(item); built != nil {
+					if declined || text != string(item.App) || wantErr != nil || !sameApp(built, wantApp) {
+						t.Fatalf("envelope %d item %d: built at the cursor unlike a fresh decode (%v)\n%s", k, i, wantErr, item.App)
+					}
+				}
+				got, _, err := cursor.ItemApp(item)
+				ref, _, refErr := spans.App(want[i].App)
+				if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+					t.Fatalf("envelope %d item %d: ItemApp says %v, App says %v\n%s", k, i, err, refErr, item.App)
+				}
+				if err == nil && !sameApp(got, ref) {
+					t.Fatalf("envelope %d item %d: ItemApp and App differ\n%s", k, i, item.App)
+				}
+			}
+		}
+		if got, want := statsOf(t, cursorReg), statsOf(t, spansReg); got != want {
+			t.Fatalf("envelope %d: the cursor's table %+v, the spans' %+v\n%q", k, got, want, data)
+		}
+	}
 }
 
 func mustMarshal(tb testing.TB, v any) []byte {
@@ -331,6 +390,20 @@ func TestScanAppAllocs(t *testing.T) {
 	if got > 20 {
 		t.Errorf("scan + digest of a 16-microservice spec: %.1f allocs, want <= 20", got)
 	}
+	// The same spec met by a table's envelope scanner, which builds it at
+	// its cursor: the envelope scan costs nothing on top. The table admits
+	// nothing, since no item is resolved, so every scan builds.
+	in, _ := newInterner()
+	env := []byte(`{"seed":1,"app":` + string(spec) + `,"deadline_ms":9}`)
+	got = testing.AllocsPerRun(200, func() {
+		_, item, ok := in.ScanDeploy(env)
+		if app, _, _ := wire.ItemBuilt(item); !ok || app == nil {
+			t.Fatal("not built at the cursor")
+		}
+	})
+	if got > 20 {
+		t.Errorf("envelope scan building a 16-microservice spec: %.1f allocs, want <= 20", got)
+	}
 }
 
 // TestAppScratchHoldsNothing: the scratch a decode builds in is pooled, so
@@ -404,9 +477,37 @@ func FuzzScanMatchesReference(f *testing.F) {
 	for _, body := range nonCanonicalBodies {
 		f.Add([]byte(body))
 	}
+	for _, seed := range cursorSeeds(appBody(f, appCorpus(f)[0]), tinyApp) {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkScanAgainstReference(t, data)
 	})
+}
+
+// Specs the cursor seeds carry besides the caller's: one with its
+// dataflows before its microservices, and one whose walk declines midway
+// (a key in another case in its second vertex).
+const (
+	dataflowsFirst = `{"version":1,"name":"df","dataflows":[{"from":"a","to":"b","size_bytes":5}],` +
+		`"microservices":[{"name":"a","image_size_bytes":1},{"name":"b","image_size_bytes":2,"cpu_mi":3994468.830215916}]}`
+	declinesMidway = `{"version":1,"name":"mid","microservices":[{"name":"a","image_size_bytes":1},` +
+		`{"name":"b","Cores":2}],"dataflows":[{"from":"a","to":"b","size_bytes":5}]}`
+)
+
+// cursorSeeds are envelopes for the scanners that build a spec at their
+// cursor: "app" followed by more members, a spec with dataflows before
+// microservices, a spec that declines midway followed by valid items, and
+// a batch mixing held (a spec some table may hold), cold and declined items.
+func cursorSeeds(held []byte, cold string) []string {
+	return []string{
+		`{"app":` + string(held) + `,"seed":3,"deadline_ms":40,"tenant":"acme"}`,
+		dataflowsFirst,
+		envelope(dataflowsFirst),
+		`{"items":[{"app":` + declinesMidway + `},{"app":` + cold + `},{"seed":2,"app":` + dataflowsFirst + `}]}`,
+		`{"items":[{"app":` + string(held) + `},{"app":` + cold + `},{"app":` + declinesMidway + `},{"app":` +
+			string(held) + `,"seed":9}],"tenant":"acme"}`,
+	}
 }
 
 // Specs FuzzProbeMatchesWalk's table holds besides the corpus: a canonical
@@ -522,6 +623,9 @@ func FuzzProbeMatchesWalk(f *testing.F) {
 	}
 	f.Add(mustMarshal(f, batch))
 	f.Add([]byte(`{"items":[{"app":` + shortApp + `},{"app":` + foldedApp + `},{"app":` + escapedApp + `}]}`))
+	for _, seed := range cursorSeeds(specs[0], tinyApp) {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkProbeAgainstWalk(t, in, data)
 	})
@@ -566,6 +670,58 @@ func BenchmarkScan(b *testing.B) {
 		for b.Loop() {
 			if _, got, ok := in.ScanDeployBatch(batch, items[:0], 64); !ok || !wire.ProbeHit(got[15]) {
 				b.Fatal("declined or walked")
+			}
+		}
+	})
+	// The same batch shape with 16 never-seen specs per op, scanned by a
+	// table and resolved (ItemApp): what a cold batch pays, each spec
+	// walked once and built at the cursor. Each op stamps fresh app names
+	// into the envelope, so no spec is ever seen twice and none admitted.
+	b.Run("batch16_cold", func(b *testing.B) {
+		const stamp = "00000000"
+		var cold fleetd.DeployBatchRequest
+		for i := 0; i < 16; i++ {
+			app, err := workload.Generate(workload.DefaultGeneratorConfig(16, int64(i+1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec := wire.AppSpecOf(app)
+			spec.Name = "cold-" + stamp
+			cold.Items = append(cold.Items, fleetd.DeployBatchItem{Seed: int64(i), App: mustMarshal(b, spec)})
+		}
+		body := mustMarshal(b, cold)
+		var at []int
+		for i := 0; ; {
+			k := bytes.Index(body[i:], []byte("cold-"+stamp))
+			if k < 0 {
+				break
+			}
+			at = append(at, i+k+len("cold-"))
+			i += k + 1
+		}
+		if len(at) != 16 {
+			b.Fatalf("%d name stamps, want 16", len(at))
+		}
+		in, _ := newInterner()
+		items := make([]wire.DeployItem, 0, 64)
+		n := 0
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, k := range at {
+				n++
+				for d, v := len(stamp)-1, n; d >= 0; d, v = d-1, v>>4 {
+					body[k+d] = "0123456789abcdef"[v&15]
+				}
+			}
+			_, got, ok := in.ScanDeployBatch(body, items[:0], 64)
+			if !ok || len(got) != 16 {
+				b.Fatal("declined")
+			}
+			for _, item := range got {
+				if _, fast, err := in.ItemApp(item); err != nil || !fast {
+					b.Fatalf("cold item: fast=%v err=%v", fast, err)
+				}
 			}
 		}
 	})

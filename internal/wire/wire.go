@@ -17,8 +17,9 @@
 //
 // Two decoders, one verdict. Requests are accepted by hand-written
 // single-pass scanners (scan.go: ScanDeploy, ScanDeployBatch, and the app-spec
-// scanner behind Interner.App) that read the request buffer in place and
-// build the dag.App directly. They know only the canonical subset of each
+// walk they run at their cursor, which Interner.App runs on a whole body)
+// that read the request buffer in place, walk each spec once, and build the
+// dag.App from that walk's record. They know only the canonical subset of each
 // format — the format's own keys, exact case, each at most once, in any
 // order; JSON whitespace; no null/true/false; strings without escapes and in
 // valid UTF-8; integer fields as plain -?digits; float fields as any JSON
