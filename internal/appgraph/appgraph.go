@@ -21,6 +21,8 @@
 package appgraph
 
 import (
+	"slices"
+
 	"deep/internal/dag"
 	"deep/internal/slab"
 	"deep/internal/units"
@@ -43,7 +45,7 @@ const (
 )
 
 // AppTable is the compiled application-side substrate: sorted microservice
-// name table and index map, interned microservice handles, dense
+// name table, interned microservice handles, dense
 // topological-order and barrier-stage rows, in-edge dataflow rows,
 // per-microservice image sizes and external inputs, and the simulator's
 // per-phase jitter tags.
@@ -53,9 +55,10 @@ type AppTable struct {
 	app *dag.App
 
 	// Name table; ids are positions, sorted so ascending id order is
-	// ascending name order (the compilers' canonical order).
+	// ascending name order (the compilers' canonical order): a name's id is
+	// its rank in the app's ordering walk, and MSID finds it by binary
+	// search.
 	msNames []string
-	msIndex map[string]int32
 
 	// ms[i] is the microservice with id i.
 	ms []*dag.Microservice
@@ -103,7 +106,7 @@ var phaseNames = [numPhases]string{PhaseDeploy: "deploy", PhaseTransfer: "transf
 // Compile builds app's table in the scratch, replacing the one it held.
 func (s *Scratch) Compile(app *dag.App) *AppTable {
 	t := &s.t
-	*t = AppTable{app: app, msIndex: t.msIndex}
+	*t = AppTable{app: app}
 
 	ord := app.Order()
 	nm, numStages := len(ord.ByName), ord.Stages
@@ -117,7 +120,6 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 		t.ms[r] = app.Microservices[v]
 		t.msNames[r] = t.ms[r].Name
 	}
-	t.indexNames()
 
 	s.sizes.Reset(2 * nm)
 	t.imageSize, t.extInput = s.sizes.Cut(nm), s.sizes.Cut(nm)
@@ -193,18 +195,6 @@ func (s *Scratch) Compile(app *dag.App) *AppTable {
 	return t
 }
 
-// indexNames rebuilds the name -> id map from the name table.
-func (t *AppTable) indexNames() {
-	if t.msIndex == nil {
-		t.msIndex = make(map[string]int32, len(t.msNames))
-	} else {
-		clear(t.msIndex)
-	}
-	for i, n := range t.msNames {
-		t.msIndex[n] = int32(i)
-	}
-}
-
 // App returns the application the table was compiled from.
 func (t *AppTable) App() *dag.App { return t.app }
 
@@ -215,13 +205,13 @@ func (t *AppTable) NumMicroservices() int { return len(t.msNames) }
 // positions are microservice ids).
 func (t *AppTable) MSNames() []string { return t.msNames }
 
-// MSIndex returns the microservice name→id map (shared; read-only).
-func (t *AppTable) MSIndex() map[string]int32 { return t.msIndex }
-
 // MSID returns the id of a microservice name.
-func (t *AppTable) MSID(name string) (int32, bool) {
-	id, ok := t.msIndex[name]
-	return id, ok
+func (t *AppTable) MSID(name string) (int32, bool) { return MSID(t.msNames, name) }
+
+// MSID returns the id of a microservice name in a sorted name table.
+func MSID(names []string, name string) (int32, bool) {
+	id, ok := slices.BinarySearch(names, name)
+	return int32(id), ok
 }
 
 // Microservices returns the interned handles (shared slice, parallel to

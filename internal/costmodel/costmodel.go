@@ -64,7 +64,6 @@ type Model struct {
 	msNames  []string
 	devNames []string
 	regNames []string
-	msIndex  map[string]int32
 	devIndex map[string]int32
 	regIndex map[string]int32
 
@@ -147,7 +146,6 @@ func (s *Scratch) CompileShapeOn(at *appgraph.AppTable, cluster *sim.Cluster, ta
 	*m = Model{App: at.App(), tab: tab}
 
 	m.msNames = at.MSNames()
-	m.msIndex = at.MSIndex()
 	m.devNames = tab.DevNames()
 	m.devIndex = tab.DevIndex()
 	m.regNames = tab.RegNames()
@@ -251,8 +249,7 @@ func (m *Model) MSName(ms int32) string { return m.msNames[ms] }
 
 // MSID returns the id of a microservice name.
 func (m *Model) MSID(name string) (int32, bool) {
-	id, ok := m.msIndex[name]
-	return id, ok
+	return appgraph.MSID(m.msNames, name)
 }
 
 // RegistryID returns the id of a registry name.

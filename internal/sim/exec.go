@@ -184,7 +184,8 @@ func (e *Exec) RunChoices(p *Plan, choices []Choice, opts Options) (*Result, err
 // every named form.
 func (e *Exec) runNamed(p *Plan, opts Options, assign func(name string) (Assignment, bool)) (*Result, error) {
 	e.size(p)
-	for _, m := range p.app.Microservices {
+	rank := p.app.Order().Rank
+	for v, m := range p.app.Microservices {
 		a, ok := assign(m.Name)
 		if !ok {
 			return nil, fmt.Errorf("sim: placement missing microservice %q", m.Name)
@@ -197,7 +198,7 @@ func (e *Exec) runNamed(p *Plan, opts Options, assign func(name string) (Assignm
 		if !okR {
 			return nil, fmt.Errorf("sim: placement of %q names unknown registry %q", m.Name, a.Registry)
 		}
-		i, c := p.msIndex[m.Name], Choice{Device: d, Registry: r}
+		i, c := rank[v], Choice{Device: d, Registry: r}
 		if err := p.checkChoice(i, c); err != nil {
 			return nil, err
 		}

@@ -54,7 +54,6 @@ type Plan struct {
 	msNames  []string
 	devNames []string
 	regNames []string
-	msIndex  map[string]int32
 	devIndex map[string]int32
 	regIndex map[string]int32
 
@@ -195,7 +194,6 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	*p = Plan{app: at.App(), tab: tab}
 
 	p.msNames = at.MSNames()
-	p.msIndex = at.MSIndex()
 	p.devNames = tab.DevNames()
 	p.devIndex = tab.DevIndex()
 	p.regNames = tab.RegNames()
@@ -359,8 +357,8 @@ func (p *Plan) checkChoices(choices []Choice) error {
 		if p.checkChoice(int32(i), c) == nil {
 			continue
 		}
-		for _, m := range p.app.Microservices {
-			id := p.msIndex[m.Name]
+		for v := range p.app.Microservices {
+			id := p.app.Order().Rank[v]
 			if err := p.checkChoice(id, choices[id]); err != nil {
 				return err
 			}

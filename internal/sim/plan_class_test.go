@@ -183,7 +183,7 @@ func TestPlanClassesMatchPerDevice(t *testing.T) {
 
 	// The infeasible cells are really there: ms-02 runs on no small device.
 	p := sim.CompilePlan(amdOnly, workload.ScaledTestbed(12))
-	i := appgraph.Compile(amdOnly).MSIndex()["ms-02"]
+	i, _ := appgraph.Compile(amdOnly).MSID("ms-02")
 	for d, name := range p.Table().DevNames() {
 		if arm := p.Table().Devices()[d].Arch == dag.ARM64; feasibleOn(p, int(i), d) == arm {
 			t.Fatalf("ms-02 on %s: feasible = %v", name, !arm)
