@@ -58,6 +58,9 @@ type Exec struct {
 	caches   []*device.LayerCache[int32]
 	cacheRun []uint64
 	runs     uint64
+	// held[d*numLayers+id] == runs marks layer id pulled onto device d in
+	// this run, for a device whose cold cache could never evict.
+	held []uint64
 
 	seedBuf []byte
 	res     Result
@@ -94,6 +97,7 @@ func (e *Exec) size(p *Plan) {
 	e.regUsed = slab.Grow(e.regUsed, nr)
 	e.cacheRun = slab.Grow(e.cacheRun, nd)
 	e.caches = slab.Grow(e.caches, nd)
+	e.held = slab.Grow(e.held, nd*p.numLayers)
 }
 
 // coldCache is the cache a cold run reads and fills for device d: the
@@ -113,7 +117,9 @@ func (e *Exec) coldCache(p *Plan, d int32) *device.LayerCache[int32] {
 
 // missing returns the bytes of microservice ms's layers that device d does
 // not hold, and caches them as pulled: in the device's own cache under
-// WarmCaches, by digest, else in the Exec's, by layer id.
+// WarmCaches, by digest, else in the Exec's, by layer id — a run-stamped
+// set where d's storage holds every layer of the plan, an LRU cache where
+// it may have to evict.
 func (e *Exec) missing(p *Plan, ms, d int32, warm bool) units.Bytes {
 	var missing units.Bytes
 	if warm {
@@ -122,6 +128,18 @@ func (e *Exec) missing(p *Plan, ms, d int32, warm bool) units.Bytes {
 			if !cache.Has(layer.Digest) {
 				missing += layer.Size
 				cache.Put(layer.Digest, layer.Size)
+			}
+		}
+		return missing
+	}
+	if !p.negLayer && p.layerBytes <= p.devices[d].Storage {
+		// Every layer of the plan fits on d at once, so its cache would
+		// never evict: it holds exactly the layers pulled onto d so far.
+		held := e.held[int(d)*p.numLayers : (int(d)+1)*p.numLayers]
+		for k, id := range p.layerIDs[ms] {
+			if held[id] != e.runs {
+				held[id] = e.runs
+				missing += p.layers[ms][k].Size
 			}
 		}
 		return missing

@@ -79,6 +79,11 @@ type Plan struct {
 	// layer caches.
 	layerIDs  [][]int32
 	numLayers int
+	// layerBytes sums every layer's size, and negLayer reports a negative
+	// one: a device whose storage holds layerBytes, with no negative
+	// layer, never evicts from its cold cache.
+	layerBytes units.Bytes
+	negLayer   bool
 	inputs    [][]appgraph.Edge // per ms: incoming dataflows in DAG order
 	extInput  []units.Bytes     // per ms
 
@@ -248,6 +253,12 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	}
 
 	p.layerIDs, p.numLayers = s.numberLayers(p.layers, decomposed)
+	for _, ls := range p.layers {
+		for _, l := range ls {
+			p.layerBytes += l.Size
+			p.negLayer = p.negLayer || l.Size < 0
+		}
+	}
 
 	p.stages, p.topo = at.Stages(), at.Topo()
 	return p
