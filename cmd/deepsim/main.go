@@ -68,7 +68,7 @@ func main() {
 			m.Name, m.Device, m.Registry, m.DeployTime, m.TransferTime, m.ProcessTime, m.CT, float64(m.TotalEnergy()))
 	}
 	fmt.Printf("\nmakespan: %.1f s\ntotal energy: %s\n", res.Makespan, res.TotalEnergy)
-	for reg, bytes := range res.BytesFromRegistry {
-		fmt.Printf("pulled from %s: %s\n", reg, bytes)
+	for _, b := range res.BytesFromRegistry {
+		fmt.Printf("pulled from %s: %s\n", b.Registry, b.Bytes)
 	}
 }

@@ -80,6 +80,10 @@ type (
 	Result = sim.Result
 	// MicroserviceResult is one row of a Result.
 	MicroserviceResult = sim.MicroserviceResult
+	// DeviceEnergy is one device's metered energy in a Result.
+	DeviceEnergy = sim.DeviceEnergy
+	// RegistryBytes is what one registry served in a Result.
+	RegistryBytes = sim.RegistryBytes
 	// Options tune a simulation run.
 	Options = sim.Options
 	// RegistryInfo describes one registry in a Cluster.

@@ -27,7 +27,7 @@ func main() {
 	}
 	fmt.Printf("\ntotal energy:  %s\n", dep.Result.TotalEnergy)
 	fmt.Printf("makespan:      %.1f s\n", dep.Result.Makespan)
-	for reg, b := range dep.Result.BytesFromRegistry {
-		fmt.Printf("pulled from %-9s %s\n", reg+":", b)
+	for _, b := range dep.Result.BytesFromRegistry {
+		fmt.Printf("pulled from %-9s %s\n", b.Registry+":", b.Bytes)
 	}
 }

@@ -12,7 +12,9 @@ package sim_test
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -244,19 +246,18 @@ func legacyRun(app *dag.App, cluster *sim.Cluster, placement sim.Placement, opts
 		}
 	}
 
-	res := &sim.Result{
-		App:               app.Name,
-		Makespan:          barrier,
-		EnergyByDevice:    make(map[string]units.Joules),
-		BytesFromRegistry: bytesFromRegistry,
-	}
+	res := &sim.Result{App: app.Name, Makespan: barrier}
 	for _, v := range app.Order().Topo {
 		r := results[app.Microservices[v].Name]
 		res.Microservices = append(res.Microservices, *r)
 		res.TotalEnergy += r.TotalEnergy()
 	}
-	for name, total := range meters {
-		res.EnergyByDevice[name] = total
+	// The meter and the registry totals, as the result's name-ordered rows.
+	for _, name := range slices.Sorted(maps.Keys(meters)) {
+		res.EnergyByDevice = append(res.EnergyByDevice, sim.DeviceEnergy{Device: name, Energy: meters[name]})
+	}
+	for _, name := range slices.Sorted(maps.Keys(bytesFromRegistry)) {
+		res.BytesFromRegistry = append(res.BytesFromRegistry, sim.RegistryBytes{Registry: name, Bytes: bytesFromRegistry[name]})
 	}
 	return res, nil
 }

@@ -397,27 +397,19 @@ func (e *Exec) run(p *Plan, choices []Choice, opts Options) (*Result, error) {
 	res.Makespan = barrier
 	res.TotalEnergy = 0
 	res.Microservices = res.Microservices[:0]
-	if res.EnergyByDevice == nil {
-		res.EnergyByDevice = make(map[string]units.Joules, nd)
-	} else {
-		clear(res.EnergyByDevice)
-	}
-	if res.BytesFromRegistry == nil {
-		res.BytesFromRegistry = make(map[string]units.Bytes, len(p.regNames))
-	} else {
-		clear(res.BytesFromRegistry)
-	}
+	res.EnergyByDevice = slab.Grow(res.EnergyByDevice, nd)
+	res.BytesFromRegistry = res.BytesFromRegistry[:0]
 	for _, ms := range p.topo {
 		r := &e.msRes[ms]
 		res.Microservices = append(res.Microservices, *r)
 		res.TotalEnergy += r.TotalEnergy()
 	}
 	for d, name := range p.devNames {
-		res.EnergyByDevice[name] = e.devEnergy[d]
+		res.EnergyByDevice[d] = DeviceEnergy{Device: name, Energy: e.devEnergy[d]}
 	}
 	for r, name := range p.regNames {
 		if e.regUsed[r] {
-			res.BytesFromRegistry[name] = e.regBytes[r]
+			res.BytesFromRegistry = append(res.BytesFromRegistry, RegistryBytes{Registry: name, Bytes: e.regBytes[r]})
 		}
 	}
 	return res, nil

@@ -35,7 +35,7 @@ func TestCompilePlanDuplicateNames(t *testing.T) {
 	if len(res.Microservices) != 2 || res.Makespan <= 0 {
 		t.Fatalf("degenerate result on duplicate names: %+v", res)
 	}
-	if _, ok := res.EnergyByDevice["devA"]; !ok {
+	if _, ok := res.EnergyOf("devA"); !ok {
 		t.Fatal("duplicate-named device missing from energy accounting")
 	}
 }

@@ -135,8 +135,8 @@ func TestRunEnergyAccounting(t *testing.T) {
 		t.Errorf("a total = %v, want 90", ra.TotalEnergy())
 	}
 	// Device meter must agree with the per-microservice totals.
-	if math.Abs(float64(res.EnergyByDevice["devA"]-ra.TotalEnergy())) > 1e-6 {
-		t.Errorf("device meter %v != ms energy %v", res.EnergyByDevice["devA"], ra.TotalEnergy())
+	if meter, _ := res.EnergyOf("devA"); math.Abs(float64(meter-ra.TotalEnergy())) > 1e-6 {
+		t.Errorf("device meter %v != ms energy %v", meter, ra.TotalEnergy())
 	}
 	rb, _ := res.ByName("b")
 	wantTotal := ra.TotalEnergy() + rb.TotalEnergy()
@@ -363,7 +363,7 @@ func TestResultSortedAndLookup(t *testing.T) {
 	if _, ok := res.ByName("nope"); ok {
 		t.Error("unknown lookup should fail")
 	}
-	if got := res.BytesFromRegistry["hub"]; got != 100*units.MB {
+	if got := res.BytesFrom("hub"); got != 100*units.MB {
 		t.Errorf("hub bytes = %v", got)
 	}
 }

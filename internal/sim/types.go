@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"deep/internal/dag"
@@ -129,11 +130,47 @@ type Result struct {
 	// active plus attributed static energy.
 	TotalEnergy units.Joules
 
-	// EnergyByDevice reports each device's metered energy.
-	EnergyByDevice map[string]units.Joules
+	// EnergyByDevice reports each device's metered energy: one entry per
+	// device of the cluster, in ascending name order.
+	EnergyByDevice []DeviceEnergy
 
-	// BytesFromRegistry aggregates downloaded bytes per registry.
-	BytesFromRegistry map[string]units.Bytes
+	// BytesFromRegistry aggregates downloaded bytes per registry: one
+	// entry per registry the placement names, in ascending name order.
+	BytesFromRegistry []RegistryBytes
+}
+
+// DeviceEnergy is one device's metered energy in a Result.
+type DeviceEnergy struct {
+	Device string
+	Energy units.Joules
+}
+
+// RegistryBytes is what one registry served in a Result.
+type RegistryBytes struct {
+	Registry string
+	Bytes    units.Bytes
+}
+
+// EnergyOf returns a device's metered energy, and whether the result has
+// the device.
+func (r *Result) EnergyOf(device string) (units.Joules, bool) {
+	for _, e := range r.EnergyByDevice {
+		if e.Device == device {
+			return e.Energy, true
+		}
+	}
+	return 0, false
+}
+
+// BytesFrom returns the bytes pulled from a registry: 0 for one the
+// placement does not name.
+func (r *Result) BytesFrom(registry string) units.Bytes {
+	for _, b := range r.BytesFromRegistry {
+		if b.Registry == registry {
+			return b.Bytes
+		}
+	}
+	return 0
 }
 
 // Clone returns a deep copy of the result. The compiled executor reuses its
@@ -142,18 +179,8 @@ type Result struct {
 func (r *Result) Clone() *Result {
 	c := *r
 	c.Microservices = append([]MicroserviceResult(nil), r.Microservices...)
-	if r.EnergyByDevice != nil {
-		c.EnergyByDevice = make(map[string]units.Joules, len(r.EnergyByDevice))
-		for k, v := range r.EnergyByDevice {
-			c.EnergyByDevice[k] = v
-		}
-	}
-	if r.BytesFromRegistry != nil {
-		c.BytesFromRegistry = make(map[string]units.Bytes, len(r.BytesFromRegistry))
-		for k, v := range r.BytesFromRegistry {
-			c.BytesFromRegistry[k] = v
-		}
-	}
+	c.EnergyByDevice = slices.Clone(r.EnergyByDevice)
+	c.BytesFromRegistry = slices.Clone(r.BytesFromRegistry)
 	return &c
 }
 
