@@ -9,9 +9,9 @@ import (
 // LayerCache is an LRU cache of container image layers keyed by K, with
 // byte-budget eviction. A device's cache keys layers by digest
 // (LayerCache[string]); a simulator that has numbered a plan's layers keys
-// its private caches by those numbers. A warm cache is what makes repeated deployments
-// cheap — one of the effects the registry-caching literature in the paper's
-// related work targets.
+// its private caches by those numbers. A warm cache is what makes repeated
+// deployments cheap — one of the effects the registry-caching literature in
+// the paper's related work targets.
 //
 // The recency list lives in a slice linked by index, with a free list for
 // the slots evictions vacate, and Flush and Reset keep that slice and the

@@ -84,8 +84,9 @@ type Plan struct {
 	// layer, never evicts from its cold cache.
 	layerBytes units.Bytes
 	negLayer   bool
-	inputs    [][]appgraph.Edge // per ms: incoming dataflows in DAG order
-	extInput  []units.Bytes     // per ms
+
+	inputs   [][]appgraph.Edge // per ms: incoming dataflows in DAG order
+	extInput []units.Bytes     // per ms
 
 	// Per-(microservice, device class) tables, indexed ms*numClass+class;
 	// devClass[d] is device d's class (the cluster table's), so device d
