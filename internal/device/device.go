@@ -23,7 +23,7 @@ type Device struct {
 	Storage units.Bytes // STOR_j
 	Power   energy.PowerModel
 
-	cache *LayerCache[string]
+	cache *LayerCache
 }
 
 // New constructs a device with a layer cache sized to its storage.
@@ -31,12 +31,12 @@ func New(name string, arch dag.Arch, cores int, speed units.MIPS, mem, store uni
 	return &Device{
 		Name: name, Arch: arch, Cores: cores, Speed: speed,
 		Memory: mem, Storage: store, Power: pm,
-		cache: NewLayerCache[string](store),
+		cache: NewLayerCache(store),
 	}
 }
 
 // Cache returns the device's image layer cache.
-func (d *Device) Cache() *LayerCache[string] { return d.cache }
+func (d *Device) Cache() *LayerCache { return d.cache }
 
 // CanRun reports whether the device satisfies the microservice's
 // architecture and static resource requirements.

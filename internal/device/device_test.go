@@ -119,7 +119,7 @@ func TestSpecConstructors(t *testing.T) {
 }
 
 func TestLayerCacheBasics(t *testing.T) {
-	c := NewLayerCache[string](100)
+	c := NewLayerCache(100)
 	if c.Has("a") {
 		t.Error("empty cache should miss")
 	}
@@ -135,7 +135,7 @@ func TestLayerCacheBasics(t *testing.T) {
 }
 
 func TestLayerCacheEviction(t *testing.T) {
-	c := NewLayerCache[string](100)
+	c := NewLayerCache(100)
 	c.Put("a", 40)
 	c.Put("b", 40)
 	c.Has("a") // make a most-recent
@@ -155,7 +155,7 @@ func TestLayerCacheEviction(t *testing.T) {
 }
 
 func TestLayerCacheOversized(t *testing.T) {
-	c := NewLayerCache[string](10)
+	c := NewLayerCache(10)
 	if c.Put("big", 11) {
 		t.Error("oversized layer should not cache")
 	}
@@ -165,7 +165,7 @@ func TestLayerCacheOversized(t *testing.T) {
 }
 
 func TestLayerCacheRePutRefreshes(t *testing.T) {
-	c := NewLayerCache[string](100)
+	c := NewLayerCache(100)
 	c.Put("a", 50)
 	c.Put("b", 50)
 	c.Put("a", 50) // refresh recency; no size change
@@ -179,7 +179,7 @@ func TestLayerCacheRePutRefreshes(t *testing.T) {
 }
 
 func TestLayerCacheFlush(t *testing.T) {
-	c := NewLayerCache[string](100)
+	c := NewLayerCache(100)
 	c.Put("a", 10)
 	c.Flush()
 	if c.Len() != 0 || c.Used() != 0 {
@@ -188,7 +188,7 @@ func TestLayerCacheFlush(t *testing.T) {
 }
 
 func TestLayerCacheInvariantNeverOverCapacity(t *testing.T) {
-	c := NewLayerCache[string](1000)
+	c := NewLayerCache(1000)
 	for i := 0; i < 500; i++ {
 		d := string(rune('a'+i%26)) + string(rune('0'+i%10))
 		c.Put(d, units.Bytes(50+i%200))
@@ -225,7 +225,7 @@ func TestLayerCacheMatchesReferenceLRU(t *testing.T) {
 		lru = append([]ref{e}, lru...)
 	}
 
-	c := NewLayerCache[string](capacity)
+	c := NewLayerCache(capacity)
 	rng := uint64(7)
 	next := func(n uint64) uint64 {
 		rng ^= rng << 13
@@ -278,7 +278,7 @@ func TestLayerCacheMatchesReferenceLRU(t *testing.T) {
 // emptying it and refilling it to the same shape allocates nothing — what a
 // cold simulation run does with each device's scratch cache.
 func TestLayerCacheRefillAllocationFree(t *testing.T) {
-	c := NewLayerCache[string](0)
+	c := NewLayerCache(0)
 	digests := []string{"a", "b", "c", "d", "e", "f"}
 	fill := func() {
 		c.Reset(100)

@@ -50,17 +50,14 @@ type Exec struct {
 	regBytes []units.Bytes
 	regUsed  []bool
 
-	// Cold-run layer caches, one per plan device, made on first use and
-	// keyed by the plan's layer ids. A run without WarmCaches resets device
-	// d's to the device's storage on its first touch (when cacheRun[d] is
-	// not the current run) and never reads or writes the cluster's own
-	// caches, so a cold run is a pure function of its inputs.
-	caches   []*device.LayerCache[int32]
+	// Cold-run layer caches, one per plan device, made on first use. A run
+	// without WarmCaches resets device d's to the device's storage on its
+	// first touch (when cacheRun[d] is not the current run) and never reads
+	// or writes the cluster's own caches, so a cold run is a pure function
+	// of its inputs.
+	caches   []*device.LayerCache
 	cacheRun []uint64
 	runs     uint64
-	// held[d*numLayers+id] == runs marks layer id pulled onto device d in
-	// this run, for a device whose cold cache could never evict.
-	held []uint64
 
 	seedBuf []byte
 	res     Result
@@ -97,15 +94,17 @@ func (e *Exec) size(p *Plan) {
 	e.regUsed = slab.Grow(e.regUsed, nr)
 	e.cacheRun = slab.Grow(e.cacheRun, nd)
 	e.caches = slab.Grow(e.caches, nd)
-	e.held = slab.Grow(e.held, nd*p.numLayers)
 }
 
-// coldCache is the cache a cold run reads and fills for device d: the
-// Exec's, emptied on the run's first touch.
-func (e *Exec) coldCache(p *Plan, d int32) *device.LayerCache[int32] {
+// layerCache is the cache a run reads and fills for device d: the device's
+// own under WarmCaches, else the Exec's, emptied on the run's first touch.
+func (e *Exec) layerCache(p *Plan, d int32, warm bool) *device.LayerCache {
+	if warm {
+		return p.devices[d].Cache()
+	}
 	c := e.caches[d]
 	if c == nil {
-		c = device.NewLayerCache[int32](0)
+		c = device.NewLayerCache(0)
 		e.caches[d] = c
 	} else if e.cacheRun[d] == e.runs {
 		return c
@@ -113,46 +112,6 @@ func (e *Exec) coldCache(p *Plan, d int32) *device.LayerCache[int32] {
 	e.cacheRun[d] = e.runs
 	c.Reset(p.devices[d].Storage)
 	return c
-}
-
-// missing returns the bytes of microservice ms's layers that device d does
-// not hold, and caches them as pulled: in the device's own cache under
-// WarmCaches, by digest, else in the Exec's, by layer id — a run-stamped
-// set where d's storage holds every layer of the plan, an LRU cache where
-// it may have to evict.
-func (e *Exec) missing(p *Plan, ms, d int32, warm bool) units.Bytes {
-	var missing units.Bytes
-	if warm {
-		cache := p.devices[d].Cache()
-		for _, layer := range p.layers[ms] {
-			if !cache.Has(layer.Digest) {
-				missing += layer.Size
-				cache.Put(layer.Digest, layer.Size)
-			}
-		}
-		return missing
-	}
-	if !p.negLayer && p.layerBytes <= p.devices[d].Storage {
-		// Every layer of the plan fits on d at once, so its cache would
-		// never evict: it holds exactly the layers pulled onto d so far.
-		held := e.held[int(d)*p.numLayers : (int(d)+1)*p.numLayers]
-		for k, id := range p.layerIDs[ms] {
-			if held[id] != e.runs {
-				held[id] = e.runs
-				missing += p.layers[ms][k].Size
-			}
-		}
-		return missing
-	}
-	cache := e.coldCache(p, d)
-	for k, id := range p.layerIDs[ms] {
-		if !cache.Has(id) {
-			size := p.layers[ms][k].Size
-			missing += size
-			cache.Put(id, size)
-		}
-	}
-	return missing
 }
 
 // Run replays the plan under the placement and returns per-microservice
@@ -258,7 +217,14 @@ func (e *Exec) run(p *Plan, choices []Choice, opts Options) (*Result, error) {
 		// to several distinct devices at once divide its uplink capacity.
 		for _, ms := range stage {
 			d := choices[ms].Device
-			missing := e.missing(p, ms, d, opts.WarmCaches)
+			cache := e.layerCache(p, d, opts.WarmCaches)
+			var missing units.Bytes
+			for _, layer := range p.layers[ms] {
+				if !cache.Has(layer.Digest) {
+					missing += layer.Size
+					cache.Put(layer.Digest, layer.Size)
+				}
+			}
 			e.pulls[ms].missing = missing
 			if missing > 0 {
 				r := choices[ms].Registry

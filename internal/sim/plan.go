@@ -73,18 +73,7 @@ type Plan struct {
 	srcLink   []topo.Link
 	hasSource bool
 
-	layers [][]Layer // per ms: interned image layers (LayersOf order)
-	// layerIDs[ms][k] numbers layers[ms][k]'s digest among the plan's
-	// distinct digests, 0 to numLayers-1: the key of the executor's cold
-	// layer caches.
-	layerIDs  [][]int32
-	numLayers int
-	// layerBytes sums every layer's size, and negLayer reports a negative
-	// one: a device whose storage holds layerBytes, with no negative
-	// layer, never evicts from its cold cache.
-	layerBytes units.Bytes
-	negLayer   bool
-
+	layers   [][]Layer         // per ms: interned image layers (LayersOf order)
 	inputs   [][]appgraph.Edge // per ms: incoming dataflows in DAG order
 	extInput []units.Bytes     // per ms
 
@@ -171,8 +160,6 @@ type PlanScratch struct {
 	feasible  slab.Slab[bool]
 	layers    slab.Slab[Layer] // the synthetic single layers of images the cluster does not decompose
 	layerRows slab.Slab[[]Layer]
-	layerIDs  slab.Slab[int32]
-	idRows    slab.Slab[[]int32]
 	tp        slab.Slab[float64]
 	watts     slab.Slab[units.Watts] // pull, receive, process
 
@@ -182,9 +169,6 @@ type PlanScratch struct {
 	// needs it) and clears it at planDigestCap names. Each key is a slice of
 	// its own digest, never the app's string.
 	digests map[string]string
-	// ids numbers the distinct digests of a compile whose cluster
-	// decomposes an image into layers; emptied by each such compile.
-	ids map[string]int32
 }
 
 // planDigestCap bounds PlanScratch.digests: more image names than a hot
@@ -235,12 +219,10 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 	p.pullW, p.recvW, p.procW = s.watts.Cut(nm*nc), s.watts.Cut(nm*nc), s.watts.Cut(nm*nc)
 	p.layers = s.layerRows.Cut(nm)
 
-	decomposed := false
 	for i := 0; i < nm; i++ {
 		m := p.ms[i]
 		if ls, ok := cluster.Layers[m.Name]; ok {
 			p.layers[i] = ls
-			decomposed = true
 		} else {
 			p.layers[i] = s.layers.Cut(1)
 			p.layers[i][0] = Layer{Digest: s.layerDigest(m), Size: m.ImageSize}
@@ -253,54 +235,8 @@ func (s *PlanScratch) Compile(at *appgraph.AppTable, cluster *Cluster, tab *topo
 		}
 	}
 
-	p.layerIDs, p.numLayers = s.numberLayers(p.layers, decomposed)
-	for _, ls := range p.layers {
-		for _, l := range ls {
-			p.layerBytes += l.Size
-			p.negLayer = p.negLayer || l.Size < 0
-		}
-	}
-
 	p.stages, p.topo = at.Stages(), at.Topo()
 	return p
-}
-
-// numberLayers numbers the distinct digests of layers, one row of ids per
-// microservice. Without a decomposed image every microservice has one layer
-// of its own — "sha256:" and its name, which is unique — so the layer's id
-// is the microservice's, and no digest is looked up; otherwise the digests
-// are numbered in first-seen order through s.ids.
-func (s *PlanScratch) numberLayers(layers [][]Layer, decomposed bool) ([][]int32, int) {
-	n := 0
-	for _, ls := range layers {
-		n += len(ls)
-	}
-	s.layerIDs.Reset(n)
-	s.idRows.Reset(len(layers))
-	rows := s.idRows.Cut(len(layers))
-	if !decomposed {
-		for i := range rows {
-			rows[i] = s.layerIDs.Cut(1)
-			rows[i][0] = int32(i)
-		}
-		return rows, len(layers)
-	}
-	if s.ids == nil {
-		s.ids = make(map[string]int32)
-	}
-	clear(s.ids)
-	for i, ls := range layers {
-		rows[i] = s.layerIDs.Cut(len(ls))
-		for k, l := range ls {
-			id, ok := s.ids[l.Digest]
-			if !ok {
-				id = int32(len(s.ids))
-				s.ids[l.Digest] = id
-			}
-			rows[i][k] = id
-		}
-	}
-	return rows, len(s.ids)
 }
 
 // layerDigest is defaultLayer(m).Digest, taken from the scratch's digests
