@@ -307,6 +307,13 @@ func (a *App) Stages() [][]string {
 // was computed when the app was built.
 func (a *App) Digest() [sha256.Size]byte { return a.digest }
 
+// edgeKey is one edge's (From, To) ranks packed into one integer, high
+// half From, and the edge's index.
+type edgeKey struct {
+	key uint64
+	i   int32
+}
+
 // computeDigest hashes one newline-terminated record per app, microservice,
 // image, and dataflow, microservices sorted by name, images by registry, and
 // dataflows by (From, To). Every variable-length string is length-prefixed,
@@ -321,29 +328,15 @@ func (a *App) Digest() [sha256.Size]byte { return a.digest }
 // key per edge.
 func (a *App) computeDigest() [sha256.Size]byte {
 	ms, edges, ord := a.Microservices, a.Dataflows, &a.order
-	var keyStack [128]uint64
+	var keyStack [128]edgeKey
 	byEnds := keyStack[:0]
 	if len(edges) > len(keyStack) {
-		byEnds = make([]uint64, 0, len(edges))
+		byEnds = make([]edgeKey, 0, len(edges))
 	}
-	if n := uint64(len(ms)); n*n <= 1<<32 {
-		// One key per edge, (From, To) ranks above its index: the pairs
-		// are unique, so the keys sort as the pairs do.
-		for i := range edges {
-			byEnds = append(byEnds, (uint64(ord.From[i])*n+uint64(ord.To[i]))<<32|uint64(i))
-		}
-		slices.Sort(byEnds)
-	} else {
-		for i := range edges {
-			byEnds = append(byEnds, uint64(i))
-		}
-		slices.SortFunc(byEnds, func(x, y uint64) int {
-			if c := cmp.Compare(ord.From[x], ord.From[y]); c != 0 {
-				return c
-			}
-			return cmp.Compare(ord.To[x], ord.To[y])
-		})
+	for i := range edges {
+		byEnds = append(byEnds, edgeKey{uint64(ord.From[i])<<32 | uint64(ord.To[i]), int32(i)})
 	}
+	slices.SortFunc(byEnds, func(x, y edgeKey) int { return cmp.Compare(x.key, y.key) })
 
 	var bufStack [4096]byte
 	buf := append(bufStack[:0], "app"...)
@@ -379,7 +372,7 @@ func (a *App) computeDigest() [sha256.Size]byte {
 		}
 	}
 	for _, k := range byEnds {
-		e := &edges[uint32(k)]
+		e := &edges[k.i]
 		buf = append(buf, "df"...)
 		buf = appendField(buf, e.From)
 		buf = appendField(buf, e.To)
