@@ -77,23 +77,15 @@ func (in *Interner) ScanDeploy(buf []byte) (tenant string, item DeployItem, ok b
 	s := scanner{buf: buf, in: in}
 	var name []byte
 	var seen fieldSet
-	more, ok := s.enter('{', '}')
-	for ok && more {
-		var key []byte
-		if key, ok = s.key(); !ok {
-			break
-		}
+	ok = s.object(func(key []byte) bool {
 		if string(key) == "tenant" {
+			var ok bool
 			name, ok = s.str()
-			ok = ok && seen.first(envTenant)
-		} else {
-			ok = s.itemField(key, &item, &seen)
+			return ok && seen.first(envTenant)
 		}
-		if ok {
-			more, ok = s.next('}')
-		}
-	}
-	if !ok || !s.end() {
+		return s.itemField(key, &item, &seen)
+	}) && s.end()
+	if !ok {
 		return "", DeployItem{}, false
 	}
 	return string(name), item, true
@@ -106,57 +98,31 @@ func (in *Interner) ScanDeployBatch(buf []byte, items []DeployItem, maxItems int
 	s := scanner{buf: buf, in: in}
 	var name []byte
 	var seen fieldSet
-	more, ok := s.enter('{', '}')
-	for ok && more {
-		var key []byte
-		if key, ok = s.key(); !ok {
-			break
-		}
+	ok = s.object(func(key []byte) bool {
 		switch string(key) {
 		case "tenant":
+			var ok bool
 			name, ok = s.str()
-			ok = ok && seen.first(envTenant)
+			return ok && seen.first(envTenant)
 		case "items":
-			items, ok = s.items(items, maxItems)
-			ok = ok && seen.first(envItems)
-		default:
-			ok = false
+			return seen.first(envItems) && s.array(func() bool {
+				var item DeployItem
+				var itemSeen fieldSet
+				if len(items) == maxItems || !s.object(func(key []byte) bool {
+					return s.itemField(key, &item, &itemSeen)
+				}) {
+					return false
+				}
+				items = append(items, item)
+				return true
+			})
 		}
-		if ok {
-			more, ok = s.next('}')
-		}
-	}
-	if !ok || !s.end() {
+		return false
+	}) && s.end()
+	if !ok {
 		return "", nil, false
 	}
 	return string(name), items, true
-}
-
-// items reads a batch's array of items, appending each to items; more than
-// maxItems is a decline.
-func (s *scanner) items(items []DeployItem, maxItems int) ([]DeployItem, bool) {
-	more, ok := s.enter('[', ']')
-	for ok && more {
-		if len(items) == maxItems {
-			return items, false
-		}
-		var item DeployItem
-		var seen fieldSet
-		more, ok = s.enter('{', '}')
-		for ok && more {
-			var key []byte
-			if key, ok = s.key(); ok && s.itemField(key, &item, &seen) {
-				more, ok = s.next('}')
-			} else {
-				ok = false
-			}
-		}
-		if ok {
-			items = append(items, item)
-			more, ok = s.next(']')
-		}
-	}
-	return items, ok
 }
 
 // itemField reads the value of one of the three per-deployment keys.
@@ -345,35 +311,21 @@ func (ab *appBuild) walk(buf []byte, base int) (end int, ok bool) {
 	s := appScanner{scanner: scanner{buf: buf, pos: base}, base: base, ab: ab}
 	r := &ab.rec
 	var seen fieldSet
-	more, ok := s.enter('{', '}')
-	for ok && more {
-		var key []byte
-		if key, ok = s.key(); !ok {
-			break
-		}
-		var f fieldSet
+	ok = s.object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "version":
-			f = specVersion
 			r.version, ok = s.integer()
+			return ok && seen.first(specVersion)
 		case "name":
-			f = specName
 			r.name, ok = s.span()
+			return ok && seen.first(specName)
 		case "microservices":
-			f = specMicroservices
-			ok = s.microservices()
+			return seen.first(specMicroservices) && s.array(s.microservice)
 		case "dataflows":
-			f = specDataflows
-			ok = s.dataflows()
-		default:
-			ok = false
+			return seen.first(specDataflows) && s.array(s.dataflow)
 		}
-		if ok && seen.first(f) {
-			more, ok = s.next('}')
-		} else {
-			ok = false
-		}
-	}
+		return false
+	})
 	return s.pos, ok
 }
 
@@ -459,26 +411,11 @@ func (s *appScanner) span() (span, bool) {
 	return s.spanOf(b), true
 }
 
-func (s *appScanner) microservices() bool {
-	more, ok := s.enter('[', ']')
-	for ok && more {
-		if ok = s.microservice(); ok {
-			more, ok = s.next(']')
-		}
-	}
-	return ok
-}
-
 func (s *appScanner) microservice() bool {
 	ab, r := s.ab, &s.ab.rec
 	m := msRecord{arches: [2]int32{int32(len(ab.arches))}, images: [2]int32{int32(len(r.images))}}
 	var seen fieldSet
-	more, ok := s.enter('{', '}')
-	for ok && more {
-		var key []byte
-		if key, ok = s.key(); !ok {
-			break
-		}
+	ok := s.object(func(key []byte) (ok bool) {
 		var f fieldSet
 		switch string(key) {
 		case "name":
@@ -489,7 +426,11 @@ func (s *appScanner) microservice() bool {
 			m.imageSize, ok = s.integer()
 		case "images":
 			f = msImages
-			ok = s.images()
+			ok = s.object(func(registry []byte) bool {
+				ref, ok := s.span()
+				r.images = append(r.images, imageRecord{s.spanOf(registry), ref})
+				return ok
+			})
 		case "cores":
 			f = msCores
 			var n int64
@@ -500,9 +441,7 @@ func (s *appScanner) microservice() bool {
 			f = msCPU
 			var b []byte
 			if b, _ = s.number(); b != nil {
-				m.cpu = s.spanOf(b)
-			} else {
-				ok = false
+				m.cpu, ok = s.spanOf(b), true
 			}
 		case "memory_bytes":
 			f = msMemory
@@ -512,98 +451,48 @@ func (s *appScanner) microservice() bool {
 			m.storage, ok = s.integer()
 		case "arches":
 			f = msArches
-			ok = s.arches()
+			ok = s.array(func() bool {
+				arch, _ := s.str()
+				switch string(arch) {
+				case string(dag.AMD64):
+					ab.arches = append(ab.arches, dag.AMD64)
+				case string(dag.ARM64):
+					ab.arches = append(ab.arches, dag.ARM64)
+				default:
+					return false
+				}
+				return true
+			})
 		case "external_input_bytes":
 			f = msExternalInput
 			m.extInput, ok = s.integer()
-		default:
-			ok = false
 		}
-		if ok && seen.first(f) {
-			more, ok = s.next('}')
-		} else {
-			ok = false
-		}
-	}
+		return ok && seen.first(f)
+	})
 	m.arches[1], m.images[1] = int32(len(ab.arches)), int32(len(r.images))
 	r.ms = append(r.ms, m)
 	return ok
 }
 
-// images reads a vertex's registry -> reference object into the record.
-func (s *appScanner) images() bool {
-	r := &s.ab.rec
-	more, ok := s.enter('{', '}')
-	for ok && more {
-		var registry []byte
-		var ref span
-		if registry, ok = s.key(); ok {
-			ref, ok = s.span()
+func (s *appScanner) dataflow() bool {
+	var e edgeRecord
+	var seen fieldSet
+	ok := s.object(func(key []byte) (ok bool) {
+		var f fieldSet
+		switch string(key) {
+		case "from":
+			f = dfFrom
+			e.from, ok = s.span()
+		case "to":
+			f = dfTo
+			e.to, ok = s.span()
+		case "size_bytes":
+			f = dfSize
+			e.size, ok = s.integer()
 		}
-		if ok {
-			r.images = append(r.images, imageRecord{s.spanOf(registry), ref})
-			more, ok = s.next('}')
-		}
-	}
-	return ok
-}
-
-// arches reads a vertex's architecture list into the scratch's arch list.
-func (s *appScanner) arches() bool {
-	ab := s.ab
-	more, ok := s.enter('[', ']')
-	for ok && more {
-		arch, _ := s.str()
-		switch string(arch) {
-		case string(dag.AMD64):
-			ab.arches = append(ab.arches, dag.AMD64)
-		case string(dag.ARM64):
-			ab.arches = append(ab.arches, dag.ARM64)
-		default:
-			return false
-		}
-		more, ok = s.next(']')
-	}
-	return ok
-}
-
-func (s *appScanner) dataflows() bool {
-	r := &s.ab.rec
-	more, ok := s.enter('[', ']')
-	for ok && more {
-		var e edgeRecord
-		var seen fieldSet
-		more, ok = s.enter('{', '}')
-		for ok && more {
-			var key []byte
-			if key, ok = s.key(); !ok {
-				break
-			}
-			var f fieldSet
-			switch string(key) {
-			case "from":
-				f = dfFrom
-				e.from, ok = s.span()
-			case "to":
-				f = dfTo
-				e.to, ok = s.span()
-			case "size_bytes":
-				f = dfSize
-				e.size, ok = s.integer()
-			default:
-				ok = false
-			}
-			if ok && seen.first(f) {
-				more, ok = s.next('}')
-			} else {
-				ok = false
-			}
-		}
-		if ok {
-			r.edges = append(r.edges, e)
-			more, ok = s.next(']')
-		}
-	}
+		return ok && seen.first(f)
+	})
+	s.ab.rec.edges = append(s.ab.rec.edges, e)
 	return ok
 }
 
@@ -635,37 +524,33 @@ func (s *scanner) end() bool {
 	return s.pos == len(s.buf)
 }
 
-// Objects and arrays are read by one loop each, the member's key switched
-// on in place:
-//
-//	more, ok := s.enter('{', '}')
-//	for ok && more {
-//		key, ok = s.key(); ... read the value ...
-//		more, ok = s.next('}')
-//	}
+// object reads {"key":value,...}, calling member with each key to read its
+// value; key aliases buf.
+func (s *scanner) object(member func(key []byte) bool) bool {
+	return s.list('{', '}', func() bool {
+		key, ok := s.str()
+		return ok && s.byte(':') && member(key)
+	})
+}
 
-// enter consumes the opening byte of an object or array and reports
-// whether a member or element follows (more), or the container was empty.
-func (s *scanner) enter(open, close byte) (more, ok bool) {
+// array reads [element,...], calling element to read each.
+func (s *scanner) array(element func() bool) bool { return s.list('[', ']', element) }
+
+func (s *scanner) list(open, close byte, element func() bool) bool {
 	if !s.byte(open) {
-		return false, false
+		return false
 	}
-	return !s.byte(close), true
-}
-
-// next consumes what follows a member or element: a comma, after which
-// more follows, or the container's closing byte.
-func (s *scanner) next(close byte) (more, ok bool) {
-	if s.byte(',') {
-		return true, true
+	if s.byte(close) {
+		return true
 	}
-	return false, s.byte(close)
-}
-
-// key reads a member's key and the colon after it; key aliases buf.
-func (s *scanner) key() ([]byte, bool) {
-	key, ok := s.str()
-	return key, ok && s.byte(':')
+	for {
+		if !element() {
+			return false
+		}
+		if !s.byte(',') {
+			return s.byte(close)
+		}
+	}
 }
 
 // str reads a string and returns the bytes between its quotes: no escapes,
